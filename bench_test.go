@@ -177,7 +177,7 @@ func BenchmarkSyncRuntimeThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.Run(c)
+		res, err := core.Start(core.RunSpec{Config: c})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,14 +195,15 @@ func BenchmarkAsyncRuntimeThroughput(b *testing.B) {
 	b.ResetTimer()
 	updates := 0
 	for i := 0; i < b.N; i++ {
-		c := core.AsyncConfig{
+		c := core.RunSpec{
 			Config:      cfg,
+			Runtime:     core.RuntimeAsync,
 			Concurrency: 8,
 			BufferSize:  4,
 			Latency:     core.UniformLatency{Min: 1, Max: 3},
 		}
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.RunAsync(c)
+		res, err := core.Start(c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func benchSyncPopulation(b *testing.B, clients int) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.Run(c)
+		res, err := core.Start(core.RunSpec{Config: c})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,14 +274,15 @@ func benchAsyncPopulation(b *testing.B, clients int) {
 	b.ResetTimer()
 	updates := 0
 	for i := 0; i < b.N; i++ {
-		c := core.AsyncConfig{
+		c := core.RunSpec{
 			Config:      cfg,
+			Runtime:     core.RuntimeAsync,
 			Concurrency: 128,
 			BufferSize:  32,
 			Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
 		}
 		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.RunAsync(c)
+		res, err := core.Start(c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,7 +405,7 @@ func BenchmarkRobustMerge1k(b *testing.B) {
 //	events/s   dispatch+arrival events processed per wall-clock second
 //	           (higher is better; benchdiff knows the direction)
 //	B/client   the runtime's deterministic per-client bookkeeping bytes
-//	           (core.PerClientStateBytes — gated next to allocs/op)
+//	           (RunState.PerClientStateBytes — gated next to allocs/op)
 
 func benchScaleSpec(b *testing.B, clients int) core.RunSpec {
 	b.Helper()
@@ -452,16 +454,16 @@ func benchScalePopulation(b *testing.B, clients int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		spec := benchScaleSpec(b, clients)
-		a, err := core.NewAsyncServerSpec(spec)
+		rs, err := core.NewRunState(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		perClientBytes = a.PerClientStateBytes()
+		perClientBytes = rs.PerClientStateBytes()
 		b.StartTimer()
-		if _, err := a.Run(); err != nil {
+		if _, err := rs.Run(); err != nil {
 			b.Fatal(err)
 		}
-		_, dispatches := a.Participation()
+		_, dispatches := rs.Participation()
 		events += 2 * dispatches // each dispatch and its arrival
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")

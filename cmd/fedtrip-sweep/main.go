@@ -71,11 +71,11 @@ func run(algoName, param, values, dataset, model string, dirAlpha float64,
 		if err != nil {
 			return nil, err
 		}
-		return core.Run(core.Config{
+		return core.Start(core.RunSpec{Config: core.Config{
 			Model: spec, Train: train, Test: test, Parts: parts,
 			Rounds: rounds, ClientsPerRound: perRound, BatchSize: batch,
 			LocalEpochs: 1, LR: 0.01, Momentum: 0.9, Algo: algo, Seed: seed,
-		})
+		}})
 	}
 
 	// FedAvg reference fixes the rounds-to-target bar.

@@ -79,6 +79,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -393,8 +394,10 @@ func run(o runOpts) error {
 		d, u := mt.WireBytes()
 		fmt.Printf("  wire bytes      %d (down %d, up %d)\n", d+u, d, u)
 	}
-	if n := len(res.SimTimeByRound); n > 0 {
-		fmt.Printf("  simulated time  %.1f s\n", res.SimTimeByRound[n-1])
+	// Every run carries the clock series; only a priced one moves it.
+	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
+	if simulated > 0 {
+		fmt.Printf("  simulated time  %.1f s\n", simulated)
 	}
 	if res.DroppedUpdates > 0 {
 		fmt.Printf("  dropped updates %d (in-flight work of permanently dropped clients)\n", res.DroppedUpdates)
@@ -406,7 +409,7 @@ func run(o runOpts) error {
 		if res.RoundsToTarget > 0 {
 			fmt.Printf("  rounds to %.0f%%  %d (%.2f GFLOPs, %.2f MB)\n",
 				o.target*100, res.RoundsToTarget, res.GFLOPsToTarget(), float64(res.CommBytesToTarget())/1e6)
-			if len(res.SimTimeByRound) > 0 {
+			if simulated > 0 {
 				fmt.Printf("  time to %.0f%%    %.1f s (simulated)\n", o.target*100, res.TimeToTarget())
 			}
 		} else {
@@ -538,14 +541,29 @@ func interrupted(rs *core.RunState, o runOpts) error {
 	return nil
 }
 
-func writeSnapshot(rs *core.RunState, path string) error {
-	f, err := os.Create(path)
+// writeSnapshot replaces path with the run's snapshot atomically: the
+// stream goes to a temp file in the same directory and is renamed over
+// path only once it is written, synced and closed, so a failed or killed
+// write never costs the last good checkpoint.
+func writeSnapshot(rs *core.RunState, path string) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := rs.Snapshot(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close() // already failing; closing twice is harmless
+			os.Remove(f.Name())
+		}
+	}()
+	if err = rs.Snapshot(f); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

@@ -114,7 +114,7 @@ func main() {
 		spec  func(method string) core.RunSpec
 	}{
 		// Sync: the barrier runtime is the lock-step loop priced under
-		// the latency model (zero latency reproduces Server.Run
+		// the latency model (at zero latency it is the sync runtime,
 		// bit-for-bit).
 		{"sync", func(m string) core.RunSpec {
 			sp := base(m)
@@ -206,7 +206,7 @@ func tenThousandClients() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	acfg := core.AsyncConfig{
+	spec := core.RunSpec{
 		Config: core.Config{
 			Model: nn.ModelSpec{
 				Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.5,
@@ -218,32 +218,33 @@ func tenThousandClients() {
 			Algo: algo, Seed: 63,
 			EvalEvery: 10,
 		},
+		Runtime:     core.RuntimeAsync,
 		Concurrency: inflight,
 		BufferSize:  buffer,
 		// Every 7th client is a 10x straggler: ~1400 slow devices.
 		Latency: core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
 	}
-	a, err := core.NewAsyncServer(acfg)
+	rs, err := core.NewRunState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n10k-client straggler fleet: %d clients, %d in flight, buffer %d, %d aggregations\n",
 		clients, inflight, buffer, aggs)
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	distinct, dispatches := a.Participation()
+	distinct, dispatches := rs.Participation()
 	runtime.GC() // settle the heap so the reported footprint is live data
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	defer runtime.KeepAlive(a) // keep the fleet live through the measurement
+	defer runtime.KeepAlive(rs) // keep the fleet live through the measurement
 	fmt.Printf("  final accuracy        %.4f (best %.4f)\n", res.FinalAccuracy, res.BestAccuracy)
 	fmt.Printf("  simulated time        %.1f s over %d aggregations\n", res.SimTimeByRound[len(res.SimTimeByRound)-1], res.Rounds)
 	fmt.Printf("  mean staleness (last) %.2f aggregations\n", res.MeanStalenessByRound[len(res.MeanStalenessByRound)-1])
 	fmt.Printf("  fleet coverage        %d distinct clients over %d dispatches\n", distinct, dispatches)
 	fmt.Printf("  train GFLOPs          %.2f\n", res.TotalGFLOPs())
-	fmt.Printf("  heap in use           %.0f MB (population + engines + data)\n", float64(mem.HeapInuse)/1e6)
+	fmt.Printf("  heap in use           %.0f MB (population + data + engines and in-flight work)\n", float64(mem.HeapInuse)/1e6)
 	fmt.Printf("  wall clock            %.1f s\n", time.Since(start).Seconds())
 }
 
@@ -316,30 +317,30 @@ func churnScenario() {
 		},
 		Policy: core.WithMaxStaleness(&core.FedBuffPolicy{}, 16),
 	}
-	a, err := core.NewAsyncServerSpec(spec)
+	rs, err := core.NewRunState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("10k-client churn fleet: %d clients, %d in flight, buffer %d, %d aggregations\n",
 		clients, inflight, buffer, aggs)
 	fmt.Printf("  devices lognormal(0,0.75), adaptive steps, markov:90,10 churn + 20%% mass drop, maxstale:16\n")
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	distinct, dispatches := a.Participation()
+	distinct, dispatches := rs.Participation()
 	runtime.GC()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	defer runtime.KeepAlive(a)
+	defer runtime.KeepAlive(rs)
 	fmt.Printf("  final accuracy        %.4f (best %.4f)\n", res.FinalAccuracy, res.BestAccuracy)
 	fmt.Printf("  simulated time        %.3f s over %d aggregations\n", res.SimTimeByRound[len(res.SimTimeByRound)-1], res.Rounds)
 	fmt.Printf("  mean staleness (last) %.2f aggregations\n", res.MeanStalenessByRound[len(res.MeanStalenessByRound)-1])
 	fmt.Printf("  dropped updates       %d (permanently dropped clients)\n", res.DroppedUpdates)
-	fmt.Printf("  offline right now     %d of %d clients\n", a.Offline(), clients)
+	fmt.Printf("  offline right now     %d of %d clients\n", rs.Offline(), clients)
 	fmt.Printf("  fleet coverage        %d distinct clients over %d dispatches\n", distinct, dispatches)
 	fmt.Printf("  train GFLOPs          %.2f\n", res.TotalGFLOPs())
-	fmt.Printf("  heap in use           %.0f MB (population + engines + data)\n", float64(mem.HeapInuse)/1e6)
+	fmt.Printf("  heap in use           %.0f MB (population + data + engines and in-flight work)\n", float64(mem.HeapInuse)/1e6)
 	fmt.Printf("  wall clock            %.1f s\n", time.Since(start).Seconds())
 }
 
@@ -405,32 +406,32 @@ func scaleScenario(clients int) {
 			Drops: []core.MassDrop{{At: 10, Fraction: 0.1, Duration: 10}},
 		},
 	}
-	a, err := core.NewAsyncServerSpec(spec)
+	rs, err := core.NewRunState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	built := time.Since(start)
 	fmt.Printf("%d-client scale fleet: %d in flight, buffer %d, %d aggregations, markov:400,40 churn + 10%% mass drop\n",
 		clients, inflight, buffer, aggs)
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	distinct, dispatches := a.Participation()
+	distinct, dispatches := rs.Participation()
 	events := 2 * dispatches // each dispatch and its arrival
 	runtime.GC()             // settle the heap so the reported footprint is live data
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	defer runtime.KeepAlive(a)
+	defer runtime.KeepAlive(rs)
 	fmt.Printf("  final accuracy        %.4f (best %.4f)\n", res.FinalAccuracy, res.BestAccuracy)
 	fmt.Printf("  simulated time        %.1f s over %d aggregations\n", res.SimTimeByRound[len(res.SimTimeByRound)-1], res.Rounds)
 	fmt.Printf("  fleet coverage        %d distinct clients over %d dispatches\n", distinct, dispatches)
-	fmt.Printf("  offline right now     %d of %d clients\n", a.Offline(), clients)
+	fmt.Printf("  offline right now     %d of %d clients\n", rs.Offline(), clients)
 	fmt.Printf("  dropped updates       %d\n", res.DroppedUpdates)
-	fmt.Printf("  per-client state      %.0f B/client (deterministic; CI-gated)\n", a.PerClientStateBytes())
+	fmt.Printf("  per-client state      %.0f B/client (deterministic; CI-gated)\n", rs.PerClientStateBytes())
 	fmt.Printf("  event throughput      %.0f events/s (%d dispatch+arrival events)\n",
 		float64(events)/time.Since(start).Seconds(), events)
-	fmt.Printf("  heap in use           %.0f MB (population + engines + data)\n", float64(mem.HeapInuse)/1e6)
+	fmt.Printf("  heap in use           %.0f MB (population + data + engines and in-flight work)\n", float64(mem.HeapInuse)/1e6)
 	fmt.Printf("  wall clock            %.1f s (%.1f s fleet construction)\n",
 		time.Since(start).Seconds(), built.Seconds())
 }
@@ -463,7 +464,7 @@ func participationLadder() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := core.Run(core.Config{
+			res, err := core.Start(core.RunSpec{Config: core.Config{
 				Model: nn.ModelSpec{
 					Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10,
 				},
@@ -472,7 +473,7 @@ func participationLadder() {
 				BatchSize: 10, LocalEpochs: 1,
 				LR: 0.01, Momentum: 0.9,
 				Algo: algo, Seed: 33,
-			})
+			}})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := core.Run(core.Config{
+			res, err := core.Start(core.RunSpec{Config: core.Config{
 				Model: nn.ModelSpec{
 					Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10,
 				},
@@ -67,7 +67,7 @@ func main() {
 				BatchSize: 10, LocalEpochs: 1,
 				LR: 0.01, Momentum: 0.9,
 				Algo: algo, Seed: 6,
-			})
+			}})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// 4. Federated training: 4-of-10 clients per round, SGDm locally.
-	res, err := core.Run(core.Config{
+	res, err := core.Start(core.RunSpec{Config: core.Config{
 		Model: nn.ModelSpec{
 			Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28,
 			Classes: 10, Scale: 0.5,
@@ -63,7 +63,7 @@ func main() {
 		BatchSize: 10, LocalEpochs: 1,
 		LR: 0.01, Momentum: 0.9,
 		Algo: algo, Seed: 3,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

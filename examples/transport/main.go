@@ -67,7 +67,7 @@ func main() {
 			log.Fatal(err)
 		}
 		tr := trI.(core.MeteredTransport)
-		res, err := core.Run(baseConfig(tr))
+		res, err := core.Start(core.RunSpec{Config: baseConfig(tr)})
 		if err != nil {
 			log.Fatal(err)
 		}

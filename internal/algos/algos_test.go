@@ -87,7 +87,7 @@ func TestAllAlgorithmsSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Run(testConfig(t, algo))
+			res, err := core.Start(core.RunSpec{Config: testConfig(t, algo)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,12 +220,12 @@ func TestMOONFeatureGradWiring(t *testing.T) {
 // passes per batch) — the resource story of Table V.
 func TestMOONCostsMoreThanFedProx(t *testing.T) {
 	moonAlgo, _ := New("moon", Params{})
-	rMoon, err := core.Run(testConfig(t, moonAlgo))
+	rMoon, err := core.Start(core.RunSpec{Config: testConfig(t, moonAlgo)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxAlgo, _ := New("fedprox", Params{})
-	rProx, err := core.Run(testConfig(t, proxAlgo))
+	rProx, err := core.Start(core.RunSpec{Config: testConfig(t, proxAlgo)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSCAFFOLDIntegration(t *testing.T) {
 	algo, _ := New("scaffold", Params{})
 	cfg := testConfig(t, algo)
 	cfg.Rounds = 4
-	res, err := core.Run(cfg)
+	res, err := core.Start(core.RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSCAFFOLDIntegration(t *testing.T) {
 	// Extra communication must be metered (factor 2 on top of base 2).
 	base := testConfig(t, &FedAvg{})
 	base.Rounds = 4
-	rBase, err := core.Run(base)
+	rBase, err := core.Start(core.RunSpec{Config: base})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestFedGKDEndToEnd(t *testing.T) {
 	if algo.(*FedGKD).Gamma != 0.2 || algo.(*FedGKD).Tau != 2 {
 		t.Fatal("fedgkd defaults")
 	}
-	res, err := core.Run(testConfig(t, algo))
+	res, err := core.Start(core.RunSpec{Config: testConfig(t, algo)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFedGKDEndToEnd(t *testing.T) {
 	}
 	// One extra forward per batch: more FLOPs than FedAvg, less than MOON.
 	avg, _ := New("fedavg", Params{})
-	rAvg, err := core.Run(testConfig(t, avg))
+	rAvg, err := core.Start(core.RunSpec{Config: testConfig(t, avg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFedNovaEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(testConfig(t, algo))
+	res, err := core.Start(core.RunSpec{Config: testConfig(t, algo)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,12 @@ func TestWithStalenessAsyncRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.AsyncConfig{Config: testConfig(t, algo)}
+	cfg := core.RunSpec{Config: testConfig(t, algo), Runtime: core.RuntimeAsync}
 	cfg.Rounds = 5
 	cfg.Concurrency = 4
 	cfg.BufferSize = 2
 	cfg.Latency = core.UniformLatency{Min: 1, Max: 5}
-	res, err := core.RunAsync(cfg)
+	res, err := core.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ var bannedRandPackages = map[string]bool{
 }
 
 // bannedTimeMembers are the wall-clock entry points of package time. The
-// runtime's only clock is the simulated one (AsyncServer.Now); wall
+// runtime's only clock is the simulated one (RunState.Now); wall
 // time in a trajectory-relevant path breaks run reproducibility.
 var bannedTimeMembers = map[string]bool{
 	"Now":   true,

@@ -96,11 +96,11 @@ func TestF32TransportEndToEnd(t *testing.T) {
 		}
 	}
 	tr := NewF32Transport()
-	resF32, err := core.Run(build(tr))
+	resF32, err := core.Start(core.RunSpec{Config: build(tr)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRef, err := core.Run(build(nil))
+	resRef, err := core.Start(core.RunSpec{Config: build(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 		Seed:            7,
 		Transport:       tr,
 	}
-	res, err := core.Run(cfg)
+	res, err := core.Start(core.RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 	// Without a transport the analytic formula remains in force (no
 	// header bytes).
 	cfg.Transport = nil
-	resA, err := core.Run(cfg)
+	resA, err := core.Start(core.RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
-// Asynchronous, staleness-aware federated runtime.
+// The simulated-clock federated runtime: the lock-step barrier loop and
+// the asynchronous, staleness-aware buffered loop.
 //
-// The synchronous Server.Run is the paper's lock-step loop: select K
-// clients, wait for all of them, aggregate. Under heterogeneous client
-// speeds every round costs the straggler's latency. The AsyncServer
-// instead keeps a fixed number of clients training at all times and
-// aggregates every BufferSize arrivals (FedBuff-style buffered async),
-// discounting each merged update by its staleness — the number of
-// aggregations the server completed while the update was in flight.
+// The barrier loop is the paper's: select K clients, wait for all of
+// them, aggregate. Under heterogeneous client speeds every round costs
+// the straggler's latency (at ZeroLatency the clock never moves — that is
+// RuntimeSync). The buffered loop instead keeps a fixed number of clients
+// training at all times and aggregates every BufferSize arrivals
+// (FedBuff-style buffered async), discounting each merged update by its
+// staleness — the number of aggregations the server completed while the
+// update was in flight.
 //
 // Time is simulated: a LatencyModel assigns each dispatch a virtual
 // duration, and the event loop processes arrivals in virtual-time order
@@ -47,7 +49,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"repro/internal/prng"
 	"repro/internal/tensor"
@@ -66,79 +67,22 @@ func PolyDiscount(a float64) func(staleness int) float64 {
 	}
 }
 
-// AsyncConfig configures the asynchronous runtime on top of a base
-// Config. Config.Rounds counts buffered aggregations (the async analogue
-// of a communication round); Config.ClientsPerRound seeds the defaults
-// for Concurrency and BufferSize. It is the legacy async surface — a thin
-// mapping onto the unified RunSpec (Runtime async, or barrier when
-// RoundBarrier is set); new callers should build a RunSpec and call Start
-// directly, which also exposes the pluggable AggregationPolicy.
-type AsyncConfig struct {
-	Config
-	// Concurrency is the number of clients training simultaneously in
-	// simulated time (FedBuff's M). Defaults to ClientsPerRound. Must not
-	// exceed the population. Real parallelism is bounded separately by
-	// Config.Shards.
-	Concurrency int
-	// BufferSize is the number of arrivals per aggregation (FedBuff's K).
-	// Defaults to ClientsPerRound.
-	BufferSize int
-	// Latency models each dispatch's virtual duration. Defaults to
-	// ZeroLatency.
-	Latency LatencyModel
-	// RoundBarrier switches to lock-step semantics: each round selects
-	// ClientsPerRound clients exactly like the synchronous server, waits
-	// for all of them (round time = straggler's latency), and merges with
-	// staleness 0. With ZeroLatency this reproduces Server.Run bit-for-bit
-	// on the same seed; with a real latency model it prices the
-	// synchronous straggler tax in simulated time.
-	RoundBarrier bool
-	// Discount maps staleness to a weight multiplier on the update's
-	// data-size aggregation weight. Resolution order: the Algorithm's
-	// StalenessWeighter override if implemented, then this field, then
-	// PolyDiscount(0.5).
-	Discount func(staleness int) float64
-}
-
-// spec maps the legacy async configuration onto the unified RunSpec.
-func (c *AsyncConfig) spec() RunSpec {
-	rt := RuntimeAsync
-	if c.RoundBarrier {
-		rt = RuntimeBarrier
-	}
-	return RunSpec{
-		Config:      c.Config,
-		Runtime:     rt,
-		Concurrency: c.Concurrency,
-		BufferSize:  c.BufferSize,
-		Latency:     c.Latency,
-		Discount:    c.Discount,
-	}
-}
-
-// Validate checks the async knobs and fills defaults. It delegates to the
-// unified RunSpec.Validate — the one place run defaults live — and copies
-// the resolved values back.
-func (c *AsyncConfig) Validate() error {
-	sp := c.spec()
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	c.Config = sp.Config
-	c.Concurrency = sp.Concurrency
-	c.BufferSize = sp.BufferSize
-	c.Latency = sp.Latency
-	return nil
-}
-
-// AsyncServer drives the asynchronous runtime over a regular Server (same
-// population, global model, metering, and evaluation).
+// AsyncServer is the state every runtime shares on top of a Server: the
+// virtual clock, the scheduler registry, the recorder (whose Result
+// counts the completed rounds), and the shard pool. The two runners
+// (barrier, buffered) differ only in how a round's updates are gathered;
+// finishRound merges and records them for both.
 type AsyncServer struct {
 	s      *Server
 	spec   RunSpec
+	rec    *recorder
+	sp     *shardPool
 	latRng *prng.Rand
 	now    float64
 	pop    *population
+	// flopsTotal is the cumulative metered training cost of every
+	// processed arrival plus the lock-step PreRound passes.
+	flopsTotal int64
 	// derive is the scratch RNG behind stateless per-client derivation:
 	// device speeds (spec.Devices) and link profiles (spec.Network) are
 	// recomputed per dispatch/arrival by re-seeding it from the client's
@@ -152,45 +96,31 @@ type AsyncServer struct {
 	joinScratch []*trainJob
 }
 
-// NewAsyncServer validates the legacy configuration and builds the
-// population; it is RunSpec/Start's async path behind the old API.
-func NewAsyncServer(cfg AsyncConfig) (*AsyncServer, error) {
-	sp := cfg.spec()
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return newAsyncServer(sp)
-}
-
-// NewAsyncServerSpec validates a RunSpec and builds its async runtime —
-// Start's async path for callers that want the server handle (fleet
-// statistics: Participation, Offline, DeviceSpeeds) around the run. The
-// spec's runtime must be async or barrier.
-func NewAsyncServerSpec(sp RunSpec) (*AsyncServer, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if sp.Runtime == RuntimeSync {
-		return nil, fmt.Errorf("core: NewAsyncServerSpec wants the async or barrier runtime, got %q", sp.Runtime)
-	}
-	return newAsyncServer(sp)
-}
-
 // newAsyncServer builds the runtime from a validated spec (policy
-// resolved, defaults filled).
-func newAsyncServer(sp RunSpec) (*AsyncServer, error) {
+// resolved, defaults filled). maxJobs is the most jobs the runner will
+// ever have in flight at once; it bounds the shard pool.
+func newAsyncServer(sp RunSpec, maxJobs int) (*AsyncServer, error) {
 	s, err := NewServer(sp.Config)
 	if err != nil {
 		return nil, err
 	}
 	s.installPolicy(sp.Policy)
 	s.installFaults(sp.Faults)
+	rec, err := newRecorder(s)
+	if err != nil {
+		return nil, err
+	}
 	a := &AsyncServer{
 		s:    s,
 		spec: sp,
-		// A dedicated latency source keeps the selection stream
-		// (s.rng) identical to the synchronous server's, which the
-		// barrier equivalence mode depends on.
+		rec:  rec,
+		// Closing the pool joins every submitted job, so training
+		// goroutines never outlive the run: they hold client state and
+		// the transport.
+		sp: newShardPool(s, s.cfg.Shards, maxJobs),
+		// A dedicated latency source keeps the selection stream (s.rng)
+		// independent of the latency model, so pricing a run never
+		// changes who is selected.
 		latRng: seedStream(sp.Seed, streamLatency),
 		pop:    newPopulation(len(s.clients), sp.Latency),
 	}
@@ -198,6 +128,43 @@ func newAsyncServer(sp RunSpec) (*AsyncServer, error) {
 		a.churn = newChurn(len(s.clients), sp.Churn, sp.Seed)
 	}
 	return a, nil
+}
+
+// finishRound is the tail of every round in both runners: merge the
+// gathered updates, check for divergence, record the metrics, recycle the
+// upload buffers, and report whether the run is complete.
+//
+//fedtripvet:hotpath
+func (a *AsyncServer) finishRound(updates []Update) (bool, error) {
+	s, cfg, res := a.s, &a.s.cfg, a.rec.res
+	t := res.Rounds + 1
+	if cfg.OnUpdates != nil {
+		cfg.OnUpdates(t, s.global, updates)
+	}
+	s.aggregate(t, updates)
+	if !tensor.AllFinite(s.global) {
+		return true, fmt.Errorf("core: %s diverged at round %d (non-finite global model)", cfg.Algo.Name(), t) //fedtripvet:allow cold terminal error path
+	}
+	var staleSum float64
+	for _, u := range updates {
+		staleSum += float64(u.Staleness)
+	}
+	acc := a.rec.record(t, cfg.Rounds, updates, a.flopsTotal)
+	// The merge and metrics have consumed this round's uploads; their
+	// buffers go back to the pool for the next round's checkouts.
+	recycleUpdates(updates)
+	res.SimTimeByRound = append(res.SimTimeByRound, a.now)                                      //fedtripvet:allow per-round series, amortized growth over the run
+	res.MeanStalenessByRound = append(res.MeanStalenessByRound, staleSum/float64(len(updates))) //fedtripvet:allow per-round series, amortized growth over the run
+	if cfg.Logf != nil {
+		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f gflops=%.2f t=%.1fs stale=%.2f", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], res.GFLOPsByRound[t-1], a.now, res.MeanStalenessByRound[t-1])
+	}
+	if cfg.OnRound != nil {
+		cfg.OnRound(t, s)
+	}
+	if cfg.StopAtTarget && res.RoundsToTarget > 0 {
+		return true, nil
+	}
+	return t >= cfg.Rounds, nil
 }
 
 // adaptiveSteps is a device's per-round mini-batch step budget: the
@@ -249,156 +216,39 @@ func (a *AsyncServer) armJob(j *trainJob, id int) {
 	}
 }
 
-// Server exposes the underlying synchronous server (global model, clients,
-// evaluation) for tests and hooks.
-func (a *AsyncServer) Server() *Server { return a.s }
-
-// Now returns the current virtual time in seconds.
-func (a *AsyncServer) Now() float64 { return a.now }
-
-// Participation reports how many distinct clients have been dispatched at
-// least once and the total number of dispatches — the fleet-coverage
-// statistics of the population registry.
-func (a *AsyncServer) Participation() (distinct int, dispatches int64) {
-	return a.pop.participants()
-}
-
-// Offline reports how many clients are currently offline or permanently
-// dropped (0 without a churn process).
-func (a *AsyncServer) Offline() int {
-	if a.churn == nil {
-		return 0
-	}
-	return a.churn.offlineCount()
-}
-
-// DeviceSpeeds materializes the fleet's per-client compute-speed
-// multipliers (nil without a device distribution). The runtime itself
-// derives speeds on demand; this allocates a fresh O(N) array per call —
-// a diagnostic surface, not a hot path.
-func (a *AsyncServer) DeviceSpeeds() []float64 {
-	if a.spec.Devices == nil {
-		return nil
-	}
-	return sampleDeviceSpeeds(len(a.s.clients), a.spec.Devices, a.spec.Seed)
-}
-
-// NetProfiles materializes the fleet's per-client link profiles (nil
-// without a network distribution). Like DeviceSpeeds, a diagnostic
-// surface: the runtime derives profiles on demand.
-func (a *AsyncServer) NetProfiles() []NetProfile {
-	if a.spec.Network == nil {
-		return nil
-	}
-	return sampleNetProfiles(len(a.s.clients), a.spec.Network, a.spec.Seed)
-}
-
-// PerClientStateBytes reports the runtime's deterministic per-client
-// bookkeeping footprint in bytes: the scheduler registry (dispatch
-// counter plus idle-set entry), the event heap's client→slot map, the
-// aggregate churn permutation, the fault assignment (plus the noise
-// adversary's stream pointers when derived), and the client objects
-// themselves (slice entry, struct, sample indices). Lazily allocated
-// training state — per-client RNGs, historical models, method vectors
-// and scalar maps — is excluded: it scales with participation, not with
-// population. The number is a pure function of the spec, which is what
-// lets CI gate it as a regression metric (cmd/benchdiff, B/client).
-func (a *AsyncServer) PerClientStateBytes() float64 {
-	n := len(a.s.clients)
-	if n == 0 {
-		return 0
-	}
-	// Registry: dispatches + idle ids + idle pos (int32 each), and the
-	// buffered runtime's heap slot map.
-	total := int64(n) * (4 + 4 + 4 + 4)
-	if a.churn != nil {
-		// Aggregate churn: the segment permutation and its inverse.
-		total += int64(n) * 8
-	}
-	if a.s.faults != nil {
-		total += int64(n) // fault class byte
-		if a.s.advRng != nil {
-			total += int64(n) * 8 // noise-stream pointer
-		}
-	}
-	total += int64(n) * int64(8+unsafe.Sizeof(Client{}))
-	for _, c := range a.s.clients {
-		total += int64(8 * cap(c.Indices))
-	}
-	return float64(total) / float64(n)
-}
-
-// RunAsync executes the legacy async configuration through the unified
-// facade (equivalent to Start on the corresponding RunSpec).
-func RunAsync(cfg AsyncConfig) (*Result, error) {
-	a, err := NewAsyncServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.Run()
-}
-
-// Run executes the configured number of aggregations.
-func (a *AsyncServer) Run() (*Result, error) {
-	var r runner
-	var err error
-	if a.spec.Runtime == RuntimeBarrier {
-		r, err = newBarrierRunner(a)
-	} else {
-		r, err = newBufferedRunner(a)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return runToCompletion(r)
-}
-
-// barrierRunner is lock-step with a simulated clock in stepper form: the
-// synchronous trajectory priced under the latency model, one round per
-// step.
-type barrierRunner struct {
-	a          *AsyncServer
-	rec        *recorder
-	sp         *shardPool
-	t          int // completed rounds
-	flopsTotal int64
-}
-
-func newBarrierRunner(a *AsyncServer) (*barrierRunner, error) {
-	rec, err := newRecorder(a.s)
-	if err != nil {
-		return nil, err
-	}
-	return &barrierRunner{
-		a:   a,
-		rec: rec,
-		sp:  newShardPool(a.s, a.s.cfg.Shards, a.s.cfg.ClientsPerRound),
-	}, nil
-}
-
-func (r *barrierRunner) server() *Server     { return r.a.s }
-func (r *barrierRunner) recorder() *recorder { return r.rec }
+// barrierRunner is the paper's lock-step loop in stepper form, priced
+// under the latency model: one step = select K clients, train them in
+// parallel, wait for the slowest, aggregate, record. With ZeroLatency the
+// clock stays at 0 — that is RuntimeSync.
+type barrierRunner struct{ a *AsyncServer }
 
 // quiesce is a no-op: the barrier joins every client inside step, so a
 // round boundary has nothing in flight.
-func (r *barrierRunner) quiesce() {}
+func (r barrierRunner) quiesce() {}
 
-func (r *barrierRunner) close() {
-	r.sp.close()
-	r.rec.finalize()
+// selectedFlops sums the selected clients' cumulative FLOP counters.
+func selectedFlops(selected []*Client) int64 {
+	var fl int64
+	for _, c := range selected {
+		fl += c.Counter.Total()
+	}
+	return fl
 }
 
-func (r *barrierRunner) step() (bool, error) {
+func (r barrierRunner) step() (bool, error) {
 	a, s := r.a, r.a.s
 	cfg := &s.cfg
-	res := r.rec.res
-	if r.t >= cfg.Rounds {
+	if a.rec.res.Rounds >= cfg.Rounds {
 		return true, nil
 	}
-	t := r.t + 1
+	t := a.rec.res.Rounds + 1
 	selected := s.selectClients()
 	if pr, ok := cfg.Algo.(PreRounder); ok {
+		// PreRound work (FedDANE's and MimeLite's full-gradient pass) runs
+		// outside any job, so meter it here: it is training cost.
+		before := selectedFlops(selected)
 		pr.PreRound(t, selected, s.global)
+		a.flopsTotal += selectedFlops(selected) - before
 	}
 	jobs := s.growJobs(len(selected))
 	for i, c := range selected {
@@ -412,11 +262,10 @@ func (r *barrierRunner) step() (bool, error) {
 		a.pop.dispatched(c.ID)
 		// All jobs read the same pre-aggregation global; no writer
 		// until every one of them has joined below.
-		r.sp.submit(j)
+		a.sp.submit(j)
 	}
 	roundEnd := a.now
 	updates := s.growUpdates(len(jobs))
-	weights := s.growWeights(len(jobs))
 	for i, j := range jobs {
 		<-j.done
 		if a.spec.Devices != nil {
@@ -435,33 +284,11 @@ func (r *barrierRunner) step() (bool, error) {
 		}
 		updates[i] = j.update // staleness 0 by construction
 		j.update = Update{}
-		weights[i] = a.s.policy.Weight(updates[i])
-		r.flopsTotal += j.flops
-		r.rec.addWire(j.downBytes + j.upBytes)
+		a.flopsTotal += j.flops
+		a.rec.addWire(j.downBytes + j.upBytes)
 	}
 	a.now = roundEnd
-	if cfg.OnUpdates != nil {
-		cfg.OnUpdates(t, s.global, updates)
-	}
-	a.aggregate(t, weights, updates, a.s.policy.MergeRate(t, updates))
-	if !tensor.AllFinite(s.global) {
-		return true, fmt.Errorf("core: %s diverged at round %d (non-finite global model)", cfg.Algo.Name(), t)
-	}
-	acc := r.rec.record(t, cfg.Rounds, updates, r.flopsTotal)
-	recycleUpdates(updates)
-	res.SimTimeByRound = append(res.SimTimeByRound, a.now)
-	res.MeanStalenessByRound = append(res.MeanStalenessByRound, 0)
-	if cfg.Logf != nil {
-		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f t=%.1fs (barrier)", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], a.now)
-	}
-	if cfg.OnRound != nil {
-		cfg.OnRound(t, s)
-	}
-	r.t = t
-	if cfg.StopAtTarget && res.RoundsToTarget > 0 {
-		return true, nil
-	}
-	return t >= cfg.Rounds, nil
+	return a.finishRound(updates)
 }
 
 // bufferedRunner is the event-driven asynchronous loop in stepper form:
@@ -474,16 +301,12 @@ func (r *barrierRunner) step() (bool, error) {
 // either still training (joinable) or priced and queued in the event
 // heap — precisely the state Snapshot serializes.
 type bufferedRunner struct {
-	a   *AsyncServer
-	rec *recorder
-	sp  *shardPool
+	a *AsyncServer
 	// The formerly loop-local event state, promoted to fields so a step
 	// can return mid-run and a snapshot can serialize the loop.
-	inflight   jobHeap
-	buffer     []*trainJob
-	flopsTotal int64
-	seq        int // dispatch sequence (total dispatches so far)
-	aggs       int // completed aggregations
+	inflight jobHeap
+	buffer   []*trainJob
+	seq      int // dispatch sequence (total dispatches so far)
 	// free is the trainJob pool: jobs recycle after their update merges
 	// (or is voided by a permanent drop), so steady-state dispatch
 	// allocates neither jobs nor done channels. Bounded by
@@ -496,25 +319,14 @@ type bufferedRunner struct {
 	rejoinCB func(id int, at float64)
 }
 
-func newBufferedRunner(a *AsyncServer) (*bufferedRunner, error) {
-	rec, err := newRecorder(a.s)
-	if err != nil {
-		return nil, err
-	}
-	r := &bufferedRunner{
-		a:   a,
-		rec: rec,
-		// Closing the pool joins every submitted job, so training
-		// goroutines never outlive the run: they hold client state and
-		// the transport.
-		sp: newShardPool(a.s, a.s.cfg.Shards, a.spec.Concurrency),
-	}
+func newBufferedRunner(a *AsyncServer) *bufferedRunner {
+	r := &bufferedRunner{a: a}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
 	r.inflight.trackClients(len(a.s.clients))
 	r.dropCB = r.onDrop
 	r.rejoinCB = r.onRejoin
-	return r, nil
+	return r
 }
 
 // getJob takes a job from the pool (or allocates the pool's next one,
@@ -536,9 +348,6 @@ func (r *bufferedRunner) recycleJob(j *trainJob) {
 	r.free = append(r.free, j) //fedtripvet:allow pool free list, bounded by Concurrency+BufferSize
 }
 
-func (r *bufferedRunner) server() *Server     { return r.a.s }
-func (r *bufferedRunner) recorder() *recorder { return r.rec }
-
 // quiesce joins every in-flight job whose local training has not been
 // waited on yet. Training physically completes before its virtual
 // arrival is processed in any case, so joining early never changes a
@@ -551,11 +360,6 @@ func (r *bufferedRunner) quiesce() {
 			j.trained = true
 		}
 	}
-}
-
-func (r *bufferedRunner) close() {
-	r.sp.close()
-	r.rec.finalize()
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set
@@ -615,7 +419,7 @@ func (r *bufferedRunner) dispatch() {
 			break
 		}
 		j := r.getJob()
-		j.c, j.round, j.seq = s.clients[id], r.aggs+1, r.seq
+		j.c, j.round, j.seq = s.clients[id], a.rec.res.Rounds+1, r.seq
 		r.seq++
 		a.armJob(j, id)
 		// Snapshot: the global model mutates under in-flight jobs. The
@@ -624,7 +428,7 @@ func (r *bufferedRunner) dispatch() {
 		// dispatch allocates nothing.
 		j.global = paramsPool.getCopy(s.global)
 		a.pop.dispatched(id)
-		r.sp.submit(j)
+		a.sp.submit(j)
 		if a.spec.Devices == nil {
 			j.finish = a.now + a.pop.sampleLatency(a.spec.Latency, id, a.latRng)
 			if a.spec.Network == nil {
@@ -661,9 +465,7 @@ func (r *bufferedRunner) dispatch() {
 //fedtripvet:hotpath
 func (r *bufferedRunner) step() (bool, error) {
 	a, s := r.a, r.a.s
-	cfg := &s.cfg
-	res := r.rec.res
-	if r.aggs >= cfg.Rounds {
+	if a.rec.res.Rounds >= s.cfg.Rounds {
 		return true, nil
 	}
 	for {
@@ -699,8 +501,8 @@ func (r *bufferedRunner) step() (bool, error) {
 			<-j.done
 		}
 		a.pop.arrived(j.c.ID, a.churn == nil || a.churn.online(j.c.ID))
-		r.flopsTotal += j.flops
-		r.rec.addWire(j.downBytes + j.upBytes)
+		a.flopsTotal += j.flops
+		a.rec.addWire(j.downBytes + j.upBytes)
 		// Training is over for this job; its global snapshot has been
 		// consumed and can serve the next dispatch.
 		paramsPool.put(j.global)
@@ -714,7 +516,7 @@ func (r *bufferedRunner) step() (bool, error) {
 				paramsPool.put(j.update.Params)
 			}
 			j.update = Update{}
-			res.DroppedUpdates++
+			a.rec.res.DroppedUpdates++
 			r.recycleJob(j)
 			continue
 		}
@@ -723,10 +525,8 @@ func (r *bufferedRunner) step() (bool, error) {
 			continue
 		}
 
-		t := r.aggs + 1
+		t := a.rec.res.Rounds + 1
 		updates := s.growUpdates(len(r.buffer))
-		weights := s.growWeights(len(r.buffer))
-		var staleSum float64
 		for i, bj := range r.buffer {
 			u := bj.update
 			bj.update = Update{}
@@ -735,48 +535,11 @@ func (r *bufferedRunner) step() (bool, error) {
 				u.Staleness = 0
 			}
 			updates[i] = u
-			weights[i] = a.s.policy.Weight(u)
-			staleSum += float64(u.Staleness)
 			r.recycleJob(bj)
 		}
 		r.buffer = r.buffer[:0]
-		if cfg.OnUpdates != nil {
-			cfg.OnUpdates(t, s.global, updates)
-		}
-		a.aggregate(t, weights, updates, a.s.policy.MergeRate(t, updates))
-		if !tensor.AllFinite(s.global) {
-			return true, fmt.Errorf("core: %s diverged at aggregation %d (non-finite global model)", cfg.Algo.Name(), t) //fedtripvet:allow cold terminal error path
-		}
-		acc := r.rec.record(t, cfg.Rounds, updates, r.flopsTotal)
-		recycleUpdates(updates)
-		res.SimTimeByRound = append(res.SimTimeByRound, a.now)                                      //fedtripvet:allow per-aggregation series, amortized growth over the run
-		res.MeanStalenessByRound = append(res.MeanStalenessByRound, staleSum/float64(len(updates))) //fedtripvet:allow per-aggregation series, amortized growth over the run
-		if cfg.Logf != nil {
-			cfg.Logf("agg %3d/%d algo=%s acc=%.4f loss=%.4f t=%.1fs stale=%.2f", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], a.now, res.MeanStalenessByRound[t-1])
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(t, s)
-		}
-		r.aggs = t
-		if cfg.StopAtTarget && res.RoundsToTarget > 0 {
-			return true, nil
-		}
-		return r.aggs >= cfg.Rounds, nil
+		return a.finishRound(updates)
 	}
-}
-
-// aggregate merges a buffer. An Algorithm's Aggregator override wins (it
-// sees Update.Staleness); otherwise the policy's weights and merge rate
-// go through the shared weighted average. Validate rejects Aggregator
-// methods in buffered mode, so the override branch is only reachable from
-// the barrier loop, where no client is in flight.
-func (a *AsyncServer) aggregate(t int, weights []float64, updates []Update, eta float64) {
-	if agg, ok := a.s.cfg.Algo.(Aggregator); ok {
-		next := agg.Aggregate(t, a.s.global, updates)
-		copy(a.s.global, next)
-		return
-	}
-	a.s.aggregateWeightedRate(weights, updates, eta)
 }
 
 // pickAvailable draws one idle client uniformly at random (the async

@@ -6,65 +6,26 @@ import (
 	"testing"
 )
 
-// asyncTestConfig wraps testConfig's Config into async defaults.
-func asyncTestConfig(t *testing.T, algo Algorithm) AsyncConfig {
+// asyncTestSpec wraps testConfig's Config into an async-runtime spec with
+// default knobs.
+func asyncTestSpec(t *testing.T, algo Algorithm) RunSpec {
 	t.Helper()
-	return AsyncConfig{Config: testConfig(t, algo)}
-}
-
-// The headline equivalence: the async runtime in barrier mode with zero
-// latency must reproduce the synchronous Server.Run trajectory bit-for-bit
-// on the same seed — same accuracies, losses, FLOPs, and comm bytes.
-func TestAsyncBarrierZeroLatencyMatchesSync(t *testing.T) {
-	syncRes, err := Run(testConfig(t, NewFedTrip(0.4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := asyncTestConfig(t, NewFedTrip(0.4))
-	acfg.RoundBarrier = true
-	asyncRes, err := RunAsync(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asyncRes.Rounds != syncRes.Rounds {
-		t.Fatalf("rounds %d vs %d", asyncRes.Rounds, syncRes.Rounds)
-	}
-	for i := range syncRes.Accuracy {
-		if asyncRes.Accuracy[i] != syncRes.Accuracy[i] {
-			t.Fatalf("round %d accuracy %v vs sync %v", i+1, asyncRes.Accuracy[i], syncRes.Accuracy[i])
-		}
-		if asyncRes.TrainLoss[i] != syncRes.TrainLoss[i] {
-			t.Fatalf("round %d loss %v vs sync %v", i+1, asyncRes.TrainLoss[i], syncRes.TrainLoss[i])
-		}
-		if asyncRes.GFLOPsByRound[i] != syncRes.GFLOPsByRound[i] {
-			t.Fatalf("round %d gflops %v vs sync %v", i+1, asyncRes.GFLOPsByRound[i], syncRes.GFLOPsByRound[i])
-		}
-		if asyncRes.CommBytesByRound[i] != syncRes.CommBytesByRound[i] {
-			t.Fatalf("round %d comm %v vs sync %v", i+1, asyncRes.CommBytesByRound[i], syncRes.CommBytesByRound[i])
-		}
-		if asyncRes.SimTimeByRound[i] != 0 {
-			t.Fatalf("zero latency but sim time %v", asyncRes.SimTimeByRound[i])
-		}
-	}
-	if asyncRes.BestAccuracy != syncRes.BestAccuracy || asyncRes.FinalAccuracy != syncRes.FinalAccuracy {
-		t.Fatalf("summary metrics differ: best %v/%v final %v/%v",
-			asyncRes.BestAccuracy, syncRes.BestAccuracy, asyncRes.FinalAccuracy, syncRes.FinalAccuracy)
-	}
+	return RunSpec{Config: testConfig(t, algo), Runtime: RuntimeAsync}
 }
 
 // The buffered runtime under straggler latency must stay deterministic,
 // keep a monotone simulated clock, record nonnegative staleness, and
 // still learn.
 func TestAsyncBufferedStragglersLearnAndMeter(t *testing.T) {
-	build := func() AsyncConfig {
-		acfg := asyncTestConfig(t, NewFedTrip(0.4))
+	build := func() RunSpec {
+		acfg := asyncTestSpec(t, NewFedTrip(0.4))
 		acfg.Rounds = 12
 		acfg.Concurrency = 4
 		acfg.BufferSize = 2
 		acfg.Latency = StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3}
 		return acfg
 	}
-	res, err := RunAsync(build())
+	res, err := Start(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +52,7 @@ func TestAsyncBufferedStragglersLearnAndMeter(t *testing.T) {
 		t.Fatalf("async run failed to learn: %v", res.BestAccuracy)
 	}
 	// Determinism: the whole trajectory must replay exactly.
-	res2, err := RunAsync(build())
+	res2, err := Start(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +86,7 @@ func (g *gapAlgo) BeginRound(c *Client, round int, global []float64) {
 // merged update's Staleness must sit in [0, t-1].
 func TestAsyncStalenessBookkeepingMatchesLastRound(t *testing.T) {
 	algo := &gapAlgo{FedTrip: NewFedTrip(0.4), seen: map[int][]int{}, prevs: map[int][]int{}}
-	acfg := asyncTestConfig(t, algo)
+	acfg := asyncTestSpec(t, algo)
 	acfg.Rounds = 10
 	acfg.Concurrency = 3
 	acfg.BufferSize = 2
@@ -140,7 +101,7 @@ func TestAsyncStalenessBookkeepingMatchesLastRound(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	if _, err := RunAsync(acfg); err != nil {
+	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(merged) == 0 {
@@ -180,12 +141,12 @@ func TestAsyncStalenessBookkeepingMatchesLastRound(t *testing.T) {
 // sync lock-step loop with full participation never produces.
 func TestAsyncExercisesXiGaps(t *testing.T) {
 	algo := &gapAlgo{FedTrip: NewFedTrip(0.4), seen: map[int][]int{}, prevs: map[int][]int{}}
-	acfg := asyncTestConfig(t, algo)
+	acfg := asyncTestSpec(t, algo)
 	acfg.Rounds = 15
 	acfg.Concurrency = 2 // 2 of 6 clients in flight: most sit out each round
 	acfg.BufferSize = 2
 	acfg.Latency = ExponentialLatency{Mean: 2}
-	if _, err := RunAsync(acfg); err != nil {
+	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
 	maxGap := 0
@@ -203,40 +164,6 @@ func TestAsyncExercisesXiGaps(t *testing.T) {
 	}
 	if maxGap < 2 {
 		t.Fatalf("max participation gap %d — async runtime not exercising staleness", maxGap)
-	}
-}
-
-func TestAsyncConfigValidation(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*AsyncConfig)
-		wantErr bool
-	}{
-		{"defaults", func(c *AsyncConfig) {}, false},
-		{"explicit", func(c *AsyncConfig) { c.Concurrency = 2; c.BufferSize = 3 }, false},
-		{"concurrency over population", func(c *AsyncConfig) { c.Concurrency = 7 }, true},
-		{"negative concurrency", func(c *AsyncConfig) { c.Concurrency = -1 }, true},
-		{"negative buffer", func(c *AsyncConfig) { c.BufferSize = -1 }, true},
-		{"bad base config", func(c *AsyncConfig) { c.Rounds = 0 }, true},
-	}
-	for _, tc := range cases {
-		acfg := asyncTestConfig(t, NewFedTrip(0.4))
-		tc.mutate(&acfg)
-		_, err := NewAsyncServer(acfg)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: err=%v wantErr=%v", tc.name, err, tc.wantErr)
-		}
-	}
-	// Defaults must be filled from ClientsPerRound.
-	acfg := asyncTestConfig(t, NewFedTrip(0.4))
-	if err := acfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if acfg.Concurrency != acfg.ClientsPerRound || acfg.BufferSize != acfg.ClientsPerRound {
-		t.Fatalf("defaults %d/%d want %d", acfg.Concurrency, acfg.BufferSize, acfg.ClientsPerRound)
-	}
-	if _, ok := acfg.Latency.(ZeroLatency); !ok {
-		t.Fatalf("default latency %T", acfg.Latency)
 	}
 }
 
@@ -258,13 +185,13 @@ func (preAlgo) PreRound(round int, selected []*Client, global []float64) {}
 
 func TestBufferedModeRejectsServerHookAlgorithms(t *testing.T) {
 	for _, algo := range []Algorithm{aggAlgo{}, preAlgo{}} {
-		acfg := asyncTestConfig(t, algo)
-		if _, err := NewAsyncServer(acfg); err == nil {
+		acfg := asyncTestSpec(t, algo)
+		if err := acfg.Validate(); err == nil {
 			t.Errorf("buffered mode accepted %s", algo.Name())
 		}
-		barrier := asyncTestConfig(t, algo)
-		barrier.RoundBarrier = true
-		if _, err := NewAsyncServer(barrier); err != nil {
+		barrier := asyncTestSpec(t, algo)
+		barrier.Runtime = RuntimeBarrier
+		if err := barrier.Validate(); err != nil {
 			t.Errorf("barrier mode rejected %s: %v", algo.Name(), err)
 		}
 	}
@@ -274,22 +201,22 @@ func TestBufferedModeRejectsServerHookAlgorithms(t *testing.T) {
 // extreme) must leave the global model untouched and finite, not divide
 // it into NaNs.
 func TestFullyDiscountedBufferLeavesModelFinite(t *testing.T) {
-	acfg := asyncTestConfig(t, NewFedTrip(0.4))
+	acfg := asyncTestSpec(t, NewFedTrip(0.4))
 	acfg.Rounds = 3
 	acfg.Discount = func(int) float64 { return 0 }
-	a, err := NewAsyncServer(acfg)
+	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), a.Server().Global()...)
-	res, err := a.Run()
+	before := append([]float64(nil), rs.Server().Global()...)
+	res, err := rs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds != 3 {
 		t.Fatalf("rounds %d", res.Rounds)
 	}
-	after := a.Server().Global()
+	after := rs.Server().Global()
 	for i := range after {
 		if after[i] != before[i] {
 			t.Fatalf("zero-weight merges moved the global model at %d", i)
@@ -334,13 +261,13 @@ func (s *stalenessAlgo) StalenessWeight(st int) float64 {
 
 func TestStalenessWeighterOverridesDiscount(t *testing.T) {
 	algo := &stalenessAlgo{calls: map[int]int{}}
-	acfg := asyncTestConfig(t, algo)
+	acfg := asyncTestSpec(t, algo)
 	acfg.Rounds = 8
 	acfg.Concurrency = 4
 	acfg.BufferSize = 2
 	acfg.Latency = UniformLatency{Min: 1, Max: 9}
 	acfg.Discount = func(int) float64 { t.Fatal("algorithm override must win"); return 0 }
-	if _, err := RunAsync(acfg); err != nil {
+	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(algo.calls) == 0 {
@@ -356,20 +283,20 @@ func TestAsyncBeatsBarrierWallClockUnderStragglers(t *testing.T) {
 		t.Skip("short mode: virtual-time outcome, not concurrency, under test")
 	}
 	lat := StragglerLatency{Fast: 1, Slow: 20, SlowEvery: 2} // ids 0,2,4 slow
-	barrier := asyncTestConfig(t, NewFedTrip(0.4))
+	barrier := asyncTestSpec(t, NewFedTrip(0.4))
 	barrier.Rounds = 8
-	barrier.RoundBarrier = true
+	barrier.Runtime = RuntimeBarrier
 	barrier.Latency = lat
-	bres, err := RunAsync(barrier)
+	bres, err := Start(barrier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffered := asyncTestConfig(t, NewFedTrip(0.4))
+	buffered := asyncTestSpec(t, NewFedTrip(0.4))
 	buffered.Rounds = 8
 	buffered.Concurrency = 3
 	buffered.BufferSize = 3
 	buffered.Latency = lat
-	ares, err := RunAsync(buffered)
+	ares, err := Start(buffered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestClipNormStabilisesRun(t *testing.T) {
 	cfg.Rounds = 2
 	var unclippedNorm float64
 	cfg.OnRound = func(round int, s *Server) { unclippedNorm = tensor.Norm2(s.Global()) }
-	if _, err := Run(cfg); err == nil && unclippedNorm < 1e6 {
+	if _, err := Start(RunSpec{Config: cfg}); err == nil && unclippedNorm < 1e6 {
 		t.Fatalf("unclipped 1e9 gradients left norm %v — expected blow-up", unclippedNorm)
 	}
 	// Clipped: the same attack is bounded and the run completes sanely.
@@ -52,7 +52,7 @@ func TestClipNormStabilisesRun(t *testing.T) {
 	cfg2.ClipNorm = 1
 	var clippedNorm float64
 	cfg2.OnRound = func(round int, s *Server) { clippedNorm = tensor.Norm2(s.Global()) }
-	res, err := Run(cfg2)
+	res, err := Start(RunSpec{Config: cfg2})
 	if err != nil {
 		t.Fatalf("clipped run diverged: %v", err)
 	}
@@ -67,13 +67,13 @@ func TestClipNormStabilisesRun(t *testing.T) {
 // Clipping must leave small-gradient runs bit-identical.
 func TestClipNormNoEffectWhenLoose(t *testing.T) {
 	a := testConfig(t, NewFedTrip(0.4))
-	r1, err := Run(a)
+	r1, err := Start(RunSpec{Config: a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := testConfig(t, NewFedTrip(0.4))
 	b.ClipNorm = 1e12
-	r2, err := Run(b)
+	r2, err := Start(RunSpec{Config: b})
 	if err != nil {
 		t.Fatal(err)
 	}

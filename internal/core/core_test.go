@@ -179,6 +179,7 @@ func TestAggregateWeightedByDataSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.installPolicy(&FedAvgPolicy{})
 	nv := len(s.Global())
 	a := make([]float64, nv)
 	b := make([]float64, nv)
@@ -255,11 +256,11 @@ func TestFullGradMatchesManualAndRestores(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	r1, err := Run(testConfig(t, NewFedTrip(0.4)))
+	r1, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(testConfig(t, NewFedTrip(0.4)))
+	r2, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunMetricsShape(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.TargetAccuracy = 0.05 // trivially reachable
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestStopAtTarget(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.TargetAccuracy = 0.01
 	cfg.StopAtTarget = true
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestStopAtTarget(t *testing.T) {
 
 func TestCommAccountingFedAvgStyle(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4)) // no CommCoster: 2 transfers/client
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func (poisonAlgo) TransformGrad(c *Client, round int, w, g []float64) {
 
 func TestDivergenceDetected(t *testing.T) {
 	cfg := testConfig(t, poisonAlgo{})
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatalf("non-finite uploads must be rejected, not kill the run: %v", err)
 	}
@@ -367,7 +368,7 @@ func TestDivergenceDetected(t *testing.T) {
 func TestRoundsToTargetUnreached(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.TargetAccuracy = 1.01 // impossible
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestEvalEverySkipsEvaluations(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.Rounds = 4
 	cfg.EvalEvery = 2
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestFedTripLearnsEndToEnd(t *testing.T) {
 	}
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.Rounds = 25
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

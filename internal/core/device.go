@@ -194,17 +194,6 @@ func deviceSpeed(id int, dist DeviceDistribution, seed int64, scratch *prng.Rand
 	return s
 }
 
-// sampleDeviceSpeeds materializes the per-ID rule for a whole fleet — a
-// test/diagnostic helper; the runtime derives speeds on demand instead.
-func sampleDeviceSpeeds(n int, dist DeviceDistribution, seed int64) []float64 {
-	var scratch prng.Rand
-	speeds := make([]float64, n)
-	for id := 0; id < n; id++ {
-		speeds[id] = deviceSpeed(id, dist, seed, &scratch)
-	}
-	return speeds
-}
-
 // MassDrop is one injected mass-dropout event: at virtual time At, each
 // online-or-offline (but not yet dead) client independently drops with
 // probability Fraction. Duration > 0 schedules the rejoin; Duration <= 0

@@ -10,6 +10,17 @@ import (
 	"repro/internal/prng"
 )
 
+// sampleDeviceSpeeds materializes the per-ID derivation for a whole fleet;
+// the runtime derives speeds on demand instead.
+func sampleDeviceSpeeds(n int, dist DeviceDistribution, seed int64) []float64 {
+	var scratch prng.Rand
+	speeds := make([]float64, n)
+	for id := 0; id < n; id++ {
+		speeds[id] = deviceSpeed(id, dist, seed, &scratch)
+	}
+	return speeds
+}
+
 // pinAlgo is plain FedAvg with a name: its per-round FLOPs depend only on
 // the client's data size, never on participation history, which the
 // bit-for-bit device pin relies on (identical work => identical

@@ -75,7 +75,7 @@ func TestFullParticipation(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.ClientsPerRound = len(cfg.Parts)
 	cfg.Rounds = 2
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSingleClient(t *testing.T) {
 	cfg.Parts = cfg.Parts[:1]
 	cfg.ClientsPerRound = 1
 	cfg.Rounds = 3
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTransportInvoked(t *testing.T) {
 	cfg.Rounds = 2
 	// Sequential determinism for counting: single client per round.
 	cfg.ClientsPerRound = 1
-	if _, err := Run(cfg); err != nil {
+	if _, err := Start(RunSpec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.downs != 2 || tr.ups != 2 {

@@ -18,7 +18,7 @@ func TestLogfReceivesRounds(t *testing.T) {
 		lines = append(lines, format)
 		mu.Unlock()
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := Start(RunSpec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != 3 {
@@ -38,7 +38,7 @@ func TestOnRoundHookSeesLiveServer(t *testing.T) {
 		rounds = append(rounds, round)
 		globals = append(globals, append([]float64(nil), s.Global()...))
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := Start(RunSpec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rounds) != 4 {

@@ -13,7 +13,7 @@ func TestFinalAccuracyAveragesEvaluatedRoundsOnly(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.Rounds = 4
 	cfg.EvalEvery = 2
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFinalAccuracyAveragesEvaluatedRoundsOnly(t *testing.T) {
 // agree with the plain last-10 mean over Accuracy.
 func TestFinalAccuracyDenseEvalUnchanged(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
-	res, err := Run(cfg)
+	res, err := Start(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestClientsPerRoundGuard(t *testing.T) {
 		cfg := testConfig(t, NewFedTrip(0.4))
 		cfg.Rounds = 1
 		cfg.ClientsPerRound = tc.k
-		_, err := Run(cfg)
+		_, err := Start(RunSpec{Config: cfg})
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s (K=%d): err=%v wantErr=%v", tc.name, tc.k, err, tc.wantErr)
 		}

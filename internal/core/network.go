@@ -252,14 +252,3 @@ func clientNetProfile(id int, dist NetDistribution, seed int64, scratch *prng.Ra
 	scratch.Reseed(streamSeed(seed, streamNet, id))
 	return dist.SampleNet(id, scratch)
 }
-
-// sampleNetProfiles materializes the per-ID rule for a whole fleet — a
-// test/diagnostic helper; the runtime derives profiles on demand instead.
-func sampleNetProfiles(n int, dist NetDistribution, seed int64) []NetProfile {
-	var scratch prng.Rand
-	profiles := make([]NetProfile, n)
-	for id := 0; id < n; id++ {
-		profiles[id] = clientNetProfile(id, dist, seed, &scratch)
-	}
-	return profiles
-}

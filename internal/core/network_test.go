@@ -8,7 +8,20 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/prng"
 )
+
+// sampleNetProfiles materializes the per-ID derivation for a whole fleet;
+// the runtime derives profiles on demand instead.
+func sampleNetProfiles(n int, dist NetDistribution, seed int64) []NetProfile {
+	var scratch prng.Rand
+	profiles := make([]NetProfile, n)
+	for id := 0; id < n; id++ {
+		profiles[id] = clientNetProfile(id, dist, seed, &scratch)
+	}
+	return profiles
+}
 
 func TestParseNetDist(t *testing.T) {
 	good := map[string]string{

@@ -39,7 +39,7 @@ type AggregationPolicy interface {
 	// MergeRate returns the server learning rate eta applied to
 	// aggregation t: global' = global + eta*(weightedAvg - global).
 	// eta = 1 replaces the global model with the weighted average (the
-	// classic FedAvg arithmetic, taken bit-for-bit on the legacy path).
+	// classic FedAvg arithmetic).
 	MergeRate(t int, updates []Update) float64
 }
 

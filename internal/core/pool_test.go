@@ -98,12 +98,12 @@ func TestUpdateBuffersNotAliasedSyncRun(t *testing.T) {
 			}
 		}
 	}
-	var err error
-	s, err = NewServer(cfg)
+	rs, err := NewRunState(RunSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	s = rs.Server()
+	if _, err := rs.Run(); err != nil {
 		t.Fatal(err)
 	}
 	reused := false
@@ -134,8 +134,9 @@ func TestUpdateBuffersNotAliasedAsyncRun(t *testing.T) {
 			ptrs[p] = true
 		}
 	}
-	res, err := RunAsync(AsyncConfig{
+	res, err := Start(RunSpec{
 		Config:      cfg,
+		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
 		Latency:     UniformLatency{Min: 1, Max: 3},

@@ -15,6 +15,7 @@ func TestAggregatePermutationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.installPolicy(&FedAvgPolicy{})
 	n := len(s.Global())
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,6 +48,7 @@ func TestAggregateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.installPolicy(&FedAvgPolicy{})
 	n := len(s.Global())
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

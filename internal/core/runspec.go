@@ -6,8 +6,9 @@ import "fmt"
 type Runtime string
 
 const (
-	// RuntimeSync is the paper's lock-step loop (Server.Run): select K
-	// clients, wait for all of them, aggregate. No simulated clock.
+	// RuntimeSync is the paper's lock-step loop: select K clients, wait
+	// for all of them, aggregate. It is the barrier loop with the clock
+	// pinned at zero — Validate refuses anything that would price it.
 	RuntimeSync Runtime = "sync"
 	// RuntimeAsync is the event-driven buffered runtime: Concurrency
 	// clients are always in flight under the latency model, and the
@@ -34,8 +35,7 @@ func ParseRuntime(name string) (Runtime, error) {
 
 // RunSpec is the single description of a federated run: the base Config
 // plus the runtime selector, the asynchronous knobs, and the aggregation
-// policy. Start is its entrypoint; Run and RunAsync are thin wrappers
-// over it for the legacy call sites.
+// policy. Start is its entrypoint.
 type RunSpec struct {
 	Config
 	// Runtime picks the execution mode ("" = RuntimeSync).
@@ -49,9 +49,9 @@ type RunSpec struct {
 	// explicit K wins.
 	BufferSize int
 	// Latency models each dispatch's virtual duration (RuntimeAsync and
-	// RuntimeBarrier). nil = ZeroLatency. Must be nil for RuntimeSync,
-	// which has no simulated clock — use RuntimeBarrier to price the
-	// lock-step loop under a latency model.
+	// RuntimeBarrier). nil = ZeroLatency. Must be nil or ZeroLatency for
+	// RuntimeSync — use RuntimeBarrier to price the lock-step loop under
+	// a latency model.
 	Latency LatencyModel
 	// Discount is the staleness discount for discount-based policies that
 	// do not carry their own. Resolution order: the Algorithm's
@@ -131,38 +131,34 @@ func (sp *RunSpec) Validate() error {
 		if sp.Network != nil {
 			return fmt.Errorf("core: the sync runtime has no simulated clock; network profiles need the async or barrier runtime")
 		}
-		if sp.BufferSize == 0 {
-			sp.BufferSize = sp.ClientsPerRound
-		}
-	} else {
-		if sp.Concurrency == 0 {
-			sp.Concurrency = sp.ClientsPerRound
-		}
-		if sp.Concurrency < 1 || sp.Concurrency > len(sp.Parts) {
-			return fmt.Errorf("core: async concurrency %d outside [1,%d]", sp.Concurrency, len(sp.Parts))
-		}
-		if sp.BufferSize == 0 {
-			sp.BufferSize = sp.ClientsPerRound
-		}
-		if sp.BufferSize < 1 {
-			return fmt.Errorf("core: async buffer size %d", sp.BufferSize)
-		}
-		if sp.Devices != nil {
-			if sp.Latency != nil {
-				if _, isZero := sp.Latency.(ZeroLatency); !isZero {
-					return fmt.Errorf("core: device profiles derive each dispatch's latency from its metered FLOPs; drop the %s latency model", sp.Latency)
-				}
-			}
-			if sp.FlopRate < 0 {
-				return fmt.Errorf("core: device flop rate %g must be positive", sp.FlopRate)
-			}
-			if sp.FlopRate == 0 {
-				sp.FlopRate = 1e9
+	}
+	if sp.Concurrency == 0 {
+		sp.Concurrency = sp.ClientsPerRound
+	}
+	if sp.Concurrency < 1 || sp.Concurrency > len(sp.Parts) {
+		return fmt.Errorf("core: async concurrency %d outside [1,%d]", sp.Concurrency, len(sp.Parts))
+	}
+	if sp.BufferSize == 0 {
+		sp.BufferSize = sp.ClientsPerRound
+	}
+	if sp.BufferSize < 1 {
+		return fmt.Errorf("core: async buffer size %d", sp.BufferSize)
+	}
+	if sp.Devices != nil {
+		if sp.Latency != nil {
+			if _, isZero := sp.Latency.(ZeroLatency); !isZero {
+				return fmt.Errorf("core: device profiles derive each dispatch's latency from its metered FLOPs; drop the %s latency model", sp.Latency)
 			}
 		}
-		if sp.Latency == nil {
-			sp.Latency = ZeroLatency{}
+		if sp.FlopRate < 0 {
+			return fmt.Errorf("core: device flop rate %g must be positive", sp.FlopRate)
 		}
+		if sp.FlopRate == 0 {
+			sp.FlopRate = 1e9
+		}
+	}
+	if sp.Latency == nil {
+		sp.Latency = ZeroLatency{}
 	}
 	if sp.Devices == nil {
 		if sp.AdaptiveLocalSteps {
@@ -338,10 +334,9 @@ func (sp *RunSpec) resolvePolicy() error {
 
 // Start validates the spec and executes the run on the selected runtime.
 // It is the one entrypoint every runtime and policy combination goes
-// through — literally NewRunState + Run; a zero-latency barrier spec
-// reproduces the synchronous loop bit-for-bit on the same seed. Callers
-// that need round-at-a-time control, checkpointing, or resume use
-// RunState directly.
+// through — literally NewRunState + Run. Callers that need
+// round-at-a-time control, checkpointing, or resume use RunState
+// directly.
 func Start(spec RunSpec) (*Result, error) {
 	rs, err := NewRunState(spec)
 	if err != nil {

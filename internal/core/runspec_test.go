@@ -2,103 +2,6 @@ package core
 
 import "testing"
 
-func resultsEqual(t *testing.T, got, want *Result, what string) {
-	t.Helper()
-	if got.Rounds != want.Rounds {
-		t.Fatalf("%s: rounds %d vs %d", what, got.Rounds, want.Rounds)
-	}
-	for i := range want.Accuracy {
-		if got.Accuracy[i] != want.Accuracy[i] {
-			t.Fatalf("%s: round %d accuracy %v vs %v", what, i+1, got.Accuracy[i], want.Accuracy[i])
-		}
-		if got.TrainLoss[i] != want.TrainLoss[i] {
-			t.Fatalf("%s: round %d loss %v vs %v", what, i+1, got.TrainLoss[i], want.TrainLoss[i])
-		}
-		if got.GFLOPsByRound[i] != want.GFLOPsByRound[i] {
-			t.Fatalf("%s: round %d gflops %v vs %v", what, i+1, got.GFLOPsByRound[i], want.GFLOPsByRound[i])
-		}
-		if got.CommBytesByRound[i] != want.CommBytesByRound[i] {
-			t.Fatalf("%s: round %d comm %v vs %v", what, i+1, got.CommBytesByRound[i], want.CommBytesByRound[i])
-		}
-	}
-	if got.BestAccuracy != want.BestAccuracy || got.FinalAccuracy != want.FinalAccuracy {
-		t.Fatalf("%s: summary metrics differ: best %v/%v final %v/%v",
-			what, got.BestAccuracy, want.BestAccuracy, got.FinalAccuracy, want.FinalAccuracy)
-	}
-}
-
-// The facade's sync runtime is the legacy Run, bit-for-bit.
-func TestStartSyncMatchesRun(t *testing.T) {
-	want, err := Run(testConfig(t, NewFedTrip(0.4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Start(RunSpec{Config: testConfig(t, NewFedTrip(0.4))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, got, want, "Start(sync)")
-}
-
-// The acceptance pin: a zero-latency barrier spec through the facade
-// reproduces the synchronous Run bit-for-bit on the same seed.
-func TestStartBarrierZeroLatencyMatchesRun(t *testing.T) {
-	want, err := Run(testConfig(t, NewFedTrip(0.4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Start(RunSpec{
-		Config:  testConfig(t, NewFedTrip(0.4)),
-		Runtime: RuntimeBarrier,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, got, want, "Start(barrier, zero latency)")
-	for i, ts := range got.SimTimeByRound {
-		if ts != 0 {
-			t.Fatalf("zero latency but sim time %v at round %d", ts, i+1)
-		}
-	}
-}
-
-// The buffered async runtime through the facade equals the legacy
-// RunAsync on the same knobs.
-func TestStartAsyncMatchesRunAsync(t *testing.T) {
-	build := func() AsyncConfig {
-		acfg := AsyncConfig{Config: testConfig(t, NewFedTrip(0.4))}
-		acfg.Rounds = 8
-		acfg.Concurrency = 4
-		acfg.BufferSize = 2
-		acfg.Latency = StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3}
-		return acfg
-	}
-	want, err := RunAsync(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := build()
-	got, err := Start(RunSpec{
-		Config:      legacy.Config,
-		Runtime:     RuntimeAsync,
-		Concurrency: legacy.Concurrency,
-		BufferSize:  legacy.BufferSize,
-		Latency:     legacy.Latency,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, got, want, "Start(async)")
-	for i := range want.SimTimeByRound {
-		if got.SimTimeByRound[i] != want.SimTimeByRound[i] {
-			t.Fatalf("round %d sim time %v vs %v", i+1, got.SimTimeByRound[i], want.SimTimeByRound[i])
-		}
-		if got.MeanStalenessByRound[i] != want.MeanStalenessByRound[i] {
-			t.Fatalf("round %d staleness %v vs %v", i+1, got.MeanStalenessByRound[i], want.MeanStalenessByRound[i])
-		}
-	}
-}
-
 // A FedAsync single-arrival spec runs, learns, and records exactly one
 // merged update per aggregation.
 func TestStartFedAsyncSingleArrival(t *testing.T) {
@@ -230,13 +133,19 @@ func TestRunSpecValidateRejects(t *testing.T) {
 	check(func(sp *RunSpec) { sp.Runtime = "warp" }, "unknown runtime")
 	check(func(sp *RunSpec) { sp.Latency = ConstantLatency{D: 2} }, "sync with latency model")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Concurrency = 99 }, "concurrency over population")
+	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Concurrency = -1 }, "negative concurrency")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.BufferSize = -1 }, "negative buffer")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Algo = aggAlgo{} }, "aggregator in buffered mode")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Algo = preAlgo{} }, "pre-rounder in buffered mode")
 	check(func(sp *RunSpec) { sp.Rounds = 0 }, "bad base config")
 	check(func(sp *RunSpec) { sp.Policy = &ScheduledLR{} }, "schedule policy without schedule")
+	// Explicit in-range async knobs are kept as given.
+	sp := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, Concurrency: 2, BufferSize: 3}
+	if err := sp.Validate(); err != nil || sp.Concurrency != 2 || sp.BufferSize != 3 {
+		t.Fatalf("explicit async knobs: %d/%d, err %v", sp.Concurrency, sp.BufferSize, err)
+	}
 	// ZeroLatency on sync is tolerated (it is the no-op model).
-	sp := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Latency: ZeroLatency{}}
+	sp = RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Latency: ZeroLatency{}}
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("sync with ZeroLatency rejected: %v", err)
 	}
@@ -248,7 +157,7 @@ func TestRunSpecValidateRejects(t *testing.T) {
 }
 
 // An Algorithm's StalenessWeighter force-overrides the discount of any
-// discount-based policy, matching the legacy resolution order.
+// discount-based policy.
 func TestStalenessWeighterOverridesPolicyDiscount(t *testing.T) {
 	algo := &stalenessAlgo{calls: map[int]int{}}
 	cfg := testConfig(t, algo)

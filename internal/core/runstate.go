@@ -1,15 +1,14 @@
-// RunState: the steppable form of a federated run.
+// RunState: the steppable form of a federated run, and the only way to
+// execute one.
 //
-// Historically each runtime was a monolithic loop (Server.Run, the async
-// barrier and buffered loops) that could only be driven start-to-finish.
-// Checkpoint/resume and the run-server both need finer control: advance
-// exactly one round, observe the live metrics at the boundary, serialize
-// the whole run, stop, and later continue bit-for-bit in a fresh process.
-// RunState is that control surface. Each runtime is refactored into a
-// runner — a struct holding the loop's formerly-local state (round
-// counter, event heap, merge buffer, virtual clock) with a step() method
-// that executes exactly one round/aggregation — and RunState fronts the
-// three runners with one facade:
+// Checkpoint/resume and the run-server need finer control than
+// start-to-finish: advance exactly one round, observe the live metrics at
+// the boundary, serialize the whole run, stop, and later continue
+// bit-for-bit in a fresh process. RunState is that control surface. Each
+// loop is a runner — a struct holding the loop's state (event heap,
+// merge buffer) with a step() method that executes exactly one
+// round/aggregation — and RunState fronts the two runners with one
+// facade:
 //
 //	rs, _ := core.NewRunState(spec)
 //	for {
@@ -20,33 +19,24 @@
 //	}
 //	res := rs.Finish()
 //
-// Start(spec) is now literally NewRunState + Run, and the legacy
-// Server.Run / AsyncServer.Run entrypoints drive the same runners, so
-// every caller goes through one set of loop bodies.
+// Start(spec) is NewRunState + Run.
 package core
 
-import (
-	"fmt"
+import "unsafe"
 
-	"repro/internal/tensor"
-)
-
-// runner is one runtime's stepping engine. step executes exactly one
-// round (sync/barrier) or one buffered aggregation (async) and reports
-// whether the run is complete. Between step calls the run is at a round
-// boundary: no merge in progress, metrics recorded through the last
-// completed round. quiesce additionally joins any in-flight local
-// training so the entire state is serializable; snapshotBody and
-// restoreBody handle the runtime-specific live state (the common state —
-// global model, clients, recorder — is handled by RunState).
+// runner is one loop's stepping engine. step executes exactly one round
+// (barrier) or one buffered aggregation (async) and reports whether the
+// run is complete. Between step calls the run is at a round boundary: no
+// merge in progress, metrics recorded through the last completed round.
+// quiesce additionally joins any in-flight local training so the entire
+// state is serializable; snapshotBody and restoreBody handle the
+// loop-specific live state (everything else — global model, clients,
+// recorder, clock, scheduler registry — is handled by RunState).
 type runner interface {
 	step() (done bool, err error)
 	quiesce()
 	snapshotBody(w *snapWriter)
 	restoreBody(r *snapReader) error
-	server() *Server
-	recorder() *recorder
-	close()
 }
 
 // RunState is a federated run that can be advanced one round at a time,
@@ -56,6 +46,7 @@ type runner interface {
 // (the run-server serializes HTTP access onto the step loop).
 type RunState struct {
 	spec   RunSpec
+	a      *AsyncServer
 	run    runner
 	done   bool
 	closed bool
@@ -71,35 +62,24 @@ func NewRunState(spec RunSpec) (*RunState, error) {
 	return newRunState(spec)
 }
 
-// newRunState builds the runtime from a validated spec.
+// newRunState builds the runtime from a validated spec. The lock-step
+// runtimes (sync, barrier) share the barrier runner: a sync spec is a
+// barrier spec whose latency Validate pinned to zero.
 func newRunState(spec RunSpec) (*RunState, error) {
-	if spec.Runtime == RuntimeSync {
-		s, err := NewServer(spec.Config)
-		if err != nil {
-			return nil, err
-		}
-		s.installPolicy(spec.Policy)
-		s.installFaults(spec.Faults)
-		r, err := newSyncRunner(s)
-		if err != nil {
-			return nil, err
-		}
-		return &RunState{spec: spec, run: r}, nil
+	buffered := spec.Runtime == RuntimeAsync
+	maxJobs := spec.ClientsPerRound
+	if buffered {
+		maxJobs = spec.Concurrency
 	}
-	a, err := newAsyncServer(spec)
+	a, err := newAsyncServer(spec, maxJobs)
 	if err != nil {
 		return nil, err
 	}
-	var r runner
-	if spec.Runtime == RuntimeBarrier {
-		r, err = newBarrierRunner(a)
-	} else {
-		r, err = newBufferedRunner(a)
+	rs := &RunState{spec: spec, a: a, run: barrierRunner{a}}
+	if buffered {
+		rs.run = newBufferedRunner(a)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &RunState{spec: spec, run: r}, nil
+	return rs, nil
 }
 
 // Spec returns the resolved run specification (defaults filled, policy
@@ -109,16 +89,16 @@ func (rs *RunState) Spec() *RunSpec { return &rs.spec }
 // Server exposes the underlying server (global model, clients,
 // evaluation) for hooks and status reporting. Only touch it at round
 // boundaries.
-func (rs *RunState) Server() *Server { return rs.run.server() }
+func (rs *RunState) Server() *Server { return rs.a.s }
 
 // Result returns the live, partially-filled Result. It is owned by the
 // run: read it only at round boundaries, and treat it as read-only.
 // Finish returns the completed version.
-func (rs *RunState) Result() *Result { return rs.run.recorder().res }
+func (rs *RunState) Result() *Result { return rs.a.rec.res }
 
 // Round returns the number of completed rounds (buffered aggregations in
 // the async runtime).
-func (rs *RunState) Round() int { return rs.run.recorder().res.Rounds }
+func (rs *RunState) Round() int { return rs.a.rec.res.Rounds }
 
 // Done reports whether the run has completed (or errored).
 func (rs *RunState) Done() bool { return rs.done }
@@ -126,35 +106,62 @@ func (rs *RunState) Done() bool { return rs.done }
 // LastAccuracy returns the latest known test accuracy (0 until the first
 // evaluation completes). Unlike Result().Accuracy, which is assembled at
 // Finish, it is live during the run — the run-server's /status reads it.
-func (rs *RunState) LastAccuracy() float64 { return rs.run.recorder().lastAcc }
+func (rs *RunState) LastAccuracy() float64 { return rs.a.rec.lastAcc }
 
-// async returns the async runtime handle, nil for the sync runtime.
-func (rs *RunState) async() *AsyncServer {
-	switch r := rs.run.(type) {
-	case *barrierRunner:
-		return r.a
-	case *bufferedRunner:
-		return r.a
-	}
-	return nil
-}
-
-// Now returns the virtual clock in simulated seconds (0 for the sync
-// runtime, which has none).
-func (rs *RunState) Now() float64 {
-	if a := rs.async(); a != nil {
-		return a.Now()
-	}
-	return 0
-}
+// Now returns the virtual clock in simulated seconds (0 throughout a run
+// nothing prices).
+func (rs *RunState) Now() float64 { return rs.a.now }
 
 // Offline reports how many clients are currently offline or permanently
 // dropped (0 without a churn process).
 func (rs *RunState) Offline() int {
-	if a := rs.async(); a != nil {
-		return a.Offline()
+	if rs.a.churn == nil {
+		return 0
 	}
-	return 0
+	return rs.a.churn.offlineCount()
+}
+
+// Participation reports how many distinct clients have been dispatched at
+// least once and the total number of dispatches — the fleet-coverage
+// statistics of the population registry.
+func (rs *RunState) Participation() (distinct int, dispatches int64) {
+	return rs.a.pop.participants()
+}
+
+// PerClientStateBytes reports the runtime's deterministic per-client
+// bookkeeping footprint in bytes: the scheduler registry (dispatch
+// counter plus idle-set entry), the event heap's client→slot map, the
+// aggregate churn permutation, the fault assignment (plus the noise
+// adversary's stream pointers when derived), and the client objects
+// themselves (slice entry, struct, sample indices). Lazily allocated
+// training state — per-client RNGs, historical models, method vectors
+// and scalar maps — is excluded: it scales with participation, not with
+// population. The number is a pure function of the spec, which is what
+// lets CI gate it as a regression metric (cmd/benchdiff, B/client).
+func (rs *RunState) PerClientStateBytes() float64 {
+	a := rs.a
+	n := len(a.s.clients)
+	if n == 0 {
+		return 0
+	}
+	// Registry: dispatches + idle ids + idle pos (int32 each), and the
+	// buffered runtime's heap slot map.
+	total := int64(n) * (4 + 4 + 4 + 4)
+	if a.churn != nil {
+		// Aggregate churn: the segment permutation and its inverse.
+		total += int64(n) * 8
+	}
+	if a.s.faults != nil {
+		total += int64(n) // fault class byte
+		if a.s.advRng != nil {
+			total += int64(n) * 8 // noise-stream pointer
+		}
+	}
+	total += int64(n) * int64(8+unsafe.Sizeof(Client{}))
+	for _, c := range a.s.clients {
+		total += int64(8 * cap(c.Indices))
+	}
+	return float64(total) / float64(n)
 }
 
 // Step advances the run by one round (one buffered aggregation in the
@@ -173,13 +180,16 @@ func (rs *RunState) Step() (bool, error) {
 
 // Run drives the remaining rounds to completion and closes the run. On a
 // divergence error the partially-filled Result is returned alongside the
-// error, exactly like the legacy entrypoints.
+// error.
 func (rs *RunState) Run() (*Result, error) {
+	// Close is deferred so the evaluator goroutine and the shard pool are
+	// released even when a user callback or algorithm panics; finalize
+	// (inside Close) is idempotent and keeps partial results well-formed.
 	defer rs.Close()
 	for {
 		done, err := rs.Step()
 		if err != nil {
-			return rs.run.recorder().res, err
+			return rs.a.rec.res, err
 		}
 		if done {
 			return rs.Finish(), nil
@@ -191,7 +201,7 @@ func (rs *RunState) Run() (*Result, error) {
 // evaluation) and returns the Result. Idempotent.
 func (rs *RunState) Finish() *Result {
 	rs.done = true
-	return rs.run.recorder().finish()
+	return rs.a.rec.finish()
 }
 
 // Close releases the run's resources: the shard pool's workers and the
@@ -203,92 +213,6 @@ func (rs *RunState) Close() {
 		return
 	}
 	rs.closed = true
-	rs.run.close()
-}
-
-// runToCompletion drives a runner start-to-finish — the shared body of
-// the legacy Server.Run / AsyncServer.Run entrypoints.
-func runToCompletion(r runner) (*Result, error) {
-	// close is deferred so the evaluator goroutine and the shard pool are
-	// released even when a user callback or algorithm panics; finalize
-	// (inside close) is idempotent and keeps partial results well-formed.
-	defer r.close()
-	for {
-		done, err := r.step()
-		if err != nil {
-			return r.recorder().res, err
-		}
-		if done {
-			return r.recorder().finish(), nil
-		}
-	}
-}
-
-// syncRunner is the paper's lock-step loop in stepper form: one step =
-// select K clients, train them in parallel, aggregate, record.
-type syncRunner struct {
-	s   *Server
-	rec *recorder
-	sp  *shardPool
-	t   int // completed rounds
-}
-
-func newSyncRunner(s *Server) (*syncRunner, error) {
-	rec, err := newRecorder(s)
-	if err != nil {
-		return nil, err
-	}
-	return &syncRunner{
-		s:   s,
-		rec: rec,
-		sp:  newShardPool(s, s.cfg.Shards, s.cfg.ClientsPerRound),
-	}, nil
-}
-
-func (r *syncRunner) server() *Server     { return r.s }
-func (r *syncRunner) recorder() *recorder { return r.rec }
-
-// quiesce is a no-op: the sync loop joins every client inside step, so a
-// round boundary has nothing in flight.
-func (r *syncRunner) quiesce() {}
-
-func (r *syncRunner) close() {
-	r.sp.close()
-	r.rec.finalize()
-}
-
-func (r *syncRunner) step() (bool, error) {
-	s, cfg, rec, res := r.s, &r.s.cfg, r.rec, r.rec.res
-	if r.t >= cfg.Rounds {
-		return true, nil
-	}
-	t := r.t + 1
-	selected := s.selectClients()
-	if pr, ok := cfg.Algo.(PreRounder); ok {
-		pr.PreRound(t, selected, s.global)
-	}
-	updates, wire := s.trainSelected(t, selected, r.sp)
-	rec.addWire(wire)
-	if cfg.OnUpdates != nil {
-		cfg.OnUpdates(t, s.global, updates)
-	}
-	s.aggregate(t, updates)
-	if !tensor.AllFinite(s.global) {
-		return true, fmt.Errorf("core: %s diverged at round %d (non-finite global model)", cfg.Algo.Name(), t)
-	}
-	acc := rec.record(t, cfg.Rounds, updates, s.clientFlopsTotal())
-	// The merge and metrics have consumed this round's uploads; their
-	// buffers go back to the pool for the next round's checkouts.
-	recycleUpdates(updates)
-	if cfg.Logf != nil {
-		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f gflops=%.2f", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], res.GFLOPsByRound[t-1])
-	}
-	if cfg.OnRound != nil {
-		cfg.OnRound(t, s)
-	}
-	r.t = t
-	if cfg.StopAtTarget && res.RoundsToTarget > 0 {
-		return true, nil
-	}
-	return t >= cfg.Rounds, nil
+	rs.a.sp.close()
+	rs.a.rec.finalize()
 }

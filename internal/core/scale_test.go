@@ -13,7 +13,7 @@ import (
 // scaleConfig builds a 1000-client fleet with tiny per-client datasets and
 // a quarter-width MLP — big enough to exercise the population machinery,
 // small enough for CI.
-func scaleConfig(t *testing.T, shards int) AsyncConfig {
+func scaleConfig(t *testing.T, shards int) RunSpec {
 	t.Helper()
 	const clients, perClient = 1000, 4
 	train, test, err := data.Generate(data.Spec{
@@ -27,7 +27,7 @@ func scaleConfig(t *testing.T, shards int) AsyncConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AsyncConfig{
+	return RunSpec{
 		Config: Config{
 			Model: nn.ModelSpec{
 				Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25,
@@ -40,6 +40,7 @@ func scaleConfig(t *testing.T, shards int) AsyncConfig {
 			EvalEvery: 100, // population mechanics, not accuracy, under test
 			Shards:    shards,
 		},
+		Runtime:     RuntimeAsync,
 		Concurrency: 64,
 		BufferSize:  16,
 		Latency:     StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
@@ -53,11 +54,11 @@ func TestThousandClientBufferedRun(t *testing.T) {
 		t.Skip("short mode")
 	}
 	acfg := scaleConfig(t, 0)
-	a, err := NewAsyncServer(acfg)
+	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Run()
+	res, err := rs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestThousandClientBufferedRun(t *testing.T) {
 		}
 		prev = ts
 	}
-	distinct, dispatches := a.Participation()
+	distinct, dispatches := rs.Participation()
 	// 6 aggregations x 16 arrivals + up to 64 still in flight.
 	if dispatches < int64(acfg.Rounds*acfg.BufferSize) {
 		t.Fatalf("only %d dispatches recorded", dispatches)
@@ -91,7 +92,7 @@ func TestShardCountDoesNotChangeTrajectory(t *testing.T) {
 		t.Skip("short mode")
 	}
 	run := func(shards int) *Result {
-		res, err := RunAsync(scaleConfig(t, shards))
+		res, err := Start(scaleConfig(t, shards))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,11 +170,12 @@ func TestIdleSetCoversAllIdle(t *testing.T) {
 // populations behave like the registry promises, and every pick consumes
 // exactly one selection draw.
 func TestPickAvailableBusyStates(t *testing.T) {
-	acfg := asyncTestConfig(t, NewFedTrip(0.4))
-	a, err := NewAsyncServer(acfg)
+	rs, err := NewRunState(asyncTestSpec(t, NewFedTrip(0.4)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rs.Close()
+	a := rs.a
 	n := len(a.s.clients)
 	// Fully idle: picks succeed and land in range.
 	for trial := 0; trial < 50; trial++ {
@@ -258,16 +259,16 @@ func TestPopulationParticipationStats(t *testing.T) {
 // Barrier mode must feed the participation registry too: a run of R
 // rounds with K clients each records exactly R*K dispatches.
 func TestBarrierModeRecordsParticipation(t *testing.T) {
-	acfg := asyncTestConfig(t, NewFedTrip(0.4))
-	acfg.RoundBarrier = true
-	a, err := NewAsyncServer(acfg)
+	acfg := asyncTestSpec(t, NewFedTrip(0.4))
+	acfg.Runtime = RuntimeBarrier
+	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Run(); err != nil {
+	if _, err := rs.Run(); err != nil {
 		t.Fatal(err)
 	}
-	distinct, dispatches := a.Participation()
+	distinct, dispatches := rs.Participation()
 	if want := int64(acfg.Rounds * acfg.ClientsPerRound); dispatches != want {
 		t.Fatalf("dispatches %d want %d", dispatches, want)
 	}

@@ -36,12 +36,13 @@ type Result struct {
 	// accounting is used.
 	CommBytesByRound []int64
 	// SimTimeByRound[t] is the simulated wall-clock time (seconds under
-	// the configured LatencyModel) at the end of round t+1. Only the
-	// asynchronous runtime fills it; nil for Server.Run.
+	// the configured latency, device and network models) at the end of
+	// round t+1. Filled for every run; all zeros when nothing prices the
+	// clock (RuntimeSync, or barrier/async at ZeroLatency).
 	SimTimeByRound []float64
 	// MeanStalenessByRound[t] is the mean staleness (aggregations elapsed
-	// since dispatch) of the updates merged in round t+1. Only the
-	// asynchronous runtime fills it; nil for Server.Run.
+	// since dispatch) of the updates merged in round t+1. Filled for
+	// every run; all zeros in the lock-step runtimes.
 	MeanStalenessByRound []float64
 	// DroppedUpdates counts in-flight updates lost to permanently
 	// dropped clients (the churn process's mass-dropout injector). Their
@@ -145,8 +146,8 @@ type Server struct {
 	global    []float64
 	evalModel *nn.Model
 	rng       *prng.Rand
-	// policy is the aggregation policy Start resolved for this run; nil
-	// (the legacy Run/NewServer path) behaves as FedAvgPolicy. clip and
+	// policy is the aggregation policy Validate resolved for this run
+	// (nil on a bare NewServer, which cannot merge). clip and
 	// robust are installPolicy's resolution of the decorator chain: the
 	// norm-clip guard and the leaf robust aggregator (median/trimmed
 	// mean/krum), nil when absent.
@@ -166,7 +167,7 @@ type Server struct {
 	rejectLogged    bool
 	// mergeScratch is the reusable weighted-average buffer for rated
 	// merges (eta != 1). Merges are single-threaded in every runtime
-	// (the sync loop and the async event loop both aggregate with no
+	// (the lock-step loop and the async event loop both aggregate with no
 	// concurrent merge), so one buffer suffices; FedAsync-style
 	// single-arrival runs merge every aggregation and would otherwise
 	// allocate a model-sized slice per merge.
@@ -307,31 +308,6 @@ func (s *Server) trainClient(c *Client, round int, global []float64, steps int, 
 	return u, down, up
 }
 
-// trainSelected trains the selected clients on the shard pool (the paper's
-// "clients in St perform local model training ... in parallel") and
-// returns their updates in selection order, plus the round's measured
-// wire traffic. The returned slice is server scratch, valid until the
-// next round gathers into it.
-func (s *Server) trainSelected(round int, selected []*Client, sp *shardPool) ([]Update, int64) {
-	jobs := s.growJobs(len(selected))
-	for i, c := range selected {
-		// All jobs read the same pre-aggregation global; no writer until
-		// every one of them has joined below.
-		j := jobs[i]
-		j.c, j.round, j.global = c, round, s.global
-		sp.submit(j)
-	}
-	updates := s.growUpdates(len(selected))
-	var wire int64
-	for i, j := range jobs {
-		<-j.done
-		updates[i] = j.update
-		j.update = Update{}
-		wire += j.downBytes + j.upBytes
-	}
-	return updates, wire
-}
-
 // growJobs returns n reusable trainJobs (built once, re-armed per round:
 // the done channel is buffered and drained by the waiter, so a job object
 // can carry any number of dispatches).
@@ -350,26 +326,22 @@ func (s *Server) growUpdates(n int) []Update {
 	return s.updScratch[:n]
 }
 
-// aggregate merges one synchronous round. An Algorithm's Aggregator
-// override wins; otherwise the run's aggregation policy supplies the
-// weights and the merge rate. The nil policy of the legacy Run path is
-// FedAvgPolicy — Eq. 2's a_k = |D_k| / |D_St| with full replacement —
-// bit-for-bit the historical arithmetic.
+// aggregate merges one round's updates. An Algorithm's Aggregator
+// override wins (it sees Update.Staleness); otherwise the run's
+// aggregation policy supplies the weights and the merge rate. Validate
+// rejects Aggregator methods in buffered mode, so the override branch is
+// only reachable from the barrier loop, where no client is in flight.
 func (s *Server) aggregate(round int, updates []Update) {
 	if agg, ok := s.cfg.Algo.(Aggregator); ok {
 		next := agg.Aggregate(round, s.global, updates)
 		copy(s.global, next)
 		return
 	}
-	pol := s.policy
-	if pol == nil {
-		pol = &FedAvgPolicy{}
-	}
 	weights := s.growWeights(len(updates))
 	for i, u := range updates {
-		weights[i] = pol.Weight(u)
+		weights[i] = s.policy.Weight(u)
 	}
-	s.aggregateWeightedRate(weights, updates, pol.MergeRate(round, updates))
+	s.aggregateWeightedRate(weights, updates, s.policy.MergeRate(round, updates))
 }
 
 // growWeights returns a length-n aggregation-weight buffer (server
@@ -384,9 +356,8 @@ func (s *Server) growWeights(n int) []float64 {
 // aggregateWeightedRate normalises the given weights, forms the weighted
 // average of the updates, and moves the global model toward it by the
 // server learning rate eta: global' = global + eta*(avg - global). Every
-// runtime funnels through it: the synchronous server with data-size
-// weights, the asynchronous one with policy weights (a rate of exactly 1
-// takes the historical replace-with-average path bit-for-bit). A
+// policy merge funnels through it (a rate of exactly 1 takes the
+// replace-with-average path). A
 // fully-discounted buffer (all weights 0 — e.g. a hard staleness cutoff,
 // or every update rejected as non-finite) or a zero rate contributes
 // nothing rather than dividing the model into NaNs.
@@ -657,37 +628,4 @@ func (r *recorder) syncEvals() {
 	if r.lastSubmitted > 0 {
 		r.ev.wait(r.lastSubmitted)
 	}
-}
-
-// clientFlopsTotal sums every client's cumulative FLOP counter. Only
-// valid when no client is mid-training (the synchronous barrier); the
-// async runtime accumulates per-arrival deltas instead.
-func (s *Server) clientFlopsTotal() int64 {
-	var fl int64
-	for _, c := range s.clients {
-		fl += c.Counter.Total()
-	}
-	return fl
-}
-
-// Run executes the full synchronous federated training loop and collects
-// metrics — the thin legacy wrapper over the RunSpec facade, equivalent
-// to Start(RunSpec{Config: cfg}).
-func Run(cfg Config) (*Result, error) {
-	s, err := NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// Run executes the configured number of communication rounds by driving
-// the stepper runner to completion (see runstate.go; RunState exposes the
-// same loop one round at a time).
-func (s *Server) Run() (*Result, error) {
-	r, err := newSyncRunner(s)
-	if err != nil {
-		return nil, err
-	}
-	return runToCompletion(r)
 }

@@ -9,7 +9,7 @@ import (
 // trainJob is one dispatched client round: which client, which round, and
 // which global snapshot to start from. The shard worker fills update and
 // flops, then signals done (buffered, one token per dispatch — signalled
-// rather than closed so the synchronous runtime can re-arm one set of
+// rather than closed so the lock-step loop can re-arm one set of
 // jobs round after round). The scheduling fields (finish, seq, heapIdx)
 // are used by the asynchronous event loop only.
 type trainJob struct {

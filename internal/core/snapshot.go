@@ -60,9 +60,12 @@ const (
 	// aggregate process (segment permutation + two clock times instead of
 	// per-client phase arrays and an O(N) event heap), added the parked-
 	// job remainder to job records, and made the adversary RNG array
-	// optional (only the noise mode materializes it) — older snapshots
-	// cannot be read by this build.
-	snapVersion = 4
+	// optional (only the noise mode materializes it). Version 5 moved the
+	// clock, latency stream, FLOP total and scheduler registry from the
+	// per-runner sections into the common one, which every runtime now
+	// carries (sync runs included). A snapshot does not survive a format
+	// bump: Resume refuses any other version, naming both.
+	snapVersion = 5
 	// snapMaxLen bounds every deserialized collection length: corrupt or
 	// adversarial length prefixes must not drive allocation.
 	snapMaxLen = 1 << 30
@@ -360,7 +363,7 @@ func transportName(t Transport) string {
 // work. Returns an error for methods whose aggregation state lives
 // outside the runtime (Aggregator/PreRounder implementors).
 func (rs *RunState) Snapshot(w io.Writer) error {
-	s := rs.run.server()
+	s := rs.a.s
 	if _, ok := s.cfg.Algo.(Aggregator); ok {
 		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps server-side aggregation state the runtime cannot serialize", s.cfg.Algo.Name())
 	}
@@ -368,8 +371,7 @@ func (rs *RunState) Snapshot(w io.Writer) error {
 		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps pre-round server state the runtime cannot serialize", s.cfg.Algo.Name())
 	}
 	rs.run.quiesce()
-	rec := rs.run.recorder()
-	rec.syncEvals()
+	rs.a.rec.syncEvals()
 
 	sw := newSnapWriter(w)
 	sw.raw([]byte(snapMagic))
@@ -431,10 +433,11 @@ func restoreTransport(sr *snapReader, t Transport) error {
 }
 
 // snapshotCommon serializes the state shared by every runtime: the
-// global model, the selection stream, the client population, and the
-// recorder (metric series plus the published accuracies).
+// global model, the selection stream, the client population, the
+// recorder (metric series plus the published accuracies), and the clock
+// and scheduler registry.
 func (rs *RunState) snapshotCommon(sw *snapWriter) {
-	s := rs.run.server()
+	a, s := rs.a, rs.a.s
 	sw.floats(s.global)
 	sw.rngState(s.rng.State())
 
@@ -474,7 +477,7 @@ func (rs *RunState) snapshotCommon(sw *snapWriter) {
 		}
 	}
 
-	rec := rs.run.recorder()
+	rec := a.rec
 	res := rec.res
 	sw.num(res.Rounds)
 	sw.floats(res.TrainLoss)
@@ -501,12 +504,17 @@ func (rs *RunState) snapshotCommon(sw *snapWriter) {
 		sw.num(r)
 		sw.f64(accs[r])
 	}
+
+	sw.i64(a.flopsTotal)
+	sw.f64(a.now)
+	sw.rngState(a.latRng.State())
+	writePopulation(sw, a.pop)
 }
 
 // restoreCommon is snapshotCommon's inverse, with structural validation
 // against the freshly built run.
 func (rs *RunState) restoreCommon(sr *snapReader) {
-	s := rs.run.server()
+	a, s := rs.a, rs.a.s
 	global := sr.floats("global model")
 	if sr.err == nil && len(global) != len(s.global) {
 		sr.fail("core: corrupt snapshot: global model has %d parameters, the spec builds %d", len(global), len(s.global))
@@ -588,7 +596,7 @@ func (rs *RunState) restoreCommon(sr *snapReader) {
 		}
 	}
 
-	rec := rs.run.recorder()
+	rec := a.rec
 	res := rec.res
 	res.Rounds = sr.num("rounds")
 	res.TrainLoss = sr.floats("train-loss series")
@@ -619,6 +627,11 @@ func (rs *RunState) restoreCommon(sr *snapReader) {
 		sr.fail("core: corrupt snapshot: metric series lengths (%d/%d/%d) disagree with %d recorded rounds",
 			len(res.TrainLoss), len(res.CommBytesByRound), len(res.GFLOPsByRound), res.Rounds)
 	}
+
+	a.flopsTotal = sr.i64()
+	a.now = sr.f64()
+	a.latRng.SetState(sr.rngState())
+	readPopulation(sr, a.pop)
 }
 
 func writeScalarMap(sw *snapWriter, m map[string]float64) {
@@ -867,40 +880,14 @@ func readChurn(sr *snapReader, c *churn) {
 
 // --- per-runner bodies ---
 
-func (r *syncRunner) snapshotBody(sw *snapWriter) {
-	sw.num(r.t)
-}
-
-func (r *syncRunner) restoreBody(sr *snapReader) error {
-	r.t = sr.num("completed rounds")
-	return sr.err
-}
-
-func (r *barrierRunner) snapshotBody(sw *snapWriter) {
-	sw.num(r.t)
-	sw.i64(r.flopsTotal)
-	sw.f64(r.a.now)
-	sw.rngState(r.a.latRng.State())
-	writePopulation(sw, r.a.pop)
-}
-
-func (r *barrierRunner) restoreBody(sr *snapReader) error {
-	r.t = sr.num("completed rounds")
-	r.flopsTotal = sr.i64()
-	r.a.now = sr.f64()
-	r.a.latRng.SetState(sr.rngState())
-	readPopulation(sr, r.a.pop)
-	return sr.err
-}
+// The barrier loop joins every client inside step: at a round boundary
+// it holds nothing beyond the common section.
+func (r barrierRunner) snapshotBody(*snapWriter)      {}
+func (r barrierRunner) restoreBody(*snapReader) error { return nil }
 
 func (r *bufferedRunner) snapshotBody(sw *snapWriter) {
 	a := r.a
-	sw.num(r.aggs)
 	sw.num(r.seq)
-	sw.i64(r.flopsTotal)
-	sw.f64(a.now)
-	sw.rngState(a.latRng.State())
-	writePopulation(sw, a.pop)
 	// The event heap in array order: restoring verbatim (heapIdx = slot)
 	// preserves both the heap invariant and the exact layout, so a
 	// resumed run's pops and sift paths replay identically.
@@ -920,12 +907,7 @@ func (r *bufferedRunner) snapshotBody(sw *snapWriter) {
 
 func (r *bufferedRunner) restoreBody(sr *snapReader) error {
 	a, s := r.a, r.a.s
-	r.aggs = sr.num("completed aggregations")
 	r.seq = sr.num("dispatch sequence")
-	r.flopsTotal = sr.i64()
-	a.now = sr.f64()
-	a.latRng.SetState(sr.rngState())
-	readPopulation(sr, a.pop)
 	nInflight := sr.length("in-flight jobs", snapMaxLen)
 	r.inflight.js = r.inflight.js[:0]
 	for i := 0; i < nInflight && sr.err == nil; i++ {
@@ -1011,7 +993,7 @@ func (rs *RunState) restore(r io.Reader) error {
 	if sr.err != nil {
 		return sr.err
 	}
-	ours := rs.spec.fingerprint(len(rs.run.server().global))
+	ours := rs.spec.fingerprint(len(rs.a.s.global))
 	if theirs != ours {
 		return fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s", theirs, ours)
 	}
@@ -1019,7 +1001,7 @@ func (rs *RunState) restore(r io.Reader) error {
 	if sr.err != nil {
 		return sr.err
 	}
-	if err := restoreTransport(sr, rs.run.server().cfg.Transport); err != nil {
+	if err := restoreTransport(sr, rs.a.s.cfg.Transport); err != nil {
 		return err
 	}
 	return rs.run.restoreBody(sr)

@@ -270,7 +270,9 @@ func TestSnapshotPolicyRoundTrip(t *testing.T) {
 }
 
 // TestResumeRejectsBadSnapshots pins the precise-error contract for
-// wrong-magic, wrong-version, truncated, and wrong-run streams.
+// wrong-magic, wrong-version, truncated, and wrong-run streams. A format
+// bump orphans older snapshots: a v4-headered stream is refused with both
+// versions named, whatever follows the header.
 func TestResumeRejectsBadSnapshots(t *testing.T) {
 	cfg := snapTestConfig(t, 4)
 	spec := RunSpec{Config: cfg}
@@ -299,6 +301,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
+		{"previous version", append(append([]byte(snapMagic), 4), good[5:]...), spec, "run snapshot version 4, this build reads version 5"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

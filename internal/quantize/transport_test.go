@@ -77,7 +77,7 @@ func TestQuantizedUplinkEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(core.Config{
+	res, err := core.Start(core.RunSpec{Config: core.Config{
 		Model:           nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
 		Train:           train,
 		Test:            test,
@@ -91,7 +91,7 @@ func TestQuantizedUplinkEndToEnd(t *testing.T) {
 		Algo:            core.NewFedTrip(1.0),
 		Seed:            10,
 		Transport:       tr,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 		Seed:            3,
 		OnUpdates:       col.Hook(),
 	}
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.Start(core.RunSpec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	rows := col.Rows()
