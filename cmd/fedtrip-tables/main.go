@@ -5,40 +5,22 @@
 //	fedtrip-tables -profile paper        # paper-scale settings (slow)
 //	fedtrip-tables -list                 # list experiment ids
 //
-// Experiments are runtime-agnostic: -runtime, -latency, -policy,
-// -server-lr, -concurrency, and -buffer select the runtime and the
-// aggregation policy every case runs on (methods with server-side hooks
-// fall back from async to the barrier runtime). The tta experiment
-// compares the FedBuff and FedAsync policies side by side under a
-// straggler latency model:
+// Experiments are runtime-agnostic: the runtime selection — -runtime,
+// -latency, -policy, -server-lr, -concurrency, -buffer, -device-dist,
+// -dropout, -local-steps-adaptive, -transport, -bandwidth-dist, -faults —
+// is the same flag set cmd/fedtrip takes (internal/runtext registers it
+// for both; the values are in the internal/spec grammar, see README "One
+// run API" or -h) and is laid over the profile every case starts from.
+// Methods with server-side hooks fall back from async to the barrier
+// runtime. Four experiments set parts of the selection themselves to
+// compare side by side: tta (policies under a straggler latency model),
+// hetero (device fleets and churn), comm-tta (transports on a
+// bandwidth-tiered fleet), robust (policies across Byzantine fractions):
 //
-//	fedtrip-tables -exp tta                                # barrier vs fedbuff vs fedasync + policy sweep
+//	fedtrip-tables -exp tta
 //	fedtrip-tables -exp table4 -runtime async -policy fedasync -latency straggler:1,10,3
-//
-// Device heterogeneity is selected with -device-dist (FLOP-coupled
-// compute speeds), -dropout (availability churn), and
-// -local-steps-adaptive; the hetero experiment compares FedTrip against
-// FedAvg/FedProx across uniform, tiered, and churning lognormal fleets:
-//
-//	fedtrip-tables -exp hetero
 //	fedtrip-tables -exp table4 -runtime async -device-dist tiered -local-steps-adaptive
-//
-// Communication is priced with -bandwidth-dist (per-client link tiers;
-// each dispatch pays rtt + measured-bytes/bandwidth in simulated time)
-// and encoded with -transport (dense f32, delta quantization, top-k /
-// rand-k sparsification, +ef error feedback). The comm-tta experiment
-// compares transports on a bandwidth-tiered churning fleet:
-//
-//	fedtrip-tables -exp comm-tta
 //	fedtrip-tables -exp table4 -runtime async -bandwidth-dist tiered -transport q8+ef
-//
-// Adversarial robustness is selected with -faults (the fraction of the
-// fleet uploading corrupted models and how) together with a robust
-// -policy (median, trimmedmean:F, krum:F, or a +clip:C guard). The
-// robust experiment races the policies across Byzantine fractions on a
-// churning tiered fleet:
-//
-//	fedtrip-tables -exp robust
 //	fedtrip-tables -exp table4 -runtime async -faults byz:0.2,signflip -policy trimmedmean:0.25
 //
 // Output is plain-text tables on stdout (or -o file); progress lines go to
@@ -53,31 +35,21 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/runtext"
 )
 
 func main() {
 	var (
-		expList   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		profile   = flag.String("profile", "fast", "profile: fast|paper|tiny")
-		outPath   = flag.String("o", "", "write tables to this file instead of stdout")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		verbose   = flag.Bool("v", true, "print progress to stderr")
-		runtime   = flag.String("runtime", "", "runtime every case runs on: sync|async|barrier (default sync)")
-		latency   = flag.String("latency", "", "latency model for async/barrier runtimes (zero|const:D|uniform:MIN,MAX|exp:MEAN|lognormal:MU,SIGMA|straggler:F,S,E)")
-		policy    = flag.String("policy", "", "aggregation policy: fedavg|fedbuff[:EXP]|fedasync[:ALPHA[,EXP]]|importance[:BETA[,EXP]] (default: runtime default)")
-		serverLR  = flag.String("server-lr", "", "server learning-rate schedule on merge: const:ETA|invsqrt:ETA0|step:ETA0,G,E")
-		conc      = flag.Int("concurrency", 0, "async: clients training simultaneously (0 = K)")
-		buffer    = flag.Int("buffer", 0, "async: arrivals per aggregation (0 = K)")
-		devDist   = flag.String("device-dist", "", "device compute-speed distribution for async/barrier cases (none|uniform:MIN,MAX|lognormal:MU,SIGMA|tiered[:S1,F1,...])")
-		dropout   = flag.String("dropout", "", "client availability churn for async cases (none|markov:UP,DOWN[+drop:AT,FRAC,DUR]...)")
-		adaptive  = flag.Bool("local-steps-adaptive", false, "scale each client's local step budget by its device speed (needs -device-dist)")
-		transport = flag.String("transport", "", "wire transport every case ships models through (none|f32|lossless|q<bits>|topk:R|randk:R, +ef for error feedback)")
-		bandDist  = flag.String("bandwidth-dist", "", "per-client link distribution for async/barrier cases (none|const:UP,DOWN[,RTT]|uniform:MIN,MAX[,RTT]|lognormal:MU,SIGMA[,RTT]|tiered[:UP,DOWN,RTT,FRAC,...])")
-		faults    = flag.String("faults", "", "adversarial faults every case runs under (none|byz:FRAC,MODE[+crash:FRAC]; modes signflip|scale:K|noise:SIGMA|nan|labelflip)")
+		expList = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		profile = flag.String("profile", "fast", "profile: fast|paper|tiny")
+		outPath = flag.String("o", "", "write tables to this file instead of stdout")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		verbose = flag.Bool("v", true, "print progress to stderr")
+		sel     runtext.Selection
 	)
+	sel.Register(flag.CommandLine)
 	flag.Parse()
 	if *list {
 		for _, e := range experiments.All() {
@@ -85,98 +57,22 @@ func main() {
 		}
 		return
 	}
-	sel := runtimeSelection{
-		runtime: *runtime, latency: *latency, policy: *policy,
-		serverLR: *serverLR, concurrency: *conc, buffer: *buffer,
-		devices: *devDist, churn: *dropout, adaptiveSteps: *adaptive,
-		transport: *transport, bandwidth: *bandDist, faults: *faults,
-	}
 	if err := run(*expList, *profile, *outPath, *verbose, sel); err != nil {
 		fmt.Fprintln(os.Stderr, "fedtrip-tables:", err)
 		os.Exit(1)
 	}
 }
 
-// runtimeSelection carries the runtime/policy flags onto the profile.
-type runtimeSelection struct {
-	runtime, latency, policy, serverLR string
-	concurrency, buffer                int
-	devices, churn                     string
-	transport, bandwidth               string
-	adaptiveSteps                      bool
-	faults                             string
-}
-
-func (s runtimeSelection) apply(p *experiments.Profile) error {
-	rt, err := core.ParseRuntime(s.runtime)
-	if err != nil {
-		return err
-	}
-	if s.runtime != "" {
-		p.Runtime = rt
-	}
-	if s.latency != "" {
-		if _, err := core.ParseLatency(s.latency); err != nil {
-			return err
-		}
-		p.Latency = s.latency
-	}
-	if s.policy != "" {
-		if _, err := core.ParsePolicy(s.policy); err != nil {
-			return err
-		}
-		p.Policy = s.policy
-	}
-	if s.serverLR != "" {
-		if _, err := core.ParseLRSchedule(s.serverLR); err != nil {
-			return err
-		}
-		p.ServerLR = s.serverLR
-	}
-	if s.devices != "" {
-		if _, err := core.ParseDeviceDist(s.devices); err != nil {
-			return err
-		}
-		p.Devices = s.devices
-	}
-	if s.churn != "" {
-		if _, err := core.ParseChurn(s.churn); err != nil {
-			return err
-		}
-		p.Churn = s.churn
-	}
-	if s.transport != "" {
-		if _, err := comm.ParseTransport(s.transport); err != nil {
-			return err
-		}
-		p.Transport = s.transport
-	}
-	if s.bandwidth != "" {
-		if _, err := core.ParseNetDist(s.bandwidth); err != nil {
-			return err
-		}
-		p.Bandwidth = s.bandwidth
-	}
-	if s.faults != "" {
-		if _, err := core.ParseFaults(s.faults); err != nil {
-			return err
-		}
-		p.Faults = s.faults
-	}
-	p.AdaptiveSteps = s.adaptiveSteps
-	p.Concurrency = s.concurrency
-	p.Buffer = s.buffer
-	return nil
-}
-
-func run(expList, profile, outPath string, verbose bool, sel runtimeSelection) error {
+func run(expList, profile, outPath string, verbose bool, sel runtext.Selection) error {
 	p, err := experiments.ByName(profile)
 	if err != nil {
 		return err
 	}
-	if err := sel.apply(&p); err != nil {
+	// A malformed spec fails here, before any dataset is generated.
+	if _, err := sel.Parse(core.Config{}); err != nil {
 		return err
 	}
+	p.Selection = p.Selection.Overlay(sel)
 	var out io.Writer = os.Stdout
 	if outPath != "" {
 		f, err := os.Create(outPath)

@@ -7,49 +7,33 @@
 // All methods from the paper are available via -algo: fedtrip, fedavg,
 // fedprox, slowmo, moon, feddyn, scaffold, feddane, mimelite.
 //
-// The runtime is selected with -runtime sync|async|barrier (-async is a
-// shorthand for -runtime async); the async runtimes are configured with
-// -buffer, -concurrency, -latency, and -stale-exp, and the aggregation
-// policy — when arrivals merge and how they are weighted — with -policy
-// and -server-lr:
+// The runtime selection — -runtime, -latency, -policy, -server-lr,
+// -concurrency, -buffer, -device-dist, -dropout, -local-steps-adaptive,
+// -transport, -bandwidth-dist, -faults — is the flag set
+// internal/runtext registers for this command and for fedtrip-tables
+// alike; every value is written in the one spec grammar (internal/spec:
+// name[:a,b,...] terms composed with "+"; README "One run API" has the
+// table, -h the per-flag vocabulary). This command adds -async (shorthand
+// for -runtime async), -wire (shorthand for -transport f32), -stale-exp
+// (the default staleness discount) and -flop-rate (device throughput):
 //
 //	fedtrip -algo fedtrip -runtime async -latency straggler:1,10,5 -buffer 2 -rounds 60
 //	fedtrip -algo fedtrip -runtime async -latency exp:2 -policy fedasync:0.6 -rounds 60
 //	fedtrip -algo fedavg -runtime barrier -latency straggler:1,10,5 -rounds 30
-//
-// Device heterogeneity replaces the independent latency draw with
-// FLOP-coupled compute: -device-dist samples per-client speeds, each
-// dispatch's duration is its metered FLOPs over the device's
-// throughput, -local-steps-adaptive makes slow clients train
-// proportionally fewer steps, and -dropout adds availability churn
-// (Markov on/off plus mass-dropout events) with -policy ...+maxstale:N
-// as the admission cutoff:
-//
 //	fedtrip -algo fedtrip -runtime async -device-dist lognormal:0,0.6 \
 //	        -local-steps-adaptive -dropout markov:90,10 \
 //	        -policy fedbuff+maxstale:8 -rounds 60
-//
-// Communication is priced the same way: -bandwidth-dist samples
-// per-client uplink/downlink bandwidth (Mbps) and RTT (ms), and each
-// dispatch additionally pays rtt + bytes/bandwidth in simulated time for
-// the bytes its transport actually moved. -transport selects the wire
-// encoding — dense float32, delta quantization, top-k / rand-k
-// sparsification, composable with error feedback — so compression
-// genuinely buys simulated time:
-//
 //	fedtrip -algo fedtrip -runtime async -device-dist tiered \
 //	        -bandwidth-dist tiered -transport topk:0.01+ef -rounds 60
-//
-// Adversarial fleets are simulated with -faults: the configured fraction
-// of clients uploads corrupted models (sign-flipped, scaled, noised,
-// NaN, label-flipped training, or crash garbage) while still paying
-// FLOPs and wire bytes. Robust aggregation policies — coordinate-wise
-// median, trimmed mean, a Krum-style norm filter, and a composable
-// +clip:C guard — degrade gracefully; non-finite uploads are always
-// rejected and counted, never merged:
-//
 //	fedtrip -algo fedtrip -runtime async -faults byz:0.2,signflip \
 //	        -policy trimmedmean:0.25 -rounds 60
+//
+// With a device fleet each dispatch's duration is its metered FLOPs over
+// the device's throughput; with a bandwidth distribution it additionally
+// pays rtt + bytes/bandwidth for the bytes its transport actually moved,
+// so compression genuinely buys simulated time; faulty clients still pay
+// FLOPs and wire bytes, and non-finite uploads are always rejected and
+// counted, never merged.
 //
 // Population scale is set with -clients and the real parallelism (and
 // memory: one model-sized training engine per shard) with -shards; the
@@ -90,82 +74,58 @@ import (
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/runserver"
+	"repro/internal/runtext"
 	"repro/internal/trace"
 )
 
 func main() {
-	var (
-		algoName  = flag.String("algo", "fedtrip", "method: fedtrip|fedavg|fedprox|slowmo|moon|feddyn|scaffold|feddane|mimelite")
-		dataset   = flag.String("dataset", "mnist", "dataset: mnist|fmnist|emnist|cifar")
-		model     = flag.String("model", "cnn", "model: mlp|cnn|alexnet")
-		schemeStr = flag.String("scheme", "dir", "partition: iid|dir|orthogonal")
-		alpha     = flag.Float64("alpha", 0.5, "Dirichlet concentration (scheme=dir)")
-		clusters  = flag.Int("clusters", 5, "orthogonal clusters (scheme=orthogonal)")
-		clients   = flag.Int("clients", 10, "client population N")
-		perRound  = flag.Int("k", 4, "clients selected per round K")
-		samples   = flag.Int("samples", 120, "training samples per client")
-		test      = flag.Int("test", 400, "test samples")
-		rounds    = flag.Int("rounds", 30, "communication rounds")
-		batch     = flag.Int("batch", 10, "local batch size")
-		epochs    = flag.Int("epochs", 1, "local epochs per round")
-		lr        = flag.Float64("lr", 0.01, "learning rate")
-		momentum  = flag.Float64("momentum", 0.9, "SGDm momentum")
-		mu        = flag.Float64("mu", 0, "regularization mu (0 = paper default)")
-		scale     = flag.Float64("scale", 0.5, "model width scale (1 = paper size)")
-		target    = flag.Float64("target", 0, "target accuracy for rounds-to-target (0 = off)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		quiet     = flag.Bool("quiet", false, "suppress per-round lines")
-		clip      = flag.Float64("clip", 0, "gradient clip norm (0 = off)")
-		savePath  = flag.String("save", "", "write the final global model checkpoint to this file")
-		tracePath = flag.String("trace", "", "write per-client round telemetry CSV to this file")
-		wire      = flag.Bool("wire", false, "shorthand for -transport f32")
-		transport = flag.String("transport", "", "wire transport (none|f32|lossless|q<bits>|topk:R|randk:R, compose error feedback with +ef, e.g. topk:0.01+ef); compressed uplinks move fewer measured bytes")
-		bandDist  = flag.String("bandwidth-dist", "", "per-client link distribution (none|const:UP,DOWN[,RTT]|uniform:MIN,MAX[,RTT]|lognormal:MU,SIGMA[,RTT]|tiered[:UP,DOWN,RTT,FRAC,...]); Mbps and ms — each dispatch pays rtt + measured-bytes/bandwidth in simulated time")
-		shards    = flag.Int("shards", 0, "worker shards training runs on; each owns one model-sized engine (0 = one per CPU)")
-		runtime   = flag.String("runtime", "", "runtime: sync|async|barrier (default sync; barrier = lock-step priced under -latency)")
-		async     = flag.Bool("async", false, "shorthand for -runtime async")
-		buffer    = flag.Int("buffer", 0, "async: arrivals per aggregation (0 = K)")
-		conc      = flag.Int("concurrency", 0, "async: clients training simultaneously (0 = K)")
-		latSpec   = flag.String("latency", "zero", "async: client latency model (zero|const:D|uniform:MIN,MAX|exp:MEAN|lognormal:MU,SIGMA|straggler:F,S,E)")
-		staleExp  = flag.Float64("stale-exp", 0.5, "async: polynomial staleness discount exponent (0 = no discount)")
-		policy    = flag.String("policy", "", "aggregation policy: fedavg|fedbuff[:EXP]|fedasync[:ALPHA[,EXP]]|importance[:BETA[,EXP]]|median|trimmedmean:F|krum:F|clip:C, compose suffixes with +maxstale:MAX and +clip:C (default: fedavg sync, fedbuff async)")
-		serverLR  = flag.String("server-lr", "", "server learning-rate schedule on merge: const:ETA|invsqrt:ETA0|step:ETA0,G,E (default: full replacement)")
-		devDist   = flag.String("device-dist", "", "device compute-speed distribution (none|uniform:MIN,MAX|lognormal:MU,SIGMA|tiered[:S1,F1,...]); dispatch latency becomes metered FLOPs / (flop-rate * speed)")
-		flopRate  = flag.Float64("flop-rate", 0, "device mode: GFLOPs/s of a speed-1.0 device (0 = 1)")
-		dropout   = flag.String("dropout", "", "client availability churn (none|markov:UP,DOWN[+drop:AT,FRAC,DUR]...)")
-		faults    = flag.String("faults", "", "adversarial faults (none|byz:FRAC,MODE[+crash:FRAC]; modes signflip|scale:K|noise:SIGMA|nan|labelflip); pair with -policy median|trimmedmean:F|krum:F or a +clip:C guard")
-		adaptive  = flag.Bool("local-steps-adaptive", false, "device mode: scale each client's local step budget by its device speed")
-		serve     = flag.String("serve", "", "run behind an HTTP run-server on this address (GET /status /metrics /trace /checkpoint)")
-		resumeCk  = flag.String("resume", "", "resume the run snapshot at this path (flags must rebuild the same run)")
-		checkCk   = flag.String("checkpoint", "", "write a run snapshot to this path: on SIGTERM/SIGINT (graceful stop) and at -snapshot-at")
-		snapAt    = flag.Int("snapshot-at", 0, "write -checkpoint after this many completed rounds and keep going (0 = off)")
-		digest    = flag.Bool("digest", false, "print the run digest (bit-for-bit trajectory fingerprint; resume must reproduce it)")
-	)
+	// -latency has always defaulted to the explicit "zero" here.
+	o := runOpts{Selection: runtext.Selection{Latency: "zero"}}
+	flag.StringVar(&o.algoName, "algo", "fedtrip", "method: fedtrip|fedavg|fedprox|slowmo|moon|feddyn|scaffold|feddane|mimelite")
+	flag.StringVar(&o.dataset, "dataset", "mnist", "dataset: mnist|fmnist|emnist|cifar")
+	flag.StringVar(&o.model, "model", "cnn", "model: mlp|cnn|alexnet")
+	flag.StringVar(&o.schemeStr, "scheme", "dir", "partition: iid|dir|orthogonal")
+	flag.Float64Var(&o.alpha, "alpha", 0.5, "Dirichlet concentration (scheme=dir)")
+	flag.IntVar(&o.clusters, "clusters", 5, "orthogonal clusters (scheme=orthogonal)")
+	flag.IntVar(&o.clients, "clients", 10, "client population N")
+	flag.IntVar(&o.perRound, "k", 4, "clients selected per round K")
+	flag.IntVar(&o.samples, "samples", 120, "training samples per client")
+	flag.IntVar(&o.testN, "test", 400, "test samples")
+	flag.IntVar(&o.rounds, "rounds", 30, "communication rounds")
+	flag.IntVar(&o.batch, "batch", 10, "local batch size")
+	flag.IntVar(&o.epochs, "epochs", 1, "local epochs per round")
+	flag.Float64Var(&o.lr, "lr", 0.01, "learning rate")
+	flag.Float64Var(&o.momentum, "momentum", 0.9, "SGDm momentum")
+	flag.Float64Var(&o.mu, "mu", 0, "regularization mu (0 = paper default)")
+	flag.Float64Var(&o.scale, "scale", 0.5, "model width scale (1 = paper size)")
+	flag.Float64Var(&o.target, "target", 0, "target accuracy for rounds-to-target (0 = off)")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed")
+	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-round lines")
+	flag.Float64Var(&o.clip, "clip", 0, "gradient clip norm (0 = off)")
+	flag.StringVar(&o.savePath, "save", "", "write the final global model checkpoint to this file")
+	flag.StringVar(&o.tracePath, "trace", "", "write per-client round telemetry CSV to this file")
+	flag.IntVar(&o.shards, "shards", 0, "worker shards training runs on; each owns one model-sized engine (0 = one per CPU)")
+	o.Selection.Register(flag.CommandLine)
+	flag.BoolVar(&o.wire, "wire", false, "shorthand for -transport f32")
+	flag.BoolVar(&o.async, "async", false, "shorthand for -runtime async")
+	flag.Float64Var(&o.staleExp, "stale-exp", 0.5, "async: polynomial staleness discount exponent (0 = no discount)")
+	flag.Float64Var(&o.flopRate, "flop-rate", 0, "device mode: GFLOPs/s of a speed-1.0 device (0 = 1)")
+	flag.StringVar(&o.serve, "serve", "", "run behind an HTTP run-server on this address (GET /status /metrics /trace /checkpoint)")
+	flag.StringVar(&o.resumeCk, "resume", "", "resume the run snapshot at this path (flags must rebuild the same run)")
+	flag.StringVar(&o.checkCk, "checkpoint", "", "write a run snapshot to this path: on SIGTERM/SIGINT (graceful stop) and at -snapshot-at")
+	flag.IntVar(&o.snapAt, "snapshot-at", 0, "write -checkpoint after this many completed rounds and keep going (0 = off)")
+	flag.BoolVar(&o.digest, "digest", false, "print the run digest (bit-for-bit trajectory fingerprint; resume must reproduce it)")
 	flag.Parse()
-	if err := run(runOpts{
-		algoName: *algoName, dataset: *dataset, model: *model,
-		schemeStr: *schemeStr, alpha: *alpha, clusters: *clusters,
-		clients: *clients, perRound: *perRound, samples: *samples,
-		testN: *test, rounds: *rounds, batch: *batch, epochs: *epochs,
-		lr: *lr, momentum: *momentum, mu: *mu, scale: *scale,
-		target: *target, seed: *seed, quiet: *quiet, clip: *clip,
-		savePath: *savePath, tracePath: *tracePath, wire: *wire,
-		transport: *transport, bandDist: *bandDist,
-		shards: *shards, runtime: *runtime, async: *async,
-		buffer: *buffer, conc: *conc,
-		latSpec: *latSpec, staleExp: *staleExp,
-		policy: *policy, serverLR: *serverLR,
-		devDist: *devDist, flopRate: *flopRate,
-		dropout: *dropout, adaptive: *adaptive, faults: *faults,
-		serve: *serve, resumeCk: *resumeCk, checkCk: *checkCk,
-		snapAt: *snapAt, digest: *digest,
-	}); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "fedtrip:", err)
 		os.Exit(1)
 	}
 }
 
+// runOpts is the parsed command line: the shared runtime selection plus
+// this command's own flags.
 type runOpts struct {
+	runtext.Selection
 	algoName, dataset, model, schemeStr string
 	alpha                               float64
 	clusters                            int
@@ -173,19 +133,11 @@ type runOpts struct {
 	rounds, batch, epochs               int
 	lr, momentum, mu, scale, target     float64
 	seed                                int64
-	quiet, wire                         bool
+	quiet, wire, async                  bool
 	clip                                float64
 	savePath, tracePath                 string
-	transport, bandDist                 string
-	async                               bool
-	runtime                             string
-	shards, buffer, conc                int
-	latSpec                             string
-	staleExp                            float64
-	policy, serverLR                    string
-	devDist, dropout, faults            string
-	flopRate                            float64
-	adaptive                            bool
+	shards                              int
+	staleExp, flopRate                  float64
 	serve, resumeCk, checkCk            string
 	snapAt                              int
 	digest                              bool
@@ -244,18 +196,15 @@ func run(o runOpts) error {
 		collector = trace.NewCollector()
 		cfg.OnUpdates = collector.Hook()
 	}
-	transportSpec := o.transport
 	if o.wire {
-		if transportSpec != "" && transportSpec != "f32" {
-			return fmt.Errorf("-wire is shorthand for -transport f32; drop it when using -transport %s", transportSpec)
+		if o.Transport != "" && o.Transport != "f32" {
+			return fmt.Errorf("-wire is shorthand for -transport f32; drop it when using -transport %s", o.Transport)
 		}
-		transportSpec = "f32"
+		o.Transport = "f32"
 	}
-	tr, err := comm.ParseTransport(transportSpec)
-	if err != nil {
-		return err
+	if o.async && (o.Runtime == "" || o.Runtime == core.RuntimeSync) {
+		o.Runtime = core.RuntimeAsync
 	}
-	cfg.Transport = tr
 	var finalGlobal []float64
 	if o.savePath != "" {
 		cfg.OnRound = func(round int, s *core.Server) {
@@ -264,88 +213,25 @@ func run(o runOpts) error {
 			}
 		}
 	}
-	rt, err := core.ParseRuntime(o.runtime)
-	if err != nil {
-		return err
-	}
-	if o.async && rt == core.RuntimeSync {
-		rt = core.RuntimeAsync
-	}
-	// Latency and stale-exp are parsed on every runtime: RunSpec.Validate
-	// owns the "sync has no simulated clock" rejection, and a malformed
-	// spec must error rather than be silently dropped because -runtime
-	// was forgotten.
-	lat, err := core.ParseLatency(o.latSpec)
+	rspec, err := o.Selection.Parse(cfg)
 	if err != nil {
 		return err
 	}
 	if o.staleExp < 0 {
 		return fmt.Errorf("-stale-exp %g must be >= 0 (a negative exponent would amplify stale updates)", o.staleExp)
 	}
-	rspec := core.RunSpec{Config: cfg, Runtime: rt, Latency: lat}
-	if rt != core.RuntimeSync {
-		rspec.Concurrency = o.conc
-		rspec.BufferSize = o.buffer
-		rspec.Discount = core.PolyDiscount(o.staleExp)
-	}
-	// Device fleet and churn: parsed unconditionally, attached so that
-	// RunSpec.Validate rejects conflicting combinations loudly (devices
-	// on sync, an independent -latency next to a device fleet, churn
-	// outside the buffered runtime, -local-steps-adaptive without a
-	// fleet).
-	dev, err := core.ParseDeviceDist(o.devDist)
-	if err != nil {
-		return err
-	}
-	rspec.Devices = dev
-	rspec.AdaptiveLocalSteps = o.adaptive
-	if o.flopRate != 0 {
-		// Attached whether or not a fleet is configured: a -flop-rate
-		// without -device-dist must hit Validate's rejection, not pass
-		// as a silent no-op.
-		rspec.FlopRate = o.flopRate * 1e9
-	}
-	churnModel, err := core.ParseChurn(o.dropout)
-	if err != nil {
-		return err
-	}
-	rspec.Churn = churnModel
-	// The adversary is parsed unconditionally too: Validate rejects
-	// -faults on Aggregator-override methods (they bypass the non-finite
-	// screen), so the combination errors instead of running unguarded.
-	faultModel, err := core.ParseFaults(o.faults)
-	if err != nil {
-		return err
-	}
-	rspec.Faults = faultModel
-	// Bandwidth pricing is likewise parsed unconditionally: Validate owns
-	// the "sync has no simulated clock" rejection.
-	netDist, err := core.ParseNetDist(o.bandDist)
-	if err != nil {
-		return err
-	}
-	rspec.Network = netDist
-	if o.policy != "" {
-		pol, err := core.ParsePolicy(o.policy)
-		if err != nil {
-			return err
-		}
-		rspec.Policy = pol
-	}
-	if o.serverLR != "" {
-		sched, err := core.ParseLRSchedule(o.serverLR)
-		if err != nil {
-			return err
-		}
-		rspec.Policy = core.WithServerLR(rspec.Policy, sched)
-	}
+	rspec.Discount = core.PolyDiscount(o.staleExp)
+	// Attached whether or not a fleet is configured: a -flop-rate without
+	// -device-dist must hit Validate's rejection, not pass as a no-op.
+	rspec.FlopRate = o.flopRate * 1e9
+	rt := rspec.Runtime
 	if err := rspec.Validate(); err != nil { // resolve defaults for the banner
 		return err
 	}
 	switch rt {
 	case core.RuntimeSync:
 		fmt.Printf("fedtrip: %s on %s/%s, %s, %d-of-%d clients, %d rounds, policy %s\n",
-			algo.Name(), o.model, o.dataset, scheme, o.perRound, o.clients, o.rounds, rspec.Policy.Name())
+			algo.Name(), o.model, o.dataset, scheme, o.perRound, o.clients, o.rounds, rspec.Policy)
 	default:
 		pricing := fmt.Sprintf("latency=%s", rspec.Latency)
 		if rspec.Devices != nil {
@@ -363,11 +249,11 @@ func run(o runOpts) error {
 		if rspec.Network != nil {
 			pricing += fmt.Sprintf(" bandwidth=%s", rspec.Network)
 		}
-		if cfg.Transport != nil {
-			pricing += fmt.Sprintf(" transport=%s", cfg.Transport)
+		if rspec.Transport != nil {
+			pricing += fmt.Sprintf(" transport=%s", rspec.Transport)
 		}
 		fmt.Printf("fedtrip: %s on %s/%s, %s, %s policy=%s buffer=%d conc=%d %s, %d aggregations\n",
-			algo.Name(), o.model, o.dataset, scheme, rt, rspec.Policy.Name(), rspec.BufferSize, rspec.Concurrency, pricing, o.rounds)
+			algo.Name(), o.model, o.dataset, scheme, rt, rspec.Policy, rspec.BufferSize, rspec.Concurrency, pricing, o.rounds)
 	}
 	res, err := execute(o, rspec, collector)
 	if err != nil {
@@ -378,7 +264,7 @@ func run(o runOpts) error {
 		return nil
 	}
 	commLabel := "analytic"
-	if cfg.Transport != nil {
+	if rspec.Transport != nil {
 		commLabel = "measured"
 	}
 	fmt.Printf("\nsummary:\n")
@@ -386,10 +272,10 @@ func run(o runOpts) error {
 	fmt.Printf("  final accuracy  %.4f (mean of last 10 evaluated rounds)\n", res.FinalAccuracy)
 	fmt.Printf("  train GFLOPs    %.2f (all clients, incl. attaching ops)\n", res.TotalGFLOPs())
 	fmt.Printf("  communication   %.2f MB (%s)\n", float64(res.CommBytesByRound[len(res.CommBytesByRound)-1])/1e6, commLabel)
-	if st, ok := cfg.Transport.(interface{ Stats() *comm.Stats }); ok {
+	if st, ok := rspec.Transport.(interface{ Stats() *comm.Stats }); ok {
 		fmt.Printf("  wire traffic    %s\n", st.Stats())
 	}
-	if mt, ok := cfg.Transport.(core.MeteredTransport); ok {
+	if mt, ok := rspec.Transport.(core.MeteredTransport); ok {
 		// Exact byte counts, greppable by CI assertions.
 		d, u := mt.WireBytes()
 		fmt.Printf("  wire bytes      %d (down %d, up %d)\n", d+u, d, u)

@@ -19,7 +19,7 @@ func TestWriteSnapshotKeepsLastGoodCheckpoint(t *testing.T) {
 			algoName: algo, dataset: "mnist", model: "mlp", schemeStr: "dir", alpha: 0.5,
 			clients: 6, perRound: 3, samples: 40, testN: 100,
 			rounds: 2, batch: 20, epochs: 1, lr: 0.01, momentum: 0.9, scale: 0.5,
-			seed: 1, quiet: true, latSpec: "zero", staleExp: 0.5,
+			seed: 1, quiet: true, staleExp: 0.5,
 			checkCk: ckpt, snapAt: 1,
 		}
 	}

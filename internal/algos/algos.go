@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/spec"
 )
 
 // Params carries the per-method hyperparameters of §V.A. Zero values are
@@ -123,6 +124,11 @@ type FedProx struct {
 
 // Name implements core.Algorithm.
 func (*FedProx) Name() string { return "fedprox" }
+
+// String renders the method with its hyperparameter. The methods a run
+// snapshot can hold (no server-side state) all do, so the snapshot
+// fingerprint tells their settings apart.
+func (f *FedProx) String() string { return spec.T("fedprox", f.Mu).String() }
 
 // BeginRound snapshots the received global model.
 func (f *FedProx) BeginRound(c *core.Client, round int, global []float64) {

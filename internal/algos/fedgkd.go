@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -28,6 +29,9 @@ type FedGKD struct {
 
 // Name implements core.Algorithm.
 func (*FedGKD) Name() string { return "fedgkd" }
+
+// String renders the method with its hyperparameters (gamma, tau).
+func (f *FedGKD) String() string { return spec.T("fedgkd", f.Gamma, f.Tau).String() }
 
 // BeginRound loads the teacher (the received global model) into a scratch
 // model.

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -32,6 +33,9 @@ type MOON struct {
 
 // Name implements core.Algorithm.
 func (*MOON) Name() string { return "moon" }
+
+// String renders the method with its hyperparameters (mu, tau).
+func (m *MOON) String() string { return spec.T("moon", m.Mu, m.Tau).String() }
 
 // BeginRound loads the global and previous-local parameters into the
 // client's scratch models. At a client's first participation the previous

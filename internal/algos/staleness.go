@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/spec"
 )
 
 // Staleness decorates a client-side method with an explicit staleness
@@ -25,7 +26,17 @@ type Staleness struct {
 
 // StalenessWeight implements core.StalenessWeighter.
 func (s *Staleness) StalenessWeight(staleness int) float64 {
-	return core.PolyDiscount(s.Alpha)(staleness)
+	return core.PolyDiscount(s.Alpha).F(staleness)
+}
+
+// String renders the wrapped method (with its own hyperparameters when it
+// prints them) and the discount exponent.
+func (s *Staleness) String() string {
+	inner := s.Algorithm.Name()
+	if st, ok := s.Algorithm.(fmt.Stringer); ok {
+		inner = st.String()
+	}
+	return spec.Join(inner, spec.T("staleness", s.Alpha).String())
 }
 
 // WithStaleness wraps algo with a polynomial staleness discount of

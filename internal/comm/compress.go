@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/prng"
 	"repro/internal/quantize"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -30,7 +31,7 @@ import (
 // dense float32 shipping.
 type codec interface {
 	compressInto(rec, delta []float64, clientID, round int) (int64, error)
-	name() string
+	term() spec.Term
 }
 
 // keepCount translates a sparsification ratio into an entry count:
@@ -52,7 +53,7 @@ func keepCount(ratio float64, n int) int {
 // topKCodec keeps the ratio*n largest-magnitude delta entries.
 type topKCodec struct{ ratio float64 }
 
-func (c topKCodec) name() string { return fmt.Sprintf("topk:%g", c.ratio) }
+func (c topKCodec) term() spec.Term { return spec.T("topk", c.ratio) }
 
 func (c topKCodec) compressInto(rec, delta []float64, clientID, round int) (int64, error) {
 	s, err := quantize.TopK(delta, keepCount(c.ratio, len(delta)))
@@ -77,7 +78,7 @@ const randkStream uint64 = 0x72616e646b // "randk"
 // (in expectation the identity, scaled), unlike top-k.
 type randKCodec struct{ ratio float64 }
 
-func (c randKCodec) name() string { return fmt.Sprintf("randk:%g", c.ratio) }
+func (c randKCodec) term() spec.Term { return spec.T("randk", c.ratio) }
 
 func (c randKCodec) compressInto(rec, delta []float64, clientID, round int) (int64, error) {
 	rng := prng.New(int64(prng.Mix(prng.Mix(randkStream+uint64(clientID)) + uint64(round))))
@@ -97,7 +98,9 @@ func (c randKCodec) compressInto(rec, delta []float64, clientID, round int) (int
 // quantCodec uniformly quantizes the delta to bits per element.
 type quantCodec struct{ bits int }
 
-func (c quantCodec) name() string { return fmt.Sprintf("q%d", c.bits) }
+func (c quantCodec) term() spec.Term {
+	return spec.Term{Name: "q", Args: []float64{float64(c.bits)}, Glued: true}
+}
 
 func (c quantCodec) compressInto(rec, delta []float64, clientID, round int) (int64, error) {
 	q, err := quantize.Quantize(delta, c.bits)
@@ -136,12 +139,12 @@ type CompressedTransport struct {
 // newCompressedTransport wires a codec into a transport. spec is the
 // canonical form reproduced by String().
 func newCompressedTransport(cod codec, ef bool) *CompressedTransport {
-	spec := cod.name()
+	text := cod.term().String()
 	if ef {
-		spec += "+ef"
+		text = spec.Join(text, "ef")
 	}
 	t := &CompressedTransport{
-		spec: spec,
+		spec: text,
 		cod:  cod,
 		ef:   ef,
 		ref:  make(map[int][]float64),

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/nn"
+	"repro/internal/partition"
 	"repro/internal/tensor"
 )
 
@@ -70,28 +74,31 @@ func TestParseTransportRejects(t *testing.T) {
 		{"ef+topk:0.01", "ef is a modifier"}, // composition order matters
 		{"q8+ef+ef", "duplicate ef"},
 		{"topk:0.01+q8", "only one base"},
+		{"topk:0.01+q4", "only one base"}, // any width: the is-it-a-base check reads the table
+		{"topk:0.01+topk:0.02", "only one base"},
 		{"q8+topk", "only one base"},
 		{"f32+ef", "requires a lossy compressor"},
 		{"lossless+ef", "requires a lossy compressor"},
-		{"none+ef", "unknown base"},
+		{"none+ef", "none composes with nothing"},
 		{"q8+", "empty segment"},
 		{"+ef", "empty segment"},
 		{"q0", "outside [1,16]"},
 		{"q17", "outside [1,16]"},
-		{"qx", "unknown base"},
-		{"q8:3", "unknown base"},
-		{"topk", "wants a keep ratio"},
-		{"topk:", "wants a keep ratio"},
-		{"topk:abc", "wants a keep ratio"},
+		{"qx", "unknown transport"},
+		{"q", "unknown transport"},
+		{"q8:3", "q wants 0 args"},
+		{"topk", "topk wants 1 args"},
+		{"topk:", "is not a number"},
+		{"topk:abc", "is not a number"},
 		{"topk:0", "outside (0,1]"},
 		{"topk:1.5", "outside (0,1]"},
 		{"topk:-0.1", "outside (0,1]"},
 		{"randk:0", "outside (0,1]"},
 		{"randk:nan", "outside (0,1]"},
-		{"f32:1", "takes no argument"},
-		{"lossless:x", "takes no argument"},
-		{"gzip", "unknown base"},
-		{"q8+gzip", "unknown modifier"},
+		{"f32:1", "f32 wants 0 args"},
+		{"lossless:x", "is not a number"},
+		{"gzip", "unknown transport"},
+		{"q8+gzip", "unknown transport"},
 	}
 	for _, c := range cases {
 		_, err := ParseTransport(c.spec)
@@ -137,6 +144,86 @@ func TestCompressedTransportTopK(t *testing.T) {
 	}
 	if up >= tensor.VectorWireSizeF32(n)/10 {
 		t.Fatalf("sparse uplink %d not ≪ dense %d", up, tensor.VectorWireSizeF32(n))
+	}
+}
+
+// q8Transport parses the 8-bit quantizing transport the next three tests
+// exercise (they moved here with quantize.Transport's deletion: the qN
+// codec is the one quantizing transport).
+func q8Transport(t *testing.T) *CompressedTransport {
+	t.Helper()
+	tr, err := ParseTransport("q8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.(*CompressedTransport)
+}
+
+// TestQ8DeltaEncoding: the uplink quantizes the delta against the model
+// the client received, so a small local update reconstructs to within
+// the 8-bit step of its span, at about a quarter of the float32 bytes.
+func TestQ8DeltaEncoding(t *testing.T) {
+	tr := q8Transport(t)
+	n := 1000
+	global := make([]float64, n)
+	for i := range global {
+		global[i] = float64(i) / 100
+	}
+	received := tr.Down(0, 1, global)
+	// Small local update: delta spans [0, 0.05).
+	upload := make([]float64, n)
+	for i := range upload {
+		upload[i] = received[i] + 0.05*float64(i)/float64(n)
+	}
+	got := tr.Up(0, 1, upload)
+	// 8-bit quantization of a 0.05-span delta: max error ~1e-4.
+	for i := range upload {
+		if e := math.Abs(got[i] - upload[i]); e > 2e-4 {
+			t.Fatalf("elem %d reconstruction error %v", i, e)
+		}
+	}
+	// The header amortizes over 1000 elements: ~4x smaller than f32.
+	if up := tr.Stats().UpBytes(); up >= tensor.VectorWireSizeF32(n)/3 {
+		t.Fatalf("8-bit upload %d bytes not ~4x smaller than f32 %d", up, tensor.VectorWireSizeF32(n))
+	}
+}
+
+// TestQ8WithoutDownFallsBack: an upload with no recorded downlink has no
+// delta base and ships dense float32.
+func TestQ8WithoutDownFallsBack(t *testing.T) {
+	got := q8Transport(t).Up(7, 1, []float64{math.Pi})
+	if got[0] != float64(float32(math.Pi)) {
+		t.Fatal("fallback must be float32 shipping")
+	}
+}
+
+// TestQ8UplinkEndToEnd: FedTrip over an 8-bit uplink must still learn,
+// with ~4x less upload traffic than the float32 downlink.
+func TestQ8UplinkEndToEnd(t *testing.T) {
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 6, 50, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := q8Transport(t)
+	res, err := core.Start(core.RunSpec{Config: core.Config{
+		Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
+		Train: train, Test: test, Parts: parts,
+		Rounds: 10, ClientsPerRound: 3, BatchSize: 10, LocalEpochs: 1,
+		LR: 0.01, Momentum: 0.9, Algo: core.NewFedTrip(1.0), Seed: 10,
+		Transport: tr,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BestAccuracy < 0.4 {
+		t.Fatalf("8-bit uplink broke learning: best %.3f", res.BestAccuracy)
+	}
+	if down, up := tr.WireBytes(); up >= down/3 {
+		t.Fatalf("8-bit uplink %d bytes vs f32 downlink %d: expected ~4x saving", up, down)
 	}
 }
 

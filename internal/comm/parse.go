@@ -1,18 +1,20 @@
 package comm
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"repro/internal/core"
+	"repro/internal/spec"
 )
 
-// ParseTransport builds a transport from a CLI spec, mirroring the
-// ParseLatency/ParsePolicy grammar family. The spec is "+"-composed: a
-// base followed by optional modifiers.
+var transportFamily = spec.Family{Label: "transport", Empty: "none", Forms: []spec.Form{
+	{Name: "none", Alone: true}, {Name: "f32"}, {Name: "lossless"},
+	{Name: "q", Glued: true}, {Name: "topk", Min: 1, Max: 1}, {Name: "randk", Min: 1, Max: 1},
+	{Name: "ef", Pos: spec.Mod},
+}}
+
+// ParseTransport builds a transport from a spec (grammar: internal/spec):
+// a base, optionally "+"-composed with the ef modifier.
 //
-//	none             no transport (analytic float32 byte accounting)
+//	none             no transport (analytic float32 byte accounting; also "")
 //	f32              dense float32 round-trip (measured bytes)
 //	lossless         identity shipping at float64 width
 //	q<bits>          delta-coded uplink, uniform <bits>-bit quantization
@@ -23,86 +25,39 @@ import (
 //
 // Examples: "topk:0.01+ef", "randk:0.05", "q8+ef". Returns (nil, nil)
 // for "none"/"".
-func ParseTransport(spec string) (core.Transport, error) {
-	if spec == "" || spec == "none" {
-		return nil, nil
-	}
-	segs := strings.Split(spec, "+")
-	for i, s := range segs {
-		if s == "" {
-			return nil, fmt.Errorf("comm: transport %q: empty segment %d", spec, i+1)
-		}
-	}
-	base, mods := segs[0], segs[1:]
-	if base == "ef" {
-		return nil, fmt.Errorf("comm: transport %q: ef is a modifier, not a base — compose as e.g. topk:0.01+ef", spec)
-	}
-	ef := false
-	for _, m := range mods {
-		switch m {
-		case "ef":
-			if ef {
-				return nil, fmt.Errorf("comm: transport %q: duplicate ef modifier", spec)
-			}
-			ef = true
-		case "none", "f32", "lossless", "q8", "topk", "randk":
-			return nil, fmt.Errorf("comm: transport %q: %q is a base, not a modifier — only one base per spec", spec, m)
-		default:
-			return nil, fmt.Errorf("comm: transport %q: unknown modifier %q (want ef)", spec, m)
-		}
-	}
-	cod, err := parseCodec(spec, base)
+func ParseTransport(text string) (core.Transport, error) {
+	ts, err := transportFamily.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	if cod == nil {
-		// Dense base: f32 or lossless, no codec to wrap.
+	base, ef := ts[0], len(ts) > 1 // ef is the one modifier and does not repeat
+	var cod codec
+	switch base.Name {
+	case "none":
+		return nil, nil
+	case "f32", "lossless":
 		if ef {
-			return nil, fmt.Errorf("comm: transport %q: error feedback requires a lossy compressor (q/topk/randk)", spec)
+			return nil, transportFamily.Errorf(text, "error feedback requires a lossy compressor (q/topk/randk)")
 		}
-		if base == "f32" {
+		if base.Name == "f32" {
 			return NewF32Transport(), nil
 		}
 		return NewLosslessTransport(), nil
+	case "q":
+		bits := base.Args[0]
+		if bits < 1 || bits > 16 {
+			return nil, transportFamily.Errorf(text, "quantization bits %g outside [1,16]", bits)
+		}
+		cod = quantCodec{bits: int(bits)}
+	default:
+		ratio := base.Args[0]
+		if !(ratio > 0 && ratio <= 1) {
+			return nil, transportFamily.Errorf(text, "keep ratio %g outside (0,1]", ratio)
+		}
+		cod = topKCodec{ratio: ratio}
+		if base.Name == "randk" {
+			cod = randKCodec{ratio: ratio}
+		}
 	}
 	return newCompressedTransport(cod, ef), nil
-}
-
-// parseCodec resolves the base segment. A nil codec with nil error means
-// a dense base (f32/lossless).
-func parseCodec(spec, base string) (codec, error) {
-	name, arg := base, ""
-	if i := strings.IndexByte(base, ':'); i >= 0 {
-		name, arg = base[:i], base[i+1:]
-	}
-	switch {
-	case name == "f32" || name == "lossless":
-		if arg != "" {
-			return nil, fmt.Errorf("comm: transport %q: %s takes no argument", spec, name)
-		}
-		return nil, nil
-	case name == "topk" || name == "randk":
-		ratio, err := strconv.ParseFloat(arg, 64)
-		if err != nil {
-			return nil, fmt.Errorf("comm: transport %q: %s wants a keep ratio, e.g. %s:0.01", spec, name, name)
-		}
-		if !(ratio > 0 && ratio <= 1) {
-			return nil, fmt.Errorf("comm: transport %q: keep ratio %g outside (0,1]", spec, ratio)
-		}
-		if name == "topk" {
-			return topKCodec{ratio: ratio}, nil
-		}
-		return randKCodec{ratio: ratio}, nil
-	case strings.HasPrefix(name, "q"):
-		bits, err := strconv.Atoi(name[1:])
-		if err != nil || arg != "" {
-			return nil, fmt.Errorf("comm: transport %q: unknown base %q (want f32, lossless, q<bits>, topk:<ratio>, or randk:<ratio>)", spec, base)
-		}
-		if bits < 1 || bits > 16 {
-			return nil, fmt.Errorf("comm: transport %q: quantization bits %d outside [1,16]", spec, bits)
-		}
-		return quantCodec{bits: bits}, nil
-	default:
-		return nil, fmt.Errorf("comm: transport %q: unknown base %q (want f32, lossless, q<bits>, topk:<ratio>, or randk:<ratio>)", spec, base)
-	}
 }

@@ -23,10 +23,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/prng"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -78,133 +77,114 @@ type FaultModel struct {
 
 // Validate checks fractions and the mode grammar.
 func (m *FaultModel) Validate() error {
-	if m.ByzFraction < 0 || m.ByzFraction > 1 {
+	// Positive-form comparisons, so a NaN fails them.
+	if !(m.ByzFraction >= 0 && m.ByzFraction <= 1) {
 		return fmt.Errorf("core: byzantine fraction %g outside [0,1]", m.ByzFraction)
 	}
-	if m.CrashFraction < 0 || m.CrashFraction > 1 {
+	if !(m.CrashFraction >= 0 && m.CrashFraction <= 1) {
 		return fmt.Errorf("core: crash fraction %g outside [0,1]", m.CrashFraction)
 	}
-	if m.ByzFraction+m.CrashFraction > 1 {
+	if !(m.ByzFraction+m.CrashFraction <= 1) {
 		return fmt.Errorf("core: fault fractions %g+%g exceed 1", m.ByzFraction, m.CrashFraction)
 	}
-	switch m.Mode {
-	case "signflip", "nan", "labelflip":
-		if m.Arg != 0 {
-			return fmt.Errorf("core: fault mode %q takes no argument", m.Mode)
-		}
-	case "scale":
-		if m.Arg <= 0 || math.IsInf(m.Arg, 0) || math.IsNaN(m.Arg) {
-			return fmt.Errorf("core: scale fault factor %g must be positive and finite", m.Arg)
-		}
-	case "noise":
-		if m.Arg <= 0 || math.IsInf(m.Arg, 0) || math.IsNaN(m.Arg) {
-			return fmt.Errorf("core: noise fault sigma %g must be positive and finite", m.Arg)
-		}
-	case "":
+	if m.Mode == "" {
 		if m.ByzFraction > 0 {
-			return fmt.Errorf("core: byzantine fraction %g needs a mode (signflip|scale:K|noise:SIGMA|nan|labelflip)", m.ByzFraction)
+			return fmt.Errorf("core: byzantine fraction %g needs a mode", m.ByzFraction)
 		}
-	default:
-		return fmt.Errorf("core: unknown fault mode %q (signflip|scale:K|noise:SIGMA|nan|labelflip)", m.Mode)
+		return nil
+	}
+	if _, err := faultModes.Parse(m.modeTerm().String()); err != nil {
+		return err
+	}
+	if m.Arg != 0 && !(m.Arg > 0 && !math.IsInf(m.Arg, 0)) {
+		return fmt.Errorf("core: %s fault argument %g must be positive and finite", m.Mode, m.Arg)
 	}
 	return nil
 }
 
+// faultModes is the vocabulary of FaultModel.Mode, in faultClass order
+// from faultSignFlip.
+var faultModes = spec.Family{Label: "fault mode", Forms: []spec.Form{
+	{Name: "signflip"}, {Name: "scale", Min: 1, Max: 1}, {Name: "noise", Min: 1, Max: 1},
+	{Name: "nan"}, {Name: "labelflip"},
+}}
+
+// modeTerm renders the mode with its argument (scale:K, noise:SIGMA).
+func (m *FaultModel) modeTerm() spec.Term {
+	t := spec.T(m.Mode)
+	if m.Arg != 0 {
+		t.Args = []float64{m.Arg}
+	}
+	return t
+}
+
 // byzClass maps the validated mode to its fault class.
 func (m *FaultModel) byzClass() faultClass {
-	switch m.Mode {
-	case "signflip":
-		return faultSignFlip
-	case "scale":
-		return faultScale
-	case "noise":
-		return faultNoise
-	case "nan":
-		return faultNaN
-	case "labelflip":
-		return faultLabelFlip
+	for i, f := range faultModes.Forms {
+		if f.Name == m.Mode {
+			return faultSignFlip + faultClass(i)
+		}
 	}
 	return faultNone
 }
 
-// String renders the model in ParseFaults's grammar (the canonical form
-// the snapshot fingerprint embeds).
+// String renders the model in ParseFaults's grammar, the canonical form
+// the snapshot fingerprint embeds (a nil model is "none").
 func (m *FaultModel) String() string {
-	var b strings.Builder
-	if m.Mode != "" {
-		fmt.Fprintf(&b, "byz:%g,%s", m.ByzFraction, m.Mode)
-		if m.Mode == "scale" || m.Mode == "noise" {
-			fmt.Fprintf(&b, ":%g", m.Arg)
-		}
-	}
-	if m.CrashFraction > 0 {
-		if b.Len() > 0 {
-			b.WriteByte('+')
-		}
-		fmt.Fprintf(&b, "crash:%g", m.CrashFraction)
-	}
-	if b.Len() == 0 {
+	if m == nil {
 		return "none"
 	}
-	return b.String()
+	var terms []string
+	if m.Mode != "" {
+		byz, mode := spec.T("byz", m.ByzFraction), m.modeTerm()
+		byz.Sub = &mode
+		terms = append(terms, byz.String())
+	}
+	if m.CrashFraction > 0 {
+		terms = append(terms, spec.T("crash", m.CrashFraction).String())
+	}
+	if len(terms) == 0 {
+		return "none"
+	}
+	return spec.Join(terms...)
 }
 
-// ParseFaults parses a CLI fault-model spec:
+var faultFamily = spec.Family{Label: "faults", Empty: "none", Forms: []spec.Form{
+	{Name: "none", Alone: true},
+	{Name: "byz", Min: 1, Max: 1, Sub: true, Pos: spec.Either},
+	{Name: "crash", Min: 1, Max: 1, Pos: spec.Either},
+}}
+
+// ParseFaults parses a fault-model spec (grammar: internal/spec):
 //
 //	byz:FRAC,MODE        fraction FRAC of clients is Byzantine with MODE:
 //	                     signflip | scale:K | noise:SIGMA | nan | labelflip
 //	crash:FRAC           fraction FRAC crash-faulty (garbage uploads)
 //
-// Segments compose with "+" (e.g. "byz:0.2,signflip+crash:0.05"); "" and
+// Terms compose with "+" (e.g. "byz:0.2,signflip+crash:0.05"); "" and
 // "none" mean no faults (nil model).
-func ParseFaults(spec string) (*FaultModel, error) {
-	if spec == "" || spec == "none" {
-		return nil, nil
+func ParseFaults(text string) (*FaultModel, error) {
+	ts, err := faultFamily.Parse(text)
+	if err != nil || ts[0].Name == "none" {
+		return nil, err
 	}
 	m := &FaultModel{}
-	sawByz, sawCrash := false, false
-	for _, seg := range strings.Split(spec, "+") {
-		name, rest, _ := strings.Cut(strings.TrimSpace(seg), ":")
-		switch name {
-		case "byz":
-			if sawByz {
-				return nil, fmt.Errorf("core: fault spec %q repeats byz", spec)
-			}
-			sawByz = true
-			fracStr, modeSpec, ok := strings.Cut(rest, ",")
-			if !ok {
-				return nil, fmt.Errorf("core: fault spec %q: byz wants FRAC,MODE", spec)
-			}
-			frac, err := strconv.ParseFloat(strings.TrimSpace(fracStr), 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: fault spec %q: %v", spec, err)
-			}
-			m.ByzFraction = frac
-			mode, argStr, hasArg := strings.Cut(strings.TrimSpace(modeSpec), ":")
-			m.Mode = mode
-			if hasArg {
-				arg, err := strconv.ParseFloat(strings.TrimSpace(argStr), 64)
-				if err != nil {
-					return nil, fmt.Errorf("core: fault spec %q: %v", spec, err)
-				}
-				m.Arg = arg
-			}
-		case "crash":
-			if sawCrash {
-				return nil, fmt.Errorf("core: fault spec %q repeats crash", spec)
-			}
-			sawCrash = true
-			frac, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: fault spec %q: %v", spec, err)
-			}
-			m.CrashFraction = frac
+	for _, t := range ts {
+		if t.Name == "crash" {
+			m.CrashFraction = t.Args[0]
+			continue
+		}
+		m.ByzFraction, m.Mode = t.Args[0], t.Sub.Name
+		switch len(t.Sub.Args) {
+		case 0:
+		case 1:
+			m.Arg = t.Sub.Args[0]
 		default:
-			return nil, fmt.Errorf("core: unknown fault segment %q (byz:FRAC,MODE|crash:FRAC)", name)
+			return nil, faultFamily.Errorf(text, "mode %s takes at most one argument", m.Mode)
 		}
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
+	if err := m.Validate(); err != nil || *m == (FaultModel{}) {
+		return nil, err // "crash:0" is no faults at all, and prints as "none"
 	}
 	return m, nil
 }
@@ -336,6 +316,7 @@ type MedianPolicy struct {
 }
 
 func (p *MedianPolicy) Name() string                    { return "median" }
+func (p *MedianPolicy) String() string                  { return "median" }
 func (p *MedianPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
 func (p *MedianPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
 func (p *MedianPolicy) MergeRate(int, []Update) float64 { return 1 }
@@ -357,6 +338,7 @@ type TrimmedMeanPolicy struct {
 }
 
 func (p *TrimmedMeanPolicy) Name() string                    { return "trimmedmean" }
+func (p *TrimmedMeanPolicy) String() string                  { return spec.T("trimmedmean", p.Frac).String() }
 func (p *TrimmedMeanPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
 func (p *TrimmedMeanPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
 func (p *TrimmedMeanPolicy) MergeRate(int, []Update) float64 { return 1 }
@@ -380,6 +362,7 @@ type KrumPolicy struct {
 }
 
 func (p *KrumPolicy) Name() string                    { return "krum" }
+func (p *KrumPolicy) String() string                  { return spec.T("krum", p.Frac).String() }
 func (p *KrumPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
 func (p *KrumPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
 func (p *KrumPolicy) MergeRate(int, []Update) float64 { return 1 }
@@ -410,11 +393,10 @@ func WithNormClip(p AggregationPolicy, maxNorm float64) AggregationPolicy {
 	return &NormClipPolicy{AggregationPolicy: p, MaxNorm: maxNorm}
 }
 
-func (p *NormClipPolicy) Name() string {
-	if p.AggregationPolicy == nil {
-		return "+clip"
-	}
-	return p.AggregationPolicy.Name() + "+clip"
+func (p *NormClipPolicy) Name() string { return decoratedName(p.AggregationPolicy, "+clip") }
+
+func (p *NormClipPolicy) String() string {
+	return decorated(p.AggregationPolicy, spec.T("clip", p.MaxNorm))
 }
 
 func (p *NormClipPolicy) defaultBuffer(k int) {
@@ -423,7 +405,7 @@ func (p *NormClipPolicy) defaultBuffer(k int) {
 	}
 }
 
-func (p *NormClipPolicy) defaultDiscount(d func(int) float64, force bool) {
+func (p *NormClipPolicy) defaultDiscount(d Rule, force bool) {
 	if dc, ok := p.AggregationPolicy.(discounter); ok {
 		dc.defaultDiscount(d, force)
 	}

@@ -51,6 +51,7 @@ import (
 	"math"
 
 	"repro/internal/prng"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -58,13 +59,15 @@ import (
 // literature (FedAsync/FedBuff): weight(s) = (1+s)^(-a). a = 0 disables
 // discounting; a = 0.5 is the customary default. The discount at
 // staleness 0 is exactly 1, which the barrier equivalence mode relies on.
-func PolyDiscount(a float64) func(staleness int) float64 {
-	return func(s int) float64 {
+// The rule remembers a, which is how "fedbuff:0.5" prints and what the
+// snapshot fingerprint compares.
+func PolyDiscount(a float64) Rule {
+	return Rule{term: spec.T("poly", a), F: func(s int) float64 {
 		if s <= 0 {
 			return 1
 		}
 		return math.Pow(1+float64(s), -a)
-	}
+	}}
 }
 
 // AsyncServer is the state every runtime shares on top of a Server: the

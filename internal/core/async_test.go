@@ -203,7 +203,7 @@ func TestBufferedModeRejectsServerHookAlgorithms(t *testing.T) {
 func TestFullyDiscountedBufferLeavesModelFinite(t *testing.T) {
 	acfg := asyncTestSpec(t, NewFedTrip(0.4))
 	acfg.Rounds = 3
-	acfg.Discount = func(int) float64 { return 0 }
+	acfg.Discount = Rule{F: func(int) float64 { return 0 }}
 	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestFullyDiscountedBufferLeavesModelFinite(t *testing.T) {
 }
 
 func TestPolyDiscount(t *testing.T) {
-	d := PolyDiscount(0.5)
+	d := PolyDiscount(0.5).F
 	if d(0) != 1 {
 		t.Fatalf("discount at staleness 0 must be exactly 1, got %v", d(0))
 	}
@@ -239,7 +239,7 @@ func TestPolyDiscount(t *testing.T) {
 		}
 		prev = d(s)
 	}
-	if flat := PolyDiscount(0); flat(7) != 1 {
+	if flat := PolyDiscount(0); flat.F(7) != 1 {
 		t.Fatal("exponent 0 must disable discounting")
 	}
 }
@@ -266,7 +266,7 @@ func TestStalenessWeighterOverridesDiscount(t *testing.T) {
 	acfg.Concurrency = 4
 	acfg.BufferSize = 2
 	acfg.Latency = UniformLatency{Min: 1, Max: 9}
-	acfg.Discount = func(int) float64 { t.Fatal("algorithm override must win"); return 0 }
+	acfg.Discount = Rule{F: func(int) float64 { t.Fatal("algorithm override must win"); return 0 }}
 	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}

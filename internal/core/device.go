@@ -39,9 +39,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/prng"
+	"repro/internal/spec"
 )
 
 // Speed multipliers are clamped into [minDeviceSpeed, maxDeviceSpeed] at
@@ -69,7 +69,7 @@ type UniformDevices struct{ Min, Max float64 }
 func (d UniformDevices) SampleSpeed(_ int, rng *prng.Rand) float64 {
 	return d.Min + rng.Float64()*(d.Max-d.Min)
 }
-func (d UniformDevices) String() string { return fmt.Sprintf("uniform:%g,%g", d.Min, d.Max) }
+func (d UniformDevices) String() string { return spec.T("uniform", d.Min, d.Max).String() }
 
 // LognormalDevices draws exp(Mu + Sigma*N(0,1)) — the heavy-tailed
 // device-speed spread observed in production fleets, where a small
@@ -79,7 +79,7 @@ type LognormalDevices struct{ Mu, Sigma float64 }
 func (d LognormalDevices) SampleSpeed(_ int, rng *prng.Rand) float64 {
 	return math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
 }
-func (d LognormalDevices) String() string { return fmt.Sprintf("lognormal:%g,%g", d.Mu, d.Sigma) }
+func (d LognormalDevices) String() string { return spec.T("lognormal", d.Mu, d.Sigma).String() }
 
 // DeviceTier is one slice of a TieredDevices fleet: Frac of the clients
 // run at Speed.
@@ -112,69 +112,57 @@ func (d TieredDevices) SampleSpeed(_ int, rng *prng.Rand) float64 {
 }
 
 func (d TieredDevices) String() string {
-	s := "tiered"
-	for i, t := range d.Tiers {
-		if i == 0 {
-			s += ":"
-		} else {
-			s += ","
-		}
-		s += fmt.Sprintf("%g,%g", t.Speed, t.Frac)
+	t := spec.T("tiered")
+	for _, tier := range d.Tiers {
+		t.Args = append(t.Args, tier.Speed, tier.Frac)
 	}
-	return s
+	return t.String()
 }
 
-// ParseDeviceDist parses a CLI device-distribution spec:
+var deviceFamily = spec.Family{Label: "device-dist", Empty: "none", Forms: []spec.Form{
+	{Name: "none"}, {Name: "uniform", Min: 2, Max: 2}, {Name: "lognormal", Min: 2, Max: 2},
+	{Name: "tiered", Max: -1, Group: 2},
+}}
+
+// ParseDeviceDist parses a device-distribution spec (grammar:
+// internal/spec):
 //
-//	none                 homogeneous fleet (no device profiles)
+//	none                 homogeneous fleet (no device profiles; also "")
 //	uniform:MIN,MAX      speed uniform in [MIN, MAX]
 //	lognormal:MU,SIGMA   speed = exp(MU + SIGMA*N(0,1))
 //	tiered               the default 0.25x/1x/4x edge/mobile/server fleet
 //	tiered:S1,F1,S2,F2,...  custom tiers (speed, fraction pairs)
-func ParseDeviceDist(spec string) (DeviceDistribution, error) {
-	name, args, err := parseSpec(spec, "device-dist")
+func ParseDeviceDist(text string) (DeviceDistribution, error) {
+	ts, err := deviceFamily.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	switch name {
-	case "", "none":
-		if len(args) != 0 {
-			return nil, fmt.Errorf("core: device-dist %q takes no args", name)
-		}
-		return nil, nil
+	a := ts[0].Args
+	switch ts[0].Name {
 	case "uniform":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("core: device-dist uniform wants 2 args, got %d", len(args))
+		if a[0] > 0 && a[1] >= a[0] {
+			return UniformDevices{Min: a[0], Max: a[1]}, nil
 		}
-		if args[0] <= 0 || args[1] < args[0] {
-			return nil, fmt.Errorf("core: uniform device speeds want 0 < min <= max, got [%g,%g]", args[0], args[1])
-		}
-		return UniformDevices{Min: args[0], Max: args[1]}, nil
+		return nil, deviceFamily.Errorf(text, "wants 0 < MIN <= MAX")
 	case "lognormal":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("core: device-dist lognormal wants 2 args, got %d", len(args))
+		if isFiniteF(a[0]) && a[1] >= 0 {
+			return LognormalDevices{Mu: a[0], Sigma: a[1]}, nil
 		}
-		if args[1] < 0 {
-			return nil, fmt.Errorf("core: lognormal device sigma %g must be >= 0", args[1])
-		}
-		return LognormalDevices{Mu: args[0], Sigma: args[1]}, nil
+		return nil, deviceFamily.Errorf(text, "wants finite MU and SIGMA >= 0")
 	case "tiered":
-		if len(args) == 0 {
+		if len(a) == 0 {
 			return DefaultTiers(), nil
 		}
-		if len(args)%2 != 0 {
-			return nil, fmt.Errorf("core: tiered device-dist wants speed,fraction pairs, got %d args", len(args))
-		}
 		d := TieredDevices{}
-		for i := 0; i < len(args); i += 2 {
-			if args[i] <= 0 || args[i+1] <= 0 {
-				return nil, fmt.Errorf("core: tiered device-dist wants positive speeds and fractions, got %g,%g", args[i], args[i+1])
+		for i := 0; i < len(a); i += 2 {
+			if !(a[i] > 0 && a[i+1] > 0) {
+				return nil, deviceFamily.Errorf(text, "wants positive speeds and fractions")
 			}
-			d.Tiers = append(d.Tiers, DeviceTier{Speed: args[i], Frac: args[i+1]})
+			d.Tiers = append(d.Tiers, DeviceTier{Speed: a[i], Frac: a[i+1]})
 		}
 		return d, nil
 	}
-	return nil, fmt.Errorf("core: unknown device distribution %q (none|uniform|lognormal|tiered)", name)
+	return nil, nil // none
 }
 
 // deviceSpeed derives client id's compute-speed multiplier statelessly
@@ -219,40 +207,50 @@ type ChurnModel struct {
 
 // Validate checks the churn parameters.
 func (m *ChurnModel) Validate() error {
-	if (m.MeanUp <= 0) != (m.MeanDown <= 0) {
+	// Positive-form comparisons, so a NaN fails them.
+	markov := m.MeanUp > 0 && m.MeanDown > 0
+	if !markov && (m.MeanUp != 0 || m.MeanDown != 0) {
 		return fmt.Errorf("core: churn wants both MeanUp and MeanDown positive (or both zero), got %g/%g", m.MeanUp, m.MeanDown)
 	}
-	if m.MeanUp <= 0 && len(m.Drops) == 0 {
+	if !markov && len(m.Drops) == 0 {
 		return fmt.Errorf("core: churn model with neither a Markov process nor mass-dropout events")
 	}
 	for _, d := range m.Drops {
-		if d.At < 0 || d.Fraction <= 0 || d.Fraction > 1 {
-			return fmt.Errorf("core: mass drop wants at >= 0 and 0 < fraction <= 1, got %+v", d)
+		if !(d.At >= 0 && d.Fraction > 0 && d.Fraction <= 1) || math.IsNaN(d.Duration) {
+			return fmt.Errorf("core: mass drop wants at >= 0, 0 < fraction <= 1 and a duration, got %+v", d)
 		}
 	}
 	return nil
 }
 
-// String renders the model in ParseChurn's grammar.
+// String renders the model in ParseChurn's grammar (a nil model is
+// "none").
 func (m *ChurnModel) String() string {
-	s := "none"
+	if m == nil {
+		return "none"
+	}
+	var terms []string
 	if m.MeanUp > 0 {
-		s = fmt.Sprintf("markov:%g,%g", m.MeanUp, m.MeanDown)
+		terms = append(terms, spec.T("markov", m.MeanUp, m.MeanDown).String())
 	}
 	for _, d := range m.Drops {
-		if s == "none" {
-			s = ""
-		} else {
-			s += "+"
-		}
-		s += fmt.Sprintf("drop:%g,%g,%g", d.At, d.Fraction, d.Duration)
+		terms = append(terms, spec.T("drop", d.At, d.Fraction, d.Duration).String())
 	}
-	return s
+	if len(terms) == 0 {
+		return "none"
+	}
+	return spec.Join(terms...)
 }
 
-// ParseChurn parses a CLI churn spec: "+"-separated segments of
+var churnFamily = spec.Family{Label: "dropout", Empty: "none", Forms: []spec.Form{
+	{Name: "none", Alone: true},
+	{Name: "markov", Min: 2, Max: 2, Pos: spec.Either},
+	{Name: "drop", Min: 3, Max: 3, Pos: spec.Either, Repeat: true},
+}}
+
+// ParseChurn parses a churn spec (grammar: internal/spec): "+"-composed
 //
-//	none                   no churn (nil model)
+//	none                   no churn (nil model; also "")
 //	markov:UP,DOWN         per-client on/off chain with exponential
 //	                       mean up/down durations (seconds)
 //	drop:AT,FRAC,DUR       mass dropout: at time AT, fraction FRAC of
@@ -260,32 +258,17 @@ func (m *ChurnModel) String() string {
 //	                       permanently)
 //
 // e.g. "markov:90,10" or "markov:90,10+drop:60,0.3,30".
-func ParseChurn(spec string) (*ChurnModel, error) {
-	if spec == "" || spec == "none" {
-		return nil, nil
+func ParseChurn(text string) (*ChurnModel, error) {
+	ts, err := churnFamily.Parse(text)
+	if err != nil || ts[0].Name == "none" {
+		return nil, err
 	}
 	m := &ChurnModel{}
-	for _, seg := range strings.Split(spec, "+") {
-		name, args, err := parseSpec(seg, "dropout")
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "markov":
-			if len(args) != 2 {
-				return nil, fmt.Errorf("core: dropout markov wants 2 args, got %d", len(args))
-			}
-			if m.MeanUp > 0 {
-				return nil, fmt.Errorf("core: dropout spec %q repeats markov", spec)
-			}
-			m.MeanUp, m.MeanDown = args[0], args[1]
-		case "drop":
-			if len(args) != 3 {
-				return nil, fmt.Errorf("core: dropout drop wants 3 args (at,fraction,duration), got %d", len(args))
-			}
-			m.Drops = append(m.Drops, MassDrop{At: args[0], Fraction: args[1], Duration: args[2]})
-		default:
-			return nil, fmt.Errorf("core: unknown dropout segment %q (markov:UP,DOWN|drop:AT,FRAC,DUR)", name)
+	for _, t := range ts {
+		if t.Name == "markov" {
+			m.MeanUp, m.MeanDown = t.Args[0], t.Args[1]
+		} else {
+			m.Drops = append(m.Drops, MassDrop{At: t.Args[0], Fraction: t.Args[1], Duration: t.Args[2]})
 		}
 	}
 	if err := m.Validate(); err != nil {

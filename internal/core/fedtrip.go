@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -75,6 +76,12 @@ func NewFedTrip(mu float64) *FedTrip {
 
 // Name implements Algorithm.
 func (f *FedTrip) Name() string { return "fedtrip" }
+
+// String renders the method with every hyperparameter (mu, then the
+// ablation knobs), so run fingerprints tell a -mu 0.1 run from a -mu 5 one.
+func (f *FedTrip) String() string {
+	return spec.T("fedtrip", f.Mu, float64(f.Mode), f.FixedXi, f.GlobalWeight, f.HistWeight).String()
+}
 
 // Xi computes the staleness coefficient for a client participating at
 // round, whose previous participation was lastRound (0 if never).

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/prng"
+	"repro/internal/spec"
 )
 
 // LatencyModel assigns each client dispatch a simulated wall-clock
@@ -53,7 +51,7 @@ func (ZeroLatency) JitterOn(base float64, _ *prng.Rand) float64 { return base }
 type ConstantLatency struct{ D float64 }
 
 func (l ConstantLatency) Sample(int, *prng.Rand) float64              { return l.D }
-func (l ConstantLatency) String() string                              { return fmt.Sprintf("const:%g", l.D) }
+func (l ConstantLatency) String() string                              { return spec.T("const", l.D).String() }
 func (l ConstantLatency) ClientBase(int) float64                      { return l.D }
 func (l ConstantLatency) JitterOn(base float64, _ *prng.Rand) float64 { return base }
 
@@ -63,7 +61,7 @@ type UniformLatency struct{ Min, Max float64 }
 func (l UniformLatency) Sample(_ int, rng *prng.Rand) float64 {
 	return l.Min + rng.Float64()*(l.Max-l.Min)
 }
-func (l UniformLatency) String() string { return fmt.Sprintf("uniform:%g,%g", l.Min, l.Max) }
+func (l UniformLatency) String() string { return spec.T("uniform", l.Min, l.Max).String() }
 
 // ExponentialLatency draws from an exponential distribution with the
 // given mean — the classic memoryless arrival model.
@@ -72,7 +70,7 @@ type ExponentialLatency struct{ Mean float64 }
 func (l ExponentialLatency) Sample(_ int, rng *prng.Rand) float64 {
 	return l.Mean * rng.ExpFloat64()
 }
-func (l ExponentialLatency) String() string { return fmt.Sprintf("exp:%g", l.Mean) }
+func (l ExponentialLatency) String() string { return spec.T("exp", l.Mean).String() }
 
 // LognormalLatency draws exp(Mu + Sigma*N(0,1)) — the heavy-tailed
 // device-speed distribution observed in production FL fleets, where a
@@ -82,7 +80,7 @@ type LognormalLatency struct{ Mu, Sigma float64 }
 func (l LognormalLatency) Sample(_ int, rng *prng.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
 }
-func (l LognormalLatency) String() string { return fmt.Sprintf("lognormal:%g,%g", l.Mu, l.Sigma) }
+func (l LognormalLatency) String() string { return spec.T("lognormal", l.Mu, l.Sigma).String() }
 
 // StragglerLatency models a fleet with systematic stragglers: every
 // SlowEvery-th client (by ID) takes Slow seconds, the rest take Fast,
@@ -110,89 +108,48 @@ func (l StragglerLatency) JitterOn(base float64, rng *prng.Rand) float64 {
 	return base * (0.9 + 0.2*rng.Float64())
 }
 func (l StragglerLatency) String() string {
-	return fmt.Sprintf("straggler:%g,%g,%d", l.Fast, l.Slow, l.SlowEvery)
+	return spec.T("straggler", l.Fast, l.Slow, float64(l.SlowEvery)).String()
 }
 
-// parseSpec splits a CLI "name" or "name:arg1,arg2,..." spec into its
-// name and numeric args — the grammar shared by the latency, policy,
-// and server-lr parsers. label names the spec family in errors.
-func parseSpec(spec, label string) (name string, args []float64, err error) {
-	name, rest, _ := strings.Cut(spec, ":")
-	if rest != "" {
-		for _, p := range strings.Split(rest, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return "", nil, fmt.Errorf("core: %s spec %q: %v", label, spec, err)
-			}
-			args = append(args, v)
-		}
-	}
-	return name, args, nil
-}
+var latencyFamily = spec.Family{Label: "latency", Empty: "zero", Forms: []spec.Form{
+	{Name: "zero"}, {Name: "const", Min: 1, Max: 1}, {Name: "uniform", Min: 2, Max: 2},
+	{Name: "exp", Min: 1, Max: 1}, {Name: "lognormal", Min: 2, Max: 2}, {Name: "straggler", Min: 3, Max: 3},
+}}
 
-// ParseLatency parses a CLI latency spec of the form "name" or
-// "name:arg1,arg2,...":
+// ParseLatency parses a latency spec (grammar: internal/spec):
 //
-//	zero                 no latency (sync-equivalence mode)
+//	zero                 no latency (sync-equivalence mode; also "")
 //	const:D              every dispatch takes D seconds
 //	uniform:MIN,MAX      uniform in [MIN, MAX]
 //	exp:MEAN             exponential with the given mean
 //	lognormal:MU,SIGMA   exp(MU + SIGMA*N(0,1))
 //	straggler:F,S,E      every E-th client takes S, others F (±10% jitter)
-func ParseLatency(spec string) (LatencyModel, error) {
-	name, args, err := parseSpec(spec, "latency")
+func ParseLatency(text string) (LatencyModel, error) {
+	ts, err := latencyFamily.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	want := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("core: latency %q wants %d args, got %d", name, n, len(args))
-		}
-		return nil
-	}
-	switch name {
-	case "zero", "":
-		return ZeroLatency{}, want(0)
+	var (
+		m    LatencyModel = ZeroLatency{}
+		a                 = ts[0].Args
+		ok                = true
+		want string
+	)
+	switch ts[0].Name {
 	case "const":
-		if err := want(1); err != nil {
-			return nil, err
-		}
-		if args[0] < 0 {
-			return nil, fmt.Errorf("core: negative latency %g", args[0])
-		}
-		return ConstantLatency{D: args[0]}, nil
+		m, ok, want = ConstantLatency{D: a[0]}, a[0] >= 0, "D >= 0"
 	case "uniform":
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		if args[0] < 0 || args[1] < args[0] {
-			return nil, fmt.Errorf("core: uniform latency wants 0 <= min <= max, got [%g,%g]", args[0], args[1])
-		}
-		return UniformLatency{Min: args[0], Max: args[1]}, nil
+		m, ok, want = UniformLatency{Min: a[0], Max: a[1]}, a[0] >= 0 && a[1] >= a[0], "0 <= MIN <= MAX"
 	case "exp":
-		if err := want(1); err != nil {
-			return nil, err
-		}
-		if args[0] <= 0 {
-			return nil, fmt.Errorf("core: exp latency mean %g must be positive", args[0])
-		}
-		return ExponentialLatency{Mean: args[0]}, nil
+		m, ok, want = ExponentialLatency{Mean: a[0]}, a[0] > 0, "MEAN > 0"
 	case "lognormal":
-		if err := want(2); err != nil {
-			return nil, err
-		}
-		if args[1] < 0 {
-			return nil, fmt.Errorf("core: lognormal sigma %g must be >= 0", args[1])
-		}
-		return LognormalLatency{Mu: args[0], Sigma: args[1]}, nil
+		m, ok, want = LognormalLatency{Mu: a[0], Sigma: a[1]}, isFiniteF(a[0]) && a[1] >= 0, "finite MU and SIGMA >= 0"
 	case "straggler":
-		if err := want(3); err != nil {
-			return nil, err
-		}
-		if args[0] <= 0 || args[1] < args[0] || args[2] < 1 {
-			return nil, fmt.Errorf("core: straggler latency wants 0 < fast <= slow and every >= 1, got %v", args)
-		}
-		return StragglerLatency{Fast: args[0], Slow: args[1], SlowEvery: int(args[2])}, nil
+		m = StragglerLatency{Fast: a[0], Slow: a[1], SlowEvery: int(a[2])}
+		ok, want = a[0] > 0 && a[1] >= a[0] && a[2] >= 1 && a[2] <= math.MaxInt32, "0 < F <= S and E >= 1"
 	}
-	return nil, fmt.Errorf("core: unknown latency model %q (zero|const|uniform|exp|lognormal|straggler)", name)
+	if !ok {
+		return nil, latencyFamily.Errorf(text, "wants %s", want)
+	}
+	return m, nil
 }

@@ -24,10 +24,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/prng"
+	"repro/internal/spec"
 )
 
 // Bandwidths are clamped at sampling time so a heavy-tailed draw cannot
@@ -84,7 +84,7 @@ type ConstNet struct{ Up, Down, RTT float64 } // Mbps, Mbps, ms
 func (d ConstNet) SampleNet(int, *prng.Rand) NetProfile {
 	return netProfile(d.Up, d.Down, d.RTT)
 }
-func (d ConstNet) String() string { return fmt.Sprintf("const:%g,%g,%g", d.Up, d.Down, d.RTT) }
+func (d ConstNet) String() string { return spec.T("const", d.Up, d.Down, d.RTT).String() }
 
 // UniformNet draws uplink and downlink bandwidth independently and
 // uniformly from [Min, Max] Mbps (uplink first), with a fixed RTT.
@@ -95,7 +95,7 @@ func (d UniformNet) SampleNet(_ int, rng *prng.Rand) NetProfile {
 	down := d.Min + rng.Float64()*(d.Max-d.Min)
 	return netProfile(up, down, d.RTT)
 }
-func (d UniformNet) String() string { return fmt.Sprintf("uniform:%g,%g,%g", d.Min, d.Max, d.RTT) }
+func (d UniformNet) String() string { return spec.T("uniform", d.Min, d.Max, d.RTT).String() }
 
 // LognormalNet draws each direction's bandwidth as exp(Mu + Sigma*N(0,1))
 // Mbps (uplink first) — the heavy-tailed link spread of real fleets —
@@ -107,9 +107,7 @@ func (d LognormalNet) SampleNet(_ int, rng *prng.Rand) NetProfile {
 	down := math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
 	return netProfile(up, down, d.RTT)
 }
-func (d LognormalNet) String() string {
-	return fmt.Sprintf("lognormal:%g,%g,%g", d.Mu, d.Sigma, d.RTT)
-}
+func (d LognormalNet) String() string { return spec.T("lognormal", d.Mu, d.Sigma, d.RTT).String() }
 
 // NetTier is one slice of a TieredNet fleet: Frac of the clients get the
 // (Up, Down, RTT) link.
@@ -150,96 +148,69 @@ func (d TieredNet) SampleNet(_ int, rng *prng.Rand) NetProfile {
 }
 
 func (d TieredNet) String() string {
-	s := "tiered"
-	for i, t := range d.Tiers {
-		if i == 0 {
-			s += ":"
-		} else {
-			s += ","
-		}
-		s += fmt.Sprintf("%g,%g,%g,%g", t.Up, t.Down, t.RTT, t.Frac)
+	t := spec.T("tiered")
+	for _, tier := range d.Tiers {
+		t.Args = append(t.Args, tier.Up, tier.Down, tier.RTT, tier.Frac)
 	}
-	return s
+	return t.String()
 }
 
-// ParseNetDist parses a CLI bandwidth-distribution spec. Bandwidths are
-// in Mbps ("inf" accepted — an unpriced direction), RTTs in
-// milliseconds:
+var netFamily = spec.Family{Label: "bandwidth-dist", Empty: "none", Forms: []spec.Form{
+	{Name: "none"}, {Name: "const", Min: 2, Max: 3}, {Name: "uniform", Min: 2, Max: 3},
+	{Name: "lognormal", Min: 2, Max: 3}, {Name: "tiered", Max: -1, Group: 4},
+}}
+
+// ParseNetDist parses a bandwidth-distribution spec (grammar:
+// internal/spec). Bandwidths are in Mbps ("inf" accepted — an unpriced
+// direction), RTTs in milliseconds:
 //
-//	none                      no network pricing (free communication)
+//	none                      no network pricing (free communication; also "")
 //	const:UP,DOWN[,RTT]       every client the same link (RTT default 0)
 //	uniform:MIN,MAX[,RTT]     each direction uniform in [MIN, MAX] Mbps
 //	lognormal:MU,SIGMA[,RTT]  each direction exp(MU + SIGMA*N(0,1)) Mbps
 //	tiered                    the default edge/mobile/server link fleet
 //	tiered:UP,DOWN,RTT,FRAC,...  custom link tiers (quadruples)
-func ParseNetDist(spec string) (NetDistribution, error) {
-	name, args, err := parseSpec(spec, "bandwidth-dist")
+func ParseNetDist(text string) (NetDistribution, error) {
+	ts, err := netFamily.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	optRTT := func(min int) (float64, error) {
-		switch len(args) {
-		case min:
-			return 0, nil
-		case min + 1:
-			if args[min] < 0 {
-				return 0, fmt.Errorf("core: bandwidth-dist %s RTT %g must be >= 0", name, args[min])
-			}
-			return args[min], nil
-		}
-		return 0, fmt.Errorf("core: bandwidth-dist %s wants %d or %d args, got %d", name, min, min+1, len(args))
-	}
-	switch name {
-	case "", "none":
-		if len(args) != 0 {
-			return nil, fmt.Errorf("core: bandwidth-dist %q takes no args", name)
-		}
-		return nil, nil
-	case "const":
-		rtt, err := optRTT(2)
-		if err != nil {
-			return nil, err
-		}
-		if args[0] <= 0 || args[1] <= 0 {
-			return nil, fmt.Errorf("core: const bandwidths want positive Mbps, got %g,%g", args[0], args[1])
-		}
-		return ConstNet{Up: args[0], Down: args[1], RTT: rtt}, nil
-	case "uniform":
-		rtt, err := optRTT(2)
-		if err != nil {
-			return nil, err
-		}
-		if args[0] <= 0 || args[1] < args[0] || math.IsInf(args[1], 1) {
-			return nil, fmt.Errorf("core: uniform bandwidths want 0 < min <= max < inf, got [%g,%g]", args[0], args[1])
-		}
-		return UniformNet{Min: args[0], Max: args[1], RTT: rtt}, nil
-	case "lognormal":
-		rtt, err := optRTT(2)
-		if err != nil {
-			return nil, err
-		}
-		if args[1] < 0 || !isFiniteF(args[0]) || !isFiniteF(args[1]) {
-			return nil, fmt.Errorf("core: lognormal bandwidth wants finite mu and sigma >= 0, got %g,%g", args[0], args[1])
-		}
-		return LognormalNet{Mu: args[0], Sigma: args[1], RTT: rtt}, nil
-	case "tiered":
-		if len(args) == 0 {
+	a := ts[0].Args
+	if ts[0].Name == "tiered" {
+		if len(a) == 0 {
 			return DefaultNetTiers(), nil
 		}
-		if len(args)%4 != 0 {
-			return nil, fmt.Errorf("core: tiered bandwidth-dist wants up,down,rtt,fraction quadruples, got %d args", len(args))
-		}
 		d := TieredNet{}
-		for i := 0; i < len(args); i += 4 {
-			up, down, rtt, frac := args[i], args[i+1], args[i+2], args[i+3]
-			if up <= 0 || down <= 0 || rtt < 0 || frac <= 0 {
-				return nil, fmt.Errorf("core: tiered bandwidth-dist wants positive bandwidths and fractions and rtt >= 0, got %g,%g,%g,%g", up, down, rtt, frac)
+		for i := 0; i < len(a); i += 4 {
+			if !(a[i] > 0 && a[i+1] > 0 && a[i+2] >= 0 && a[i+3] > 0) {
+				return nil, netFamily.Errorf(text, "wants positive bandwidths and fractions and RTT >= 0")
 			}
-			d.Tiers = append(d.Tiers, NetTier{Up: up, Down: down, RTT: rtt, Frac: frac})
+			d.Tiers = append(d.Tiers, NetTier{Up: a[i], Down: a[i+1], RTT: a[i+2], Frac: a[i+3]})
 		}
 		return d, nil
 	}
-	return nil, fmt.Errorf("core: unknown bandwidth distribution %q (none|const|uniform|lognormal|tiered)", name)
+	if len(a) == 2 {
+		a = append(a, 0) // RTT defaults to 0
+	}
+	var (
+		d    NetDistribution
+		ok   bool
+		want string
+	)
+	switch ts[0].Name {
+	case "none":
+		return nil, nil
+	case "const":
+		d, ok, want = ConstNet{Up: a[0], Down: a[1], RTT: a[2]}, a[0] > 0 && a[1] > 0, "positive Mbps"
+	case "uniform":
+		d, ok, want = UniformNet{Min: a[0], Max: a[1], RTT: a[2]}, a[0] > 0 && a[1] >= a[0] && !math.IsInf(a[1], 1), "0 < MIN <= MAX < inf"
+	case "lognormal":
+		d, ok, want = LognormalNet{Mu: a[0], Sigma: a[1], RTT: a[2]}, a[1] >= 0 && isFiniteF(a[0]) && isFiniteF(a[1]), "finite MU and SIGMA >= 0"
+	}
+	if !ok || !(a[2] >= 0) {
+		return nil, netFamily.Errorf(text, "wants %s and RTT >= 0", want)
+	}
+	return d, nil
 }
 
 func isFiniteF(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }

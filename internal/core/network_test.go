@@ -29,7 +29,7 @@ func TestParseNetDist(t *testing.T) {
 		"":                            "",
 		"const:10,25":                 "const:10,25,0",
 		"const:10,25,30":              "const:10,25,30",
-		"const:inf,inf,0":             "const:+Inf,+Inf,0",
+		"const:inf,inf,0":             "const:Inf,Inf,0",
 		"uniform:5,50":                "uniform:5,50,0",
 		"uniform:5,50,20":             "uniform:5,50,20",
 		"uniform:5,5,20":              "uniform:5,5,20",

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
+
+	"repro/internal/spec"
 )
 
 // AggregationPolicy owns the server's merge decisions: *when* buffered
@@ -43,6 +43,72 @@ type AggregationPolicy interface {
 	MergeRate(t int, updates []Update) float64
 }
 
+// Rule is an int -> float64 knob of a run — a staleness discount
+// (staleness -> weight multiplier) or a server learning-rate schedule
+// (merge index -> rate multiplier) — together with the spec term that
+// names it. PolyDiscount and WithServerLR build named rules, which is
+// what lets a policy print itself exactly ("fedbuff:0.5") and the
+// snapshot fingerprint tell PolyDiscount(0) from PolyDiscount(3). A
+// hand-written closure is Rule{F: f}: it renders as "custom", and keeping
+// it identical across a resume is the caller's responsibility. The zero
+// Rule is unset.
+type Rule struct {
+	F    func(int) float64
+	term spec.Term
+}
+
+// String renders the rule's spec term ("custom" for a bare closure).
+func (r Rule) String() string {
+	if r.term.Name == "" {
+		return "custom"
+	}
+	return r.term.String()
+}
+
+// canonical renders a policy or a method for the snapshot fingerprint:
+// its String() when it has one — the built-ins do, arguments included —
+// and its Name() otherwise.
+func canonical(v interface{ Name() string }) string {
+	if s, ok := v.(fmt.Stringer); ok {
+		return s.String()
+	}
+	return v.Name()
+}
+
+// discounted renders a discount-based policy: the name, its leading
+// arguments, and the discount exponent once one is set (a custom discount
+// prints as a trailing "custom").
+func discounted(name string, d Rule, lead ...float64) string {
+	t := spec.T(name, lead...)
+	switch {
+	case d.F == nil:
+	case d.term.Name == "poly":
+		t.Args = append(t.Args, d.term.Args...)
+	default:
+		t.Sub = &spec.Term{Name: d.String()}
+	}
+	return t.String()
+}
+
+// decoratedName is a decorator policy's Name(): the inner policy's plus a
+// suffix.
+func decoratedName(inner AggregationPolicy, suffix string) string {
+	if inner == nil {
+		return suffix
+	}
+	return inner.Name() + suffix
+}
+
+// decorated renders a decorator policy: the inner policy, then the
+// decorator's own term (alone when the inner policy is still the
+// unresolved runtime default).
+func decorated(inner AggregationPolicy, t spec.Term) string {
+	if inner == nil {
+		return t.String()
+	}
+	return spec.Join(canonical(inner), t.String())
+}
+
 // bufferSizer is implemented by built-in policies whose merge threshold
 // can be defaulted from RunSpec.BufferSize when left zero.
 type bufferSizer interface{ defaultBuffer(k int) }
@@ -52,7 +118,7 @@ type bufferSizer interface{ defaultBuffer(k int) }
 // StalenessWeighter force-overrides, otherwise RunSpec.Discount (then
 // PolyDiscount(0.5)) fills a nil Discount field.
 type discounter interface {
-	defaultDiscount(d func(int) float64, force bool)
+	defaultDiscount(d Rule, force bool)
 }
 
 // FedAvgPolicy is the paper's Eq. 2: data-size weights, no staleness
@@ -65,6 +131,7 @@ type FedAvgPolicy struct {
 }
 
 func (p *FedAvgPolicy) Name() string                    { return "fedavg" }
+func (p *FedAvgPolicy) String() string                  { return "fedavg" }
 func (p *FedAvgPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
 func (p *FedAvgPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
 func (p *FedAvgPolicy) MergeRate(int, []Update) float64 { return 1 }
@@ -86,13 +153,14 @@ type FedBuffPolicy struct {
 	// resolution chain: StalenessWeighter, RunSpec.Discount,
 	// PolyDiscount(0.5)). Must return 1 at staleness 0 for the barrier
 	// equivalence mode to hold.
-	Discount func(staleness int) float64
+	Discount Rule
 }
 
 func (p *FedBuffPolicy) Name() string                   { return "fedbuff" }
+func (p *FedBuffPolicy) String() string                 { return discounted("fedbuff", p.Discount) }
 func (p *FedBuffPolicy) ReadyToMerge(buffered int) bool { return buffered >= p.K }
 func (p *FedBuffPolicy) Weight(u Update) float64 {
-	return float64(u.NumSamples) * p.Discount(u.Staleness)
+	return float64(u.NumSamples) * p.Discount.F(u.Staleness)
 }
 func (p *FedBuffPolicy) MergeRate(int, []Update) float64 { return 1 }
 func (p *FedBuffPolicy) defaultBuffer(k int) {
@@ -100,8 +168,8 @@ func (p *FedBuffPolicy) defaultBuffer(k int) {
 		p.K = k
 	}
 }
-func (p *FedBuffPolicy) defaultDiscount(d func(int) float64, force bool) {
-	if force || p.Discount == nil {
+func (p *FedBuffPolicy) defaultDiscount(d Rule, force bool) {
+	if force || p.Discount.F == nil {
 		p.Discount = d
 	}
 }
@@ -116,30 +184,38 @@ type FedAsyncPolicy struct {
 	Alpha float64
 	// Discount dampens the mixing rate by staleness (nil = resolution
 	// chain, see FedBuffPolicy.Discount).
-	Discount func(staleness int) float64
+	Discount Rule
 }
 
 func (p *FedAsyncPolicy) Name() string                   { return "fedasync" }
 func (p *FedAsyncPolicy) ReadyToMerge(buffered int) bool { return buffered >= 1 }
 func (p *FedAsyncPolicy) Weight(Update) float64          { return 1 }
-func (p *FedAsyncPolicy) MergeRate(t int, updates []Update) float64 {
-	alpha := p.Alpha
-	if alpha == 0 {
-		alpha = 0.6
+func (p *FedAsyncPolicy) String() string {
+	if p.Alpha == 0 && p.Discount.F == nil {
+		return "fedasync"
 	}
+	return discounted("fedasync", p.Discount, p.alpha())
+}
+func (p *FedAsyncPolicy) alpha() float64 {
+	if p.Alpha == 0 {
+		return 0.6
+	}
+	return p.Alpha
+}
+func (p *FedAsyncPolicy) MergeRate(t int, updates []Update) float64 {
 	// Single arrival in practice; average the discount if a caller merges
 	// a larger buffer through this policy.
 	var d float64
 	for _, u := range updates {
-		d += p.Discount(u.Staleness)
+		d += p.Discount.F(u.Staleness)
 	}
 	if len(updates) > 0 {
 		d /= float64(len(updates))
 	}
-	return alpha * d
+	return p.alpha() * d
 }
-func (p *FedAsyncPolicy) defaultDiscount(d func(int) float64, force bool) {
-	if force || p.Discount == nil {
+func (p *FedAsyncPolicy) defaultDiscount(d Rule, force bool) {
+	if force || p.Discount.F == nil {
 		p.Discount = d
 	}
 }
@@ -157,13 +233,14 @@ type ImportancePolicy struct {
 	// the parser defaults it to 0.1).
 	Beta float64
 	// Discount is the staleness discount (nil = resolution chain).
-	Discount func(staleness int) float64
+	Discount Rule
 }
 
 func (p *ImportancePolicy) Name() string                   { return "importance" }
+func (p *ImportancePolicy) String() string                 { return discounted("importance", p.Discount, p.Beta) }
 func (p *ImportancePolicy) ReadyToMerge(buffered int) bool { return buffered >= p.K }
 func (p *ImportancePolicy) Weight(u Update) float64 {
-	return float64(u.NumSamples) * p.Discount(u.Staleness) * (p.Beta + u.TrainLoss)
+	return float64(u.NumSamples) * p.Discount.F(u.Staleness) * (p.Beta + u.TrainLoss)
 }
 func (p *ImportancePolicy) MergeRate(int, []Update) float64 { return 1 }
 func (p *ImportancePolicy) defaultBuffer(k int) {
@@ -171,8 +248,8 @@ func (p *ImportancePolicy) defaultBuffer(k int) {
 		p.K = k
 	}
 }
-func (p *ImportancePolicy) defaultDiscount(d func(int) float64, force bool) {
-	if force || p.Discount == nil {
+func (p *ImportancePolicy) defaultDiscount(d Rule, force bool) {
+	if force || p.Discount.F == nil {
 		p.Discount = d
 	}
 }
@@ -200,11 +277,10 @@ func WithMaxStaleness(p AggregationPolicy, maxStale int) AggregationPolicy {
 	return &MaxStalenessPolicy{AggregationPolicy: p, MaxStale: maxStale}
 }
 
-func (p *MaxStalenessPolicy) Name() string {
-	if p.AggregationPolicy == nil {
-		return "+maxstale"
-	}
-	return p.AggregationPolicy.Name() + "+maxstale"
+func (p *MaxStalenessPolicy) Name() string { return decoratedName(p.AggregationPolicy, "+maxstale") }
+
+func (p *MaxStalenessPolicy) String() string {
+	return decorated(p.AggregationPolicy, spec.T("maxstale", float64(p.MaxStale)))
 }
 
 func (p *MaxStalenessPolicy) Weight(u Update) float64 {
@@ -220,33 +296,33 @@ func (p *MaxStalenessPolicy) defaultBuffer(k int) {
 	}
 }
 
-func (p *MaxStalenessPolicy) defaultDiscount(d func(int) float64, force bool) {
+func (p *MaxStalenessPolicy) defaultDiscount(d Rule, force bool) {
 	if dc, ok := p.AggregationPolicy.(discounter); ok {
 		dc.defaultDiscount(d, force)
 	}
 }
 
 // ScheduledLR decorates a policy with a server learning-rate schedule:
-// the merged delta is scaled by Schedule(t) on aggregation t, on top of
+// the merged delta is scaled by Schedule.F(t) on aggregation t, on top of
 // whatever rate the inner policy reports. A nil inner policy is filled
 // with the runtime's default policy at Validate time, so a schedule can
-// be configured on its own.
+// be configured on its own. WithServerLR builds one from a schedule spec;
+// a hand-written schedule is &ScheduledLR{Schedule: Rule{F: f}}.
 type ScheduledLR struct {
 	AggregationPolicy
 	// Schedule maps the aggregation index t (1-based) to a rate
 	// multiplier.
-	Schedule func(t int) float64
+	Schedule Rule
 }
 
-func (p *ScheduledLR) Name() string {
-	if p.AggregationPolicy == nil {
-		return "+lr"
-	}
-	return p.AggregationPolicy.Name() + "+lr"
+func (p *ScheduledLR) Name() string { return decoratedName(p.AggregationPolicy, "+lr") }
+
+func (p *ScheduledLR) String() string {
+	return decorated(p.AggregationPolicy, spec.Term{Name: "lr", Sub: &spec.Term{Name: p.Schedule.String()}})
 }
 
 func (p *ScheduledLR) MergeRate(t int, updates []Update) float64 {
-	return p.AggregationPolicy.MergeRate(t, updates) * p.Schedule(t)
+	return p.AggregationPolicy.MergeRate(t, updates) * p.Schedule.F(t)
 }
 
 func (p *ScheduledLR) defaultBuffer(k int) {
@@ -255,230 +331,148 @@ func (p *ScheduledLR) defaultBuffer(k int) {
 	}
 }
 
-func (p *ScheduledLR) defaultDiscount(d func(int) float64, force bool) {
+func (p *ScheduledLR) defaultDiscount(d Rule, force bool) {
 	if dc, ok := p.AggregationPolicy.(discounter); ok {
 		dc.defaultDiscount(d, force)
 	}
 }
 
-// WithServerLR wraps a policy (nil = the runtime's default policy) with a
-// server learning-rate schedule.
-func WithServerLR(p AggregationPolicy, schedule func(t int) float64) AggregationPolicy {
-	return &ScheduledLR{AggregationPolicy: p, Schedule: schedule}
-}
+var lrFamily = spec.Family{Label: "server-lr", Forms: []spec.Form{
+	{Name: "const", Min: 1, Max: 1}, {Name: "invsqrt", Min: 1, Max: 1}, {Name: "step", Min: 3, Max: 3},
+}}
 
-// ParseLRSchedule parses a CLI server learning-rate schedule spec:
+// WithServerLR wraps a policy (nil = the runtime's default policy) with
+// the server learning-rate schedule a spec names (grammar: internal/spec):
 //
 //	const:ETA          fixed rate ETA every merge
 //	invsqrt:ETA0       ETA0 / sqrt(t)
 //	step:ETA0,G,E      ETA0 * G^floor((t-1)/E)  (decay by G every E merges)
-func ParseLRSchedule(spec string) (func(t int) float64, error) {
-	name, args, err := parseSpec(spec, "server-lr")
+func WithServerLR(p AggregationPolicy, text string) (AggregationPolicy, error) {
+	ts, err := lrFamily.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	want := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("core: server-lr %q wants %d args, got %d", name, n, len(args))
-		}
-		return nil
-	}
-	switch name {
+	var (
+		f    func(t int) float64
+		a    = ts[0].Args
+		ok   bool
+		want string
+	)
+	switch ts[0].Name {
 	case "const":
-		if err := want(1); err != nil {
-			return nil, err
-		}
-		if args[0] < 0 {
-			return nil, fmt.Errorf("core: negative server lr %g", args[0])
-		}
-		eta := args[0]
-		return func(int) float64 { return eta }, nil
+		ok, want = a[0] >= 0, "ETA >= 0"
+		f = func(int) float64 { return a[0] }
 	case "invsqrt":
-		if err := want(1); err != nil {
-			return nil, err
-		}
-		if args[0] <= 0 {
-			return nil, fmt.Errorf("core: invsqrt server lr %g must be positive", args[0])
-		}
-		eta0 := args[0]
-		return func(t int) float64 {
-			if t < 1 {
-				t = 1
-			}
-			return eta0 / math.Sqrt(float64(t))
-		}, nil
+		ok, want = a[0] > 0, "ETA0 > 0"
+		f = func(t int) float64 { return a[0] / math.Sqrt(math.Max(float64(t), 1)) }
 	case "step":
-		if err := want(3); err != nil {
-			return nil, err
-		}
-		if args[0] <= 0 || args[1] <= 0 || args[1] > 1 || args[2] < 1 {
-			return nil, fmt.Errorf("core: step server lr wants eta0 > 0, 0 < gamma <= 1, every >= 1, got %v", args)
-		}
-		eta0, gamma, every := args[0], args[1], int(args[2])
-		return func(t int) float64 {
-			if t < 1 {
-				t = 1
-			}
-			return eta0 * math.Pow(gamma, float64((t-1)/every))
-		}, nil
+		ok, want = a[0] > 0 && a[1] > 0 && a[1] <= 1 && a[2] >= 1 && a[2] <= math.MaxInt32, "ETA0 > 0, 0 < G <= 1, E >= 1"
+		every := int(a[2])
+		f = func(t int) float64 { return a[0] * math.Pow(a[1], float64((max(t, 1)-1)/every)) }
 	}
-	return nil, fmt.Errorf("core: unknown server-lr schedule %q (const|invsqrt|step)", name)
+	if !ok {
+		return nil, lrFamily.Errorf(text, "wants %s", want)
+	}
+	return &ScheduledLR{AggregationPolicy: p, Schedule: Rule{F: f, term: ts[0]}}, nil
 }
 
-// ParsePolicy parses a CLI aggregation-policy spec of the form "name" or
-// "name:arg1[,arg2]":
+// ParseLRSchedule parses a server learning-rate schedule spec (see
+// WithServerLR) into the bare schedule function.
+func ParseLRSchedule(text string) (func(t int) float64, error) {
+	p, err := WithServerLR(nil, text)
+	if err != nil {
+		return nil, err
+	}
+	return p.(*ScheduledLR).Schedule.F, nil
+}
+
+var policyFamily = spec.Family{Label: "policy", Forms: []spec.Form{
+	{Name: "fedavg"}, {Name: "fedbuff", Max: 1}, {Name: "fedasync", Max: 2}, {Name: "importance", Max: 2},
+	{Name: "median"}, {Name: "trimmedmean", Min: 1, Max: 1}, {Name: "krum", Min: 1, Max: 1},
+	{Name: "maxstale", Min: 1, Max: 1, Pos: spec.Either, Repeat: true},
+	{Name: "clip", Min: 1, Max: 1, Pos: spec.Either, Repeat: true},
+}}
+
+// ParsePolicy parses an aggregation-policy spec (grammar: internal/spec):
 //
 //	fedavg               data-size weights, no discount (sync default)
 //	fedbuff[:EXP]        staleness-discounted buffer, PolyDiscount(EXP)
 //	                     (no EXP: the runtime's discount chain applies)
 //	fedasync[:ALPHA[,EXP]]  single-arrival mixing at rate ALPHA (0.6)
 //	importance[:BETA[,EXP]] loss-weighted buffer, smoothing BETA (0.1)
-//	maxstale:MAX         hard staleness cutoff (weight 0 past MAX) on
-//	                     the runtime's default policy
 //	median               coordinate-wise median of the admitted buffer
 //	trimmedmean:F        coordinate-wise mean after trimming the F
 //	                     fraction from each tail (0 <= F < 0.5)
 //	krum:F               multi-Krum selector assuming a Byzantine
 //	                     fraction F of the buffer (0 <= F < 0.5)
+//	maxstale:MAX         hard staleness cutoff (weight 0 past MAX)
 //	clip:C               norm-clip guard (updates rescaled within L2
-//	                     distance C of the global model) on the
-//	                     runtime's default policy
+//	                     distance C of the global model)
 //
-// A trailing "+maxstale:MAX" or "+clip:C" composes onto any other spec
-// (e.g. "fedbuff:0.5+maxstale:8", "trimmedmean:0.25+clip:5"); suffixes
-// stack rightmost-first. Merge thresholds (K) default from
-// RunSpec.BufferSize at Validate time. Compose a server learning-rate
-// schedule with WithServerLR / ParseLRSchedule.
-func ParsePolicy(spec string) (AggregationPolicy, error) {
-	if i := strings.LastIndex(spec, "+"); i >= 0 {
-		base, suffix := spec[:i], spec[i+1:]
-		sufName, sufArg, _ := strings.Cut(suffix, ":")
-		var inner AggregationPolicy
-		var err error
-		if base != "" {
-			inner, err = ParsePolicy(base)
-			if err != nil {
-				return nil, err
-			}
-		}
-		switch sufName {
-		case "maxstale":
-			max, err := strconv.Atoi(strings.TrimSpace(sufArg))
-			if err != nil || max < 0 {
-				return nil, fmt.Errorf("core: maxstale cutoff %q must be a nonnegative integer", sufArg)
-			}
-			return WithMaxStaleness(inner, max), nil
-		case "clip":
-			c, err := strconv.ParseFloat(strings.TrimSpace(sufArg), 64)
-			if err != nil || c <= 0 || math.IsInf(c, 0) {
-				return nil, fmt.Errorf("core: clip bound %q must be a positive number", sufArg)
-			}
-			return WithNormClip(inner, c), nil
-		}
-		return nil, fmt.Errorf("core: unknown policy suffix %q (maxstale|clip)", sufName)
-	}
-	name, args, err := parseSpec(spec, "policy")
+// maxstale and clip decorate the policy they follow ("+"-composed, e.g.
+// "fedbuff:0.5+maxstale:8", "trimmedmean:0.25+clip:5"; they stack left to
+// right) and, written first, the runtime's default policy. Merge
+// thresholds (K) default from RunSpec.BufferSize at Validate time.
+// Compose a server learning-rate schedule with WithServerLR.
+func ParsePolicy(text string) (AggregationPolicy, error) {
+	ts, err := policyFamily.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	atMost := func(n int) error {
-		if len(args) > n {
-			return fmt.Errorf("core: policy %q wants at most %d args, got %d", name, n, len(args))
-		}
-		return nil
-	}
-	// optDiscount maps an optional trailing exponent arg to a discount
-	// (nil = defer to the runtime's resolution chain).
-	optDiscount := func(i int) (func(int) float64, error) {
-		if len(args) <= i {
-			return nil, nil
-		}
-		if args[i] < 0 {
-			return nil, fmt.Errorf("core: policy %q discount exponent %g must be >= 0", name, args[i])
-		}
-		return PolyDiscount(args[i]), nil
-	}
-	// trimFrac validates a tail-trim / Byzantine fraction argument.
-	trimFrac := func() (float64, error) {
-		if len(args) != 1 || args[0] < 0 || args[0] >= 0.5 {
-			return 0, fmt.Errorf("core: policy %q wants one fraction in [0, 0.5), got %v", name, args)
-		}
-		return args[0], nil
-	}
-	switch name {
-	case "maxstale":
-		if len(args) != 1 || args[0] < 0 || args[0] != math.Trunc(args[0]) {
-			return nil, fmt.Errorf("core: policy maxstale wants one nonnegative integer cutoff, got %v", args)
-		}
-		return WithMaxStaleness(nil, int(args[0])), nil
-	case "clip":
-		if len(args) != 1 || args[0] <= 0 || math.IsInf(args[0], 0) {
-			return nil, fmt.Errorf("core: policy clip wants one positive norm bound, got %v", args)
-		}
-		return WithNormClip(nil, args[0]), nil
-	case "median":
-		if err := atMost(0); err != nil {
-			return nil, err
-		}
-		return &MedianPolicy{}, nil
-	case "trimmedmean":
-		f, err := trimFrac()
-		if err != nil {
-			return nil, err
-		}
-		return &TrimmedMeanPolicy{Frac: f}, nil
-	case "krum":
-		f, err := trimFrac()
-		if err != nil {
-			return nil, err
-		}
-		return &KrumPolicy{Frac: f}, nil
-	case "fedavg":
-		if err := atMost(0); err != nil {
-			return nil, err
-		}
-		return &FedAvgPolicy{}, nil
-	case "fedbuff":
-		if err := atMost(1); err != nil {
-			return nil, err
-		}
-		d, err := optDiscount(0)
-		if err != nil {
-			return nil, err
-		}
-		return &FedBuffPolicy{Discount: d}, nil
-	case "fedasync":
-		if err := atMost(2); err != nil {
-			return nil, err
-		}
-		alpha := 0.0
-		if len(args) > 0 {
-			alpha = args[0]
-			if alpha <= 0 || alpha > 1 {
-				return nil, fmt.Errorf("core: fedasync alpha %g outside (0,1]", alpha)
+	var p AggregationPolicy
+	for _, t := range ts {
+		a, want := t.Args, ""
+		need := func(ok bool, what string) {
+			if !ok && want == "" {
+				want = what
 			}
 		}
-		d, err := optDiscount(1)
-		if err != nil {
-			return nil, err
-		}
-		return &FedAsyncPolicy{Alpha: alpha, Discount: d}, nil
-	case "importance":
-		if err := atMost(2); err != nil {
-			return nil, err
-		}
-		beta := 0.1
-		if len(args) > 0 {
-			beta = args[0]
-			if beta < 0 {
-				return nil, fmt.Errorf("core: importance beta %g must be >= 0", beta)
+		// discount maps an optional trailing exponent argument to a
+		// discount (unset = defer to the runtime's resolution chain).
+		discount := func(i int) Rule {
+			if len(a) <= i {
+				return Rule{}
 			}
+			need(a[i] >= 0, "a discount exponent >= 0")
+			return PolyDiscount(a[i])
 		}
-		d, err := optDiscount(1)
-		if err != nil {
-			return nil, err
+		switch t.Name {
+		case "fedavg":
+			p = &FedAvgPolicy{}
+		case "median":
+			p = &MedianPolicy{}
+		case "fedbuff":
+			p = &FedBuffPolicy{Discount: discount(0)}
+		case "fedasync":
+			pol := &FedAsyncPolicy{Discount: discount(1)}
+			if len(a) > 0 {
+				pol.Alpha = a[0]
+				need(a[0] > 0 && a[0] <= 1, "ALPHA in (0,1]")
+			}
+			p = pol
+		case "importance":
+			pol := &ImportancePolicy{Beta: 0.1, Discount: discount(1)}
+			if len(a) > 0 {
+				pol.Beta = a[0]
+				need(a[0] >= 0, "BETA >= 0")
+			}
+			p = pol
+		case "trimmedmean":
+			p = &TrimmedMeanPolicy{Frac: a[0]}
+			need(a[0] >= 0 && a[0] < 0.5, "a fraction in [0, 0.5)")
+		case "krum":
+			p = &KrumPolicy{Frac: a[0]}
+			need(a[0] >= 0 && a[0] < 0.5, "a fraction in [0, 0.5)")
+		case "maxstale":
+			need(a[0] >= 0 && a[0] <= math.MaxInt32 && a[0] == math.Trunc(a[0]), "a nonnegative integer cutoff")
+			p = WithMaxStaleness(p, int(a[0]))
+		case "clip":
+			need(a[0] > 0 && !math.IsInf(a[0], 0), "a positive finite norm bound")
+			p = WithNormClip(p, a[0])
 		}
-		return &ImportancePolicy{Beta: beta, Discount: d}, nil
+		if want != "" {
+			return nil, policyFamily.Errorf(text, "%s wants %s", t.Name, want)
+		}
 	}
-	return nil, fmt.Errorf("core: unknown aggregation policy %q (fedavg|fedbuff|fedasync|importance|maxstale|median|trimmedmean|krum|clip)", name)
+	return p, nil
 }

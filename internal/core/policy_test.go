@@ -132,8 +132,8 @@ func TestImportanceMergeHandComputed(t *testing.T) {
 // -> [1,2]; and the schedule composes multiplicatively with the inner
 // policy's rate.
 func TestServerLRScheduleHandComputed(t *testing.T) {
-	sched := func(t int) float64 { return 1 / float64(t) }
-	pol := WithServerLR(&FedAvgPolicy{K: 1}, sched)
+	sched := Rule{F: func(t int) float64 { return 1 / float64(t) }}
+	pol := &ScheduledLR{AggregationPolicy: &FedAvgPolicy{K: 1}, Schedule: sched}
 	if pol.Name() != "fedavg+lr" {
 		t.Fatalf("name %q", pol.Name())
 	}
@@ -146,7 +146,7 @@ func TestServerLRScheduleHandComputed(t *testing.T) {
 	vecApproxEq(t, s.global, []float64{1, 2}, "scheduled merge")
 	// Composition: fedasync alpha 0.5 * schedule 1/2 = 0.25 at t=2.
 	inner := &FedAsyncPolicy{Alpha: 0.5, Discount: PolyDiscount(0)}
-	comp := WithServerLR(inner, sched)
+	comp := &ScheduledLR{AggregationPolicy: inner, Schedule: sched}
 	if eta := comp.MergeRate(2, []Update{{Staleness: 9}}); !approxEq(eta, 0.25) {
 		t.Fatalf("composed rate %v, want 0.25", eta)
 	}

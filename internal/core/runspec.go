@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/spec"
+)
 
 // Runtime selects how a RunSpec executes.
 type Runtime string
@@ -20,17 +24,17 @@ const (
 	RuntimeBarrier Runtime = "barrier"
 )
 
-// ParseRuntime resolves a CLI runtime name ("" = sync).
+var runtimeFamily = spec.Family{Label: "runtime", Empty: string(RuntimeSync), Forms: []spec.Form{
+	{Name: string(RuntimeSync)}, {Name: string(RuntimeAsync)}, {Name: string(RuntimeBarrier)},
+}}
+
+// ParseRuntime resolves a runtime name ("" = sync).
 func ParseRuntime(name string) (Runtime, error) {
-	switch Runtime(name) {
-	case "", RuntimeSync:
-		return RuntimeSync, nil
-	case RuntimeAsync:
-		return RuntimeAsync, nil
-	case RuntimeBarrier:
-		return RuntimeBarrier, nil
+	ts, err := runtimeFamily.Parse(name)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("core: unknown runtime %q (sync|async|barrier)", name)
+	return Runtime(ts[0].Name), nil
 }
 
 // RunSpec is the single description of a federated run: the base Config
@@ -56,7 +60,7 @@ type RunSpec struct {
 	// Discount is the staleness discount for discount-based policies that
 	// do not carry their own. Resolution order: the Algorithm's
 	// StalenessWeighter override, then this field, then PolyDiscount(0.5).
-	Discount func(staleness int) float64
+	Discount Rule
 	// Policy decides when buffered arrivals merge and how updates are
 	// weighted. nil selects the runtime default: FedAvgPolicy for
 	// RuntimeSync, FedBuffPolicy otherwise. An Algorithm's Aggregator
@@ -108,14 +112,11 @@ type RunSpec struct {
 // resolution chain). It is idempotent; Start calls it on its own copy, so
 // validate explicitly when the caller wants to observe resolved defaults.
 func (sp *RunSpec) Validate() error {
-	if sp.Runtime == "" {
-		sp.Runtime = RuntimeSync
+	rt, err := ParseRuntime(string(sp.Runtime))
+	if err != nil {
+		return err
 	}
-	switch sp.Runtime {
-	case RuntimeSync, RuntimeAsync, RuntimeBarrier:
-	default:
-		return fmt.Errorf("core: unknown runtime %q (sync|async|barrier)", sp.Runtime)
-	}
+	sp.Runtime = rt
 	if err := sp.Config.Validate(); err != nil {
 		return err
 	}
@@ -283,7 +284,7 @@ func (sp *RunSpec) resolvePolicy() error {
 			}
 			p.AggregationPolicy = inner
 		case *ScheduledLR:
-			if p.Schedule == nil {
+			if p.Schedule.F == nil {
 				return nil, fmt.Errorf("core: ScheduledLR policy with nil schedule")
 			}
 			inner, err := fillInner(p.AggregationPolicy)
@@ -322,9 +323,9 @@ func (sp *RunSpec) resolvePolicy() error {
 	if dc, ok := sp.Policy.(discounter); ok {
 		d, force := sp.Discount, false
 		if sw, ok := sp.Algo.(StalenessWeighter); ok {
-			d, force = sw.StalenessWeight, true
+			d, force = Rule{F: sw.StalenessWeight}, true
 		}
-		if d == nil {
+		if d.F == nil {
 			d = PolyDiscount(0.5)
 		}
 		dc.defaultDiscount(d, force)

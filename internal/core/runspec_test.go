@@ -66,7 +66,7 @@ func TestRunSpecValidateDefaults(t *testing.T) {
 	if buff.K != sp.ClientsPerRound {
 		t.Fatalf("policy K %d, want BufferSize default %d", buff.K, sp.ClientsPerRound)
 	}
-	if buff.Discount == nil || buff.Discount(0) != 1 {
+	if buff.Discount.F == nil || buff.Discount.F(0) != 1 || buff.String() != "fedbuff:0.5" {
 		t.Fatal("default discount not resolved")
 	}
 	// Validate is idempotent.
@@ -78,7 +78,7 @@ func TestRunSpecValidateDefaults(t *testing.T) {
 	sp = RunSpec{
 		Config:  testConfig(t, NewFedTrip(0.4)),
 		Runtime: RuntimeAsync,
-		Policy:  WithServerLR(nil, func(int) float64 { return 0.5 }),
+		Policy:  &ScheduledLR{Schedule: Rule{F: func(int) float64 { return 0.5 }}},
 	}
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func TestValidateDoesNotMutateCallerPolicy(t *testing.T) {
 	if err := sp1.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if shared.K != 0 || shared.Discount != nil {
-		t.Fatalf("caller's policy mutated: K=%d discountSet=%v", shared.K, shared.Discount != nil)
+	if shared.K != 0 || shared.Discount.F != nil {
+		t.Fatalf("caller's policy mutated: K=%d discountSet=%v", shared.K, shared.Discount.F != nil)
 	}
 	if resolved := sp1.Policy.(*FedBuffPolicy); resolved.K != 2 {
 		t.Fatalf("resolved clone K=%d, want 2", resolved.K)
@@ -112,7 +112,7 @@ func TestValidateDoesNotMutateCallerPolicy(t *testing.T) {
 		t.Fatalf("second resolution K=%d, want 5 (stale state leaked)", resolved.K)
 	}
 	// A schedule wrapper's inner policy is cloned too.
-	sched := WithServerLR(shared, func(int) float64 { return 1 }).(*ScheduledLR)
+	sched := &ScheduledLR{AggregationPolicy: shared, Schedule: Rule{F: func(int) float64 { return 1 }}}
 	sp3 := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, BufferSize: 3, Policy: sched}
 	if err := sp3.Validate(); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestStalenessWeighterOverridesPolicyDiscount(t *testing.T) {
 		Concurrency: 4,
 		BufferSize:  2,
 		Latency:     UniformLatency{Min: 1, Max: 9},
-		Policy:      &FedBuffPolicy{Discount: func(int) float64 { t.Fatal("algorithm override must win"); return 0 }},
+		Policy:      &FedBuffPolicy{Discount: Rule{F: func(int) float64 { t.Fatal("algorithm override must win"); return 0 }}},
 	})
 	if err != nil {
 		t.Fatal(err)

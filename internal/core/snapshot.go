@@ -6,8 +6,12 @@
 //	"FTRS" | version u8 | fingerprint string | common section | runner section
 //
 // The fingerprint is a canonical string of everything that determines the
-// run's trajectory (runtime, method, policy, hyperparameters, seed,
-// latency/device/churn models, dataset sizes, a hash of the partition).
+// run's trajectory: the canonical spec strings of the method (with its
+// hyperparameters), the resolved policy (with its arguments, staleness
+// discount and server-lr schedule), the latency/device/churn/network/
+// fault models and the transport — the same text ParseX reads back —
+// plus the scalar hyperparameters, seed, dataset sizes and a hash of the
+// partition.
 // Resume recomputes it from the spec the caller provides and refuses a
 // snapshot whose fingerprint differs — a snapshot only carries the *live*
 // state (model, RNG positions, event heap, metrics); everything
@@ -42,6 +46,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"sort"
@@ -63,9 +68,13 @@ const (
 	// optional (only the noise mode materializes it). Version 5 moved the
 	// clock, latency stream, FLOP total and scheduler registry from the
 	// per-runner sections into the common one, which every runtime now
-	// carries (sync runs included). A snapshot does not survive a format
-	// bump: Resume refuses any other version, naming both.
-	snapVersion = 5
+	// carries (sync runs included). Version 6 changed no byte of the
+	// layout: the fingerprint began to cover policy arguments, the
+	// server-lr schedule, the staleness discount and the method's
+	// hyperparameters, so version 5 files were written under a
+	// fingerprint that could not tell such runs apart. A snapshot does not
+	// survive a format bump: Resume refuses any other version, naming both.
+	snapVersion = 6
 	// snapMaxLen bounds every deserialized collection length: corrupt or
 	// adversarial length prefixes must not drive allocation.
 	snapMaxLen = 1 << 30
@@ -301,35 +310,28 @@ func (s *snapReader) rngState() prng.State {
 
 // fingerprint canonically renders everything that determines the run's
 // trajectory. Resume compares it string-to-string, so a mismatch error
-// names exactly what the caller changed. Function-valued fields (hooks,
-// a custom Discount) and Shards cannot be fingerprinted — Shards never
-// affects a trajectory by construction, and the resolved policy name
-// covers the built-in discount chain; a bespoke Discount function is the
-// caller's responsibility to keep identical across resume.
+// names what the caller changed. The method and the resolved policy
+// render through canonical: the built-ins print every argument (FedTrip's
+// mu, a trimmed-mean fraction, the staleness discount the resolution
+// chain settled on, a server-lr schedule). What has no text
+// form cannot be told apart: hooks and Shards never affect a trajectory
+// by construction, but a hand-written discount or schedule closure prints
+// as "custom", and a custom policy or method as its bare Name() — keeping
+// those identical across a resume is the caller's responsibility.
 func (sp *RunSpec) fingerprint(numParams int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "runtime=%s algo=%s policy=%s", sp.Runtime, sp.Algo.Name(), sp.Policy.Name())
+	// The method's settings enter as a fixed-width hash of its canonical
+	// string, so a wrapper that forwards only Name() (cmd/fedtrip-bench's
+	// tracing one) writes a header of the same size as the method it wraps.
+	hyper := fnv.New64a()
+	hyper.Write([]byte(canonical(sp.Algo)))
+	fmt.Fprintf(&b, "runtime=%s algo=%s hyper=%016x policy=%s", sp.Runtime, sp.Algo.Name(), hyper.Sum64(), canonical(sp.Policy))
 	fmt.Fprintf(&b, " rounds=%d n=%d k=%d batch=%d epochs=%d", sp.Rounds, len(sp.Parts), sp.ClientsPerRound, sp.BatchSize, sp.LocalEpochs)
 	fmt.Fprintf(&b, " lr=%g mom=%g clip=%g seed=%d evalevery=%d", sp.LR, sp.Momentum, sp.ClipNorm, sp.Seed, sp.EvalEvery)
 	fmt.Fprintf(&b, " conc=%d buf=%d", sp.Concurrency, sp.BufferSize)
-	lat, dev, ch, net, fa := "none", "none", "none", "none", "none"
-	if sp.Latency != nil {
-		lat = sp.Latency.String()
-	}
-	if sp.Devices != nil {
-		dev = sp.Devices.String()
-	}
-	if sp.Churn != nil {
-		ch = sp.Churn.String()
-	}
-	if sp.Network != nil {
-		net = sp.Network.String()
-	}
-	if sp.Faults != nil {
-		fa = sp.Faults.String()
-	}
-	fmt.Fprintf(&b, " latency=%s devices=%s floprate=%g adaptive=%t churn=%s network=%s faults=%s", lat, dev, sp.FlopRate, sp.AdaptiveLocalSteps, ch, net, fa)
-	fmt.Fprintf(&b, " target=%g stop=%t transport=%s", sp.TargetAccuracy, sp.StopAtTarget, transportName(sp.Transport))
+	fmt.Fprintf(&b, " latency=%s devices=%s floprate=%g adaptive=%t churn=%s network=%s faults=%s",
+		specName(sp.Latency), specName(sp.Devices), sp.FlopRate, sp.AdaptiveLocalSteps, sp.Churn, specName(sp.Network), sp.Faults)
+	fmt.Fprintf(&b, " target=%g stop=%t transport=%s", sp.TargetAccuracy, sp.StopAtTarget, specName(sp.Transport))
 	// The partition is re-derived by the caller; an FNV-1a hash over the
 	// per-client sizes catches the common mistake (different -alpha or
 	// client count) without embedding N index slices in every header.
@@ -341,17 +343,18 @@ func (sp *RunSpec) fingerprint(numParams int) string {
 	return b.String()
 }
 
-// transportName canonically names a transport for the fingerprint: its
-// spec string when it has one (every ParseTransport result does), nil as
-// "none", anything else as "custom". A resumed run must configure a
-// transport with the same name — wire sizes and decode behaviour are
-// part of the trajectory once communication is measured or priced.
-func transportName(t Transport) string {
-	switch t := t.(type) {
+// specName canonically names an optional model or transport for the
+// fingerprint: its spec string when it has one (every ParseX result
+// does), nil as "none", anything else as "custom". A resumed run must
+// configure a transport with the same name — wire sizes and decode
+// behaviour are part of the trajectory once communication is measured or
+// priced.
+func specName(v any) string {
+	switch v := v.(type) {
 	case nil:
 		return "none"
 	case fmt.Stringer:
-		return t.String()
+		return v.String()
 	}
 	return "custom"
 }
@@ -995,7 +998,7 @@ func (rs *RunState) restore(r io.Reader) error {
 	}
 	ours := rs.spec.fingerprint(len(rs.a.s.global))
 	if theirs != ours {
-		return fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s", theirs, ours)
+		return fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s\n  (hyper hashes the method's settings; this spec's are %s)", theirs, ours, canonical(rs.spec.Algo))
 	}
 	rs.restoreCommon(sr)
 	if sr.err != nil {

@@ -219,7 +219,7 @@ func TestSnapshotPolicyRoundTrip(t *testing.T) {
 		{"fedasync", &FedAsyncPolicy{}},
 		{"importance", &ImportancePolicy{}},
 		{"fedbuff+maxstale", WithMaxStaleness(&FedBuffPolicy{}, 4)},
-		{"fedbuff+lr", WithServerLR(&FedBuffPolicy{}, func(t int) float64 { return 0.5 })},
+		{"fedbuff+lr", &ScheduledLR{AggregationPolicy: &FedBuffPolicy{}, Schedule: Rule{F: func(t int) float64 { return 0.5 }}}},
 		{"median", &MedianPolicy{}},
 		{"trimmedmean", &TrimmedMeanPolicy{Frac: 0.25}},
 		{"krum", &KrumPolicy{Frac: 0.2}},
@@ -271,7 +271,7 @@ func TestSnapshotPolicyRoundTrip(t *testing.T) {
 
 // TestResumeRejectsBadSnapshots pins the precise-error contract for
 // wrong-magic, wrong-version, truncated, and wrong-run streams. A format
-// bump orphans older snapshots: a v4-headered stream is refused with both
+// bump orphans older snapshots: a v5-headered stream is refused with both
 // versions named, whatever follows the header.
 func TestResumeRejectsBadSnapshots(t *testing.T) {
 	cfg := snapTestConfig(t, 4)
@@ -301,7 +301,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 4), good[5:]...), spec, "run snapshot version 4, this build reads version 5"},
+		{"previous version", append(append([]byte(snapMagic), 5), good[5:]...), spec, "run snapshot version 5, this build reads version 6"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

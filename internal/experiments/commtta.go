@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
@@ -38,17 +39,15 @@ func runCommTTA(p Profile, logf Logf) ([]*Table, error) {
 	transports := []string{"f32", "q8", "q8+ef", "topk:0.01+ef", "randk:0.05"}
 	mkCase := func(transport string) Case {
 		return Case{
-			Kind:      data.KindMNIST,
-			Arch:      nn.ArchMLP,
-			Scheme:    partition.Dirichlet(0.5),
-			Algo:      "fedtrip",
-			Params:    DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
-			Runtime:   core.RuntimeAsync,
-			Policy:    "fedbuff",
-			Devices:   devices,
-			Churn:     churn,
-			Bandwidth: bandwidth,
-			Transport: transport,
+			Kind:   data.KindMNIST,
+			Arch:   nn.ArchMLP,
+			Scheme: partition.Dirichlet(0.5),
+			Algo:   "fedtrip",
+			Params: DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
+			Selection: runtext.Selection{
+				Runtime: core.RuntimeAsync, Policy: "fedbuff", Devices: devices,
+				Churn: churn, Bandwidth: bandwidth, Transport: transport,
+			},
 		}
 	}
 	// The adaptive target calibrates against the dense-f32 row: every

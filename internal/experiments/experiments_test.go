@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 )
 
 func TestProfilesByName(t *testing.T) {
@@ -172,6 +174,38 @@ func TestCaseKeyIncludesRuntimeAndPolicy(t *testing.T) {
 	pAsync.Latency = "exp:2"
 	if base.key(p) == base.key(pAsync) {
 		t.Fatal("profile runtime override did not change the cache key")
+	}
+}
+
+// The key is printed from the struct, so every field of the selection —
+// set on the case or on the profile — is part of it with no format string
+// to keep in step.
+func TestCaseKeyCoversEverySelectionField(t *testing.T) {
+	p := Tiny()
+	base := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}
+	typ := reflect.TypeOf(base.Selection)
+	for i := 0; i < typ.NumField(); i++ {
+		set := func(sel *runtext.Selection) {
+			switch f := reflect.ValueOf(sel).Elem().Field(i); f.Kind() {
+			case reflect.String:
+				f.SetString("x")
+			case reflect.Int:
+				f.SetInt(7)
+			case reflect.Bool:
+				f.SetBool(true)
+			default:
+				t.Fatalf("Selection.%s: unhandled kind %s", typ.Field(i).Name, f.Kind())
+			}
+		}
+		onCase, onProfile := base, p
+		set(&onCase.Selection)
+		set(&onProfile.Selection)
+		if onCase.key(p) == base.key(p) || base.key(onProfile) == base.key(p) {
+			t.Errorf("Selection.%s does not reach the cache key", typ.Field(i).Name)
+		}
+		if onCase.key(p) != base.key(onProfile) {
+			t.Errorf("Selection.%s keys differently on the case and on the profile", typ.Field(i).Name)
+		}
 	}
 }
 

@@ -3,18 +3,19 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/prng"
-	"repro/internal/quantize"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
 // runExtQuant is an extension experiment beyond the paper: FedTrip
 // reduces communication by needing fewer rounds; uplink quantization
-// (internal/quantize) reduces bytes per round. This experiment shows the
+// (the q<bits> transport, comm.ParseTransport) reduces bytes per round. This experiment shows the
 // two compose — FedTrip with an 8-bit delta-quantized uplink keeps its
 // convergence while cutting upload traffic ~4x versus float32, and
 // degrades gracefully at 4 bits.
@@ -49,27 +50,19 @@ func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
 	// Every variant goes through Case.runSpec + core.Start, so the
 	// profile's runtime selection (-runtime/-latency/-device-dist/
 	// -dropout) reaches this experiment like any table-driven one; only
-	// the uplink transport varies per row.
-	c := Case{Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: "fedtrip"}
-	runVariant := func(tr core.Transport) (*core.Result, error) {
-		cfg := baseConfig()
-		cfg.Transport = tr // nil = the paper's analytic float32 accounting
-		spec, err := c.runSpec(p, cfg)
-		if err != nil {
-			return nil, err
+	// the uplink transport varies per row ("" = the paper's analytic
+	// float32 accounting).
+	runVariant := func(transport string) (*core.Result, core.Transport, error) {
+		c := Case{
+			Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: "fedtrip",
+			Selection: runtext.Selection{Transport: transport},
 		}
-		return core.Start(spec)
-	}
-	runQuantized := func(bits int) (*core.Result, int64, error) {
-		tr, err := quantize.NewTransport(bits)
+		spec, err := c.runSpec(p, baseConfig())
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
-		res, err := runVariant(tr)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, tr.UpBytes(), nil
+		res, err := core.Start(spec)
+		return res, spec.Transport, err
 	}
 	t := &Table{
 		ID:      "ext-quant",
@@ -85,7 +78,7 @@ func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
 	f32Bytes := func(rounds int) int64 {
 		return int64(rounds) * int64(p.PerRound) * int64(4*model.NumParams())
 	}
-	base, err := runVariant(nil)
+	base, _, err := runVariant("")
 	if err != nil {
 		return nil, err
 	}
@@ -103,13 +96,13 @@ func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
 			fmt.Sprintf("%.2f", upMB))
 	}
 	addRow("float32 (paper)", base, float64(f32Bytes(base.Rounds))/1e6)
-	for _, bits := range []int{8, 4} {
-		res, up, err := runQuantized(bits)
+	for _, q := range []string{"q8", "q4"} {
+		res, tr, err := runVariant(q)
 		if err != nil {
 			return nil, err
 		}
-		logf.printf("ext-quant: %d-bit done", bits)
-		addRow(fmt.Sprintf("%d-bit delta", bits), res, float64(up)/1e6)
+		logf.printf("ext-quant: %s-bit done", q[1:])
+		addRow(q[1:]+"-bit delta", res, float64(tr.(*comm.CompressedTransport).Stats().UpBytes())/1e6)
 	}
 	t.Notes = append(t.Notes,
 		"uplink deltas are quantized against the received model (error feedback-free delta encoding)",

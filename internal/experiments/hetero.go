@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
@@ -55,16 +56,15 @@ func runHetero(p Profile, logf Logf) ([]*Table, error) {
 	}
 	baseCase := func(method string, v variant, churnSpec string) Case {
 		c := Case{
-			Kind:          data.KindMNIST,
-			Arch:          nn.ArchMLP,
-			Scheme:        partition.Dirichlet(0.5),
-			Algo:          method,
-			Params:        DefaultParams(method, nn.ArchMLP, data.KindMNIST),
-			Runtime:       core.RuntimeAsync,
-			Policy:        v.policy,
-			Buffer:        buffer,
-			Devices:       v.devices,
-			AdaptiveSteps: v.adaptive,
+			Kind:   data.KindMNIST,
+			Arch:   nn.ArchMLP,
+			Scheme: partition.Dirichlet(0.5),
+			Algo:   method,
+			Params: DefaultParams(method, nn.ArchMLP, data.KindMNIST),
+			Selection: runtext.Selection{
+				Runtime: core.RuntimeAsync, Policy: v.policy, Buffer: buffer,
+				Devices: v.devices, AdaptiveSteps: v.adaptive,
+			},
 			// Update-budget equalization: Rounds counts aggregations and
 			// each merges `buffer` updates where a sync round merges K.
 			Rounds: (p.Rounds*perRound + buffer - 1) / buffer,

@@ -229,6 +229,25 @@ func TestCommTTATiny(t *testing.T) {
 	}
 }
 
+// TestExtQuantTiny: the quantized rows really ship through the q<bits>
+// transport — measured upload bytes shrink with the width. (While the
+// run assembler replaced a Config's transport with the profile's empty
+// selection, both rows ran unquantized and reported 0.00 MB.)
+func TestExtQuantTiny(t *testing.T) {
+	tab := runTiny(t, "ext-quant")[0]
+	var mb []float64
+	for _, row := range tab.Rows {
+		v, err := strconv.ParseFloat(row[4], 64)
+		if err != nil {
+			t.Fatalf("bad upload cell in row %v", row)
+		}
+		mb = append(mb, v)
+	}
+	if len(mb) != 3 || !(mb[0] > mb[1] && mb[1] > mb[2] && mb[2] > 0) {
+		t.Fatalf("upload MB float32/8-bit/4-bit = %v, want strictly decreasing and non-zero", mb)
+	}
+}
+
 // A profile-level runtime override makes an ordinary experiment run
 // asynchronously: the cached results carry the async-only metrics.
 func TestProfileRuntimeOverride(t *testing.T) {

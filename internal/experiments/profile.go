@@ -3,18 +3,18 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/runtext"
 )
 
 // Profile scales the experiment suite. Fast preserves the method ordering
 // on a laptop budget; Paper reproduces §V.A's settings; Tiny exists for
 // unit tests.
 //
-// Every experiment is runtime-agnostic: the Runtime / Latency / Policy /
-// ServerLR fields select which runtime and aggregation policy the cases
-// run on (cmd/fedtrip-tables exposes them as flags), and individual
-// experiments may override them per Case (the time-to-accuracy table does,
-// to compare policies side by side).
+// Every experiment is runtime-agnostic: the embedded runtext.Selection
+// picks the runtime, aggregation policy, fleet models and transport the
+// cases run on (cmd/fedtrip-tables registers it as flags), and individual
+// experiments may override any of it per Case (the time-to-accuracy table
+// does, to compare policies side by side).
 type Profile struct {
 	Name string
 	// SamplesPerClient overrides Table II's per-client data size
@@ -51,47 +51,10 @@ type Profile struct {
 	Fig5EveryRounds int
 	// Seed anchors all randomness.
 	Seed int64
-	// Runtime selects which runtime cases run on ("" = sync). Methods
+	// Selection is the runtime selection every case starts from. Methods
 	// with server-side hooks (Aggregator/PreRounder) fall back from async
 	// to barrier, which joins every client before aggregating.
-	Runtime core.Runtime
-	// Latency is the latency spec (core.ParseLatency) for the async and
-	// barrier runtimes ("" = zero). A non-zero spec on the sync runtime
-	// is rejected at Validate (sync has no simulated clock — use
-	// barrier), never silently dropped.
-	Latency string
-	// Policy is the aggregation policy spec (core.ParsePolicy); "" keeps
-	// the runtime default (FedAvg sync, FedBuff async).
-	Policy string
-	// ServerLR is a server learning-rate schedule spec
-	// (core.ParseLRSchedule) composed onto the policy ("" = none).
-	ServerLR string
-	// Concurrency and Buffer are the async knobs (0 = K).
-	Concurrency, Buffer int
-	// Devices is the device-distribution spec (core.ParseDeviceDist) for
-	// the async/barrier runtimes; "" keeps a homogeneous fleet priced by
-	// Latency. With a fleet configured, dispatch latency derives from
-	// each client's metered FLOPs, so Latency must stay zero.
-	Devices string
-	// Churn is the availability spec (core.ParseChurn) for the buffered
-	// async runtime ("" = always available).
-	Churn string
-	// Transport is the transport spec (comm.ParseTransport): how model
-	// transfers are encoded on the wire ("" = none: analytic float32
-	// byte accounting). A fresh transport is built per run, since
-	// compressing transports carry per-client state.
-	Transport string
-	// Bandwidth is the network-distribution spec (core.ParseNetDist) for
-	// the async/barrier runtimes ("" = free network). With a spec set,
-	// every dispatch additionally pays RTT plus measured-bytes/bandwidth
-	// in simulated time, so compressed uplinks finish sooner.
-	Bandwidth string
-	// AdaptiveSteps scales each client's local step budget with its
-	// device speed (requires Devices).
-	AdaptiveSteps bool
-	// Faults is the adversary spec (core.ParseFaults): which fraction of
-	// the fleet uploads corrupted models and how ("" = honest fleet).
-	Faults string
+	runtext.Selection
 }
 
 // Fast is the default profile: small synthetic datasets and scaled-down

@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
@@ -40,23 +41,21 @@ func runRobust(p Profile, logf Logf) ([]*Table, error) {
 	}
 	baseCase := func(policy string, frac float64, churnSpec string) Case {
 		c := Case{
-			Kind:          data.KindMNIST,
-			Arch:          nn.ArchMLP,
-			Scheme:        partition.Dirichlet(0.5),
-			Algo:          "fedtrip",
-			Params:        DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
-			Runtime:       core.RuntimeAsync,
-			Policy:        policy,
-			Buffer:        buffer,
-			Devices:       "tiered",
-			AdaptiveSteps: true,
-			Churn:         churnSpec,
+			Kind:   data.KindMNIST,
+			Arch:   nn.ArchMLP,
+			Scheme: partition.Dirichlet(0.5),
+			Algo:   "fedtrip",
+			Params: DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
+			Selection: runtext.Selection{
+				Runtime: core.RuntimeAsync, Policy: policy, Buffer: buffer,
+				Devices: "tiered", AdaptiveSteps: true, Churn: churnSpec,
+			},
 			// Update-budget equalization as in the hetero table: Rounds
 			// counts aggregations and each merges `buffer` updates.
 			Rounds: (p.Rounds*perRound + buffer - 1) / buffer,
 		}
 		if frac > 0 {
-			c.Faults = fmt.Sprintf("byz:%g,signflip", frac)
+			c.Faults = (&core.FaultModel{ByzFraction: frac, Mode: "signflip"}).String()
 		}
 		return c
 	}

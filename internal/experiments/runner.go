@@ -5,12 +5,12 @@ import (
 	"sync"
 
 	"repro/internal/algos"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/prng"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
@@ -50,194 +50,43 @@ type Case struct {
 	ClipNorm float64
 	// Trial indexes repeated runs; it offsets every seed.
 	Trial int
-	// Runtime / Latency / Policy / ServerLR / Concurrency / Buffer /
-	// Devices / Churn / Transport / Bandwidth / AdaptiveSteps override
-	// the profile's runtime selection when non-zero, so a single
-	// experiment can compare runtimes, aggregation policies, device
-	// fleets, and transports side by side (see the time-to-accuracy,
-	// hetero, and comm-tta tables).
-	Runtime             core.Runtime
-	Latency             string
-	Policy              string
-	ServerLR            string
-	Concurrency, Buffer int
-	Devices             string
-	Churn               string
-	Transport           string
-	Bandwidth           string
-	AdaptiveSteps       bool
-	// Faults is the adversary spec (core.ParseFaults): the fraction of
-	// the fleet that uploads corrupted models and how ("" = honest).
-	Faults string
+	// Selection overrides the profile's runtime selection field by field
+	// (non-zero beats the profile), so a single experiment can compare
+	// runtimes, aggregation policies, device fleets, transports and
+	// adversaries side by side (see the time-to-accuracy, hetero, comm-tta
+	// and robust tables).
+	runtext.Selection
 }
 
-// runSel is the resolved runtime selection for one case: profile
-// defaults with case overrides applied.
-type runSel struct {
-	rt                   core.Runtime
-	latency              string
-	policy               string
-	serverLR             string
-	conc, buf            int
-	devices, churnSpec   string
-	transport, bandwidth string
-	adaptiveSteps        bool
-	faults               string
-}
-
-// runtimeParams resolves the effective runtime selection for a case:
-// case overrides beat profile defaults.
-func (c Case) runtimeParams(p Profile) runSel {
-	s := runSel{
-		rt: p.Runtime, latency: p.Latency, policy: p.Policy, serverLR: p.ServerLR,
-		conc: p.Concurrency, buf: p.Buffer,
-		devices: p.Devices, churnSpec: p.Churn,
-		transport: p.Transport, bandwidth: p.Bandwidth,
-		adaptiveSteps: p.AdaptiveSteps || c.AdaptiveSteps,
-		faults:        p.Faults,
-	}
-	if c.Runtime != "" {
-		s.rt = c.Runtime
-	}
-	if c.Latency != "" {
-		s.latency = c.Latency
-	}
-	if c.Policy != "" {
-		s.policy = c.Policy
-	}
-	if c.ServerLR != "" {
-		s.serverLR = c.ServerLR
-	}
-	if c.Concurrency > 0 {
-		s.conc = c.Concurrency
-	}
-	if c.Buffer > 0 {
-		s.buf = c.Buffer
-	}
-	if c.Devices != "" {
-		s.devices = c.Devices
-	}
-	if c.Churn != "" {
-		s.churnSpec = c.Churn
-	}
-	if c.Transport != "" {
-		s.transport = c.Transport
-	}
-	if c.Bandwidth != "" {
-		s.bandwidth = c.Bandwidth
-	}
-	if c.Faults != "" {
-		s.faults = c.Faults
-	}
-	if s.rt == "" {
-		s.rt = core.RuntimeSync
-	}
-	return s
-}
-
-// runSpec assembles the unified core.RunSpec for a case: the base Config
-// plus the resolved runtime, latency model, and aggregation policy.
-// Methods with server-side hooks (Aggregator, PreRounder) cannot run on
-// the buffered async runtime; they fall back to the barrier runtime,
-// which joins every client before aggregating, so a whole-table runtime
-// override stays runnable for every paper method.
+// runSpec assembles the core.RunSpec for a case over cfg: the profile's
+// selection with the case's overrides on top, parsed and validated in
+// runtext. Methods with server-side hooks (Aggregator, PreRounder) cannot
+// run on the buffered async runtime; they fall back to the barrier
+// runtime, which joins every client before aggregating, so a whole-table
+// runtime override stays runnable for every paper method.
 func (c Case) runSpec(p Profile, cfg core.Config) (core.RunSpec, error) {
-	sel := c.runtimeParams(p)
-	spec := core.RunSpec{Config: cfg, Runtime: sel.rt}
-	if sel.rt == core.RuntimeAsync {
-		_, isAgg := cfg.Algo.(core.Aggregator)
-		_, isPre := cfg.Algo.(core.PreRounder)
-		if isAgg || isPre {
-			spec.Runtime = core.RuntimeBarrier
-		}
+	sel := p.Selection.Overlay(c.Selection)
+	_, isAgg := cfg.Algo.(core.Aggregator)
+	_, isPre := cfg.Algo.(core.PreRounder)
+	if sel.Runtime == core.RuntimeAsync && (isAgg || isPre) {
+		sel.Runtime = core.RuntimeBarrier
 	}
-	// The latency spec is parsed and attached on every runtime:
-	// RunSpec.Validate owns the "sync has no simulated clock" rejection,
-	// so a -latency given without -runtime errors loudly instead of
-	// rendering an unpriced table that looks latency-priced.
-	lat, err := core.ParseLatency(sel.latency)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	spec.Latency = lat
-	if spec.Runtime != core.RuntimeSync {
-		spec.Concurrency = sel.conc
-		spec.BufferSize = sel.buf
-	}
-	// Device and churn specs are likewise parsed and attached
-	// unconditionally: Validate owns the rejections (devices on sync,
-	// churn outside the buffered runtime, devices under an independent
-	// latency model, adaptive steps without a fleet), so a conflicting
-	// flag combination errors loudly instead of silently winning.
-	dev, err := core.ParseDeviceDist(sel.devices)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	spec.Devices = dev
-	spec.AdaptiveLocalSteps = sel.adaptiveSteps
-	churn, err := core.ParseChurn(sel.churnSpec)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	spec.Churn = churn
-	// The transport is constructed fresh per run — compressing transports
-	// carry per-client state (EF residuals) that must not leak across
-	// cases. The bandwidth spec is attached unconditionally: Validate owns
-	// the "sync has no simulated clock" rejection, like latency above.
-	tr, err := comm.ParseTransport(sel.transport)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	spec.Config.Transport = tr
-	net, err := core.ParseNetDist(sel.bandwidth)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	spec.Network = net
-	// The fault model is parsed and attached unconditionally too: Validate
-	// owns the "faults need a policy-merged method" rejection, so an
-	// adversary spec on an Aggregator-override method errors loudly.
-	faults, err := core.ParseFaults(sel.faults)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	spec.Faults = faults
-	if sel.policy != "" {
-		pol, err := core.ParsePolicy(sel.policy)
-		if err != nil {
-			return core.RunSpec{}, err
-		}
-		spec.Policy = pol
-	}
-	if sel.serverLR != "" {
-		sched, err := core.ParseLRSchedule(sel.serverLR)
-		if err != nil {
-			return core.RunSpec{}, err
-		}
-		spec.Policy = core.WithServerLR(spec.Policy, sched)
-	}
-	if err := spec.Validate(); err != nil {
-		return core.RunSpec{}, err
-	}
-	return spec, nil
+	return sel.RunSpec(cfg)
 }
 
+// key identifies the case in the run cache: the profile fields a run
+// reads, then the case itself with the selection and round budget
+// resolved — printed from the struct, so a new field is part of the key
+// the day it is added.
 func (c Case) key(p Profile) string {
-	algoKey := c.Algo
+	c.Selection = p.Selection.Overlay(c.Selection)
 	if c.Factory != nil {
-		algoKey = "factory:" + c.FactoryKey
+		c.Algo, c.Factory = "factory:"+c.FactoryKey, nil
 	}
-	sel := c.runtimeParams(p)
-	rounds := p.Rounds
-	if c.Rounds > 0 {
-		rounds = c.Rounds
+	if c.Rounds == 0 {
+		c.Rounds = p.Rounds
 	}
-	return fmt.Sprintf("%s|%s|%s|%s|%+v|%d|%d|%d|%v|%d|%s|%d|%d|%d|%v|%d|%s|%s|%s|%s|%d|%d|%s|%s|%s|%s|%v|%s",
-		p.Name, c.Kind, c.Arch, c.Scheme, c.Params, c.Clients, c.PerRound,
-		c.LocalEpochs, c.ClipNorm, c.Trial, algoKey, rounds, p.SamplesPerClient,
-		p.Batch, p.ConvScale, p.Seed, sel.rt, sel.latency, sel.policy, sel.serverLR,
-		sel.conc, sel.buf, sel.devices, sel.churnSpec, sel.transport, sel.bandwidth,
-		sel.adaptiveSteps, sel.faults)
+	return fmt.Sprintf("%s|%d|%d|%v|%d|%+v", p.Name, p.SamplesPerClient, p.Batch, p.ConvScale, p.Seed, c)
 }
 
 var (

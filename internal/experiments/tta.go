@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
@@ -55,15 +56,14 @@ func runTTA(p Profile, logf Logf) ([]*Table, error) {
 	}
 	baseCase := func(method string, v variant) Case {
 		c := Case{
-			Kind:    data.KindMNIST,
-			Arch:    nn.ArchMLP,
-			Scheme:  partition.Dirichlet(0.5),
-			Algo:    method,
-			Params:  DefaultParams(method, nn.ArchMLP, data.KindMNIST),
-			Runtime: v.runtime,
-			Latency: latency,
-			Policy:  v.policy,
-			Buffer:  buffer,
+			Kind:   data.KindMNIST,
+			Arch:   nn.ArchMLP,
+			Scheme: partition.Dirichlet(0.5),
+			Algo:   method,
+			Params: DefaultParams(method, nn.ArchMLP, data.KindMNIST),
+			Selection: runtext.Selection{
+				Runtime: v.runtime, Latency: latency, Policy: v.policy, Buffer: buffer,
+			},
 		}
 		// Rounds counts aggregations on the buffered runtime, and one
 		// aggregation merges `buffer` updates where a barrier round
@@ -188,17 +188,16 @@ func runTTASweep(p Profile, logf Logf, latency string, target float64, perRound 
 	totalUpdates := p.Rounds * perRound
 	for _, r := range rows {
 		c := Case{
-			Kind:     data.KindMNIST,
-			Arch:     nn.ArchMLP,
-			Scheme:   partition.Dirichlet(0.5),
-			Algo:     "fedtrip",
-			Params:   DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
-			Runtime:  core.RuntimeAsync,
-			Latency:  latency,
-			Policy:   r.policy,
-			ServerLR: r.serverLR,
-			Buffer:   r.updatesPerAgg,
-			Rounds:   (totalUpdates + r.updatesPerAgg - 1) / r.updatesPerAgg,
+			Kind:   data.KindMNIST,
+			Arch:   nn.ArchMLP,
+			Scheme: partition.Dirichlet(0.5),
+			Algo:   "fedtrip",
+			Params: DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
+			Selection: runtext.Selection{
+				Runtime: core.RuntimeAsync, Latency: latency, Policy: r.policy,
+				ServerLR: r.serverLR, Buffer: r.updatesPerAgg,
+			},
+			Rounds: (totalUpdates + r.updatesPerAgg - 1) / r.updatesPerAgg,
 		}
 		results, err := p.RunTrials(c, logf)
 		if err != nil {
