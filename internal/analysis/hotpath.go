@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // NewHotPath returns the hotpath analyzer: functions annotated
@@ -17,6 +18,12 @@ import (
 //   - map construction (make(map...) or a map literal),
 //   - append (growth is amortized away only for pooled, pre-sized
 //     buffers — which is exactly what //fedtripvet:allow documents),
+//   - make of a slice whose length or capacity is not a constant (a
+//     vector sized by the model or the batch: the buffer to recycle;
+//     grow-once sites and first-participation state say so with
+//     //fedtripvet:allow),
+//   - a bytes.Buffer or a bufio reader/writer (marshalling on a path
+//     that only needs the values),
 //   - closures capturing loop variables (the capture forces the
 //     variable, and often the closure, onto the heap).
 //
@@ -28,9 +35,10 @@ func NewHotPath() *Analyzer {
 		Name: "hotpath",
 		Doc: "forbid allocating constructs in //fedtripvet:hotpath functions\n\n" +
 			"No fmt calls, no map construction, no unannotated append, no\n" +
-			"closures over loop variables. Escape hatch: //fedtripvet:allow\n" +
-			"<reason> (e.g. a pooled buffer whose capacity is ensured, or a\n" +
-			"cold error path).",
+			"make of a slice with a non-constant size, no bytes.Buffer or\n" +
+			"bufio construction, no closures over loop variables. Escape\n" +
+			"hatch: //fedtripvet:allow <reason> (e.g. a pooled buffer whose\n" +
+			"capacity is ensured, or a cold error path).",
 	}
 	a.Run = func(pass *Pass) (any, error) {
 		for _, f := range pass.Files {
@@ -66,6 +74,11 @@ func checkHotpathBody(pass *Pass, body *ast.BlockStmt) {
 		case *ast.CompositeLit:
 			if isMapType(info.TypeOf(n)) {
 				pass.Reportf(n.Pos(), "map literal on the hot path allocates; hoist it out of the hot function")
+			}
+			reportBuffer(pass, n.Pos(), info.TypeOf(n))
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				reportBuffer(pass, n.Pos(), info.TypeOf(n.Type))
 			}
 		case *ast.CallExpr:
 			checkHotpathCall(pass, n)
@@ -118,14 +131,30 @@ func reportLoopCaptures(pass *Pass, fl *ast.FuncLit, loops []*loopHeader) {
 	})
 }
 
-// checkHotpathCall flags fmt calls, the append builtin, and map-typed
-// make calls.
+// reportBuffer reports the construction of a bytes.Buffer value.
+func reportBuffer(pass *Pass, pos token.Pos, t types.Type) {
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "bytes" && named.Obj().Name() == "Buffer" {
+		pass.Reportf(pos, "bytes.Buffer on the hot path marshals through a growing allocation; write into a caller-owned buffer instead")
+	}
+}
+
+// checkHotpathCall flags fmt calls, buffer constructors, the append
+// builtin, and make calls of maps and of non-constant-sized slices.
 func checkHotpathCall(pass *Pass, call *ast.CallExpr) {
 	info := pass.TypesInfo
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		if pn, ok := importedPkg(info, fun.X); ok && pn.Imported().Path() == "fmt" {
+		pn, ok := importedPkg(info, fun.X)
+		if !ok {
+			return
+		}
+		switch path := pn.Imported().Path(); {
+		case path == "fmt":
 			pass.Reportf(call.Pos(), "fmt.%s on the hot path allocates; move formatting off the hot path (or annotate a cold error path with //fedtripvet:allow <reason>)", fun.Sel.Name)
+		case path == "bufio" && strings.HasPrefix(fun.Sel.Name, "New"),
+			path == "bytes" && strings.HasPrefix(fun.Sel.Name, "NewBuffer"):
+			pass.Reportf(call.Pos(), "%s.%s on the hot path allocates a buffer per call; write into a caller-owned buffer instead", pn.Imported().Name(), fun.Sel.Name)
 		}
 	case *ast.Ident:
 		b, ok := info.Uses[fun].(*types.Builtin)
@@ -139,8 +168,24 @@ func checkHotpathCall(pass *Pass, call *ast.CallExpr) {
 			if isMapType(info.TypeOf(call)) {
 				pass.Reportf(call.Pos(), "make(map) on the hot path allocates; hoist the map out of the hot function")
 			}
+			if _, ok := info.TypeOf(call).Underlying().(*types.Slice); ok && !constantArgs(info, call.Args[1:]) {
+				pass.Reportf(call.Pos(), "make of a slice with a non-constant size on the hot path allocates per call; recycle a buffer (and annotate a grow-once site with //fedtripvet:allow <reason>)")
+			}
+		case "new":
+			reportBuffer(pass, call.Pos(), info.TypeOf(call.Args[0]))
 		}
 	}
+}
+
+// constantArgs reports whether every expression is a compile-time
+// constant.
+func constantArgs(info *types.Info, args []ast.Expr) bool {
+	for _, a := range args {
+		if info.Types[a].Value == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // isMapType reports whether t's underlying type is a map.

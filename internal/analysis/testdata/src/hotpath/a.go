@@ -1,6 +1,11 @@
 package hotpath
 
-import "fmt"
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+)
 
 // step is annotated hot: every allocating construct is flagged.
 //
@@ -40,4 +45,33 @@ func pooled(buf []float64, n int) []float64 {
 		buf = append(buf, float64(i)) //fedtripvet:allow fixture: capacity ensured by the caller
 	}
 	return buf
+}
+
+// roundTrip marshals to simulate a cast: a fresh vector and a fresh
+// buffer per call.
+//
+//fedtripvet:hotpath
+func roundTrip(w io.Writer, v []float64) []float64 {
+	out := make([]float64, len(v)) // want "make of a slice with a non-constant size"
+	var buf bytes.Buffer           // want "bytes.Buffer on the hot path"
+	buf.WriteByte(byte(len(v)))
+	_ = new(bytes.Buffer)             // want "bytes.Buffer on the hot path"
+	_ = bytes.NewBuffer(nil)          // want "bytes.NewBuffer on the hot path"
+	bw := bufio.NewWriter(w)          // want "bufio.NewWriter on the hot path"
+	head := make([]byte, 8)           // a constant size can stay on the stack
+	grown := make([]int, 0, cap(out)) // want "make of a slice with a non-constant size"
+	_, _, _ = bw, head, grown
+	return out
+}
+
+// residual allocates a client's first-participation state under an allow.
+//
+//fedtripvet:hotpath
+func residual(state map[int][]float64, id, n int) []float64 {
+	r := state[id]
+	if r == nil {
+		r = make([]float64, n) //fedtripvet:allow fixture: first participation, retained as the client's state
+		state[id] = r
+	}
+	return r
 }

@@ -1,22 +1,34 @@
-// Package comm provides a realistic client-server transport for the FL
-// runtime: every model transfer is actually marshalled to the float32 wire
-// format the paper's communication columns assume (internal/tensor's
-// versioned binary encoding), then unmarshalled on the receiving side.
-// This makes two things real instead of analytic:
+// Package comm provides the client-server transports of the FL runtime:
+// what a model transfer does to the vector that crosses the "network"
+// and how many bytes it puts there. Two things are real instead of
+// analytic:
 //
-//   - byte accounting: Stats counts the exact encoded bytes that crossed
-//     the "network", per direction;
-//   - quantization: clients and server genuinely see float32-rounded
-//     parameters, so transport precision effects show up in accuracy.
+//   - byte accounting: every transfer returns the exact size of its
+//     encoding (internal/tensor's versioned float32 vector format, or a
+//     codec's), and Stats counts them per direction;
+//   - precision: clients and server genuinely see float32-rounded (or
+//     codec-reconstructed) parameters, so transport effects show up in
+//     accuracy.
 //
-// Install with core.Config.Transport = comm.NewF32Transport().
+// A transfer is not marshalled. The transports implement
+// core.WireTransport: the runtime hands DownInto/UpInto a buffer it owns
+// and the transport rounds the vector into it — float64(float32(x)) is
+// what an encode→decode through the float32 format computes, and the
+// codecs apply their reconstruction the same way — so a steady-state
+// transfer allocates nothing. The marshalled encode→decode path
+// (tensor.WriteVectorF32/ReadVectorF32, and the allocating codec chain)
+// survives in this package's tests as the oracle the in-place path is
+// pinned against bit for bit.
+//
+// Build one with ParseTransport and install it as core.Config.Transport.
 package comm
 
 import (
-	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -49,14 +61,105 @@ func (s *Stats) String() string {
 		float64(s.DownBytes())/1e6, d, float64(s.UpBytes())/1e6, u)
 }
 
-// F32Transport implements core.Transport by round-tripping every vector
-// through the float32 wire encoding.
+// down and up count one transfer of wire bytes and return wire.
+func (s *Stats) down(wire int64) int64 {
+	s.downBytes.Add(wire)
+	s.downMsgs.Add(1)
+	return wire
+}
+
+func (s *Stats) up(wire int64) int64 {
+	s.upBytes.Add(wire)
+	s.upMsgs.Add(1)
+	return wire
+}
+
+// legacyMethods is the pre-destination-passing method set
+// (core.Transport, core.SizedTransport) over an in-place transport: each
+// call allocates its result and forwards to the Into method. The
+// benchmark's trace wrapper still asserts this method set, so a traced
+// pass runs through it and must reproduce the in-place digest. It is
+// deleted, with core's adapter, in step 3 of ROADMAP "The wire path".
+type legacyMethods struct {
+	wire core.WireTransport
+	// delta marks a transport whose upload is coded against the
+	// downlink: the legacy Up has no ref argument, so Down's result is
+	// kept per client until that client's Up.
+	delta bool
+	mu    sync.Mutex
+	ref   map[int][]float64
+}
+
+// Down implements core.Transport.
+func (l *legacyMethods) Down(clientID, round int, global []float64) []float64 {
+	out, _ := l.DownSized(clientID, round, global)
+	return out
+}
+
+// Up implements core.Transport.
+func (l *legacyMethods) Up(clientID, round int, params []float64) []float64 {
+	out, _ := l.UpSized(clientID, round, params)
+	return out
+}
+
+// DownSized implements core.SizedTransport.
+func (l *legacyMethods) DownSized(clientID, round int, global []float64) ([]float64, int64) {
+	dst := make([]float64, len(global))
+	wire := l.wire.DownInto(dst, clientID, round, global)
+	if l.delta {
+		l.mu.Lock()
+		if l.ref == nil {
+			l.ref = make(map[int][]float64)
+		}
+		l.ref[clientID] = dst
+		l.mu.Unlock()
+	}
+	return dst, wire
+}
+
+// UpSized implements core.SizedTransport. An upload with no recorded
+// downlink has no delta base and ships dense.
+func (l *legacyMethods) UpSized(clientID, round int, params []float64) ([]float64, int64) {
+	var ref []float64
+	if l.delta {
+		l.mu.Lock()
+		ref = l.ref[clientID]
+		delete(l.ref, clientID)
+		l.mu.Unlock()
+	}
+	dst := make([]float64, len(params))
+	return dst, l.wire.UpInto(dst, clientID, round, params, ref)
+}
+
+// checkDst panics unless dst can take an n-element transfer: the runtime
+// sizes dst from the vector it passes, so anything else is a caller bug.
+func checkDst(dst []float64, n int) {
+	if len(dst) != n {
+		panic(fmt.Sprintf("comm: destination has %d elements, transfer %d", len(dst), n))
+	}
+}
+
+// roundF32Into writes src at float32 precision into dst (which may be
+// src): exactly what decoding the float32 wire encoding of src yields.
+func roundF32Into(dst, src []float64) {
+	checkDst(dst, len(src))
+	for i, x := range src {
+		dst[i] = float64(float32(x))
+	}
+}
+
+// F32Transport rounds every transfer to the float32 wire precision.
 type F32Transport struct {
+	legacyMethods
 	stats Stats
 }
 
 // NewF32Transport returns a transport with fresh counters.
-func NewF32Transport() *F32Transport { return &F32Transport{} }
+func NewF32Transport() *F32Transport {
+	t := &F32Transport{}
+	t.legacyMethods.wire = t
+	return t
+}
 
 // String names the transport for run fingerprints and banners.
 func (t *F32Transport) String() string { return "f32" }
@@ -64,70 +167,40 @@ func (t *F32Transport) String() string { return "f32" }
 // Stats exposes the traffic counters.
 func (t *F32Transport) Stats() *Stats { return &t.stats }
 
-// WireBytes implements core.MeteredTransport: the runtime records these
-// measured bytes in Result.CommBytesByRound instead of the analytic
-// formula.
+// WireBytes implements core.MeteredTransport.
 func (t *F32Transport) WireBytes() (down, up int64) {
 	return t.stats.DownBytes(), t.stats.UpBytes()
 }
 
-func (t *F32Transport) roundTrip(v []float64) []float64 {
-	var buf bytes.Buffer
-	if err := tensor.WriteVectorF32(&buf, v); err != nil {
-		// bytes.Buffer writes cannot fail; an error here is programmer
-		// error in the encoder.
-		panic(fmt.Sprintf("comm: encode: %v", err))
-	}
-	out, err := tensor.ReadVectorF32(&buf)
-	if err != nil {
-		panic(fmt.Sprintf("comm: decode: %v", err))
-	}
-	return out
-}
-
-// Down implements core.Transport.
+// DownInto implements core.WireTransport.
 //
 //fedtripvet:hotpath
-func (t *F32Transport) Down(clientID, round int, global []float64) []float64 {
-	out := t.roundTrip(global)
-	t.stats.downBytes.Add(tensor.VectorWireSizeF32(len(global)))
-	t.stats.downMsgs.Add(1)
-	return out
+func (t *F32Transport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	roundF32Into(dst, global)
+	return t.stats.down(tensor.VectorWireSizeF32(len(global)))
 }
 
-// Up implements core.Transport.
+// UpInto implements core.WireTransport; ref is not used.
 //
 //fedtripvet:hotpath
-func (t *F32Transport) Up(clientID, round int, params []float64) []float64 {
-	out := t.roundTrip(params)
-	t.stats.upBytes.Add(tensor.VectorWireSizeF32(len(params)))
-	t.stats.upMsgs.Add(1)
-	return out
-}
-
-// DownSized implements core.SizedTransport: the runtime prices each
-// dispatch's network time from these per-transfer bytes.
-//
-//fedtripvet:hotpath
-func (t *F32Transport) DownSized(clientID, round int, global []float64) ([]float64, int64) {
-	return t.Down(clientID, round, global), tensor.VectorWireSizeF32(len(global))
-}
-
-// UpSized implements core.SizedTransport.
-//
-//fedtripvet:hotpath
-func (t *F32Transport) UpSized(clientID, round int, params []float64) ([]float64, int64) {
-	return t.Up(clientID, round, params), tensor.VectorWireSizeF32(len(params))
+func (t *F32Transport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+	roundF32Into(dst, params)
+	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
 }
 
 // LosslessTransport is the identity transport with byte accounting at
 // float64 width — useful to compare the cost of full-precision shipping.
 type LosslessTransport struct {
+	legacyMethods
 	stats Stats
 }
 
 // NewLosslessTransport returns an identity transport with counters.
-func NewLosslessTransport() *LosslessTransport { return &LosslessTransport{} }
+func NewLosslessTransport() *LosslessTransport {
+	t := &LosslessTransport{}
+	t.legacyMethods.wire = t
+	return t
+}
 
 // String names the transport for run fingerprints and banners.
 func (t *LosslessTransport) String() string { return "lossless" }
@@ -140,30 +213,18 @@ func (t *LosslessTransport) WireBytes() (down, up int64) {
 	return t.stats.DownBytes(), t.stats.UpBytes()
 }
 
-// Down implements core.Transport.
+// DownInto implements core.WireTransport.
 //
 //fedtripvet:hotpath
-func (t *LosslessTransport) Down(clientID, round int, global []float64) []float64 {
-	t.stats.downBytes.Add(int64(8 * len(global)))
-	t.stats.downMsgs.Add(1)
-	return global
+func (t *LosslessTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	tensor.CopyInto(dst, global)
+	return t.stats.down(int64(8 * len(global)))
 }
 
-// Up implements core.Transport.
+// UpInto implements core.WireTransport; ref is not used.
 //
 //fedtripvet:hotpath
-func (t *LosslessTransport) Up(clientID, round int, params []float64) []float64 {
-	t.stats.upBytes.Add(int64(8 * len(params)))
-	t.stats.upMsgs.Add(1)
-	return params
-}
-
-// DownSized implements core.SizedTransport.
-func (t *LosslessTransport) DownSized(clientID, round int, global []float64) ([]float64, int64) {
-	return t.Down(clientID, round, global), int64(8 * len(global))
-}
-
-// UpSized implements core.SizedTransport.
-func (t *LosslessTransport) UpSized(clientID, round int, params []float64) ([]float64, int64) {
-	return t.Up(clientID, round, params), int64(8 * len(params))
+func (t *LosslessTransport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+	tensor.CopyInto(dst, params)
+	return t.stats.up(int64(8 * len(params)))
 }

@@ -178,3 +178,57 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 		t.Fatalf("analytic fallback %d want %d", got, analytic)
 	}
 }
+
+// legacyOnly hides a transport's DownInto/UpInto, so the runtime adapts
+// it: the route the benchmark's trace wrapper takes.
+type legacyOnly struct{ core.SizedTransport }
+
+// The runtime has one transfer path; a legacy transport reaches it through
+// core's adapter and this package's allocating wrappers. Both routes must
+// give one trajectory — lock-step and buffered, dense and delta-coded
+// with error feedback, faults on the wire.
+func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 8, 30, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := core.ParseFaults("byz:0.25,signflip+crash:0.15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"f32", "lossless", "q8+ef", "topk:0.01+ef", "randk:0.05"} {
+		for _, runtime := range []core.Runtime{core.RuntimeSync, core.RuntimeAsync} {
+			run := func(legacy bool) string {
+				tr, err := ParseTransport(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if legacy {
+					tr = legacyOnly{tr.(core.SizedTransport)}
+				}
+				rs := core.RunSpec{Runtime: runtime, Faults: faults, Config: core.Config{
+					Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
+					Train: train, Test: test, Parts: parts,
+					Rounds: 6, ClientsPerRound: 4, BatchSize: 10, LocalEpochs: 1, LR: 0.01, Momentum: 0.9,
+					Algo: core.NewFedTrip(0.4), Seed: 7, Transport: tr,
+				}}
+				if runtime == core.RuntimeAsync {
+					rs.Latency, rs.Concurrency, rs.BufferSize = core.ConstantLatency{D: 1}, 4, 2
+					rs.Network = core.DefaultNetTiers()
+				}
+				res, err := core.Start(rs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Digest()
+			}
+			if inPlace, legacy := run(false), run(true); inPlace != legacy {
+				t.Errorf("%s on %v: in-place digest %s, legacy route %s", spec, runtime, inPlace, legacy)
+			}
+		}
+	}
+}

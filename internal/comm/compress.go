@@ -24,14 +24,44 @@ import (
 	"repro/internal/tensor"
 )
 
-// codec is one lossy uplink compression scheme. compressInto writes the
-// decoded (lossy) reconstruction of delta into rec — same length — and
-// returns the exact encoded wire size in bytes. An error means delta is
-// not encodable (non-finite values); the transport then falls back to
-// dense float32 shipping.
+// codec is one lossy uplink compression scheme, in two steps so the
+// transport can fall back between them: encode compresses delta into sc
+// and returns the exact encoded wire size; apply then writes the
+// server's reconstruction, dst[i] = ref[i] + rec[i] with rec the decoded
+// (lossy) delta, and — when drop is non-nil — what the codec dropped,
+// drop[i] = delta[i] - rec[i]. dst aliases neither ref nor delta.
 type codec interface {
-	compressInto(rec, delta []float64, clientID, round int) (int64, error)
 	term() spec.Term
+	// rejects reports whether encode can refuse a delta (non-finite
+	// values); the transport then ships dense float32 and must find the
+	// residual as it was, so such a codec's delta never accumulates into
+	// it. A codec that does not reject gets drop == delta under error
+	// feedback, and only rewrites the entries it kept.
+	rejects() bool
+	encode(sc *scratch, delta []float64, clientID, round int) (int64, error)
+	apply(sc *scratch, dst, ref, delta, drop []float64)
+}
+
+// scratch is the working set of one upload, recycled through the
+// transport's free list: the delta when it cannot accumulate into the
+// client's residual, top-k's magnitude column, rand-k's index
+// permutation and stream, and the encoded form itself. Each part is
+// sized on first use by the codec that needs it.
+type scratch struct {
+	delta  []float64
+	mags   []float64
+	idx    []int32
+	rng    prng.Rand
+	sparse quantize.Sparse
+	quant  quantize.Quantized
+}
+
+// grow returns buf resized to n elements, contents unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // keepCount translates a sparsification ratio into an entry count:
@@ -50,23 +80,43 @@ func keepCount(ratio float64, n int) int {
 	return k
 }
 
+// sparseCodec is the half top-k and rand-k share: they keep a subset of
+// entries at float32 precision (sc.sparse) and never reject a delta.
+type sparseCodec struct{}
+
+func (sparseCodec) rejects() bool { return false }
+
+// apply reconstructs every entry the codec did not keep as ref[i] + 0 (a
+// -0.0 reference becomes +0.0, as it did when rec was a dense vector);
+// such an entry drops its whole delta, which is already where drop
+// points.
+func (sparseCodec) apply(sc *scratch, dst, ref, delta, drop []float64) {
+	for i, x := range ref {
+		dst[i] = x + 0
+	}
+	for j, idx := range sc.sparse.Indices {
+		v := float64(sc.sparse.Values[j])
+		dst[idx] = ref[idx] + v
+		if drop != nil {
+			drop[idx] = delta[idx] - v
+		}
+	}
+}
+
 // topKCodec keeps the ratio*n largest-magnitude delta entries.
-type topKCodec struct{ ratio float64 }
+type topKCodec struct {
+	sparseCodec
+	ratio float64
+}
 
 func (c topKCodec) term() spec.Term { return spec.T("topk", c.ratio) }
 
-func (c topKCodec) compressInto(rec, delta []float64, clientID, round int) (int64, error) {
-	s, err := quantize.TopK(delta, keepCount(c.ratio, len(delta)))
-	if err != nil {
+func (c topKCodec) encode(sc *scratch, delta []float64, clientID, round int) (int64, error) {
+	sc.mags = grow(sc.mags, len(delta))
+	if err := quantize.TopKInto(&sc.sparse, sc.mags, delta, keepCount(c.ratio, len(delta))); err != nil {
 		return 0, err
 	}
-	for i := range rec {
-		rec[i] = 0
-	}
-	if err := s.DenseInto(rec); err != nil {
-		return 0, err
-	}
-	return s.WireSize(), nil
+	return sc.sparse.WireSize(), nil
 }
 
 // randkStream seeds rand-k's per-transfer index draws. The rng is derived
@@ -76,23 +126,20 @@ const randkStream uint64 = 0x72616e646b // "randk"
 
 // randKCodec keeps ratio*n uniformly random delta entries — unbiased
 // (in expectation the identity, scaled), unlike top-k.
-type randKCodec struct{ ratio float64 }
+type randKCodec struct {
+	sparseCodec
+	ratio float64
+}
 
 func (c randKCodec) term() spec.Term { return spec.T("randk", c.ratio) }
 
-func (c randKCodec) compressInto(rec, delta []float64, clientID, round int) (int64, error) {
-	rng := prng.New(int64(prng.Mix(prng.Mix(randkStream+uint64(clientID)) + uint64(round))))
-	s, err := quantize.RandK(delta, keepCount(c.ratio, len(delta)), rng)
-	if err != nil {
+func (c randKCodec) encode(sc *scratch, delta []float64, clientID, round int) (int64, error) {
+	sc.rng.Reseed(int64(prng.Mix(prng.Mix(randkStream+uint64(clientID)) + uint64(round))))
+	sc.idx = grow(sc.idx, len(delta))
+	if err := quantize.RandKInto(&sc.sparse, sc.idx, delta, keepCount(c.ratio, len(delta)), &sc.rng); err != nil {
 		return 0, err
 	}
-	for i := range rec {
-		rec[i] = 0
-	}
-	if err := s.DenseInto(rec); err != nil {
-		return 0, err
-	}
-	return s.WireSize(), nil
+	return sc.sparse.WireSize(), nil
 }
 
 // quantCodec uniformly quantizes the delta to bits per element.
@@ -102,38 +149,52 @@ func (c quantCodec) term() spec.Term {
 	return spec.Term{Name: "q", Args: []float64{float64(c.bits)}, Glued: true}
 }
 
-func (c quantCodec) compressInto(rec, delta []float64, clientID, round int) (int64, error) {
-	q, err := quantize.Quantize(delta, c.bits)
-	if err != nil {
+func (c quantCodec) rejects() bool { return true }
+
+func (c quantCodec) encode(sc *scratch, delta []float64, clientID, round int) (int64, error) {
+	if err := quantize.QuantizeInto(&sc.quant, delta, c.bits); err != nil {
 		return 0, err
 	}
-	copy(rec, q.Dequantize())
-	return q.WireSize(), nil
+	return sc.quant.WireSize(), nil
 }
 
-// CompressedTransport implements core.Transport with a float32 downlink
-// and a codec-compressed, delta-encoded uplink: the server reconstructs
+// apply dequantizes into dst, which doubles as the dense reconstruction
+// until the reference is added onto it.
+func (c quantCodec) apply(sc *scratch, dst, ref, delta, drop []float64) {
+	sc.quant.DequantizeInto(dst)
+	if drop != nil {
+		tensor.SubInto(drop, delta, dst)
+	}
+	tensor.AddInto(dst, ref, dst)
+}
+
+// CompressedTransport is a float32 downlink and a codec-compressed,
+// delta-encoded uplink: the server reconstructs
 // w_k = w_received + decode(encode(w_trained - w_received [+ residual])).
 // Build one with ParseTransport ("topk:0.01+ef", "q8", "randk:0.05").
 //
-// It implements core.SizedTransport (exact per-transfer bytes, priced by
-// the network model), core.MeteredTransport (cumulative counters), and —
-// when error feedback is on — core.StatefulTransport, so residuals ride
-// in run snapshots and resume is bit-for-bit.
+// Every transfer returns its exact encoded size (priced by the network
+// model), the cumulative counters are in Stats, and — when error
+// feedback is on — it is a core.StatefulTransport, so residuals ride in
+// run snapshots and resume is bit-for-bit.
 //
-// Memory: downlink references live only while a dispatch is in flight
-// (evicted on Up), bounding that map by the runtime's concurrency.
-// Error-feedback residuals are inherently per-client state and grow with
-// the number of distinct participating clients.
+// Memory: error-feedback residuals are inherently per-client state and
+// grow with the number of distinct participating clients (|w| float64
+// each, allocated at a client's first upload). Everything else an upload
+// needs is scratch on a free list that holds as many sets as uploads
+// ever ran at once — the runtime's shard count — so a transfer past a
+// client's first allocates nothing. A sync.Pool would not do: its
+// contents die at every GC, and these are |w|-sized.
 type CompressedTransport struct {
+	legacyMethods
 	spec string
 	cod  codec
 	ef   bool
 
 	stats Stats
 	mu    sync.Mutex
-	ref   map[int][]float64 // per-in-flight-dispatch downlink reference
 	resid map[int][]float64 // per-client EF residual (nil unless ef)
+	free  []*scratch        // idle upload scratch
 }
 
 // newCompressedTransport wires a codec into a transport. spec is the
@@ -147,8 +208,8 @@ func newCompressedTransport(cod codec, ef bool) *CompressedTransport {
 		spec: text,
 		cod:  cod,
 		ef:   ef,
-		ref:  make(map[int][]float64),
 	}
+	t.legacyMethods = legacyMethods{wire: t, delta: true}
 	if ef {
 		t.resid = make(map[int][]float64)
 	}
@@ -170,110 +231,94 @@ func (t *CompressedTransport) WireBytes() (down, up int64) {
 // ErrorFeedback reports whether the uplink accumulates dropped mass.
 func (t *CompressedTransport) ErrorFeedback() bool { return t.ef }
 
-// Down implements core.Transport.
+// DownInto implements core.WireTransport: a float32 downlink. What it
+// wrote into dst is the upload's delta base; the runtime hands it back
+// to UpInto as ref.
 //
 //fedtripvet:hotpath
-func (t *CompressedTransport) Down(clientID, round int, global []float64) []float64 {
-	out, _ := t.DownSized(clientID, round, global)
-	return out
+func (t *CompressedTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	roundF32Into(dst, global)
+	return t.stats.down(tensor.VectorWireSizeF32(len(global)))
 }
 
-// DownSized implements core.SizedTransport: float32 downlink, recorded as
-// the client's delta reference until its upload arrives.
+// UpInto implements core.WireTransport: the delta against ref (plus the
+// client's error-feedback residual), compressed through the codec and
+// reconstructed into dst, which may be params. A delta the codec rejects
+// (non-finite), or an upload with no reference, ships dense float32 and
+// leaves the residual untouched.
 //
 //fedtripvet:hotpath
-func (t *CompressedTransport) DownSized(clientID, round int, global []float64) ([]float64, int64) {
-	received := make([]float64, len(global))
-	for i, x := range global {
-		received[i] = float64(float32(x))
+func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+	n := len(params)
+	if len(ref) != n {
+		return t.denseUp(dst, params)
 	}
+	checkDst(dst, n)
 	t.mu.Lock()
-	t.ref[clientID] = received
-	t.mu.Unlock()
-	wire := tensor.VectorWireSizeF32(len(global))
-	t.stats.downBytes.Add(wire)
-	t.stats.downMsgs.Add(1)
-	return received, wire
-}
-
-// Up implements core.Transport.
-//
-//fedtripvet:hotpath
-func (t *CompressedTransport) Up(clientID, round int, params []float64) []float64 {
-	out, _ := t.UpSized(clientID, round, params)
-	return out
-}
-
-// UpSized implements core.SizedTransport: delta against the recorded
-// downlink (plus the EF residual), compressed through the codec. The
-// downlink reference is evicted. Non-encodable deltas (non-finite) fall
-// back to dense float32 and leave the residual untouched.
-//
-//fedtripvet:hotpath
-func (t *CompressedTransport) UpSized(clientID, round int, params []float64) ([]float64, int64) {
-	t.mu.Lock()
-	ref := t.ref[clientID]
-	delete(t.ref, clientID)
+	sc := t.takeScratch()
 	var resid []float64
 	if t.ef {
 		resid = t.resid[clientID]
 	}
 	t.mu.Unlock()
-	if len(resid) != len(params) {
-		resid = nil
+	prior := resid != nil && len(resid) == n // a residual of another length is replaced, not used
+	if t.ef && !prior {
+		resid = make([]float64, n) //fedtripvet:allow first participation: the client's error-feedback state, retained for the run
 	}
-	if ref == nil || len(ref) != len(params) {
-		// No recorded downlink (shouldn't happen in a normal round loop):
-		// no delta base, ship dense float32.
-		return t.denseFallback(params)
+	// The delta accumulates straight into the residual when the codec
+	// cannot reject it, into recycled scratch otherwise.
+	delta := resid
+	if !t.ef || t.cod.rejects() {
+		sc.delta = grow(sc.delta, n)
+		delta = sc.delta
 	}
-	delta := make([]float64, len(params))
-	tensor.SubInto(delta, params, ref)
-	if resid != nil {
-		tensor.AddInto(delta, delta, resid)
-	}
-	rec := make([]float64, len(params))
-	wire, err := t.cod.compressInto(rec, delta, clientID, round)
-	if err != nil {
-		return t.denseFallback(params)
-	}
-	if t.ef {
-		if resid == nil {
-			resid = make([]float64, len(params))
+	if prior {
+		for i := range delta {
+			delta[i] = params[i] - ref[i] + resid[i]
 		}
-		// The residual is exactly what the codec dropped this round.
-		tensor.SubInto(resid, delta, rec)
-		t.mu.Lock()
-		t.resid[clientID] = resid
-		t.mu.Unlock()
+	} else {
+		tensor.SubInto(delta, params, ref)
 	}
-	// Reconstruct in place over the reference; it leaves the transport as
-	// the returned value (the runtime copies it immediately).
-	tensor.AddInto(ref, ref, rec)
-	t.stats.upBytes.Add(wire)
-	t.stats.upMsgs.Add(1)
-	return ref, wire
+	wire, err := t.cod.encode(sc, delta, clientID, round)
+	if err == nil {
+		t.cod.apply(sc, dst, ref, delta, resid)
+	}
+	t.mu.Lock()
+	if err == nil && t.ef && !prior {
+		t.resid[clientID] = resid
+	}
+	t.free = append(t.free, sc) //fedtripvet:allow free list, bounded by the number of concurrent uploads
+	t.mu.Unlock()
+	if err != nil {
+		return t.denseUp(dst, params)
+	}
+	return t.stats.up(wire)
 }
 
-// denseFallback ships params at float32 width.
-func (t *CompressedTransport) denseFallback(params []float64) ([]float64, int64) {
-	wire := tensor.VectorWireSizeF32(len(params))
-	t.stats.upBytes.Add(wire)
-	t.stats.upMsgs.Add(1)
-	out := make([]float64, len(params))
-	for i, x := range params {
-		out[i] = float64(float32(x))
+// takeScratch pops an idle scratch set, or starts a new one when every
+// set is in use. Callers hold t.mu.
+func (t *CompressedTransport) takeScratch() *scratch {
+	if n := len(t.free); n > 0 {
+		sc := t.free[n-1]
+		t.free = t.free[:n-1]
+		return sc
 	}
-	return out, wire
+	return &scratch{}
+}
+
+// denseUp ships params at float32 width.
+func (t *CompressedTransport) denseUp(dst, params []float64) int64 {
+	roundF32Into(dst, params)
+	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
 }
 
 // maxResidEntries caps RestoreState allocation against corrupt input.
 const maxResidEntries = 1 << 24
 
 // SnapshotState implements core.StatefulTransport: the EF residual map,
-// sorted by client ID (float64 bit patterns, little endian). Downlink
-// references are deliberately absent — snapshots are taken at quiesced
-// round boundaries, where no dispatch is in flight.
+// sorted by client ID (float64 bit patterns, little endian). Snapshots
+// are taken at quiesced round boundaries, where no dispatch is in
+// flight, so there is no delta reference to carry.
 func (t *CompressedTransport) SnapshotState(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -330,7 +375,6 @@ func (t *CompressedTransport) RestoreState(r io.Reader) error {
 	}
 	t.mu.Lock()
 	t.resid = resid
-	t.ref = make(map[int][]float64)
 	t.mu.Unlock()
 	return nil
 }

@@ -491,7 +491,7 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 //fedtripvet:hotpath
 func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
 	if cap(s.robVecs) < len(vecs) {
-		s.robVecs = make([][]float64, 0, len(vecs))
+		s.robVecs = make([][]float64, 0, len(vecs)) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
 	adm := s.robVecs[:0]
 	for i, v := range vecs {
@@ -535,7 +535,7 @@ func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
 func (s *Server) coordWindowInto(dst []float64, vecs [][]float64, lo, hi int) {
 	k := len(vecs)
 	if cap(s.robCol) < k {
-		s.robCol = make([]float64, k)
+		s.robCol = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
 	col := s.robCol[:k]
 	inv := 1 / float64(hi-lo+1)
@@ -608,7 +608,7 @@ func (s *Server) krumInto(dst []float64, vecs [][]float64, frac float64) {
 		closest = k - 1
 	}
 	if cap(s.robDist) < k*k {
-		s.robDist = make([]float64, k*k)
+		s.robDist = make([]float64, k*k) //fedtripvet:allow server scratch, grows once to the merge buffer size squared
 	}
 	dist := s.robDist[:k*k]
 	for i := 0; i < k; i++ {
@@ -626,10 +626,10 @@ func (s *Server) krumInto(dst []float64, vecs [][]float64, frac float64) {
 		}
 	}
 	if cap(s.robCol) < k {
-		s.robCol = make([]float64, k)
+		s.robCol = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
 	if cap(s.robScore) < k {
-		s.robScore = make([]float64, k)
+		s.robScore = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
 	col := s.robCol[:k]
 	score := s.robScore[:k]

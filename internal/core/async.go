@@ -358,11 +358,22 @@ func (r *bufferedRunner) recycleJob(j *trainJob) {
 // FLOP counters) and the job's update serializable at this boundary.
 func (r *bufferedRunner) quiesce() {
 	for _, j := range r.inflight.js {
-		if !j.trained {
-			<-j.done
-			j.trained = true
-		}
+		r.join(j)
 	}
+}
+
+// join waits for j's local training (once) and releases the global
+// snapshot it trained from: nothing reads it afterwards, so holding it
+// until the virtual arrival would keep Concurrency dead vectors out of
+// the pool — which a resumed run, whose jobs carry none, never holds.
+func (r *bufferedRunner) join(j *trainJob) {
+	if j.trained {
+		return
+	}
+	<-j.done
+	j.trained = true
+	paramsPool.put(j.global)
+	j.global = nil
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set
@@ -426,7 +437,7 @@ func (r *bufferedRunner) dispatch() {
 		r.seq++
 		a.armJob(j, id)
 		// Snapshot: the global model mutates under in-flight jobs. The
-		// buffer comes from the pool and goes back on arrival — and the
+		// buffer comes from the pool and goes back at the join — and the
 		// job itself from the runner's free list — so steady-state
 		// dispatch allocates nothing.
 		j.global = paramsPool.getCopy(s.global)
@@ -452,8 +463,7 @@ func (r *bufferedRunner) dispatch() {
 		pending = append(pending, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch
 	}
 	for _, j := range pending {
-		<-j.done
-		j.trained = true
+		r.join(j)
 		if a.spec.Devices != nil {
 			j.finish = a.now + a.deviceDuration(j)
 		}
@@ -500,16 +510,10 @@ func (r *bufferedRunner) step() (bool, error) {
 		if j.finish > a.now {
 			a.now = j.finish
 		}
-		if !j.trained {
-			<-j.done
-		}
+		r.join(j)
 		a.pop.arrived(j.c.ID, a.churn == nil || a.churn.online(j.c.ID))
 		a.flopsTotal += j.flops
 		a.rec.addWire(j.downBytes + j.upBytes)
-		// Training is over for this job; its global snapshot has been
-		// consumed and can serve the next dispatch.
-		paramsPool.put(j.global)
-		j.global = nil
 		if j.dropped {
 			// The device died mid-flight: the update is lost. Its FLOPs
 			// stay metered (the work was burned before the drop); the

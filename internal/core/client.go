@@ -242,7 +242,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	var batches int
 	n := len(c.Indices)
 	if cap(e.idx) < cfg.BatchSize {
-		e.idx = make([]int, 0, cfg.BatchSize)
+		e.idx = make([]int, 0, cfg.BatchSize) //fedtripvet:allow engine scratch, grows once to the batch size
 	}
 	idx := e.idx[:0]
 	steps := 0
@@ -302,7 +302,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	// Historical-model bookkeeping (Algorithm 1 line 4): remember what
 	// this client is about to upload, and when.
 	if c.Hist == nil {
-		c.Hist = make([]float64, e.model.NumParams())
+		c.Hist = make([]float64, e.model.NumParams()) //fedtripvet:allow first participation: the client's historical model, retained for the run
 	}
 	copy(c.Hist, e.model.Params())
 	c.LastRound = round

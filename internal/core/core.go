@@ -88,22 +88,53 @@ type Config struct {
 	// Transport, if non-nil, carries every model transfer between server
 	// and clients (the comm package provides a float32 wire transport
 	// with true byte metering). nil means lossless in-memory handoff.
+	// The runtime calls it as a WireTransport; see there for the
+	// contract, and for what a transport without those methods gets.
 	Transport Transport
 }
 
-// Transport intercepts model transfers. Down is called once per selected
-// client per round with the global model; the returned vector is what the
-// client actually receives. Up is called with the client's upload; the
-// returned vector is what the server actually receives. Implementations
-// must be safe for concurrent calls (clients run in parallel).
+// WireTransport is how the runtime moves a model between server and
+// client: destination-passing, so a steady-state transfer allocates
+// nothing. DownInto is called once per dispatch with the global model
+// and writes what the client actually receives into dst; UpInto is
+// called with the client's upload and writes what the server actually
+// receives. Both return the exact bytes the transfer put on the wire —
+// the network pricer (RunSpec.Network) turns them into transfer time and
+// the recorder into Result.CommBytesByRound. Implementations must be
+// safe for concurrent calls (clients train in parallel) and must not
+// retain any argument past the call.
+//
+// Who owns what: dst is a runtime-owned buffer of len(global) — the
+// downlink's belongs to the shard engine training the client, the
+// upload's is the pooled buffer the merge will read. The client trains
+// from the downlink buffer, and the runtime hands that same vector back
+// to UpInto as ref — what this client received, the base a delta-coding
+// transport needs — so a transport keeps no per-dispatch state of its
+// own. UpInto's dst may alias params (the runtime rounds an upload in
+// place); dst never aliases global or ref, and neither of those may be
+// written.
+//
+// The comm package's transports implement it. A Config.Transport that
+// does not is a legacy transport and runs behind an adapter that copies
+// its results into dst (legacytransport.go).
+type WireTransport interface {
+	DownInto(dst []float64, clientID, round int, global []float64) (wire int64)
+	UpInto(dst []float64, clientID, round int, params, ref []float64) (wire int64)
+}
+
+// Transport is the legacy, allocating transfer interface, kept (with
+// SizedTransport and MeteredTransport) until the benchmark's trace
+// wrapper moves to WireTransport — step 3 of ROADMAP "The wire path"
+// renames WireTransport's methods to Down/Up and deletes these. Down
+// returns what the client receives, Up what the server receives; both
+// must be safe for concurrent calls.
 //
 // Slice lifetimes: the vectors passed to Down and Up are runtime-owned
 // buffers that are recycled once the round's merge has consumed them —
-// a Transport that wants to keep one must copy it. The runtime consumes
-// Down's result within the client's round and copies Up's result into
-// its own storage when the length is unchanged; an Up result with a
-// different length is adopted as-is and must not be reused or mutated
-// by the transport afterwards.
+// a Transport that wants to keep one must copy it. The runtime copies
+// each result into its own storage as soon as the call returns, so a
+// legacy transport may keep (and later reuse) what it returned; a result
+// must have the length of the vector it was given.
 type Transport interface {
 	Down(clientID, round int, global []float64) []float64
 	Up(clientID, round int, params []float64) []float64

@@ -55,6 +55,11 @@ type engine struct {
 	// snapshots (e.g. an algorithm's copy of the received global model)
 	// that live with the engine instead of with each of 10k clients.
 	roundVecs map[string][]float64
+	// downlink is where the transport writes what the attached client
+	// receives (trainClient): the client trains from it and it is the
+	// upload's delta reference, so it lives exactly one client round.
+	// nil in runs without a transport.
+	downlink []float64
 }
 
 // newEngine builds one training engine. seed determines the (irrelevant,
@@ -116,6 +121,15 @@ func (e *engine) ensureBatch(n int) {
 			e.batchY = make([]int, n)
 		}
 	}
+}
+
+// downlinkBuf returns the engine's n-element downlink buffer, contents
+// unspecified.
+func (e *engine) downlinkBuf(n int) []float64 {
+	if cap(e.downlink) < n {
+		e.downlink = make([]float64, n)
+	}
+	return e.downlink[:n]
 }
 
 // attach points the engine's FLOP metering at the client about to train on

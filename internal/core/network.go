@@ -12,8 +12,8 @@
 //	rtt + downBytes*8/downBps + upBytes*8/upBps
 //
 // where downBytes/upBytes are the bytes the configured Transport really
-// moved for that dispatch (a SizedTransport reports exact encoded sizes;
-// without one the analytic float32 accounting is used). Compression
+// moved for that dispatch (the exact encoded sizes its transfers return;
+// without a transport the analytic float32 accounting is used). Compression
 // therefore genuinely buys simulated time, not just smaller comm columns.
 //
 // Profiles draw from a dedicated named seed stream (streamNet), so

@@ -60,8 +60,8 @@ func (p *vecPool) put(buf []float64) {
 // pool and clears the Params fields so a stale reference cannot alias a
 // buffer the pool has already handed to another client. Called by every
 // runtime after the merge and metrics of an aggregation have consumed the
-// updates; updates whose Params came from elsewhere (a Transport that
-// swapped buffers, tests building Update literals) are left alone.
+// updates; updates whose Params came from elsewhere (tests building
+// Update literals) are left alone.
 func recycleUpdates(updates []Update) {
 	for i := range updates {
 		if updates[i].pooled {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"repro/internal/prng"
 	"testing"
 )
@@ -178,5 +179,64 @@ func TestLocalTrainSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("LocalTrain allocates %v objects per round in steady state", allocs)
+	}
+}
+
+// inFlightVectors counts the |w|-sized vectors the buffered runner's
+// in-flight jobs hold: global snapshots still checked out of the pool,
+// and finished uploads waiting for their virtual arrival.
+func inFlightVectors(rs *RunState) (globals, uploads int) {
+	for _, j := range rs.run.(*bufferedRunner).inflight.js {
+		if j.global != nil {
+			globals++
+		}
+		if j.update.Params != nil {
+			uploads++
+		}
+	}
+	return globals, uploads
+}
+
+// A priced dispatch is trained before its arrival time can be computed, so
+// its global snapshot is dead from the join on and goes back to the pool
+// there — not Concurrency vectors later at the virtual arrival. The
+// witness: a run that never stopped holds exactly what a snapshot→resume
+// of it holds at the same boundary (a resumed job never had a global).
+func TestInFlightVectorsMatchResumedRun(t *testing.T) {
+	build := func() RunSpec {
+		sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync}
+		sp.Concurrency = 3
+		sp.BufferSize = 2
+		sp.Latency = ConstantLatency{D: 2}
+		sp.Network = DefaultNetTiers()
+		return sp
+	}
+	rs, err := NewRunState(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for i := 0; i < 6; i++ {
+		if done, err := rs.Step(); err != nil || done {
+			t.Fatalf("step %d: done=%v err=%v", i+1, done, err)
+		}
+	}
+	globals, uploads := inFlightVectors(rs)
+	if uploads == 0 {
+		t.Fatal("no upload in flight at the boundary; the scenario checks nothing")
+	}
+	var buf bytes.Buffer
+	if err := rs.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(&buf, ResumeSpec{Spec: build()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	wantGlobals, wantUploads := inFlightVectors(resumed)
+	if globals != wantGlobals || uploads != wantUploads {
+		t.Fatalf("continuous run holds %d globals + %d uploads in flight, the resumed run %d + %d",
+			globals, uploads, wantGlobals, wantUploads)
 	}
 }

@@ -30,10 +30,10 @@ type Result struct {
 	// forward+backward+attaching FLOPs) through round t+1, in GFLOPs.
 	GFLOPsByRound []float64
 	// CommBytesByRound[t] is the cumulative client<->server traffic
-	// through round t+1. When the configured Transport implements
-	// MeteredTransport these are the actually-encoded wire bytes (plus
-	// analytic method extras); otherwise the paper's analytic float32
-	// accounting is used.
+	// through round t+1. With a Transport configured these are the
+	// actually-encoded wire bytes its transfers returned (plus analytic
+	// method extras); otherwise the paper's analytic float32 accounting
+	// is used.
 	CommBytesByRound []int64
 	// SimTimeByRound[t] is the simulated wall-clock time (seconds under
 	// the configured latency, device and network models) at the end of
@@ -188,6 +188,9 @@ type Server struct {
 	robCol   []float64
 	robDist  []float64
 	robScore []float64
+	// wire is cfg.Transport as the runtime calls it (nil without one),
+	// resolved once at construction.
+	wire WireTransport
 }
 
 // NewServer builds the population and the initial global model. Clients
@@ -211,6 +214,7 @@ func NewServer(cfg Config) (*Server, error) {
 		global:    global.ParamsCopy(),
 		evalModel: evalModel,
 		rng:       seedStream(cfg.Seed, streamSelection),
+		wire:      wireTransport(cfg.Transport),
 	}
 	numParams := global.NumParams()
 	loaner := &engineLoaner{cfg: &s.cfg}
@@ -258,18 +262,21 @@ func (s *Server) selectClients() []*Client {
 // steps caps the local mini-batch steps and speed is the client's device
 // multiplier — both zero outside device-heterogeneity runs.
 //
-// The returned down/up are this dispatch's wire bytes: exact encoded
-// sizes when the transport implements SizedTransport, the analytic dense
-// float32 size (4 bytes/param each way) otherwise. The network pricer
-// (RunSpec.Network) derives the dispatch's transfer durations from them.
+// The returned down/up are this dispatch's wire bytes: what the transport
+// returned, or the analytic dense float32 size (4 bytes/param each way)
+// without one. The network pricer (RunSpec.Network) derives the
+// dispatch's transfer durations from them.
+//
+// With a transport the client trains from the shard engine's downlink
+// buffer, which then serves as the upload's delta reference, and the
+// upload is rounded in place in its pooled buffer; without one it trains
+// from global itself.
 func (s *Server) trainClient(c *Client, round int, global []float64, steps int, speed float64) (u Update, down, up int64) {
-	cfg := &s.cfg
-	st, sized := cfg.Transport.(SizedTransport)
 	down = int64(4 * len(global))
-	if sized {
-		global, down = st.DownSized(c.ID, round, global)
-	} else if cfg.Transport != nil {
-		global = cfg.Transport.Down(c.ID, round, global)
+	if s.wire != nil {
+		received := c.eng.downlinkBuf(len(global))
+		down = s.wire.DownInto(received, c.ID, round, global)
+		global = received
 	}
 	if speed > 0 {
 		c.SetScalar(ScalarDeviceSpeed, speed)
@@ -282,28 +289,8 @@ func (s *Server) trainClient(c *Client, round int, global []float64, steps int, 
 	// like an honest update.
 	s.applyFault(c, &u)
 	up = int64(4 * len(u.Params))
-	if cfg.Transport != nil {
-		var enc []float64
-		if sized {
-			enc, up = st.UpSized(c.ID, round, u.Params)
-		} else {
-			enc = cfg.Transport.Up(c.ID, round, u.Params)
-		}
-		if len(enc) == len(u.Params) {
-			if &enc[0] != &u.Params[0] {
-				// Copy the transport's result into the pooled buffer
-				// instead of adopting its slice: the transport may retain
-				// (and later mutate) what it returned, and a foreign slice
-				// must never enter the pool.
-				copy(u.Params, enc)
-			}
-		} else {
-			if u.pooled {
-				paramsPool.put(u.Params)
-			}
-			u.Params = enc
-			u.pooled = false
-		}
+	if s.wire != nil {
+		up = s.wire.UpInto(u.Params, c.ID, round, u.Params, global)
 	}
 	return u, down, up
 }
@@ -499,27 +486,34 @@ func newRecorder(s *Server) (*recorder, error) {
 func (r *recorder) addWire(bytes int64) { r.wirePending += bytes }
 
 // commDelta returns the traffic added by one round that merged nUpdates
-// uploads. A SizedTransport's exact per-dispatch bytes (accumulated via
-// addWire) win; a legacy MeteredTransport without per-transfer sizes
-// falls back to diffing its cumulative counters (deterministic only when
-// every transfer joins before record — the sync and barrier runtimes);
-// otherwise the analytic down+up float32 formula is used. Method extras
-// such as control variates stay analytic in every case — the Transport
-// does not carry them.
+// uploads: the per-dispatch bytes the transport returned (accumulated via
+// addWire), or without a transport the analytic down+up float32 formula.
+// Method extras such as control variates stay analytic in every case —
+// the transport does not carry them.
 func (r *recorder) commDelta(nUpdates int) int64 {
 	extra := int64(float64(nUpdates) * r.extraComm * float64(r.commPerClient))
 	wire := r.wirePending
 	r.wirePending = 0
-	if _, ok := r.s.cfg.Transport.(SizedTransport); ok {
-		return wire + extra
+	analytic := int64(2*nUpdates)*r.commPerClient + extra
+	if r.s.wire == nil {
+		return analytic
 	}
-	if mt, ok := r.s.cfg.Transport.(MeteredTransport); ok {
+	if lt, ok := r.s.wire.(*legacyTransport); ok && lt.sized == nil {
+		// A legacy transport without per-transfer sizes is metered by
+		// diffing its cumulative counters when it has them
+		// (deterministic only when every transfer joins before record —
+		// the lock-step runtimes), analytically when not. Dies with the
+		// adapter.
+		mt, ok := lt.t.(MeteredTransport)
+		if !ok {
+			return analytic
+		}
 		down, up := mt.WireBytes()
 		delta := down + up - r.lastMeasured
 		r.lastMeasured = down + up
 		return delta + extra
 	}
-	return int64(2*nUpdates)*r.commPerClient + extra
+	return wire + extra
 }
 
 // record appends the metrics of one completed round t: mean training

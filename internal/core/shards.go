@@ -36,8 +36,8 @@ type trainJob struct {
 	steps int
 	speed float64
 	// This dispatch's wire traffic (filled by the shard worker alongside
-	// update): exact encoded sizes under a SizedTransport, the analytic
-	// dense float32 size otherwise. The network pricer turns them into
+	// update): the bytes the transport returned, the analytic dense
+	// float32 size without one. The network pricer turns them into
 	// transfer time.
 	downBytes, upBytes int64
 	// trained marks that the event loop already joined the done channel

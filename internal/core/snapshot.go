@@ -86,7 +86,15 @@ const (
 type snapWriter struct {
 	w   *bufio.Writer
 	err error
+	// buf is the encoding scratch: one word for u64, a chunk of them for
+	// floats/i64s. It lives here because a local array handed to an
+	// io.Writer moves to the heap — once per word written.
+	buf [snapChunkWords * 8]byte
 }
+
+// snapChunkWords is how many 8-byte words floats/i64s move per call into
+// the buffered stream.
+const snapChunkWords = 512
 
 func newSnapWriter(w io.Writer) *snapWriter { return &snapWriter{w: bufio.NewWriter(w)} }
 
@@ -103,12 +111,26 @@ func (s *snapWriter) raw(b []byte) {
 	}
 }
 
-func (s *snapWriter) u8(v uint8) { s.raw([]byte{v}) }
+func (s *snapWriter) u8(v uint8) {
+	s.buf[0] = v
+	s.raw(s.buf[:1])
+}
 
 func (s *snapWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.raw(b[:])
+	binary.LittleEndian.PutUint64(s.buf[:8], v)
+	s.raw(s.buf[:8])
+}
+
+// words writes a length-prefixed array of n words a chunk at a time; put
+// encodes words [lo,hi) into b.
+func (s *snapWriter) words(n int, put func(b []byte, lo, hi int)) {
+	s.num(n)
+	for lo := 0; lo < n; lo += snapChunkWords {
+		hi := min(lo+snapChunkWords, n)
+		b := s.buf[:8*(hi-lo)]
+		put(b, lo, hi)
+		s.raw(b)
+	}
 }
 
 func (s *snapWriter) i64(v int64)   { s.u64(uint64(v)) }
@@ -129,17 +151,19 @@ func (s *snapWriter) str(v string) {
 }
 
 func (s *snapWriter) floats(v []float64) {
-	s.num(len(v))
-	for _, x := range v {
-		s.f64(x)
-	}
+	s.words(len(v), func(b []byte, lo, hi int) {
+		for i, x := range v[lo:hi] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
+	})
 }
 
 func (s *snapWriter) i64s(v []int64) {
-	s.num(len(v))
-	for _, x := range v {
-		s.i64(x)
-	}
+	s.words(len(v), func(b []byte, lo, hi int) {
+		for i, x := range v[lo:hi] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		}
+	})
 }
 
 func (s *snapWriter) i32s(v []int32) {
@@ -168,6 +192,7 @@ func (s *snapWriter) rngState(st prng.State) {
 type snapReader struct {
 	r   *bufio.Reader
 	err error
+	buf [snapChunkWords * 8]byte // decoding scratch, as snapWriter.buf
 }
 
 func newSnapReader(r io.Reader) *snapReader { return &snapReader{r: bufio.NewReader(r)} }
@@ -188,16 +213,35 @@ func (s *snapReader) raw(b []byte) {
 	}
 }
 
+// u8 and u64 read 0 once the stream has failed, never stale scratch.
 func (s *snapReader) u8() uint8 {
-	var b [1]byte
-	s.raw(b[:])
-	return b[0]
+	s.raw(s.buf[:1])
+	if s.err != nil {
+		return 0
+	}
+	return s.buf[0]
 }
 
 func (s *snapReader) u64() uint64 {
-	var b [8]byte
-	s.raw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	s.raw(s.buf[:8])
+	if s.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(s.buf[:8])
+}
+
+// words reads n words a chunk at a time; get decodes b into words
+// [lo,hi). It stops at the first error.
+func (s *snapReader) words(n int, get func(b []byte, lo, hi int)) {
+	for lo := 0; lo < n; lo += snapChunkWords {
+		hi := min(lo+snapChunkWords, n)
+		b := s.buf[:8*(hi-lo)]
+		s.raw(b)
+		if s.err != nil {
+			return
+		}
+		get(b, lo, hi)
+	}
 }
 
 func (s *snapReader) i64() int64   { return int64(s.u64()) }
@@ -253,9 +297,11 @@ func (s *snapReader) floats(what string) []float64 {
 		return nil
 	}
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = s.f64()
-	}
+	s.words(n, func(b []byte, lo, hi int) {
+		for i := range v[lo:hi] {
+			v[lo+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	})
 	return v
 }
 
@@ -265,9 +311,11 @@ func (s *snapReader) i64s(what string) []int64 {
 		return nil
 	}
 	v := make([]int64, n)
-	for i := range v {
-		v[i] = s.i64()
-	}
+	s.words(n, func(b []byte, lo, hi int) {
+		for i := range v[lo:hi] {
+			v[lo+i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	})
 	return v
 }
 
@@ -718,7 +766,7 @@ func writeJob(sw *snapWriter, j *trainJob) {
 
 // readJob reconstructs a quiesced job. The done channel carries no token
 // and trained is true: the arrival path must not (and will not) join it
-// again; paramsPool.put(nil) on the absent global snapshot is a no-op.
+// again, and there is no global snapshot left to release.
 func readJob(sr *snapReader, s *Server) *trainJob {
 	id := sr.num("job client")
 	if sr.err == nil && (id < 0 || id >= len(s.clients)) {
@@ -958,8 +1006,8 @@ type ResumeSpec struct {
 // positioned at the snapshotted round boundary, ready to Step (or Run)
 // onward. The continuation is bit-for-bit identical to the original run
 // having never stopped: same model trajectory, same metric series, same
-// RNG draws. SizedTransport comm accounting resumes exactly (per-job
-// wire bytes and the pending-wire counter are serialized); one caveat
+// RNG draws. Comm accounting resumes exactly (per-job wire bytes and the
+// pending-wire counter are serialized); one caveat
 // remains for legacy MeteredTransport-only transports, whose cumulative
 // counters restart at zero in the new process.
 func Resume(r io.Reader, rspec ResumeSpec) (*RunState, error) {

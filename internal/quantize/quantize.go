@@ -1,8 +1,14 @@
 // Package quantize implements communication-compression primitives for
-// the federated uplink: uniform b-bit quantization and top-k
-// sparsification of model vectors, plus a core.Transport that quantizes
-// client uploads as deltas against the last downlink (the standard
-// delta-encoding used by production FL systems).
+// the federated uplink: uniform b-bit quantization and top-k / rand-k
+// sparsification of model vectors. The transports that apply them to
+// client uploads (as deltas against the last downlink, the standard
+// delta-encoding of production FL systems) live in internal/comm.
+//
+// Every primitive has two forms: an allocating one (Quantize, TopK,
+// RandK, Dequantize) and an ...Into one that writes into a value and
+// scratch the caller keeps, which is what a transport calls once per
+// transfer. The allocating forms call the Into forms, so there is one
+// implementation of each codec.
 //
 // The paper reduces communication by needing fewer rounds; these
 // primitives reduce bytes per round, and the ext-quant experiment shows
@@ -13,7 +19,7 @@ package quantize
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/prng"
 )
@@ -31,17 +37,27 @@ type Quantized struct {
 // Quantize compresses v to bits per element (1..16). All-equal vectors
 // (Max == Min) are representable exactly.
 func Quantize(v []float64, bits int) (*Quantized, error) {
-	if bits < 1 || bits > 16 {
-		return nil, fmt.Errorf("quantize: bits %d outside [1,16]", bits)
+	q := &Quantized{}
+	if err := QuantizeInto(q, v, bits); err != nil {
+		return nil, err
 	}
-	q := &Quantized{Bits: bits, N: len(v)}
+	return q, nil
+}
+
+// QuantizeInto is Quantize writing into q, reusing q.Data's capacity. On
+// an error q is unspecified.
+func QuantizeInto(q *Quantized, v []float64, bits int) error {
+	if bits < 1 || bits > 16 {
+		return fmt.Errorf("quantize: bits %d outside [1,16]", bits)
+	}
+	*q = Quantized{Bits: bits, N: len(v), Data: q.Data[:0]}
 	if len(v) == 0 {
-		return q, nil
+		return nil
 	}
 	q.Min, q.Max = v[0], v[0]
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("quantize: non-finite value %v", x)
+			return fmt.Errorf("quantize: non-finite value %v", x)
 		}
 		if x < q.Min {
 			q.Min = x
@@ -52,7 +68,8 @@ func Quantize(v []float64, bits int) (*Quantized, error) {
 	}
 	levels := float64(uint64(1)<<bits - 1)
 	span := q.Max - q.Min
-	q.Data = make([]byte, (len(v)*bits+7)/8)
+	packed := (len(v)*bits + 7) / 8
+	q.Data = slices.Grow(q.Data, packed)[:packed]
 	var acc uint64
 	accBits := 0
 	byteIdx := 0
@@ -73,14 +90,24 @@ func Quantize(v []float64, bits int) (*Quantized, error) {
 	if accBits > 0 {
 		q.Data[byteIdx] = byte(acc)
 	}
-	return q, nil
+	return nil
 }
 
 // Dequantize reconstructs the (lossy) vector.
 func (q *Quantized) Dequantize() []float64 {
 	out := make([]float64, q.N)
+	q.DequantizeInto(out)
+	return out
+}
+
+// DequantizeInto is Dequantize writing into out, which must have length
+// N.
+func (q *Quantized) DequantizeInto(out []float64) {
+	if len(out) != q.N {
+		panic(fmt.Sprintf("quantize: dequantize target %d != %d", len(out), q.N))
+	}
 	if q.N == 0 {
-		return out
+		return
 	}
 	levels := float64(uint64(1)<<q.Bits - 1)
 	span := q.Max - q.Min
@@ -103,7 +130,6 @@ func (q *Quantized) Dequantize() []float64 {
 			out[i] = q.Min
 		}
 	}
-	return out
 }
 
 // WireSize returns the encoded size in bytes: header (bits, n, min, max)
@@ -132,21 +158,31 @@ type Sparse struct {
 
 // TopK keeps the k largest-magnitude entries of v.
 func TopK(v []float64, k int) (*Sparse, error) {
-	if k < 0 || k > len(v) {
-		return nil, fmt.Errorf("quantize: top-k %d outside [0,%d]", k, len(v))
+	s := &Sparse{}
+	if err := TopKInto(s, make([]float64, len(v)), v, k); err != nil {
+		return nil, err
 	}
-	s := &Sparse{N: len(v)}
+	return s, nil
+}
+
+// TopKInto is TopK writing into s, reusing the capacity of s.Indices and
+// s.Values. mags is scratch of len(v) the selection overwrites.
+func TopKInto(s *Sparse, mags, v []float64, k int) error {
+	if k < 0 || k > len(v) {
+		return fmt.Errorf("quantize: top-k %d outside [0,%d]", k, len(v))
+	}
+	if len(mags) != len(v) {
+		return fmt.Errorf("quantize: top-k scratch %d != %d", len(mags), len(v))
+	}
+	s.reset(len(v), k)
 	if k == 0 {
-		return s, nil
+		return nil
 	}
 	// Threshold selection via quickselect on magnitudes.
-	mags := make([]float64, len(v))
 	for i, x := range v {
 		mags[i] = math.Abs(x)
 	}
 	thresh := quickselectDesc(mags, k)
-	s.Indices = make([]int32, 0, k)
-	s.Values = make([]float32, 0, k)
 	for i, x := range v {
 		if math.Abs(x) > thresh {
 			s.Indices = append(s.Indices, int32(i))
@@ -163,7 +199,14 @@ func TopK(v []float64, k int) (*Sparse, error) {
 			s.Values = append(s.Values, float32(x))
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// reset empties s for a vector of length n with room for k entries.
+func (s *Sparse) reset(n, k int) {
+	s.N = n
+	s.Indices = slices.Grow(s.Indices[:0], k)
+	s.Values = slices.Grow(s.Values[:0], k)
 }
 
 // RandK keeps k uniformly random entries of v, sampled without
@@ -173,16 +216,28 @@ func TopK(v []float64, k int) (*Sparse, error) {
 // draw. Callers that need determinism across processes (transports,
 // resume) must derive rng statelessly, e.g. from (seed, client, round).
 func RandK(v []float64, k int, rng *prng.Rand) (*Sparse, error) {
-	if k < 0 || k > len(v) {
-		return nil, fmt.Errorf("quantize: rand-k %d outside [0,%d]", k, len(v))
+	s := &Sparse{}
+	if err := RandKInto(s, make([]int32, len(v)), v, k, rng); err != nil {
+		return nil, err
 	}
-	s := &Sparse{N: len(v)}
+	return s, nil
+}
+
+// RandKInto is RandK writing into s, reusing the capacity of s.Indices
+// and s.Values. idx is scratch of len(v) the draw overwrites.
+func RandKInto(s *Sparse, idx []int32, v []float64, k int, rng *prng.Rand) error {
+	if k < 0 || k > len(v) {
+		return fmt.Errorf("quantize: rand-k %d outside [0,%d]", k, len(v))
+	}
+	if len(idx) != len(v) {
+		return fmt.Errorf("quantize: rand-k scratch %d != %d", len(idx), len(v))
+	}
+	s.reset(len(v), k)
 	if k == 0 {
-		return s, nil
+		return nil
 	}
 	// Partial Fisher–Yates: after k swaps the first k slots are a uniform
 	// sample without replacement.
-	idx := make([]int32, len(v))
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -190,15 +245,12 @@ func RandK(v []float64, k int, rng *prng.Rand) (*Sparse, error) {
 		j := i + rng.Intn(len(v)-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	sel := idx[:k]
-	sort.Slice(sel, func(a, b int) bool { return sel[a] < sel[b] })
-	s.Indices = make([]int32, k)
-	copy(s.Indices, sel)
-	s.Values = make([]float32, k)
-	for i, id := range s.Indices {
-		s.Values[i] = float32(v[id])
+	s.Indices = append(s.Indices, idx[:k]...)
+	slices.Sort(s.Indices)
+	for _, id := range s.Indices {
+		s.Values = append(s.Values, float32(v[id]))
 	}
-	return s, nil
+	return nil
 }
 
 // quickselectDesc returns the k-th largest value of xs (1-based k),

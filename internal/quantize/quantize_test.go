@@ -263,3 +263,109 @@ func TestRandK(t *testing.T) {
 		t.Fatal("k>n accepted")
 	}
 }
+
+// The Into forms reuse whatever the previous call left in the value and
+// the scratch: a larger, then a smaller, then an odd-sized input through
+// one set of buffers must give exactly what fresh allocating calls give —
+// no stale index, value or packed byte may survive.
+func TestIntoFormsReuseDirtyBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var (
+		top, rnd Sparse
+		q        Quantized
+		mags     []float64
+		idx      []int32
+	)
+	for _, n := range []int{700, 64, 333, 1, 0, 700} {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		k := (n + 9) / 10
+		mags, idx = append(mags[:0], make([]float64, n)...), append(idx[:0], make([]int32, n)...)
+
+		wantTop, err := TopK(v, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := TopKInto(&top, mags, v, k); err != nil {
+			t.Fatal(err)
+		}
+		requireSameSparse(t, "top-k", n, &top, wantTop)
+
+		wantRnd := randKOracle(v, k, prng.New(int64(n)))
+		if err := RandKInto(&rnd, idx, v, k, prng.New(int64(n))); err != nil {
+			t.Fatal(err)
+		}
+		requireSameSparse(t, "rand-k", n, &rnd, wantRnd)
+
+		for _, bits := range []int{3, 8} {
+			want, err := Quantize(v, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := QuantizeInto(&q, v, bits); err != nil {
+				t.Fatal(err)
+			}
+			if q.Bits != want.Bits || q.N != want.N || q.Min != want.Min || q.Max != want.Max || string(q.Data) != string(want.Data) {
+				t.Fatalf("n=%d bits=%d: QuantizeInto over a used value differs from Quantize", n, bits)
+			}
+			got := make([]float64, n)
+			for i := range got {
+				got[i] = math.NaN() // DequantizeInto must overwrite every element
+			}
+			q.DequantizeInto(got)
+			for i, w := range want.Dequantize() {
+				if math.Float64bits(got[i]) != math.Float64bits(w) {
+					t.Fatalf("n=%d bits=%d: DequantizeInto[%d] = %v, Dequantize %v", n, bits, i, got[i], w)
+				}
+			}
+		}
+	}
+	if err := TopKInto(&top, make([]float64, 3), make([]float64, 4), 1); err == nil {
+		t.Fatal("TopKInto accepted scratch of the wrong length")
+	}
+	if err := RandKInto(&rnd, make([]int32, 3), make([]float64, 4), 1, prng.New(1)); err == nil {
+		t.Fatal("RandKInto accepted scratch of the wrong length")
+	}
+}
+
+// randKOracle is RandK as it was before RandKInto: its own index array,
+// sort.Slice over the selected prefix, fresh result slices.
+func randKOracle(v []float64, k int, rng *prng.Rand) *Sparse {
+	s := &Sparse{N: len(v)}
+	if k == 0 {
+		return s
+	}
+	idx := make([]int32, len(v))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(len(v)-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	sel := idx[:k]
+	sort.Slice(sel, func(a, b int) bool { return sel[a] < sel[b] })
+	s.Indices = make([]int32, k)
+	copy(s.Indices, sel)
+	s.Values = make([]float32, k)
+	for i, id := range s.Indices {
+		s.Values[i] = float32(v[id])
+	}
+	return s
+}
+
+func requireSameSparse(t *testing.T, what string, n int, got, want *Sparse) {
+	t.Helper()
+	if got.N != want.N || len(got.Indices) != len(want.Indices) || len(got.Values) != len(want.Values) {
+		t.Fatalf("%s n=%d: got N=%d with %d/%d entries, want N=%d with %d/%d", what, n,
+			got.N, len(got.Indices), len(got.Values), want.N, len(want.Indices), len(want.Values))
+	}
+	for i := range want.Indices {
+		if got.Indices[i] != want.Indices[i] || math.Float32bits(got.Values[i]) != math.Float32bits(want.Values[i]) {
+			t.Fatalf("%s n=%d: entry %d is (%d, %v), want (%d, %v)", what, n, i,
+				got.Indices[i], got.Values[i], want.Indices[i], want.Values[i])
+		}
+	}
+}
