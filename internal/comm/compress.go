@@ -11,11 +11,10 @@
 package comm
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/prng"
@@ -312,9 +311,6 @@ func (t *CompressedTransport) denseUp(dst, params []float64) int64 {
 	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
 }
 
-// maxResidEntries caps RestoreState allocation against corrupt input.
-const maxResidEntries = 1 << 24
-
 // SnapshotState implements core.StatefulTransport: the EF residual map,
 // sorted by client ID (float64 bit patterns, little endian). Snapshots
 // are taken at quiesced round boundaries, where no dispatch is in
@@ -322,59 +318,43 @@ const maxResidEntries = 1 << 24
 func (t *CompressedTransport) SnapshotState(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := make([]int, 0, len(t.resid))
-	for id := range t.resid {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(ids))); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		v := t.resid[id]
-		if err := binary.Write(w, binary.LittleEndian, uint64(id)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint64(len(v))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	c := tensor.NewEncoder(w)
+	snapResiduals(c, t.resid)
+	return c.Finish()
 }
 
 // RestoreState implements core.StatefulTransport, replacing any current
-// residuals with the snapshot's.
+// residuals with the snapshot's. The transport knows neither the fleet
+// nor the model size, so residuals grow as they are decoded: a stream
+// costs memory in proportion to the bytes it really holds, whatever
+// counts it claims.
 func (t *CompressedTransport) RestoreState(r io.Reader) error {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return fmt.Errorf("comm: transport state: %w", err)
-	}
-	if n > maxResidEntries {
-		return fmt.Errorf("comm: transport state: %d residuals exceeds cap", n)
-	}
-	resid := make(map[int][]float64, n)
-	for i := uint64(0); i < n; i++ {
-		var id, ln uint64
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-			return fmt.Errorf("comm: transport state: %w", err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &ln); err != nil {
-			return fmt.Errorf("comm: transport state: %w", err)
-		}
-		if ln > maxResidEntries {
-			return fmt.Errorf("comm: transport state: residual length %d exceeds cap", ln)
-		}
-		v := make([]float64, ln)
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("comm: transport state: %w", err)
-		}
-		resid[int(id)] = v
+	resid := make(map[int][]float64)
+	c := tensor.NewDecoder(r, "comm", "transport state")
+	snapResiduals(c, resid)
+	c.ExpectEOF()
+	if err := c.Finish(); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	t.resid = resid
 	t.mu.Unlock()
 	return nil
+}
+
+// snapResiduals is the state blob in either direction: a count, then
+// (client ID, vector) pairs in ID order. Decoding adds to resid.
+func snapResiduals(c *tensor.Codec, resid map[int][]float64) {
+	ids := slices.Sorted(maps.Keys(resid))
+	n := c.Len("residual count", len(ids))
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var id int64
+		var v []float64
+		if !c.Reading() {
+			id, v = int64(ids[i]), resid[ids[i]]
+		}
+		c.I64(&id)
+		c.Floats("residual", &v)
+		resid[int(id)] = v
+	}
 }

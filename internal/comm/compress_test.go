@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -323,6 +324,13 @@ func TestTransportStateRoundTrip(t *testing.T) {
 	if err := tr.SnapshotState(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// The blob's bytes are pinned from outside the code that writes them:
+	// this is what the last commit with a separate writer and reader
+	// (PR 16, 1ace6e7) produced for the same four uploads.
+	const parentSHA256 = "aeae3b9ba1b5ffdb9ece59f6f29aca27084ceb77d2a47bd1b00fbb42499c7e4f"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != parentSHA256 {
+		t.Errorf("transport state (%d bytes) has sha256 %s, the parent commit wrote %s: the byte layout moved", buf.Len(), got, parentSHA256)
+	}
 	restored := mk()
 	if err := restored.RestoreState(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
@@ -340,8 +348,25 @@ func TestTransportStateRoundTrip(t *testing.T) {
 			t.Fatalf("restored transport diverges at %d: %g vs %g", i, a[i], b[i])
 		}
 	}
-	// Corrupt input is rejected, not crashed on.
-	if err := restored.RestoreState(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("truncated state accepted")
+	// Corrupt input is rejected, not crashed on — and leaves the
+	// residuals the transport already holds alone.
+	var before, again bytes.Buffer
+	if err := restored.SnapshotState(&before); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"truncated count":  {1, 2, 3},
+		"truncated vector": buf.Bytes()[:buf.Len()/2],
+		"trailing bytes":   append(append([]byte(nil), buf.Bytes()...), 0),
+	} {
+		if err := restored.RestoreState(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s: state accepted", name)
+		}
+	}
+	if err := restored.SnapshotState(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), before.Bytes()) {
+		t.Fatal("a refused state changed the transport's residuals")
 	}
 }

@@ -53,9 +53,6 @@ const (
 	faultCrash
 )
 
-// faultClassLimit bounds snapshot validation of serialized classes.
-const faultClassLimit = faultCrash
-
 // FaultModel describes the adversarial composition of a fleet: a
 // Byzantine fraction with one behaviour mode, plus an independent
 // crash-faulty fraction. Parsed from the CLI grammar by ParseFaults and

@@ -2,14 +2,13 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/prng"
+	"repro/internal/tensor"
 )
 
 // sampleNetProfiles materializes the per-ID derivation for a whole fleet;
@@ -221,45 +220,30 @@ func (c *countingTransport) UpSized(clientID, round int, params []float64) ([]fl
 func (c *countingTransport) SnapshotState(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]int, 0, len(c.counts))
-	for id := range c.counts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	if err := binary.Write(w, binary.LittleEndian, int64(len(ids))); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if err := binary.Write(w, binary.LittleEndian, int64(id)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, c.counts[id]); err != nil {
-			return err
-		}
-	}
-	return nil
+	enc := tensor.NewEncoder(w)
+	snapCounts(enc, c.counts)
+	return enc.Finish()
 }
 
 func (c *countingTransport) RestoreState(r io.Reader) error {
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+	counts := make(map[int]int64)
+	dec := tensor.NewDecoder(r, "core_test", "upload counts")
+	snapCounts(dec, counts)
+	dec.ExpectEOF()
+	if err := dec.Finish(); err != nil {
 		return err
-	}
-	counts := make(map[int]int64, n)
-	for i := int64(0); i < n; i++ {
-		var id, v int64
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-			return err
-		}
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return err
-		}
-		counts[int(id)] = v
 	}
 	c.mu.Lock()
 	c.counts = counts
 	c.mu.Unlock()
 	return nil
+}
+
+// snapCounts is the counting transport's state in either direction: a
+// count, then (client, uploads) pairs in client order.
+func snapCounts(c *tensor.Codec, counts map[int]int64) {
+	word := func(v int64) int64 { c.I64(&v); return v }
+	snapMap(c, "count", &counts, func(id int) int { return int(word(int64(id))) }, word)
 }
 
 // The core-level resume pin for priced, stateful communication: a
@@ -296,6 +280,7 @@ func TestResumeEquivalenceAsyncPricedTransport(t *testing.T) {
 	if err := rs.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	requireParentStream(t, buf.Bytes())
 	cont, err := rs.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -22,21 +22,24 @@
 // Start(spec) is NewRunState + Run.
 package core
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/tensor"
+)
 
 // runner is one loop's stepping engine. step executes exactly one round
 // (barrier) or one buffered aggregation (async) and reports whether the
 // run is complete. Between step calls the run is at a round boundary: no
 // merge in progress, metrics recorded through the last completed round.
 // quiesce additionally joins any in-flight local training so the entire
-// state is serializable; snapshotBody and restoreBody handle the
-// loop-specific live state (everything else — global model, clients,
-// recorder, clock, scheduler registry — is handled by RunState).
+// state is serializable; snapBody walks the loop-specific live state in
+// either direction (everything else — global model, clients, recorder,
+// clock, scheduler registry — is handled by RunState).
 type runner interface {
 	step() (done bool, err error)
 	quiesce()
-	snapshotBody(w *snapWriter)
-	restoreBody(r *snapReader) error
+	snapBody(c *tensor.Codec)
 }
 
 // RunState is a federated run that can be advanced one round at a time,

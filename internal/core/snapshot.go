@@ -3,7 +3,7 @@
 //
 // The format is a versioned, magic-headered binary stream:
 //
-//	"FTRS" | version u8 | fingerprint string | common section | runner section
+//	"FTRS" | version u8 | fingerprint string | common section | transport state | runner section
 //
 // The fingerprint is a canonical string of everything that determines the
 // run's trajectory: the canonical spec strings of the method (with its
@@ -42,319 +42,27 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/prng"
+	"repro/internal/tensor"
 )
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 2 added per-job wire-byte fields, the pending-wire
-	// recorder counter, and the transport-state section (error-feedback
-	// residuals). Version 3 added the adversary section (per-client fault
-	// assignment, noise-stream RNG positions) and the rejected-updates
-	// counter. Version 4 switched the churn section to the compact
-	// aggregate process (segment permutation + two clock times instead of
-	// per-client phase arrays and an O(N) event heap), added the parked-
-	// job remainder to job records, and made the adversary RNG array
-	// optional (only the noise mode materializes it). Version 5 moved the
-	// clock, latency stream, FLOP total and scheduler registry from the
-	// per-runner sections into the common one, which every runtime now
-	// carries (sync runs included). Version 6 changed no byte of the
-	// layout: the fingerprint began to cover policy arguments, the
-	// server-lr schedule, the staleness discount and the method's
-	// hyperparameters, so version 5 files were written under a
-	// fingerprint that could not tell such runs apart. A snapshot does not
-	// survive a format bump: Resume refuses any other version, naming both.
+	// snapVersion 6 is the layout the walks below spell out, under a
+	// fingerprint that covers the policy's arguments, the server-lr
+	// schedule, the staleness discount and the method's hyperparameters.
+	// A snapshot does not survive a format bump: Resume refuses any other
+	// version, naming both.
 	snapVersion = 6
-	// snapMaxLen bounds every deserialized collection length: corrupt or
-	// adversarial length prefixes must not drive allocation.
-	snapMaxLen = 1 << 30
 )
-
-// snapWriter is a little-endian binary writer with sticky-error
-// accumulation: call sites stay linear and flush reports the first
-// failure.
-type snapWriter struct {
-	w   *bufio.Writer
-	err error
-	// buf is the encoding scratch: one word for u64, a chunk of them for
-	// floats/i64s. It lives here because a local array handed to an
-	// io.Writer moves to the heap — once per word written.
-	buf [snapChunkWords * 8]byte
-}
-
-// snapChunkWords is how many 8-byte words floats/i64s move per call into
-// the buffered stream.
-const snapChunkWords = 512
-
-func newSnapWriter(w io.Writer) *snapWriter { return &snapWriter{w: bufio.NewWriter(w)} }
-
-func (s *snapWriter) flush() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.w.Flush()
-}
-
-func (s *snapWriter) raw(b []byte) {
-	if s.err == nil {
-		_, s.err = s.w.Write(b)
-	}
-}
-
-func (s *snapWriter) u8(v uint8) {
-	s.buf[0] = v
-	s.raw(s.buf[:1])
-}
-
-func (s *snapWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(s.buf[:8], v)
-	s.raw(s.buf[:8])
-}
-
-// words writes a length-prefixed array of n words a chunk at a time; put
-// encodes words [lo,hi) into b.
-func (s *snapWriter) words(n int, put func(b []byte, lo, hi int)) {
-	s.num(n)
-	for lo := 0; lo < n; lo += snapChunkWords {
-		hi := min(lo+snapChunkWords, n)
-		b := s.buf[:8*(hi-lo)]
-		put(b, lo, hi)
-		s.raw(b)
-	}
-}
-
-func (s *snapWriter) i64(v int64)   { s.u64(uint64(v)) }
-func (s *snapWriter) num(v int)     { s.i64(int64(v)) }
-func (s *snapWriter) f64(v float64) { s.u64(math.Float64bits(v)) }
-
-func (s *snapWriter) boolv(v bool) {
-	if v {
-		s.u8(1)
-	} else {
-		s.u8(0)
-	}
-}
-
-func (s *snapWriter) str(v string) {
-	s.num(len(v))
-	s.raw([]byte(v))
-}
-
-func (s *snapWriter) floats(v []float64) {
-	s.words(len(v), func(b []byte, lo, hi int) {
-		for i, x := range v[lo:hi] {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-		}
-	})
-}
-
-func (s *snapWriter) i64s(v []int64) {
-	s.words(len(v), func(b []byte, lo, hi int) {
-		for i, x := range v[lo:hi] {
-			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-		}
-	})
-}
-
-func (s *snapWriter) i32s(v []int32) {
-	s.num(len(v))
-	for _, x := range v {
-		s.i64(int64(x))
-	}
-}
-
-func (s *snapWriter) bools(v []bool) {
-	s.num(len(v))
-	for _, x := range v {
-		s.boolv(x)
-	}
-}
-
-func (s *snapWriter) rngState(st prng.State) {
-	s.u64(st.S)
-	s.f64(st.Spare)
-	s.boolv(st.HasSpare)
-}
-
-// snapReader mirrors snapWriter: little-endian reads with a sticky
-// error. Truncation surfaces as a precise "truncated snapshot" error,
-// not a zero value silently flowing into the run.
-type snapReader struct {
-	r   *bufio.Reader
-	err error
-	buf [snapChunkWords * 8]byte // decoding scratch, as snapWriter.buf
-}
-
-func newSnapReader(r io.Reader) *snapReader { return &snapReader{r: bufio.NewReader(r)} }
-
-// fail records the first error.
-func (s *snapReader) fail(format string, args ...any) {
-	if s.err == nil {
-		s.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (s *snapReader) raw(b []byte) {
-	if s.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		s.err = fmt.Errorf("core: truncated snapshot: %w", err)
-	}
-}
-
-// u8 and u64 read 0 once the stream has failed, never stale scratch.
-func (s *snapReader) u8() uint8 {
-	s.raw(s.buf[:1])
-	if s.err != nil {
-		return 0
-	}
-	return s.buf[0]
-}
-
-func (s *snapReader) u64() uint64 {
-	s.raw(s.buf[:8])
-	if s.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s.buf[:8])
-}
-
-// words reads n words a chunk at a time; get decodes b into words
-// [lo,hi). It stops at the first error.
-func (s *snapReader) words(n int, get func(b []byte, lo, hi int)) {
-	for lo := 0; lo < n; lo += snapChunkWords {
-		hi := min(lo+snapChunkWords, n)
-		b := s.buf[:8*(hi-lo)]
-		s.raw(b)
-		if s.err != nil {
-			return
-		}
-		get(b, lo, hi)
-	}
-}
-
-func (s *snapReader) i64() int64   { return int64(s.u64()) }
-func (s *snapReader) f64() float64 { return math.Float64frombits(s.u64()) }
-
-func (s *snapReader) boolv() bool {
-	switch v := s.u8(); v {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		s.fail("core: corrupt snapshot: bool byte %d", v)
-		return false
-	}
-}
-
-// length reads a collection length and bounds it.
-func (s *snapReader) length(what string, max int) int {
-	n := s.i64()
-	if s.err != nil {
-		return 0
-	}
-	if n < 0 || n > int64(max) {
-		s.fail("core: corrupt snapshot: %s length %d outside [0,%d]", what, n, max)
-		return 0
-	}
-	return int(n)
-}
-
-func (s *snapReader) num(what string) int {
-	n := s.i64()
-	if n < math.MinInt32 || n > math.MaxInt32 {
-		s.fail("core: corrupt snapshot: %s value %d out of range", what, n)
-		return 0
-	}
-	return int(n)
-}
-
-func (s *snapReader) str(what string) string {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	s.raw(b)
-	return string(b)
-}
-
-func (s *snapReader) floats(what string) []float64 {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]float64, n)
-	s.words(n, func(b []byte, lo, hi int) {
-		for i := range v[lo:hi] {
-			v[lo+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	})
-	return v
-}
-
-func (s *snapReader) i64s(what string) []int64 {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]int64, n)
-	s.words(n, func(b []byte, lo, hi int) {
-		for i := range v[lo:hi] {
-			v[lo+i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	})
-	return v
-}
-
-func (s *snapReader) i32s(what string) []int32 {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		x := s.i64()
-		if x < math.MinInt32 || x > math.MaxInt32 {
-			s.fail("core: corrupt snapshot: %s[%d] value %d out of range", what, i, x)
-			return nil
-		}
-		v[i] = int32(x)
-	}
-	return v
-}
-
-func (s *snapReader) bools(what string) []bool {
-	n := s.length(what, snapMaxLen)
-	if s.err != nil {
-		return nil
-	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = s.boolv()
-	}
-	return v
-}
-
-func (s *snapReader) rngState() prng.State {
-	var st prng.State
-	st.S = s.u64()
-	st.Spare = s.f64()
-	st.HasSpare = s.boolv()
-	return st
-}
 
 // fingerprint canonically renders everything that determines the run's
 // trajectory. Resume compares it string-to-string, so a mismatch error
@@ -423,570 +131,9 @@ func (rs *RunState) Snapshot(w io.Writer) error {
 	}
 	rs.run.quiesce()
 	rs.a.rec.syncEvals()
-
-	sw := newSnapWriter(w)
-	sw.raw([]byte(snapMagic))
-	sw.u8(snapVersion)
-	sw.str(rs.spec.fingerprint(len(s.global)))
-	rs.snapshotCommon(sw)
-	if err := snapshotTransport(sw, s.cfg.Transport); err != nil {
-		return err
-	}
-	rs.run.snapshotBody(sw)
-	return sw.flush()
-}
-
-// snapshotTransport serializes a StatefulTransport's run-long state
-// (error-feedback residuals) as a presence flag plus a length-prefixed
-// blob. Snapshot runs quiesced, so no transfer is mutating the state.
-func snapshotTransport(sw *snapWriter, t Transport) error {
-	st, ok := t.(StatefulTransport)
-	sw.boolv(ok)
-	if !ok {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := st.SnapshotState(&buf); err != nil {
-		return fmt.Errorf("core: snapshot transport state: %w", err)
-	}
-	sw.num(buf.Len())
-	sw.raw(buf.Bytes())
-	return nil
-}
-
-// restoreTransport is snapshotTransport's inverse, run against the fresh
-// transport the resume spec configured.
-func restoreTransport(sr *snapReader, t Transport) error {
-	has := sr.boolv()
-	if sr.err != nil {
-		return sr.err
-	}
-	st, ok := t.(StatefulTransport)
-	if has != ok {
-		return fmt.Errorf("core: snapshot transport state present=%t, spec transport stateful=%t", has, ok)
-	}
-	if !has {
-		return nil
-	}
-	n := sr.length("transport state", snapMaxLen)
-	if sr.err != nil {
-		return sr.err
-	}
-	blob := make([]byte, n)
-	sr.raw(blob)
-	if sr.err != nil {
-		return sr.err
-	}
-	if err := st.RestoreState(bytes.NewReader(blob)); err != nil {
-		return fmt.Errorf("core: restore transport state: %w", err)
-	}
-	return nil
-}
-
-// snapshotCommon serializes the state shared by every runtime: the
-// global model, the selection stream, the client population, the
-// recorder (metric series plus the published accuracies), and the clock
-// and scheduler registry.
-func (rs *RunState) snapshotCommon(sw *snapWriter) {
-	a, s := rs.a, rs.a.s
-	sw.floats(s.global)
-	sw.rngState(s.rng.State())
-
-	sw.num(len(s.clients))
-	for _, c := range s.clients {
-		sw.boolv(c.Hist != nil)
-		if c.Hist != nil {
-			sw.floats(c.Hist)
-		}
-		sw.num(c.LastRound)
-		sw.boolv(c.rng != nil)
-		if c.rng != nil {
-			sw.rngState(c.rng.State())
-		}
-		sw.i64(c.Counter.Total())
-		writeScalarMap(sw, c.scalars)
-		writeVecMap(sw, c.state)
-	}
-
-	// Adversary section: the fault assignment (re-derived on resume and
-	// cross-checked — it is a pure function of the spec and seed) and the
-	// noise clients' private RNG positions, which are live state.
-	sw.boolv(s.faults != nil)
-	if s.faults != nil {
-		sw.num(len(s.faults))
-		for _, f := range s.faults {
-			sw.u8(uint8(f))
-		}
-		// Only the noise mode materializes per-client adversary streams;
-		// crash/zero/sign fleets carry no such state.
-		sw.boolv(s.advRng != nil)
-		for _, rng := range s.advRng {
-			sw.boolv(rng != nil)
-			if rng != nil {
-				sw.rngState(rng.State())
-			}
-		}
-	}
-
-	rec := a.rec
-	res := rec.res
-	sw.num(res.Rounds)
-	sw.floats(res.TrainLoss)
-	sw.i64s(res.CommBytesByRound)
-	sw.floats(res.GFLOPsByRound)
-	sw.floats(res.SimTimeByRound)
-	sw.floats(res.MeanStalenessByRound)
-	sw.num(res.DroppedUpdates)
-	sw.num(res.RejectedUpdates)
-	sw.num(res.RoundsToTarget)
-	sw.i64(rec.cumComm)
-	sw.i64(rec.wirePending)
-	sw.num(rec.prevEval)
-	sw.num(rec.lastSubmitted)
-	sw.f64(rec.lastAcc)
-	accs := rec.ev.exportAccs()
-	rounds := make([]int, 0, len(accs))
-	for r := range accs {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	sw.num(len(rounds))
-	for _, r := range rounds {
-		sw.num(r)
-		sw.f64(accs[r])
-	}
-
-	sw.i64(a.flopsTotal)
-	sw.f64(a.now)
-	sw.rngState(a.latRng.State())
-	writePopulation(sw, a.pop)
-}
-
-// restoreCommon is snapshotCommon's inverse, with structural validation
-// against the freshly built run.
-func (rs *RunState) restoreCommon(sr *snapReader) {
-	a, s := rs.a, rs.a.s
-	global := sr.floats("global model")
-	if sr.err == nil && len(global) != len(s.global) {
-		sr.fail("core: corrupt snapshot: global model has %d parameters, the spec builds %d", len(global), len(s.global))
-	}
-	if sr.err != nil {
-		return
-	}
-	copy(s.global, global)
-	s.rng.SetState(sr.rngState())
-
-	n := sr.num("client count")
-	if sr.err == nil && n != len(s.clients) {
-		sr.fail("core: corrupt snapshot: %d clients, the spec builds %d", n, len(s.clients))
-	}
-	for i := 0; i < n && sr.err == nil; i++ {
-		c := s.clients[i]
-		if sr.boolv() {
-			hist := sr.floats("client historical model")
-			if sr.err == nil && len(hist) != len(s.global) {
-				sr.fail("core: corrupt snapshot: client %d historical model has %d parameters, want %d", i, len(hist), len(s.global))
-			}
-			c.Hist = hist
-		} else {
-			c.Hist = nil
-		}
-		c.LastRound = sr.num("client last round")
-		if sr.boolv() {
-			if c.rng == nil {
-				c.rng = prng.New(0)
-			}
-			c.rng.SetState(sr.rngState())
-		} else {
-			c.rng = nil
-		}
-		total := sr.i64()
-		c.Counter.Reset()
-		c.Counter.Add(total)
-		c.scalars = readScalarMap(sr)
-		c.state = readVecMap(sr, len(s.global))
-	}
-
-	hasFaults := sr.boolv()
-	if sr.err == nil && hasFaults != (s.faults != nil) {
-		sr.fail("core: corrupt snapshot: adversary section present=%t, spec faults present=%t", hasFaults, s.faults != nil)
-	}
-	if sr.err == nil && hasFaults {
-		nf := sr.num("fault assignment count")
-		if sr.err == nil && nf != len(s.faults) {
-			sr.fail("core: corrupt snapshot: %d fault assignments, the spec derives %d", nf, len(s.faults))
-		}
-		for i := 0; i < nf && sr.err == nil; i++ {
-			f := faultClass(sr.u8())
-			if sr.err != nil {
-				break
-			}
-			if f > faultClassLimit {
-				sr.fail("core: corrupt snapshot: fault class %d", f)
-			} else if f != s.faults[i] {
-				// The assignment is a pure function of (population, model,
-				// seed); a mismatch means the snapshot came from a
-				// different adversary stream.
-				sr.fail("core: corrupt snapshot: client %d fault class %d, the spec derives %d", i, f, s.faults[i])
-			}
-		}
-		hasAdvRng := sr.boolv()
-		if sr.err == nil && hasAdvRng != (s.advRng != nil) {
-			sr.fail("core: corrupt snapshot: adversary streams present=%t, spec derives=%t", hasAdvRng, s.advRng != nil)
-		}
-		for i := 0; hasAdvRng && i < nf && sr.err == nil; i++ {
-			if sr.boolv() {
-				if s.advRng[i] == nil {
-					sr.fail("core: corrupt snapshot: client %d carries an adversary stream the spec does not derive", i)
-					break
-				}
-				s.advRng[i].SetState(sr.rngState())
-			} else if sr.err == nil && s.advRng[i] != nil {
-				sr.fail("core: corrupt snapshot: client %d is missing its adversary stream position", i)
-			}
-		}
-	}
-
-	rec := a.rec
-	res := rec.res
-	res.Rounds = sr.num("rounds")
-	res.TrainLoss = sr.floats("train-loss series")
-	res.CommBytesByRound = sr.i64s("comm-bytes series")
-	res.GFLOPsByRound = sr.floats("gflops series")
-	res.SimTimeByRound = sr.floats("sim-time series")
-	res.MeanStalenessByRound = sr.floats("staleness series")
-	res.DroppedUpdates = sr.num("dropped updates")
-	res.RejectedUpdates = sr.num("rejected updates")
-	s.rejectedUpdates = res.RejectedUpdates
-	s.rejectLogged = res.RejectedUpdates > 0
-	res.RoundsToTarget = sr.num("rounds to target")
-	rec.cumComm = sr.i64()
-	rec.wirePending = sr.i64()
-	rec.prevEval = sr.num("previous evaluation round")
-	rec.lastSubmitted = sr.num("last submitted evaluation round")
-	rec.lastAcc = sr.f64()
-	nAccs := sr.length("accuracy map", snapMaxLen)
-	accs := make(map[int]float64, nAccs)
-	for i := 0; i < nAccs && sr.err == nil; i++ {
-		r := sr.num("accuracy round")
-		accs[r] = sr.f64()
-	}
-	if sr.err == nil {
-		rec.ev.preload(accs)
-	}
-	if sr.err == nil && (len(res.TrainLoss) != res.Rounds || len(res.CommBytesByRound) != res.Rounds || len(res.GFLOPsByRound) != res.Rounds) {
-		sr.fail("core: corrupt snapshot: metric series lengths (%d/%d/%d) disagree with %d recorded rounds",
-			len(res.TrainLoss), len(res.CommBytesByRound), len(res.GFLOPsByRound), res.Rounds)
-	}
-
-	a.flopsTotal = sr.i64()
-	a.now = sr.f64()
-	a.latRng.SetState(sr.rngState())
-	readPopulation(sr, a.pop)
-}
-
-func writeScalarMap(sw *snapWriter, m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sw.num(len(keys))
-	for _, k := range keys {
-		sw.str(k)
-		sw.f64(m[k])
-	}
-}
-
-func readScalarMap(sr *snapReader) map[string]float64 {
-	n := sr.length("scalar map", snapMaxLen)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]float64, n)
-	for i := 0; i < n && sr.err == nil; i++ {
-		k := sr.str("scalar name")
-		m[k] = sr.f64()
-	}
-	return m
-}
-
-func writeVecMap(sw *snapWriter, m map[string][]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sw.num(len(keys))
-	for _, k := range keys {
-		sw.str(k)
-		sw.floats(m[k])
-	}
-}
-
-func readVecMap(sr *snapReader, numParams int) map[string][]float64 {
-	n := sr.length("state-vector map", snapMaxLen)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string][]float64, n)
-	for i := 0; i < n && sr.err == nil; i++ {
-		k := sr.str("state-vector name")
-		v := sr.floats("state vector")
-		if sr.err == nil && len(v) != numParams {
-			sr.fail("core: corrupt snapshot: state vector %q has %d elements, want %d", k, len(v), numParams)
-			return nil
-		}
-		m[k] = v
-	}
-	return m
-}
-
-// writeJob serializes one quiesced in-flight (or buffered) job: its
-// scheduling key, dispatch parameters, and the finished update. The
-// global-model snapshot the client trained from is NOT serialized — the
-// training already consumed it.
-func writeJob(sw *snapWriter, j *trainJob) {
-	sw.num(j.c.ID)
-	sw.num(j.round)
-	sw.f64(j.finish)
-	sw.num(j.seq)
-	sw.num(j.steps)
-	sw.f64(j.speed)
-	sw.f64(j.remaining)
-	sw.boolv(j.dropped)
-	sw.i64(j.flops)
-	sw.i64(j.downBytes)
-	sw.i64(j.upBytes)
-	sw.num(j.update.ClientID)
-	sw.floats(j.update.Params)
-	sw.num(j.update.NumSamples)
-	sw.f64(j.update.TrainLoss)
-}
-
-// readJob reconstructs a quiesced job. The done channel carries no token
-// and trained is true: the arrival path must not (and will not) join it
-// again, and there is no global snapshot left to release.
-func readJob(sr *snapReader, s *Server) *trainJob {
-	id := sr.num("job client")
-	if sr.err == nil && (id < 0 || id >= len(s.clients)) {
-		sr.fail("core: corrupt snapshot: job client %d outside population of %d", id, len(s.clients))
-	}
-	if sr.err != nil {
-		return nil
-	}
-	j := &trainJob{
-		c:       s.clients[id],
-		done:    make(chan struct{}, 1),
-		trained: true,
-		heapIdx: -1,
-	}
-	j.round = sr.num("job round")
-	j.finish = sr.f64()
-	j.seq = sr.num("job sequence")
-	j.steps = sr.num("job steps")
-	j.speed = sr.f64()
-	j.remaining = sr.f64()
-	j.dropped = sr.boolv()
-	j.flops = sr.i64()
-	j.downBytes = sr.i64()
-	j.upBytes = sr.i64()
-	j.update.ClientID = sr.num("update client")
-	j.update.Params = sr.floats("update params")
-	j.update.NumSamples = sr.num("update samples")
-	j.update.TrainLoss = sr.f64()
-	j.update.pooled = true
-	if sr.err == nil && len(j.update.Params) != len(s.global) {
-		sr.fail("core: corrupt snapshot: job update has %d parameters, want %d", len(j.update.Params), len(s.global))
-		return nil
-	}
-	return j
-}
-
-// writePopulation serializes the scheduler-facing fleet state. The idle
-// set's ids array is order-sensitive — a uniform pick indexes into it —
-// so it serializes verbatim, not as a set.
-func writePopulation(sw *snapWriter, p *population) {
-	sw.i32s(p.dispatches)
-	sw.i32s(p.idle.ids)
-}
-
-func readPopulation(sr *snapReader, p *population) {
-	n := len(p.dispatches)
-	dispatches := sr.i32s("dispatch counts")
-	ids := sr.i32s("idle set")
-	if sr.err != nil {
-		return
-	}
-	if len(dispatches) != n || len(ids) > n {
-		sr.fail("core: corrupt snapshot: fleet state sized %d/%d, population is %d", len(dispatches), len(ids), n)
-		return
-	}
-	copy(p.dispatches, dispatches)
-	p.idle.ids = p.idle.ids[:0]
-	for i := range p.idle.pos {
-		p.idle.pos[i] = -1
-	}
-	for i, id := range ids {
-		if id < 0 || int(id) >= n {
-			sr.fail("core: corrupt snapshot: idle client %d outside population of %d", id, n)
-			return
-		}
-		p.idle.ids = append(p.idle.ids, id)
-		p.idle.pos[id] = int32(i)
-	}
-}
-
-// writeChurn serializes the aggregate availability process: the segment
-// permutation (order-sensitive — the which-client pick indexes into it),
-// the three live-segment boundaries, the two exponential clock times,
-// the scheduled-event heap in array order, and the mass-suspension
-// rejoin groups.
-func writeChurn(sw *snapWriter, c *churn) {
-	sw.i32s(c.order)
-	sw.num(c.nUp)
-	sw.num(c.nDown)
-	sw.num(c.nSusp)
-	sw.f64(c.nextDrop)
-	sw.f64(c.nextRejoin)
-	sw.i64(c.seq)
-	sw.rngState(c.rng.State())
-	sw.num(len(c.h.es))
-	for _, e := range c.h.es {
-		sw.f64(e.at)
-		sw.i64(e.seq)
-		sw.i64(int64(e.id))
-		sw.u8(uint8(e.kind))
-	}
-	sw.num(len(c.groups))
-	for _, g := range c.groups {
-		sw.i32s(g)
-	}
-}
-
-func readChurn(sr *snapReader, c *churn) {
-	n := c.n
-	order := sr.i32s("churn order")
-	if sr.err == nil && len(order) != n {
-		sr.fail("core: corrupt snapshot: churn order sized %d, population is %d", len(order), n)
-	}
-	if sr.err != nil {
-		return
-	}
-	copy(c.order, order)
-	for i := range c.pos {
-		c.pos[i] = -1
-	}
-	for p, id := range c.order {
-		if id < 0 || int(id) >= n || c.pos[id] >= 0 {
-			sr.fail("core: corrupt snapshot: churn order is not a permutation (entry %d = %d)", p, id)
-			return
-		}
-		c.pos[id] = int32(p)
-	}
-	c.nUp = sr.num("churn online count")
-	c.nDown = sr.num("churn offline count")
-	c.nSusp = sr.num("churn suspended count")
-	if sr.err == nil && (c.nUp < 0 || c.nDown < 0 || c.nSusp < 0 || c.nUp+c.nDown+c.nSusp > n) {
-		sr.fail("core: corrupt snapshot: churn segments %d/%d/%d exceed population of %d", c.nUp, c.nDown, c.nSusp, n)
-		return
-	}
-	c.nextDrop = sr.f64()
-	c.nextRejoin = sr.f64()
-	c.seq = sr.i64()
-	c.rng.SetState(sr.rngState())
-	nEvents := sr.length("churn event heap", snapMaxLen)
-	c.h.es = c.h.es[:0]
-	for i := 0; i < nEvents && sr.err == nil; i++ {
-		var e churnEvent
-		e.at = sr.f64()
-		e.seq = sr.i64()
-		e.id = int32(sr.num("churn event id"))
-		e.kind = churnEventKind(sr.u8())
-		if sr.err == nil && e.kind > churnGroupRejoin {
-			sr.fail("core: corrupt snapshot: churn event kind %d", e.kind)
-			return
-		}
-		c.h.es = append(c.h.es, e)
-	}
-	nGroups := sr.length("churn rejoin groups", snapMaxLen)
-	c.groups = c.groups[:0]
-	for i := 0; i < nGroups && sr.err == nil; i++ {
-		g := sr.i32s("churn rejoin group")
-		for _, id := range g {
-			if id < 0 || int(id) >= n {
-				sr.fail("core: corrupt snapshot: churn group member %d outside population of %d", id, n)
-				return
-			}
-		}
-		c.groups = append(c.groups, g)
-	}
-	for _, e := range c.h.es {
-		if e.kind == churnGroupRejoin && (e.id < 0 || int(e.id) >= len(c.groups)) {
-			sr.fail("core: corrupt snapshot: churn group-rejoin event references group %d of %d", e.id, len(c.groups))
-			return
-		}
-	}
-}
-
-// --- per-runner bodies ---
-
-// The barrier loop joins every client inside step: at a round boundary
-// it holds nothing beyond the common section.
-func (r barrierRunner) snapshotBody(*snapWriter)      {}
-func (r barrierRunner) restoreBody(*snapReader) error { return nil }
-
-func (r *bufferedRunner) snapshotBody(sw *snapWriter) {
-	a := r.a
-	sw.num(r.seq)
-	// The event heap in array order: restoring verbatim (heapIdx = slot)
-	// preserves both the heap invariant and the exact layout, so a
-	// resumed run's pops and sift paths replay identically.
-	sw.num(len(r.inflight.js))
-	for _, j := range r.inflight.js {
-		writeJob(sw, j)
-	}
-	sw.num(len(r.buffer))
-	for _, j := range r.buffer {
-		writeJob(sw, j)
-	}
-	sw.boolv(a.churn != nil)
-	if a.churn != nil {
-		writeChurn(sw, a.churn)
-	}
-}
-
-func (r *bufferedRunner) restoreBody(sr *snapReader) error {
-	a, s := r.a, r.a.s
-	r.seq = sr.num("dispatch sequence")
-	nInflight := sr.length("in-flight jobs", snapMaxLen)
-	r.inflight.js = r.inflight.js[:0]
-	for i := 0; i < nInflight && sr.err == nil; i++ {
-		j := readJob(sr, s)
-		if j == nil {
-			break
-		}
-		j.heapIdx = i
-		r.inflight.js = append(r.inflight.js, j)
-		r.inflight.slot[j.c.ID] = int32(i) + 1
-	}
-	nBuffer := sr.length("buffered jobs", snapMaxLen)
-	r.buffer = r.buffer[:0]
-	for i := 0; i < nBuffer && sr.err == nil; i++ {
-		j := readJob(sr, s)
-		if j == nil {
-			break
-		}
-		r.buffer = append(r.buffer, j)
-	}
-	hasChurn := sr.boolv()
-	if sr.err == nil && hasChurn != (a.churn != nil) {
-		sr.fail("core: corrupt snapshot: churn section present=%t, spec churn present=%t", hasChurn, a.churn != nil)
-	}
-	if sr.err == nil && hasChurn {
-		readChurn(sr, a.churn)
-	}
-	return sr.err
+	c := tensor.NewEncoder(w)
+	rs.snap(c)
+	return c.Finish()
 }
 
 // ResumeSpec describes how to reconstruct a snapshotted run. Spec must
@@ -1006,10 +153,10 @@ type ResumeSpec struct {
 // positioned at the snapshotted round boundary, ready to Step (or Run)
 // onward. The continuation is bit-for-bit identical to the original run
 // having never stopped: same model trajectory, same metric series, same
-// RNG draws. Comm accounting resumes exactly (per-job wire bytes and the
-// pending-wire counter are serialized); one caveat
-// remains for legacy MeteredTransport-only transports, whose cumulative
-// counters restart at zero in the new process.
+// RNG draws, same communication accounting. The stream is untrusted: a
+// truncated, corrupt or foreign one is refused with an error naming the
+// defect, and reading it allocates nothing sized by a length it claims —
+// the run is built from the spec first and the stream decoded into it.
 func Resume(r io.Reader, rspec ResumeSpec) (*RunState, error) {
 	spec := rspec.Spec
 	if err := spec.Validate(); err != nil {
@@ -1019,41 +166,393 @@ func Resume(r io.Reader, rspec ResumeSpec) (*RunState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := rs.restore(r); err != nil {
+	c := tensor.NewDecoder(r, "core", "run snapshot")
+	rs.snap(c)
+	if err := c.Finish(); err != nil {
 		rs.Close()
 		return nil, err
 	}
 	return rs, nil
 }
 
-// restore reads a snapshot stream into the freshly built run.
-func (rs *RunState) restore(r io.Reader) error {
-	sr := newSnapReader(r)
-	var magic [4]byte
-	sr.raw(magic[:])
-	if sr.err != nil {
-		return sr.err
-	}
-	if string(magic[:]) != snapMagic {
-		return fmt.Errorf("core: not a run snapshot (magic %q, want %q)", magic[:], snapMagic)
-	}
-	if v := sr.u8(); sr.err == nil && v != snapVersion {
-		return fmt.Errorf("core: run snapshot version %d, this build reads version %d", v, snapVersion)
-	}
-	theirs := sr.str("fingerprint")
-	if sr.err != nil {
-		return sr.err
-	}
+// The FTRS stream, one walk per section (README "Snapshot format and
+// guarantees" tabulates them). Each walk names its section's fields once,
+// in stream order, and runs in both directions: on an encoder it writes
+// the run, on a decoder it fills the freshly built run in place, so
+// nothing is allocated from a length the stream claims. What only one
+// direction needs — rebuilding an index the stream does not carry,
+// refusing a value that would take the loop down — sits under
+// c.Reading() beside the field it guards.
+
+// snap is the whole stream: header, fingerprint, then the sections.
+func (rs *RunState) snap(c *tensor.Codec) {
+	c.Magic(snapMagic)
+	c.Version(snapVersion)
 	ours := rs.spec.fingerprint(len(rs.a.s.global))
-	if theirs != ours {
-		return fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s\n  (hyper hashes the method's settings; this spec's are %s)", theirs, ours, canonical(rs.spec.Algo))
+	theirs := ours
+	if c.Str("fingerprint", &theirs); c.Err() == nil && theirs != ours {
+		c.Abort(fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s\n  (hyper hashes the method's settings; this spec's are %s)", theirs, ours, canonical(rs.spec.Algo)))
 	}
-	rs.restoreCommon(sr)
-	if sr.err != nil {
-		return sr.err
+	rs.snapCommon(c)
+	// A StatefulTransport's run-long state (error-feedback residuals), as
+	// a blob the transport owns. Snapshot runs quiesced, so no transfer is
+	// mutating it.
+	if st, ok := rs.a.s.cfg.Transport.(StatefulTransport); c.Present("transport state", ok) {
+		c.Blob("transport state", st.SnapshotState, st.RestoreState)
 	}
-	if err := restoreTransport(sr, rs.a.s.cfg.Transport); err != nil {
-		return err
+	rs.run.snapBody(c)
+}
+
+// sized gives a decoder somewhere to land a vector whose length n the
+// run dictates: v itself when its storage is large enough. An encoder
+// keeps v as it is — should a vector ever have the wrong length, the
+// stream says so and Resume refuses it.
+func sized[T any](c *tensor.Codec, v []T, n int) []T {
+	if !c.Reading() {
+		return v
 	}
-	return rs.run.restoreBody(sr)
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
+}
+
+// snapRng is one stream position: counter, buffered normal, flag (17
+// bytes).
+func snapRng(c *tensor.Codec, r *prng.Rand) {
+	st := r.State()
+	c.U64(&st.S)
+	c.F64(&st.Spare)
+	c.Bool(&st.HasSpare)
+	r.SetState(st)
+}
+
+// snapCommon is the state every runtime shares: the global model, the
+// selection stream, the client population, the adversary's live streams,
+// the recorder (metric series plus the published accuracies), and the
+// clock and scheduler registry.
+func (rs *RunState) snapCommon(c *tensor.Codec) {
+	a, s := rs.a, rs.a.s
+	np := len(s.global)
+	c.FloatsExact("global model", s.global)
+	snapRng(c, s.rng)
+
+	// A method's per-client state, by name: scalars, and model-sized
+	// vectors.
+	name := func(k string) string { c.Str("state name", &k); return k }
+	scalar := func(v float64) float64 { c.F64(&v); return v }
+	vector := func(v []float64) []float64 {
+		v = sized(c, v, np)
+		c.FloatsExact("state vector", v)
+		return v
+	}
+	c.LenExact("client count", len(s.clients))
+	for _, cl := range s.clients {
+		if c.Err() != nil {
+			return
+		}
+		// Lazily created training state: present once the client has
+		// participated.
+		has := cl.Hist != nil
+		if c.Bool(&has); has {
+			cl.Hist = sized(c, cl.Hist, np)
+			c.FloatsExact("client historical model", cl.Hist)
+		}
+		c.Num("client last round", &cl.LastRound)
+		has = cl.rng != nil
+		if c.Bool(&has); has {
+			if cl.rng == nil {
+				cl.rng = prng.New(0)
+			}
+			snapRng(c, cl.rng)
+		}
+		total := cl.Counter.Total()
+		if c.I64(&total); c.Reading() {
+			cl.Counter.Reset()
+			cl.Counter.Add(total)
+		}
+		snapMap(c, "scalar map", &cl.scalars, name, scalar)
+		snapMap(c, "state-vector map", &cl.state, name, vector)
+	}
+
+	// Adversary section: the fault assignment is a pure function of
+	// (population, model, seed), re-derived on resume and cross-checked —
+	// a mismatch means the snapshot came from another adversary stream.
+	// The noise clients' private RNG positions are live state; only that
+	// mode materializes them.
+	if c.Present("adversary section", s.faults != nil) {
+		c.LenExact("fault assignment", len(s.faults))
+		for i, f := range s.faults {
+			if c.U8((*uint8)(&f)); c.Err() == nil && f != s.faults[i] {
+				c.Fail("client %d fault class %d, the spec derives %d", i, f, s.faults[i])
+			}
+		}
+		if c.Present("adversary streams", s.advRng != nil) {
+			for _, rng := range s.advRng {
+				if c.Present("adversary stream position", rng != nil) {
+					snapRng(c, rng)
+				}
+			}
+		}
+	}
+
+	rec, res := a.rec, a.rec.res
+	// Rounds is adopted only once it is known to be sane: Close walks it
+	// even on a run whose Resume failed.
+	rounds := res.Rounds
+	if c.Num("rounds", &rounds); rounds < 0 || rounds > s.cfg.Rounds {
+		c.Fail("%d recorded rounds, the spec runs %d", rounds, s.cfg.Rounds)
+		return
+	}
+	res.Rounds = rounds
+	// Every per-round series holds exactly Rounds entries.
+	res.TrainLoss = sized(c, res.TrainLoss, res.Rounds)
+	res.CommBytesByRound = sized(c, res.CommBytesByRound, res.Rounds)
+	res.GFLOPsByRound = sized(c, res.GFLOPsByRound, res.Rounds)
+	res.SimTimeByRound = sized(c, res.SimTimeByRound, res.Rounds)
+	res.MeanStalenessByRound = sized(c, res.MeanStalenessByRound, res.Rounds)
+	c.FloatsExact("train-loss series", res.TrainLoss)
+	c.I64sExact("comm-bytes series", res.CommBytesByRound)
+	c.FloatsExact("gflops series", res.GFLOPsByRound)
+	c.FloatsExact("sim-time series", res.SimTimeByRound)
+	c.FloatsExact("staleness series", res.MeanStalenessByRound)
+	c.Num("dropped updates", &res.DroppedUpdates)
+	if c.Num("rejected updates", &res.RejectedUpdates); c.Reading() {
+		s.rejectedUpdates = res.RejectedUpdates
+		s.rejectLogged = res.RejectedUpdates > 0
+	}
+	c.Num("rounds to target", &res.RoundsToTarget)
+	c.I64(&rec.cumComm)
+	c.I64(&rec.wirePending)
+	c.Num("previous evaluation round", &rec.prevEval)
+	c.Num("last submitted evaluation round", &rec.lastSubmitted)
+	c.F64(&rec.lastAcc)
+	// The published accuracies, by round. Snapshot joined every submitted
+	// evaluation, so the two rounds the recorder may still wait on are in
+	// the map — a stream where they are not would hang the next Step.
+	accs := rec.ev.exportAccs()
+	snapMap(c, "accuracy map", &accs, func(r int) int {
+		if c.Num("accuracy round", &r); r < 1 || r > res.Rounds {
+			c.Fail("accuracy for round %d of %d", r, res.Rounds)
+		}
+		return r
+	}, scalar)
+	if c.Reading() && c.Err() == nil {
+		for _, r := range [2]int{rec.prevEval, rec.lastSubmitted} {
+			if _, ok := accs[r]; r != 0 && !ok {
+				c.Fail("evaluation round %d has no published accuracy", r)
+			}
+		}
+		rec.ev.preload(accs)
+	}
+
+	c.I64(&a.flopsTotal)
+	// The loops compare every event against the clock; against a NaN no
+	// event is ever late, and draining the due ones never ends.
+	if c.F64(&a.now); math.IsNaN(a.now) || math.IsInf(a.now, 0) {
+		c.Fail("clock reads %v", a.now)
+	}
+	snapRng(c, a.latRng)
+	a.pop.snap(c)
+}
+
+// snapMap is a map in key order: a count, then each entry's key and
+// value. Decoding inserts entries as they arrive. key and value take and
+// return the field rather than point at it: a pointer handed to a
+// function value is heap-allocated, once per entry.
+func snapMap[K cmp.Ordered, V any](c *tensor.Codec, what string, m *map[K]V, key func(K) K, value func(V) V) {
+	keys := make([]K, 0, 4) // on the stack: a method keeps an entry or two per client
+	for k := range *m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	n := c.Len(what, len(keys))
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k K
+		if !c.Reading() {
+			k = keys[i]
+		}
+		k = key(k)
+		if v := value((*m)[k]); c.Reading() && c.Err() == nil {
+			if *m == nil {
+				*m = make(map[K]V)
+			}
+			(*m)[k] = v
+		}
+	}
+}
+
+// snapList is a list whose length only the stream knows: a count, then
+// each element. Decoding appends an element, then fills it.
+func snapList[T any](c *tensor.Codec, what string, list *[]T, elem func(*T)) {
+	n := c.Len(what, len(*list))
+	if c.Reading() {
+		*list = (*list)[:0]
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			var zero T
+			*list = append(*list, zero)
+		}
+		elem(&(*list)[i])
+	}
+}
+
+// snap is the scheduler-facing fleet state. The idle set's ids array is
+// order-sensitive — a uniform pick indexes into it — so it serializes
+// verbatim, not as a set; its inverse is rebuilt.
+func (p *population) snap(c *tensor.Codec) {
+	n := len(p.dispatches)
+	c.I32sExact("dispatch counts", p.dispatches)
+	if c.I32s("idle set", &p.idle.ids, n); !c.Reading() || c.Err() != nil {
+		return
+	}
+	for i := range p.idle.pos {
+		p.idle.pos[i] = -1
+	}
+	for i, id := range p.idle.ids {
+		if id < 0 || int(id) >= n || p.idle.pos[id] >= 0 {
+			c.Fail("idle set entry %d = %d is not a distinct client of %d", i, id, n)
+			return
+		}
+		p.idle.pos[id] = int32(i)
+	}
+}
+
+// snap is one quiesced in-flight (or buffered) job: its scheduling key,
+// dispatch parameters, and the finished update. The global-model
+// snapshot the client trained from is not part of it — the training
+// already consumed it. A decoded job is therefore trained, holds no done
+// token (the arrival path must not, and will not, join it again) and
+// takes its upload buffer from the pool the merge returns it to.
+func (j *trainJob) snap(c *tensor.Codec, s *Server) {
+	var id int
+	if !c.Reading() {
+		id = j.c.ID
+	}
+	if c.Num("job client", &id); c.Reading() {
+		if c.Err() == nil && (id < 0 || id >= len(s.clients)) {
+			c.Fail("job client %d outside population of %d", id, len(s.clients))
+		}
+		if c.Err() != nil {
+			return
+		}
+		j.c, j.trained = s.clients[id], true
+		j.update.Params, j.update.pooled = paramsPool.get(len(s.global)), true
+	}
+	c.Num("job round", &j.round)
+	c.F64(&j.finish)
+	c.Num("job sequence", &j.seq)
+	c.Num("job steps", &j.steps)
+	c.F64(&j.speed)
+	c.F64(&j.remaining)
+	c.Bool(&j.dropped)
+	c.I64(&j.flops)
+	c.I64(&j.downBytes)
+	c.I64(&j.upBytes)
+	c.Num("update client", &j.update.ClientID)
+	c.FloatsExact("update params", j.update.Params)
+	c.Num("update samples", &j.update.NumSamples)
+	c.F64(&j.update.TrainLoss)
+}
+
+// snap is the aggregate availability process: the segment permutation
+// (order-sensitive — the which-client pick indexes into it; its inverse
+// is rebuilt), the three live-segment boundaries, the two exponential
+// clock times, the scheduled-event heap in array order, and the
+// mass-suspension rejoin groups.
+func (ch *churn) snap(c *tensor.Codec) {
+	n := ch.n
+	if c.I32sExact("churn order", ch.order); c.Reading() && c.Err() == nil {
+		for i := range ch.pos {
+			ch.pos[i] = -1
+		}
+		for p, id := range ch.order {
+			if id < 0 || int(id) >= n || ch.pos[id] >= 0 {
+				c.Fail("churn order is not a permutation (entry %d = %d)", p, id)
+				return
+			}
+			ch.pos[id] = int32(p)
+		}
+	}
+	c.Num("churn online count", &ch.nUp)
+	c.Num("churn offline count", &ch.nDown)
+	c.Num("churn suspended count", &ch.nSusp)
+	if ch.nUp < 0 || ch.nDown < 0 || ch.nSusp < 0 || ch.nUp+ch.nDown+ch.nSusp > n {
+		c.Fail("churn segments %d/%d/%d exceed population of %d", ch.nUp, ch.nDown, ch.nSusp, n)
+	}
+	c.F64(&ch.nextDrop)
+	c.F64(&ch.nextRejoin)
+	// An armed clock draws its victim from the segment it empties.
+	if (ch.nUp == 0 && !math.IsInf(ch.nextDrop, 1)) || (ch.nDown == 0 && !math.IsInf(ch.nextRejoin, 1)) {
+		c.Fail("churn clock armed over an empty segment (%d online, %d offline)", ch.nUp, ch.nDown)
+	}
+	c.I64(&ch.seq)
+	snapRng(c, ch.rng)
+
+	snapList(c, "churn event heap", &ch.h.es, func(e *churnEvent) {
+		c.F64(&e.at)
+		c.I64(&e.seq)
+		id := int(e.id)
+		c.Num("churn event id", &id)
+		e.id = int32(id)
+		c.U8((*uint8)(&e.kind))
+	})
+	snapList(c, "churn rejoin groups", &ch.groups, func(g *[]int32) {
+		// Each scheduled mass drop leaves at most one group behind.
+		if c.I32s("churn rejoin group", g, n); len(ch.groups) > len(ch.model.Drops) {
+			c.Fail("%d churn rejoin groups for %d mass drops", len(ch.groups), len(ch.model.Drops))
+		}
+		for _, id := range *g {
+			if id < 0 || int(id) >= n {
+				c.Fail("churn group member %d outside population of %d", id, n)
+			}
+		}
+	})
+	// An event's id indexes the table its kind names: the spec's mass
+	// drops, or the rejoin groups.
+	for _, e := range ch.h.es {
+		limit := len(ch.model.Drops)
+		if e.kind == churnGroupRejoin {
+			limit = len(ch.groups)
+		}
+		if e.kind > churnGroupRejoin || e.id < 0 || int(e.id) >= limit {
+			c.Fail("churn event kind %d references entry %d of %d", e.kind, e.id, limit)
+		}
+	}
+}
+
+// --- per-runner bodies ---
+
+// The barrier loop joins every client inside step: at a round boundary
+// it holds nothing beyond the common section.
+func (r barrierRunner) snapBody(*tensor.Codec) {}
+
+func (r *bufferedRunner) snapBody(c *tensor.Codec) {
+	// A decoded job comes from the runner's free list.
+	job := func(j **trainJob) {
+		if c.Reading() {
+			*j = r.getJob()
+		}
+		(*j).snap(c, r.a.s)
+	}
+	c.Num("dispatch sequence", &r.seq)
+	// The event heap in array order: restoring verbatim (heapIdx = slot)
+	// preserves both the heap invariant and the exact layout, so a
+	// resumed run's pops and sift paths replay identically.
+	snapList(c, "in-flight jobs", &r.inflight.js, job)
+	if c.Reading() && c.Err() == nil {
+		for i, j := range r.inflight.js {
+			if r.inflight.slot[j.c.ID] != 0 || r.a.pop.idle.pos[j.c.ID] >= 0 {
+				c.Fail("in-flight job %d: client %d is already in flight or idle", i, j.c.ID)
+				return
+			}
+			j.heapIdx = i
+			r.inflight.slot[j.c.ID] = int32(i) + 1
+		}
+	}
+	snapList(c, "buffered jobs", &r.buffer, job)
+	if c.Present("churn section", r.a.churn != nil) {
+		r.a.churn.snap(c)
+	}
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +109,33 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
+// parentStreamSHA256 pins the FTRS byte layout from outside the code that
+// writes it: the SHA-256 of the snapshot stream each resume pin builds,
+// taken at the last commit that had a separate writer and reader (PR 16,
+// 1ace6e7). A stream is trained float64s end to end, so the constants
+// hold on amd64 only (other targets fuse multiply-adds).
+var parentStreamSHA256 = map[string]string{
+	"TestResumeEquivalenceSync":                 "623841c71e9cd822d988e7c210d09745fbae83787ebf81280d47401b0e54bbe4",
+	"TestResumeEquivalenceAsyncFedBuff":         "ceab07cfef29d0085fa31535266ad64b02d1c702bd790c47eb5c59f11802e830",
+	"TestResumeEquivalenceAsyncChurn":           "ca301da6ab7dda994aff09f2debde5c8f75a8ee7c9b5695d899fbce5397f0fe1",
+	"TestResumeEquivalenceAsyncDevices":         "abc04c7a1ee49bb42109622b9f7ceb47b9285f8433ec6a06be7badecae70d1a7",
+	"TestResumeEquivalenceNoiseFault":           "518424eeda77efdc249eaf87a19890ddecd4f0208d6ad11d544a4fe28a9322f1",
+	"TestResumeEquivalenceAsyncPricedTransport": "ffe70b3d636966d0a8209ec6e745a526ecad5c12291686c6f2383deed1362bcd",
+}
+
+// requireParentStream checks the calling test's snapshot stream against
+// its parentStreamSHA256 entry; tests without one pass.
+func requireParentStream(t *testing.T, stream []byte) {
+	t.Helper()
+	want, ok := parentStreamSHA256[t.Name()]
+	if !ok || runtime.GOARCH != "amd64" {
+		return
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(stream)); got != want {
+		t.Errorf("snapshot stream (%d bytes) has sha256 %s, the parent commit wrote %s: the byte layout moved", len(stream), got, want)
+	}
+}
+
 // runResumeScenario pins the tentpole guarantee both ways: a run that
 // snapshots at round k and keeps going matches the uninterrupted run,
 // and a fresh process resumed from that snapshot matches it too —
@@ -136,6 +167,7 @@ func runResumeScenario(t *testing.T, spec RunSpec, snapAt int) {
 	if err := rs.Snapshot(&buf); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
+	requireParentStream(t, buf.Bytes())
 
 	// Snapshot-and-continue: the quiesce must not perturb the trajectory.
 	cont, err := rs.Run()
@@ -293,6 +325,19 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	otherSeed := spec
 	otherSeed.Seed = 99
 
+	// The recorder section of a stream taken after one lock-step round is
+	// the Rounds word and five one-element series; it is found by its
+	// tail, the clock and the staleness, which are zero on a sync run.
+	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	rec := bytes.Index(good, bytes.Join([][]byte{word(1), word(0), word(1), word(0)}, nil)) - 56
+	if rec < 0 || !bytes.Equal(good[rec:rec+16], append(word(1), word(1)...)) {
+		t.Fatal("recorder section not found in the snapshot")
+	}
+	// dropSeries empties the series whose length word sits at off.
+	dropSeries := func(off int) []byte {
+		return append(append(append([]byte(nil), good[:off]...), word(0)...), good[off+16:]...)
+	}
+
 	cases := []struct {
 		name    string
 		data    []byte
@@ -306,6 +351,12 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},
 		{"different run", good, otherSeed, "different run"},
+		// Each of the five per-round series must be as long as Rounds; the
+		// last two went unchecked and a short one panicked the next Step.
+		{"short train-loss series", dropSeries(rec + 8), spec, "train-loss series"},
+		{"short sim-time series", dropSeries(rec + 56), spec, "sim-time series"},
+		{"short staleness series", dropSeries(rec + 72), spec, "staleness series"},
+		{"more rounds than the spec", append(append(append([]byte(nil), good[:rec]...), word(5)...), good[rec+8:]...), spec, "recorded rounds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

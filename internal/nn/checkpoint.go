@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 
 	"repro/internal/tensor"
@@ -16,58 +14,39 @@ import (
 //
 // The magic/version envelope lets the format grow (and lets readers say
 // precisely why a file is unreadable) without guessing from the payload.
-// LoadParams also accepts the bare pre-envelope "FTV1" vector that early
-// checkpoints were, so old -save files keep loading.
 const (
 	checkpointMagic   = "FTCK"
 	checkpointVersion = 1
 )
 
+// checkpoint is the format, in either direction: SaveParams runs it on
+// an encoder over the model's parameters, LoadParams on a decoder over a
+// scratch vector of the same size.
+func checkpoint(c *tensor.Codec, params []float64) error {
+	c.Magic(checkpointMagic)
+	c.Version(checkpointVersion)
+	c.Vector("parameter vector", params)
+	return c.Finish()
+}
+
 // SaveParams writes the model's parameter vector as a checkpoint (full
 // float64 precision) under the versioned FTCK envelope.
 func (m *Model) SaveParams(w io.Writer) error {
-	if _, err := w.Write([]byte(checkpointMagic)); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{checkpointVersion}); err != nil {
-		return err
-	}
-	return tensor.WriteVector(w, m.params)
+	return checkpoint(tensor.NewEncoder(w), m.params)
 }
 
 // LoadParams restores a checkpoint written by SaveParams. Wrong-magic,
 // wrong-version, and truncated files fail with errors naming the defect;
 // the stored vector must match the model's parameter count exactly —
 // loading an MLP checkpoint into a CNN is an error, not a silent
-// truncation. The model is never mutated on a failed load.
+// truncation — and the count is compared before anything is read, so a
+// checkpoint never allocates more than the model it loads into. The
+// model is never mutated on a failed load.
 func (m *Model) LoadParams(r io.Reader) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return fmt.Errorf("nn: truncated checkpoint: %w", err)
-	}
-	switch string(magic[:]) {
-	case checkpointMagic:
-		var ver [1]byte
-		if _, err := io.ReadFull(r, ver[:]); err != nil {
-			return fmt.Errorf("nn: truncated checkpoint: %w", err)
-		}
-		if ver[0] != checkpointVersion {
-			return fmt.Errorf("nn: checkpoint version %d, this build reads version %d", ver[0], checkpointVersion)
-		}
-	case "FTV1":
-		// Legacy envelope-less checkpoint: the magic we consumed is the
-		// vector's own header, so hand it back to the vector reader.
-		r = io.MultiReader(bytes.NewReader(magic[:]), r)
-	default:
-		return fmt.Errorf("nn: not a model checkpoint (magic %q, want %q)", magic[:], checkpointMagic)
-	}
-	v, err := tensor.ReadVector(r)
-	if err != nil {
+	scratch := make([]float64, len(m.params))
+	if err := checkpoint(tensor.NewDecoder(r, "nn", "model checkpoint"), scratch); err != nil {
 		return err
 	}
-	if len(v) != len(m.params) {
-		return fmt.Errorf("nn: checkpoint has %d parameters, model has %d", len(v), len(m.params))
-	}
-	copy(m.params, v)
+	copy(m.params, scratch)
 	return nil
 }

@@ -17,15 +17,12 @@
 // A Rand is NOT safe for concurrent use, exactly like math/rand.Rand.
 package prng
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "math"
 
 // State is the full exportable position of one stream: the splitmix64
 // counter plus NormFloat64's buffered second Gaussian. Restoring a State
-// continues the stream bit-for-bit.
+// continues the stream bit-for-bit. A run snapshot stores one in 17 bytes
+// (internal/core's snapRng is the only encoding).
 type State struct {
 	S        uint64
 	Spare    float64
@@ -201,36 +198,4 @@ func (r *Rand) State() State {
 // SetState restores a position exported by State.
 func (r *Rand) SetState(st State) {
 	r.s, r.spare, r.hasSpare = st.S, st.Spare, st.HasSpare
-}
-
-// stateWireSize is the encoded size of a State: counter, spare, flag.
-const stateWireSize = 8 + 8 + 1
-
-// MarshalBinary encodes the stream position (17 bytes, little endian).
-func (st State) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, stateWireSize)
-	binary.LittleEndian.PutUint64(buf[0:], st.S)
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(st.Spare))
-	if st.HasSpare {
-		buf[16] = 1
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a position written by MarshalBinary.
-func (st *State) UnmarshalBinary(b []byte) error {
-	if len(b) != stateWireSize {
-		return fmt.Errorf("prng: state wants %d bytes, got %d", stateWireSize, len(b))
-	}
-	st.S = binary.LittleEndian.Uint64(b[0:])
-	st.Spare = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	switch b[16] {
-	case 0:
-		st.HasSpare = false
-	case 1:
-		st.HasSpare = true
-	default:
-		return fmt.Errorf("prng: corrupt state flag %d", b[16])
-	}
-	return nil
 }
