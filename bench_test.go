@@ -1,134 +1,31 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper, each printing the reproduced rows.
+// Package repro's root benchmarks meter the federated runtime itself:
+// wall-clock throughput of the lock-step and buffered loops, and the
+// population-scale runs from 1k to 1M clients.
 //
-//	go test -bench=. -benchmem                  # fast profile (~minutes)
-//	go test -bench=. -short                     # tiny profile (smoke)
-//	go test -bench=BenchmarkTable4 -benchmem    # a single artifact
+//	go test -bench=RuntimeThroughput -cpu 1,2,4   # updates/sec vs cores
+//	go test -bench=Population -benchtime=3x       # events/s per fleet
 //
-// Benchmarks share the experiments package's run cache, so artifacts that
-// reuse the same federated runs (Table IV / Table V / Fig. 5) only pay for
-// them once per process.
+// Their timings are report-only. What is deterministic in a population
+// run — the per-client bookkeeping bytes and the number of heap
+// allocations one run makes at fixed parallelism — is asserted by
+// TestPopulationCounters against the constants in the populationRuns
+// table below, so a regression fails `go test ./...` and the history of
+// both counters is `git log -p` on this file. The paper's tables and
+// figures are not benchmarks: `go run ./cmd/fedtrip-tables -profile tiny`
+// renders every registered experiment, and cmd/fedtrip-bench is the
+// committed end-to-end benchmark.
 package repro
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
-	"sync"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/experiments"
 	"repro/internal/nn"
 	"repro/internal/partition"
 )
-
-var (
-	benchMu     sync.Mutex
-	benchTables = map[string]bool{} // ids already rendered this process
-)
-
-func benchProfile() experiments.Profile {
-	if testing.Short() {
-		return experiments.Tiny()
-	}
-	return experiments.Fast()
-}
-
-// benchExperiment runs one registered experiment. The first execution per
-// process renders its tables to stdout — the bench harness is also the
-// table generator.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchMu.Lock()
-		if !benchTables[id] {
-			benchTables[id] = true
-			fmt.Fprintf(os.Stdout, "\n")
-			for _, t := range tables {
-				t.Render(os.Stdout)
-			}
-		}
-		benchMu.Unlock()
-	}
-}
-
-// Table I: method families, information utilization vs resource cost.
-func BenchmarkTable1MethodFamilies(b *testing.B) { benchExperiment(b, "table1") }
-
-// Table II: dataset description.
-func BenchmarkTable2DatasetStats(b *testing.B) { benchExperiment(b, "table2") }
-
-// Table III: model communication/computation statistics.
-func BenchmarkTable3ModelStats(b *testing.B) { benchExperiment(b, "table3") }
-
-// Table IV: communication rounds until target accuracy (Dir-0.5, 4-of-10).
-func BenchmarkTable4RoundsToTarget(b *testing.B) { benchExperiment(b, "table4") }
-
-// Table V: GFLOPs until target accuracy.
-func BenchmarkTable5GFLOPs(b *testing.B) { benchExperiment(b, "table5") }
-
-// Table VI: rounds to target with 4-of-50 participation.
-func BenchmarkTable6Scalability(b *testing.B) { benchExperiment(b, "table6") }
-
-// Table VII: accuracy at rounds 10/20 with 5 and 10 local epochs.
-func BenchmarkTable7LocalEpochs(b *testing.B) { benchExperiment(b, "table7") }
-
-// Table VIII (Appendix A): analytic attaching cost per method.
-func BenchmarkTable8AttachingCost(b *testing.B) { benchExperiment(b, "table8") }
-
-// Fig. 2: representation separability (t-SNE + silhouette motivation).
-func BenchmarkFig2TSNE(b *testing.B) { benchExperiment(b, "fig2") }
-
-// Fig. 3: update-geometry mechanism (global-local divergence vs
-// current-historical distance).
-func BenchmarkFig3Mechanism(b *testing.B) { benchExperiment(b, "fig3") }
-
-// Fig. 4: client label distributions under the four heterogeneity types.
-func BenchmarkFig4LabelDistributions(b *testing.B) { benchExperiment(b, "fig4") }
-
-// Fig. 5: convergence curves of the CNN across datasets and schemes.
-func BenchmarkFig5ConvergenceCurves(b *testing.B) { benchExperiment(b, "fig5") }
-
-// Fig. 6: final-accuracy boxplots on FMNIST.
-func BenchmarkFig6FinalAccuracyBox(b *testing.B) { benchExperiment(b, "fig6") }
-
-// Fig. 7: FedTrip mu sensitivity.
-func BenchmarkFig7MuSensitivity(b *testing.B) { benchExperiment(b, "fig7") }
-
-// Theorem 1: empirical E[xi] vs the closed form p*ln(p)/(p-1).
-func BenchmarkTheoryXi(b *testing.B) { benchExperiment(b, "theory-xi") }
-
-// Theorem 1: decrease coefficient rho from measured smoothness (L) and
-// gradient-dissimilarity (B) constants.
-func BenchmarkTheoryRho(b *testing.B) { benchExperiment(b, "theory-rho") }
-
-// Extension: FedTrip with a quantized uplink (rounds x bytes compose).
-func BenchmarkExtQuantizedUplink(b *testing.B) { benchExperiment(b, "ext-quant") }
-
-// Ablation: xi schedule (inverse-gap vs gap vs fixed).
-func BenchmarkAblationXi(b *testing.B) { benchExperiment(b, "abl-xi") }
-
-// Ablation: triplet terms in isolation.
-func BenchmarkAblationHistoryOnly(b *testing.B) { benchExperiment(b, "abl-hist") }
-
-// Ablation: appendix methods (SCAFFOLD/FedDANE/MimeLite) resource costs.
-func BenchmarkAblationAppendixMethods(b *testing.B) { benchExperiment(b, "abl-extra") }
-
-// Time to accuracy under stragglers: barrier vs FedBuff vs FedAsync
-// aggregation policies through the unified RunSpec facade.
-func BenchmarkTimeToAccuracy(b *testing.B) { benchExperiment(b, "tta") }
 
 // --- Runtime throughput: synchronous vs asynchronous ---
 //
@@ -140,19 +37,19 @@ func BenchmarkTimeToAccuracy(b *testing.B) { benchExperiment(b, "tta") }
 
 // benchRuntimeConfig is a small-but-real FL setup: 16 clients, MLP,
 // MNIST-like data.
-func benchRuntimeConfig(b *testing.B) core.Config {
-	b.Helper()
+func benchRuntimeConfig(tb testing.TB) core.Config {
+	tb.Helper()
 	const clients, perClient = 16, 40
 	train, test, err := data.Generate(data.Spec{
 		Kind: data.KindMNIST, Train: clients * perClient, Test: 100, Seed: 61,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y,
 		train.Classes, clients, perClient, rand.New(rand.NewSource(62)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return core.Config{
 		Model: nn.ModelSpec{
@@ -212,31 +109,30 @@ func BenchmarkAsyncRuntimeThroughput(b *testing.B) {
 	b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/sec")
 }
 
-// --- Population scale: 1k and 10k clients ---
+// --- Population scale: 1k to 1M clients ---
 //
-// These benchmarks are the CI perf trajectory (BENCH_3.json tracks
-// their ns/op and allocs/op per PR, and cmd/benchdiff reports the delta
-// against the previous artifact). Clients hold 6 samples each; the
-// quarter-width MLP keeps per-shard engines small so the numbers measure
-// the runtime — registry, heap event loop, dispatch, engine pool — rather
-// than raw matmul throughput. Evaluation is disabled (EvalEvery past the
-// horizon) for the same reason.
+// Clients hold a handful of samples each and the quarter-width MLP keeps
+// the per-shard engines small, so the numbers measure the runtime —
+// registry, heap event loop, dispatch, engine pool, merge — rather than
+// raw matmul throughput. Evaluation is disabled (EvalEvery past the
+// horizon) for the same reason. Every spec pins Shards to 2, so the
+// amount of real parallelism, and with it the allocation count, does not
+// follow the machine.
 
-// benchPopulationConfig builds the fleet. Setup (data synthesis and
-// partitioning) runs outside the timer.
-func benchPopulationConfig(b *testing.B, clients int) core.Config {
-	b.Helper()
+// populationConfig builds a fleet of clients with 6 samples each.
+func populationConfig(tb testing.TB, clients int) core.Config {
+	tb.Helper()
 	const perClient = 6
 	train, test, err := data.Generate(data.Spec{
 		Kind: data.KindMNIST, Train: clients * perClient, Test: 100, Seed: 81,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	parts, err := partition.Partition(partition.IID(), train.Y,
 		train.Classes, clients, perClient, rand.New(rand.NewSource(82)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return core.Config{
 		Model: nn.ModelSpec{
@@ -246,175 +142,86 @@ func benchPopulationConfig(b *testing.B, clients int) core.Config {
 		Rounds: 4, ClientsPerRound: 32,
 		BatchSize: perClient, LocalEpochs: 1,
 		LR: 0.01, Momentum: 0.9,
-		Algo: core.NewFedTrip(0.4), Seed: 83,
+		Seed: 83, Shards: 2,
 		EvalEvery: 1 << 20,
 	}
 }
 
-func benchSyncPopulation(b *testing.B, clients int) {
-	cfg := benchPopulationConfig(b, clients)
-	b.ReportAllocs()
-	b.ResetTimer()
-	updates := 0
-	for i := 0; i < b.N; i++ {
-		c := cfg
-		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.Start(core.RunSpec{Config: c})
-		if err != nil {
-			b.Fatal(err)
-		}
-		updates += res.Rounds * c.ClientsPerRound
-	}
-	b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/sec")
+// syncSpec is the lock-step runtime: 4 rounds of 32 clients.
+func syncSpec(tb testing.TB, clients int) core.RunSpec {
+	return core.RunSpec{Config: populationConfig(tb, clients)}
 }
 
-func benchAsyncPopulation(b *testing.B, clients int) {
-	cfg := benchPopulationConfig(b, clients)
-	b.ReportAllocs()
-	b.ResetTimer()
-	updates := 0
-	for i := 0; i < b.N; i++ {
-		c := core.RunSpec{
-			Config:      cfg,
-			Runtime:     core.RuntimeAsync,
-			Concurrency: 128,
-			BufferSize:  32,
-			Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
-		}
-		c.Algo = core.NewFedTrip(0.4)
-		res, err := core.Start(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		updates += res.Rounds * c.BufferSize
+// asyncSpec is the buffered runtime under stragglers: 128 clients in
+// flight, an aggregation every 32 arrivals.
+func asyncSpec(tb testing.TB, clients int) core.RunSpec {
+	return core.RunSpec{
+		Config:      populationConfig(tb, clients),
+		Runtime:     core.RuntimeAsync,
+		Concurrency: 128,
+		BufferSize:  32,
+		Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
 	}
-	b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/sec")
 }
 
-func BenchmarkSync1kClients(b *testing.B)   { benchSyncPopulation(b, 1_000) }
-func BenchmarkAsync1kClients(b *testing.B)  { benchAsyncPopulation(b, 1_000) }
-func BenchmarkSync10kClients(b *testing.B)  { benchSyncPopulation(b, 10_000) }
-func BenchmarkAsync10kClients(b *testing.B) { benchAsyncPopulation(b, 10_000) }
-
-// BenchmarkAsyncChurn1k measures the device-heterogeneity event loop at
-// 1k-client scale: lognormal FLOP-coupled device speeds (arrivals priced
-// by metered FLOPs, joined at dispatch), adaptive local steps, Markov
-// availability churn, and the max-staleness admission cutoff — the full
-// hetero scenario machinery on top of the buffered runtime.
-func BenchmarkAsyncChurn1k(b *testing.B) {
-	cfg := benchPopulationConfig(b, 1_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	updates := 0
-	for i := 0; i < b.N; i++ {
-		spec := core.RunSpec{
-			Config:             cfg,
-			Runtime:            core.RuntimeAsync,
-			Concurrency:        128,
-			BufferSize:         32,
-			Devices:            core.LognormalDevices{Mu: 0, Sigma: 0.6},
-			FlopRate:           1e6,
-			AdaptiveLocalSteps: true,
-			Churn:              &core.ChurnModel{MeanUp: 30, MeanDown: 3},
-			Policy:             core.WithMaxStaleness(&core.FedBuffPolicy{}, 8),
-		}
-		spec.Algo = core.NewFedTrip(0.4)
-		res, err := core.Start(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		updates += res.Rounds * 32
+// churnSpec is the device-heterogeneity event loop: lognormal
+// FLOP-coupled device speeds (arrivals priced by metered FLOPs, joined at
+// dispatch), adaptive local steps, Markov availability churn, and the
+// max-staleness admission cutoff on top of the buffered runtime.
+func churnSpec(tb testing.TB, clients int) core.RunSpec {
+	return core.RunSpec{
+		Config:             populationConfig(tb, clients),
+		Runtime:            core.RuntimeAsync,
+		Concurrency:        128,
+		BufferSize:         32,
+		Devices:            core.LognormalDevices{Mu: 0, Sigma: 0.6},
+		FlopRate:           1e6,
+		AdaptiveLocalSteps: true,
+		Churn:              &core.ChurnModel{MeanUp: 30, MeanDown: 3},
+		Policy:             core.WithMaxStaleness(&core.FedBuffPolicy{}, 8),
 	}
-	b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/sec")
 }
 
-// BenchmarkAsyncFedAsync1k measures the FedAsync single-arrival path
-// (aggregation policy BufferSize=1 with mixing-rate merges) at 1k-client
-// scale through the unified RunSpec facade. The round budget is scaled so
-// the run processes the same 128 client updates as the buffered
-// benchmark's 4 aggregations of 32 — the numbers meter the per-merge
-// overhead of merging on every arrival.
-func BenchmarkAsyncFedAsync1k(b *testing.B) {
-	cfg := benchPopulationConfig(b, 1_000)
-	cfg.Rounds = 128
-	b.ReportAllocs()
-	b.ResetTimer()
-	updates := 0
-	for i := 0; i < b.N; i++ {
-		spec := core.RunSpec{
-			Config:      cfg,
-			Runtime:     core.RuntimeAsync,
-			Concurrency: 128,
-			Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
-			Policy:      &core.FedAsyncPolicy{Alpha: 0.6},
-		}
-		spec.Algo = core.NewFedTrip(0.4)
-		res, err := core.Start(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		updates += res.Rounds // one merged update per aggregation
-	}
-	b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/sec")
+// fedAsyncSpec is the single-arrival path: a mixing-rate merge on every
+// arrival. The round budget is scaled so the run processes the same 128
+// client updates as asyncSpec's 4 aggregations of 32 — the numbers meter
+// the per-merge overhead of merging on every arrival.
+func fedAsyncSpec(tb testing.TB, clients int) core.RunSpec {
+	spec := asyncSpec(tb, clients)
+	spec.Rounds = 128
+	spec.BufferSize = 0
+	spec.Policy = &core.FedAsyncPolicy{Alpha: 0.6}
+	return spec
 }
 
-// BenchmarkRobustMerge1k measures the robust aggregation path at
-// 1k-client scale: a 20% sign-flipping / 5% crashing fleet merged with
-// the coordinate-wise median (in-place heapsort over the per-coordinate
-// column, non-finite screen in front). The CI perf trajectory gates this
-// benchmark's allocs/op — the robust estimators must stay on the pooled,
-// allocation-free merge path.
-func BenchmarkRobustMerge1k(b *testing.B) {
-	cfg := benchPopulationConfig(b, 1_000)
+// robustSpec is the robust aggregation path: a 20% sign-flipping / 5%
+// crashing fleet merged with the coordinate-wise median (in-place
+// heapsort over the per-coordinate column, non-finite screen in front).
+// The robust estimators must stay on the pooled, allocation-free merge
+// path, which is what this row's allocation ceiling holds them to.
+func robustSpec(tb testing.TB, clients int) core.RunSpec {
 	faults, err := core.ParseFaults("byz:0.2,signflip+crash:0.05")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	updates := 0
-	for i := 0; i < b.N; i++ {
-		spec := core.RunSpec{
-			Config:      cfg,
-			Runtime:     core.RuntimeAsync,
-			Concurrency: 128,
-			BufferSize:  32,
-			Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
-			Policy:      &core.MedianPolicy{},
-			Faults:      faults,
-		}
-		spec.Algo = core.NewFedTrip(0.4)
-		res, err := core.Start(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		updates += res.Rounds * 32
-	}
-	b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/sec")
+	spec := asyncSpec(tb, clients)
+	spec.Policy = &core.MedianPolicy{}
+	spec.Faults = faults
+	return spec
 }
 
-// --- Population scale: 100k and 1M clients ---
-//
-// The scale trajectory: clients share a small sample pool (overlapping
-// indices), so the dataset stays tiny while the runtime's per-client
-// machinery — registry, heap slot map, aggregate churn, stateless
-// device/latency derivation — runs at full population width. Fleet
-// construction happens outside the timer; the metered section is the
-// event loop. Two metrics ride into the CI artifact:
-//
-//	events/s   dispatch+arrival events processed per wall-clock second
-//	           (higher is better; benchdiff knows the direction)
-//	B/client   the runtime's deterministic per-client bookkeeping bytes
-//	           (RunState.PerClientStateBytes — gated next to allocs/op)
-
-func benchScaleSpec(b *testing.B, clients int) core.RunSpec {
-	b.Helper()
+// scaleSpec is the 100k–1M fleet: clients share a small sample pool
+// (overlapping indices), so the dataset stays tiny while the runtime's
+// per-client machinery — registry, heap slot map, aggregate churn,
+// stateless device/latency derivation — runs at full population width.
+func scaleSpec(tb testing.TB, clients int) core.RunSpec {
+	tb.Helper()
 	const perClient, pool = 4, 2000
 	train, test, err := data.Generate(data.Spec{
 		Kind: data.KindMNIST, Train: pool, Test: 100, Seed: 91,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(92))
 	parts := make([][]int, clients)
@@ -435,7 +242,7 @@ func benchScaleSpec(b *testing.B, clients int) core.RunSpec {
 			Rounds: 6, ClientsPerRound: 32,
 			BatchSize: perClient, LocalEpochs: 1,
 			LR: 0.01, Momentum: 0.9,
-			Algo: core.NewFedTrip(0.4), Seed: 93,
+			Seed: 93, Shards: 2,
 			EvalEvery: 1 << 20,
 		},
 		Runtime:     core.RuntimeAsync,
@@ -446,29 +253,128 @@ func benchScaleSpec(b *testing.B, clients int) core.RunSpec {
 	}
 }
 
-func benchScalePopulation(b *testing.B, clients int) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events int64
-	var perClientBytes float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		spec := benchScaleSpec(b, clients)
-		rs, err := core.NewRunState(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		perClientBytes = rs.PerClientStateBytes()
-		b.StartTimer()
-		if _, err := rs.Run(); err != nil {
-			b.Fatal(err)
-		}
-		_, dispatches := rs.Participation()
-		events += 2 * dispatches // each dispatch and its arrival
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(perClientBytes, "B/client")
+// populationRuns is the population ladder and its two committed
+// counters. BenchmarkPopulation times each row; TestPopulationCounters
+// runs each gated row once, in this order, and compares:
+//
+//	bytesPerClient  RunState.PerClientStateBytes, the runtime's
+//	                per-client bookkeeping — an exact function of the
+//	                spec, the same at every population size
+//	mallocs         heap allocations of the run's event loop (fleet
+//	                construction excluded) with 2 shards at GOMAXPROCS 2;
+//	                a ceiling with 2 % of slack. 0: benchmark only
+//
+// The 1M rung is not gated: its B/client is the 100k row's analytic
+// function and its loop allocates what the 100k loop does, so it would
+// cost a gigabyte of heap in tier-1 to pin nothing new.
+var populationRuns = []struct {
+	name           string
+	spec           func(tb testing.TB, clients int) core.RunSpec
+	clients        int
+	bytesPerClient float64
+	mallocs        uint64
+}{
+	{"Sync1kClients", syncSpec, 1_000, 220, 1_694},
+	{"Async1kClients", asyncSpec, 1_000, 224, 3_558},
+	{"Sync10kClients", syncSpec, 10_000, 220, 1_670},
+	{"Async10kClients", asyncSpec, 10_000, 224, 3_582},
+	{"AsyncChurn1k", churnSpec, 1_000, 232, 3_530},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 224, 3_380},
+	{"RobustMerge1k", robustSpec, 1_000, 225, 3_585},
+	{"Async100kClients", scaleSpec, 100_000, 216, 8_430},
+	{"Async1MClients", scaleSpec, 1_000_000, 216, 0},
 }
 
-func BenchmarkAsync100kClients(b *testing.B) { benchScalePopulation(b, 100_000) }
-func BenchmarkAsync1MClients(b *testing.B)   { benchScalePopulation(b, 1_000_000) }
+// newPopulationRun constructs the fleet for one run of spec.
+func newPopulationRun(tb testing.TB, spec core.RunSpec) *core.RunState {
+	tb.Helper()
+	spec.Algo = core.NewFedTrip(0.4)
+	rs, err := core.NewRunState(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rs
+}
+
+// runPopulation drives the event loop to completion and returns the
+// number of events it processed: each dispatch and its arrival.
+func runPopulation(tb testing.TB, rs *core.RunState) int64 {
+	tb.Helper()
+	if _, err := rs.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	_, dispatches := rs.Participation()
+	return 2 * dispatches
+}
+
+// BenchmarkPopulation meters the event loop: data synthesis and fleet
+// construction happen outside the timer.
+func BenchmarkPopulation(b *testing.B) {
+	for _, p := range populationRuns {
+		b.Run(p.name, func(b *testing.B) {
+			spec := p.spec(b, p.clients)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rs := newPopulationRun(b, spec)
+				b.StartTimer()
+				events += runPopulation(b, rs)
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}
+
+// TestPopulationCounters is the deterministic half of the population
+// benchmarks as a tier-1 gate. It fixes its own parallelism — the specs
+// pin two shards and the test pins GOMAXPROCS to match — because the
+// allocation count of a run follows the number of goroutines that train
+// at once.
+func TestPopulationCounters(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, p := range populationRuns {
+		if p.mallocs == 0 {
+			continue
+		}
+		rs := newPopulationRun(t, p.spec(t, p.clients))
+		if got := rs.PerClientStateBytes(); got != p.bytesPerClient {
+			t.Errorf("%s: B/client = %v, committed %v — per-client bookkeeping state changed; "+
+				"if intended, edit bytesPerClient in populationRuns (bench_test.go)",
+				p.name, got, p.bytesPerClient)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runPopulation(t, rs)
+		runtime.ReadMemStats(&after)
+		got := after.Mallocs - before.Mallocs
+		switch ceiling := p.mallocs + p.mallocs/50; {
+		case got > ceiling:
+			t.Errorf("%s: mallocs = %d per run, committed %d (+2%% = %d) — the event loop allocates more; "+
+				"if intended, edit mallocs in populationRuns (bench_test.go)",
+				p.name, got, p.mallocs, ceiling)
+		case got < p.mallocs-p.mallocs/50:
+			t.Logf("%s: mallocs = %d per run, more than 2%% under the committed %d — tighten the constant",
+				p.name, got, p.mallocs)
+		}
+	}
+
+	// The rows above cover the lock-step, buffered, churn and fault-class
+	// terms of B/client; the noise adversary's per-client stream pointer
+	// is the one term left, on top of the churning row.
+	faults, err := core.ParseFaults("byz:0.1,noise:2+crash:0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := churnSpec(t, 1_000)
+	spec.Faults = faults
+	rs := newPopulationRun(t, spec)
+	defer rs.Close()
+	if got, want := rs.PerClientStateBytes(), 241.0; got != want {
+		t.Errorf("async+churn+noise faults: B/client = %v, committed %v", got, want)
+	}
+}

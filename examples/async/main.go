@@ -350,7 +350,7 @@ func churnScenario() {
 // plus a mid-run mass-dropout event. Per-client runtime state is compact
 // and mostly derived statelessly from seed streams, so the heap grows by
 // ~200 B per client — the printed B/client figure is the same
-// deterministic accessor CI gates via cmd/benchdiff.
+// deterministic accessor the root TestPopulationCounters pins exactly.
 func scaleScenario(clients int) {
 	const (
 		perClient = 4
@@ -428,7 +428,7 @@ func scaleScenario(clients int) {
 	fmt.Printf("  fleet coverage        %d distinct clients over %d dispatches\n", distinct, dispatches)
 	fmt.Printf("  offline right now     %d of %d clients\n", rs.Offline(), clients)
 	fmt.Printf("  dropped updates       %d\n", res.DroppedUpdates)
-	fmt.Printf("  per-client state      %.0f B/client (deterministic; CI-gated)\n", rs.PerClientStateBytes())
+	fmt.Printf("  per-client state      %.0f B/client (deterministic; pinned in tier-1)\n", rs.PerClientStateBytes())
 	fmt.Printf("  event throughput      %.0f events/s (%d dispatch+arrival events)\n",
 		float64(events)/time.Since(start).Seconds(), events)
 	fmt.Printf("  heap in use           %.0f MB (population + data + engines and in-flight work)\n", float64(mem.HeapInuse)/1e6)

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -23,58 +24,93 @@ func benchVectors() (global, trained []float64) {
 	return global, trained
 }
 
-// benchTransport round-trips one client dispatch per op the way the
-// runtime does — DownInto a reused buffer, then UpInto in place with that
-// buffer as the reference — and reports the measured wire bytes as
-// commB/op. Byte counts are exact functions of the spec and the
-// parameter count — deterministic across runs and machines — so CI gates
-// commB/op the same way it gates allocs/op: any growth in a transport's
-// encoded size is a real wire-format regression, not runner noise. And
-// allocs/op is 0 past the client's first participation (which the
-// warm-up op before the timer pays), so the root allocs/op gate covers
-// the transfer path.
-func benchTransport(b *testing.B, spec string) {
+// transportWire is the one table of transport specs the benchmarks time
+// and TestTransportWireBytes gates: the exact wire bytes of one dispatch
+// round trip (downlink + uplink) at benchParams parameters. The counts
+// are functions of the spec and the parameter count alone — the same on
+// every run and machine — so any change is a wire-format change, never
+// noise; if it is intended, the constant to edit is here, and the
+// trajectory is `git log -p` on this file.
+var transportWire = []struct {
+	spec  string
+	bytes int64
+}{
+	{"f32", 320_024},
+	{"lossless", 640_000},
+	{"q8", 200_037},
+	{"q8+ef", 200_037},
+	{"topk:0.01+ef", 163_220},
+	{"randk:0.05", 176_020},
+}
+
+// benchDispatch returns one client's dispatch round trip the way the
+// runtime does it — DownInto a reused buffer, then UpInto in place with
+// that buffer as the reference — reporting the measured wire bytes.
+func benchDispatch(tb testing.TB, spec string) func(round int) int64 {
+	tb.Helper()
 	trI, err := ParseTransport(spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tr := trI.(core.WireTransport)
 	global, trained := benchVectors()
 	received := make([]float64, benchParams)
 	upload := make([]float64, benchParams)
-	dispatch := func(round int) int64 {
+	return func(round int) int64 {
 		down := tr.DownInto(received, 1, round, global)
 		copy(upload, trained)
 		return down + tr.UpInto(upload, 1, round, upload, received)
 	}
-	dispatch(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wire int64
-	for i := 0; i < b.N; i++ {
-		wire += dispatch(i + 1)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(wire)/float64(b.N), "commB/op")
 }
 
-func BenchmarkTransportF32(b *testing.B)      { benchTransport(b, "f32") }
-func BenchmarkTransportLossless(b *testing.B) { benchTransport(b, "lossless") }
-func BenchmarkTransportQ8(b *testing.B)       { benchTransport(b, "q8") }
-func BenchmarkTransportQ8EF(b *testing.B)     { benchTransport(b, "q8+ef") }
-func BenchmarkTransportTopKEF(b *testing.B)   { benchTransport(b, "topk:0.01+ef") }
-func BenchmarkTransportRandK(b *testing.B)    { benchTransport(b, "randk:0.05") }
+// BenchmarkTransport times one dispatch round trip per op and reports its
+// wire bytes as commB/op. allocs/op is 0: the warm-up op before the timer
+// pays the client's first participation, and past it the transfer path
+// allocates nothing (TestTransportSteadyStateAllocFree).
+func BenchmarkTransport(b *testing.B) {
+	for _, w := range transportWire {
+		b.Run(w.spec, func(b *testing.B) {
+			dispatch := benchDispatch(b, w.spec)
+			dispatch(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wire int64
+			for i := 0; i < b.N; i++ {
+				wire += dispatch(i + 1)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(wire)/float64(b.N), "commB/op")
+		})
+	}
+}
 
-// The snapshot path is on the kill/resume critical section (the event
-// loop is quiesced while it runs), so its cost is worth pinning too.
-func BenchmarkTransportSnapshotState(b *testing.B) {
+// TestTransportWireBytes is the commB gate: the first participation and
+// the dispatches after it each put exactly the committed number of bytes
+// on the wire.
+func TestTransportWireBytes(t *testing.T) {
+	for _, w := range transportWire {
+		dispatch := benchDispatch(t, w.spec)
+		for round := 0; round < 3; round++ {
+			if got := dispatch(round); got != w.bytes {
+				t.Errorf("%s: commB = %d per dispatch round trip (round %d), committed %d — "+
+					"the encoded size changed; if intended, edit transportWire (bench_test.go)",
+					w.spec, got, round, w.bytes)
+				break
+			}
+		}
+	}
+}
+
+// snapshotTransport is a top-k + error-feedback transport holding 64
+// clients' worth of residual state.
+func snapshotTransport(tb testing.TB) *CompressedTransport {
+	tb.Helper()
 	trI, err := ParseTransport("topk:0.01+ef")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tr := trI.(*CompressedTransport)
 	global, _ := benchVectors()
-	// Populate 64 clients' worth of residual state.
 	received := make([]float64, benchParams)
 	params := make([]float64, benchParams)
 	for c := 0; c < 64; c++ {
@@ -83,26 +119,35 @@ func BenchmarkTransportSnapshotState(b *testing.B) {
 		params[c%benchParams] += 0.5
 		tr.UpInto(params, c, 0, params, received)
 	}
+	return tr
+}
+
+// The snapshot path is on the kill/resume critical section (the event
+// loop is quiesced while it runs), so its cost is worth pinning too.
+func BenchmarkTransportSnapshotState(b *testing.B) {
+	tr := snapshotTransport(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tr.SnapshotState(discard{}); err != nil {
+		if err := tr.SnapshotState(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// Guard against the benchmark table silently drifting from the parse
-// grammar: every spec the benchmarks pin must stay parseable.
-func TestBenchTransportSpecsParse(t *testing.T) {
-	for _, spec := range []string{"f32", "lossless", "q8", "q8+ef", "topk:0.01+ef", "randk:0.05"} {
-		if _, err := ParseTransport(spec); err != nil {
-			t.Errorf("ParseTransport(%q): %v", spec, err)
+// TestSnapshotStateAllocs holds the snapshot walk to the codec, its chunk
+// scratch and the sorted client-ID list as it grows — nothing per
+// residual, nothing per element.
+func TestSnapshotStateAllocs(t *testing.T) {
+	tr := snapshotTransport(t)
+	const committed = 13
+	n := testing.AllocsPerRun(10, func() {
+		if err := tr.SnapshotState(io.Discard); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if n > committed {
+		t.Errorf("SnapshotState at 64 residual clients: %v allocs, committed %d", n, committed)
 	}
 }
 

@@ -7,36 +7,47 @@ import (
 	"repro/internal/tensor"
 )
 
-// BenchmarkAggregate measures Eq. 2 weighted averaging of 10 CNN-sized
-// updates — the server's per-round vector work.
-func BenchmarkAggregate(b *testing.B) {
+// aggregateInputs is Eq. 2 at the paper CNN's merge shape: 10 updates of
+// |w| = 61,706, sample-count weights normalised to one.
+func aggregateInputs() (dst, weights []float64, vecs [][]float64) {
 	const n = 61706 // paper CNN |w|
 	rng := rand.New(rand.NewSource(1))
-	updates := make([]Update, 10)
-	for i := range updates {
-		p := make([]float64, n)
-		for j := range p {
-			p[j] = rng.NormFloat64()
-		}
-		updates[i] = Update{Params: p, NumSamples: 100 + i}
-	}
-	dst := make([]float64, n)
-	weights := make([]float64, len(updates))
-	vecs := make([][]float64, len(updates))
+	vecs = make([][]float64, 10)
+	weights = make([]float64, len(vecs))
 	var total float64
-	for i, u := range updates {
-		weights[i] = float64(u.NumSamples)
-		vecs[i] = u.Params
+	for i := range vecs {
+		vecs[i] = make([]float64, n)
+		for j := range vecs[i] {
+			vecs[i][j] = rng.NormFloat64()
+		}
+		weights[i] = float64(100 + i)
 		total += weights[i]
 	}
 	for i := range weights {
 		weights[i] /= total
 	}
-	b.SetBytes(int64(n * len(updates) * 8))
+	return make([]float64, n), weights, vecs
+}
+
+// BenchmarkAggregate measures Eq. 2 weighted averaging of 10 CNN-sized
+// updates — the server's per-round vector work.
+func BenchmarkAggregate(b *testing.B) {
+	dst, weights, vecs := aggregateInputs()
+	b.SetBytes(int64(len(dst) * len(vecs) * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.WeightedSumInto(dst, weights, vecs)
+	}
+}
+
+// TestAggregateAllocFree pins the merge kernel at zero allocations at a
+// size (617k multiply-adds) well past parallel.DefaultMinWork, where a
+// chunked rewrite would be tempted to allocate per call.
+func TestAggregateAllocFree(t *testing.T) {
+	dst, weights, vecs := aggregateInputs()
+	if n := testing.AllocsPerRun(10, func() { tensor.WeightedSumInto(dst, weights, vecs) }); n != 0 {
+		t.Errorf("WeightedSumInto at 10 x %d: %v allocs per call, want 0", len(dst), n)
 	}
 }
 

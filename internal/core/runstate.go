@@ -133,23 +133,26 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 
 // PerClientStateBytes reports the runtime's deterministic per-client
 // bookkeeping footprint in bytes: the scheduler registry (dispatch
-// counter plus idle-set entry), the event heap's client→slot map, the
-// aggregate churn permutation, the fault assignment (plus the noise
-// adversary's stream pointers when derived), and the client objects
-// themselves (slice entry, struct, sample indices). Lazily allocated
-// training state — per-client RNGs, historical models, method vectors
-// and scalar maps — is excluded: it scales with participation, not with
-// population. The number is a pure function of the spec, which is what
-// lets CI gate it as a regression metric (cmd/benchdiff, B/client).
+// counter plus idle-set entry), the buffered runtime's event-heap
+// client→slot map, the aggregate churn permutation, the fault assignment
+// (plus the noise adversary's stream pointers when derived), and the
+// client objects themselves (slice entry, struct, sample indices). Lazily
+// allocated training state — per-client RNGs, historical models, method
+// vectors and scalar maps — is excluded: it scales with participation,
+// not with population. The number is a pure function of the spec, which
+// is what lets tier-1 pin it exactly (TestPopulationCounters, B/client).
 func (rs *RunState) PerClientStateBytes() float64 {
 	a := rs.a
 	n := len(a.s.clients)
 	if n == 0 {
 		return 0
 	}
-	// Registry: dispatches + idle ids + idle pos (int32 each), and the
-	// buffered runtime's heap slot map.
-	total := int64(n) * (4 + 4 + 4 + 4)
+	// Registry: dispatches + idle ids + idle pos (int32 each).
+	total := int64(n) * (4 + 4 + 4)
+	if _, buffered := rs.run.(*bufferedRunner); buffered {
+		// The event heap's slot map; the lock-step runner keeps no heap.
+		total += int64(n) * 4
+	}
 	if a.churn != nil {
 		// Aggregate churn: the segment permutation and its inverse.
 		total += int64(n) * 8
