@@ -22,7 +22,7 @@ import (
 // snapshotted) resumed from a mid-run snapshot; the digests of all of
 // them must agree.
 func TestAsyncBarrierZeroLatencyMatchesSync(t *testing.T) {
-	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 42})
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,7 @@ func TestAsyncBarrierZeroLatencyMatchesSync(t *testing.T) {
 		variant{name: "faults+median", faults: "byz:0.25,signflip+crash:0.1", policy: "median"},
 		variant{name: "policy=fedavg+clip", policy: "fedavg+clip:5"},
 		variant{name: "evalevery=3", mutate: func(c *core.Config) { c.EvalEvery = 3 }},
+		// On corpus seed 44 the run crosses 0.2 at round 2 (0.26) and stops.
 		variant{name: "stopattarget", mutate: func(c *core.Config) { c.TargetAccuracy = 0.2; c.StopAtTarget = true }},
 		variant{name: "shards=1", mutate: func(c *core.Config) { c.Shards = 1 }},
 		variant{name: "shards=3", mutate: func(c *core.Config) { c.Shards = 3 }},

@@ -2,10 +2,38 @@ package data
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
 )
+
+// widen returns the first n samples of d as float64 rows, read the way
+// every non-test caller reads them: through FillBatch.
+func widen(d *Dataset, n int) []float64 {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	x := tensor.New(n, d.SampleSize())
+	d.FillBatch(x, make([]int, n), idx)
+	return x.Data
+}
+
+// sameCorpus reports whether a and b hold the same labels and bit-identical
+// pixels.
+func sameCorpus(a, b *Dataset) bool {
+	if len(a.X) != len(b.X) || !slices.Equal(a.Y, b.Y) {
+		return false
+	}
+	for i, v := range a.X {
+		if math.Float32bits(v) != math.Float32bits(b.X[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 func TestTableIIMatchesPaper(t *testing.T) {
 	want := map[Kind]Stats{
@@ -55,12 +83,112 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _, _ := Generate(Spec{Kind: KindCIFAR, Train: 50, Test: 10, Seed: 7})
-	if tensor.MaxAbsDiff(a.X, b.X) != 0 {
+	if !sameCorpus(a, b) {
 		t.Fatal("same seed, different data")
 	}
 	c, _, _ := Generate(Spec{Kind: KindCIFAR, Train: 50, Test: 10, Seed: 8})
-	if tensor.MaxAbsDiff(a.X, c.X) == 0 {
+	if tensor.MaxAbsDiff(widen(a, 50), widen(c, 50)) == 0 {
 		t.Fatal("different seed, identical data")
+	}
+}
+
+// The corpus must not depend on how many threads synthesised it: block
+// edges and block seeds are fixed by the spec, so every kind's train and
+// test split is byte-identical at any GOMAXPROCS. Sizes span several
+// blocks so that widths 2 and 4 really split the work.
+func TestGenerateWorkerCountIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, k := range Kinds() {
+		spec := Spec{Kind: k, Train: 5*blockSamples + 7, Test: 2*blockSamples + 1, Seed: 13}
+		runtime.GOMAXPROCS(1)
+		wantTrain, wantTest, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			train, test, err := Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCorpus(train, wantTrain) {
+				t.Errorf("%s: train split at GOMAXPROCS=%d differs from GOMAXPROCS=1", k, procs)
+			}
+			if !sameCorpus(test, wantTest) {
+				t.Errorf("%s: test split at GOMAXPROCS=%d differs from GOMAXPROCS=1", k, procs)
+			}
+		}
+	}
+}
+
+// A block depends only on (seed, split, block index), so a smaller corpus
+// is a prefix of a larger one — for the test split too. The sizes sit on
+// both sides of a block edge.
+func TestGeneratePrefixStable(t *testing.T) {
+	for _, k := range Kinds() {
+		const full = 4*blockSamples + 20
+		fullTrain, fullTest, err := Generate(Spec{Kind: k, Train: full, Test: full, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := fullTrain.SampleSize()
+		for _, n := range []int{1, blockSamples - 1, blockSamples, blockSamples + 1, 1000} {
+			train, test, err := Generate(Spec{Kind: k, Train: n, Test: n, Seed: 21})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				split      string
+				got, whole *Dataset
+			}{{"train", train, fullTrain}, {"test", test, fullTest}} {
+				prefix := &Dataset{X: c.whole.X[:n*size], Y: c.whole.Y[:n]}
+				if c.got.Len() != n || !sameCorpus(c.got, prefix) {
+					t.Errorf("%s: %s split of %d samples is not a prefix of the %d-sample split", k, c.split, n, full)
+				}
+			}
+		}
+	}
+}
+
+// Generation allocates per worker chunk (one generator, one float64 row,
+// one goroutine), never per block or per sample: quadrupling the blocks
+// must stay under the same ceiling, alone on one thread (AllocsPerRun pins
+// GOMAXPROCS to 1) and across four.
+func TestGenerateAllocsBoundedByWorkers(t *testing.T) {
+	// 37 allocations do not depend on the corpus: 11 smooth fields and
+	// prototypes, two Dataset values with X and Y, the block-seed
+	// closures and one serial chunk's generator and row per split (the
+	// one-block test split always runs serially). A parallel chunk adds
+	// its goroutine and closure: at most 6 per chunk.
+	const fixed, perChunk = 37, 6
+	generate := func(n int) func() {
+		return func() {
+			if _, _, err := Generate(Spec{Kind: KindMNIST, Train: n, Test: 10, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []int{1000, 4000} {
+		if got := testing.AllocsPerRun(2, generate(n)); got > fixed {
+			t.Errorf("one worker: Generate of %d samples made %.0f allocations, ceiling %d", n, got, fixed)
+		}
+	}
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for _, n := range []int{1000, 4000} {
+		// The runtime allocates in the background too; the quietest of
+		// three runs is the generator's own count.
+		got := uint64(math.MaxUint64)
+		for r := 0; r < 3; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			generate(n)()
+			runtime.ReadMemStats(&after)
+			got = min(got, after.Mallocs-before.Mallocs)
+		}
+		if ceiling := uint64(fixed + procs*perChunk); got > ceiling {
+			t.Errorf("%d workers: Generate of %d samples made %d allocations, ceiling %d", procs, n, got, ceiling)
+		}
 	}
 }
 
@@ -105,11 +233,12 @@ func TestClassSeparationExists(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := train.SampleSize()
+		x := widen(train, 100)
 		var intra, inter float64
 		var nIntra, nInter int
 		for i := 0; i < 100; i++ {
 			for j := i + 1; j < 100; j++ {
-				d := tensor.DistSq(train.X[i*size:(i+1)*size], train.X[j*size:(j+1)*size])
+				d := tensor.DistSq(x[i*size:(i+1)*size], x[j*size:(j+1)*size])
 				if train.Y[i] == train.Y[j] {
 					intra += d
 					nIntra++
@@ -142,11 +271,12 @@ func TestDifficultyOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := train.SampleSize()
+		x := widen(train, 150)
 		var intra, inter float64
 		var nIntra, nInter int
 		for i := 0; i < 150; i++ {
 			for j := i + 1; j < 150; j++ {
-				d := tensor.DistSq(train.X[i*size:(i+1)*size], train.X[j*size:(j+1)*size]) / float64(size)
+				d := tensor.DistSq(x[i*size:(i+1)*size], x[j*size:(j+1)*size]) / float64(size)
 				if train.Y[i] == train.Y[j] {
 					intra += d
 					nIntra++
@@ -186,8 +316,10 @@ func TestFillBatch(t *testing.T) {
 		if labels[bi] != train.Y[si] {
 			t.Fatalf("label %d mismatch", bi)
 		}
-		if x.Data[bi*784] != train.X[si*784] {
-			t.Fatalf("pixel 0 of batch row %d mismatch", bi)
+		for j := 0; j < 784; j++ {
+			if x.Data[bi*784+j] != float64(train.X[si*784+j]) {
+				t.Fatalf("pixel %d of batch row %d is not float64(X[%d])", j, bi, si*784+j)
+			}
 		}
 	}
 }
@@ -234,10 +366,11 @@ func TestTrainTestShareClassStructure(t *testing.T) {
 	for c := range means {
 		means[c] = make([]float64, size)
 	}
+	trainX, testX := widen(train, train.Len()), widen(test, test.Len())
 	for i := 0; i < train.Len(); i++ {
 		y := train.Y[i]
 		counts[y]++
-		tensor.Axpy(1, train.X[i*size:(i+1)*size], means[y])
+		tensor.Axpy(1, trainX[i*size:(i+1)*size], means[y])
 	}
 	for c := range means {
 		if counts[c] > 0 {
@@ -246,7 +379,7 @@ func TestTrainTestShareClassStructure(t *testing.T) {
 	}
 	correct := 0
 	for i := 0; i < test.Len(); i++ {
-		x := test.X[i*size : (i+1)*size]
+		x := testX[i*size : (i+1)*size]
 		best, bestD := -1, math.Inf(1)
 		for c := range means {
 			if d := tensor.DistSq(x, means[c]); d < bestD {
