@@ -274,14 +274,14 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 220, 1_694},
-	{"Async1kClients", asyncSpec, 1_000, 224, 3_558},
-	{"Sync10kClients", syncSpec, 10_000, 220, 1_670},
-	{"Async10kClients", asyncSpec, 10_000, 224, 3_582},
-	{"AsyncChurn1k", churnSpec, 1_000, 232, 3_530},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 224, 3_380},
-	{"RobustMerge1k", robustSpec, 1_000, 225, 3_585},
-	{"Async100kClients", scaleSpec, 100_000, 216, 8_430},
+	{"Sync1kClients", syncSpec, 1_000, 220, 1_604},
+	{"Async1kClients", asyncSpec, 1_000, 224, 3_328},
+	{"Sync10kClients", syncSpec, 10_000, 220, 1_568},
+	{"Async10kClients", asyncSpec, 10_000, 224, 3_355},
+	{"AsyncChurn1k", churnSpec, 1_000, 232, 3_298},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 224, 3_345},
+	{"RobustMerge1k", robustSpec, 1_000, 225, 3_250},
+	{"Async100kClients", scaleSpec, 100_000, 216, 7_849},
 	{"Async1MClients", scaleSpec, 1_000_000, 216, 0},
 }
 

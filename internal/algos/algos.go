@@ -130,14 +130,9 @@ func (*FedProx) Name() string { return "fedprox" }
 // fingerprint tells their settings apart.
 func (f *FedProx) String() string { return spec.T("fedprox", f.Mu).String() }
 
-// BeginRound snapshots the received global model.
-func (f *FedProx) BeginRound(c *core.Client, round int, global []float64) {
-	copy(c.RoundVec("fedprox.global"), global)
-}
-
 // TransformGrad applies the proximal gradient (attach cost 2|w|).
 func (f *FedProx) TransformGrad(c *core.Client, round int, w, g []float64) {
-	global := c.RoundVec("fedprox.global")
+	global := c.RoundGlobal()
 	for i := range g {
 		g[i] += f.Mu * (w[i] - global[i])
 	}

@@ -121,6 +121,7 @@ func TestFedProxGradFormula(t *testing.T) {
 		global[i] = 1
 		w[i] = 3
 	}
+	c.SetRoundGlobal(global)
 	f.BeginRound(c, 1, global)
 	g := make([]float64, n)
 	f.TransformGrad(c, 1, w, g)
@@ -247,6 +248,7 @@ func TestFedDynGradAndState(t *testing.T) {
 	for i := range global {
 		global[i] = 1
 	}
+	c.SetRoundGlobal(global)
 	f.BeginRound(c, 1, global)
 	w := make([]float64, n)
 	for i := range w {

@@ -45,15 +45,10 @@ func (f *FedDANE) PreRound(round int, selected []*core.Client, global []float64)
 	}
 }
 
-// BeginRound snapshots the global model for the proximal term.
-func (f *FedDANE) BeginRound(c *core.Client, round int, global []float64) {
-	copy(c.RoundVec("feddane.global"), global)
-}
-
 // TransformGrad applies the DANE correction and proximal pull.
 func (f *FedDANE) TransformGrad(c *core.Client, round int, w, g []float64) {
 	local := c.StateVec("feddane.localgrad")
-	global := c.RoundVec("feddane.global")
+	global := c.RoundGlobal()
 	for i := range g {
 		g[i] += (f.avgGrad[i] - local[i]) + f.Mu*(w[i]-global[i])
 	}

@@ -33,16 +33,11 @@ func (*FedDyn) NewOptimizer(lr, momentum float64) optim.Optimizer {
 	return optim.NewSGD(lr)
 }
 
-// BeginRound snapshots the received global model.
-func (f *FedDyn) BeginRound(c *core.Client, round int, global []float64) {
-	copy(c.RoundVec("feddyn.global"), global)
-}
-
 // TransformGrad applies g += -h_k + alpha*(w - w_global). Attach cost
 // 4|w|, same order as FedTrip (Table VIII).
 func (f *FedDyn) TransformGrad(c *core.Client, round int, w, g []float64) {
 	hk := c.StateVec("feddyn.h")
-	global := c.RoundVec("feddyn.global")
+	global := c.RoundGlobal()
 	a := f.Alpha
 	for i := range g {
 		g[i] += -hk[i] + a*(w[i]-global[i])
@@ -53,7 +48,7 @@ func (f *FedDyn) TransformGrad(c *core.Client, round int, w, g []float64) {
 // EndRound updates the client state h_k -= alpha*(w_k - w_global).
 func (f *FedDyn) EndRound(c *core.Client, round int) {
 	hk := c.StateVec("feddyn.h")
-	global := c.RoundVec("feddyn.global")
+	global := c.RoundGlobal()
 	w := c.Model().Params()
 	for i := range hk {
 		hk[i] -= f.Alpha * (w[i] - global[i])

@@ -46,10 +46,8 @@ func (s *SCAFFOLD) PreRound(round int, selected []*core.Client, global []float64
 	s.selected = append(s.selected[:0], selected...)
 }
 
-// BeginRound gives the client this round's server control variate and the
-// global model.
+// BeginRound gives the client this round's server control variate.
 func (s *SCAFFOLD) BeginRound(c *core.Client, round int, global []float64) {
-	copy(c.RoundVec("scaffold.global"), global)
 	copy(c.StateVec("scaffold.c"), s.c) // server c is stable during the client phase
 	c.SetScalar("scaffold.steps", 0)
 }
@@ -72,7 +70,7 @@ func (s *SCAFFOLD) EndRound(c *core.Client, round int) {
 		return
 	}
 	lr := c.Config().LR
-	global := c.RoundVec("scaffold.global")
+	global := c.RoundGlobal()
 	cSrv := c.StateVec("scaffold.c")
 	ck := c.StateVec("scaffold.ck")
 	dc := c.StateVec("scaffold.dc")

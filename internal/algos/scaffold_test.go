@@ -23,6 +23,7 @@ func TestSCAFFOLDControlVariateUpdate(t *testing.T) {
 		global[i] = 1
 	}
 	s.PreRound(1, []*core.Client{c}, global)
+	c.SetRoundGlobal(global)
 	s.BeginRound(c, 1, global)
 
 	// Simulate 2 local steps with the drift correction applied.
@@ -79,6 +80,7 @@ func TestSCAFFOLDZeroStepsEndRound(t *testing.T) {
 	c := srv.Clients()[0]
 	global := make([]float64, c.NumParams())
 	s.PreRound(1, []*core.Client{c}, global)
+	c.SetRoundGlobal(global)
 	s.BeginRound(c, 1, global)
 	s.EndRound(c, 1) // no TransformGrad calls: must not divide by zero
 	ck := c.StateVec("scaffold.ck")
@@ -99,6 +101,7 @@ func TestSCAFFOLDNoDriftWhenVariatesEqual(t *testing.T) {
 	n := c.NumParams()
 	global := make([]float64, n)
 	s.PreRound(1, []*core.Client{c}, global)
+	c.SetRoundGlobal(global)
 	s.BeginRound(c, 1, global)
 	cSrv := c.StateVec("scaffold.c")
 	ck := c.StateVec("scaffold.ck")

@@ -36,6 +36,15 @@
 //   - trainJobs are pooled and the event heap tracks clients by int32
 //     slot index, so steady-state event processing allocates nothing and
 //     GC scan cost stops growing with the population.
+//   - The global model is copied once per model version, not once per
+//     dispatch: every job dispatched between two aggregations trains from
+//     the same immutable, reference-counted snapshot, so the copies alive
+//     follow the versions in flight rather than Concurrency.
+//   - Where a burst must be joined before the clock can move (device- and
+//     network-priced arrivals), a burst of one job — every burst but a
+//     run's first, in steady state — trains on the event-loop goroutine
+//     itself: no closure, no channel hand-off, no cross-thread wake-up
+//     for a job the loop would only block on.
 //   - Evaluation runs off the loop on the snapshot-based evaluator, so a
 //     merge never stalls behind the test set.
 //
@@ -94,8 +103,8 @@ type AsyncServer struct {
 	derive prng.Rand
 	// churn is the fleet availability process (nil without RunSpec.Churn).
 	churn *churn
-	// joinScratch gathers the jobs a device-mode dispatch burst submitted
-	// before they are joined in dispatch order (event-loop scratch).
+	// joinScratch gathers a join-at-dispatch burst before it is trained
+	// and joined in dispatch order (event-loop scratch).
 	joinScratch []*trainJob
 }
 
@@ -229,6 +238,10 @@ type barrierRunner struct{ a *AsyncServer }
 // round boundary has nothing in flight.
 func (r barrierRunner) quiesce() {}
 
+// close is a no-op for the same reason, and because the barrier's jobs
+// train from s.global itself.
+func (r barrierRunner) close() {}
+
 // selectedFlops sums the selected clients' cumulative FLOP counters.
 func selectedFlops(selected []*Client) int64 {
 	var fl int64
@@ -315,6 +328,20 @@ type bufferedRunner struct {
 	// allocates neither jobs nor done channels. Bounded by
 	// Concurrency + BufferSize live jobs.
 	free []*trainJob
+	// cur is the snapshot of the current model version: taken by the
+	// first dispatch after an aggregation, shared by every later one,
+	// nil in between. snaps is the fixed table of snapshot records, one
+	// per version that can be alive at once: a superseded version lives
+	// only while one of the at most Concurrency in-flight jobs is still
+	// to be joined. A record with no vector is free.
+	cur   *globalSnap
+	snaps []globalSnap
+	// snapshots counts the global copies taken so far — one per model
+	// version that dispatched anything, however many jobs it dispatched.
+	snapshots int
+	// unjoined counts the jobs handed to the shards (or run inline) and
+	// not yet joined: what the inline branch of dispatch checks is zero.
+	unjoined int
 	// dropCB/rejoinCB are the availability callbacks as stored method
 	// values — bound once so churn.advance in the hot loop does not
 	// allocate a closure per call.
@@ -322,8 +349,18 @@ type bufferedRunner struct {
 	rejoinCB func(id int, at float64)
 }
 
+// globalSnap is the global model as it stood at one model version: a
+// pooled copy nobody writes, shared by every job dispatched at that
+// version. refs counts those of them not joined yet; when the last one is
+// and an aggregation has superseded the version, the vector returns to
+// paramsPool and the record is free again.
+type globalSnap struct {
+	vec  []float64
+	refs int
+}
+
 func newBufferedRunner(a *AsyncServer) *bufferedRunner {
-	r := &bufferedRunner{a: a}
+	r := &bufferedRunner{a: a, snaps: make([]globalSnap, a.spec.Concurrency+1)}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
 	r.inflight.trackClients(len(a.s.clients))
@@ -346,8 +383,7 @@ func (r *bufferedRunner) getJob() *trainJob {
 // recycleJob returns a drained job (update extracted or voided, done
 // token consumed) to the pool.
 func (r *bufferedRunner) recycleJob(j *trainJob) {
-	done := j.done
-	*j = trainJob{done: done, heapIdx: -1}
+	*j = trainJob{done: j.done, task: j.task, heapIdx: -1}
 	r.free = append(r.free, j) //fedtripvet:allow pool free list, bounded by Concurrency+BufferSize
 }
 
@@ -362,18 +398,67 @@ func (r *bufferedRunner) quiesce() {
 	}
 }
 
-// join waits for j's local training (once) and releases the global
-// snapshot it trained from: nothing reads it afterwards, so holding it
-// until the virtual arrival would keep Concurrency dead vectors out of
-// the pool — which a resumed run, whose jobs carry none, never holds.
+// close leaves the runner holding no global copy: what is in flight is
+// joined and the current version's snapshot goes back to the pool.
+func (r *bufferedRunner) close() {
+	r.quiesce()
+	r.retire()
+}
+
+// join waits for j's local training (once) and drops its reference to
+// the snapshot it trained from: nothing reads it afterwards, so holding
+// it until the virtual arrival would keep a superseded version's vector
+// out of the pool — which a resumed run, whose jobs carry none, never
+// holds.
 func (r *bufferedRunner) join(j *trainJob) {
 	if j.trained {
 		return
 	}
 	<-j.done
 	j.trained = true
-	paramsPool.put(j.global)
-	j.global = nil
+	r.unjoined--
+	sn := j.gsnap
+	j.gsnap, j.global = nil, nil
+	if sn.refs--; sn.refs == 0 && sn != r.cur {
+		r.freeSnap(sn)
+	}
+}
+
+// acquire points j at the current version's snapshot, copying the global
+// model if j is the version's first dispatch. Workers only read it, and
+// s.global may change under them at the next aggregation: that is what
+// the copy is for.
+func (r *bufferedRunner) acquire(j *trainJob) {
+	if r.cur == nil {
+		// Once per model version, next to an |w|-sized copy: a scan of
+		// the table costs nothing worth a free list.
+		for i := range r.snaps {
+			if r.snaps[i].vec == nil {
+				r.cur = &r.snaps[i]
+				break
+			}
+		}
+		r.cur.vec = paramsPool.getCopy(r.a.s.global)
+		r.snapshots++
+	}
+	r.cur.refs++
+	j.gsnap, j.global = r.cur, r.cur.vec
+}
+
+// retire ends the current version ahead of an aggregation: its snapshot
+// is freed now if every job that trained from it has been joined, by the
+// last join otherwise.
+func (r *bufferedRunner) retire() {
+	sn := r.cur
+	r.cur = nil
+	if sn != nil && sn.refs == 0 {
+		r.freeSnap(sn)
+	}
+}
+
+func (r *bufferedRunner) freeSnap(sn *globalSnap) {
+	paramsPool.put(sn.vec)
+	sn.vec = nil
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set
@@ -426,43 +511,57 @@ func (r *bufferedRunner) onRejoin(id int, at float64) {
 //fedtripvet:hotpath
 func (r *bufferedRunner) dispatch() {
 	a, s := r.a, r.a.s
-	pending := a.joinScratch[:0]
-	for r.inflight.len()+len(pending) < a.spec.Concurrency {
+	// A device-profiled or network-priced arrival time needs quantities
+	// (metered FLOPs, encoded wire bytes) that exist only once training
+	// ran: those fleets gather each burst, train it, and join it in
+	// dispatch order before the clock may advance. The latency draw of a
+	// network-priced job still happens in pick order — the stream is
+	// identical to the unpriced run's — and the transfer time is added at
+	// the join.
+	joinNow := a.spec.Devices != nil || a.spec.Network != nil
+	burst := a.joinScratch[:0]
+	for r.inflight.len()+len(burst) < a.spec.Concurrency {
 		id, ok := a.pickAvailable()
 		if !ok {
 			break
 		}
+		// The job comes from the runner's free list and its global from
+		// the version's shared snapshot, so steady-state dispatch
+		// allocates nothing.
 		j := r.getJob()
 		j.c, j.round, j.seq = s.clients[id], a.rec.res.Rounds+1, r.seq
 		r.seq++
 		a.armJob(j, id)
-		// Snapshot: the global model mutates under in-flight jobs. The
-		// buffer comes from the pool and goes back at the join — and the
-		// job itself from the runner's free list — so steady-state
-		// dispatch allocates nothing.
-		j.global = paramsPool.getCopy(s.global)
+		r.acquire(j)
 		a.pop.dispatched(id)
-		a.sp.submit(j)
 		if a.spec.Devices == nil {
 			j.finish = a.now + a.pop.sampleLatency(a.spec.Latency, id, a.latRng)
-			if a.spec.Network == nil {
-				r.inflight.push(j)
-				continue
-			}
-			// Network-priced fleet: the upload's size exists only once
-			// training ran. The latency draw happened above, in pick
-			// order — the stream is identical to the unpriced run's —
-			// and only the heap push is deferred to the join below,
-			// where the transfer time is added.
 		}
-		// Device-profiled or network-priced fleet: the arrival time
-		// needs quantities (metered FLOPs, encoded wire bytes) that
-		// exist only once training ran. Submit the whole burst first —
-		// the shards train it in parallel — then join in dispatch order
-		// below.
-		pending = append(pending, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch
+		if joinNow {
+			burst = append(burst, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch
+			continue
+		}
+		r.unjoined++
+		a.sp.submit(j)
+		r.inflight.push(j)
 	}
-	for _, j := range pending {
+	if len(burst) == 1 {
+		// The loop would block on this one job anyway, so it trains here,
+		// on shard 0's engine. No worker can be holding that engine: every
+		// earlier burst was joined before its dispatch returned.
+		if r.unjoined != 0 {
+			panic("core: inline training while submitted jobs are outstanding")
+		}
+		r.unjoined++
+		a.sp.run(burst[0], 0)
+	} else {
+		// The shards train the burst in parallel.
+		for _, j := range burst {
+			r.unjoined++
+			a.sp.submit(j)
+		}
+	}
+	for _, j := range burst {
 		r.join(j)
 		if a.spec.Devices != nil {
 			j.finish = a.now + a.deviceDuration(j)
@@ -472,7 +571,7 @@ func (r *bufferedRunner) dispatch() {
 		}
 		r.inflight.push(j)
 	}
-	a.joinScratch = pending[:0]
+	a.joinScratch = burst[:0]
 }
 
 //fedtripvet:hotpath
@@ -545,6 +644,7 @@ func (r *bufferedRunner) step() (bool, error) {
 			r.recycleJob(bj)
 		}
 		r.buffer = r.buffer[:0]
+		r.retire()
 		return a.finishRound(updates)
 	}
 }

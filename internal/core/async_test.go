@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -304,5 +306,62 @@ func TestAsyncBeatsBarrierWallClockUnderStragglers(t *testing.T) {
 	at := ares.SimTimeByRound[len(ares.SimTimeByRound)-1]
 	if at >= bt {
 		t.Fatalf("buffered async total time %.1fs not below barrier %.1fs", at, bt)
+	}
+}
+
+// goroutineAlgo wraps FedTrip and counts the rounds that begin on the
+// goroutine named loop, and the ones that begin elsewhere.
+type goroutineAlgo struct {
+	*FedTrip
+	loop        string
+	mu          sync.Mutex
+	onLoop, off int
+}
+
+// goroutineID reads the calling goroutine's number off its stack header
+// ("goroutine 18 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+func (g *goroutineAlgo) BeginRound(c *Client, round int, global []float64) {
+	g.mu.Lock()
+	if goroutineID() == g.loop {
+		g.onLoop++
+	} else {
+		g.off++
+	}
+	g.mu.Unlock()
+	g.FedTrip.BeginRound(c, round, global)
+}
+
+// Where a burst is joined before the clock may move, only a burst of more
+// than one job is worth the shards: without churn that is the opening
+// burst, and every later dispatch — one freed slot per arrival — trains on
+// the event-loop goroutine. The plain-latency mode, whose jobs overlap the
+// loop, never does.
+func TestBurstOfOneTrainsOnEventLoop(t *testing.T) {
+	run := func(devices DeviceDistribution) *goroutineAlgo {
+		algo := &goroutineAlgo{FedTrip: NewFedTrip(0.4), loop: goroutineID()}
+		sp := deviceSpec(t, algo)
+		sp.Shards = 2
+		sp.Devices = devices
+		if devices == nil {
+			sp.Latency = UniformLatency{Min: 1, Max: 3}
+		}
+		if _, err := Start(sp); err != nil {
+			t.Fatal(err)
+		}
+		return algo
+	}
+	priced := run(DefaultTiers())
+	// 4 in flight and 10 aggregations of 2 arrivals, each arrival but the
+	// run's last re-dispatched.
+	if priced.off != 4 || priced.onLoop != 19 {
+		t.Fatalf("device mode: %d rounds trained on the shards and %d on the event loop, want the opening burst of 4 and the 19 bursts of one", priced.off, priced.onLoop)
+	}
+	if plain := run(nil); plain.onLoop != 0 || plain.off != 23 {
+		t.Fatalf("plain-latency mode: %d rounds trained on the event loop (and %d on the shards), want none", plain.onLoop, plain.off)
 	}
 }

@@ -63,6 +63,7 @@ func BenchmarkFedTripTransform(b *testing.B) {
 	}
 	c := s.Clients()[0]
 	global := s.Global()
+	c.SetRoundGlobal(global)
 	f.BeginRound(c, 2, global)
 	c.Hist = make([]float64, c.NumParams())
 	copy(c.Hist, global)

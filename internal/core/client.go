@@ -139,27 +139,18 @@ func (c *Client) HasStateVec(name string) bool {
 	return ok
 }
 
-// RoundVec returns a named scratch vector of length NumParams() that is
-// valid only between an algorithm's BeginRound and EndRound for the
-// client currently holding the engine. Unlike StateVec it is backed by
-// the borrowed engine, not the client: a population of 10k clients
-// sharing a handful of engines holds a handful of these, not 10k.
-// Algorithms use it for their per-round global-model snapshots; anything
-// that must survive a client's round (control variates, historical
-// models) stays in StateVec. Contents are whatever the previous borrower
-// left — callers must fully overwrite before reading.
-func (c *Client) RoundVec(name string) []float64 {
-	e := c.engine()
-	if e.roundVecs == nil {
-		e.roundVecs = make(map[string][]float64)
-	}
-	v, ok := e.roundVecs[name]
-	if !ok {
-		v = make([]float64, c.NumParams())
-		e.roundVecs[name] = v
-	}
-	return v
-}
+// RoundGlobal returns the global model the client received this round:
+// the very slice LocalTrainSteps was given (the model version's shared
+// snapshot, or the engine's downlink buffer under a transport), which
+// nothing writes between BeginRound and EndRound. Algorithms read their
+// proximal anchor from it instead of keeping a copy; it is read-only, and
+// nil outside a round.
+func (c *Client) RoundGlobal() []float64 { return c.engine().roundGlobal }
+
+// SetRoundGlobal records what RoundGlobal returns. LocalTrainSteps does
+// it before BeginRound; code that drives an algorithm's hooks by hand
+// (tests, analysis) calls it in LocalTrainSteps' place.
+func (c *Client) SetRoundGlobal(global []float64) { c.engine().roundGlobal = global }
 
 // SetScalar stores a named per-method scalar.
 func (c *Client) SetScalar(name string, v float64) {
@@ -230,6 +221,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	e := c.engine()
 	e.model.SetParams(global)
 	e.opt.Reset()
+	e.roundGlobal = global
 	if maxSteps > 0 {
 		c.SetScalar(ScalarDeviceSteps, float64(maxSteps))
 	}
@@ -298,6 +290,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 		}
 	}
 	algo.EndRound(c, round)
+	e.roundGlobal = nil
 
 	// Historical-model bookkeeping (Algorithm 1 line 4): remember what
 	// this client is about to upload, and when.

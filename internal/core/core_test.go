@@ -122,8 +122,9 @@ func TestFedTripGradientMatchesLoss(t *testing.T) {
 	}
 	w = w[:n]
 	const xi = 0.35
-	gvec := c.RoundVec("fedtrip.global")
+	gvec := make([]float64, nv)
 	copy(gvec[:n], global)
+	c.SetRoundGlobal(gvec)
 	c.Hist = make([]float64, nv)
 	copy(c.Hist[:n], hist)
 	c.SetScalar("fedtrip.xi", xi)
@@ -158,6 +159,7 @@ func TestFedTripFirstParticipationIsProximal(t *testing.T) {
 	for i := range global {
 		global[i] = 1
 	}
+	c.SetRoundGlobal(global)
 	f.BeginRound(c, 1, global)
 	if c.Scalar("fedtrip.xi") != 0 {
 		t.Fatal("first participation must have xi=0")

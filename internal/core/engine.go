@@ -51,10 +51,9 @@ type engine struct {
 	perm    []int
 	idx     []int
 	fgSaved []float64
-	// roundVecs backs Client.RoundVec: named |w|-sized round-scoped
-	// snapshots (e.g. an algorithm's copy of the received global model)
-	// that live with the engine instead of with each of 10k clients.
-	roundVecs map[string][]float64
+	// roundGlobal backs Client.RoundGlobal: the global model the attached
+	// client is training from, by reference, for the span of its round.
+	roundGlobal []float64
 	// downlink is where the transport writes what the attached client
 	// receives (trainClient): the client trains from it and it is the
 	// upload's delta reference, so it lives exactly one client round.

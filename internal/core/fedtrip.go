@@ -103,18 +103,15 @@ func (f *FedTrip) Xi(round, lastRound int) float64 {
 	}
 }
 
-// BeginRound snapshots the received global model and fixes xi for the
-// round.
+// BeginRound fixes xi for the round.
 func (f *FedTrip) BeginRound(c *Client, round int, global []float64) {
-	g := c.RoundVec("fedtrip.global")
-	copy(g, global)
 	c.SetScalar("fedtrip.xi", f.Xi(round, c.LastRound))
 }
 
 // TransformGrad applies Algorithm 1 line 7. Cost: 4|w| FLOPs (two
 // subtractions, two scaled accumulations), metered on the client.
 func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
-	global := c.RoundVec("fedtrip.global")
+	global := c.RoundGlobal()
 	xi := c.Scalar("fedtrip.xi") * f.HistWeight
 	mu := f.Mu
 	gw := f.GlobalWeight

@@ -105,6 +105,7 @@ func TestFedTripAblationWeights(t *testing.T) {
 	}
 	c.Hist = hist
 	c.LastRound = 1
+	c.SetRoundGlobal(global)
 	f.BeginRound(c, 2, global)
 	w := make([]float64, n) // zeros
 	g := make([]float64, n)
@@ -131,6 +132,7 @@ func TestFedTripHistWeightZero(t *testing.T) {
 	}
 	c.Hist = make([]float64, n) // zeros, would repel if active
 	c.LastRound = 1
+	c.SetRoundGlobal(global)
 	f.BeginRound(c, 2, global)
 	w := make([]float64, n)
 	g := make([]float64, n)

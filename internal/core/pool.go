@@ -8,16 +8,20 @@ import (
 
 // vecPool is a size-keyed free list for |w|-sized parameter vectors: the
 // steady-state train -> upload -> aggregate -> merge cycle checks a buffer
-// out in Client.LocalTrain (and for the async runtime's per-dispatch
-// global snapshots) and returns it once the merge has consumed it, so a
-// long run's upload traffic costs zero allocations after the first few
-// rounds. The pool holds as many buffers as were ever simultaneously in
-// flight — O(concurrency * |w|), never O(dispatches * |w|).
+// out in Client.LocalTrain and returns it once the merge has consumed it,
+// so a long run's upload traffic costs zero allocations after the first
+// few rounds. The buffered runtime's copies of the global model come from
+// it too — one per model version, shared by every job dispatched at that
+// version and returned with the last of their joins — and so do the
+// evaluator's. The pool holds as many buffers as were ever simultaneously
+// checked out: one upload per in-flight client plus one global per model
+// version in flight, never O(dispatches * |w|).
 //
 // Buffers are fully overwritten at checkout, so recycling cannot leak one
-// client's parameters into another's arithmetic; the aliasing pin in
-// pool_test.go proves checked-out buffers are never shared between
-// concurrent in-flight clients.
+// client's parameters into another's arithmetic; the aliasing pins in
+// pool_test.go prove that upload buffers are never shared between
+// concurrent in-flight clients and that a version's global copy is
+// handed to nobody else, and never written, while a job trains from it.
 type vecPool struct {
 	mu   sync.Mutex
 	free map[int][][]float64

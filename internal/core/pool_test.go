@@ -240,3 +240,103 @@ func TestInFlightVectorsMatchResumedRun(t *testing.T) {
 			globals, uploads, wantGlobals, wantUploads)
 	}
 }
+
+// TestSharedSnapshotOutlivesAggregations is the aliasing pin for the
+// global model's side of the pool, in the mode where jobs really overlap
+// the loop: every job dispatched at one model version trains from one
+// shared copy, and a straggler keeps its version's copy alive — intact,
+// and handed to nobody else — across the aggregations that supersede it.
+// The copy goes back to the pool with the version's last join, so the
+// run takes one copy per version, not per dispatch, and holds none after
+// Close.
+func TestSharedSnapshotOutlivesAggregations(t *testing.T) {
+	cfg := testConfig(t, NewFedTrip(0.4))
+	cfg.Rounds = 10
+	cfg.EvalEvery = 100
+	var r *bufferedRunner
+	cfg.OnUpdates = func(round int, globalBefore []float64, updates []Update) {
+		for i := range r.snaps {
+			vec := r.snaps[i].vec
+			if vec == nil {
+				continue
+			}
+			if &vec[0] == &globalBefore[0] {
+				t.Errorf("agg %d: a snapshot aliases the live global model", round)
+			}
+			for _, u := range updates {
+				if &u.Params[0] == &vec[0] {
+					t.Errorf("agg %d: client %d's upload was handed a live snapshot's buffer", round, u.ClientID)
+				}
+			}
+		}
+	}
+	rs, err := NewRunState(RunSpec{
+		Config:      cfg,
+		Runtime:     RuntimeAsync,
+		Concurrency: 4,
+		BufferSize:  2,
+		Latency:     StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	r = rs.run.(*bufferedRunner)
+	// versions[v] is the model jobs dispatched for round v train from:
+	// the global after v-1 aggregations.
+	versions := map[int][]float64{1: append([]float64(nil), rs.Server().Global()...)}
+	longest := 0
+	for done := false; !done; {
+		if done, err = rs.Step(); err != nil {
+			t.Fatal(err)
+		}
+		versions[rs.Round()+1] = append([]float64(nil), rs.Server().Global()...)
+		byRound := map[int]*float64{}
+		for _, j := range r.inflight.js {
+			if j.global == nil {
+				continue // joined: the job gave its reference up
+			}
+			if !sameFloats(j.global, versions[j.round]) {
+				t.Fatalf("after agg %d: the job dispatched for round %d no longer holds that round's model", rs.Round(), j.round)
+			}
+			if p, ok := byRound[j.round]; ok && p != &j.global[0] {
+				t.Fatalf("after agg %d: two jobs of round %d train from different copies", rs.Round(), j.round)
+			}
+			byRound[j.round] = &j.global[0]
+			if n := rs.Round() - j.round + 1; n > longest {
+				longest = n
+			}
+		}
+		seen := map[*float64]bool{}
+		for _, p := range byRound {
+			if seen[p] {
+				t.Fatalf("after agg %d: two model versions share one buffer", rs.Round())
+			}
+			seen[p] = true
+		}
+		if live := liveSnapshots(r); live != len(byRound) {
+			t.Fatalf("after agg %d: %d snapshots checked out for %d versions with a job still training", rs.Round(), live, len(byRound))
+		}
+	}
+	if longest < 2 {
+		t.Fatalf("no job spanned two aggregations (longest: %d); the scenario checks nothing", longest)
+	}
+	if aggs := rs.Round(); r.snapshots > aggs+1 || r.snapshots >= r.seq {
+		t.Fatalf("%d global copies for %d aggregations and %d dispatches; want at most one per model version", r.snapshots, aggs, r.seq)
+	}
+	rs.Close()
+	if live := liveSnapshots(r); r.cur != nil || live != 0 {
+		t.Fatalf("after Close the runner still holds snapshots: current %v, %d checked out", r.cur != nil, live)
+	}
+}
+
+// liveSnapshots counts the global copies r has checked out of the pool.
+func liveSnapshots(r *bufferedRunner) int {
+	live := 0
+	for i := range r.snaps {
+		if r.snaps[i].vec != nil {
+			live++
+		}
+	}
+	return live
+}

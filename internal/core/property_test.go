@@ -84,6 +84,7 @@ func TestFedTripLinearInMu(t *testing.T) {
 	c.LastRound = 1
 	apply := func(mu float64) []float64 {
 		f := NewFedTrip(mu)
+		c.SetRoundGlobal(global)
 		f.BeginRound(c, 3, global)
 		g := make([]float64, n)
 		f.TransformGrad(c, 3, w, g)

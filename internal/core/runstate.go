@@ -35,11 +35,13 @@ import (
 // quiesce additionally joins any in-flight local training so the entire
 // state is serializable; snapBody walks the loop-specific live state in
 // either direction (everything else — global model, clients, recorder,
-// clock, scheduler registry — is handled by RunState).
+// clock, scheduler registry — is handled by RunState). close returns what
+// the loop still has checked out of paramsPool on the run's behalf.
 type runner interface {
 	step() (done bool, err error)
 	quiesce()
 	snapBody(c *tensor.Codec)
+	close()
 }
 
 // RunState is a federated run that can be advanced one round at a time,
@@ -220,5 +222,6 @@ func (rs *RunState) Close() {
 	}
 	rs.closed = true
 	rs.a.sp.close()
+	rs.run.close()
 	rs.a.rec.finalize()
 }

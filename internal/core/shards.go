@@ -7,18 +7,25 @@ import (
 )
 
 // trainJob is one dispatched client round: which client, which round, and
-// which global snapshot to start from. The shard worker fills update and
+// which global model to start from. The shard worker fills update and
 // flops, then signals done (buffered, one token per dispatch — signalled
 // rather than closed so the lock-step loop can re-arm one set of
 // jobs round after round). The scheduling fields (finish, seq, heapIdx)
 // are used by the asynchronous event loop only.
 type trainJob struct {
-	c      *Client
-	round  int
+	c     *Client
+	round int
+	// global is what the client trains from, read-only for the job's
+	// whole life: s.global itself under the barrier runner (which joins
+	// every job before it aggregates), the vector of gsnap — the model
+	// version's shared snapshot, owned by the buffered runner's event
+	// loop — otherwise.
 	global []float64
+	gsnap  *globalSnap
 	update Update
 	flops  int64
 	done   chan struct{}
+	task   func(worker int) // sp.run(j, worker), what submit queues
 
 	finish  float64 // virtual arrival time
 	seq     int     // dispatch order, tie-break for equal arrival times
@@ -86,31 +93,44 @@ func newShardPool(s *Server, shards, maxJobs int) *shardPool {
 	}
 }
 
-// submit queues one client round. The job's done channel is closed when
-// update and flops are valid. Submission order is preserved per worker but
-// not across workers; determinism comes from each client's own RNG stream,
-// not from scheduling order.
+// submit queues one client round. The job's done channel is signalled
+// when update and flops are valid. Submission order is preserved per worker
+// but not across workers; determinism comes from each client's own RNG
+// stream, not from scheduling order.
 func (sp *shardPool) submit(j *trainJob) {
-	sp.pool.Submit(func(w int) {
-		eng := sp.engines[w]
-		if eng == nil {
-			e, err := newEngine(&sp.s.cfg, streamSeed(sp.s.cfg.Seed, streamEngine, w))
-			if err != nil {
-				// The same spec already built the server's global and eval
-				// models, so this is unreachable short of config mutation
-				// mid-run.
-				panic(fmt.Sprintf("core: shard %d engine: %v", w, err))
-			}
-			sp.engines[w] = e
-			eng = e
+	if j.task == nil {
+		// Bound once per job object, which both runners recycle: a
+		// dispatch then costs no closure.
+		j.task = func(w int) { sp.run(j, w) }
+	}
+	sp.pool.Submit(j.task)
+}
+
+// run trains one client round on shard w's engine and signals the job's
+// done channel: the body of every job, whoever executes it. Workers call
+// it with their own index. The buffered runner's event loop calls it with
+// shard 0 for a burst of one in the join-at-dispatch modes — no worker
+// holds an engine then, because every submitted job has been joined — and
+// takes the token back in the join that follows, like any other job's.
+func (sp *shardPool) run(j *trainJob, w int) {
+	eng := sp.engines[w]
+	if eng == nil {
+		e, err := newEngine(&sp.s.cfg, streamSeed(sp.s.cfg.Seed, streamEngine, w))
+		if err != nil {
+			// The same spec already built the server's global and eval
+			// models, so this is unreachable short of config mutation
+			// mid-run.
+			panic(fmt.Sprintf("core: shard %d engine: %v", w, err))
 		}
-		eng.attach(j.c)
-		before := j.c.Counter.Total()
-		j.update, j.downBytes, j.upBytes = sp.s.trainClient(j.c, j.round, j.global, j.steps, j.speed)
-		j.flops = j.c.Counter.Total() - before
-		eng.detach(j.c)
-		j.done <- struct{}{}
-	})
+		sp.engines[w] = e
+		eng = e
+	}
+	eng.attach(j.c)
+	before := j.c.Counter.Total()
+	j.update, j.downBytes, j.upBytes = sp.s.trainClient(j.c, j.round, j.global, j.steps, j.speed)
+	j.flops = j.c.Counter.Total() - before
+	eng.detach(j.c)
+	j.done <- struct{}{}
 }
 
 // close waits for every submitted job and releases the shards.

@@ -431,13 +431,16 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 		id = j.c.ID
 	}
 	if c.Num("job client", &id); c.Reading() {
+		// Before anything can fail: closing a refused run joins what is in
+		// flight, and this job has no done token to wait for.
+		j.trained = true
 		if c.Err() == nil && (id < 0 || id >= len(s.clients)) {
 			c.Fail("job client %d outside population of %d", id, len(s.clients))
 		}
 		if c.Err() != nil {
 			return
 		}
-		j.c, j.trained = s.clients[id], true
+		j.c = s.clients[id]
 		j.update.Params, j.update.pooled = paramsPool.get(len(s.global)), true
 	}
 	c.Num("job round", &j.round)
