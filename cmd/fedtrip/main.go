@@ -4,18 +4,19 @@
 //
 //	fedtrip -algo fedtrip -dataset mnist -model cnn -scheme dir -alpha 0.5 -rounds 30
 //
-// All methods from the paper are available via -algo: fedtrip, fedavg,
-// fedprox, slowmo, moon, feddyn, scaffold, feddane, mimelite.
-//
-// The runtime selection — -runtime, -latency, -policy, -server-lr,
-// -concurrency, -buffer, -device-dist, -dropout, -local-steps-adaptive,
-// -transport, -bandwidth-dist, -faults — is the flag set
-// internal/runtext registers for this command and for fedtrip-tables
-// alike; every value is written in the one spec grammar (internal/spec:
-// name[:a,b,...] terms composed with "+"; README "One run API" has the
-// table, -h the per-flag vocabulary). This command adds -async (shorthand
-// for -runtime async), -wire (shorthand for -transport f32), -stale-exp
-// (the default staleness discount) and -flop-rate (device throughput):
+// Every registered method is available via -algo (-h lists them). The
+// flags that describe the run live in internal/runtext, which is also how
+// the examples assemble theirs (runtext.FromLine takes the same text): the
+// task half — -algo, -dataset, -model, -scheme, -clients, -k, -rounds,
+// -seed, ... — is runtext.Task; the runtime selection — -runtime,
+// -latency, -policy, -server-lr, -concurrency, -buffer, -device-dist,
+// -dropout, -local-steps-adaptive, -transport, -bandwidth-dist, -faults —
+// is runtext.Selection, shared with fedtrip-tables, every value written in
+// the one spec grammar (internal/spec: name[:a,b,...] terms composed with
+// "+"; README "One run API" has the table, -h the per-flag vocabulary);
+// and runtext.Command adds -async (shorthand for -runtime async), -wire
+// (shorthand for -transport f32), -stale-exp (the default staleness
+// discount) and -flop-rate (device throughput):
 //
 //	fedtrip -algo fedtrip -runtime async -latency straggler:1,10,5 -buffer 2 -rounds 60
 //	fedtrip -algo fedtrip -runtime async -latency exp:2 -policy fedasync:0.6 -rounds 60
@@ -58,7 +59,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -67,171 +67,84 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/algos"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
 	"repro/internal/runserver"
 	"repro/internal/runtext"
 	"repro/internal/trace"
 )
 
 func main() {
-	// -latency has always defaulted to the explicit "zero" here.
-	o := runOpts{Selection: runtext.Selection{Latency: "zero"}}
-	flag.StringVar(&o.algoName, "algo", "fedtrip", "method: fedtrip|fedavg|fedprox|slowmo|moon|feddyn|scaffold|feddane|mimelite")
-	flag.StringVar(&o.dataset, "dataset", "mnist", "dataset: mnist|fmnist|emnist|cifar")
-	flag.StringVar(&o.model, "model", "cnn", "model: mlp|cnn|alexnet")
-	flag.StringVar(&o.schemeStr, "scheme", "dir", "partition: iid|dir|orthogonal")
-	flag.Float64Var(&o.alpha, "alpha", 0.5, "Dirichlet concentration (scheme=dir)")
-	flag.IntVar(&o.clusters, "clusters", 5, "orthogonal clusters (scheme=orthogonal)")
-	flag.IntVar(&o.clients, "clients", 10, "client population N")
-	flag.IntVar(&o.perRound, "k", 4, "clients selected per round K")
-	flag.IntVar(&o.samples, "samples", 120, "training samples per client")
-	flag.IntVar(&o.testN, "test", 400, "test samples")
-	flag.IntVar(&o.rounds, "rounds", 30, "communication rounds")
-	flag.IntVar(&o.batch, "batch", 10, "local batch size")
-	flag.IntVar(&o.epochs, "epochs", 1, "local epochs per round")
-	flag.Float64Var(&o.lr, "lr", 0.01, "learning rate")
-	flag.Float64Var(&o.momentum, "momentum", 0.9, "SGDm momentum")
-	flag.Float64Var(&o.mu, "mu", 0, "regularization mu (0 = paper default)")
-	flag.Float64Var(&o.scale, "scale", 0.5, "model width scale (1 = paper size)")
-	flag.Float64Var(&o.target, "target", 0, "target accuracy for rounds-to-target (0 = off)")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-round lines")
-	flag.Float64Var(&o.clip, "clip", 0, "gradient clip norm (0 = off)")
-	flag.StringVar(&o.savePath, "save", "", "write the final global model checkpoint to this file")
-	flag.StringVar(&o.tracePath, "trace", "", "write per-client round telemetry CSV to this file")
-	flag.IntVar(&o.shards, "shards", 0, "worker shards training runs on; each owns one model-sized engine (0 = one per CPU)")
-	o.Selection.Register(flag.CommandLine)
-	flag.BoolVar(&o.wire, "wire", false, "shorthand for -transport f32")
-	flag.BoolVar(&o.async, "async", false, "shorthand for -runtime async")
-	flag.Float64Var(&o.staleExp, "stale-exp", 0.5, "async: polynomial staleness discount exponent (0 = no discount)")
-	flag.Float64Var(&o.flopRate, "flop-rate", 0, "device mode: GFLOPs/s of a speed-1.0 device (0 = 1)")
-	flag.StringVar(&o.serve, "serve", "", "run behind an HTTP run-server on this address (GET /status /metrics /trace /checkpoint)")
-	flag.StringVar(&o.resumeCk, "resume", "", "resume the run snapshot at this path (flags must rebuild the same run)")
-	flag.StringVar(&o.checkCk, "checkpoint", "", "write a run snapshot to this path: on SIGTERM/SIGINT (graceful stop) and at -snapshot-at")
-	flag.IntVar(&o.snapAt, "snapshot-at", 0, "write -checkpoint after this many completed rounds and keep going (0 = off)")
-	flag.BoolVar(&o.digest, "digest", false, "print the run digest (bit-for-bit trajectory fingerprint; resume must reproduce it)")
-	flag.Parse()
-	if err := run(o); err != nil {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		_, err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedtrip:", err)
 		os.Exit(1)
 	}
 }
 
-// runOpts is the parsed command line: the shared runtime selection plus
-// this command's own flags.
+// runOpts is the parsed command line: the run (runtext.Command, the flags
+// runtext.FromLine also reads) plus the flags that only steer this
+// program.
 type runOpts struct {
-	runtext.Selection
-	algoName, dataset, model, schemeStr string
-	alpha                               float64
-	clusters                            int
-	clients, perRound, samples, testN   int
-	rounds, batch, epochs               int
-	lr, momentum, mu, scale, target     float64
-	seed                                int64
-	quiet, wire, async                  bool
-	clip                                float64
-	savePath, tracePath                 string
-	shards                              int
-	staleExp, flopRate                  float64
-	serve, resumeCk, checkCk            string
-	snapAt                              int
-	digest                              bool
+	runtext.Command
+	quiet                    bool
+	savePath, tracePath      string
+	serve, resumeCk, checkCk string
+	snapAt                   int
+	digest                   bool
 }
 
-func run(o runOpts) error {
-	kind := data.Kind(o.dataset)
-	st, err := data.TableII(kind)
+func parseFlags(fs *flag.FlagSet, args []string) (runOpts, error) {
+	var o runOpts
+	o.Command.Register(fs)
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-round lines")
+	fs.StringVar(&o.savePath, "save", "", "write the final global model checkpoint to this file")
+	fs.StringVar(&o.tracePath, "trace", "", "write per-client round telemetry CSV to this file")
+	fs.StringVar(&o.serve, "serve", "", "run behind an HTTP run-server on this address (GET /status /metrics /trace /checkpoint)")
+	fs.StringVar(&o.resumeCk, "resume", "", "resume the run snapshot at this path (flags must rebuild the same run)")
+	fs.StringVar(&o.checkCk, "checkpoint", "", "write a run snapshot to this path: on SIGTERM/SIGINT (graceful stop) and at -snapshot-at")
+	fs.IntVar(&o.snapAt, "snapshot-at", 0, "write -checkpoint after this many completed rounds and keep going (0 = off)")
+	fs.BoolVar(&o.digest, "digest", false, "print the run digest (bit-for-bit trajectory fingerprint; resume must reproduce it)")
+	err := fs.Parse(args)
+	return o, err
+}
+
+// run executes the command line and prints its banner and summary. The
+// Result is nil when the run was gracefully interrupted.
+func run(o runOpts) (*core.Result, error) {
+	rspec, err := o.Command.RunSpec()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	train, test, err := data.Generate(data.Spec{Kind: kind, Train: o.clients * o.samples, Test: o.testN, Seed: o.seed})
+	scheme, err := o.Partition()
 	if err != nil {
-		return err
-	}
-	var scheme partition.Scheme
-	switch o.schemeStr {
-	case "iid":
-		scheme = partition.IID()
-	case "dir":
-		scheme = partition.Dirichlet(o.alpha)
-	case "orthogonal":
-		scheme = partition.Orthogonal(o.clusters)
-	default:
-		return fmt.Errorf("unknown scheme %q", o.schemeStr)
-	}
-	parts, err := partition.Partition(scheme, train.Y, train.Classes, o.clients, o.samples, rand.New(rand.NewSource(o.seed)))
-	if err != nil {
-		return err
-	}
-	algo, err := algos.New(o.algoName, algos.Params{Mu: o.mu})
-	if err != nil {
-		return err
-	}
-	spec := nn.ModelSpec{
-		Arch: nn.Arch(o.model), Channels: st.Channels,
-		Height: st.Height, Width: st.Width, Classes: st.Classes, Scale: o.scale,
-	}
-	cfg := core.Config{
-		Model: spec,
-		Train: train, Test: test, Parts: parts,
-		Rounds: o.rounds, ClientsPerRound: o.perRound,
-		BatchSize: o.batch, LocalEpochs: o.epochs,
-		LR: o.lr, Momentum: o.momentum, ClipNorm: o.clip,
-		Algo: algo, Seed: o.seed,
-		TargetAccuracy: o.target,
-		Shards:         o.shards,
+		return nil, err
 	}
 	if !o.quiet {
-		cfg.Logf = func(format string, args ...any) {
+		rspec.Logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}
 	}
 	var collector *trace.Collector
 	if o.tracePath != "" {
 		collector = trace.NewCollector()
-		cfg.OnUpdates = collector.Hook()
-	}
-	if o.wire {
-		if o.Transport != "" && o.Transport != "f32" {
-			return fmt.Errorf("-wire is shorthand for -transport f32; drop it when using -transport %s", o.Transport)
-		}
-		o.Transport = "f32"
-	}
-	if o.async && (o.Runtime == "" || o.Runtime == core.RuntimeSync) {
-		o.Runtime = core.RuntimeAsync
+		rspec.OnUpdates = collector.Hook()
 	}
 	var finalGlobal []float64
 	if o.savePath != "" {
-		cfg.OnRound = func(round int, s *core.Server) {
-			if round == o.rounds {
+		rspec.OnRound = func(round int, s *core.Server) {
+			if round == rspec.Rounds {
 				finalGlobal = append(finalGlobal[:0], s.Global()...)
 			}
 		}
 	}
-	rspec, err := o.Selection.Parse(cfg)
-	if err != nil {
-		return err
-	}
-	if o.staleExp < 0 {
-		return fmt.Errorf("-stale-exp %g must be >= 0 (a negative exponent would amplify stale updates)", o.staleExp)
-	}
-	rspec.Discount = core.PolyDiscount(o.staleExp)
-	// Attached whether or not a fleet is configured: a -flop-rate without
-	// -device-dist must hit Validate's rejection, not pass as a no-op.
-	rspec.FlopRate = o.flopRate * 1e9
-	rt := rspec.Runtime
-	if err := rspec.Validate(); err != nil { // resolve defaults for the banner
-		return err
-	}
-	switch rt {
+	switch rspec.Runtime {
 	case core.RuntimeSync:
 		fmt.Printf("fedtrip: %s on %s/%s, %s, %d-of-%d clients, %d rounds, policy %s\n",
-			algo.Name(), o.model, o.dataset, scheme, o.perRound, o.clients, o.rounds, rspec.Policy)
+			rspec.Algo.Name(), o.Model, o.Dataset, scheme, o.K, o.Clients, o.Rounds, rspec.Policy)
 	default:
 		pricing := fmt.Sprintf("latency=%s", rspec.Latency)
 		if rspec.Devices != nil {
@@ -253,16 +166,17 @@ func run(o runOpts) error {
 			pricing += fmt.Sprintf(" transport=%s", rspec.Transport)
 		}
 		fmt.Printf("fedtrip: %s on %s/%s, %s, %s policy=%s buffer=%d conc=%d %s, %d aggregations\n",
-			algo.Name(), o.model, o.dataset, scheme, rt, rspec.Policy, rspec.BufferSize, rspec.Concurrency, pricing, o.rounds)
+			rspec.Algo.Name(), o.Model, o.Dataset, scheme, rspec.Runtime, rspec.Policy, rspec.BufferSize, rspec.Concurrency, pricing, o.Rounds)
 	}
-	res, err := execute(o, rspec, collector)
+	rs, err := execute(o, rspec, collector)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if res == nil {
+	if rs == nil {
 		// Gracefully interrupted; the snapshot message has been printed.
-		return nil
+		return nil, nil
 	}
+	res := rs.Finish()
 	commLabel := "analytic"
 	if rspec.Transport != nil {
 		commLabel = "measured"
@@ -272,13 +186,15 @@ func run(o runOpts) error {
 	fmt.Printf("  final accuracy  %.4f (mean of last 10 evaluated rounds)\n", res.FinalAccuracy)
 	fmt.Printf("  train GFLOPs    %.2f (all clients, incl. attaching ops)\n", res.TotalGFLOPs())
 	fmt.Printf("  communication   %.2f MB (%s)\n", float64(res.CommBytesByRound[len(res.CommBytesByRound)-1])/1e6, commLabel)
-	if st, ok := rspec.Transport.(interface{ Stats() *comm.Stats }); ok {
-		fmt.Printf("  wire traffic    %s\n", st.Stats())
-	}
-	if mt, ok := rspec.Transport.(core.MeteredTransport); ok {
+	if tr, ok := rspec.Transport.(interface{ Stats() *comm.Stats }); ok {
+		st := tr.Stats()
+		fmt.Printf("  wire traffic    %s\n", st)
 		// Exact byte counts, greppable by CI assertions.
-		d, u := mt.WireBytes()
-		fmt.Printf("  wire bytes      %d (down %d, up %d)\n", d+u, d, u)
+		fmt.Printf("  wire bytes      %d (down %d, up %d)\n", st.TotalBytes(), st.DownBytes(), st.UpBytes())
+	}
+	if rspec.Runtime == core.RuntimeAsync {
+		distinct, dispatches := rs.Participation()
+		fmt.Printf("  fleet coverage  %d distinct clients over %d dispatches\n", distinct, dispatches)
 	}
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
@@ -291,57 +207,57 @@ func run(o runOpts) error {
 	if res.RejectedUpdates > 0 {
 		fmt.Printf("  rejected updates %d (non-finite uploads refused by the merge screen)\n", res.RejectedUpdates)
 	}
-	if o.target > 0 {
+	if o.Target > 0 {
 		if res.RoundsToTarget > 0 {
 			fmt.Printf("  rounds to %.0f%%  %d (%.2f GFLOPs, %.2f MB)\n",
-				o.target*100, res.RoundsToTarget, res.GFLOPsToTarget(), float64(res.CommBytesToTarget())/1e6)
+				o.Target*100, res.RoundsToTarget, res.GFLOPsToTarget(), float64(res.CommBytesToTarget())/1e6)
 			if simulated > 0 {
-				fmt.Printf("  time to %.0f%%    %.1f s (simulated)\n", o.target*100, res.TimeToTarget())
+				fmt.Printf("  time to %.0f%%    %.1f s (simulated)\n", o.Target*100, res.TimeToTarget())
 			}
 		} else {
-			fmt.Printf("  target %.0f%% not reached in %d rounds\n", o.target*100, res.Rounds)
+			fmt.Printf("  target %.0f%% not reached in %d rounds\n", o.Target*100, res.Rounds)
 		}
 	}
 	if collector != nil {
 		f, err := os.Create(o.tracePath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer f.Close()
 		if err := collector.WriteCSV(f); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("  trace           %s (%d rows)\n", o.tracePath, len(collector.Rows()))
 	}
 	if o.savePath != "" {
-		m, err := spec.Build(1)
+		m, err := rspec.Model.Build(1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if finalGlobal != nil {
 			m.SetParams(finalGlobal)
 		}
 		f, err := os.Create(o.savePath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer f.Close()
 		if err := m.SaveParams(f); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("  checkpoint      %s (%d params)\n", o.savePath, m.NumParams())
 	}
 	if o.digest {
 		fmt.Printf("  digest          %s\n", res.Digest())
 	}
-	return nil
+	return res, nil
 }
 
 // execute drives the run: plain stepping (with optional -snapshot-at and
-// graceful-stop checkpointing) or behind the HTTP run-server. A nil, nil
-// return means the run was interrupted and its snapshot written — there
-// is no Result to summarize.
-func execute(o runOpts, rspec core.RunSpec, collector *trace.Collector) (*core.Result, error) {
+// graceful-stop checkpointing) or behind the HTTP run-server, and returns
+// the finished run. A nil, nil return means the run was interrupted and
+// its snapshot written — there is no Result to summarize.
+func execute(o runOpts, rspec core.RunSpec, collector *trace.Collector) (*core.RunState, error) {
 	if o.snapAt > 0 && o.checkCk == "" {
 		return nil, fmt.Errorf("-snapshot-at needs -checkpoint PATH to write to")
 	}
@@ -381,14 +297,17 @@ func execute(o runOpts, rspec core.RunSpec, collector *trace.Collector) (*core.R
 		hsrv := &http.Server{Handler: ctrl.Handler()}
 		fmt.Printf("fedtrip: serving run state on http://%s (/status /metrics /trace /checkpoint)\n", ln.Addr())
 		go hsrv.Serve(ln)
-		res, err := ctrl.Run(ctx)
+		_, err = ctrl.Run(ctx)
 		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		hsrv.Shutdown(shutCtx)
 		cancel()
 		if err == context.Canceled {
 			return nil, interrupted(rs, o)
 		}
-		return res, err
+		if err != nil {
+			return nil, err
+		}
+		return rs, nil
 	}
 
 	for {
@@ -409,7 +328,7 @@ func execute(o runOpts, rspec core.RunSpec, collector *trace.Collector) (*core.R
 			return nil, interrupted(rs, o)
 		}
 	}
-	return rs.Finish(), nil
+	return rs, nil
 }
 
 // interrupted handles a graceful stop at a round boundary: write the run

@@ -2,11 +2,52 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/runtext"
 )
+
+func parse(t *testing.T, line string) runOpts {
+	t.Helper()
+	o, err := parseFlags(flag.NewFlagSet("fedtrip", flag.ContinueOnError), strings.Fields(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// The examples assemble their runs with runtext.FromLine, this program
+// with the same runtext.Command behind its own flag set, progress printer
+// and hooks: one line of run flags must be the same trajectory either way.
+func TestFromLineRunsWhatTheCommandRuns(t *testing.T) {
+	const fleet = "-clients 8 -k 4 -samples 60 -test 200 -rounds 8 -model mlp -batch 20 "
+	for _, line := range []string{
+		"-rounds 3 -model mlp -samples 40 -test 100 -algo fedprox -scheme orthogonal -clusters 2 -seed 5",
+		fleet + "-async -latency exp:2 -buffer 2 -concurrency 4 -dropout markov:40,10+drop:4,0.5,6 -stale-exp 1",
+		fleet + "-async -buffer 2 -concurrency 4 -transport topk:0.01+ef -bandwidth-dist tiered -device-dist tiered -flop-rate 0.5",
+	} {
+		spec, err := runtext.FromLine(line)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		lib, err := core.Start(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		cmd, err := run(parse(t, line+" -quiet"))
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if lib.Digest() != cmd.Digest() {
+			t.Errorf("%s:\nruntext.FromLine digest %s, fedtrip digest %s", line, lib.Digest(), cmd.Digest())
+		}
+	}
+}
 
 // A checkpoint write that fails must not cost the user the last good
 // checkpoint: SlowMo keeps server-side state Snapshot refuses, so
@@ -15,13 +56,7 @@ import (
 // left beside it. The same flags on a snapshottable method replace it.
 func TestWriteSnapshotKeepsLastGoodCheckpoint(t *testing.T) {
 	opts := func(algo, ckpt string) runOpts {
-		return runOpts{
-			algoName: algo, dataset: "mnist", model: "mlp", schemeStr: "dir", alpha: 0.5,
-			clients: 6, perRound: 3, samples: 40, testN: 100,
-			rounds: 2, batch: 20, epochs: 1, lr: 0.01, momentum: 0.9, scale: 0.5,
-			seed: 1, quiet: true, staleExp: 0.5,
-			checkCk: ckpt, snapAt: 1,
-		}
+		return parse(t, "-algo "+algo+" -model mlp -clients 6 -k 3 -samples 40 -test 100 -rounds 2 -batch 20 -quiet -snapshot-at 1 -checkpoint "+ckpt)
 	}
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
@@ -40,7 +75,7 @@ func TestWriteSnapshotKeepsLastGoodCheckpoint(t *testing.T) {
 		}
 	}
 
-	err := run(opts("slowmo", ckpt))
+	_, err := run(opts("slowmo", ckpt))
 	if err == nil || !strings.Contains(err.Error(), "cannot snapshot") {
 		t.Fatalf("slowmo -snapshot-at: err %v, want a Snapshot refusal", err)
 	}
@@ -53,7 +88,7 @@ func TestWriteSnapshotKeepsLastGoodCheckpoint(t *testing.T) {
 	}
 	onlyCheckpoint()
 
-	if err := run(opts("fedtrip", ckpt)); err != nil {
+	if _, err := run(opts("fedtrip", ckpt)); err != nil {
 		t.Fatal(err)
 	}
 	got, err = os.ReadFile(ckpt)

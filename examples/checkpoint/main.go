@@ -5,16 +5,14 @@
 // client's historical model and RNG position, the virtual event heap with
 // its in-flight updates, the aggregation policy's buffer, the churn
 // process — lives behind core.RunState and serializes through Snapshot.
-// This example runs an async FedTrip fleet with churn three ways:
-//
-//  1. uninterrupted, via core.Start;
-//  2. stepped halfway, snapshotted to a byte buffer, then continued in
-//     the same process;
-//  3. resumed from those bytes in a fresh RunState (what `fedtrip
-//     -resume` does after a kill).
-//
-// All three print the same Result digest: an FNV fingerprint over every
-// metric series at full bit precision.
+// This example runs one async FedTrip fleet with churn three ways:
+// uninterrupted (core.Start); stepped halfway, snapshotted to a byte
+// buffer, then continued in the same process; and resumed from those bytes
+// in a fresh RunState rebuilt from the same flags (what `fedtrip -resume`
+// does after a kill). All three print the same Result digest, an FNV
+// fingerprint over every metric series at full bit precision. The run is
+// one string of fedtrip flags, paste-able after `go run ./cmd/fedtrip`
+// (add -digest to see the same fingerprint).
 //
 //	go run ./examples/checkpoint
 package main
@@ -23,91 +21,43 @@ import (
 	"bytes"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
+	"repro/internal/runtext"
 )
 
-func main() {
-	const (
-		clients   = 8
-		perClient = 60
-		rounds    = 16
-		snapAt    = 8
-	)
-	train, test, err := data.Generate(data.Spec{
-		Kind: data.KindMNIST, Train: clients * perClient, Test: 300, Seed: 51,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes,
-		clients, perClient, rand.New(rand.NewSource(51)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := core.RunSpec{
-		Config: core.Config{
-			Model:           nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
-			Train:           train,
-			Test:            test,
-			Parts:           parts,
-			Rounds:          rounds,
-			ClientsPerRound: 4,
-			BatchSize:       20,
-			LocalEpochs:     1,
-			LR:              0.01,
-			Momentum:        0.9,
-			Algo:            core.NewFedTrip(0.4),
-			Seed:            7,
-		},
-		Runtime:     core.RuntimeAsync,
-		Concurrency: 4,
-		BufferSize:  2,
-		Latency:     core.ExponentialLatency{Mean: 2},
-		Churn:       &core.ChurnModel{MeanUp: 40, MeanDown: 10},
-	}
+const (
+	line = "-model mlp -scale 1 -clients 8 -k 4 -samples 60 -test 300 -rounds 16 -batch 20 -seed 51 " +
+		"-async -latency exp:2 -concurrency 4 -buffer 2 -dropout markov:40,10"
+	snapAt = 8
+)
 
-	// 1. The uninterrupted reference run.
-	full, err := core.Start(spec)
+func check[T any](v T, err error) T {
 	if err != nil {
 		log.Fatal(err)
 	}
+	return v
+}
+
+func main() {
+	fmt.Println("fedtrip", line)
+	full := check(core.Start(check(runtext.FromLine(line))))
 	fmt.Printf("uninterrupted run      %s  (best acc %.4f)\n", full.Digest(), full.BestAccuracy)
 
-	// 2. Step halfway, snapshot, keep going in the same process.
-	rs, err := core.NewRunState(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rs := check(core.NewRunState(check(runtext.FromLine(line))))
 	for i := 0; i < snapAt; i++ {
-		if _, err := rs.Step(); err != nil {
-			log.Fatal(err)
-		}
+		check(rs.Step())
 	}
 	var ckpt bytes.Buffer
 	if err := rs.Snapshot(&ckpt); err != nil {
 		log.Fatal(err)
 	}
-	cont, err := rs.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("snapshot-and-continue  %s  (%d-byte snapshot at round %d)\n",
-		cont.Digest(), ckpt.Len(), snapAt)
+	cont := check(rs.Run())
+	fmt.Printf("snapshot-and-continue  %s  (%d-byte snapshot at round %d)\n", cont.Digest(), ckpt.Len(), snapAt)
 
-	// 3. "Fresh process": rebuild the run from the spec, load the bytes.
-	rs2, err := core.Resume(bytes.NewReader(ckpt.Bytes()), core.ResumeSpec{Spec: spec})
-	if err != nil {
-		log.Fatal(err)
-	}
-	resumed, err := rs2.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
+	// "Fresh process": rebuild the run from the flags, load the bytes.
+	rs2 := check(core.Resume(bytes.NewReader(ckpt.Bytes()), core.ResumeSpec{Spec: check(runtext.FromLine(line))}))
+	resumed := check(rs2.Run())
 	fmt.Printf("snapshot-and-resume    %s\n", resumed.Digest())
 
 	if full.Digest() != cont.Digest() || full.Digest() != resumed.Digest() {

@@ -1,9 +1,11 @@
 // Quickstart: the smallest complete FedTrip run.
 //
-// It builds a synthetic MNIST-like dataset, partitions it across 10
-// clients with Dirichlet(0.5) label skew, trains a small CNN with FedTrip
-// for 15 communication rounds, and prints the accuracy trajectory — the
-// minimal version of the paper's experimental loop.
+// The whole experiment is one string of fedtrip flags: a synthetic
+// MNIST-like dataset split across 10 clients with Dirichlet(0.5) label
+// skew, a small CNN, FedTrip with the paper's mu for conv models, 4-of-10
+// clients per round for 15 rounds. runtext.FromLine turns the string into
+// a core.RunSpec, core.Start runs it. The string is paste-able:
+// `go run ./cmd/fedtrip <line>` is the same run with per-round progress.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,63 +13,24 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
-	"repro/internal/algos"
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
+	"repro/internal/runtext"
 )
 
+const line = "-algo fedtrip -mu 0.4 -dataset mnist -model cnn -scheme dir -alpha 0.5 " +
+	"-clients 10 -k 4 -samples 60 -test 300 -rounds 15"
+
 func main() {
-	// 1. Data: a synthetic 10-class image dataset (60 samples per client
-	//    keeps this example fast; see DESIGN.md for the generator).
-	const (
-		clients   = 10
-		perClient = 60
-	)
-	train, test, err := data.Generate(data.Spec{
-		Kind:  data.KindMNIST,
-		Train: clients * perClient,
-		Test:  300,
-		Seed:  1,
-	})
+	spec, err := runtext.FromLine(line)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 2. Heterogeneity: Dirichlet(0.5) label skew, as in the paper's
-	//    default setting.
-	parts, err := partition.Partition(
-		partition.Dirichlet(0.5), train.Y, train.Classes,
-		clients, perClient, rand.New(rand.NewSource(2)))
+	res, err := core.Start(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 3. Method: FedTrip with the paper's mu for conv models.
-	algo, err := algos.New("fedtrip", algos.Params{Mu: 0.4})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 4. Federated training: 4-of-10 clients per round, SGDm locally.
-	res, err := core.Start(core.RunSpec{Config: core.Config{
-		Model: nn.ModelSpec{
-			Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28,
-			Classes: 10, Scale: 0.5,
-		},
-		Train: train, Test: test, Parts: parts,
-		Rounds: 15, ClientsPerRound: 4,
-		BatchSize: 10, LocalEpochs: 1,
-		LR: 0.01, Momentum: 0.9,
-		Algo: algo, Seed: 3,
-	}})
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	fmt.Println("fedtrip", line)
 	fmt.Println("round  test-accuracy")
 	for i, acc := range res.Accuracy {
 		fmt.Printf("%5d  %.4f\n", i+1, acc)

@@ -1,13 +1,14 @@
 // Robustness study: Byzantine fault injection and robust aggregation.
 //
-// This example puts an adversarial fleet against four aggregation
-// policies. A fifth of the clients sign-flip their trained models before
-// upload and another 5% crash mid-upload (their update arrives as
-// non-finite garbage). The plain FedAvg mean merges every finite upload
-// and degrades; the coordinate-wise median and the trimmed mean shed the
-// flipped extremes; the norm-clip guard pulls corrupted updates back
-// onto a ball around the global model. Crash uploads never reach the
-// model on any policy — the merge screen rejects and counts them.
+// An adversarial fleet against four -policy values: 15% of the 20 clients
+// sign-flip their trained models before upload and another 5% crash
+// mid-upload (their update arrives as non-finite garbage). The plain mean
+// merges every finite upload and degrades; the coordinate-wise median and
+// the trimmed mean shed the flipped extremes; the norm-clip guard pulls
+// corrupted updates back onto a ball around the global model; crash
+// uploads reach the model on no policy — the merge screen rejects and
+// counts them. Every run is one string of fedtrip flags (fleet + policy,
+// + faults), paste-able after `go run ./cmd/fedtrip`.
 //
 //	go run ./examples/robustness
 package main
@@ -15,81 +16,35 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
+	"repro/internal/runtext"
 )
 
-func main() {
-	const (
-		clients   = 10
-		perClient = 60
-		rounds    = 20
-	)
-	train, test, err := data.Generate(data.Spec{
-		Kind: data.KindMNIST, Train: clients * perClient, Test: 300, Seed: 11,
-	})
+const (
+	fleet = "-model mlp -scale 1 -mu 1 -clients 20 -k 8 -samples 60 -test 300 -rounds 20 -seed 13 " +
+		"-async -latency exp:2 -concurrency 8 -buffer 8"
+	faults = "-faults byz:0.15,signflip+crash:0.05"
+)
+
+func run(line string) *core.Result {
+	spec, err := runtext.FromLine(line)
 	if err != nil {
 		log.Fatal(err)
 	}
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y,
-		train.Classes, clients, perClient, rand.New(rand.NewSource(5)))
+	res, err := core.Start(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	faults, err := core.ParseFaults("byz:0.2,signflip+crash:0.1")
-	if err != nil {
-		log.Fatal(err)
-	}
-	policies := []struct {
-		label  string
-		policy core.AggregationPolicy
-	}{
-		{"fedavg", &core.FedAvgPolicy{}},
-		{"median", &core.MedianPolicy{}},
-		// Frac 0.34 keeps g >= 1 even when the crash rejection shrinks a
-		// 4-update merge to 3; at 0.25 a 3-update merge trims nothing.
-		{"trimmedmean:0.34", &core.TrimmedMeanPolicy{Frac: 0.34}},
-		{"fedavg+clip:1", core.WithNormClip(&core.FedAvgPolicy{}, 1)},
-	}
-	fmt.Printf("%-18s  %-8s  %-8s  %s\n", "policy", "honest", "attacked", "rejected")
-	for _, p := range policies {
-		honest, err := run(train, test, parts, nil, p.policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		attacked, err := run(train, test, parts, faults, p.policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-18s  %-8.4f  %-8.4f  %d\n",
-			p.label, honest.FinalAccuracy, attacked.FinalAccuracy, attacked.RejectedUpdates)
-	}
-	fmt.Println("\n(final accuracy after", rounds, "aggregations, MLP, buffered async;")
-	fmt.Println(" attacked = byz:0.2,signflip+crash:0.1; rejected counts screened non-finite uploads)")
+	return res
 }
 
-func run(train, test *data.Dataset, parts [][]int, faults *core.FaultModel, policy core.AggregationPolicy) (*core.Result, error) {
-	spec := core.RunSpec{
-		Config: core.Config{
-			Model: nn.ModelSpec{
-				Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10,
-			},
-			Train: train, Test: test, Parts: parts,
-			Rounds: 20, ClientsPerRound: 4,
-			BatchSize: 10, LocalEpochs: 1,
-			LR: 0.01, Momentum: 0.9,
-			Algo: core.NewFedTrip(1.0), Seed: 13,
-		},
-		Runtime:     core.RuntimeAsync,
-		Concurrency: 4,
-		BufferSize:  4,
-		Latency:     core.ExponentialLatency{Mean: 2},
-		Policy:      policy,
-		Faults:      faults,
+func main() {
+	fmt.Printf("fedtrip %s -policy ... [%s]\n", fleet, faults)
+	fmt.Printf("%-18s  %-8s  %-8s  %s\n", "-policy", "honest", "attacked", "rejected")
+	for _, p := range []string{"fedavg", "median", "trimmedmean:0.25", "fedavg+clip:1"} {
+		honest, attacked := run(fleet+" -policy "+p), run(fleet+" -policy "+p+" "+faults)
+		fmt.Printf("%-18s  %-8.4f  %-8.4f  %d\n", p, honest.FinalAccuracy, attacked.FinalAccuracy, attacked.RejectedUpdates)
 	}
-	return core.Start(spec)
+	fmt.Println("\n(final accuracy after 20 aggregations; rejected counts screened non-finite uploads)")
 }

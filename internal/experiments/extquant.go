@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/algos"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/prng"
 	"repro/internal/runtext"
 	"repro/internal/stats"
 )
@@ -20,49 +20,27 @@ import (
 // convergence while cutting upload traffic ~4x versus float32, and
 // degrades gracefully at 4 bits.
 func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
-	clients := p.Clients
-	perClient, err := p.samplesPerClient(data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := p.datasets(data.KindMNIST, clients, perClient, 0)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := p.modelSpec(nn.ArchCNN, data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	rng := prng.Stream(p.Seed, streamPartition, 0)
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, clients, perClient, rng)
-	if err != nil {
-		return nil, err
-	}
-	baseConfig := func() core.Config {
-		return core.Config{
-			Model: spec, Train: train, Test: test, Parts: parts,
-			Rounds: p.Rounds, ClientsPerRound: p.PerRound,
-			BatchSize: p.Batch, LocalEpochs: p.LocalEpochs,
-			LR: p.LR, Momentum: p.Momentum,
-			Algo: core.NewFedTrip(0.4), Seed: p.Seed,
-		}
-	}
-	// Every variant goes through Case.runSpec + core.Start, so the
-	// profile's runtime selection (-runtime/-latency/-device-dist/
-	// -dropout) reaches this experiment like any table-driven one; only
-	// the uplink transport varies per row ("" = the paper's analytic
-	// float32 accounting).
-	runVariant := func(transport string) (*core.Result, core.Transport, error) {
+	// Every variant goes through Profile.config + Case.runSpec +
+	// core.Start, so the profile's runtime selection (-runtime/-latency/
+	// -device-dist/-dropout) reaches this experiment like any table-driven
+	// one; only the uplink transport varies per row ("" = the paper's
+	// analytic float32 accounting).
+	runVariant := func(transport string) (*core.Result, core.RunSpec, error) {
 		c := Case{
-			Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: "fedtrip",
+			Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5),
+			Algo: "fedtrip", Params: algos.Params{Mu: 0.4},
 			Selection: runtext.Selection{Transport: transport},
 		}
-		spec, err := c.runSpec(p, baseConfig())
+		cfg, err := p.config(c, p.Seed)
 		if err != nil {
-			return nil, nil, err
+			return nil, core.RunSpec{}, err
+		}
+		spec, err := c.runSpec(p, cfg)
+		if err != nil {
+			return nil, spec, err
 		}
 		res, err := core.Start(spec)
-		return res, spec.Transport, err
+		return res, spec, err
 	}
 	t := &Table{
 		ID:      "ext-quant",
@@ -71,16 +49,16 @@ func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
 	}
 	// Baseline: float32 shipping (the paper's convention) = bits 0 path
 	// with analytic bytes from the model size.
-	model, err := spec.Build(1)
+	base, baseSpec, err := runVariant("")
+	if err != nil {
+		return nil, err
+	}
+	model, err := baseSpec.Model.Build(1)
 	if err != nil {
 		return nil, err
 	}
 	f32Bytes := func(rounds int) int64 {
 		return int64(rounds) * int64(p.PerRound) * int64(4*model.NumParams())
-	}
-	base, _, err := runVariant("")
-	if err != nil {
-		return nil, err
 	}
 	logf.printf("ext-quant: baseline done")
 	addRow := func(label string, res *core.Result, upMB float64) {
@@ -97,12 +75,12 @@ func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
 	}
 	addRow("float32 (paper)", base, float64(f32Bytes(base.Rounds))/1e6)
 	for _, q := range []string{"q8", "q4"} {
-		res, tr, err := runVariant(q)
+		res, spec, err := runVariant(q)
 		if err != nil {
 			return nil, err
 		}
 		logf.printf("ext-quant: %s-bit done", q[1:])
-		addRow(q[1:]+"-bit delta", res, float64(tr.(*comm.CompressedTransport).Stats().UpBytes())/1e6)
+		addRow(q[1:]+"-bit delta", res, float64(spec.Transport.(*comm.CompressedTransport).Stats().UpBytes())/1e6)
 	}
 	t.Notes = append(t.Notes,
 		"uplink deltas are quantized against the received model (error feedback-free delta encoding)",

@@ -23,25 +23,8 @@ import (
 // two inequalities: silhouette(global) > silhouette(local@final) >
 // silhouette(local@earlier).
 func runFig2(p Profile, logf Logf) ([]*Table, error) {
-	clients := p.Clients
-	perClient, err := p.samplesPerClient(data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := p.datasets(data.KindMNIST, clients, perClient, 0)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := p.modelSpec(nn.ArchCNN, data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	rng := prng.Stream(p.Seed, streamPartition, 0)
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, clients, perClient, rng)
-	if err != nil {
-		return nil, err
-	}
-	algo, err := algos.New("fedavg", algos.Params{})
+	c := Case{Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}
+	cfg, err := p.config(c, p.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -50,37 +33,23 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 		earlierRound = 1
 	}
 	var globalFinal, localFinal, localEarlier []float64
-	cfg := core.Config{
-		Model:           spec,
-		Train:           train,
-		Test:            test,
-		Parts:           parts,
-		Rounds:          p.Rounds,
-		ClientsPerRound: p.PerRound,
-		BatchSize:       p.Batch,
-		LocalEpochs:     p.LocalEpochs,
-		LR:              p.LR,
-		Momentum:        p.Momentum,
-		Algo:            algo,
-		Seed:            p.Seed,
-		OnRound: func(round int, s *core.Server) {
-			c0 := s.Clients()[0]
-			if round == earlierRound && c0.Hist != nil {
-				localEarlier = append([]float64(nil), c0.Hist...)
+	cfg.OnRound = func(round int, s *core.Server) {
+		c0 := s.Clients()[0]
+		if round == earlierRound && c0.Hist != nil {
+			localEarlier = append([]float64(nil), c0.Hist...)
+		}
+		if round == p.Rounds {
+			globalFinal = append([]float64(nil), s.Global()...)
+			if c0.Hist != nil {
+				localFinal = append([]float64(nil), c0.Hist...)
 			}
-			if round == p.Rounds {
-				globalFinal = append([]float64(nil), s.Global()...)
-				if c0.Hist != nil {
-					localFinal = append([]float64(nil), c0.Hist...)
-				}
-			}
-		},
+		}
 	}
 	// The run goes through Case.runSpec so the profile-level runtime
 	// selection (-runtime/-latency/-device-dist/...) reaches this harness
 	// like any table case; the snapshot hook rides along as OnRound,
 	// which every runtime honors.
-	rspec, err := (Case{Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}).runSpec(p, cfg)
+	rspec, err := c.runSpec(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +65,8 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 	}
 
 	nEmbed := 150
-	if test.Len() < nEmbed {
-		nEmbed = test.Len()
+	if cfg.Test.Len() < nEmbed {
+		nEmbed = cfg.Test.Len()
 	}
 	t := &Table{
 		ID:      "fig2",
@@ -112,12 +81,12 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 		{fmt.Sprintf("client0 local @ round %d", p.Rounds), localFinal},
 		{fmt.Sprintf("client0 local @ round %d", earlierRound), localEarlier},
 	}
-	model, err := spec.Build(1)
+	model, err := cfg.Model.Build(1)
 	if err != nil {
 		return nil, err
 	}
 	for _, snap := range snaps {
-		feat, labels, err := featuresOf(model, snap.params, test, nEmbed)
+		feat, labels, err := featuresOf(model, snap.params, cfg.Test, nEmbed)
 		if err != nil {
 			return nil, err
 		}

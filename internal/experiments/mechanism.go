@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/algos"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -26,31 +25,17 @@ import (
 // FedTrip keeps the first small (update consistency) while sustaining the
 // second (parameter-space exploration).
 func runFig3(p Profile, logf Logf) ([]*Table, error) {
-	clients := p.Clients
-	perClient, err := p.samplesPerClient(data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := p.datasets(data.KindMNIST, clients, perClient, 0)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := p.modelSpec(nn.ArchCNN, data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	rng := prng.Stream(p.Seed, streamPartition, 0)
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, clients, perClient, rng)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig3",
 		Title:   "Update-geometry mechanism (CNN/MNIST Dir-0.5, mean over last third of rounds)",
 		Headers: []string{"Method", "||w_k - w_global||", "||w_k - w_hist||", "final accuracy"},
 	}
 	for _, method := range []string{"fedavg", "fedprox", "fedtrip"} {
-		algo, err := algos.New(method, DefaultParams(method, nn.ArchCNN, data.KindMNIST))
+		c := Case{
+			Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5),
+			Algo: method, Params: DefaultParams(method, nn.ArchCNN, data.KindMNIST),
+		}
+		cfg, err := p.config(c, p.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -59,14 +44,8 @@ func runFig3(p Profile, logf Logf) ([]*Table, error) {
 		// Case.runSpec routes the trace run through the profile's runtime
 		// selection; the collector rides along as OnUpdates, which every
 		// runtime honors.
-		rspec, err := (Case{Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: method}).runSpec(p, core.Config{
-			Model: spec, Train: train, Test: test, Parts: parts,
-			Rounds: p.Rounds, ClientsPerRound: p.PerRound,
-			BatchSize: p.Batch, LocalEpochs: p.LocalEpochs,
-			LR: p.LR, Momentum: p.Momentum,
-			Algo: algo, Seed: p.Seed,
-			OnUpdates: col.Hook(),
-		})
+		cfg.OnUpdates = col.Hook()
+		rspec, err := c.runSpec(p, cfg)
 		if err != nil {
 			return nil, err
 		}

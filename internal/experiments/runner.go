@@ -211,16 +211,13 @@ func DefaultParams(algo string, arch nn.Arch, kind data.Kind) algos.Params {
 	}
 }
 
-// Run executes (or recalls from cache) the federated run for a case.
-func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
-	key := c.key(p)
-	cacheMu.Lock()
-	if r, ok := runCache[key]; ok {
-		cacheMu.Unlock()
-		return r, nil
-	}
-	cacheMu.Unlock()
-
+// config assembles a case's base configuration — the harness's one
+// ladder: the profile's sizes with the case's overrides, the memoised
+// corpus of the case's trial, the partition drawn from seed's partition
+// stream, a fresh method instance. Run passes a per-trial seed; the
+// single-run experiments (fig2, fig3, theory-rho, ext-quant) pass p.Seed
+// and set their hooks on the returned config.
+func (p Profile) config(c Case, seed int64) (core.Config, error) {
 	clients := p.Clients
 	if c.Clients > 0 {
 		clients = c.Clients
@@ -239,21 +236,20 @@ func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
 	}
 	perClient, err := p.samplesPerClient(c.Kind)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	train, test, err := p.datasets(c.Kind, clients, perClient, c.Trial)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	spec, err := p.modelSpec(c.Arch, c.Kind)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
-	seed := p.Seed + int64(100000*(c.Trial+1))
 	rng := prng.Stream(seed, streamPartition, 0)
 	parts, err := partition.Partition(c.Scheme, train.Y, train.Classes, clients, perClient, rng)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	var algo core.Algorithm
 	if c.Factory != nil {
@@ -261,10 +257,10 @@ func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
 	} else {
 		algo, err = algos.New(c.Algo, c.Params)
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 	}
-	cfg := core.Config{
+	return core.Config{
 		Model:           spec,
 		Train:           train,
 		Test:            test,
@@ -278,13 +274,29 @@ func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
 		ClipNorm:        c.ClipNorm,
 		Algo:            algo,
 		Seed:            seed,
+	}, nil
+}
+
+// Run executes (or recalls from cache) the federated run for a case.
+func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
+	key := c.key(p)
+	cacheMu.Lock()
+	if r, ok := runCache[key]; ok {
+		cacheMu.Unlock()
+		return r, nil
+	}
+	cacheMu.Unlock()
+
+	cfg, err := p.config(c, p.Seed+int64(100000*(c.Trial+1)))
+	if err != nil {
+		return nil, err
 	}
 	runSpec, err := c.runSpec(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	logf.printf("run %s %s %s %s (%s/%s, clients %d/%d, epochs %d, trial %d)",
-		algo.Name(), c.Arch, c.Kind, c.Scheme, runSpec.Runtime, runSpec.Policy.Name(), perRound, clients, epochs, c.Trial)
+		cfg.Algo.Name(), c.Arch, c.Kind, c.Scheme, runSpec.Runtime, runSpec.Policy.Name(), cfg.ClientsPerRound, len(cfg.Parts), cfg.LocalEpochs, c.Trial)
 	res, err := core.Start(runSpec)
 	if err != nil {
 		return nil, fmt.Errorf("case %s/%s/%s/%s: %w", c.Algo, c.Arch, c.Kind, c.Scheme, err)

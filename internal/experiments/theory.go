@@ -8,7 +8,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/prng"
 	"repro/internal/tensor"
 )
 
@@ -24,44 +23,24 @@ import (
 // reports rho for the paper's mu choices — positive rho is the paper's
 // sufficient condition for per-round objective decrease.
 func runTheoryRho(p Profile, logf Logf) ([]*Table, error) {
-	clients := p.Clients
-	perClient, err := p.samplesPerClient(data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := p.datasets(data.KindMNIST, clients, perClient, 0)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := p.modelSpec(nn.ArchMLP, data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	rng := prng.Stream(p.Seed, streamPartition, 0)
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, clients, perClient, rng)
-	if err != nil {
-		return nil, err
-	}
 	// Collect global-model snapshots along a short FedAvg trajectory so
-	// the constants are measured where training actually happens.
-	var snapshots [][]float64
-	algoBase := &fedAvgForTheory{}
-	cfg := core.Config{
-		Model: spec, Train: train, Test: test, Parts: parts,
-		Rounds: minInt(p.Rounds, 10), ClientsPerRound: p.PerRound,
-		BatchSize: p.Batch, LocalEpochs: p.LocalEpochs,
-		LR: p.LR, Momentum: p.Momentum, Algo: algoBase, Seed: p.Seed,
-		OnRound: func(round int, s *core.Server) {
-			if round%2 == 1 {
-				snapshots = append(snapshots, append([]float64(nil), s.Global()...))
-			}
-		},
+	// the constants are measured where training actually happens. The
+	// trajectory run goes through Case.runSpec so the profile's runtime
+	// selection reaches it; the snapshot hook rides along as OnRound. The
+	// FullGrad probes below are measurement, not a run — they read client
+	// data through a bare server.
+	c := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg", Rounds: min(p.Rounds, 10)}
+	cfg, err := p.config(c, p.Seed)
+	if err != nil {
+		return nil, err
 	}
-	// The trajectory run goes through Case.runSpec so the profile's
-	// runtime selection reaches it; the snapshot hook rides along as
-	// OnRound. The FullGrad probes below are measurement, not a run —
-	// they read client data through a bare server.
-	rspec, err := (Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}).runSpec(p, cfg)
+	var snapshots [][]float64
+	cfg.OnRound = func(round int, s *core.Server) {
+		if round%2 == 1 {
+			snapshots = append(snapshots, append([]float64(nil), s.Global()...))
+		}
+	}
+	rspec, err := c.runSpec(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,18 +105,6 @@ func runTheoryRho(p Profile, logf Logf) ([]*Table, error) {
 		"the paper instantiates mu = 6LB^2 as an example choice that guarantees rho > 0",
 		fmt.Sprintf("with these estimates, 6LB^2 = %.3g", 6*lEst*bEst*bEst))
 	return []*Table{t}, nil
-}
-
-// fedAvgForTheory avoids importing algos (package cycle): plain FedAvg.
-type fedAvgForTheory struct{ core.Base }
-
-func (*fedAvgForTheory) Name() string { return "fedavg" }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // rhoOf exposes the Theorem 1 coefficient for tests.

@@ -1,9 +1,12 @@
-// Package runtext holds the one text form of a run's runtime selection:
-// the twelve spec strings and knobs that cmd/fedtrip and
-// cmd/fedtrip-tables take as flags and that experiments.Profile and
-// experiments.Case carry as fields, and the one place they become a
-// core.RunSpec. Every string is in the internal/spec grammar; the family
-// each field belongs to is named on the field.
+// Package runtext holds the one text form of a run and the one place it
+// becomes a core.RunSpec. The runtime half is Selection: the twelve spec
+// strings and knobs that cmd/fedtrip and cmd/fedtrip-tables take as flags
+// and that experiments.Profile and experiments.Case carry as fields; every
+// string is in the internal/spec grammar, the family each field belongs to
+// named on the field. The task half is Task (task.go): the 21 flags that
+// say what is learned, on what data, by which method. Command is the two
+// together as cmd/fedtrip registers them, and FromLine is how every other
+// program — the examples — turns a fedtrip command line into a run.
 package runtext
 
 import (

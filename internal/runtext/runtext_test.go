@@ -2,6 +2,7 @@ package runtext_test
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -36,6 +37,25 @@ func TestRegisterIsTheOneFlagSet(t *testing.T) {
 	}
 	if d := b.Lookup("latency").DefValue; d != "" {
 		t.Errorf("fedtrip-tables -latency default %q, want empty", d)
+	}
+	// The task half has one user and one set of defaults — the paper's
+	// recipe. A renamed flag or a moved default fails here.
+	var task runtext.Task
+	c := flag.NewFlagSet("fedtrip", flag.ContinueOnError)
+	task.Register(c)
+	defaults := map[string]string{
+		"algo": "fedtrip", "dataset": "mnist", "model": "cnn", "scheme": "dir", "alpha": "0.5", "clusters": "5",
+		"clients": "10", "k": "4", "samples": "120", "test": "400", "rounds": "30", "batch": "10", "epochs": "1",
+		"lr": "0.01", "momentum": "0.9", "mu": "0", "scale": "0.5", "target": "0", "seed": "1", "clip": "0", "shards": "0",
+	}
+	c.VisitAll(func(f *flag.Flag) {
+		if want, ok := defaults[f.Name]; !ok || f.DefValue != want {
+			t.Errorf("task flag -%s default %q, want %q (registered: %v)", f.Name, f.DefValue, want, ok)
+		}
+		delete(defaults, f.Name)
+	})
+	if len(defaults) != 0 {
+		t.Errorf("task flags not registered: %v", defaults)
 	}
 	b.SetOutput(io.Discard)
 	if err := b.Parse([]string{"-runtime", "async", "-policy", "fedbuff:2+clip:5", "-buffer", "3", "-local-steps-adaptive"}); err != nil {
@@ -83,5 +103,44 @@ func TestParseSurfacesEveryField(t *testing.T) {
 	lr, ok := rs.Policy.(*core.ScheduledLR)
 	if !ok || lr.String() != "median+lr:const:0.5" || rs.Transport.(*comm.CompressedTransport).String() != "q4" {
 		t.Fatalf("assembled policy %v transport %v", rs.Policy, rs.Transport)
+	}
+}
+
+// FromLine is the one way a fedtrip command line becomes a run: the text
+// reaches every layer, and what it rejects it rejects by name.
+func TestFromLine(t *testing.T) {
+	const small = "-model mlp -clients 6 -k 3 -samples 20 -test 50 -rounds 2 "
+	rs, err := runtext.FromLine(small + "-algo fedprox -mu 0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -async -stale-exp 1 -buffer 2 -wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Runtime != core.RuntimeAsync || rs.Algo.Name() != "fedprox" || len(rs.Parts) != 6 || rs.ClientsPerRound != 3 ||
+		rs.Seed != 9 || rs.ClipNorm != 5 || rs.BufferSize != 2 || rs.Concurrency != 3 || fmt.Sprint(rs.Policy) != "fedbuff:1" ||
+		rs.Transport.(*comm.F32Transport) == nil || fmt.Sprint(rs.Latency) != "zero" {
+		t.Fatalf("assembled run %+v", rs)
+	}
+	for _, tc := range []struct{ line, want string }{
+		{"-scheme ring", `unknown scheme "ring"`},
+		{"-dataset imagenet", "imagenet"},
+		{"-model resnet", `unknown model "resnet"`},
+		{"-algo fedsgd", `unknown method "fedsgd"`},
+		{"-k 7", "clients per round 7 outside [1,6]"},
+		{"-wire -transport q8", "-wire is shorthand"},
+		{"-stale-exp -1", "-stale-exp -1 must be >= 0"},
+		{"-flop-rate 2", "FlopRate"},
+		{"-quiet", "flag provided but not defined"},
+		{"stray", `unexpected argument "stray"`},
+	} {
+		if _, err := runtext.FromLine(small + tc.line); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.line, err, tc.want)
+		}
+	}
+	// A malformed task field and a malformed selection field come back in
+	// one error.
+	_, err = runtext.FromLine(small + "-scheme ring -algo fedsgd -latency warp:1 -policy nope")
+	for _, want := range []string{"ring", "fedsgd", "warp", "nope"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("joined error %v does not name %q", err, want)
+		}
 	}
 }
