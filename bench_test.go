@@ -274,15 +274,15 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 220, 1_604},
-	{"Async1kClients", asyncSpec, 1_000, 224, 3_328},
-	{"Sync10kClients", syncSpec, 10_000, 220, 1_568},
-	{"Async10kClients", asyncSpec, 10_000, 224, 3_355},
-	{"AsyncChurn1k", churnSpec, 1_000, 232, 3_298},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 224, 3_345},
-	{"RobustMerge1k", robustSpec, 1_000, 225, 3_250},
-	{"Async100kClients", scaleSpec, 100_000, 216, 7_849},
-	{"Async1MClients", scaleSpec, 1_000_000, 216, 0},
+	{"Sync1kClients", syncSpec, 1_000, 180, 1_355},
+	{"Async1kClients", asyncSpec, 1_000, 184, 2_844},
+	{"Sync10kClients", syncSpec, 10_000, 180, 1_311},
+	{"Async10kClients", asyncSpec, 10_000, 184, 2_848},
+	{"AsyncChurn1k", churnSpec, 1_000, 192, 2_801},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 184, 2_850},
+	{"RobustMerge1k", robustSpec, 1_000, 185, 2_768},
+	{"Async100kClients", scaleSpec, 100_000, 176, 6_586},
+	{"Async1MClients", scaleSpec, 1_000_000, 176, 0},
 }
 
 // newPopulationRun constructs the fleet for one run of spec.
@@ -374,7 +374,7 @@ func TestPopulationCounters(t *testing.T) {
 	spec.Faults = faults
 	rs := newPopulationRun(t, spec)
 	defer rs.Close()
-	if got, want := rs.PerClientStateBytes(), 241.0; got != want {
+	if got, want := rs.PerClientStateBytes(), 201.0; got != want {
 		t.Errorf("async+churn+noise faults: B/client = %v, committed %v", got, want)
 	}
 }

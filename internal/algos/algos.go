@@ -5,8 +5,9 @@
 // internal/core as the paper's primary contribution.
 //
 // Concurrency contract: the server invokes BeginRound / TransformGrad /
-// EndRound on client goroutines concurrently, so methods keep all
-// per-client state in Client.StateVec / Client.Scalar and treat their own
+// EndRound on client goroutines concurrently, so methods keep what a
+// client carries across rounds in Client.StateVec, read what lives for one
+// round from Client.RoundGlobal / Client.RoundSteps, and treat their own
 // struct fields as read-only during the client phase; struct fields are
 // only mutated in PreRound and Aggregate, which the server calls
 // single-threaded. One Algorithm instance must not be shared between

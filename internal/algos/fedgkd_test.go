@@ -109,20 +109,12 @@ func TestFedGKDEndToEnd(t *testing.T) {
 }
 
 func TestFedNovaEqualStepsMatchesFedAvg(t *testing.T) {
-	// With equal data sizes and epochs FedNova reduces exactly to FedAvg
-	// aggregation.
+	// With equal data sizes and step counts FedNova reduces exactly to
+	// FedAvg aggregation.
 	f := &FedNova{}
-	cfg := testConfig(t, f)
-	s, err := core.NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := s.Clients()[:2]
-	f.PreRound(1, clients, s.Global())
-	n := 4
-	global := make([]float64, n)
-	u1 := core.Update{ClientID: clients[0].ID, Params: []float64{1, 1, 1, 1}, NumSamples: clients[0].NumSamples()}
-	u2 := core.Update{ClientID: clients[1].ID, Params: []float64{3, 3, 3, 3}, NumSamples: clients[1].NumSamples()}
+	global := make([]float64, 4)
+	u1 := core.Update{ClientID: 0, Params: []float64{1, 1, 1, 1}, NumSamples: 60, Steps: 3}
+	u2 := core.Update{ClientID: 1, Params: []float64{3, 3, 3, 3}, NumSamples: 60, Steps: 3}
 	next := f.Aggregate(1, global, []core.Update{u1, u2})
 	for i := range next {
 		if math.Abs(next[i]-2) > 1e-12 {
@@ -132,31 +124,29 @@ func TestFedNovaEqualStepsMatchesFedAvg(t *testing.T) {
 }
 
 func TestFedNovaNormalisesUnequalSteps(t *testing.T) {
-	// Craft unequal client data sizes so tau_k differ: client A has 2x
-	// the batches of client B. A's update direction must be downweighted
-	// per step but the effective step count preserves scale.
+	// tau_k is what a client executed (Update.Steps), not what its data
+	// size and the configuration imply: B holds as much data as A but a
+	// step budget stopped it after 2 of 4 steps. A's update direction must
+	// be downweighted per step while the effective step count preserves
+	// scale.
 	f := &FedNova{}
-	cfg := testConfig(t, f)
-	// Rebuild partitions: client 0 gets 40 samples, client 1 gets 20.
-	cfg.Parts = [][]int{cfg.Parts[0][:40], cfg.Parts[1][:20]}
-	cfg.ClientsPerRound = 2
-	cfg.BatchSize = 10
-	s, err := core.NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := s.Clients()
-	f.PreRound(1, clients, s.Global())
 	global := []float64{0}
-	// Both clients moved by -4 from global. tau_A=4, tau_B=2,
-	// p_A=2/3, p_B=1/3.
-	uA := core.Update{ClientID: 0, Params: []float64{-4}, NumSamples: 40}
-	uB := core.Update{ClientID: 1, Params: []float64{-4}, NumSamples: 20}
+	// Both clients moved by -4 from global. tau_A=4, tau_B=2, p_A=p_B=1/2.
+	uA := core.Update{ClientID: 0, Params: []float64{-4}, NumSamples: 40, Steps: 4}
+	uB := core.Update{ClientID: 1, Params: []float64{-4}, NumSamples: 40, Steps: 2}
 	next := f.Aggregate(1, global, []core.Update{uA, uB})
-	// d_A = (0-(-4))/4 = 1, d_B = 4/2 = 2; dir = 2/3*1 + 1/3*2 = 4/3;
-	// tau_eff = 2/3*4 + 1/3*2 = 10/3; next = 0 - 10/3*4/3 = -40/9.
-	want := -40.0 / 9
+	// d_A = (0-(-4))/4 = 1, d_B = 4/2 = 2; dir = 1/2*1 + 1/2*2 = 3/2;
+	// tau_eff = 1/2*4 + 1/2*2 = 3; next = 0 - 3*3/2 = -9/2. Normalising
+	// both by the configured 4 steps would give the plain average, -4.
+	want := -4.5
 	if math.Abs(next[0]-want) > 1e-12 {
+		t.Fatalf("next %v want %v", next[0], want)
+	}
+	// Unequal data sizes on top: p_A=2/3, p_B=1/3; dir = 2/3*1 + 1/3*2 =
+	// 4/3; tau_eff = 2/3*4 + 1/3*2 = 10/3; next = -10/3*4/3 = -40/9.
+	uB.NumSamples = 20
+	next = f.Aggregate(1, global, []core.Update{uA, uB})
+	if want := -40.0 / 9; math.Abs(next[0]-want) > 1e-12 {
 		t.Fatalf("next %v want %v", next[0], want)
 	}
 }

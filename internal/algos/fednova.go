@@ -14,14 +14,14 @@ import (
 //	tau_eff = sum_k p_k * tau_k
 //	w_next  = w_global - tau_eff * sum_k p_k * d_k
 //
-// where p_k = |D_k|/|D_St| and tau_k is client k's local iteration count.
-// With equal tau_k this reduces exactly to FedAvg; it differs when clients
-// have unequal data sizes or epochs. Local optimizer is plain SGD so that
-// tau_k is the exact normaliser.
+// where p_k = |D_k|/|D_St| and tau_k is client k's local iteration count
+// — the steps it executed (Update.Steps), which a device step budget can
+// hold below what the configuration implies. With equal tau_k this
+// reduces exactly to FedAvg; it differs when clients have unequal data
+// sizes, epochs or budgets. Local optimizer is plain SGD so that tau_k is
+// the exact normaliser.
 type FedNova struct {
 	core.Base
-
-	selected []*core.Client // stashed by PreRound for Aggregate
 }
 
 // Name implements core.Algorithm.
@@ -32,27 +32,8 @@ func (*FedNova) NewOptimizer(lr, momentum float64) optim.Optimizer {
 	return optim.NewSGD(lr)
 }
 
-// PreRound records the round's participants so Aggregate can compute
-// their step counts. The slice is copied: the runtime reuses its
-// selection scratch across rounds.
-func (f *FedNova) PreRound(round int, selected []*core.Client, global []float64) {
-	f.selected = append(f.selected[:0], selected...)
-}
-
-// localSteps returns tau_k for a client under the run configuration.
-func localSteps(c *core.Client) float64 {
-	cfg := c.Config()
-	n := c.NumSamples()
-	batches := (n + cfg.BatchSize - 1) / cfg.BatchSize
-	return float64(cfg.LocalEpochs * batches)
-}
-
 // Aggregate applies normalised averaging.
 func (f *FedNova) Aggregate(round int, global []float64, updates []core.Update) []float64 {
-	stepsByID := make(map[int]float64, len(f.selected))
-	for _, c := range f.selected {
-		stepsByID[c.ID] = localSteps(c)
-	}
 	var totalSamples float64
 	for _, u := range updates {
 		totalSamples += float64(u.NumSamples)
@@ -62,7 +43,7 @@ func (f *FedNova) Aggregate(round int, global []float64, updates []core.Update) 
 	var tauEff float64
 	for _, u := range updates {
 		p := float64(u.NumSamples) / totalSamples
-		tau := stepsByID[u.ClientID]
+		tau := float64(u.Steps)
 		if tau <= 0 {
 			tau = 1
 		}
@@ -82,6 +63,5 @@ func (f *FedNova) Aggregate(round int, global []float64, updates []core.Update) 
 // verify FedNova implements the optional interfaces it relies on.
 var (
 	_ core.Aggregator       = (*FedNova)(nil)
-	_ core.PreRounder       = (*FedNova)(nil)
 	_ core.OptimizerChooser = (*FedNova)(nil)
 )

@@ -18,7 +18,9 @@ import (
 type SCAFFOLD struct {
 	core.Base
 
-	c        []float64      // server control variate; mutated only in PreRound/Aggregate
+	// c is the server control variate. Clients read it in place while they
+	// train: it is written only in PreRound and Aggregate, when none does.
+	c        []float64
 	selected []*core.Client // clients of the in-flight round (set in PreRound)
 	clients  int            // population size N, learned from PreRound calls
 }
@@ -46,36 +48,29 @@ func (s *SCAFFOLD) PreRound(round int, selected []*core.Client, global []float64
 	s.selected = append(s.selected[:0], selected...)
 }
 
-// BeginRound gives the client this round's server control variate.
-func (s *SCAFFOLD) BeginRound(c *core.Client, round int, global []float64) {
-	copy(c.StateVec("scaffold.c"), s.c) // server c is stable during the client phase
-	c.SetScalar("scaffold.steps", 0)
-}
-
 // TransformGrad applies the drift correction g += c - c_k.
 func (s *SCAFFOLD) TransformGrad(c *core.Client, round int, w, g []float64) {
-	cSrv := c.StateVec("scaffold.c")
+	cSrv := s.c
 	ck := c.StateVec("scaffold.ck")
 	for i := range g {
 		g[i] += cSrv[i] - ck[i]
 	}
-	c.SetScalar("scaffold.steps", c.Scalar("scaffold.steps")+1)
 	c.Counter.Add(int64(2 * len(w)))
 }
 
 // EndRound refreshes c_k (option II) and records the delta for the server.
 func (s *SCAFFOLD) EndRound(c *core.Client, round int) {
-	k := c.Scalar("scaffold.steps")
+	k := c.RoundSteps()
 	if k == 0 {
 		return
 	}
 	lr := c.Config().LR
 	global := c.RoundGlobal()
-	cSrv := c.StateVec("scaffold.c")
+	cSrv := s.c
 	ck := c.StateVec("scaffold.ck")
 	dc := c.StateVec("scaffold.dc")
 	w := c.Model().Params()
-	inv := 1 / (k * lr)
+	inv := 1 / (float64(k) * lr)
 	for i := range ck {
 		newCk := ck[i] - cSrv[i] + (global[i]-w[i])*inv
 		dc[i] = newCk - ck[i]

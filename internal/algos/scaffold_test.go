@@ -16,55 +16,47 @@ func TestSCAFFOLDControlVariateUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := srv.Clients()[0]
-	n := c.NumParams()
+	global := append([]float64(nil), srv.Global()...)
 
-	global := make([]float64, n)
-	for i := range global {
-		global[i] = 1
-	}
+	// One real round. c and c_k start at zero, so the drift correction
+	// adds nothing and the client runs plain SGD.
 	s.PreRound(1, []*core.Client{c}, global)
-	c.SetRoundGlobal(global)
-	s.BeginRound(c, 1, global)
-
-	// Simulate 2 local steps with the drift correction applied.
-	g := make([]float64, n)
-	w := make([]float64, n)
-	s.TransformGrad(c, 1, w, g)
-	s.TransformGrad(c, 1, w, g)
-	if got := c.Scalar("scaffold.steps"); got != 2 {
-		t.Fatalf("steps %v", got)
+	u := c.LocalTrain(1, global)
+	k := c.RoundSteps()
+	if full := (c.NumSamples() + cfg.BatchSize - 1) / cfg.BatchSize; k != full || u.Steps != k {
+		t.Fatalf("RoundSteps %d, Update.Steps %d, want %d", k, u.Steps, full)
+	}
+	w := c.Model().Params()
+	if tensor.MaxAbsDiff(w, u.Params) != 0 {
+		t.Fatal("post-round model is not the upload")
 	}
 
-	// Set the local model to a known endpoint and close the round.
-	end := make([]float64, n)
-	for i := range end {
-		end[i] = 0.5
-	}
-	c.Model().SetParams(end)
-	s.EndRound(c, 1)
-
-	// c_k was 0, c was 0: c_k^+ = (global - w)/(K*lr) with K=2, lr=0.01.
-	want := (1.0 - 0.5) / (2 * cfg.LR)
+	// c_k was 0, c was 0: c_k^+ = (global - w)/(K*lr), and dc = c_k^+.
 	ck := c.StateVec("scaffold.ck")
 	dc := c.StateVec("scaffold.dc")
-	for i := 0; i < 5; i++ {
-		if math.Abs(ck[i]-want) > 1e-9 {
-			t.Fatalf("ck[%d] = %v want %v", i, ck[i], want)
+	want := make([]float64, len(w))
+	for i := range want {
+		want[i] = (global[i] - w[i]) / (float64(k) * cfg.LR)
+		tol := 1e-9 * math.Max(1, math.Abs(want[i]))
+		if math.Abs(ck[i]-want[i]) > tol {
+			t.Fatalf("ck[%d] = %v want %v", i, ck[i], want[i])
 		}
-		if math.Abs(dc[i]-want) > 1e-9 {
-			t.Fatalf("dc[%d] = %v want %v", i, dc[i], want)
+		if math.Abs(dc[i]-want[i]) > tol {
+			t.Fatalf("dc[%d] = %v want %v", i, dc[i], want[i])
 		}
+	}
+	if tensor.Norm2(ck) == 0 {
+		t.Fatal("training moved nothing: the check above is vacuous")
 	}
 
 	// Aggregate folds |S|/N * mean(dc) into the server variate.
-	next := s.Aggregate(1, global, []core.Update{{ClientID: 0, Params: end, NumSamples: 10}})
-	if tensor.MaxAbsDiff(next, end) != 0 {
+	next := s.Aggregate(1, global, []core.Update{u})
+	if tensor.MaxAbsDiff(next, u.Params) != 0 {
 		t.Fatal("single-update aggregate should return the update")
 	}
-	popN := len(cfg.Parts)
-	wantC := want * 1.0 / float64(popN)
-	for i := 0; i < 5; i++ {
-		if math.Abs(s.c[i]-wantC) > 1e-9 {
+	popN := float64(len(cfg.Parts))
+	for i := range want {
+		if wantC := want[i] / popN; math.Abs(s.c[i]-wantC) > 1e-9*math.Max(1, math.Abs(wantC)) {
 			t.Fatalf("server c[%d] = %v want %v", i, s.c[i], wantC)
 		}
 	}
@@ -81,8 +73,7 @@ func TestSCAFFOLDZeroStepsEndRound(t *testing.T) {
 	global := make([]float64, c.NumParams())
 	s.PreRound(1, []*core.Client{c}, global)
 	c.SetRoundGlobal(global)
-	s.BeginRound(c, 1, global)
-	s.EndRound(c, 1) // no TransformGrad calls: must not divide by zero
+	s.EndRound(c, 1) // no step ran: must not divide by zero
 	ck := c.StateVec("scaffold.ck")
 	if tensor.Norm2(ck) != 0 {
 		t.Fatal("c_k must stay zero when no steps ran")
@@ -101,12 +92,9 @@ func TestSCAFFOLDNoDriftWhenVariatesEqual(t *testing.T) {
 	n := c.NumParams()
 	global := make([]float64, n)
 	s.PreRound(1, []*core.Client{c}, global)
-	c.SetRoundGlobal(global)
-	s.BeginRound(c, 1, global)
-	cSrv := c.StateVec("scaffold.c")
 	ck := c.StateVec("scaffold.ck")
-	for i := range cSrv {
-		cSrv[i] = 0.3
+	for i := range ck {
+		s.c[i] = 0.3
 		ck[i] = 0.3
 	}
 	g := make([]float64, n)

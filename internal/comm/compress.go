@@ -227,9 +227,6 @@ func (t *CompressedTransport) WireBytes() (down, up int64) {
 	return t.stats.DownBytes(), t.stats.UpBytes()
 }
 
-// ErrorFeedback reports whether the uplink accumulates dropped mass.
-func (t *CompressedTransport) ErrorFeedback() bool { return t.ef }
-
 // DownInto implements core.WireTransport: a float32 downlink. What it
 // wrote into dst is the upload's delta base; the runtime hands it back
 // to UpInto as ref.

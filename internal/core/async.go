@@ -134,7 +134,7 @@ func newAsyncServer(sp RunSpec, maxJobs int) (*AsyncServer, error) {
 		// independent of the latency model, so pricing a run never
 		// changes who is selected.
 		latRng: seedStream(sp.Seed, streamLatency),
-		pop:    newPopulation(len(s.clients), sp.Latency),
+		pop:    newPopulation(len(s.clients)),
 	}
 	if sp.Churn != nil {
 		a.churn = newChurn(len(s.clients), sp.Churn, sp.Seed)
@@ -273,7 +273,7 @@ func (r barrierRunner) step() (bool, error) {
 		j.steps, j.speed = 0, 0
 		a.armJob(j, c.ID)
 		if a.spec.Devices == nil {
-			j.finish = a.now + a.pop.sampleLatency(a.spec.Latency, c.ID, a.latRng)
+			j.finish = a.now + a.spec.Latency.Sample(c.ID, a.latRng)
 		}
 		a.pop.dispatched(c.ID)
 		// All jobs read the same pre-aggregation global; no writer
@@ -535,7 +535,7 @@ func (r *bufferedRunner) dispatch() {
 		r.acquire(j)
 		a.pop.dispatched(id)
 		if a.spec.Devices == nil {
-			j.finish = a.now + a.pop.sampleLatency(a.spec.Latency, id, a.latRng)
+			j.finish = a.now + a.spec.Latency.Sample(id, a.latRng)
 		}
 		if joinNow {
 			burst = append(burst, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch

@@ -64,10 +64,9 @@ func BenchmarkFedTripTransform(b *testing.B) {
 	c := s.Clients()[0]
 	global := s.Global()
 	c.SetRoundGlobal(global)
-	f.BeginRound(c, 2, global)
 	c.Hist = make([]float64, c.NumParams())
 	copy(c.Hist, global)
-	c.SetScalar("fedtrip.xi", 0.5)
+	c.LastRound = 1 // xi = 1: the full 4|w| path
 	w := c.Model().Params()
 	g := make([]float64, len(w))
 	b.SetBytes(int64(4 * len(w) * 8))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"repro/internal/flops"
 	"repro/internal/nn"
 	"repro/internal/prng"
@@ -10,13 +9,15 @@ import (
 
 // Client is one federated participant. It owns only what must survive
 // between its participations: its private data indices, its historical
-// model, its per-method state, its FLOP meter, and its deterministic
-// random stream. The heavy training machinery (model, optimizer, batch
-// buffers) is an engine the client borrows for the duration of one
-// LocalTrain — either from the server's worker shards or, for standalone
-// use in tests and analysis code, a lazily built private one. Keeping
-// clients this thin is what lets a population of 10k+ exist in memory at
-// once: idle clients cost a few hundred bytes, not a model.
+// model, its per-method state vectors, its FLOP meter, and its
+// deterministic random stream. The heavy training machinery (model,
+// optimizer, batch buffers) and everything that lives for one round (the
+// received global model, the step count) belong to an engine the client
+// borrows for the duration of one LocalTrain — a worker shard's, or the
+// fleet's shared loaner outside the shard pool. What is the same for every
+// client (configuration, |w|) is reached through the one fleet pointer.
+// Keeping clients this thin is what lets a population of 10k+ exist in
+// memory at once: idle clients cost a couple of hundred bytes, not a model.
 //
 // Clients are trained concurrently by the server; a Client is confined to
 // one goroutine at a time and owns all of its buffers while training.
@@ -37,74 +38,50 @@ type Client struct {
 	// (0 if never). FedTrip's staleness factor xi derives from it.
 	LastRound int
 
-	cfg  *Config
-	seed int64
 	// rng is built on first use: a 10k-client fleet where most clients
 	// never participate should not pay for 10k PRNG states up front.
 	rng *prng.Rand
-	// numParams caches |w| (filled by the server at construction, or from
-	// the engine on first demand).
-	numParams int
 	// state holds named per-method vectors (FedDyn's h_k, SCAFFOLD's c_k,
 	// FedDANE's gradients...), allocated on first use.
 	state map[string][]float64
-	// scalars holds named per-method scalars (FedTrip's xi for the
-	// current round).
-	scalars map[string]float64
 
 	// labelFlip is a label-flipping Byzantine client's fixed rotation
 	// offset (adversary.go): every training label y becomes
 	// (y+labelFlip) mod Classes. 0 (honest) leaves batches untouched.
 	labelFlip int
 
-	// eng is the engine currently attached (nil when idle). loan is the
-	// owning server's shared loaner for engine-needing work outside the
-	// shard pool; ownEng is the private fallback for clients built outside
-	// any server (tests, analysis helpers).
-	eng    *engine
-	loan   *engineLoaner
-	ownEng *engine
+	// eng is the engine currently attached (nil when idle). loan is what
+	// the client's fleet shares: the configuration, |w|, and the engine
+	// for work outside the shard pool.
+	eng  *engine
+	loan *engineLoaner
 }
 
-func newClient(cfg *Config, id int, indices []int, seed int64) *Client {
+func newClient(loan *engineLoaner, id int, indices []int) *Client {
 	return &Client{
 		ID:      id,
 		Indices: indices,
 		Counter: &flops.Counter{},
-		cfg:     cfg,
-		seed:    seed,
+		loan:    loan,
 	}
 }
 
-// engine returns the attached engine; otherwise it borrows the server's
-// shared loaner, falling back to (and lazily building) a private engine
-// only for clients that belong to no server.
+// engine returns the attached engine, borrowing the fleet's shared loaner
+// when the client is not on a shard.
 func (c *Client) engine() *engine {
 	if c.eng != nil {
 		return c.eng
 	}
-	if c.loan != nil {
-		return c.loan.borrow(c)
-	}
-	if c.ownEng == nil {
-		e, err := newEngine(c.cfg, c.seed)
-		if err != nil {
-			panic(fmt.Sprintf("core: client %d engine: %v", c.ID, err))
-		}
-		c.ownEng = e
-	}
-	c.ownEng.attach(c)
-	return c.ownEng
+	return c.loan.borrow(c)
 }
 
 // Model returns the client's working model. During a server run this is
-// the borrowed shard engine's model; outside one it borrows the server's
-// loaner (or a private instance for serverless clients). Parameters are
-// only meaningful between a SetParams/LocalTrain and the end of the round
-// that loaded them. Confinement: while a run is active, hooks may only
-// call this (or any engine-backed method) for clients that are not in
-// flight — an in-flight client's engine handoff is unsynchronized by
-// design, like every other piece of its training state.
+// the borrowed shard engine's model; outside one it is the fleet's
+// loaner's. Parameters are only meaningful between a SetParams/LocalTrain
+// and the end of the round that loaded them. Confinement: while a run is
+// active, hooks may only call this (or any engine-backed method) for
+// clients that are not in flight — an in-flight client's engine handoff is
+// unsynchronized by design, like every other piece of its training state.
 func (c *Client) Model() *nn.Model { return c.engine().model }
 
 // NumSamples returns |D_k|, the client's data size (the aggregation weight
@@ -112,12 +89,7 @@ func (c *Client) Model() *nn.Model { return c.engine().model }
 func (c *Client) NumSamples() int { return len(c.Indices) }
 
 // NumParams returns |w|.
-func (c *Client) NumParams() int {
-	if c.numParams == 0 {
-		c.numParams = c.engine().model.NumParams()
-	}
-	return c.numParams
-}
+func (c *Client) NumParams() int { return c.loan.numParams }
 
 // StateVec returns the named per-method state vector of length
 // NumParams(), allocating it zeroed on first use.
@@ -152,19 +124,16 @@ func (c *Client) RoundGlobal() []float64 { return c.engine().roundGlobal }
 // (tests, analysis) calls it in LocalTrainSteps' place.
 func (c *Client) SetRoundGlobal(global []float64) { c.engine().roundGlobal = global }
 
-// SetScalar stores a named per-method scalar.
-func (c *Client) SetScalar(name string, v float64) {
-	if c.scalars == nil {
-		c.scalars = make(map[string]float64)
-	}
-	c.scalars[name] = v
-}
-
-// Scalar returns a named per-method scalar (0 if unset).
-func (c *Client) Scalar(name string) float64 { return c.scalars[name] }
+// RoundSteps returns how many mini-batch steps the client has completed
+// in its current round — in EndRound, and after the round until the
+// engine serves another, the number it ran in all. A device-budgeted
+// client (LocalTrainSteps) runs fewer than its configuration implies, so
+// a method that normalises by local steps (SCAFFOLD's option II) reads
+// them here.
+func (c *Client) RoundSteps() int { return c.engine().roundSteps }
 
 // Config returns the run configuration (read-only for algorithms).
-func (c *Client) Config() *Config { return c.cfg }
+func (c *Client) Config() *Config { return c.loan.cfg }
 
 // RNG exposes the client's deterministic random source (mini-batch
 // shuffling, dropout, method-specific sampling). The stream is keyed to
@@ -172,7 +141,7 @@ func (c *Client) Config() *Config { return c.cfg }
 // trajectories do not depend on the shard count.
 func (c *Client) RNG() *prng.Rand {
 	if c.rng == nil {
-		c.rng = prng.New(c.seed)
+		c.rng = seedStreamN(c.loan.cfg.Seed, streamClient, c.ID)
 	}
 	return c.rng
 }
@@ -187,16 +156,6 @@ func (c *Client) ScratchModels() (*nn.Model, *nn.Model) {
 	return c.engine().scratch()
 }
 
-// Scalar names under which the runtime surfaces device-heterogeneity
-// context to algorithms (the same per-method scalar hook surface FedTrip
-// uses for xi): the client's compute-speed multiplier and, when adaptive
-// local steps are enabled, this round's mini-batch step budget. Both are
-// set before BeginRound, so a method can read them from any hook.
-const (
-	ScalarDeviceSpeed = "device.speed"
-	ScalarDeviceSteps = "device.steps"
-)
-
 // LocalTrain runs one participating round: load the global model, run E
 // local epochs of mini-batch SGD with the method's hooks, update the
 // historical model, and return the upload.
@@ -209,22 +168,20 @@ func (c *Client) LocalTrain(round int, global []float64) Update {
 // LocalTrainSteps is LocalTrain with a mini-batch step budget: maxSteps
 // caps the total steps across the round's local epochs (0 = no cap).
 // The device-heterogeneity runtime uses it to make a slow client train
-// proportionally fewer steps before its (deadline-style) upload; the
-// budget is surfaced to algorithms as the ScalarDeviceSteps scalar. A
-// budget equal to the round's full step count draws and trains exactly
+// proportionally fewer steps before its (deadline-style) upload; what it
+// actually ran is RoundSteps during the round and Update.Steps after it.
+// A budget equal to the round's full step count draws and trains exactly
 // like LocalTrain.
 //
 //fedtripvet:hotpath
 func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Update {
-	cfg := c.cfg
+	cfg := c.loan.cfg
 	algo := cfg.Algo
 	e := c.engine()
 	e.model.SetParams(global)
 	e.opt.Reset()
 	e.roundGlobal = global
-	if maxSteps > 0 {
-		c.SetScalar(ScalarDeviceSteps, float64(maxSteps))
-	}
+	e.roundSteps = 0
 	algo.BeginRound(c, round, global)
 	fg, hasFG := algo.(FeatureGradder)
 	lg, hasLG := algo.(LogitGradder)
@@ -237,15 +194,14 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 		e.idx = make([]int, 0, cfg.BatchSize) //fedtripvet:allow engine scratch, grows once to the batch size
 	}
 	idx := e.idx[:0]
-	steps := 0
 	for ep := 0; ep < cfg.LocalEpochs; ep++ {
-		if maxSteps > 0 && steps >= maxSteps {
+		if maxSteps > 0 && e.roundSteps >= maxSteps {
 			break
 		}
 		perm := randPermInto(rng, e.perm, n)
 		e.perm = perm
 		for start := 0; start < n; start += cfg.BatchSize {
-			if maxSteps > 0 && steps >= maxSteps {
+			if maxSteps > 0 && e.roundSteps >= maxSteps {
 				break
 			}
 			end := start + cfg.BatchSize
@@ -286,7 +242,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 				clipToNorm(e.model.Grads(), cfg.ClipNorm)
 			}
 			e.opt.Step(e.model.Params(), e.model.Grads())
-			steps++
+			e.roundSteps++
 		}
 	}
 	algo.EndRound(c, round)
@@ -313,6 +269,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 		ClientID:   c.ID,
 		Params:     paramsPool.getCopy(e.model.Params()),
 		NumSamples: len(c.Indices),
+		Steps:      e.roundSteps,
 		TrainLoss:  meanLoss,
 		pooled:     true,
 	}
@@ -354,7 +311,8 @@ func (c *Client) FullGradInto(dst, at []float64) {
 	e.model.SetParams(at)
 	tensor.ZeroVec(dst)
 	n := len(c.Indices)
-	bs := c.cfg.BatchSize
+	cfg := c.loan.cfg
+	bs := cfg.BatchSize
 	if cap(e.idx) < bs {
 		e.idx = make([]int, 0, bs)
 	}
@@ -366,7 +324,7 @@ func (c *Client) FullGradInto(dst, at []float64) {
 		}
 		idx = append(idx[:0], c.Indices[start:end]...)
 		e.ensureBatch(len(idx))
-		c.cfg.Train.FillBatch(e.batchX, e.batchY, idx)
+		cfg.Train.FillBatch(e.batchX, e.batchY, idx)
 		logits := e.model.Forward(e.batchX, false)
 		nn.SoftmaxCrossEntropy(logits, e.batchY, e.dLogits)
 		e.model.ZeroGrad()

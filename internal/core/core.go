@@ -231,7 +231,11 @@ type Update struct {
 	ClientID   int
 	Params     []float64
 	NumSamples int
-	TrainLoss  float64
+	// Steps is the number of local mini-batch steps the client actually
+	// ran — fewer than LocalEpochs*ceil(n/batch) under a device step
+	// budget. FedNova normalises by it.
+	Steps     int
+	TrainLoss float64
 	// Staleness is the number of aggregations the server completed between
 	// this update's dispatch and its merge. Always 0 in the synchronous
 	// runtime; the asynchronous runtime fills it before aggregation so
@@ -249,6 +253,12 @@ type Update struct {
 // override what they need. Optional capabilities are expressed as extra
 // interfaces: FeatureGradder, Aggregator, PreRounder, OptimizerChooser,
 // and CommCoster.
+//
+// Where a method keeps things: what lives for one round it reads from the
+// client's borrowed engine — Client.RoundGlobal (the received model),
+// Client.RoundSteps (the steps run so far) — or recomputes, as FedTrip does
+// xi; a vector a client carries from one participation to the next is a
+// Client.StateVec.
 type Algorithm interface {
 	// Name returns the registry name ("fedtrip", "fedavg", ...).
 	Name() string

@@ -40,6 +40,17 @@ func testConfig(t *testing.T, algo Algorithm) Config {
 	}
 }
 
+// firstClient returns client 0 of cfg's fleet, for tests that drive an
+// algorithm's hooks by hand.
+func firstClient(t *testing.T, cfg Config) *Client {
+	t.Helper()
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Clients()[0]
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(t, NewFedTrip(0.4))
 	if err := good.Validate(); err != nil {
@@ -109,25 +120,25 @@ func TestFedTripGradientMatchesLoss(t *testing.T) {
 		global[i] = rng.NormFloat64()
 		hist[i] = rng.NormFloat64()
 	}
+	const xi = 0.35
 	f := NewFedTrip(0.7)
+	f.Mode, f.FixedXi = XiFixed, xi
 	cfg := testConfig(t, f)
 	cfg.Model = nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 2, Width: 2, Classes: 10}
-	// Build a client manually to host the state.
-	c := newClient(&cfg, 0, []int{0}, 5)
-	// Fake vector sizes: use StateVec of model size; instead test the
-	// gradient math directly on a synthetic client state.
+	c := firstClient(t, cfg)
+	// Test the gradient math directly on a synthetic client state, in the
+	// first n coordinates of model-sized vectors.
 	nv := c.NumParams()
 	if nv < n {
 		t.Fatalf("model too small for test: %d", nv)
 	}
 	w = w[:n]
-	const xi = 0.35
 	gvec := make([]float64, nv)
 	copy(gvec[:n], global)
 	c.SetRoundGlobal(gvec)
 	c.Hist = make([]float64, nv)
 	copy(c.Hist[:n], hist)
-	c.SetScalar("fedtrip.xi", xi)
+	c.LastRound = 1
 
 	wFull := make([]float64, nv)
 	copy(wFull[:n], w)
@@ -153,17 +164,13 @@ func TestFedTripGradientMatchesLoss(t *testing.T) {
 func TestFedTripFirstParticipationIsProximal(t *testing.T) {
 	f := NewFedTrip(0.5)
 	cfg := testConfig(t, f)
-	c := newClient(&cfg, 0, []int{0}, 5)
+	c := firstClient(t, cfg)
 	nv := c.NumParams()
 	global := make([]float64, nv)
 	for i := range global {
 		global[i] = 1
 	}
 	c.SetRoundGlobal(global)
-	f.BeginRound(c, 1, global)
-	if c.Scalar("fedtrip.xi") != 0 {
-		t.Fatal("first participation must have xi=0")
-	}
 	w := make([]float64, nv) // zeros
 	g := make([]float64, nv)
 	f.TransformGrad(c, 1, w, g)
@@ -443,9 +450,13 @@ func TestSelectClientsDistinct(t *testing.T) {
 	}
 }
 
-func TestStateVecAndScalars(t *testing.T) {
+func TestStateVecAndAccessors(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
-	c := newClient(&cfg, 0, []int{0, 1}, 9)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Clients()[0]
 	if c.HasStateVec("x") {
 		t.Fatal("unallocated vec reported present")
 	}
@@ -460,14 +471,7 @@ func TestStateVecAndScalars(t *testing.T) {
 	if !c.HasStateVec("x") {
 		t.Fatal("HasStateVec false after allocation")
 	}
-	if c.Scalar("nope") != 0 {
-		t.Fatal("unset scalar not zero")
-	}
-	c.SetScalar("s", 2.5)
-	if c.Scalar("s") != 2.5 {
-		t.Fatal("scalar roundtrip")
-	}
-	if c.Config() != &cfg {
+	if c.Config() != &s.cfg {
 		t.Fatal("Config accessor")
 	}
 	if c.RNG() == nil {
@@ -477,7 +481,7 @@ func TestStateVecAndScalars(t *testing.T) {
 
 func TestScratchModelsStable(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
-	c := newClient(&cfg, 0, []int{0}, 9)
+	c := firstClient(t, cfg)
 	a1, b1 := c.ScratchModels()
 	a2, b2 := c.ScratchModels()
 	if a1 != a2 || b1 != b2 {

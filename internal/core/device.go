@@ -16,8 +16,8 @@
 //     accounting of the paper's resource tables stay coupled. With
 //     RunSpec.AdaptiveLocalSteps, a 0.25x-speed client also trains
 //     proportionally fewer local mini-batch steps (deadline-style
-//     partial work), surfaced to algorithms through the client scalar
-//     hook surface ("device.speed", "device.steps").
+//     partial work); the executed count reaches a method's hooks as
+//     Client.RoundSteps and its aggregation as Update.Steps.
 //
 //   - A ChurnModel makes clients drop out and rejoin: a per-client
 //     on/off Markov process (exponential up/down durations) plus a

@@ -223,31 +223,41 @@ func TestDeviceSpeedScalesSimTime(t *testing.T) {
 	}
 }
 
-// stepsProbe records the device scalars each participation observed.
+// stepsProbe records the steps each participation had run by EndRound.
 type stepsProbe struct {
 	Base
 	mu    sync.Mutex
-	speed []float64
-	steps []float64
+	steps []int
 }
 
 func (*stepsProbe) Name() string { return "steps-probe" }
-func (p *stepsProbe) BeginRound(c *Client, round int, global []float64) {
+func (p *stepsProbe) EndRound(c *Client, round int) {
 	p.mu.Lock()
-	p.speed = append(p.speed, c.Scalar(ScalarDeviceSpeed))
-	p.steps = append(p.steps, c.Scalar(ScalarDeviceSteps))
+	p.steps = append(p.steps, c.RoundSteps())
 	p.mu.Unlock()
 }
 
 // Adaptive local steps: a quarter-speed fleet runs a quarter of the
 // round's mini-batch steps (clamped to at least one), burns
-// proportionally fewer FLOPs, and surfaces both device scalars to the
-// algorithm hook surface.
+// proportionally fewer FLOPs, and the executed count is RoundSteps to a
+// method's EndRound and Update.Steps to the aggregation.
 func TestAdaptiveLocalStepsShrinkWork(t *testing.T) {
 	run := func(adaptive bool, algo Algorithm) *Result {
 		sp := deviceSpec(t, algo)
 		sp.Devices = UniformDevices{Min: 0.25, Max: 0.25}
 		sp.AdaptiveLocalSteps = adaptive
+		// The executed count rides each upload to the aggregation.
+		wantSteps := 4
+		if adaptive {
+			wantSteps = 1
+		}
+		sp.OnUpdates = func(round int, _ []float64, updates []Update) {
+			for _, u := range updates {
+				if u.Steps != wantSteps {
+					t.Errorf("round %d client %d: Update.Steps %d want %d", round, u.ClientID, u.Steps, wantSteps)
+				}
+			}
+		}
 		res, err := Start(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -264,15 +274,12 @@ func TestAdaptiveLocalStepsShrinkWork(t *testing.T) {
 	if adG >= fullG/2 {
 		t.Fatalf("adaptive steps did not shrink compute: %v vs %v GFLOPs", adG, fullG)
 	}
-	if len(probe.speed) == 0 {
+	if len(probe.steps) == 0 {
 		t.Fatal("probe never ran")
 	}
-	for i := range probe.speed {
-		if probe.speed[i] != 0.25 {
-			t.Fatalf("device.speed scalar %v want 0.25", probe.speed[i])
-		}
-		if probe.steps[i] != 1 {
-			t.Fatalf("device.steps scalar %v want 1", probe.steps[i])
+	for _, steps := range probe.steps {
+		if steps != 1 {
+			t.Fatalf("RoundSteps %d want 1", steps)
 		}
 	}
 	// And the deadline effect: fewer steps at the same speed make rounds

@@ -23,7 +23,8 @@ import (
 // fully re-loaded by the algorithms that use them (MOON, FedGKD) in
 // BeginRound. Everything that does persist across a client's participations
 // (Hist, LastRound, per-method state vectors, the data-shuffling RNG) lives
-// on the Client itself.
+// on the Client itself; what lives for one round (roundGlobal, roundSteps,
+// downlink) lives here.
 type engine struct {
 	cfg   *Config
 	model *nn.Model
@@ -54,6 +55,9 @@ type engine struct {
 	// roundGlobal backs Client.RoundGlobal: the global model the attached
 	// client is training from, by reference, for the span of its round.
 	roundGlobal []float64
+	// roundSteps backs Client.RoundSteps: the mini-batch steps the attached
+	// client has completed since LocalTrainSteps began its round.
+	roundSteps int
 	// downlink is where the transport writes what the attached client
 	// receives (trainClient): the client trains from it and it is the
 	// upload's delta reference, so it lives exactly one client round.
@@ -156,19 +160,22 @@ func (e *engine) detach(c *Client) {
 	}
 }
 
-// engineLoaner is the server's single shared engine for sequential
-// server-side client work outside the shard pool: PreRound gradient
-// exchanges (FedDANE's and MimeLite's FullGrad over the selected
-// clients), analysis code walking the population, and tests driving
-// clients directly. Routing those through one loaner caps them at one
-// engine per server — per-client private engines would quietly rebuild
-// the O(N * |w|) footprint the shard pool exists to avoid. Borrowing is
-// server-goroutine-sequential by the same contract that makes PreRound
-// single-threaded, so the loaner needs no lock.
+// engineLoaner is what every client of one fleet shares, behind the one
+// pointer a Client holds: the run configuration, |w|, and the server's
+// single shared engine for sequential server-side client work outside the
+// shard pool — PreRound gradient exchanges (FedDANE's and MimeLite's
+// FullGrad over the selected clients), analysis code walking the
+// population, and tests driving clients directly. Routing those through
+// one loaner caps them at one engine per server — per-client private
+// engines would quietly rebuild the O(N * |w|) footprint the shard pool
+// exists to avoid. Borrowing is server-goroutine-sequential by the same
+// contract that makes PreRound single-threaded, so the loaner needs no
+// lock.
 type engineLoaner struct {
-	cfg *Config
-	eng *engine
-	cur *Client // most recent borrower
+	cfg       *Config
+	numParams int
+	eng       *engine
+	cur       *Client // most recent borrower
 }
 
 // borrow attaches the loaner engine to c (building it on first use) and

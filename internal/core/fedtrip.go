@@ -103,16 +103,13 @@ func (f *FedTrip) Xi(round, lastRound int) float64 {
 	}
 }
 
-// BeginRound fixes xi for the round.
-func (f *FedTrip) BeginRound(c *Client, round int, global []float64) {
-	c.SetScalar("fedtrip.xi", f.Xi(round, c.LastRound))
-}
-
 // TransformGrad applies Algorithm 1 line 7. Cost: 4|w| FLOPs (two
-// subtractions, two scaled accumulations), metered on the client.
+// subtractions, two scaled accumulations), metered on the client. xi is a
+// pure function of the participation gap: LastRound still names the
+// previous participation here, LocalTrainSteps moves it after EndRound.
 func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
 	global := c.RoundGlobal()
-	xi := c.Scalar("fedtrip.xi") * f.HistWeight
+	xi := f.Xi(round, c.LastRound) * f.HistWeight
 	mu := f.Mu
 	gw := f.GlobalWeight
 	hist := c.Hist

@@ -75,15 +75,47 @@ func TestHistAcrossRoundsFeedsXi(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Clients()[0]
-	c.LocalTrain(2, s.Global())
-	// Participating again at round 5: gap 3 -> xi = 1/3.
-	f.BeginRound(c, 5, s.Global())
-	if xi := c.Scalar("fedtrip.xi"); xi != 1.0/3 {
-		t.Fatalf("xi = %v want 1/3", xi)
-	}
+	u := c.LocalTrain(2, s.Global())
 	// Hist must be the round-2 upload, not the new global.
 	if c.LastRound != 2 {
 		t.Fatalf("LastRound %d", c.LastRound)
+	}
+	if tensor.MaxAbsDiff(c.Hist, u.Params) != 0 {
+		t.Fatal("Hist is not the round-2 upload")
+	}
+	// Participating again at round 5: gap 3 -> xi = 1/3. At w = global the
+	// pull term vanishes and g = mu * xi * (hist - w).
+	c.SetRoundGlobal(s.Global())
+	g := make([]float64, c.NumParams())
+	f.TransformGrad(c, 5, s.Global(), g)
+	for i := range g {
+		if want := f.Mu * (1.0 / 3 * (c.Hist[i] - s.Global()[i])); g[i] != want {
+			t.Fatalf("g[%d] = %v want %v (xi = 1/3)", i, g[i], want)
+		}
+	}
+}
+
+// xi is a function of the participation gap alone: TransformGrad on a
+// client whose LastRound is set applies 1/gap with no BeginRound before
+// it.
+func TestFedTripXiNeedsNoBeginRound(t *testing.T) {
+	f := NewFedTrip(0.5)
+	c := firstClient(t, testConfig(t, f))
+	n := c.NumParams()
+	global := make([]float64, n)
+	c.Hist = make([]float64, n)
+	for i := range c.Hist {
+		c.Hist[i] = 1
+	}
+	c.LastRound = 2
+	c.SetRoundGlobal(global)
+	g := make([]float64, n)
+	f.TransformGrad(c, 6, make([]float64, n), g)
+	// w = global = 0, gap 4: g = mu * xi * (hist - w) = 0.5 * 1/4.
+	for i := range g {
+		if g[i] != 0.125 {
+			t.Fatalf("g[%d] = %v want 0.125 (xi = 1/4)", i, g[i])
+		}
 	}
 }
 
@@ -93,7 +125,7 @@ func TestFedTripAblationWeights(t *testing.T) {
 	f := NewFedTrip(0.5)
 	f.GlobalWeight = 0
 	cfg := testConfig(t, f)
-	c := newClient(&cfg, 0, []int{0}, 5)
+	c := firstClient(t, cfg)
 	n := c.NumParams()
 	global := make([]float64, n)
 	for i := range global {
@@ -106,7 +138,6 @@ func TestFedTripAblationWeights(t *testing.T) {
 	c.Hist = hist
 	c.LastRound = 1
 	c.SetRoundGlobal(global)
-	f.BeginRound(c, 2, global)
 	w := make([]float64, n) // zeros
 	g := make([]float64, n)
 	f.TransformGrad(c, 2, w, g)
@@ -124,7 +155,7 @@ func TestFedTripHistWeightZero(t *testing.T) {
 	f := NewFedTrip(0.5)
 	f.HistWeight = 0
 	cfg := testConfig(t, f)
-	c := newClient(&cfg, 0, []int{0}, 5)
+	c := firstClient(t, cfg)
 	n := c.NumParams()
 	global := make([]float64, n)
 	for i := range global {
@@ -133,7 +164,6 @@ func TestFedTripHistWeightZero(t *testing.T) {
 	c.Hist = make([]float64, n) // zeros, would repel if active
 	c.LastRound = 1
 	c.SetRoundGlobal(global)
-	f.BeginRound(c, 2, global)
 	w := make([]float64, n)
 	g := make([]float64, n)
 	f.TransformGrad(c, 2, w, g)

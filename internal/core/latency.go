@@ -21,39 +21,19 @@ type LatencyModel interface {
 	String() string
 }
 
-// PerClientLatency is an optional LatencyModel capability for models whose
-// systematic per-client component is fixed for the whole run (straggler
-// tiers, constants). The population registry caches ClientBase per client
-// at construction, so a dispatch in a 10k-client fleet costs one cached
-// load plus the jitter draw instead of re-deriving the client's tier.
-// Implementations must keep Sample(id, rng) ==
-// JitterOn(ClientBase(id), rng) draw-for-draw, so the cache can never
-// change a trajectory.
-type PerClientLatency interface {
-	LatencyModel
-	// ClientBase returns the client's systematic duration in seconds.
-	ClientBase(clientID int) float64
-	// JitterOn turns a base duration into one sampled dispatch duration.
-	JitterOn(base float64, rng *prng.Rand) float64
-}
-
 // ZeroLatency makes every dispatch complete instantly. It draws nothing
 // from the rng, so it is the model to use for the sync-equivalence barrier
 // mode.
 type ZeroLatency struct{}
 
-func (ZeroLatency) Sample(int, *prng.Rand) float64              { return 0 }
-func (ZeroLatency) String() string                              { return "zero" }
-func (ZeroLatency) ClientBase(int) float64                      { return 0 }
-func (ZeroLatency) JitterOn(base float64, _ *prng.Rand) float64 { return base }
+func (ZeroLatency) Sample(int, *prng.Rand) float64 { return 0 }
+func (ZeroLatency) String() string                 { return "zero" }
 
 // ConstantLatency gives every client the same fixed duration.
 type ConstantLatency struct{ D float64 }
 
-func (l ConstantLatency) Sample(int, *prng.Rand) float64              { return l.D }
-func (l ConstantLatency) String() string                              { return spec.T("const", l.D).String() }
-func (l ConstantLatency) ClientBase(int) float64                      { return l.D }
-func (l ConstantLatency) JitterOn(base float64, _ *prng.Rand) float64 { return base }
+func (l ConstantLatency) Sample(int, *prng.Rand) float64 { return l.D }
+func (l ConstantLatency) String() string                 { return spec.T("const", l.D).String() }
 
 // UniformLatency draws uniformly from [Min, Max].
 type UniformLatency struct{ Min, Max float64 }
@@ -92,20 +72,11 @@ type StragglerLatency struct {
 }
 
 func (l StragglerLatency) Sample(clientID int, rng *prng.Rand) float64 {
-	return l.JitterOn(l.ClientBase(clientID), rng)
-}
-
-// ClientBase implements PerClientLatency: the client's tier.
-func (l StragglerLatency) ClientBase(clientID int) float64 {
+	tier := l.Fast
 	if l.SlowEvery > 0 && clientID%l.SlowEvery == 0 {
-		return l.Slow
+		tier = l.Slow
 	}
-	return l.Fast
-}
-
-// JitterOn implements PerClientLatency: ±10% uniform jitter on the tier.
-func (l StragglerLatency) JitterOn(base float64, rng *prng.Rand) float64 {
-	return base * (0.9 + 0.2*rng.Float64())
+	return tier * (0.9 + 0.2*rng.Float64())
 }
 func (l StragglerLatency) String() string {
 	return spec.T("straggler", l.Fast, l.Slow, float64(l.SlowEvery)).String()

@@ -14,13 +14,6 @@ import "repro/internal/prng"
 // the per-client footprint of the registry itself is 12 bytes.
 type population struct {
 	idle idleSet
-	// jitter is the latency model's per-client decomposition when it
-	// exposes one (PerClientLatency); nil otherwise. The base is
-	// recomputed per dispatch — the PerClientLatency contract pins
-	// JitterOn(ClientBase(id), rng) to consume the same draws as
-	// Sample(id, rng), so the stateless path can never change a
-	// trajectory.
-	jitter PerClientLatency
 	// dispatches[k] counts client k's dispatches; the per-client staleness
 	// state itself (round of last participation) lives on the Client,
 	// because an in-flight update's dispatch round must survive the
@@ -28,25 +21,11 @@ type population struct {
 	dispatches []int32
 }
 
-func newPopulation(n int, lat LatencyModel) *population {
-	p := &population{
+func newPopulation(n int) *population {
+	return &population{
 		idle:       newIdleSet(n),
 		dispatches: make([]int32, n),
 	}
-	if pcl, ok := lat.(PerClientLatency); ok {
-		p.jitter = pcl
-	}
-	return p
-}
-
-// sampleLatency draws client id's dispatch duration. Both paths consume
-// the same rng draws (the PerClientLatency contract), so which one runs
-// never changes a trajectory.
-func (p *population) sampleLatency(lat LatencyModel, id int, rng *prng.Rand) float64 {
-	if p.jitter != nil {
-		return p.jitter.JitterOn(p.jitter.ClientBase(id), rng)
-	}
-	return lat.Sample(id, rng)
 }
 
 // dispatched records that client id was sent out and removes it from the

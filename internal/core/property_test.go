@@ -71,7 +71,7 @@ func TestAggregateIdempotent(t *testing.T) {
 // Property: FedTrip's gradient transform is linear in mu.
 func TestFedTripLinearInMu(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
-	c := newClient(&cfg, 0, []int{0}, 5)
+	c := firstClient(t, cfg)
 	n := c.NumParams()
 	rng := rand.New(rand.NewSource(11))
 	global := make([]float64, n)
@@ -85,7 +85,6 @@ func TestFedTripLinearInMu(t *testing.T) {
 	apply := func(mu float64) []float64 {
 		f := NewFedTrip(mu)
 		c.SetRoundGlobal(global)
-		f.BeginRound(c, 3, global)
 		g := make([]float64, n)
 		f.TransformGrad(c, 3, w, g)
 		return g

@@ -87,8 +87,9 @@ type RunSpec struct {
 	// AdaptiveLocalSteps makes each client's local step budget scale
 	// with its device speed (deadline-style partial work): a 0.25x
 	// client runs a quarter of the round's mini-batch steps, never fewer
-	// than one, never more than the full count. Requires Devices. The
-	// budget reaches algorithms as the ScalarDeviceSteps client scalar.
+	// than one, never more than the full count. Requires Devices. What a
+	// client executed is Client.RoundSteps to its method's hooks and
+	// Update.Steps to the aggregation.
 	AdaptiveLocalSteps bool
 	// Churn is the fleet's availability process (per-client on/off
 	// Markov churn plus mass-dropout events) for the buffered async

@@ -201,28 +201,20 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	global, err := cfg.Model.Build(streamSeed(cfg.Seed, streamModel, 0))
-	if err != nil {
-		return nil, err
-	}
 	evalModel, err := cfg.Model.Build(streamSeed(cfg.Seed, streamModel, 0))
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:       cfg,
-		global:    global.ParamsCopy(),
+		global:    evalModel.ParamsCopy(),
 		evalModel: evalModel,
 		rng:       seedStream(cfg.Seed, streamSelection),
 		wire:      wireTransport(cfg.Transport),
 	}
-	numParams := global.NumParams()
-	loaner := &engineLoaner{cfg: &s.cfg}
+	loaner := &engineLoaner{cfg: &s.cfg, numParams: len(s.global)}
 	for k, part := range cfg.Parts {
-		c := newClient(&s.cfg, k, part, streamSeed(cfg.Seed, streamClient, k))
-		c.numParams = numParams
-		c.loan = loaner
-		s.clients = append(s.clients, c)
+		s.clients = append(s.clients, newClient(loaner, k, part))
 	}
 	return s, nil
 }
@@ -259,8 +251,8 @@ func (s *Server) selectClients() []*Client {
 // through the transport, train locally, ship the upload back. It is the
 // unit of work both runtimes dispatch onto the shard pool (distinct
 // clients own all their state; the engine is attached by the shard).
-// steps caps the local mini-batch steps and speed is the client's device
-// multiplier — both zero outside device-heterogeneity runs.
+// steps caps the local mini-batch steps (zero outside device-heterogeneity
+// runs).
 //
 // The returned down/up are this dispatch's wire bytes: what the transport
 // returned, or the analytic dense float32 size (4 bytes/param each way)
@@ -271,15 +263,12 @@ func (s *Server) selectClients() []*Client {
 // buffer, which then serves as the upload's delta reference, and the
 // upload is rounded in place in its pooled buffer; without one it trains
 // from global itself.
-func (s *Server) trainClient(c *Client, round int, global []float64, steps int, speed float64) (u Update, down, up int64) {
+func (s *Server) trainClient(c *Client, round int, global []float64, steps int) (u Update, down, up int64) {
 	down = int64(4 * len(global))
 	if s.wire != nil {
 		received := c.eng.downlinkBuf(len(global))
 		down = s.wire.DownInto(received, c.ID, round, global)
 		global = received
-	}
-	if speed > 0 {
-		c.SetScalar(ScalarDeviceSpeed, speed)
 	}
 	u = c.LocalTrainSteps(round, global, steps)
 	// Byzantine corruption happens here — after training (the FLOPs were

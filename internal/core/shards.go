@@ -117,9 +117,8 @@ func (sp *shardPool) run(j *trainJob, w int) {
 	if eng == nil {
 		e, err := newEngine(&sp.s.cfg, streamSeed(sp.s.cfg.Seed, streamEngine, w))
 		if err != nil {
-			// The same spec already built the server's global and eval
-			// models, so this is unreachable short of config mutation
-			// mid-run.
+			// The same spec already built the server's eval model, so this
+			// is unreachable short of config mutation mid-run.
 			panic(fmt.Sprintf("core: shard %d engine: %v", w, err))
 		}
 		sp.engines[w] = e
@@ -127,7 +126,7 @@ func (sp *shardPool) run(j *trainJob, w int) {
 	}
 	eng.attach(j.c)
 	before := j.c.Counter.Total()
-	j.update, j.downBytes, j.upBytes = sp.s.trainClient(j.c, j.round, j.global, j.steps, j.speed)
+	j.update, j.downBytes, j.upBytes = sp.s.trainClient(j.c, j.round, j.global, j.steps)
 	j.flops = j.c.Counter.Total() - before
 	eng.detach(j.c)
 	j.done <- struct{}{}

@@ -56,12 +56,12 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 6 is the layout the walks below spell out, under a
+	// snapVersion 7 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
 	// A snapshot does not survive a format bump: Resume refuses any other
 	// version, naming both.
-	snapVersion = 6
+	snapVersion = 7
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -237,8 +237,7 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	c.FloatsExact("global model", s.global)
 	snapRng(c, s.rng)
 
-	// A method's per-client state, by name: scalars, and model-sized
-	// vectors.
+	// A method's per-client state, by name: model-sized vectors.
 	name := func(k string) string { c.Str("state name", &k); return k }
 	scalar := func(v float64) float64 { c.F64(&v); return v }
 	vector := func(v []float64) []float64 {
@@ -271,7 +270,6 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 			cl.Counter.Reset()
 			cl.Counter.Add(total)
 		}
-		snapMap(c, "scalar map", &cl.scalars, name, scalar)
 		snapMap(c, "state-vector map", &cl.state, name, vector)
 	}
 
@@ -456,6 +454,7 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 	c.Num("update client", &j.update.ClientID)
 	c.FloatsExact("update params", j.update.Params)
 	c.Num("update samples", &j.update.NumSamples)
+	c.Num("update steps", &j.update.Steps)
 	c.F64(&j.update.TrainLoss)
 }
 

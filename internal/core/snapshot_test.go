@@ -116,26 +116,25 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 }
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
-// writes it, for the snapshot stream each resume pin builds. The lengths
-// are the ones the last commit with a separate writer and reader wrote
-// (PR 16, 1ace6e7) and have not moved since. The hashes were taken at
-// PR 19, where snapshot.go, tensor/io.go and comm/compress.go are
-// byte-identical to their parent's and every length still matched: that
-// PR re-keyed the synthetic corpus (float32 at rest, per-block seed
-// streams), which changes the trained float64s inside a stream and
-// nothing else about it. A stream is trained float64s end to end, so the
-// hashes hold on amd64 only (other targets fuse multiply-adds); the
-// lengths hold everywhere.
+// writes it, for the snapshot stream each resume pin builds. Lengths and
+// hashes were taken at PR 22, the FTRS 7 bump: each stream is its FTRS 6
+// predecessor (whose length had not moved since PR 16, the last commit
+// with a separate writer and reader) minus every client's scalar map — a
+// count word, and per entry a name and a value — plus one executed-steps
+// word per job. The parent's walk with exactly those two edits writes
+// these same bytes, so the trained float64s inside a stream did not move.
+// A stream is trained float64s end to end, so the hashes hold on amd64
+// only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"9f956c0d6aead1499d08c75d43b7504b95347516fec4f30e0fddb7b7e2f185e3", 4453881},
-	"TestResumeEquivalenceAsyncFedBuff":         {"959c8c6558b23f7c830e8bbe18e7f0d12dad576ae70b68e7caf2ee7e35e3f573", 6362524},
-	"TestResumeEquivalenceAsyncChurn":           {"68da410b96385df6436b522ba7a0c668aacc3fff539c150c537e09d36eadac56", 6362730},
-	"TestResumeEquivalenceAsyncDevices":         {"d6054ef33a3c3533453654da90428fe2e95f952388e6c8985a0ce4ee124289c0", 6362829},
-	"TestResumeEquivalenceNoiseFault":           {"77061bc2565e6abfe731b251f52b1d54698f48c47f9170eb0a48fe528de4eb10", 6362531},
-	"TestResumeEquivalenceAsyncPricedTransport": {"9691b2622ead1c49d7ef9ad932a6d6b5e83af35802b20fe0ab88c4aaa9679c7a", 5090464},
+	"TestResumeEquivalenceSync":                 {"ecfa96ad9dbeeccd169ead43d37d16c5fe243db9d594997a5a045b9e4f70e3c2", 4453677},
+	"TestResumeEquivalenceAsyncFedBuff":         {"0908cd344e0dddc339d5a1c646a322785a6b3505a0e6447f75bc03051e3fae29", 6362344},
+	"TestResumeEquivalenceAsyncChurn":           {"a55e9ed70a27a0b83dd6c314dd46742f645d27c2faafcf1cbd733ff61f2a36fc", 6362550},
+	"TestResumeEquivalenceAsyncDevices":         {"800e21cc12a427a88821ab4261811dec980071b13f981eb2c3a47bd90e97e3c3", 6362313},
+	"TestResumeEquivalenceNoiseFault":           {"1cbb4ce1b441711a8dad2d73425d1c99570fc5c76d68032b23f90a4696a5cc4a", 6362351},
+	"TestResumeEquivalenceAsyncPricedTransport": {"452e1c48711498eded3e2b2594c1f196661e92c8763e01a7dde7256c7c88a5e7", 5090302},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -147,7 +146,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, PR 16 wrote %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, PR 22 wrote %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -367,7 +366,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 5), good[5:]...), spec, "run snapshot version 5, this build reads version 6"},
+		{"previous version", append(append([]byte(snapMagic), 6), good[5:]...), spec, "run snapshot version 6, this build reads version 7"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

@@ -201,6 +201,3 @@ func (m *Model) Backward(dLogits *tensor.Tensor, extraFeatureGrad *tensor.Tensor
 	}
 	m.counter.Add(int64(float64(dLogits.Dim(0)) * 2 * m.fwdFLOPs))
 }
-
-// NumLayers returns the number of layers (diagnostics).
-func (m *Model) NumLayers() int { return len(m.layers) }
