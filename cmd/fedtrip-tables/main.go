@@ -24,7 +24,9 @@
 //	fedtrip-tables -exp table4 -runtime async -faults byz:0.2,signflip -policy trimmedmean:0.25
 //
 // Output is plain-text tables on stdout (or -o file); progress lines go to
-// stderr.
+// stderr. -cpuprofile and -memprofile write runtime/pprof profiles of the
+// whole batch (internal/obs, shared with cmd/fedtrip); the heap profile is
+// taken after the last experiment, with every memoised corpus still held.
 package main
 
 import (
@@ -37,6 +39,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/runtext"
 )
 
@@ -48,8 +51,10 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		verbose = flag.Bool("v", true, "print progress to stderr")
 		sel     runtext.Selection
+		prof    obs.Profiles
 	)
 	sel.Register(flag.CommandLine)
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 	if *list {
 		for _, e := range experiments.All() {
@@ -57,7 +62,14 @@ func main() {
 		}
 		return
 	}
-	if err := run(*expList, *profile, *outPath, *verbose, sel); err != nil {
+	stopProfiles, err := prof.Start()
+	if err == nil {
+		err = run(*expList, *profile, *outPath, *verbose, sel)
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedtrip-tables:", err)
 		os.Exit(1)
 	}

@@ -53,6 +53,13 @@
 //	fedtrip -rounds 200 -checkpoint run.ckpt        # SIGTERM-safe
 //	fedtrip -rounds 200 -resume run.ckpt -checkpoint run.ckpt
 //	fedtrip -rounds 200 -serve :8080                # GET /status /metrics /trace /checkpoint
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles (internal/obs,
+// shared with fedtrip-tables); the heap profile is taken when the last
+// round is done, with the run's state still held, and neither changes the
+// run's digest:
+//
+//	fedtrip -rounds 30 -memprofile mem.prof && go tool pprof -sample_index=inuse_space -top mem.prof
 package main
 
 import (
@@ -69,6 +76,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/runserver"
 	"repro/internal/runtext"
 	"repro/internal/trace"
@@ -95,6 +103,7 @@ type runOpts struct {
 	serve, resumeCk, checkCk string
 	snapAt                   int
 	digest                   bool
+	profiles                 obs.Profiles
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (runOpts, error) {
@@ -108,6 +117,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (runOpts, error) {
 	fs.StringVar(&o.checkCk, "checkpoint", "", "write a run snapshot to this path: on SIGTERM/SIGINT (graceful stop) and at -snapshot-at")
 	fs.IntVar(&o.snapAt, "snapshot-at", 0, "write -checkpoint after this many completed rounds and keep going (0 = off)")
 	fs.BoolVar(&o.digest, "digest", false, "print the run digest (bit-for-bit trajectory fingerprint; resume must reproduce it)")
+	o.profiles.Register(fs)
 	err := fs.Parse(args)
 	return o, err
 }
@@ -115,6 +125,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (runOpts, error) {
 // run executes the command line and prints its banner and summary. The
 // Result is nil when the run was gracefully interrupted.
 func run(o runOpts) (*core.Result, error) {
+	stopProfiles, err := o.profiles.Start()
+	if err != nil {
+		return nil, err
+	}
+	defer stopProfiles() // for the error returns before the run is done
 	rspec, err := o.Command.RunSpec()
 	if err != nil {
 		return nil, err
@@ -169,6 +184,10 @@ func run(o runOpts) (*core.Result, error) {
 			rspec.Algo.Name(), o.Model, o.Dataset, scheme, rspec.Runtime, rspec.Policy, rspec.BufferSize, rspec.Concurrency, pricing, o.Rounds)
 	}
 	rs, err := execute(o, rspec, collector)
+	// rs is still in use below, so the heap profile shows what the run holds.
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -49,6 +49,30 @@ func TestFromLineRunsWhatTheCommandRuns(t *testing.T) {
 	}
 }
 
+// Profiling looks at a run and must not change it: the same line with
+// -cpuprofile and -memprofile has the same digest and leaves both files.
+func TestProfilesAreDigestNeutral(t *testing.T) {
+	const line = "-clients 8 -k 4 -samples 60 -test 200 -rounds 6 -model mlp -batch 20 -async -buffer 2 -concurrency 4 -quiet"
+	plain, err := run(parse(t, line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	profiled, err := run(parse(t, line+" -cpuprofile "+cpu+" -memprofile "+mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Digest() != profiled.Digest() {
+		t.Errorf("digest %s without profiles, %s with", plain.Digest(), profiled.Digest())
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: err %v, want a non-empty profile", path, err)
+		}
+	}
+}
+
 // A checkpoint write that fails must not cost the user the last good
 // checkpoint: SlowMo keeps server-side state Snapshot refuses, so
 // -snapshot-at on a SlowMo run errors out mid-write — and the file that

@@ -186,6 +186,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	fg, hasFG := algo.(FeatureGradder)
 	lg, hasLG := algo.(LogitGradder)
 	rng := c.RNG()
+	e.model.SetMaskRNG(rng)
 
 	var lossSum float64
 	var batches int

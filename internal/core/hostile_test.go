@@ -27,9 +27,9 @@ func tinyConfig(rounds int) Config {
 	rng := prng.New(11)
 	set := func(n int) *data.Dataset {
 		d := &data.Dataset{Kind: data.KindMNIST, Classes: 2, Channels: 1, Height: 2, Width: 2, Y: make([]int, n)}
-		d.X = make([]float32, n*d.SampleSize())
+		d.X = make([]uint8, n*d.SampleSize())
 		for i := range d.X {
-			d.X[i] = float32(rng.NormFloat64())
+			d.X[i] = data.EncodePixel(rng.NormFloat64())
 		}
 		for i := range d.Y {
 			d.Y[i] = i % 2

@@ -50,6 +50,25 @@ func TestInlineBurstMatchesSubmitted(t *testing.T) {
 			sp.AdaptiveLocalSteps = true
 			sp.Churn = &core.ChurnModel{MeanUp: 10, MeanDown: 5, Drops: []core.MassDrop{{At: 8, Fraction: 0.3, Duration: 6}}}
 		},
+		// The one architecture with dropout: the loop's engine and a
+		// worker's must draw a client's masks from the same place.
+		"devices+alexnet": func(t *testing.T, sp *core.RunSpec) {
+			// Parts index samples, so they serve any corpus of train's
+			// length. Half of each part, a small test split and a short
+			// run keep the convolutions affordable under the race detector.
+			rgb, rgbTest, err := data.Generate(data.Spec{Kind: data.KindCIFAR, Train: train.Len(), Test: 40, Seed: 51})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Train, sp.Test, sp.Rounds, sp.BatchSize = rgb, rgbTest, 7, 10
+			sp.Parts = make([][]int, len(parts))
+			for i, p := range parts {
+				sp.Parts[i] = p[:len(p)/2]
+			}
+			sp.Model = nn.ModelSpec{Arch: nn.ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.05}
+			sp.Devices = core.LognormalDevices{Mu: 0, Sigma: 0.6}
+			sp.AdaptiveLocalSteps = true
+		},
 		"network+topk+ef": func(t *testing.T, sp *core.RunSpec) {
 			tr, err := comm.ParseTransport("topk:0.01+ef")
 			if err != nil {

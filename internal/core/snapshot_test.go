@@ -116,25 +116,27 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 }
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
-// writes it, for the snapshot stream each resume pin builds. Lengths and
-// hashes were taken at PR 22, the FTRS 7 bump: each stream is its FTRS 6
+// writes it, for the snapshot stream each resume pin builds. The lengths
+// were taken at PR 22, the FTRS 7 bump: each stream is its FTRS 6
 // predecessor (whose length had not moved since PR 16, the last commit
 // with a separate writer and reader) minus every client's scalar map — a
 // count word, and per entry a name and a value — plus one executed-steps
-// word per job. The parent's walk with exactly those two edits writes
-// these same bytes, so the trained float64s inside a stream did not move.
+// word per job. The hashes were re-taken at PR 23, which stored the corpus
+// as uint8 grid codes and so moved every trained float64 once, in a tree
+// where snapshot.go, tensor/io.go and comm/compress.go are byte-identical
+// to PR 22's: the layout did not move, only the values in it.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"ecfa96ad9dbeeccd169ead43d37d16c5fe243db9d594997a5a045b9e4f70e3c2", 4453677},
-	"TestResumeEquivalenceAsyncFedBuff":         {"0908cd344e0dddc339d5a1c646a322785a6b3505a0e6447f75bc03051e3fae29", 6362344},
-	"TestResumeEquivalenceAsyncChurn":           {"a55e9ed70a27a0b83dd6c314dd46742f645d27c2faafcf1cbd733ff61f2a36fc", 6362550},
-	"TestResumeEquivalenceAsyncDevices":         {"800e21cc12a427a88821ab4261811dec980071b13f981eb2c3a47bd90e97e3c3", 6362313},
-	"TestResumeEquivalenceNoiseFault":           {"1cbb4ce1b441711a8dad2d73425d1c99570fc5c76d68032b23f90a4696a5cc4a", 6362351},
-	"TestResumeEquivalenceAsyncPricedTransport": {"452e1c48711498eded3e2b2594c1f196661e92c8763e01a7dde7256c7c88a5e7", 5090302},
+	"TestResumeEquivalenceSync":                 {"55afd3726a371436fa140914ed43fb024b9cda30e2a5a3149496fb20c16749aa", 4453677},
+	"TestResumeEquivalenceAsyncFedBuff":         {"697b84141e2050ed6d699cba5c3cadbb14bd1cdf714de61a2259992a6921ada8", 6362344},
+	"TestResumeEquivalenceAsyncChurn":           {"fdb4a49be3b650d014c1180cd8fe26c6c7ae1960d10290ff2b501788ba1c572d", 6362550},
+	"TestResumeEquivalenceAsyncDevices":         {"23f68771096f3ea6f1bddcb7221dfb3588843ab934b54d146b8e402363431b0d", 6362313},
+	"TestResumeEquivalenceNoiseFault":           {"2488a8bc409fd48aeeec698da7e11b1448b451772554b7d3b2b5c9cacc28e9d5", 6362351},
+	"TestResumeEquivalenceAsyncPricedTransport": {"afa72c5dffd48952a7b979353f0b5b993999c609da39d8f9ca101b3715f617d1", 5090302},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -146,7 +148,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, PR 22 wrote %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 7 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return

@@ -18,7 +18,7 @@ func BenchmarkGenerateMNIST(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.SetBytes(int64(n) * 784 * 4)
+			b.SetBytes(int64(n) * 784)
 		})
 	}
 }
@@ -31,5 +31,5 @@ func BenchmarkGenerateCIFAR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(500 * 3072 * 4)
+	b.SetBytes(500 * 3072)
 }

@@ -13,11 +13,16 @@
 // class prototype after a random translation, amplitude jitter, and pixel
 // noise — the synthetic analogue of writing-style variation.
 //
-// Storage: samples are computed in float64 and kept at rest as float32,
-// row-major [N, C*H*W] — the width the paper's pipeline holds its images
-// in, and half the resident size of the float64 batch tensors FillBatch
-// widens them into (MNIST/FMNIST 188 MB, EMNIST 354 MB, CIFAR 614 MB at
-// the Table II sizes).
+// Storage: samples are computed in float64 and kept at rest as uint8,
+// row-major [N, C*H*W] — the width the originals ship in — on one fixed
+// grid (EncodePixel/DecodePixel: step 1/16, code 128 = 0.0, saturating at
+// -8 and +7.9375), which FillBatch decodes exactly into the float64 batch
+// tensors: MNIST/FMNIST 47 MB, EMNIST 88 MB, CIFAR 154 MB at the Table II
+// sizes. The grid is part of the dataset's definition, not fitted to a
+// corpus — a per-corpus min/max scale would make a sample depend on its
+// neighbours and break the two properties below. Pixel noise has std
+// 0.75-0.95, 12-15 grid steps, and samples stay inside +-6.3, so
+// quantisation is far below the noise floor and nothing saturates.
 //
 // Blocks: a split is cut into consecutive blocks of blockSamples samples.
 // The class prototypes come from one stream seeded with Spec.Seed; block b
@@ -32,6 +37,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/parallel"
@@ -105,15 +111,15 @@ type Spec struct {
 	Seed int64
 }
 
-// Dataset is an in-memory labelled image set. X holds the pixels as
-// float32, row-major [N, C*H*W]; FillBatch is how training and evaluation
-// read them, widened to float64.
+// Dataset is an in-memory labelled image set. X holds the pixels as grid
+// codes (EncodePixel), row-major [N, C*H*W]; FillBatch is how training and
+// evaluation read them, decoded to float64.
 type Dataset struct {
 	Kind          Kind
 	Classes       int
 	Channels      int
 	Height, Width int
-	X             []float32
+	X             []uint8
 	Y             []int
 }
 
@@ -208,6 +214,38 @@ func smoothField(rng *rand.Rand, channels, h, w int) []float64 { //fedtripvet:al
 // size: changing it changes every sample past the first block.
 const blockSamples = 256
 
+// The pixel grid: code q stands for (q-pixelZero)/pixelScale, so the 256
+// codes cover [-8, 7.9375] in steps of 1/16. Like blockSamples it is part
+// of the dataset's definition: changing it changes every stored sample.
+const (
+	pixelScale = 16
+	pixelZero  = 128
+)
+
+// EncodePixel returns the grid code nearest v (halves round up), saturating
+// at code 0 below -8 and code 255 above +7.9375. It is total: -Inf and +Inf
+// saturate and NaN, which has no nearest code, is stored as 0.0 (code 128).
+func EncodePixel(v float64) uint8 {
+	// Shifted to be non-negative, truncation rounds to nearest; math.Round
+	// on the signed value costs a tenth or more of the whole corpus build.
+	// NaN fails both comparisons, so it is tested before the conversion,
+	// whose result for NaN is implementation-defined.
+	s := v*pixelScale + (pixelZero + 0.5)
+	switch {
+	case s >= 256:
+		return 255
+	case s >= 0:
+		return uint8(int(s))
+	case math.IsNaN(s):
+		return pixelZero
+	}
+	return 0
+}
+
+// DecodePixel returns the value code q stands for; the arithmetic is exact
+// in float64 and EncodePixel(DecodePixel(q)) == q for every q.
+func DecodePixel(q uint8) float64 { return (float64(q) - pixelZero) / pixelScale }
+
 // synthesise draws n samples block by block, in parallel over blocks;
 // blockSeed(b) is the split's seed for block b. Each worker chunk owns one
 // generator (re-seeded per block) and one float64 row, so allocations
@@ -217,7 +255,7 @@ func synthesise(p params, kind Kind, protos [][]float64, n int, blockSeed func(b
 	d := &Dataset{
 		Kind: kind, Classes: p.classes, Channels: p.channels,
 		Height: p.h, Width: p.w,
-		X: make([]float32, n*size),
+		X: make([]uint8, n*size),
 		Y: make([]int, n),
 	}
 	blocks := (n + blockSamples - 1) / blockSamples
@@ -235,7 +273,7 @@ func synthesise(p params, kind Kind, protos [][]float64, n int, blockSeed func(b
 				shiftInto(row, protos[cls], p.channels, p.h, p.w, dx, dy, amp)
 				dst := d.X[i*size : (i+1)*size]
 				for j, v := range row {
-					dst[j] = float32(v + rng.NormFloat64()*p.noise)
+					dst[j] = EncodePixel(v + rng.NormFloat64()*p.noise)
 				}
 			}
 		}
@@ -262,9 +300,9 @@ func shiftInto(dst, src []float64, channels, h, w, dx, dy int, amp float64) {
 	}
 }
 
-// FillBatch widens the samples at idx into x (shape [len(idx), C, H, W] or
-// [len(idx), C*H*W]), each value exactly float64(X[i]), and copies their
-// labels into labels.
+// FillBatch decodes the samples at idx into x (shape [len(idx), C, H, W]
+// or [len(idx), C*H*W]), each value exactly DecodePixel(X[i]), and copies
+// their labels into labels.
 func (d *Dataset) FillBatch(x *tensor.Tensor, labels []int, idx []int) {
 	size := d.SampleSize()
 	if x.Numel() != len(idx)*size {
@@ -279,7 +317,7 @@ func (d *Dataset) FillBatch(x *tensor.Tensor, labels []int, idx []int) {
 		}
 		dst := x.Data[bi*size : (bi+1)*size]
 		for j, v := range d.X[si*size : (si+1)*size] {
-			dst[j] = float64(v)
+			dst[j] = DecodePixel(v)
 		}
 		labels[bi] = d.Y[si]
 	}

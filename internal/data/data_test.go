@@ -1,6 +1,7 @@
 package data
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"slices"
@@ -21,18 +22,10 @@ func widen(d *Dataset, n int) []float64 {
 	return x.Data
 }
 
-// sameCorpus reports whether a and b hold the same labels and bit-identical
-// pixels.
+// sameCorpus reports whether a and b hold the same labels and the same
+// pixel bytes.
 func sameCorpus(a, b *Dataset) bool {
-	if len(a.X) != len(b.X) || !slices.Equal(a.Y, b.Y) {
-		return false
-	}
-	for i, v := range a.X {
-		if math.Float32bits(v) != math.Float32bits(b.X[i]) {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(a.X, b.X) && slices.Equal(a.Y, b.Y)
 }
 
 func TestTableIIMatchesPaper(t *testing.T) {
@@ -317,8 +310,8 @@ func TestFillBatch(t *testing.T) {
 			t.Fatalf("label %d mismatch", bi)
 		}
 		for j := 0; j < 784; j++ {
-			if x.Data[bi*784+j] != float64(train.X[si*784+j]) {
-				t.Fatalf("pixel %d of batch row %d is not float64(X[%d])", j, bi, si*784+j)
+			if x.Data[bi*784+j] != DecodePixel(train.X[si*784+j]) {
+				t.Fatalf("pixel %d of batch row %d is not DecodePixel(X[%d])", j, bi, si*784+j)
 			}
 		}
 	}
@@ -400,5 +393,84 @@ func expectPanic(t *testing.T) {
 	t.Helper()
 	if recover() == nil {
 		t.Fatal("expected panic")
+	}
+}
+
+// Every code is a fixed point of decode-then-encode, and the grid's ends
+// and zero are where the package comment says they are.
+func TestPixelCodecRoundTripsEveryCode(t *testing.T) {
+	for q := 0; q < 256; q++ {
+		if got := EncodePixel(DecodePixel(uint8(q))); got != uint8(q) {
+			t.Errorf("EncodePixel(DecodePixel(%d)) = %d", q, got)
+		}
+	}
+	if lo, zero, hi := DecodePixel(0), DecodePixel(128), DecodePixel(255); lo != -8 || zero != 0 || hi != 7.9375 {
+		t.Errorf("grid spans [%v, %v] with code 128 = %v, want [-8, 7.9375] and 0", lo, hi, zero)
+	}
+}
+
+// Inside the grid's range encoding rounds to the nearest code: the error
+// is at most half a step, on a fine sweep and on random values.
+func TestPixelCodecErrorWithinHalfAStep(t *testing.T) {
+	const lo, hi, halfStep = -8.0, 7.96875, 1.0 / 32
+	check := func(v float64) {
+		if e := math.Abs(v - DecodePixel(EncodePixel(v))); e > halfStep {
+			t.Fatalf("|%v - decode(encode)| = %v > 1/32", v, e)
+		}
+	}
+	for v := lo; v <= hi; v += 1.0 / 1024 {
+		check(v)
+	}
+	rng := newTestRng()
+	for i := 0; i < 100000; i++ {
+		check(lo + rng.Float64()*(hi-lo))
+	}
+}
+
+// Outside the range the codec saturates, and it is total: the infinities
+// saturate like any other out-of-range value and NaN is stored as 0.0.
+func TestPixelCodecSaturatesAndIsTotal(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want uint8
+	}{
+		{-8, 0}, {-8.04, 0}, {-9, 0}, {-1e300, 0}, {math.Inf(-1), 0},
+		{7.9375, 255}, {7.96875, 255}, {8, 255}, {1e300, 255}, {math.Inf(1), 255},
+		{math.NaN(), 128}, {0, 128}, {math.Copysign(0, -1), 128},
+		{1.0 / 32, 129}, {-1.0 / 32, 128}, {0.03, 128}, {-0.04, 127},
+	} {
+		if got := EncodePixel(c.v); got != c.want {
+			t.Errorf("EncodePixel(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
+// The grid is fixed, not fitted, so it must be wide enough for what the
+// generators draw: at each kind's Table II noise no sample reaches a
+// saturated code, and the decoded pixels keep the moments the float64
+// synthesis has (|mean| < 0.1, std 0.85-1.10 over the four kinds).
+func TestCorpusFitsTheGrid(t *testing.T) {
+	for _, k := range Kinds() {
+		for seed := int64(1); seed <= 3; seed++ {
+			train, _, err := Generate(Spec{Kind: k, Train: 2000, Test: 10, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum, sumSq float64
+			for _, q := range train.X {
+				if q == 0 || q == 255 {
+					t.Fatalf("%s seed %d: saturated code %d in the corpus", k, seed, q)
+				}
+				v := DecodePixel(q)
+				sum += v
+				sumSq += v * v
+			}
+			n := float64(len(train.X))
+			mean := sum / n
+			std := math.Sqrt(sumSq/n - mean*mean)
+			if math.Abs(mean) >= 0.1 || std < 0.85 || std > 1.10 {
+				t.Errorf("%s seed %d: mean %.4f std %.4f outside |mean| < 0.1, std in [0.85, 1.10]", k, seed, mean, std)
+			}
+		}
 	}
 }

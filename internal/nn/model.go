@@ -84,6 +84,9 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 		n := l.ParamCount()
 		l.Bind(m.params[off:off+n], m.grads[off:off+n], m.rng)
 		off += n
+		if d, ok := l.(*dropoutLayer); ok {
+			m.dropouts = append(m.dropouts, d)
+		}
 	}
 	return m, nil
 }
@@ -99,6 +102,7 @@ type Model struct {
 	params     []float64
 	grads      []float64
 	rng        *prng.Rand
+	dropouts   []*dropoutLayer
 	fwdFLOPs   float64
 	counter    *flops.Counter
 	features   *tensor.Tensor // input to the final layer, cached by Forward
@@ -133,6 +137,18 @@ func (m *Model) ParamsCopy() []float64 {
 	c := make([]float64, len(m.params))
 	copy(c, m.params)
 	return c
+}
+
+// SetMaskRNG makes the model's dropout layers draw their training-mode
+// masks from rng in place of the stream Build seeded. A model shared
+// between owners (a worker shard's engine trains whichever client it is
+// handed) calls it with the owner's stream before training, so a mask
+// follows the owner and not the model instance. Evaluation-mode forwards
+// draw nothing.
+func (m *Model) SetMaskRNG(rng *prng.Rand) {
+	for _, d := range m.dropouts {
+		d.rng = rng
+	}
 }
 
 // SetCounter installs a FLOP counter; nil disables metering.

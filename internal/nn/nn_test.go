@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/flops"
+	"repro/internal/prng"
 	"repro/internal/tensor"
 )
 
@@ -168,6 +169,41 @@ func TestDropoutTrainEval(t *testing.T) {
 	c := m.Forward(x, true)
 	if tensor.MaxAbsDiff(a.Data, c.Data) == 0 {
 		t.Fatal("train-mode dropout had no effect on 1000 units (p=0.5)")
+	}
+}
+
+// A mask follows the stream SetMaskRNG installs, not the model instance:
+// two models built from different seeds, loaded with the same parameters
+// and pointed at equal streams, drop the same units; an evaluation-mode
+// forward draws nothing from the stream.
+func TestSetMaskRNGDecidesTheMask(t *testing.T) {
+	build := func(seed int64) *Model {
+		m, err := NewBuilder(1000).Dropout(0.5).Dense(3).Build(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := build(1), build(2)
+	b.SetParams(a.Params())
+	x := tensor.New(2, 1000)
+	x.Fill(1)
+	if tensor.MaxAbsDiff(a.Forward(x, true).Data, b.Forward(x, true).Data) == 0 {
+		t.Fatal("models built from different seeds drew the same mask before SetMaskRNG")
+	}
+	ra, rb := prng.New(9), prng.New(9)
+	a.SetMaskRNG(ra)
+	b.SetMaskRNG(rb)
+	if tensor.MaxAbsDiff(a.Forward(x, true).Data, b.Forward(x, true).Data) != 0 {
+		t.Fatal("equal mask streams gave different train-mode outputs")
+	}
+	if ra.State() == prng.New(9).State() {
+		t.Fatal("a train-mode forward did not draw from the installed stream")
+	}
+	before := ra.State()
+	a.Forward(x, false)
+	if ra.State() != before {
+		t.Fatal("an evaluation-mode forward drew from the mask stream")
 	}
 }
 
