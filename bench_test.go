@@ -178,8 +178,17 @@ func churnSpec(tb testing.TB, clients int) core.RunSpec {
 		FlopRate:           1e6,
 		AdaptiveLocalSteps: true,
 		Churn:              &core.ChurnModel{MeanUp: 30, MeanDown: 3},
-		Policy:             core.WithMaxStaleness(&core.FedBuffPolicy{}, 8),
+		Policy:             policy(tb, "fedbuff+maxstale:8"),
 	}
+}
+
+// policy parses a -policy text.
+func policy(tb testing.TB, text string) core.Policy {
+	p, err := core.ParsePolicy(text)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 // fedAsyncSpec is the single-arrival path: a mixing-rate merge on every
@@ -190,7 +199,7 @@ func fedAsyncSpec(tb testing.TB, clients int) core.RunSpec {
 	spec := asyncSpec(tb, clients)
 	spec.Rounds = 128
 	spec.BufferSize = 0
-	spec.Policy = &core.FedAsyncPolicy{Alpha: 0.6}
+	spec.Policy = policy(tb, "fedasync:0.6")
 	return spec
 }
 
@@ -205,7 +214,7 @@ func robustSpec(tb testing.TB, clients int) core.RunSpec {
 		tb.Fatal(err)
 	}
 	spec := asyncSpec(tb, clients)
-	spec.Policy = &core.MedianPolicy{}
+	spec.Policy = policy(tb, "median")
 	spec.Faults = faults
 	return spec
 }

@@ -15,8 +15,8 @@
 // the one spec grammar (internal/spec: name[:a,b,...] terms composed with
 // "+"; README "One run API" has the table, -h the per-flag vocabulary);
 // and runtext.Command adds -async (shorthand for -runtime async), -wire
-// (shorthand for -transport f32), -stale-exp (the default staleness
-// discount) and -flop-rate (device throughput):
+// (shorthand for -transport f32) and -flop-rate (device throughput). The
+// staleness discount is the policy's own argument (-policy fedbuff:EXP):
 //
 //	fedtrip -algo fedtrip -runtime async -latency straggler:1,10,5 -buffer 2 -rounds 60
 //	fedtrip -algo fedtrip -runtime async -latency exp:2 -policy fedasync:0.6 -rounds 60

@@ -28,7 +28,7 @@ func TestFromLineRunsWhatTheCommandRuns(t *testing.T) {
 	const fleet = "-clients 8 -k 4 -samples 60 -test 200 -rounds 8 -model mlp -batch 20 "
 	for _, line := range []string{
 		"-rounds 3 -model mlp -samples 40 -test 100 -algo fedprox -scheme orthogonal -clusters 2 -seed 5",
-		fleet + "-async -latency exp:2 -buffer 2 -concurrency 4 -dropout markov:40,10+drop:4,0.5,6 -stale-exp 1",
+		fleet + "-async -latency exp:2 -buffer 2 -concurrency 4 -dropout markov:40,10+drop:4,0.5,6 -policy fedbuff:1",
 		fleet + "-async -buffer 2 -concurrency 4 -transport topk:0.01+ef -bandwidth-dist tiered -device-dist tiered -flop-rate 0.5",
 	} {
 		spec, err := runtext.FromLine(line)

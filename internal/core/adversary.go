@@ -13,11 +13,11 @@
 // The defenses live in the merge path (server.go): non-finite uploads
 // are zero-weighted out of every merge and counted in
 // Result.RejectedUpdates (graceful degradation — the run survives and
-// reports, instead of dying at the divergence backstop), a NormClipPolicy
-// decorator bounds each update's distance from the current global model,
-// and the robust aggregation policies below (coordinate-wise median,
-// trimmed mean, a multi-Krum selector) replace the weighted average with
-// order statistics that a bounded Byzantine fraction cannot move far.
+// reports, instead of dying at the divergence backstop), a policy's Clip
+// guard bounds each update's distance from the current global model, and
+// the robust policy kinds (coordinate-wise median, trimmed mean, a
+// multi-Krum selector; policy.go) replace the weighted average with order
+// statistics that a bounded Byzantine fraction cannot move far.
 package core
 
 import (
@@ -300,141 +300,7 @@ func rotateLabels(y []int, off, classes int) {
 	}
 }
 
-// --- robust aggregation policies ---
-
-// MedianPolicy aggregates the buffer with the coordinate-wise median
-// (the classic Byzantine-robust estimator: up to half the buffer can lie
-// without moving any coordinate past the honest values). Weights are
-// used only for admission — a zero-weighted update (rejected non-finite,
-// hard staleness cutoff) is excluded; admitted updates count equally.
-type MedianPolicy struct {
-	// K is the buffered-mode merge threshold (0 = RunSpec.BufferSize).
-	K int
-}
-
-func (p *MedianPolicy) Name() string                    { return "median" }
-func (p *MedianPolicy) String() string                  { return "median" }
-func (p *MedianPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
-func (p *MedianPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
-func (p *MedianPolicy) MergeRate(int, []Update) float64 { return 1 }
-func (p *MedianPolicy) defaultBuffer(k int) {
-	if p.K <= 0 {
-		p.K = k
-	}
-}
-
-// TrimmedMeanPolicy aggregates with the coordinate-wise trimmed mean:
-// per coordinate, drop the floor(Frac*k) largest and smallest admitted
-// values and average the rest. Frac in [0, 0.5); a trim that would empty
-// the window degrades to the median.
-type TrimmedMeanPolicy struct {
-	// K is the buffered-mode merge threshold (0 = RunSpec.BufferSize).
-	K int
-	// Frac is the fraction trimmed from each tail.
-	Frac float64
-}
-
-func (p *TrimmedMeanPolicy) Name() string                    { return "trimmedmean" }
-func (p *TrimmedMeanPolicy) String() string                  { return spec.T("trimmedmean", p.Frac).String() }
-func (p *TrimmedMeanPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
-func (p *TrimmedMeanPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
-func (p *TrimmedMeanPolicy) MergeRate(int, []Update) float64 { return 1 }
-func (p *TrimmedMeanPolicy) defaultBuffer(k int) {
-	if p.K <= 0 {
-		p.K = k
-	}
-}
-
-// KrumPolicy is a multi-Krum-style norm-filter selector: score each
-// admitted update by the summed squared distances to its closest peers,
-// keep the k - f lowest-scoring (f = floor(Frac*k) suspected Byzantine),
-// and average them. Outliers — far from every honest cluster — score
-// worst and are filtered entirely, which also defends against attacks
-// (large-sigma noise) that coordinate-wise statistics only dampen.
-type KrumPolicy struct {
-	// K is the buffered-mode merge threshold (0 = RunSpec.BufferSize).
-	K int
-	// Frac is the assumed Byzantine fraction f/k.
-	Frac float64
-}
-
-func (p *KrumPolicy) Name() string                    { return "krum" }
-func (p *KrumPolicy) String() string                  { return spec.T("krum", p.Frac).String() }
-func (p *KrumPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
-func (p *KrumPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
-func (p *KrumPolicy) MergeRate(int, []Update) float64 { return 1 }
-func (p *KrumPolicy) defaultBuffer(k int) {
-	if p.K <= 0 {
-		p.K = k
-	}
-}
-
-// NormClipPolicy decorates any policy with a norm-clip guard: an update
-// whose parameter distance from the current global model exceeds MaxNorm
-// is rescaled onto that ball before the merge (scale attacks collapse to
-// bounded steps; honest updates inside the ball are untouched). It
-// composes like the other decorators — "fedbuff+clip:5" parses, and
-// clonedForRun/resolvePolicy fill a nil inner policy with the runtime
-// default.
-type NormClipPolicy struct {
-	// AggregationPolicy is the decorated policy (nil = the runtime's
-	// default policy at Validate time).
-	AggregationPolicy
-	// MaxNorm is the largest admissible L2 distance from the global model.
-	MaxNorm float64
-}
-
-// WithNormClip wraps a policy (nil = the runtime's default policy) with
-// a norm-clip guard.
-func WithNormClip(p AggregationPolicy, maxNorm float64) AggregationPolicy {
-	return &NormClipPolicy{AggregationPolicy: p, MaxNorm: maxNorm}
-}
-
-func (p *NormClipPolicy) Name() string { return decoratedName(p.AggregationPolicy, "+clip") }
-
-func (p *NormClipPolicy) String() string {
-	return decorated(p.AggregationPolicy, spec.T("clip", p.MaxNorm))
-}
-
-func (p *NormClipPolicy) defaultBuffer(k int) {
-	if bs, ok := p.AggregationPolicy.(bufferSizer); ok {
-		bs.defaultBuffer(k)
-	}
-}
-
-func (p *NormClipPolicy) defaultDiscount(d Rule, force bool) {
-	if dc, ok := p.AggregationPolicy.(discounter); ok {
-		dc.defaultDiscount(d, force)
-	}
-}
-
-// installPolicy records the run's aggregation policy and resolves the
-// decorator chain's merge-path capabilities: the outermost norm-clip
-// guard and the innermost robust aggregator, both consulted by
-// aggregateWeightedRate on every merge.
-func (s *Server) installPolicy(p AggregationPolicy) {
-	s.policy = p
-	s.clip, s.robust = nil, nil
-	q := p
-	for q != nil {
-		switch d := q.(type) {
-		case *NormClipPolicy:
-			if s.clip == nil {
-				s.clip = d
-			}
-			q = d.AggregationPolicy
-		case *MaxStalenessPolicy:
-			q = d.AggregationPolicy
-		case *ScheduledLR:
-			q = d.AggregationPolicy
-		case *MedianPolicy, *TrimmedMeanPolicy, *KrumPolicy:
-			s.robust = q
-			q = nil
-		default:
-			q = nil
-		}
-	}
-}
+// --- the merge path's defenses ---
 
 // screenUpdates is the merge path's graceful-degradation guard, run on
 // every aggregation before any weight is consumed. Non-finite uploads
@@ -456,10 +322,10 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 			}
 		}
 	}
-	if s.clip == nil {
+	maxNorm := s.policy.Clip
+	if maxNorm == 0 {
 		return
 	}
-	maxNorm := s.clip.MaxNorm
 	for i := range updates {
 		u := &updates[i]
 		if weights[i] <= 0 || len(u.Params) != len(s.global) {
@@ -479,7 +345,7 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 	}
 }
 
-// mergeRobust replaces the weighted average with the configured robust
+// mergeRobust replaces the weighted average with the policy's robust
 // aggregate of the positively weighted updates, then applies the merge
 // rate like the standard path. vecs aliases the updates' parameter
 // vectors (aggVecs scratch); weights have been screened but not
@@ -502,17 +368,17 @@ func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
 	}
 	avg := s.mergeBuf()
 	k := len(adm)
-	switch p := s.robust.(type) {
-	case *MedianPolicy:
+	switch p := s.policy; p.Kind {
+	case PolicyMedian:
 		s.coordWindowInto(avg, adm, (k-1)/2, k/2)
-	case *TrimmedMeanPolicy:
-		g := int(p.Frac * float64(k))
+	case PolicyTrimmedMean:
+		g := int(p.Arg * float64(k))
 		if 2*g >= k {
 			g = (k - 1) / 2
 		}
 		s.coordWindowInto(avg, adm, g, k-1-g)
-	case *KrumPolicy:
-		s.krumInto(avg, adm, p.Frac)
+	case PolicyKrum:
+		s.krumInto(avg, adm, p.Arg)
 	}
 	if eta == 1 {
 		copy(s.global, avg)

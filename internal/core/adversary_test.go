@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // --- fault-model grammar ---
@@ -110,12 +114,22 @@ func TestSampleFaultsDeterministic(t *testing.T) {
 
 // --- robust merge arithmetic (hand-computed pins) ---
 
-// robustMergeServer builds a tiny run whose server has the given policy
-// installed, with the global model zeroed so merge results are pure
-// functions of the synthetic updates.
-func robustMergeServer(t *testing.T, p AggregationPolicy) (*RunState, *Server) {
+// mustPolicy parses a policy text the test itself wrote.
+func mustPolicy(t testing.TB, text string) Policy {
 	t.Helper()
-	spec := RunSpec{Config: snapTestConfig(t, 2), Policy: p}
+	p, err := ParsePolicy(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// robustMergeServer builds a tiny run whose server merges under the given
+// policy text, with the global model zeroed so merge results are pure
+// functions of the synthetic updates.
+func robustMergeServer(t *testing.T, policy string) (*RunState, *Server) {
+	t.Helper()
+	spec := RunSpec{Config: snapTestConfig(t, 2), Policy: mustPolicy(t, policy)}
 	rs, err := NewRunState(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +179,7 @@ func TestMedianMergePins(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, s := robustMergeServer(t, &MedianPolicy{})
+			_, s := robustMergeServer(t, "median")
 			s.aggregate(1, constUpdates(len(s.global), tc.vals...))
 			requireGlobalConst(t, s, tc.want, "median")
 		})
@@ -190,7 +204,7 @@ func TestTrimmedMeanMergePins(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, s := robustMergeServer(t, &TrimmedMeanPolicy{Frac: tc.frac})
+			_, s := robustMergeServer(t, fmt.Sprintf("trimmedmean:%g", tc.frac))
 			s.aggregate(1, constUpdates(len(s.global), tc.vals...))
 			requireGlobalConst(t, s, tc.want, "trimmedmean")
 		})
@@ -201,7 +215,7 @@ func TestTrimmedMeanMergePins(t *testing.T) {
 // far outlier; krum:0.2 on a buffer of 5 filters exactly the outlier and
 // averages the cluster.
 func TestKrumMergePin(t *testing.T) {
-	_, s := robustMergeServer(t, &KrumPolicy{Frac: 0.2})
+	_, s := robustMergeServer(t, "krum:0.2")
 	s.aggregate(1, constUpdates(len(s.global), 0.1, 0.12, 0.08, 0.1, 50))
 	requireGlobalConst(t, s, (0.1+0.12+0.08+0.1)/4, "krum")
 }
@@ -211,7 +225,7 @@ func TestKrumMergePin(t *testing.T) {
 // are untouched.
 func TestNormClipGuard(t *testing.T) {
 	maxNorm := 1.0
-	_, s := robustMergeServer(t, WithNormClip(&FedAvgPolicy{}, maxNorm))
+	_, s := robustMergeServer(t, fmt.Sprintf("fedavg+clip:%g", maxNorm))
 	n := len(s.global)
 	// u1 sits at distance 3*sqrt(n) (clipped onto the ball: each
 	// coordinate becomes 1/sqrt(n)); u2 is well inside (untouched).
@@ -224,7 +238,7 @@ func TestNormClipGuard(t *testing.T) {
 // TestNonFiniteRejection: nan and crash uploads are zero-weighted out and
 // counted; the finite updates still merge exactly.
 func TestNonFiniteRejection(t *testing.T) {
-	_, s := robustMergeServer(t, &FedAvgPolicy{})
+	_, s := robustMergeServer(t, "fedavg")
 	us := constUpdates(len(s.global), 2, 4)
 	bad := make([]float64, len(s.global))
 	for i := range bad {
@@ -434,7 +448,7 @@ func TestResumeEquivalenceAdversarial(t *testing.T) {
 		Concurrency: 4,
 		BufferSize:  2,
 		Latency:     ExponentialLatency{Mean: 2},
-		Policy:      &TrimmedMeanPolicy{Frac: 0.25},
+		Policy:      mustPolicy(t, "trimmedmean:0.25"),
 		Faults:      fm,
 		Churn: &ChurnModel{
 			MeanUp:   30,
@@ -458,7 +472,7 @@ func TestResumeEquivalenceNoiseFault(t *testing.T) {
 		Concurrency: 4,
 		BufferSize:  2,
 		Latency:     ExponentialLatency{Mean: 2},
-		Policy:      &MedianPolicy{},
+		Policy:      mustPolicy(t, "median"),
 		Faults:      fm,
 	}, 3)
 }
@@ -474,7 +488,7 @@ func TestRobustRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkSpec := func(p AggregationPolicy) RunSpec {
+	mkSpec := func(policy string) RunSpec {
 		// Corpus seed 67 puts the two policies clear of the line on both
 		// sides: trimmed mean peaks at 0.6067, plain fedavg at 0.4467.
 		cfg := snapTestConfigOn(t, 16, 67)
@@ -489,15 +503,15 @@ func TestRobustRecovery(t *testing.T) {
 			Concurrency: 6,
 			BufferSize:  4,
 			Latency:     ExponentialLatency{Mean: 2},
-			Policy:      p,
+			Policy:      mustPolicy(t, policy),
 			Faults:      fm,
 		}
 	}
-	robust, err := Start(mkSpec(&TrimmedMeanPolicy{Frac: 0.34}))
+	robust, err := Start(mkSpec("trimmedmean:0.34"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Start(mkSpec(&FedAvgPolicy{}))
+	plain, err := Start(mkSpec("fedavg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,45 +523,221 @@ func TestRobustRecovery(t *testing.T) {
 	}
 }
 
-// TestPolicyParseRobust covers the new ParsePolicy surface.
+// TestPolicyParseRobust covers the robust kinds and the two guards: what
+// parses prints itself back, the guards in the value's fixed order
+// whatever order they were written in.
 func TestPolicyParseRobust(t *testing.T) {
 	good := []struct {
 		spec string
-		name string
+		text string
 	}{
 		{"median", "median"},
-		{"trimmedmean:0.25", "trimmedmean"},
-		{"krum:0.2", "krum"},
-		{"clip:5", "+clip"},
-		{"trimmedmean:0.25+clip:5", "trimmedmean+clip"},
-		{"fedbuff+clip:5", "fedbuff+clip"},
-		{"fedbuff:0.5+maxstale:8+clip:5", "fedbuff+maxstale+clip"},
-		{"median+maxstale:4", "median+maxstale"},
+		{"trimmedmean:0.25", "trimmedmean:0.25"},
+		{"krum:0.2", "krum:0.2"},
+		{"clip:5", "clip:5"},
+		{"trimmedmean:0.25+clip:5", "trimmedmean:0.25+clip:5"},
+		{"fedbuff+clip:5", "fedbuff+clip:5"},
+		{"fedbuff:0.5+maxstale:8+clip:5", "fedbuff:0.5+maxstale:8+clip:5"},
+		{"fedbuff:0.5+clip:5+maxstale:8", "fedbuff:0.5+maxstale:8+clip:5"},
+		{"median+maxstale:4", "median+maxstale:4"},
+		{"maxstale:0+clip:1", "maxstale:0+clip:1"},
 	}
 	for _, tc := range good {
-		p, err := ParsePolicy(tc.spec)
-		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", tc.spec, err)
-		}
-		if p.Name() != tc.name {
-			t.Fatalf("ParsePolicy(%q).Name() = %q, want %q", tc.spec, p.Name(), tc.name)
+		if got := mustPolicy(t, tc.spec).String(); got != tc.text {
+			t.Fatalf("ParsePolicy(%q) prints %q, want %q", tc.spec, got, tc.text)
 		}
 	}
 	bad := []string{
-		"trimmedmean",                 // needs a fraction
-		"trimmedmean:0.5",             // fraction must be < 0.5
-		"krum:-0.1",                   // negative fraction
-		"median:3",                    // takes no args
-		"clip:0",                      // bound must be positive
-		"clip",                        // needs a bound
-		"fedbuff+clip",                // suffix needs a bound
-		"fedbuff+clamp:3",             // unknown suffix
-		"median+clip:-2",              // negative bound
-		"trimmedmean:0.25+maxstale:x", // non-integer cutoff
+		"trimmedmean",                   // needs a fraction
+		"trimmedmean:0.5",               // fraction must be < 0.5
+		"krum:-0.1",                     // negative fraction
+		"median:3",                      // takes no args
+		"clip:0",                        // bound must be positive
+		"clip",                          // needs a bound
+		"fedbuff+clip",                  // suffix needs a bound
+		"fedbuff+clamp:3",               // unknown suffix
+		"median+clip:-2",                // negative bound
+		"trimmedmean:0.25+maxstale:x",   // non-integer cutoff
+		"fedavg+clip:1+clip:5",          // one clip bound per policy
+		"fedbuff+maxstale:8+maxstale:2", // one cutoff per policy
+		"clip:5+fedavg",                 // the base comes first
 	}
 	for _, spec := range bad {
 		if _, err := ParsePolicy(spec); err == nil {
 			t.Fatalf("ParsePolicy(%q) accepted", spec)
 		}
+	}
+	for spec, dup := range map[string]string{"fedavg+clip:1+clip:5": "duplicate clip", "fedbuff+maxstale:8+maxstale:2": "duplicate maxstale"} {
+		if _, err := ParsePolicy(spec); !strings.Contains(err.Error(), dup) {
+			t.Fatalf("ParsePolicy(%q): %v, want an error naming the %s", spec, err, dup)
+		}
+	}
+}
+
+// --- a naive oracle for the merge path's defenses ---
+
+// naiveMerge is the reference the merge path is differentially tested
+// against: admit the finite rows inside the staleness cutoff, clip them
+// onto the ball around the global model, aggregate with sort.Float64s
+// and brute force, move the global model by eta. It shares no code with
+// screenUpdates, mergeRobust, coordWindowInto or krumInto.
+func naiveMerge(p Policy, global []float64, updates []Update, eta float64) []float64 {
+	var rows [][]float64
+	var sizes []float64
+	for _, u := range updates {
+		finite := true
+		for _, v := range u.Params {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		if !finite || p.Cutoff && u.Staleness > p.MaxStale {
+			continue
+		}
+		row := append([]float64(nil), u.Params...)
+		var sq float64
+		for j, v := range row {
+			sq += (v - global[j]) * (v - global[j])
+		}
+		if n := math.Sqrt(sq); p.Clip > 0 && n > p.Clip {
+			for j := range row {
+				row[j] = global[j] + p.Clip/n*(row[j]-global[j])
+			}
+		}
+		rows, sizes = append(rows, row), append(sizes, float64(u.NumSamples))
+	}
+	out := append([]float64(nil), global...)
+	k := len(rows)
+	if k == 0 {
+		return out
+	}
+	agg := make([]float64, len(global))
+	mean := func(pick []int) {
+		for _, i := range pick {
+			for j := range agg {
+				agg[j] += rows[i][j] / float64(len(pick))
+			}
+		}
+	}
+	sortedColumn := func(j int) []float64 {
+		col := make([]float64, k)
+		for i := range rows {
+			col[i] = rows[i][j]
+		}
+		sort.Float64s(col)
+		return col
+	}
+	switch p.Kind {
+	case PolicyMedian:
+		for j := range agg {
+			col := sortedColumn(j)
+			agg[j] = (col[(k-1)/2] + col[k/2]) / 2
+		}
+	case PolicyTrimmedMean:
+		g := int(p.Arg * float64(k))
+		if 2*g >= k {
+			g = (k - 1) / 2
+		}
+		for j := range agg {
+			for _, v := range sortedColumn(j)[g : k-g] {
+				agg[j] += v / float64(k-2*g)
+			}
+		}
+	case PolicyKrum:
+		f := min(int(p.Arg*float64(k)), k-1)
+		closest := min(max(k-f-2, 1), k-1)
+		score := make([]float64, k)
+		order := make([]int, k)
+		for i := range rows {
+			var dists []float64
+			for o := range rows {
+				if o == i {
+					continue
+				}
+				var sq float64
+				for x := range rows[i] {
+					sq += (rows[i][x] - rows[o][x]) * (rows[i][x] - rows[o][x])
+				}
+				dists = append(dists, sq)
+			}
+			sort.Float64s(dists)
+			for _, d := range dists[:closest] {
+				score[i] += d
+			}
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
+		mean(order[:k-f])
+	default: // the data-size mean
+		var total float64
+		for _, n := range sizes {
+			total += n
+		}
+		for i := range rows {
+			for j := range agg {
+				agg[j] += sizes[i] / total * rows[i][j]
+			}
+		}
+	}
+	for j := range out {
+		out[j] += eta * (agg[j] - out[j])
+	}
+	return out
+}
+
+// TestRobustMergesMatchNaiveOracle: on random buffers of 1-9 updates —
+// values on a coarse grid so columns tie, a row past the staleness
+// cutoff, a non-finite row — median, trimmed mean, multi-Krum and the
+// clip guard agree with naiveMerge, and every non-finite row is counted.
+func TestRobustMergesMatchNaiveOracle(t *testing.T) {
+	bases := []string{"median", "trimmedmean:0", "trimmedmean:0.1", "trimmedmean:0.25", "trimmedmean:0.49", "krum:0", "krum:0.2", "krum:0.45", "fedavg"}
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		text := bases[rng.Intn(len(bases))] + "+maxstale:2"
+		if rng.Intn(2) == 0 {
+			text += fmt.Sprintf("+clip:%g", 0.5+2*rng.Float64())
+		}
+		p := resolvedPolicy(t, text, 1)
+		eta := 1.0
+		if rng.Intn(2) == 0 {
+			eta = 0.5
+			p.ServerLR = Rule{F: func(int) float64 { return 0.5 }}
+		}
+		grid := func() float64 { return float64(rng.Intn(9)-4) / 2 }
+		const dim = 4
+		s := tinyServer(grid(), grid(), grid(), grid())
+		s.policy = p
+		updates := make([]Update, 1+rng.Intn(9))
+		nonFinite := 0
+		for i := range updates {
+			u := Update{ClientID: i, Params: make([]float64, dim), NumSamples: 1 + rng.Intn(3)}
+			for j := range u.Params {
+				u.Params[j] = grid()
+			}
+			switch rng.Intn(6) {
+			case 0:
+				u.Staleness = 3 + rng.Intn(4) // past the cutoff: weighs 0
+			case 1:
+				u.Params[rng.Intn(dim)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+				nonFinite++
+			default:
+				u.Staleness = rng.Intn(3)
+			}
+			updates[i] = u
+		}
+		want := naiveMerge(p, s.global, updates, eta)
+		s.aggregate(1, updates)
+		for j := range want {
+			if math.Abs(s.global[j]-want[j]) > 1e-12 {
+				t.Errorf("seed %d, %s over %d updates: global[%d] = %v, oracle %v", seed, p, len(updates), j, s.global[j], want[j])
+				return false
+			}
+		}
+		if s.rejectedUpdates != nonFinite {
+			t.Errorf("seed %d: %d rejected, %d non-finite rows", seed, s.rejectedUpdates, nonFinite)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(24))}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -116,7 +116,7 @@ func newAsyncServer(sp RunSpec, maxJobs int) (*AsyncServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.installPolicy(sp.Policy)
+	s.policy = sp.Policy
 	s.installFaults(sp.Faults)
 	rec, err := newRecorder(s)
 	if err != nil {
@@ -466,7 +466,7 @@ func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 // its transfer is stashed and the arrival pushed to +Inf — until the
 // rejoin restores finish = rejoin + remainder (the device pauses and
 // uploads late, which is how updates stale enough for a
-// MaxStalenessPolicy cutoff arise). A permanent drop voids the update
+// maxstale cutoff arise). A permanent drop voids the update
 // instead: a parked job first gets a finite arrival back so the void
 // drains through the loop. A rejoin makes an idle client dispatchable
 // again; an in-flight one returns through its unparked arrival. A parked

@@ -205,7 +205,7 @@ func TestBufferedModeRejectsServerHookAlgorithms(t *testing.T) {
 func TestFullyDiscountedBufferLeavesModelFinite(t *testing.T) {
 	acfg := asyncTestSpec(t, NewFedTrip(0.4))
 	acfg.Rounds = 3
-	acfg.Discount = Rule{F: func(int) float64 { return 0 }}
+	acfg.Policy.Discount = Rule{F: func(int) float64 { return 0 }}
 	rs, err := NewRunState(acfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,37 +243,6 @@ func TestPolyDiscount(t *testing.T) {
 	}
 	if flat := PolyDiscount(0); flat.F(7) != 1 {
 		t.Fatal("exponent 0 must disable discounting")
-	}
-}
-
-// stalenessAlgo overrides the runtime discount via StalenessWeighter.
-type stalenessAlgo struct {
-	Base
-	calls map[int]int
-	mu    sync.Mutex
-}
-
-func (s *stalenessAlgo) Name() string { return "stale-test" }
-func (s *stalenessAlgo) StalenessWeight(st int) float64 {
-	s.mu.Lock()
-	s.calls[st]++
-	s.mu.Unlock()
-	return 1 / (1 + float64(st))
-}
-
-func TestStalenessWeighterOverridesDiscount(t *testing.T) {
-	algo := &stalenessAlgo{calls: map[int]int{}}
-	acfg := asyncTestSpec(t, algo)
-	acfg.Rounds = 8
-	acfg.Concurrency = 4
-	acfg.BufferSize = 2
-	acfg.Latency = UniformLatency{Min: 1, Max: 9}
-	acfg.Discount = Rule{F: func(int) float64 { t.Fatal("algorithm override must win"); return 0 }}
-	if _, err := Start(acfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(algo.calls) == 0 {
-		t.Fatal("StalenessWeight never consulted")
 	}
 }
 

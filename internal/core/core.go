@@ -318,16 +318,6 @@ type CommCoster interface {
 	ExtraCommFactor() float64
 }
 
-// StalenessWeighter lets an Algorithm override the asynchronous runtime's
-// staleness discount: the returned weight multiplies the update's
-// data-size aggregation weight. staleness is the number of aggregations
-// completed between the update's dispatch and its merge (0 = fresh).
-// Implementations must return 1 for staleness 0 if they want the
-// zero-latency barrier mode to stay equivalent to the synchronous server.
-type StalenessWeighter interface {
-	StalenessWeight(staleness int) float64
-}
-
 // Base is the no-op Algorithm; embedded by every method. On its own it is
 // exactly FedAvg.
 type Base struct{}

@@ -188,7 +188,6 @@ func TestAggregateWeightedByDataSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.installPolicy(&FedAvgPolicy{})
 	nv := len(s.Global())
 	a := make([]float64, nv)
 	b := make([]float64, nv)

@@ -26,7 +26,7 @@
 //     clients leave the population registry's idle set, so the
 //     dispatcher never picks them; a client that drops mid-flight pauses
 //     — its arrival is deferred past the rejoin, which is how genuinely
-//     stale updates (the MaxStalenessPolicy regime) arise. Permanently
+//     stale updates (the maxstale cutoff's regime) arise. Permanently
 //     dropped clients lose their in-flight update entirely.
 //
 // Both processes draw from dedicated named seed streams (streamDevice,

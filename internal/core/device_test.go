@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -344,7 +345,7 @@ func TestChurnAllClientsDroppedTerminates(t *testing.T) {
 }
 
 // A client that drops mid-flight rejoins with its update deferred past
-// the outage — stale enough to cross a MaxStalenessPolicy cutoff, whose
+// the outage — stale enough to cross a maxstale cutoff, whose
 // weight-0 admission must not disturb the merge arithmetic (the pooled
 // buffer is recycled by the same unconditional path as any admitted
 // update).
@@ -359,7 +360,7 @@ func TestChurnRejoinStaleUpdatePastCutoff(t *testing.T) {
 		// Short lives, long outages: in-flight drops defer arrivals far
 		// past the cutoff while the rest of the fleet keeps merging.
 		sp.Churn = &ChurnModel{MeanUp: 4, MeanDown: 40}
-		sp.Policy = WithMaxStaleness(&FedBuffPolicy{}, cutoff)
+		sp.Policy = mustPolicy(t, fmt.Sprintf("fedbuff+maxstale:%d", cutoff))
 		return sp
 	}
 	sp := build()
@@ -460,9 +461,9 @@ func TestChurnDeterminismAcrossSeedsAndShards(t *testing.T) {
 }
 
 func TestMaxStalenessPolicy(t *testing.T) {
-	p := WithMaxStaleness(&FedAvgPolicy{K: 2}, 3)
-	if p.Name() != "fedavg+maxstale" {
-		t.Fatalf("name %q", p.Name())
+	p := resolvedPolicy(t, "fedavg+maxstale:3", 2)
+	if p.String() != "fedavg+maxstale:3" {
+		t.Fatalf("prints %q", p)
 	}
 	if w := p.Weight(Update{NumSamples: 10, Staleness: 3}); w != 10 {
 		t.Fatalf("weight at cutoff %v want 10", w)
@@ -471,28 +472,20 @@ func TestMaxStalenessPolicy(t *testing.T) {
 		t.Fatalf("weight past cutoff %v want 0", w)
 	}
 	if !p.ReadyToMerge(2) || p.ReadyToMerge(1) {
-		t.Fatal("ReadyToMerge must delegate to the inner policy")
+		t.Fatal("a cutoff must leave the merge threshold alone")
+	}
+	// A cutoff of 0 admits fresh updates only; it is not "no cutoff".
+	fresh := resolvedPolicy(t, "maxstale:0", 2)
+	if fresh.Weight(Update{NumSamples: 10}) != 10 || fresh.Weight(Update{NumSamples: 10, Staleness: 1}) != 0 {
+		t.Fatal("maxstale:0 must admit staleness 0 and nothing else")
 	}
 
 	// Parse forms.
-	pol, err := ParsePolicy("maxstale:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, ok := pol.(*MaxStalenessPolicy)
-	if !ok || ms.MaxStale != 5 || ms.AggregationPolicy != nil {
+	if pol := mustPolicy(t, "maxstale:5"); !pol.Cutoff || pol.MaxStale != 5 || pol.Kind != "" {
 		t.Fatalf("ParsePolicy(maxstale:5) = %#v", pol)
 	}
-	pol, err = ParsePolicy("fedbuff:0.5+maxstale:8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, ok = pol.(*MaxStalenessPolicy)
-	if !ok || ms.MaxStale != 8 {
+	if pol := mustPolicy(t, "fedbuff:0.5+maxstale:8"); !pol.Cutoff || pol.MaxStale != 8 || pol.Kind != PolicyFedBuff {
 		t.Fatalf("composed parse = %#v", pol)
-	}
-	if _, ok := ms.AggregationPolicy.(*FedBuffPolicy); !ok {
-		t.Fatalf("composed inner = %#v", ms.AggregationPolicy)
 	}
 	for _, bad := range []string{"maxstale", "maxstale:-1", "maxstale:1.5", "maxstale:a", "fedbuff+maxstale:-2", "nope+maxstale:1"} {
 		if _, err := ParsePolicy(bad); err == nil {
@@ -500,26 +493,14 @@ func TestMaxStalenessPolicy(t *testing.T) {
 		}
 	}
 
-	// Validate fills a nil inner with the runtime default and clones the
-	// caller's instance.
+	// Validate fills the unset base with the runtime default.
 	sp := deviceSpec(t, NewFedTrip(0.4))
-	caller := &MaxStalenessPolicy{MaxStale: 4}
-	sp.Policy = caller
+	sp.Policy = Policy{Cutoff: true, MaxStale: 4}
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	resolved, ok := sp.Policy.(*MaxStalenessPolicy)
-	if !ok {
-		t.Fatalf("resolved policy %#v", sp.Policy)
-	}
-	if _, ok := resolved.AggregationPolicy.(*FedBuffPolicy); !ok {
-		t.Fatalf("nil inner not defaulted: %#v", resolved.AggregationPolicy)
-	}
-	if caller.AggregationPolicy != nil {
-		t.Fatal("Validate mutated the caller's policy instance")
-	}
-	if resolved.Name() != "fedbuff+maxstale" {
-		t.Fatalf("resolved name %q", resolved.Name())
+	if sp.Policy.String() != "fedbuff:0.5+maxstale:4" {
+		t.Fatalf("resolved policy %q", sp.Policy)
 	}
 }
 
@@ -543,7 +524,8 @@ func TestRunSpecRejectsDeviceMisuse(t *testing.T) {
 		{"empty churn model", func(sp *RunSpec) { sp.Churn = &ChurnModel{} }},
 		{"half-zero markov", func(sp *RunSpec) { sp.Churn = &ChurnModel{MeanUp: 10} }},
 		{"bad mass drop", func(sp *RunSpec) { sp.Churn = &ChurnModel{Drops: []MassDrop{{At: -1, Fraction: 0.5}}} }},
-		{"negative cutoff", func(sp *RunSpec) { sp.Policy = &MaxStalenessPolicy{MaxStale: -1} }},
+		{"negative cutoff", func(sp *RunSpec) { sp.Policy = Policy{Cutoff: true, MaxStale: -1} }},
+		{"cutoff without its switch", func(sp *RunSpec) { sp.Policy = Policy{MaxStale: 4} }},
 	}
 	for _, tc := range cases {
 		sp := deviceSpec(t, NewFedTrip(0.4))

@@ -73,6 +73,7 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 	if err != nil {
 		t.Fatal(err)
 	}
+	median := mustPolicy(t, "median")
 	async := func(mod func(*RunSpec)) func() RunSpec {
 		return func() RunSpec {
 			sp := RunSpec{Config: tinyConfig(6), Runtime: RuntimeAsync, Concurrency: 3, BufferSize: 2, Latency: ExponentialLatency{Mean: 2}}
@@ -90,7 +91,7 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 			sp.Latency, sp.Devices, sp.AdaptiveLocalSteps = nil, DefaultTiers(), true
 		}), 3},
 		{"noise fault", async(func(sp *RunSpec) {
-			sp.Policy, sp.Faults = &MedianPolicy{}, noise
+			sp.Policy, sp.Faults = median, noise
 		}), 3},
 		{"priced transport", async(func(sp *RunSpec) {
 			sp.Latency, sp.Network, sp.Config.Transport = ConstantLatency{D: 2}, DefaultNetTiers(), newCountingTransport()

@@ -7,46 +7,100 @@ import (
 	"repro/internal/spec"
 )
 
-// AggregationPolicy owns the server's merge decisions: *when* buffered
+// PolicyKind names a policy's base aggregation rule.
+type PolicyKind string
+
+const (
+	// PolicyFedAvg is the paper's Eq. 2: data-size weights, no staleness
+	// discount, full replacement on merge. The sync runtime's default.
+	PolicyFedAvg PolicyKind = "fedavg"
+	// PolicyFedBuff is buffered asynchronous aggregation: each update
+	// weighs its data size times Discount(staleness). The async and
+	// barrier runtimes' default; at staleness 0 the discount is exactly 1,
+	// so it reproduces PolicyFedAvg bit-for-bit in the barrier mode.
+	PolicyFedBuff PolicyKind = "fedbuff"
+	// PolicyFedAsync merges every single arrival: the global model moves
+	// toward the arriving one by the mixing rate Arg * Discount(staleness)
+	// (Arg 0 = the customary 0.6). A buffer of one normalizes any weight
+	// to 1, so all of the staleness handling lives in the merge rate.
+	PolicyFedAsync PolicyKind = "fedasync"
+	// PolicyImportance is a FedBuff-style buffer whose weights also scale
+	// with each update's training loss: |D_k| * Discount(staleness) *
+	// (Arg + trainLoss). Clients the global model fits worst carry the
+	// most new information; the smoothing constant Arg dampens well-fit
+	// clients without dropping them (0 weights purely by loss).
+	PolicyImportance PolicyKind = "importance"
+	// PolicyMedian aggregates with the coordinate-wise median (up to half
+	// the buffer can lie without moving a coordinate past the honest
+	// values). For the three robust kinds weights only admit: a
+	// zero-weighted update (rejected non-finite, past the staleness
+	// cutoff) is excluded, admitted updates count equally.
+	PolicyMedian PolicyKind = "median"
+	// PolicyTrimmedMean aggregates with the coordinate-wise trimmed mean:
+	// per coordinate, drop the floor(Arg*k) largest and smallest admitted
+	// values and average the rest. A trim that would empty the window
+	// degrades to the median.
+	PolicyTrimmedMean PolicyKind = "trimmedmean"
+	// PolicyKrum is a multi-Krum selector: score each admitted update by
+	// the summed squared distances to its closest peers, keep the k - f
+	// lowest-scoring (f = floor(Arg*k) suspected Byzantine) and average
+	// them. Outliers are filtered entirely, which also defends against
+	// attacks (large-sigma noise) coordinate-wise statistics only dampen.
+	PolicyKrum PolicyKind = "krum"
+)
+
+// Policy is the server's merge decisions as one value: *when* buffered
 // arrivals are aggregated and *how* each update is weighted and applied.
 // The runtimes (synchronous, barrier, buffered async) stay mechanism —
 // dispatching clients, advancing the clock, metering — while the policy
-// supplies the algorithm-family decisions that the async-FL literature
-// varies: FedAvg's data-size average, FedBuff's staleness-discounted
-// buffers, FedAsync's single-arrival mixing, importance-weighted buffers,
-// and server learning-rate schedules (compose any policy with a schedule
-// via WithServerLR).
+// holds what the async-FL literature varies: a base rule, a staleness
+// discount, a hard staleness cutoff, a norm-clip guard and a server
+// learning-rate schedule. ParsePolicy builds one from -policy text and
+// String prints that text back; the zero value is the runtime's default
+// policy, and RunSpec.Validate resolves whatever a value leaves unset.
 //
 // The synchronous and barrier runtimes merge exactly once per round, so
 // they consult only Weight and MergeRate; the buffered async runtime also
-// asks ReadyToMerge after every arrival.
-//
-// An Algorithm's Aggregator override still wins over any policy (it is a
-// method-defined aggregation rule, e.g. SlowMo's server momentum), and an
-// Algorithm's StalenessWeighter overrides the staleness discount of the
-// built-in discount-based policies.
-type AggregationPolicy interface {
-	// Name identifies the policy ("fedavg", "fedbuff", ...).
-	Name() string
-	// ReadyToMerge reports whether the buffered async runtime should
-	// aggregate now, given the number of buffered arrivals. Called after
-	// every arrival; must eventually return true as buffered grows.
-	ReadyToMerge(buffered int) bool
-	// Weight maps one buffered update (Staleness filled) to its
-	// unnormalized aggregation weight. Weights are normalized to sum to 1
-	// before merging; an all-zero buffer merges as a no-op.
-	Weight(u Update) float64
-	// MergeRate returns the server learning rate eta applied to
-	// aggregation t: global' = global + eta*(weightedAvg - global).
-	// eta = 1 replaces the global model with the weighted average (the
-	// classic FedAvg arithmetic).
-	MergeRate(t int, updates []Update) float64
+// asks ReadyToMerge after every arrival. An Algorithm's Aggregator
+// override still wins over any policy (it is a method-defined aggregation
+// rule, e.g. SlowMo's server momentum).
+type Policy struct {
+	// Kind is the base rule ("" = fedavg on the sync runtime, fedbuff
+	// otherwise).
+	Kind PolicyKind
+	// Arg is the base's one numeric argument — fedasync's ALPHA,
+	// importance's BETA, trimmedmean's and krum's F — and 0 for the rest.
+	Arg float64
+	// Discount maps staleness to a weight (fedasync: rate) multiplier for
+	// fedbuff, fedasync and importance (unset = PolyDiscount(0.5)). It
+	// must return 1 at staleness 0 for the barrier equivalence to hold.
+	Discount Rule
+	// Cutoff turns on the hard staleness cutoff: an update staler than
+	// MaxStale weighs 0 — it contributes nothing, and a buffer of nothing
+	// but cutoff updates merges as a no-op. It is the admission control a
+	// churning fleet needs: a client that drops mid-flight and rejoins
+	// much later arrives many aggregations stale, which a polynomial
+	// discount only dampens. MaxStale 0 admits fresh updates only, hence
+	// the separate switch.
+	Cutoff   bool
+	MaxStale int
+	// Clip, when positive, is the norm-clip guard: an update farther than
+	// Clip (L2) from the current global model is rescaled onto that ball
+	// before the merge. Scale attacks collapse to bounded steps; honest
+	// updates inside the ball are untouched.
+	Clip float64
+	// ServerLR, when set, scales the merged delta by ServerLR.F(t) on
+	// aggregation t (1-based), on top of the base rule's own rate.
+	ServerLR Rule
+	// k is the merge threshold Validate resolved: RunSpec.BufferSize, 1
+	// for fedasync.
+	k int
 }
 
-// Rule is an int -> float64 knob of a run — a staleness discount
+// Rule is an int -> float64 knob of a policy — a staleness discount
 // (staleness -> weight multiplier) or a server learning-rate schedule
 // (merge index -> rate multiplier) — together with the spec term that
-// names it. PolyDiscount and WithServerLR build named rules, which is
+// names it. PolyDiscount and ParseLRSchedule build named rules, which is
 // what lets a policy print itself exactly ("fedbuff:0.5") and the
 // snapshot fingerprint tell PolyDiscount(0) from PolyDiscount(3). A
 // hand-written closure is Rule{F: f}: it renders as "custom", and keeping
@@ -65,292 +119,161 @@ func (r Rule) String() string {
 	return r.term.String()
 }
 
-// canonical renders a policy or a method for the snapshot fingerprint:
-// its String() when it has one — the built-ins do, arguments included —
-// and its Name() otherwise.
-func canonical(v interface{ Name() string }) string {
-	if s, ok := v.(fmt.Stringer); ok {
-		return s.String()
-	}
-	return v.Name()
-}
+// ReadyToMerge reports whether the buffered async runtime should
+// aggregate now, given the number of buffered arrivals.
+func (p Policy) ReadyToMerge(buffered int) bool { return buffered >= p.k }
 
-// discounted renders a discount-based policy: the name, its leading
-// arguments, and the discount exponent once one is set (a custom discount
-// prints as a trailing "custom").
-func discounted(name string, d Rule, lead ...float64) string {
-	t := spec.T(name, lead...)
-	switch {
-	case d.F == nil:
-	case d.term.Name == "poly":
-		t.Args = append(t.Args, d.term.Args...)
-	default:
-		t.Sub = &spec.Term{Name: d.String()}
-	}
-	return t.String()
-}
-
-// decoratedName is a decorator policy's Name(): the inner policy's plus a
-// suffix.
-func decoratedName(inner AggregationPolicy, suffix string) string {
-	if inner == nil {
-		return suffix
-	}
-	return inner.Name() + suffix
-}
-
-// decorated renders a decorator policy: the inner policy, then the
-// decorator's own term (alone when the inner policy is still the
-// unresolved runtime default).
-func decorated(inner AggregationPolicy, t spec.Term) string {
-	if inner == nil {
-		return t.String()
-	}
-	return spec.Join(canonical(inner), t.String())
-}
-
-// bufferSizer is implemented by built-in policies whose merge threshold
-// can be defaulted from RunSpec.BufferSize when left zero.
-type bufferSizer interface{ defaultBuffer(k int) }
-
-// discounter is implemented by built-in policies whose staleness discount
-// participates in the runtime's resolution chain: an Algorithm's
-// StalenessWeighter force-overrides, otherwise RunSpec.Discount (then
-// PolyDiscount(0.5)) fills a nil Discount field.
-type discounter interface {
-	defaultDiscount(d Rule, force bool)
-}
-
-// FedAvgPolicy is the paper's Eq. 2: data-size weights, no staleness
-// discount, full replacement on merge. It is the synchronous runtime's
-// default. Under the buffered async runtime it merges every K arrivals
-// (FedBuff's cadence without the discount).
-type FedAvgPolicy struct {
-	// K is the buffered-mode merge threshold (0 = RunSpec.BufferSize).
-	K int
-}
-
-func (p *FedAvgPolicy) Name() string                    { return "fedavg" }
-func (p *FedAvgPolicy) String() string                  { return "fedavg" }
-func (p *FedAvgPolicy) ReadyToMerge(buffered int) bool  { return buffered >= p.K }
-func (p *FedAvgPolicy) Weight(u Update) float64         { return float64(u.NumSamples) }
-func (p *FedAvgPolicy) MergeRate(int, []Update) float64 { return 1 }
-func (p *FedAvgPolicy) defaultBuffer(k int) {
-	if p.K <= 0 {
-		p.K = k
-	}
-}
-
-// FedBuffPolicy is buffered asynchronous aggregation with staleness
-// discounting: merge every K arrivals, weight each update by its data
-// size times Discount(staleness). It is the async runtime's default and,
-// with the zero-staleness discount of exactly 1, reproduces FedAvgPolicy
-// bit-for-bit in the barrier mode.
-type FedBuffPolicy struct {
-	// K is the number of arrivals per aggregation (0 = RunSpec.BufferSize).
-	K int
-	// Discount maps staleness to a weight multiplier (nil = the runtime's
-	// resolution chain: StalenessWeighter, RunSpec.Discount,
-	// PolyDiscount(0.5)). Must return 1 at staleness 0 for the barrier
-	// equivalence mode to hold.
-	Discount Rule
-}
-
-func (p *FedBuffPolicy) Name() string                   { return "fedbuff" }
-func (p *FedBuffPolicy) String() string                 { return discounted("fedbuff", p.Discount) }
-func (p *FedBuffPolicy) ReadyToMerge(buffered int) bool { return buffered >= p.K }
-func (p *FedBuffPolicy) Weight(u Update) float64 {
-	return float64(u.NumSamples) * p.Discount.F(u.Staleness)
-}
-func (p *FedBuffPolicy) MergeRate(int, []Update) float64 { return 1 }
-func (p *FedBuffPolicy) defaultBuffer(k int) {
-	if p.K <= 0 {
-		p.K = k
-	}
-}
-func (p *FedBuffPolicy) defaultDiscount(d Rule, force bool) {
-	if force || p.Discount.F == nil {
-		p.Discount = d
-	}
-}
-
-// FedAsyncPolicy merges every single arrival FedAsync-style: the global
-// model moves toward the arriving model by a mixing rate
-// Alpha * Discount(staleness). The buffer always holds exactly one
-// update, so the weight is immaterial (it normalizes to 1); all of the
-// staleness handling lives in the merge rate.
-type FedAsyncPolicy struct {
-	// Alpha is the base mixing rate (0 = the customary 0.6).
-	Alpha float64
-	// Discount dampens the mixing rate by staleness (nil = resolution
-	// chain, see FedBuffPolicy.Discount).
-	Discount Rule
-}
-
-func (p *FedAsyncPolicy) Name() string                   { return "fedasync" }
-func (p *FedAsyncPolicy) ReadyToMerge(buffered int) bool { return buffered >= 1 }
-func (p *FedAsyncPolicy) Weight(Update) float64          { return 1 }
-func (p *FedAsyncPolicy) String() string {
-	if p.Alpha == 0 && p.Discount.F == nil {
-		return "fedasync"
-	}
-	return discounted("fedasync", p.Discount, p.alpha())
-}
-func (p *FedAsyncPolicy) alpha() float64 {
-	if p.Alpha == 0 {
-		return 0.6
-	}
-	return p.Alpha
-}
-func (p *FedAsyncPolicy) MergeRate(t int, updates []Update) float64 {
-	// Single arrival in practice; average the discount if a caller merges
-	// a larger buffer through this policy.
-	var d float64
-	for _, u := range updates {
-		d += p.Discount.F(u.Staleness)
-	}
-	if len(updates) > 0 {
-		d /= float64(len(updates))
-	}
-	return p.alpha() * d
-}
-func (p *FedAsyncPolicy) defaultDiscount(d Rule, force bool) {
-	if force || p.Discount.F == nil {
-		p.Discount = d
-	}
-}
-
-// ImportancePolicy is a FedBuff-style buffer whose weights also scale
-// with each update's training loss: weight = |D_k| * Discount(staleness)
-// * (Beta + trainLoss). Clients whose local data the global model fits
-// worst carry the most new information, so their updates are amplified;
-// Beta smooths the weighting so well-fit clients are dampened, never
-// dropped. Beta = 0 weights purely by loss.
-type ImportancePolicy struct {
-	// K is the number of arrivals per aggregation (0 = RunSpec.BufferSize).
-	K int
-	// Beta is the loss-smoothing constant (0 keeps pure loss weighting;
-	// the parser defaults it to 0.1).
-	Beta float64
-	// Discount is the staleness discount (nil = resolution chain).
-	Discount Rule
-}
-
-func (p *ImportancePolicy) Name() string                   { return "importance" }
-func (p *ImportancePolicy) String() string                 { return discounted("importance", p.Discount, p.Beta) }
-func (p *ImportancePolicy) ReadyToMerge(buffered int) bool { return buffered >= p.K }
-func (p *ImportancePolicy) Weight(u Update) float64 {
-	return float64(u.NumSamples) * p.Discount.F(u.Staleness) * (p.Beta + u.TrainLoss)
-}
-func (p *ImportancePolicy) MergeRate(int, []Update) float64 { return 1 }
-func (p *ImportancePolicy) defaultBuffer(k int) {
-	if p.K <= 0 {
-		p.K = k
-	}
-}
-func (p *ImportancePolicy) defaultDiscount(d Rule, force bool) {
-	if force || p.Discount.F == nil {
-		p.Discount = d
-	}
-}
-
-// MaxStalenessPolicy is a hard staleness admission cutoff decorating any
-// policy (promoted from the README's custom-policy example, where it
-// lived as ~20 user lines): an update whose Staleness exceeds MaxStale
-// weighs 0 at aggregation — it contributes nothing, and a buffer of
-// nothing but cutoff updates merges as a no-op (the weighted-average
-// guard, not a NaN). The pooled upload buffer is recycled either way.
-// It is the admission control a churning fleet needs: a client that
-// drops mid-flight and rejoins much later arrives with an update many
-// aggregations stale, which a polynomial discount only dampens.
-type MaxStalenessPolicy struct {
-	// AggregationPolicy is the decorated policy (nil = the runtime's
-	// default policy at Validate time).
-	AggregationPolicy
-	// MaxStale is the largest admissible staleness (inclusive).
-	MaxStale int
-}
-
-// WithMaxStaleness wraps a policy (nil = the runtime's default policy)
-// with a hard staleness cutoff.
-func WithMaxStaleness(p AggregationPolicy, maxStale int) AggregationPolicy {
-	return &MaxStalenessPolicy{AggregationPolicy: p, MaxStale: maxStale}
-}
-
-func (p *MaxStalenessPolicy) Name() string { return decoratedName(p.AggregationPolicy, "+maxstale") }
-
-func (p *MaxStalenessPolicy) String() string {
-	return decorated(p.AggregationPolicy, spec.T("maxstale", float64(p.MaxStale)))
-}
-
-func (p *MaxStalenessPolicy) Weight(u Update) float64 {
-	if u.Staleness > p.MaxStale {
+// Weight maps one buffered update (Staleness filled) to its unnormalized
+// aggregation weight. Weights are normalized to sum to 1 before merging;
+// an all-zero buffer merges as a no-op.
+func (p Policy) Weight(u Update) float64 {
+	if p.Cutoff && u.Staleness > p.MaxStale {
 		return 0
 	}
-	return p.AggregationPolicy.Weight(u)
-}
-
-func (p *MaxStalenessPolicy) defaultBuffer(k int) {
-	if bs, ok := p.AggregationPolicy.(bufferSizer); ok {
-		bs.defaultBuffer(k)
+	switch p.Kind {
+	case PolicyFedBuff:
+		return float64(u.NumSamples) * p.Discount.F(u.Staleness)
+	case PolicyFedAsync:
+		return 1
+	case PolicyImportance:
+		return float64(u.NumSamples) * p.Discount.F(u.Staleness) * (p.Arg + u.TrainLoss)
 	}
+	return float64(u.NumSamples)
 }
 
-func (p *MaxStalenessPolicy) defaultDiscount(d Rule, force bool) {
-	if dc, ok := p.AggregationPolicy.(discounter); ok {
-		dc.defaultDiscount(d, force)
+// MergeRate returns the server learning rate eta applied to aggregation
+// t: global' = global + eta*(aggregate - global). eta = 1 replaces the
+// global model with the aggregate (the classic FedAvg arithmetic).
+func (p Policy) MergeRate(t int, updates []Update) float64 {
+	eta := 1.0
+	if p.Kind == PolicyFedAsync {
+		// Single arrival in practice; average the discount if a caller
+		// merges a larger buffer through this policy.
+		var d float64
+		for _, u := range updates {
+			d += p.Discount.F(u.Staleness)
+		}
+		if len(updates) > 0 {
+			d /= float64(len(updates))
+		}
+		eta = p.alpha() * d
 	}
-}
-
-// ScheduledLR decorates a policy with a server learning-rate schedule:
-// the merged delta is scaled by Schedule.F(t) on aggregation t, on top of
-// whatever rate the inner policy reports. A nil inner policy is filled
-// with the runtime's default policy at Validate time, so a schedule can
-// be configured on its own. WithServerLR builds one from a schedule spec;
-// a hand-written schedule is &ScheduledLR{Schedule: Rule{F: f}}.
-type ScheduledLR struct {
-	AggregationPolicy
-	// Schedule maps the aggregation index t (1-based) to a rate
-	// multiplier.
-	Schedule Rule
-}
-
-func (p *ScheduledLR) Name() string { return decoratedName(p.AggregationPolicy, "+lr") }
-
-func (p *ScheduledLR) String() string {
-	return decorated(p.AggregationPolicy, spec.Term{Name: "lr", Sub: &spec.Term{Name: p.Schedule.String()}})
-}
-
-func (p *ScheduledLR) MergeRate(t int, updates []Update) float64 {
-	return p.AggregationPolicy.MergeRate(t, updates) * p.Schedule.F(t)
-}
-
-func (p *ScheduledLR) defaultBuffer(k int) {
-	if bs, ok := p.AggregationPolicy.(bufferSizer); ok {
-		bs.defaultBuffer(k)
+	if p.ServerLR.F != nil {
+		eta *= p.ServerLR.F(t)
 	}
+	return eta
 }
 
-func (p *ScheduledLR) defaultDiscount(d Rule, force bool) {
-	if dc, ok := p.AggregationPolicy.(discounter); ok {
-		dc.defaultDiscount(d, force)
+func (p Policy) alpha() float64 {
+	if p.Arg == 0 {
+		return 0.6
 	}
+	return p.Arg
+}
+
+// robust reports whether an order statistic replaces the weighted mean.
+func (p Policy) robust() bool {
+	return p.Kind == PolicyMedian || p.Kind == PolicyTrimmedMean || p.Kind == PolicyKrum
+}
+
+// discounts reports whether the base rule consults Discount.
+func (p Policy) discounts() bool {
+	return p.Kind == PolicyFedBuff || p.Kind == PolicyFedAsync || p.Kind == PolicyImportance
+}
+
+// String renders the policy in ParsePolicy's grammar, every argument
+// included — the text the snapshot fingerprint embeds. The base comes
+// first (none while Kind is unresolved), then maxstale, clip and the
+// server-lr schedule, whatever order they were written in; a custom
+// discount or schedule prints as "custom".
+func (p Policy) String() string {
+	var terms []string
+	if p.Kind != "" {
+		t := spec.T(string(p.Kind))
+		switch {
+		case p.Kind == PolicyFedAsync && (p.Arg != 0 || p.Discount.F != nil):
+			t.Args = []float64{p.alpha()}
+		case p.Kind == PolicyImportance, p.Kind == PolicyTrimmedMean, p.Kind == PolicyKrum:
+			t.Args = []float64{p.Arg}
+		}
+		switch {
+		case !p.discounts() || p.Discount.F == nil:
+		case p.Discount.term.Name == "poly":
+			t.Args = append(t.Args, p.Discount.term.Args...)
+		default:
+			t.Sub = &spec.Term{Name: p.Discount.String()}
+		}
+		terms = append(terms, t.String())
+	}
+	if p.Cutoff {
+		terms = append(terms, spec.T("maxstale", float64(p.MaxStale)).String())
+	}
+	if p.Clip != 0 {
+		terms = append(terms, spec.T("clip", p.Clip).String())
+	}
+	if p.ServerLR.F != nil {
+		terms = append(terms, spec.Term{Name: "lr", Sub: &spec.Term{Name: p.ServerLR.String()}}.String())
+	}
+	return spec.Join(terms...)
+}
+
+// resolve fills what a policy leaves to the run — the base rule from the
+// runtime, the merge threshold from the buffer size, the discount from
+// PolyDiscount(0.5) — and range-checks what it carries. It is the one
+// place any of the three is defaulted.
+func (p *Policy) resolve(rt Runtime, buffer int) error {
+	if p.Kind == "" {
+		p.Kind = PolicyFedBuff
+		if rt == RuntimeSync {
+			p.Kind = PolicyFedAvg
+		}
+	}
+	ok, want := p.Arg == 0, "no argument"
+	switch p.Kind {
+	case PolicyFedAvg, PolicyFedBuff, PolicyMedian:
+	case PolicyFedAsync:
+		ok, want = p.Arg >= 0 && p.Arg <= 1, "ALPHA in (0,1]"
+	case PolicyImportance:
+		ok, want = p.Arg >= 0, "BETA >= 0"
+	case PolicyTrimmedMean, PolicyKrum:
+		ok, want = p.Arg >= 0 && p.Arg < 0.5, "a fraction in [0, 0.5)"
+	default:
+		return fmt.Errorf("core: unknown policy kind %q", p.Kind)
+	}
+	switch {
+	case !ok:
+		return fmt.Errorf("core: policy %s wants %s, got %g", p.Kind, want, p.Arg)
+	case !p.discounts() && p.Discount.F != nil:
+		return fmt.Errorf("core: policy %s takes no staleness discount (fedbuff is fedavg with one)", p.Kind)
+	case p.MaxStale < 0 || !p.Cutoff && p.MaxStale != 0:
+		return fmt.Errorf("core: max staleness %d needs Cutoff set and a cutoff >= 0", p.MaxStale)
+	case !(p.Clip >= 0) || math.IsInf(p.Clip, 0):
+		return fmt.Errorf("core: norm-clip bound %g must be positive and finite", p.Clip)
+	}
+	p.k = buffer
+	if p.Kind == PolicyFedAsync {
+		p.k = 1
+	}
+	if p.discounts() && p.Discount.F == nil {
+		p.Discount = PolyDiscount(0.5)
+	}
+	return nil
 }
 
 var lrFamily = spec.Family{Label: "server-lr", Forms: []spec.Form{
 	{Name: "const", Min: 1, Max: 1}, {Name: "invsqrt", Min: 1, Max: 1}, {Name: "step", Min: 3, Max: 3},
 }}
 
-// WithServerLR wraps a policy (nil = the runtime's default policy) with
-// the server learning-rate schedule a spec names (grammar: internal/spec):
+// ParseLRSchedule parses a server learning-rate schedule spec (grammar:
+// internal/spec) into the named Rule a Policy's ServerLR field takes:
 //
 //	const:ETA          fixed rate ETA every merge
 //	invsqrt:ETA0       ETA0 / sqrt(t)
 //	step:ETA0,G,E      ETA0 * G^floor((t-1)/E)  (decay by G every E merges)
-func WithServerLR(p AggregationPolicy, text string) (AggregationPolicy, error) {
+func ParseLRSchedule(text string) (Rule, error) {
 	ts, err := lrFamily.Parse(text)
 	if err != nil {
-		return nil, err
+		return Rule{}, err
 	}
 	var (
 		f    func(t int) float64
@@ -371,33 +294,24 @@ func WithServerLR(p AggregationPolicy, text string) (AggregationPolicy, error) {
 		f = func(t int) float64 { return a[0] * math.Pow(a[1], float64((max(t, 1)-1)/every)) }
 	}
 	if !ok {
-		return nil, lrFamily.Errorf(text, "wants %s", want)
+		return Rule{}, lrFamily.Errorf(text, "wants %s", want)
 	}
-	return &ScheduledLR{AggregationPolicy: p, Schedule: Rule{F: f, term: ts[0]}}, nil
-}
-
-// ParseLRSchedule parses a server learning-rate schedule spec (see
-// WithServerLR) into the bare schedule function.
-func ParseLRSchedule(text string) (func(t int) float64, error) {
-	p, err := WithServerLR(nil, text)
-	if err != nil {
-		return nil, err
-	}
-	return p.(*ScheduledLR).Schedule.F, nil
+	return Rule{F: f, term: ts[0]}, nil
 }
 
 var policyFamily = spec.Family{Label: "policy", Forms: []spec.Form{
-	{Name: "fedavg"}, {Name: "fedbuff", Max: 1}, {Name: "fedasync", Max: 2}, {Name: "importance", Max: 2},
-	{Name: "median"}, {Name: "trimmedmean", Min: 1, Max: 1}, {Name: "krum", Min: 1, Max: 1},
-	{Name: "maxstale", Min: 1, Max: 1, Pos: spec.Either, Repeat: true},
-	{Name: "clip", Min: 1, Max: 1, Pos: spec.Either, Repeat: true},
+	{Name: string(PolicyFedAvg)}, {Name: string(PolicyFedBuff), Max: 1},
+	{Name: string(PolicyFedAsync), Max: 2}, {Name: string(PolicyImportance), Max: 2},
+	{Name: string(PolicyMedian)}, {Name: string(PolicyTrimmedMean), Min: 1, Max: 1}, {Name: string(PolicyKrum), Min: 1, Max: 1},
+	{Name: "maxstale", Min: 1, Max: 1, Pos: spec.Either},
+	{Name: "clip", Min: 1, Max: 1, Pos: spec.Either},
 }}
 
 // ParsePolicy parses an aggregation-policy spec (grammar: internal/spec):
 //
 //	fedavg               data-size weights, no discount (sync default)
 //	fedbuff[:EXP]        staleness-discounted buffer, PolyDiscount(EXP)
-//	                     (no EXP: the runtime's discount chain applies)
+//	                     (no EXP: 0.5)
 //	fedasync[:ALPHA[,EXP]]  single-arrival mixing at rate ALPHA (0.6)
 //	importance[:BETA[,EXP]] loss-weighted buffer, smoothing BETA (0.1)
 //	median               coordinate-wise median of the admitted buffer
@@ -409,17 +323,18 @@ var policyFamily = spec.Family{Label: "policy", Forms: []spec.Form{
 //	clip:C               norm-clip guard (updates rescaled within L2
 //	                     distance C of the global model)
 //
-// maxstale and clip decorate the policy they follow ("+"-composed, e.g.
-// "fedbuff:0.5+maxstale:8", "trimmedmean:0.25+clip:5"; they stack left to
-// right) and, written first, the runtime's default policy. Merge
-// thresholds (K) default from RunSpec.BufferSize at Validate time.
-// Compose a server learning-rate schedule with WithServerLR.
-func ParsePolicy(text string) (AggregationPolicy, error) {
+// maxstale and clip guard the base they follow ("+"-composed, e.g.
+// "fedbuff:0.5+maxstale:8", "trimmedmean:0.25+clip:5") and, written
+// alone, the runtime's default policy; a policy has one of each, so a
+// second is a duplicate. The merge threshold comes from
+// RunSpec.BufferSize at Validate time; a server learning-rate schedule
+// is ParseLRSchedule's, set as the ServerLR field.
+func ParsePolicy(text string) (Policy, error) {
 	ts, err := policyFamily.Parse(text)
 	if err != nil {
-		return nil, err
+		return Policy{}, err
 	}
-	var p AggregationPolicy
+	var p Policy
 	for _, t := range ts {
 		a, want := t.Args, ""
 		need := func(ok bool, what string) {
@@ -428,7 +343,7 @@ func ParsePolicy(text string) (AggregationPolicy, error) {
 			}
 		}
 		// discount maps an optional trailing exponent argument to a
-		// discount (unset = defer to the runtime's resolution chain).
+		// discount (unset = Validate's PolyDiscount(0.5)).
 		discount := func(i int) Rule {
 			if len(a) <= i {
 				return Rule{}
@@ -436,42 +351,36 @@ func ParsePolicy(text string) (AggregationPolicy, error) {
 			need(a[i] >= 0, "a discount exponent >= 0")
 			return PolyDiscount(a[i])
 		}
-		switch t.Name {
-		case "fedavg":
-			p = &FedAvgPolicy{}
-		case "median":
-			p = &MedianPolicy{}
-		case "fedbuff":
-			p = &FedBuffPolicy{Discount: discount(0)}
-		case "fedasync":
-			pol := &FedAsyncPolicy{Discount: discount(1)}
-			if len(a) > 0 {
-				pol.Alpha = a[0]
-				need(a[0] > 0 && a[0] <= 1, "ALPHA in (0,1]")
-			}
-			p = pol
-		case "importance":
-			pol := &ImportancePolicy{Beta: 0.1, Discount: discount(1)}
-			if len(a) > 0 {
-				pol.Beta = a[0]
-				need(a[0] >= 0, "BETA >= 0")
-			}
-			p = pol
-		case "trimmedmean":
-			p = &TrimmedMeanPolicy{Frac: a[0]}
-			need(a[0] >= 0 && a[0] < 0.5, "a fraction in [0, 0.5)")
-		case "krum":
-			p = &KrumPolicy{Frac: a[0]}
-			need(a[0] >= 0 && a[0] < 0.5, "a fraction in [0, 0.5)")
+		kind := PolicyKind(t.Name)
+		switch kind {
 		case "maxstale":
 			need(a[0] >= 0 && a[0] <= math.MaxInt32 && a[0] == math.Trunc(a[0]), "a nonnegative integer cutoff")
-			p = WithMaxStaleness(p, int(a[0]))
+			p.Cutoff, p.MaxStale = true, int(a[0])
 		case "clip":
 			need(a[0] > 0 && !math.IsInf(a[0], 0), "a positive finite norm bound")
-			p = WithNormClip(p, a[0])
+			p.Clip = a[0]
+		case PolicyFedAvg, PolicyMedian:
+			p.Kind = kind
+		case PolicyFedBuff:
+			p.Kind, p.Discount = kind, discount(0)
+		case PolicyFedAsync:
+			p.Kind, p.Discount = kind, discount(1)
+			if len(a) > 0 {
+				p.Arg = a[0]
+				need(a[0] > 0 && a[0] <= 1, "ALPHA in (0,1]")
+			}
+		case PolicyImportance:
+			p.Kind, p.Arg, p.Discount = kind, 0.1, discount(1)
+			if len(a) > 0 {
+				p.Arg = a[0]
+				need(a[0] >= 0, "BETA >= 0")
+			}
+		case PolicyTrimmedMean, PolicyKrum:
+			p.Kind, p.Arg = kind, a[0]
+			need(a[0] >= 0 && a[0] < 0.5, "a fraction in [0, 0.5)")
 		}
 		if want != "" {
-			return nil, policyFamily.Errorf(text, "%s wants %s", t.Name, want)
+			return Policy{}, policyFamily.Errorf(text, "%s wants %s", t.Name, want)
 		}
 	}
 	return p, nil

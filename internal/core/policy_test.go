@@ -26,10 +26,21 @@ func vecApproxEq(t *testing.T, got, want []float64, what string) {
 	}
 }
 
+// resolvedPolicy parses a policy text and resolves it as an async run
+// with the given buffer size would.
+func resolvedPolicy(t *testing.T, text string, buffer int) Policy {
+	t.Helper()
+	p := mustPolicy(t, text)
+	if err := p.resolve(RuntimeAsync, buffer); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // mergeWith applies one policy-driven merge on a tiny server, the way
 // both runtimes do: policy weights, policy merge rate, shared weighted
 // average.
-func mergeWith(s *Server, pol AggregationPolicy, t int, updates []Update) {
+func mergeWith(s *Server, pol Policy, t int, updates []Update) {
 	weights := make([]float64, len(updates))
 	for i, u := range updates {
 		weights[i] = pol.Weight(u)
@@ -45,7 +56,7 @@ func mergeWith(s *Server, pol AggregationPolicy, t int, updates []Update) {
 //	w2 = 30 * 1/4    = 7.5
 //	avg = (10*[1,2] + 7.5*[5,6]) / 17.5 = [47.5, 65] / 17.5
 func TestFedBuffMergeHandComputed(t *testing.T) {
-	pol := &FedBuffPolicy{K: 2, Discount: PolyDiscount(1)}
+	pol := resolvedPolicy(t, "fedbuff:1", 2)
 	if !pol.ReadyToMerge(2) || pol.ReadyToMerge(1) {
 		t.Fatal("fedbuff must merge at exactly K arrivals")
 	}
@@ -64,8 +75,8 @@ func TestFedBuffMergeHandComputed(t *testing.T) {
 // At staleness 0 the FedBuff weights reduce to FedAvg's data-size
 // weights, which is what the barrier equivalence mode relies on.
 func TestFedBuffZeroStalenessMatchesFedAvg(t *testing.T) {
-	buff := &FedBuffPolicy{K: 2, Discount: PolyDiscount(0.5)}
-	avg := &FedAvgPolicy{K: 2}
+	buff := resolvedPolicy(t, "fedbuff:0.5", 2)
+	avg := resolvedPolicy(t, "fedavg", 2)
 	u := Update{NumSamples: 17, Staleness: 0}
 	if buff.Weight(u) != avg.Weight(u) {
 		t.Fatalf("fedbuff weight %v vs fedavg %v at staleness 0", buff.Weight(u), avg.Weight(u))
@@ -80,7 +91,7 @@ func TestFedBuffZeroStalenessMatchesFedAvg(t *testing.T) {
 // [1,1], arrival [3,5], alpha 0.5, staleness 3 with exponent-1 discount
 // 1/4 -> eta 0.125 -> global [1.25, 1.5].
 func TestFedAsyncMergeHandComputed(t *testing.T) {
-	pol := &FedAsyncPolicy{Alpha: 0.5, Discount: PolyDiscount(1)}
+	pol := resolvedPolicy(t, "fedasync:0.5,1", 2)
 	if !pol.ReadyToMerge(1) || pol.ReadyToMerge(0) {
 		t.Fatal("fedasync must merge on every single arrival")
 	}
@@ -92,7 +103,7 @@ func TestFedAsyncMergeHandComputed(t *testing.T) {
 	mergeWith(s, pol, 7, updates)
 	vecApproxEq(t, s.global, []float64{1.25, 1.5}, "fedasync merge")
 	// Fresh update at the default alpha: eta = 0.6 exactly.
-	def := &FedAsyncPolicy{Discount: PolyDiscount(0.5)}
+	def := resolvedPolicy(t, "fedasync", 2)
 	if eta := def.MergeRate(1, []Update{{Staleness: 0}}); !approxEq(eta, 0.6) {
 		t.Fatalf("default alpha rate %v, want 0.6", eta)
 	}
@@ -106,7 +117,7 @@ func TestFedAsyncMergeHandComputed(t *testing.T) {
 //	w2 = 20 * 1 * 0.5 = 10
 //	avg = (40*[1,0] + 10*[6,10]) / 50 = [2, 2]
 func TestImportanceMergeHandComputed(t *testing.T) {
-	pol := &ImportancePolicy{K: 2, Beta: 0.1, Discount: PolyDiscount(0.5)}
+	pol := resolvedPolicy(t, "importance:0.1,0.5", 2)
 	updates := []Update{
 		{Params: []float64{1, 0}, NumSamples: 20, TrainLoss: 1.9, Staleness: 0},
 		{Params: []float64{6, 10}, NumSamples: 20, TrainLoss: 0.4, Staleness: 0},
@@ -119,7 +130,7 @@ func TestImportanceMergeHandComputed(t *testing.T) {
 	vecApproxEq(t, s.global, []float64{2, 2}, "importance merge")
 	// Staleness still discounts: same update 3 aggregations late with
 	// exponent 1 weighs a quarter as much.
-	stale := &ImportancePolicy{K: 2, Beta: 0.1, Discount: PolyDiscount(1)}
+	stale := resolvedPolicy(t, "importance:0.1,1", 2)
 	u := updates[0]
 	u.Staleness = 3
 	if w := stale.Weight(u); !approxEq(w, 10) {
@@ -133,9 +144,10 @@ func TestImportanceMergeHandComputed(t *testing.T) {
 // policy's rate.
 func TestServerLRScheduleHandComputed(t *testing.T) {
 	sched := Rule{F: func(t int) float64 { return 1 / float64(t) }}
-	pol := &ScheduledLR{AggregationPolicy: &FedAvgPolicy{K: 1}, Schedule: sched}
-	if pol.Name() != "fedavg+lr" {
-		t.Fatalf("name %q", pol.Name())
+	pol := resolvedPolicy(t, "fedavg", 1)
+	pol.ServerLR = sched
+	if pol.String() != "fedavg+lr:custom" {
+		t.Fatalf("prints %q", pol)
 	}
 	updates := []Update{{Params: []float64{4, 8}, NumSamples: 5}}
 	if eta := pol.MergeRate(4, updates); !approxEq(eta, 0.25) {
@@ -145,8 +157,8 @@ func TestServerLRScheduleHandComputed(t *testing.T) {
 	mergeWith(s, pol, 4, updates)
 	vecApproxEq(t, s.global, []float64{1, 2}, "scheduled merge")
 	// Composition: fedasync alpha 0.5 * schedule 1/2 = 0.25 at t=2.
-	inner := &FedAsyncPolicy{Alpha: 0.5, Discount: PolyDiscount(0)}
-	comp := &ScheduledLR{AggregationPolicy: inner, Schedule: sched}
+	comp := resolvedPolicy(t, "fedasync:0.5,0", 2)
+	comp.ServerLR = sched
 	if eta := comp.MergeRate(2, []Update{{Staleness: 9}}); !approxEq(eta, 0.25) {
 		t.Fatalf("composed rate %v, want 0.25", eta)
 	}
@@ -166,25 +178,28 @@ func TestMergeNoOpGuards(t *testing.T) {
 
 func TestParsePolicy(t *testing.T) {
 	good := []struct {
-		spec, name string
+		spec string
+		kind PolicyKind
+		text string // what it prints once a run resolved it
 	}{
-		{"fedavg", "fedavg"},
-		{"fedbuff", "fedbuff"},
-		{"fedbuff:0.7", "fedbuff"},
-		{"fedasync", "fedasync"},
-		{"fedasync:0.4", "fedasync"},
-		{"fedasync:0.4,1", "fedasync"},
-		{"importance", "importance"},
-		{"importance:0.5", "importance"},
-		{"importance:0.5,0.7", "importance"},
+		{"fedavg", PolicyFedAvg, "fedavg"},
+		{"fedbuff", PolicyFedBuff, "fedbuff:0.5"},
+		{"fedbuff:0.7", PolicyFedBuff, "fedbuff:0.7"},
+		{"fedasync", PolicyFedAsync, "fedasync:0.6,0.5"},
+		{"fedasync:0.4", PolicyFedAsync, "fedasync:0.4,0.5"},
+		{"fedasync:0.4,1", PolicyFedAsync, "fedasync:0.4,1"},
+		{"importance", PolicyImportance, "importance:0.1,0.5"},
+		{"importance:0.5", PolicyImportance, "importance:0.5,0.5"},
+		{"importance:0.5,0.7", PolicyImportance, "importance:0.5,0.7"},
+		{"maxstale:4", PolicyFedBuff, "fedbuff:0.5+maxstale:4"},
 	}
 	for _, g := range good {
-		p, err := ParsePolicy(g.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", g.spec, err)
+		p := resolvedPolicy(t, g.spec, 2)
+		if p.Kind != g.kind || p.String() != g.text {
+			t.Fatalf("%s resolved to kind %q, text %q", g.spec, p.Kind, p)
 		}
-		if p.Name() != g.name {
-			t.Fatalf("%s parsed to %q", g.spec, p.Name())
+		if want := g.kind != PolicyFedAsync; p.ReadyToMerge(1) == want || !p.ReadyToMerge(2) {
+			t.Fatalf("%s: merge threshold is not the buffer size (1 for fedasync)", g.spec)
 		}
 	}
 	// Parsed discount exponents are applied, not dropped.
@@ -199,6 +214,7 @@ func TestParsePolicy(t *testing.T) {
 		"", "warp", "fedavg:1", "fedbuff:-1", "fedbuff:0.5,0.5", "fedbuff:x",
 		"fedasync:0", "fedasync:1.5", "fedasync:0.5,-1", "fedasync:1,1,1",
 		"importance:-0.1", "importance:0.1,-1",
+		"fedavg+clip:1+clip:5", "fedbuff+maxstale:8+maxstale:2", // one slot per guard
 	}
 	for _, spec := range bad {
 		if _, err := ParsePolicy(spec); err == nil {
@@ -222,11 +238,11 @@ func TestParseLRSchedule(t *testing.T) {
 		{"step:1,0.5,10", 21, 0.25},
 	}
 	for _, c := range cases {
-		f, err := ParseLRSchedule(c.spec)
+		r, err := ParseLRSchedule(c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
-		if got := f(c.t); !approxEq(got, c.want) {
+		if got := r.F(c.t); !approxEq(got, c.want) {
 			t.Fatalf("%s at t=%d: %v, want %v", c.spec, c.t, got, c.want)
 		}
 	}

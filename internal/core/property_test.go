@@ -15,7 +15,6 @@ func TestAggregatePermutationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.installPolicy(&FedAvgPolicy{})
 	n := len(s.Global())
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,7 +47,6 @@ func TestAggregateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.installPolicy(&FedAvgPolicy{})
 	n := len(s.Global())
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -31,7 +31,6 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 	}
 	type side struct {
 		policy, serverLR string
-		discount         core.Rule
 		algo             string
 		params           algos.Params
 	}
@@ -47,7 +46,7 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 		{"clip:0.5->50", side{policy: "fedbuff+clip:0.5"}, side{policy: "fedbuff+clip:50"}},
 		{"server-lr const:0.1->const:1", side{serverLR: "const:0.1"}, side{serverLR: "const:1"}},
 		{"server-lr const:0.5->invsqrt:0.5", side{serverLR: "const:0.5"}, side{serverLR: "invsqrt:0.5"}},
-		{"discount 0->3", side{discount: core.PolyDiscount(0)}, side{discount: core.PolyDiscount(3)}},
+		{"discount 0->3", side{policy: "fedbuff:0"}, side{policy: "fedbuff:3"}},
 		{"fedtrip mu 0.1->5", side{algo: "fedtrip", params: algos.Params{Mu: 0.1}}, side{algo: "fedtrip", params: algos.Params{Mu: 5}}},
 		{"fedprox mu 0.1->1", side{algo: "fedprox", params: algos.Params{Mu: 0.1}}, side{algo: "fedprox", params: algos.Params{Mu: 1}}},
 		{"moon tau 0.5->5", side{algo: "moon", params: algos.Params{Tau: 0.5}}, side{algo: "moon", params: algos.Params{Tau: 5}}},
@@ -71,8 +70,7 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 				LR: 0.01, Momentum: 0.9, Algo: algo, Seed: 1,
 			},
 			Runtime: core.RuntimeAsync, Concurrency: 4, BufferSize: 2,
-			Latency:  core.ExponentialLatency{Mean: 2},
-			Discount: s.discount,
+			Latency: core.ExponentialLatency{Mean: 2},
 		}
 		if s.policy != "" {
 			if sp.Policy, err = core.ParsePolicy(s.policy); err != nil {
@@ -80,7 +78,7 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 			}
 		}
 		if s.serverLR != "" {
-			if sp.Policy, err = core.WithServerLR(sp.Policy, s.serverLR); err != nil {
+			if sp.Policy.ServerLR, err = core.ParseLRSchedule(s.serverLR); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -48,24 +48,20 @@ type RunSpec struct {
 	// simulated time (RuntimeAsync; FedBuff's M). 0 = ClientsPerRound.
 	// Real parallelism is bounded separately by Config.Shards.
 	Concurrency int
-	// BufferSize seeds the default merge threshold of buffer-based
-	// policies (FedBuff's K). 0 = ClientsPerRound. A policy with an
-	// explicit K wins.
+	// BufferSize is the number of arrivals per aggregation (FedBuff's K)
+	// for every policy but fedasync, which merges each one.
+	// 0 = ClientsPerRound.
 	BufferSize int
 	// Latency models each dispatch's virtual duration (RuntimeAsync and
 	// RuntimeBarrier). nil = ZeroLatency. Must be nil or ZeroLatency for
 	// RuntimeSync — use RuntimeBarrier to price the lock-step loop under
 	// a latency model.
 	Latency LatencyModel
-	// Discount is the staleness discount for discount-based policies that
-	// do not carry their own. Resolution order: the Algorithm's
-	// StalenessWeighter override, then this field, then PolyDiscount(0.5).
-	Discount Rule
 	// Policy decides when buffered arrivals merge and how updates are
-	// weighted. nil selects the runtime default: FedAvgPolicy for
-	// RuntimeSync, FedBuffPolicy otherwise. An Algorithm's Aggregator
-	// override still wins over any policy.
-	Policy AggregationPolicy
+	// weighted (policy.go). The zero value selects the runtime default:
+	// fedavg for RuntimeSync, fedbuff:0.5 otherwise. An Algorithm's
+	// Aggregator override still wins over any policy.
+	Policy Policy
 	// Devices samples one compute-speed multiplier per client (device.go)
 	// for the async and barrier runtimes. With a fleet configured, each
 	// dispatch's virtual duration derives from the round's *metered*
@@ -109,9 +105,10 @@ type RunSpec struct {
 
 // Validate checks the spec and fills every default in one place: the base
 // Config's (via Config.Validate), the async knobs', and the policy's
-// (merge threshold from BufferSize, staleness discount from the
-// resolution chain). It is idempotent; Start calls it on its own copy, so
-// validate explicitly when the caller wants to observe resolved defaults.
+// (Policy.resolve: base rule from the runtime, merge threshold from
+// BufferSize, staleness discount PolyDiscount(0.5)). It is idempotent;
+// Start calls it on its own copy, so validate explicitly when the caller
+// wants to observe resolved defaults.
 func (sp *RunSpec) Validate() error {
 	rt, err := ParseRuntime(string(sp.Runtime))
 	if err != nil {
@@ -204,134 +201,7 @@ func (sp *RunSpec) Validate() error {
 			return fmt.Errorf("core: %s overrides server aggregation; the buffered async runtime cannot run it (use the barrier runtime or a client-side method)", sp.Algo.Name())
 		}
 	}
-	return sp.resolvePolicy()
-}
-
-// clonedForRun returns a copy of a built-in policy so resolvePolicy's
-// default-filling never mutates the caller's instance — a RunSpec has
-// copy semantics, and the same policy value must be reusable across
-// Starts (a stale resolved K or discount from an earlier run would
-// otherwise leak into the next). Custom policies pass through untouched:
-// the defaulting interfaces are unexported, so the runtime never writes
-// to them.
-func clonedForRun(p AggregationPolicy) AggregationPolicy {
-	switch p := p.(type) {
-	case nil:
-		return nil
-	case *FedAvgPolicy:
-		cp := *p
-		return &cp
-	case *FedBuffPolicy:
-		cp := *p
-		return &cp
-	case *FedAsyncPolicy:
-		cp := *p
-		return &cp
-	case *ImportancePolicy:
-		cp := *p
-		return &cp
-	case *MedianPolicy:
-		cp := *p
-		return &cp
-	case *TrimmedMeanPolicy:
-		cp := *p
-		return &cp
-	case *KrumPolicy:
-		cp := *p
-		return &cp
-	case *NormClipPolicy:
-		cp := *p
-		cp.AggregationPolicy = clonedForRun(cp.AggregationPolicy)
-		return &cp
-	case *MaxStalenessPolicy:
-		cp := *p
-		cp.AggregationPolicy = clonedForRun(cp.AggregationPolicy)
-		return &cp
-	case *ScheduledLR:
-		cp := *p
-		cp.AggregationPolicy = clonedForRun(cp.AggregationPolicy)
-		return &cp
-	}
-	return p
-}
-
-// resolvePolicy fills the default policy for the runtime and pushes the
-// spec-level defaults (merge threshold, staleness discount) into built-in
-// policies that accept them. It operates on a private copy of built-in
-// policies (see clonedForRun); the resolved policy is observable as
-// sp.Policy after Validate.
-func (sp *RunSpec) resolvePolicy() error {
-	defaultPolicy := func() AggregationPolicy {
-		if sp.Runtime == RuntimeSync {
-			return &FedAvgPolicy{}
-		}
-		return &FedBuffPolicy{}
-	}
-	// fillInner pushes the runtime default into decorator policies
-	// (ScheduledLR, MaxStalenessPolicy) whose wrapped policy was left
-	// nil, at any nesting depth.
-	var fillInner func(p AggregationPolicy) (AggregationPolicy, error)
-	fillInner = func(p AggregationPolicy) (AggregationPolicy, error) {
-		switch p := p.(type) {
-		case nil:
-			return defaultPolicy(), nil
-		case *MaxStalenessPolicy:
-			if p.MaxStale < 0 {
-				return nil, fmt.Errorf("core: max staleness cutoff %d must be >= 0", p.MaxStale)
-			}
-			inner, err := fillInner(p.AggregationPolicy)
-			if err != nil {
-				return nil, err
-			}
-			p.AggregationPolicy = inner
-		case *ScheduledLR:
-			if p.Schedule.F == nil {
-				return nil, fmt.Errorf("core: ScheduledLR policy with nil schedule")
-			}
-			inner, err := fillInner(p.AggregationPolicy)
-			if err != nil {
-				return nil, err
-			}
-			p.AggregationPolicy = inner
-		case *NormClipPolicy:
-			if p.MaxNorm <= 0 {
-				return nil, fmt.Errorf("core: norm-clip bound %g must be positive", p.MaxNorm)
-			}
-			inner, err := fillInner(p.AggregationPolicy)
-			if err != nil {
-				return nil, err
-			}
-			p.AggregationPolicy = inner
-		case *TrimmedMeanPolicy:
-			if p.Frac < 0 || p.Frac >= 0.5 {
-				return nil, fmt.Errorf("core: trimmed-mean fraction %g outside [0, 0.5)", p.Frac)
-			}
-		case *KrumPolicy:
-			if p.Frac < 0 || p.Frac >= 0.5 {
-				return nil, fmt.Errorf("core: krum Byzantine fraction %g outside [0, 0.5)", p.Frac)
-			}
-		}
-		return p, nil
-	}
-	pol, err := fillInner(clonedForRun(sp.Policy))
-	if err != nil {
-		return err
-	}
-	sp.Policy = pol
-	if bs, ok := sp.Policy.(bufferSizer); ok {
-		bs.defaultBuffer(sp.BufferSize)
-	}
-	if dc, ok := sp.Policy.(discounter); ok {
-		d, force := sp.Discount, false
-		if sw, ok := sp.Algo.(StalenessWeighter); ok {
-			d, force = Rule{F: sw.StalenessWeight}, true
-		}
-		if d.F == nil {
-			d = PolyDiscount(0.5)
-		}
-		dc.defaultDiscount(d, force)
-	}
-	return nil
+	return sp.Policy.resolve(sp.Runtime, sp.BufferSize)
 }
 
 // Start validates the spec and executes the run on the selected runtime.

@@ -16,7 +16,7 @@ func TestStartFedAsyncSingleArrival(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 3,
 		Latency:     StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3},
-		Policy:      &FedAsyncPolicy{Alpha: 0.6},
+		Policy:      mustPolicy(t, "fedasync:0.6"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +45,8 @@ func TestRunSpecValidateDefaults(t *testing.T) {
 	if sp.Runtime != RuntimeSync {
 		t.Fatalf("default runtime %q", sp.Runtime)
 	}
-	if _, ok := sp.Policy.(*FedAvgPolicy); !ok {
-		t.Fatalf("sync default policy %T", sp.Policy)
+	if sp.Policy.Kind != PolicyFedAvg || sp.Policy.String() != "fedavg" {
+		t.Fatalf("sync default policy %q", sp.Policy)
 	}
 
 	sp = RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync}
@@ -59,12 +59,12 @@ func TestRunSpecValidateDefaults(t *testing.T) {
 	if _, ok := sp.Latency.(ZeroLatency); !ok {
 		t.Fatalf("default latency %T", sp.Latency)
 	}
-	buff, ok := sp.Policy.(*FedBuffPolicy)
-	if !ok {
-		t.Fatalf("async default policy %T", sp.Policy)
+	buff := sp.Policy
+	if buff.Kind != PolicyFedBuff {
+		t.Fatalf("async default policy %q", buff)
 	}
-	if buff.K != sp.ClientsPerRound {
-		t.Fatalf("policy K %d, want BufferSize default %d", buff.K, sp.ClientsPerRound)
+	if !buff.ReadyToMerge(sp.ClientsPerRound) || buff.ReadyToMerge(sp.ClientsPerRound-1) {
+		t.Fatalf("policy does not merge at the BufferSize default %d", sp.ClientsPerRound)
 	}
 	if buff.Discount.F == nil || buff.Discount.F(0) != 1 || buff.String() != "fedbuff:0.5" {
 		t.Fatal("default discount not resolved")
@@ -74,51 +74,30 @@ func TestRunSpecValidateDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A schedule-only policy wraps the runtime default.
+	// A schedule-only policy rides on the runtime default.
 	sp = RunSpec{
 		Config:  testConfig(t, NewFedTrip(0.4)),
 		Runtime: RuntimeAsync,
-		Policy:  &ScheduledLR{Schedule: Rule{F: func(int) float64 { return 0.5 }}},
+		Policy:  Policy{ServerLR: Rule{F: func(int) float64 { return 0.5 }}},
 	}
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Policy.Name() != "fedbuff+lr" {
-		t.Fatalf("schedule-only policy resolved to %q", sp.Policy.Name())
+	if sp.Policy.String() != "fedbuff:0.5+lr:custom" {
+		t.Fatalf("schedule-only policy resolved to %q", sp.Policy)
 	}
 }
 
-// Validate resolves defaults on a private copy of built-in policies: the
-// caller's instance is never mutated, so one policy value can be reused
-// across specs with different knobs.
+// A RunSpec is a value and so is its policy: validating a copy resolves
+// the copy, and the caller's spec can be reused under other knobs.
 func TestValidateDoesNotMutateCallerPolicy(t *testing.T) {
-	shared := &FedBuffPolicy{}
-	sp1 := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, BufferSize: 2, Policy: shared}
-	if err := sp1.Validate(); err != nil {
+	caller := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, BufferSize: 2, Policy: mustPolicy(t, "fedbuff")}
+	cp := caller
+	if err := cp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if shared.K != 0 || shared.Discount.F != nil {
-		t.Fatalf("caller's policy mutated: K=%d discountSet=%v", shared.K, shared.Discount.F != nil)
-	}
-	if resolved := sp1.Policy.(*FedBuffPolicy); resolved.K != 2 {
-		t.Fatalf("resolved clone K=%d, want 2", resolved.K)
-	}
-	// Reuse with a different buffer size resolves independently.
-	sp2 := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, BufferSize: 5, Policy: shared}
-	if err := sp2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if resolved := sp2.Policy.(*FedBuffPolicy); resolved.K != 5 {
-		t.Fatalf("second resolution K=%d, want 5 (stale state leaked)", resolved.K)
-	}
-	// A schedule wrapper's inner policy is cloned too.
-	sched := &ScheduledLR{AggregationPolicy: shared, Schedule: Rule{F: func(int) float64 { return 1 }}}
-	sp3 := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, BufferSize: 3, Policy: sched}
-	if err := sp3.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if shared.K != 0 || sched.AggregationPolicy.(*FedBuffPolicy).K != 0 {
-		t.Fatal("schedule wrapper resolution mutated the caller's instances")
+	if caller.Policy.String() != "fedbuff" || cp.Policy.String() != "fedbuff:0.5" {
+		t.Fatalf("caller's policy %q (copy resolved to %q): validating a copy must leave it unresolved", caller.Policy, cp.Policy)
 	}
 }
 
@@ -138,7 +117,12 @@ func TestRunSpecValidateRejects(t *testing.T) {
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Algo = aggAlgo{} }, "aggregator in buffered mode")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Algo = preAlgo{} }, "pre-rounder in buffered mode")
 	check(func(sp *RunSpec) { sp.Rounds = 0 }, "bad base config")
-	check(func(sp *RunSpec) { sp.Policy = &ScheduledLR{} }, "schedule policy without schedule")
+	check(func(sp *RunSpec) { sp.Policy = Policy{Kind: "warp"} }, "unknown policy kind")
+	check(func(sp *RunSpec) { sp.Policy = Policy{Kind: PolicyTrimmedMean, Arg: 0.5} }, "trim fraction out of range")
+	check(func(sp *RunSpec) { sp.Policy = Policy{Kind: PolicyFedAsync, Arg: 1.5} }, "mixing rate out of range")
+	check(func(sp *RunSpec) { sp.Policy = Policy{Kind: PolicyMedian, Arg: 3} }, "argument on a kind that takes none")
+	check(func(sp *RunSpec) { sp.Policy = Policy{Discount: PolyDiscount(1)} }, "discount on fedavg (the sync default)")
+	check(func(sp *RunSpec) { sp.Policy = Policy{Clip: -1} }, "negative clip bound")
 	// Explicit in-range async knobs are kept as given.
 	sp := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: RuntimeAsync, Concurrency: 2, BufferSize: 3}
 	if err := sp.Validate(); err != nil || sp.Concurrency != 2 || sp.BufferSize != 3 {
@@ -153,31 +137,6 @@ func TestRunSpecValidateRejects(t *testing.T) {
 	sp = RunSpec{Config: testConfig(t, aggAlgo{}), Runtime: RuntimeBarrier}
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("barrier rejected aggregator algo: %v", err)
-	}
-}
-
-// An Algorithm's StalenessWeighter force-overrides the discount of any
-// discount-based policy.
-func TestStalenessWeighterOverridesPolicyDiscount(t *testing.T) {
-	algo := &stalenessAlgo{calls: map[int]int{}}
-	cfg := testConfig(t, algo)
-	cfg.Rounds = 8
-	res, err := Start(RunSpec{
-		Config:      cfg,
-		Runtime:     RuntimeAsync,
-		Concurrency: 4,
-		BufferSize:  2,
-		Latency:     UniformLatency{Min: 1, Max: 9},
-		Policy:      &FedBuffPolicy{Discount: Rule{F: func(int) float64 { t.Fatal("algorithm override must win"); return 0 }}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 8 {
-		t.Fatalf("rounds %d", res.Rounds)
-	}
-	if len(algo.calls) == 0 {
-		t.Fatal("StalenessWeight never consulted")
 	}
 }
 

@@ -147,13 +147,8 @@ type Server struct {
 	evalModel *nn.Model
 	rng       *prng.Rand
 	// policy is the aggregation policy Validate resolved for this run
-	// (nil on a bare NewServer, which cannot merge). clip and
-	// robust are installPolicy's resolution of the decorator chain: the
-	// norm-clip guard and the leaf robust aggregator (median/trimmed
-	// mean/krum), nil when absent.
-	policy AggregationPolicy
-	clip   *NormClipPolicy
-	robust AggregationPolicy
+	// (the zero value on a bare NewServer, which merges as fedavg).
+	policy Policy
 	// Adversary state (installFaults; nil in honest runs): per-client
 	// fault assignment, the fault model that produced it, and the noise
 	// clients' private RNGs (positions serialize through snapshots).
@@ -358,7 +353,7 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 	if total <= 0 || eta == 0 {
 		return
 	}
-	if s.robust != nil {
+	if s.policy.robust() {
 		s.mergeRobust(weights, vecs, eta)
 		return
 	}

@@ -66,14 +66,14 @@ const (
 
 // fingerprint canonically renders everything that determines the run's
 // trajectory. Resume compares it string-to-string, so a mismatch error
-// names what the caller changed. The method and the resolved policy
-// render through canonical: the built-ins print every argument (FedTrip's
-// mu, a trimmed-mean fraction, the staleness discount the resolution
-// chain settled on, a server-lr schedule). What has no text
-// form cannot be told apart: hooks and Shards never affect a trajectory
-// by construction, but a hand-written discount or schedule closure prints
-// as "custom", and a custom policy or method as its bare Name() — keeping
-// those identical across a resume is the caller's responsibility.
+// names what the caller changed. The resolved policy prints itself and
+// the method renders through canonical, every argument included (FedTrip's
+// mu, a trimmed-mean fraction, the resolved staleness discount, a
+// server-lr schedule). What has no text form cannot be told apart: hooks
+// and Shards never affect a trajectory by construction, but a hand-written
+// discount or schedule closure prints as "custom", and a custom method as
+// its bare Name() — keeping those identical across a resume is the
+// caller's responsibility.
 func (sp *RunSpec) fingerprint(numParams int) string {
 	var b strings.Builder
 	// The method's settings enter as a fixed-width hash of its canonical
@@ -81,7 +81,7 @@ func (sp *RunSpec) fingerprint(numParams int) string {
 	// tracing one) writes a header of the same size as the method it wraps.
 	hyper := fnv.New64a()
 	hyper.Write([]byte(canonical(sp.Algo)))
-	fmt.Fprintf(&b, "runtime=%s algo=%s hyper=%016x policy=%s", sp.Runtime, sp.Algo.Name(), hyper.Sum64(), canonical(sp.Policy))
+	fmt.Fprintf(&b, "runtime=%s algo=%s hyper=%016x policy=%s", sp.Runtime, sp.Algo.Name(), hyper.Sum64(), sp.Policy)
 	fmt.Fprintf(&b, " rounds=%d n=%d k=%d batch=%d epochs=%d", sp.Rounds, len(sp.Parts), sp.ClientsPerRound, sp.BatchSize, sp.LocalEpochs)
 	fmt.Fprintf(&b, " lr=%g mom=%g clip=%g seed=%d evalevery=%d", sp.LR, sp.Momentum, sp.ClipNorm, sp.Seed, sp.EvalEvery)
 	fmt.Fprintf(&b, " conc=%d buf=%d", sp.Concurrency, sp.BufferSize)
@@ -134,6 +134,16 @@ func (rs *RunState) Snapshot(w io.Writer) error {
 	c := tensor.NewEncoder(w)
 	rs.snap(c)
 	return c.Finish()
+}
+
+// canonical renders a method for the snapshot fingerprint: its String()
+// when it has one — the built-ins do, hyperparameters included — and its
+// Name() otherwise.
+func canonical(algo Algorithm) string {
+	if s, ok := algo.(fmt.Stringer); ok {
+		return s.String()
+	}
+	return algo.Name()
 }
 
 // ResumeSpec describes how to reconstruct a snapshotted run. Spec must

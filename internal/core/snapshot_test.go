@@ -264,20 +264,22 @@ func TestResumeEquivalenceAsyncDevices(t *testing.T) {
 // pending in-flight updates, scheduler order, RNG positions, and the
 // recorder all survive serialization exactly.
 func TestSnapshotPolicyRoundTrip(t *testing.T) {
+	lr := mustPolicy(t, "fedbuff")
+	lr.ServerLR = Rule{F: func(t int) float64 { return 0.5 }}
 	policies := []struct {
 		name string
-		p    AggregationPolicy
+		p    Policy
 	}{
-		{"fedavg", &FedAvgPolicy{}},
-		{"fedbuff", &FedBuffPolicy{}},
-		{"fedasync", &FedAsyncPolicy{}},
-		{"importance", &ImportancePolicy{}},
-		{"fedbuff+maxstale", WithMaxStaleness(&FedBuffPolicy{}, 4)},
-		{"fedbuff+lr", &ScheduledLR{AggregationPolicy: &FedBuffPolicy{}, Schedule: Rule{F: func(t int) float64 { return 0.5 }}}},
-		{"median", &MedianPolicy{}},
-		{"trimmedmean", &TrimmedMeanPolicy{Frac: 0.25}},
-		{"krum", &KrumPolicy{Frac: 0.2}},
-		{"fedavg+clip", WithNormClip(&FedAvgPolicy{}, 5)},
+		{"fedavg", mustPolicy(t, "fedavg")},
+		{"fedbuff", mustPolicy(t, "fedbuff")},
+		{"fedasync", mustPolicy(t, "fedasync")},
+		{"importance", mustPolicy(t, "importance:0")},
+		{"fedbuff+maxstale", mustPolicy(t, "fedbuff+maxstale:4")},
+		{"fedbuff+lr", lr},
+		{"median", mustPolicy(t, "median")},
+		{"trimmedmean", mustPolicy(t, "trimmedmean:0.25")},
+		{"krum", mustPolicy(t, "krum:0.2")},
+		{"fedavg+clip", mustPolicy(t, "fedavg+clip:5")},
 	}
 	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {

@@ -135,16 +135,10 @@ func runAblationAppendix(p Profile, logf Logf) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mean, reached := meanRoundsToTarget(rs, target)
-		var gflops, comm []float64
-		for _, r := range rs {
-			rt, _ := roundsToTargetClamped(r, target)
-			gflops = append(gflops, r.GFLOPsByRound[rt-1])
-			comm = append(comm, float64(r.CommBytesByRound[rt-1])/1e6)
-		}
-		t.AddRow(method, formatRounds(mean, reached),
-			fmt.Sprintf("%.2f", stats.Mean(gflops)),
-			fmt.Sprintf("%.2f", stats.Mean(comm)))
+		s := summarise(rs, target)
+		t.AddRow(method, formatRounds(s.aggs, s.reached),
+			fmt.Sprintf("%.2f", s.gflops),
+			fmt.Sprintf("%.2f", s.mb))
 	}
 	return []*Table{t}, nil
 }

@@ -4,11 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
 	"repro/internal/runtext"
-	"repro/internal/stats"
 )
 
 // runCommTTA is the communication-pricing payoff table: FedTrip on the
@@ -38,17 +34,10 @@ func runCommTTA(p Profile, logf Logf) ([]*Table, error) {
 	}
 	transports := []string{"f32", "q8", "q8+ef", "topk:0.01+ef", "randk:0.05"}
 	mkCase := func(transport string) Case {
-		return Case{
-			Kind:   data.KindMNIST,
-			Arch:   nn.ArchMLP,
-			Scheme: partition.Dirichlet(0.5),
-			Algo:   "fedtrip",
-			Params: DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
-			Selection: runtext.Selection{
-				Runtime: core.RuntimeAsync, Policy: "fedbuff", Devices: devices,
-				Churn: churn, Bandwidth: bandwidth, Transport: transport,
-			},
-		}
+		return mlpMNISTCase("fedtrip", runtext.Selection{
+			Runtime: core.RuntimeAsync, Policy: "fedbuff", Devices: devices,
+			Churn: churn, Bandwidth: bandwidth, Transport: transport,
+		})
 	}
 	// The adaptive target calibrates against the dense-f32 row: every
 	// compressor is then measured against the same accuracy bar.
@@ -82,37 +71,21 @@ func runCommTTA(p Profile, logf Logf) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		var aggs, mb, simTime, final []float64
-		reached := true
-		for _, r := range results {
-			rt, ok := roundsToTargetClamped(r, target)
-			if !ok {
-				reached = false
-			}
-			aggs = append(aggs, float64(rt))
-			mb = append(mb, float64(r.CommBytesByRound[rt-1])/1e6)
-			simTime = append(simTime, r.SimTimeByRound[rt-1])
-			final = append(final, r.FinalAccuracy)
-		}
-		meanTime := stats.Mean(simTime)
+		s := summarise(results, target)
 		if i == 0 {
-			denseTime = meanTime
-			denseReached = reached
-		}
-		mark := ""
-		if !reached {
-			mark = ">"
+			denseTime = s.simTime
+			denseReached = s.reached
 		}
 		speedup := "-"
-		if i > 0 && meanTime > 0 && reached && denseReached {
-			speedup = fmt.Sprintf("%.1fx", denseTime/meanTime)
+		if i > 0 && s.simTime > 0 && s.reached && denseReached {
+			speedup = fmt.Sprintf("%.1fx", denseTime/s.simTime)
 		}
 		t.AddRow(transport,
-			mark+fmt.Sprintf("%.0f", stats.Mean(aggs)),
-			mark+fmt.Sprintf("%.2f", stats.Mean(mb)),
-			mark+fmt.Sprintf("%.1f", meanTime),
+			s.mark()+fmt.Sprintf("%.0f", s.aggs),
+			s.mark()+fmt.Sprintf("%.2f", s.mb),
+			s.mark()+fmt.Sprintf("%.1f", s.simTime),
 			speedup,
-			fmt.Sprintf("%.4f", stats.Mean(final)))
+			fmt.Sprintf("%.4f", s.final))
 	}
 	return []*Table{t}, nil
 }

@@ -53,7 +53,7 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	logf.printf("fig2: training FedAvg CNN for %d rounds (%s/%s)", p.Rounds, rspec.Runtime, rspec.Policy.Name())
+	logf.printf("fig2: training FedAvg CNN for %d rounds (%s/%s)", p.Rounds, rspec.Runtime, rspec.Policy)
 	if _, err := core.Start(rspec); err != nil {
 		return nil, err
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
 	"repro/internal/runtext"
 	"repro/internal/stats"
 )
@@ -25,7 +22,7 @@ import (
 //     adaptive local steps (slow devices train proportionally fewer
 //     mini-batch steps before their deadline-style upload).
 //   - "lognormal + churn": a heavy-tailed speed spread under on/off
-//     Markov availability churn, with the MaxStalenessPolicy admission
+//     Markov availability churn, with the maxstale:8 admission
 //     cutoff dropping rejoin updates staler than 8 aggregations.
 //
 // Columns report resources to the adaptive target (aggregations,
@@ -55,20 +52,13 @@ func runHetero(p Profile, logf Logf) ([]*Table, error) {
 		buffer = max(1, perRound/2)
 	}
 	baseCase := func(method string, v variant, churnSpec string) Case {
-		c := Case{
-			Kind:   data.KindMNIST,
-			Arch:   nn.ArchMLP,
-			Scheme: partition.Dirichlet(0.5),
-			Algo:   method,
-			Params: DefaultParams(method, nn.ArchMLP, data.KindMNIST),
-			Selection: runtext.Selection{
-				Runtime: core.RuntimeAsync, Policy: v.policy, Buffer: buffer,
-				Devices: v.devices, AdaptiveSteps: v.adaptive,
-			},
-			// Update-budget equalization: Rounds counts aggregations and
-			// each merges `buffer` updates where a sync round merges K.
-			Rounds: (p.Rounds*perRound + buffer - 1) / buffer,
-		}
+		c := mlpMNISTCase(method, runtext.Selection{
+			Runtime: core.RuntimeAsync, Policy: v.policy, Buffer: buffer,
+			Devices: v.devices, AdaptiveSteps: v.adaptive,
+		})
+		// Update-budget equalization: Rounds counts aggregations and
+		// each merges `buffer` updates where a sync round merges K.
+		c.Rounds = (p.Rounds*perRound + buffer - 1) / buffer
 		if v.churn {
 			c.Churn = churnSpec
 		}
@@ -113,36 +103,21 @@ func runHetero(p Profile, logf Logf) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var aggs, gflops, simTime []float64
-			reached := true
-			for _, r := range results {
-				rt, ok := roundsToTargetClamped(r, target)
-				if !ok {
-					reached = false
-				}
-				aggs = append(aggs, float64(rt))
-				gflops = append(gflops, r.GFLOPsByRound[rt-1])
-				simTime = append(simTime, r.SimTimeByRound[rt-1])
-			}
-			meanTime := stats.Mean(simTime)
+			s := summarise(results, target)
 			if i == 0 {
-				uniformTime = meanTime
-				uniformReached = reached
-			}
-			mark := ""
-			if !reached {
-				mark = ">"
+				uniformTime = s.simTime
+				uniformReached = s.reached
 			}
 			slowdown := "-"
-			if i > 0 && uniformTime > 0 && reached && uniformReached {
-				slowdown = fmt.Sprintf("%.1fx", meanTime/uniformTime)
+			if i > 0 && uniformTime > 0 && s.reached && uniformReached {
+				slowdown = fmt.Sprintf("%.1fx", s.simTime/uniformTime)
 			}
 			// Flop-derived times on small models are fractions of a
 			// second; %g keeps them legible at any scale.
 			t.AddRow(method, v.label,
-				mark+fmt.Sprintf("%.0f", stats.Mean(aggs)),
-				mark+fmt.Sprintf("%.2f", stats.Mean(gflops)),
-				mark+fmt.Sprintf("%.3g", meanTime),
+				s.mark()+fmt.Sprintf("%.0f", s.aggs),
+				s.mark()+fmt.Sprintf("%.2f", s.gflops),
+				s.mark()+fmt.Sprintf("%.3g", s.simTime),
 				slowdown)
 		}
 	}

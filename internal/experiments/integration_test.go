@@ -141,7 +141,7 @@ func TestTTATiny(t *testing.T) {
 	}
 	// The policy sweep table: FedAsync alpha vs FedBuff K, plus the
 	// importance-weighted buffer and a server-LR schedule (the table
-	// coverage for ImportancePolicy and WithServerLR).
+	// coverage for the importance policy and -server-lr).
 	if len(tabs) != 2 {
 		t.Fatalf("tta should emit the comparison and the sweep, got %d tables", len(tabs))
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
 	"repro/internal/runtext"
 	"repro/internal/stats"
 )
@@ -40,20 +37,13 @@ func runRobust(p Profile, logf Logf) ([]*Table, error) {
 		buffer = perRound
 	}
 	baseCase := func(policy string, frac float64, churnSpec string) Case {
-		c := Case{
-			Kind:   data.KindMNIST,
-			Arch:   nn.ArchMLP,
-			Scheme: partition.Dirichlet(0.5),
-			Algo:   "fedtrip",
-			Params: DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
-			Selection: runtext.Selection{
-				Runtime: core.RuntimeAsync, Policy: policy, Buffer: buffer,
-				Devices: "tiered", AdaptiveSteps: true, Churn: churnSpec,
-			},
-			// Update-budget equalization as in the hetero table: Rounds
-			// counts aggregations and each merges `buffer` updates.
-			Rounds: (p.Rounds*perRound + buffer - 1) / buffer,
-		}
+		c := mlpMNISTCase("fedtrip", runtext.Selection{
+			Runtime: core.RuntimeAsync, Policy: policy, Buffer: buffer,
+			Devices: "tiered", AdaptiveSteps: true, Churn: churnSpec,
+		})
+		// Update-budget equalization as in the hetero table: Rounds
+		// counts aggregations and each merges `buffer` updates.
+		c.Rounds = (p.Rounds*perRound + buffer - 1) / buffer
 		if frac > 0 {
 			c.Faults = (&core.FaultModel{ByzFraction: frac, Mode: "signflip"}).String()
 		}
@@ -92,19 +82,8 @@ func runRobust(p Profile, logf Logf) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var finals []float64
-			reached := true
-			for _, r := range results {
-				finals = append(finals, r.FinalAccuracy)
-				if _, ok := roundsToTargetClamped(r, target); !ok {
-					reached = false
-				}
-			}
-			mark := ""
-			if !reached {
-				mark = ">"
-			}
-			row = append(row, mark+fmt.Sprintf("%.4f", stats.Mean(finals)))
+			s := summarise(results, target)
+			row = append(row, s.mark()+fmt.Sprintf("%.4f", s.final))
 		}
 		t.AddRow(row...)
 	}

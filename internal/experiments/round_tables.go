@@ -109,12 +109,7 @@ func runTable5(p Profile, logf Logf) ([]*Table, error) {
 		}
 		target := adaptiveTarget(results["fedavg"])
 		for _, method := range PaperMethods() {
-			var g []float64
-			for _, r := range results[method] {
-				rt, _ := roundsToTargetClamped(r, target)
-				g = append(g, r.GFLOPsByRound[rt-1])
-			}
-			cells[method] = append(cells[method], fmt.Sprintf("%.2f", stats.Mean(g)))
+			cells[method] = append(cells[method], fmt.Sprintf("%.2f", summarise(results[method], target).gflops))
 		}
 	}
 	for _, method := range PaperMethods() {

@@ -296,7 +296,7 @@ func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
 		return nil, err
 	}
 	logf.printf("run %s %s %s %s (%s/%s, clients %d/%d, epochs %d, trial %d)",
-		cfg.Algo.Name(), c.Arch, c.Kind, c.Scheme, runSpec.Runtime, runSpec.Policy.Name(), cfg.ClientsPerRound, len(cfg.Parts), cfg.LocalEpochs, c.Trial)
+		cfg.Algo.Name(), c.Arch, c.Kind, c.Scheme, runSpec.Runtime, runSpec.Policy, cfg.ClientsPerRound, len(cfg.Parts), cfg.LocalEpochs, c.Trial)
 	res, err := core.Start(runSpec)
 	if err != nil {
 		return nil, fmt.Errorf("case %s/%s/%s/%s: %w", c.Algo, c.Arch, c.Kind, c.Scheme, err)
@@ -348,19 +348,61 @@ func roundsToTargetClamped(r *core.Result, target float64) (rt int, reached bool
 	return rt, true
 }
 
+// toTarget is what a case's trials spent to reach a target accuracy:
+// each figure is the mean over trials of the series' value at the target
+// round — at the last round for a trial that never got there, in which
+// case reached is false.
+type toTarget struct {
+	aggs, gflops, mb, simTime, final float64
+	reached                          bool
+}
+
+// mark prefixes the cells of a censored row: ">" when some trial never
+// reached the target and full-run resources are shown.
+func (s toTarget) mark() string {
+	if s.reached {
+		return ""
+	}
+	return ">"
+}
+
+// summarise is the one trials-to-cells loop of the to-target tables.
+func summarise(results []*core.Result, target float64) toTarget {
+	var aggs, gflops, mb, simTime, final []float64
+	s := toTarget{reached: true}
+	for _, r := range results {
+		rt, ok := roundsToTargetClamped(r, target)
+		s.reached = s.reached && ok
+		aggs = append(aggs, float64(rt))
+		gflops = append(gflops, r.GFLOPsByRound[rt-1])
+		mb = append(mb, float64(r.CommBytesByRound[rt-1])/1e6)
+		simTime = append(simTime, r.SimTimeByRound[rt-1])
+		final = append(final, r.FinalAccuracy)
+	}
+	s.aggs, s.gflops, s.mb = stats.Mean(aggs), stats.Mean(gflops), stats.Mean(mb)
+	s.simTime, s.final = stats.Mean(simTime), stats.Mean(final)
+	return s
+}
+
 // meanRoundsToTarget averages rounds-to-target over trials; unreached
 // trials count as the full round budget (reported with a ">" marker).
 func meanRoundsToTarget(results []*core.Result, target float64) (mean float64, reached bool) {
-	reached = true
-	var vals []float64
-	for _, r := range results {
-		rt, ok := roundsToTargetClamped(r, target)
-		if !ok {
-			reached = false
-		}
-		vals = append(vals, float64(rt))
+	s := summarise(results, target)
+	return s.aggs, s.reached
+}
+
+// mlpMNISTCase is the case the runtime-comparison tables (tta, hetero,
+// comm-tta, robust) share: a method on MLP/MNIST under Dir-0.5 with its
+// paper hyperparameters, on the given runtime selection.
+func mlpMNISTCase(method string, sel runtext.Selection) Case {
+	return Case{
+		Kind:      data.KindMNIST,
+		Arch:      nn.ArchMLP,
+		Scheme:    partition.Dirichlet(0.5),
+		Algo:      method,
+		Params:    DefaultParams(method, nn.ArchMLP, data.KindMNIST),
+		Selection: sel,
 	}
-	return stats.Mean(vals), reached
 }
 
 // formatRounds renders a rounds-to-target cell, with ">" when unreached.

@@ -4,11 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/partition"
 	"repro/internal/runtext"
-	"repro/internal/stats"
 )
 
 // runTTA derives the paper's resource-efficiency comparison (the
@@ -55,16 +51,9 @@ func runTTA(p Profile, logf Logf) ([]*Table, error) {
 		buffer = max(1, perRound/2)
 	}
 	baseCase := func(method string, v variant) Case {
-		c := Case{
-			Kind:   data.KindMNIST,
-			Arch:   nn.ArchMLP,
-			Scheme: partition.Dirichlet(0.5),
-			Algo:   method,
-			Params: DefaultParams(method, nn.ArchMLP, data.KindMNIST),
-			Selection: runtext.Selection{
-				Runtime: v.runtime, Latency: latency, Policy: v.policy, Buffer: buffer,
-			},
-		}
+		c := mlpMNISTCase(method, runtext.Selection{
+			Runtime: v.runtime, Latency: latency, Policy: v.policy, Buffer: buffer,
+		})
 		// Rounds counts aggregations on the buffered runtime, and one
 		// aggregation merges `buffer` updates where a barrier round
 		// merges K — scale the budget so every variant trains the same
@@ -112,39 +101,23 @@ func runTTA(p Profile, logf Logf) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var aggs, gflops, mb, simTime []float64
-			reached := true
-			for _, r := range results {
-				rt, ok := roundsToTargetClamped(r, target)
-				if !ok {
-					reached = false
-				}
-				aggs = append(aggs, float64(rt))
-				gflops = append(gflops, r.GFLOPsByRound[rt-1])
-				mb = append(mb, float64(r.CommBytesByRound[rt-1])/1e6)
-				simTime = append(simTime, r.SimTimeByRound[rt-1])
-			}
-			meanTime := stats.Mean(simTime)
+			s := summarise(results, target)
 			if v.runtime == core.RuntimeBarrier {
-				barrierTime = meanTime
-				barrierReached = reached
-			}
-			mark := ""
-			if !reached {
-				mark = ">"
+				barrierTime = s.simTime
+				barrierReached = s.reached
 			}
 			// The ratio only means "time-to-accuracy speedup" when both
 			// sides actually reached the target; a censored side would
 			// silently mix full-run time into an exact-looking number.
 			speedup := "-"
-			if v.runtime != core.RuntimeBarrier && meanTime > 0 && reached && barrierReached {
-				speedup = fmt.Sprintf("%.1fx", barrierTime/meanTime)
+			if v.runtime != core.RuntimeBarrier && s.simTime > 0 && s.reached && barrierReached {
+				speedup = fmt.Sprintf("%.1fx", barrierTime/s.simTime)
 			}
 			t.AddRow(method, v.label,
-				mark+fmt.Sprintf("%.0f", stats.Mean(aggs)),
-				mark+fmt.Sprintf("%.2f", stats.Mean(gflops)),
-				mark+fmt.Sprintf("%.2f", stats.Mean(mb)),
-				mark+fmt.Sprintf("%.1f", meanTime),
+				s.mark()+fmt.Sprintf("%.0f", s.aggs),
+				s.mark()+fmt.Sprintf("%.2f", s.gflops),
+				s.mark()+fmt.Sprintf("%.2f", s.mb),
+				s.mark()+fmt.Sprintf("%.1f", s.simTime),
 				speedup)
 		}
 	}
@@ -156,7 +129,7 @@ func runTTA(p Profile, logf Logf) ([]*Table, error) {
 // same straggler fleet and adaptive target, sweeping FedAsync's mixing
 // rate alpha against FedBuff's buffer size K — plus the
 // importance-weighted buffer and a server-LR schedule, so
-// ImportancePolicy and WithServerLR are exercised by a registered table
+// the importance policy and -server-lr are exercised by a registered table
 // rather than unit tests alone. Budgets stay update-equalized: every row
 // trains the same total number of client updates.
 func runTTASweep(p Profile, logf Logf, latency string, target float64, perRound int) (*Table, error) {
@@ -187,41 +160,20 @@ func runTTASweep(p Profile, logf Logf, latency string, target float64, perRound 
 	)
 	totalUpdates := p.Rounds * perRound
 	for _, r := range rows {
-		c := Case{
-			Kind:   data.KindMNIST,
-			Arch:   nn.ArchMLP,
-			Scheme: partition.Dirichlet(0.5),
-			Algo:   "fedtrip",
-			Params: DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST),
-			Selection: runtext.Selection{
-				Runtime: core.RuntimeAsync, Latency: latency, Policy: r.policy,
-				ServerLR: r.serverLR, Buffer: r.updatesPerAgg,
-			},
-			Rounds: (totalUpdates + r.updatesPerAgg - 1) / r.updatesPerAgg,
-		}
+		c := mlpMNISTCase("fedtrip", runtext.Selection{
+			Runtime: core.RuntimeAsync, Latency: latency, Policy: r.policy,
+			ServerLR: r.serverLR, Buffer: r.updatesPerAgg,
+		})
+		c.Rounds = (totalUpdates + r.updatesPerAgg - 1) / r.updatesPerAgg
 		results, err := p.RunTrials(c, logf)
 		if err != nil {
 			return nil, err
 		}
-		var aggs, simTime, final []float64
-		reached := true
-		for _, res := range results {
-			rt, ok := roundsToTargetClamped(res, target)
-			if !ok {
-				reached = false
-			}
-			aggs = append(aggs, float64(rt))
-			simTime = append(simTime, res.SimTimeByRound[rt-1])
-			final = append(final, res.FinalAccuracy)
-		}
-		mark := ""
-		if !reached {
-			mark = ">"
-		}
+		s := summarise(results, target)
 		t.AddRow(r.label,
-			mark+fmt.Sprintf("%.0f", stats.Mean(aggs)),
-			mark+fmt.Sprintf("%.1f", stats.Mean(simTime)),
-			fmt.Sprintf("%.4f", stats.Mean(final)))
+			s.mark()+fmt.Sprintf("%.0f", s.aggs),
+			s.mark()+fmt.Sprintf("%.1f", s.simTime),
+			fmt.Sprintf("%.4f", s.final))
 	}
 	return t, nil
 }

@@ -28,7 +28,9 @@ import (
 
 // Status is the cheap live view served at GET /status.
 type Status struct {
-	// Algorithm, Runtime, and Policy identify the run.
+	// Algorithm, Runtime, and Policy identify the run. Policy is the
+	// resolved policy's full text, arguments and guards included
+	// ("fedbuff:0.5+maxstale:8"), as in the banner and the fingerprint.
 	Algorithm string `json:"algorithm"`
 	Runtime   string `json:"runtime"`
 	Policy    string `json:"policy"`
@@ -132,7 +134,7 @@ func (c *Controller) snapStatus() Status {
 	st := Status{
 		Algorithm:      rs.Spec().Algo.Name(),
 		Runtime:        string(rs.Spec().Runtime),
-		Policy:         rs.Spec().Policy.Name(),
+		Policy:         rs.Spec().Policy.String(),
 		Round:          rs.Round(),
 		TotalRounds:    rs.Spec().Rounds,
 		Done:           rs.Done(),

@@ -58,18 +58,7 @@ var families = []family{
 		[]string{"f32", "lossless", "q8", "q8+ef", "topk:0.01+ef", "randk:0.05"}},
 	{"policy", typed(core.ParsePolicy), false,
 		[]string{"fedavg", "fedbuff", "fedbuff:0.7", "fedasync", "fedasync:0.4", "fedasync:0.4,1", "importance:0.5,0.7", "median", "trimmedmean:0.25", "krum:0.2", "maxstale:4", "fedbuff:0.5+maxstale:8+clip:5", "trimmedmean:0.25+clip:5"}},
-	// A schedule is a bare func; the policy WithServerLR wraps it in is
-	// what carries its text. ParseLRSchedule is the same parser.
-	{"server-lr", func(s string) (any, error) {
-		p, err := core.WithServerLR(nil, s)
-		if _, ferr := core.ParseLRSchedule(s); (ferr == nil) != (err == nil) {
-			return nil, fmt.Errorf("ParseLRSchedule(%q) = %v but WithServerLR = %v", s, ferr, err)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return p.(*core.ScheduledLR).Schedule, nil
-	}, false,
+	{"server-lr", typed(core.ParseLRSchedule), false,
 		[]string{"const:0.5", "invsqrt:1", "step:1,0.5,10"}},
 }
 
@@ -123,14 +112,15 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// fuzz seeds the family's table and checks that arbitrary text never
-// panics and that whatever parses round-trips.
-func fuzz(f *testing.F, name string) {
+// fuzz seeds the family's table (plus any rejected spellings worth
+// starting from) and checks that arbitrary text never panics and that
+// whatever parses round-trips.
+func fuzz(f *testing.F, name string, rejected ...string) {
 	for _, fam := range families {
 		if fam.name != name {
 			continue
 		}
-		for _, s := range fam.specs {
+		for _, s := range append(fam.specs, rejected...) {
 			f.Add(s)
 		}
 		f.Fuzz(func(t *testing.T, text string) {
@@ -150,7 +140,9 @@ func FuzzParseNetDist(f *testing.F)    { fuzz(f, "net") }
 func FuzzParseChurn(f *testing.F)      { fuzz(f, "churn") }
 func FuzzParseFaults(f *testing.F)     { fuzz(f, "faults") }
 func FuzzParseTransport(f *testing.F)  { fuzz(f, "transport") }
-func FuzzParsePolicy(f *testing.F)     { fuzz(f, "policy") }
+func FuzzParsePolicy(f *testing.F) {
+	fuzz(f, "policy", "fedavg+clip:1+clip:5", "fedbuff+maxstale:8+maxstale:2") // a policy has one of each guard
+}
 func FuzzParseLRSchedule(f *testing.F) { fuzz(f, "server-lr") }
 
 // canonicalText renders a validated RunSpec back into a Selection, field
@@ -177,10 +169,10 @@ func canonicalText(rs core.RunSpec) runtext.Selection {
 		s.Transport = render(rs.Transport)
 	}
 	pol := rs.Policy
-	if lr, ok := pol.(*core.ScheduledLR); ok {
-		s.ServerLR, pol = lr.Schedule.String(), lr.AggregationPolicy
+	if pol.ServerLR.F != nil {
+		s.ServerLR, pol.ServerLR = pol.ServerLR.String(), core.Rule{}
 	}
-	s.Policy = render(pol)
+	s.Policy = pol.String()
 	return s
 }
 

@@ -32,8 +32,8 @@ type Selection struct {
 	// (core.ParsePolicy; "" = the runtime default, FedAvg on sync and
 	// FedBuff otherwise).
 	Policy string
-	// ServerLR composes a server learning-rate schedule onto the policy
-	// (core.WithServerLR; "" = full replacement).
+	// ServerLR sets a server learning-rate schedule on the policy
+	// (core.ParseLRSchedule; "" = full replacement).
 	ServerLR string
 	// Concurrency and Buffer are the async knobs: clients in flight and
 	// arrivals per aggregation (0 = K).
@@ -117,7 +117,7 @@ func (s Selection) Parse(cfg core.Config) (core.RunSpec, error) {
 		rs.Policy, errs[7] = core.ParsePolicy(s.Policy)
 	}
 	if s.ServerLR != "" {
-		rs.Policy, errs[8] = core.WithServerLR(rs.Policy, s.ServerLR)
+		rs.Policy.ServerLR, errs[8] = core.ParseLRSchedule(s.ServerLR)
 	}
 	return rs, errors.Join(errs[:]...)
 }

@@ -100,8 +100,7 @@ func TestParseSurfacesEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, ok := rs.Policy.(*core.ScheduledLR)
-	if !ok || lr.String() != "median+lr:const:0.5" || rs.Transport.(*comm.CompressedTransport).String() != "q4" {
+	if rs.Policy.String() != "median+lr:const:0.5" || rs.Transport.(*comm.CompressedTransport).String() != "q4" {
 		t.Fatalf("assembled policy %v transport %v", rs.Policy, rs.Transport)
 	}
 }
@@ -110,7 +109,7 @@ func TestParseSurfacesEveryField(t *testing.T) {
 // reaches every layer, and what it rejects it rejects by name.
 func TestFromLine(t *testing.T) {
 	const small = "-model mlp -clients 6 -k 3 -samples 20 -test 50 -rounds 2 "
-	rs, err := runtext.FromLine(small + "-algo fedprox -mu 0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -async -stale-exp 1 -buffer 2 -wire")
+	rs, err := runtext.FromLine(small + "-algo fedprox -mu 0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -async -policy fedbuff:1 -buffer 2 -wire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,9 @@ func TestFromLine(t *testing.T) {
 		{"-algo fedsgd", `unknown method "fedsgd"`},
 		{"-k 7", "clients per round 7 outside [1,6]"},
 		{"-wire -transport q8", "-wire is shorthand"},
-		{"-stale-exp -1", "-stale-exp -1 must be >= 0"},
+		{"-policy fedbuff:-1", "a discount exponent >= 0"},
+		{"-policy fedavg+clip:1+clip:5", "duplicate clip"},
+		{"-async -policy fedbuff+maxstale:8+maxstale:2", "duplicate maxstale"},
 		{"-flop-rate 2", "FlopRate"},
 		{"-quiet", "flag provided but not defined"},
 		{"stray", `unexpected argument "stray"`},

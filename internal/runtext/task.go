@@ -113,15 +113,13 @@ func (t Task) Config() (core.Config, error) {
 }
 
 // Command is the run a fedtrip command line describes: the task, the
-// runtime selection, and the four flags fedtrip adds to the shared
+// runtime selection, and the three flags fedtrip adds to the shared
 // selection.
 type Command struct {
 	Task
 	Selection
 	// Async and Wire are shorthand for -runtime async and -transport f32.
 	Async, Wire bool
-	// StaleExp is the exponent of the default staleness discount.
-	StaleExp float64
 	// FlopRate is a speed-1.0 device's throughput in GFLOPs/s (0 = 1).
 	FlopRate float64
 }
@@ -134,14 +132,13 @@ func (c *Command) Register(fs *flag.FlagSet) {
 	c.Selection.Register(fs)
 	fs.BoolVar(&c.Wire, "wire", false, "shorthand for -transport f32")
 	fs.BoolVar(&c.Async, "async", false, "shorthand for -runtime async")
-	fs.Float64Var(&c.StaleExp, "stale-exp", 0.5, "async: polynomial staleness discount exponent (0 = no discount)")
 	fs.Float64Var(&c.FlopRate, "flop-rate", 0, "device mode: GFLOPs/s of a speed-1.0 device (0 = 1)")
 }
 
 // RunSpec assembles and validates the run. A malformed task and a
 // malformed selection are reported together.
 func (c Command) RunSpec() (core.RunSpec, error) {
-	var wireErr, staleErr error
+	var wireErr error
 	if c.Wire {
 		if c.Transport != "" && c.Transport != "f32" {
 			wireErr = fmt.Errorf("-wire is shorthand for -transport f32; drop it when using -transport %s", c.Transport)
@@ -151,15 +148,11 @@ func (c Command) RunSpec() (core.RunSpec, error) {
 	if c.Async && (c.Runtime == "" || c.Runtime == core.RuntimeSync) {
 		c.Runtime = core.RuntimeAsync
 	}
-	if c.StaleExp < 0 {
-		staleErr = fmt.Errorf("-stale-exp %g must be >= 0 (a negative exponent would amplify stale updates)", c.StaleExp)
-	}
 	cfg, taskErr := c.Task.Config()
 	rs, selErr := c.Selection.Parse(cfg)
-	if err := errors.Join(taskErr, wireErr, selErr, staleErr); err != nil {
+	if err := errors.Join(taskErr, wireErr, selErr); err != nil {
 		return rs, err
 	}
-	rs.Discount = core.PolyDiscount(c.StaleExp)
 	// Attached whether or not a fleet is configured: a -flop-rate without
 	// -device-dist must hit Validate's rejection, not pass as a no-op.
 	rs.FlopRate = c.FlopRate * 1e9
