@@ -83,6 +83,18 @@ func TestGradCheckMLP(t *testing.T) {
 	checkGradients(t, m, x, labels, 60, 1e-3)
 }
 
+// A ReLU as the first and as the last layer: the two positions where the
+// activation and the gradient it would rectify belong to the caller.
+func TestGradCheckReLUAtBothEnds(t *testing.T) {
+	m, err := NewBuilder(12).ReLU().Dense(9).ReLU().Dense(4).ReLU().Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	x, labels := randBatch(rng, m, 6)
+	checkGradients(t, m, x, labels, 60, 1e-3)
+}
+
 func TestGradCheckConvNet(t *testing.T) {
 	b := NewBuilder(2, 8, 8)
 	b.Conv2D(3, 3, 1, 1).ReLU().MaxPool2D(2)

@@ -108,6 +108,52 @@ func TestForwardEvalDeterministic(t *testing.T) {
 	}
 }
 
+// Property: a training step reads the caller's batch and logit gradient
+// and writes neither, whatever layer sits at either end of the model — a
+// ReLU first (its input is the caller's batch), a ReLU last (its incoming
+// gradient is the caller's dLogits), or a pass-through layer between the
+// caller and a ReLU.
+func TestCallerBuffersUntouched(t *testing.T) {
+	builders := []func() *Builder{
+		func() *Builder { return NewBuilder(6).ReLU().Dense(5) },
+		func() *Builder { return NewBuilder(6).Dense(5).ReLU() },
+		func() *Builder { return NewBuilder(6).ReLU().ReLU().Dense(4).ReLU() },
+		func() *Builder { return NewBuilder(6).Dropout(0.3).ReLU().Dense(4).ReLU().Flatten() },
+		func() *Builder { return NewBuilder(1, 4, 4).Flatten().ReLU().Dense(3) },
+		func() *Builder { return NewBuilder(1, 4, 4).MaxPool2D(2).ReLU().Flatten().Dense(3).ReLU() },
+	}
+	for bi, build := range builders {
+		m, err := build().Build(int64(bi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := func(seed int64, train bool) bool {
+			rng := rand.New(rand.NewSource(seed))
+			x, _ := randBatch(rng, m, 1+rng.Intn(5))
+			x0 := x.Clone()
+			logits := m.Forward(x, train)
+			d := tensor.New(logits.Shape()...)
+			d.RandNormal(rng, 1)
+			d0 := d.Clone()
+			m.Backward(d, nil)
+			for i := range x.Data {
+				if math.Float64bits(x.Data[i]) != math.Float64bits(x0.Data[i]) {
+					return false
+				}
+			}
+			for i := range d.Data {
+				if math.Float64bits(d.Data[i]) != math.Float64bits(d0.Data[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatalf("model %d: %v", bi, err)
+		}
+	}
+}
+
 // Property: gradient accumulation is linear — grad(batch A) + grad(batch B)
 // equals accumulated grads from backward on A then B.
 func TestGradAccumulationLinear(t *testing.T) {

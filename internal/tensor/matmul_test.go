@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -127,6 +129,49 @@ func TestMatMulAddBias(t *testing.T) {
 		if d := MaxAbsDiff(c.Data, want.Data); d > 1e-10 {
 			t.Fatalf("MatMulAddBias %v: max diff %v", dims, d)
 		}
+	}
+}
+
+// denseShapes are the (in, out) shapes of the dense layers of the MLP and
+// the CNN at scale 1, 0.5 and 0.25 and of AlexNet at 0.25, plus LeNet-5's
+// 400x120 and a 1024x128 classifier.
+var denseShapes = [][2]int{
+	{784, 100}, {784, 50}, {784, 25}, {100, 10}, {50, 10}, {25, 10},
+	{400, 120}, {120, 84}, {84, 10}, {60, 42}, {42, 10}, {30, 21}, {21, 10},
+	{1024, 128}, {1024, 32}, {128, 10}, {32, 10},
+}
+
+// TestMatMulAddBiasRowsIndependentOfRowCount: every output row of a dense
+// forward is bitwise the same whatever the number of rows in the call, so
+// a model forwarded in chunks produces the logits one wide batch does. The
+// kernel routes m = 1, m <= gemmSmallM and larger m through different
+// paths; each accumulates bias + x_0 w_0 + x_1 w_1 + ... in k order.
+func TestMatMulAddBiasRowsIndependentOfRowCount(t *testing.T) {
+	const rows = 200
+	for si, s := range denseShapes {
+		k, n := s[0], s[1]
+		t.Run(fmt.Sprintf("%dx%d", k, n), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(31 + si)))
+			a, b := randTensor(rng, rows, k), randTensor(rng, k, n)
+			bias := make([]float64, n)
+			for j := range bias {
+				bias[j] = rng.NormFloat64()
+			}
+			full := New(rows, n)
+			MatMulAddBias(full, a, b, bias)
+			c := New(rows, n)
+			for m := 1; m < rows; m++ {
+				c.SetDim0(m)
+				MatMulAddBias(c, FromSlice(a.Data[:m*k], m, k), b, bias)
+				for i, v := range c.Data {
+					if math.Float64bits(v) != math.Float64bits(full.Data[i]) {
+						t.Fatalf("m=%d: row %d col %d is %v, %v in the %d-row call",
+							m, i/n, i%n, v, full.Data[i], rows)
+					}
+				}
+			}
+		})
 	}
 }
 
