@@ -283,9 +283,9 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 180, 1_355},
+	{"Sync1kClients", syncSpec, 1_000, 180, 1_340},
 	{"Async1kClients", asyncSpec, 1_000, 184, 2_844},
-	{"Sync10kClients", syncSpec, 10_000, 180, 1_311},
+	{"Sync10kClients", syncSpec, 10_000, 180, 1_279},
 	{"Async10kClients", asyncSpec, 10_000, 184, 2_848},
 	{"AsyncChurn1k", churnSpec, 1_000, 192, 2_801},
 	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 184, 2_850},

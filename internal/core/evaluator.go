@@ -17,9 +17,8 @@ import (
 // The request channel is deliberately small: if evaluation cannot keep up,
 // submit blocks, so at most a couple of |w| snapshots are ever alive.
 type evaluator struct {
-	model *nn.Model
-	test  evalDataset
-	reqs  chan evalSnap
+	t    *tester
+	reqs chan evalSnap
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -39,18 +38,87 @@ type evalDataset interface {
 	FillBatch(x *tensor.Tensor, labels []int, idx []int)
 }
 
-func newEvaluator(cfg *Config) (*evaluator, error) {
-	// A dedicated model instance: Server.EvaluateGlobal stays usable from
-	// OnRound hooks while the evaluator is mid-batch.
+// evalWindow is evaluation's accounting window: a test set's accuracy is
+// the sum, over consecutive windows of this many samples, of the window's
+// accuracy times its size, over the set size. The forward runs in chunks
+// of at most the training batch inside each window; the window itself
+// stays fixed because c/200·200 is not exactly c for every count c, so
+// narrowing it would move evaluated accuracies.
+const evalWindow = 200
+
+// tester is a model instance plus the batch buffers that evaluate it on
+// the test set, sized once to min(Config.BatchSize, evalWindow) rows:
+// evaluation holds activations of the training width and, in steady
+// state, allocates nothing.
+type tester struct {
+	model  *nn.Model
+	test   evalDataset
+	x      *tensor.Tensor
+	idx    []int
+	labels []int
+}
+
+func newTester(cfg *Config) (*tester, error) {
 	m, err := cfg.Model.Build(streamSeed(cfg.Seed, streamModel, 0))
 	if err != nil {
 		return nil, err
 	}
+	width := min(cfg.BatchSize, evalWindow)
+	return &tester{
+		model:  m,
+		test:   cfg.Test,
+		x:      tensor.New(append([]int{width}, m.InShape()...)...),
+		idx:    make([]int, width),
+		labels: make([]int, width),
+	}, nil
+}
+
+// accuracy loads params into the model and returns its accuracy over the
+// test set.
+func (t *tester) accuracy(params []float64) float64 {
+	t.model.SetParams(params)
+	n := t.test.Len()
+	if n == 0 {
+		return 0
+	}
+	correct := 0.0
+	for start := 0; start < n; start += evalWindow {
+		end := min(start+evalWindow, n)
+		hits := 0
+		for lo := start; lo < end; lo += len(t.idx) {
+			hits += t.count(lo, min(lo+len(t.idx), end))
+		}
+		w := float64(end - start)
+		correct += float64(hits) / w * w
+	}
+	return correct / float64(n)
+}
+
+// count forwards test samples [lo, hi) and returns how many the model
+// classifies right.
+func (t *tester) count(lo, hi int) int {
+	rows := hi - lo
+	for i := range rows {
+		t.idx[i] = lo + i
+	}
+	if t.x.Dim(0) != rows {
+		t.x.SetDim0(rows)
+	}
+	t.test.FillBatch(t.x, t.labels[:rows], t.idx[:rows])
+	return nn.Correct(t.model.Forward(t.x, false), t.labels[:rows])
+}
+
+func newEvaluator(cfg *Config) (*evaluator, error) {
+	// A dedicated tester: Server.EvaluateGlobal stays usable from OnRound
+	// hooks while the evaluator is mid-batch.
+	t, err := newTester(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &evaluator{
-		model: m,
-		test:  cfg.Test,
-		reqs:  make(chan evalSnap, 2),
-		accs:  make(map[int]float64),
+		t:    t,
+		reqs: make(chan evalSnap, 2),
+		accs: make(map[int]float64),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.closed.Add(1)
@@ -61,7 +129,7 @@ func newEvaluator(cfg *Config) (*evaluator, error) {
 func (e *evaluator) loop() {
 	defer e.closed.Done()
 	for req := range e.reqs {
-		acc := EvaluateAccuracy(e.model, req.params, e.test, 200)
+		acc := e.t.accuracy(req.params)
 		paramsPool.put(req.params) // snapshot consumed; recycle it
 		e.mu.Lock()
 		e.accs[req.round] = acc

@@ -49,30 +49,79 @@ func evaluateAccuracy200(model *nn.Model, params []float64, ds evalDataset, batc
 var evalOracleSizes = []int{1, 31, 33, 50, 99, 200, 230, 500, 1010}
 
 // evalOracleModels are the three architectures at a quarter width and the
-// paper's CNN, each on the corpus it is run on. AlexNet forwards ~30
-// MFLOP a sample, so it covers the sizes inside one window; the window
-// arithmetic is the same for every model.
+// paper's CNN, each on the corpus it is run on, evaluated at training
+// batch sizes below, at and above the window. AlexNet forwards ~30 MFLOP a
+// sample, so it covers the sizes inside one window; the window arithmetic
+// is the same for every model.
 var evalOracleModels = []struct {
-	spec  nn.ModelSpec
-	kind  data.Kind
-	sizes []int
+	spec    nn.ModelSpec
+	kind    data.Kind
+	sizes   []int
+	batches []int
 }{
-	{nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25}, data.KindMNIST, evalOracleSizes},
-	{nn.ModelSpec{Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25}, data.KindMNIST, evalOracleSizes},
-	{nn.ModelSpec{Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 1}, data.KindMNIST, evalOracleSizes},
-	{nn.ModelSpec{Arch: nn.ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.25}, data.KindCIFAR, evalOracleSizes[:4]},
+	{nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25}, data.KindMNIST, evalOracleSizes, []int{1, 6, 7, 50, 200, 256}},
+	{nn.ModelSpec{Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25}, data.KindMNIST, evalOracleSizes, []int{1, 7, 50, 64, 256}},
+	{nn.ModelSpec{Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 1}, data.KindMNIST, evalOracleSizes, []int{50}},
+	{nn.ModelSpec{Arch: nn.ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.25}, data.KindCIFAR, evalOracleSizes[:4], []int{8}},
 }
 
-// prefix is the first n samples of ds.
-func prefix(ds *data.Dataset, n int) *data.Dataset {
+// predict returns m's class for every sample of ds, argmax ties to the
+// first class as nn.Correct breaks them.
+func predict(m *nn.Model, ds *data.Dataset) []int {
+	pred := make([]int, ds.Len())
+	for lo := 0; lo < ds.Len(); lo += 200 {
+		hi := min(lo+200, ds.Len())
+		idx := make([]int, hi-lo)
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		x := tensor.New(append([]int{len(idx)}, m.InShape()...)...)
+		ds.FillBatch(x, make([]int, len(idx)), idx)
+		logits := m.Forward(x, false)
+		c := logits.Dim(1)
+		for i := range idx {
+			row := logits.Data[i*c : (i+1)*c]
+			for j := range row {
+				if row[j] > row[pred[lo+i]] {
+					pred[lo+i] = j
+				}
+			}
+		}
+	}
+	return pred
+}
+
+// relabeled is the first n samples of ds, labelled so that in each of the
+// oracle's 200-sample windows, of w samples, the model is right exactly c
+// times, c the largest count with c/w·w != c where w has one: accumulating
+// right answers, or fractions over other windows, gives other bits.
+func relabeled(ds *data.Dataset, pred []int, n int) *data.Dataset {
 	p := *ds
-	p.X, p.Y = ds.X[:n*ds.SampleSize()], ds.Y[:n]
+	p.X, p.Y = ds.X[:n*ds.SampleSize()], make([]int, n)
+	for start := 0; start < n; start += 200 {
+		end := min(start+200, n)
+		w := float64(end - start)
+		c := (end - start) / 2
+		for k := end - start; k > 0; k-- {
+			if float64(k)/w*w != float64(k) {
+				c = k
+				break
+			}
+		}
+		for i := start; i < end; i++ {
+			p.Y[i] = pred[i]
+			if i-start >= c {
+				p.Y[i] = (pred[i] + 1) % ds.Classes
+			}
+		}
+	}
 	return &p
 }
 
 // TestEvaluateAccuracyMatchesWideOracle: the runtime's evaluation of a
-// model is Float64bits-equal to the 200-row oracle for every architecture
-// and every test-set size.
+// model, in chunks of the training batch, is Float64bits-equal to the
+// 200-row oracle for every architecture, test-set size and batch size, on
+// labels that make the window accounting matter.
 func TestEvaluateAccuracyMatchesWideOracle(t *testing.T) {
 	for _, mc := range evalOracleModels {
 		_, test, err := data.Generate(data.Spec{Kind: mc.kind, Train: 1, Test: mc.sizes[len(mc.sizes)-1], Seed: 17})
@@ -83,17 +132,20 @@ func TestEvaluateAccuracyMatchesWideOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := mc.spec.Build(3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		params := oracle.ParamsCopy()
+		pred := predict(oracle, test)
 		for _, n := range mc.sizes {
-			ds := prefix(test, n)
+			ds := relabeled(test, pred, n)
 			want := evaluateAccuracy200(oracle, params, ds, 200)
-			got := EvaluateAccuracy(model, params, ds, 200)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s@%v, %d samples: accuracy %v, oracle %v", mc.spec.Arch, mc.spec.Scale, n, got, want)
+			for _, b := range mc.batches {
+				tr, err := newTester(&Config{Model: mc.spec, Test: ds, BatchSize: b, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tr.accuracy(params); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s@%v, %d samples, batch %d: accuracy %v, oracle %v",
+						mc.spec.Arch, mc.spec.Scale, n, b, got, want)
+				}
 			}
 		}
 	}

@@ -182,6 +182,26 @@ func TestLocalTrainSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestEvaluateSteadyStateAllocFree pins evaluation the same way: the batch
+// tensor, indices and labels belong to the tester and the model's
+// activations are built by the first call, so every later evaluation of
+// the global model performs zero heap allocations.
+func TestEvaluateSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pin runs in the non-race job")
+	}
+	cfg := testConfig(t, NewFedTrip(0.4))
+	cfg.BatchSize = 30 // 200 test samples: six full chunks and a tail of 20
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EvaluateGlobal()
+	if allocs := testing.AllocsPerRun(5, func() { s.EvaluateGlobal() }); allocs > 0 {
+		t.Fatalf("EvaluateGlobal allocates %v objects per call in steady state", allocs)
+	}
+}
+
 // inFlightVectors counts the |w|-sized vectors the buffered runner's
 // in-flight jobs hold: global snapshots still checked out of the pool,
 // and finished uploads waiting for their virtual arrival.

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 
-	"repro/internal/nn"
 	"repro/internal/prng"
 	"repro/internal/tensor"
 )
@@ -141,11 +140,11 @@ func (r *Result) TimeToTarget() float64 {
 
 // Server owns the global model and the client population for one run.
 type Server struct {
-	cfg       Config
-	clients   []*Client
-	global    []float64
-	evalModel *nn.Model
-	rng       *prng.Rand
+	cfg     Config
+	clients []*Client
+	global  []float64
+	eval    *tester
+	rng     *prng.Rand
 	// policy is the aggregation policy Validate resolved for this run
 	// (the zero value on a bare NewServer, which merges as fedavg).
 	policy Policy
@@ -196,16 +195,16 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	evalModel, err := cfg.Model.Build(streamSeed(cfg.Seed, streamModel, 0))
+	eval, err := newTester(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		global:    evalModel.ParamsCopy(),
-		evalModel: evalModel,
-		rng:       seedStream(cfg.Seed, streamSelection),
-		wire:      wireTransport(cfg.Transport),
+		cfg:    cfg,
+		global: eval.model.ParamsCopy(),
+		eval:   eval,
+		rng:    seedStream(cfg.Seed, streamSelection),
+		wire:   wireTransport(cfg.Transport),
 	}
 	loaner := &engineLoaner{cfg: &s.cfg, numParams: len(s.global)}
 	for k, part := range cfg.Parts {
@@ -373,41 +372,7 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 
 // EvaluateGlobal computes test accuracy of the current global model.
 func (s *Server) EvaluateGlobal() float64 {
-	return EvaluateAccuracy(s.evalModel, s.global, s.cfg.Test, 200)
-}
-
-// EvaluateAccuracy loads params into model and computes accuracy over the
-// dataset in batches.
-func EvaluateAccuracy(model *nn.Model, params []float64, ds evalDataset, batch int) float64 {
-	model.SetParams(params)
-	n := ds.Len()
-	if n == 0 {
-		return 0
-	}
-	if batch > n {
-		batch = n
-	}
-	correct := 0.0
-	idx := make([]int, 0, batch)
-	x := tensor.New(append([]int{batch}, model.InShape()...)...)
-	labels := make([]int, batch)
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		idx = idx[:0]
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		if x.Dim(0) != len(idx) {
-			x.SetDim0(len(idx))
-		}
-		ds.FillBatch(x, labels[:len(idx)], idx)
-		logits := model.Forward(x, false)
-		correct += nn.Accuracy(logits, labels[:len(idx)]) * float64(len(idx))
-	}
-	return correct / float64(n)
+	return s.eval.accuracy(s.global)
 }
 
 // recorder accumulates per-round metrics into a Result. It is the half of

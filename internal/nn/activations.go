@@ -7,12 +7,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// reluLayer applies max(0, x) elementwise.
+// reluLayer applies max(0, x) elementwise. Placed behind a layer of the
+// model it rectifies that layer's output in place, and placed ahead of one
+// it zeroes the gradient that layer hands back in place; otherwise it owns
+// the buffer. The backward mask is its own output: y > 0 exactly where
+// x > 0, NaN included.
 type reluLayer struct {
+	placement
 	shape []int
-	mask  []bool // true where input was > 0
-	y     *tensor.Tensor
-	dx    *tensor.Tensor
+	y     *tensor.Tensor // the output: the input itself when ownInput
+	dx    *tensor.Tensor // the input gradient, unless ownGrad
 }
 
 // ReLU appends a rectified-linear activation.
@@ -32,49 +36,59 @@ func (l *reluLayer) ParamCount() int                              { return 0 }
 func (l *reluLayer) Bind(params, grads []float64, rng *prng.Rand) {}
 
 func (l *reluLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Numel()
+	if l.ownInput {
+		for i, v := range x.Data {
+			if !(v > 0) {
+				x.Data[i] = 0
+			}
+		}
+		l.y = x
+		return x
+	}
 	if l.y == nil {
 		l.y = tensor.New(x.Shape()...)
 	} else if l.y.Dim(0) != x.Dim(0) {
 		l.y.SetDim0(x.Dim(0))
 	}
-	if cap(l.mask) >= n {
-		l.mask = l.mask[:n]
-	} else {
-		l.mask = make([]bool, n)
-	}
 	for i, v := range x.Data {
 		if v > 0 {
 			l.y.Data[i] = v
-			l.mask[i] = true
 		} else {
 			l.y.Data[i] = 0
-			l.mask[i] = false
 		}
 	}
 	return l.y
 }
 
 func (l *reluLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if l.dx == nil {
-		l.dx = tensor.New(dy.Shape()...)
-	} else if l.dx.Dim(0) != dy.Dim(0) {
-		l.dx.SetDim0(dy.Dim(0))
+	if l.first {
+		return nil
 	}
+	dx := dy
+	if !l.ownGrad {
+		if l.dx == nil {
+			l.dx = tensor.New(dy.Shape()...)
+		} else if l.dx.Dim(0) != dy.Dim(0) {
+			l.dx.SetDim0(dy.Dim(0))
+		}
+		dx = l.dx
+	}
+	y := l.y.Data[:len(dy.Data)]
 	for i, v := range dy.Data {
-		if l.mask[i] {
-			l.dx.Data[i] = v
+		if y[i] > 0 {
+			dx.Data[i] = v
 		} else {
-			l.dx.Data[i] = 0
+			dx.Data[i] = 0
 		}
 	}
-	return l.dx
+	return dx
 }
 
 func (l *reluLayer) FwdFLOPs() float64 { return float64(numel(l.shape)) }
 
 // flattenLayer reshapes [N, C, H, W] (or any rank) to [N, D].
 type flattenLayer struct {
+	placement
 	in       []int
 	fwd, bwd *tensor.Tensor // cached reshape views, re-used while the
 	// neighbouring layers keep handing over the same backing buffer
@@ -104,6 +118,9 @@ func (l *flattenLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 func (l *flattenLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if l.first {
+		return nil
+	}
 	if l.bwd == nil || len(l.bwd.Data) != len(dy.Data) || &l.bwd.Data[0] != &dy.Data[0] {
 		l.bwd = dy.Reshape(prependBatch(dy.Dim(0), l.in)...)
 	}
@@ -116,6 +133,7 @@ func (l *flattenLayer) FwdFLOPs() float64 { return 0 }
 // is zeroed with probability p and survivors are scaled by 1/(1-p); at eval
 // time it is the identity.
 type dropoutLayer struct {
+	placement
 	p     float64
 	shape []int
 	rng   *prng.Rand
@@ -178,6 +196,9 @@ func (l *dropoutLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 func (l *dropoutLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if l.first {
+		return nil
+	}
 	if l.keep == nil {
 		return dy // eval-mode forward: identity
 	}

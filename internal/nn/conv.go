@@ -16,6 +16,7 @@ import (
 // goroutines never share buffers and steady-state batches allocate
 // nothing.
 type convLayer struct {
+	placement
 	outC        int
 	kh, kw      int
 	stride, pad int
@@ -31,8 +32,11 @@ type convLayer struct {
 
 // convScratch is one worker's im2col and gradient-accumulation storage.
 // The out/dout tensors are header-only views whose Data is re-pointed at
-// the current sample's slice of the batch output, so per-sample matmul
-// calls allocate nothing.
+// the current sample's slice of the batch output or its gradient, so
+// per-sample matmul calls allocate nothing. The backward half (dw, db and,
+// unless the layer is first, dcol) is allocated by the first backward
+// that checks the scratch out: a set only ever used forward never holds
+// it.
 type convScratch struct {
 	col, dcol *tensor.Tensor
 	dw        *tensor.Tensor
@@ -45,14 +49,28 @@ func (l *convLayer) getScratch() *convScratch {
 		return v.(*convScratch)
 	}
 	g := l.geom
-	return &convScratch{
-		col:  tensor.New(g.ColRows(), g.ColCols()),
-		dcol: tensor.New(g.ColRows(), g.ColCols()),
-		dw:   tensor.New(l.outC, g.ColRows()),
-		db:   make([]float64, l.outC),
-		out:  tensor.New(l.outC, g.ColCols()),
-		dout: tensor.New(l.outC, g.ColCols()),
+	return &convScratch{col: tensor.New(g.ColRows(), g.ColCols())}
+}
+
+// backwardHalf allocates cs's gradient storage on its first backward.
+func (l *convLayer) backwardHalf(cs *convScratch) {
+	g := l.geom
+	if cs.dw == nil {
+		cs.dw = tensor.New(l.outC, g.ColRows())
+		cs.db = make([]float64, l.outC)
 	}
+	if cs.dcol == nil && !l.first {
+		cs.dcol = tensor.New(g.ColRows(), g.ColCols())
+	}
+}
+
+// view re-points the header *v at data, building it on first use.
+func view(v **tensor.Tensor, data []float64, rows, cols int) *tensor.Tensor {
+	if *v == nil {
+		*v = tensor.FromSlice(data, rows, cols)
+	}
+	(*v).Data = data
+	return *v
 }
 
 // Conv2D appends a convolution with outC filters of size k x k.
@@ -121,8 +139,7 @@ func (l *convLayer) forwardChunk(lo, hi int) {
 	for s := lo; s < hi; s++ {
 		img := l.x.Data[s*inSize : (s+1)*inSize]
 		g.Im2Col(img, cs.col.Data)
-		out := cs.out
-		out.Data = l.y.Data[s*outSize : (s+1)*outSize]
+		out := view(&cs.out, l.y.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
 		tensor.MatMul(out, l.wView, cs.col)
 		// Add per-filter bias across the spatial map.
 		for f := 0; f < l.outC; f++ {
@@ -139,9 +156,11 @@ func (l *convLayer) forwardChunk(lo, hi int) {
 func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Dim(0)
 	g := l.geom
-	if l.dx == nil {
+	switch {
+	case l.first: // l.dx stays nil
+	case l.dx == nil:
 		l.dx = tensor.New(n, g.InC, g.InH, g.InW)
-	} else if l.dx.Dim(0) != n {
+	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
 	l.dy = dy
@@ -170,13 +189,13 @@ func (l *convLayer) backwardChunkLocked(lo, hi int, mu *sync.Mutex) {
 	inSize := g.InC * g.InH * g.InW
 	outSize := l.outC * g.OutH * g.OutW
 	cs := l.getScratch()
+	l.backwardHalf(cs)
 	tensor.ZeroVec(cs.dw.Data)
 	tensor.ZeroVec(cs.db)
 	for s := lo; s < hi; s++ {
 		img := l.x.Data[s*inSize : (s+1)*inSize]
 		g.Im2Col(img, cs.col.Data)
-		dout := cs.dout
-		dout.Data = l.dy.Data[s*outSize : (s+1)*outSize]
+		dout := view(&cs.dout, l.dy.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
 		// dW += dOut x col^T, accumulated straight into worker scratch.
 		tensor.MatMulABTAdd(cs.dw, dout, cs.col)
 		// db_s = row sums of dOut.
@@ -187,6 +206,9 @@ func (l *convLayer) backwardChunkLocked(lo, hi int, mu *sync.Mutex) {
 				sum += v
 			}
 			cs.db[f] += sum
+		}
+		if l.first {
+			continue
 		}
 		// dcol = W^T x dOut; dx_s = col2im(dcol).
 		tensor.MatMulATB(cs.dcol, l.wView, dout)
@@ -216,6 +238,7 @@ func (l *convLayer) FwdFLOPs() float64 {
 // maxPoolLayer is a k x k max pooling with stride k (the only configuration
 // the paper's models need).
 type maxPoolLayer struct {
+	placement
 	k       int
 	c, h, w int
 	oh, ow  int
@@ -306,6 +329,9 @@ func (l *maxPoolLayer) forwardChunk(lo, hi int) {
 }
 
 func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if l.first {
+		return nil
+	}
 	n := dy.Dim(0)
 	if l.dx == nil {
 		l.dx = tensor.New(n, l.c, l.h, l.w)

@@ -10,13 +10,14 @@ import (
 
 // denseLayer is a fully connected layer: y = xW + b, with W stored [in,out].
 type denseLayer struct {
+	placement
 	in, out int
 	w, b    []float64      // views into the model's flat parameter vector
 	dw, db  []float64      // views into the model's flat gradient vector
 	wView   *tensor.Tensor // [in,out] matrix view of w, fixed at Bind
 	dwView  *tensor.Tensor // [in,out] matrix view of dw, fixed at Bind
 	x       *tensor.Tensor // cached input for backward
-	dx      *tensor.Tensor // scratch for input gradient
+	dx      *tensor.Tensor // scratch for input gradient (none when first)
 	y       *tensor.Tensor // scratch for output
 }
 
@@ -80,6 +81,9 @@ func (l *denseLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		for j, v := range row {
 			l.db[j] += v
 		}
+	}
+	if l.first {
+		return nil
 	}
 	// dx = dy W^T.
 	if l.dx == nil {

@@ -12,15 +12,18 @@
 package nn
 
 import (
+	"slices"
+
 	"repro/internal/prng"
 
 	"repro/internal/tensor"
 )
 
 // Layer is one differentiable stage of a model. Layers are created through
-// the Builder, which resolves shapes and binds parameter storage; they are
-// stateful (they cache forward activations for the backward pass) and
-// therefore belong to exactly one Model.
+// the Builder, which resolves shapes, binds parameter storage and places
+// the layer (see placement); they are stateful (they cache forward
+// activations for the backward pass) and therefore belong to exactly one
+// Model.
 type Layer interface {
 	// Name identifies the layer kind for diagnostics ("dense", "conv2d"...).
 	Name() string
@@ -37,12 +40,59 @@ type Layer interface {
 	// [N, inShape...]. train enables training-only behaviour (dropout).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward receives dL/d(output) and returns dL/d(input), accumulating
-	// parameter gradients into the bound gradient slice.
+	// parameter gradients into the bound gradient slice. The model's first
+	// layer returns nil: nothing reads the gradient of the caller's batch.
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// FwdFLOPs is the analytic per-sample forward cost (FLOPs), valid
 	// after Resolve. Backward cost is modelled as 2x forward, the standard
 	// approximation the paper also uses.
 	FwdFLOPs() float64
+}
+
+// placement is what Build decides about a layer's buffers from its
+// position in the model, once and with no option. Every layer embeds it.
+type placement struct {
+	// first: the layer's input is the caller's batch. Its gradient is
+	// discarded, so Backward neither allocates nor computes it.
+	first bool
+	// ownInput: the input is an activation an earlier layer of the model
+	// allocated — not the caller's batch, nor a flatten or dropout passing
+	// that batch through — and the layer is not the last, whose input
+	// Features returns. No backward pass reads that activation's values
+	// (dense and conv keep their input, pooling its argmax, and a second
+	// rectification leaves a ReLU's output as it was), so a ReLU
+	// rectifies it in place.
+	ownInput bool
+	// ownGrad: the incoming gradient is a buffer a later layer of the
+	// model allocated — not the caller's dLogits, nor a flatten or dropout
+	// passing it through. A ReLU zeroes it in place.
+	ownGrad bool
+}
+
+func (p *placement) place(q placement) { *p = q }
+
+// placed is implemented by every layer, through the embedded placement.
+type placed interface{ place(placement) }
+
+// place decides every layer's placement. An activation or a gradient is
+// the model's own once any layer other than a flatten or a dropout (the
+// identity at evaluation) has produced it.
+func place(layers []Layer) {
+	produces := func(l Layer) bool {
+		switch l.(type) {
+		case *flattenLayer, *dropoutLayer:
+			return false
+		}
+		return true
+	}
+	last := len(layers) - 1
+	for i, l := range layers {
+		l.(placed).place(placement{
+			first:    i == 0,
+			ownInput: i < last && slices.ContainsFunc(layers[:i], produces),
+			ownGrad:  slices.ContainsFunc(layers[i+1:], produces),
+		})
+	}
 }
 
 // prependBatch builds a full batch shape [n, per-sample dims...].

@@ -56,6 +56,11 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int, dLogits *tensor.Te
 
 // Accuracy returns the fraction of rows whose argmax matches the label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {
+	return float64(Correct(logits, labels)) / float64(logits.Dim(0))
+}
+
+// Correct returns the number of rows whose argmax matches the label.
+func Correct(logits *tensor.Tensor, labels []int) int {
 	n, c := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
@@ -73,5 +78,5 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 			correct++
 		}
 	}
-	return float64(correct) / float64(n)
+	return correct
 }

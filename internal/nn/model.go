@@ -42,7 +42,9 @@ func (b *Builder) fail(err error) {
 }
 
 // Build resolves shapes, allocates the flat parameter and gradient vectors,
-// binds every layer, and initialises weights deterministically from seed.
+// binds every layer, initialises weights deterministically from seed, and
+// places every layer: which activation and gradient buffers it may write
+// in place follows from its position alone.
 func (b *Builder) Build(seed int64) (*Model, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -88,6 +90,7 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 			m.dropouts = append(m.dropouts, d)
 		}
 	}
+	place(b.layers)
 	return m, nil
 }
 
@@ -201,12 +204,15 @@ func (m *Model) FeatureDim() int { return m.featureDim }
 // accumulating into Grads. If extraFeatureGrad is non-nil it is added to
 // the gradient flowing into the representation (the final layer's input);
 // this is the hook MOON uses to inject the model-contrastive term without
-// an autograd system. Callers must ZeroGrad first if they want fresh
-// gradients.
+// an autograd system (a one-layer model's representation is the batch
+// itself, whose gradient is not computed). Callers must ZeroGrad first if
+// they want fresh gradients. A ReLU reads its mask from its own output, so
+// a caller must not write the logits of a model that ends in one before
+// Backward.
 func (m *Model) Backward(dLogits *tensor.Tensor, extraFeatureGrad *tensor.Tensor) {
 	last := len(m.layers) - 1
 	g := m.layers[last].Backward(dLogits)
-	if extraFeatureGrad != nil {
+	if extraFeatureGrad != nil && last > 0 {
 		if g.Numel() != extraFeatureGrad.Numel() {
 			panic(fmt.Sprintf("nn: extra feature grad %v incompatible with %v", extraFeatureGrad.Shape(), g.Shape()))
 		}
