@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -279,14 +280,50 @@ func TestProfileRuntimeOverride(t *testing.T) {
 	}
 }
 
+// TestFig2Tiny pins the Fig. 2 rows of the tiny profile, and runs the
+// harness under the async runtime too — in -short mode as well, so the
+// race detector watches it read client 0's model while clients train.
 func TestFig2Tiny(t *testing.T) {
-	tabs := runTiny(t, "fig2")
-	if len(tabs[0].Rows) != 3 {
-		t.Fatalf("fig2 should list 3 snapshots, got %d", len(tabs[0].Rows))
+	e, _ := Get("fig2")
+	cases := []struct {
+		name    string
+		runtime core.Runtime
+		latency string
+		short   bool
+		rows    [][]string // nil: structure only
+	}{
+		// Client 0 is first selected after round 3, so the earlier local
+		// snapshot falls back to the final global model.
+		{"sync", "", "", false, [][]string{
+			{"global @ round 6", "-0.0301", "-0.1216"},
+			{"client0 local @ round 6", "-0.0455", "-0.1260"},
+			{"client0 local @ round 3", "-0.0301", "-0.1216"},
+		}},
+		{"async", core.RuntimeAsync, "straggler:1,10,3", true, nil},
 	}
-	for _, row := range tabs[0].Rows {
-		if _, err := strconv.ParseFloat(row[1], 64); err != nil {
-			t.Fatalf("bad silhouette cell %q", row[1])
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && !tc.short {
+				t.Skip("short mode")
+			}
+			p := Tiny()
+			p.Runtime, p.Latency = tc.runtime, tc.latency
+			tabs, err := e.Run(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := tabs[0].Rows
+			if len(rows) != 3 {
+				t.Fatalf("fig2 should list 3 snapshots, got %d", len(rows))
+			}
+			for _, row := range rows {
+				if _, err := strconv.ParseFloat(row[1], 64); err != nil {
+					t.Fatalf("bad silhouette cell %q", row[1])
+				}
+			}
+			if tc.rows != nil && fmt.Sprint(rows) != fmt.Sprint(tc.rows) {
+				t.Errorf("fig2 rows\n got %q\nwant %q", rows, tc.rows)
+			}
+		})
 	}
 }
