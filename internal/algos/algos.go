@@ -6,10 +6,13 @@
 //
 // Concurrency contract: the server invokes BeginRound / TransformGrad /
 // EndRound on client goroutines concurrently, so methods keep what a
-// client carries across rounds in Client.StateVec, read what lives for one
-// round from Client.RoundGlobal / Client.RoundSteps, and treat their own
-// struct fields as read-only during the client phase; struct fields are
-// only mutated in PreRound and Aggregate, which the server calls
+// client carries across rounds in Client.State — MOON its previous local
+// model, FedDyn h_k and FedDANE its local gradient in one row each,
+// SCAFFOLD c_k and delta-c in two; FedAvg, FedProx, SlowMo, MimeLite,
+// FedGKD and FedNova keep none — read what lives for one round from
+// Client.RoundGlobal / Client.RoundSteps, and treat their own struct
+// fields as read-only during the client phase; struct fields are only
+// mutated in PreRound and Aggregate, which the server calls
 // single-threaded. One Algorithm instance must not be shared between
 // concurrent Runs.
 package algos

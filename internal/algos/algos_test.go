@@ -265,7 +265,7 @@ func TestFedDynGradAndState(t *testing.T) {
 	// EndRound: h_k -= alpha*(w_k - global); with model params set to w.
 	c.Model().SetParams(w)
 	f.EndRound(c, 1)
-	hk := c.StateVec("feddyn.h")
+	hk := c.State(1)
 	for i := range hk {
 		if math.Abs(hk[i]-(-0.2)) > 1e-12 {
 			t.Fatalf("h[%d]=%v want -0.2", i, hk[i])
@@ -351,8 +351,8 @@ func TestFedDANEPreRoundAveragesGradients(t *testing.T) {
 	}
 	clients := s.Clients()[:2]
 	f.PreRound(1, clients, s.Global())
-	g0 := clients[0].StateVec("feddane.localgrad")
-	g1 := clients[1].StateVec("feddane.localgrad")
+	g0 := clients[0].State(1)
+	g1 := clients[1].State(1)
 	want := make([]float64, len(g0))
 	tensor.Axpy(0.5, g0, want)
 	tensor.Axpy(0.5, g1, want)

@@ -37,9 +37,9 @@ func (f *FedDANE) PreRound(round int, selected []*core.Client, global []float64)
 	tensor.ZeroVec(f.avgGrad)
 	inv := 1 / float64(len(selected))
 	for _, c := range selected {
-		// The gradient lands directly in the client's persistent state
-		// vector — no per-round allocation.
-		gk := c.StateVec("feddane.localgrad")
+		// The gradient lands directly in the client's one persistent row —
+		// no per-round allocation.
+		gk := c.State(1)
 		c.FullGradInto(gk, global)
 		tensor.Axpy(inv, gk, f.avgGrad)
 	}
@@ -47,7 +47,7 @@ func (f *FedDANE) PreRound(round int, selected []*core.Client, global []float64)
 
 // TransformGrad applies the DANE correction and proximal pull.
 func (f *FedDANE) TransformGrad(c *core.Client, round int, w, g []float64) {
-	local := c.StateVec("feddane.localgrad")
+	local := c.State(1)
 	global := c.RoundGlobal()
 	for i := range g {
 		g[i] += (f.avgGrad[i] - local[i]) + f.Mu*(w[i]-global[i])

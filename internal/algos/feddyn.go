@@ -36,7 +36,7 @@ func (*FedDyn) NewOptimizer(lr, momentum float64) optim.Optimizer {
 // TransformGrad applies g += -h_k + alpha*(w - w_global). Attach cost
 // 4|w|, same order as FedTrip (Table VIII).
 func (f *FedDyn) TransformGrad(c *core.Client, round int, w, g []float64) {
-	hk := c.StateVec("feddyn.h")
+	hk := c.State(1)
 	global := c.RoundGlobal()
 	a := f.Alpha
 	for i := range g {
@@ -45,9 +45,10 @@ func (f *FedDyn) TransformGrad(c *core.Client, round int, w, g []float64) {
 	c.Counter.Add(int64(4 * len(w)))
 }
 
-// EndRound updates the client state h_k -= alpha*(w_k - w_global).
+// EndRound updates the client state h_k -= alpha*(w_k - w_global). h_k is
+// the client's one persistent row.
 func (f *FedDyn) EndRound(c *core.Client, round int) {
-	hk := c.StateVec("feddyn.h")
+	hk := c.State(1)
 	global := c.RoundGlobal()
 	w := c.Model().Params()
 	for i := range hk {

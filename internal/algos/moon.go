@@ -44,11 +44,17 @@ func (m *MOON) String() string { return spec.T("moon", m.Mu, m.Tau).String() }
 func (m *MOON) BeginRound(c *core.Client, round int, global []float64) {
 	gm, pm := c.ScratchModels()
 	gm.SetParams(global)
-	if c.Hist != nil {
-		pm.SetParams(c.Hist)
-	} else {
+	if c.LastRound == 0 {
 		pm.SetParams(global)
+	} else {
+		pm.SetParams(c.State(1))
 	}
+}
+
+// EndRound keeps the client's previous-local model: the parameters it is
+// about to upload, its one persistent row.
+func (m *MOON) EndRound(c *core.Client, round int) {
+	copy(c.State(1), c.Model().Params())
 }
 
 // FeatureGrad implements core.FeatureGradder: it runs the two extra

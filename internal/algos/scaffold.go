@@ -22,7 +22,6 @@ type SCAFFOLD struct {
 	// train: it is written only in PreRound and Aggregate, when none does.
 	c        []float64
 	selected []*core.Client // clients of the in-flight round (set in PreRound)
-	clients  int            // population size N, learned from PreRound calls
 }
 
 // Name implements core.Algorithm.
@@ -48,10 +47,17 @@ func (s *SCAFFOLD) PreRound(round int, selected []*core.Client, global []float64
 	s.selected = append(s.selected[:0], selected...)
 }
 
+// variates splits the client's two persistent rows: c_k, and the delta
+// EndRound last shipped to the server.
+func variates(c *core.Client) (ck, dc []float64) {
+	st := c.State(2)
+	return st[:len(st)/2], st[len(st)/2:]
+}
+
 // TransformGrad applies the drift correction g += c - c_k.
 func (s *SCAFFOLD) TransformGrad(c *core.Client, round int, w, g []float64) {
 	cSrv := s.c
-	ck := c.StateVec("scaffold.ck")
+	ck, _ := variates(c)
 	for i := range g {
 		g[i] += cSrv[i] - ck[i]
 	}
@@ -67,8 +73,7 @@ func (s *SCAFFOLD) EndRound(c *core.Client, round int) {
 	lr := c.Config().LR
 	global := c.RoundGlobal()
 	cSrv := s.c
-	ck := c.StateVec("scaffold.ck")
-	dc := c.StateVec("scaffold.dc")
+	ck, dc := variates(c)
 	w := c.Model().Params()
 	inv := 1 / (float64(k) * lr)
 	for i := range ck {
@@ -98,15 +103,12 @@ func (s *SCAFFOLD) Aggregate(round int, global []float64, updates []core.Update)
 	tensor.WeightedSumInto(next, weights, vecs)
 
 	if len(s.selected) > 0 {
-		if s.clients < len(s.selected) {
-			s.clients = len(s.selected)
-		}
 		// Population size: use the config's partition count via any client.
 		popN := len(s.selected[0].Config().Parts)
 		frac := float64(len(s.selected)) / float64(popN)
 		inv := frac / float64(len(s.selected))
 		for _, c := range s.selected {
-			dc := c.StateVec("scaffold.dc")
+			_, dc := variates(c)
 			tensor.Axpy(inv, dc, s.c)
 		}
 	}

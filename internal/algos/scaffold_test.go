@@ -32,8 +32,7 @@ func TestSCAFFOLDControlVariateUpdate(t *testing.T) {
 	}
 
 	// c_k was 0, c was 0: c_k^+ = (global - w)/(K*lr), and dc = c_k^+.
-	ck := c.StateVec("scaffold.ck")
-	dc := c.StateVec("scaffold.dc")
+	ck, dc := variates(c)
 	want := make([]float64, len(w))
 	for i := range want {
 		want[i] = (global[i] - w[i]) / (float64(k) * cfg.LR)
@@ -74,7 +73,7 @@ func TestSCAFFOLDZeroStepsEndRound(t *testing.T) {
 	s.PreRound(1, []*core.Client{c}, global)
 	c.SetRoundGlobal(global)
 	s.EndRound(c, 1) // no step ran: must not divide by zero
-	ck := c.StateVec("scaffold.ck")
+	ck, _ := variates(c)
 	if tensor.Norm2(ck) != 0 {
 		t.Fatal("c_k must stay zero when no steps ran")
 	}
@@ -92,7 +91,7 @@ func TestSCAFFOLDNoDriftWhenVariatesEqual(t *testing.T) {
 	n := c.NumParams()
 	global := make([]float64, n)
 	s.PreRound(1, []*core.Client{c}, global)
-	ck := c.StateVec("scaffold.ck")
+	ck, _ := variates(c)
 	for i := range ck {
 		s.c[i] = 0.3
 		ck[i] = 0.3

@@ -390,8 +390,9 @@ func (r *bufferedRunner) recycleJob(j *trainJob) {
 // quiesce joins every in-flight job whose local training has not been
 // waited on yet. Training physically completes before its virtual
 // arrival is processed in any case, so joining early never changes a
-// trajectory — it only makes the per-client state (Hist, RNG position,
-// FLOP counters) and the job's update serializable at this boundary.
+// trajectory — it only makes the per-client state (the method's rows, RNG
+// position, FLOP counters) and the job's update serializable at this
+// boundary.
 func (r *bufferedRunner) quiesce() {
 	for _, j := range r.inflight.js {
 		r.join(j)

@@ -64,8 +64,7 @@ func BenchmarkFedTripTransform(b *testing.B) {
 	c := s.Clients()[0]
 	global := s.Global()
 	c.SetRoundGlobal(global)
-	c.Hist = make([]float64, c.NumParams())
-	copy(c.Hist, global)
+	copy(c.State(1), global)
 	c.LastRound = 1 // xi = 1: the full 4|w| path
 	w := c.Model().Params()
 	g := make([]float64, len(w))

@@ -8,13 +8,13 @@ import (
 )
 
 // Client is one federated participant. It owns only what must survive
-// between its participations: its private data indices, its historical
-// model, its per-method state vectors, its FLOP meter, and its
-// deterministic random stream. The heavy training machinery (model,
-// optimizer, batch buffers) and everything that lives for one round (the
-// received global model, the step count) belong to an engine the client
-// borrows for the duration of one LocalTrain — a worker shard's, or the
-// fleet's shared loaner outside the shard pool. What is the same for every
+// between its participations: its private data indices, the method's
+// persistent state, its FLOP meter, and its deterministic random stream.
+// The heavy training machinery (model, optimizer, batch buffers) and
+// everything that lives for one round (the received global model, the
+// step count) belong to an engine the client borrows for the duration of
+// one LocalTrain — a worker shard's, or the fleet's shared loaner outside
+// the shard pool. What is the same for every
 // client (configuration, |w|) is reached through the one fleet pointer.
 // Keeping clients this thin is what lets a population of 10k+ exist in
 // memory at once: idle clients cost a couple of hundred bytes, not a model.
@@ -30,10 +30,6 @@ type Client struct {
 	// plus the method's attaching operations).
 	Counter *flops.Counter
 
-	// Hist is the client's historical local model: the parameters it
-	// uploaded the last time it participated (Algorithm 1 line 4). nil
-	// until the first participation.
-	Hist []float64
 	// LastRound is the round of the client's previous participation
 	// (0 if never). FedTrip's staleness factor xi derives from it.
 	LastRound int
@@ -41,9 +37,8 @@ type Client struct {
 	// rng is built on first use: a 10k-client fleet where most clients
 	// never participate should not pay for 10k PRNG states up front.
 	rng *prng.Rand
-	// state holds named per-method vectors (FedDyn's h_k, SCAFFOLD's c_k,
-	// FedDANE's gradients...), allocated on first use.
-	state map[string][]float64
+	// state backs State: the method's rows, nil until it first asks.
+	state []float64
 
 	// labelFlip is a label-flipping Byzantine client's fixed rotation
 	// offset (adversary.go): every training label y becomes
@@ -91,25 +86,24 @@ func (c *Client) NumSamples() int { return len(c.Indices) }
 // NumParams returns |w|.
 func (c *Client) NumParams() int { return c.loan.numParams }
 
-// StateVec returns the named per-method state vector of length
-// NumParams(), allocating it zeroed on first use.
-func (c *Client) StateVec(name string) []float64 {
-	v, ok := c.state[name]
-	if !ok {
-		if c.state == nil {
-			c.state = make(map[string][]float64)
-		}
-		v = make([]float64, c.NumParams())
-		c.state[name] = v
+// State returns what the method keeps for this client from one
+// participation to the next: rows vectors of NumParams() float64s, back to
+// back (FedTrip's w_hist is State(1), SCAFFOLD's c_k and delta-c are
+// State(2)). The first call allocates them zeroed, in one piece, and every
+// later call returns the same storage, so a row never moves under a
+// caller. A method asks for the same number of rows every time; a method
+// that never calls State costs its clients nothing.
+func (c *Client) State(rows int) []float64 {
+	n := rows * c.NumParams()
+	if len(c.state) < n { // the first call (or a doctored stream's short state)
+		c.state = make([]float64, n)
 	}
-	return v
+	return c.state[:n]
 }
 
-// HasStateVec reports whether the named vector has been allocated.
-func (c *Client) HasStateVec(name string) bool {
-	_, ok := c.state[name]
-	return ok
-}
+// StateBytes reports the bytes the client's State holds: 0 until the
+// method first asks, then 8 bytes per float64 of every row.
+func (c *Client) StateBytes() int { return 8 * cap(c.state) }
 
 // RoundGlobal returns the global model the client received this round:
 // the very slice LocalTrainSteps was given (the model version's shared
@@ -157,8 +151,8 @@ func (c *Client) ScratchModels() (*nn.Model, *nn.Model) {
 }
 
 // LocalTrain runs one participating round: load the global model, run E
-// local epochs of mini-batch SGD with the method's hooks, update the
-// historical model, and return the upload.
+// local epochs of mini-batch SGD with the method's hooks, record the
+// round as the client's last, and return the upload.
 //
 //fedtripvet:hotpath
 func (c *Client) LocalTrain(round int, global []float64) Update {
@@ -248,13 +242,6 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	}
 	algo.EndRound(c, round)
 	e.roundGlobal = nil
-
-	// Historical-model bookkeeping (Algorithm 1 line 4): remember what
-	// this client is about to upload, and when.
-	if c.Hist == nil {
-		c.Hist = make([]float64, e.model.NumParams()) //fedtripvet:allow first participation: the client's historical model, retained for the run
-	}
-	copy(c.Hist, e.model.Params())
 	c.LastRound = round
 
 	var meanLoss float64

@@ -257,8 +257,9 @@ type Update struct {
 // Where a method keeps things: what lives for one round it reads from the
 // client's borrowed engine — Client.RoundGlobal (the received model),
 // Client.RoundSteps (the steps run so far) — or recomputes, as FedTrip does
-// xi; a vector a client carries from one participation to the next is a
-// Client.StateVec.
+// xi; what a client carries from one participation to the next is a row of
+// Client.State, which the method writes itself (FedTrip's w_hist, in its
+// EndRound). The runtime keeps only Client.LastRound for every method.
 type Algorithm interface {
 	// Name returns the registry name ("fedtrip", "fedavg", ...).
 	Name() string

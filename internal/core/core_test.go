@@ -136,8 +136,7 @@ func TestFedTripGradientMatchesLoss(t *testing.T) {
 	gvec := make([]float64, nv)
 	copy(gvec[:n], global)
 	c.SetRoundGlobal(gvec)
-	c.Hist = make([]float64, nv)
-	copy(c.Hist[:n], hist)
+	copy(c.State(1)[:n], hist)
 	c.LastRound = 1
 
 	wFull := make([]float64, nv)
@@ -150,9 +149,9 @@ func TestFedTripGradientMatchesLoss(t *testing.T) {
 		i := rng.Intn(n)
 		orig := wFull[i]
 		wFull[i] = orig + h
-		lp := f.TripletLoss(wFull, gvec, c.Hist, xi)
+		lp := f.TripletLoss(wFull, gvec, c.State(1), xi)
 		wFull[i] = orig - h
-		lm := f.TripletLoss(wFull, gvec, c.Hist, xi)
+		lm := f.TripletLoss(wFull, gvec, c.State(1), xi)
 		wFull[i] = orig
 		num := (lp - lm) / (2 * h)
 		if math.Abs(num-g[i]) > 1e-6*math.Max(1, math.Abs(num)) {
@@ -214,15 +213,15 @@ func TestLocalTrainUpdatesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Clients()[0]
-	if c.Hist != nil || c.LastRound != 0 {
+	if c.StateBytes() != 0 || c.LastRound != 0 {
 		t.Fatal("fresh client must have no history")
 	}
 	u := c.LocalTrain(3, s.Global())
 	if c.LastRound != 3 {
 		t.Fatalf("LastRound = %d", c.LastRound)
 	}
-	if tensor.MaxAbsDiff(c.Hist, u.Params) != 0 {
-		t.Fatal("Hist must equal the uploaded parameters")
+	if tensor.MaxAbsDiff(c.State(1), u.Params) != 0 {
+		t.Fatal("FedTrip's w_hist must equal the uploaded parameters")
 	}
 	if u.NumSamples != c.NumSamples() || u.ClientID != 0 {
 		t.Fatal("update metadata wrong")
@@ -449,26 +448,27 @@ func TestSelectClientsDistinct(t *testing.T) {
 	}
 }
 
-func TestStateVecAndAccessors(t *testing.T) {
+func TestClientStateAndAccessors(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := s.Clients()[0]
-	if c.HasStateVec("x") {
-		t.Fatal("unallocated vec reported present")
+	n := c.NumParams()
+	if c.StateBytes() != 0 {
+		t.Fatal("state reported before the method asked for it")
 	}
-	v := c.StateVec("x")
-	if len(v) != c.NumParams() {
-		t.Fatal("state vec size")
+	v := c.State(2)
+	if len(v) != 2*n || c.StateBytes() != 16*n {
+		t.Fatalf("State(2) holds %d floats (%d bytes), want %d", len(v), c.StateBytes(), 2*n)
 	}
-	v[0] = 5
-	if c.StateVec("x")[0] != 5 {
-		t.Fatal("state vec not persistent")
+	v[n] = 5
+	if again := c.State(2); &again[0] != &v[0] || again[n] != 5 {
+		t.Fatal("state moved or did not persist")
 	}
-	if !c.HasStateVec("x") {
-		t.Fatal("HasStateVec false after allocation")
+	if c.State(1)[0] != 0 || c.StateBytes() != 16*n {
+		t.Fatal("a shorter request must read the same storage")
 	}
 	if c.Config() != &s.cfg {
 		t.Fatal("Config accessor")

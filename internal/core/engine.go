@@ -22,8 +22,8 @@ import (
 // received global model, resets the optimizer, and the scratch models are
 // fully re-loaded by the algorithms that use them (MOON, FedGKD) in
 // BeginRound. Everything that does persist across a client's participations
-// (Hist, LastRound, per-method state vectors, the data-shuffling RNG) lives
-// on the Client itself; what lives for one round (roundGlobal, roundSteps,
+// (LastRound, the method's State rows, the data-shuffling RNG) lives on the
+// Client itself; what lives for one round (roundGlobal, roundSteps,
 // downlink) lives here.
 type engine struct {
 	cfg   *Config

@@ -107,13 +107,14 @@ func (f *FedTrip) Xi(round, lastRound int) float64 {
 // subtractions, two scaled accumulations), metered on the client. xi is a
 // pure function of the participation gap: LastRound still names the
 // previous participation here, LocalTrainSteps moves it after EndRound.
+// xi is 0 at a first participation (LastRound 0), so w_hist is read only
+// once EndRound has written it.
 func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
 	global := c.RoundGlobal()
 	xi := f.Xi(round, c.LastRound) * f.HistWeight
 	mu := f.Mu
 	gw := f.GlobalWeight
-	hist := c.Hist
-	if hist == nil || xi == 0 {
+	if xi == 0 {
 		// First participation (or ablated history term): pure proximal
 		// pull, like FedProx.
 		for i := range g {
@@ -122,19 +123,23 @@ func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
 		c.Counter.Add(int64(2 * len(w)))
 		return
 	}
+	hist := c.State(1)
 	for i := range g {
 		g[i] += mu * (gw*(w[i]-global[i]) + xi*(hist[i]-w[i]))
 	}
 	c.Counter.Add(int64(4 * len(w)))
 }
 
+// EndRound keeps w_hist (Algorithm 1 line 4): the parameters the client
+// is about to upload, read back at its next participation. The client's
+// one persistent row is allocated here, at its first participation.
+func (f *FedTrip) EndRound(c *Client, round int) {
+	copy(c.State(1), c.Model().Params())
+}
+
 // TripletLoss evaluates the regularization value mu/2*(||w-wg||^2 -
 // xi*||w-wh||^2) — used by tests to confirm TransformGrad is its exact
 // gradient.
 func (f *FedTrip) TripletLoss(w, global, hist []float64, xi float64) float64 {
-	v := f.GlobalWeight * tensor.DistSq(w, global)
-	if hist != nil {
-		v -= xi * f.HistWeight * tensor.DistSq(w, hist)
-	}
-	return f.Mu / 2 * v
+	return f.Mu / 2 * (f.GlobalWeight*tensor.DistSq(w, global) - xi*f.HistWeight*tensor.DistSq(w, hist))
 }

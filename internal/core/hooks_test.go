@@ -76,12 +76,12 @@ func TestHistAcrossRoundsFeedsXi(t *testing.T) {
 	}
 	c := s.Clients()[0]
 	u := c.LocalTrain(2, s.Global())
-	// Hist must be the round-2 upload, not the new global.
+	// w_hist must be the round-2 upload, not the new global.
 	if c.LastRound != 2 {
 		t.Fatalf("LastRound %d", c.LastRound)
 	}
-	if tensor.MaxAbsDiff(c.Hist, u.Params) != 0 {
-		t.Fatal("Hist is not the round-2 upload")
+	if tensor.MaxAbsDiff(c.State(1), u.Params) != 0 {
+		t.Fatal("w_hist is not the round-2 upload")
 	}
 	// Participating again at round 5: gap 3 -> xi = 1/3. At w = global the
 	// pull term vanishes and g = mu * xi * (hist - w).
@@ -89,7 +89,7 @@ func TestHistAcrossRoundsFeedsXi(t *testing.T) {
 	g := make([]float64, c.NumParams())
 	f.TransformGrad(c, 5, s.Global(), g)
 	for i := range g {
-		if want := f.Mu * (1.0 / 3 * (c.Hist[i] - s.Global()[i])); g[i] != want {
+		if want := f.Mu * (1.0 / 3 * (c.State(1)[i] - s.Global()[i])); g[i] != want {
 			t.Fatalf("g[%d] = %v want %v (xi = 1/3)", i, g[i], want)
 		}
 	}
@@ -103,9 +103,9 @@ func TestFedTripXiNeedsNoBeginRound(t *testing.T) {
 	c := firstClient(t, testConfig(t, f))
 	n := c.NumParams()
 	global := make([]float64, n)
-	c.Hist = make([]float64, n)
-	for i := range c.Hist {
-		c.Hist[i] = 1
+	hist := c.State(1)
+	for i := range hist {
+		hist[i] = 1
 	}
 	c.LastRound = 2
 	c.SetRoundGlobal(global)
@@ -135,7 +135,7 @@ func TestFedTripAblationWeights(t *testing.T) {
 	for i := range hist {
 		hist[i] = 1
 	}
-	c.Hist = hist
+	copy(c.State(1), hist)
 	c.LastRound = 1
 	c.SetRoundGlobal(global)
 	w := make([]float64, n) // zeros
@@ -161,7 +161,7 @@ func TestFedTripHistWeightZero(t *testing.T) {
 	for i := range global {
 		global[i] = 2
 	}
-	c.Hist = make([]float64, n) // zeros, would repel if active
+	c.State(1) // zeros, would repel if active
 	c.LastRound = 1
 	c.SetRoundGlobal(global)
 	w := make([]float64, n)

@@ -96,6 +96,8 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 		{"priced transport", async(func(sp *RunSpec) {
 			sp.Latency, sp.Network, sp.Config.Transport = ConstantLatency{D: 2}, DefaultNetTiers(), newCountingTransport()
 		}), 3},
+		// MOON reads its client row in BeginRound, from a scratch model.
+		{"moon", async(func(sp *RunSpec) { sp.Algo = NewMOON() }), 3},
 	}
 }
 
@@ -224,7 +226,7 @@ func TestResumeRefusesLyingHeaderCheaply(t *testing.T) {
 	}
 }
 
-// FuzzResume mutates the six scenarios' streams (and the first of them
+// FuzzResume mutates the seven scenarios' streams (and the first of them
 // cut and lied to) under the same three promises. The first input byte
 // picks the scenario the rest is resumed as.
 func FuzzResume(f *testing.F) {

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -242,8 +244,17 @@ func (c *countingTransport) RestoreState(r io.Reader) error {
 // snapCounts is the counting transport's state in either direction: a
 // count, then (client, uploads) pairs in client order.
 func snapCounts(c *tensor.Codec, counts map[int]int64) {
-	word := func(v int64) int64 { c.I64(&v); return v }
-	snapMap(c, "count", &counts, func(id int) int { return int(word(int64(id))) }, word)
+	ids := slices.Sorted(maps.Keys(counts))
+	for i, n := 0, c.Len("count", len(ids)); i < n && c.Err() == nil; i++ {
+		var id int64
+		if !c.Reading() {
+			id = int64(ids[i])
+		}
+		c.I64(&id)
+		v := counts[int(id)]
+		c.I64(&v)
+		counts[int(id)] = v
+	}
 }
 
 // The core-level resume pin for priced, stateful communication: a

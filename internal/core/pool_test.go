@@ -90,7 +90,7 @@ func TestUpdateBuffersNotAliasedSyncRun(t *testing.T) {
 			}
 			ptrs[p] = true
 			seen[p]++
-			hist := s.Clients()[u.ClientID].Hist
+			hist := s.Clients()[u.ClientID].State(1) // FedTrip's w_hist
 			for i := range u.Params {
 				if u.Params[i] != hist[i] {
 					t.Fatalf("round %d: client %d upload corrupted at %d (%v != %v)",
@@ -152,8 +152,8 @@ func TestUpdateBuffersNotAliasedAsyncRun(t *testing.T) {
 
 // TestLocalTrainSteadyStateAllocFree pins the allocation criterion at the
 // client level: once a client has participated (engine batch buffers,
-// Hist, round vectors built) and the server recycles its uploads, a full
-// local round performs zero heap allocations.
+// FedTrip's w_hist, round vectors built) and the server recycles its
+// uploads, a full local round performs zero heap allocations.
 func TestLocalTrainSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pin runs in the non-race job")
@@ -166,7 +166,7 @@ func TestLocalTrainSteadyStateAllocFree(t *testing.T) {
 	c := s.Clients()[0]
 	global := s.Global()
 	scratch := make([]Update, 1)
-	// Warm up: engine buffers, Hist, state vectors, params pool.
+	// Warm up: engine buffers, w_hist, params pool.
 	for i := 1; i <= 2; i++ {
 		scratch[0] = c.LocalTrain(i, global)
 		recycleUpdates(scratch)

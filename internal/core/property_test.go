@@ -78,7 +78,7 @@ func TestFedTripLinearInMu(t *testing.T) {
 	for i := 0; i < n; i++ {
 		global[i], hist[i], w[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 	}
-	c.Hist = hist
+	copy(c.State(1), hist)
 	c.LastRound = 1
 	apply := func(mu float64) []float64 {
 		f := NewFedTrip(mu)

@@ -42,10 +42,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -56,12 +56,14 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 7 is the layout the walks below spell out, under a
+	// snapVersion 8 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
-	// A snapshot does not survive a format bump: Resume refuses any other
-	// version, naming both.
-	snapVersion = 7
+	// Version 8 carries each client's persistent state as one vector of
+	// whole |w| rows (Client.State) where 7 had a historical model and a
+	// named-vector map. A snapshot does not survive a format bump: Resume
+	// refuses any other version, naming both.
+	snapVersion = 8
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -247,28 +249,16 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	c.FloatsExact("global model", s.global)
 	snapRng(c, s.rng)
 
-	// A method's per-client state, by name: model-sized vectors.
-	name := func(k string) string { c.Str("state name", &k); return k }
-	scalar := func(v float64) float64 { c.F64(&v); return v }
-	vector := func(v []float64) []float64 {
-		v = sized(c, v, np)
-		c.FloatsExact("state vector", v)
-		return v
-	}
 	c.LenExact("client count", len(s.clients))
 	for _, cl := range s.clients {
 		if c.Err() != nil {
 			return
 		}
-		// Lazily created training state: present once the client has
-		// participated.
-		has := cl.Hist != nil
-		if c.Bool(&has); has {
-			cl.Hist = sized(c, cl.Hist, np)
-			c.FloatsExact("client historical model", cl.Hist)
-		}
+		// The method's persistent rows (Client.State), empty until it first
+		// asked.
+		c.Rows("client state", &cl.state, np)
 		c.Num("client last round", &cl.LastRound)
-		has = cl.rng != nil
+		has := cl.rng != nil
 		if c.Bool(&has); has {
 			if cl.rng == nil {
 				cl.rng = prng.New(0)
@@ -280,7 +270,6 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 			cl.Counter.Reset()
 			cl.Counter.Add(total)
 		}
-		snapMap(c, "state-vector map", &cl.state, name, vector)
 	}
 
 	// Adversary section: the fault assignment is a pure function of
@@ -335,16 +324,25 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	c.Num("previous evaluation round", &rec.prevEval)
 	c.Num("last submitted evaluation round", &rec.lastSubmitted)
 	c.F64(&rec.lastAcc)
-	// The published accuracies, by round. Snapshot joined every submitted
-	// evaluation, so the two rounds the recorder may still wait on are in
-	// the map — a stream where they are not would hang the next Step.
+	// The published accuracies: a count, then (round, accuracy) pairs in
+	// round order, inserted as they are decoded. Snapshot joined every
+	// submitted evaluation, so the two rounds the recorder may still wait
+	// on are in the map — a stream where they are not would hang the next
+	// Step.
 	accs := rec.ev.exportAccs()
-	snapMap(c, "accuracy map", &accs, func(r int) int {
+	order := slices.Sorted(maps.Keys(accs))
+	for i, n := 0, c.Len("accuracy map", len(order)); i < n && c.Err() == nil; i++ {
+		var r int
+		if !c.Reading() {
+			r = order[i]
+		}
 		if c.Num("accuracy round", &r); r < 1 || r > res.Rounds {
 			c.Fail("accuracy for round %d of %d", r, res.Rounds)
 		}
-		return r
-	}, scalar)
+		acc := accs[r]
+		c.F64(&acc)
+		accs[r] = acc
+	}
 	if c.Reading() && c.Err() == nil {
 		for _, r := range [2]int{rec.prevEval, rec.lastSubmitted} {
 			if _, ok := accs[r]; r != 0 && !ok {
@@ -362,32 +360,6 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	}
 	snapRng(c, a.latRng)
 	a.pop.snap(c)
-}
-
-// snapMap is a map in key order: a count, then each entry's key and
-// value. Decoding inserts entries as they arrive. key and value take and
-// return the field rather than point at it: a pointer handed to a
-// function value is heap-allocated, once per entry.
-func snapMap[K cmp.Ordered, V any](c *tensor.Codec, what string, m *map[K]V, key func(K) K, value func(V) V) {
-	keys := make([]K, 0, 4) // on the stack: a method keeps an entry or two per client
-	for k := range *m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	n := c.Len(what, len(keys))
-	for i := 0; i < n && c.Err() == nil; i++ {
-		var k K
-		if !c.Reading() {
-			k = keys[i]
-		}
-		k = key(k)
-		if v := value((*m)[k]); c.Reading() && c.Err() == nil {
-			if *m == nil {
-				*m = make(map[K]V)
-			}
-			(*m)[k] = v
-		}
-	}
 }
 
 // snapList is a list whose length only the stream knows: a count, then

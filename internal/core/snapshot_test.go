@@ -117,26 +117,29 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
 // writes it, for the snapshot stream each resume pin builds. The lengths
-// were taken at PR 22, the FTRS 7 bump: each stream is its FTRS 6
-// predecessor (whose length had not moved since PR 16, the last commit
-// with a separate writer and reader) minus every client's scalar map — a
-// count word, and per entry a name and a value — plus one executed-steps
-// word per job. The hashes were re-taken at PR 23, which stored the corpus
-// as uint8 grid codes and so moved every trained float64 once, in a tree
-// where snapshot.go, tensor/io.go and comm/compress.go are byte-identical
-// to PR 22's: the layout did not move, only the values in it.
+// and hashes were taken at the FTRS 8 bump, which replaced each client's
+// has-history byte, optional history vector and state-vector map with one
+// length-prefixed vector of the method's rows. Under FedTrip a client that
+// participated loses the has-history byte and the map's count word
+// (1 + 8 = 9 bytes); one that never did trades both for an empty vector's
+// length word (1 + 8 - 8 = 1 byte). So each FTRS 7 stream shrank by
+// 6 x 9 = 54 bytes, and the priced-transport one, with a client never
+// selected, by 5 x 9 + 1 = 46. Rewriting each FTRS 7 stream into the new
+// layout reproduced its FTRS 8 stream byte for byte: the values did not
+// move, only the layout. TestResumeEquivalenceMOON's entry is new at FTRS 8.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"55afd3726a371436fa140914ed43fb024b9cda30e2a5a3149496fb20c16749aa", 4453677},
-	"TestResumeEquivalenceAsyncFedBuff":         {"697b84141e2050ed6d699cba5c3cadbb14bd1cdf714de61a2259992a6921ada8", 6362344},
-	"TestResumeEquivalenceAsyncChurn":           {"fdb4a49be3b650d014c1180cd8fe26c6c7ae1960d10290ff2b501788ba1c572d", 6362550},
-	"TestResumeEquivalenceAsyncDevices":         {"23f68771096f3ea6f1bddcb7221dfb3588843ab934b54d146b8e402363431b0d", 6362313},
-	"TestResumeEquivalenceNoiseFault":           {"2488a8bc409fd48aeeec698da7e11b1448b451772554b7d3b2b5c9cacc28e9d5", 6362351},
-	"TestResumeEquivalenceAsyncPricedTransport": {"afa72c5dffd48952a7b979353f0b5b993999c609da39d8f9ca101b3715f617d1", 5090302},
+	"TestResumeEquivalenceSync":                 {"100876778c09082512025b76d096481995d5af252e081d801c87aa0597229f97", 4453623},
+	"TestResumeEquivalenceAsyncFedBuff":         {"cf21c41864e32409adbf1b27731fbbc8a1ab1219a6487ddc823b5e053af5e184", 6362290},
+	"TestResumeEquivalenceAsyncChurn":           {"23fdeec91291e93970f579c350531f19d96bee5df1fe153ad9353518a7fbedd2", 6362496},
+	"TestResumeEquivalenceAsyncDevices":         {"112654f9f33c803019cda5f5099de44015654467afbe29f6f147abb2f4d71bfa", 6362259},
+	"TestResumeEquivalenceNoiseFault":           {"eda197b8c45cd463e4a5f8a719e3d4e81bb8539679032167a276ce01ead7ea9a", 6362297},
+	"TestResumeEquivalenceAsyncPricedTransport": {"7167f4bce4b1c32180ee37e9363cc4325e1b6a0df9a1d1a885935898c11f28e5", 5090256},
+	"TestResumeEquivalenceMOON":                 {"39ba175ddfa6d7297f597ba18936a0e19d3ae2c3ada99f7bbc90d646201561e0", 6362287},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -148,7 +151,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, FTRS 7 is %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 8 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -246,6 +249,24 @@ func TestResumeEquivalenceAsyncChurn(t *testing.T) {
 	}, 4)
 }
 
+// NewMOON builds the registry's MOON for this package's tests, which
+// cannot import algos (algos imports core); moon_test.go sets it.
+var NewMOON func() Algorithm
+
+// TestResumeEquivalenceMOON resumes a method whose client row is read in
+// BeginRound rather than in TransformGrad: MOON's previous-local model.
+func TestResumeEquivalenceMOON(t *testing.T) {
+	cfg := snapTestConfig(t, 8)
+	cfg.Algo = NewMOON()
+	runResumeScenario(t, RunSpec{
+		Config:      cfg,
+		Runtime:     RuntimeAsync,
+		Concurrency: 4,
+		BufferSize:  2,
+		Latency:     ExponentialLatency{Mean: 2},
+	}, 4)
+}
+
 func TestResumeEquivalenceAsyncDevices(t *testing.T) {
 	cfg := snapTestConfig(t, 6)
 	runResumeScenario(t, RunSpec{
@@ -327,7 +348,7 @@ func TestSnapshotPolicyRoundTrip(t *testing.T) {
 
 // TestResumeRejectsBadSnapshots pins the precise-error contract for
 // wrong-magic, wrong-version, truncated, and wrong-run streams. A format
-// bump orphans older snapshots: a v5-headered stream is refused with both
+// bump orphans older snapshots: a v7-headered stream is refused with both
 // versions named, whatever follows the header.
 func TestResumeRejectsBadSnapshots(t *testing.T) {
 	cfg := snapTestConfig(t, 4)
@@ -343,6 +364,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	if err := rs.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	np := len(rs.Server().Global())
 	rs.Close()
 	good := buf.Bytes()
 
@@ -361,6 +383,14 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	dropSeries := func(off int) []byte {
 		return append(append(append([]byte(nil), good[:off]...), word(0)...), good[off+16:]...)
 	}
+	// partialRow gives client 0's state one float more than it has: the
+	// vector follows the header, the fingerprint, the global model, the
+	// selection stream and the client count.
+	fingerprint := int(binary.LittleEndian.Uint64(good[len(snapMagic)+1:]))
+	at := len(snapMagic) + 1 + 8 + fingerprint + 8 + 8*np + 17 + 8
+	floats := int(binary.LittleEndian.Uint64(good[at:]))
+	end := at + 8 + 8*floats
+	partialRow := bytes.Join([][]byte{good[:at], word(uint64(floats + 1)), good[at+8 : end], word(0), good[end:]}, nil)
 
 	cases := []struct {
 		name    string
@@ -370,7 +400,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 6), good[5:]...), spec, "run snapshot version 6, this build reads version 7"},
+		{"previous version", append(append([]byte(snapMagic), 7), good[5:]...), spec, "run snapshot version 7, this build reads version 8"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},
@@ -381,6 +411,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 		{"short sim-time series", dropSeries(rec + 56), spec, "sim-time series"},
 		{"short staleness series", dropSeries(rec + 72), spec, "staleness series"},
 		{"more rounds than the spec", append(append(append([]byte(nil), good[:rec]...), word(5)...), good[rec+8:]...), spec, "recorded rounds"},
+		{"client state not whole rows", partialRow, spec, "not a whole number of"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

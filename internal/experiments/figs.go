@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algos"
 	"repro/internal/core"
@@ -32,23 +33,30 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 	if earlierRound < 1 {
 		earlierRound = 1
 	}
-	var globalFinal, localFinal, localEarlier []float64
+	// Client 0's local model is its latest merged upload (nil until it has
+	// one). Both hooks run on the server goroutine, so neither touches a
+	// client that may be training on a shard.
+	var upload0, globalFinal, localFinal, localEarlier []float64
+	cfg.OnUpdates = func(_ int, _ []float64, updates []core.Update) {
+		for _, u := range updates {
+			if u.ClientID == 0 {
+				upload0 = append(upload0[:0], u.Params...)
+			}
+		}
+	}
 	cfg.OnRound = func(round int, s *core.Server) {
-		c0 := s.Clients()[0]
-		if round == earlierRound && c0.Hist != nil {
-			localEarlier = append([]float64(nil), c0.Hist...)
+		if round == earlierRound {
+			localEarlier = slices.Clone(upload0)
 		}
 		if round == p.Rounds {
-			globalFinal = append([]float64(nil), s.Global()...)
-			if c0.Hist != nil {
-				localFinal = append([]float64(nil), c0.Hist...)
-			}
+			globalFinal = slices.Clone(s.Global())
+			localFinal = slices.Clone(upload0)
 		}
 	}
 	// The run goes through Case.runSpec so the profile-level runtime
 	// selection (-runtime/-latency/-device-dist/...) reaches this harness
-	// like any table case; the snapshot hook rides along as OnRound,
-	// which every runtime honors.
+	// like any table case; the snapshot hooks ride along, and every
+	// runtime honors them.
 	rspec, err := c.runSpec(p, cfg)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -259,6 +260,36 @@ func TestCodecExpectEOF(t *testing.T) {
 	}
 }
 
+// TestCodecRows: a vector of whole rows decodes a row at a time, so an
+// honest stream of any number of rows ends with cap == len, and a length
+// that is not whole rows is refused before an element is read.
+func TestCodecRows(t *testing.T) {
+	const width = 700 // wider than one chunk's 512 words
+	for rows := 0; rows <= 3; rows++ {
+		v := make([]float64, rows*width)
+		for i := range v {
+			v[i] = float64(i)
+		}
+		var buf bytes.Buffer
+		e := NewEncoder(&buf)
+		if e.Rows("state", &v, width); e.Finish() != nil {
+			t.Fatal(e.Err())
+		}
+		var got []float64
+		d := NewDecoder(&buf, "tensor", "test record")
+		if d.Rows("state", &got, width); d.Finish() != nil || !slices.Equal(got, v) || cap(got) != len(v) {
+			t.Fatalf("%d rows: decoded %d floats with cap %d (err=%v)", rows, len(got), cap(got), d.Err())
+		}
+	}
+	partial := binary.LittleEndian.AppendUint64(nil, width+1)
+	d := NewDecoder(bytes.NewReader(append(partial, make([]byte, 8*(width+1))...)), "tensor", "test record")
+	var got []float64
+	d.Rows("state", &got, width)
+	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "state holds 701 floats, not a whole number of 700-float rows") || got != nil {
+		t.Fatalf("a row and a float: %v, %d floats decoded", err, len(got))
+	}
+}
+
 // TestCodecLyingLengthsAreCheap is the allocation rule: a length prefix
 // the stream cannot back costs one chunk, not the length — for each of
 // the three kinds that grow as they decode, and at once for the kinds
@@ -269,6 +300,7 @@ func TestCodecLyingLengthsAreCheap(t *testing.T) {
 	for name, read := range map[string]func(*Codec){
 		"Str":         func(c *Codec) { var s string; c.Str("s", &s) },
 		"Floats":      func(c *Codec) { var v []float64; c.Floats("v", &v) },
+		"Rows":        func(c *Codec) { var v []float64; c.Rows("v", &v, 8) },
 		"I32s":        func(c *Codec) { var v []int32; c.I32s("v", &v, math.MaxInt) },
 		"FloatsExact": func(c *Codec) { c.FloatsExact("v", make([]float64, 8)) },
 	} {

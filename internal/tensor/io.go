@@ -27,7 +27,7 @@ import (
 // length the stream supplied. A slice whose size the caller knows
 // (FloatsExact, I64sExact, I32sExact, Vector) is length-checked before a
 // byte of it is read and decoded in place; anything else (Str, Floats,
-// I32s) grows, at most doubling, as elements are actually decoded. A
+// Rows, I32s) grows, at most doubling, as elements are actually decoded. A
 // lying length prefix therefore costs one codecChunk of work, and a
 // decode allocates a small multiple of the bytes really present.
 type Codec struct {
@@ -314,13 +314,22 @@ func (c *Codec) I32sExact(what string, v []int32) {
 
 // Floats is a length-prefixed float64 vector of a length only the stream
 // knows: decoding replaces *v, growing it as elements arrive.
-func (c *Codec) Floats(what string, v *[]float64) {
+func (c *Codec) Floats(what string, v *[]float64) { c.Rows(what, v, 1) }
+
+// Rows is Floats for whole rows of width elements: decoding refuses any
+// other length before an element is read, and grows *v a row at a time,
+// so a one-row vector ends with cap == len.
+func (c *Codec) Rows(what string, v *[]float64, width int) {
 	n := c.Len(what, len(*v))
 	if c.r != nil && c.err == nil {
-		*v = (*v)[:0]
+		if *v = (*v)[:0]; n%width != 0 {
+			c.Fail("%s holds %d floats, not a whole number of %d-float rows", what, n, width)
+		}
 	}
 	c.floatWords(n, func(hi int) []float64 {
-		*v = growTo(*v, max(hi, len(*v)), n)
+		if hi > len(*v) {
+			*v = growTo(*v, (hi+width-1)/width*width, n)
+		}
 		return *v
 	})
 }
