@@ -17,10 +17,11 @@ import (
 // method: one small MLP run each on the lock-step runtime, plus the two
 // methods that read a client's previous upload (FedTrip's w_hist, MOON's
 // previous-local model) on the async runtime under a straggler latency,
-// where participation gaps vary and stale clients return. Each result
-// digest is compared with a literal taken before per-client state moved
-// from the runtime into the methods. The digests are amd64 values (like
-// parentStreamSHA256).
+// where participation gaps vary and stale clients return, plus four runs
+// on conv models (runConv). Each result digest is compared with a literal
+// taken before per-client state moved from the runtime into the methods;
+// the conv rows before input gradients moved into activation buffers. The
+// digests are amd64 values (like parentStreamSHA256).
 func TestMethodDigestsPinned(t *testing.T) {
 	sync := map[string]string{
 		"fedtrip":  "89ac4560cb3a6c42",
@@ -98,4 +99,60 @@ func TestMethodDigestsPinned(t *testing.T) {
 	}
 	check(core.RuntimeSync, sync)
 	check(core.RuntimeAsync, async)
+
+	// The conv rows run backward through every layer kind: MOON adds a
+	// feature gradient at the head, FedDANE's full gradient runs backward
+	// after an evaluation-mode forward, and AlexNet draws dropout masks.
+	for _, c := range []struct {
+		arch   nn.Arch
+		name   string
+		digest string
+	}{
+		{nn.ArchCNN, "fedtrip", "8b1c8e88a121b9ac"},
+		{nn.ArchCNN, "moon", "df9e85822466030f"},
+		{nn.ArchAlexNet, "fedtrip", "bb6f9cbf2269fe33"},
+		{nn.ArchCNN, "feddane", "c564b21fbc2ac635"},
+	} {
+		t.Run(string(c.arch)+"/"+c.name, func(t *testing.T) {
+			got := runConv(t, c.arch, c.name)
+			if runtime.GOARCH != "amd64" {
+				t.Skipf("digest %s not compared: the literals are amd64 values", got)
+			}
+			if got != c.digest {
+				t.Errorf("digest %s, want %s: the method's trajectory moved", got, c.digest)
+			}
+		})
+	}
+}
+
+// runConv runs method name for three lock-step rounds on a small conv
+// model of arch and returns the result digest.
+func runConv(t *testing.T, arch nn.Arch, name string) string {
+	spec := nn.ModelSpec{Arch: arch, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25}
+	kind := data.KindMNIST
+	if arch == nn.ArchAlexNet {
+		spec = nn.ModelSpec{Arch: arch, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.1}
+		kind = data.KindCIFAR
+	}
+	train, test, err := data.Generate(data.Spec{Kind: kind, Train: 120, Test: 40, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 6, 20, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, err := algos.New(name, algos.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Start(core.RunSpec{Config: core.Config{
+		Model: spec, Train: train, Test: test, Parts: parts,
+		Rounds: 3, ClientsPerRound: 3, BatchSize: 10, LocalEpochs: 1,
+		LR: 0.01, Momentum: 0.9, Algo: algo, Seed: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Digest()
 }
