@@ -118,14 +118,10 @@ func newAsyncServer(sp RunSpec, maxJobs int) (*AsyncServer, error) {
 	}
 	s.policy = sp.Policy
 	s.installFaults(sp.Faults)
-	rec, err := newRecorder(s)
-	if err != nil {
-		return nil, err
-	}
 	a := &AsyncServer{
 		s:    s,
 		spec: sp,
-		rec:  rec,
+		rec:  newRecorder(s),
 		// Closing the pool joins every submitted job, so training
 		// goroutines never outlive the run: they hold client state and
 		// the transport.

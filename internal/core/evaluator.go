@@ -49,8 +49,11 @@ const evalWindow = 200
 // tester is a model instance plus the batch buffers that evaluate it on
 // the test set, sized once to min(Config.BatchSize, evalWindow) rows:
 // evaluation holds activations of the training width and, in steady
-// state, allocates nothing.
+// state, allocates nothing. A server keeps one: the off-loop evaluator and
+// Server.EvaluateGlobal (callable from an OnRound hook while evaluations
+// are queued) take turns under mu.
 type tester struct {
+	mu     sync.Mutex
 	model  *nn.Model
 	test   evalDataset
 	x      *tensor.Tensor
@@ -76,6 +79,8 @@ func newTester(cfg *Config) (*tester, error) {
 // accuracy loads params into the model and returns its accuracy over the
 // test set.
 func (t *tester) accuracy(params []float64) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.model.SetParams(params)
 	n := t.test.Len()
 	if n == 0 {
@@ -108,13 +113,8 @@ func (t *tester) count(lo, hi int) int {
 	return nn.Correct(t.model.Forward(t.x, false), t.labels[:rows])
 }
 
-func newEvaluator(cfg *Config) (*evaluator, error) {
-	// A dedicated tester: Server.EvaluateGlobal stays usable from OnRound
-	// hooks while the evaluator is mid-batch.
-	t, err := newTester(cfg)
-	if err != nil {
-		return nil, err
-	}
+// newEvaluator starts an evaluator on the server's tester t.
+func newEvaluator(t *tester) *evaluator {
 	e := &evaluator{
 		t:    t,
 		reqs: make(chan evalSnap, 2),
@@ -123,7 +123,7 @@ func newEvaluator(cfg *Config) (*evaluator, error) {
 	e.cond = sync.NewCond(&e.mu)
 	e.closed.Add(1)
 	go e.loop()
-	return e, nil
+	return e
 }
 
 func (e *evaluator) loop() {

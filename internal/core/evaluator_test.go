@@ -118,6 +118,32 @@ func relabeled(ds *data.Dataset, pred []int, n int) *data.Dataset {
 	return &p
 }
 
+// The off-loop evaluator and Server.EvaluateGlobal share the server's one
+// tester. An OnRound hook calls EvaluateGlobal right after the round's
+// snapshot is queued for the evaluator, on the same global model, so the
+// two must agree bit for bit — and under -race the two users of the
+// tester must never overlap.
+func TestEvaluateGlobalFromOnRoundSharesTester(t *testing.T) {
+	cfg := testConfig(t, NewFedTrip(0.4))
+	cfg.Rounds = 4
+	var hooked []float64
+	cfg.OnRound = func(round int, s *Server) {
+		hooked = append(hooked, s.EvaluateGlobal())
+	}
+	res, err := Start(RunSpec{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range hooked {
+		if math.Float64bits(a) != math.Float64bits(res.Accuracy[i]) {
+			t.Fatalf("round %d: EvaluateGlobal in OnRound gave %v, the evaluator %v", i+1, a, res.Accuracy[i])
+		}
+	}
+	if len(hooked) != cfg.Rounds {
+		t.Fatalf("OnRound ran %d times, want %d", len(hooked), cfg.Rounds)
+	}
+}
+
 // TestEvaluateAccuracyMatchesWideOracle: the runtime's evaluation of a
 // model, in chunks of the training batch, is Float64bits-equal to the
 // 200-row oracle for every architecture, test-set size and batch size, on

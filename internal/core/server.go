@@ -403,11 +403,7 @@ type recorder struct {
 	finalized     bool
 }
 
-func newRecorder(s *Server) (*recorder, error) {
-	ev, err := newEvaluator(&s.cfg)
-	if err != nil {
-		return nil, err
-	}
+func newRecorder(s *Server) *recorder {
 	r := &recorder{
 		s: s,
 		res: &Result{
@@ -416,13 +412,13 @@ func newRecorder(s *Server) (*recorder, error) {
 			RoundsToTarget: -1,
 		},
 		commPerClient: int64(4 * len(s.global)), // float32 transfer, one way
-		ev:            ev,
+		ev:            newEvaluator(s.eval),
 		blocking:      s.cfg.StopAtTarget && s.cfg.TargetAccuracy > 0,
 	}
 	if cc, ok := s.cfg.Algo.(CommCoster); ok {
 		r.extraComm = cc.ExtraCommFactor()
 	}
-	return r, nil
+	return r
 }
 
 // addWire credits one processed dispatch's measured wire traffic

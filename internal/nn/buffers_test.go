@@ -58,16 +58,19 @@ func heldBytes(m *Model, caller ...*tensor.Tensor) int64 {
 //	mlp@6       train     57,912   eval    10,680
 //	alexnet@8   train 13,009,792   eval 6,640,512
 //
-// A change that means to move these edits the table.
+// and before conv, dense and max-pool layers wrote their input gradient
+// into their input's storage, training held 6,786,400 (cnn@50) and
+// 6,959,744 (alexnet@8). A change that means to move these edits the
+// table.
 func TestHeldActivationBytes(t *testing.T) {
 	for _, c := range []struct {
 		spec        ModelSpec
 		batch       int
 		train, eval int64
 	}{
-		{ModelSpec{Arch: ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10}, 50, 6_786_400, 3_552_800},
+		{ModelSpec{Arch: ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10}, 50, 3_634_400, 3_552_800},
 		{ModelSpec{Arch: ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10}, 6, 10_080, 5_280},
-		{ModelSpec{Arch: ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.25}, 8, 6_959_744, 3_541_632},
+		{ModelSpec{Arch: ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.25}, 8, 4_403_840, 3_541_632},
 	} {
 		rng := rand.New(rand.NewSource(1))
 		m, err := c.spec.Build(1)

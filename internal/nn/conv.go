@@ -25,7 +25,7 @@ type convLayer struct {
 	dw, db      []float64
 	wView       *tensor.Tensor // [outC, ColRows] view of w, fixed at Bind
 	x           *tensor.Tensor
-	y, dx       *tensor.Tensor
+	y, dx       *tensor.Tensor // dx: none when first, x when gradInInput
 	dy          *tensor.Tensor // backward input, shared with workers
 	scratch     sync.Pool      // *convScratch
 }
@@ -158,6 +158,8 @@ func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	g := l.geom
 	switch {
 	case l.first: // l.dx stays nil
+	case l.gradInInput: // a sample's col2im follows its im2col
+		l.dx = l.x
 	case l.dx == nil:
 		l.dx = tensor.New(n, g.InC, g.InH, g.InW)
 	case l.dx.Dim(0) != n:
@@ -242,9 +244,9 @@ type maxPoolLayer struct {
 	k       int
 	c, h, w int
 	oh, ow  int
-	argmax  []int32 // flat input index of each output's max
+	argmax  []int32 // flat input index of each output's max, in its window
 	x, dy   *tensor.Tensor
-	y, dx   *tensor.Tensor
+	y, dx   *tensor.Tensor // dx: x when gradInInput
 }
 
 // MaxPool2D appends k x k max pooling with stride k.
@@ -308,8 +310,10 @@ func (l *maxPoolLayer) forwardChunk(lo, hi int) {
 			base := c * l.h * l.w
 			for oy := 0; oy < l.oh; oy++ {
 				for ox := 0; ox < l.ow; ox++ {
+					// A window with no value above -Inf (all NaN or -Inf)
+					// routes its gradient to its own first element.
 					best := math.Inf(-1)
-					bestIdx := 0
+					bestIdx := base + oy*l.k*l.w + ox*l.k
 					for ky := 0; ky < l.k; ky++ {
 						rowBase := base + (oy*l.k+ky)*l.w + ox*l.k
 						for kx := 0; kx < l.k; kx++ {
@@ -333,9 +337,12 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		return nil
 	}
 	n := dy.Dim(0)
-	if l.dx == nil {
+	switch {
+	case l.gradInInput:
+		l.dx = l.x
+	case l.dx == nil:
 		l.dx = tensor.New(n, l.c, l.h, l.w)
-	} else if l.dx.Dim(0) != n {
+	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
 	l.dy = dy
@@ -347,18 +354,34 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return l.dx
 }
 
+// backwardChunk writes the input gradient window by window. The windows
+// tile the input and each argmax lies in its own window, so when dx is
+// the input's storage, the mask read at a window's argmax still sees the
+// input: nothing has zeroed that window yet.
 func (l *maxPoolLayer) backwardChunk(lo, hi int) {
 	inSize := l.c * l.h * l.w
 	outSize := l.c * l.oh * l.ow
 	for s := lo; s < hi; s++ {
+		xs := l.x.Data[s*inSize : (s+1)*inSize]
 		dxs := l.dx.Data[s*inSize : (s+1)*inSize]
-		for i := range dxs {
-			dxs[i] = 0
-		}
 		dys := l.dy.Data[s*outSize : (s+1)*outSize]
 		am := l.argmax[s*outSize : (s+1)*outSize]
-		for o, v := range dys {
-			dxs[am[o]] += v
+		o := 0
+		for c := 0; c < l.c; c++ {
+			base := c * l.h * l.w
+			for oy := 0; oy < l.oh; oy++ {
+				for ox := 0; ox < l.ow; ox++ {
+					keep := !l.masks || xs[am[o]] > 0
+					for ky := 0; ky < l.k; ky++ {
+						rowBase := base + (oy*l.k+ky)*l.w + ox*l.k
+						clear(dxs[rowBase : rowBase+l.k])
+					}
+					if keep {
+						dxs[am[o]] += dys[o]
+					}
+					o++
+				}
+			}
 		}
 	}
 }

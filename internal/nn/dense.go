@@ -17,7 +17,7 @@ type denseLayer struct {
 	wView   *tensor.Tensor // [in,out] matrix view of w, fixed at Bind
 	dwView  *tensor.Tensor // [in,out] matrix view of dw, fixed at Bind
 	x       *tensor.Tensor // cached input for backward
-	dx      *tensor.Tensor // scratch for input gradient (none when first)
+	dx      *tensor.Tensor // input gradient: none when first, x when gradInInput
 	y       *tensor.Tensor // scratch for output
 }
 
@@ -85,10 +85,13 @@ func (l *denseLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.first {
 		return nil
 	}
-	// dx = dy W^T.
-	if l.dx == nil {
+	// dx = dy W^T, into the input's storage once dW has read it.
+	switch {
+	case l.gradInInput:
+		l.dx = l.x
+	case l.dx == nil:
 		l.dx = tensor.New(n, l.in)
-	} else if l.dx.Dim(0) != n {
+	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
 	tensor.MatMulABT(l.dx, dy, l.wView)

@@ -67,6 +67,29 @@ type placement struct {
 	// model allocated — not the caller's dLogits, nor a flatten or dropout
 	// passing it through. A ReLU zeroes it in place.
 	ownGrad bool
+	// gradInInput: a conv, dense or max-pool layer between the first and
+	// the last writes its input gradient into its input's storage and
+	// returns the input tensor. The input is a buffer an earlier layer
+	// allocated (looking through flattens, which are views, but not
+	// through a dropout, which at evaluation passes the caller's batch).
+	// Backward reads the input before overwriting it: dense's dW GEMM
+	// precedes its dx GEMM, conv's im2col of a sample that sample's
+	// col2im, and max-pool reads only argmax. And no later backward step
+	// reads the buffer: a conv, dense or max-pool allocated it, none of
+	// which reads its own output backward, or a ReLU whose mask the
+	// max-pool applies (masks).
+	gradInInput bool
+	// masks: a max-pool behind a ReLU applies the ReLU's mask. Window by
+	// window it reads keep := x[argmax] > 0 before zeroing the window and
+	// adds the output gradient only where keep holds: its input is the
+	// ReLU's output and each argmax lies in its own window, so that is
+	// the mask the ReLU would apply, read before anything overwrites it.
+	// The ReLU's output must be a buffer no other backward reads: the
+	// ReLU's own, or a conv's or pool's that it rectified in place.
+	masks bool
+	// masked: the ReLU whose mask the max-pool after it applies; its
+	// Backward passes the gradient through.
+	masked bool
 }
 
 func (p *placement) place(q placement) { *p = q }
@@ -85,13 +108,49 @@ func place(layers []Layer) {
 		}
 		return true
 	}
+	// writer: a layer that allocates its output and never reads it in
+	// backward.
+	writer := func(l Layer) bool {
+		switch l.(type) {
+		case *convLayer, *denseLayer, *maxPoolLayer:
+			return true
+		}
+		return false
+	}
 	last := len(layers) - 1
-	for i, l := range layers {
-		l.(placed).place(placement{
+	ps := make([]placement, len(layers))
+	for i := range layers {
+		ps[i] = placement{
 			first:    i == 0,
 			ownInput: i < last && slices.ContainsFunc(layers[:i], produces),
 			ownGrad:  slices.ContainsFunc(layers[i+1:], produces),
-		})
+		}
+	}
+	for i := 1; i < last; i++ {
+		if !writer(layers[i]) {
+			continue
+		}
+		j := i - 1 // the layer that made the input, through flattens
+		for j >= 0 {
+			if _, ok := layers[j].(*flattenLayer); !ok {
+				break
+			}
+			j--
+		}
+		if j < 0 {
+			continue
+		}
+		_, relu := layers[j].(*reluLayer)
+		_, pool := layers[i].(*maxPoolLayer)
+		switch {
+		case writer(layers[j]):
+			ps[i].gradInInput = true
+		case relu && pool && (!ps[j].ownInput || writer(layers[j-1])):
+			ps[i].gradInInput, ps[i].masks, ps[j].masked = true, true, true
+		}
+	}
+	for i, l := range layers {
+		l.(placed).place(ps[i])
 	}
 }
 

@@ -208,7 +208,9 @@ func (m *Model) FeatureDim() int { return m.featureDim }
 // itself, whose gradient is not computed). Callers must ZeroGrad first if
 // they want fresh gradients. A ReLU reads its mask from its own output, so
 // a caller must not write the logits of a model that ends in one before
-// Backward.
+// Backward. Backward writes input gradients into the activations they
+// replace, so each Backward needs a Forward of its own; the logits and
+// Features are left as they were.
 func (m *Model) Backward(dLogits *tensor.Tensor, extraFeatureGrad *tensor.Tensor) {
 	last := len(m.layers) - 1
 	g := m.layers[last].Backward(dLogits)
