@@ -27,6 +27,14 @@ import (
 	"repro/internal/partition"
 )
 
+// mustFleet unwraps a fleet spec the test knows to be valid.
+func mustFleet(d core.FleetDist, err error) core.FleetDist {
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // --- Runtime throughput: synchronous vs asynchronous ---
 //
 // Both benchmarks meter client updates per second of real wall-clock time
@@ -97,7 +105,7 @@ func BenchmarkAsyncRuntimeThroughput(b *testing.B) {
 			Runtime:     core.RuntimeAsync,
 			Concurrency: 8,
 			BufferSize:  4,
-			Latency:     core.UniformLatency{Min: 1, Max: 3},
+			Latency:     mustFleet(core.ParseLatency("uniform:1,3")),
 		}
 		c.Algo = core.NewFedTrip(0.4)
 		res, err := core.Start(c)
@@ -160,7 +168,7 @@ func asyncSpec(tb testing.TB, clients int) core.RunSpec {
 		Runtime:     core.RuntimeAsync,
 		Concurrency: 128,
 		BufferSize:  32,
-		Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
+		Latency:     mustFleet(core.ParseLatency("straggler:1,10,7")),
 	}
 }
 
@@ -174,7 +182,7 @@ func churnSpec(tb testing.TB, clients int) core.RunSpec {
 		Runtime:            core.RuntimeAsync,
 		Concurrency:        128,
 		BufferSize:         32,
-		Devices:            core.LognormalDevices{Mu: 0, Sigma: 0.6},
+		Devices:            mustFleet(core.ParseDeviceDist("lognormal:0,0.6")),
 		FlopRate:           1e6,
 		AdaptiveLocalSteps: true,
 		Churn:              &core.ChurnModel{MeanUp: 30, MeanDown: 3},
@@ -257,7 +265,7 @@ func scaleSpec(tb testing.TB, clients int) core.RunSpec {
 		Runtime:     core.RuntimeAsync,
 		Concurrency: 256,
 		BufferSize:  64,
-		Latency:     core.StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
+		Latency:     mustFleet(core.ParseLatency("straggler:1,10,7")),
 		Churn:       &core.ChurnModel{MeanUp: 400, MeanDown: 40},
 	}
 }

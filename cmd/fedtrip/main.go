@@ -162,7 +162,7 @@ func run(o runOpts) (*core.Result, error) {
 			rspec.Algo.Name(), o.Model, o.Dataset, scheme, o.K, o.Clients, o.Rounds, rspec.Policy)
 	default:
 		pricing := fmt.Sprintf("latency=%s", rspec.Latency)
-		if rspec.Devices != nil {
+		if !rspec.Devices.None() {
 			pricing = fmt.Sprintf("devices=%s flop-rate=%gGF/s", rspec.Devices, rspec.FlopRate/1e9)
 			if rspec.AdaptiveLocalSteps {
 				pricing += " adaptive-steps"
@@ -174,7 +174,7 @@ func run(o runOpts) (*core.Result, error) {
 		if rspec.Faults != nil {
 			pricing += fmt.Sprintf(" faults=%s", rspec.Faults)
 		}
-		if rspec.Network != nil {
+		if !rspec.Network.None() {
 			pricing += fmt.Sprintf(" bandwidth=%s", rspec.Network)
 		}
 		if rspec.Transport != nil {

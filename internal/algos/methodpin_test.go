@@ -68,7 +68,7 @@ func TestMethodDigestsPinned(t *testing.T) {
 		}
 		if rt == core.RuntimeAsync {
 			sp.Rounds = 12
-			sp.Latency = core.StragglerLatency{Fast: 1, Slow: 4, SlowEvery: 3}
+			sp.Latency = mustFleet(core.ParseLatency("straggler:1,4,3"))
 			sp.Concurrency, sp.BufferSize = 8, 2
 		}
 		res, err := core.Start(sp)

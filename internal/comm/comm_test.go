@@ -13,6 +13,14 @@ import (
 	"repro/internal/tensor"
 )
 
+// mustFleet unwraps a fleet spec the test knows to be valid.
+func mustFleet(d core.FleetDist, err error) core.FleetDist {
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestF32TransportQuantizes(t *testing.T) {
 	tr := NewF32Transport()
 	v := []float64{math.Pi, 1e-300, 2.5}
@@ -217,8 +225,8 @@ func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 					Algo: core.NewFedTrip(0.4), Seed: 7, Transport: tr,
 				}}
 				if runtime == core.RuntimeAsync {
-					rs.Latency, rs.Concurrency, rs.BufferSize = core.ConstantLatency{D: 1}, 4, 2
-					rs.Network = core.DefaultNetTiers()
+					rs.Latency, rs.Concurrency, rs.BufferSize = mustFleet(core.ParseLatency("const:1")), 4, 2
+					rs.Network = mustFleet(core.ParseNetDist("tiered"))
 				}
 				res, err := core.Start(rs)
 				if err != nil {

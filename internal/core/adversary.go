@@ -189,7 +189,7 @@ func ParseFaults(text string) (*FaultModel, error) {
 // clientFaultClass derives client id's fault class statelessly from the
 // id-th instance of the adversary stream: one uniform draw, a pure
 // function of (id, model, seed). Keying the stream to the client (the
-// same discipline as deviceSpeed and clientNetProfile) means the
+// same discipline as FleetDist.speed and FleetDist.link) means the
 // assignment needs no sequential pass and can be re-derived — never
 // serialized as the source of truth — on resume.
 func clientFaultClass(id int, m *FaultModel, byz faultClass, seed int64, scratch *prng.Rand) faultClass {

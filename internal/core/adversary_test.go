@@ -363,7 +363,7 @@ func TestZeroByzantineMatchesBaseline(t *testing.T) {
 			Runtime:     RuntimeAsync,
 			Concurrency: 4,
 			BufferSize:  2,
-			Latency:     ExponentialLatency{Mean: 2},
+			Latency:     mustFleet(ParseLatency("exp:2")),
 		}
 	}
 	base, err := Start(mkSpec())
@@ -400,7 +400,7 @@ func TestAdversarialRunSurvives(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(ParseLatency("exp:2")),
 		Faults:      fm,
 	})
 	if err != nil {
@@ -447,7 +447,7 @@ func TestResumeEquivalenceAdversarial(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(ParseLatency("exp:2")),
 		Policy:      mustPolicy(t, "trimmedmean:0.25"),
 		Faults:      fm,
 		Churn: &ChurnModel{
@@ -471,7 +471,7 @@ func TestResumeEquivalenceNoiseFault(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(ParseLatency("exp:2")),
 		Policy:      mustPolicy(t, "median"),
 		Faults:      fm,
 	}, 3)
@@ -502,7 +502,7 @@ func TestRobustRecovery(t *testing.T) {
 			Runtime:     RuntimeAsync,
 			Concurrency: 6,
 			BufferSize:  4,
-			Latency:     ExponentialLatency{Mean: 2},
+			Latency:     mustFleet(ParseLatency("exp:2")),
 			Policy:      mustPolicy(t, policy),
 			Faults:      fm,
 		}

@@ -3,19 +3,19 @@
 //
 // The barrier loop is the paper's: select K clients, wait for all of
 // them, aggregate. Under heterogeneous client speeds every round costs
-// the straggler's latency (at ZeroLatency the clock never moves — that is
+// the straggler's latency (at zero latency the clock never moves — that is
 // RuntimeSync). The buffered loop instead keeps a fixed number of clients
 // training at all times and aggregates every BufferSize arrivals
 // (FedBuff-style buffered async), discounting each merged update by its
 // staleness — the number of aggregations the server completed while the
 // update was in flight.
 //
-// Time is simulated: a LatencyModel assigns each dispatch a virtual
-// duration, and the event loop processes arrivals in virtual-time order
-// (ties broken by dispatch order, so runs are deterministic). Local
-// training itself really executes — on the bounded shard pool, one
-// training engine per shard — which is what the throughput benchmarks
-// measure; only the clock is virtual.
+// Time is simulated: the fleet's distributions (fleet.go) give each
+// dispatch a virtual duration, and the event loop processes arrivals in
+// virtual-time order (ties broken by dispatch order, so runs are
+// deterministic). Local training itself really executes — on the bounded
+// shard pool, one training engine per shard — which is what the
+// throughput benchmarks measure; only the clock is virtual.
 //
 // The loop is built to survive populations of 100k–1M clients:
 //
@@ -31,7 +31,7 @@
 //     profiles, fault classes — are regenerated on demand from seed
 //     streams keyed by client ID (one scratch-RNG reseed per lookup), so
 //     no fleet-wide float or profile array exists at all; availability
-//     runs as an aggregate sampled process (device.go) with O(1) clock
+//     runs as an aggregate sampled process (churn.go) with O(1) clock
 //     state instead of one Markov chain per client.
 //   - trainJobs are pooled and the event heap tracks clients by int32
 //     slot index, so steady-state event processing allocates nothing and
@@ -191,42 +191,39 @@ func adaptiveSteps(speed float64, samples, batch, epochs int) int {
 	return steps
 }
 
-// deviceDuration prices one completed dispatch: the round's metered
-// FLOPs over the client's effective throughput.
-func (a *AsyncServer) deviceDuration(j *trainJob) float64 {
-	return float64(j.flops) / (a.spec.FlopRate * j.speed)
-}
-
-// netDuration prices one completed dispatch's wire traffic under the
-// client's link profile: RTT plus the measured download and upload bytes
-// over the respective bandwidths. The profile is derived statelessly
-// from the client's indexed network stream. Zero without a network fleet
-// (and for an infinite-bandwidth zero-RTT profile), so unpriced runs are
-// bit-for-bit unchanged.
-func (a *AsyncServer) netDuration(j *trainJob) float64 {
-	if a.spec.Network == nil {
-		return 0
-	}
-	p := clientNetProfile(j.c.ID, a.spec.Network, a.spec.Seed, &a.derive)
-	return p.transferTime(j.downBytes, j.upBytes)
-}
-
-// armJob fills a job's device dispatch parameters, derived statelessly
-// from the client's indexed device stream (no-ops without a device
-// fleet).
+// armJob fills a job's dispatch-time parameters: its arrival under the
+// latency draw and, on a device fleet, the client's speed (derived
+// statelessly from its indexed device stream) and step budget. A device
+// fleet's latency is zero, which draws nothing; price replaces it.
 func (a *AsyncServer) armJob(j *trainJob, id int) {
-	if a.spec.Devices == nil {
+	j.finish = a.now + a.spec.Latency.duration(id, a.latRng)
+	if a.spec.Devices.None() {
 		return
 	}
-	j.speed = deviceSpeed(id, a.spec.Devices, a.spec.Seed, &a.derive)
+	j.speed = a.spec.Devices.speed(id, a.spec.Seed, &a.derive)
 	if a.spec.AdaptiveLocalSteps {
 		j.steps = adaptiveSteps(j.speed, len(j.c.Indices), a.spec.BatchSize, a.spec.LocalEpochs)
 	}
 }
 
+// price sets a trained job's arrival from what training measured. On a
+// device fleet the round's metered FLOPs over the client's throughput
+// replace the latency draw — the round time is the compute itself; on a
+// network fleet the transfers' time (RTT plus the measured bytes over the
+// client's link) stacks on top of either. An infinite-bandwidth zero-RTT
+// link adds exactly 0, so it reproduces the unpriced run bit-for-bit.
+func (a *AsyncServer) price(j *trainJob) {
+	if !a.spec.Devices.None() {
+		j.finish = a.now + float64(j.flops)/(a.spec.FlopRate*j.speed)
+	}
+	if !a.spec.Network.None() {
+		j.finish += a.spec.Network.link(j.c.ID, a.spec.Seed, &a.derive).transferTime(j.downBytes, j.upBytes)
+	}
+}
+
 // barrierRunner is the paper's lock-step loop in stepper form, priced
 // under the latency model: one step = select K clients, train them in
-// parallel, wait for the slowest, aggregate, record. With ZeroLatency the
+// parallel, wait for the slowest, aggregate, record. At zero latency the
 // clock stays at 0 — that is RuntimeSync.
 type barrierRunner struct{ a *AsyncServer }
 
@@ -268,9 +265,6 @@ func (r barrierRunner) step() (bool, error) {
 		j.c, j.round, j.seq, j.global = c, t, i, s.global
 		j.steps, j.speed = 0, 0
 		a.armJob(j, c.ID)
-		if a.spec.Devices == nil {
-			j.finish = a.now + a.spec.Latency.Sample(c.ID, a.latRng)
-		}
 		a.pop.dispatched(c.ID)
 		// All jobs read the same pre-aggregation global; no writer
 		// until every one of them has joined below.
@@ -280,16 +274,7 @@ func (r barrierRunner) step() (bool, error) {
 	updates := s.growUpdates(len(jobs))
 	for i, j := range jobs {
 		<-j.done
-		if a.spec.Devices != nil {
-			// Device-profiled fleet: the round time is the metered
-			// compute itself, not an independent latency draw.
-			j.finish = a.now + a.deviceDuration(j)
-		}
-		if a.spec.Network != nil {
-			// Network-priced fleet: the transfers' time stacks on top of
-			// the compute (or latency-model) duration.
-			j.finish += a.netDuration(j)
-		}
+		a.price(j)
 		a.pop.arrived(j.c.ID, true)
 		if j.finish > roundEnd {
 			roundEnd = j.finish
@@ -515,7 +500,7 @@ func (r *bufferedRunner) dispatch() {
 	// network-priced job still happens in pick order — the stream is
 	// identical to the unpriced run's — and the transfer time is added at
 	// the join.
-	joinNow := a.spec.Devices != nil || a.spec.Network != nil
+	joinNow := !a.spec.Devices.None() || !a.spec.Network.None()
 	burst := a.joinScratch[:0]
 	for r.inflight.len()+len(burst) < a.spec.Concurrency {
 		id, ok := a.pickAvailable()
@@ -531,9 +516,6 @@ func (r *bufferedRunner) dispatch() {
 		a.armJob(j, id)
 		r.acquire(j)
 		a.pop.dispatched(id)
-		if a.spec.Devices == nil {
-			j.finish = a.now + a.spec.Latency.Sample(id, a.latRng)
-		}
 		if joinNow {
 			burst = append(burst, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch
 			continue
@@ -560,12 +542,7 @@ func (r *bufferedRunner) dispatch() {
 	}
 	for _, j := range burst {
 		r.join(j)
-		if a.spec.Devices != nil {
-			j.finish = a.now + a.deviceDuration(j)
-		}
-		if a.spec.Network != nil {
-			j.finish += a.netDuration(j)
-		}
+		a.price(j)
 		r.inflight.push(j)
 	}
 	a.joinScratch = burst[:0]

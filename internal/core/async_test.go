@@ -24,7 +24,7 @@ func TestAsyncBufferedStragglersLearnAndMeter(t *testing.T) {
 		acfg.Rounds = 12
 		acfg.Concurrency = 4
 		acfg.BufferSize = 2
-		acfg.Latency = StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3}
+		acfg.Latency = mustFleet(ParseLatency("straggler:1,10,3"))
 		return acfg
 	}
 	res, err := Start(build())
@@ -92,7 +92,7 @@ func TestAsyncStalenessBookkeepingMatchesLastRound(t *testing.T) {
 	acfg.Rounds = 10
 	acfg.Concurrency = 3
 	acfg.BufferSize = 2
-	acfg.Latency = UniformLatency{Min: 0.5, Max: 5}
+	acfg.Latency = mustFleet(ParseLatency("uniform:0.5,5"))
 	var mu sync.Mutex
 	type obs struct{ round, staleness int }
 	var merged []obs
@@ -147,7 +147,7 @@ func TestAsyncExercisesXiGaps(t *testing.T) {
 	acfg.Rounds = 15
 	acfg.Concurrency = 2 // 2 of 6 clients in flight: most sit out each round
 	acfg.BufferSize = 2
-	acfg.Latency = ExponentialLatency{Mean: 2}
+	acfg.Latency = mustFleet(ParseLatency("exp:2"))
 	if _, err := Start(acfg); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestAsyncBeatsBarrierWallClockUnderStragglers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: virtual-time outcome, not concurrency, under test")
 	}
-	lat := StragglerLatency{Fast: 1, Slow: 20, SlowEvery: 2} // ids 0,2,4 slow
+	lat := mustFleet(ParseLatency("straggler:1,20,2")) // ids 0,2,4 slow
 	barrier := asyncTestSpec(t, NewFedTrip(0.4))
 	barrier.Rounds = 8
 	barrier.Runtime = RuntimeBarrier
@@ -311,26 +311,26 @@ func (g *goroutineAlgo) BeginRound(c *Client, round int, global []float64) {
 // the event-loop goroutine. The plain-latency mode, whose jobs overlap the
 // loop, never does.
 func TestBurstOfOneTrainsOnEventLoop(t *testing.T) {
-	run := func(devices DeviceDistribution) *goroutineAlgo {
+	run := func(devices string) *goroutineAlgo {
 		algo := &goroutineAlgo{FedTrip: NewFedTrip(0.4), loop: goroutineID()}
 		sp := deviceSpec(t, algo)
 		sp.Shards = 2
-		sp.Devices = devices
-		if devices == nil {
-			sp.Latency = UniformLatency{Min: 1, Max: 3}
+		sp.Devices = mustFleet(ParseDeviceDist(devices))
+		if sp.Devices.None() {
+			sp.Latency = mustFleet(ParseLatency("uniform:1,3"))
 		}
 		if _, err := Start(sp); err != nil {
 			t.Fatal(err)
 		}
 		return algo
 	}
-	priced := run(DefaultTiers())
+	priced := run("tiered")
 	// 4 in flight and 10 aggregations of 2 arrivals, each arrival but the
 	// run's last re-dispatched.
 	if priced.off != 4 || priced.onLoop != 19 {
 		t.Fatalf("device mode: %d rounds trained on the shards and %d on the event loop, want the opening burst of 4 and the 19 bursts of one", priced.off, priced.onLoop)
 	}
-	if plain := run(nil); plain.onLoop != 0 || plain.off != 23 {
+	if plain := run("none"); plain.onLoop != 0 || plain.off != 23 {
 		t.Fatalf("plain-latency mode: %d rounds trained on the event loop (and %d on the shards), want none", plain.onLoop, plain.off)
 	}
 }

@@ -1,39 +1,17 @@
-// Device heterogeneity: per-client compute profiles and availability.
+// Fleet availability: clients drop out and rejoin.
 //
-// The async runtime's latency models (latency.go) price each dispatch
-// with a duration drawn from a distribution that is *independent* of the
-// work the client actually does. Real edge fleets are the opposite: a
-// device's round time is its compute — FLOPs executed divided by the
-// silicon's throughput — and devices come and go. This file supplies
-// both missing dimensions:
+// A ChurnModel is a per-client on/off Markov process (exponential up/down
+// durations) plus a mass-dropout event injector (a fraction of the fleet
+// lost at a scheduled virtual time, temporarily or permanently). Offline
+// clients leave the population registry's idle set, so the dispatcher
+// never picks them; a client that drops mid-flight pauses — its arrival is
+// deferred past the rejoin, which is how genuinely stale updates (the
+// maxstale cutoff's regime) arise. Permanently dropped clients lose their
+// in-flight update entirely.
 //
-//   - A DeviceDistribution samples one compute-speed multiplier per
-//     client at fleet construction (uniform, lognormal, or tiered
-//     edge/mobile/server populations). With a device fleet configured,
-//     a dispatch's virtual duration derives from the client's *metered*
-//     FLOPs for that round — flops / (FlopRate * speed) — instead of an
-//     independent latency draw, so compute heterogeneity and the FLOP
-//     accounting of the paper's resource tables stay coupled. With
-//     RunSpec.AdaptiveLocalSteps, a 0.25x-speed client also trains
-//     proportionally fewer local mini-batch steps (deadline-style
-//     partial work); the executed count reaches a method's hooks as
-//     Client.RoundSteps and its aggregation as Update.Steps.
-//
-//   - A ChurnModel makes clients drop out and rejoin: a per-client
-//     on/off Markov process (exponential up/down durations) plus a
-//     mass-dropout event injector (a fraction of the fleet lost at a
-//     scheduled virtual time, temporarily or permanently). Offline
-//     clients leave the population registry's idle set, so the
-//     dispatcher never picks them; a client that drops mid-flight pauses
-//     — its arrival is deferred past the rejoin, which is how genuinely
-//     stale updates (the maxstale cutoff's regime) arise. Permanently
-//     dropped clients lose their in-flight update entirely.
-//
-// Both processes draw from dedicated named seed streams (streamDevice,
-// streamChurn in seeds.go), so enabling them never perturbs the selection or
-// latency streams — and a zero-heterogeneity fleet with no churn
-// reproduces the plain async trajectory bit-for-bit (pinned by
-// TestDeviceUniformFleetMatchesConstLatency).
+// The process draws from its own named seed stream (streamChurn in
+// seeds.go), so enabling it never perturbs the selection, latency, device
+// or network draws (fleet.go).
 package core
 
 import (
@@ -43,144 +21,6 @@ import (
 	"repro/internal/prng"
 	"repro/internal/spec"
 )
-
-// Speed multipliers are clamped into [minDeviceSpeed, maxDeviceSpeed] at
-// sampling time: a heavy-tailed distribution must not mint a client whose
-// flop-derived round time is effectively infinite (or zero).
-const (
-	minDeviceSpeed = 1.0 / 32
-	maxDeviceSpeed = 32.0
-)
-
-// DeviceDistribution samples per-client compute-speed multipliers
-// (1.0 = the reference device that executes RunSpec.FlopRate FLOPs per
-// simulated second). SampleSpeed must draw all randomness from the
-// supplied rng; the runtime samples every client once at construction
-// from a dedicated seed stream, in client-ID order.
-type DeviceDistribution interface {
-	SampleSpeed(clientID int, rng *prng.Rand) float64
-	String() string
-}
-
-// UniformDevices draws speeds uniformly from [Min, Max]. uniform:1,1 is
-// the homogeneous reference fleet.
-type UniformDevices struct{ Min, Max float64 }
-
-func (d UniformDevices) SampleSpeed(_ int, rng *prng.Rand) float64 {
-	return d.Min + rng.Float64()*(d.Max-d.Min)
-}
-func (d UniformDevices) String() string { return spec.T("uniform", d.Min, d.Max).String() }
-
-// LognormalDevices draws exp(Mu + Sigma*N(0,1)) — the heavy-tailed
-// device-speed spread observed in production fleets, where a small
-// fraction of devices is dramatically slower.
-type LognormalDevices struct{ Mu, Sigma float64 }
-
-func (d LognormalDevices) SampleSpeed(_ int, rng *prng.Rand) float64 {
-	return math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
-}
-func (d LognormalDevices) String() string { return spec.T("lognormal", d.Mu, d.Sigma).String() }
-
-// DeviceTier is one slice of a TieredDevices fleet: Frac of the clients
-// run at Speed.
-type DeviceTier struct{ Speed, Frac float64 }
-
-// TieredDevices assigns each client to a named speed tier by fraction —
-// the classic edge/mobile/server split. Fractions are normalized at
-// sampling time.
-type TieredDevices struct{ Tiers []DeviceTier }
-
-// DefaultTiers is the canonical three-tier fleet: 30% edge devices at
-// 0.25x, 60% mobile at 1x, 10% server-class at 4x.
-func DefaultTiers() TieredDevices {
-	return TieredDevices{Tiers: []DeviceTier{{0.25, 0.3}, {1, 0.6}, {4, 0.1}}}
-}
-
-func (d TieredDevices) SampleSpeed(_ int, rng *prng.Rand) float64 {
-	var total float64
-	for _, t := range d.Tiers {
-		total += t.Frac
-	}
-	u := rng.Float64() * total
-	for _, t := range d.Tiers {
-		u -= t.Frac
-		if u < 0 {
-			return t.Speed
-		}
-	}
-	return d.Tiers[len(d.Tiers)-1].Speed
-}
-
-func (d TieredDevices) String() string {
-	t := spec.T("tiered")
-	for _, tier := range d.Tiers {
-		t.Args = append(t.Args, tier.Speed, tier.Frac)
-	}
-	return t.String()
-}
-
-var deviceFamily = spec.Family{Label: "device-dist", Empty: "none", Forms: []spec.Form{
-	{Name: "none"}, {Name: "uniform", Min: 2, Max: 2}, {Name: "lognormal", Min: 2, Max: 2},
-	{Name: "tiered", Max: -1, Group: 2},
-}}
-
-// ParseDeviceDist parses a device-distribution spec (grammar:
-// internal/spec):
-//
-//	none                 homogeneous fleet (no device profiles; also "")
-//	uniform:MIN,MAX      speed uniform in [MIN, MAX]
-//	lognormal:MU,SIGMA   speed = exp(MU + SIGMA*N(0,1))
-//	tiered               the default 0.25x/1x/4x edge/mobile/server fleet
-//	tiered:S1,F1,S2,F2,...  custom tiers (speed, fraction pairs)
-func ParseDeviceDist(text string) (DeviceDistribution, error) {
-	ts, err := deviceFamily.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	a := ts[0].Args
-	switch ts[0].Name {
-	case "uniform":
-		if a[0] > 0 && a[1] >= a[0] {
-			return UniformDevices{Min: a[0], Max: a[1]}, nil
-		}
-		return nil, deviceFamily.Errorf(text, "wants 0 < MIN <= MAX")
-	case "lognormal":
-		if isFiniteF(a[0]) && a[1] >= 0 {
-			return LognormalDevices{Mu: a[0], Sigma: a[1]}, nil
-		}
-		return nil, deviceFamily.Errorf(text, "wants finite MU and SIGMA >= 0")
-	case "tiered":
-		if len(a) == 0 {
-			return DefaultTiers(), nil
-		}
-		d := TieredDevices{}
-		for i := 0; i < len(a); i += 2 {
-			if !(a[i] > 0 && a[i+1] > 0) {
-				return nil, deviceFamily.Errorf(text, "wants positive speeds and fractions")
-			}
-			d.Tiers = append(d.Tiers, DeviceTier{Speed: a[i], Frac: a[i+1]})
-		}
-		return d, nil
-	}
-	return nil, nil // none
-}
-
-// deviceSpeed derives client id's compute-speed multiplier statelessly
-// from the id-th instance of the device stream, clamped into the
-// representable range. scratch is re-seeded in place, so a lookup
-// allocates nothing; the same id always yields the same speed, which is
-// what lets the runtime drop the fleet-wide speeds array.
-func deviceSpeed(id int, dist DeviceDistribution, seed int64, scratch *prng.Rand) float64 {
-	scratch.Reseed(streamSeed(seed, streamDevice, id))
-	s := dist.SampleSpeed(id, scratch)
-	if s < minDeviceSpeed {
-		s = minDeviceSpeed
-	}
-	if s > maxDeviceSpeed {
-		s = maxDeviceSpeed
-	}
-	return s
-}
 
 // MassDrop is one injected mass-dropout event: at virtual time At, each
 // online-or-offline (but not yet dead) client independently drops with

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -13,11 +12,11 @@ import (
 
 // sampleDeviceSpeeds materializes the per-ID derivation for a whole fleet;
 // the runtime derives speeds on demand instead.
-func sampleDeviceSpeeds(n int, dist DeviceDistribution, seed int64) []float64 {
+func sampleDeviceSpeeds(n int, dist FleetDist, seed int64) []float64 {
 	var scratch prng.Rand
 	speeds := make([]float64, n)
 	for id := 0; id < n; id++ {
-		speeds[id] = deviceSpeed(id, dist, seed, &scratch)
+		speeds[id] = dist.speed(id, seed, &scratch)
 	}
 	return speeds
 }
@@ -58,8 +57,8 @@ func TestParseDeviceDist(t *testing.T) {
 			t.Fatalf("ParseDeviceDist(%q): %v", spec, err)
 		}
 		if want == "" {
-			if d != nil {
-				t.Fatalf("ParseDeviceDist(%q) = %v, want nil", spec, d)
+			if !d.None() {
+				t.Fatalf("ParseDeviceDist(%q) = %v, want none", spec, d)
 			}
 			continue
 		}
@@ -67,11 +66,11 @@ func TestParseDeviceDist(t *testing.T) {
 			t.Fatalf("ParseDeviceDist(%q).String() = %q want %q", spec, d.String(), want)
 		}
 	}
-	for _, spec := range []string{
+	for _, spec := range append([]string{
 		"uniform", "uniform:1", "uniform:0,1", "uniform:2,1", "uniform:1,2,3",
 		"lognormal:0", "lognormal:0,-1", "tiered:1", "tiered:1,0", "tiered:-1,0.5",
 		"gauss:1,2", "uniform:a,b", "none:1",
-	} {
+	}, nonFinite["device-dist"]...) {
 		if _, err := ParseDeviceDist(spec); err == nil {
 			t.Errorf("ParseDeviceDist(%q) accepted", spec)
 		}
@@ -79,11 +78,10 @@ func TestParseDeviceDist(t *testing.T) {
 }
 
 func TestDeviceDistributionsSampleInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, d := range []DeviceDistribution{
-		UniformDevices{Min: 0.5, Max: 2},
-		LognormalDevices{Mu: 0, Sigma: 0.8},
-		DefaultTiers(),
+	for _, d := range []FleetDist{
+		mustFleet(ParseDeviceDist("uniform:0.5,2")),
+		mustFleet(ParseDeviceDist("lognormal:0,0.8")),
+		mustFleet(ParseDeviceDist("tiered")),
 	} {
 		speeds := sampleDeviceSpeeds(500, d, 11)
 		seen := map[float64]bool{}
@@ -96,18 +94,17 @@ func TestDeviceDistributionsSampleInRange(t *testing.T) {
 		if len(seen) < 2 {
 			t.Fatalf("%s produced a degenerate fleet", d)
 		}
-		_ = rng
 	}
 	// Tiered sampling must only emit tier speeds.
-	tiers := DefaultTiers()
+	tiers := mustFleet(ParseDeviceDist("tiered"))
 	for _, s := range sampleDeviceSpeeds(200, tiers, 5) {
 		if s != 0.25 && s != 1 && s != 4 {
 			t.Fatalf("tiered fleet sampled off-tier speed %g", s)
 		}
 	}
 	// Sampling is deterministic per seed.
-	a := sampleDeviceSpeeds(100, LognormalDevices{Sigma: 1}, 7)
-	b := sampleDeviceSpeeds(100, LognormalDevices{Sigma: 1}, 7)
+	a := sampleDeviceSpeeds(100, mustFleet(ParseDeviceDist("lognormal:0,1")), 7)
+	b := sampleDeviceSpeeds(100, mustFleet(ParseDeviceDist("lognormal:0,1")), 7)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("device sampling not deterministic per seed")
@@ -156,13 +153,13 @@ func TestParseChurn(t *testing.T) {
 // simulated clock's unit differs.
 func TestDeviceUniformFleetMatchesConstLatency(t *testing.T) {
 	ref := deviceSpec(t, pinAlgo{})
-	ref.Latency = ConstantLatency{D: 3}
+	ref.Latency = mustFleet(ParseLatency("const:3"))
 	refRes, err := Start(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dev := deviceSpec(t, pinAlgo{})
-	dev.Devices = UniformDevices{Min: 1, Max: 1}
+	dev.Devices = mustFleet(ParseDeviceDist("uniform:1,1"))
 	dev.AdaptiveLocalSteps = true
 	devRes, err := Start(dev)
 	if err != nil {
@@ -205,7 +202,7 @@ func TestDeviceUniformFleetMatchesConstLatency(t *testing.T) {
 func TestDeviceSpeedScalesSimTime(t *testing.T) {
 	run := func(speed float64) *Result {
 		sp := deviceSpec(t, pinAlgo{})
-		sp.Devices = UniformDevices{Min: speed, Max: speed}
+		sp.Devices = mustFleet(ParseDeviceDist(fmt.Sprintf("uniform:%g,%g", speed, speed)))
 		res, err := Start(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +242,7 @@ func (p *stepsProbe) EndRound(c *Client, round int) {
 func TestAdaptiveLocalStepsShrinkWork(t *testing.T) {
 	run := func(adaptive bool, algo Algorithm) *Result {
 		sp := deviceSpec(t, algo)
-		sp.Devices = UniformDevices{Min: 0.25, Max: 0.25}
+		sp.Devices = mustFleet(ParseDeviceDist("uniform:0.25,0.25"))
 		sp.AdaptiveLocalSteps = adaptive
 		// The executed count rides each upload to the aggregation.
 		wantSteps := 4
@@ -320,7 +317,7 @@ func TestAdaptiveStepsBudget(t *testing.T) {
 func TestChurnAllClientsDroppedTerminates(t *testing.T) {
 	sp := deviceSpec(t, NewFedTrip(0.4))
 	sp.Rounds = 100
-	sp.Latency = ConstantLatency{D: 1}
+	sp.Latency = mustFleet(ParseLatency("const:1"))
 	sp.Churn = &ChurnModel{Drops: []MassDrop{{At: 2.5, Fraction: 1, Duration: 0}}}
 	res, err := Start(sp)
 	if err == nil {
@@ -356,7 +353,7 @@ func TestChurnRejoinStaleUpdatePastCutoff(t *testing.T) {
 		sp.Rounds = 25
 		sp.Concurrency = 3
 		sp.BufferSize = 2
-		sp.Latency = ConstantLatency{D: 1}
+		sp.Latency = mustFleet(ParseLatency("const:1"))
 		// Short lives, long outages: in-flight drops defer arrivals far
 		// past the cutoff while the rest of the fleet keeps merging.
 		sp.Churn = &ChurnModel{MeanUp: 4, MeanDown: 40}
@@ -407,7 +404,7 @@ func TestChurnDeterminismAcrossSeedsAndShards(t *testing.T) {
 		sp.Rounds = 15
 		sp.Seed = seed
 		sp.Shards = shards
-		sp.Devices = LognormalDevices{Mu: 0, Sigma: 0.6}
+		sp.Devices = mustFleet(ParseDeviceDist("lognormal:0,0.6"))
 		sp.AdaptiveLocalSteps = true
 		sp.Churn = &ChurnModel{MeanUp: 10, MeanDown: 5, Drops: []MassDrop{{At: 8, Fraction: 0.3, Duration: 6}}}
 		return sp
@@ -509,12 +506,12 @@ func TestRunSpecRejectsDeviceMisuse(t *testing.T) {
 		name   string
 		mutate func(*RunSpec)
 	}{
-		{"devices on sync", func(sp *RunSpec) { sp.Runtime = RuntimeSync; sp.Devices = UniformDevices{1, 1} }},
+		{"devices on sync", func(sp *RunSpec) { sp.Runtime = RuntimeSync; sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1")) }},
 		{"devices with latency model", func(sp *RunSpec) {
-			sp.Devices = UniformDevices{1, 1}
-			sp.Latency = StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3}
+			sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1"))
+			sp.Latency = mustFleet(ParseLatency("straggler:1,10,3"))
 		}},
-		{"negative flop rate", func(sp *RunSpec) { sp.Devices = UniformDevices{1, 1}; sp.FlopRate = -1 }},
+		{"negative flop rate", func(sp *RunSpec) { sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1")); sp.FlopRate = -1 }},
 		{"adaptive without devices", func(sp *RunSpec) { sp.AdaptiveLocalSteps = true }},
 		{"flop rate without devices", func(sp *RunSpec) { sp.FlopRate = 2e9 }},
 		{"churn on barrier", func(sp *RunSpec) {
@@ -537,7 +534,7 @@ func TestRunSpecRejectsDeviceMisuse(t *testing.T) {
 	// The happy path still validates (devices + churn + adaptive steps,
 	// zero latency left implicit).
 	sp := deviceSpec(t, NewFedTrip(0.4))
-	sp.Devices = DefaultTiers()
+	sp.Devices = mustFleet(ParseDeviceDist("tiered"))
 	sp.AdaptiveLocalSteps = true
 	sp.Churn = &ChurnModel{MeanUp: 60, MeanDown: 6}
 	if err := sp.Validate(); err != nil {

@@ -76,7 +76,7 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 	median := mustPolicy(t, "median")
 	async := func(mod func(*RunSpec)) func() RunSpec {
 		return func() RunSpec {
-			sp := RunSpec{Config: tinyConfig(6), Runtime: RuntimeAsync, Concurrency: 3, BufferSize: 2, Latency: ExponentialLatency{Mean: 2}}
+			sp := RunSpec{Config: tinyConfig(6), Runtime: RuntimeAsync, Concurrency: 3, BufferSize: 2, Latency: mustFleet(ParseLatency("exp:2"))}
 			mod(&sp)
 			return sp
 		}
@@ -88,13 +88,13 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 			sp.Churn = &ChurnModel{MeanUp: 30, MeanDown: 8, Drops: []MassDrop{{At: 2, Fraction: 0.5, Duration: 6}}}
 		}), 3},
 		{"devices", async(func(sp *RunSpec) {
-			sp.Latency, sp.Devices, sp.AdaptiveLocalSteps = nil, DefaultTiers(), true
+			sp.Latency, sp.Devices, sp.AdaptiveLocalSteps = FleetDist{}, mustFleet(ParseDeviceDist("tiered")), true
 		}), 3},
 		{"noise fault", async(func(sp *RunSpec) {
 			sp.Policy, sp.Faults = median, noise
 		}), 3},
 		{"priced transport", async(func(sp *RunSpec) {
-			sp.Latency, sp.Network, sp.Config.Transport = ConstantLatency{D: 2}, DefaultNetTiers(), newCountingTransport()
+			sp.Latency, sp.Network, sp.Config.Transport = mustFleet(ParseLatency("const:2")), mustFleet(ParseNetDist("tiered")), newCountingTransport()
 		}), 3},
 		// MOON reads its client row in BeginRound, from a scratch model.
 		{"moon", async(func(sp *RunSpec) { sp.Algo = NewMOON() }), 3},

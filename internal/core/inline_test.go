@@ -11,6 +11,14 @@ import (
 	"repro/internal/partition"
 )
 
+// mustFleet unwraps a fleet spec the test knows to be valid.
+func mustFleet(d core.FleetDist, err error) core.FleetDist {
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // In the join-at-dispatch modes every burst after a run's first is, bar
 // churn, a single job, and that job trains on the event-loop goroutine
 // with shard 0's engine while the first burst went through the workers.
@@ -46,7 +54,7 @@ func TestInlineBurstMatchesSubmitted(t *testing.T) {
 	}
 	cases := map[string]func(*testing.T, *core.RunSpec){
 		"devices+churn": func(t *testing.T, sp *core.RunSpec) {
-			sp.Devices = core.LognormalDevices{Mu: 0, Sigma: 0.6}
+			sp.Devices = mustFleet(core.ParseDeviceDist("lognormal:0,0.6"))
 			sp.AdaptiveLocalSteps = true
 			sp.Churn = &core.ChurnModel{MeanUp: 10, MeanDown: 5, Drops: []core.MassDrop{{At: 8, Fraction: 0.3, Duration: 6}}}
 		},
@@ -66,7 +74,7 @@ func TestInlineBurstMatchesSubmitted(t *testing.T) {
 				sp.Parts[i] = p[:len(p)/2]
 			}
 			sp.Model = nn.ModelSpec{Arch: nn.ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.05}
-			sp.Devices = core.LognormalDevices{Mu: 0, Sigma: 0.6}
+			sp.Devices = mustFleet(core.ParseDeviceDist("lognormal:0,0.6"))
 			sp.AdaptiveLocalSteps = true
 		},
 		"network+topk+ef": func(t *testing.T, sp *core.RunSpec) {
@@ -75,8 +83,8 @@ func TestInlineBurstMatchesSubmitted(t *testing.T) {
 				t.Fatal(err)
 			}
 			sp.Transport = tr
-			sp.Latency = core.ExponentialLatency{Mean: 2}
-			sp.Network = core.DefaultNetTiers()
+			sp.Latency = mustFleet(core.ParseLatency("exp:2"))
+			sp.Network = mustFleet(core.ParseNetDist("tiered"))
 		},
 	}
 	for name, mode := range cases {

@@ -35,7 +35,7 @@ func TestParseLatencyForms(t *testing.T) {
 			t.Fatalf("%q round-tripped to %s", g.spec, m.String())
 		}
 		for i := 0; i < 100; i++ {
-			if d := m.Sample(i, rng); d < 0 {
+			if d := m.duration(i, rng); d < 0 {
 				t.Fatalf("%q sampled negative latency %v", g.spec, d)
 			}
 		}
@@ -45,7 +45,7 @@ func TestParseLatencyForms(t *testing.T) {
 // Malformed specs: unknown names, wrong arity, non-numeric args, and
 // out-of-domain parameters must all be rejected with an error.
 func TestParseLatencyMalformed(t *testing.T) {
-	bad := []string{
+	bad := append([]string{
 		"warp",              // unknown model
 		"zero:1",            // zero takes no args
 		"const",             // missing arg
@@ -65,7 +65,7 @@ func TestParseLatencyMalformed(t *testing.T) {
 		"straggler:1,0.5,3", // slow < fast
 		"straggler:0,2,3",   // zero fast
 		"straggler:1,2,0",   // every < 1
-	}
+	}, nonFinite["latency"]...)
 	for _, spec := range bad {
 		if _, err := ParseLatency(spec); err == nil {
 			t.Fatalf("%q accepted", spec)
@@ -77,7 +77,7 @@ func TestParseLatencyMalformed(t *testing.T) {
 // sampling behaviour, not just its name.
 func TestParseLatencySampling(t *testing.T) {
 	rng := prng.New(2)
-	sample := func(spec string) LatencyModel {
+	sample := func(spec string) FleetDist {
 		t.Helper()
 		m, err := ParseLatency(spec)
 		if err != nil {
@@ -85,15 +85,15 @@ func TestParseLatencySampling(t *testing.T) {
 		}
 		return m
 	}
-	if d := sample("zero").Sample(3, rng); d != 0 {
+	if d := sample("zero").duration(3, rng); d != 0 {
 		t.Fatalf("zero sampled %v", d)
 	}
-	if d := sample("const:2.5").Sample(3, rng); d != 2.5 {
+	if d := sample("const:2.5").duration(3, rng); d != 2.5 {
 		t.Fatalf("const:2.5 sampled %v", d)
 	}
 	u := sample("uniform:0.5,2")
 	for i := 0; i < 200; i++ {
-		if d := u.Sample(i, rng); d < 0.5 || d > 2 {
+		if d := u.duration(i, rng); d < 0.5 || d > 2 {
 			t.Fatalf("uniform:0.5,2 sampled %v", d)
 		}
 	}
@@ -103,7 +103,7 @@ func TestParseLatencySampling(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += e.Sample(i, rng)
+		sum += e.duration(i, rng)
 	}
 	if mean := sum / n; math.Abs(mean-1.5) > 0.1 {
 		t.Fatalf("exp:1.5 empirical mean %v", mean)
@@ -111,7 +111,7 @@ func TestParseLatencySampling(t *testing.T) {
 	// Lognormal: strictly positive.
 	l := sample("lognormal:0,0.5")
 	for i := 0; i < 200; i++ {
-		if d := l.Sample(i, rng); d <= 0 {
+		if d := l.duration(i, rng); d <= 0 {
 			t.Fatalf("lognormal sampled %v", d)
 		}
 	}
@@ -119,7 +119,7 @@ func TestParseLatencySampling(t *testing.T) {
 	// (1 +- 10%).
 	s := sample("straggler:1,10,5")
 	for i := 0; i < 100; i++ {
-		d, id := s.Sample(i%10, rng), i%10
+		d, id := s.duration(i%10, rng), i%10
 		if id%5 == 0 && (d < 9 || d > 11) {
 			t.Fatalf("straggler slow client %d sampled %v", id, d)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"maps"
 	"math"
@@ -13,15 +14,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// sampleNetProfiles materializes the per-ID derivation for a whole fleet;
-// the runtime derives profiles on demand instead.
-func sampleNetProfiles(n int, dist NetDistribution, seed int64) []NetProfile {
+// sampleLinks materializes the per-ID derivation for a whole fleet;
+// the runtime derives links on demand instead.
+func sampleLinks(n int, dist FleetDist, seed int64) []link {
 	var scratch prng.Rand
-	profiles := make([]NetProfile, n)
+	links := make([]link, n)
 	for id := 0; id < n; id++ {
-		profiles[id] = clientNetProfile(id, dist, seed, &scratch)
+		links[id] = dist.link(id, seed, &scratch)
 	}
-	return profiles
+	return links
 }
 
 func TestParseNetDist(t *testing.T) {
@@ -46,8 +47,8 @@ func TestParseNetDist(t *testing.T) {
 			t.Fatalf("ParseNetDist(%q): %v", spec, err)
 		}
 		if want == "" {
-			if d != nil {
-				t.Fatalf("ParseNetDist(%q) = %v, want nil", spec, d)
+			if !d.None() {
+				t.Fatalf("ParseNetDist(%q) = %v, want none", spec, d)
 			}
 			continue
 		}
@@ -55,13 +56,13 @@ func TestParseNetDist(t *testing.T) {
 			t.Fatalf("ParseNetDist(%q).String() = %q want %q", spec, d.String(), want)
 		}
 	}
-	for _, spec := range []string{
+	for _, spec := range append([]string{
 		"const", "const:10", "const:0,10", "const:10,-1", "const:10,25,-5",
 		"uniform", "uniform:10", "uniform:0,10", "uniform:20,10", "uniform:5,inf",
 		"uniform:5,50,20,9", "lognormal:3", "lognormal:3,-1", "lognormal:inf,1",
 		"tiered:10", "tiered:10,40,20", "tiered:0,40,20,1", "tiered:10,40,-1,1",
 		"tiered:10,40,20,0", "dsl:8,1", "const:a,b", "none:1",
-	} {
+	}, nonFinite["bandwidth-dist"]...) {
 		if _, err := ParseNetDist(spec); err == nil {
 			t.Errorf("ParseNetDist(%q) accepted", spec)
 		}
@@ -71,32 +72,28 @@ func TestParseNetDist(t *testing.T) {
 func TestNetDistributionsSample(t *testing.T) {
 	// Heavy-tailed draws are floored, never zero or negative; the
 	// explicit +Inf reference link passes through unclamped.
-	for _, p := range sampleNetProfiles(300, LognormalNet{Mu: -8, Sigma: 3}, 11) {
-		if p.UpBps < minNetMbps*1e6 || p.DownBps < minNetMbps*1e6 {
+	for _, p := range sampleLinks(300, mustFleet(ParseNetDist("lognormal:-8,3")), 11) {
+		if p.upBps < minNetMbps*1e6 || p.downBps < minNetMbps*1e6 {
 			t.Fatalf("sampled link below the clamp floor: %+v", p)
 		}
 	}
-	inf := math.Inf(1)
-	p := ConstNet{Up: inf, Down: inf}.SampleNet(0, nil)
-	if !math.IsInf(p.UpBps, 1) || !math.IsInf(p.DownBps, 1) || p.RTT != 0 {
+	p := mustFleet(ParseNetDist("const:inf,inf")).link(0, 1, &prng.Rand{})
+	if !math.IsInf(p.upBps, 1) || !math.IsInf(p.downBps, 1) || p.rtt != 0 {
 		t.Fatalf("infinite link clamped: %+v", p)
 	}
 	if got := p.transferTime(1<<20, 1<<20); got != 0 {
 		t.Fatalf("infinite bandwidth zero-RTT transfer priced at %g", got)
 	}
 	// Tiered sampling only emits tier links, converted to base units.
-	tiers := map[NetProfile]bool{}
-	for _, tier := range DefaultNetTiers().Tiers {
-		tiers[netProfile(tier.Up, tier.Down, tier.RTT)] = true
-	}
-	for _, p := range sampleNetProfiles(200, DefaultNetTiers(), 5) {
+	tiers := map[link]bool{newLink(5, 20, 80): true, newLink(20, 50, 40): true, newLink(1000, 1000, 5): true}
+	for _, p := range sampleLinks(200, mustFleet(ParseNetDist("tiered")), 5) {
 		if !tiers[p] {
 			t.Fatalf("tiered fleet sampled off-tier link %+v", p)
 		}
 	}
 	// Sampling is deterministic per seed and drawn from its own stream.
-	a := sampleNetProfiles(100, LognormalNet{Mu: 3, Sigma: 1}, 7)
-	b := sampleNetProfiles(100, LognormalNet{Mu: 3, Sigma: 1}, 7)
+	a := sampleLinks(100, mustFleet(ParseNetDist("lognormal:3,1")), 7)
+	b := sampleLinks(100, mustFleet(ParseNetDist("lognormal:3,1")), 7)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("network sampling not deterministic per seed")
@@ -105,7 +102,7 @@ func TestNetDistributionsSample(t *testing.T) {
 }
 
 func TestTransferTimePricesBothDirectionsAndRTT(t *testing.T) {
-	p := netProfile(10, 25, 40) // 10 Mbps up, 25 Mbps down, 40 ms
+	p := newLink(10, 25, 40) // 10 Mbps up, 25 Mbps down, 40 ms
 	// 1 MB down at 25 Mbps = 0.32 s; 100 kB up at 10 Mbps = 0.08 s.
 	want := 0.04 + 1e6*8/25e6 + 1e5*8/10e6
 	if got := p.transferTime(1e6, 1e5); math.Abs(got-want) > 1e-12 {
@@ -117,11 +114,11 @@ func TestTransferTimePricesBothDirectionsAndRTT(t *testing.T) {
 }
 
 // netSpec is deviceSpec with a network distribution attached.
-func netSpec(t *testing.T, net NetDistribution) RunSpec {
+func netSpec(t *testing.T, net string) RunSpec {
 	t.Helper()
 	sp := deviceSpec(t, pinAlgo{})
-	sp.Latency = ConstantLatency{D: 3}
-	sp.Network = net
+	sp.Latency = mustFleet(ParseLatency("const:3"))
+	sp.Network = mustFleet(ParseNetDist(net))
 	return sp
 }
 
@@ -130,12 +127,11 @@ func netSpec(t *testing.T, net NetDistribution) RunSpec {
 // reproduces the unpriced async trajectory bit-for-bit — same metric
 // series, same digest, same simulated clock.
 func TestInfiniteBandwidthMatchesPlainAsync(t *testing.T) {
-	ref, err := Start(netSpec(t, nil))
+	ref, err := Start(netSpec(t, "none"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf := math.Inf(1)
-	free, err := Start(netSpec(t, ConstNet{Up: inf, Down: inf, RTT: 0}))
+	free, err := Start(netSpec(t, "const:inf,inf,0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +148,7 @@ func TestInfiniteBandwidthMatchesPlainAsync(t *testing.T) {
 func TestBandwidthScalesSimTime(t *testing.T) {
 	run := func(scale float64) *Result {
 		sp := deviceSpec(t, pinAlgo{})
-		sp.Network = ConstNet{Up: 20 * scale, Down: 50 * scale, RTT: 0}
+		sp.Network = mustFleet(ParseNetDist(fmt.Sprintf("const:%g,%g,0", 20*scale, 50*scale)))
 		res, err := Start(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +171,7 @@ func TestBandwidthScalesSimTime(t *testing.T) {
 
 // A network distribution needs the simulated clock.
 func TestRunSpecRejectsNetworkOnSync(t *testing.T) {
-	sp := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Network: DefaultNetTiers()}
+	sp := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Network: mustFleet(ParseNetDist("tiered"))}
 	if err := sp.Validate(); err == nil {
 		t.Fatal("network pricing on the sync runtime accepted")
 	}
@@ -266,8 +262,8 @@ func TestResumeEquivalenceAsyncPricedTransport(t *testing.T) {
 		sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync}
 		sp.Concurrency = 3
 		sp.BufferSize = 2
-		sp.Latency = ConstantLatency{D: 2}
-		sp.Network = DefaultNetTiers()
+		sp.Latency = mustFleet(ParseLatency("const:2"))
+		sp.Network = mustFleet(ParseNetDist("tiered"))
 		tr := newCountingTransport()
 		sp.Config.Transport = tr
 		return sp, tr

@@ -140,7 +140,7 @@ func TestUpdateBuffersNotAliasedAsyncRun(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     UniformLatency{Min: 1, Max: 3},
+		Latency:     mustFleet(ParseLatency("uniform:1,3")),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +227,8 @@ func TestInFlightVectorsMatchResumedRun(t *testing.T) {
 		sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync}
 		sp.Concurrency = 3
 		sp.BufferSize = 2
-		sp.Latency = ConstantLatency{D: 2}
-		sp.Network = DefaultNetTiers()
+		sp.Latency = mustFleet(ParseLatency("const:2"))
+		sp.Network = mustFleet(ParseNetDist("tiered"))
 		return sp
 	}
 	rs, err := NewRunState(build())
@@ -295,7 +295,7 @@ func TestSharedSnapshotOutlivesAggregations(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3},
+		Latency:     mustFleet(ParseLatency("straggler:1,10,3")),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 				LR: 0.01, Momentum: 0.9, Algo: algo, Seed: 1,
 			},
 			Runtime: core.RuntimeAsync, Concurrency: 4, BufferSize: 2,
-			Latency: core.ExponentialLatency{Mean: 2},
+			Latency: mustFleet(core.ParseLatency("exp:2")),
 		}
 		if s.policy != "" {
 			if sp.Policy, err = core.ParsePolicy(s.policy); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/spec"
@@ -19,7 +20,7 @@ const (
 	// aggregation policy decides when arrivals merge.
 	RuntimeAsync Runtime = "async"
 	// RuntimeBarrier is lock-step semantics priced under the latency
-	// model: each round waits for its slowest client. With ZeroLatency it
+	// model: each round waits for its slowest client. At zero latency it
 	// reproduces RuntimeSync bit-for-bit on the same seed.
 	RuntimeBarrier Runtime = "barrier"
 )
@@ -52,34 +53,36 @@ type RunSpec struct {
 	// for every policy but fedasync, which merges each one.
 	// 0 = ClientsPerRound.
 	BufferSize int
-	// Latency models each dispatch's virtual duration (RuntimeAsync and
-	// RuntimeBarrier). nil = ZeroLatency. Must be nil or ZeroLatency for
-	// RuntimeSync — use RuntimeBarrier to price the lock-step loop under
-	// a latency model.
-	Latency LatencyModel
+	// Latency prices each dispatch's virtual duration (ParseLatency; the
+	// async and barrier runtimes). Unset resolves to zero, the only
+	// latency RuntimeSync accepts — use RuntimeBarrier to price the
+	// lock-step loop under a latency model.
+	Latency FleetDist
 	// Policy decides when buffered arrivals merge and how updates are
 	// weighted (policy.go). The zero value selects the runtime default:
 	// fedavg for RuntimeSync, fedbuff:0.5 otherwise. An Algorithm's
 	// Aggregator override still wins over any policy.
 	Policy Policy
-	// Devices samples one compute-speed multiplier per client (device.go)
-	// for the async and barrier runtimes. With a fleet configured, each
-	// dispatch's virtual duration derives from the round's *metered*
-	// FLOPs — flops / (FlopRate * speed) — so Latency must be left nil
-	// (or ZeroLatency): compute heterogeneity replaces the independent
-	// latency draw. nil = homogeneous fleet, Latency prices dispatches.
-	Devices DeviceDistribution
+	// Devices samples one compute-speed multiplier per client
+	// (ParseDeviceDist; fleet.go) for the async and barrier runtimes. With
+	// a fleet configured, each dispatch's virtual duration derives from the
+	// round's *metered* FLOPs — flops / (FlopRate * speed) — so Latency
+	// must be left unset or zero: compute heterogeneity replaces the
+	// independent latency draw. Unset = homogeneous fleet, Latency prices
+	// dispatches.
+	Devices FleetDist
 	// FlopRate is the simulated throughput, in FLOPs per virtual second,
 	// of a speed-1.0 device (Devices runs only). 0 = 1e9 (1 GFLOP/s, an
 	// edge-class device).
 	FlopRate float64
-	// Network samples one link profile (uplink/downlink bandwidth, RTT)
-	// per client (network.go) for the async and barrier runtimes. With a
-	// fleet configured, each dispatch's duration gains the transfer time
-	// of the bytes its transport actually moved — RTT + bytes*8/bandwidth
-	// per direction — on top of its compute (Devices) or latency-model
-	// duration. Composes freely with both. nil = free communication.
-	Network NetDistribution
+	// Network samples one link (uplink/downlink bandwidth, RTT) per
+	// client (ParseNetDist; fleet.go) for the async and barrier runtimes.
+	// With a fleet configured, each dispatch's duration gains the transfer
+	// time of the bytes its transport actually moved — RTT +
+	// bytes*8/bandwidth per direction — on top of its compute (Devices) or
+	// latency duration. Composes freely with both. Unset = free
+	// communication.
+	Network FleetDist
 	// AdaptiveLocalSteps makes each client's local step budget scale
 	// with its device speed (deadline-style partial work): a 0.25x
 	// client runs a quarter of the round's mini-batch steps, never fewer
@@ -118,16 +121,21 @@ func (sp *RunSpec) Validate() error {
 	if err := sp.Config.Validate(); err != nil {
 		return err
 	}
+	if err := errors.Join(sp.Latency.check(&latencyFamily), sp.Devices.check(&deviceFamily), sp.Network.check(&netFamily)); err != nil {
+		return err
+	}
+	if sp.Latency.None() {
+		sp.Latency = zeroLatency
+	}
+	zeroLat := sp.Latency.term.Name == "zero"
 	if sp.Runtime == RuntimeSync {
-		if sp.Latency != nil {
-			if _, isZero := sp.Latency.(ZeroLatency); !isZero {
-				return fmt.Errorf("core: the sync runtime has no simulated clock; use the barrier runtime to price lock-step rounds under a latency model")
-			}
+		if !zeroLat {
+			return fmt.Errorf("core: the sync runtime has no simulated clock; use the barrier runtime to price lock-step rounds under a latency model")
 		}
-		if sp.Devices != nil {
+		if !sp.Devices.None() {
 			return fmt.Errorf("core: the sync runtime has no simulated clock; device profiles need the async or barrier runtime")
 		}
-		if sp.Network != nil {
+		if !sp.Network.None() {
 			return fmt.Errorf("core: the sync runtime has no simulated clock; network profiles need the async or barrier runtime")
 		}
 	}
@@ -143,11 +151,9 @@ func (sp *RunSpec) Validate() error {
 	if sp.BufferSize < 1 {
 		return fmt.Errorf("core: async buffer size %d", sp.BufferSize)
 	}
-	if sp.Devices != nil {
-		if sp.Latency != nil {
-			if _, isZero := sp.Latency.(ZeroLatency); !isZero {
-				return fmt.Errorf("core: device profiles derive each dispatch's latency from its metered FLOPs; drop the %s latency model", sp.Latency)
-			}
+	if !sp.Devices.None() {
+		if !zeroLat {
+			return fmt.Errorf("core: device profiles derive each dispatch's latency from its metered FLOPs; drop the %s latency model", sp.Latency)
 		}
 		if sp.FlopRate < 0 {
 			return fmt.Errorf("core: device flop rate %g must be positive", sp.FlopRate)
@@ -155,11 +161,7 @@ func (sp *RunSpec) Validate() error {
 		if sp.FlopRate == 0 {
 			sp.FlopRate = 1e9
 		}
-	}
-	if sp.Latency == nil {
-		sp.Latency = ZeroLatency{}
-	}
-	if sp.Devices == nil {
+	} else {
 		if sp.AdaptiveLocalSteps {
 			return fmt.Errorf("core: adaptive local steps scale with device speed; configure a device distribution")
 		}

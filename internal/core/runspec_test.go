@@ -15,7 +15,7 @@ func TestStartFedAsyncSingleArrival(t *testing.T) {
 		Config:      cfg,
 		Runtime:     RuntimeAsync,
 		Concurrency: 3,
-		Latency:     StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 3},
+		Latency:     mustFleet(ParseLatency("straggler:1,10,3")),
 		Policy:      mustPolicy(t, "fedasync:0.6"),
 	})
 	if err != nil {
@@ -56,8 +56,8 @@ func TestRunSpecValidateDefaults(t *testing.T) {
 	if sp.Concurrency != sp.ClientsPerRound || sp.BufferSize != sp.ClientsPerRound {
 		t.Fatalf("async defaults %d/%d want %d", sp.Concurrency, sp.BufferSize, sp.ClientsPerRound)
 	}
-	if _, ok := sp.Latency.(ZeroLatency); !ok {
-		t.Fatalf("default latency %T", sp.Latency)
+	if sp.Latency.String() != "zero" {
+		t.Fatalf("default latency %s", sp.Latency)
 	}
 	buff := sp.Policy
 	if buff.Kind != PolicyFedBuff {
@@ -110,7 +110,8 @@ func TestRunSpecValidateRejects(t *testing.T) {
 		}
 	}
 	check(func(sp *RunSpec) { sp.Runtime = "warp" }, "unknown runtime")
-	check(func(sp *RunSpec) { sp.Latency = ConstantLatency{D: 2} }, "sync with latency model")
+	check(func(sp *RunSpec) { sp.Latency = mustFleet(ParseLatency("const:2")) }, "sync with latency model")
+	check(func(sp *RunSpec) { sp.Latency = mustFleet(ParseLatency("const:0")) }, "sync with a latency model that prices nothing")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Concurrency = 99 }, "concurrency over population")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.Concurrency = -1 }, "negative concurrency")
 	check(func(sp *RunSpec) { sp.Runtime = RuntimeAsync; sp.BufferSize = -1 }, "negative buffer")
@@ -128,10 +129,10 @@ func TestRunSpecValidateRejects(t *testing.T) {
 	if err := sp.Validate(); err != nil || sp.Concurrency != 2 || sp.BufferSize != 3 {
 		t.Fatalf("explicit async knobs: %d/%d, err %v", sp.Concurrency, sp.BufferSize, err)
 	}
-	// ZeroLatency on sync is tolerated (it is the no-op model).
-	sp = RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Latency: ZeroLatency{}}
+	// Zero latency on sync is tolerated (it is the no-op model).
+	sp = RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Latency: mustFleet(ParseLatency("zero"))}
 	if err := sp.Validate(); err != nil {
-		t.Fatalf("sync with ZeroLatency rejected: %v", err)
+		t.Fatalf("sync with zero latency rejected: %v", err)
 	}
 	// Barrier accepts server-hook algorithms.
 	sp = RunSpec{Config: testConfig(t, aggAlgo{}), Runtime: RuntimeBarrier}

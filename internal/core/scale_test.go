@@ -49,7 +49,7 @@ func scaleConfigOn(t *testing.T, shards int, kind data.Kind, arch nn.Arch, scale
 		Runtime:     RuntimeAsync,
 		Concurrency: 64,
 		BufferSize:  16,
-		Latency:     StragglerLatency{Fast: 1, Slow: 10, SlowEvery: 7},
+		Latency:     mustFleet(ParseLatency("straggler:1,10,7")),
 	}
 }
 
@@ -157,8 +157,8 @@ func hundredKSpec(t *testing.T, shards int) RunSpec {
 		Runtime:     RuntimeAsync,
 		Concurrency: 256,
 		BufferSize:  64,
-		Devices:     DefaultTiers(),
-		Network:     DefaultNetTiers(),
+		Devices:     mustFleet(ParseDeviceDist("tiered")),
+		Network:     mustFleet(ParseNetDist("tiered")),
 		Churn: &ChurnModel{
 			MeanUp:   400,
 			MeanDown: 40,

@@ -37,7 +37,7 @@ type Result struct {
 	// SimTimeByRound[t] is the simulated wall-clock time (seconds under
 	// the configured latency, device and network models) at the end of
 	// round t+1. Filled for every run; all zeros when nothing prices the
-	// clock (RuntimeSync, or barrier/async at ZeroLatency).
+	// clock (RuntimeSync, or barrier/async at zero latency).
 	SimTimeByRound []float64
 	// MeanStalenessByRound[t] is the mean staleness (aggregations elapsed
 	// since dispatch) of the updates merged in round t+1. Filled for

@@ -88,7 +88,7 @@ func (sp *RunSpec) fingerprint(numParams int) string {
 	fmt.Fprintf(&b, " lr=%g mom=%g clip=%g seed=%d evalevery=%d", sp.LR, sp.Momentum, sp.ClipNorm, sp.Seed, sp.EvalEvery)
 	fmt.Fprintf(&b, " conc=%d buf=%d", sp.Concurrency, sp.BufferSize)
 	fmt.Fprintf(&b, " latency=%s devices=%s floprate=%g adaptive=%t churn=%s network=%s faults=%s",
-		specName(sp.Latency), specName(sp.Devices), sp.FlopRate, sp.AdaptiveLocalSteps, sp.Churn, specName(sp.Network), sp.Faults)
+		sp.Latency, sp.Devices, sp.FlopRate, sp.AdaptiveLocalSteps, sp.Churn, sp.Network, sp.Faults)
 	fmt.Fprintf(&b, " target=%g stop=%t transport=%s", sp.TargetAccuracy, sp.StopAtTarget, specName(sp.Transport))
 	// The partition is re-derived by the caller; an FNV-1a hash over the
 	// per-client sizes catches the common mistake (different -alpha or
@@ -101,9 +101,9 @@ func (sp *RunSpec) fingerprint(numParams int) string {
 	return b.String()
 }
 
-// specName canonically names an optional model or transport for the
-// fingerprint: its spec string when it has one (every ParseX result
-// does), nil as "none", anything else as "custom". A resumed run must
+// specName canonically names the transport for the fingerprint: its spec
+// string when it has one (every comm.ParseTransport result does), nil as
+// "none", a hand-written transport as "custom". A resumed run must
 // configure a transport with the same name — wire sizes and decode
 // behaviour are part of the trajectory once communication is measured or
 // priced.

@@ -229,7 +229,7 @@ func TestResumeEquivalenceAsyncFedBuff(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(ParseLatency("exp:2")),
 	}, 4)
 }
 
@@ -240,7 +240,7 @@ func TestResumeEquivalenceAsyncChurn(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(ParseLatency("exp:2")),
 		Churn: &ChurnModel{
 			MeanUp:   30,
 			MeanDown: 8,
@@ -263,7 +263,7 @@ func TestResumeEquivalenceMOON(t *testing.T) {
 		Runtime:     RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(ParseLatency("exp:2")),
 	}, 4)
 }
 
@@ -274,7 +274,7 @@ func TestResumeEquivalenceAsyncDevices(t *testing.T) {
 		Runtime:            RuntimeAsync,
 		Concurrency:        4,
 		BufferSize:         2,
-		Devices:            DefaultTiers(),
+		Devices:            mustFleet(ParseDeviceDist("tiered")),
 		AdaptiveLocalSteps: true,
 	}, 3)
 }
@@ -310,7 +310,7 @@ func TestSnapshotPolicyRoundTrip(t *testing.T) {
 				Runtime:     RuntimeAsync,
 				Concurrency: 4,
 				BufferSize:  2,
-				Latency:     ExponentialLatency{Mean: 1.5},
+				Latency:     mustFleet(ParseLatency("exp:1.5")),
 				Policy:      tc.p,
 			}
 			rs, err := NewRunState(spec)

@@ -19,6 +19,14 @@ import (
 	"repro/internal/trace"
 )
 
+// mustFleet unwraps a fleet spec the test knows to be valid.
+func mustFleet(d core.FleetDist, err error) core.FleetDist {
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func testSpec(t *testing.T, rounds int) core.RunSpec {
 	t.Helper()
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 400, Test: 150, Seed: 42})
@@ -47,7 +55,7 @@ func testSpec(t *testing.T, rounds int) core.RunSpec {
 		Runtime:     core.RuntimeAsync,
 		Concurrency: 4,
 		BufferSize:  2,
-		Latency:     core.ExponentialLatency{Mean: 2},
+		Latency:     mustFleet(core.ParseLatency("exp:2")),
 	}
 }
 

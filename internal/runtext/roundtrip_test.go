@@ -133,10 +133,18 @@ func fuzz(f *testing.F, name string, rejected ...string) {
 	f.Fatalf("no family %q", name)
 }
 
+// Non-finite fleet arguments, refused by every form: only a const or
+// tiered bandwidth may be inf.
+var (
+	nonFiniteLatency = []string{"const:inf", "uniform:0,inf", "exp:inf", "lognormal:0,inf", "straggler:1,inf,3"}
+	nonFiniteDevices = []string{"uniform:1,inf", "lognormal:inf,1", "lognormal:0,inf", "tiered:inf,1", "tiered:1,inf"}
+	nonFiniteNet     = []string{"const:10,25,inf", "uniform:5,50,inf", "lognormal:3,inf", "lognormal:3,0.5,inf", "tiered:10,40,inf,1"}
+)
+
 func FuzzParseRuntime(f *testing.F)    { fuzz(f, "runtime") }
-func FuzzParseLatency(f *testing.F)    { fuzz(f, "latency") }
-func FuzzParseDeviceDist(f *testing.F) { fuzz(f, "device") }
-func FuzzParseNetDist(f *testing.F)    { fuzz(f, "net") }
+func FuzzParseLatency(f *testing.F)    { fuzz(f, "latency", nonFiniteLatency...) }
+func FuzzParseDeviceDist(f *testing.F) { fuzz(f, "device", nonFiniteDevices...) }
+func FuzzParseNetDist(f *testing.F)    { fuzz(f, "net", nonFiniteNet...) }
 func FuzzParseChurn(f *testing.F)      { fuzz(f, "churn") }
 func FuzzParseFaults(f *testing.F)     { fuzz(f, "faults") }
 func FuzzParseTransport(f *testing.F)  { fuzz(f, "transport") }
@@ -149,18 +157,12 @@ func FuzzParseLRSchedule(f *testing.F) { fuzz(f, "server-lr") }
 // by field from the typed values' own String()s.
 func canonicalText(rs core.RunSpec) runtext.Selection {
 	s := runtext.Selection{
-		Runtime: rs.Runtime, Latency: render(rs.Latency),
+		Runtime: rs.Runtime, Latency: rs.Latency.String(), Devices: rs.Devices.String(), Bandwidth: rs.Network.String(),
 		Concurrency: rs.Concurrency, Buffer: rs.BufferSize,
 		AdaptiveSteps: rs.AdaptiveLocalSteps,
 	}
-	if rs.Devices != nil {
-		s.Devices = rs.Devices.String()
-	}
 	if rs.Churn != nil {
 		s.Churn = rs.Churn.String()
-	}
-	if rs.Network != nil {
-		s.Bandwidth = rs.Network.String()
 	}
 	if rs.Faults != nil {
 		s.Faults = rs.Faults.String()
