@@ -3,6 +3,7 @@ package quantize
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,45 @@ func TestTopKProperty(t *testing.T) {
 		return minKept >= mags[k]-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Oracle: quickselectDesc returns what a full descending sort puts at
+// index k-1, for every k, on NaN-free columns with and without ties, and
+// only permutes the column it is given.
+func TestQuickselectDescMatchesSort(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(64)
+		col := make([]float64, n)
+		grid := rng.Intn(2) == 0 // a coarse grid forces ties
+		for i := range col {
+			if grid {
+				col[i] = float64(rng.Intn(5))
+			} else {
+				col[i] = rng.NormFloat64()
+			}
+		}
+		want := slices.Clone(col)
+		slices.Sort(want)
+		slices.Reverse(want)
+		for k := 1; k <= n; k++ {
+			xs := slices.Clone(col)
+			if got := quickselectDesc(xs, k); got != want[k-1] {
+				t.Logf("n=%d k=%d: got %v, sorted %v", n, k, got, want)
+				return false
+			}
+			slices.Sort(xs)
+			slices.Reverse(xs)
+			if !slices.Equal(xs, want) {
+				t.Logf("n=%d k=%d: the column is no longer a permutation of its input", n, k)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
