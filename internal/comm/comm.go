@@ -79,7 +79,8 @@ func (s *Stats) up(wire int64) int64 {
 // call allocates its result and forwards to the Into method. The
 // benchmark's trace wrapper still asserts this method set, so a traced
 // pass runs through it and must reproduce the in-place digest. It is
-// deleted, with core's adapter, in step 3 of ROADMAP "The wire path".
+// deleted, with core's adapter, by ROADMAP item 1's deletion, after its
+// benchmark re-baseline.
 type legacyMethods struct {
 	wire core.WireTransport
 	// delta marks a transport whose upload is coded against the

@@ -124,10 +124,11 @@ type WireTransport interface {
 
 // Transport is the legacy, allocating transfer interface, kept (with
 // SizedTransport and MeteredTransport) until the benchmark's trace
-// wrapper moves to WireTransport — step 3 of ROADMAP "The wire path"
-// renames WireTransport's methods to Down/Up and deletes these. Down
-// returns what the client receives, Up what the server receives; both
-// must be safe for concurrent calls.
+// wrapper moves to WireTransport — ROADMAP item 1: a benchmark
+// re-baseline first, then a deletion that removes these and renames
+// WireTransport's methods to Down/Up. Down returns what the client
+// receives, Up what the server receives; both must be safe for
+// concurrent calls.
 //
 // Slice lifetimes: the vectors passed to Down and Up are runtime-owned
 // buffers that are recycled once the round's merge has consumed them —

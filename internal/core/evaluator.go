@@ -7,28 +7,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// evaluator computes test accuracy off the event loop. The loop hands it a
-// snapshot of the global parameters (round, copy-of-w) and keeps merging;
-// the evaluator goroutine works through snapshots in order and publishes
-// results. At EvalEvery=1 this overlaps each round's evaluation with the
-// next round's training and merging — previously the single most expensive
-// thing the event loop did inline.
-//
-// The request channel is deliberately small: if evaluation cannot keep up,
-// submit blocks, so at most a couple of |w| snapshots are ever alive.
+// evaluator computes test accuracy off the event loop, one round at a
+// time: the loop hands it a snapshot of the global parameters and keeps
+// training, and the recorder joins that evaluation before it submits the
+// next. At EvalEvery=1 round t evaluates while round t+1 trains and
+// merges, and at most one evaluation — one |w| snapshot — is ever
+// outstanding.
 type evaluator struct {
-	t    *tester
-	reqs chan evalSnap
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	accs   map[int]float64 // round -> accuracy, published as computed
-	closed sync.WaitGroup
-}
-
-type evalSnap struct {
-	round  int
-	params []float64
+	reqs chan []float64 // unbuffered: a submit waits for the goroutine
+	accs chan float64   // one slot: the outstanding evaluation's accuracy
 }
 
 // evalDataset is the slice of the dataset API evaluation needs.
@@ -50,8 +37,8 @@ const evalWindow = 200
 // the test set, sized once to min(Config.BatchSize, evalWindow) rows:
 // evaluation holds activations of the training width and, in steady
 // state, allocates nothing. A server keeps one: the off-loop evaluator and
-// Server.EvaluateGlobal (callable from an OnRound hook while evaluations
-// are queued) take turns under mu.
+// Server.EvaluateGlobal (callable from an OnRound hook while an evaluation
+// is outstanding) take turns under mu.
 type tester struct {
 	mu     sync.Mutex
 	model  *nn.Model
@@ -115,85 +102,28 @@ func (t *tester) count(lo, hi int) int {
 
 // newEvaluator starts an evaluator on the server's tester t.
 func newEvaluator(t *tester) *evaluator {
-	e := &evaluator{
-		t:    t,
-		reqs: make(chan evalSnap, 2),
-		accs: make(map[int]float64),
-	}
-	e.cond = sync.NewCond(&e.mu)
-	e.closed.Add(1)
-	go e.loop()
+	e := &evaluator{reqs: make(chan []float64), accs: make(chan float64, 1)}
+	go func() {
+		defer close(e.accs)
+		for params := range e.reqs {
+			acc := t.accuracy(params)
+			paramsPool.put(params) // snapshot consumed; recycle it
+			e.accs <- acc
+		}
+	}()
 	return e
 }
 
-func (e *evaluator) loop() {
-	defer e.closed.Done()
-	for req := range e.reqs {
-		acc := e.t.accuracy(req.params)
-		paramsPool.put(req.params) // snapshot consumed; recycle it
-		e.mu.Lock()
-		e.accs[req.round] = acc
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	}
-}
+// submit hands the evaluator a snapshot, which it takes ownership of. The
+// previous submission must have been joined.
+func (e *evaluator) submit(params []float64) { e.reqs <- params }
 
-// submit queues round's snapshot (the evaluator takes ownership of params).
-// Blocks only when the evaluator is more than one round behind.
-func (e *evaluator) submit(round int, params []float64) {
-	e.reqs <- evalSnap{round: round, params: params}
-}
+// join waits for the outstanding evaluation and returns its accuracy.
+func (e *evaluator) join() float64 { return <-e.accs }
 
-// wait blocks until round's submitted evaluation is done and returns it.
-func (e *evaluator) wait(round int) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		if acc, ok := e.accs[round]; ok {
-			return acc
-		}
-		e.cond.Wait()
-	}
-}
-
-// drain waits for every submitted evaluation to finish and stops the
-// goroutine. The accumulated results remain readable via take.
-func (e *evaluator) drain() {
+// stop ends an evaluator with nothing outstanding and returns once its
+// goroutine has exited.
+func (e *evaluator) stop() {
 	close(e.reqs)
-	e.closed.Wait()
-}
-
-// take returns the accuracy computed for round (after drain, every
-// submitted round is present).
-func (e *evaluator) take(round int) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	acc, ok := e.accs[round]
-	return acc, ok
-}
-
-// exportAccs returns a copy of every published accuracy. Snapshot calls
-// it after recorder.syncEvals, so the map is complete through the last
-// submitted round; unlike drain it leaves the goroutine running and the
-// run resumable.
-func (e *evaluator) exportAccs() map[int]float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[int]float64, len(e.accs))
-	for r, a := range e.accs {
-		out[r] = a
-	}
-	return out
-}
-
-// preload publishes previously computed accuracies into a fresh
-// evaluator — Resume's path for the rounds evaluated before the
-// snapshot, which finalize folds into the accuracy series exactly as if
-// this process had computed them.
-func (e *evaluator) preload(accs map[int]float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for r, a := range accs {
-		e.accs[r] = a
-	}
+	<-e.accs
 }

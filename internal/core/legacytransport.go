@@ -8,8 +8,8 @@ import "fmt"
 // dst. sized is the same transport when it reports per-transfer bytes;
 // otherwise a transfer is priced at the analytic dense float32 size. It
 // is built in one place (wireTransport) and deleted, with Transport,
-// SizedTransport and MeteredTransport, in step 3 of ROADMAP "The wire
-// path".
+// SizedTransport and MeteredTransport, by ROADMAP item 1's deletion,
+// after its benchmark re-baseline.
 type legacyTransport struct {
 	t     Transport
 	sized SizedTransport

@@ -380,13 +380,14 @@ func (s *Server) EvaluateGlobal() float64 {
 // runtimes, so the two produce directly comparable (and, in the async
 // runtime's barrier mode, bit-for-bit identical) metric streams.
 //
-// Evaluation runs on the off-loop evaluator: record submits a snapshot of
-// the global model and keeps going, and finalize joins every pending
-// evaluation before the accuracy series and its summary metrics are
-// assembled. The exception is an early-stopping run (StopAtTarget with a
-// positive target): there the loop's control flow depends on the current
-// round's accuracy, so record blocks for it — exactly the old inline
-// semantics.
+// Evaluation runs on the off-loop evaluator, one round at a time: record
+// joins the outstanding evaluation, lists its accuracy and only then
+// submits the next, so round t evaluates while round t+1 trains. The
+// exception is an early-stopping run (StopAtTarget with a positive
+// target): there the loop's control flow depends on the current round's
+// accuracy, so record also joins the round it just submitted — exactly
+// the old inline semantics. finalize assembles the accuracy series from
+// the list.
 type recorder struct {
 	s             *Server
 	res           *Result
@@ -397,10 +398,16 @@ type recorder struct {
 	lastMeasured  int64
 	ev            *evaluator
 	blocking      bool
-	prevEval      int     // newest round submitted for evaluation before this one
-	lastSubmitted int     // newest round ever submitted for evaluation
-	lastAcc       float64 // latest known accuracy (exact when blocking)
+	pending       int       // round whose evaluation is outstanding, 0 when none
+	evals         []evalAcc // every joined evaluation, in round order
+	lastAcc       float64   // the accuracy the latest record reported
 	finalized     bool
+}
+
+// evalAcc is one evaluated round's test accuracy.
+type evalAcc struct {
+	round int
+	acc   float64
 }
 
 func newRecorder(s *Server) *recorder {
@@ -464,9 +471,9 @@ func (r *recorder) commDelta(nUpdates int) int64 {
 // record appends the metrics of one completed round t: mean training
 // loss over the merged updates, cumulative communication, cumulative
 // FLOPs, and (when due under EvalEvery, or on the final round) an
-// evaluation submitted to the off-loop evaluator. It returns the latest
-// known accuracy for progress logging; the per-round accuracy series is
-// assembled in finalize once every evaluation has completed.
+// evaluation submitted to the off-loop evaluator. It returns the newest
+// joined accuracy for progress logging; the per-round accuracy series is
+// assembled in finalize.
 func (r *recorder) record(t, totalRounds int, updates []Update, flopsTotal int64) float64 {
 	res := r.res
 	var lossSum float64
@@ -481,55 +488,60 @@ func (r *recorder) record(t, totalRounds int, updates []Update, flopsTotal int64
 	res.GFLOPsByRound = append(res.GFLOPsByRound, float64(flopsTotal)/1e9)
 	res.Rounds = t
 
-	due := t%r.s.cfg.EvalEvery == 0 || t == totalRounds
-	if due {
+	// The outstanding evaluation has had this round's training to finish
+	// in, so the join seldom blocks.
+	r.join()
+	if t%r.s.cfg.EvalEvery == 0 || t == totalRounds {
 		// Snapshot from the shared pool; the evaluator recycles it once
 		// the accuracy is computed.
-		r.ev.submit(t, paramsPool.getCopy(r.s.global))
-		r.lastSubmitted = t
+		r.ev.submit(paramsPool.getCopy(r.s.global))
+		r.pending = t
 		if r.blocking {
-			acc := r.ev.wait(t)
-			r.lastAcc = acc
-			if r.s.cfg.TargetAccuracy > 0 && res.RoundsToTarget < 0 && acc >= r.s.cfg.TargetAccuracy {
+			r.join()
+			if res.RoundsToTarget < 0 && r.evals[len(r.evals)-1].acc >= r.s.cfg.TargetAccuracy {
 				res.RoundsToTarget = t
 			}
-			return acc
 		}
 	}
-	// Progress accuracy for the non-blocking path: the newest evaluation
-	// submitted before this round. It has had a full round of training to
-	// complete, so this seldom blocks — and, unlike "whatever the
-	// evaluator happens to have finished", it is deterministic: identical
-	// runs print identical progress lines.
-	if r.prevEval > 0 {
-		r.lastAcc = r.ev.wait(r.prevEval)
-	}
-	if due {
-		r.prevEval = t
+	// The newest joined evaluation, not "whatever the evaluator happens to
+	// have finished": identical runs print identical progress lines.
+	if n := len(r.evals); n > 0 {
+		r.lastAcc = r.evals[n-1].acc
 	}
 	return r.lastAcc
 }
 
-// finalize joins the evaluator and assembles the accuracy series: each
-// round carries the last evaluated value forward (0 before the first
-// evaluation), and the summary metrics are derived from the evaluated
-// rounds only. Idempotent; every exit path of a run must reach it so the
-// evaluator goroutine is released and partial results stay well-formed.
+// join waits for the outstanding evaluation, if any, and lists its
+// accuracy. Snapshot joins before it writes the list, so the stream holds
+// every submitted round.
+func (r *recorder) join() {
+	if r.pending > 0 {
+		r.evals = append(r.evals, evalAcc{r.pending, r.ev.join()})
+		r.pending = 0
+	}
+}
+
+// finalize joins the evaluator, stops it, and assembles the accuracy
+// series: each round carries the last evaluated value forward (0 before
+// the first evaluation), and the summary metrics are derived from the
+// evaluated rounds only. Idempotent; every exit path of a run must reach
+// it so the evaluator goroutine is released and partial results stay
+// well-formed.
 func (r *recorder) finalize() {
 	if r.finalized {
 		return
 	}
 	r.finalized = true
-	r.ev.drain()
+	r.join()
+	r.ev.stop()
 	res := r.res
-	acc := 0.0
-	var evalAccs []float64
+	acc, next := 0.0, 0
 	res.Accuracy = res.Accuracy[:0]
 	for t := 1; t <= res.Rounds; t++ {
-		if a, ok := r.ev.take(t); ok {
-			acc = a
-			evalAccs = append(evalAccs, a)
-			if r.s.cfg.TargetAccuracy > 0 && res.RoundsToTarget < 0 && a >= r.s.cfg.TargetAccuracy {
+		if next < len(r.evals) && r.evals[next].round == t {
+			acc = r.evals[next].acc
+			next++
+			if r.s.cfg.TargetAccuracy > 0 && res.RoundsToTarget < 0 && acc >= r.s.cfg.TargetAccuracy {
 				res.RoundsToTarget = t
 			}
 		}
@@ -538,16 +550,12 @@ func (r *recorder) finalize() {
 			res.BestAccuracy = acc
 		}
 	}
-	lo := len(evalAccs) - 10
-	if lo < 0 {
-		lo = 0
-	}
-	if len(evalAccs) > lo {
+	if tail := r.evals[max(0, len(r.evals)-10):]; len(tail) > 0 {
 		var sum float64
-		for _, a := range evalAccs[lo:] {
-			sum += a
+		for _, e := range tail {
+			sum += e.acc
 		}
-		res.FinalAccuracy = sum / float64(len(evalAccs)-lo)
+		res.FinalAccuracy = sum / float64(len(tail))
 	}
 }
 
@@ -555,16 +563,4 @@ func (r *recorder) finalize() {
 func (r *recorder) finish() *Result {
 	r.finalize()
 	return r.res
-}
-
-// syncEvals joins every evaluation submitted so far without stopping the
-// evaluator goroutine (unlike finalize/drain, after which no further
-// round can evaluate). The evaluator consumes submissions in FIFO order
-// and publishes each before taking the next, so once the newest
-// submitted round is present every earlier one is too. Snapshot uses
-// this to make the published accuracy map complete at a round boundary.
-func (r *recorder) syncEvals() {
-	if r.lastSubmitted > 0 {
-		r.ev.wait(r.lastSubmitted)
-	}
 }

@@ -45,9 +45,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"maps"
 	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/prng"
@@ -132,7 +130,7 @@ func (rs *RunState) Snapshot(w io.Writer) error {
 		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps pre-round server state the runtime cannot serialize", s.cfg.Algo.Name())
 	}
 	rs.run.quiesce()
-	rs.a.rec.syncEvals()
+	rs.a.rec.join()
 	c := tensor.NewEncoder(w)
 	rs.snap(c)
 	return c.Finish()
@@ -241,7 +239,7 @@ func snapRng(c *tensor.Codec, r *prng.Rand) {
 
 // snapCommon is the state every runtime shares: the global model, the
 // selection stream, the client population, the adversary's live streams,
-// the recorder (metric series plus the published accuracies), and the
+// the recorder (metric series plus the list of evaluated rounds), and the
 // clock and scheduler registry.
 func (rs *RunState) snapCommon(c *tensor.Codec) {
 	a, s := rs.a, rs.a.s
@@ -321,35 +319,31 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	c.Num("rounds to target", &res.RoundsToTarget)
 	c.I64(&rec.cumComm)
 	c.I64(&rec.wirePending)
-	c.Num("previous evaluation round", &rec.prevEval)
-	c.Num("last submitted evaluation round", &rec.lastSubmitted)
+	// Two words name the newest evaluated round: the one the next record
+	// would join (none under early stopping, which joins as it goes) and
+	// the newest submitted. Snapshot joined the outstanding evaluation, so
+	// both derive from the list that follows, a count then (round,
+	// accuracy) pairs in round order, and a stream whose words disagree
+	// with its list is refused.
+	prev, last := rec.newestEval()
+	c.Num("previous evaluation round", &prev)
+	c.Num("last submitted evaluation round", &last)
 	c.F64(&rec.lastAcc)
-	// The published accuracies: a count, then (round, accuracy) pairs in
-	// round order, inserted as they are decoded. Snapshot joined every
-	// submitted evaluation, so the two rounds the recorder may still wait
-	// on are in the map — a stream where they are not would hang the next
-	// Step.
-	accs := rec.ev.exportAccs()
-	order := slices.Sorted(maps.Keys(accs))
-	for i, n := 0, c.Len("accuracy map", len(order)); i < n && c.Err() == nil; i++ {
-		var r int
-		if !c.Reading() {
-			r = order[i]
-		}
-		if c.Num("accuracy round", &r); r < 1 || r > res.Rounds {
-			c.Fail("accuracy for round %d of %d", r, res.Rounds)
-		}
-		acc := accs[r]
-		c.F64(&acc)
-		accs[r] = acc
-	}
-	if c.Reading() && c.Err() == nil {
-		for _, r := range [2]int{rec.prevEval, rec.lastSubmitted} {
-			if _, ok := accs[r]; r != 0 && !ok {
-				c.Fail("evaluation round %d has no published accuracy", r)
+	snapList(c, "accuracy list", &rec.evals, func(e *evalAcc) {
+		c.Num("accuracy round", &e.round)
+		c.F64(&e.acc)
+	})
+	if c.Reading() {
+		newest := 0
+		for _, e := range rec.evals {
+			if e.round <= newest || e.round > res.Rounds {
+				c.Fail("accuracy for round %d after round %d of %d", e.round, newest, res.Rounds)
 			}
+			newest = e.round
 		}
-		rec.ev.preload(accs)
+		if p, l := rec.newestEval(); prev != p || last != l {
+			c.Fail("evaluation rounds %d and %d, the accuracy list derives %d and %d", prev, last, p, l)
+		}
 	}
 
 	c.I64(&a.flopsTotal)
@@ -360,6 +354,19 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	}
 	snapRng(c, a.latRng)
 	a.pop.snap(c)
+}
+
+// newestEval derives the stream's two evaluation-round words from the
+// accuracy list: prev, the round a record would join (0 under early
+// stopping), and last, the newest submitted.
+func (r *recorder) newestEval() (prev, last int) {
+	if n := len(r.evals); n > 0 {
+		last = r.evals[n-1].round
+	}
+	if r.blocking {
+		return 0, last
+	}
+	return last, last
 }
 
 // snapList is a list whose length only the stream knows: a count, then

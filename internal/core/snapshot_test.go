@@ -450,3 +450,78 @@ func TestSnapshotRefusesServerSideAggregators(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// TestResumeRejectsInconsistentAccuracyList: the recorder's accuracy list
+// must hold strictly increasing rounds within [1, R], and the two
+// evaluation-round words before it must be the ones the list derives —
+// its newest round, and for the first 0 under early stopping. A stream
+// that breaks either is corrupt.
+func TestResumeRejectsInconsistentAccuracyList(t *testing.T) {
+	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	for _, stop := range []bool{false, true} {
+		cfg := snapTestConfig(t, 4)
+		if stop {
+			cfg.TargetAccuracy, cfg.StopAtTarget = 0.99, true
+		}
+		spec := RunSpec{Config: cfg}
+		rs, err := NewRunState(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			if _, err := rs.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := rs.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		last := rs.LastAccuracy()
+		rs.Close()
+		good := buf.Bytes()
+		if _, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: spec}); err != nil {
+			t.Fatalf("stop=%t: the unedited stream is refused: %v", stop, err)
+		}
+
+		// The words, the last accuracy, then three (round, accuracy) pairs.
+		prev := uint64(3)
+		if stop {
+			prev = 0
+		}
+		at := bytes.Index(good, bytes.Join([][]byte{word(prev), word(3), word(math.Float64bits(last)), word(3), word(1)}, nil))
+		if at < 0 {
+			t.Fatalf("stop=%t: accuracy list not found in the snapshot", stop)
+		}
+		pair := func(i int) int { return at + 32 + 16*i }
+		edit := func(off int, v uint64) []byte {
+			b := bytes.Clone(good)
+			copy(b[off:], word(v))
+			return b
+		}
+		cases := []struct {
+			name    string
+			data    []byte
+			wantErr string
+		}{
+			{"round out of order", edit(pair(1), 1), "accuracy for round 1 after round 1"},
+			{"rounds decreasing", edit(pair(0), 3), "accuracy for round 2 after round 3"},
+			{"round zero", edit(pair(0), 0), "accuracy for round 0 after round 0"},
+			{"round past R", edit(pair(2), 4), "accuracy for round 4 after round 2 of 3"},
+			{"previous round disagrees", edit(at, 2), "evaluation rounds 2 and 3"},
+			{"last round disagrees", edit(at+8, 2), "and 2, the accuracy list derives"},
+			{"shorter list", edit(at+24, 2), "the accuracy list derives"},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("stop=%t/%s", stop, tc.name), func(t *testing.T) {
+				_, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: spec})
+				if err == nil {
+					t.Fatal("inconsistent accuracy list accepted")
+				}
+				if !strings.Contains(err.Error(), "corrupt run snapshot") || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+				}
+			})
+		}
+	}
+}

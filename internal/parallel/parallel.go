@@ -83,33 +83,6 @@ func ForChunkedMin(n, minWork int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Do runs every task concurrently, bounded by Workers() goroutines, and
-// waits for all of them. It is used by the FL server to run the selected
-// clients' local training in parallel, mirroring the "clients train in
-// parallel" step of each communication round.
-func Do(tasks ...func()) {
-	n := len(tasks)
-	switch n {
-	case 0:
-		return
-	case 1:
-		tasks[0]()
-		return
-	}
-	sem := make(chan struct{}, Workers())
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t func()) {
-			defer wg.Done()
-			t()
-			<-sem
-		}(t)
-	}
-	wg.Wait()
-}
-
 // Map applies fn to every index in [0, n) and collects the results in
 // order. It is a convenience wrapper over For for fan-out/fan-in patterns
 // such as "evaluate every client's model".
@@ -121,9 +94,9 @@ func Map[T any](n int, fn func(i int) T) []T {
 	return out
 }
 
-// Pool is a persistent bounded worker pool. Unlike Do, which spins up
-// goroutines per call, a Pool keeps its workers alive across many Submit
-// calls, and each submitted task learns which worker runs it. That worker
+// Pool is a persistent bounded worker pool: it keeps its workers alive
+// across many Submit calls, and each submitted task learns which worker
+// runs it. That worker
 // index is the hook for sharded state: a caller can keep one expensive
 // resource per worker (the FL core keeps one training engine — model,
 // optimizer, batch buffers — per shard) and access it without locking,

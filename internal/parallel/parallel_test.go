@@ -44,23 +44,6 @@ func TestForChunkedNegativeAndZero(t *testing.T) {
 	}
 }
 
-func TestDoRunsAll(t *testing.T) {
-	var count int64
-	tasks := make([]func(), 50)
-	for i := range tasks {
-		tasks[i] = func() { atomic.AddInt64(&count, 1) }
-	}
-	Do(tasks...)
-	if count != 50 {
-		t.Fatalf("ran %d of 50 tasks", count)
-	}
-	Do() // no tasks: must not hang
-	Do(func() { atomic.AddInt64(&count, 1) })
-	if count != 51 {
-		t.Fatalf("single-task Do did not run")
-	}
-}
-
 func TestMapOrdered(t *testing.T) {
 	out := Map(1000, func(i int) int { return i * i })
 	for i, v := range out {

@@ -19,7 +19,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"reflect"
 	"sync"
 
 	"repro/internal/core"
@@ -206,7 +208,7 @@ func (c *Controller) Checkpoint(w *bytes.Buffer) error {
 // Handler returns the HTTP surface:
 //
 //	GET /status      cheap JSON progress (never blocks the loop)
-//	GET /metrics     full metric series as JSON (boundary request)
+//	GET /metrics     full metric series as JSON, NaN/±Inf as null (boundary request)
 //	GET /trace       per-client round telemetry CSV (404 without -trace)
 //	GET /checkpoint  binary run snapshot, resumable with -resume
 func (c *Controller) Handler() http.Handler {
@@ -218,7 +220,7 @@ func (c *Controller) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var body []byte
 		var err error
-		c.do(func() { body, err = json.Marshal(c.rs.Result()) })
+		c.do(func() { body, err = json.Marshal(finite(reflect.ValueOf(c.rs.Result()))) })
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -254,4 +256,37 @@ func (c *Controller) Handler() http.Handler {
 		w.Write(buf.Bytes())
 	})
 	return mux
+}
+
+// finite returns v as encoding/json sees it, with every NaN or infinite
+// float replaced by nil, so that it marshals as null instead of failing
+// the whole document: a run whose merge screen rejects diverged uploads
+// carries on with NaN losses in its series. Structs become maps of their
+// exported fields.
+func finite(v reflect.Value) any {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return finite(v.Elem())
+		}
+	case reflect.Slice:
+		out := make([]any, v.Len())
+		for i := range out {
+			out[i] = finite(v.Index(i))
+		}
+		return out
+	case reflect.Struct:
+		out := make(map[string]any, v.NumField())
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.IsExported() {
+				out[f.Name] = finite(v.Field(i))
+			}
+		}
+		return out
+	}
+	return v.Interface()
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -230,4 +231,77 @@ func TestGracefulShutdown(t *testing.T) {
 	if resumed.Digest() != full.Digest() {
 		t.Fatalf("resumed digest %s, want %s", resumed.Digest(), full.Digest())
 	}
+}
+
+// TestMetricsEncodesNonFiniteAsNull: at a learning rate of 1e6 local
+// training diverges and the merge screen rejects the non-finite uploads,
+// so the run survives while its TrainLoss series turns NaN. GET /metrics
+// must still answer 200 with valid JSON, each non-finite value as null.
+func TestMetricsEncodesNonFiniteAsNull(t *testing.T) {
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 600, Test: 200, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 6, 80, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := core.NewRunState(core.RunSpec{Config: core.Config{
+		Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
+		Train: train, Test: test, Parts: parts,
+		Rounds: 12, ClientsPerRound: 3,
+		BatchSize: 20, LocalEpochs: 1,
+		LR: 1e6, Momentum: 0.9,
+		Algo: core.NewFedTrip(0.4), Seed: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	ctrl := New(rs, nil)
+	res, err := ctrl.Run(context.Background())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	nan := 0
+	for _, l := range res.TrainLoss {
+		if math.IsNaN(l) {
+			nan++
+		}
+	}
+	if nan == 0 || res.RejectedUpdates == 0 {
+		t.Fatalf("%d NaN losses, %d rejected updates: the run did not diverge locally; the case pins nothing", nan, res.RejectedUpdates)
+	}
+
+	srv := httptest.NewServer(ctrl.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: %d %s", resp.StatusCode, body)
+	}
+	var got struct {
+		TrainLoss       []*float64
+		Accuracy        []float64
+		RejectedUpdates int
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("/metrics is not valid JSON: %v\n%s", err, body)
+	}
+	if len(got.TrainLoss) != len(res.TrainLoss) || len(got.Accuracy) != len(res.Accuracy) || got.RejectedUpdates != res.RejectedUpdates {
+		t.Fatalf("/metrics served %+v for a result of %d rounds, %d rejected", got, len(res.TrainLoss), res.RejectedUpdates)
+	}
+	for i, l := range res.TrainLoss {
+		if served := got.TrainLoss[i]; math.IsNaN(l) != (served == nil) || (served != nil && *served != l) {
+			t.Fatalf("round %d: loss %v served as %v", i+1, l, served)
+		}
+	}
+	t.Logf("%d of %d losses NaN, %d updates rejected", nan, len(res.TrainLoss), res.RejectedUpdates)
 }
