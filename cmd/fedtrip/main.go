@@ -14,9 +14,8 @@
 // is runtext.Selection, shared with fedtrip-tables, every value written in
 // the one spec grammar (internal/spec: name[:a,b,...] terms composed with
 // "+"; README "One run API" has the table, -h the per-flag vocabulary);
-// and runtext.Command adds -async (shorthand for -runtime async), -wire
-// (shorthand for -transport f32) and -flop-rate (device throughput). The
-// staleness discount is the policy's own argument (-policy fedbuff:EXP):
+// and runtext.Command adds -flop-rate (device throughput). The staleness
+// discount is the policy's own argument (-policy fedbuff:EXP):
 //
 //	fedtrip -algo fedtrip -runtime async -latency straggler:1,10,5 -buffer 2 -rounds 60
 //	fedtrip -algo fedtrip -runtime async -latency exp:2 -policy fedasync:0.6 -rounds 60
@@ -40,7 +39,7 @@
 // memory: one model-sized training engine per shard) with -shards; the
 // two are independent, so a 10k-client fleet runs on a laptop:
 //
-//	fedtrip -async -clients 10000 -samples 6 -concurrency 256 -buffer 64 \
+//	fedtrip -runtime async -clients 10000 -samples 6 -concurrency 256 -buffer 64 \
 //	        -latency straggler:1,10,7 -rounds 30
 //
 // Long runs are serializable: -checkpoint arms graceful shutdown (SIGTERM
@@ -303,6 +302,11 @@ func execute(o runOpts, rspec core.RunSpec, collector *trace.Collector) (*core.R
 		}
 	}
 	defer rs.Close()
+	// The snapshot is written right after the Step that completes round
+	// N, so an N this run never completes would exit 0 with no snapshot.
+	if from, to := rs.Round(), rs.Spec().Rounds; o.snapAt > 0 && (o.snapAt <= from || o.snapAt > to) {
+		return nil, fmt.Errorf("-snapshot-at %d never fires: this run completes rounds %d..%d, so N must lie in (%d, %d]", o.snapAt, from+1, to, from, to)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

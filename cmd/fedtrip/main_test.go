@@ -28,8 +28,8 @@ func TestFromLineRunsWhatTheCommandRuns(t *testing.T) {
 	const fleet = "-clients 8 -k 4 -samples 60 -test 200 -rounds 8 -model mlp -batch 20 "
 	for _, line := range []string{
 		"-rounds 3 -model mlp -samples 40 -test 100 -algo fedprox -scheme orthogonal -clusters 2 -seed 5",
-		fleet + "-async -latency exp:2 -buffer 2 -concurrency 4 -dropout markov:40,10+drop:4,0.5,6 -policy fedbuff:1",
-		fleet + "-async -buffer 2 -concurrency 4 -transport topk:0.01+ef -bandwidth-dist tiered -device-dist tiered -flop-rate 0.5",
+		fleet + "-runtime async -latency exp:2 -buffer 2 -concurrency 4 -dropout markov:40,10+drop:4,0.5,6 -policy fedbuff:1",
+		fleet + "-runtime async -buffer 2 -concurrency 4 -transport topk:0.01+ef -bandwidth-dist tiered -device-dist tiered -flop-rate 0.5",
 	} {
 		spec, err := runtext.FromLine(line)
 		if err != nil {
@@ -52,7 +52,7 @@ func TestFromLineRunsWhatTheCommandRuns(t *testing.T) {
 // Profiling looks at a run and must not change it: the same line with
 // -cpuprofile and -memprofile has the same digest and leaves both files.
 func TestProfilesAreDigestNeutral(t *testing.T) {
-	const line = "-clients 8 -k 4 -samples 60 -test 200 -rounds 6 -model mlp -batch 20 -async -buffer 2 -concurrency 4 -quiet"
+	const line = "-clients 8 -k 4 -samples 60 -test 200 -rounds 6 -model mlp -batch 20 -runtime async -buffer 2 -concurrency 4 -quiet"
 	plain, err := run(parse(t, line))
 	if err != nil {
 		t.Fatal(err)
@@ -123,4 +123,29 @@ func TestWriteSnapshotKeepsLastGoodCheckpoint(t *testing.T) {
 		t.Fatalf("successful write did not replace the checkpoint (starts %q)", got[:4])
 	}
 	onlyCheckpoint()
+}
+
+// -snapshot-at N writes its snapshot after the Step that completes round
+// N, so an N the run never completes is refused before the first Step,
+// naming the range: past -rounds on a fresh run, and at or before the
+// round a resumed run starts from.
+func TestSnapshotAtOutsideTheRunIsRefused(t *testing.T) {
+	const line = "-model mlp -clients 6 -k 3 -samples 40 -test 100 -batch 20 -quiet -rounds 4 "
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	_, err := run(parse(t, line+"-snapshot-at 5 -checkpoint "+ckpt))
+	if err == nil || !strings.Contains(err.Error(), "(0, 4]") {
+		t.Fatalf("-snapshot-at 5 -rounds 4: err %v, want a refusal naming (0, 4]", err)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("refused run left %s behind (stat err %v)", ckpt, err)
+	}
+	if _, err := run(parse(t, line+"-snapshot-at 2 -checkpoint "+ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []string{"1", "2"} {
+		_, err := run(parse(t, line+"-resume "+ckpt+" -snapshot-at "+at+" -checkpoint "+ckpt))
+		if err == nil || !strings.Contains(err.Error(), "(2, 4]") {
+			t.Errorf("-snapshot-at %s on a run resumed at round 2: err %v, want a refusal naming (2, 4]", at, err)
+		}
+	}
 }

@@ -1,30 +1,16 @@
 // Command fedtripvet runs the repository's determinism analyzers (see
-// internal/analysis) in two modes:
-//
-// Standalone, over package patterns:
+// internal/analysis) over package patterns (default ./...):
 //
 //	go run ./cmd/fedtripvet ./...
 //
-// As a go vet tool, speaking cmd/go's unitchecker protocol (-V=full
-// version handshake, -flags discovery, one .cfg file per package):
-//
-//	go build -o /tmp/fedtripvet ./cmd/fedtripvet
-//	go vet -vettool=/tmp/fedtripvet ./...
-//
-// Exit status: 0 clean, 1 findings (2 under the vet protocol, which
-// reserves 1 for driver errors), >0 on load or type-check failure.
+// Exit status: 0 clean, 1 on findings or on a load or type-check failure.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -33,59 +19,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fedtripvet: ")
-	args := os.Args[1:]
-
-	// cmd/go's vettool handshakes come before any real work: -V=full
-	// identifies the tool for the build cache, -flags asks which
-	// analyzer flags the driver may forward.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVet(args[0]))
-	}
-	os.Exit(runStandalone())
-}
-
-// printVersion replicates the output shape cmd/go expects from
-// `tool -V=full`: a stable string plus a content hash of the binary, so
-// vet results are invalidated when the tool changes.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if f, err := os.Open(os.Args[0]); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%x\n", name, h.Sum(nil)[:24])
-}
-
-// runStandalone loads the argument patterns (default ./...) from the
-// current directory and prints every finding.
-func runStandalone() int {
 	analyzers := analysis.All()
 	fs := flag.NewFlagSet("fedtripvet", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: fedtripvet [flags] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: fedtripvet [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
-		fmt.Fprintf(fs.Output(), "\nFlags:\n")
-		fs.PrintDefaults()
-	}
-	// Analyzer flags are namespaced as -<analyzer>.<flag>.
-	for _, a := range analyzers {
-		name := a.Name
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fs.Var(f.Value, name+"."+f.Name, f.Usage)
-		})
 	}
 	_ = fs.Parse(os.Args[1:])
 	patterns := fs.Args()
@@ -108,94 +48,6 @@ func runStandalone() int {
 		fmt.Fprintf(os.Stderr, "%s\n", f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "fedtripvet: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
-		return 1
+		log.Fatalf("%d finding(s) in %d package(s)", len(findings), len(pkgs))
 	}
-	return 0
-}
-
-// vetConfig is the subset of cmd/go's vet .cfg file the tool consumes
-// (field names fixed by the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVet analyzes one package under the go vet protocol.
-func runVet(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Fatalf("parsing %s: %v", cfgPath, err)
-	}
-	// The driver expects the facts file to exist even though these
-	// analyzers exchange no facts.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if cfg.VetxOnly {
-		writeVetx()
-		return 0
-	}
-	// Test-variant packages are listed as "path [path.test]"; analyze
-	// them under their base path so per-package analyzer configuration
-	// (e.g. randsource's guarded list) applies to them too.
-	importPath := cfg.ImportPath
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		importPath = importPath[:i]
-	}
-	fset := token.NewFileSet()
-	files, err := analysis.ParseFiles(fset, cfg.Dir, cfg.GoFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		log.Fatal(err)
-	}
-	imp := analysis.NewImporter(fset, analysis.ExportLookup(cfg.PackageFile, cfg.ImportMap))
-	tp, info, err := analysis.Check(fset, importPath, files, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		log.Fatalf("%s: %v", importPath, err)
-	}
-	findings, err := analysis.AnalyzePackages([]*analysis.Package{{
-		ImportPath: importPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Syntax:     files,
-		Types:      tp,
-		TypesInfo:  info,
-	}}, analysis.All())
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeVetx()
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
 }

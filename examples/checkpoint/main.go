@@ -28,7 +28,7 @@ import (
 
 const (
 	line = "-model mlp -scale 1 -clients 8 -k 4 -samples 60 -test 300 -rounds 16 -batch 20 -seed 51 " +
-		"-async -latency exp:2 -concurrency 4 -buffer 2 -dropout markov:40,10"
+		"-runtime async -latency exp:2 -concurrency 4 -buffer 2 -dropout markov:40,10"
 	snapAt = 8
 )
 

@@ -25,7 +25,7 @@ import (
 
 const (
 	task  = "-model mlp -scale 1 -mu 1 -samples 60 -test 300 -rounds 15 -seed 41"
-	links = "-async -bandwidth-dist const:10,25,30 "
+	links = "-runtime async -bandwidth-dist const:10,25,30 "
 )
 
 func main() {
@@ -43,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 		last := res.Rounds - 1
-		fmt.Printf("  %-62s final acc %.4f, wire %6.2f MB, simulated %4.1f s\n", row,
+		fmt.Printf("  %-70s final acc %.4f, wire %6.2f MB, simulated %4.1f s\n", row,
 			res.FinalAccuracy, float64(res.CommBytesByRound[last])/1e6, res.SimTimeByRound[last])
 	}
 }

@@ -108,7 +108,7 @@ func load(t *testing.T, dir string, a *analysis.Analyzer, pkg string) ([]string,
 		}
 	}
 
-	imp := analysis.NewImporter(fset, analysis.ExportLookup(exports, nil))
+	imp := analysis.NewImporter(fset, analysis.ExportLookup(exports))
 	tp, info, err := analysis.Check(fset, pkg, files, imp)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)

@@ -21,7 +21,7 @@ import (
 // of re-type-checking dependency source: `go list -export -deps -json`
 // compiles (or reuses from the build cache) every dependency's export
 // file, and the standard library's gc importer reads them back. This is
-// exactly how `go vet` feeds its analyzers, works fully offline, and
+// how `go vet` feeds its analyzers too; it works fully offline, and
 // costs milliseconds per package once the build cache is warm — where
 // re-checking the net/http tree from source would cost tens of seconds
 // per run.
@@ -97,14 +97,10 @@ func NewImporter(fset *token.FileSet, lookup func(path string) (io.ReadCloser, e
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// ExportLookup adapts an import-path -> export-file map (with an
-// optional import-path remapping, as the vet protocol supplies) into the
-// lookup function NewImporter wants.
-func ExportLookup(exports, importMap map[string]string) func(path string) (io.ReadCloser, error) {
+// ExportLookup adapts an import-path -> export-file map into the lookup
+// function NewImporter wants.
+func ExportLookup(exports map[string]string) func(path string) (io.ReadCloser, error) {
 	return func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -159,7 +155,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, ExportLookup(exports, nil))
+	imp := NewImporter(fset, ExportLookup(exports))
 	var pkgs []*Package
 	for _, t := range targets {
 		files, err := ParseFiles(fset, t.Dir, t.GoFiles)

@@ -224,20 +224,20 @@ func sampleFaults(n int, m *FaultModel, seed int64) []faultClass {
 // array is only allocated for the noise mode. Called once at run
 // construction; a nil model leaves the server entirely honest (and the
 // adversary stream untouched).
-func (s *Server) installFaults(fm *FaultModel) {
+func (s *Server) installFaults() {
+	fm := s.spec.Faults
 	if fm == nil {
 		return
 	}
-	s.faultModel = fm
-	s.faults = sampleFaults(len(s.clients), fm, s.cfg.Seed)
+	s.faults = sampleFaults(len(s.clients), fm, s.spec.Seed)
 	if fm.byzClass() == faultNoise {
 		s.advRng = make([]*prng.Rand, len(s.clients))
 	}
-	classes := s.cfg.Model.Classes
+	classes := s.spec.Model.Classes
 	for id, f := range s.faults {
 		switch f {
 		case faultNoise:
-			s.advRng[id] = seedStreamN(s.cfg.Seed, streamAdvNoise, id)
+			s.advRng[id] = seedStreamN(s.spec.Seed, streamAdvNoise, id)
 		case faultLabelFlip:
 			// A fixed per-client label rotation: every label moves (the
 			// offset is never 0 mod classes), clients disagree on where,
@@ -263,9 +263,9 @@ func (s *Server) applyFault(c *Client, u *Update) {
 	case faultSignFlip:
 		tensor.Scale(-1, u.Params)
 	case faultScale:
-		tensor.Scale(s.faultModel.Arg, u.Params)
+		tensor.Scale(s.spec.Faults.Arg, u.Params)
 	case faultNoise:
-		sigma := s.faultModel.Arg
+		sigma := s.spec.Faults.Arg
 		rng := s.advRng[c.ID]
 		for i := range u.Params {
 			u.Params[i] += sigma * rng.NormFloat64()
@@ -317,12 +317,12 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 		s.rejectedUpdates++
 		if !s.rejectLogged {
 			s.rejectLogged = true
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("core: rejected non-finite update from client %d (counted in RejectedUpdates; further rejections are silent)", updates[i].ClientID)
+			if s.spec.Logf != nil {
+				s.spec.Logf("core: rejected non-finite update from client %d (counted in RejectedUpdates; further rejections are silent)", updates[i].ClientID)
 			}
 		}
 	}
-	maxNorm := s.policy.Clip
+	maxNorm := s.spec.Policy.Clip
 	if maxNorm == 0 {
 		return
 	}
@@ -368,7 +368,7 @@ func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
 	}
 	avg := s.mergeBuf()
 	k := len(adm)
-	switch p := s.policy; p.Kind {
+	switch p := s.spec.Policy; p.Kind {
 	case PolicyMedian:
 		s.coordWindowInto(avg, adm, (k-1)/2, k/2)
 	case PolicyTrimmedMean:

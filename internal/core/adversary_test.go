@@ -271,7 +271,7 @@ func faultServer(t *testing.T, m *FaultModel, class faultClass) *Server {
 	}
 	t.Cleanup(rs.Close)
 	s := rs.Server()
-	s.faultModel = m
+	s.spec.Faults = m
 	s.faults = make([]faultClass, len(s.clients))
 	s.faults[0] = class
 	return s
@@ -704,7 +704,7 @@ func TestRobustMergesMatchNaiveOracle(t *testing.T) {
 		grid := func() float64 { return float64(rng.Intn(9)-4) / 2 }
 		const dim = 4
 		s := tinyServer(grid(), grid(), grid(), grid())
-		s.policy = p
+		s.spec.Policy = p
 		updates := make([]Update, 1+rng.Intn(9))
 		nonFinite := 0
 		for i := range updates {

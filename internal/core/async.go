@@ -10,6 +10,13 @@
 // staleness — the number of aggregations the server completed while the
 // update was in flight.
 //
+// A run is one object, the Server: it holds the resolved RunSpec, the
+// global model and the clients, and beside them the virtual clock, the
+// scheduler registry, the recorder, the shard pool, the job free list and
+// the churn process. The two runners hold only the state of their own
+// loop; how a round's updates are gathered is all they differ in, and
+// Server.finishRound merges and records them for both.
+//
 // Time is simulated: the fleet's distributions (fleet.go) give each
 // dispatch a virtual duration, and the event loop processes arrivals in
 // virtual-time order (ties broken by dispatch order, so runs are
@@ -56,10 +63,10 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 
-	"repro/internal/prng"
 	"repro/internal/spec"
 	"repro/internal/tensor"
 )
@@ -79,72 +86,13 @@ func PolyDiscount(a float64) Rule {
 	}}
 }
 
-// AsyncServer is the state every runtime shares on top of a Server: the
-// virtual clock, the scheduler registry, the recorder (whose Result
-// counts the completed rounds), and the shard pool. The two runners
-// (barrier, buffered) differ only in how a round's updates are gathered;
-// finishRound merges and records them for both.
-type AsyncServer struct {
-	s      *Server
-	spec   RunSpec
-	rec    *recorder
-	sp     *shardPool
-	latRng *prng.Rand
-	now    float64
-	pop    *population
-	// flopsTotal is the cumulative metered training cost of every
-	// processed arrival plus the lock-step PreRound passes.
-	flopsTotal int64
-	// derive is the scratch RNG behind stateless per-client derivation:
-	// device speeds (spec.Devices) and link profiles (spec.Network) are
-	// recomputed per dispatch/arrival by re-seeding it from the client's
-	// indexed stream, instead of materializing fleet-wide arrays. Event-
-	// loop-only (never touched by shard workers).
-	derive prng.Rand
-	// churn is the fleet availability process (nil without RunSpec.Churn).
-	churn *churn
-	// joinScratch gathers a join-at-dispatch burst before it is trained
-	// and joined in dispatch order (event-loop scratch).
-	joinScratch []*trainJob
-}
-
-// newAsyncServer builds the runtime from a validated spec (policy
-// resolved, defaults filled). maxJobs is the most jobs the runner will
-// ever have in flight at once; it bounds the shard pool.
-func newAsyncServer(sp RunSpec, maxJobs int) (*AsyncServer, error) {
-	s, err := NewServer(sp.Config)
-	if err != nil {
-		return nil, err
-	}
-	s.policy = sp.Policy
-	s.installFaults(sp.Faults)
-	a := &AsyncServer{
-		s:    s,
-		spec: sp,
-		rec:  newRecorder(s),
-		// Closing the pool joins every submitted job, so training
-		// goroutines never outlive the run: they hold client state and
-		// the transport.
-		sp: newShardPool(s, s.cfg.Shards, maxJobs),
-		// A dedicated latency source keeps the selection stream (s.rng)
-		// independent of the latency model, so pricing a run never
-		// changes who is selected.
-		latRng: seedStream(sp.Seed, streamLatency),
-		pop:    newPopulation(len(s.clients)),
-	}
-	if sp.Churn != nil {
-		a.churn = newChurn(len(s.clients), sp.Churn, sp.Seed)
-	}
-	return a, nil
-}
-
 // finishRound is the tail of every round in both runners: merge the
 // gathered updates, check for divergence, record the metrics, recycle the
 // upload buffers, and report whether the run is complete.
 //
 //fedtripvet:hotpath
-func (a *AsyncServer) finishRound(updates []Update) (bool, error) {
-	s, cfg, res := a.s, &a.s.cfg, a.rec.res
+func (s *Server) finishRound(updates []Update) (bool, error) {
+	cfg, res := &s.spec.Config, s.rec.res
 	t := res.Rounds + 1
 	if cfg.OnUpdates != nil {
 		cfg.OnUpdates(t, s.global, updates)
@@ -157,14 +105,14 @@ func (a *AsyncServer) finishRound(updates []Update) (bool, error) {
 	for _, u := range updates {
 		staleSum += float64(u.Staleness)
 	}
-	acc := a.rec.record(t, cfg.Rounds, updates, a.flopsTotal)
+	acc := s.rec.record(t, cfg.Rounds, updates, s.flopsTotal)
 	// The merge and metrics have consumed this round's uploads; their
 	// buffers go back to the pool for the next round's checkouts.
 	recycleUpdates(updates)
-	res.SimTimeByRound = append(res.SimTimeByRound, a.now)                                      //fedtripvet:allow per-round series, amortized growth over the run
+	res.SimTimeByRound = append(res.SimTimeByRound, s.now)                                      //fedtripvet:allow per-round series, amortized growth over the run
 	res.MeanStalenessByRound = append(res.MeanStalenessByRound, staleSum/float64(len(updates))) //fedtripvet:allow per-round series, amortized growth over the run
 	if cfg.Logf != nil {
-		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f gflops=%.2f t=%.1fs stale=%.2f", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], res.GFLOPsByRound[t-1], a.now, res.MeanStalenessByRound[t-1])
+		cfg.Logf("round %3d/%d algo=%s acc=%.4f loss=%.4f gflops=%.2f t=%.1fs stale=%.2f", t, cfg.Rounds, cfg.Algo.Name(), acc, res.TrainLoss[t-1], res.GFLOPsByRound[t-1], s.now, res.MeanStalenessByRound[t-1])
 	}
 	if cfg.OnRound != nil {
 		cfg.OnRound(t, s)
@@ -195,14 +143,15 @@ func adaptiveSteps(speed float64, samples, batch, epochs int) int {
 // latency draw and, on a device fleet, the client's speed (derived
 // statelessly from its indexed device stream) and step budget. A device
 // fleet's latency is zero, which draws nothing; price replaces it.
-func (a *AsyncServer) armJob(j *trainJob, id int) {
-	j.finish = a.now + a.spec.Latency.duration(id, a.latRng)
-	if a.spec.Devices.None() {
+func (s *Server) armJob(j *trainJob, id int) {
+	sp := &s.spec
+	j.finish = s.now + sp.Latency.duration(id, s.latRng)
+	if sp.Devices.None() {
 		return
 	}
-	j.speed = a.spec.Devices.speed(id, a.spec.Seed, &a.derive)
-	if a.spec.AdaptiveLocalSteps {
-		j.steps = adaptiveSteps(j.speed, len(j.c.Indices), a.spec.BatchSize, a.spec.LocalEpochs)
+	j.speed = sp.Devices.speed(id, sp.Seed, &s.derive)
+	if sp.AdaptiveLocalSteps {
+		j.steps = adaptiveSteps(j.speed, len(j.c.Indices), sp.BatchSize, sp.LocalEpochs)
 	}
 }
 
@@ -212,28 +161,71 @@ func (a *AsyncServer) armJob(j *trainJob, id int) {
 // network fleet the transfers' time (RTT plus the measured bytes over the
 // client's link) stacks on top of either. An infinite-bandwidth zero-RTT
 // link adds exactly 0, so it reproduces the unpriced run bit-for-bit.
-func (a *AsyncServer) price(j *trainJob) {
-	if !a.spec.Devices.None() {
-		j.finish = a.now + float64(j.flops)/(a.spec.FlopRate*j.speed)
+func (s *Server) price(j *trainJob) {
+	sp := &s.spec
+	if !sp.Devices.None() {
+		j.finish = s.now + float64(j.flops)/(sp.FlopRate*j.speed)
 	}
-	if !a.spec.Network.None() {
-		j.finish += a.spec.Network.link(j.c.ID, a.spec.Seed, &a.derive).transferTime(j.downBytes, j.upBytes)
+	if !sp.Network.None() {
+		j.finish += sp.Network.link(j.c.ID, sp.Seed, &s.derive).transferTime(j.downBytes, j.upBytes)
 	}
+}
+
+// arrive books one processed arrival, in virtual-time order, whatever
+// becomes of its update: the client goes back to the idle set when it is
+// online, and the dispatch's FLOPs and wire bytes are credited — a
+// dropped arrival's too, since the work was done and the bytes moved.
+func (s *Server) arrive(j *trainJob, online bool) {
+	s.pop.arrived(j.c.ID, online)
+	s.flopsTotal += j.flops
+	s.rec.addWire(j.downBytes + j.upBytes)
+}
+
+// getJob takes a job from the run's free list (or allocates the list's
+// next one, with its done channel), reset except for the channel and the
+// bound task.
+func (s *Server) getJob() *trainJob {
+	if n := len(s.free); n > 0 {
+		j := s.free[n-1]
+		s.free = s.free[:n-1]
+		return j
+	}
+	return &trainJob{done: make(chan struct{}, 1), heapIdx: -1}
+}
+
+// recycleJob returns a drained job (update extracted or voided, done
+// token consumed) to the free list.
+func (s *Server) recycleJob(j *trainJob) {
+	*j = trainJob{done: j.done, task: j.task, heapIdx: -1}
+	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs a runner holds at once
+}
+
+// pickAvailable draws one idle client uniformly at random (the async
+// analogue of the paper's uniform selection), or reports none idle. O(1)
+// via the population registry's dense idle set; it consumes exactly one
+// draw from the selection stream per successful pick.
+func (s *Server) pickAvailable() (int, bool) {
+	return s.pop.idle.pick(s.rng)
 }
 
 // barrierRunner is the paper's lock-step loop in stepper form, priced
 // under the latency model: one step = select K clients, train them in
 // parallel, wait for the slowest, aggregate, record. At zero latency the
 // clock stays at 0 — that is RuntimeSync.
-type barrierRunner struct{ a *AsyncServer }
+type barrierRunner struct {
+	s *Server
+	// jobs is the round's dispatches, in selection order (step scratch:
+	// empty between steps, its jobs back on the free list).
+	jobs []*trainJob
+}
 
 // quiesce is a no-op: the barrier joins every client inside step, so a
 // round boundary has nothing in flight.
-func (r barrierRunner) quiesce() {}
+func (r *barrierRunner) quiesce() {}
 
 // close is a no-op for the same reason, and because the barrier's jobs
 // train from s.global itself.
-func (r barrierRunner) close() {}
+func (r *barrierRunner) close() {}
 
 // selectedFlops sums the selected clients' cumulative FLOP counters.
 func selectedFlops(selected []*Client) int64 {
@@ -244,48 +236,46 @@ func selectedFlops(selected []*Client) int64 {
 	return fl
 }
 
-func (r barrierRunner) step() (bool, error) {
-	a, s := r.a, r.a.s
-	cfg := &s.cfg
-	if a.rec.res.Rounds >= cfg.Rounds {
+func (r *barrierRunner) step() (bool, error) {
+	s := r.s
+	cfg := &s.spec.Config
+	if s.rec.res.Rounds >= cfg.Rounds {
 		return true, nil
 	}
-	t := a.rec.res.Rounds + 1
+	t := s.rec.res.Rounds + 1
 	selected := s.selectClients()
 	if pr, ok := cfg.Algo.(PreRounder); ok {
 		// PreRound work (FedDANE's and MimeLite's full-gradient pass) runs
 		// outside any job, so meter it here: it is training cost.
 		before := selectedFlops(selected)
 		pr.PreRound(t, selected, s.global)
-		a.flopsTotal += selectedFlops(selected) - before
+		s.flopsTotal += selectedFlops(selected) - before
 	}
-	jobs := s.growJobs(len(selected))
 	for i, c := range selected {
-		j := jobs[i]
+		j := s.getJob()
 		j.c, j.round, j.seq, j.global = c, t, i, s.global
-		j.steps, j.speed = 0, 0
-		a.armJob(j, c.ID)
-		a.pop.dispatched(c.ID)
+		s.armJob(j, c.ID)
+		s.pop.dispatched(c.ID)
 		// All jobs read the same pre-aggregation global; no writer
 		// until every one of them has joined below.
-		a.sp.submit(j)
+		s.sp.submit(j)
+		r.jobs = append(r.jobs, j)
 	}
-	roundEnd := a.now
-	updates := s.growUpdates(len(jobs))
-	for i, j := range jobs {
+	roundEnd := s.now
+	updates := s.growUpdates(len(r.jobs))
+	for i, j := range r.jobs {
 		<-j.done
-		a.price(j)
-		a.pop.arrived(j.c.ID, true)
+		s.price(j)
+		s.arrive(j, true)
 		if j.finish > roundEnd {
 			roundEnd = j.finish
 		}
 		updates[i] = j.update // staleness 0 by construction
-		j.update = Update{}
-		a.flopsTotal += j.flops
-		a.rec.addWire(j.downBytes + j.upBytes)
+		s.recycleJob(j)
 	}
-	a.now = roundEnd
-	return a.finishRound(updates)
+	r.jobs = r.jobs[:0]
+	s.now = roundEnd
+	return s.finishRound(updates)
 }
 
 // bufferedRunner is the event-driven asynchronous loop in stepper form:
@@ -298,17 +288,15 @@ func (r barrierRunner) step() (bool, error) {
 // either still training (joinable) or priced and queued in the event
 // heap — precisely the state Snapshot serializes.
 type bufferedRunner struct {
-	a *AsyncServer
+	s *Server
 	// The formerly loop-local event state, promoted to fields so a step
 	// can return mid-run and a snapshot can serialize the loop.
 	inflight jobHeap
 	buffer   []*trainJob
 	seq      int // dispatch sequence (total dispatches so far)
-	// free is the trainJob pool: jobs recycle after their update merges
-	// (or is voided by a permanent drop), so steady-state dispatch
-	// allocates neither jobs nor done channels. Bounded by
-	// Concurrency + BufferSize live jobs.
-	free []*trainJob
+	// joinScratch gathers a join-at-dispatch burst before it is trained
+	// and joined in dispatch order (event-loop scratch).
+	joinScratch []*trainJob
 	// cur is the snapshot of the current model version: taken by the
 	// first dispatch after an aggregation, shared by every later one,
 	// nil in between. snaps is the fixed table of snapshot records, one
@@ -340,32 +328,14 @@ type globalSnap struct {
 	refs int
 }
 
-func newBufferedRunner(a *AsyncServer) *bufferedRunner {
-	r := &bufferedRunner{a: a, snaps: make([]globalSnap, a.spec.Concurrency+1)}
+func newBufferedRunner(s *Server) *bufferedRunner {
+	r := &bufferedRunner{s: s, snaps: make([]globalSnap, s.spec.Concurrency+1)}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
-	r.inflight.trackClients(len(a.s.clients))
+	r.inflight.trackClients(len(s.clients))
 	r.dropCB = r.onDrop
 	r.rejoinCB = r.onRejoin
 	return r
-}
-
-// getJob takes a job from the pool (or allocates the pool's next one,
-// with its re-armed done channel), reset except for the channel.
-func (r *bufferedRunner) getJob() *trainJob {
-	if n := len(r.free); n > 0 {
-		j := r.free[n-1]
-		r.free = r.free[:n-1]
-		return j
-	}
-	return &trainJob{done: make(chan struct{}, 1), heapIdx: -1}
-}
-
-// recycleJob returns a drained job (update extracted or voided, done
-// token consumed) to the pool.
-func (r *bufferedRunner) recycleJob(j *trainJob) {
-	*j = trainJob{done: j.done, task: j.task, heapIdx: -1}
-	r.free = append(r.free, j) //fedtripvet:allow pool free list, bounded by Concurrency+BufferSize
 }
 
 // quiesce joins every in-flight job whose local training has not been
@@ -420,7 +390,7 @@ func (r *bufferedRunner) acquire(j *trainJob) {
 				break
 			}
 		}
-		r.cur.vec = paramsPool.getCopy(r.a.s.global)
+		r.cur.vec = paramsPool.getCopy(r.s.global)
 		r.snapshots++
 	}
 	r.cur.refs++
@@ -455,8 +425,7 @@ func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 // job can never pop while parked: its owner is offline, so a future
 // churn event for it always precedes +Inf.
 func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
-	a := r.a
-	a.pop.idle.remove(id)
+	r.s.pop.idle.remove(id)
 	j := r.inflight.byClient(id)
 	if j == nil {
 		return
@@ -465,7 +434,7 @@ func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 		if j.remaining != 0 {
 			j.finish = at + j.remaining
 			j.remaining = 0
-			r.inflight.fix(j.heapIdx)
+			heap.Fix(&r.inflight, j.heapIdx)
 		}
 		j.dropped = true
 		return
@@ -473,26 +442,26 @@ func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 	if j.finish > at {
 		j.remaining = j.finish - at
 		j.finish = math.Inf(1)
-		r.inflight.fix(j.heapIdx)
+		heap.Fix(&r.inflight, j.heapIdx)
 	}
 }
 
 func (r *bufferedRunner) onRejoin(id int, at float64) {
 	j := r.inflight.byClient(id)
 	if j == nil {
-		r.a.pop.idle.add(id)
+		r.s.pop.idle.add(id)
 		return
 	}
 	if j.remaining != 0 {
 		j.finish = at + j.remaining
 		j.remaining = 0
-		r.inflight.fix(j.heapIdx)
+		heap.Fix(&r.inflight, j.heapIdx)
 	}
 }
 
 //fedtripvet:hotpath
 func (r *bufferedRunner) dispatch() {
-	a, s := r.a, r.a.s
+	s := r.s
 	// A device-profiled or network-priced arrival time needs quantities
 	// (metered FLOPs, encoded wire bytes) that exist only once training
 	// ran: those fleets gather each burst, train it, and join it in
@@ -500,29 +469,29 @@ func (r *bufferedRunner) dispatch() {
 	// network-priced job still happens in pick order — the stream is
 	// identical to the unpriced run's — and the transfer time is added at
 	// the join.
-	joinNow := !a.spec.Devices.None() || !a.spec.Network.None()
-	burst := a.joinScratch[:0]
-	for r.inflight.len()+len(burst) < a.spec.Concurrency {
-		id, ok := a.pickAvailable()
+	joinNow := !s.spec.Devices.None() || !s.spec.Network.None()
+	burst := r.joinScratch[:0]
+	for r.inflight.Len()+len(burst) < s.spec.Concurrency {
+		id, ok := s.pickAvailable()
 		if !ok {
 			break
 		}
-		// The job comes from the runner's free list and its global from
-		// the version's shared snapshot, so steady-state dispatch
-		// allocates nothing.
-		j := r.getJob()
-		j.c, j.round, j.seq = s.clients[id], a.rec.res.Rounds+1, r.seq
+		// The job comes from the run's free list and its global from the
+		// version's shared snapshot, so steady-state dispatch allocates
+		// nothing.
+		j := s.getJob()
+		j.c, j.round, j.seq = s.clients[id], s.rec.res.Rounds+1, r.seq
 		r.seq++
-		a.armJob(j, id)
+		s.armJob(j, id)
 		r.acquire(j)
-		a.pop.dispatched(id)
+		s.pop.dispatched(id)
 		if joinNow {
 			burst = append(burst, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch
 			continue
 		}
 		r.unjoined++
-		a.sp.submit(j)
-		r.inflight.push(j)
+		s.sp.submit(j)
+		heap.Push(&r.inflight, j)
 	}
 	if len(burst) == 1 {
 		// The loop would block on this one job anyway, so it trains here,
@@ -532,46 +501,46 @@ func (r *bufferedRunner) dispatch() {
 			panic("core: inline training while submitted jobs are outstanding")
 		}
 		r.unjoined++
-		a.sp.run(burst[0], 0)
+		s.sp.run(burst[0], 0)
 	} else {
 		// The shards train the burst in parallel.
 		for _, j := range burst {
 			r.unjoined++
-			a.sp.submit(j)
+			s.sp.submit(j)
 		}
 	}
 	for _, j := range burst {
 		r.join(j)
-		a.price(j)
-		r.inflight.push(j)
+		s.price(j)
+		heap.Push(&r.inflight, j)
 	}
-	a.joinScratch = burst[:0]
+	r.joinScratch = burst[:0]
 }
 
 //fedtripvet:hotpath
 func (r *bufferedRunner) step() (bool, error) {
-	a, s := r.a, r.a.s
-	if a.rec.res.Rounds >= s.cfg.Rounds {
+	s := r.s
+	if s.rec.res.Rounds >= s.spec.Rounds {
 		return true, nil
 	}
 	for {
 		// Availability first: every drop/rejoin up to the current clock
 		// must land before this instant's dispatch decisions.
-		if a.churn != nil {
-			a.churn.advance(a.now, r.dropCB, r.rejoinCB)
+		if s.churn != nil {
+			s.churn.advance(s.now, r.dropCB, r.rejoinCB)
 		}
 		r.dispatch()
 		j := r.inflight.peek()
-		if a.churn != nil {
+		if s.churn != nil {
 			// The next event is the earlier of the next arrival and the
 			// next availability change; an exact tie processes the
 			// availability change first. (A drop tied with an arrival
 			// does not defer it — onDrop only defers jobs with
 			// finish > drop time, so an update that is already due
 			// merges before its client goes dark.)
-			if at, ok := a.churn.next(); ok && (j == nil || at <= j.finish) {
-				if at > a.now {
-					a.now = at
+			if at, ok := s.churn.next(); ok && (j == nil || at <= j.finish) {
+				if at > s.now {
+					s.now = at
 				}
 				continue
 			}
@@ -579,14 +548,12 @@ func (r *bufferedRunner) step() (bool, error) {
 		if j == nil {
 			return true, fmt.Errorf("core: async runtime stalled: no client in flight and none dispatchable (offline clients with no rejoin scheduled cannot return)") //fedtripvet:allow cold terminal error path
 		}
-		r.inflight.pop()
-		if j.finish > a.now {
-			a.now = j.finish
+		heap.Pop(&r.inflight)
+		if j.finish > s.now {
+			s.now = j.finish
 		}
 		r.join(j)
-		a.pop.arrived(j.c.ID, a.churn == nil || a.churn.online(j.c.ID))
-		a.flopsTotal += j.flops
-		a.rec.addWire(j.downBytes + j.upBytes)
+		s.arrive(j, s.churn == nil || s.churn.online(j.c.ID))
 		if j.dropped {
 			// The device died mid-flight: the update is lost. Its FLOPs
 			// stay metered (the work was burned before the drop); the
@@ -595,38 +562,28 @@ func (r *bufferedRunner) step() (bool, error) {
 			if j.update.pooled {
 				paramsPool.put(j.update.Params)
 			}
-			j.update = Update{}
-			a.rec.res.DroppedUpdates++
-			r.recycleJob(j)
+			s.rec.res.DroppedUpdates++
+			s.recycleJob(j)
 			continue
 		}
 		r.buffer = append(r.buffer, j) //fedtripvet:allow grows once to the merge policy's buffer size, then reused at [:0]
-		if !a.s.policy.ReadyToMerge(len(r.buffer)) {
+		if !s.spec.Policy.ReadyToMerge(len(r.buffer)) {
 			continue
 		}
 
-		t := a.rec.res.Rounds + 1
+		t := s.rec.res.Rounds + 1
 		updates := s.growUpdates(len(r.buffer))
 		for i, bj := range r.buffer {
 			u := bj.update
-			bj.update = Update{}
 			u.Staleness = t - bj.round
 			if u.Staleness < 0 {
 				u.Staleness = 0
 			}
 			updates[i] = u
-			r.recycleJob(bj)
+			s.recycleJob(bj)
 		}
 		r.buffer = r.buffer[:0]
 		r.retire()
-		return a.finishRound(updates)
+		return s.finishRound(updates)
 	}
-}
-
-// pickAvailable draws one idle client uniformly at random (the async
-// analogue of the paper's uniform selection), or reports none idle. O(1)
-// via the population registry's dense idle set; it consumes exactly one
-// draw from the selection stream per successful pick.
-func (a *AsyncServer) pickAvailable() (int, bool) {
-	return a.pop.idle.pick(a.s.rng)
 }

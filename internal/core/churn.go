@@ -15,6 +15,7 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 
@@ -137,9 +138,9 @@ type churnEvent struct {
 	kind churnEventKind
 }
 
-// churnHeap is a plain binary min-heap of churn events (push/pop only —
-// events are invalidated lazily via the per-client generation counter,
-// never removed in place).
+// churnHeap is a binary min-heap of churn events under container/heap
+// (push/pop only — events are never removed or changed in place). The
+// order is strict, so the array layout a snapshot serializes is fixed.
 type churnHeap struct{ es []churnEvent }
 
 func churnLess(a, b churnEvent) bool {
@@ -149,42 +150,21 @@ func churnLess(a, b churnEvent) bool {
 	return a.seq < b.seq
 }
 
-func (h *churnHeap) len() int { return len(h.es) }
+func (h *churnHeap) Len() int { return len(h.es) }
 
-func (h *churnHeap) push(e churnEvent) {
-	h.es = append(h.es, e)
-	i := len(h.es) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !churnLess(h.es[i], h.es[parent]) {
-			break
-		}
-		h.es[i], h.es[parent] = h.es[parent], h.es[i]
-		i = parent
-	}
-}
+func (h *churnHeap) Less(i, k int) bool { return churnLess(h.es[i], h.es[k]) }
 
-func (h *churnHeap) pop() churnEvent {
-	e := h.es[0]
+func (h *churnHeap) Swap(i, k int) { h.es[i], h.es[k] = h.es[k], h.es[i] }
+
+// Push appends a churnEvent; use heap.Push.
+func (h *churnHeap) Push(x any) { h.es = append(h.es, x.(churnEvent)) }
+
+// Pop removes the last event and returns it as a churnEvent; use heap.Pop.
+func (h *churnHeap) Pop() any {
 	last := len(h.es) - 1
-	h.es[0] = h.es[last]
+	e := h.es[last]
 	h.es = h.es[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.es) && churnLess(h.es[l], h.es[smallest]) {
-			smallest = l
-		}
-		if r < len(h.es) && churnLess(h.es[r], h.es[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return e
-		}
-		h.es[i], h.es[smallest] = h.es[smallest], h.es[i]
-		i = smallest
-	}
+	return e
 }
 
 // churn is the runtime state of one fleet's availability process. All
@@ -256,7 +236,7 @@ func newChurn(n int, m *ChurnModel, seed int64) *churn {
 }
 
 func (c *churn) schedule(at float64, id int32, kind churnEventKind) {
-	c.h.push(churnEvent{at: at, seq: c.seq, id: id, kind: kind})
+	heap.Push(&c.h, churnEvent{at: at, seq: c.seq, id: id, kind: kind})
 	c.seq++
 }
 
@@ -289,7 +269,7 @@ func (c *churn) offlineCount() int { return c.n - c.nUp }
 // rejoins — a fully dead fleet stays dead).
 func (c *churn) next() (float64, bool) {
 	t := math.Inf(1)
-	if c.h.len() > 0 {
+	if c.h.Len() > 0 {
 		t = c.h.es[0].at
 	}
 	if c.nextDrop < t {
@@ -314,7 +294,7 @@ func (c *churn) advance(now float64, onDrop func(id int, at float64, permanent b
 	for {
 		t := math.Inf(1)
 		kind := 0 // 0 = heap event, 1 = aggregate drop, 2 = aggregate rejoin
-		if c.h.len() > 0 {
+		if c.h.Len() > 0 {
 			t = c.h.es[0].at
 		}
 		if c.nextDrop < t {
@@ -336,7 +316,7 @@ func (c *churn) advance(now float64, onDrop func(id int, at float64, permanent b
 			c.rejoinMarkov(id)
 			onRejoin(id, t)
 		default:
-			e := c.h.pop()
+			e := heap.Pop(&c.h).(churnEvent)
 			switch e.kind {
 			case churnMass:
 				c.massDrop(e, onDrop)

@@ -470,7 +470,7 @@ func TestClientStateAndAccessors(t *testing.T) {
 	if c.State(1)[0] != 0 || c.StateBytes() != 16*n {
 		t.Fatal("a shorter request must read the same storage")
 	}
-	if c.Config() != &s.cfg {
+	if c.Config() != &s.spec.Config {
 		t.Fatal("Config accessor")
 	}
 	if c.RNG() == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"slices"
 	"testing"
 
@@ -39,12 +40,12 @@ func TestJobHeapMatchesSortedReference(t *testing.T) {
 				}
 				j := job(finish(), seq, id)
 				seq++
-				h.push(j)
+				heap.Push(&h, j)
 				queued[id] = j
 				ref = append(ref, j)
 				resort()
 			case op == 1 && len(ref) > 0:
-				got, want := h.pop(), ref[0]
+				got, want := heap.Pop(&h).(*trainJob), ref[0]
 				if got != want {
 					t.Fatalf("seed %d step %d: popped client %d (finish %v seq %d), want client %d (finish %v seq %d)",
 						seed, step, got.c.ID, got.finish, got.seq, want.c.ID, want.finish, want.seq)
@@ -57,7 +58,7 @@ func TestJobHeapMatchesSortedReference(t *testing.T) {
 			case op == 2 && len(ref) > 0:
 				j := ref[rng.Intn(len(ref))]
 				j.finish = finish()
-				h.fix(j.heapIdx)
+				heap.Fix(&h, j.heapIdx)
 				resort()
 			default:
 				id := rng.Intn(n)
@@ -65,8 +66,8 @@ func TestJobHeapMatchesSortedReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: byClient(%d) = %p, want %p", seed, step, id, got, queued[id])
 				}
 			}
-			if h.len() != len(ref) {
-				t.Fatalf("seed %d step %d: heap holds %d jobs, reference %d", seed, step, h.len(), len(ref))
+			if h.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: heap holds %d jobs, reference %d", seed, step, h.Len(), len(ref))
 			}
 			if len(ref) > 0 && h.peek() != ref[0] {
 				t.Fatalf("seed %d step %d: peek is not the reference minimum", seed, step)
@@ -103,7 +104,7 @@ func TestChurnHeapMatchesSortedReference(t *testing.T) {
 			if len(ref) == 0 || rng.Intn(5) < 3 {
 				e := churnEvent{at: float64(rng.Intn(10)), seq: seq, id: int32(rng.Intn(4)), kind: churnEventKind(rng.Intn(2))}
 				seq++
-				h.push(e)
+				heap.Push(&h, e)
 				i, _ := slices.BinarySearchFunc(ref, e, func(a, b churnEvent) int {
 					if churnLess(a, b) {
 						return -1
@@ -112,13 +113,13 @@ func TestChurnHeapMatchesSortedReference(t *testing.T) {
 				})
 				ref = slices.Insert(ref, i, e)
 			} else {
-				if got, want := h.pop(), ref[0]; got != want {
+				if got, want := heap.Pop(&h).(churnEvent), ref[0]; got != want {
 					t.Fatalf("seed %d step %d: popped %+v, want %+v", seed, step, got, want)
 				}
 				ref = ref[1:]
 			}
-			if h.len() != len(ref) {
-				t.Fatalf("seed %d step %d: heap holds %d events, reference %d", seed, step, h.len(), len(ref))
+			if h.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: heap holds %d events, reference %d", seed, step, h.Len(), len(ref))
 			}
 		}
 	}

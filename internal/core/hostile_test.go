@@ -175,7 +175,7 @@ func (sc hostileScenario) resumeHostile(t testing.TB, input []byte, buildCost ui
 // through every availability change on the way there.
 func steppable(rs *RunState) bool {
 	const horizon = 1e6 // virtual seconds
-	far := math.Abs(rs.a.now) > horizon
+	far := math.Abs(rs.s.now) > horizon
 	if r, ok := rs.run.(*bufferedRunner); ok {
 		for _, j := range r.inflight.js {
 			far = far || (!math.IsInf(j.finish, 1) && math.Abs(j.finish) > horizon)

@@ -86,7 +86,7 @@ func TestClientsPerRoundGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cfg.ClientsPerRound = 99
+	s.spec.ClientsPerRound = 99
 	sel := s.selectClients()
 	if len(sel) != len(s.clients) {
 		t.Fatalf("clamped selection %d want %d", len(sel), len(s.clients))

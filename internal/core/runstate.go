@@ -4,11 +4,13 @@
 // Checkpoint/resume and the run-server need finer control than
 // start-to-finish: advance exactly one round, observe the live metrics at
 // the boundary, serialize the whole run, stop, and later continue
-// bit-for-bit in a fresh process. RunState is that control surface. Each
-// loop is a runner — a struct holding the loop's state (event heap,
-// merge buffer) with a step() method that executes exactly one
-// round/aggregation — and RunState fronts the two runners with one
-// facade:
+// bit-for-bit in a fresh process. RunState is that control surface over
+// one run object, the Server, which holds the resolved RunSpec and all
+// the state every runtime shares (model, clients, clock, scheduler
+// registry, recorder, shard pool, job free list, churn). Each loop is a
+// runner — a struct holding only its own loop's state (the buffered
+// loop's event heap and merge buffer) with a step() method that executes
+// exactly one round/aggregation:
 //
 //	rs, _ := core.NewRunState(spec)
 //	for {
@@ -35,8 +37,9 @@ import (
 // quiesce additionally joins any in-flight local training so the entire
 // state is serializable; snapBody walks the loop-specific live state in
 // either direction (everything else — global model, clients, recorder,
-// clock, scheduler registry — is handled by RunState). close returns what
-// the loop still has checked out of paramsPool on the run's behalf.
+// clock, scheduler registry — is the Server's, walked by RunState).
+// close returns what the loop still has checked out of paramsPool on the
+// run's behalf.
 type runner interface {
 	step() (done bool, err error)
 	quiesce()
@@ -46,12 +49,13 @@ type runner interface {
 
 // RunState is a federated run that can be advanced one round at a time,
 // serialized at any round boundary (Snapshot), and reconstructed in a
-// fresh process (Resume). It is not safe for concurrent use: Step,
-// Snapshot, and the accessors must all be called from one goroutine
-// (the run-server serializes HTTP access onto the step loop).
+// fresh process (Resume). It is the run's Server — which holds the
+// resolved spec and every piece of shared runtime state — plus the loop
+// that steps it. It is not safe for concurrent use: Step, Snapshot, and
+// the accessors must all be called from one goroutine (the run-server
+// serializes HTTP access onto the step loop).
 type RunState struct {
-	spec   RunSpec
-	a      *AsyncServer
+	s      *Server
 	run    runner
 	done   bool
 	closed bool
@@ -67,43 +71,55 @@ func NewRunState(spec RunSpec) (*RunState, error) {
 	return newRunState(spec)
 }
 
-// newRunState builds the runtime from a validated spec. The lock-step
+// newRunState builds the run from a validated spec. The lock-step
 // runtimes (sync, barrier) share the barrier runner: a sync spec is a
 // barrier spec whose latency Validate pinned to zero.
 func newRunState(spec RunSpec) (*RunState, error) {
+	s, err := newServer(spec)
+	if err != nil {
+		return nil, err
+	}
+	s.installFaults()
+	s.rec = newRecorder(s)
+	// The most jobs the runner ever has in flight at once bounds the
+	// shard pool. Closing the pool joins every submitted job, so training
+	// goroutines never outlive the run: they hold client state and the
+	// transport.
 	buffered := spec.Runtime == RuntimeAsync
 	maxJobs := spec.ClientsPerRound
 	if buffered {
 		maxJobs = spec.Concurrency
 	}
-	a, err := newAsyncServer(spec, maxJobs)
-	if err != nil {
-		return nil, err
+	s.sp = newShardPool(s, spec.Shards, maxJobs)
+	s.latRng = seedStream(spec.Seed, streamLatency)
+	s.pop = newPopulation(len(s.clients))
+	if spec.Churn != nil {
+		s.churn = newChurn(len(s.clients), spec.Churn, spec.Seed)
 	}
-	rs := &RunState{spec: spec, a: a, run: barrierRunner{a}}
+	rs := &RunState{s: s, run: &barrierRunner{s: s}}
 	if buffered {
-		rs.run = newBufferedRunner(a)
+		rs.run = newBufferedRunner(s)
 	}
 	return rs, nil
 }
 
 // Spec returns the resolved run specification (defaults filled, policy
 // resolved).
-func (rs *RunState) Spec() *RunSpec { return &rs.spec }
+func (rs *RunState) Spec() *RunSpec { return &rs.s.spec }
 
 // Server exposes the underlying server (global model, clients,
 // evaluation) for hooks and status reporting. Only touch it at round
 // boundaries.
-func (rs *RunState) Server() *Server { return rs.a.s }
+func (rs *RunState) Server() *Server { return rs.s }
 
 // Result returns the live, partially-filled Result. It is owned by the
 // run: read it only at round boundaries, and treat it as read-only.
 // Finish returns the completed version.
-func (rs *RunState) Result() *Result { return rs.a.rec.res }
+func (rs *RunState) Result() *Result { return rs.s.rec.res }
 
 // Round returns the number of completed rounds (buffered aggregations in
 // the async runtime).
-func (rs *RunState) Round() int { return rs.a.rec.res.Rounds }
+func (rs *RunState) Round() int { return rs.s.rec.res.Rounds }
 
 // Done reports whether the run has completed (or errored).
 func (rs *RunState) Done() bool { return rs.done }
@@ -111,26 +127,26 @@ func (rs *RunState) Done() bool { return rs.done }
 // LastAccuracy returns the latest known test accuracy (0 until the first
 // evaluation completes). Unlike Result().Accuracy, which is assembled at
 // Finish, it is live during the run — the run-server's /status reads it.
-func (rs *RunState) LastAccuracy() float64 { return rs.a.rec.lastAcc }
+func (rs *RunState) LastAccuracy() float64 { return rs.s.rec.lastAcc }
 
 // Now returns the virtual clock in simulated seconds (0 throughout a run
 // nothing prices).
-func (rs *RunState) Now() float64 { return rs.a.now }
+func (rs *RunState) Now() float64 { return rs.s.now }
 
 // Offline reports how many clients are currently offline or permanently
 // dropped (0 without a churn process).
 func (rs *RunState) Offline() int {
-	if rs.a.churn == nil {
+	if rs.s.churn == nil {
 		return 0
 	}
-	return rs.a.churn.offlineCount()
+	return rs.s.churn.offlineCount()
 }
 
 // Participation reports how many distinct clients have been dispatched at
 // least once and the total number of dispatches — the fleet-coverage
 // statistics of the population registry.
 func (rs *RunState) Participation() (distinct int, dispatches int64) {
-	return rs.a.pop.participants()
+	return rs.s.pop.participants()
 }
 
 // PerClientStateBytes reports the runtime's deterministic per-client
@@ -144,8 +160,8 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 // with population. The number is a pure function of the spec, which
 // is what lets tier-1 pin it exactly (TestPopulationCounters, B/client).
 func (rs *RunState) PerClientStateBytes() float64 {
-	a := rs.a
-	n := len(a.s.clients)
+	s := rs.s
+	n := len(s.clients)
 	if n == 0 {
 		return 0
 	}
@@ -155,18 +171,18 @@ func (rs *RunState) PerClientStateBytes() float64 {
 		// The event heap's slot map; the lock-step runner keeps no heap.
 		total += int64(n) * 4
 	}
-	if a.churn != nil {
+	if s.churn != nil {
 		// Aggregate churn: the segment permutation and its inverse.
 		total += int64(n) * 8
 	}
-	if a.s.faults != nil {
+	if s.faults != nil {
 		total += int64(n) // fault class byte
-		if a.s.advRng != nil {
+		if s.advRng != nil {
 			total += int64(n) * 8 // noise-stream pointer
 		}
 	}
 	total += int64(n) * int64(8+unsafe.Sizeof(Client{}))
-	for _, c := range a.s.clients {
+	for _, c := range s.clients {
 		total += int64(8 * cap(c.Indices))
 	}
 	return float64(total) / float64(n)
@@ -197,7 +213,7 @@ func (rs *RunState) Run() (*Result, error) {
 	for {
 		done, err := rs.Step()
 		if err != nil {
-			return rs.a.rec.res, err
+			return rs.s.rec.res, err
 		}
 		if done {
 			return rs.Finish(), nil
@@ -209,7 +225,7 @@ func (rs *RunState) Run() (*Result, error) {
 // evaluation) and returns the Result. Idempotent.
 func (rs *RunState) Finish() *Result {
 	rs.done = true
-	return rs.a.rec.finish()
+	return rs.s.rec.finish()
 }
 
 // Close releases the run's resources: the shard pool's workers and the
@@ -221,7 +237,7 @@ func (rs *RunState) Close() {
 		return
 	}
 	rs.closed = true
-	rs.a.sp.close()
+	rs.s.sp.close()
 	rs.run.close()
-	rs.a.rec.finalize()
+	rs.s.rec.finalize()
 }

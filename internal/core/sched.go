@@ -6,7 +6,7 @@ package core
 // earliest job with a linear scan, which was fine at tens of in-flight
 // clients and quadratic pain at thousands; the heap makes every push/pop
 // O(log n). Each job carries its heap slot (heapIdx) so membership checks
-// and future in-place adjustments are O(1).
+// are O(1) and a key can change in place.
 //
 // With trackClients enabled the heap additionally maintains a client-ID →
 // slot index, which is what lets the churn process find a dropped
@@ -51,8 +51,6 @@ func jobLess(a, b *trainJob) bool {
 	return a.c.ID < b.c.ID
 }
 
-func (h *jobHeap) len() int { return len(h.js) }
-
 // peek returns the earliest job without removing it; nil when empty.
 func (h *jobHeap) peek() *trainJob {
 	if len(h.js) == 0 {
@@ -61,77 +59,18 @@ func (h *jobHeap) peek() *trainJob {
 	return h.js[0]
 }
 
-// fix restores the heap invariant after the job at slot i changed its
-// key — the churn process uses it to park an in-flight job's arrival
-// until the client's rejoin.
-func (h *jobHeap) fix(i int) {
-	h.down(i)
-	h.up(i)
-}
+// The heap.Interface methods. container/heap does the sifting; Swap, Push
+// and Pop keep each job's heapIdx and the client index current, so a
+// job's key can change in place under heap.Fix(h, j.heapIdx) — which is
+// how the churn process parks an in-flight arrival until its client
+// rejoins. The order is strict (seq is unique), so the sift is the only
+// one possible and the array layout a snapshot serializes is fixed.
 
-// push inserts a job.
-func (h *jobHeap) push(j *trainJob) {
-	j.heapIdx = len(h.js)
-	h.js = append(h.js, j)
-	if h.slot != nil {
-		h.slot[j.c.ID] = int32(j.heapIdx) + 1
-	}
-	h.up(j.heapIdx)
-}
+func (h *jobHeap) Len() int { return len(h.js) }
 
-// pop removes and returns the earliest job; nil when empty.
-func (h *jobHeap) pop() *trainJob {
-	if len(h.js) == 0 {
-		return nil
-	}
-	j := h.js[0]
-	last := len(h.js) - 1
-	h.js[0] = h.js[last]
-	h.js[0].heapIdx = 0
-	if h.slot != nil {
-		h.slot[h.js[0].c.ID] = 1
-		h.slot[j.c.ID] = 0
-	}
-	h.js[last] = nil
-	h.js = h.js[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	j.heapIdx = -1
-	return j
-}
+func (h *jobHeap) Less(i, k int) bool { return jobLess(h.js[i], h.js[k]) }
 
-func (h *jobHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !jobLess(h.js[i], h.js[parent]) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *jobHeap) down(i int) {
-	n := len(h.js)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && jobLess(h.js[l], h.js[smallest]) {
-			smallest = l
-		}
-		if r < n && jobLess(h.js[r], h.js[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (h *jobHeap) swap(i, k int) {
+func (h *jobHeap) Swap(i, k int) {
 	h.js[i], h.js[k] = h.js[k], h.js[i]
 	h.js[i].heapIdx = i
 	h.js[k].heapIdx = k
@@ -139,4 +78,27 @@ func (h *jobHeap) swap(i, k int) {
 		h.slot[h.js[i].c.ID] = int32(i) + 1
 		h.slot[h.js[k].c.ID] = int32(k) + 1
 	}
+}
+
+// Push appends a *trainJob; use heap.Push.
+func (h *jobHeap) Push(x any) {
+	j := x.(*trainJob)
+	j.heapIdx = len(h.js)
+	h.js = append(h.js, j)
+	if h.slot != nil {
+		h.slot[j.c.ID] = int32(j.heapIdx) + 1
+	}
+}
+
+// Pop removes the last job and returns it as a *trainJob; use heap.Pop.
+func (h *jobHeap) Pop() any {
+	last := len(h.js) - 1
+	j := h.js[last]
+	h.js[last] = nil
+	h.js = h.js[:last]
+	j.heapIdx = -1
+	if h.slot != nil {
+		h.slot[j.c.ID] = 0
+	}
+	return j
 }

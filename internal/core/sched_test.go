@@ -1,9 +1,11 @@
 package core
 
 import (
-	"repro/internal/prng"
+	"container/heap"
 	"sort"
 	"testing"
+
+	"repro/internal/prng"
 )
 
 func job(finish float64, seq, clientID int) *trainJob {
@@ -19,18 +21,18 @@ func TestJobHeapOrdering(t *testing.T) {
 		job(0.5, 4, 4), job(3, 5, 5), job(7, 6, 6), job(0.5, 7, 7),
 	}
 	for _, j := range jobs {
-		h.push(j)
+		heap.Push(&h, j)
 	}
 	want := append([]*trainJob(nil), jobs...)
 	sort.SliceStable(want, func(i, k int) bool { return jobLess(want[i], want[k]) })
 	for i, w := range want {
-		got := h.pop()
+		got := heap.Pop(&h).(*trainJob)
 		if got != w {
 			t.Fatalf("pop %d: finish=%v seq=%d, want finish=%v seq=%d", i, got.finish, got.seq, w.finish, w.seq)
 		}
 	}
-	if h.pop() != nil {
-		t.Fatal("empty heap must pop nil")
+	if h.Len() != 0 || h.peek() != nil {
+		t.Fatal("drained heap must be empty")
 	}
 }
 
@@ -39,10 +41,10 @@ func TestJobHeapOrdering(t *testing.T) {
 func TestJobHeapTieBreakByClientIndex(t *testing.T) {
 	var h jobHeap
 	for _, id := range []int{4, 0, 3, 1, 2} {
-		h.push(job(2.0, 9, id))
+		heap.Push(&h, job(2.0, 9, id))
 	}
 	for want := 0; want < 5; want++ {
-		if got := h.pop().c.ID; got != want {
+		if got := heap.Pop(&h).(*trainJob).c.ID; got != want {
 			t.Fatalf("tie pop returned client %d, want %d", got, want)
 		}
 	}
@@ -62,7 +64,7 @@ func TestJobHeapInterleaved(t *testing.T) {
 			// seq tie-break.
 			j := job(float64(rng.Intn(20)), seq, seq)
 			seq++
-			h.push(j)
+			heap.Push(&h, j)
 			mirror = append(mirror, j)
 		} else {
 			best := 0
@@ -73,7 +75,7 @@ func TestJobHeapInterleaved(t *testing.T) {
 			}
 			want := mirror[best]
 			mirror = append(mirror[:best], mirror[best+1:]...)
-			got := h.pop()
+			got := heap.Pop(&h).(*trainJob)
 			if got != want {
 				t.Fatalf("step %d: popped (finish=%v seq=%d), want (finish=%v seq=%d)",
 					step, got.finish, got.seq, want.finish, want.seq)
@@ -82,8 +84,8 @@ func TestJobHeapInterleaved(t *testing.T) {
 				t.Fatal("popped job still carries a heap index")
 			}
 		}
-		if h.len() != len(mirror) {
-			t.Fatalf("heap len %d want %d", h.len(), len(mirror))
+		if h.Len() != len(mirror) {
+			t.Fatalf("heap len %d want %d", h.Len(), len(mirror))
 		}
 	}
 }
@@ -166,7 +168,7 @@ func TestIdleSetCoversAllIdle(t *testing.T) {
 	}
 }
 
-// pickAvailable through a live AsyncServer: all-busy and partially-busy
+// pickAvailable through a live run: all-busy and partially-busy
 // populations behave like the registry promises, and every pick consumes
 // exactly one selection draw.
 func TestPickAvailableBusyStates(t *testing.T) {
@@ -175,8 +177,8 @@ func TestPickAvailableBusyStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	a := rs.a
-	n := len(a.s.clients)
+	a := rs.s
+	n := len(a.clients)
 	// Fully idle: picks succeed and land in range.
 	for trial := 0; trial < 50; trial++ {
 		id, ok := a.pickAvailable()

@@ -138,22 +138,24 @@ func (r *Result) TimeToTarget() float64 {
 	return r.SimTimeByRound[len(r.SimTimeByRound)-1]
 }
 
-// Server owns the global model and the client population for one run.
+// Server is one federated run: the resolved spec, the global model, the
+// client population, and — on a run built by NewRunState or Resume — the
+// runtime state both loops share (virtual clock, scheduler registry,
+// recorder, shard pool, job free list, churn process). A bare NewServer
+// leaves that runtime state unbuilt and its zero policy merges as fedavg.
 type Server struct {
-	cfg     Config
+	// spec is the run as Validate resolved it (policy, defaults). The
+	// shard engines and the client loaner hold &spec.Config.
+	spec    RunSpec
 	clients []*Client
 	global  []float64
 	eval    *tester
 	rng     *prng.Rand
-	// policy is the aggregation policy Validate resolved for this run
-	// (the zero value on a bare NewServer, which merges as fedavg).
-	policy Policy
 	// Adversary state (installFaults; nil in honest runs): per-client
-	// fault assignment, the fault model that produced it, and the noise
-	// clients' private RNGs (positions serialize through snapshots).
-	faults     []faultClass
-	faultModel *FaultModel
-	advRng     []*prng.Rand
+	// fault assignment and the noise clients' private RNGs (positions
+	// serialize through snapshots).
+	faults []faultClass
+	advRng []*prng.Rand
 	// rejectedUpdates counts non-finite uploads screened out of merges
 	// (mirrored into Result.RejectedUpdates each round); rejectLogged
 	// makes the warning one-shot.
@@ -168,11 +170,9 @@ type Server struct {
 	mergeScratch []float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
-	// dispatch jobs, gathered updates, and aggregation weights/vector
-	// headers.
+	// gathered updates, and aggregation weights/vector headers.
 	selPerm    []int
 	selPicks   []*Client
-	jobScratch []*trainJob
 	updScratch []Update
 	aggWeights []float64
 	aggVecs    [][]float64
@@ -182,9 +182,35 @@ type Server struct {
 	robCol   []float64
 	robDist  []float64
 	robScore []float64
-	// wire is cfg.Transport as the runtime calls it (nil without one),
-	// resolved once at construction.
+	// wire is the configured Transport as the runtime calls it (nil
+	// without one), resolved once at construction.
 	wire WireTransport
+
+	// The runtime (newRunState). rec's Result counts the completed
+	// rounds; sp trains the jobs, one engine per shard.
+	rec *recorder
+	sp  *shardPool
+	// now is the virtual clock, in simulated seconds.
+	now float64
+	// latRng is the latency stream, kept apart from the selection stream
+	// (rng) so pricing a run never changes who is selected.
+	latRng *prng.Rand
+	pop    *population
+	// churn is the fleet availability process (nil without RunSpec.Churn).
+	churn *churn
+	// flopsTotal is the cumulative metered training cost of every
+	// processed arrival plus the lock-step PreRound passes.
+	flopsTotal int64
+	// derive is the scratch RNG behind stateless per-client derivation:
+	// device speeds (spec.Devices) and link profiles (spec.Network) are
+	// recomputed per dispatch/arrival by re-seeding it from the client's
+	// indexed stream, instead of materializing fleet-wide arrays. Event-
+	// loop-only (never touched by shard workers).
+	derive prng.Rand
+	// free is the trainJob free list both runners draw from: jobs recycle
+	// once their update merges (or is voided by a permanent drop), so
+	// steady-state dispatch allocates neither jobs nor done channels.
+	free []*trainJob
 }
 
 // NewServer builds the population and the initial global model. Clients
@@ -192,21 +218,27 @@ type Server struct {
 // machinery lives in per-shard engines — so populations of 10k+ construct
 // in milliseconds and idle clients cost almost nothing.
 func NewServer(cfg Config) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
+	return newServer(RunSpec{Config: cfg})
+}
+
+// newServer builds a server for sp, whose Config it validates; the rest
+// of sp is taken as given (RunSpec.Validate resolved it, or it is the
+// bare NewServer spec).
+func newServer(sp RunSpec) (*Server, error) {
+	if err := sp.Config.Validate(); err != nil {
 		return nil, err
 	}
-	eval, err := newTester(&cfg)
+	s := &Server{spec: sp}
+	cfg := &s.spec.Config
+	eval, err := newTester(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:    cfg,
-		global: eval.model.ParamsCopy(),
-		eval:   eval,
-		rng:    seedStream(cfg.Seed, streamSelection),
-		wire:   wireTransport(cfg.Transport),
-	}
-	loaner := &engineLoaner{cfg: &s.cfg, numParams: len(s.global)}
+	s.eval = eval
+	s.global = eval.model.ParamsCopy()
+	s.rng = seedStream(cfg.Seed, streamSelection)
+	s.wire = wireTransport(cfg.Transport)
+	loaner := &engineLoaner{cfg: cfg, numParams: len(s.global)}
 	for k, part := range cfg.Parts {
 		s.clients = append(s.clients, newClient(loaner, k, part))
 	}
@@ -226,7 +258,7 @@ func (s *Server) Clients() []*Client { return s.clients }
 // participation instead of an index-out-of-range panic. The returned
 // slice is server scratch, valid until the next call.
 func (s *Server) selectClients() []*Client {
-	k := s.cfg.ClientsPerRound
+	k := s.spec.ClientsPerRound
 	if k > len(s.clients) {
 		k = len(s.clients)
 	}
@@ -278,16 +310,6 @@ func (s *Server) trainClient(c *Client, round int, global []float64, steps int) 
 	return u, down, up
 }
 
-// growJobs returns n reusable trainJobs (built once, re-armed per round:
-// the done channel is buffered and drained by the waiter, so a job object
-// can carry any number of dispatches).
-func (s *Server) growJobs(n int) []*trainJob {
-	for len(s.jobScratch) < n {
-		s.jobScratch = append(s.jobScratch, &trainJob{done: make(chan struct{}, 1)})
-	}
-	return s.jobScratch[:n]
-}
-
 // growUpdates returns a length-n update gather buffer.
 func (s *Server) growUpdates(n int) []Update {
 	if cap(s.updScratch) < n {
@@ -302,16 +324,16 @@ func (s *Server) growUpdates(n int) []Update {
 // rejects Aggregator methods in buffered mode, so the override branch is
 // only reachable from the barrier loop, where no client is in flight.
 func (s *Server) aggregate(round int, updates []Update) {
-	if agg, ok := s.cfg.Algo.(Aggregator); ok {
+	if agg, ok := s.spec.Algo.(Aggregator); ok {
 		next := agg.Aggregate(round, s.global, updates)
 		copy(s.global, next)
 		return
 	}
 	weights := s.growWeights(len(updates))
 	for i, u := range updates {
-		weights[i] = s.policy.Weight(u)
+		weights[i] = s.spec.Policy.Weight(u)
 	}
-	s.aggregateWeightedRate(weights, updates, s.policy.MergeRate(round, updates))
+	s.aggregateWeightedRate(weights, updates, s.spec.Policy.MergeRate(round, updates))
 }
 
 // growWeights returns a length-n aggregation-weight buffer (server
@@ -352,7 +374,7 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 	if total <= 0 || eta == 0 {
 		return
 	}
-	if s.policy.robust() {
+	if s.spec.Policy.robust() {
 		s.mergeRobust(weights, vecs, eta)
 		return
 	}
@@ -414,15 +436,15 @@ func newRecorder(s *Server) *recorder {
 	r := &recorder{
 		s: s,
 		res: &Result{
-			Algorithm:      s.cfg.Algo.Name(),
-			TargetAccuracy: s.cfg.TargetAccuracy,
+			Algorithm:      s.spec.Algo.Name(),
+			TargetAccuracy: s.spec.TargetAccuracy,
 			RoundsToTarget: -1,
 		},
 		commPerClient: int64(4 * len(s.global)), // float32 transfer, one way
 		ev:            newEvaluator(s.eval),
-		blocking:      s.cfg.StopAtTarget && s.cfg.TargetAccuracy > 0,
+		blocking:      s.spec.StopAtTarget && s.spec.TargetAccuracy > 0,
 	}
-	if cc, ok := s.cfg.Algo.(CommCoster); ok {
+	if cc, ok := s.spec.Algo.(CommCoster); ok {
 		r.extraComm = cc.ExtraCommFactor()
 	}
 	return r
@@ -491,14 +513,14 @@ func (r *recorder) record(t, totalRounds int, updates []Update, flopsTotal int64
 	// The outstanding evaluation has had this round's training to finish
 	// in, so the join seldom blocks.
 	r.join()
-	if t%r.s.cfg.EvalEvery == 0 || t == totalRounds {
+	if t%r.s.spec.EvalEvery == 0 || t == totalRounds {
 		// Snapshot from the shared pool; the evaluator recycles it once
 		// the accuracy is computed.
 		r.ev.submit(paramsPool.getCopy(r.s.global))
 		r.pending = t
 		if r.blocking {
 			r.join()
-			if res.RoundsToTarget < 0 && r.evals[len(r.evals)-1].acc >= r.s.cfg.TargetAccuracy {
+			if res.RoundsToTarget < 0 && r.evals[len(r.evals)-1].acc >= r.s.spec.TargetAccuracy {
 				res.RoundsToTarget = t
 			}
 		}
@@ -541,7 +563,7 @@ func (r *recorder) finalize() {
 		if next < len(r.evals) && r.evals[next].round == t {
 			acc = r.evals[next].acc
 			next++
-			if r.s.cfg.TargetAccuracy > 0 && res.RoundsToTarget < 0 && acc >= r.s.cfg.TargetAccuracy {
+			if r.s.spec.TargetAccuracy > 0 && res.RoundsToTarget < 0 && acc >= r.s.spec.TargetAccuracy {
 				res.RoundsToTarget = t
 			}
 		}

@@ -115,7 +115,7 @@ func (sp *shardPool) submit(j *trainJob) {
 func (sp *shardPool) run(j *trainJob, w int) {
 	eng := sp.engines[w]
 	if eng == nil {
-		e, err := newEngine(&sp.s.cfg, streamSeed(sp.s.cfg.Seed, streamEngine, w))
+		e, err := newEngine(&sp.s.spec.Config, streamSeed(sp.s.spec.Seed, streamEngine, w))
 		if err != nil {
 			// The same spec already built the server's eval model, so this
 			// is unreachable short of config mutation mid-run.

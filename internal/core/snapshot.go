@@ -122,15 +122,15 @@ func specName(v any) string {
 // work. Returns an error for methods whose aggregation state lives
 // outside the runtime (Aggregator/PreRounder implementors).
 func (rs *RunState) Snapshot(w io.Writer) error {
-	s := rs.a.s
-	if _, ok := s.cfg.Algo.(Aggregator); ok {
-		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps server-side aggregation state the runtime cannot serialize", s.cfg.Algo.Name())
+	algo := rs.s.spec.Algo
+	if _, ok := algo.(Aggregator); ok {
+		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps server-side aggregation state the runtime cannot serialize", algo.Name())
 	}
-	if _, ok := s.cfg.Algo.(PreRounder); ok {
-		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps pre-round server state the runtime cannot serialize", s.cfg.Algo.Name())
+	if _, ok := algo.(PreRounder); ok {
+		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps pre-round server state the runtime cannot serialize", algo.Name())
 	}
 	rs.run.quiesce()
-	rs.a.rec.join()
+	rs.s.rec.join()
 	c := tensor.NewEncoder(w)
 	rs.snap(c)
 	return c.Finish()
@@ -198,16 +198,17 @@ func Resume(r io.Reader, rspec ResumeSpec) (*RunState, error) {
 func (rs *RunState) snap(c *tensor.Codec) {
 	c.Magic(snapMagic)
 	c.Version(snapVersion)
-	ours := rs.spec.fingerprint(len(rs.a.s.global))
+	sp := &rs.s.spec
+	ours := sp.fingerprint(len(rs.s.global))
 	theirs := ours
 	if c.Str("fingerprint", &theirs); c.Err() == nil && theirs != ours {
-		c.Abort(fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s\n  (hyper hashes the method's settings; this spec's are %s)", theirs, ours, canonical(rs.spec.Algo)))
+		c.Abort(fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s\n  (hyper hashes the method's settings; this spec's are %s)", theirs, ours, canonical(sp.Algo)))
 	}
 	rs.snapCommon(c)
 	// A StatefulTransport's run-long state (error-feedback residuals), as
 	// a blob the transport owns. Snapshot runs quiesced, so no transfer is
 	// mutating it.
-	if st, ok := rs.a.s.cfg.Transport.(StatefulTransport); c.Present("transport state", ok) {
+	if st, ok := sp.Transport.(StatefulTransport); c.Present("transport state", ok) {
 		c.Blob("transport state", st.SnapshotState, st.RestoreState)
 	}
 	rs.run.snapBody(c)
@@ -242,7 +243,7 @@ func snapRng(c *tensor.Codec, r *prng.Rand) {
 // the recorder (metric series plus the list of evaluated rounds), and the
 // clock and scheduler registry.
 func (rs *RunState) snapCommon(c *tensor.Codec) {
-	a, s := rs.a, rs.a.s
+	s := rs.s
 	np := len(s.global)
 	c.FloatsExact("global model", s.global)
 	snapRng(c, s.rng)
@@ -291,12 +292,12 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		}
 	}
 
-	rec, res := a.rec, a.rec.res
+	rec, res := s.rec, s.rec.res
 	// Rounds is adopted only once it is known to be sane: Close walks it
 	// even on a run whose Resume failed.
 	rounds := res.Rounds
-	if c.Num("rounds", &rounds); rounds < 0 || rounds > s.cfg.Rounds {
-		c.Fail("%d recorded rounds, the spec runs %d", rounds, s.cfg.Rounds)
+	if c.Num("rounds", &rounds); rounds < 0 || rounds > s.spec.Rounds {
+		c.Fail("%d recorded rounds, the spec runs %d", rounds, s.spec.Rounds)
 		return
 	}
 	res.Rounds = rounds
@@ -346,14 +347,14 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		}
 	}
 
-	c.I64(&a.flopsTotal)
+	c.I64(&s.flopsTotal)
 	// The loops compare every event against the clock; against a NaN no
 	// event is ever late, and draining the due ones never ends.
-	if c.F64(&a.now); math.IsNaN(a.now) || math.IsInf(a.now, 0) {
-		c.Fail("clock reads %v", a.now)
+	if c.F64(&s.now); math.IsNaN(s.now) || math.IsInf(s.now, 0) {
+		c.Fail("clock reads %v", s.now)
 	}
-	snapRng(c, a.latRng)
-	a.pop.snap(c)
+	snapRng(c, s.latRng)
+	s.pop.snap(c)
 }
 
 // newestEval derives the stream's two evaluation-round words from the
@@ -517,15 +518,15 @@ func (ch *churn) snap(c *tensor.Codec) {
 
 // The barrier loop joins every client inside step: at a round boundary
 // it holds nothing beyond the common section.
-func (r barrierRunner) snapBody(*tensor.Codec) {}
+func (r *barrierRunner) snapBody(*tensor.Codec) {}
 
 func (r *bufferedRunner) snapBody(c *tensor.Codec) {
-	// A decoded job comes from the runner's free list.
+	// A decoded job comes from the run's free list.
 	job := func(j **trainJob) {
 		if c.Reading() {
-			*j = r.getJob()
+			*j = r.s.getJob()
 		}
-		(*j).snap(c, r.a.s)
+		(*j).snap(c, r.s)
 	}
 	c.Num("dispatch sequence", &r.seq)
 	// The event heap in array order: restoring verbatim (heapIdx = slot)
@@ -534,7 +535,7 @@ func (r *bufferedRunner) snapBody(c *tensor.Codec) {
 	snapList(c, "in-flight jobs", &r.inflight.js, job)
 	if c.Reading() && c.Err() == nil {
 		for i, j := range r.inflight.js {
-			if r.inflight.slot[j.c.ID] != 0 || r.a.pop.idle.pos[j.c.ID] >= 0 {
+			if r.inflight.slot[j.c.ID] != 0 || r.s.pop.idle.pos[j.c.ID] >= 0 {
 				c.Fail("in-flight job %d: client %d is already in flight or idle", i, j.c.ID)
 				return
 			}
@@ -543,7 +544,7 @@ func (r *bufferedRunner) snapBody(c *tensor.Codec) {
 		}
 	}
 	snapList(c, "buffered jobs", &r.buffer, job)
-	if c.Present("churn section", r.a.churn != nil) {
-		r.a.churn.snap(c)
+	if c.Present("churn section", r.s.churn != nil) {
+		r.s.churn.snap(c)
 	}
 }

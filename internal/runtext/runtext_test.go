@@ -109,7 +109,7 @@ func TestParseSurfacesEveryField(t *testing.T) {
 // reaches every layer, and what it rejects it rejects by name.
 func TestFromLine(t *testing.T) {
 	const small = "-model mlp -clients 6 -k 3 -samples 20 -test 50 -rounds 2 "
-	rs, err := runtext.FromLine(small + "-algo fedprox -mu 0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -async -policy fedbuff:1 -buffer 2 -wire")
+	rs, err := runtext.FromLine(small + "-algo fedprox -mu 0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -runtime async -policy fedbuff:1 -buffer 2 -transport f32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,9 @@ func TestFromLine(t *testing.T) {
 		{"-model resnet", `unknown model "resnet"`},
 		{"-algo fedsgd", `unknown method "fedsgd"`},
 		{"-k 7", "clients per round 7 outside [1,6]"},
-		{"-wire -transport q8", "-wire is shorthand"},
 		{"-policy fedbuff:-1", "a discount exponent >= 0"},
 		{"-policy fedavg+clip:1+clip:5", "duplicate clip"},
-		{"-async -policy fedbuff+maxstale:8+maxstale:2", "duplicate maxstale"},
+		{"-runtime async -policy fedbuff+maxstale:8+maxstale:2", "duplicate maxstale"},
 		{"-flop-rate 2", "FlopRate"},
 		{"-quiet", "flag provided but not defined"},
 		{"stray", `unexpected argument "stray"`},

@@ -113,13 +113,10 @@ func (t Task) Config() (core.Config, error) {
 }
 
 // Command is the run a fedtrip command line describes: the task, the
-// runtime selection, and the three flags fedtrip adds to the shared
-// selection.
+// runtime selection, and the flag fedtrip adds to the shared selection.
 type Command struct {
 	Task
 	Selection
-	// Async and Wire are shorthand for -runtime async and -transport f32.
-	Async, Wire bool
 	// FlopRate is a speed-1.0 device's throughput in GFLOPs/s (0 = 1).
 	FlopRate float64
 }
@@ -130,27 +127,15 @@ func (c *Command) Register(fs *flag.FlagSet) {
 	c.Latency = "zero"
 	c.Task.Register(fs)
 	c.Selection.Register(fs)
-	fs.BoolVar(&c.Wire, "wire", false, "shorthand for -transport f32")
-	fs.BoolVar(&c.Async, "async", false, "shorthand for -runtime async")
 	fs.Float64Var(&c.FlopRate, "flop-rate", 0, "device mode: GFLOPs/s of a speed-1.0 device (0 = 1)")
 }
 
 // RunSpec assembles and validates the run. A malformed task and a
 // malformed selection are reported together.
 func (c Command) RunSpec() (core.RunSpec, error) {
-	var wireErr error
-	if c.Wire {
-		if c.Transport != "" && c.Transport != "f32" {
-			wireErr = fmt.Errorf("-wire is shorthand for -transport f32; drop it when using -transport %s", c.Transport)
-		}
-		c.Transport = "f32"
-	}
-	if c.Async && (c.Runtime == "" || c.Runtime == core.RuntimeSync) {
-		c.Runtime = core.RuntimeAsync
-	}
 	cfg, taskErr := c.Task.Config()
 	rs, selErr := c.Selection.Parse(cfg)
-	if err := errors.Join(taskErr, wireErr, selErr); err != nil {
+	if err := errors.Join(taskErr, selErr); err != nil {
 		return rs, err
 	}
 	// Attached whether or not a fleet is configured: a -flop-rate without
