@@ -291,9 +291,9 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 172, 1_340},
+	{"Sync1kClients", syncSpec, 1_000, 176, 1_340},
 	{"Async1kClients", asyncSpec, 1_000, 176, 2_844},
-	{"Sync10kClients", syncSpec, 10_000, 172, 1_279},
+	{"Sync10kClients", syncSpec, 10_000, 176, 1_279},
 	{"Async10kClients", asyncSpec, 10_000, 176, 2_848},
 	{"AsyncChurn1k", churnSpec, 1_000, 184, 2_801},
 	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 176, 2_850},
@@ -380,8 +380,8 @@ func TestPopulationCounters(t *testing.T) {
 		}
 	}
 
-	// The rows above cover the lock-step, buffered, churn and fault-class
-	// terms of B/client; the noise adversary's per-client stream pointer
+	// The rows above cover the registry, churn and fault-class terms of
+	// B/client; the noise adversary's per-client stream pointer
 	// is the one term left, on top of the churning row.
 	faults, err := core.ParseFaults("byz:0.1,noise:2+crash:0.05")
 	if err != nil {

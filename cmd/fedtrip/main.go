@@ -20,6 +20,7 @@
 //	fedtrip -algo fedtrip -runtime async -latency straggler:1,10,5 -buffer 2 -rounds 60
 //	fedtrip -algo fedtrip -runtime async -latency exp:2 -policy fedasync:0.6 -rounds 60
 //	fedtrip -algo fedavg -runtime barrier -latency straggler:1,10,5 -rounds 30
+//	fedtrip -algo fedtrip -runtime barrier -latency exp:2 -dropout markov:90,10 -rounds 30
 //	fedtrip -algo fedtrip -runtime async -device-dist lognormal:0,0.6 \
 //	        -local-steps-adaptive -dropout markov:90,10 \
 //	        -policy fedbuff+maxstale:8 -rounds 60
@@ -210,10 +211,8 @@ func run(o runOpts) (*core.Result, error) {
 		// Exact byte counts, greppable by CI assertions.
 		fmt.Printf("  wire bytes      %d (down %d, up %d)\n", st.TotalBytes(), st.DownBytes(), st.UpBytes())
 	}
-	if rspec.Runtime == core.RuntimeAsync {
-		distinct, dispatches := rs.Participation()
-		fmt.Printf("  fleet coverage  %d distinct clients over %d dispatches\n", distinct, dispatches)
-	}
+	distinct, dispatches := rs.Participation()
+	fmt.Printf("  fleet coverage  %d distinct clients over %d dispatches\n", distinct, dispatches)
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
 	if simulated > 0 {

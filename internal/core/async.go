@@ -1,21 +1,26 @@
-// The simulated-clock federated runtime: the lock-step barrier loop and
-// the asynchronous, staleness-aware buffered loop.
+// The simulated-clock federated runtime: one event loop that runs both the
+// asynchronous, staleness-aware buffered runtime and the paper's lock-step
+// round.
 //
-// The barrier loop is the paper's: select K clients, wait for all of
-// them, aggregate. Under heterogeneous client speeds every round costs
-// the straggler's latency (at zero latency the clock never moves — that is
-// RuntimeSync). The buffered loop instead keeps a fixed number of clients
-// training at all times and aggregates every BufferSize arrivals
-// (FedBuff-style buffered async), discounting each merged update by its
-// staleness — the number of aggregations the server completed while the
-// update was in flight.
+// The buffered runtime keeps a fixed number of clients training at all
+// times and aggregates every BufferSize arrivals (FedBuff-style buffered
+// async), discounting each merged update by its staleness — the number of
+// aggregations the server completed while the update was in flight. The
+// lock-step runtimes (sync, barrier) are the same loop behind a dispatch
+// gate: a round dispatches the K clients it selects only when nothing is
+// in flight or buffered, and merges once the last of them has arrived, in
+// dispatch order. That is the paper's loop — select K clients, wait for
+// all of them, aggregate — and under heterogeneous client speeds every
+// round costs the straggler's latency (at zero latency the clock never
+// moves: that is RuntimeSync). Behind the gate a client that drops
+// mid-round arrives after its rejoin, and one that drops for good is
+// voided, so the round merges its survivors.
 //
 // A run is one object, the Server: it holds the resolved RunSpec, the
 // global model and the clients, and beside them the virtual clock, the
 // scheduler registry, the recorder, the shard pool, the job free list and
-// the churn process. The two runners hold only the state of their own
-// loop; how a round's updates are gathered is all they differ in, and
-// Server.finishRound merges and records them for both.
+// the churn process. The loop holds only its own event state, and
+// Server.finishRound merges and records each round.
 //
 // Time is simulated: the fleet's distributions (fleet.go) give each
 // dispatch a virtual duration, and the event loop processes arrivals in
@@ -66,6 +71,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/spec"
 	"repro/internal/tensor"
@@ -86,9 +92,9 @@ func PolyDiscount(a float64) Rule {
 	}}
 }
 
-// finishRound is the tail of every round in both runners: merge the
-// gathered updates, check for divergence, record the metrics, recycle the
-// upload buffers, and report whether the run is complete.
+// finishRound is the tail of every round: merge the gathered updates,
+// check for divergence, record the metrics, recycle the upload buffers,
+// and report whether the run is complete.
 //
 //fedtripvet:hotpath
 func (s *Server) finishRound(updates []Update) (bool, error) {
@@ -171,16 +177,6 @@ func (s *Server) price(j *trainJob) {
 	}
 }
 
-// arrive books one processed arrival, in virtual-time order, whatever
-// becomes of its update: the client goes back to the idle set when it is
-// online, and the dispatch's FLOPs and wire bytes are credited — a
-// dropped arrival's too, since the work was done and the bytes moved.
-func (s *Server) arrive(j *trainJob, online bool) {
-	s.pop.arrived(j.c.ID, online)
-	s.flopsTotal += j.flops
-	s.rec.addWire(j.downBytes + j.upBytes)
-}
-
 // getJob takes a job from the run's free list (or allocates the list's
 // next one, with its done channel), reset except for the channel and the
 // bound task.
@@ -197,103 +193,39 @@ func (s *Server) getJob() *trainJob {
 // token consumed) to the free list.
 func (s *Server) recycleJob(j *trainJob) {
 	*j = trainJob{done: j.done, task: j.task, heapIdx: -1}
-	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs a runner holds at once
+	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs the loop holds at once
 }
 
-// pickAvailable draws one idle client uniformly at random (the async
-// analogue of the paper's uniform selection), or reports none idle. O(1)
-// via the population registry's dense idle set; it consumes exactly one
-// draw from the selection stream per successful pick.
-func (s *Server) pickAvailable() (int, bool) {
-	return s.pop.idle.pick(s.rng)
+// online reports whether client id is available (always, without churn).
+func (s *Server) online(id int) bool {
+	return s.churn == nil || s.churn.online(id)
 }
 
-// barrierRunner is the paper's lock-step loop in stepper form, priced
-// under the latency model: one step = select K clients, train them in
-// parallel, wait for the slowest, aggregate, record. At zero latency the
-// clock stays at 0 — that is RuntimeSync.
-type barrierRunner struct {
-	s *Server
-	// jobs is the round's dispatches, in selection order (step scratch:
-	// empty between steps, its jobs back on the free list).
-	jobs []*trainJob
-}
-
-// quiesce is a no-op: the barrier joins every client inside step, so a
-// round boundary has nothing in flight.
-func (r *barrierRunner) quiesce() {}
-
-// close is a no-op for the same reason, and because the barrier's jobs
-// train from s.global itself.
-func (r *barrierRunner) close() {}
-
-// selectedFlops sums the selected clients' cumulative FLOP counters.
-func selectedFlops(selected []*Client) int64 {
-	var fl int64
-	for _, c := range selected {
-		fl += c.Counter.Total()
-	}
-	return fl
-}
-
-func (r *barrierRunner) step() (bool, error) {
-	s := r.s
-	cfg := &s.spec.Config
-	if s.rec.res.Rounds >= cfg.Rounds {
-		return true, nil
-	}
-	t := s.rec.res.Rounds + 1
-	selected := s.selectClients()
-	if pr, ok := cfg.Algo.(PreRounder); ok {
-		// PreRound work (FedDANE's and MimeLite's full-gradient pass) runs
-		// outside any job, so meter it here: it is training cost.
-		before := selectedFlops(selected)
-		pr.PreRound(t, selected, s.global)
-		s.flopsTotal += selectedFlops(selected) - before
-	}
-	for i, c := range selected {
-		j := s.getJob()
-		j.c, j.round, j.seq, j.global = c, t, i, s.global
-		s.armJob(j, c.ID)
-		s.pop.dispatched(c.ID)
-		// All jobs read the same pre-aggregation global; no writer
-		// until every one of them has joined below.
-		s.sp.submit(j)
-		r.jobs = append(r.jobs, j)
-	}
-	roundEnd := s.now
-	updates := s.growUpdates(len(r.jobs))
-	for i, j := range r.jobs {
-		<-j.done
-		s.price(j)
-		s.arrive(j, true)
-		if j.finish > roundEnd {
-			roundEnd = j.finish
-		}
-		updates[i] = j.update // staleness 0 by construction
-		s.recycleJob(j)
-	}
-	r.jobs = r.jobs[:0]
-	s.now = roundEnd
-	return s.finishRound(updates)
-}
-
-// bufferedRunner is the event-driven asynchronous loop in stepper form:
-// keep Concurrency clients in flight and let the aggregation policy
-// decide when arrivals merge (FedBuff merges every K, FedAsync every
-// single one) and how each buffered update is weighted. One step = the
-// event-loop iterations up to and including the next aggregation, so
-// between steps the run is at an aggregation boundary: the policy buffer
-// is exactly the not-yet-merged arrivals and every in-flight job is
-// either still training (joinable) or priced and queued in the event
-// heap — precisely the state Snapshot serializes.
+// bufferedRunner is the run's event loop in stepper form. Ungated (the
+// async runtime) it keeps Concurrency clients in flight and lets the
+// aggregation policy decide when arrivals merge (FedBuff merges every K,
+// FedAsync every single one) and how each buffered update is weighted.
+// One step = the event-loop iterations up to and including the next
+// aggregation, so between steps the run is at an aggregation boundary:
+// the policy buffer is exactly the not-yet-merged arrivals and every
+// in-flight job is either still training (joinable) or priced and queued
+// in the event heap — precisely the state Snapshot serializes.
 type bufferedRunner struct {
 	s *Server
+	// gated is the lock-step dispatch gate (every runtime but async): a
+	// round of K selected clients opens only when nothing is in flight or
+	// buffered, so a boundary holds neither, and merges whole.
+	gated bool
+	// joinNow: arrival times need what training measured (device- or
+	// network-priced fleets), so each burst joins at dispatch.
+	joinNow bool
 	// The formerly loop-local event state, promoted to fields so a step
 	// can return mid-run and a snapshot can serialize the loop.
 	inflight jobHeap
 	buffer   []*trainJob
-	seq      int // dispatch sequence (total dispatches so far)
+	// seq is the dispatch sequence: total dispatches so far, or behind the
+	// gate the job's index in its round's selection.
+	seq int
 	// joinScratch gathers a join-at-dispatch burst before it is trained
 	// and joined in dispatch order (event-loop scratch).
 	joinScratch []*trainJob
@@ -329,7 +261,12 @@ type globalSnap struct {
 }
 
 func newBufferedRunner(s *Server) *bufferedRunner {
-	r := &bufferedRunner{s: s, snaps: make([]globalSnap, s.spec.Concurrency+1)}
+	r := &bufferedRunner{
+		s:       s,
+		gated:   s.spec.Runtime != RuntimeAsync,
+		joinNow: !s.spec.Devices.None() || !s.spec.Network.None(),
+		snaps:   make([]globalSnap, s.spec.Concurrency+1),
+	}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
 	r.inflight.trackClients(len(s.clients))
@@ -361,7 +298,7 @@ func (r *bufferedRunner) close() {
 // the snapshot it trained from: nothing reads it afterwards, so holding
 // it until the virtual arrival would keep a superseded version's vector
 // out of the pool — which a resumed run, whose jobs carry none, never
-// holds.
+// holds. A gated job trained from s.global and holds no snapshot.
 func (r *bufferedRunner) join(j *trainJob) {
 	if j.trained {
 		return
@@ -371,6 +308,9 @@ func (r *bufferedRunner) join(j *trainJob) {
 	r.unjoined--
 	sn := j.gsnap
 	j.gsnap, j.global = nil, nil
+	if sn == nil {
+		return
+	}
 	if sn.refs--; sn.refs == 0 && sn != r.cur {
 		r.freeSnap(sn)
 	}
@@ -459,40 +399,38 @@ func (r *bufferedRunner) onRejoin(id int, at float64) {
 	}
 }
 
+// dispatch sends clients out at the current clock. Ungated it tops the
+// fleet up to Concurrency; gated it opens the next lock-step round once
+// the last one has merged. A device-profiled or network-priced arrival
+// time needs quantities (metered FLOPs, encoded wire bytes) that exist
+// only once training ran: those fleets gather each burst, train it, and
+// join it in dispatch order before the clock may advance. The latency
+// draw of a network-priced job still happens in pick order — the stream
+// is identical to the unpriced run's — and the transfer time is added at
+// the join.
+//
 //fedtripvet:hotpath
 func (r *bufferedRunner) dispatch() {
 	s := r.s
-	// A device-profiled or network-priced arrival time needs quantities
-	// (metered FLOPs, encoded wire bytes) that exist only once training
-	// ran: those fleets gather each burst, train it, and join it in
-	// dispatch order before the clock may advance. The latency draw of a
-	// network-priced job still happens in pick order — the stream is
-	// identical to the unpriced run's — and the transfer time is added at
-	// the join.
-	joinNow := !s.spec.Devices.None() || !s.spec.Network.None()
-	burst := r.joinScratch[:0]
-	for r.inflight.Len()+len(burst) < s.spec.Concurrency {
-		id, ok := s.pickAvailable()
-		if !ok {
-			break
+	r.joinScratch = r.joinScratch[:0]
+	if r.gated {
+		if r.inflight.Len() == 0 && len(r.buffer) == 0 {
+			for _, c := range r.openRound() {
+				r.send(c)
+			}
 		}
-		// The job comes from the run's free list and its global from the
-		// version's shared snapshot, so steady-state dispatch allocates
-		// nothing.
-		j := s.getJob()
-		j.c, j.round, j.seq = s.clients[id], s.rec.res.Rounds+1, r.seq
-		r.seq++
-		s.armJob(j, id)
-		r.acquire(j)
-		s.pop.dispatched(id)
-		if joinNow {
-			burst = append(burst, j) //fedtripvet:allow joinScratch-backed burst list, reset to [:0] every dispatch
-			continue
+	} else {
+		for r.inflight.Len()+len(r.joinScratch) < s.spec.Concurrency {
+			// One uniform pick from the idle set (the async analogue of the
+			// paper's uniform selection): O(1), one selection-stream draw.
+			id, ok := s.pop.idle.pick(s.rng)
+			if !ok {
+				break
+			}
+			r.send(s.clients[id])
 		}
-		r.unjoined++
-		s.sp.submit(j)
-		heap.Push(&r.inflight, j)
 	}
+	burst := r.joinScratch
 	if len(burst) == 1 {
 		// The loop would block on this one job anyway, so it trains here,
 		// on shard 0's engine. No worker can be holding that engine: every
@@ -514,7 +452,61 @@ func (r *bufferedRunner) dispatch() {
 		s.price(j)
 		heap.Push(&r.inflight, j)
 	}
-	r.joinScratch = burst[:0]
+}
+
+// send dispatches client c. The job comes from the run's free list and,
+// ungated, its global from the version's shared snapshot, so steady-state
+// dispatch allocates nothing; a gated job reads s.global itself, which
+// nothing writes before the whole round has joined. A join-at-dispatch
+// job joins the burst in joinScratch; any other is submitted and queued
+// at once.
+//
+//fedtripvet:hotpath
+func (r *bufferedRunner) send(c *Client) {
+	s := r.s
+	j := s.getJob()
+	j.c, j.round, j.seq = c, s.rec.res.Rounds+1, r.seq
+	r.seq++
+	s.armJob(j, c.ID)
+	if r.gated {
+		j.global = s.global
+	} else {
+		r.acquire(j)
+	}
+	s.pop.dispatched(c.ID)
+	if r.joinNow {
+		r.joinScratch = append(r.joinScratch, j) //fedtripvet:allow burst list, reset to [:0] every dispatch
+		return
+	}
+	r.unjoined++
+	s.sp.submit(j)
+	heap.Push(&r.inflight, j)
+}
+
+// openRound opens a lock-step round: it draws the round's clients
+// (selectClients) and runs the method's pre-round pass over them. Nothing
+// is in flight, so seq restarts at the round's first job.
+func (r *bufferedRunner) openRound() []*Client {
+	s := r.s
+	r.seq = 0
+	sel := s.selectClients()
+	if pr, ok := s.spec.Algo.(PreRounder); ok && len(sel) > 0 {
+		// PreRound work (FedDANE's and MimeLite's full-gradient pass) runs
+		// outside any job, so meter it here: it is training cost.
+		before := selectedFlops(sel)
+		pr.PreRound(s.rec.res.Rounds+1, sel, s.global)
+		s.flopsTotal += selectedFlops(sel) - before
+	}
+	return sel
+}
+
+// selectedFlops sums the selected clients' cumulative FLOP counters.
+func selectedFlops(selected []*Client) int64 {
+	var fl int64
+	for _, c := range selected {
+		fl += c.Counter.Total()
+	}
+	return fl
 }
 
 //fedtripvet:hotpath
@@ -546,14 +538,23 @@ func (r *bufferedRunner) step() (bool, error) {
 			}
 		}
 		if j == nil {
-			return true, fmt.Errorf("core: async runtime stalled: no client in flight and none dispatchable (offline clients with no rejoin scheduled cannot return)") //fedtripvet:allow cold terminal error path
+			return true, fmt.Errorf("core: runtime stalled: no client in flight and none dispatchable (offline clients with no rejoin scheduled cannot return)") //fedtripvet:allow cold terminal error path
 		}
 		heap.Pop(&r.inflight)
 		if j.finish > s.now {
 			s.now = j.finish
 		}
 		r.join(j)
-		s.arrive(j, s.churn == nil || s.churn.online(j.c.ID))
+		// Every processed arrival is credited, in virtual-time order and
+		// whatever becomes of its update: its FLOPs and wire bytes — a
+		// dropped one's too, since the work was done and the bytes moved.
+		s.flopsTotal += j.flops
+		s.rec.addWire(j.downBytes + j.upBytes)
+		if !r.gated {
+			// An online client is idle again; an offline one rejoins the
+			// idle set at its rejoin event.
+			s.pop.arrived(j.c.ID, s.online(j.c.ID))
+		}
 		if j.dropped {
 			// The device died mid-flight: the update is lost. Its FLOPs
 			// stay metered (the work was burned before the drop); the
@@ -564,10 +565,21 @@ func (r *bufferedRunner) step() (bool, error) {
 			}
 			s.rec.res.DroppedUpdates++
 			s.recycleJob(j)
-			continue
+		} else {
+			r.buffer = append(r.buffer, j) //fedtripvet:allow grows once to the merge policy's buffer size, then reused at [:0]
 		}
-		r.buffer = append(r.buffer, j) //fedtripvet:allow grows once to the merge policy's buffer size, then reused at [:0]
-		if !s.spec.Policy.ReadyToMerge(len(r.buffer)) {
+		if r.gated {
+			// A lock-step round merges what survived once its last job has
+			// arrived or been voided, in dispatch order; only then are its
+			// clients idle again, in that order too.
+			if len(r.buffer) == 0 || r.inflight.Len() > 0 {
+				continue
+			}
+			slices.SortFunc(r.buffer, func(a, b *trainJob) int { return a.seq - b.seq })
+			for _, bj := range r.buffer {
+				s.pop.arrived(bj.c.ID, s.online(bj.c.ID))
+			}
+		} else if !s.spec.Policy.ReadyToMerge(len(r.buffer)) {
 			continue
 		}
 

@@ -448,6 +448,36 @@ func TestSelectClientsDistinct(t *testing.T) {
 	}
 }
 
+// Under churn a lock-step round selects among the online clients only:
+// the first K of the permutation that are up, or all of them when fewer
+// are.
+func TestSelectClientsSkipsOffline(t *testing.T) {
+	cfg := testConfig(t, NewFedTrip(0.4))
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(s.clients)
+	s.churn = newChurn(n, &ChurnModel{MeanUp: 1, MeanDown: 1}, 1)
+	for id := 0; id < n-2; id++ {
+		s.churn.dropMarkov(id)
+		want := min(cfg.ClientsPerRound, n-id-1)
+		for trial := 0; trial < 10; trial++ {
+			sel := s.selectClients()
+			if len(sel) != want {
+				t.Fatalf("%d of %d online: selected %d, want %d", n-id-1, n, len(sel), want)
+			}
+			seen := map[int]bool{}
+			for _, c := range sel {
+				if !s.churn.online(c.ID) || seen[c.ID] {
+					t.Fatalf("selected client %d: online %t, already selected %t", c.ID, s.churn.online(c.ID), seen[c.ID])
+				}
+				seen[c.ID] = true
+			}
+		}
+	}
+}
+
 func TestClientStateAndAccessors(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	s, err := NewServer(cfg)

@@ -514,8 +514,8 @@ func TestRunSpecRejectsDeviceMisuse(t *testing.T) {
 		{"negative flop rate", func(sp *RunSpec) { sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1")); sp.FlopRate = -1 }},
 		{"adaptive without devices", func(sp *RunSpec) { sp.AdaptiveLocalSteps = true }},
 		{"flop rate without devices", func(sp *RunSpec) { sp.FlopRate = 2e9 }},
-		{"churn on barrier", func(sp *RunSpec) {
-			sp.Runtime = RuntimeBarrier
+		{"churn on sync", func(sp *RunSpec) {
+			sp.Runtime = RuntimeSync
 			sp.Churn = &ChurnModel{MeanUp: 10, MeanDown: 5}
 		}},
 		{"empty churn model", func(sp *RunSpec) { sp.Churn = &ChurnModel{} }},

@@ -176,10 +176,8 @@ func (sc hostileScenario) resumeHostile(t testing.TB, input []byte, buildCost ui
 func steppable(rs *RunState) bool {
 	const horizon = 1e6 // virtual seconds
 	far := math.Abs(rs.s.now) > horizon
-	if r, ok := rs.run.(*bufferedRunner); ok {
-		for _, j := range r.inflight.js {
-			far = far || (!math.IsInf(j.finish, 1) && math.Abs(j.finish) > horizon)
-		}
+	for _, j := range rs.run.inflight.js {
+		far = far || (!math.IsInf(j.finish, 1) && math.Abs(j.finish) > horizon)
 	}
 	return !far
 }

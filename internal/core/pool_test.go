@@ -206,7 +206,7 @@ func TestEvaluateSteadyStateAllocFree(t *testing.T) {
 // in-flight jobs hold: global snapshots still checked out of the pool,
 // and finished uploads waiting for their virtual arrival.
 func inFlightVectors(rs *RunState) (globals, uploads int) {
-	for _, j := range rs.run.(*bufferedRunner).inflight.js {
+	for _, j := range rs.run.inflight.js {
 		if j.global != nil {
 			globals++
 		}
@@ -301,7 +301,7 @@ func TestSharedSnapshotOutlivesAggregations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	r = rs.run.(*bufferedRunner)
+	r = rs.run
 	// versions[v] is the model jobs dispatched for round v train from:
 	// the global after v-1 aggregations.
 	versions := map[int][]float64{1: append([]float64(nil), rs.Server().Global()...)}

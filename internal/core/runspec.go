@@ -91,10 +91,11 @@ type RunSpec struct {
 	// Update.Steps to the aggregation.
 	AdaptiveLocalSteps bool
 	// Churn is the fleet's availability process (per-client on/off
-	// Markov churn plus mass-dropout events) for the buffered async
-	// runtime. Offline clients are never dispatched; clients that drop
-	// mid-flight arrive late (after rejoin) or, if permanently dropped,
-	// lose the update (Result.DroppedUpdates). nil = always available.
+	// Markov churn plus mass-dropout events) for the async and barrier
+	// runtimes. Offline clients are never dispatched (a lock-step round
+	// selects among the online ones); clients that drop mid-flight arrive
+	// late (after rejoin) or, if permanently dropped, lose the update
+	// (Result.DroppedUpdates). nil = always available.
 	Churn *ChurnModel
 	// Faults is the fleet's adversarial composition (adversary.go): a
 	// Byzantine fraction with a behaviour mode plus a crash-faulty
@@ -128,16 +129,8 @@ func (sp *RunSpec) Validate() error {
 		sp.Latency = zeroLatency
 	}
 	zeroLat := sp.Latency.term.Name == "zero"
-	if sp.Runtime == RuntimeSync {
-		if !zeroLat {
-			return fmt.Errorf("core: the sync runtime has no simulated clock; use the barrier runtime to price lock-step rounds under a latency model")
-		}
-		if !sp.Devices.None() {
-			return fmt.Errorf("core: the sync runtime has no simulated clock; device profiles need the async or barrier runtime")
-		}
-		if !sp.Network.None() {
-			return fmt.Errorf("core: the sync runtime has no simulated clock; network profiles need the async or barrier runtime")
-		}
+	if sp.Runtime == RuntimeSync && (!zeroLat || !sp.Devices.None() || !sp.Network.None() || sp.Churn != nil) {
+		return fmt.Errorf("core: the sync runtime has no simulated clock; latency, device, network and churn models need the barrier (lock-step) or async runtime")
 	}
 	if sp.Concurrency == 0 {
 		sp.Concurrency = sp.ClientsPerRound
@@ -170,9 +163,6 @@ func (sp *RunSpec) Validate() error {
 		}
 	}
 	if sp.Churn != nil {
-		if sp.Runtime != RuntimeAsync {
-			return fmt.Errorf("core: client churn needs the buffered async runtime (the lock-step loops have no dropout semantics)")
-		}
 		if err := sp.Churn.Validate(); err != nil {
 			return err
 		}

@@ -6,11 +6,10 @@
 // the boundary, serialize the whole run, stop, and later continue
 // bit-for-bit in a fresh process. RunState is that control surface over
 // one run object, the Server, which holds the resolved RunSpec and all
-// the state every runtime shares (model, clients, clock, scheduler
-// registry, recorder, shard pool, job free list, churn). Each loop is a
-// runner — a struct holding only its own loop's state (the buffered
-// loop's event heap and merge buffer) with a step() method that executes
-// exactly one round/aggregation:
+// the runtime state (model, clients, clock, scheduler registry, recorder,
+// shard pool, job free list, churn), and over the one event loop every
+// runtime steps — the lock-step ones behind its dispatch gate — whose
+// step() executes exactly one round/aggregation:
 //
 //	rs, _ := core.NewRunState(spec)
 //	for {
@@ -24,39 +23,20 @@
 // Start(spec) is NewRunState + Run.
 package core
 
-import (
-	"unsafe"
-
-	"repro/internal/tensor"
-)
-
-// runner is one loop's stepping engine. step executes exactly one round
-// (barrier) or one buffered aggregation (async) and reports whether the
-// run is complete. Between step calls the run is at a round boundary: no
-// merge in progress, metrics recorded through the last completed round.
-// quiesce additionally joins any in-flight local training so the entire
-// state is serializable; snapBody walks the loop-specific live state in
-// either direction (everything else — global model, clients, recorder,
-// clock, scheduler registry — is the Server's, walked by RunState).
-// close returns what the loop still has checked out of paramsPool on the
-// run's behalf.
-type runner interface {
-	step() (done bool, err error)
-	quiesce()
-	snapBody(c *tensor.Codec)
-	close()
-}
+import "unsafe"
 
 // RunState is a federated run that can be advanced one round at a time,
 // serialized at any round boundary (Snapshot), and reconstructed in a
 // fresh process (Resume). It is the run's Server — which holds the
-// resolved spec and every piece of shared runtime state — plus the loop
-// that steps it. It is not safe for concurrent use: Step, Snapshot, and
-// the accessors must all be called from one goroutine (the run-server
-// serializes HTTP access onto the step loop).
+// resolved spec and every piece of shared runtime state — plus the event
+// loop that steps it. Between steps the run is at a round boundary: no
+// merge in progress, metrics recorded through the last completed round.
+// It is not safe for concurrent use: Step, Snapshot, and the accessors
+// must all be called from one goroutine (the run-server serializes HTTP
+// access onto the step loop).
 type RunState struct {
 	s      *Server
-	run    runner
+	run    *bufferedRunner
 	done   bool
 	closed bool
 }
@@ -72,8 +52,8 @@ func NewRunState(spec RunSpec) (*RunState, error) {
 }
 
 // newRunState builds the run from a validated spec. The lock-step
-// runtimes (sync, barrier) share the barrier runner: a sync spec is a
-// barrier spec whose latency Validate pinned to zero.
+// runtimes (sync, barrier) run the event loop behind its dispatch gate: a
+// sync spec is a barrier spec whose latency Validate pinned to zero.
 func newRunState(spec RunSpec) (*RunState, error) {
 	s, err := newServer(spec)
 	if err != nil {
@@ -81,14 +61,13 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	}
 	s.installFaults()
 	s.rec = newRecorder(s)
-	// The most jobs the runner ever has in flight at once bounds the
-	// shard pool. Closing the pool joins every submitted job, so training
+	// The most jobs the loop ever has in flight at once bounds the shard
+	// pool. Closing the pool joins every submitted job, so training
 	// goroutines never outlive the run: they hold client state and the
 	// transport.
-	buffered := spec.Runtime == RuntimeAsync
-	maxJobs := spec.ClientsPerRound
-	if buffered {
-		maxJobs = spec.Concurrency
+	maxJobs := spec.Concurrency
+	if spec.Runtime != RuntimeAsync {
+		maxJobs = spec.ClientsPerRound
 	}
 	s.sp = newShardPool(s, spec.Shards, maxJobs)
 	s.latRng = seedStream(spec.Seed, streamLatency)
@@ -96,11 +75,7 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	if spec.Churn != nil {
 		s.churn = newChurn(len(s.clients), spec.Churn, spec.Seed)
 	}
-	rs := &RunState{s: s, run: &barrierRunner{s: s}}
-	if buffered {
-		rs.run = newBufferedRunner(s)
-	}
-	return rs, nil
+	return &RunState{s: s, run: newBufferedRunner(s)}, nil
 }
 
 // Spec returns the resolved run specification (defaults filled, policy
@@ -151,10 +126,10 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 
 // PerClientStateBytes reports the runtime's deterministic per-client
 // bookkeeping footprint in bytes: the scheduler registry (dispatch
-// counter plus idle-set entry), the buffered runtime's event-heap
-// client→slot map, the aggregate churn permutation, the fault assignment
-// (plus the noise adversary's stream pointers when derived), and the
-// client objects themselves (slice entry, struct, sample indices). Lazily
+// counter plus idle-set entry), the event heap's client→slot map, the
+// aggregate churn permutation, the fault assignment (plus the noise
+// adversary's stream pointers when derived), and the client objects
+// themselves (slice entry, struct, sample indices). Lazily
 // allocated training state — per-client RNGs and the method's State rows
 // (Client.StateBytes) — is excluded: it scales with participation, not
 // with population. The number is a pure function of the spec, which
@@ -165,12 +140,9 @@ func (rs *RunState) PerClientStateBytes() float64 {
 	if n == 0 {
 		return 0
 	}
-	// Registry: dispatches + idle ids + idle pos (int32 each).
-	total := int64(n) * (4 + 4 + 4)
-	if _, buffered := rs.run.(*bufferedRunner); buffered {
-		// The event heap's slot map; the lock-step runner keeps no heap.
-		total += int64(n) * 4
-	}
+	// Registry: dispatches + idle ids + idle pos, and the event heap's
+	// slot map (int32 each).
+	total := int64(n) * (4 + 4 + 4 + 4)
 	if s.churn != nil {
 		// Aggregate churn: the segment permutation and its inverse.
 		total += int64(n) * 8

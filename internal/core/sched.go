@@ -18,7 +18,7 @@ type jobHeap struct {
 	js []*trainJob
 	// slot[id] is 1 + the heap index of client id's queued job, 0 when the
 	// client has no job in the heap. nil disables tracking (bare heaps in
-	// tests, the barrier runtime which has no churn).
+	// tests).
 	slot []int32
 }
 

@@ -181,7 +181,7 @@ func TestPickAvailableBusyStates(t *testing.T) {
 	n := len(a.clients)
 	// Fully idle: picks succeed and land in range.
 	for trial := 0; trial < 50; trial++ {
-		id, ok := a.pickAvailable()
+		id, ok := a.pop.idle.pick(a.rng)
 		if !ok || id < 0 || id >= n {
 			t.Fatalf("pick %d ok=%v", id, ok)
 		}
@@ -191,7 +191,7 @@ func TestPickAvailableBusyStates(t *testing.T) {
 		a.pop.dispatched(id)
 	}
 	for trial := 0; trial < 50; trial++ {
-		id, ok := a.pickAvailable()
+		id, ok := a.pop.idle.pick(a.rng)
 		if !ok {
 			t.Fatal("pick failed with idle clients present")
 		}
@@ -203,12 +203,12 @@ func TestPickAvailableBusyStates(t *testing.T) {
 	for id := n / 2; id < n; id++ {
 		a.pop.dispatched(id)
 	}
-	if _, ok := a.pickAvailable(); ok {
+	if _, ok := a.pop.idle.pick(a.rng); ok {
 		t.Fatal("pick succeeded with the whole fleet in flight")
 	}
 	// Arrivals free clients again.
 	a.pop.arrived(2, true)
-	id, ok := a.pickAvailable()
+	id, ok := a.pop.idle.pick(a.rng)
 	if !ok || id != 2 {
 		t.Fatalf("pick after arrival: %d %v", id, ok)
 	}

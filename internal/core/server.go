@@ -140,9 +140,9 @@ func (r *Result) TimeToTarget() float64 {
 
 // Server is one federated run: the resolved spec, the global model, the
 // client population, and — on a run built by NewRunState or Resume — the
-// runtime state both loops share (virtual clock, scheduler registry,
-// recorder, shard pool, job free list, churn process). A bare NewServer
-// leaves that runtime state unbuilt and its zero policy merges as fedavg.
+// runtime state (virtual clock, scheduler registry, recorder, shard pool,
+// job free list, churn process). A bare NewServer leaves that runtime
+// state unbuilt and its zero policy merges as fedavg.
 type Server struct {
 	// spec is the run as Validate resolved it (policy, defaults). The
 	// shard engines and the client loaner hold &spec.Config.
@@ -162,11 +162,10 @@ type Server struct {
 	rejectedUpdates int
 	rejectLogged    bool
 	// mergeScratch is the reusable weighted-average buffer for rated
-	// merges (eta != 1). Merges are single-threaded in every runtime
-	// (the lock-step loop and the async event loop both aggregate with no
-	// concurrent merge), so one buffer suffices; FedAsync-style
-	// single-arrival runs merge every aggregation and would otherwise
-	// allocate a model-sized slice per merge.
+	// merges (eta != 1). Merges are single-threaded in every runtime (the
+	// event loop aggregates with no concurrent merge), so one buffer
+	// suffices; FedAsync-style single-arrival runs merge every aggregation
+	// and would otherwise allocate a model-sized slice per merge.
 	mergeScratch []float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
@@ -207,9 +206,9 @@ type Server struct {
 	// indexed stream, instead of materializing fleet-wide arrays. Event-
 	// loop-only (never touched by shard workers).
 	derive prng.Rand
-	// free is the trainJob free list both runners draw from: jobs recycle
-	// once their update merges (or is voided by a permanent drop), so
-	// steady-state dispatch allocates neither jobs nor done channels.
+	// free is the event loop's trainJob free list: jobs recycle once their
+	// update merges (or is voided by a permanent drop), so steady-state
+	// dispatch allocates neither jobs nor done channels.
 	free []*trainJob
 }
 
@@ -253,23 +252,29 @@ func (s *Server) Global() []float64 { return s.global }
 func (s *Server) Clients() []*Client { return s.clients }
 
 // selectClients draws K distinct clients uniformly at random, matching the
-// paper's random selection. Config.Validate rejects K > N at construction;
-// the clamp here is defence in depth so a mutated config degrades to full
-// participation instead of an index-out-of-range panic. The returned
-// slice is server scratch, valid until the next call.
+// paper's random selection: the first K online clients of a uniform
+// permutation of the whole fleet — the first K without churn, and all
+// that are online when fewer are. Config.Validate rejects K > N at
+// construction; running out of permutation is defence in depth, so a
+// mutated config degrades to full participation instead of an
+// index-out-of-range panic. The returned slice is server scratch, valid
+// until the next call.
 func (s *Server) selectClients() []*Client {
 	k := s.spec.ClientsPerRound
-	if k > len(s.clients) {
-		k = len(s.clients)
-	}
 	s.selPerm = randPermInto(s.rng, s.selPerm, len(s.clients))
 	if cap(s.selPicks) < k {
-		s.selPicks = make([]*Client, k)
+		s.selPicks = make([]*Client, 0, k)
 	}
-	sel := s.selPicks[:k]
-	for i := range sel {
-		sel[i] = s.clients[s.selPerm[i]]
+	sel := s.selPicks[:0]
+	for _, id := range s.selPerm {
+		if len(sel) == k {
+			break
+		}
+		if s.online(id) {
+			sel = append(sel, s.clients[id])
+		}
 	}
+	s.selPicks = sel
 	return sel
 }
 
@@ -322,7 +327,7 @@ func (s *Server) growUpdates(n int) []Update {
 // override wins (it sees Update.Staleness); otherwise the run's
 // aggregation policy supplies the weights and the merge rate. Validate
 // rejects Aggregator methods in buffered mode, so the override branch is
-// only reachable from the barrier loop, where no client is in flight.
+// only reachable behind the lock-step gate, where no client is in flight.
 func (s *Server) aggregate(round int, updates []Update) {
 	if agg, ok := s.spec.Algo.(Aggregator); ok {
 		next := agg.Aggregate(round, s.global, updates)
@@ -451,7 +456,7 @@ func newRecorder(s *Server) *recorder {
 }
 
 // addWire credits one processed dispatch's measured wire traffic
-// (download + upload) to the next recorded round. The runners call it as
+// (download + upload) to the next recorded round. The loop calls it as
 // each arrival is processed in virtual-time order — including dropped
 // arrivals, whose bytes moved even though nothing merged — which makes
 // measured comm accounting deterministic (and snapshot/resume-exact): it

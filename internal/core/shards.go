@@ -9,17 +9,16 @@ import (
 // trainJob is one dispatched client round: which client, which round, and
 // which global model to start from. The shard worker fills update and
 // flops, then signals done (buffered, one token per dispatch — signalled
-// rather than closed so the lock-step loop can re-arm one set of
-// jobs round after round). The scheduling fields (finish, seq, heapIdx)
-// are used by the asynchronous event loop only.
+// rather than closed so a job from the free list re-arms). The scheduling
+// fields (finish, seq, heapIdx) are the event loop's.
 type trainJob struct {
 	c     *Client
 	round int
 	// global is what the client trains from, read-only for the job's
-	// whole life: s.global itself under the barrier runner (which joins
-	// every job before it aggregates), the vector of gsnap — the model
-	// version's shared snapshot, owned by the buffered runner's event
-	// loop — otherwise.
+	// whole life: s.global itself behind the lock-step gate (a round
+	// aggregates only once every job has joined), the vector of gsnap —
+	// the model version's shared snapshot, owned by the event loop —
+	// otherwise.
 	global []float64
 	gsnap  *globalSnap
 	update Update
@@ -99,7 +98,7 @@ func newShardPool(s *Server, shards, maxJobs int) *shardPool {
 // stream, not from scheduling order.
 func (sp *shardPool) submit(j *trainJob) {
 	if j.task == nil {
-		// Bound once per job object, which both runners recycle: a
+		// Bound once per job object, which the run recycles: a
 		// dispatch then costs no closure.
 		j.task = func(w int) { sp.run(j, w) }
 	}
@@ -108,10 +107,10 @@ func (sp *shardPool) submit(j *trainJob) {
 
 // run trains one client round on shard w's engine and signals the job's
 // done channel: the body of every job, whoever executes it. Workers call
-// it with their own index. The buffered runner's event loop calls it with
-// shard 0 for a burst of one in the join-at-dispatch modes — no worker
-// holds an engine then, because every submitted job has been joined — and
-// takes the token back in the join that follows, like any other job's.
+// it with their own index. The event loop calls it with shard 0 for a
+// burst of one in the join-at-dispatch modes — no worker holds an engine
+// then, because every submitted job has been joined — and takes the token
+// back in the join that follows, like any other job's.
 func (sp *shardPool) run(j *trainJob, w int) {
 	eng := sp.engines[w]
 	if eng == nil {

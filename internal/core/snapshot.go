@@ -3,7 +3,7 @@
 //
 // The format is a versioned, magic-headered binary stream:
 //
-//	"FTRS" | version u8 | fingerprint string | common section | transport state | runner section
+//	"FTRS" | version u8 | fingerprint string | common section | transport state | loop section
 //
 // The fingerprint is a canonical string of everything that determines the
 // run's trajectory: the canonical spec strings of the method (with its
@@ -514,13 +514,17 @@ func (ch *churn) snap(c *tensor.Codec) {
 	}
 }
 
-// --- per-runner bodies ---
-
-// The barrier loop joins every client inside step: at a round boundary
-// it holds nothing beyond the common section.
-func (r *barrierRunner) snapBody(*tensor.Codec) {}
-
+// snapBody is the event loop's own state. Behind the lock-step gate a
+// round boundary has nothing in flight or buffered, so the body is the
+// churn process alone, present exactly when the spec (and with it the
+// fingerprint) has one.
 func (r *bufferedRunner) snapBody(c *tensor.Codec) {
+	if r.gated {
+		if r.s.churn != nil {
+			r.s.churn.snap(c)
+		}
+		return
+	}
 	// A decoded job comes from the run's free list.
 	job := func(j **trainJob) {
 		if c.Reading() {

@@ -31,7 +31,7 @@ import (
 // update-equalized like the tta table: every variant trains the same
 // total number of client updates.
 func runHetero(p Profile, logf Logf) ([]*Table, error) {
-	// Methods must be client-side only: churn needs the buffered async
+	// Methods must be client-side only: the table runs the buffered async
 	// runtime, which rejects server-hook methods.
 	methods := []string{"fedtrip", "fedavg", "fedprox"}
 	type variant struct {

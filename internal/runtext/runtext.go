@@ -42,8 +42,8 @@ type Selection struct {
 	// "" = homogeneous fleet priced by Latency). With a fleet, dispatch
 	// durations derive from metered FLOPs and Latency must stay zero.
 	Devices string
-	// Churn is the availability process of the buffered async runtime
-	// (core.ParseChurn; "" = always available).
+	// Churn is the availability process of the async and barrier
+	// runtimes (core.ParseChurn; "" = always available).
 	Churn string
 	// AdaptiveSteps scales each client's local step budget with its
 	// device speed (requires Devices).
@@ -72,7 +72,7 @@ func (s *Selection) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Concurrency, "concurrency", s.Concurrency, "async: clients training simultaneously (0 = K)")
 	fs.IntVar(&s.Buffer, "buffer", s.Buffer, "async: arrivals per aggregation (0 = K)")
 	fs.StringVar(&s.Devices, "device-dist", s.Devices, "device compute-speed distribution (none|uniform:MIN,MAX|lognormal:MU,SIGMA|tiered[:S1,F1,...]); dispatch latency becomes metered FLOPs / (flop-rate * speed)")
-	fs.StringVar(&s.Churn, "dropout", s.Churn, "async: client availability churn (none|markov:UP,DOWN[+drop:AT,FRAC,DUR]...)")
+	fs.StringVar(&s.Churn, "dropout", s.Churn, "async/barrier: client availability churn (none|markov:UP,DOWN[+drop:AT,FRAC,DUR]...)")
 	fs.BoolVar(&s.AdaptiveSteps, "local-steps-adaptive", s.AdaptiveSteps, "scale each client's local step budget by its device speed (needs -device-dist)")
 	fs.StringVar(&s.Transport, "transport", s.Transport, "wire transport (none|f32|lossless|q<bits>|topk:R|randk:R, compose error feedback with +ef, e.g. topk:0.01+ef); compressed uplinks move fewer measured bytes")
 	fs.StringVar(&s.Bandwidth, "bandwidth-dist", s.Bandwidth, "per-client link distribution (none|const:UP,DOWN[,RTT]|uniform:MIN,MAX[,RTT]|lognormal:MU,SIGMA[,RTT]|tiered[:UP,DOWN,RTT,FRAC,...]); Mbps and ms — each dispatch pays rtt + measured-bytes/bandwidth in simulated time")
@@ -93,10 +93,10 @@ func (s Selection) Overlay(over Selection) Selection {
 
 // Parse turns the text into a typed RunSpec over cfg. Every field is
 // parsed and attached whatever the runtime: RunSpec.Validate owns the
-// rejections (a latency model or device fleet on sync, churn outside the
-// buffered runtime, faults on a method that bypasses the merge screen), so
-// a conflicting combination errors loudly instead of being dropped. The
-// transport comes from the Transport text; cfg must not carry one.
+// rejections (a latency model, device fleet or churn on sync, faults on a
+// method that bypasses the merge screen), so a conflicting combination
+// errors loudly instead of being dropped. The transport comes from the
+// Transport text; cfg must not carry one.
 func (s Selection) Parse(cfg core.Config) (core.RunSpec, error) {
 	rs := core.RunSpec{
 		Config: cfg, Concurrency: s.Concurrency, BufferSize: s.Buffer,
