@@ -38,7 +38,8 @@
 //   - The number of *simulated* in-flight clients (Concurrency) is
 //     decoupled from the number of training engines (Config.Shards):
 //     thousands of virtual dispatches queue behind a handful of engines,
-//     keeping memory O(shards * |w|), not O(population * |w|).
+//     so the training machinery is O(shards * |w|), not
+//     O(population * |w|).
 //   - Derivable per-client values — latency bases, device speeds, network
 //     profiles, fault classes — are regenerated on demand from seed
 //     streams keyed by client ID (one scratch-RNG reseed per lookup), so
@@ -52,6 +53,14 @@
 //     dispatch: every job dispatched between two aggregations trains from
 //     the same immutable, reference-counted snapshot, so the copies alive
 //     follow the versions in flight rather than Concurrency.
+//   - An in-flight upload is not one dense vector per client. A dense
+//     upload is (a float32 or quantized uplink changes nearly every
+//     entry), but one that differs from the float32 image of its
+//     version's global in at most a quarter of its entries — a sparse
+//     uplink's — is held as a patch of those entries, and keeps its
+//     version's snapshot until it arrives, when it is rebuilt into a
+//     pooled buffer for the policy buffer. On a top-k fleet the dense
+//     vectors in flight then follow the live versions, not Concurrency.
 //   - Where a burst must be joined before the clock can move (device- and
 //     network-priced arrivals), a burst of one job — every burst but a
 //     run's first, in steady state — trains on the event-loop goroutine
@@ -190,9 +199,9 @@ func (s *Server) getJob() *trainJob {
 }
 
 // recycleJob returns a drained job (update extracted or voided, done
-// token consumed) to the free list.
+// token consumed) to the free list, which keeps its patch storage.
 func (s *Server) recycleJob(j *trainJob) {
-	*j = trainJob{done: j.done, task: j.task, heapIdx: -1}
+	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, patch: j.patch}
 	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs the loop holds at once
 }
 
@@ -233,8 +242,10 @@ type bufferedRunner struct {
 	// first dispatch after an aggregation, shared by every later one,
 	// nil in between. snaps is the fixed table of snapshot records, one
 	// per version that can be alive at once: a superseded version lives
-	// only while one of the at most Concurrency in-flight jobs is still
-	// to be joined. A record with no vector is free.
+	// only while one of the at most Concurrency in-flight jobs still
+	// needs it — to train from until it is joined, or, holding a sparse
+	// upload, to rebuild it from until it arrives. A record with no
+	// vector is free.
 	cur   *globalSnap
 	snaps []globalSnap
 	// snapshots counts the global copies taken so far — one per model
@@ -252,9 +263,9 @@ type bufferedRunner struct {
 
 // globalSnap is the global model as it stood at one model version: a
 // pooled copy nobody writes, shared by every job dispatched at that
-// version. refs counts those of them not joined yet; when the last one is
-// and an aggregation has superseded the version, the vector returns to
-// paramsPool and the record is free again.
+// version. refs counts those of them that still hold it (release); when
+// the last one lets go and an aggregation has superseded the version,
+// the vector returns to paramsPool and the record is free again.
 type globalSnap struct {
 	vec  []float64
 	refs int
@@ -294,11 +305,13 @@ func (r *bufferedRunner) close() {
 	r.retire()
 }
 
-// join waits for j's local training (once) and drops its reference to
-// the snapshot it trained from: nothing reads it afterwards, so holding
-// it until the virtual arrival would keep a superseded version's vector
-// out of the pool — which a resumed run, whose jobs carry none, never
-// holds. A gated job trained from s.global and holds no snapshot.
+// join waits for j's local training (once). A job with a dense upload
+// drops its reference to the snapshot it trained from here: nothing reads
+// it afterwards, so holding it until the virtual arrival would keep a
+// superseded version's vector out of the pool — which a resumed run,
+// whose jobs carry none, never holds. A sparse upload still needs its
+// version's global to be rebuilt, and keeps it until its arrival pops
+// (arrive).
 func (r *bufferedRunner) join(j *trainJob) {
 	if j.trained {
 		return
@@ -306,6 +319,15 @@ func (r *bufferedRunner) join(j *trainJob) {
 	<-j.done
 	j.trained = true
 	r.unjoined--
+	if !j.sparse {
+		r.release(j)
+	}
+}
+
+// release drops j's hold on the global it trained from. A gated job
+// trained from s.global, which nothing writes before its round merges,
+// and holds no snapshot.
+func (r *bufferedRunner) release(j *trainJob) {
 	sn := j.gsnap
 	j.gsnap, j.global = nil, nil
 	if sn == nil {
@@ -314,6 +336,24 @@ func (r *bufferedRunner) join(j *trainJob) {
 	if sn.refs--; sn.refs == 0 && sn != r.cur {
 		r.freeSnap(sn)
 	}
+}
+
+// arrive settles a popped, joined job's upload: a dropped one's goes back
+// to the pool unmerged, a sparse one is rebuilt into a pooled buffer, so
+// everything past the event heap — the policy buffer, the merge, its
+// screens, OnUpdates, recycleUpdates, a snapshot's buffered jobs — sees
+// only dense updates. Either way the job lets go of its global.
+func (r *bufferedRunner) arrive(j *trainJob) {
+	switch {
+	case j.dropped:
+		if j.update.pooled {
+			paramsPool.put(j.update.Params)
+		}
+	case j.sparse:
+		j.update.Params, j.update.pooled = j.materialize(), true
+	}
+	j.sparse = false
+	r.release(j)
 }
 
 // acquire points j at the current version's snapshot, copying the global
@@ -555,14 +595,11 @@ func (r *bufferedRunner) step() (bool, error) {
 			// idle set at its rejoin event.
 			s.pop.arrived(j.c.ID, s.online(j.c.ID))
 		}
+		r.arrive(j)
 		if j.dropped {
 			// The device died mid-flight: the update is lost. Its FLOPs
-			// stay metered (the work was burned before the drop); the
-			// pooled upload buffer goes straight back, and so does the
-			// job.
-			if j.update.pooled {
-				paramsPool.put(j.update.Params)
-			}
+			// stay metered (the work was burned before the drop); arrive
+			// returned its upload, and the job goes back too.
 			s.rec.res.DroppedUpdates++
 			s.recycleJob(j)
 		} else {

@@ -36,6 +36,38 @@ const (
 	minNetMbps     = 0.01
 )
 
+// The largest deviates the draw primitives return: prng's polar normal
+// peaks at sqrt(-2 ln 2^-104) ≈ 12.01 (u = 2^-52, v = 0), its exponential
+// at -ln 2^-53 ≈ 36.74, and a straggler's jitter multiplies by less than
+// 1.1. A finite argument whose largest draw passes MaxFloat64 is refused
+// at parse time, as a non-finite one is: a lognormal needs
+// MU + 12.01*SIGMA <= ln(MaxFloat64), an exponential MEAN <= MaxFloat64/36.74.
+var (
+	maxNormDraw = math.Sqrt(-2 * math.Log(0x1p-104))
+	maxExpDraw  = -math.Log(0x1p-53)
+)
+
+// lognormalFits reports whether unit*exp(mu + sigma*N) is finite for every
+// normal deviate N the stream can draw.
+func lognormalFits(mu, sigma, unit float64) bool {
+	return !math.IsInf(unit*math.Exp(mu+sigma*maxNormDraw), 1)
+}
+
+// bitsPerMbps converts a bandwidth-dist argument into the link's unit, so
+// a finite bandwidth is at most MaxFloat64/1e6 Mbps.
+const bitsPerMbps = 1e6
+
+// finiteBps reports whether every bandwidth in mbps is "inf" or converts
+// to a finite bit rate.
+func finiteBps(mbps ...float64) bool {
+	for _, v := range mbps {
+		if !math.IsInf(v, 1) && math.IsInf(v*bitsPerMbps, 1) {
+			return false
+		}
+	}
+	return true
+}
+
 // FleetDist is one parsed fleet-distribution spec: a term of the latency,
 // device-dist or bandwidth-dist grammar. Only ParseLatency,
 // ParseDeviceDist and ParseNetDist build one, and RunSpec.Validate refuses
@@ -85,7 +117,8 @@ var (
 //	straggler:F,S,E      every E-th client (by ID) takes S, others F, each
 //	                     with ±10% uniform jitter
 //
-// Every argument is finite.
+// Every argument is finite, and so is every draw: MEAN, S and a
+// lognormal's MU + 12.01*SIGMA are bounded (maxNormDraw).
 func ParseLatency(text string) (FleetDist, error) {
 	ts, err := latencyFamily.Parse(text)
 	if err != nil {
@@ -98,11 +131,12 @@ func ParseLatency(text string) (FleetDist, error) {
 	case "uniform":
 		ok, want = a[0] >= 0 && a[1] >= a[0], "0 <= MIN <= MAX"
 	case "exp":
-		ok, want = a[0] > 0, "MEAN > 0"
+		ok, want = a[0] > 0 && a[0]*maxExpDraw <= math.MaxFloat64, "0 < MEAN <= MaxFloat64/36.74"
 	case "lognormal":
-		ok, want = a[1] >= 0, "MU and SIGMA >= 0"
+		ok, want = a[1] >= 0 && lognormalFits(a[0], a[1], 1), "MU and SIGMA >= 0 with MU + 12.01*SIGMA <= ln(MaxFloat64)"
 	case "straggler":
-		ok, want = a[0] > 0 && a[1] >= a[0] && a[2] >= 1 && a[2] <= math.MaxInt32, "0 < F <= S and 1 <= E < 2^31"
+		ok, want = a[0] > 0 && a[1] >= a[0] && a[1]*1.1 <= math.MaxFloat64 && a[2] >= 1 && a[2] <= math.MaxInt32,
+			"0 < F <= S <= MaxFloat64/1.1 and 1 <= E < 2^31"
 		a[2] = math.Trunc(a[2]) // E counts clients
 	}
 	if !ok || !finite(a...) {
@@ -123,7 +157,7 @@ func ParseLatency(text string) (FleetDist, error) {
 //	tiered:S1,F1,S2,F2,...  custom tiers (speed, fraction pairs; fractions
 //	                     are normalized)
 //
-// Every argument is finite.
+// Every argument is finite, and a lognormal's largest draw too.
 func ParseDeviceDist(text string) (FleetDist, error) {
 	ts, err := deviceFamily.Parse(text)
 	if err != nil || ts[0].Name == "none" {
@@ -138,7 +172,7 @@ func ParseDeviceDist(text string) (FleetDist, error) {
 	case "uniform":
 		ok, want = a[0] > 0 && a[1] >= a[0], "0 < MIN <= MAX"
 	case "lognormal":
-		ok, want = a[1] >= 0, "MU and SIGMA >= 0"
+		ok, want = a[1] >= 0 && lognormalFits(a[0], a[1], 1), "MU and SIGMA >= 0 with MU + 12.01*SIGMA <= ln(MaxFloat64)"
 	case "tiered":
 		for _, v := range a {
 			ok = ok && v > 0
@@ -166,7 +200,10 @@ func ParseDeviceDist(text string) (FleetDist, error) {
 //	                          are normalized)
 //
 // Every argument is finite except a const or tiered bandwidth, which may
-// be "inf": an unpriced direction. Each direction is drawn uplink first.
+// be "inf": an unpriced direction. A finite bandwidth, a lognormal's
+// largest draw included, is at most MaxFloat64/1e6 Mbps, so only "inf"
+// mints an unpriced link. Each direction is drawn
+// uplink first.
 func ParseNetDist(text string) (FleetDist, error) {
 	ts, err := netFamily.Parse(text)
 	if err != nil || ts[0].Name == "none" {
@@ -182,16 +219,19 @@ func ParseNetDist(text string) (FleetDist, error) {
 	a, ok, want := t.Args, true, ""
 	switch t.Name {
 	case "const":
-		ok, want = a[0] > 0 && a[1] > 0 && a[2] >= 0 && finite(a[2]), "RTT >= 0 and positive (or inf) Mbps"
+		ok, want = a[0] > 0 && a[1] > 0 && a[2] >= 0 && finite(a[2]) && finiteBps(a[:2]...),
+			"RTT >= 0 and positive (or inf) Mbps <= MaxFloat64/1e6"
 	case "uniform":
-		ok, want = a[0] > 0 && a[1] >= a[0] && a[2] >= 0 && finite(a...), "0 < MIN <= MAX and RTT >= 0"
+		ok, want = a[0] > 0 && a[1] >= a[0] && a[2] >= 0 && finite(a...) && finiteBps(a[1]),
+			"0 < MIN <= MAX <= MaxFloat64/1e6 and RTT >= 0"
 	case "lognormal":
-		ok, want = a[1] >= 0 && a[2] >= 0 && finite(a...), "MU and SIGMA >= 0 and RTT >= 0"
+		ok, want = a[1] >= 0 && a[2] >= 0 && finite(a...) && lognormalFits(a[0], a[1], bitsPerMbps),
+			"MU and SIGMA >= 0 and RTT >= 0 with MU + 12.01*SIGMA <= ln(MaxFloat64/1e6)"
 	case "tiered":
 		for i := 0; i < len(a); i += 4 {
-			ok = ok && a[i] > 0 && a[i+1] > 0 && a[i+2] >= 0 && a[i+3] > 0 && finite(a[i+2], a[i+3])
+			ok = ok && a[i] > 0 && a[i+1] > 0 && a[i+2] >= 0 && a[i+3] > 0 && finite(a[i+2], a[i+3]) && finiteBps(a[i:i+2]...)
 		}
-		want = "RTT >= 0 and fractions > 0 and positive (or inf) Mbps"
+		want = "RTT >= 0 and fractions > 0 and positive (or inf) Mbps <= MaxFloat64/1e6"
 	}
 	if !ok {
 		return FleetDist{}, netFamily.Errorf(text, "wants finite %s", want)
@@ -315,7 +355,7 @@ func newLink(upMbps, downMbps, rttMs float64) link {
 		if math.IsInf(mbps, 1) {
 			return mbps
 		}
-		return max(mbps, minNetMbps) * 1e6
+		return max(mbps, minNetMbps) * bitsPerMbps
 	}
 	return link{upBps: bps(upMbps), downBps: bps(downMbps), rtt: max(rttMs, 0) / 1000}
 }

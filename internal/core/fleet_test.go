@@ -27,6 +27,30 @@ var nonFinite = map[string][]string{
 		"lognormal:3,0.5,inf", "tiered:10,40,inf,1", "tiered:10,40,20,inf", "const:nan,1", "const:10,25,nan"},
 }
 
+// Finite arguments whose largest draw overflows a float64: each family
+// refuses them with its "wants finite" error, which names the bound.
+var overflowing = map[string][]string{
+	"latency":        {"lognormal:1000,0", "lognormal:0,60", "lognormal:700,1", "exp:1e308", "exp:5e306", "straggler:1,1.7e308,3"},
+	"device-dist":    {"lognormal:1000,0", "lognormal:0,60"},
+	"bandwidth-dist": {"lognormal:700,0", "lognormal:0,60,5", "const:1e303,10", "uniform:5,1e303", "tiered:10,1e303,20,1"},
+}
+
+func TestFleetParsersRefuseOverflowingDraws(t *testing.T) {
+	parsers := map[string]func(string) (FleetDist, error){"latency": ParseLatency, "device-dist": ParseDeviceDist, "bandwidth-dist": ParseNetDist}
+	for label, specs := range overflowing {
+		for _, text := range specs {
+			d, err := parsers[label](text)
+			if err == nil {
+				t.Errorf("%s %q accepted as %s", label, text, d)
+				continue
+			}
+			if want := label + ` "` + text + `": wants finite`; !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "MaxFloat64") {
+				t.Errorf("%s %q: error %q, want it to start %q and name the MaxFloat64 bound", label, text, err, want)
+			}
+		}
+	}
+}
+
 // Every fleet spec the tests spell: the round-trip seeds of
 // internal/runtext, the rows of TestFleetDigestsPinned and the parse
 // tables' accepted forms, then the non-finite spellings.
@@ -34,16 +58,18 @@ var (
 	latencySpecs = append([]string{
 		"", "zero", "const:0", "const:2", "uniform:0,0", "uniform:0.5,2", "exp:1.5", "lognormal:0,0.5", "lognormal:-1,0",
 		"straggler:1,4,3", "straggler:1,10,5", "straggler:2,2,1", "straggler:1,10,3.5",
-	}, nonFinite["latency"]...)
+		"lognormal:709,0", "lognormal:0,59", "exp:4e306", "straggler:1,1.6e308,3",
+	}, append(nonFinite["latency"], overflowing["latency"]...)...)
 	deviceSpecs = append([]string{
 		"", "none", "uniform:0.5,2", "uniform:1,1", "lognormal:0,0.6", "lognormal:-0.2,0", "lognormal:0.25,0.00125",
-		"lognormal:0,3", "tiered", "tiered:0.5,0.5,2,0.5", "tiered:1,1",
-	}, nonFinite["device-dist"]...)
+		"lognormal:0,3", "tiered", "tiered:0.5,0.5,2,0.5", "tiered:1,1", "lognormal:709,0",
+	}, append(nonFinite["device-dist"], overflowing["device-dist"]...)...)
 	netSpecs = append([]string{
 		"", "none", "const:10,25", "const:10,25,30", "const:inf,inf,0", "const:inf,25,5", "uniform:5,50", "uniform:5,50,20",
 		"uniform:5,5,20", "lognormal:3,0.5", "lognormal:-1,0,40", "lognormal:-8,3", "tiered", "tiered:10,40,20,1",
-		"tiered:1,2,0,0.5,8,16,0,0.5", "tiered:inf,inf,0,1",
-	}, nonFinite["bandwidth-dist"]...)
+		"tiered:1,2,0,0.5,8,16,0,0.5", "tiered:inf,inf,0,1", "lognormal:695,0", "lognormal:0,57,5",
+		"const:1e302,10", "uniform:5,1e302",
+	}, append(nonFinite["bandwidth-dist"], overflowing["bandwidth-dist"]...)...)
 )
 
 func TestFleetParsersRefuseNonFinite(t *testing.T) {

@@ -280,39 +280,47 @@ func (s *Server) selectClients() []*Client {
 
 // trainClient runs one client's participating round: ship the global model
 // through the transport, train locally, ship the upload back. It is the
-// unit of work both runtimes dispatch onto the shard pool (distinct
-// clients own all their state; the engine is attached by the shard).
-// steps caps the local mini-batch steps (zero outside device-heterogeneity
-// runs).
+// body of every job the event loop dispatches onto the shard pool
+// (distinct clients own all their state; the engine is attached by the
+// shard), and fills the job's update and wire bytes. j.steps caps the
+// local mini-batch steps (zero outside device-heterogeneity runs).
 //
-// The returned down/up are this dispatch's wire bytes: what the transport
-// returned, or the analytic dense float32 size (4 bytes/param each way)
-// without one. The network pricer (RunSpec.Network) derives the
-// dispatch's transfer durations from them.
+// The wire bytes are this dispatch's: what the transport returned, or the
+// analytic dense float32 size (4 bytes/param each way) without one. The
+// network pricer (RunSpec.Network) derives the dispatch's transfer
+// durations from them.
 //
 // With a transport the client trains from the shard engine's downlink
 // buffer, which then serves as the upload's delta reference, and the
 // upload is rounded in place in its pooled buffer; without one it trains
-// from global itself.
-func (s *Server) trainClient(c *Client, round int, global []float64, steps int) (u Update, down, up int64) {
-	down = int64(4 * len(global))
+// from j.global itself. An upload that then differs from the float32
+// image of j.global in at most a quarter of its entries — a sparse
+// uplink's — is kept as the job's patch, and its buffer goes straight
+// back to the pool: in flight it costs its patch, not |w| floats.
+func (s *Server) trainClient(j *trainJob) {
+	global := j.global
+	j.downBytes = int64(4 * len(global))
 	if s.wire != nil {
-		received := c.eng.downlinkBuf(len(global))
-		down = s.wire.DownInto(received, c.ID, round, global)
+		received := j.c.eng.downlinkBuf(len(global))
+		j.downBytes = s.wire.DownInto(received, j.c.ID, j.round, global)
 		global = received
 	}
-	u = c.LocalTrainSteps(round, global, steps)
+	u := j.c.LocalTrainSteps(j.round, global, j.steps)
 	// Byzantine corruption happens here — after training (the FLOPs were
 	// really burned) and before the transport encodes the upload (the
 	// corrupted vector is what rides, and prices, the wire). Downstream
 	// the fault flows through staleness, churn, and buffering exactly
 	// like an honest update.
-	s.applyFault(c, &u)
-	up = int64(4 * len(u.Params))
+	s.applyFault(j.c, &u)
+	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
-		up = s.wire.UpInto(u.Params, c.ID, round, u.Params, global)
+		j.upBytes = s.wire.UpInto(u.Params, j.c.ID, j.round, u.Params, global)
+		if u.pooled && j.patch.compact(u.Params, j.global) {
+			paramsPool.put(u.Params)
+			u.Params, u.pooled, j.sparse = nil, false, true
+		}
 	}
-	return u, down, up
+	j.update = u
 }
 
 // growUpdates returns a length-n update gather buffer.

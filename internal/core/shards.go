@@ -22,6 +22,13 @@ type trainJob struct {
 	global []float64
 	gsnap  *globalSnap
 	update Update
+	// sparse marks an upload held as patch against global's float32
+	// image, its pooled buffer already returned: the job keeps global
+	// (and gsnap's reference) until its arrival pops, when the event
+	// loop rebuilds update.Params from the two. patch's storage stays
+	// with the job through the free list.
+	sparse bool
+	patch  uploadPatch
 	flops  int64
 	done   chan struct{}
 	task   func(worker int) // sp.run(j, worker), what submit queues
@@ -92,6 +99,13 @@ func newShardPool(s *Server, shards, maxJobs int) *shardPool {
 	}
 }
 
+// materialize rebuilds a sparse job's upload into a pooled buffer.
+func (j *trainJob) materialize() []float64 {
+	buf := paramsPool.get(len(j.global))
+	j.patch.materialize(buf, j.global)
+	return buf
+}
+
 // submit queues one client round. The job's done channel is signalled
 // when update and flops are valid. Submission order is preserved per worker
 // but not across workers; determinism comes from each client's own RNG
@@ -125,7 +139,7 @@ func (sp *shardPool) run(j *trainJob, w int) {
 	}
 	eng.attach(j.c)
 	before := j.c.Counter.Total()
-	j.update, j.downBytes, j.upBytes = sp.s.trainClient(j.c, j.round, j.global, j.steps)
+	sp.s.trainClient(j)
 	j.flops = j.c.Counter.Total() - before
 	eng.detach(j.c)
 	j.done <- struct{}{}

@@ -27,7 +27,9 @@
 //   - Snapshot quiesces: every in-flight job's local training is joined
 //     first. Training physically completes before its virtual arrival in
 //     any run, so joining early changes nothing — and afterwards the
-//     per-client state and the job's finished update are plain data.
+//     per-client state and the job's finished update are plain data. An
+//     update the server holds as a sparse patch is written rebuilt,
+//     dense, so the stream does not depend on how it was held.
 //   - Order-sensitive scheduler state serializes verbatim: the idle set's
 //     ids array (a uniform pick indexes into it, so its order is part of
 //     the trajectory), the event heap's array layout, the churn heap.
@@ -408,11 +410,14 @@ func (p *population) snap(c *tensor.Codec) {
 }
 
 // snap is one quiesced in-flight (or buffered) job: its scheduling key,
-// dispatch parameters, and the finished update. The global-model
-// snapshot the client trained from is not part of it — the training
-// already consumed it. A decoded job is therefore trained, holds no done
-// token (the arrival path must not, and will not, join it again) and
-// takes its upload buffer from the pool the merge returns it to.
+// dispatch parameters, and the finished update, always written dense: an
+// in-flight upload held as a patch against its version's global is
+// rebuilt for the stream. The global-model snapshot the client trained
+// from is not part of it — the training already consumed it, and the
+// patch is only how the server holds the upload. A decoded job is
+// therefore trained and dense, holds no done token (the arrival path must
+// not, and will not, join it again) and takes its upload buffer from the
+// pool the merge returns it to.
 func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 	var id int
 	if !c.Reading() {
@@ -442,7 +447,12 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 	c.I64(&j.downBytes)
 	c.I64(&j.upBytes)
 	c.Num("update client", &j.update.ClientID)
-	c.FloatsExact("update params", j.update.Params)
+	params := j.update.Params
+	if j.sparse {
+		params = j.materialize()
+		defer paramsPool.put(params)
+	}
+	c.FloatsExact("update params", params)
 	c.Num("update samples", &j.update.NumSamples)
 	c.Num("update steps", &j.update.Steps)
 	c.F64(&j.update.TrainLoss)
