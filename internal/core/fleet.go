@@ -202,8 +202,7 @@ func ParseDeviceDist(text string) (FleetDist, error) {
 // Every argument is finite except a const or tiered bandwidth, which may
 // be "inf": an unpriced direction. A finite bandwidth, a lognormal's
 // largest draw included, is at most MaxFloat64/1e6 Mbps, so only "inf"
-// mints an unpriced link. Each direction is drawn
-// uplink first.
+// mints an unpriced link. Each direction is drawn uplink first.
 func ParseNetDist(text string) (FleetDist, error) {
 	ts, err := netFamily.Parse(text)
 	if err != nil || ts[0].Name == "none" {

@@ -129,10 +129,10 @@ func f32Image(v float64) float64 { return float64(float32(v)) }
 // The count runs first and stops past that limit, so a dense upload costs
 // one partial scan and never grows p.
 func (p *uploadPatch) compact(x, g []float64) bool {
-	limit, n := len(x)/4, 0
 	if len(x) > math.MaxInt32 {
 		return false
 	}
+	limit, n := len(x)/4, 0
 	for i, v := range x {
 		if math.Float64bits(v) != math.Float64bits(f32Image(g[i])) {
 			if n++; n > limit {

@@ -315,7 +315,7 @@ func (s *Server) trainClient(j *trainJob) {
 	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
 		j.upBytes = s.wire.UpInto(u.Params, j.c.ID, j.round, u.Params, global)
-		if u.pooled && j.patch.compact(u.Params, j.global) {
+		if j.patch.compact(u.Params, j.global) {
 			paramsPool.put(u.Params)
 			u.Params, u.pooled, j.sparse = nil, false, true
 		}

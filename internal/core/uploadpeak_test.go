@@ -12,6 +12,34 @@ import (
 	"repro/internal/partition"
 )
 
+// uploadRun is the small fleet both tests run: 16 clients on a
+// quarter-width MLP, four per lock-step round, eight rounds, moving
+// models through the transport spec tr.
+func uploadRun(t *testing.T, tr string) core.RunSpec {
+	t.Helper()
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 400, Test: 100, Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 16, 25, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	transport, err := comm.ParseTransport(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.RunSpec{Config: core.Config{
+		Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
+		Train: train, Test: test, Parts: parts,
+		Rounds: 8, ClientsPerRound: 4,
+		BatchSize: 20, LocalEpochs: 1,
+		LR: 0.01, Momentum: 0.9,
+		Algo: core.NewFedTrip(0.4), Seed: 1,
+		Transport: transport,
+	}}
+}
+
 // TestUploadPoolPeak pins the parameter pool's high-water mark over two
 // fixed runs, and the pool's balance at Close (ROADMAP item 8): every
 // buffer checked out is back in the pool or held by a job still queued.
@@ -21,14 +49,6 @@ import (
 // changed peak is a real change in how many |w|-sized vectors a run holds
 // at once.
 func TestUploadPoolPeak(t *testing.T) {
-	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 400, Test: 100, Seed: 44})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 16, 25, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name, transport string
 		async           bool
@@ -36,12 +56,10 @@ func TestUploadPoolPeak(t *testing.T) {
 		// are still out after Close.
 		peak, held int
 	}{
-		// Twelve jobs in flight and a buffer of six. Held dense, the
-		// in-flight uploads, the buffered ones, the live versions' globals
-		// and the evaluation's copy peaked at 18 buffers, and 11 were left
-		// with the queued jobs; held sparse, an in-flight upload costs a
-		// patch and pins the version it trained from, which its
-		// neighbours mostly share.
+		// Twelve jobs in flight and a buffer of six. An in-flight sparse
+		// upload costs a patch and pins the version it trained from,
+		// which its neighbours mostly share; were each held dense, the
+		// peak would be 18 and 11 buffers would stay with the queued jobs.
 		{"async topk:0.01+ef tiered", "topk:0.01+ef", true, 12, 5},
 		// Four lock-step uploads that differ from the global nearly
 		// everywhere stay dense; with the evaluation's copy, 5 as before.
@@ -49,21 +67,8 @@ func TestUploadPoolPeak(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := comm.ParseTransport(tc.transport)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := core.RunSpec{
-				Config: core.Config{
-					Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
-					Train: train, Test: test, Parts: parts,
-					Rounds: 8, ClientsPerRound: 4, EvalEvery: 100, Shards: 1,
-					BatchSize: 20, LocalEpochs: 1,
-					LR: 0.01, Momentum: 0.9,
-					Algo: core.NewFedTrip(0.4), Seed: 1,
-					Transport: tr,
-				},
-			}
+			sp := uploadRun(t, tc.transport)
+			sp.EvalEvery, sp.Shards = 100, 1
 			if tc.async {
 				sp.Runtime = core.RuntimeAsync
 				sp.Concurrency = 12
@@ -103,14 +108,6 @@ func TestUploadPoolPeak(t *testing.T) {
 // held by a job still queued, and the continued run is the uninterrupted
 // one.
 func TestPoolBalancesAtClose(t *testing.T) {
-	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 400, Test: 100, Seed: 44})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 16, 25, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name, runtime, transport, latency, churn string
 	}{
@@ -122,28 +119,15 @@ func TestPoolBalancesAtClose(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() core.RunSpec {
-				tr, err := comm.ParseTransport(tc.transport)
-				if err != nil {
-					t.Fatal(err)
-				}
 				churn, err := core.ParseChurn(tc.churn)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sp := core.RunSpec{
-					Config: core.Config{
-						Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
-						Train: train, Test: test, Parts: parts,
-						Rounds: 8, ClientsPerRound: 4, Shards: 3,
-						BatchSize: 20, LocalEpochs: 1,
-						LR: 0.01, Momentum: 0.9,
-						Algo: core.NewFedTrip(0.4), Seed: 1,
-						Transport: tr,
-					},
-					Runtime: core.Runtime(tc.runtime),
-					Latency: mustFleet(core.ParseLatency(tc.latency)),
-					Churn:   churn,
-				}
+				sp := uploadRun(t, tc.transport)
+				sp.Shards = 3
+				sp.Runtime = core.Runtime(tc.runtime)
+				sp.Latency = mustFleet(core.ParseLatency(tc.latency))
+				sp.Churn = churn
 				if tc.runtime == "async" {
 					sp.Concurrency, sp.BufferSize = 10, 3
 				}
