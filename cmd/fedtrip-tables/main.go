@@ -23,10 +23,13 @@
 //	fedtrip-tables -exp table4 -runtime async -bandwidth-dist tiered -transport q8+ef
 //	fedtrip-tables -exp table4 -runtime async -faults byz:0.2,signflip -policy trimmedmean:0.25
 //
-// Output is plain-text tables on stdout (or -o file); progress lines go to
-// stderr. -cpuprofile and -memprofile write runtime/pprof profiles of the
-// whole batch (internal/obs, shared with cmd/fedtrip); the heap profile is
-// taken after the last experiment, with every memoised corpus still held.
+// Every table cell is a fedtrip command line: the profile's base flags
+// plus the cell's overrides. Output is plain-text tables on stdout (or -o
+// file); progress lines go to stderr, one per trained cell with its line,
+// so `go run ./cmd/fedtrip <line>` reruns that cell. -cpuprofile and
+// -memprofile write runtime/pprof profiles of the whole batch
+// (internal/obs, shared with cmd/fedtrip); the heap profile is taken after
+// the last experiment, with every cached run result still held.
 package main
 
 import (

@@ -22,7 +22,7 @@ const task = "-model mlp -scale 1 -samples 60 -test 300 -rounds 20 -seed 11"
 
 var (
 	schemes = []string{"-scheme iid", "-scheme dir -alpha 0.5", "-scheme dir -alpha 0.1", "-scheme orthogonal -clusters 5"}
-	methods = []string{"-algo fedtrip -mu 1", "-algo fedavg", "-algo fedprox -mu 0.1", "-algo moon -mu 1"}
+	methods = []string{"-algo fedtrip:1", "-algo fedavg", "-algo fedprox:0.1", "-algo moon:1"}
 )
 
 func main() {

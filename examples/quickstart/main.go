@@ -18,7 +18,7 @@ import (
 	"repro/internal/runtext"
 )
 
-const line = "-algo fedtrip -mu 0.4 -dataset mnist -model cnn -scheme dir -alpha 0.5 " +
+const line = "-algo fedtrip:0.4 -dataset mnist -model cnn -scheme dir -alpha 0.5 " +
 	"-clients 10 -k 4 -samples 60 -test 300 -rounds 15"
 
 func main() {

@@ -22,7 +22,7 @@ import (
 )
 
 const (
-	fleet = "-model mlp -scale 1 -mu 1 -clients 20 -k 8 -samples 60 -test 300 -rounds 20 -seed 13 " +
+	fleet = "-algo fedtrip:1 -model mlp -scale 1 -clients 20 -k 8 -samples 60 -test 300 -rounds 20 -seed 13 " +
 		"-runtime async -latency exp:2 -concurrency 8 -buffer 8"
 	faults = "-faults byz:0.15,signflip+crash:0.05"
 )

@@ -24,7 +24,7 @@ import (
 )
 
 const (
-	task  = "-model mlp -scale 1 -mu 1 -samples 60 -test 300 -rounds 15 -seed 41"
+	task  = "-algo fedtrip:1 -model mlp -scale 1 -samples 60 -test 300 -rounds 15 -seed 41"
 	links = "-runtime async -bandwidth-dist const:10,25,30 "
 )
 

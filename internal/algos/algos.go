@@ -19,6 +19,7 @@ package algos
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/spec"
@@ -41,10 +42,82 @@ type Params struct {
 	SlowLR float64
 }
 
-// Names lists the registry in the paper's table order, appendix methods
-// and related-work extensions (FedGKD §II.B, FedNova [22]) last.
+// methodFamily is the grammar of -algo: a registry name, then the
+// method's hyperparameters in the order its String() prints them. The
+// forms are in the paper's table order, appendix methods and related-work
+// extensions (FedGKD §II.B, FedNova [22]) last.
+var methodFamily = spec.Family{Label: "method", Forms: []spec.Form{
+	{Name: "fedtrip", Max: 5}, // mu, xi mode, fixed xi, global weight, history weight
+	{Name: "fedavg"},
+	{Name: "fedprox", Max: 1}, // mu
+	{Name: "slowmo", Max: 2},  // beta, slow lr
+	{Name: "moon", Max: 2},    // mu, tau
+	{Name: "feddyn", Max: 1},  // alpha
+	{Name: "scaffold"},
+	{Name: "feddane", Max: 1},  // mu
+	{Name: "mimelite", Max: 1}, // beta
+	{Name: "fedgkd", Max: 2},   // gamma, tau
+	{Name: "fednova"},
+}}
+
+// Names lists the registry in the paper's table order.
 func Names() []string {
-	return []string{"fedtrip", "fedavg", "fedprox", "slowmo", "moon", "feddyn", "scaffold", "feddane", "mimelite", "fedgkd", "fednova"}
+	names := make([]string, len(methodFamily.Forms))
+	for i, f := range methodFamily.Forms {
+		names[i] = f.Name
+	}
+	return names
+}
+
+// Parse builds a fresh method from its text, the form String() prints
+// ("fedtrip:0.4,1,0,1,1", "fedprox:0.3", "feddyn"): a registry name and
+// up to as many arguments as the method prints, each read literally; an
+// argument left off keeps New's paper default. Arguments are finite and
+// non-negative, and FedTrip's xi mode is 0, 1 or 2.
+func Parse(text string) (core.Algorithm, error) {
+	terms, err := methodFamily.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	t := terms[0]
+	for _, a := range t.Args {
+		if !(a >= 0) || math.IsInf(a, 1) {
+			return nil, methodFamily.Errorf(text, "argument %g is not a finite number >= 0", a)
+		}
+	}
+	m, err := New(t.Name, Params{})
+	if err != nil {
+		return nil, err
+	}
+	set := func(dst ...*float64) {
+		for i := range min(len(dst), len(t.Args)) {
+			*dst[i] = t.Args[i]
+		}
+	}
+	switch m := m.(type) {
+	case *core.FedTrip:
+		mode := float64(m.Mode)
+		set(&m.Mu, &mode, &m.FixedXi, &m.GlobalWeight, &m.HistWeight)
+		if mode != math.Trunc(mode) || mode > float64(core.XiFixed) {
+			return nil, methodFamily.Errorf(text, "xi mode %g is not 0 (1/gap), 1 (gap) or 2 (fixed)", mode)
+		}
+		m.Mode = core.XiMode(mode)
+	case *FedProx:
+		set(&m.Mu)
+	case *SlowMo:
+		set(&m.Beta, &m.SlowLR)
+	case *MOON:
+		set(&m.Mu, &m.Tau)
+	case *FedDyn:
+		set(&m.Alpha)
+	case *FedDANE:
+		set(&m.Mu)
+	case *MimeLite:
+		set(&m.Beta)
+	case *FedGKD:
+		set(&m.Gamma, &m.Tau)
+	}
+	return m, nil
 }
 
 // New builds a fresh algorithm instance by registry name, applying the
@@ -129,9 +202,9 @@ type FedProx struct {
 // Name implements core.Algorithm.
 func (*FedProx) Name() string { return "fedprox" }
 
-// String renders the method with its hyperparameter. The methods a run
-// snapshot can hold (no server-side state) all do, so the snapshot
-// fingerprint tells their settings apart.
+// String renders the method with its hyperparameter, in the text Parse
+// reads. Every method with a hyperparameter prints it, so the snapshot
+// fingerprint tells its settings apart.
 func (f *FedProx) String() string { return spec.T("fedprox", f.Mu).String() }
 
 // TransformGrad applies the proximal gradient (attach cost 2|w|).

@@ -2,6 +2,7 @@ package algos
 
 import (
 	"repro/internal/core"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -25,6 +26,9 @@ type FedDANE struct {
 
 // Name implements core.Algorithm.
 func (*FedDANE) Name() string { return "feddane" }
+
+// String renders the method with its hyperparameter, in the text Parse reads.
+func (f *FedDANE) String() string { return spec.T("feddane", f.Mu).String() }
 
 // ExtraCommFactor implements core.CommCoster: gradients up, average down.
 func (*FedDANE) ExtraCommFactor() float64 { return 2 }

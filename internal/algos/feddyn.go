@@ -3,6 +3,7 @@ package algos
 import (
 	"repro/internal/core"
 	"repro/internal/optim"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -27,6 +28,9 @@ type FedDyn struct {
 
 // Name implements core.Algorithm.
 func (*FedDyn) Name() string { return "feddyn" }
+
+// String renders the method with its hyperparameter, in the text Parse reads.
+func (f *FedDyn) String() string { return spec.T("feddyn", f.Alpha).String() }
 
 // NewOptimizer implements core.OptimizerChooser: FedDyn runs plain SGD.
 func (*FedDyn) NewOptimizer(lr, momentum float64) optim.Optimizer {

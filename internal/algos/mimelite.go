@@ -3,6 +3,7 @@ package algos
 import (
 	"repro/internal/core"
 	"repro/internal/optim"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -28,6 +29,9 @@ type MimeLite struct {
 
 // Name implements core.Algorithm.
 func (*MimeLite) Name() string { return "mimelite" }
+
+// String renders the method with its hyperparameter, in the text Parse reads.
+func (m *MimeLite) String() string { return spec.T("mimelite", m.Beta).String() }
 
 // NewOptimizer implements core.OptimizerChooser: the momentum lives on the
 // server, so local steps are plain SGD on the mimicked update direction.

@@ -3,6 +3,7 @@ package algos
 import (
 	"repro/internal/core"
 	"repro/internal/optim"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -27,6 +28,9 @@ type SlowMo struct {
 
 // Name implements core.Algorithm.
 func (*SlowMo) Name() string { return "slowmo" }
+
+// String renders the method with its hyperparameters, in the text Parse reads.
+func (s *SlowMo) String() string { return spec.T("slowmo", s.Beta, s.SlowLR).String() }
 
 // NewOptimizer implements core.OptimizerChooser: SlowMo's local optimizer
 // is plain SGD (the slow momentum replaces local momentum).

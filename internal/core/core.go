@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -209,11 +210,15 @@ func (c *Config) Validate() error {
 	if c.LocalEpochs <= 0 {
 		return fmt.Errorf("core: local epochs %d", c.LocalEpochs)
 	}
-	if c.LR <= 0 {
+	// Each check is written so that NaN fails it.
+	if !(c.LR > 0) || math.IsInf(c.LR, 1) {
 		return fmt.Errorf("core: learning rate %v", c.LR)
 	}
-	if c.Momentum < 0 || c.Momentum >= 1 {
+	if !(c.Momentum >= 0 && c.Momentum < 1) {
 		return fmt.Errorf("core: momentum %v", c.Momentum)
+	}
+	if !(c.ClipNorm >= 0) || math.IsInf(c.ClipNorm, 1) {
+		return fmt.Errorf("core: clip norm %v is not a finite number >= 0", c.ClipNorm)
 	}
 	if c.Algo == nil {
 		return fmt.Errorf("core: nil algorithm")

@@ -8,6 +8,9 @@ func PoolCheckouts() (out, peak int) { return paramsPool.checkouts() }
 
 func ResetPoolPeak() { paramsPool.resetPeak() }
 
+// Fingerprint is the text a snapshot of the run is stamped with.
+func (sp *RunSpec) Fingerprint(numParams int) string { return sp.fingerprint(numParams) }
+
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads, and once each the model versions their sparse ones
 // were taken against. It errs unless those versions are exactly the

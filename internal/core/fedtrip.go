@@ -78,7 +78,8 @@ func NewFedTrip(mu float64) *FedTrip {
 func (f *FedTrip) Name() string { return "fedtrip" }
 
 // String renders the method with every hyperparameter (mu, then the
-// ablation knobs), so run fingerprints tell a -mu 0.1 run from a -mu 5 one.
+// ablation knobs), so run fingerprints tell a fedtrip:0.1 run from a
+// fedtrip:5 one; algos.Parse reads the text back.
 func (f *FedTrip) String() string {
 	return spec.T("fedtrip", f.Mu, float64(f.Mode), f.FixedXi, f.GlobalWeight, f.HistWeight).String()
 }

@@ -18,8 +18,9 @@ import (
 // the different-run error, both fingerprints printed. Every row was
 // accepted silently — and continued on a trajectory neither run has —
 // while the fingerprint was built from Policy.Name() and Algo.Name(),
-// which drop every argument. (FedDyn's alpha is not a row: FedDyn keeps
-// server-side state, so Snapshot refuses the method outright.)
+// which drop every argument. (FedDyn's alpha and SlowMo's beta are not
+// rows: those methods keep server-side state, so Snapshot refuses them
+// outright; TestServerSideMethodsFingerprintTheirSettings has them.)
 func TestResumeRejectsChangedSpec(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 42})
 	if err != nil {
@@ -114,6 +115,58 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 				t.Fatalf("the same spec was refused: %v", err)
 			}
 			rs2.Close()
+		})
+	}
+}
+
+// TestServerSideMethodsFingerprintTheirSettings: FedDyn and SlowMo keep
+// server-side state, so Snapshot refuses them — but their settings still
+// reach the fingerprint, through the method text they print. Before they
+// printed any, feddyn:1 and feddyn:0.1 rendered alike ("feddyn") and
+// stamped the same fingerprint.
+func TestServerSideMethodsFingerprintTheirSettings(t *testing.T) {
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 120, Test: 40, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.IID(), train.Y, train.Classes, 4, 30, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(t *testing.T, method string) core.RunSpec {
+		t.Helper()
+		algo, err := algos.Parse(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.RunSpec{Config: core.Config{
+			Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
+			Train: train, Test: test, Parts: parts,
+			Rounds: 2, ClientsPerRound: 2, BatchSize: 20, LocalEpochs: 1,
+			LR: 0.01, Momentum: 0.9, Algo: algo, Seed: 1,
+		}}
+	}
+	for _, row := range [][2]string{
+		{"feddyn:0.1", "feddyn:1"},
+		{"slowmo:0.5,1", "slowmo:0.9,1"},
+		{"slowmo:0.5,1", "slowmo:0.5,0.5"},
+	} {
+		t.Run(row[0]+"->"+row[1], func(t *testing.T) {
+			a, b := build(t, row[0]), build(t, row[1])
+			if a.Fingerprint(0) == b.Fingerprint(0) {
+				t.Fatalf("%s and %s stamp the same fingerprint %q", row[0], row[1], a.Fingerprint(0))
+			}
+			rs, err := core.NewRunState(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			if _, err := rs.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Snapshot(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "server-side") {
+				t.Fatalf("snapshot of a %s run: err %v, want a server-side state refusal", row[0], err)
+			}
 		})
 	}
 }

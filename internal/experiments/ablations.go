@@ -7,36 +7,43 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
-// fedTripVariant builds an ablation Case around a customised FedTrip.
-func fedTripVariant(key string, mutate func(*core.FedTrip)) Case {
-	return Case{
-		Kind:   data.KindMNIST,
-		Arch:   nn.ArchCNN,
-		Scheme: partition.Dirichlet(0.5),
-		Algo:   "fedtrip",
-		Factory: func() core.Algorithm {
-			f := core.NewFedTrip(0.4)
-			mutate(f)
-			return f
-		},
-		FactoryKey: key,
-	}
+// ablationCell is a CNN/MNIST Dir-0.5 run of method, the cell every
+// ablation table varies.
+func (p Profile) ablationCell(method string) runtext.Command {
+	return p.cell(data.KindMNIST, nn.ArchCNN, partition.Dirichlet(0.5), method, runtext.Selection{})
 }
 
 // ablationBase runs the FedAvg reference the ablation tables use for their
 // adaptive target.
 func ablationBase(p Profile, logf Logf) ([]*core.Result, float64, error) {
-	fedavg, err := p.RunTrials(Case{
-		Kind: data.KindMNIST, Arch: nn.ArchCNN,
-		Scheme: partition.Dirichlet(0.5), Algo: "fedavg",
-	}, logf)
+	fedavg, err := p.RunTrials(p.ablationCell("fedavg"), logf)
 	if err != nil {
 		return nil, 0, err
 	}
 	return fedavg, adaptiveTarget(fedavg), nil
+}
+
+// runVariants fills an ablation table: one row per FedTrip variant, its
+// method text in the order FedTrip prints it (mu, xi mode, fixed xi,
+// global weight, history weight).
+func runVariants(p Profile, logf Logf, t *Table, target float64, variants [][2]string) error {
+	for _, v := range variants {
+		rs, err := p.RunTrials(p.ablationCell(v[1]), logf)
+		if err != nil {
+			return err
+		}
+		mean, reached := meanRoundsToTarget(rs, target)
+		var best []float64
+		for _, r := range rs {
+			best = append(best, r.BestAccuracy)
+		}
+		t.AddRow(v[0], formatRounds(mean, reached), stats.Summarize(best).String())
+	}
+	return nil
 }
 
 // runAblationXi compares FedTrip's xi schedules: the default inverse-gap
@@ -53,28 +60,13 @@ func runAblationXi(p Profile, logf Logf) ([]*Table, error) {
 		Title:   fmt.Sprintf("FedTrip xi schedule ablation (CNN/MNIST, Dir-0.5, target %.4f)", target),
 		Headers: []string{"Variant", "Rounds to target", "Best accuracy"},
 	}
-	variants := []struct {
-		label string
-		c     Case
-	}{
-		{"xi = 1/gap (paper analysis, default)", fedTripVariant("xi-inverse", func(f *core.FedTrip) {})},
-		{"xi = gap (literal Sec IV.B)", fedTripVariant("xi-gap", func(f *core.FedTrip) { f.Mode = core.XiGap })},
-		{"xi = 1 (fixed)", fedTripVariant("xi-fixed-1", func(f *core.FedTrip) { f.Mode = core.XiFixed; f.FixedXi = 1 })},
-		{"xi = 0 (history off -> proximal mu=0.4)", fedTripVariant("xi-fixed-0", func(f *core.FedTrip) { f.Mode = core.XiFixed; f.FixedXi = 0 })},
-	}
-	for _, v := range variants {
-		rs, err := p.RunTrials(v.c, logf)
-		if err != nil {
-			return nil, err
-		}
-		mean, reached := meanRoundsToTarget(rs, target)
-		var best []float64
-		for _, r := range rs {
-			best = append(best, r.BestAccuracy)
-		}
-		t.AddRow(v.label, formatRounds(mean, reached), stats.Summarize(best).String())
-	}
-	return []*Table{t}, nil
+	err = runVariants(p, logf, t, target, [][2]string{
+		{"xi = 1/gap (paper analysis, default)", "fedtrip:0.4,0,0,1,1"},
+		{"xi = gap (literal Sec IV.B)", "fedtrip:0.4,1,0,1,1"},
+		{"xi = 1 (fixed)", "fedtrip:0.4,2,1,1,1"},
+		{"xi = 0 (history off -> proximal mu=0.4)", "fedtrip:0.4,2,0,1,1"},
+	})
+	return []*Table{t}, err
 }
 
 // runAblationHistory isolates FedTrip's two regularization terms: full
@@ -90,27 +82,12 @@ func runAblationHistory(p Profile, logf Logf) ([]*Table, error) {
 		Title:   fmt.Sprintf("FedTrip term ablation (CNN/MNIST, Dir-0.5, target %.4f)", target),
 		Headers: []string{"Variant", "Rounds to target", "Best accuracy"},
 	}
-	variants := []struct {
-		label string
-		c     Case
-	}{
-		{"full triplet (pull + repel)", fedTripVariant("terms-full", func(f *core.FedTrip) {})},
-		{"repel only (GlobalWeight=0)", fedTripVariant("terms-repel", func(f *core.FedTrip) { f.GlobalWeight = 0 })},
-		{"pull only (HistWeight=0)", fedTripVariant("terms-pull", func(f *core.FedTrip) { f.HistWeight = 0 })},
-	}
-	for _, v := range variants {
-		rs, err := p.RunTrials(v.c, logf)
-		if err != nil {
-			return nil, err
-		}
-		mean, reached := meanRoundsToTarget(rs, target)
-		var best []float64
-		for _, r := range rs {
-			best = append(best, r.BestAccuracy)
-		}
-		t.AddRow(v.label, formatRounds(mean, reached), stats.Summarize(best).String())
-	}
-	return []*Table{t}, nil
+	err = runVariants(p, logf, t, target, [][2]string{
+		{"full triplet (pull + repel)", "fedtrip:0.4,0,0,1,1"},
+		{"repel only (GlobalWeight=0)", "fedtrip:0.4,0,0,0,1"},
+		{"pull only (HistWeight=0)", "fedtrip:0.4,0,0,1,0"},
+	})
+	return []*Table{t}, err
 }
 
 // runAblationAppendix compares FedTrip with the appendix/related-work
@@ -127,11 +104,7 @@ func runAblationAppendix(p Profile, logf Logf) ([]*Table, error) {
 		Headers: []string{"Method", "Rounds to target", "GFLOPs to target", "Comm MB to target"},
 	}
 	for _, method := range []string{"fedtrip", "fedavg", "scaffold", "feddane", "mimelite"} {
-		rs, err := p.RunTrials(Case{
-			Kind: data.KindMNIST, Arch: nn.ArchCNN,
-			Scheme: partition.Dirichlet(0.5), Algo: method,
-			Params: DefaultParams(method, nn.ArchCNN, data.KindMNIST),
-		}, logf)
+		rs, err := p.RunTrials(p.ablationCell(method), logf)
 		if err != nil {
 			return nil, err
 		}

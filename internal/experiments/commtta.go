@@ -33,8 +33,8 @@ func runCommTTA(p Profile, logf Logf) ([]*Table, error) {
 		churn = "markov:40,10"
 	}
 	transports := []string{"f32", "q8", "q8+ef", "topk:0.01+ef", "randk:0.05"}
-	mkCase := func(transport string) Case {
-		return mlpMNISTCase("fedtrip", runtext.Selection{
+	mkCase := func(transport string) runtext.Command {
+		return p.mlpMNIST("fedtrip", runtext.Selection{
 			Runtime: core.RuntimeAsync, Policy: "fedbuff", Devices: devices,
 			Churn: churn, Bandwidth: bandwidth, Transport: transport,
 		})

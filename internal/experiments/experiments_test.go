@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/algos"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
@@ -112,7 +111,7 @@ func TestTable8HasAllMethods(t *testing.T) {
 func TestRunCaching(t *testing.T) {
 	ResetCaches()
 	p := Tiny()
-	c := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}
+	c := p.mlpMNIST("fedavg", runtext.Selection{})
 	r1, err := p.Run(c, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -122,108 +121,130 @@ func TestRunCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Fatal("identical case not served from cache")
+		t.Fatal("identical cell not served from cache")
 	}
 	// A different method must not hit the same cache entry.
-	c2 := c
-	c2.Algo = "fedprox"
-	r3, err := p.Run(c2, nil)
+	r3, err := p.Run(p.mlpMNIST("fedprox", runtext.Selection{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r3 == r1 {
-		t.Fatal("different case collided in cache")
+		t.Fatal("different cell collided in cache")
 	}
 }
 
-func TestFactoryKeyDisambiguatesCache(t *testing.T) {
-	a := fedTripVariant("variant-a", func(f *core.FedTrip) {})
-	b := fedTripVariant("variant-b", func(f *core.FedTrip) { f.Mode = core.XiGap })
+// The cache key is the cell's command line, so it cannot leave a setting
+// out: changing any registered flag on the cell, or any field of the
+// profile a run reads (Clients, LR, AlexScale, a selection string, ...),
+// changes the key. (The struct-printed key this replaced left out seven of
+// the profile's fields: a Tiny profile at LR 0.5 was served the LR 0.01
+// result.)
+func TestCellLineCoversEveryFlag(t *testing.T) {
 	p := Tiny()
-	if a.key(p) == b.key(p) {
-		t.Fatal("factory variants must have distinct cache keys")
-	}
-}
-
-// The run cache must not collide across runtimes or aggregation
-// policies: the same case on sync, async/fedbuff, and async/fedasync are
-// three different runs.
-func TestCaseKeyIncludesRuntimeAndPolicy(t *testing.T) {
-	p := Tiny()
-	base := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}
-	async := base
-	async.Runtime = core.RuntimeAsync
-	async.Latency = "straggler:1,10,3"
-	fedasync := async
-	fedasync.Policy = "fedasync"
-	keys := map[string]string{
-		"sync":     base.key(p),
-		"fedbuff":  async.key(p),
-		"fedasync": fedasync.key(p),
-	}
-	seen := map[string]string{}
-	for name, k := range keys {
-		if prev, ok := seen[k]; ok {
-			t.Fatalf("cases %s and %s share cache key %q", prev, name, k)
+	base := p.mlpMNIST("fedavg", runtext.Selection{})
+	var cmd runtext.Command
+	fs := flag.NewFlagSet("fedtrip", flag.ContinueOnError)
+	cmd.Register(fs)
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		cmd = base
+		v := "9"
+		switch f.Name {
+		case "algo":
+			v = "fedprox"
+		case "dataset":
+			v = "fmnist"
+		case "model", "scheme", "runtime":
+			v = "x"
+		case "local-steps-adaptive":
+			v = "true"
+		case "alpha", "scale", "lr", "momentum", "target", "clip", "flop-rate":
+			v = "0.125"
 		}
-		seen[k] = name
+		if f.Value.String() == v {
+			t.Fatalf("-%s already %s on the base cell", f.Name, v)
+		}
+		if err := fs.Set(f.Name, v); err != nil {
+			t.Fatal(err)
+		}
+		if cmd.Line() == base.Line() {
+			t.Errorf("-%s=%s does not reach the key %q", f.Name, v, base.Line())
+		}
+	})
+	if n != 33 {
+		t.Errorf("%d registered flags, want 20 task + 12 selection + flop-rate", n)
 	}
-	// Profile-level runtime selection must shift every key too.
-	pAsync := p
-	pAsync.Runtime = core.RuntimeAsync
-	pAsync.Latency = "exp:2"
-	if base.key(p) == base.key(pAsync) {
-		t.Fatal("profile runtime override did not change the cache key")
-	}
-}
-
-// The key is printed from the struct, so every field of the selection —
-// set on the case or on the profile — is part of it with no format string
-// to keep in step.
-func TestCaseKeyCoversEverySelectionField(t *testing.T) {
-	p := Tiny()
-	base := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}
-	typ := reflect.TypeOf(base.Selection)
-	for i := 0; i < typ.NumField(); i++ {
-		set := func(sel *runtext.Selection) {
-			switch f := reflect.ValueOf(sel).Elem().Field(i); f.Kind() {
-			case reflect.String:
-				f.SetString("x")
-			case reflect.Int:
-				f.SetInt(7)
-			case reflect.Bool:
-				f.SetBool(true)
-			default:
-				t.Fatalf("Selection.%s: unhandled kind %s", typ.Field(i).Name, f.Kind())
+	// Every cell the tables draw, by architecture and dataset: a profile
+	// field that reaches none of their lines is one the key leaves out.
+	lines := func(p Profile) string {
+		var out []string
+		for _, arch := range []nn.Arch{nn.ArchMLP, nn.ArchCNN, nn.ArchAlexNet} {
+			for _, kind := range []data.Kind{data.KindMNIST, data.KindEMNIST, data.KindCIFAR} {
+				out = append(out, p.cell(kind, arch, partition.Dirichlet(0.5), "fedtrip", runtext.Selection{}).Line())
 			}
 		}
-		onCase, onProfile := base, p
-		set(&onCase.Selection)
-		set(&onProfile.Selection)
-		if onCase.key(p) == base.key(p) || base.key(onProfile) == base.key(p) {
-			t.Errorf("Selection.%s does not reach the cache key", typ.Field(i).Name)
+		return strings.Join(out, "\n")
+	}
+	// Not run settings: how many trials, which mu values fig7 sweeps,
+	// how fig5 samples its curves, the profile's name.
+	skip := map[string]bool{"Name": true, "Repeats": true, "MuSweep": true, "Fig5EveryRounds": true}
+	var fields []string
+	typ := reflect.TypeOf(p)
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Name == "Selection" {
+			sel := typ.Field(i).Type
+			for j := 0; j < sel.NumField(); j++ {
+				fields = append(fields, "Selection."+sel.Field(j).Name)
+			}
+		} else if !skip[typ.Field(i).Name] {
+			fields = append(fields, typ.Field(i).Name)
 		}
-		if onCase.key(p) != base.key(onProfile) {
-			t.Errorf("Selection.%s keys differently on the case and on the profile", typ.Field(i).Name)
+	}
+	for _, name := range fields {
+		q := p
+		f := reflect.ValueOf(&q).Elem().FieldByName(strings.TrimPrefix(name, "Selection."))
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.125)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Profile.%s: unhandled kind %s", name, f.Kind())
+		}
+		if lines(q) == lines(p) {
+			t.Errorf("Profile.%s does not reach the key", name)
 		}
 	}
 }
 
+// The paper's §V.A settings are the method text the cell builder writes,
+// spelled out as the method prints itself: FedTrip's mu 1.0 on MLP and
+// 0.4 otherwise, FedDyn's alpha 1.0 on MNIST and 0.1 otherwise; a method
+// the caller already gave arguments keeps them.
 func TestDefaultParamsPaperValues(t *testing.T) {
-	if MuFedTrip(nn.ArchMLP) != 1.0 || MuFedTrip(nn.ArchCNN) != 0.4 {
-		t.Fatal("FedTrip mu defaults")
-	}
-	if AlphaFedDyn(data.KindMNIST) != 1.0 || AlphaFedDyn(data.KindCIFAR) != 0.1 {
-		t.Fatal("FedDyn alpha defaults")
-	}
-	if DefaultParams("fedtrip", nn.ArchMLP, data.KindMNIST).Mu != 1.0 {
-		t.Fatal("DefaultParams fedtrip")
-	}
-	if DefaultParams("feddyn", nn.ArchCNN, data.KindMNIST).Alpha != 1.0 {
-		t.Fatal("DefaultParams feddyn")
-	}
-	if DefaultParams("fedavg", nn.ArchCNN, data.KindMNIST) != (algos.Params{}) {
-		t.Fatal("fedavg should take zero params")
+	p := Tiny()
+	for _, tc := range []struct {
+		method string
+		arch   nn.Arch
+		kind   data.Kind
+		want   string
+	}{
+		{"fedtrip", nn.ArchMLP, data.KindMNIST, "fedtrip:1,0,0,1,1"},
+		{"fedtrip", nn.ArchCNN, data.KindMNIST, "fedtrip:0.4,0,0,1,1"},
+		{"fedtrip:0.8", nn.ArchMLP, data.KindFMNIST, "fedtrip:0.8,0,0,1,1"},
+		{"feddyn", nn.ArchCNN, data.KindMNIST, "feddyn:1"},
+		{"feddyn", nn.ArchAlexNet, data.KindCIFAR, "feddyn:0.1"},
+		{"fedprox", nn.ArchCNN, data.KindMNIST, "fedprox:0.1"},
+		{"fedavg", nn.ArchCNN, data.KindMNIST, "fedavg"},
+	} {
+		if got := p.cell(tc.kind, tc.arch, partition.Dirichlet(0.5), tc.method, runtext.Selection{}).Algo; got != tc.want {
+			t.Errorf("%s on %s/%s: -algo %s, want %s", tc.method, tc.arch, tc.kind, got, tc.want)
+		}
 	}
 }
 
@@ -267,8 +288,8 @@ func TestMLPComparisonTiny(t *testing.T) {
 	}
 	ResetCaches()
 	p := Tiny()
-	bc := benchCase{label: "MLP/MNIST", arch: nn.ArchMLP, kind: data.KindMNIST}
-	results, err := methodResults(p, bc, partition.Dirichlet(0.5), 0, 0, 0, 0, nil)
+	bc := column{label: "MLP/MNIST", arch: nn.ArchMLP, kind: data.KindMNIST}
+	results, err := methodResults(p, bc, partition.Dirichlet(0.5), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/algos"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -20,22 +19,13 @@ import (
 // convergence while cutting upload traffic ~4x versus float32, and
 // degrades gracefully at 4 bits.
 func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
-	// Every variant goes through Profile.config + Case.runSpec +
-	// core.Start, so the profile's runtime selection (-runtime/-latency/
-	// -device-dist/-dropout) reaches this experiment like any table-driven
-	// one; only the uplink transport varies per row ("" = the paper's
-	// analytic float32 accounting).
+	// Every variant is a table cell, so the profile's runtime selection
+	// (-runtime/-latency/-device-dist/-dropout) reaches this experiment
+	// like any table-driven one; only the uplink transport varies per row
+	// ("" = the paper's analytic float32 accounting).
 	runVariant := func(transport string) (*core.Result, core.RunSpec, error) {
-		c := Case{
-			Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5),
-			Algo: "fedtrip", Params: algos.Params{Mu: 0.4},
-			Selection: runtext.Selection{Transport: transport},
-		}
-		cfg, err := p.config(c, p.Seed)
-		if err != nil {
-			return nil, core.RunSpec{}, err
-		}
-		spec, err := c.runSpec(p, cfg)
+		spec, err := p.cell(data.KindMNIST, nn.ArchCNN, partition.Dirichlet(0.5), "fedtrip",
+			runtext.Selection{Transport: transport}).RunSpec()
 		if err != nil {
 			return nil, spec, err
 		}

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/algos"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/hetero"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/prng"
+	"repro/internal/runtext"
+	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/tsne"
@@ -24,8 +24,11 @@ import (
 // two inequalities: silhouette(global) > silhouette(local@final) >
 // silhouette(local@earlier).
 func runFig2(p Profile, logf Logf) ([]*Table, error) {
-	c := Case{Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5), Algo: "fedavg"}
-	cfg, err := p.config(c, p.Seed)
+	// The run is a table cell, so the profile-level runtime selection
+	// (-runtime/-latency/-device-dist/...) reaches it like any other; the
+	// snapshot hooks ride along, and every runtime honors them.
+	cmd := p.cell(data.KindMNIST, nn.ArchCNN, partition.Dirichlet(0.5), "fedavg", runtext.Selection{})
+	rspec, err := cmd.RunSpec()
 	if err != nil {
 		return nil, err
 	}
@@ -37,14 +40,14 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 	// one). Both hooks run on the server goroutine, so neither touches a
 	// client that may be training on a shard.
 	var upload0, globalFinal, localFinal, localEarlier []float64
-	cfg.OnUpdates = func(_ int, _ []float64, updates []core.Update) {
+	rspec.OnUpdates = func(_ int, _ []float64, updates []core.Update) {
 		for _, u := range updates {
 			if u.ClientID == 0 {
 				upload0 = append(upload0[:0], u.Params...)
 			}
 		}
 	}
-	cfg.OnRound = func(round int, s *core.Server) {
+	rspec.OnRound = func(round int, s *core.Server) {
 		if round == earlierRound {
 			localEarlier = slices.Clone(upload0)
 		}
@@ -53,15 +56,7 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 			localFinal = slices.Clone(upload0)
 		}
 	}
-	// The run goes through Case.runSpec so the profile-level runtime
-	// selection (-runtime/-latency/-device-dist/...) reaches this harness
-	// like any table case; the snapshot hooks ride along, and every
-	// runtime honors them.
-	rspec, err := c.runSpec(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	logf.printf("fig2: training FedAvg CNN for %d rounds (%s/%s)", p.Rounds, rspec.Runtime, rspec.Policy)
+	logf.printf("fig2: fedtrip %s", cmd.Line())
 	if _, err := core.Start(rspec); err != nil {
 		return nil, err
 	}
@@ -72,10 +67,7 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 		localFinal = localEarlier
 	}
 
-	nEmbed := 150
-	if cfg.Test.Len() < nEmbed {
-		nEmbed = cfg.Test.Len()
-	}
+	nEmbed := min(150, rspec.Test.Len())
 	t := &Table{
 		ID:      "fig2",
 		Title:   fmt.Sprintf("Representation separability (silhouette), CNN/MNIST Dir-0.5, %d test points", nEmbed),
@@ -89,12 +81,12 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 		{fmt.Sprintf("client0 local @ round %d", p.Rounds), localFinal},
 		{fmt.Sprintf("client0 local @ round %d", earlierRound), localEarlier},
 	}
-	model, err := cfg.Model.Build(1)
+	model, err := rspec.Model.Build(1)
 	if err != nil {
 		return nil, err
 	}
 	for _, snap := range snaps {
-		feat, labels, err := featuresOf(model, snap.params, cfg.Test, nEmbed)
+		feat, labels, err := featuresOf(model, snap.params, rspec.Test, nEmbed)
 		if err != nil {
 			return nil, err
 		}
@@ -141,14 +133,6 @@ func featuresOf(model *nn.Model, params []float64, ds *data.Dataset, n int) ([]f
 // runFig4 reproduces Fig. 4: per-client label distributions on MNIST under
 // the four heterogeneity settings.
 func runFig4(p Profile, logf Logf) ([]*Table, error) {
-	perClient, err := p.samplesPerClient(data.KindMNIST)
-	if err != nil {
-		return nil, err
-	}
-	train, _, err := p.datasets(data.KindMNIST, p.Clients, perClient, 0)
-	if err != nil {
-		return nil, err
-	}
 	schemes := []partition.Scheme{
 		partition.Dirichlet(0.1),
 		partition.Dirichlet(0.5),
@@ -162,11 +146,12 @@ func runFig4(p Profile, logf Logf) ([]*Table, error) {
 	}
 	var tables []*Table
 	for _, s := range schemes {
-		rng := prng.Stream(p.Seed, streamPartition, 0)
-		parts, err := partition.Partition(s, train.Y, train.Classes, p.Clients, perClient, rng)
+		cmd := p.cell(data.KindMNIST, nn.ArchMLP, s, "fedavg", runtext.Selection{})
+		cfg, err := cmd.Config()
 		if err != nil {
 			return nil, err
 		}
+		train, parts := cfg.Train, cfg.Parts
 		counts := partition.LabelCounts(parts, train.Y, train.Classes)
 		headers := []string{"Client"}
 		for c := 0; c < train.Classes; c++ {
@@ -175,7 +160,7 @@ func runFig4(p Profile, logf Logf) ([]*Table, error) {
 		headers = append(headers, "#classes")
 		t := &Table{
 			ID:      "fig4",
-			Title:   fmt.Sprintf("Label distribution under %s (MNIST, %d clients x %d samples)", s, p.Clients, perClient),
+			Title:   fmt.Sprintf("Label distribution under %s (MNIST, %d clients x %d samples)", s, cmd.Clients, cmd.Samples),
 			Headers: headers,
 		}
 		eff := partition.EffectiveClasses(counts)
@@ -210,8 +195,8 @@ func runFig5(p Profile, logf Logf) ([]*Table, error) {
 	var tables []*Table
 	for _, scheme := range schemes {
 		for _, kind := range kinds {
-			bc := benchCase{arch: nn.ArchCNN, kind: kind}
-			results, err := methodResults(p, bc, scheme, 0, 0, 0, 0, logf)
+			bc := column{arch: nn.ArchCNN, kind: kind}
+			results, err := methodResults(p, bc, scheme, nil, logf)
 			if err != nil {
 				return nil, err
 			}
@@ -275,8 +260,8 @@ func runFig6(p Profile, logf Logf) ([]*Table, error) {
 		for _, method := range PaperMethods() {
 			row := []string{method}
 			for _, scheme := range schemes {
-				bc := benchCase{arch: arch, kind: data.KindFMNIST}
-				results, err := methodResults(p, bc, scheme, 0, 0, 0, 0, logf)
+				bc := column{arch: arch, kind: data.KindFMNIST}
+				results, err := methodResults(p, bc, scheme, nil, logf)
 				if err != nil {
 					return nil, err
 				}
@@ -316,10 +301,7 @@ func runFig7(p Profile, logf Logf) ([]*Table, error) {
 	var tables []*Table
 	for _, panel := range panels {
 		// Target derives from the FedAvg baseline of the same panel.
-		fedavg, err := p.RunTrials(Case{
-			Kind: panel.kind, Arch: panel.arch, Scheme: panel.scheme,
-			Algo: "fedavg",
-		}, logf)
+		fedavg, err := p.RunTrials(p.cell(panel.kind, panel.arch, panel.scheme, "fedavg", runtext.Selection{}), logf)
 		if err != nil {
 			return nil, err
 		}
@@ -330,10 +312,8 @@ func runFig7(p Profile, logf Logf) ([]*Table, error) {
 			Headers: []string{"mu", "best accuracy", "rounds to target"},
 		}
 		for _, mu := range p.MuSweep {
-			rs, err := p.RunTrials(Case{
-				Kind: panel.kind, Arch: panel.arch, Scheme: panel.scheme,
-				Algo: "fedtrip", Params: algos.Params{Mu: mu},
-			}, logf)
+			method := spec.T("fedtrip", mu).String()
+			rs, err := p.RunTrials(p.cell(panel.kind, panel.arch, panel.scheme, method, runtext.Selection{}), logf)
 			if err != nil {
 				return nil, err
 			}

@@ -51,8 +51,8 @@ func runHetero(p Profile, logf Logf) ([]*Table, error) {
 	if buffer == 0 {
 		buffer = max(1, perRound/2)
 	}
-	baseCase := func(method string, v variant, churnSpec string) Case {
-		c := mlpMNISTCase(method, runtext.Selection{
+	baseCase := func(method string, v variant, churnSpec string) runtext.Command {
+		c := p.mlpMNIST(method, runtext.Selection{
 			Runtime: core.RuntimeAsync, Policy: v.policy, Buffer: buffer,
 			Devices: v.devices, AdaptiveSteps: v.adaptive,
 		})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 )
 
 // Tiny-profile integration runs for the cheaper round-based experiments.
@@ -259,8 +260,7 @@ func TestProfileRuntimeOverride(t *testing.T) {
 	p := Tiny()
 	p.Runtime = core.RuntimeAsync
 	p.Latency = "straggler:1,10,3"
-	c := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedtrip"}
-	res, err := p.Run(c, nil)
+	res, err := p.Run(p.mlpMNIST("fedtrip", runtext.Selection{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +269,57 @@ func TestProfileRuntimeOverride(t *testing.T) {
 	}
 	// A server-hook method (SlowMo overrides aggregation) must fall back
 	// to the barrier runtime instead of erroring.
-	c2 := c
-	c2.Algo = "slowmo"
-	res2, err := p.Run(c2, nil)
+	res2, err := p.Run(p.mlpMNIST("slowmo", runtext.Selection{}), nil)
 	if err != nil {
 		t.Fatalf("server-hook method under async profile: %v", err)
 	}
 	if len(res2.SimTimeByRound) != res2.Rounds {
 		t.Fatal("barrier fallback did not price rounds in simulated time")
+	}
+}
+
+// A table cell is its command line: Profile.Run and core.Start over
+// runtext.FromLine of the cell's line train bit-identical accuracy series —
+// for a second trial, an ablation written as method text, and a
+// server-hook method under an async profile, whose line says barrier.
+func TestCellIsItsCommandLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	ResetCaches()
+	p := Tiny()
+	async := p
+	async.Runtime, async.Latency = core.RuntimeAsync, "straggler:1,10,3"
+	trial1 := p.mlpMNIST("fedprox", runtext.Selection{})
+	trial1.Seed++
+	slowmo := async.mlpMNIST("slowmo", runtext.Selection{})
+	if slowmo.Runtime != core.RuntimeBarrier {
+		t.Fatalf("slowmo under an async profile runs on %q, want barrier", slowmo.Runtime)
+	}
+	for _, tc := range []struct {
+		p Profile
+		c runtext.Command
+	}{
+		{p, trial1},
+		{p, p.cell(data.KindMNIST, nn.ArchMLP, partition.Dirichlet(0.5), "fedtrip:0.4,1,0,1,1", runtext.Selection{})},
+		{async, slowmo},
+	} {
+		line := tc.c.Line()
+		got, err := tc.p.Run(tc.c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := runtext.FromLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Start(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Accuracy) != fmt.Sprint(want.Accuracy) || got.Digest() != want.Digest() {
+			t.Errorf("fedtrip %s:\n cell %v\n line %v", line, got.Accuracy, want.Accuracy)
+		}
 	}
 }
 
@@ -295,9 +338,9 @@ func TestFig2Tiny(t *testing.T) {
 		// Client 0 is first selected after round 3, so the earlier local
 		// snapshot falls back to the final global model.
 		{"sync", "", "", false, [][]string{
-			{"global @ round 6", "-0.0301", "-0.1216"},
-			{"client0 local @ round 6", "-0.0455", "-0.1260"},
-			{"client0 local @ round 3", "-0.0301", "-0.1216"},
+			{"global @ round 6", "-0.0238", "-0.1643"},
+			{"client0 local @ round 6", "-0.0365", "-0.1514"},
+			{"client0 local @ round 3", "-0.0238", "-0.1643"},
 		}},
 		{"async", core.RuntimeAsync, "straggler:1,10,3", true, nil},
 	}

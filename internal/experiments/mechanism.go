@@ -9,6 +9,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/prng"
+	"repro/internal/runtext"
 	"repro/internal/trace"
 )
 
@@ -31,24 +32,17 @@ func runFig3(p Profile, logf Logf) ([]*Table, error) {
 		Headers: []string{"Method", "||w_k - w_global||", "||w_k - w_hist||", "final accuracy"},
 	}
 	for _, method := range []string{"fedavg", "fedprox", "fedtrip"} {
-		c := Case{
-			Kind: data.KindMNIST, Arch: nn.ArchCNN, Scheme: partition.Dirichlet(0.5),
-			Algo: method, Params: DefaultParams(method, nn.ArchCNN, data.KindMNIST),
-		}
-		cfg, err := p.config(c, p.Seed)
+		// The trace run is a table cell, so the profile's runtime selection
+		// reaches it; the collector rides along as OnUpdates, which every
+		// runtime honors.
+		cmd := p.cell(data.KindMNIST, nn.ArchCNN, partition.Dirichlet(0.5), method, runtext.Selection{})
+		rspec, err := cmd.RunSpec()
 		if err != nil {
 			return nil, err
 		}
 		col := trace.NewCollector()
-		logf.printf("fig3: tracing %s", method)
-		// Case.runSpec routes the trace run through the profile's runtime
-		// selection; the collector rides along as OnUpdates, which every
-		// runtime honors.
-		cfg.OnUpdates = col.Hook()
-		rspec, err := c.runSpec(p, cfg)
-		if err != nil {
-			return nil, err
-		}
+		logf.printf("fig3: tracing fedtrip %s", cmd.Line())
+		rspec.OnUpdates = col.Hook()
 		res, err := core.Start(rspec)
 		if err != nil {
 			return nil, err

@@ -12,9 +12,10 @@ import (
 //
 // Every experiment is runtime-agnostic: the embedded runtext.Selection
 // picks the runtime, aggregation policy, fleet models and transport the
-// cases run on (cmd/fedtrip-tables registers it as flags), and individual
-// experiments may override any of it per Case (the time-to-accuracy table
-// does, to compare policies side by side).
+// cells run on (cmd/fedtrip-tables registers it as flags), and individual
+// experiments may override any of it per cell (the time-to-accuracy table
+// does, to compare policies side by side). A cell is a fedtrip command
+// line (Profile.cell): the profile's fields are its base flags.
 type Profile struct {
 	Name string
 	// SamplesPerClient overrides Table II's per-client data size
@@ -49,9 +50,9 @@ type Profile struct {
 	// Fig5EveryRounds samples the convergence curves every k rounds when
 	// rendering Fig. 5 tables.
 	Fig5EveryRounds int
-	// Seed anchors all randomness.
+	// Seed anchors all randomness: trial t of a cell runs at -seed Seed+t.
 	Seed int64
-	// Selection is the runtime selection every case starts from. Methods
+	// Selection is the runtime selection every cell starts from. Methods
 	// with server-side hooks (Aggregator/PreRounder) fall back from async
 	// to barrier, which joins every client before aggregating.
 	runtext.Selection

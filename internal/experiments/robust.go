@@ -36,8 +36,8 @@ func runRobust(p Profile, logf Logf) ([]*Table, error) {
 	if buffer == 0 {
 		buffer = perRound
 	}
-	baseCase := func(policy string, frac float64, churnSpec string) Case {
-		c := mlpMNISTCase("fedtrip", runtext.Selection{
+	baseCase := func(policy string, frac float64, churnSpec string) runtext.Command {
+		c := p.mlpMNIST("fedtrip", runtext.Selection{
 			Runtime: core.RuntimeAsync, Policy: policy, Buffer: buffer,
 			Devices: "tiered", AdaptiveSteps: true, Churn: churnSpec,
 		})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/stats"
 )
 
@@ -16,15 +17,15 @@ func PaperMethods() []string {
 	return []string{"fedtrip", "fedavg", "fedprox", "slowmo", "moon", "feddyn"}
 }
 
-// benchCase is one model/dataset column of Tables IV and V.
-type benchCase struct {
+// column is one model/dataset column of Tables IV and V.
+type column struct {
 	label string
 	arch  nn.Arch
 	kind  data.Kind
 }
 
-func table4Cases() []benchCase {
-	return []benchCase{
+func table4Columns() []column {
+	return []column{
 		{"MLP/MNIST", nn.ArchMLP, data.KindMNIST},
 		{"MLP/FMNIST", nn.ArchMLP, data.KindFMNIST},
 		{"CNN/MNIST", nn.ArchCNN, data.KindMNIST},
@@ -34,22 +35,17 @@ func table4Cases() []benchCase {
 	}
 }
 
-// methodResults runs every paper method for a case and returns
-// method -> trials. clip > 0 enables uniform gradient clipping.
-func methodResults(p Profile, bc benchCase, scheme partition.Scheme, clients, perRound, epochs int, clip float64, logf Logf) (map[string][]*core.Result, error) {
+// methodResults runs every paper method on arch/kind under scheme and
+// returns method -> trials. set, if non-nil, edits each method's command
+// (Table VI's 4-of-50 clients, Table VII's local epochs and clipping).
+func methodResults(p Profile, bc column, scheme partition.Scheme, set func(*runtext.Command), logf Logf) (map[string][]*core.Result, error) {
 	out := make(map[string][]*core.Result)
 	for _, method := range PaperMethods() {
-		rs, err := p.RunTrials(Case{
-			Kind:        bc.kind,
-			Arch:        bc.arch,
-			Scheme:      scheme,
-			Algo:        method,
-			Params:      DefaultParams(method, bc.arch, bc.kind),
-			Clients:     clients,
-			PerRound:    perRound,
-			LocalEpochs: epochs,
-			ClipNorm:    clip,
-		}, logf)
+		c := p.cell(bc.kind, bc.arch, scheme, method, runtext.Selection{})
+		if set != nil {
+			set(&c)
+		}
+		rs, err := p.RunTrials(c, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -64,12 +60,12 @@ func runTable4(p Profile, logf Logf) ([]*Table, error) {
 	t := &Table{
 		ID:      "table4",
 		Title:   "Communication rounds to target accuracy (Dir-0.5, 4-of-10), ratio vs FedTrip",
-		Headers: append([]string{"Method"}, labelsOf(table4Cases())...),
+		Headers: append([]string{"Method"}, labelsOf(table4Columns())...),
 	}
 	cells := map[string][]string{}
 	scheme := partition.Dirichlet(0.5)
-	for _, bc := range table4Cases() {
-		results, err := methodResults(p, bc, scheme, 0, 0, 0, 0, logf)
+	for _, bc := range table4Columns() {
+		results, err := methodResults(p, bc, scheme, nil, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -98,12 +94,12 @@ func runTable5(p Profile, logf Logf) ([]*Table, error) {
 	t := &Table{
 		ID:      "table5",
 		Title:   "GFLOPs to target accuracy (Dir-0.5, 4-of-10)",
-		Headers: append([]string{"Method"}, labelsOf(table4Cases())...),
+		Headers: append([]string{"Method"}, labelsOf(table4Columns())...),
 	}
 	cells := map[string][]string{}
 	scheme := partition.Dirichlet(0.5)
-	for _, bc := range table4Cases() {
-		results, err := methodResults(p, bc, scheme, 0, 0, 0, 0, logf)
+	for _, bc := range table4Columns() {
+		results, err := methodResults(p, bc, scheme, nil, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -146,8 +142,8 @@ func runTable6(p Profile, logf Logf) ([]*Table, error) {
 	}
 	cells := map[string][]string{}
 	for _, c := range cols {
-		bc := benchCase{arch: nn.ArchCNN, kind: c.kind}
-		results, err := methodResults(p, bc, c.scheme, 50, 4, 0, 0, logf)
+		bc := column{arch: nn.ArchCNN, kind: c.kind}
+		results, err := methodResults(p, bc, c.scheme, func(cmd *runtext.Command) { cmd.Clients, cmd.K = 50, 4 }, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -182,8 +178,8 @@ func runTable7(p Profile, logf Logf) ([]*Table, error) {
 		Headers: []string{"Local epochs", "Round", "FedTrip", "FedAvg", "FedProx", "SlowMo", "MOON", "FedDyn"},
 	}
 	for _, epochs := range []int{5, 10} {
-		bc := benchCase{arch: nn.ArchCNN, kind: data.KindMNIST}
-		results, err := methodResults(pLocal, bc, partition.Dirichlet(0.5), 0, 0, epochs, 5, logf)
+		bc := column{arch: nn.ArchCNN, kind: data.KindMNIST}
+		results, err := methodResults(pLocal, bc, partition.Dirichlet(0.5), func(c *runtext.Command) { c.Epochs, c.Clip = epochs, 5 }, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +202,7 @@ func runTable7(p Profile, logf Logf) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-func labelsOf(cases []benchCase) []string {
+func labelsOf(cases []column) []string {
 	out := make([]string, len(cases))
 	for i, c := range cases {
 		out[i] = c.label

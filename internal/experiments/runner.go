@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"sync"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/prng"
 	"repro/internal/runtext"
 	"repro/internal/stats"
 )
@@ -23,295 +23,108 @@ func (l Logf) printf(format string, args ...any) {
 	}
 }
 
-// Case identifies one federated run inside an experiment.
-type Case struct {
-	Kind   data.Kind
-	Arch   nn.Arch
-	Scheme partition.Scheme
-	// Algo is the registry name; Params tunes it. Factory, if non-nil,
-	// overrides the registry (used by the FedTrip ablations).
-	Algo    string
-	Params  algos.Params
-	Factory func() core.Algorithm
-	// FactoryKey disambiguates Factory-built cases in the run cache.
-	FactoryKey string
-	// Clients / PerRound override the profile when non-zero (Table VI's
-	// 4-of-50 setting).
-	Clients, PerRound int
-	// LocalEpochs overrides the profile when non-zero (Table VII).
-	LocalEpochs int
-	// Rounds overrides the profile's round budget when non-zero. Async
-	// cases use it to equalize total client updates across aggregation
-	// policies (Rounds counts aggregations there, and a FedAsync
-	// aggregation merges one update where a barrier round merges K).
-	Rounds int
-	// ClipNorm enables gradient clipping for every method in the case
-	// (Table VII's long aggregation intervals need it for stability).
-	ClipNorm float64
-	// Trial indexes repeated runs; it offsets every seed.
-	Trial int
-	// Selection overrides the profile's runtime selection field by field
-	// (non-zero beats the profile), so a single experiment can compare
-	// runtimes, aggregation policies, device fleets, transports and
-	// adversaries side by side (see the time-to-accuracy, hetero, comm-tta
-	// and robust tables).
-	runtext.Selection
-}
-
-// runSpec assembles the core.RunSpec for a case over cfg: the profile's
-// selection with the case's overrides on top, parsed and validated in
-// runtext. Methods with server-side hooks (Aggregator, PreRounder) cannot
-// run on the buffered async runtime; they fall back to the barrier
-// runtime, which joins every client before aggregating, so a whole-table
-// runtime override stays runnable for every paper method.
-func (c Case) runSpec(p Profile, cfg core.Config) (core.RunSpec, error) {
-	sel := p.Selection.Overlay(c.Selection)
-	_, isAgg := cfg.Algo.(core.Aggregator)
-	_, isPre := cfg.Algo.(core.PreRounder)
-	if sel.Runtime == core.RuntimeAsync && (isAgg || isPre) {
-		sel.Runtime = core.RuntimeBarrier
-	}
-	return sel.RunSpec(cfg)
-}
-
-// key identifies the case in the run cache: the profile fields a run
-// reads, then the case itself with the selection and round budget
-// resolved — printed from the struct, so a new field is part of the key
-// the day it is added.
-func (c Case) key(p Profile) string {
-	c.Selection = p.Selection.Overlay(c.Selection)
-	if c.Factory != nil {
-		c.Algo, c.Factory = "factory:"+c.FactoryKey, nil
-	}
-	if c.Rounds == 0 {
-		c.Rounds = p.Rounds
-	}
-	return fmt.Sprintf("%s|%d|%d|%v|%d|%+v", p.Name, p.SamplesPerClient, p.Batch, p.ConvScale, p.Seed, c)
-}
-
 var (
-	cacheMu   sync.Mutex
-	dataCache = map[string][2]*data.Dataset{}
-	runCache  = map[string]*core.Result{}
+	cacheMu  sync.Mutex
+	runCache = map[string]*core.Result{}
 )
 
-// ResetCaches clears memoised datasets and run results (tests).
+// ResetCaches clears memoised run results (tests).
 func ResetCaches() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	dataCache = map[string][2]*data.Dataset{}
 	runCache = map[string]*core.Result{}
 }
 
-// datasets returns (train, test) for a case, memoised.
-func (p Profile) datasets(kind data.Kind, clients, perClient, trial int) (*data.Dataset, *data.Dataset, error) {
-	trainN := clients * perClient
-	key := fmt.Sprintf("%s|%d|%d|%d|%d", kind, trainN, p.TestSamples, p.Seed, trial)
-	cacheMu.Lock()
-	if ds, ok := dataCache[key]; ok {
-		cacheMu.Unlock()
-		return ds[0], ds[1], nil
-	}
-	cacheMu.Unlock()
-	train, test, err := data.Generate(data.Spec{
-		Kind:  kind,
-		Train: trainN,
-		Test:  p.TestSamples,
-		Seed:  p.Seed + int64(1000*trial) + int64(kindSeed(kind)),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	cacheMu.Lock()
-	dataCache[key] = [2]*data.Dataset{train, test}
-	cacheMu.Unlock()
-	return train, test, nil
-}
-
-func kindSeed(kind data.Kind) int {
-	switch kind {
-	case data.KindMNIST:
-		return 1
-	case data.KindFMNIST:
-		return 2
-	case data.KindEMNIST:
-		return 3
+// cell is the harness's one builder: the run of method on kind/arch under
+// scheme, as the fedtrip command line the profile's settings and sel make
+// of it. The per-kind table picks -samples, the per-arch table -scale, and
+// a bare method name gets §V.A's setting (FedTrip's mu is 1.0 on every MLP,
+// FedDyn's alpha 1.0 on MNIST; algos.New's defaults are the rest), written
+// out in full as the method prints itself. A caller sets any other flag on
+// the returned command.
+func (p Profile) cell(kind data.Kind, arch nn.Arch, scheme partition.Scheme, method string, sel runtext.Selection) runtext.Command {
+	var c runtext.Command
+	c.Register(flag.NewFlagSet("", flag.ContinueOnError)) // fedtrip's defaults
+	c.Selection = c.Selection.Overlay(p.Selection).Overlay(sel)
+	c.Dataset, c.Model, c.Algo = string(kind), string(arch), method
+	c.Clients, c.K, c.Test, c.Rounds = p.Clients, p.PerRound, p.TestSamples, p.Rounds
+	c.Batch, c.Epochs, c.LR, c.Momentum, c.Seed = p.Batch, p.LocalEpochs, p.LR, p.Momentum, p.Seed
+	switch scheme.Name {
+	case "dirichlet":
+		c.Scheme, c.Alpha = "dir", scheme.Alpha
+	case "orthogonal":
+		c.Scheme, c.Clusters = "orthogonal", scheme.Clusters
 	default:
-		return 4
+		c.Scheme = "iid"
 	}
-}
-
-// modelSpec builds the architecture for a case at the profile's scale.
-func (p Profile) modelSpec(arch nn.Arch, kind data.Kind) (nn.ModelSpec, error) {
-	st, err := data.TableII(kind)
+	c.Samples = p.SamplesPerClient
+	switch {
+	case kind == data.KindCIFAR && p.CIFARSamples > 0:
+		c.Samples = p.CIFARSamples
+	case kind == data.KindEMNIST && p.EMNISTSamples > 0:
+		c.Samples = p.EMNISTSamples
+	case c.Samples == 0:
+		st, _ := data.TableII(kind) // an unknown kind fails in Task.Config
+		c.Samples = st.ClientSamples
+	}
+	c.Scale = map[nn.Arch]float64{nn.ArchMLP: 1, nn.ArchCNN: p.ConvScale, nn.ArchAlexNet: p.AlexScale}[arch]
+	switch {
+	case method == "fedtrip" && arch == nn.ArchMLP:
+		c.Algo = "fedtrip:1"
+	case method == "feddyn" && kind == data.KindMNIST:
+		c.Algo = "feddyn:1"
+	}
+	m, err := algos.Parse(c.Algo)
 	if err != nil {
-		return nn.ModelSpec{}, err
+		return c // Task.Config reports it
 	}
-	scale := 1.0
-	switch arch {
-	case nn.ArchCNN:
-		scale = p.ConvScale
-	case nn.ArchAlexNet:
-		scale = p.AlexScale
+	if s, ok := m.(fmt.Stringer); ok {
+		c.Algo = s.String() // every argument spelled out: equal lines are equal runs
 	}
-	return nn.ModelSpec{
-		Arch:     arch,
-		Channels: st.Channels,
-		Height:   st.Height,
-		Width:    st.Width,
-		Classes:  st.Classes,
-		Scale:    scale,
-	}, nil
+	// Methods with server-side hooks (Aggregator, PreRounder) cannot run on
+	// the buffered async runtime; they fall back to the barrier runtime,
+	// which joins every client before aggregating, so a whole-table
+	// runtime override stays runnable for every paper method.
+	_, agg := m.(core.Aggregator)
+	_, pre := m.(core.PreRounder)
+	if c.Runtime == core.RuntimeAsync && (agg || pre) {
+		c.Runtime = core.RuntimeBarrier
+	}
+	return c
 }
 
-// samplesPerClient resolves the per-client data size for a case.
-func (p Profile) samplesPerClient(kind data.Kind) (int, error) {
-	if kind == data.KindCIFAR && p.CIFARSamples > 0 {
-		return p.CIFARSamples, nil
-	}
-	if kind == data.KindEMNIST && p.EMNISTSamples > 0 {
-		return p.EMNISTSamples, nil
-	}
-	if p.SamplesPerClient > 0 {
-		return p.SamplesPerClient, nil
-	}
-	st, err := data.TableII(kind)
-	if err != nil {
-		return 0, err
-	}
-	return st.ClientSamples, nil
-}
-
-// MuFedTrip returns the paper's FedTrip mu for an architecture (§V.A:
-// 1.0 for all MLP experiments, 0.4 otherwise).
-func MuFedTrip(arch nn.Arch) float64 {
-	if arch == nn.ArchMLP {
-		return 1.0
-	}
-	return 0.4
-}
-
-// AlphaFedDyn returns the paper's FedDyn alpha (1.0 on MNIST, 0.1 else).
-func AlphaFedDyn(kind data.Kind) float64 {
-	if kind == data.KindMNIST {
-		return 1.0
-	}
-	return 0.1
-}
-
-// DefaultParams fills the paper's §V.A hyperparameters for a method/case.
-func DefaultParams(algo string, arch nn.Arch, kind data.Kind) algos.Params {
-	switch algo {
-	case "fedtrip":
-		return algos.Params{Mu: MuFedTrip(arch)}
-	case "feddyn":
-		return algos.Params{Alpha: AlphaFedDyn(kind)}
-	default:
-		return algos.Params{}
-	}
-}
-
-// config assembles a case's base configuration — the harness's one
-// ladder: the profile's sizes with the case's overrides, the memoised
-// corpus of the case's trial, the partition drawn from seed's partition
-// stream, a fresh method instance. Run passes a per-trial seed; the
-// single-run experiments (fig2, fig3, theory-rho, ext-quant) pass p.Seed
-// and set their hooks on the returned config.
-func (p Profile) config(c Case, seed int64) (core.Config, error) {
-	clients := p.Clients
-	if c.Clients > 0 {
-		clients = c.Clients
-	}
-	perRound := p.PerRound
-	if c.PerRound > 0 {
-		perRound = c.PerRound
-	}
-	epochs := p.LocalEpochs
-	if c.LocalEpochs > 0 {
-		epochs = c.LocalEpochs
-	}
-	rounds := p.Rounds
-	if c.Rounds > 0 {
-		rounds = c.Rounds
-	}
-	perClient, err := p.samplesPerClient(c.Kind)
-	if err != nil {
-		return core.Config{}, err
-	}
-	train, test, err := p.datasets(c.Kind, clients, perClient, c.Trial)
-	if err != nil {
-		return core.Config{}, err
-	}
-	spec, err := p.modelSpec(c.Arch, c.Kind)
-	if err != nil {
-		return core.Config{}, err
-	}
-	rng := prng.Stream(seed, streamPartition, 0)
-	parts, err := partition.Partition(c.Scheme, train.Y, train.Classes, clients, perClient, rng)
-	if err != nil {
-		return core.Config{}, err
-	}
-	var algo core.Algorithm
-	if c.Factory != nil {
-		algo = c.Factory()
-	} else {
-		algo, err = algos.New(c.Algo, c.Params)
-		if err != nil {
-			return core.Config{}, err
-		}
-	}
-	return core.Config{
-		Model:           spec,
-		Train:           train,
-		Test:            test,
-		Parts:           parts,
-		Rounds:          rounds,
-		ClientsPerRound: perRound,
-		BatchSize:       p.Batch,
-		LocalEpochs:     epochs,
-		LR:              p.LR,
-		Momentum:        p.Momentum,
-		ClipNorm:        c.ClipNorm,
-		Algo:            algo,
-		Seed:            seed,
-	}, nil
-}
-
-// Run executes (or recalls from cache) the federated run for a case.
-func (p Profile) Run(c Case, logf Logf) (*core.Result, error) {
-	key := c.key(p)
+// Run executes (or recalls from cache) the run a command line describes.
+// The line is the cache key and the progress line, so every cell is one
+// `fedtrip` invocation away.
+func (p Profile) Run(c runtext.Command, logf Logf) (*core.Result, error) {
+	line := c.Line()
 	cacheMu.Lock()
-	if r, ok := runCache[key]; ok {
-		cacheMu.Unlock()
+	r, ok := runCache[line]
+	cacheMu.Unlock()
+	if ok {
 		return r, nil
 	}
-	cacheMu.Unlock()
-
-	cfg, err := p.config(c, p.Seed+int64(100000*(c.Trial+1)))
-	if err != nil {
-		return nil, err
+	logf.printf("fedtrip %s", line)
+	spec, err := c.RunSpec()
+	if err == nil {
+		r, err = core.Start(spec)
 	}
-	runSpec, err := c.runSpec(p, cfg)
 	if err != nil {
-		return nil, err
-	}
-	logf.printf("run %s %s %s %s (%s/%s, clients %d/%d, epochs %d, trial %d)",
-		cfg.Algo.Name(), c.Arch, c.Kind, c.Scheme, runSpec.Runtime, runSpec.Policy, cfg.ClientsPerRound, len(cfg.Parts), cfg.LocalEpochs, c.Trial)
-	res, err := core.Start(runSpec)
-	if err != nil {
-		return nil, fmt.Errorf("case %s/%s/%s/%s: %w", c.Algo, c.Arch, c.Kind, c.Scheme, err)
+		return nil, fmt.Errorf("fedtrip %s: %w", line, err)
 	}
 	cacheMu.Lock()
-	runCache[key] = res
+	runCache[line] = r
 	cacheMu.Unlock()
-	return res, nil
+	return r, nil
 }
 
-// RunTrials executes Repeats trials of a case and returns all results.
-func (p Profile) RunTrials(c Case, logf Logf) ([]*core.Result, error) {
+// RunTrials executes Repeats trials of a command, trial t at -seed
+// Seed+t, and returns all results.
+func (p Profile) RunTrials(c runtext.Command, logf Logf) ([]*core.Result, error) {
 	out := make([]*core.Result, 0, p.Repeats)
+	seed := c.Seed
 	for trial := 0; trial < p.Repeats; trial++ {
-		c.Trial = trial
+		c.Seed = seed + int64(trial)
 		r, err := p.Run(c, logf)
 		if err != nil {
 			return nil, err
@@ -391,18 +204,11 @@ func meanRoundsToTarget(results []*core.Result, target float64) (mean float64, r
 	return s.aggs, s.reached
 }
 
-// mlpMNISTCase is the case the runtime-comparison tables (tta, hetero,
+// mlpMNIST is the cell the runtime-comparison tables (tta, hetero,
 // comm-tta, robust) share: a method on MLP/MNIST under Dir-0.5 with its
 // paper hyperparameters, on the given runtime selection.
-func mlpMNISTCase(method string, sel runtext.Selection) Case {
-	return Case{
-		Kind:      data.KindMNIST,
-		Arch:      nn.ArchMLP,
-		Scheme:    partition.Dirichlet(0.5),
-		Algo:      method,
-		Params:    DefaultParams(method, nn.ArchMLP, data.KindMNIST),
-		Selection: sel,
-	}
+func (p Profile) mlpMNIST(method string, sel runtext.Selection) runtext.Command {
+	return p.cell(data.KindMNIST, nn.ArchMLP, partition.Dirichlet(0.5), method, sel)
 }
 
 // formatRounds renders a rounds-to-target cell, with ">" when unreached.

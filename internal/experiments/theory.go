@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/runtext"
 	"repro/internal/tensor"
 )
 
@@ -25,30 +26,27 @@ import (
 func runTheoryRho(p Profile, logf Logf) ([]*Table, error) {
 	// Collect global-model snapshots along a short FedAvg trajectory so
 	// the constants are measured where training actually happens. The
-	// trajectory run goes through Case.runSpec so the profile's runtime
-	// selection reaches it; the snapshot hook rides along as OnRound. The
-	// FullGrad probes below are measurement, not a run — they read client
-	// data through a bare server.
-	c := Case{Kind: data.KindMNIST, Arch: nn.ArchMLP, Scheme: partition.Dirichlet(0.5), Algo: "fedavg", Rounds: min(p.Rounds, 10)}
-	cfg, err := p.config(c, p.Seed)
+	// trajectory run is a table cell, so the profile's runtime selection
+	// reaches it; the snapshot hook rides along as OnRound. The FullGrad
+	// probes below are measurement, not a run — they read client data
+	// through a bare server.
+	c := p.cell(data.KindMNIST, nn.ArchMLP, partition.Dirichlet(0.5), "fedavg", runtext.Selection{})
+	c.Rounds = min(p.Rounds, 10)
+	rspec, err := c.RunSpec()
 	if err != nil {
 		return nil, err
 	}
 	var snapshots [][]float64
-	cfg.OnRound = func(round int, s *core.Server) {
+	rspec.OnRound = func(round int, s *core.Server) {
 		if round%2 == 1 {
 			snapshots = append(snapshots, append([]float64(nil), s.Global()...))
 		}
 	}
-	rspec, err := c.runSpec(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	logf.printf("theory-rho: collecting trajectory snapshots")
+	logf.printf("theory-rho: collecting trajectory snapshots of fedtrip %s", c.Line())
 	if _, err := core.Start(rspec); err != nil {
 		return nil, err
 	}
-	srv, err := core.NewServer(cfg)
+	srv, err := core.NewServer(rspec.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -50,8 +50,8 @@ func runTTA(p Profile, logf Logf) ([]*Table, error) {
 		// genuinely decouples from the lock-step cadence.
 		buffer = max(1, perRound/2)
 	}
-	baseCase := func(method string, v variant) Case {
-		c := mlpMNISTCase(method, runtext.Selection{
+	baseCase := func(method string, v variant) runtext.Command {
+		c := p.mlpMNIST(method, runtext.Selection{
 			Runtime: v.runtime, Latency: latency, Policy: v.policy, Buffer: buffer,
 		})
 		// Rounds counts aggregations on the buffered runtime, and one
@@ -59,8 +59,7 @@ func runTTA(p Profile, logf Logf) ([]*Table, error) {
 		// merges K — scale the budget so every variant trains the same
 		// total number of client updates. Ceiling division: a buffer
 		// that does not divide the update budget rounds the aggregation
-		// count up (never down to a silent 0, which Profile.Run would
-		// read as "no override").
+		// count up, never down to an invalid 0.
 		if v.runtime == core.RuntimeAsync {
 			updatesPerAgg := buffer
 			if v.policy == "fedasync" {
@@ -160,7 +159,7 @@ func runTTASweep(p Profile, logf Logf, latency string, target float64, perRound 
 	)
 	totalUpdates := p.Rounds * perRound
 	for _, r := range rows {
-		c := mlpMNISTCase("fedtrip", runtext.Selection{
+		c := p.mlpMNIST("fedtrip", runtext.Selection{
 			Runtime: core.RuntimeAsync, Latency: latency, Policy: r.policy,
 			ServerLR: r.serverLR, Buffer: r.updatesPerAgg,
 		})

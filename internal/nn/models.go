@@ -35,7 +35,7 @@ func (s *ModelSpec) Validate() error {
 	if s.Scale == 0 {
 		s.Scale = 1
 	}
-	if s.Scale < 0 || s.Scale > 1 {
+	if !(s.Scale > 0 && s.Scale <= 1) {
 		return fmt.Errorf("nn: model scale %v outside (0,1]", s.Scale)
 	}
 	if s.Channels <= 0 || s.Height <= 0 || s.Width <= 0 || s.Classes <= 1 {

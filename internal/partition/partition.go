@@ -12,9 +12,8 @@ import (
 )
 
 // Rand is the random source a partition draws from. Both *math/rand.Rand
-// (caller-owned, as the examples and CLIs construct) and *prng.Rand
-// (derived, named seed streams — what the experiment harnesses use)
-// satisfy it, so partitioning stays deterministic given the rng without
+// (caller-owned, as runtext.Task.Config constructs for every program) and
+// *prng.Rand (derived, named seed streams) satisfy it, so partitioning stays deterministic given the rng without
 // this package deciding where randomness comes from.
 type Rand interface {
 	Perm(n int) []int
@@ -73,8 +72,8 @@ func Partition(s Scheme, labels []int, classes, clients, perClient int, rng Rand
 	case "iid":
 		return iid(labels, clients, perClient, rng), nil
 	case "dirichlet":
-		if s.Alpha <= 0 {
-			return nil, fmt.Errorf("partition: dirichlet alpha %v must be positive", s.Alpha)
+		if !(s.Alpha > 0) || math.IsInf(s.Alpha, 1) { // NaN and inf would never finish a draw
+			return nil, fmt.Errorf("partition: dirichlet alpha %v must be positive and finite", s.Alpha)
 		}
 		return dirichlet(labels, classes, clients, perClient, s.Alpha, rng), nil
 	case "orthogonal":

@@ -60,6 +60,9 @@ var families = []family{
 		[]string{"fedavg", "fedbuff", "fedbuff:0.7", "fedasync", "fedasync:0.4", "fedasync:0.4,1", "importance:0.5,0.7", "median", "trimmedmean:0.25", "krum:0.2", "maxstale:4", "fedbuff:0.5+maxstale:8+clip:5", "trimmedmean:0.25+clip:5"}},
 	{"server-lr", typed(core.ParseLRSchedule), false,
 		[]string{"const:0.5", "invsqrt:1", "step:1,0.5,10"}},
+	{"method", typed(algos.Parse), false,
+		[]string{"fedtrip", "fedtrip:1", "fedtrip:0.4,1,0,1,1", "fedtrip:0.4,2,0,1,0", "fedavg", "fedprox:0.3", "slowmo:0.5,1", "moon:1,0.5",
+			"feddyn:1", "feddyn", "scaffold", "feddane:0.1", "mimelite:0.9", "fedgkd:0.2,2", "fednova", "fedprox:0"}},
 }
 
 // render is a parsed value's canonical text: its String(), "none" for
@@ -68,8 +71,11 @@ func render(v any) string {
 	if v == nil {
 		return "none"
 	}
-	if s, ok := v.(fmt.Stringer); ok {
-		return s.String()
+	switch v := v.(type) {
+	case fmt.Stringer:
+		return v.String()
+	case core.Algorithm:
+		return v.Name() // a method without hyperparameters
 	}
 	return fmt.Sprint(v) // core.Runtime is a string
 }
@@ -152,6 +158,9 @@ func FuzzParsePolicy(f *testing.F) {
 	fuzz(f, "policy", "fedavg+clip:1+clip:5", "fedbuff+maxstale:8+maxstale:2") // a policy has one of each guard
 }
 func FuzzParseLRSchedule(f *testing.F) { fuzz(f, "server-lr") }
+func FuzzParseMethod(f *testing.F) {
+	fuzz(f, "method", "fedtrip:NaN", "fedtrip:inf", "fedprox:-1", "moon:1,-inf", "feddyn:+Inf", "fedtrip:0.4,3", "fedtrip:0.4,1.5")
+}
 
 // canonicalText renders a validated RunSpec back into a Selection, field
 // by field from the typed values' own String()s.

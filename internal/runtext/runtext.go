@@ -1,12 +1,13 @@
 // Package runtext holds the one text form of a run and the one place it
 // becomes a core.RunSpec. The runtime half is Selection: the twelve spec
 // strings and knobs that cmd/fedtrip and cmd/fedtrip-tables take as flags
-// and that experiments.Profile and experiments.Case carry as fields; every
-// string is in the internal/spec grammar, the family each field belongs to
-// named on the field. The task half is Task (task.go): the 21 flags that
-// say what is learned, on what data, by which method. Command is the two
-// together as cmd/fedtrip registers them, and FromLine is how every other
-// program — the examples — turns a fedtrip command line into a run.
+// and that experiments.Profile carries as fields; every string is in the
+// internal/spec grammar, the family each field belongs to named on the
+// field. The task half is Task (task.go): the 20 flags that say what is
+// learned, on what data, by which method. Command is the two together as
+// cmd/fedtrip registers them; FromLine is how the examples turn a fedtrip
+// command line into a run, and Line how the experiment harness writes
+// each table cell as one — the harness has no assembler of its own.
 package runtext
 
 import (

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -46,7 +47,7 @@ func TestRegisterIsTheOneFlagSet(t *testing.T) {
 	defaults := map[string]string{
 		"algo": "fedtrip", "dataset": "mnist", "model": "cnn", "scheme": "dir", "alpha": "0.5", "clusters": "5",
 		"clients": "10", "k": "4", "samples": "120", "test": "400", "rounds": "30", "batch": "10", "epochs": "1",
-		"lr": "0.01", "momentum": "0.9", "mu": "0", "scale": "0.5", "target": "0", "seed": "1", "clip": "0", "shards": "0",
+		"lr": "0.01", "momentum": "0.9", "scale": "0.5", "target": "0", "seed": "1", "clip": "0", "shards": "0",
 	}
 	c.VisitAll(func(f *flag.Flag) {
 		if want, ok := defaults[f.Name]; !ok || f.DefValue != want {
@@ -109,11 +110,11 @@ func TestParseSurfacesEveryField(t *testing.T) {
 // reaches every layer, and what it rejects it rejects by name.
 func TestFromLine(t *testing.T) {
 	const small = "-model mlp -clients 6 -k 3 -samples 20 -test 50 -rounds 2 "
-	rs, err := runtext.FromLine(small + "-algo fedprox -mu 0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -runtime async -policy fedbuff:1 -buffer 2 -transport f32")
+	rs, err := runtext.FromLine(small + "-algo fedprox:0.3 -scheme orthogonal -clusters 2 -seed 9 -clip 5 -runtime async -policy fedbuff:1 -buffer 2 -transport f32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Runtime != core.RuntimeAsync || rs.Algo.Name() != "fedprox" || len(rs.Parts) != 6 || rs.ClientsPerRound != 3 ||
+	if rs.Runtime != core.RuntimeAsync || fmt.Sprint(rs.Algo) != "fedprox:0.3" || len(rs.Parts) != 6 || rs.ClientsPerRound != 3 ||
 		rs.Seed != 9 || rs.ClipNorm != 5 || rs.BufferSize != 2 || rs.Concurrency != 3 || fmt.Sprint(rs.Policy) != "fedbuff:1" ||
 		rs.Transport.(*comm.F32Transport) == nil || fmt.Sprint(rs.Latency) != "zero" {
 		t.Fatalf("assembled run %+v", rs)
@@ -142,5 +143,69 @@ func TestFromLine(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error %v does not name %q", err, want)
 		}
+	}
+}
+
+// Hostile task numbers are refused by the validator that owns the field,
+// each within a deadline: a NaN or infinite Dirichlet alpha used to hang
+// the partition draw, a NaN scale built a degenerate model, a NaN learning
+// rate or momentum ran a run whose every update was rejected, and a
+// negative clip norm trained backwards.
+func TestFromLineRefusesHostileNumbers(t *testing.T) {
+	const small = "-model mlp -clients 4 -k 2 -samples 20 -test 40 -rounds 1 "
+	for _, tc := range []struct{ line, want string }{
+		{"-alpha NaN", "dirichlet alpha NaN"},
+		{"-alpha inf", "dirichlet alpha +Inf"},
+		{"-alpha -1", "dirichlet alpha -1"},
+		{"-scale NaN", "model scale NaN"},
+		{"-scale inf", "model scale +Inf"},
+		{"-lr NaN", "learning rate NaN"},
+		{"-lr inf", "learning rate +Inf"},
+		{"-momentum NaN", "momentum NaN"},
+		{"-clip -1", "clip norm -1"},
+		{"-clip NaN", "clip norm NaN"},
+		{"-clip inf", "clip norm +Inf"},
+		{"-algo fedtrip:NaN", "not a finite number"},
+		{"-algo fedprox:-1", "not a finite number"},
+		{"-algo moon:1,inf", "not a finite number"},
+		{"-algo fedtrip:0.4,3", "xi mode 3"},
+		{"-algo fedtrip:0.4,0.5", "xi mode 0.5"},
+		{"-algo fedprox:1,2", "fedprox wants 0 to 1 args"},
+		{"-algo fedavg+fedprox", "only one base"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := runtext.FromLine(small + tc.line)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err %v, want one containing %q", tc.line, err, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: FromLine still running after 10 s", tc.line)
+		}
+	}
+}
+
+// Line is what FromLine reads: a command rendered and parsed back renders
+// the same, and only flags off their default are written.
+func TestLineRoundTrips(t *testing.T) {
+	line := "-algo=fedtrip:0.4,1,0,1,1 -clip=5 -dropout=markov:90,10 -latency=exp:2 -local-steps-adaptive=true -model=mlp -policy= -runtime=barrier -seed=8"
+	var c runtext.Command
+	fs := flag.NewFlagSet("fedtrip", flag.ContinueOnError)
+	c.Register(fs)
+	if err := fs.Parse(strings.Fields(line)); err != nil {
+		t.Fatal(err)
+	}
+	want := "-algo=fedtrip:0.4,1,0,1,1 -clip=5 -dropout=markov:90,10 -latency=exp:2 -local-steps-adaptive=true -model=mlp -runtime=barrier -seed=8"
+	if got := c.Line(); got != want {
+		t.Fatalf("Line() = %q, want %q", got, want)
+	}
+	var d runtext.Command
+	d.Register(flag.NewFlagSet("", flag.ContinueOnError))
+	if got := d.Line(); got != "" {
+		t.Fatalf("the default command renders as %q, want nothing", got)
 	}
 }

@@ -16,16 +16,17 @@ import (
 )
 
 // Task is the task half of a run in text form — what is learned, on what
-// data, split how, by which method, for how long — as the 21 flags Register
-// binds. Config is the one place outside the experiment harness and the
-// benchmark where the paper's recipe (§V.A) is assembled.
+// data, split how, by which method, for how long — as the 20 flags Register
+// binds. Config is the one place outside the benchmark where the paper's
+// recipe (§V.A) is assembled; the experiment harness writes each table
+// cell as a Command and assembles it here too.
 type Task struct {
 	Algo, Dataset, Model, Scheme string
 	Alpha                        float64
 	Clusters                     int
 	Clients, K, Samples, Test    int
 	Rounds, Batch, Epochs        int
-	LR, Momentum, Mu             float64
+	LR, Momentum                 float64
 	Scale, Target                float64
 	Seed                         int64
 	Clip                         float64
@@ -35,7 +36,7 @@ type Task struct {
 // Register binds the task to its command-line flags with the paper's
 // defaults (N=10, K=4, SGDm 0.01/0.9, CNN on MNIST under Dir-0.5).
 func (t *Task) Register(fs *flag.FlagSet) {
-	fs.StringVar(&t.Algo, "algo", "fedtrip", "method: "+strings.Join(algos.Names(), "|"))
+	fs.StringVar(&t.Algo, "algo", "fedtrip", "method NAME[:ARGS], the arguments as the method prints them, e.g. fedtrip:MU,MODE,XI,GW,HW, fedprox:MU, moon:MU,TAU, feddyn:ALPHA (omitted = paper default); NAME: "+strings.Join(algos.Names(), "|"))
 	fs.StringVar(&t.Dataset, "dataset", "mnist", "dataset: mnist|fmnist|emnist|cifar")
 	fs.StringVar(&t.Model, "model", "cnn", "model: mlp|cnn|alexnet")
 	fs.StringVar(&t.Scheme, "scheme", "dir", "partition: iid|dir|orthogonal")
@@ -50,7 +51,6 @@ func (t *Task) Register(fs *flag.FlagSet) {
 	fs.IntVar(&t.Epochs, "epochs", 1, "local epochs per round")
 	fs.Float64Var(&t.LR, "lr", 0.01, "learning rate")
 	fs.Float64Var(&t.Momentum, "momentum", 0.9, "SGDm momentum")
-	fs.Float64Var(&t.Mu, "mu", 0, "regularization mu (0 = paper default)")
 	fs.Float64Var(&t.Scale, "scale", 0.5, "model width scale (1 = paper size)")
 	fs.Float64Var(&t.Target, "target", 0, "target accuracy for rounds-to-target (0 = off)")
 	fs.Int64Var(&t.Seed, "seed", 1, "random seed")
@@ -78,7 +78,7 @@ func (t Task) Config() (core.Config, error) {
 	kind := data.Kind(t.Dataset)
 	st, kindErr := data.TableII(kind)
 	scheme, schemeErr := t.Partition()
-	algo, algoErr := algos.New(t.Algo, algos.Params{Mu: t.Mu})
+	algo, algoErr := algos.Parse(t.Algo)
 	model := nn.ModelSpec{
 		Arch: nn.Arch(t.Model), Channels: st.Channels,
 		Height: st.Height, Width: st.Width, Classes: st.Classes, Scale: t.Scale,
@@ -160,4 +160,22 @@ func FromLine(line string) (core.RunSpec, error) {
 		return core.RunSpec{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	return c.RunSpec()
+}
+
+// Line renders the command as the run flags FromLine reads back, one
+// -name=value per registered flag whose value differs from its default.
+// Equal lines are the same run, and no setting can be left out of it,
+// which makes it the experiment harness's cache key.
+func (c Command) Line() string {
+	var d Command
+	fs := flag.NewFlagSet("fedtrip", flag.ContinueOnError)
+	d.Register(fs)
+	d = c // the registered flags now read c's values
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			args = append(args, "-"+f.Name+"="+v)
+		}
+	})
+	return strings.Join(args, " ")
 }
