@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/partition"
@@ -130,6 +131,76 @@ func TestRunCaching(t *testing.T) {
 	}
 	if r3 == r1 {
 		t.Fatal("different cell collided in cache")
+	}
+}
+
+// Ablation variants are FedTrip method text: two variants are two lines,
+// so they never share a cache entry.
+func TestFactoryKeyDisambiguatesCache(t *testing.T) {
+	p := Tiny()
+	a := p.mlpMNIST("fedtrip:0.4,0,0,1,1", runtext.Selection{})
+	b := p.mlpMNIST("fedtrip:0.4,1,0,1,1", runtext.Selection{}) // xi = gap
+	if a.Line() == b.Line() {
+		t.Fatalf("method variants share the cache key %q", a.Line())
+	}
+}
+
+// The run cache must not collide across runtimes or aggregation
+// policies: the same cell on sync, async/fedbuff, and async/fedasync are
+// three different runs.
+func TestCaseKeyIncludesRuntimeAndPolicy(t *testing.T) {
+	p := Tiny()
+	async := runtext.Selection{Runtime: core.RuntimeAsync, Latency: "straggler:1,10,3"}
+	fedasync := async
+	fedasync.Policy = "fedasync"
+	keys := map[string]string{
+		"sync":     p.mlpMNIST("fedavg", runtext.Selection{}).Line(),
+		"fedbuff":  p.mlpMNIST("fedavg", async).Line(),
+		"fedasync": p.mlpMNIST("fedavg", fedasync).Line(),
+	}
+	seen := map[string]string{}
+	for name, k := range keys {
+		if prev, ok := seen[k]; ok {
+			t.Fatalf("cells %s and %s share cache key %q", prev, name, k)
+		}
+		seen[k] = name
+	}
+	// Profile-level runtime selection must shift every key too.
+	pAsync := p
+	pAsync.Runtime = core.RuntimeAsync
+	pAsync.Latency = "exp:2"
+	if p.mlpMNIST("fedavg", runtext.Selection{}).Line() == pAsync.mlpMNIST("fedavg", runtext.Selection{}).Line() {
+		t.Fatal("profile runtime override did not change the cache key")
+	}
+}
+
+// Every field of the selection, set on the cell or on the profile,
+// reaches the key, and reaches it the same way from either side.
+func TestCaseKeyCoversEverySelectionField(t *testing.T) {
+	p := Tiny()
+	base := p.mlpMNIST("fedavg", runtext.Selection{}).Line()
+	typ := reflect.TypeOf(runtext.Selection{})
+	for i := 0; i < typ.NumField(); i++ {
+		var sel runtext.Selection
+		switch f := reflect.ValueOf(&sel).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Selection.%s: unhandled kind %s", typ.Field(i).Name, f.Kind())
+		}
+		onProfile := p
+		onProfile.Selection = sel
+		onCell, fromProfile := p.mlpMNIST("fedavg", sel).Line(), onProfile.mlpMNIST("fedavg", runtext.Selection{}).Line()
+		if onCell == base || fromProfile == base {
+			t.Errorf("Selection.%s does not reach the cache key", typ.Field(i).Name)
+		}
+		if onCell != fromProfile {
+			t.Errorf("Selection.%s keys differently on the cell and on the profile", typ.Field(i).Name)
+		}
 	}
 }
 
