@@ -278,9 +278,8 @@ func scaleSpec(tb testing.TB, clients int) core.RunSpec {
 //	                per-client bookkeeping — an exact function of the
 //	                spec, the same at every population size
 //	mallocs         heap allocations of the run's event loop (fleet
-//	                construction excluded) with 2 shards at GOMAXPROCS 2,
-//	                filling its parameter pool from empty; a ceiling
-//	                with 2 % of slack. 0: benchmark only
+//	                construction excluded) with 2 shards at GOMAXPROCS 2;
+//	                a ceiling with 2 % of slack. 0: benchmark only
 //
 // The 1M rung is not gated: its B/client is the 100k row's analytic
 // function and its loop allocates what the 100k loop does, so it would
@@ -293,13 +292,13 @@ var populationRuns = []struct {
 	mallocs        uint64
 }{
 	{"Sync1kClients", syncSpec, 1_000, 176, 1_340},
-	{"Async1kClients", asyncSpec, 1_000, 176, 2_864},
-	{"Sync10kClients", syncSpec, 10_000, 176, 1_339},
-	{"Async10kClients", asyncSpec, 10_000, 176, 2_872},
-	{"AsyncChurn1k", churnSpec, 1_000, 184, 2_852},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 176, 2_865},
-	{"RobustMerge1k", robustSpec, 1_000, 177, 2_861},
-	{"Async100kClients", scaleSpec, 100_000, 168, 6_600},
+	{"Async1kClients", asyncSpec, 1_000, 176, 2_844},
+	{"Sync10kClients", syncSpec, 10_000, 176, 1_279},
+	{"Async10kClients", asyncSpec, 10_000, 176, 2_848},
+	{"AsyncChurn1k", churnSpec, 1_000, 184, 2_801},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 176, 2_850},
+	{"RobustMerge1k", robustSpec, 1_000, 177, 2_768},
+	{"Async100kClients", scaleSpec, 100_000, 168, 6_586},
 	{"Async1MClients", scaleSpec, 1_000_000, 168, 0},
 }
 
@@ -359,12 +358,7 @@ func TestPopulationCounters(t *testing.T) {
 		if p.mallocs == 0 {
 			continue
 		}
-		spec := p.spec(t, p.clients)
-		// The previous row's free buffers are idle until a collection
-		// frees them; collect, so every row fills its own pool and its
-		// count does not depend on when the collector last ran.
-		runtime.GC()
-		rs := newPopulationRun(t, spec)
+		rs := newPopulationRun(t, p.spec(t, p.clients))
 		if got := rs.PerClientStateBytes(); got != p.bytesPerClient {
 			t.Errorf("%s: B/client = %v, committed %v — per-client bookkeeping state changed; "+
 				"if intended, edit bytesPerClient in populationRuns (bench_test.go)",

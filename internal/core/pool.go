@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"weak"
 
 	"repro/internal/prng"
 )
@@ -17,7 +16,7 @@ import (
 // it too — one per model version, shared by every job dispatched at that
 // version — and so do the evaluator's.
 //
-// What the pool holds is the most buffers its runs ever had out at once, never
+// What the pool holds is the most buffers ever checked out at once, never
 // O(dispatches * |w|): one global per live model version, one upload per
 // buffered arrival, one per in-flight client whose upload is dense, and
 // the training and evaluation transients. An upload that differs from the
@@ -39,14 +38,6 @@ type vecPool struct {
 	// out is the number of buffers checked out and not yet put back, peak
 	// its high-water mark since the last resetPeak.
 	out, peak int
-	// runs counts the run states built and not yet closed. When the last
-	// one closes, the free lists are only weakly held (idle): a run
-	// opened before the next collection takes them back, as a
-	// checkpoint's resume does; otherwise the collection frees them. One
-	// run's peak is thus not carried into the heap of the next, nor kept
-	// by a process that has stopped running.
-	runs int
-	idle weak.Pointer[map[int][][]float64]
 }
 
 var paramsPool = &vecPool{free: map[int][][]float64{}}
@@ -82,33 +73,6 @@ func (p *vecPool) put(buf []float64) {
 	p.mu.Lock()
 	p.out--
 	p.free[len(buf)] = append(p.free[len(buf)], buf)
-	p.mu.Unlock()
-}
-
-// opened counts a run state in, taking back the idle free lists if the
-// collector has not freed them yet.
-func (p *vecPool) opened() {
-	p.mu.Lock()
-	if p.runs++; p.runs == 1 {
-		if idle := p.idle.Value(); idle != nil {
-			for n, list := range *idle {
-				p.free[n] = append(p.free[n], list...)
-			}
-		}
-		p.idle = weak.Pointer[map[int][][]float64]{}
-	}
-	p.mu.Unlock()
-}
-
-// closed counts a run state out; the last one out leaves the free lists
-// idle.
-func (p *vecPool) closed() {
-	p.mu.Lock()
-	if p.runs--; p.runs == 0 {
-		idle := p.free
-		p.idle = weak.Make(&idle)
-		p.free = map[int][][]float64{}
-	}
 	p.mu.Unlock()
 }
 

@@ -2,11 +2,8 @@ package core
 
 import (
 	"bytes"
-	"runtime"
-	"runtime/debug"
-	"testing"
-
 	"repro/internal/prng"
+	"testing"
 )
 
 func TestVecPoolGetPut(t *testing.T) {
@@ -39,42 +36,6 @@ func TestVecPoolGetCopy(t *testing.T) {
 	src[0] = 99
 	if c[0] != 1 {
 		t.Fatal("getCopy did not copy")
-	}
-}
-
-// When the last run closes, its free buffers are only weakly held: a run
-// opened before the next collection takes them back (a checkpoint's
-// resume), and after a collection a new run starts from an empty pool.
-func TestVecPoolIdlesWhenTheLastRunCloses(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // only the test's runtime.GC collects
-	p := &vecPool{free: map[int][][]float64{}}
-	p.opened()
-	p.opened()
-	a := p.get(8)
-	p.put(a)
-	p.closed()
-	if len(p.free[8]) != 1 {
-		t.Fatal("a run still open lost the free list")
-	}
-	p.closed()
-	if len(p.free) != 0 {
-		t.Fatal("the last close left the free lists strongly held")
-	}
-	p.opened()
-	if b := p.get(8); &b[0] != &a[0] {
-		t.Fatal("a run opened before any collection did not take the idle buffer back")
-	} else {
-		p.put(b)
-	}
-	p.closed()
-	runtime.GC()
-	p.opened()
-	defer p.closed()
-	if len(p.free) != 0 || p.idle.Value() != nil {
-		t.Fatal("the collection did not free the idle lists")
-	}
-	if b := p.get(8); &b[0] == &a[0] {
-		t.Fatal("a run opened after a collection was handed a freed run's buffer")
 	}
 }
 

@@ -55,10 +55,8 @@ func NewRunState(spec RunSpec) (*RunState, error) {
 // runtimes (sync, barrier) run the event loop behind its dispatch gate: a
 // sync spec is a barrier spec whose latency Validate pinned to zero.
 func newRunState(spec RunSpec) (*RunState, error) {
-	paramsPool.opened()
 	s, err := newServer(spec)
 	if err != nil {
-		paramsPool.closed()
 		return nil, err
 	}
 	s.installFaults()
@@ -214,5 +212,4 @@ func (rs *RunState) Close() {
 	rs.s.sp.close()
 	rs.run.close()
 	rs.s.rec.finalize()
-	paramsPool.closed()
 }
