@@ -291,14 +291,14 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 176, 1_340},
-	{"Async1kClients", asyncSpec, 1_000, 176, 2_844},
-	{"Sync10kClients", syncSpec, 10_000, 176, 1_279},
-	{"Async10kClients", asyncSpec, 10_000, 176, 2_848},
-	{"AsyncChurn1k", churnSpec, 1_000, 184, 2_801},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 176, 2_850},
-	{"RobustMerge1k", robustSpec, 1_000, 177, 2_768},
-	{"Async100kClients", scaleSpec, 100_000, 168, 6_586},
+	{"Sync1kClients", syncSpec, 1_000, 176, 561},
+	{"Async1kClients", asyncSpec, 1_000, 176, 1_280},
+	{"Sync10kClients", syncSpec, 10_000, 176, 529},
+	{"Async10kClients", asyncSpec, 10_000, 176, 1_293},
+	{"AsyncChurn1k", churnSpec, 1_000, 184, 1_239},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 176, 1_285},
+	{"RobustMerge1k", robustSpec, 1_000, 177, 1_197},
+	{"Async100kClients", scaleSpec, 100_000, 168, 2_714},
 	{"Async1MClients", scaleSpec, 1_000_000, 168, 0},
 }
 

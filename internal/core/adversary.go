@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/prng"
 	"repro/internal/spec"
@@ -391,8 +392,10 @@ func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
 
 // coordWindowInto writes the coordinate-wise mean of the sorted window
 // [lo, hi] into dst: the median for the maximal trim, the trimmed mean
-// otherwise. Column gather + in-place heapsort over the robCol scratch —
-// no per-merge allocation, O(|w| * k log k).
+// otherwise. Column gather + in-place sort over the robCol scratch —
+// no per-merge allocation, O(|w| * k log k). Admitted columns are finite
+// (the screen zero-weights non-finite uploads), so their sorted order is
+// unique up to the order of +0 and -0, which no window sum can tell apart.
 //
 //fedtripvet:hotpath
 func (s *Server) coordWindowInto(dst []float64, vecs [][]float64, lo, hi int) {
@@ -406,46 +409,12 @@ func (s *Server) coordWindowInto(dst []float64, vecs [][]float64, lo, hi int) {
 		for i, v := range vecs {
 			col[i] = v[j]
 		}
-		heapSortFloats(col)
+		slices.Sort(col)
 		var sum float64
 		for i := lo; i <= hi; i++ {
 			sum += col[i]
 		}
 		dst[j] = sum * inv
-	}
-}
-
-// heapSortFloats sorts in place without allocating: the column buffers
-// are small (one element per buffered update) and the O(k log k) worst
-// case holds for any input, unlike quicksort's.
-//
-//fedtripvet:hotpath
-func heapSortFloats(a []float64) {
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownFloats(a, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		a[0], a[i] = a[i], a[0]
-		siftDownFloats(a, 0, i)
-	}
-}
-
-//fedtripvet:hotpath
-func siftDownFloats(a []float64, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && a[child+1] > a[child] {
-			child++
-		}
-		if a[root] >= a[child] {
-			return
-		}
-		a[root], a[child] = a[child], a[root]
-		root = child
 	}
 }
 
@@ -505,7 +474,7 @@ func (s *Server) krumInto(dst []float64, vecs [][]float64, frac float64) {
 			col[m] = dist[i*k+j]
 			m++
 		}
-		heapSortFloats(col[:m])
+		slices.Sort(col[:m])
 		var sum float64
 		for j := 0; j < closest && j < m; j++ {
 			sum += col[j]

@@ -42,8 +42,8 @@ func BenchmarkAggregate(b *testing.B) {
 }
 
 // TestAggregateAllocFree pins the merge kernel at zero allocations at a
-// size (617k multiply-adds) well past parallel.DefaultMinWork, where a
-// chunked rewrite would be tempted to allocate per call.
+// size (617k multiply-adds) where a chunked parallel rewrite would be
+// tempted to allocate per call.
 func TestAggregateAllocFree(t *testing.T) {
 	dst, weights, vecs := aggregateInputs()
 	if n := testing.AllocsPerRun(10, func() { tensor.WeightedSumInto(dst, weights, vecs) }); n != 0 {

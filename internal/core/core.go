@@ -61,11 +61,13 @@ type Config struct {
 	// Seed drives every stochastic choice (init, selection, shuffling).
 	Seed int64
 	// Shards is the number of worker shards client training runs on (both
-	// runtimes). Each shard owns one training engine — model, optimizer,
-	// batch buffers — reused across every client it serves, so memory
-	// scales with Shards, not with the population. 0 selects one shard per
-	// available CPU. Trajectories do not depend on the shard count: all
-	// per-client randomness comes from per-client streams.
+	// runtimes), and the run's only training parallelism: a shard runs
+	// its client's kernels on its own goroutine. Each shard owns one
+	// training engine — model, optimizer, batch buffers — reused across
+	// every client it serves, so memory scales with Shards, not with the
+	// population. 0 selects one shard per available CPU. Trajectories do
+	// not depend on the shard count or on GOMAXPROCS: all per-client
+	// randomness comes from per-client streams.
 	Shards int
 	// TargetAccuracy, if positive, is recorded in Result.RoundsToTarget.
 	TargetAccuracy float64

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"repro/internal/prng"
+	"runtime"
 	"testing"
 )
 
@@ -179,6 +180,48 @@ func TestLocalTrainSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("LocalTrain allocates %v objects per round in steady state", allocs)
+	}
+}
+
+// TestLocalTrainAllocFreeAtTwoProcs is TestLocalTrainSteadyStateAllocFree
+// at GOMAXPROCS 2, which testing.AllocsPerRun cannot see (it sets
+// GOMAXPROCS to 1): a kernel that fanned out across goroutines inside a
+// shard would allocate its goroutines and closures here every round
+// (about 25 objects). Like AllocsPerRun it reads the integer mean per
+// round: until every P's sync.Pools hold an item, a goroutine that moves
+// to another P can miss one (a P's private slot cannot be stolen) and
+// allocate a few stray objects in a whole measurement.
+func TestLocalTrainAllocFreeAtTwoProcs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pin runs in the non-race job")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := testConfig(t, NewFedTrip(0.4))
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Clients()[0]
+	global := s.Global()
+	scratch := make([]Update, 1)
+	round := 1
+	train := func() {
+		scratch[0] = c.LocalTrain(round, global)
+		recycleUpdates(scratch)
+		round++
+	}
+	// Warm up: engine buffers, w_hist, params pool.
+	train()
+	train()
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		train()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n/rounds > 0 {
+		t.Fatalf("LocalTrain allocates %.2f objects per round at GOMAXPROCS 2", float64(n)/rounds)
 	}
 }
 

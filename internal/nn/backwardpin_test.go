@@ -26,10 +26,11 @@ func gradBits(m *Model) string {
 // TestBackwardBitsPinned pins, bit for bit, the parameter gradient of one
 // training step: the paper's CNN at 50 and a quarter-width AlexNet at 8
 // (dropout masks drawn), each with and without an extra feature gradient
-// at the head (MOON's path), and TestWideBatchMatchesSerial's shape at two
-// workers, where conv and pooling split the batch into chunks. The
-// literals were taken before input gradients were written into activation
-// buffers; they are amd64 values.
+// at the head (MOON's path), and TestWideBatchMatchesSerial's 260-sample
+// shape at GOMAXPROCS 2. The literals were taken before input gradients
+// were written into activation buffers; they are amd64 values. The wide
+// row's literal is its GOMAXPROCS-1 value since conv stopped summing one
+// partial gradient per goroutine.
 func TestBackwardBitsPinned(t *testing.T) {
 	cnn := ModelSpec{Arch: ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10}
 	alex := ModelSpec{Arch: ArchAlexNet, Channels: 3, Height: 32, Width: 32, Classes: 10, Scale: 0.25}
@@ -46,7 +47,7 @@ func TestBackwardBitsPinned(t *testing.T) {
 		{"cnn@50+feature", cnn, 50, 0, true, "8cd13b7b57eca928"},
 		{"alexnet@8", alex, 8, 0, false, "c4bb56eacdfe81bb"},
 		{"alexnet@8+feature", alex, 8, 0, true, "8705b23aa744e7f2"},
-		{"cnn0.25@260/2", wide, 260, 2, false, "9f0809c03c9ba4d2"},
+		{"cnn0.25@260/2", wide, 260, 2, false, "ea70a8aa9bc9d1e7"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.procs > 0 {

@@ -5,16 +5,15 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/prng"
 	"repro/internal/tensor"
 )
 
 // convLayer is a 2D convolution over NCHW tensors, implemented as
-// im2col + matmul per sample. The per-sample loop parallelises over the
-// batch; each worker checks a convScratch out of the layer's pool so
-// goroutines never share buffers and steady-state batches allocate
-// nothing.
+// im2col + matmul per sample, one sample after another on the calling
+// goroutine. Forward and Backward check a convScratch out of the layer's
+// pool, so steady-state batches allocate nothing and an idle layer holds
+// no scratch.
 type convLayer struct {
 	placement
 	outC        int
@@ -26,11 +25,10 @@ type convLayer struct {
 	wView       *tensor.Tensor // [outC, ColRows] view of w, fixed at Bind
 	x           *tensor.Tensor
 	y, dx       *tensor.Tensor // dx: none when first, x when gradInInput
-	dy          *tensor.Tensor // backward input, shared with workers
 	scratch     sync.Pool      // *convScratch
 }
 
-// convScratch is one worker's im2col and gradient-accumulation storage.
+// convScratch is the im2col and gradient-accumulation storage of one pass.
 // The out/dout tensors are header-only views whose Data is re-pointed at
 // the current sample's slice of the batch output or its gradient, so
 // per-sample matmul calls allocate nothing. The backward half (dw, db and,
@@ -123,20 +121,11 @@ func (l *convLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else if l.y.Dim(0) != n {
 		l.y.SetDim0(n)
 	}
-	if parallel.Serial(n, parallel.DefaultMinWork) {
-		l.forwardChunk(0, n)
-	} else {
-		parallel.ForChunked(n, l.forwardChunk)
-	}
-	return l.y
-}
-
-func (l *convLayer) forwardChunk(lo, hi int) {
 	g := l.geom
 	inSize := g.InC * g.InH * g.InW
 	outSize := l.outC * g.OutH * g.OutW
 	cs := l.getScratch()
-	for s := lo; s < hi; s++ {
+	for s := 0; s < n; s++ {
 		img := l.x.Data[s*inSize : (s+1)*inSize]
 		g.Im2Col(img, cs.col.Data)
 		out := view(&cs.out, l.y.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
@@ -151,8 +140,11 @@ func (l *convLayer) forwardChunk(lo, hi int) {
 		}
 	}
 	l.scratch.Put(cs)
+	return l.y
 }
 
+// Backward accumulates the batch's parameter gradient in scratch and adds
+// it to the layer's dw/db once at the end.
 func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Dim(0)
 	g := l.geom
@@ -165,40 +157,17 @@ func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
-	l.dy = dy
-	if parallel.Serial(n, parallel.DefaultMinWork) {
-		l.backwardChunk(0, n)
-	} else {
-		var mu sync.Mutex // serialises accumulation into l.dw / l.db
-		parallel.ForChunked(n, func(lo, hi int) {
-			l.backwardChunkLocked(lo, hi, &mu)
-		})
-	}
-	return l.dx
-}
-
-// backwardChunk processes samples [lo, hi) with exclusive access to the
-// layer's gradient slices (the serial path).
-func (l *convLayer) backwardChunk(lo, hi int) {
-	l.backwardChunkLocked(lo, hi, nil)
-}
-
-// backwardChunkLocked accumulates per-sample gradients into per-worker
-// scratch and merges them into the layer's dw/db at the end, under mu when
-// chunks run concurrently.
-func (l *convLayer) backwardChunkLocked(lo, hi int, mu *sync.Mutex) {
-	g := l.geom
 	inSize := g.InC * g.InH * g.InW
 	outSize := l.outC * g.OutH * g.OutW
 	cs := l.getScratch()
 	l.backwardHalf(cs)
 	tensor.ZeroVec(cs.dw.Data)
 	tensor.ZeroVec(cs.db)
-	for s := lo; s < hi; s++ {
+	for s := 0; s < n; s++ {
 		img := l.x.Data[s*inSize : (s+1)*inSize]
 		g.Im2Col(img, cs.col.Data)
-		dout := view(&cs.dout, l.dy.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
-		// dW += dOut x col^T, accumulated straight into worker scratch.
+		dout := view(&cs.dout, dy.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
+		// dW += dOut x col^T, accumulated straight into scratch.
 		tensor.MatMulABTAdd(cs.dw, dout, cs.col)
 		// db_s = row sums of dOut.
 		for f := 0; f < l.outC; f++ {
@@ -220,15 +189,10 @@ func (l *convLayer) backwardChunkLocked(lo, hi int, mu *sync.Mutex) {
 		}
 		g.Col2Im(cs.dcol.Data, dximg)
 	}
-	if mu != nil {
-		mu.Lock()
-	}
 	tensor.Axpy(1, cs.dw.Data, l.dw)
 	tensor.Axpy(1, cs.db, l.db)
-	if mu != nil {
-		mu.Unlock()
-	}
 	l.scratch.Put(cs)
+	return l.dx
 }
 
 func (l *convLayer) FwdFLOPs() float64 {
@@ -245,7 +209,7 @@ type maxPoolLayer struct {
 	c, h, w int
 	oh, ow  int
 	argmax  []int32 // flat input index of each output's max, in its window
-	x, dy   *tensor.Tensor
+	x       *tensor.Tensor
 	y, dx   *tensor.Tensor // dx: x when gradInInput
 }
 
@@ -290,19 +254,9 @@ func (l *maxPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.argmax = make([]int32, n*outSize)
 	}
 	l.x = x
-	if parallel.Serial(n, parallel.DefaultMinWork) {
-		l.forwardChunk(0, n)
-	} else {
-		parallel.ForChunked(n, l.forwardChunk)
-	}
-	return l.y
-}
-
-func (l *maxPoolLayer) forwardChunk(lo, hi int) {
 	inSize := l.c * l.h * l.w
-	outSize := l.c * l.oh * l.ow
-	for s := lo; s < hi; s++ {
-		in := l.x.Data[s*inSize : (s+1)*inSize]
+	for s := 0; s < n; s++ {
+		in := x.Data[s*inSize : (s+1)*inSize]
 		out := l.y.Data[s*outSize : (s+1)*outSize]
 		am := l.argmax[s*outSize : (s+1)*outSize]
 		o := 0
@@ -330,6 +284,7 @@ func (l *maxPoolLayer) forwardChunk(lo, hi int) {
 			}
 		}
 	}
+	return l.y
 }
 
 func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
@@ -345,26 +300,16 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
-	l.dy = dy
-	if parallel.Serial(n, parallel.DefaultMinWork) {
-		l.backwardChunk(0, n)
-	} else {
-		parallel.ForChunked(n, l.backwardChunk)
-	}
-	return l.dx
-}
-
-// backwardChunk writes the input gradient window by window. The windows
-// tile the input and each argmax lies in its own window, so when dx is
-// the input's storage, the mask read at a window's argmax still sees the
-// input: nothing has zeroed that window yet.
-func (l *maxPoolLayer) backwardChunk(lo, hi int) {
+	// The input gradient is written window by window. The windows tile
+	// the input and each argmax lies in its own window, so when dx is the
+	// input's storage, the mask read at a window's argmax still sees the
+	// input: nothing has zeroed that window yet.
 	inSize := l.c * l.h * l.w
 	outSize := l.c * l.oh * l.ow
-	for s := lo; s < hi; s++ {
+	for s := 0; s < n; s++ {
 		xs := l.x.Data[s*inSize : (s+1)*inSize]
 		dxs := l.dx.Data[s*inSize : (s+1)*inSize]
-		dys := l.dy.Data[s*outSize : (s+1)*outSize]
+		dys := dy.Data[s*outSize : (s+1)*outSize]
 		am := l.argmax[s*outSize : (s+1)*outSize]
 		o := 0
 		for c := 0; c < l.c; c++ {
@@ -384,6 +329,7 @@ func (l *maxPoolLayer) backwardChunk(lo, hi int) {
 			}
 		}
 	}
+	return l.dx
 }
 
 func (l *maxPoolLayer) FwdFLOPs() float64 {

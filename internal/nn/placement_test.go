@@ -96,7 +96,7 @@ func TestPlacedMatchesUnplaced(t *testing.T) {
 		train := rng.Intn(2) == 0
 		for step, n := range []int{1 + rng.Intn(5), 1 + rng.Intn(5)} {
 			if seed%25 == 0 {
-				n = 260 // conv and pooling split the batch at two workers
+				n = 260 // TestWideBatchMatchesSerial's wide batch
 			}
 			where := fmt.Sprintf("stack %d %v, step %d (train %v, batch %d)", seed, kinds, step, train, n)
 			x, _ := randBatch(rng, m, n)

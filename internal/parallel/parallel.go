@@ -1,9 +1,8 @@
-// Package parallel provides small data-parallel building blocks used by the
-// tensor kernels and by the federated-learning server to train selected
-// clients concurrently.
-//
-// The helpers are deliberately simple: a parallel for over an index range
-// with static chunking, and a bounded worker pool. Both size themselves from
+// Package parallel provides the two data-parallel building blocks of the
+// library: a bounded worker pool, which trains a run's shards (the run's
+// only parallelism — a shard's kernels run on its own goroutine), and a
+// parallel for over an index range with static chunking, which the
+// synthetic-corpus generator and t-SNE use. Both size themselves from
 // GOMAXPROCS so the library scales with the machine without configuration.
 package parallel
 
@@ -12,15 +11,12 @@ import (
 	"sync"
 )
 
-// DefaultMinWork is the smallest index range worth splitting across
-// goroutines; below it the scheduling overhead dominates. It is exported
-// so hot paths can ask Serial whether ForChunked would run inline and, if
-// so, call their chunk body directly without allocating a closure.
-const DefaultMinWork = 256
+// minParallelWork is the smallest index range For splits across
+// goroutines; below it the scheduling overhead dominates.
+const minParallelWork = 256
 
-const minParallelWork = DefaultMinWork
-
-// Workers returns the degree of parallelism used by For and ForChunked.
+// Workers returns the degree of parallelism used by For and ForChunkedMin,
+// and the default number of training shards.
 func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
@@ -29,32 +25,18 @@ func Workers() int {
 // Iterations must be independent. Small ranges run inline on the caller's
 // goroutine.
 func For(n int, fn func(i int)) {
-	ForChunked(n, func(lo, hi int) {
+	ForChunkedMin(n, minParallelWork, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
 	})
 }
 
-// ForChunked splits [0, n) into contiguous chunks and runs fn(lo, hi) for
-// each chunk, using up to Workers() goroutines. Chunked form lets kernels
-// amortise per-iteration overhead (index math, bounds hoisting).
-func ForChunked(n int, fn func(lo, hi int)) {
-	ForChunkedMin(n, minParallelWork, fn)
-}
-
-// Serial reports whether ForChunkedMin(n, minWork, ...) would run inline on
-// the caller's goroutine. Hot paths use it to call their chunk body
-// directly in the serial case, so the closure they would otherwise hand to
-// ForChunked never escapes to the heap.
-func Serial(n, minWork int) bool {
-	return Workers() <= 1 || n < minWork
-}
-
-// ForChunkedMin is ForChunked with an explicit parallelism threshold:
-// ranges smaller than minWork run inline. Kernels whose per-index work is
-// much heavier than a scalar op (e.g. a GEMM row tile) pass a smaller
-// threshold than the package default.
+// ForChunkedMin splits [0, n) into contiguous chunks and runs fn(lo, hi)
+// for each chunk, using up to Workers() goroutines; ranges smaller than
+// minWork run inline. Chunked form lets a body amortise per-iteration
+// overhead, and callers whose per-index work is heavy (a block of the
+// synthetic corpus) pass a small threshold.
 func ForChunkedMin(n, minWork int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

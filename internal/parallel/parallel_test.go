@@ -23,7 +23,7 @@ func TestForChunkedPartition(t *testing.T) {
 	// Chunks must tile [0,n) exactly once, with lo < hi.
 	for _, n := range []int{1, 2, 255, 256, 257, 1024, 100000} {
 		var total int64
-		ForChunked(n, func(lo, hi int) {
+		ForChunkedMin(n, minParallelWork, func(lo, hi int) {
 			if lo >= hi || lo < 0 || hi > n {
 				t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
 			}
@@ -37,8 +37,8 @@ func TestForChunkedPartition(t *testing.T) {
 
 func TestForChunkedNegativeAndZero(t *testing.T) {
 	called := false
-	ForChunked(0, func(lo, hi int) { called = true })
-	ForChunked(-5, func(lo, hi int) { called = true })
+	ForChunkedMin(0, 1, func(lo, hi int) { called = true })
+	ForChunkedMin(-5, 1, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn must not be called for n<=0")
 	}
@@ -95,29 +95,6 @@ func TestForChunkedMinCoversRange(t *testing.T) {
 				if c != 1 {
 					t.Fatalf("n=%d minWork=%d: index %d visited %d times", n, minWork, i, c)
 				}
-			}
-		}
-	}
-}
-
-// TestSerialConsistentWithForChunkedMin pins the contract hot paths rely
-// on: whenever Serial reports true, ForChunkedMin runs the body inline on
-// the caller's goroutine as a single chunk.
-func TestSerialConsistentWithForChunkedMin(t *testing.T) {
-	for _, n := range []int{1, 10, 255, 256, 5000} {
-		for _, minWork := range []int{1, 256, 10000} {
-			if !Serial(n, minWork) {
-				continue
-			}
-			calls := 0
-			ForChunkedMin(n, minWork, func(lo, hi int) {
-				calls++
-				if lo != 0 || hi != n {
-					t.Fatalf("Serial=true but chunk [%d,%d) != [0,%d)", lo, hi, n)
-				}
-			})
-			if calls != 1 {
-				t.Fatalf("Serial=true but %d chunks for n=%d", calls, n)
 			}
 		}
 	}

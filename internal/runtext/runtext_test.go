@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,29 @@ func TestFromLineRefusesHostileNumbers(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: FromLine still running after 10 s", tc.line)
 		}
+	}
+}
+
+// A run's only parallelism is its shards: a 260-sample CNN batch, wider
+// than the 256 at which conv once split a batch across goroutines and
+// summed one partial gradient per goroutine, trains the same digest at
+// GOMAXPROCS 1 and 4.
+func TestWideBatchDigestIndependentOfProcs(t *testing.T) {
+	const line = "-model cnn -scale 0.25 -clients 4 -k 2 -samples 260 -batch 260 -rounds 2 -test 100"
+	digest := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		spec, err := runtext.FromLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Start(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Digest()
+	}
+	if one, four := digest(1), digest(4); one != four {
+		t.Errorf("%s: digest %s at GOMAXPROCS 1, %s at 4", line, one, four)
 	}
 }
 

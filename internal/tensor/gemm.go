@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"sync"
-
-	"repro/internal/parallel"
-)
+import "sync"
 
 // Cache-blocked, register-tiled GEMM micro-kernel. One kernel backs every
 // matmul variant in the package (MatMul, MatMulAddBias, MatMulATB,
@@ -21,9 +17,9 @@ import (
 //     waste most of its work on padding;
 //   - k is split into panels of gemmKC so the packed operands stay
 //     cache-resident across the whole row sweep;
-//   - n is split into blocks of gemmNC; each worker packs the B panel
-//     (gemmKC x gemmNC, zero-padded to multiples of gemmNR) once per
-//     block into its own scratch buffer;
+//   - n is split into blocks of gemmNC; the B panel (gemmKC x gemmNC,
+//     zero-padded to multiples of gemmNR) is packed once per block into
+//     the call's scratch buffer;
 //   - m is split into blocks of gemmMC whose A rows are packed
 //     (zero-padded to multiples of gemmMR) and then swept by the
 //     register-tiled micro-kernels, which keep the full C tile in locals
@@ -33,9 +29,9 @@ import (
 // Determinism: block sizes are compile-time constants, every C element
 // accumulates its k terms in strictly increasing k order (panel order,
 // then in-panel order), there are no atomics and no data-dependent
-// shortcuts, and parallel workers own disjoint row ranges. Results are
-// identical run to run and do not depend on the worker count, because
-// row-tile boundaries never change an element's accumulation order. Zero
+// shortcuts, and the whole product runs on the calling goroutine (a
+// run's parallelism is its training shards, not the kernel). Results are
+// identical run to run and do not depend on GOMAXPROCS. Zero
 // padding only ever feeds discarded pad slots, never a live element.
 const (
 	gemmMR = 4   // micro-tile rows (register-resident C rows)
@@ -43,11 +39,6 @@ const (
 	gemmKC = 256 // k panel: one packed A micro-panel is gemmKC*gemmMR*8 = 8 KiB (L1)
 	gemmMC = 64  // m block: packed A block is gemmMC*gemmKC*8 = 128 KiB (L2)
 	gemmNC = 256 // n block: packed B panel is gemmKC*gemmNC*8 = 512 KiB (L2/L3)
-
-	// gemmParMin is the minimum number of row tiles worth splitting across
-	// goroutines — 64 tiles is 256 rows, matching the old per-row kernels'
-	// parallelism threshold.
-	gemmParMin = 64
 
 	// gemmSmallM is the row count below which packing B cannot amortise
 	// (each packed element would be reused at most gemmSmallM/gemmMR
@@ -57,7 +48,7 @@ const (
 	gemmSmallM = 32
 )
 
-// gemmScratch is one worker's packing storage. Buffers grow to the
+// gemmScratch is one call's packing storage. Buffers grow to the
 // high-water mark and are recycled through gemmPool, so steady-state GEMM
 // calls allocate nothing.
 type gemmScratch struct {
@@ -98,18 +89,7 @@ func gemm(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []float64, b
 		gemmDirect(cd, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
 		return
 	}
-	mTiles := (m + gemmMR - 1) / gemmMR
-	if parallel.Serial(mTiles, gemmParMin) {
-		gemmRows(cd, 0, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
-		return
-	}
-	parallel.ForChunkedMin(mTiles, gemmParMin, func(tlo, thi int) {
-		ilo, ihi := tlo*gemmMR, thi*gemmMR
-		if ihi > m {
-			ihi = m
-		}
-		gemmRows(cd, ilo, ihi, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
-	})
+	gemmRows(cd, m, n, k, ad, ars, acs, bd, brs, bcs, bias, accumulate)
 }
 
 // gemvN1 handles n == 1 (C is a column vector): a row-major A runs one dot
@@ -195,15 +175,13 @@ func gemvM1(cd []float64, n, k int, ad []float64, acs int, bd []float64, brs int
 	}
 }
 
-// gemmRows runs the blocked GEMM over the row range [ilo, ihi) of C. Row
-// ranges handed to different workers start at multiples of gemmMR, so
-// micro-tiles never straddle workers.
+// gemmRows runs the packed, blocked GEMM over all m rows of C.
 //
 //fedtripvet:hotpath
-func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd []float64, brs, bcs int, bias []float64, accumulate bool) {
+func gemmRows(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []float64, brs, bcs int, bias []float64, accumulate bool) {
 	sc := gemmPool.Get().(*gemmScratch)
 	if !accumulate {
-		gemmInit(cd, ilo, ihi, n, bias)
+		gemmInit(cd, m, n, bias)
 	}
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kc := k - p0
@@ -216,8 +194,8 @@ func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd [
 				nc = gemmNC
 			}
 			packB(sc, bd, p0, kc, j0, nc, brs, bcs)
-			for i0 := ilo; i0 < ihi; i0 += gemmMC {
-				mc := ihi - i0
+			for i0 := 0; i0 < m; i0 += gemmMC {
+				mc := m - i0
 				if mc > gemmMC {
 					mc = gemmMC
 				}
@@ -229,12 +207,12 @@ func gemmRows(cd []float64, ilo, ihi, n, k int, ad []float64, ars, acs int, bd [
 	gemmPool.Put(sc)
 }
 
-// gemmInit prepares the C rows a worker owns: zeroed, or set to the bias
-// vector broadcast over rows.
+// gemmInit prepares the m rows of C: zeroed, or set to the bias vector
+// broadcast over rows.
 //
 //fedtripvet:hotpath
-func gemmInit(cd []float64, ilo, ihi, n int, bias []float64) {
-	for i := ilo; i < ihi; i++ {
+func gemmInit(cd []float64, m, n int, bias []float64) {
+	for i := 0; i < m; i++ {
 		ci := cd[i*n : (i+1)*n]
 		if bias == nil {
 			for j := range ci {
@@ -401,7 +379,7 @@ func gemmDirect(cd []float64, m, n, k int, ad []float64, ars, acs int, bd []floa
 	sc := gemmPool.Get().(*gemmScratch)
 	packA(sc, ad, 0, m, 0, k, ars, acs)
 	if !accumulate {
-		gemmInit(cd, 0, m, n, bias)
+		gemmInit(cd, m, n, bias)
 	}
 	mPanels := (m + gemmMR - 1) / gemmMR
 	nFull := n - n%gemmNR

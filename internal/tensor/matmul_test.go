@@ -109,7 +109,7 @@ func TestMatMulOverwritesOutput(t *testing.T) {
 
 func TestMatMulAddBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	// {40,57,33} and up exercise the tiled path's per-worker bias init
+	// {40,57,33} and up exercise the tiled path's bias init
 	// (m > gemmSmallM), not just the small-m direct path.
 	for _, dims := range [][3]int{{6, 3, 4}, {1, 5, 3}, {10, 784, 100}, {40, 57, 33}, {65, 257, 19}, {200, 30, 10}} {
 		m, k, n := dims[0], dims[1], dims[2]

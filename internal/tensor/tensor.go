@@ -1,11 +1,12 @@
 // Package tensor implements the dense numerical substrate for the library:
-// row-major float64 tensors, goroutine-parallel matrix kernels, image
-// layout transforms (im2col/col2im) for convolution, and flat-vector BLAS-1
-// style operations used by the federated-learning layer (aggregation,
+// row-major float64 tensors, cache-blocked matrix kernels, image layout
+// transforms (im2col/col2im) for convolution, and flat-vector BLAS-1 style
+// operations used by the federated-learning layer (aggregation,
 // regularization, optimizers).
 //
 // The package is deliberately free of any FL or neural-network concepts so
-// it can be tested purely against math.
+// it can be tested purely against math. Its kernels run on the calling
+// goroutine: the caller decides the parallelism.
 package tensor
 
 import (
