@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -56,10 +55,11 @@ func benchDispatch(tb testing.TB, spec string) func(round int) int64 {
 	global, trained := benchVectors()
 	received := make([]float64, benchParams)
 	upload := make([]float64, benchParams)
+	var resid []float64
 	return func(round int) int64 {
 		down := tr.DownInto(received, 1, round, global)
 		copy(upload, trained)
-		return down + tr.UpInto(upload, 1, round, upload, received)
+		return down + tr.UpInto(upload, 1, round, upload, received, &resid)
 	}
 }
 
@@ -101,56 +101,6 @@ func TestTransportWireBytes(t *testing.T) {
 	}
 }
 
-// snapshotTransport is a top-k + error-feedback transport holding 64
-// clients' worth of residual state.
-func snapshotTransport(tb testing.TB) *CompressedTransport {
-	tb.Helper()
-	trI, err := ParseTransport("topk:0.01+ef")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tr := trI.(*CompressedTransport)
-	global, _ := benchVectors()
-	received := make([]float64, benchParams)
-	params := make([]float64, benchParams)
-	for c := 0; c < 64; c++ {
-		tr.DownInto(received, c, 0, global)
-		copy(params, received)
-		params[c%benchParams] += 0.5
-		tr.UpInto(params, c, 0, params, received)
-	}
-	return tr
-}
-
-// The snapshot path is on the kill/resume critical section (the event
-// loop is quiesced while it runs), so its cost is worth pinning too.
-func BenchmarkTransportSnapshotState(b *testing.B) {
-	tr := snapshotTransport(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.SnapshotState(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestSnapshotStateAllocs holds the snapshot walk to the codec, its chunk
-// scratch and the sorted client-ID list as it grows — nothing per
-// residual, nothing per element.
-func TestSnapshotStateAllocs(t *testing.T) {
-	tr := snapshotTransport(t)
-	const committed = 13
-	n := testing.AllocsPerRun(10, func() {
-		if err := tr.SnapshotState(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n > committed {
-		t.Errorf("SnapshotState at 64 residual clients: %v allocs, committed %d", n, committed)
-	}
-}
-
 // TestTransportSteadyStateAllocFree is the transfer path's allocation
 // gate: once a client has participated (its residual exists, the scratch
 // is sized), DownInto+UpInto allocate nothing, for every codec — from one
@@ -172,10 +122,11 @@ func TestTransportSteadyStateAllocFree(t *testing.T) {
 			dispatcher := func(client int) func(round int) {
 				received := make([]float64, benchParams)
 				upload := make([]float64, benchParams)
+				var resid []float64
 				return func(round int) {
 					tr.DownInto(received, client, round, global)
 					copy(upload, trained)
-					tr.UpInto(upload, client, round, upload, received)
+					tr.UpInto(upload, client, round, upload, received, &resid)
 				}
 			}
 			one, other := dispatcher(1), dispatcher(2)

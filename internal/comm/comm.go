@@ -20,6 +20,11 @@
 // survives in this package's tests as the oracle the in-place path is
 // pinned against bit for bit.
 //
+// A transport keeps no per-client state. What a delta-coding uplink
+// needs from a client's past is handed to UpInto by the runtime: ref,
+// what the client received, and under error feedback the client's
+// residual row, which the runtime owns and carries in run snapshots.
+//
 // Build one with ParseTransport and install it as core.Config.Transport.
 package comm
 
@@ -85,10 +90,14 @@ type legacyMethods struct {
 	wire core.WireTransport
 	// delta marks a transport whose upload is coded against the
 	// downlink: the legacy Up has no ref argument, so Down's result is
-	// kept per client until that client's Up.
+	// kept per client until that client's Up. It has no residual
+	// argument either: under the runtime the client's error-feedback row
+	// comes through core.LegacyResidual, and a caller outside a run has
+	// its rows kept in resid.
 	delta bool
 	mu    sync.Mutex
 	ref   map[int][]float64
+	resid map[int][]float64
 }
 
 // Down implements core.Transport.
@@ -121,15 +130,28 @@ func (l *legacyMethods) DownSized(clientID, round int, global []float64) ([]floa
 // UpSized implements core.SizedTransport. An upload with no recorded
 // downlink has no delta base and ships dense.
 func (l *legacyMethods) UpSized(clientID, round int, params []float64) ([]float64, int64) {
-	var ref []float64
+	var ref, kept []float64
+	row := core.LegacyResidual(params)
 	if l.delta {
 		l.mu.Lock()
-		ref = l.ref[clientID]
+		ref, kept = l.ref[clientID], l.resid[clientID]
 		delete(l.ref, clientID)
 		l.mu.Unlock()
 	}
 	dst := make([]float64, len(params))
-	return dst, l.wire.UpInto(dst, clientID, round, params, ref)
+	if row != nil {
+		return dst, l.wire.UpInto(dst, clientID, round, params, ref, row)
+	}
+	wire := l.wire.UpInto(dst, clientID, round, params, ref, &kept)
+	if kept != nil {
+		l.mu.Lock()
+		if l.resid == nil {
+			l.resid = make(map[int][]float64)
+		}
+		l.resid[clientID] = kept
+		l.mu.Unlock()
+	}
+	return dst, wire
 }
 
 // checkDst panics unless dst can take an n-element transfer: the runtime
@@ -181,10 +203,10 @@ func (t *F32Transport) DownInto(dst []float64, clientID, round int, global []flo
 	return t.stats.down(tensor.VectorWireSizeF32(len(global)))
 }
 
-// UpInto implements core.WireTransport; ref is not used.
+// UpInto implements core.WireTransport; ref and resid are not used.
 //
 //fedtripvet:hotpath
-func (t *F32Transport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+func (t *F32Transport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	roundF32Into(dst, params)
 	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
 }
@@ -222,10 +244,10 @@ func (t *LosslessTransport) DownInto(dst []float64, clientID, round int, global 
 	return t.stats.down(int64(8 * len(global)))
 }
 
-// UpInto implements core.WireTransport; ref is not used.
+// UpInto implements core.WireTransport; ref and resid are not used.
 //
 //fedtripvet:hotpath
-func (t *LosslessTransport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+func (t *LosslessTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	tensor.CopyInto(dst, params)
 	return t.stats.up(int64(8 * len(params)))
 }

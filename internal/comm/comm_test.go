@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -188,13 +190,18 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 }
 
 // legacyOnly hides a transport's DownInto/UpInto, so the runtime adapts
-// it: the route the benchmark's trace wrapper takes.
+// it: the route the benchmark's trace wrapper takes. It keeps the name,
+// as that wrapper does.
 type legacyOnly struct{ core.SizedTransport }
+
+func (l legacyOnly) String() string { return l.SizedTransport.(fmt.Stringer).String() }
 
 // The runtime has one transfer path; a legacy transport reaches it through
 // core's adapter and this package's allocating wrappers. Both routes must
 // give one trajectory — lock-step and buffered, dense and delta-coded
-// with error feedback, faults on the wire.
+// with error feedback, faults on the wire — and one mid-run snapshot
+// stream: the legacy route keeps the error-feedback rows in the clients
+// too.
 func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 5})
 	if err != nil {
@@ -210,7 +217,7 @@ func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 	}
 	for _, spec := range []string{"f32", "lossless", "q8+ef", "topk:0.01+ef", "randk:0.05"} {
 		for _, runtime := range []core.Runtime{core.RuntimeSync, core.RuntimeAsync} {
-			run := func(legacy bool) string {
+			run := func(legacy bool) (string, []byte) {
 				tr, err := ParseTransport(spec)
 				if err != nil {
 					t.Fatal(err)
@@ -228,14 +235,33 @@ func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 					rs.Latency, rs.Concurrency, rs.BufferSize = mustFleet(core.ParseLatency("const:1")), 4, 2
 					rs.Network = mustFleet(core.ParseNetDist("tiered"))
 				}
-				res, err := core.Start(rs)
+				state, err := core.NewRunState(rs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res.Digest()
+				defer state.Close()
+				var stream bytes.Buffer
+				for i := 0; i < 3; i++ {
+					if _, err := state.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := state.Snapshot(&stream); err != nil {
+					t.Fatal(err)
+				}
+				res, err := state.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Digest(), stream.Bytes()
 			}
-			if inPlace, legacy := run(false), run(true); inPlace != legacy {
+			inPlace, inPlaceStream := run(false)
+			legacy, legacyStream := run(true)
+			if inPlace != legacy {
 				t.Errorf("%s on %v: in-place digest %s, legacy route %s", spec, runtime, inPlace, legacy)
+			}
+			if !bytes.Equal(inPlaceStream, legacyStream) {
+				t.Errorf("%s on %v: the routes' snapshot streams differ (%d and %d bytes)", spec, runtime, len(inPlaceStream), len(legacyStream))
 			}
 		}
 	}

@@ -11,10 +11,7 @@
 package comm
 
 import (
-	"io"
-	"maps"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/prng"
@@ -173,16 +170,16 @@ func (c quantCodec) apply(sc *scratch, dst, ref, delta, drop []float64) {
 // Build one with ParseTransport ("topk:0.01+ef", "q8", "randk:0.05").
 //
 // Every transfer returns its exact encoded size (priced by the network
-// model), the cumulative counters are in Stats, and — when error
-// feedback is on — it is a core.StatefulTransport, so residuals ride in
-// run snapshots and resume is bit-for-bit.
+// model), and the cumulative counters are in Stats.
 //
-// Memory: error-feedback residuals are inherently per-client state and
-// grow with the number of distinct participating clients (|w| float64
-// each, allocated at a client's first upload). Everything else an upload
-// needs is scratch on a free list that holds as many sets as uploads
-// ever ran at once — the runtime's shard count — so a transfer past a
-// client's first allocates nothing. A sync.Pool would not do: its
+// Memory: under the runtime the transport keeps no per-client state.
+// Under error feedback the residual is the client's row, which the
+// runtime owns, hands to UpInto and carries in run snapshots (|w|
+// float64s per client that ever uploaded, stored at its first accepted
+// upload). Everything else an
+// upload needs is scratch on a free list that holds as many sets as
+// uploads ever ran at once — the runtime's shard count — so a transfer
+// past a client's first allocates nothing. A sync.Pool would not do: its
 // contents die at every GC, and these are |w|-sized.
 type CompressedTransport struct {
 	legacyMethods
@@ -191,9 +188,8 @@ type CompressedTransport struct {
 	ef   bool
 
 	stats Stats
-	mu    sync.Mutex
-	resid map[int][]float64 // per-client EF residual (nil unless ef)
-	free  []*scratch        // idle upload scratch
+	mu    sync.Mutex // guards free
+	free  []*scratch // idle upload scratch
 }
 
 // newCompressedTransport wires a codec into a transport. spec is the
@@ -209,9 +205,6 @@ func newCompressedTransport(cod codec, ef bool) *CompressedTransport {
 		ef:   ef,
 	}
 	t.legacyMethods = legacyMethods{wire: t, delta: true}
-	if ef {
-		t.resid = make(map[int][]float64)
-	}
 	return t
 }
 
@@ -238,13 +231,15 @@ func (t *CompressedTransport) DownInto(dst []float64, clientID, round int, globa
 }
 
 // UpInto implements core.WireTransport: the delta against ref (plus the
-// client's error-feedback residual), compressed through the codec and
-// reconstructed into dst, which may be params. A delta the codec rejects
-// (non-finite), or an upload with no reference, ships dense float32 and
-// leaves the residual untouched.
+// client's error-feedback residual, *resid), compressed through the codec
+// and reconstructed into dst, which may be params. A delta the codec
+// rejects (non-finite), or an upload with no reference, ships dense
+// float32 and leaves the residual untouched. Under error feedback the
+// first accepted upload stores a fresh row in *resid; a row of another
+// length is replaced, not used.
 //
 //fedtripvet:hotpath
-func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	n := len(params)
 	if len(ref) != n {
 		return t.denseUp(dst, params)
@@ -252,37 +247,36 @@ func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params,
 	checkDst(dst, n)
 	t.mu.Lock()
 	sc := t.takeScratch()
-	var resid []float64
-	if t.ef {
-		resid = t.resid[clientID]
-	}
 	t.mu.Unlock()
-	prior := resid != nil && len(resid) == n // a residual of another length is replaced, not used
-	if t.ef && !prior {
-		resid = make([]float64, n) //fedtripvet:allow first participation: the client's error-feedback state, retained for the run
+	var row []float64
+	prior := t.ef && len(*resid) == n
+	if prior {
+		row = *resid
+	} else if t.ef {
+		row = make([]float64, n) //fedtripvet:allow first participation: the client's error-feedback row, retained by the runtime
 	}
 	// The delta accumulates straight into the residual when the codec
 	// cannot reject it, into recycled scratch otherwise.
-	delta := resid
+	delta := row
 	if !t.ef || t.cod.rejects() {
 		sc.delta = grow(sc.delta, n)
 		delta = sc.delta
 	}
 	if prior {
 		for i := range delta {
-			delta[i] = params[i] - ref[i] + resid[i]
+			delta[i] = params[i] - ref[i] + row[i]
 		}
 	} else {
 		tensor.SubInto(delta, params, ref)
 	}
 	wire, err := t.cod.encode(sc, delta, clientID, round)
 	if err == nil {
-		t.cod.apply(sc, dst, ref, delta, resid)
+		t.cod.apply(sc, dst, ref, delta, row)
+		if t.ef && !prior {
+			*resid = row
+		}
 	}
 	t.mu.Lock()
-	if err == nil && t.ef && !prior {
-		t.resid[clientID] = resid
-	}
 	t.free = append(t.free, sc) //fedtripvet:allow free list, bounded by the number of concurrent uploads
 	t.mu.Unlock()
 	if err != nil {
@@ -306,52 +300,4 @@ func (t *CompressedTransport) takeScratch() *scratch {
 func (t *CompressedTransport) denseUp(dst, params []float64) int64 {
 	roundF32Into(dst, params)
 	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
-}
-
-// SnapshotState implements core.StatefulTransport: the EF residual map,
-// sorted by client ID (float64 bit patterns, little endian). Snapshots
-// are taken at quiesced round boundaries, where no dispatch is in
-// flight, so there is no delta reference to carry.
-func (t *CompressedTransport) SnapshotState(w io.Writer) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := tensor.NewEncoder(w)
-	snapResiduals(c, t.resid)
-	return c.Finish()
-}
-
-// RestoreState implements core.StatefulTransport, replacing any current
-// residuals with the snapshot's. The transport knows neither the fleet
-// nor the model size, so residuals grow as they are decoded: a stream
-// costs memory in proportion to the bytes it really holds, whatever
-// counts it claims.
-func (t *CompressedTransport) RestoreState(r io.Reader) error {
-	resid := make(map[int][]float64)
-	c := tensor.NewDecoder(r, "comm", "transport state")
-	snapResiduals(c, resid)
-	c.ExpectEOF()
-	if err := c.Finish(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.resid = resid
-	t.mu.Unlock()
-	return nil
-}
-
-// snapResiduals is the state blob in either direction: a count, then
-// (client ID, vector) pairs in ID order. Decoding adds to resid.
-func snapResiduals(c *tensor.Codec, resid map[int][]float64) {
-	ids := slices.Sorted(maps.Keys(resid))
-	n := c.Len("residual count", len(ids))
-	for i := 0; i < n && c.Err() == nil; i++ {
-		var id int64
-		var v []float64
-		if !c.Reading() {
-			id, v = int64(ids[i]), resid[ids[i]]
-		}
-		c.I64(&id)
-		c.Floats("residual", &v)
-		resid[int(id)] = v
-	}
 }

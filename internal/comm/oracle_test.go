@@ -298,7 +298,9 @@ func sameBits(a, b []float64) int {
 // several participations of the same clients, through three routes —
 // UpInto with dst aliasing params (what the runtime does), UpInto into a
 // disjoint buffer, and the legacy DownSized/UpSized wrappers (what a
-// traced benchmark pass does).
+// traced benchmark pass does). The in-place routes keep each client's
+// residual row here, as the runtime does; the legacy route keeps them in
+// its own map.
 func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 	specs := []string{"f32", "lossless",
 		"q8", "q8+ef", "q4", "q4+ef", "topk:0.01", "topk:0.01+ef", "randk:0.05", "randk:0.05+ef"}
@@ -314,6 +316,7 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 					return tr
 				}
 				aliased, disjoint, legacy := parse(), parse(), parse()
+				aliasedRows, disjointRows := map[int]*[]float64{}, map[int]*[]float64{}
 				oracle := oracleFor(t, aliased)
 				n := len(wc.global)
 				global := append([]float64(nil), wc.global...)
@@ -339,7 +342,7 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 						wantUp, wantWire := oracle.UpSized(client, round, append([]float64(nil), trained...))
 
 						inPlace := append([]float64(nil), trained...)
-						gotWire := aliased.(core.WireTransport).UpInto(inPlace, client, round, inPlace, received)
+						gotWire := aliased.(core.WireTransport).UpInto(inPlace, client, round, inPlace, received, rowOf(aliasedRows, client))
 						if at := sameBits(inPlace, wantUp); at >= 0 || gotWire != wantWire {
 							t.Fatalf("part %d client %d: aliased upload differs at %d (got %v want %v; wire %d, want %d)",
 								part, client, at, inPlace[max(at, 0)], wantUp[max(at, 0)], gotWire, wantWire)
@@ -350,7 +353,7 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 
 						out := make([]float64, n)
 						params := append([]float64(nil), trained...)
-						gotWire = disjoint.(core.WireTransport).UpInto(out, client, round, params, received2)
+						gotWire = disjoint.(core.WireTransport).UpInto(out, client, round, params, received2, rowOf(disjointRows, client))
 						if at := sameBits(out, wantUp); at >= 0 || gotWire != wantWire {
 							t.Fatalf("part %d client %d: disjoint upload differs at %d (wire %d, want %d)", part, client, at, gotWire, wantWire)
 						}
@@ -363,9 +366,14 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 							t.Fatalf("part %d client %d: legacy upload differs at %d (wire %d, want %d)", part, client, at, legacyWire, wantWire)
 						}
 
-						for name, tr := range map[string]core.Transport{"aliased": aliased, "disjoint": disjoint, "legacy": legacy} {
-							checkAgainstOracle(t, fmt.Sprintf("part %d client %d %s", part, client, name), tr, oracle)
+						at := fmt.Sprintf("part %d client %d", part, client)
+						checkAgainstOracle(t, at+" aliased", aliased, kept(aliasedRows), oracle)
+						checkAgainstOracle(t, at+" disjoint", disjoint, kept(disjointRows), oracle)
+						var legacyRows map[int][]float64
+						if ct, ok := legacy.(*CompressedTransport); ok {
+							legacyRows = ct.legacyMethods.resid
 						}
+						checkAgainstOracle(t, at+" legacy", legacy, legacyRows, oracle)
 					}
 					// The next global: wherever the uploads left the model.
 					for i := range global {
@@ -377,31 +385,48 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 	}
 }
 
-// checkAgainstOracle compares a transport's counters and residuals with
-// the oracle's.
-func checkAgainstOracle(t *testing.T, at string, tr core.Transport, o *oracleTransport) {
+// rowOf is a client's residual row in rows, created empty on first use:
+// what the runtime hands UpInto is a pointer to the client's field.
+func rowOf(rows map[int]*[]float64, client int) *[]float64 {
+	if rows[client] == nil {
+		rows[client] = new([]float64)
+	}
+	return rows[client]
+}
+
+// kept is the rows a transport has stored, by client.
+func kept(rows map[int]*[]float64) map[int][]float64 {
+	out := map[int][]float64{}
+	for id, row := range rows {
+		if *row != nil {
+			out[id] = *row
+		}
+	}
+	return out
+}
+
+// checkAgainstOracle compares a transport's counters, and the residual
+// rows its route kept, with the oracle's.
+func checkAgainstOracle(t *testing.T, at string, tr core.Transport, rows map[int][]float64, o *oracleTransport) {
 	t.Helper()
 	stats := tr.(interface{ Stats() *Stats }).Stats()
 	downMsgs, upMsgs := stats.Messages()
 	if stats.DownBytes() != o.downBytes || stats.UpBytes() != o.upBytes || downMsgs != o.downMsgs || upMsgs != o.upMsgs {
 		t.Fatalf("%s: stats %s, oracle down %d B (%d msgs) up %d B (%d msgs)", at, stats, o.downBytes, o.downMsgs, o.upBytes, o.upMsgs)
 	}
-	ct, ok := tr.(*CompressedTransport)
-	if !ok {
-		return
-	}
-	if len(ct.resid) != len(o.resid) {
-		t.Fatalf("%s: %d residuals, oracle %d", at, len(ct.resid), len(o.resid))
+	if len(rows) != len(o.resid) {
+		t.Fatalf("%s: %d residuals, oracle %d", at, len(rows), len(o.resid))
 	}
 	for id, want := range o.resid {
-		if i := sameBits(ct.resid[id], want); i >= 0 {
-			t.Fatalf("%s: client %d residual differs at %d: %v, oracle %v", at, id, i, ct.resid[id][i], want[i])
+		if i := sameBits(rows[id], want); i >= 0 {
+			t.Fatalf("%s: client %d residual differs at %d: %v, oracle %v", at, id, i, rows[id][i], want[i])
 		}
 	}
 }
 
 // A delta the q codec cannot encode ships dense float32 and must leave
-// the client's residual exactly as it was (the oracle comparison above
+// the client's residual exactly as it was — and a client whose first
+// upload is refused gets no row at all (the oracle comparison above
 // covers the values; this states the rule).
 func TestNonFiniteQuantDeltaFallsBackAndKeepsResidual(t *testing.T) {
 	trI, err := ParseTransport("q8+ef")
@@ -411,21 +436,29 @@ func TestNonFiniteQuantDeltaFallsBackAndKeepsResidual(t *testing.T) {
 	tr := trI.(*CompressedTransport)
 	global := []float64{0.5, -1.25, 2, 0.75}
 	received := make([]float64, len(global))
+	var resid, fresh []float64
+	tr.DownInto(received, 2, 1, global)
+	params := []float64{0.6, math.NaN(), 2.5, 0.7}
+	tr.UpInto(params, 2, 1, params, received, &fresh)
+	if fresh != nil {
+		t.Fatalf("a refused first upload stored a residual row %v", fresh)
+	}
+
 	tr.DownInto(received, 1, 1, global)
-	params := []float64{0.6, -1.0, 2.5, 0.7}
-	tr.UpInto(params, 1, 1, params, received)
-	before := append([]float64(nil), tr.resid[1]...)
+	params = []float64{0.6, -1.0, 2.5, 0.7}
+	tr.UpInto(params, 1, 1, params, received, &resid)
+	before := append([]float64(nil), resid...)
 
 	tr.DownInto(received, 1, 2, global)
 	params = []float64{0.6, math.NaN(), 2.5, 0.7}
-	wire := tr.UpInto(params, 1, 2, params, received)
+	wire := tr.UpInto(params, 1, 2, params, received, &resid)
 	if wire != tensor.VectorWireSizeF32(len(global)) {
 		t.Fatalf("non-finite delta shipped %d bytes, want the dense float32 size %d", wire, tensor.VectorWireSizeF32(len(global)))
 	}
 	if params[0] != float64(float32(0.6)) || !math.IsNaN(params[1]) {
 		t.Fatalf("fallback upload %v is not params at float32 precision", params)
 	}
-	if at := sameBits(tr.resid[1], before); at >= 0 {
-		t.Fatalf("fallback touched the residual at %d: %v, was %v", at, tr.resid[1][at], before[at])
+	if at := sameBits(resid, before); at >= 0 {
+		t.Fatalf("fallback touched the residual at %d: %v, was %v", at, resid[at], before[at])
 	}
 }

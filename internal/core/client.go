@@ -9,7 +9,8 @@ import (
 
 // Client is one federated participant. It owns only what must survive
 // between its participations: its private data indices, the method's
-// persistent state, its FLOP meter, and its deterministic random stream.
+// persistent state, the transport's error-feedback residual, its FLOP
+// meter, and its deterministic random stream.
 // The heavy training machinery (model, optimizer, batch buffers) and
 // everything that lives for one round (the received global model, the
 // step count) belong to an engine the client borrows for the duration of
@@ -39,6 +40,10 @@ type Client struct {
 	rng *prng.Rand
 	// state backs State: the method's rows, nil until it first asks.
 	state []float64
+	// resid is the transport's error-feedback residual, one |w| row the
+	// transport writes through WireTransport.UpInto: nil until the
+	// client's first accepted upload under error feedback.
+	resid []float64
 
 	// labelFlip is a label-flipping Byzantine client's fixed rotation
 	// offset (adversary.go): every training label y becomes

@@ -112,9 +112,13 @@ type Config struct {
 // upload's is the pooled buffer the merge will read. The client trains
 // from the downlink buffer, and the runtime hands that same vector back
 // to UpInto as ref — what this client received, the base a delta-coding
-// transport needs — so a transport keeps no per-dispatch state of its
-// own. UpInto's dst may alias params (the runtime rounds an upload in
-// place); dst never aliases global or ref, and neither of those may be
+// transport needs. resid is the client's error-feedback row (never a nil
+// pointer): nil until the transport first stores a row there, and then
+// the same row at every later upload of that client, carried across a
+// snapshot with the client. The transport reads and writes it in place
+// and keeps no per-dispatch or per-client state of its own. UpInto's dst
+// may alias params (the runtime rounds an upload in place); dst never
+// aliases global, ref or the row, and neither global nor ref may be
 // written.
 //
 // The comm package's transports implement it. A Config.Transport that
@@ -122,7 +126,7 @@ type Config struct {
 // its results into dst (legacytransport.go).
 type WireTransport interface {
 	DownInto(dst []float64, clientID, round int, global []float64) (wire int64)
-	UpInto(dst []float64, clientID, round int, params, ref []float64) (wire int64)
+	UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
 }
 
 // Transport is the legacy, allocating transfer interface, kept (with
@@ -170,14 +174,13 @@ type SizedTransport interface {
 	UpSized(clientID, round int, params []float64) (enc []float64, wire int64)
 }
 
-// StatefulTransport is an optional Transport capability for transports
-// that carry run-long state which must survive checkpoint/resume —
-// error-feedback residual accumulators, most prominently. Snapshot calls
-// SnapshotState at a quiesced aggregation boundary (no transfer in
-// flight) and embeds the blob in the FTRS snapshot; Resume calls
-// RestoreState with the same bytes before the run continues.
-// Implementations must make the round trip bit-exact: a resumed run's
-// trajectory is pinned against the uninterrupted one.
+// StatefulTransport names a transport that keeps run-long state of its
+// own behind a snapshot blob. The runtime no longer serializes such
+// state — a client's error-feedback residual is a row the runtime owns
+// (WireTransport.UpInto) — so Snapshot refuses a transport that
+// implements it rather than silently dropping that state. The type
+// stays only for that refusal and for the benchmark's trace wrapper,
+// until ROADMAP item 1's deletion.
 type StatefulTransport interface {
 	Transport
 	SnapshotState(w io.Writer) error

@@ -512,6 +512,8 @@ func TestRunSpecRejectsDeviceMisuse(t *testing.T) {
 			sp.Latency = mustFleet(ParseLatency("straggler:1,10,3"))
 		}},
 		{"negative flop rate", func(sp *RunSpec) { sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1")); sp.FlopRate = -1 }},
+		{"NaN flop rate", func(sp *RunSpec) { sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1")); sp.FlopRate = math.NaN() }},
+		{"infinite flop rate", func(sp *RunSpec) { sp.Devices = mustFleet(ParseDeviceDist("uniform:1,1")); sp.FlopRate = math.Inf(1) }},
 		{"adaptive without devices", func(sp *RunSpec) { sp.AdaptiveLocalSteps = true }},
 		{"flop rate without devices", func(sp *RunSpec) { sp.FlopRate = 2e9 }},
 		{"churn on sync", func(sp *RunSpec) {

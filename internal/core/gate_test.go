@@ -129,9 +129,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		digest, sha256         string
 		length                 int
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "bea11e46d38e6803eefcd94c6b118a5d683a9731741415aebaceef0e021c9f6d", 1114669},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "e9dc62baab5b40d88c25130d27f0807c35b719546211bfa737a60031cfd3a276", 1432852},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "7b31cab84f80371d5bd35434a7f7eb412fd468110f6e3df8e163b03acc0400de", 1114683},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "61716aae6dc3122409e4e5da5a20050c72178c06b4293f89d43b39014296e541", 1114732},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "b43aa0d84565ddd3498efedf0903162b32302aa1e494acbbda35155365ba4ab2", 1432915},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "672f8612389fff9c2251ab3a7a183ab27e712470c0ab6ee8f760e3485ba8a199", 1114746},
 	}
 	for _, tc := range cases {
 		build := func() core.RunSpec {

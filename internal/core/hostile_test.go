@@ -59,9 +59,38 @@ func tinyConfig(rounds int) Config {
 	}
 }
 
+// efTransport is a test-local error-feedback WireTransport: an upload
+// ships its delta against ref (plus the client's residual row) rounded to
+// a 1/1024 grid, and what the rounding dropped becomes the row — the row
+// the runtime owns and snapshots with the client. Uplinks report half
+// the dense size, so a priced network runs on measured bytes.
+type efTransport struct{}
+
+func (efTransport) Down(int, int, []float64) []float64 { panic("the runtime calls DownInto") }
+func (efTransport) Up(int, int, []float64) []float64   { panic("the runtime calls UpInto") }
+
+func (efTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	copy(dst, global)
+	return int64(4 * len(global))
+}
+
+func (efTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	if len(*resid) != len(params) {
+		*resid = make([]float64, len(params))
+	}
+	row := *resid
+	for i := range params {
+		d := params[i] - ref[i] + row[i]
+		q := math.Round(d*1024) / 1024
+		row[i] = d - q
+		dst[i] = ref[i] + q
+	}
+	return int64(2 * len(params))
+}
+
 // hostileScenario is one of the resume pins' runs at tinyConfig size.
-// spec builds a fresh RunSpec (a stateful transport cannot be shared
-// between runs); snapAt is the round the stream is taken at.
+// spec builds a fresh RunSpec; snapAt is the round the stream is taken
+// at.
 type hostileScenario struct {
 	name   string
 	spec   func() RunSpec
@@ -93,8 +122,9 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 		{"noise fault", async(func(sp *RunSpec) {
 			sp.Policy, sp.Faults = median, noise
 		}), 3},
+		// The error-feedback rows ride in the client walk.
 		{"priced transport", async(func(sp *RunSpec) {
-			sp.Latency, sp.Network, sp.Config.Transport = mustFleet(ParseLatency("const:2")), mustFleet(ParseNetDist("tiered")), newCountingTransport()
+			sp.Latency, sp.Network, sp.Config.Transport = mustFleet(ParseLatency("const:2")), mustFleet(ParseNetDist("tiered")), efTransport{}
 		}), 3},
 		// MOON reads its client row in BeginRound, from a scratch model.
 		{"moon", async(func(sp *RunSpec) { sp.Algo = NewMOON() }), 3},
@@ -248,10 +278,12 @@ func FuzzResume(f *testing.F) {
 
 // TestSnapshotAllocationsDoNotScaleWithFleet: the walk hands the codec
 // pointers to fields the run owns, so a snapshot's allocation count is a
-// constant — not one per client, per field or per 8-byte word.
+// constant — not one per client, per field or per 8-byte word — with
+// every participant's error-feedback row in the walk.
 func TestSnapshotAllocationsDoNotScaleWithFleet(t *testing.T) {
 	allocs := func(clients int) float64 {
 		cfg := tinyConfig(3)
+		cfg.Transport = efTransport{}
 		cfg.Parts = make([][]int, clients)
 		for c := range cfg.Parts {
 			cfg.Parts[c] = []int{c % cfg.Train.Len()}

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // legacyTransport runs a Transport that predates WireTransport — the
 // benchmark's trace wrapper, test fakes — behind the runtime's one call
@@ -37,14 +40,44 @@ func (l *legacyTransport) DownInto(dst []float64, clientID, round int, global []
 	return copyTransfer(dst, l.t.Down(clientID, round, global), int64(4*len(global)))
 }
 
-// UpInto drops ref: a legacy transport that codes deltas remembered its
-// own Down result.
-func (l *legacyTransport) UpInto(dst []float64, clientID, round int, params, ref []float64) int64 {
+// UpInto drops ref — a legacy transport that codes deltas remembered its
+// own Down result — and files resid for LegacyResidual while the legacy
+// method runs.
+func (l *legacyTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	if len(params) > 0 {
+		legacyRows.Store(&params[0], resid)
+		defer legacyRows.Delete(&params[0])
+	}
 	if l.sized != nil {
 		enc, wire := l.sized.UpSized(clientID, round, params)
 		return copyTransfer(dst, enc, wire)
 	}
 	return copyTransfer(dst, l.t.Up(clientID, round, params), int64(4*len(params)))
+}
+
+// legacyRows carries an upload's error-feedback row across the legacy
+// method set, which has no argument for it, so that the legacy route
+// keeps the row where the in-place route does: in the client, walked by
+// a snapshot. Without it a traced benchmark pass, whose wrapper offers
+// only the legacy methods, would snapshot an error-feedback run without
+// its residuals. The adapter files the row under the upload's buffer,
+// which is that upload's alone while the call runs, and the transport
+// behind the wrapper finds it by the same buffer. It goes with the
+// adapter.
+var legacyRows sync.Map // *float64, the upload's first element -> *[]float64
+
+// LegacyResidual returns the client's error-feedback row when the
+// runtime is passing params to a legacy Up or UpSized — the pointer
+// WireTransport.UpInto would have received — and nil otherwise. comm's
+// allocating wrappers use it.
+func LegacyResidual(params []float64) *[]float64 {
+	if len(params) == 0 {
+		return nil
+	}
+	if row, ok := legacyRows.Load(&params[0]); ok {
+		return row.(*[]float64)
+	}
+	return nil
 }
 
 // copyTransfer moves a legacy transport's result into the runtime's

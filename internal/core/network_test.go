@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"maps"
 	"math"
-	"slices"
-	"sync"
+	"strings"
 	"testing"
 
 	"repro/internal/prng"
-	"repro/internal/tensor"
 )
 
 // sampleLinks materializes the per-ID derivation for a whole fleet;
@@ -177,104 +174,84 @@ func TestRunSpecRejectsNetworkOnSync(t *testing.T) {
 	}
 }
 
-// countingTransport is a minimal stateful, sized transport for the core
-// resume pin: each upload is perturbed by a per-client participation
-// counter — run-long state the FTRS snapshot must carry — and uplinks
-// report half the dense wire size, so the bandwidth pricing path runs
-// on measured (not analytic) bytes.
-type countingTransport struct {
-	mu     sync.Mutex
-	counts map[int]int64
-}
+// pricedTransport is a minimal sized transport for the core resume pin:
+// each upload is perturbed by a hash of (client, round), so the
+// transport moves the trajectory without keeping any state, and uplinks
+// report half the dense wire size, so the bandwidth pricing path runs on
+// measured (not analytic) bytes.
+type pricedTransport struct{}
 
-func newCountingTransport() *countingTransport {
-	return &countingTransport{counts: map[int]int64{}}
-}
-
-func (c *countingTransport) Down(clientID, round int, global []float64) []float64 {
-	enc, _ := c.DownSized(clientID, round, global)
+func (p pricedTransport) Down(clientID, round int, global []float64) []float64 {
+	enc, _ := p.DownSized(clientID, round, global)
 	return enc
 }
 
-func (c *countingTransport) Up(clientID, round int, params []float64) []float64 {
-	enc, _ := c.UpSized(clientID, round, params)
+func (p pricedTransport) Up(clientID, round int, params []float64) []float64 {
+	enc, _ := p.UpSized(clientID, round, params)
 	return enc
 }
 
-func (c *countingTransport) DownSized(clientID, round int, global []float64) ([]float64, int64) {
+func (pricedTransport) DownSized(clientID, round int, global []float64) ([]float64, int64) {
 	return global, int64(len(global)) * 4
 }
 
-func (c *countingTransport) UpSized(clientID, round int, params []float64) ([]float64, int64) {
-	c.mu.Lock()
-	c.counts[clientID]++
-	n := c.counts[clientID]
-	c.mu.Unlock()
+func (pricedTransport) UpSized(clientID, round int, params []float64) ([]float64, int64) {
 	out := append([]float64(nil), params...)
-	out[0] += float64(n) * 1e-5
+	out[0] += float64(prng.Mix(uint64(clientID)<<32|uint64(round))>>54) * 1e-7
 	return out, int64(len(params)) * 2
 }
 
-func (c *countingTransport) SnapshotState(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	enc := tensor.NewEncoder(w)
-	snapCounts(enc, c.counts)
-	return enc.Finish()
-}
+// statefulTransport keeps run-long state of its own behind a snapshot
+// blob (StatefulTransport), which the runtime does not serialize.
+type statefulTransport struct{ pricedTransport }
 
-func (c *countingTransport) RestoreState(r io.Reader) error {
-	counts := make(map[int]int64)
-	dec := tensor.NewDecoder(r, "core_test", "upload counts")
-	snapCounts(dec, counts)
-	dec.ExpectEOF()
-	if err := dec.Finish(); err != nil {
-		return err
+func (statefulTransport) String() string                { return "stateful-test" }
+func (statefulTransport) SnapshotState(io.Writer) error { return nil }
+func (statefulTransport) RestoreState(io.Reader) error  { return nil }
+
+// TestSnapshotRefusesStatefulTransport: a transport's own state has no
+// place in the stream — an error-feedback residual is a client row — so
+// Snapshot must refuse a transport that keeps some, naming it, rather
+// than write a stream that resumes without it.
+func TestSnapshotRefusesStatefulTransport(t *testing.T) {
+	cfg := snapTestConfig(t, 4)
+	cfg.Transport = statefulTransport{}
+	rs, err := NewRunState(RunSpec{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.mu.Lock()
-	c.counts = counts
-	c.mu.Unlock()
-	return nil
-}
-
-// snapCounts is the counting transport's state in either direction: a
-// count, then (client, uploads) pairs in client order.
-func snapCounts(c *tensor.Codec, counts map[int]int64) {
-	ids := slices.Sorted(maps.Keys(counts))
-	for i, n := 0, c.Len("count", len(ids)); i < n && c.Err() == nil; i++ {
-		var id int64
-		if !c.Reading() {
-			id = int64(ids[i])
-		}
-		c.I64(&id)
-		v := counts[int(id)]
-		c.I64(&v)
-		counts[int(id)] = v
+	defer rs.Close()
+	if _, err := rs.Step(); err != nil {
+		t.Fatal(err)
+	}
+	err = rs.Snapshot(io.Discard)
+	if err == nil {
+		t.Fatal("snapshot over a stateful transport accepted")
+	}
+	if !strings.Contains(err.Error(), "cannot snapshot") || !strings.Contains(err.Error(), "stateful-test") {
+		t.Fatalf("error does not name the transport: %v", err)
 	}
 }
 
-// The core-level resume pin for priced, stateful communication: a
-// bandwidth-tiered async run through a transport with run-long state
-// snapshots at the halfway round and resumes bit-for-bit, with the
-// transport's state restored rather than reset.
+// The core-level resume pin for priced communication: a
+// bandwidth-tiered async run through a transport that prices uploads by
+// the bytes it reports snapshots at the halfway round and resumes
+// bit-for-bit.
 func TestResumeEquivalenceAsyncPricedTransport(t *testing.T) {
-	build := func() (RunSpec, *countingTransport) {
+	build := func() RunSpec {
 		sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync}
 		sp.Concurrency = 3
 		sp.BufferSize = 2
 		sp.Latency = mustFleet(ParseLatency("const:2"))
 		sp.Network = mustFleet(ParseNetDist("tiered"))
-		tr := newCountingTransport()
-		sp.Config.Transport = tr
-		return sp, tr
+		sp.Config.Transport = pricedTransport{}
+		return sp
 	}
-	fullSpec, _ := build()
-	full, err := Start(fullSpec)
+	full, err := Start(build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapSpec, _ := build()
-	rs, err := NewRunState(snapSpec)
+	rs, err := NewRunState(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +271,9 @@ func TestResumeEquivalenceAsyncPricedTransport(t *testing.T) {
 	}
 	requireSameResult(t, "priced-transport snapshot-and-continue", full, cont)
 
-	resSpec, tr := build()
-	rs2, err := Resume(bytes.NewReader(buf.Bytes()), ResumeSpec{Spec: resSpec})
+	rs2, err := Resume(bytes.NewReader(buf.Bytes()), ResumeSpec{Spec: build()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(tr.counts) == 0 {
-		t.Fatal("resume did not restore the transport's state")
 	}
 	resumed, err := rs2.Run()
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/spec"
 )
@@ -148,8 +149,10 @@ func (sp *RunSpec) Validate() error {
 		if !zeroLat {
 			return fmt.Errorf("core: device profiles derive each dispatch's latency from its metered FLOPs; drop the %s latency model", sp.Latency)
 		}
-		if sp.FlopRate < 0 {
-			return fmt.Errorf("core: device flop rate %g must be positive", sp.FlopRate)
+		// Written so that NaN fails too: a NaN rate prices every dispatch
+		// at NaN seconds, and arrival order stops being dispatch order.
+		if !(sp.FlopRate >= 0) || math.IsInf(sp.FlopRate, 1) {
+			return fmt.Errorf("core: device flop rate %g must be positive and finite", sp.FlopRate)
 		}
 		if sp.FlopRate == 0 {
 			sp.FlopRate = 1e9

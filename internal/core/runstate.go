@@ -130,9 +130,9 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 // aggregate churn permutation, the fault assignment (plus the noise
 // adversary's stream pointers when derived), and the client objects
 // themselves (slice entry, struct, sample indices). Lazily
-// allocated training state — per-client RNGs and the method's State rows
-// (Client.StateBytes) — is excluded: it scales with participation, not
-// with population. The number is a pure function of the spec, which
+// allocated training state — per-client RNGs, the method's State rows
+// (Client.StateBytes) and the error-feedback residual row — is
+// excluded: it scales with participation, not with population. The number is a pure function of the spec, which
 // is what lets tier-1 pin it exactly (TestPopulationCounters, B/client).
 func (rs *RunState) PerClientStateBytes() float64 {
 	s := rs.s

@@ -292,8 +292,8 @@ func (s *Server) selectClients() []*Client {
 //
 // With a transport the client trains from the shard engine's downlink
 // buffer, which then serves as the upload's delta reference, and the
-// upload is rounded in place in its pooled buffer; without one it trains
-// from j.global itself. An upload that then differs from the float32
+// upload is rounded in place in its pooled buffer, next to the client's
+// error-feedback row; without one it trains from j.global itself. An upload that then differs from the float32
 // image of j.global in at most a quarter of its entries — a sparse
 // uplink's — is kept as the job's patch, and its buffer goes straight
 // back to the pool: in flight it costs its patch, not |w| floats.
@@ -314,7 +314,7 @@ func (s *Server) trainClient(j *trainJob) {
 	s.applyFault(j.c, &u)
 	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
-		j.upBytes = s.wire.UpInto(u.Params, j.c.ID, j.round, u.Params, global)
+		j.upBytes = s.wire.UpInto(u.Params, j.c.ID, j.round, u.Params, global, &j.c.resid)
 		if j.patch.compact(u.Params, j.global) {
 			paramsPool.put(u.Params)
 			u.Params, u.pooled, j.sparse = nil, false, true

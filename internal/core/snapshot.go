@@ -3,7 +3,7 @@
 //
 // The format is a versioned, magic-headered binary stream:
 //
-//	"FTRS" | version u8 | fingerprint string | common section | transport state | loop section
+//	"FTRS" | version u8 | fingerprint string | common section | loop section
 //
 // The fingerprint is a canonical string of everything that determines the
 // run's trajectory: the canonical spec strings of the method (with its
@@ -36,11 +36,14 @@
 //   - Optimizer state needs no section: every local round begins with
 //     opt.Reset() (pinned by the optim package's tests), so there is no
 //     cross-round optimizer state to save.
+//   - The transport keeps nothing between uploads: an error-feedback
+//     residual is a row of its client, walked with the client.
 //
 // Not snapshottable: methods with server-side aggregation state outside
 // RunState (Aggregator/PreRounder implementors — SlowMo's momentum,
-// SCAFFOLD's c, ...). Snapshot refuses them with a precise error rather
-// than silently resuming a half-restored method.
+// SCAFFOLD's c, ...), and a transport that keeps state of its own
+// (StatefulTransport). Snapshot refuses them with a precise error rather
+// than silently resuming a half-restored run.
 package core
 
 import (
@@ -56,14 +59,14 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 8 is the layout the walks below spell out, under a
+	// snapVersion 9 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
-	// Version 8 carries each client's persistent state as one vector of
-	// whole |w| rows (Client.State) where 7 had a historical model and a
-	// named-vector map. A snapshot does not survive a format bump: Resume
-	// refuses any other version, naming both.
-	snapVersion = 8
+	// Version 9 carries each client's error-feedback residual as a row in
+	// the client walk, after the method's rows (Client.State); 8 had it
+	// in a transport-state section. A snapshot does not survive a format
+	// bump: Resume refuses any other version, naming both.
+	snapVersion = 9
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -122,9 +125,13 @@ func specName(v any) string {
 // training (a pure reordering of work that was about to happen anyway)
 // but drops nothing, so snapshot-and-continue and snapshot-and-exit both
 // work. Returns an error for methods whose aggregation state lives
-// outside the runtime (Aggregator/PreRounder implementors).
+// outside the runtime (Aggregator/PreRounder implementors) and for a
+// transport that keeps state of its own (StatefulTransport).
 func (rs *RunState) Snapshot(w io.Writer) error {
 	algo := rs.s.spec.Algo
+	if tr, ok := rs.s.spec.Transport.(StatefulTransport); ok {
+		return fmt.Errorf("core: cannot snapshot a run over transport %s (%T): it keeps run-long state of its own, which the runtime does not serialize", specName(tr), tr)
+	}
 	if _, ok := algo.(Aggregator); ok {
 		return fmt.Errorf("core: cannot snapshot a %s run: the method keeps server-side aggregation state the runtime cannot serialize", algo.Name())
 	}
@@ -155,8 +162,8 @@ func canonical(algo Algorithm) string {
 // exactly what differs. Function-valued fields (Logf, OnRound,
 // OnUpdates) may differ freely; they are not part of the trajectory
 // fingerprint. The Transport must be a fresh instance of the same spec
-// (same fingerprint name); a StatefulTransport's run-long state
-// (error-feedback residuals) is restored from the snapshot.
+// (same fingerprint name); it keeps nothing across uploads, and each
+// client's error-feedback residual is restored from the client walk.
 type ResumeSpec struct {
 	Spec RunSpec
 }
@@ -207,12 +214,6 @@ func (rs *RunState) snap(c *tensor.Codec) {
 		c.Abort(fmt.Errorf("core: snapshot was taken from a different run:\n  snapshot: %s\n  spec:     %s\n  (hyper hashes the method's settings; this spec's are %s)", theirs, ours, canonical(sp.Algo)))
 	}
 	rs.snapCommon(c)
-	// A StatefulTransport's run-long state (error-feedback residuals), as
-	// a blob the transport owns. Snapshot runs quiesced, so no transfer is
-	// mutating it.
-	if st, ok := sp.Transport.(StatefulTransport); c.Present("transport state", ok) {
-		c.Blob("transport state", st.SnapshotState, st.RestoreState)
-	}
 	rs.run.snapBody(c)
 }
 
@@ -256,8 +257,12 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 			return
 		}
 		// The method's persistent rows (Client.State), empty until it first
-		// asked.
+		// asked, and the transport's error-feedback residual, empty until
+		// the client's first accepted upload under error feedback.
 		c.Rows("client state", &cl.state, np)
+		if c.Rows("client residual", &cl.resid, np); len(cl.resid) > np {
+			c.Fail("client %d residual holds %d rows, at most 1", cl.ID, len(cl.resid)/np)
+		}
 		c.Num("client last round", &cl.LastRound)
 		has := cl.rng != nil
 		if c.Bool(&has); has {

@@ -117,29 +117,31 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
 // writes it, for the snapshot stream each resume pin builds. The lengths
-// and hashes were taken at the FTRS 8 bump, which replaced each client's
-// has-history byte, optional history vector and state-vector map with one
-// length-prefixed vector of the method's rows. Under FedTrip a client that
-// participated loses the has-history byte and the map's count word
-// (1 + 8 = 9 bytes); one that never did trades both for an empty vector's
-// length word (1 + 8 - 8 = 1 byte). So each FTRS 7 stream shrank by
-// 6 x 9 = 54 bytes, and the priced-transport one, with a client never
-// selected, by 5 x 9 + 1 = 46. Rewriting each FTRS 7 stream into the new
-// layout reproduced its FTRS 8 stream byte for byte: the values did not
-// move, only the layout. TestResumeEquivalenceMOON's entry is new at FTRS 8.
+// and hashes were taken at the FTRS 9 bump, which moved each client's
+// error-feedback residual from a transport-state section after the common
+// one into the client walk, as a length-prefixed row after the method's
+// rows. None of these runs has an error-feedback transport, so each
+// stream gained one empty row's length word per client (6 x 8 = 48
+// bytes) and lost the transport section's presence byte: 47 bytes in
+// all. Rewriting each FTRS 8 stream into the new layout reproduced its
+// FTRS 9 stream byte for byte: the values did not move, only the layout.
+// TestResumeEquivalenceAsyncPricedTransport's entry was re-taken at the
+// same bump: its transport keeps no state any more and perturbs an
+// upload by a hash of (client, round), not by a participation count, so
+// its trajectory moved.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"100876778c09082512025b76d096481995d5af252e081d801c87aa0597229f97", 4453623},
-	"TestResumeEquivalenceAsyncFedBuff":         {"cf21c41864e32409adbf1b27731fbbc8a1ab1219a6487ddc823b5e053af5e184", 6362290},
-	"TestResumeEquivalenceAsyncChurn":           {"23fdeec91291e93970f579c350531f19d96bee5df1fe153ad9353518a7fbedd2", 6362496},
-	"TestResumeEquivalenceAsyncDevices":         {"112654f9f33c803019cda5f5099de44015654467afbe29f6f147abb2f4d71bfa", 6362259},
-	"TestResumeEquivalenceNoiseFault":           {"eda197b8c45cd463e4a5f8a719e3d4e81bb8539679032167a276ce01ead7ea9a", 6362297},
-	"TestResumeEquivalenceAsyncPricedTransport": {"7167f4bce4b1c32180ee37e9363cc4325e1b6a0df9a1d1a885935898c11f28e5", 5090256},
-	"TestResumeEquivalenceMOON":                 {"39ba175ddfa6d7297f597ba18936a0e19d3ae2c3ada99f7bbc90d646201561e0", 6362287},
+	"TestResumeEquivalenceSync":                 {"3447cd150482773984b374883172fabdfa28ee742f28817c0eb3768d15c0a877", 4453670},
+	"TestResumeEquivalenceAsyncFedBuff":         {"4b7e23c444009a5893ffa82689ac2bb24f88ae6850e8537a0dc9f9031943351e", 6362337},
+	"TestResumeEquivalenceAsyncChurn":           {"e3d336257b38f35a3bcb182d3ef5aa2765804c021424b64eb6e767c0684cb07d", 6362543},
+	"TestResumeEquivalenceAsyncDevices":         {"26bdf78585479662270c4de9d2063e5b54a9fba3a62c7063d93896f13c21a7fe", 6362306},
+	"TestResumeEquivalenceNoiseFault":           {"7c3c6404d7dd933a654ef7eefbb3b59fd7d8af19e781c4a58d0644fb52a41c3a", 6362344},
+	"TestResumeEquivalenceAsyncPricedTransport": {"040ab80d1c2561cfadc486fdbf41800a2ab30b440147371149285c7b875e4746", 5090207},
+	"TestResumeEquivalenceMOON":                 {"1237bb35f38d60340dcdd15831b1df7758eeefa2faa4ab73c7dd8536235f8977", 6362334},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -151,7 +153,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, FTRS 8 is %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 9 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -400,7 +402,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 7), good[5:]...), spec, "run snapshot version 7, this build reads version 8"},
+		{"previous version", append(append([]byte(snapMagic), 8), good[5:]...), spec, "run snapshot version 8, this build reads version 9"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

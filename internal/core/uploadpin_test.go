@@ -40,11 +40,11 @@ func TestUploadStreamsPinned(t *testing.T) {
 		length                                                     int
 	}{
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered",
-			"7c0da0bdd287eec2", "4e5fdab7d30ac09e851f9eb0dfbfa1197128bec6c18e6af7b07e96e34dceee1d", 3501910},
+			"7c0da0bdd287eec2", "64832441f6b7ebf3a2608e3474cedcf68bd9ad4d731351eff614db08d466a9a7", 3501877},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "",
-			"74db091ccf8b2e61", "04ca8eb584d28a1e94cf92a967823b8f576e50ddd1b10c2cb1806cdfca8e2c30", 1115076},
+			"74db091ccf8b2e61", "fcfa3b449c25e8b240db29dd55a391af7ff89b39564fd1d92204f14449adc362", 1115187},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "",
-			"cf6a3a5490d91f14", "c8da581af3fddcf77fe539fec1e0b90072ec77aa6c4fc7917b7f9085a66a0917", 3501817},
+			"cf6a3a5490d91f14", "e2d2ce5496c06757584614f23cff53cd10ef7d73ad7a194c0f9e7fd6749bbe98", 3501784},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -173,6 +173,9 @@ func TestFromLineRefusesHostileNumbers(t *testing.T) {
 		{"-algo fedtrip:0.4,0.5", "xi mode 0.5"},
 		{"-algo fedprox:1,2", "fedprox wants 0 to 1 args"},
 		{"-algo fedavg+fedprox", "only one base"},
+		{"-runtime async -device-dist tiered -flop-rate NaN", "device flop rate NaN"},
+		{"-runtime async -device-dist tiered -flop-rate inf", "device flop rate +Inf"},
+		{"-runtime async -device-dist tiered -flop-rate 1e308", "device flop rate +Inf"},
 	} {
 		done := make(chan error, 1)
 		go func() {

@@ -3,8 +3,6 @@ package tensor
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -26,7 +24,7 @@ type record struct {
 	ids     []int32   // length known to the reader
 	grown   []float64 // length only the stream knows
 	members []int32   // length only the stream knows, at most 16
-	blob    []byte
+	extra   []float64 // an optional section: present when non-nil
 }
 
 // walk is that format, written down once: the same function encodes r on
@@ -46,14 +44,8 @@ func (r *record) walk(c *Codec) error {
 	c.I32sExact("ids", r.ids)
 	c.Floats("grown", &r.grown)
 	c.I32s("members", &r.members, 16)
-	if c.Present("blob", r.blob != nil) {
-		c.Blob("blob", func(w io.Writer) error {
-			_, err := w.Write(r.blob)
-			return err
-		}, func(rd io.Reader) (err error) {
-			r.blob, err = io.ReadAll(rd)
-			return err
-		})
+	if c.Present("extra", r.extra != nil) {
+		c.Floats("extra", &r.extra)
 	}
 	return c.Finish()
 }
@@ -71,14 +63,14 @@ func sampleRecord() *record {
 		ids:     []int32{math.MaxInt32, -1, 0},
 		grown:   long,
 		members: []int32{4, 2},
-		blob:    []byte("opaque"),
+		extra:   []float64{7, -0.25},
 	}
 }
 
 // blank is a record as the reader builds it: sized where the format says
 // the reader knows the size, empty elsewhere.
 func blank() *record {
-	return &record{fixed: make([]float64, 4), counts: make([]int64, 3), ids: make([]int32, 3), blob: []byte{}}
+	return &record{fixed: make([]float64, 4), counts: make([]int64, 3), ids: make([]int32, 3), extra: []float64{}}
 }
 
 func encode(t *testing.T, r *record) []byte {
@@ -108,7 +100,7 @@ func TestCodecOneWalkBothDirections(t *testing.T) {
 	}
 	if got.name != want.name || got.n != want.n || !got.flag || got.b != 200 ||
 		got.u != want.u || got.i != -7 || !math.IsInf(got.f, -1) || !math.IsNaN(got.fixed[1]) ||
-		len(got.grown) != len(want.grown) || cap(got.grown) != len(want.grown) || string(got.blob) != "opaque" {
+		len(got.grown) != len(want.grown) || cap(got.grown) != len(want.grown) || !slices.Equal(got.extra, want.extra) {
 		t.Fatalf("decoded record differs: %+v", got)
 	}
 }
@@ -193,8 +185,8 @@ func TestCodecRefuses(t *testing.T) {
 
 	t.Run("section flag disagrees", func(t *testing.T) {
 		r := blank()
-		r.blob = nil // this reader expects no blob
-		if err := decode(r, good); err == nil || !strings.Contains(err.Error(), "blob present=true, want false") {
+		r.extra = nil // this reader expects no extra section
+		if err := decode(r, good); err == nil || !strings.Contains(err.Error(), "extra present=true, want false") {
 			t.Fatalf("got %v", err)
 		}
 	})
@@ -205,47 +197,6 @@ func TestCodecRefuses(t *testing.T) {
 			t.Fatalf("got %v", err)
 		}
 	})
-}
-
-// TestCodecBlob: the section's reader sees exactly the section and must
-// drain it; its own failure is reported under the section's name.
-func TestCodecBlob(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewEncoder(&buf)
-	after := 99
-	c.Blob("state", func(w io.Writer) error { _, err := w.Write([]byte("0123456789")); return err }, nil)
-	c.Num("after", &after)
-	if err := c.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	read := func(f func(io.Reader) error) (int, error) {
-		d := NewDecoder(bytes.NewReader(buf.Bytes()), "tensor", "test record")
-		got := 0
-		d.Blob("state", nil, f)
-		d.Num("after", &got)
-		return got, d.Finish()
-	}
-	if got, err := read(func(r io.Reader) error {
-		b, err := io.ReadAll(r)
-		if string(b) != "0123456789" {
-			t.Errorf("section reader saw %q", b)
-		}
-		return err
-	}); err != nil || got != 99 {
-		t.Fatalf("after a drained section: %d, %v", got, err)
-	}
-	if _, err := read(func(r io.Reader) error { _, err := io.ReadFull(r, make([]byte, 4)); return err }); err == nil || !strings.Contains(err.Error(), "state left 6 bytes unread") {
-		t.Fatalf("a half-read section: %v", err)
-	}
-	boom := errors.New("boom")
-	if _, err := read(func(io.Reader) error { return boom }); !errors.Is(err, boom) || !strings.Contains(err.Error(), "tensor: state:") {
-		t.Fatalf("a failing section reader: %v", err)
-	}
-	e := NewEncoder(io.Discard)
-	e.Blob("state", func(io.Writer) error { return boom }, nil)
-	if err := e.Finish(); !errors.Is(err, boom) {
-		t.Fatalf("a failing section writer: %v", err)
-	}
 }
 
 func TestCodecExpectEOF(t *testing.T) {

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,12 +9,12 @@ import (
 )
 
 // Binary serialization. Every persistent format in the repository — the
-// FTRS run snapshot (internal/core), the FTCK model checkpoint
-// (internal/nn) and a compressing transport's state blob (internal/comm)
-// — is little endian and is written and read by one Codec, which runs in
-// either direction: a format is described once, as a walk that hands the
-// codec a pointer to each field in stream order, and the same walk
-// encodes on a Codec from NewEncoder and decodes on one from NewDecoder.
+// FTRS run snapshot (internal/core) and the FTCK model checkpoint
+// (internal/nn) — is little endian and is written and read by one Codec,
+// which runs in either direction: a format is described once, as a walk
+// that hands the codec a pointer to each field in stream order, and the
+// same walk encodes on a Codec from NewEncoder and decodes on one from
+// NewDecoder.
 //
 // Errors are sticky: after the first failure every method is a no-op
 // that leaves its argument alone, so a walk stays linear and asks Err or
@@ -354,34 +353,6 @@ func (c *Codec) I32s(what string, v *[]int32, limit int) {
 func (c *Codec) Vector(what string, v []float64) {
 	c.Magic(magicF64)
 	c.FloatsExact(what, v)
-}
-
-// Blob is a length-prefixed section owned by someone else: write
-// produces it, read consumes it. The reader sees exactly the section's
-// bytes and must consume all of them.
-func (c *Codec) Blob(what string, write func(io.Writer) error, read func(io.Reader) error) {
-	if c.err != nil {
-		return
-	}
-	if c.w != nil {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			c.err = fmt.Errorf("writing %s: %w", what, err)
-			return
-		}
-		c.Len(what, buf.Len())
-		c.Raw(buf.Bytes())
-		return
-	}
-	section := &io.LimitedReader{R: c.r, N: int64(c.Len(what, 0))}
-	if c.err != nil {
-		return
-	}
-	if err := read(section); err != nil {
-		c.err = fmt.Errorf("%s: %s: %w", c.pkg, what, err)
-	} else if section.N != 0 {
-		c.Fail("%s left %d bytes unread", what, section.N)
-	}
 }
 
 // ExpectEOF fails a decoder whose stream holds anything further.
