@@ -291,14 +291,14 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 200, 561},
-	{"Async1kClients", asyncSpec, 1_000, 200, 1_280},
-	{"Sync10kClients", syncSpec, 10_000, 200, 529},
-	{"Async10kClients", asyncSpec, 10_000, 200, 1_293},
-	{"AsyncChurn1k", churnSpec, 1_000, 208, 1_239},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 200, 1_285},
-	{"RobustMerge1k", robustSpec, 1_000, 201, 1_197},
-	{"Async100kClients", scaleSpec, 100_000, 192, 2_714},
+	{"Sync1kClients", syncSpec, 1_000, 200, 463},
+	{"Async1kClients", asyncSpec, 1_000, 200, 1_053},
+	{"Sync10kClients", syncSpec, 10_000, 200, 413},
+	{"Async10kClients", asyncSpec, 10_000, 200, 1_048},
+	{"AsyncChurn1k", churnSpec, 1_000, 208, 1_027},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 200, 1_075},
+	{"RobustMerge1k", robustSpec, 1_000, 201, 1_082},
+	{"Async100kClients", scaleSpec, 100_000, 192, 2_096},
 	{"Async1MClients", scaleSpec, 1_000_000, 192, 0},
 }
 

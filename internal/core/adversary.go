@@ -243,7 +243,7 @@ func (s *Server) installFaults() {
 			// A fixed per-client label rotation: every label moves (the
 			// offset is never 0 mod classes), clients disagree on where,
 			// and no RNG is consumed.
-			s.clients[id].labelFlip = 1 + id%(classes-1)
+			s.clients[id].labelFlip = int32(1 + id%(classes-1))
 		}
 	}
 }

@@ -240,14 +240,15 @@ type bufferedRunner struct {
 	joinScratch []*trainJob
 	// cur is the snapshot of the current model version: taken by the
 	// first dispatch after an aggregation, shared by every later one,
-	// nil in between. snaps is the fixed table of snapshot records, one
-	// per version that can be alive at once: a superseded version lives
-	// only while one of the at most Concurrency in-flight jobs still
-	// needs it — to train from until it is joined, or, holding a sparse
-	// upload, to rebuild it from until it arrives. A record with no
-	// vector is free.
+	// nil in between. snaps is the table of snapshot records, one per
+	// version alive at once: a superseded version lives only while one
+	// of the at most Concurrency in-flight jobs still needs it — to train
+	// from until it is joined, or, holding a sparse upload, to rebuild
+	// it from until it arrives — or a recipe pins it (lazyrows.go), which
+	// is what grows the table past Concurrency+1. A record with no vector
+	// is free.
 	cur   *globalSnap
-	snaps []globalSnap
+	snaps []*globalSnap
 	// snapshots counts the global copies taken so far — one per model
 	// version that dispatched anything, however many jobs it dispatched.
 	snapshots int
@@ -263,9 +264,10 @@ type bufferedRunner struct {
 
 // globalSnap is the global model as it stood at one model version: a
 // pooled copy nobody writes, shared by every job dispatched at that
-// version. refs counts those of them that still hold it (release); when
-// the last one lets go and an aggregation has superseded the version,
-// the vector returns to paramsPool and the record is free again.
+// version. refs counts those of them that still hold it (release), and
+// the recipes that pin it; when the last one lets go and an aggregation
+// has superseded the version, the vector returns to paramsPool and the
+// record is free again.
 type globalSnap struct {
 	vec  []float64
 	refs int
@@ -276,7 +278,11 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 		s:       s,
 		gated:   s.spec.Runtime != RuntimeAsync,
 		joinNow: !s.spec.Devices.None() || !s.spec.Network.None(),
-		snaps:   make([]globalSnap, s.spec.Concurrency+1),
+		snaps:   make([]*globalSnap, s.spec.Concurrency+1),
+	}
+	recs := make([]globalSnap, len(r.snaps))
+	for i := range recs {
+		r.snaps[i] = &recs[i]
 	}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
@@ -319,6 +325,7 @@ func (r *bufferedRunner) join(j *trainJob) {
 	<-j.done
 	j.trained = true
 	r.unjoined--
+	r.s.rows.settle(j)
 	if !j.sparse {
 		r.release(j)
 	}
@@ -326,13 +333,18 @@ func (r *bufferedRunner) join(j *trainJob) {
 
 // release drops j's hold on the global it trained from. A gated job
 // trained from s.global, which nothing writes before its round merges,
-// and holds no snapshot.
+// and holds no snapshot — unless it recorded a first participation.
 func (r *bufferedRunner) release(j *trainJob) {
 	sn := j.gsnap
 	j.gsnap, j.global = nil, nil
-	if sn == nil {
-		return
+	if sn != nil {
+		r.unpin(sn)
 	}
+}
+
+// unpin drops one reference to sn, freeing it with the last once its
+// version is superseded.
+func (r *bufferedRunner) unpin(sn *globalSnap) {
 	if sn.refs--; sn.refs == 0 && sn != r.cur {
 		r.freeSnap(sn)
 	}
@@ -364,11 +376,15 @@ func (r *bufferedRunner) acquire(j *trainJob) {
 	if r.cur == nil {
 		// Once per model version, next to an |w|-sized copy: a scan of
 		// the table costs nothing worth a free list.
-		for i := range r.snaps {
-			if r.snaps[i].vec == nil {
-				r.cur = &r.snaps[i]
+		for _, sn := range r.snaps {
+			if sn.vec == nil {
+				r.cur = sn
 				break
 			}
+		}
+		if r.cur == nil {
+			r.cur = new(globalSnap)
+			r.snaps = append(r.snaps, r.cur)
 		}
 		r.cur.vec = paramsPool.getCopy(r.s.global)
 		r.snapshots++
@@ -497,9 +513,11 @@ func (r *bufferedRunner) dispatch() {
 // send dispatches client c. The job comes from the run's free list and,
 // ungated, its global from the version's shared snapshot, so steady-state
 // dispatch allocates nothing; a gated job reads s.global itself, which
-// nothing writes before the whole round has joined. A join-at-dispatch
-// job joins the burst in joinScratch; any other is submitted and queued
-// at once.
+// nothing writes before the whole round has joined, unless it records a
+// first participation, whose recipe will pin the round's snapshot. A
+// client with a recipe hands it to the job, which rebuilds its rows. A
+// join-at-dispatch job joins the burst in joinScratch; any other is
+// submitted and queued at once.
 //
 //fedtripvet:hotpath
 func (r *bufferedRunner) send(c *Client) {
@@ -508,7 +526,11 @@ func (r *bufferedRunner) send(c *Client) {
 	j.c, j.round, j.seq = c, s.rec.res.Rounds+1, r.seq
 	r.seq++
 	s.armJob(j, c.ID)
-	if r.gated {
+	if c.recipe != 0 {
+		j.replay = s.rows.take(c)
+	}
+	j.record = s.rows.on && c.LastRound == 0 && c.state == nil
+	if r.gated && !j.record {
 		j.global = s.global
 	} else {
 		r.acquire(j)

@@ -9,8 +9,9 @@ import (
 
 // Client is one federated participant. It owns only what must survive
 // between its participations: its private data indices, the method's
-// persistent state, the transport's error-feedback residual, its FLOP
-// meter, and its deterministic random stream.
+// persistent state (or the recipe that rebuilds it), the transport's
+// error-feedback residual, its FLOP meter, and its deterministic random
+// stream.
 // The heavy training machinery (model, optimizer, batch buffers) and
 // everything that lives for one round (the received global model, the
 // step count) belong to an engine the client borrows for the duration of
@@ -48,7 +49,11 @@ type Client struct {
 	// labelFlip is a label-flipping Byzantine client's fixed rotation
 	// offset (adversary.go): every training label y becomes
 	// (y+labelFlip) mod Classes. 0 (honest) leaves batches untouched.
-	labelFlip int
+	labelFlip int32
+	// recipe is 1 + the slot of the recipe the fleet's rowStore holds in
+	// place of the method's rows from the client's first participation
+	// (lazyrows.go), 0 when the rows, if any, are in state.
+	recipe int32
 
 	// eng is the engine currently attached (nil when idle). loan is what
 	// the client's fleet shares: the configuration, |w|, and the engine
@@ -98,8 +103,22 @@ func (c *Client) NumParams() int { return c.loan.numParams }
 // later call returns the same storage, so a row never moves under a
 // caller. A method asks for the same number of rows every time; a method
 // that never calls State costs its clients nothing.
+//
+// In a run that merges fewer updates than it has clients, the rows a
+// first participation writes are not kept: the client holds a recipe
+// instead, and its next dispatch rebuilds them bit for bit before the
+// method can read them (lazyrows.go). A call from outside a round
+// rebuilds them too, on the fleet's loaner engine, and from then on they
+// are stored like any other client's. Either way a method sees exactly
+// the rows it wrote.
 func (c *Client) State(rows int) []float64 {
 	n := rows * c.NumParams()
+	if e := c.eng; e != nil && e.recording {
+		return e.rows(rows, n)
+	}
+	if c.recipe != 0 {
+		c.loan.rows.rebuild(c)
+	}
 	if len(c.state) < n { // the first call (or a doctored stream's short state)
 		c.state = make([]float64, n)
 	}
@@ -107,8 +126,15 @@ func (c *Client) State(rows int) []float64 {
 }
 
 // StateBytes reports the bytes the client's State holds: 0 until the
-// method first asks, then 8 bytes per float64 of every row.
-func (c *Client) StateBytes() int { return 8 * cap(c.state) }
+// method first asks, then 8 bytes per float64 of every row. Rows held as
+// a recipe count as the rows they rebuild: this is the method's
+// per-client cost, whatever the runtime keeps in their place.
+func (c *Client) StateBytes() int {
+	if c.recipe != 0 {
+		return 8 * int(c.loan.rows.recipes[c.recipe-1].rows) * c.NumParams()
+	}
+	return 8 * cap(c.state)
+}
 
 // RoundGlobal returns the global model the client received this round:
 // the very slice LocalTrainSteps was given (the model version's shared
@@ -174,6 +200,36 @@ func (c *Client) LocalTrain(round int, global []float64) Update {
 //
 //fedtripvet:hotpath
 func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Update {
+	if c.recipe != 0 {
+		// Trained by hand, outside the run's jobs (which take the recipe
+		// at dispatch): the rows are rebuilt before the round borrows the
+		// engine a rebuild would run on.
+		c.loan.rows.rebuild(c)
+	}
+	meanLoss := c.train(round, global, maxSteps)
+	c.LastRound = round
+	e := c.eng
+	// The upload buffer is checked out of the shared pool; the server's
+	// merge path returns it once the aggregation has consumed it
+	// (recycleUpdates), making the steady-state upload cycle
+	// allocation-free. Callers outside a server run that drop the Update
+	// on the floor merely forgo recycling.
+	return Update{
+		ClientID:   c.ID,
+		Params:     paramsPool.getCopy(e.model.Params()),
+		NumSamples: len(c.Indices),
+		Steps:      e.roundSteps,
+		TrainLoss:  meanLoss,
+		pooled:     true,
+	}
+}
+
+// train is the body of LocalTrainSteps, up to and including the method's
+// EndRound: the trained parameters are the engine model's, and the mean
+// training loss is returned. A replay (lazyrows.go) runs it alone.
+//
+//fedtripvet:hotpath
+func (c *Client) train(round int, global []float64, maxSteps int) float64 {
 	cfg := c.loan.cfg
 	algo := cfg.Algo
 	e := c.engine()
@@ -215,7 +271,7 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 			e.ensureBatch(len(idx))
 			cfg.Train.FillBatch(e.batchX, e.batchY, idx)
 			if c.labelFlip != 0 {
-				rotateLabels(e.batchY, c.labelFlip, cfg.Model.Classes)
+				rotateLabels(e.batchY, int(c.labelFlip), cfg.Model.Classes)
 			}
 
 			logits := e.model.Forward(e.batchX, true)
@@ -247,25 +303,10 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 	}
 	algo.EndRound(c, round)
 	e.roundGlobal = nil
-	c.LastRound = round
-
-	var meanLoss float64
-	if batches > 0 {
-		meanLoss = lossSum / float64(batches)
+	if batches == 0 {
+		return 0
 	}
-	// The upload buffer is checked out of the shared pool; the server's
-	// merge path returns it once the aggregation has consumed it
-	// (recycleUpdates), making the steady-state upload cycle
-	// allocation-free. Callers outside a server run that drop the Update
-	// on the floor merely forgo recycling.
-	return Update{
-		ClientID:   c.ID,
-		Params:     paramsPool.getCopy(e.model.Params()),
-		NumSamples: len(c.Indices),
-		Steps:      e.roundSteps,
-		TrainLoss:  meanLoss,
-		pooled:     true,
-	}
+	return lossSum / float64(batches)
 }
 
 // clipToNorm rescales g in place so ||g|| <= maxNorm.

@@ -63,6 +63,14 @@ type engine struct {
 	// upload's delta reference, so it lives exactly one client round.
 	// nil in runs without a transport.
 	downlink []float64
+	// recording sends the attached client's State rows to rowScratch
+	// instead of the client, zeroed at the method's first ask (rowsAsked
+	// rows; 0 until it asks): a first participation's rows, which a
+	// recipe will stand for, or a recipe's rows being rebuilt
+	// (lazyrows.go).
+	recording  bool
+	rowsAsked  int32
+	rowScratch []float64
 }
 
 // newEngine builds one training engine. seed determines the (irrelevant,
@@ -135,15 +143,43 @@ func (e *engine) downlinkBuf(n int) []float64 {
 	return e.downlink[:n]
 }
 
+// rows is Client.State while the engine is recording: rows rows of
+// |w| = n/rows floats in rowScratch, zeroed at the first ask.
+func (e *engine) rows(rows, n int) []float64 {
+	if e.rowsAsked == 0 {
+		e.rowsAsked = int32(rows)
+		if cap(e.rowScratch) < n {
+			e.rowScratch = make([]float64, n)
+		}
+		clear(e.rowScratch[:n])
+	}
+	return e.rowScratch[:n]
+}
+
+// record starts routing the attached client's rows to engine scratch.
+func (e *engine) record() { e.recording, e.rowsAsked = true, 0 }
+
+// recorded stops recording and returns how many rows the method wrote
+// (0 if it kept none); they stay in rowScratch until the next record.
+func (e *engine) recorded() int32 {
+	e.recording = false
+	return e.rowsAsked
+}
+
+// meter points the engine's FLOP metering at counter (nil: nowhere).
+func (e *engine) meter(counter *flops.Counter) {
+	e.counter = counter
+	e.model.SetCounter(counter)
+	if e.scratchA != nil {
+		e.scratchA.SetCounter(counter)
+		e.scratchB.SetCounter(counter)
+	}
+}
+
 // attach points the engine's FLOP metering at the client about to train on
 // it and hands the engine to the client for the duration of the round.
 func (e *engine) attach(c *Client) {
-	e.counter = c.Counter
-	e.model.SetCounter(c.Counter)
-	if e.scratchA != nil {
-		e.scratchA.SetCounter(c.Counter)
-		e.scratchB.SetCounter(c.Counter)
-	}
+	e.meter(c.Counter)
 	c.eng = e
 }
 
@@ -152,12 +188,7 @@ func (e *engine) attach(c *Client) {
 // nil-safe no-ops).
 func (e *engine) detach(c *Client) {
 	c.eng = nil
-	e.counter = nil
-	e.model.SetCounter(nil)
-	if e.scratchA != nil {
-		e.scratchA.SetCounter(nil)
-		e.scratchB.SetCounter(nil)
-	}
+	e.meter(nil)
 }
 
 // engineLoaner is what every client of one fleet shares, behind the one
@@ -176,6 +207,8 @@ type engineLoaner struct {
 	numParams int
 	eng       *engine
 	cur       *Client // most recent borrower
+	// rows is the fleet's store of recipes for first-participation rows.
+	rows *rowStore
 }
 
 // borrow attaches the loaner engine to c (building it on first use) and

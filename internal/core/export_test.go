@@ -11,13 +11,22 @@ func ResetPoolPeak() { paramsPool.resetPeak() }
 // Fingerprint is the text a snapshot of the run is stamped with.
 func (sp *RunSpec) Fingerprint(numParams int) string { return sp.fingerprint(numParams) }
 
+// HoldRowsDense keeps every method row dense, as a run outside the lazy
+// regime does; call it before the first Step.
+func (rs *RunState) HoldRowsDense() { rs.s.rows.on = false }
+
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads, and once each the model versions their sparse ones
-// were taken against. It errs unless those versions are exactly the
-// snapshots the runner still has out.
+// were taken against or a recipe pins. It errs unless those versions are
+// exactly the snapshots the runner still has out.
 func (rs *RunState) QueuedBuffers() (int, error) {
 	r := rs.run
 	held, versions := 0, map[*globalSnap]bool{}
+	for _, rec := range rs.s.rows.recipes {
+		if rec.img != nil {
+			versions[rec.img] = true
+		}
+	}
 	for _, js := range [][]*trainJob{r.inflight.js, r.buffer} {
 		for _, j := range js {
 			if j.update.pooled {
@@ -33,8 +42,8 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 		}
 	}
 	live := 0
-	for i := range r.snaps {
-		if r.snaps[i].vec != nil {
+	for _, sn := range r.snaps {
+		if sn.vec != nil {
 			live++
 		}
 	}
@@ -43,3 +52,23 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 	}
 	return held + len(versions), nil
 }
+
+// Lazy reports whether c's rows are held as a recipe.
+func (c *Client) Lazy() bool { return c.recipe != 0 }
+
+// PeekState returns c's rows without changing how the run holds them: a
+// recipe's rebuilt into a fresh vector on the loaner engine, as Snapshot
+// rebuilds them, or a copy of the stored rows.
+func (c *Client) PeekState() []float64 {
+	if c.recipe == 0 {
+		return append([]float64(nil), c.state...)
+	}
+	rec := c.loan.rows.recipes[c.recipe-1]
+	dst := make([]float64, int(rec.rows)*c.NumParams())
+	c.loan.rows.replay(c, c.engine(), &rec, dst)
+	return dst
+}
+
+// Quiesce joins every job still training, as Snapshot does first, so the
+// clients can be read between steps.
+func (rs *RunState) Quiesce() { rs.run.quiesce() }

@@ -75,7 +75,9 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	if spec.Churn != nil {
 		s.churn = newChurn(len(s.clients), spec.Churn, spec.Seed)
 	}
-	return &RunState{s: s, run: newBufferedRunner(s)}, nil
+	r := newBufferedRunner(s)
+	s.rows.on, s.rows.run = lazyRows(&s.spec), r
+	return &RunState{s: s, run: r}, nil
 }
 
 // Spec returns the resolved run specification (defaults filled, policy

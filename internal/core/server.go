@@ -184,6 +184,9 @@ type Server struct {
 	// wire is the configured Transport as the runtime calls it (nil
 	// without one), resolved once at construction.
 	wire WireTransport
+	// rows holds the recipes that stand for first-participation rows
+	// (lazyrows.go); the clients reach it through their loaner.
+	rows *rowStore
 
 	// The runtime (newRunState). rec's Result counts the completed
 	// rounds; sp trains the jobs, one engine per shard.
@@ -237,7 +240,8 @@ func newServer(sp RunSpec) (*Server, error) {
 	s.global = eval.model.ParamsCopy()
 	s.rng = seedStream(cfg.Seed, streamSelection)
 	s.wire = wireTransport(cfg.Transport)
-	loaner := &engineLoaner{cfg: cfg, numParams: len(s.global)}
+	s.rows = &rowStore{wire: s.wire}
+	loaner := &engineLoaner{cfg: cfg, numParams: len(s.global), rows: s.rows}
 	for k, part := range cfg.Parts {
 		s.clients = append(s.clients, newClient(loaner, k, part))
 	}
@@ -297,24 +301,41 @@ func (s *Server) selectClients() []*Client {
 // image of j.global in at most a quarter of its entries — a sparse
 // uplink's — is kept as the job's patch, and its buffer goes straight
 // back to the pool: in flight it costs its patch, not |w| floats.
+//
+// A client whose first-participation rows are a recipe has them rebuilt
+// first, and a first participation that will become one writes its rows
+// into engine scratch (lazyrows.go).
 func (s *Server) trainClient(j *trainJob) {
+	c := j.c
+	if j.replay.img != nil {
+		dst := make([]float64, int(j.replay.rows)*len(j.global))
+		s.rows.replay(c, c.eng, &j.replay, dst)
+		c.state = dst
+	}
 	global := j.global
 	j.downBytes = int64(4 * len(global))
 	if s.wire != nil {
-		received := j.c.eng.downlinkBuf(len(global))
-		j.downBytes = s.wire.DownInto(received, j.c.ID, j.round, global)
+		received := c.eng.downlinkBuf(len(global))
+		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
 	}
-	u := j.c.LocalTrainSteps(j.round, global, j.steps)
+	if j.record {
+		j.recRng = c.RNG().State()
+		c.eng.record()
+	}
+	u := c.LocalTrainSteps(j.round, global, j.steps)
+	if j.record {
+		j.recRows = c.eng.recorded()
+	}
 	// Byzantine corruption happens here — after training (the FLOPs were
 	// really burned) and before the transport encodes the upload (the
 	// corrupted vector is what rides, and prices, the wire). Downstream
 	// the fault flows through staleness, churn, and buffering exactly
 	// like an honest update.
-	s.applyFault(j.c, &u)
+	s.applyFault(c, &u)
 	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
-		j.upBytes = s.wire.UpInto(u.Params, j.c.ID, j.round, u.Params, global, &j.c.resid)
+		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, &c.resid)
 		if j.patch.compact(u.Params, j.global) {
 			paramsPool.put(u.Params)
 			u.Params, u.pooled, j.sparse = nil, false, true

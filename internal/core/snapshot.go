@@ -29,7 +29,8 @@
 //     any run, so joining early changes nothing — and afterwards the
 //     per-client state and the job's finished update are plain data. An
 //     update the server holds as a sparse patch is written rebuilt,
-//     dense, so the stream does not depend on how it was held.
+//     dense, so the stream does not depend on how it was held; so is a
+//     first participation's method row held as a recipe (lazyrows.go).
 //   - Order-sensitive scheduler state serializes verbatim: the idle set's
 //     ids array (a uniform pick indexes into it, so its order is part of
 //     the trajectory), the event heap's array layout, the churn heap.
@@ -252,14 +253,21 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	snapRng(c, s.rng)
 
 	c.LenExact("client count", len(s.clients))
-	for _, cl := range s.clients {
+	lazy := snapRows{s: s}
+	for id, cl := range s.clients {
 		if c.Err() != nil {
 			return
 		}
 		// The method's persistent rows (Client.State), empty until it first
-		// asked, and the transport's error-feedback residual, empty until
-		// the client's first accepted upload under error feedback.
-		c.Rows("client state", &cl.state, np)
+		// asked — rows held as a recipe are written rebuilt, so a resumed
+		// run holds them dense — and the transport's error-feedback
+		// residual, empty until the client's first accepted upload under
+		// error feedback.
+		state := &cl.state
+		if cl.recipe != 0 {
+			state = lazy.row(id)
+		}
+		c.Rows("client state", state, np)
 		if c.Rows("client residual", &cl.resid, np); len(cl.resid) > np {
 			c.Fail("client %d residual holds %d rows, at most 1", cl.ID, len(cl.resid)/np)
 		}
