@@ -107,10 +107,14 @@ func (st *rowStore) take(c *Client) rowRecipe {
 // (the loaner outside a round), and drops the recipe.
 func (st *rowStore) rebuild(c *Client) {
 	rec := st.take(c)
-	dst := make([]float64, int(rec.rows)*c.NumParams())
-	st.replay(c, c.engine(), &rec, dst)
-	c.state = dst
+	st.restore(c, c.engine(), &rec)
 	st.run.unpin(rec.img)
+}
+
+// restore stores rec's rows as c's own, replayed on e.
+func (st *rowStore) restore(c *Client, e *engine, rec *rowRecipe) {
+	c.state = make([]float64, int(rec.rows)*c.NumParams())
+	st.replay(c, e, rec, c.state)
 }
 
 // replay runs rec's round again on e, attached to c, writing the rows

@@ -308,9 +308,7 @@ func (s *Server) selectClients() []*Client {
 func (s *Server) trainClient(j *trainJob) {
 	c := j.c
 	if j.replay.img != nil {
-		dst := make([]float64, int(j.replay.rows)*len(j.global))
-		s.rows.replay(c, c.eng, &j.replay, dst)
-		c.state = dst
+		s.rows.restore(c, c.eng, &j.replay)
 	}
 	global := j.global
 	j.downBytes = int64(4 * len(global))
