@@ -296,7 +296,7 @@ var populationRuns = []struct {
 	{"Sync10kClients", syncSpec, 10_000, 200, 413},
 	{"Async10kClients", asyncSpec, 10_000, 200, 1_048},
 	{"AsyncChurn1k", churnSpec, 1_000, 208, 1_027},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 200, 1_075},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 200, 1_200},
 	{"RobustMerge1k", robustSpec, 1_000, 201, 1_082},
 	{"Async100kClients", scaleSpec, 100_000, 192, 2_096},
 	{"Async1MClients", scaleSpec, 1_000_000, 192, 0},

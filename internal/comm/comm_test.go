@@ -189,6 +189,89 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 	}
 }
 
+// meteredOnly hides every capability of a transport but the cumulative
+// counters, so the runtime meters it by differencing WireBytes.
+type meteredOnly struct{ core.MeteredTransport }
+
+// A run that merges fewer updates than it has clients holds first
+// participations' rows as recipes and rebuilds them by replaying the
+// round — at a client's next dispatch, and for every such row a snapshot
+// writes. A replay is not a transfer: through every route a transport
+// can take (in place, legacy and sized with delta coding, legacy and
+// metered only) the transport counts exactly Rounds × K downlinks and
+// uplinks, CommBytesByRound equals its counters, and a run that
+// snapshots twice on the way records the communication and digest of one
+// that does not. A delta-coding legacy transport is left holding no
+// downlink a client never uploaded against.
+func TestLazyRowsLeaveTrafficCountersExact(t *testing.T) {
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 24, 10, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, k = 5, 3 // 15 merged updates on 24 clients
+	routes := []struct {
+		name, spec string
+		wrap       func(core.Transport) core.Transport
+	}{
+		{"in place", "f32", func(t core.Transport) core.Transport { return t }},
+		{"legacy sized delta", "topk:0.01+ef", func(t core.Transport) core.Transport { return legacyOnly{t.(core.SizedTransport)} }},
+		{"legacy metered", "f32", func(t core.Transport) core.Transport { return meteredOnly{t.(core.MeteredTransport)} }},
+	}
+	for _, route := range routes {
+		run := func(snapAt map[int]bool) (*core.Result, core.Transport) {
+			tr, err := ParseTransport(route.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state, err := core.NewRunState(core.RunSpec{Config: core.Config{
+				Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
+				Train: train, Test: test, Parts: parts,
+				Rounds: rounds, ClientsPerRound: k, BatchSize: 10, LocalEpochs: 1, LR: 0.01, Momentum: 0.9,
+				Algo: core.NewFedTrip(0.4), Seed: 7, Transport: route.wrap(tr),
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer state.Close()
+			for done := false; !done; {
+				if done, err = state.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if snapAt[state.Round()] {
+					if err := state.Snapshot(new(bytes.Buffer)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return state.Finish(), tr
+		}
+		plain, _ := run(nil)
+		res, tr := run(map[int]bool{2: true, 4: true})
+		if res.Digest() != plain.Digest() {
+			t.Errorf("%s: snapshots moved the digest: %s, %s uninterrupted", route.name, res.Digest(), plain.Digest())
+		}
+		for i := range plain.CommBytesByRound {
+			if res.CommBytesByRound[i] != plain.CommBytesByRound[i] {
+				t.Fatalf("%s: round %d communication %d, %d uninterrupted", route.name, i+1, res.CommBytesByRound[i], plain.CommBytesByRound[i])
+			}
+		}
+		st := tr.(interface{ Stats() *Stats }).Stats()
+		if down, up := st.Messages(); down != rounds*k || up != rounds*k {
+			t.Errorf("%s: transport counted %d downlinks and %d uplinks, want %d each", route.name, down, up, rounds*k)
+		}
+		if got, want := res.CommBytesByRound[len(res.CommBytesByRound)-1], st.TotalBytes(); got != want {
+			t.Errorf("%s: CommBytesByRound final %d, transport counters %d", route.name, got, want)
+		}
+		if ct, ok := tr.(*CompressedTransport); ok && len(ct.ref) != 0 {
+			t.Errorf("%s: the transport holds %d downlinks no upload consumed", route.name, len(ct.ref))
+		}
+	}
+}
+
 // legacyOnly hides a transport's DownInto/UpInto, so the runtime adapts
 // it: the route the benchmark's trace wrapper takes. It keeps the name,
 // as that wrapper does.

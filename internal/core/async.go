@@ -81,6 +81,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/spec"
 	"repro/internal/tensor"
@@ -267,10 +268,13 @@ type bufferedRunner struct {
 // version. refs counts those of them that still hold it (release), and
 // the recipes that pin it; when the last one lets go and an aggregation
 // has superseded the version, the vector returns to paramsPool and the
-// record is free again.
+// record is free again. recv is the version's downlink under a
+// transport, kept for recipes (keepDownlink); mu guards its setting.
 type globalSnap struct {
 	vec  []float64
 	refs int
+	mu   sync.Mutex
+	recv []float64
 }
 
 func newBufferedRunner(s *Server) *bufferedRunner {
@@ -278,11 +282,7 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 		s:       s,
 		gated:   s.spec.Runtime != RuntimeAsync,
 		joinNow: !s.spec.Devices.None() || !s.spec.Network.None(),
-		snaps:   make([]*globalSnap, s.spec.Concurrency+1),
-	}
-	recs := make([]globalSnap, len(r.snaps))
-	for i := range recs {
-		r.snaps[i] = &recs[i]
+		snaps:   make([]*globalSnap, 0, s.spec.Concurrency+1),
 	}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
@@ -407,6 +407,10 @@ func (r *bufferedRunner) retire() {
 func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 	paramsPool.put(sn.vec)
 	sn.vec = nil
+	if sn.recv != nil {
+		paramsPool.put(sn.recv)
+		sn.recv = nil
+	}
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set

@@ -17,8 +17,9 @@ func (rs *RunState) HoldRowsDense() { rs.s.rows.on = false }
 
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads, and once each the model versions their sparse ones
-// were taken against or a recipe pins. It errs unless those versions are
-// exactly the snapshots the runner still has out.
+// were taken against or a recipe pins, with a version's kept downlink. It
+// errs unless those versions are exactly the snapshots the runner still
+// has out.
 func (rs *RunState) QueuedBuffers() (int, error) {
 	r := rs.run
 	held, versions := 0, map[*globalSnap]bool{}
@@ -46,6 +47,9 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 		if sn.vec != nil {
 			live++
 		}
+		if sn.recv != nil {
+			held++
+		}
 	}
 	if r.cur != nil || live != len(versions) {
 		return 0, fmt.Errorf("%d snapshots out (current %t), %d referenced by sparse jobs", live, r.cur != nil, len(versions))
@@ -63,10 +67,7 @@ func (c *Client) PeekState() []float64 {
 	if c.recipe == 0 {
 		return append([]float64(nil), c.state...)
 	}
-	rec := c.loan.rows.recipes[c.recipe-1]
-	dst := make([]float64, int(rec.rows)*c.NumParams())
-	c.loan.rows.replay(c, c.engine(), &rec, dst)
-	return dst
+	return c.loan.rows.peek(c, nil)
 }
 
 // Quiesce joins every job still training, as Snapshot does first, so the

@@ -7,34 +7,45 @@
 // of those rows are written and never read — yet they were most of the
 // run's heap. At a first participation LastRound is 0 (FedTrip's xi is 0,
 // MOON's previous model is the global), so what the method writes there
-// is a pure function of what the client trained from: the global model
-// of its version, its stream position and its step budget. The client
-// keeps those instead — a rowRecipe, 40 bytes beside a reference to its
-// version's global — and the row is rebuilt, bit for bit, by running the
+// is a pure function of what the client trained from: what it received
+// at its model version, its stream position and its step budget. The
+// client keeps those instead — a rowRecipe, 40 bytes beside a reference
+// to its version — and the row is rebuilt, bit for bit, by running the
 // round again:
 //
 //   - at the client's next dispatch, by its own job, before it trains
 //     (trainClient), so a method never reads a row it did not write;
 //   - by Client.State called from outside a round, on the loaner engine;
-//   - by Snapshot, into scratch, for each lazy row it writes: the stream
-//     is the one a dense run writes, and a resumed run holds the rows
-//     dense.
+//   - by Snapshot, into scratch on the loaner engine, for each lazy row
+//     it writes: the stream is the one a dense run writes, and a resumed
+//     run holds the rows dense.
 //
-// A replay is not training: its FLOPs meter nowhere, and the client's
-// stream position, FLOP counter and LastRound are what they were.
+// A replay is not training: its FLOPs meter nowhere, nothing goes
+// through the transport, and the client's stream position, FLOP counter
+// and LastRound are what they were.
 //
-// The version's global is the snapshot the buffered loop takes anyway
-// (globalSnap), pinned by a reference per recipe; behind the lock-step
-// gate, a round that records copies s.global once into the same table.
-// A version's vector goes back to the pool with its last reference.
+// The version is the snapshot of the global the buffered loop takes
+// anyway (globalSnap), pinned by a reference per recipe; behind the
+// lock-step gate, a round that records copies s.global once into the
+// same table. Under a transport the version also keeps what its
+// recording jobs received: the first one's downlink, which every later
+// one must match bit for bit (keepDownlink) — a transport that sends the
+// clients of one version different vectors leaves the rest of them
+// dense. A replay trains from that image, so it neither transfers nor
+// counts a downlink. A version's vectors go back to the pool with its
+// last reference.
 package core
 
-import "repro/internal/prng"
+import (
+	"math"
+
+	"repro/internal/prng"
+)
 
 // rowRecipe is a first participation's rows as what rebuilds them; the
 // round is the client's LastRound.
 type rowRecipe struct {
-	img   *globalSnap // the global the client trained from, pinned
+	img   *globalSnap // the version the client trained from, pinned
 	rng   prng.State  // the client's stream before it trained
 	steps int32       // the dispatch's step budget (0: none)
 	rows  int32       // how many rows the method wrote
@@ -47,9 +58,8 @@ type rowRecipe struct {
 type rowStore struct {
 	// on: first participations are recorded (lazyRows holds for the
 	// spec, and the method has been seen to write rows).
-	on   bool
-	wire WireTransport
-	run  *bufferedRunner // unpins a recipe's version
+	on  bool
+	run *bufferedRunner // unpins a recipe's version
 	// recipes is a slab, indexed by Client.recipe-1; free lists its
 	// empty slots.
 	recipes []rowRecipe
@@ -118,10 +128,10 @@ func (st *rowStore) restore(c *Client, e *engine, rec *rowRecipe) {
 }
 
 // replay runs rec's round again on e, attached to c, writing the rows
-// into dst: from the pinned global through the transport's downlink,
-// from the recorded stream position, under the recorded step budget,
-// with LastRound 0 as it was. Nothing is metered, and c's stream, FLOP
-// counter and LastRound are left as they were.
+// into dst: from what the client received at the pinned version, from
+// the recorded stream position, under the recorded step budget, with
+// LastRound 0 as it was. Nothing is sent or metered, and c's stream,
+// FLOP counter and LastRound are left as they were.
 func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe, dst []float64) {
 	round, counter, rng := c.LastRound, c.Counter, c.RNG()
 	live := rng.State()
@@ -129,20 +139,45 @@ func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe, dst []float64) 
 	e.meter(nil)
 	c.LastRound = 0
 	rng.SetState(rec.rng)
-	global := rec.img.vec
-	if st.wire != nil {
-		received := e.downlinkBuf(len(global))
-		st.wire.DownInto(received, c.ID, round, global)
-		global = received
-	}
 	e.record()
-	c.train(round, global, int(rec.steps))
+	c.train(round, rec.img.received(), int(rec.steps))
 	e.recorded()
 	copy(dst, e.rowScratch[:len(dst)])
 	rng.SetState(live)
 	c.LastRound = round
 	c.Counter = counter
 	e.meter(counter)
+}
+
+// received is what a client that trained from version sn received: the
+// version's global, or under a transport the downlink its recording jobs
+// kept.
+func (sn *globalSnap) received() []float64 {
+	if sn.recv != nil {
+		return sn.recv
+	}
+	return sn.vec
+}
+
+// keepDownlink offers down, what a job recording a first participation
+// at version sn received under a transport, as the version's downlink:
+// the first is kept, and a later one must equal it bit for bit. false
+// (the transport sent this client something else) leaves the job's rows
+// dense. Jobs call it from the shards, concurrently; recv, once set, is
+// only read until the version is freed.
+func (sn *globalSnap) keepDownlink(down []float64) bool {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if sn.recv == nil {
+		sn.recv = paramsPool.getCopy(down)
+		return true
+	}
+	for i, x := range down {
+		if math.Float64bits(x) != math.Float64bits(sn.recv[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // settle is the event loop's half of a joined job's rows: a replayed
@@ -164,52 +199,16 @@ func (st *rowStore) settle(j *trainJob) {
 	st.keep(j.c, rowRecipe{img: j.gsnap, rng: j.recRng, steps: int32(j.steps), rows: j.recRows})
 }
 
-// snapRows hands Snapshot, which walks the clients in order, each lazy
-// client's rows rebuilt: a window of the next lazy clients at a time,
-// replayed over the shard pool into scratch vectors the next window
-// reuses.
-type snapRows struct {
-	s    *Server
-	ids  []int
-	bufs [][]float64
-	at   int
-}
-
-// row returns client id's rows rebuilt; id is the next lazy client of
-// the walk.
-func (f *snapRows) row(id int) *[]float64 {
-	if f.at == len(f.ids) {
-		f.fill(id)
+// peek returns c's recipe rows rebuilt into buf (grown as needed) on
+// the engine c has, the loaner outside a round, leaving the recipe in
+// place: Snapshot writes them so.
+func (st *rowStore) peek(c *Client, buf []float64) []float64 {
+	rec := &st.recipes[c.recipe-1]
+	n := int(rec.rows) * c.NumParams()
+	if cap(buf) < n {
+		buf = make([]float64, n)
 	}
-	f.at++
-	return &f.bufs[f.at-1]
-}
-
-// fill rebuilds the window of lazy clients from id on.
-func (f *snapRows) fill(id int) {
-	s := f.s
-	window := 4 * s.sp.pool.Size()
-	f.ids, f.at = f.ids[:0], 0
-	for ; id < len(s.clients) && len(f.ids) < window; id++ {
-		if s.clients[id].recipe != 0 {
-			f.ids = append(f.ids, id)
-		}
-	}
-	for len(f.bufs) < len(f.ids) {
-		f.bufs = append(f.bufs, nil)
-	}
-	for i, id := range f.ids {
-		c := s.clients[id]
-		n := int(s.rows.recipes[c.recipe-1].rows) * c.NumParams()
-		if cap(f.bufs[i]) < n {
-			f.bufs[i] = make([]float64, n)
-		}
-		f.bufs[i] = f.bufs[i][:n]
-	}
-	s.sp.each(len(f.ids), func(i int, e *engine) {
-		c := s.clients[f.ids[i]]
-		e.attach(c)
-		s.rows.replay(c, e, &s.rows.recipes[c.recipe-1], f.bufs[i])
-		e.detach(c)
-	})
+	buf = buf[:n]
+	st.replay(c, c.engine(), rec, buf)
+	return buf
 }

@@ -240,7 +240,7 @@ func newServer(sp RunSpec) (*Server, error) {
 	s.global = eval.model.ParamsCopy()
 	s.rng = seedStream(cfg.Seed, streamSelection)
 	s.wire = wireTransport(cfg.Transport)
-	s.rows = &rowStore{wire: s.wire}
+	s.rows = &rowStore{}
 	loaner := &engineLoaner{cfg: cfg, numParams: len(s.global), rows: s.rows}
 	for k, part := range cfg.Parts {
 		s.clients = append(s.clients, newClient(loaner, k, part))
@@ -304,7 +304,8 @@ func (s *Server) selectClients() []*Client {
 //
 // A client whose first-participation rows are a recipe has them rebuilt
 // first, and a first participation that will become one writes its rows
-// into engine scratch (lazyrows.go).
+// into engine scratch (lazyrows.go), once its version has kept what it
+// received.
 func (s *Server) trainClient(j *trainJob) {
 	c := j.c
 	if j.replay.img != nil {
@@ -316,6 +317,9 @@ func (s *Server) trainClient(j *trainJob) {
 		received := c.eng.downlinkBuf(len(global))
 		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
+		if j.record && !j.gsnap.keepDownlink(received) {
+			j.record = false
+		}
 	}
 	if j.record {
 		j.recRng = c.RNG().State()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/prng"
@@ -85,7 +84,6 @@ type shardPool struct {
 	// engines[w] belongs exclusively to worker w (built on first use, so a
 	// 4-client round on an 8-shard pool allocates 4 engines, not 8).
 	engines []*engine
-	closed  bool
 }
 
 // newShardPool starts the worker shards. shards <= 0 selects the default
@@ -139,7 +137,17 @@ func (sp *shardPool) submit(j *trainJob) {
 // then, because every submitted job has been joined — and takes the token
 // back in the join that follows, like any other job's.
 func (sp *shardPool) run(j *trainJob, w int) {
-	eng := sp.engine(w)
+	eng := sp.engines[w]
+	if eng == nil {
+		e, err := newEngine(&sp.s.spec.Config, streamSeed(sp.s.spec.Seed, streamEngine, w))
+		if err != nil {
+			// The same spec already built the server's eval model, so this
+			// is unreachable short of config mutation mid-run.
+			panic(fmt.Sprintf("core: shard %d engine: %v", w, err))
+		}
+		sp.engines[w] = e
+		eng = e
+	}
 	eng.attach(j.c)
 	before := j.c.Counter.Total()
 	sp.s.trainClient(j)
@@ -148,44 +156,5 @@ func (sp *shardPool) run(j *trainJob, w int) {
 	j.done <- struct{}{}
 }
 
-// engine returns shard w's engine, building it on first use.
-func (sp *shardPool) engine(w int) *engine {
-	if sp.engines[w] == nil {
-		e, err := newEngine(&sp.s.spec.Config, streamSeed(sp.s.spec.Seed, streamEngine, w))
-		if err != nil {
-			// The same spec already built the server's eval model, so this
-			// is unreachable short of config mutation mid-run.
-			panic(fmt.Sprintf("core: shard %d engine: %v", w, err))
-		}
-		sp.engines[w] = e
-	}
-	return sp.engines[w]
-}
-
-// each runs fn(i, engine) for every i in [0, n), spread over the shards,
-// each call on its worker's engine, and returns once all are done; on a
-// closed pool it runs them in turn on shard 0's. Nothing else may be
-// training: Snapshot calls it with the run quiesced.
-func (sp *shardPool) each(n int, fn func(i int, e *engine)) {
-	if sp.closed {
-		for i := 0; i < n; i++ {
-			fn(i, sp.engine(0))
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		sp.pool.Submit(func(w int) {
-			fn(i, sp.engine(w))
-			wg.Done()
-		})
-	}
-	wg.Wait()
-}
-
 // close waits for every submitted job and releases the shards.
-func (sp *shardPool) close() {
-	sp.closed = true
-	sp.pool.Close()
-}
+func (sp *shardPool) close() { sp.pool.Close() }

@@ -253,8 +253,8 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	snapRng(c, s.rng)
 
 	c.LenExact("client count", len(s.clients))
-	lazy := snapRows{s: s}
-	for id, cl := range s.clients {
+	var rebuilt []float64
+	for _, cl := range s.clients {
 		if c.Err() != nil {
 			return
 		}
@@ -265,7 +265,8 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		// error feedback.
 		state := &cl.state
 		if cl.recipe != 0 {
-			state = lazy.row(id)
+			rebuilt = s.rows.peek(cl, rebuilt)
+			state = &rebuilt
 		}
 		c.Rows("client state", state, np)
 		if c.Rows("client residual", &cl.resid, np); len(cl.resid) > np {
