@@ -246,8 +246,9 @@ type bufferedRunner struct {
 	// of the at most Concurrency in-flight jobs still needs it — to train
 	// from until it is joined, or, holding a sparse upload, to rebuild
 	// it from until it arrives — or a recipe pins it (lazyrows.go), which
-	// is what grows the table past Concurrency+1. A record with no vector
-	// is free.
+	// is what grows the table past Concurrency+1. A resumed run's table
+	// starts as its stream's round images. A record with no vector is
+	// free.
 	cur   *globalSnap
 	snaps []*globalSnap
 	// snapshots counts the global copies taken so far — one per model
@@ -269,12 +270,15 @@ type bufferedRunner struct {
 // the recipes that pin it; when the last one lets go and an aggregation
 // has superseded the version, the vector returns to paramsPool and the
 // record is free again. recv is the version's downlink under a
-// transport, kept for recipes (keepDownlink); mu guards its setting.
+// transport, kept for recipes (keepDownlink); mu guards its setting. ord
+// is the record's place in a snapshot's round-image section, -1 when no
+// recipe pins it (snapImages).
 type globalSnap struct {
 	vec  []float64
 	refs int
 	mu   sync.Mutex
 	recv []float64
+	ord  int32
 }
 
 func newBufferedRunner(s *Server) *bufferedRunner {

@@ -61,13 +61,13 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 func (c *Client) Lazy() bool { return c.recipe != 0 }
 
 // PeekState returns c's rows without changing how the run holds them: a
-// recipe's rebuilt into a fresh vector on the loaner engine, as Snapshot
-// rebuilds them, or a copy of the stored rows.
+// recipe's replayed on the loaner engine, or the stored rows, copied.
 func (c *Client) PeekState() []float64 {
 	if c.recipe == 0 {
 		return append([]float64(nil), c.state...)
 	}
-	return c.loan.rows.peek(c, nil)
+	st := c.loan.rows
+	return append([]float64(nil), st.replay(c, c.engine(), &st.recipes[c.recipe-1])...)
 }
 
 // Quiesce joins every job still training, as Snapshot does first, so the

@@ -129,9 +129,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		digest, sha256         string
 		length                 int
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "61716aae6dc3122409e4e5da5a20050c72178c06b4293f89d43b39014296e541", 1114732},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "b43aa0d84565ddd3498efedf0903162b32302aa1e494acbbda35155365ba4ab2", 1432915},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "672f8612389fff9c2251ab3a7a183ab27e712470c0ab6ee8f760e3485ba8a199", 1114746},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "ffbfc41f4554c4bee6d222aa67edfdc940c455741ecdbf24e37cf909867cf5f4", 1114748},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "e0b4c43129f051d93e39bf813895a8d2a5d952c0a5d77770078341ad70ede9d3", 1432931},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "0bca11355e0827f348392469d34866a0d6dbe172d4e3d9094f69250493d75c83", 1114762},
 	}
 	for _, tc := range cases {
 		build := func() core.RunSpec {

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -128,6 +130,14 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 		}), 3},
 		// MOON reads its client row in BeginRound, from a scratch model.
 		{"moon", async(func(sp *RunSpec) { sp.Algo = NewMOON() }), 3},
+		// Three rounds of one on four clients: first participations are
+		// recipes (seed 5 picks two clients by the snapshot), and under a
+		// transport their round images carry the kept downlink.
+		{"lazy rows", func() RunSpec {
+			cfg := tinyConfig(3)
+			cfg.ClientsPerRound, cfg.Transport, cfg.Seed = 1, efTransport{}, 5
+			return RunSpec{Config: cfg}
+		}, 2},
 	}
 }
 
@@ -252,9 +262,111 @@ func TestResumeRefusesLyingHeaderCheaply(t *testing.T) {
 	if over := int64(grew) - int64(sc.buildCost(t)); over > 1<<20 {
 		t.Fatalf("refusing a 13-byte snapshot allocated %d bytes beyond building the run (%v)", over, err)
 	}
+	// A stream cut after a round-image count of 2^30 costs one image.
+	for _, sc = range hostileScenarios(t) {
+		if sc.name == "lazy rows" {
+			break
+		}
+	}
+	good := sc.stream(t)
+	images, _, _ := lazyStreamLayout(t, good, sc.spec())
+	cut := binary.LittleEndian.AppendUint64(append([]byte(nil), good[:images]...), 1<<30)
+	spec = sc.spec()
+	grew = allocated(func() { _, err = Resume(bytes.NewReader(cut), ResumeSpec{Spec: spec}) })
+	if err == nil {
+		t.Fatal("a stream cut after its round-image count was accepted")
+	}
+	if over := int64(grew) - int64(sc.buildCost(t)); over > int64(4*len(cut))+1<<20 {
+		t.Fatalf("refusing a %d-byte stream claiming 2^30 round images allocated %d bytes beyond building the run (%v)", len(cut), over, err)
+	}
 }
 
-// FuzzResume mutates the seven scenarios' streams (and the first of them
+// TestResumeRefusesBadRecipes doctors the recipe and the round-image
+// section of the lazy scenario's stream, one defect at a time.
+func TestResumeRefusesBadRecipes(t *testing.T) {
+	var sc hostileScenario
+	for _, sc = range hostileScenarios(t) {
+		if sc.name == "lazy rows" {
+			break
+		}
+	}
+	good := sc.stream(t)
+	images, imagesEnd, recipe := lazyStreamLayout(t, good, sc.spec())
+	word := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	patch := func(off int, v int64) []byte {
+		bad := append([]byte(nil), good...)
+		copy(bad[off:], word(v))
+		return bad
+	}
+	n := int64(binary.LittleEndian.Uint64(good[images:]))
+	// An extra copy of the last image, which no recipe names.
+	last := imagesEnd - (imagesEnd-images-8)/int(n)
+	unpinned := bytes.Join([][]byte{good[:images], word(n + 1), good[images+8 : imagesEnd], good[last:imagesEnd], good[imagesEnd:]}, nil)
+	const steps, rows = 8 + 17, 8 + 17 + 8
+	cases := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"image index past the section", fmt.Sprintf("round image %d of %d", n, n), patch(recipe, n)},
+		{"negative image index", fmt.Sprintf("round image -1 of %d", n), patch(recipe, -1)},
+		{"image no recipe pins", fmt.Sprintf("round image %d is pinned by no recipe", n), unpinned},
+		{"negative step budget", "step budget -1", patch(recipe+steps, -1)},
+		{"no rows", "recipe of 0 rows", patch(recipe+rows, 0)},
+		{"more rows than a Num counts in floats", "recipe of 2147483647 rows", patch(recipe+rows, math.MaxInt32)},
+	}
+	cost := sc.buildCost(t)
+	for _, tc := range cases {
+		sc.resumeHostile(t, tc.data, cost, tc.name)
+		if _, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: sc.spec()}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// lazyStreamLayout walks an FTRS stream to its round-image section and
+// returns where the section starts and ends and where the first recipe
+// in the client walk starts.
+func lazyStreamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, recipe int) {
+	t.Helper()
+	rs, err := NewRunState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np := len(rs.s.global)
+	rs.Close()
+	word := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
+	off := len(snapMagic) + 1
+	off += 8 + word(off) // fingerprint
+	off += 8 + 8*np + 17 // global model, selection stream
+	images = off
+	n := word(off)
+	off += 8
+	for i := 0; i < n; i++ {
+		off += 8 + 8*np + 1 // the image, the downlink flag
+		if b[off-1] == 1 {
+			off += 8 + 8*np
+		}
+	}
+	imagesEnd = off
+	off += 8 // client count
+	for off < len(b) {
+		if b[off] == 1 {
+			return images, imagesEnd, off + 1
+		}
+		off++
+		off += 8 + 8*word(off) // state
+		off += 8 + 8*word(off) // residual
+		off += 8               // last round
+		if b[off] == 1 {
+			off += 17
+		}
+		off += 1 + 8 // stream flag, FLOP counter
+	}
+	t.Fatal("the stream holds no recipe")
+	return
+}
+
+// FuzzResume mutates the eight scenarios' streams (and the first of them
 // cut and lied to) under the same three promises. The first input byte
 // picks the scenario the rest is resumed as.
 func FuzzResume(f *testing.F) {
@@ -279,16 +391,18 @@ func FuzzResume(f *testing.F) {
 // TestSnapshotAllocationsDoNotScaleWithFleet: the walk hands the codec
 // pointers to fields the run owns, so a snapshot's allocation count is a
 // constant — not one per client, per field or per 8-byte word — with
-// every participant's error-feedback row in the walk.
+// every participant's error-feedback row in the walk, and in a lazy
+// fleet, where most participants hold a recipe, not one per recipe: a
+// recipe is written as it is, with no replay and no scratch row.
 func TestSnapshotAllocationsDoNotScaleWithFleet(t *testing.T) {
-	allocs := func(clients int) float64 {
+	allocs := func(clients, perRound int) float64 {
 		cfg := tinyConfig(3)
 		cfg.Transport = efTransport{}
 		cfg.Parts = make([][]int, clients)
 		for c := range cfg.Parts {
 			cfg.Parts[c] = []int{c % cfg.Train.Len()}
 		}
-		cfg.ClientsPerRound = clients / 2
+		cfg.ClientsPerRound = perRound
 		rs, err := NewRunState(RunSpec{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -297,6 +411,15 @@ func TestSnapshotAllocationsDoNotScaleWithFleet(t *testing.T) {
 		if _, err := rs.Step(); err != nil {
 			t.Fatal(err)
 		}
+		recipes := 0
+		for _, c := range rs.s.clients {
+			if c.recipe != 0 {
+				recipes++
+			}
+		}
+		if lazy := 3*perRound < clients; lazy != (recipes == perRound) {
+			t.Fatalf("%d clients, %d a round: %d recipes after the first", clients, perRound, recipes)
+		}
 		return testing.AllocsPerRun(5, func() {
 			if err := rs.Snapshot(io.Discard); err != nil {
 				t.Fatal(err)
@@ -304,9 +427,12 @@ func TestSnapshotAllocationsDoNotScaleWithFleet(t *testing.T) {
 		})
 	}
 	// AllocsPerRun counts the whole process, so other goroutines (the
-	// evaluator, the race detector's) add a few; one per client adds 504.
-	small, large := allocs(8), allocs(512)
-	if large > small+64 {
-		t.Fatalf("a snapshot of 512 clients allocates %v times, of 8 clients %v", large, small)
+	// evaluator, the race detector's) add a few; one per client adds 504,
+	// one per recipe 127.
+	for _, fleet := range []struct{ clients, perRound int }{{512, 256}, {1024, 128}} {
+		small, large := allocs(8, 8*fleet.perRound/fleet.clients), allocs(fleet.clients, fleet.perRound)
+		if large > small+64 {
+			t.Fatalf("a snapshot of %d clients, %d a round, allocates %v times, of 8 clients %v", fleet.clients, fleet.perRound, large, small)
+		}
 	}
 }

@@ -92,27 +92,27 @@ func lazyRowData(t *testing.T) (train, test *data.Dataset, parts [][]int) {
 // TestLazyRowStreamsPinned pins, for FedTrip and MOON on each fleet, the
 // uninterrupted digest, the length and SHA-256 of a snapshot taken after
 // round 4 — when most clients holding a row have participated once — and
-// the digest of the run resumed from it. A snapshot writes every client's
-// row, so the hash holds each first participation's row bit for bit,
-// however the run keeps it. Streams are trained float64s: hashes on amd64
-// only, lengths and digests everywhere.
+// the digest of the run resumed from it. A snapshot writes each client's
+// row, or the recipe and round image that rebuild it, so the hash holds
+// each first participation's round bit for bit. Streams are trained
+// float64s: hashes on amd64 only, lengths and digests everywhere.
 func TestLazyRowStreamsPinned(t *testing.T) {
 	pins := map[string]struct {
 		digest, sha256 string
 		length         int
 	}{
-		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "2919f4a56149ea175db0f1f1974abfaa67c39ae369d45f677c2c610415df6628", 5101659},
-		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "631ba4f241b4251c03aebb621a2e2b0ecfcf139a3cf3b981e9e7f653b616bb6d", 5101658},
-		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "2fef7083bc136d6b8fc80e194553a4240501ec0ccb1e7c0e13009ba0e1aee66e", 10033147},
-		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "a71b0bb670f776fa7b92505732399052846b20cc54b05a90194ef5554f0fd2a4", 9718364},
-		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "1ac2a537e5984b674a8c0881559aeca47f33d51fc5c0d156380347936e89decf", 9559388},
-		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "a593e12cf7b7859aeced8a70f023c8e53f02951292af8335ff6aeae1ce54c3f7", 16558883},
-		"moon/sync":                              {"e33a5cc717a76d25", "432fc875a2c2a556b73faad44424a3f4e4d0933fc9682d87a2492ea1ce33185d", 5101656},
-		"moon/sync f32":                          {"349e7cfc9d337e74", "6cf4cab816edce02bfa02c21cb2a6be0468eece0821a6b6a9ef007aea706c4a7", 5101655},
-		"moon/sync topk-ef":                      {"a94951a5100b56bd", "c72d5879350c4521455ac2568f92c2bc567c05ecc088f6bfbb06746c46d63711", 10033144},
-		"moon/async churn":                       {"354f6684859e7429", "75f8bd638ba5c17aabcb5d2253e3029b3d955bfa0ba3c3972f35ae7c43af8ea3", 9718361},
-		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "197868fd6794843392bf75f60edc8952a204e0105349ef21595a90021cf2788f", 9559385},
-		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "7255e9c28f3f987823585bd1f66b04439bb89d60d2d794e227da8dda3903abdc", 16558880},
+		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "f9a3218ce859eb71bde6829183d930559461c6185dd307c216494c1ff2bf91ec", 966813},
+		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "5bd1c420f6b470e1804ab5926fa4aa9d194b41e8ffeba6bae40d2f57fedcbefb", 1603164},
+		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "82b159bab51d42c45e992e033dc62c837c9ffa0b2f0c69ae70b81e40512329b3", 6534653},
+		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "a8f06b5e46de6dfff8f2b183e97d7b2d48c38e0e1ab300d48e3420f04530842d", 3515907},
+		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "81ecca3215ae419ecfc8c5d57f7b20c2d0de8ebc98f7414da4e1125e0fb67cc9", 4311377},
+		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "973d133e9ff48b06b88d305e46316398b85bb2d38857c8aadee15252ebca9206", 11310872},
+		"moon/sync":                              {"e33a5cc717a76d25", "616a9c1b0d493076fddd3e8d8ab292bdb54284052603ea3f96bd1a00a029d1f2", 966810},
+		"moon/sync f32":                          {"349e7cfc9d337e74", "bc7b767d8d2cc13d60f4a1e9fd43bb76114ba724254f51fb9c2403aa3fa3b528", 1603161},
+		"moon/sync topk-ef":                      {"a94951a5100b56bd", "d8ae29fef75421da7fc392f6c8726d0449cd1e7f1be25ed7c1380b256023c07b", 6534650},
+		"moon/async churn":                       {"354f6684859e7429", "b2b4207fa53056db9d3531258b49ef0ccb2b3c586f3799aa1c5125bf8b7f9f5c", 3515904},
+		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "9efcabd7252f7ae86a35a2175760d7e7ccfa4fc0ea7852589cee938e9a5bf639", 4311374},
+		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "5b28ec7b744a16c9a9b50299f3ae4e9402e3ebf08d37cbb30bd6355b7123d709", 11310869},
 	}
 	train, test, parts := lazyRowData(t)
 	for _, method := range []string{"fedtrip:0.4", "moon"} {

@@ -15,10 +15,13 @@
 //
 //   - at the client's next dispatch, by its own job, before it trains
 //     (trainClient), so a method never reads a row it did not write;
-//   - by Client.State called from outside a round, on the loaner engine;
-//   - by Snapshot, into scratch on the loaner engine, for each lazy row
-//     it writes: the stream is the one a dense run writes, and a resumed
-//     run holds the rows dense.
+//   - by Client.State called from outside a round, on the loaner engine.
+//
+// A snapshot carries the recipes as they are (FTRS 10): each version a
+// recipe pins is written once, in the stream's round-image section, and
+// each recipe as its image's place there, stream position, step budget
+// and row count. A snapshot therefore replays nothing, and a resumed run
+// holds the recipes an uninterrupted one holds.
 //
 // A replay is not training: its FLOPs meter nowhere, nothing goes
 // through the transport, and the client's stream position, FLOP counter
@@ -123,16 +126,19 @@ func (st *rowStore) rebuild(c *Client) {
 
 // restore stores rec's rows as c's own, replayed on e.
 func (st *rowStore) restore(c *Client, e *engine, rec *rowRecipe) {
-	c.state = make([]float64, int(rec.rows)*c.NumParams())
-	st.replay(c, e, rec, c.state)
+	rows := st.replay(c, e, rec)
+	c.state = make([]float64, len(rows))
+	copy(c.state, rows)
 }
 
-// replay runs rec's round again on e, attached to c, writing the rows
-// into dst: from what the client received at the pinned version, from
-// the recorded stream position, under the recorded step budget, with
-// LastRound 0 as it was. Nothing is sent or metered, and c's stream,
-// FLOP counter and LastRound are left as they were.
-func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe, dst []float64) {
+// replay runs rec's round again on e, attached to c, and returns the
+// rows the method wrote, in e's scratch until its next recording: from
+// what the client received at the pinned version, from the recorded
+// stream position, under the recorded step budget, with LastRound 0 as
+// it was. Nothing is sent or metered, and c's stream, FLOP counter and
+// LastRound are left as they were. The rows are as many as the method
+// writes, whatever count the recipe claims.
+func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe) []float64 {
 	round, counter, rng := c.LastRound, c.Counter, c.RNG()
 	live := rng.State()
 	c.Counter = nil
@@ -141,12 +147,12 @@ func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe, dst []float64) 
 	rng.SetState(rec.rng)
 	e.record()
 	c.train(round, rec.img.received(), int(rec.steps))
-	e.recorded()
-	copy(dst, e.rowScratch[:len(dst)])
+	rows := e.recorded()
 	rng.SetState(live)
 	c.LastRound = round
 	c.Counter = counter
 	e.meter(counter)
+	return e.rowScratch[:int(rows)*c.NumParams()]
 }
 
 // received is what a client that trained from version sn received: the
@@ -197,18 +203,4 @@ func (st *rowStore) settle(j *trainJob) {
 		return
 	}
 	st.keep(j.c, rowRecipe{img: j.gsnap, rng: j.recRng, steps: int32(j.steps), rows: j.recRows})
-}
-
-// peek returns c's recipe rows rebuilt into buf (grown as needed) on
-// the engine c has, the loaner outside a round, leaving the recipe in
-// place: Snapshot writes them so.
-func (st *rowStore) peek(c *Client, buf []float64) []float64 {
-	rec := &st.recipes[c.recipe-1]
-	n := int(rec.rows) * c.NumParams()
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	st.replay(c, c.engine(), rec, buf)
-	return buf
 }

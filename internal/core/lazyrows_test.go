@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -71,8 +72,13 @@ func (perClientDown) UpInto(dst []float64, clientID, round int, params, ref []fl
 	return int64(4 * len(params))
 }
 
-// lazyMatchesDense runs spec twice in lock step, in the lazy regime and
-// with every row held dense, and holds the two to one run.
+// lazyMatchesDense runs spec in lock step in the lazy regime, with every
+// row held dense, and resumed from snapshots of the lazy run: one taken a
+// third of the way in, and one of the resumed run two thirds in, whose
+// stream re-writes recipes and round images that came from a stream. It
+// holds them to one run: at each resume the resumed run holds recipes
+// for the clients its source holds them for, and at every boundary every
+// run's rows equal the dense run's bit for bit.
 func lazyMatchesDense(t *testing.T, spec func() core.RunSpec) {
 	t.Helper()
 	lazy, err := core.NewRunState(spec())
@@ -86,8 +92,15 @@ func lazyMatchesDense(t *testing.T, spec func() core.RunSpec) {
 	}
 	defer dense.Close()
 	dense.HoldRowsDense()
+	var resumed *core.RunState
+	defer func() {
+		if resumed != nil {
+			resumed.Close()
+		}
+	}()
+	first, second := lazy.Spec().Rounds/3, 2*lazy.Spec().Rounds/3
 	wasLazy := map[int]int{} // client -> its LastRound while lazy
-	held, replayed := 0, 0
+	held, replayed, carried := 0, 0, 0
 	for done := false; !done; {
 		if done, err = lazy.Step(); err != nil {
 			t.Fatal(err)
@@ -97,8 +110,14 @@ func lazyMatchesDense(t *testing.T, spec func() core.RunSpec) {
 		}
 		lazy.Quiesce()
 		dense.Quiesce()
-		for i, c := range lazy.Server().Clients() {
-			d := dense.Server().Clients()[i]
+		if resumed != nil {
+			if rdone, err := resumed.Step(); err != nil || rdone != done {
+				t.Fatalf("resumed run: done %t, the lazy run %t (%v)", rdone, done, err)
+			}
+			resumed.Quiesce()
+			sameRows(t, resumed, dense)
+		}
+		for _, c := range lazy.Server().Clients() {
 			if last, ok := wasLazy[c.ID]; ok && !c.Lazy() && c.LastRound > last {
 				replayed++
 				delete(wasLazy, c.ID)
@@ -107,24 +126,34 @@ func lazyMatchesDense(t *testing.T, spec func() core.RunSpec) {
 				held++
 				wasLazy[c.ID] = c.LastRound
 			}
-			if c.LastRound != d.LastRound || c.StateBytes() != d.StateBytes() {
-				t.Fatalf("round %d client %d: last round %d and %d state bytes, the dense run %d and %d",
-					lazy.Round(), c.ID, c.LastRound, c.StateBytes(), d.LastRound, d.StateBytes())
-			}
-			if c.StateBytes() == 0 {
-				continue
-			}
-			rows := unchangedBy(t, c, c.PeekState)
-			if !bitsEqual(rows, d.PeekState()) {
-				t.Fatalf("round %d client %d (lazy %t): rows differ from the dense run's", lazy.Round(), c.ID, c.Lazy())
-			}
 		}
+		sameRows(t, lazy, dense)
+		switch lazy.Round() {
+		case first:
+			resumed = resumeLazy(t, lazy, spec)
+		case second:
+			for _, c := range resumed.Server().Clients() {
+				if c.Lazy() && c.LastRound <= first {
+					carried++
+				}
+			}
+			from := resumed
+			resumed = resumeLazy(t, from, spec)
+			from.Close()
+		}
+	}
+	if carried == 0 {
+		t.Fatalf("no recipe from the first stream was left to re-write at round %d", second)
 	}
 	if held == 0 || replayed == 0 {
 		t.Fatalf("%d recipes seen at boundaries, %d rebuilt by a dispatch: the regime is not exercised", held, replayed)
 	}
-	if a, b := lazy.Finish().Digest(), dense.Finish().Digest(); a != b {
-		t.Fatalf("lazy rows digest %s, dense rows %s", a, b)
+	digest := lazy.Finish().Digest()
+	if d := dense.Finish().Digest(); digest != d {
+		t.Fatalf("lazy rows digest %s, dense rows %s", digest, d)
+	}
+	if r := resumed.Finish().Digest(); r != digest {
+		t.Fatalf("resumed twice: digest %s, the uninterrupted run %s", r, digest)
 	}
 	byHand := true // the first lazy client is trained by hand, the others read
 	for i, c := range lazy.Server().Clients() {
@@ -148,6 +177,53 @@ func lazyMatchesDense(t *testing.T, spec func() core.RunSpec) {
 			t.Fatalf("client %d: State rebuilt rows that differ from the dense run's (still lazy: %t)", c.ID, c.Lazy())
 		}
 	}
+}
+
+// sameRows fails unless every client of run, with its jobs joined, has
+// the dense run's LastRound, state bytes and rows, bit for bit.
+func sameRows(t *testing.T, run, dense *core.RunState) {
+	t.Helper()
+	for i, c := range run.Server().Clients() {
+		d := dense.Server().Clients()[i]
+		if c.LastRound != d.LastRound || c.StateBytes() != d.StateBytes() {
+			t.Fatalf("round %d client %d: last round %d and %d state bytes, the dense run %d and %d",
+				run.Round(), c.ID, c.LastRound, c.StateBytes(), d.LastRound, d.StateBytes())
+		}
+		if c.StateBytes() == 0 {
+			continue
+		}
+		rows := unchangedBy(t, c, c.PeekState)
+		if !bitsEqual(rows, d.PeekState()) {
+			t.Fatalf("round %d client %d (lazy %t): rows differ from the dense run's", run.Round(), c.ID, c.Lazy())
+		}
+	}
+}
+
+// resumeLazy snapshots from and resumes the stream, which must carry a
+// recipe for exactly the clients from holds one for, and some.
+func resumeLazy(t *testing.T, from *core.RunState, spec func() core.RunSpec) *core.RunState {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := from.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := core.Resume(&buf, core.ResumeSpec{Spec: spec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipes := 0
+	for i, c := range from.Server().Clients() {
+		if r := rs.Server().Clients()[i]; r.Lazy() != c.Lazy() {
+			t.Fatalf("round %d client %d: lazy %t after the resume, %t before", from.Round(), c.ID, r.Lazy(), c.Lazy())
+		}
+		if c.Lazy() {
+			recipes++
+		}
+	}
+	if recipes == 0 {
+		t.Fatalf("round %d: the stream carries no recipe", from.Round())
+	}
+	return rs
 }
 
 // unchangedBy calls read and fails unless c's FLOP counter, stream

@@ -29,8 +29,11 @@
 //     any run, so joining early changes nothing — and afterwards the
 //     per-client state and the job's finished update are plain data. An
 //     update the server holds as a sparse patch is written rebuilt,
-//     dense, so the stream does not depend on how it was held; so is a
-//     first participation's method row held as a recipe (lazyrows.go).
+//     dense, so the stream does not depend on how it was held.
+//   - A first participation's method rows held as a recipe (lazyrows.go)
+//     stay one: the stream carries the recipe, and once each the round
+//     image it replays from, so the resumed run rebuilds the rows when
+//     the uninterrupted one would, and a snapshot trains nothing.
 //   - Order-sensitive scheduler state serializes verbatim: the idle set's
 //     ids array (a uniform pick indexes into it, so its order is part of
 //     the trajectory), the event heap's array layout, the churn heap.
@@ -60,14 +63,14 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 9 is the layout the walks below spell out, under a
+	// snapVersion 10 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
-	// Version 9 carries each client's error-feedback residual as a row in
-	// the client walk, after the method's rows (Client.State); 8 had it
-	// in a transport-state section. A snapshot does not survive a format
+	// Version 10 carries first-participation rows as recipes: a
+	// round-image section before the client walk, and per client a
+	// recipe or the method's rows. A snapshot does not survive a format
 	// bump: Resume refuses any other version, naming both.
-	snapVersion = 9
+	snapVersion = 10
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -236,14 +239,19 @@ func sized[T any](c *tensor.Codec, v []T, n int) []T {
 // bytes).
 func snapRng(c *tensor.Codec, r *prng.Rand) {
 	st := r.State()
-	c.U64(&st.S)
-	c.F64(&st.Spare)
-	c.Bool(&st.HasSpare)
+	snapRngState(c, &st)
 	r.SetState(st)
 }
 
+func snapRngState(c *tensor.Codec, st *prng.State) {
+	c.U64(&st.S)
+	c.F64(&st.Spare)
+	c.Bool(&st.HasSpare)
+}
+
 // snapCommon is the state every runtime shares: the global model, the
-// selection stream, the client population, the adversary's live streams,
+// selection stream, the round images and the client population, the
+// adversary's live streams,
 // the recorder (metric series plus the list of evaluated rounds), and the
 // clock and scheduler registry.
 func (rs *RunState) snapCommon(c *tensor.Codec) {
@@ -252,27 +260,29 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	c.FloatsExact("global model", s.global)
 	snapRng(c, s.rng)
 
+	s.rows.snapImages(c, np, s.wire != nil)
 	c.LenExact("client count", len(s.clients))
-	var rebuilt []float64
 	for _, cl := range s.clients {
 		if c.Err() != nil {
 			return
 		}
-		// The method's persistent rows (Client.State), empty until it first
-		// asked — rows held as a recipe are written rebuilt, so a resumed
-		// run holds them dense — and the transport's error-feedback
-		// residual, empty until the client's first accepted upload under
-		// error feedback.
-		state := &cl.state
-		if cl.recipe != 0 {
-			rebuilt = s.rows.peek(cl, rebuilt)
-			state = &rebuilt
+		// The method's persistent rows: a recipe, or the rows themselves
+		// (Client.State), empty until it first asked. Then the transport's
+		// error-feedback residual, empty until the client's first accepted
+		// upload under error feedback.
+		lazy := cl.recipe != 0
+		if c.Bool(&lazy); lazy {
+			s.rows.snapRecipe(c, cl, np)
+		} else {
+			c.Rows("client state", &cl.state, np)
 		}
-		c.Rows("client state", state, np)
 		if c.Rows("client residual", &cl.resid, np); len(cl.resid) > np {
 			c.Fail("client %d residual holds %d rows, at most 1", cl.ID, len(cl.resid)/np)
 		}
-		c.Num("client last round", &cl.LastRound)
+		// A recipe is a participation's.
+		if c.Num("client last round", &cl.LastRound); lazy && cl.LastRound < 1 {
+			c.Fail("client %d holds a recipe from round %d", cl.ID, cl.LastRound)
+		}
 		has := cl.rng != nil
 		if c.Bool(&has); has {
 			if cl.rng == nil {
@@ -284,6 +294,13 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		if c.I64(&total); c.Reading() {
 			cl.Counter.Reset()
 			cl.Counter.Add(total)
+		}
+	}
+	if c.Reading() {
+		for i, sn := range rs.run.snaps {
+			if sn.refs == 0 {
+				c.Fail("round image %d is pinned by no recipe", i)
+			}
 		}
 	}
 
@@ -399,6 +416,84 @@ func snapList[T any](c *tensor.Codec, what string, list *[]T, elem func(*T)) {
 			*list = append(*list, zero)
 		}
 		elem(&(*list)[i])
+	}
+}
+
+// snapImages is the round-image section: each model version a recipe
+// pins, once however many pin it — its global and, under a transport,
+// the downlink its recorders kept. A recipe names its image by its place
+// here (ord). A decoder appends each image to the runner's table, which
+// a fresh run holds empty, in vectors from the pool, and the client
+// walk's recipes pin them.
+func (st *rowStore) snapImages(c *tensor.Codec, np int, wire bool) {
+	r := st.run
+	n := 0
+	if !c.Reading() {
+		for _, sn := range r.snaps {
+			sn.ord = -1
+		}
+		for i := range st.recipes {
+			if img := st.recipes[i].img; img != nil {
+				img.ord = 0
+			}
+		}
+		for _, sn := range r.snaps {
+			if sn.ord >= 0 {
+				sn.ord = int32(n)
+				n++
+			}
+		}
+	}
+	n = c.Len("round images", n)
+	for i, k := 0, 0; i < n && c.Err() == nil; i++ {
+		var sn *globalSnap
+		if c.Reading() {
+			sn = &globalSnap{vec: paramsPool.get(np)}
+			r.snaps = append(r.snaps, sn)
+		} else {
+			for r.snaps[k].ord < 0 {
+				k++
+			}
+			sn = r.snaps[k]
+			k++
+		}
+		c.FloatsExact("round image", sn.vec)
+		if c.Present("round image downlink", wire) {
+			if c.Reading() {
+				sn.recv = paramsPool.get(np)
+			}
+			c.FloatsExact("round image downlink", sn.recv)
+		}
+	}
+}
+
+// snapRecipe is a client's rows held as a recipe: its image's place in
+// the section, the stream position it trained from, its step budget and
+// how many rows the method wrote. A decoded recipe pins its image; a
+// row count past what a Num can count in floats is refused, and a
+// replay allocates only the rows the method really writes.
+func (st *rowStore) snapRecipe(c *tensor.Codec, cl *Client, np int) {
+	var rec rowRecipe
+	img := 0
+	if !c.Reading() {
+		rec = st.recipes[cl.recipe-1]
+		img = int(rec.img.ord)
+	}
+	images := st.run.snaps
+	if c.Num("recipe image", &img); img < 0 || img >= len(images) {
+		c.Fail("client %d recipe names round image %d of %d", cl.ID, img, len(images))
+	}
+	snapRngState(c, &rec.rng)
+	steps, rows := int(rec.steps), int(rec.rows)
+	if c.Num("recipe steps", &steps); steps < 0 {
+		c.Fail("client %d recipe step budget %d", cl.ID, steps)
+	}
+	if c.Num("recipe rows", &rows); rows < 1 || rows > math.MaxInt32/np {
+		c.Fail("client %d recipe of %d rows of %d floats", cl.ID, rows, np)
+	}
+	if c.Reading() && c.Err() == nil {
+		rec.img, rec.steps, rec.rows = images[img], int32(steps), int32(rows)
+		st.keep(cl, rec)
 	}
 }
 

@@ -117,31 +117,26 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
 // writes it, for the snapshot stream each resume pin builds. The lengths
-// and hashes were taken at the FTRS 9 bump, which moved each client's
-// error-feedback residual from a transport-state section after the common
-// one into the client walk, as a length-prefixed row after the method's
-// rows. None of these runs has an error-feedback transport, so each
-// stream gained one empty row's length word per client (6 x 8 = 48
-// bytes) and lost the transport section's presence byte: 47 bytes in
-// all. Rewriting each FTRS 8 stream into the new layout reproduced its
-// FTRS 9 stream byte for byte: the values did not move, only the layout.
-// TestResumeEquivalenceAsyncPricedTransport's entry was re-taken at the
-// same bump: its transport keeps no state any more and perturbs an
-// upload by a hash of (client, round), not by a participation count, so
-// its trajectory moved.
+// and hashes were re-taken at the FTRS 10 bump, which added a
+// round-image section before the client walk and a recipe flag in front
+// of each client's rows. None of these runs holds a recipe (each merges
+// at least as many updates as it has clients), so each stream gained the
+// empty section's count word and one byte per client: 8 + 6 = 14 bytes.
+// Rewriting each FTRS 9 stream into the new layout reproduced its FTRS
+// 10 stream byte for byte: the values did not move, only the layout.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"3447cd150482773984b374883172fabdfa28ee742f28817c0eb3768d15c0a877", 4453670},
-	"TestResumeEquivalenceAsyncFedBuff":         {"4b7e23c444009a5893ffa82689ac2bb24f88ae6850e8537a0dc9f9031943351e", 6362337},
-	"TestResumeEquivalenceAsyncChurn":           {"e3d336257b38f35a3bcb182d3ef5aa2765804c021424b64eb6e767c0684cb07d", 6362543},
-	"TestResumeEquivalenceAsyncDevices":         {"26bdf78585479662270c4de9d2063e5b54a9fba3a62c7063d93896f13c21a7fe", 6362306},
-	"TestResumeEquivalenceNoiseFault":           {"7c3c6404d7dd933a654ef7eefbb3b59fd7d8af19e781c4a58d0644fb52a41c3a", 6362344},
-	"TestResumeEquivalenceAsyncPricedTransport": {"040ab80d1c2561cfadc486fdbf41800a2ab30b440147371149285c7b875e4746", 5090207},
-	"TestResumeEquivalenceMOON":                 {"1237bb35f38d60340dcdd15831b1df7758eeefa2faa4ab73c7dd8536235f8977", 6362334},
+	"TestResumeEquivalenceSync":                 {"42f1e2a998571f022c47c96ac370bc8d40f870fb6a77b8750c5b8e822dbc15af", 4453684},
+	"TestResumeEquivalenceAsyncFedBuff":         {"46a0f33de8271002742396be83ab91760f8716884ff0940ecf9e34063e864fd5", 6362351},
+	"TestResumeEquivalenceAsyncChurn":           {"5a4ea2d291abc78cc797cc95f5419b7b79fcec715c690be7f31025111210d476", 6362557},
+	"TestResumeEquivalenceAsyncDevices":         {"2691c02f074373b40dc7531565e074fa234156ae282d9ade2bf45fdf7ca587b6", 6362320},
+	"TestResumeEquivalenceNoiseFault":           {"f68ed6b21476e6d9c5179a240e7053e69d2b17e8daebc3ab02cc0fa7e05caf11", 6362358},
+	"TestResumeEquivalenceAsyncPricedTransport": {"f20c22b7e431becba56fd943580d82d82419aa89330f7fee2ebb918ae9fc8c36", 5090221},
+	"TestResumeEquivalenceMOON":                 {"3204f564b5c0fc24f096d755a1f3d8b7d27687cae2aeb8bf3eeb728d3a1463b5", 6362348},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -153,7 +148,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, FTRS 9 is %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 10 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -387,9 +382,14 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}
 	// partialRow gives client 0's state one float more than it has: the
 	// vector follows the header, the fingerprint, the global model, the
-	// selection stream and the client count.
+	// selection stream, the (empty) round-image section, the client count
+	// and the client's no-recipe byte.
 	fingerprint := int(binary.LittleEndian.Uint64(good[len(snapMagic)+1:]))
-	at := len(snapMagic) + 1 + 8 + fingerprint + 8 + 8*np + 17 + 8
+	images := len(snapMagic) + 1 + 8 + fingerprint + 8 + 8*np + 17
+	if n := binary.LittleEndian.Uint64(good[images:]); n != 0 {
+		t.Fatalf("the stream holds %d round images, want none", n)
+	}
+	at := images + 8 + 8 + 1
 	floats := int(binary.LittleEndian.Uint64(good[at:]))
 	end := at + 8 + 8*floats
 	partialRow := bytes.Join([][]byte{good[:at], word(uint64(floats + 1)), good[at+8 : end], word(0), good[end:]}, nil)
@@ -402,7 +402,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 8), good[5:]...), spec, "run snapshot version 8, this build reads version 9"},
+		{"previous version", append(append([]byte(snapMagic), 9), good[5:]...), spec, "run snapshot version 9, this build reads version 10"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -103,18 +104,26 @@ func TestUploadPoolPeak(t *testing.T) {
 // The pool's balance at Close, where jobs really overlap the loop: uploads
 // held sparse and dense, in flight and buffered, on several shards, with
 // in-flight sparse jobs voided by a permanent mass drop and a snapshot
-// taken mid-run that the run then continues from. Whatever the shards'
-// timing, after Close every buffer checked out is back in the pool or
-// held by a job still queued, and the continued run is the uninterrupted
-// one.
+// taken mid-run that the run then continues from — or, in the lazy
+// fleets (Rounds × m < N), that a fresh run resumes from, its round
+// images restored into pooled vectors. Whatever the shards' timing,
+// after Close every buffer checked out is back in the pool or held by a
+// job still queued or a recipe, and the continued run is the
+// uninterrupted one.
 func TestPoolBalancesAtClose(t *testing.T) {
 	cases := []struct {
 		name, runtime, transport, latency, churn string
+		// rounds (0: uploadRun's 8) and the round the snapshot is taken
+		// after; resume continues from the stream in a fresh run.
+		rounds, snapAt int
+		resume         bool
 	}{
-		{"async topk churn+drop", "async", "topk:0.01+ef", "straggler:1,10,3", "markov:20,5+drop:6,0.4,0"},
-		{"async randk", "async", "randk:0.05", "exp:2", ""},
-		{"async q8", "async", "q8+ef", "exp:2", ""},
-		{"barrier randk churn+drop", "barrier", "randk:0.05", "straggler:1,10,3", "markov:20,5+drop:6,0.4,0"},
+		{"async topk churn+drop", "async", "topk:0.01+ef", "straggler:1,10,3", "markov:20,5+drop:6,0.4,0", 0, 4, false},
+		{"async randk", "async", "randk:0.05", "exp:2", "", 0, 4, false},
+		{"async q8", "async", "q8+ef", "exp:2", "", 0, 4, false},
+		{"barrier randk churn+drop", "barrier", "randk:0.05", "straggler:1,10,3", "markov:20,5+drop:6,0.4,0", 0, 4, false},
+		{"resumed lazy async f32", "async", "f32", "exp:2", "", 5, 2, true},
+		{"resumed lazy barrier topk churn", "barrier", "topk:0.01+ef", "straggler:1,10,3", "markov:20,5", 3, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,27 +140,61 @@ func TestPoolBalancesAtClose(t *testing.T) {
 				if tc.runtime == "async" {
 					sp.Concurrency, sp.BufferSize = 10, 3
 				}
+				if tc.rounds > 0 {
+					sp.Rounds = tc.rounds
+				}
 				return sp
 			}
 			full, err := core.Start(build())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.churn != "" && full.DroppedUpdates == 0 {
+			if strings.Contains(tc.churn, "drop") && full.DroppedUpdates == 0 {
 				t.Fatal("the mass drop voided no in-flight update; the case checks nothing of it")
 			}
 			base, _ := core.PoolCheckouts()
+			// balanced fails unless every buffer checked out since base is
+			// held by one of rs's queued jobs or recipes.
+			balanced := func(rs *core.RunState) {
+				t.Helper()
+				out, _ := core.PoolCheckouts()
+				queued, err := rs.QueuedBuffers()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out-base != queued {
+					t.Fatalf("%d buffers still out after Close; the queued jobs and recipes hold %d", out-base, queued)
+				}
+			}
 			rs, err := core.NewRunState(build())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 4; i++ {
+			for i := 0; i < tc.snapAt; i++ {
 				if _, err := rs.Step(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := rs.Snapshot(new(bytes.Buffer)); err != nil {
+			var buf bytes.Buffer
+			if err := rs.Snapshot(&buf); err != nil {
 				t.Fatal(err)
+			}
+			if tc.resume {
+				rs.Close()
+				balanced(rs)
+				base, _ = core.PoolCheckouts()
+				if rs, err = core.Resume(&buf, core.ResumeSpec{Spec: build()}); err != nil {
+					t.Fatal(err)
+				}
+				lazy := 0
+				for _, c := range rs.Server().Clients() {
+					if c.Lazy() {
+						lazy++
+					}
+				}
+				if lazy == 0 {
+					t.Fatal("the resumed run holds no recipe; the case checks nothing of its images")
+				}
 			}
 			cont, err := rs.Run()
 			if err != nil {
@@ -160,14 +203,7 @@ func TestPoolBalancesAtClose(t *testing.T) {
 			if cont.Digest() != full.Digest() {
 				t.Fatalf("snapshot-and-continue digest %s, the uninterrupted run %s", cont.Digest(), full.Digest())
 			}
-			out, _ := core.PoolCheckouts()
-			queued, err := rs.QueuedBuffers()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out-base != queued {
-				t.Fatalf("%d buffers still out after Close; the queued jobs hold %d", out-base, queued)
-			}
+			balanced(rs)
 		})
 	}
 }

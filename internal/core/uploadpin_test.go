@@ -40,11 +40,11 @@ func TestUploadStreamsPinned(t *testing.T) {
 		length                                                     int
 	}{
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered",
-			"7c0da0bdd287eec2", "64832441f6b7ebf3a2608e3474cedcf68bd9ad4d731351eff614db08d466a9a7", 3501877},
+			"7c0da0bdd287eec2", "faefe15e93b21dba3ecd251e917bc86ad3c3b9193061a33b1d1e41d6c2506e65", 3025009},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "",
-			"74db091ccf8b2e61", "fcfa3b449c25e8b240db29dd55a391af7ff89b39564fd1d92204f14449adc362", 1115187},
+			"74db091ccf8b2e61", "63ba0110609116b2b7b0bc8b83ab44c3b119019010ee1f48b425fc2371b15a0b", 1115211},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "",
-			"cf6a3a5490d91f14", "e2d2ce5496c06757584614f23cff53cd10ef7d73ad7a194c0f9e7fd6749bbe98", 3501784},
+			"cf6a3a5490d91f14", "30a2cbbe25553999ccf4fc27e431a29683a64b6c1d6fa65549c6841513b2e334", 3024916},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
