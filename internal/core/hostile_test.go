@@ -263,11 +263,7 @@ func TestResumeRefusesLyingHeaderCheaply(t *testing.T) {
 		t.Fatalf("refusing a 13-byte snapshot allocated %d bytes beyond building the run (%v)", over, err)
 	}
 	// A stream cut after a round-image count of 2^30 costs one image.
-	for _, sc = range hostileScenarios(t) {
-		if sc.name == "lazy rows" {
-			break
-		}
-	}
+	sc = lazyRowsScenario(t)
 	good := sc.stream(t)
 	images, _, _ := lazyStreamLayout(t, good, sc.spec())
 	cut := binary.LittleEndian.AppendUint64(append([]byte(nil), good[:images]...), 1<<30)
@@ -284,12 +280,7 @@ func TestResumeRefusesLyingHeaderCheaply(t *testing.T) {
 // TestResumeRefusesBadRecipes doctors the recipe and the round-image
 // section of the lazy scenario's stream, one defect at a time.
 func TestResumeRefusesBadRecipes(t *testing.T) {
-	var sc hostileScenario
-	for _, sc = range hostileScenarios(t) {
-		if sc.name == "lazy rows" {
-			break
-		}
-	}
+	sc := lazyRowsScenario(t)
 	good := sc.stream(t)
 	images, imagesEnd, recipe := lazyStreamLayout(t, good, sc.spec())
 	word := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
@@ -321,6 +312,17 @@ func TestResumeRefusesBadRecipes(t *testing.T) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// lazyRowsScenario is the hostile scenario whose stream holds recipes.
+func lazyRowsScenario(t *testing.T) hostileScenario {
+	for _, sc := range hostileScenarios(t) {
+		if sc.name == "lazy rows" {
+			return sc
+		}
+	}
+	t.Fatal("no lazy rows scenario")
+	return hostileScenario{}
 }
 
 // lazyStreamLayout walks an FTRS stream to its round-image section and

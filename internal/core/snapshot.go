@@ -251,16 +251,15 @@ func snapRngState(c *tensor.Codec, st *prng.State) {
 
 // snapCommon is the state every runtime shares: the global model, the
 // selection stream, the round images and the client population, the
-// adversary's live streams,
-// the recorder (metric series plus the list of evaluated rounds), and the
-// clock and scheduler registry.
+// adversary's live streams, the recorder (metric series plus the list of
+// evaluated rounds), and the clock and scheduler registry.
 func (rs *RunState) snapCommon(c *tensor.Codec) {
 	s := rs.s
 	np := len(s.global)
 	c.FloatsExact("global model", s.global)
 	snapRng(c, s.rng)
 
-	s.rows.snapImages(c, np, s.wire != nil)
+	s.rows.snapImages(c)
 	c.LenExact("client count", len(s.clients))
 	for _, cl := range s.clients {
 		if c.Err() != nil {
@@ -272,7 +271,7 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		// upload under error feedback.
 		lazy := cl.recipe != 0
 		if c.Bool(&lazy); lazy {
-			s.rows.snapRecipe(c, cl, np)
+			s.rows.snapRecipe(c, cl)
 		} else {
 			c.Rows("client state", &cl.state, np)
 		}
@@ -425,9 +424,9 @@ func snapList[T any](c *tensor.Codec, what string, list *[]T, elem func(*T)) {
 // here (ord). A decoder appends each image to the runner's table, which
 // a fresh run holds empty, in vectors from the pool, and the client
 // walk's recipes pin them.
-func (st *rowStore) snapImages(c *tensor.Codec, np int, wire bool) {
+func (st *rowStore) snapImages(c *tensor.Codec) {
 	r := st.run
-	n := 0
+	np, n := len(r.s.global), 0
 	if !c.Reading() {
 		for _, sn := range r.snaps {
 			sn.ord = -1
@@ -458,7 +457,7 @@ func (st *rowStore) snapImages(c *tensor.Codec, np int, wire bool) {
 			k++
 		}
 		c.FloatsExact("round image", sn.vec)
-		if c.Present("round image downlink", wire) {
+		if c.Present("round image downlink", r.s.wire != nil) {
 			if c.Reading() {
 				sn.recv = paramsPool.get(np)
 			}
@@ -472,7 +471,7 @@ func (st *rowStore) snapImages(c *tensor.Codec, np int, wire bool) {
 // how many rows the method wrote. A decoded recipe pins its image; a
 // row count past what a Num can count in floats is refused, and a
 // replay allocates only the rows the method really writes.
-func (st *rowStore) snapRecipe(c *tensor.Codec, cl *Client, np int) {
+func (st *rowStore) snapRecipe(c *tensor.Codec, cl *Client) {
 	var rec rowRecipe
 	img := 0
 	if !c.Reading() {
@@ -488,8 +487,8 @@ func (st *rowStore) snapRecipe(c *tensor.Codec, cl *Client, np int) {
 	if c.Num("recipe steps", &steps); steps < 0 {
 		c.Fail("client %d recipe step budget %d", cl.ID, steps)
 	}
-	if c.Num("recipe rows", &rows); rows < 1 || rows > math.MaxInt32/np {
-		c.Fail("client %d recipe of %d rows of %d floats", cl.ID, rows, np)
+	if c.Num("recipe rows", &rows); rows < 1 || rows > math.MaxInt32/cl.NumParams() {
+		c.Fail("client %d recipe of %d rows of %d floats", cl.ID, rows, cl.NumParams())
 	}
 	if c.Reading() && c.Err() == nil {
 		rec.img, rec.steps, rec.rows = images[img], int32(steps), int32(rows)
