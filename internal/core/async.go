@@ -133,9 +133,6 @@ func (s *Server) finishRound(updates []Update) (bool, error) {
 	if cfg.OnRound != nil {
 		cfg.OnRound(t, s)
 	}
-	if cfg.StopAtTarget && res.RoundsToTarget > 0 {
-		return true, nil
-	}
 	return t >= cfg.Rounds, nil
 }
 

@@ -69,11 +69,10 @@ type Config struct {
 	// not depend on the shard count or on GOMAXPROCS: all per-client
 	// randomness comes from per-client streams.
 	Shards int
-	// TargetAccuracy, if positive, is recorded in Result.RoundsToTarget.
+	// TargetAccuracy, if positive, is reported at Finish in
+	// Result.RoundsToTarget: the first evaluated round that reached it.
+	// It never changes the run.
 	TargetAccuracy float64
-	// StopAtTarget ends the run early once TargetAccuracy is reached
-	// (used by the rounds-to-target tables to save compute).
-	StopAtTarget bool
 	// EvalEvery evaluates test accuracy every k rounds (default 1).
 	EvalEvery int
 	// Logf, if non-nil, receives per-round progress lines.

@@ -314,19 +314,6 @@ func TestRunMetricsShape(t *testing.T) {
 	}
 }
 
-func TestStopAtTarget(t *testing.T) {
-	cfg := testConfig(t, NewFedTrip(0.4))
-	cfg.TargetAccuracy = 0.01
-	cfg.StopAtTarget = true
-	res, err := Start(RunSpec{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 1 {
-		t.Fatalf("should stop after round 1, ran %d", res.Rounds)
-	}
-}
-
 func TestCommAccountingFedAvgStyle(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4)) // no CommCoster: 2 transfers/client
 	res, err := Start(RunSpec{Config: cfg})

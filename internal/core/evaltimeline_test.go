@@ -127,8 +127,7 @@ func timelineRun(t *testing.T, spec func() core.RunSpec, snapAt int) evalTimelin
 // runs: each round's progress line and RunState.LastAccuracy, and the
 // finished Result.Accuracy. Evaluation runs off the event loop; a round's
 // line shows the newest evaluation of an earlier round (one round's lag),
-// except under StopAtTarget, where the round waits for its own. Both
-// rules are checked against Result.Accuracy on every target; the digests
+// checked against Result.Accuracy on every target; the digests
 // pin the values on amd64. Each run is also snapshotted after every
 // round — due and non-due under EvalEvery — and the run resumed from the
 // stream must carry on with the uninterrupted run's values.
@@ -155,12 +154,6 @@ func TestEvalTimelinePinned(t *testing.T) {
 			sp.Latency = mustFleet(core.ParseLatency("exp:2"))
 			sp.EvalEvery = 2
 		}, 1, "33adfc9b79c3e82e"},
-		// Evaluated at rounds 2, 4 and 6, the run crosses 0.35 at round 6
-		// and stops there.
-		{"sync/stopattarget", func(sp *core.RunSpec) {
-			sp.EvalEvery = 2
-			sp.TargetAccuracy, sp.StopAtTarget = 0.35, true
-		}, 0, "587fefa721766c0e"},
 	}
 	for _, tc := range cases {
 		spec := func() core.RunSpec {
@@ -184,9 +177,6 @@ func TestEvalTimelinePinned(t *testing.T) {
 			rounds := len(full.steps)
 			if len(full.acc) != rounds {
 				t.Fatalf("%d steps, %d accuracies", rounds, len(full.acc))
-			}
-			if tc.lag == 0 && rounds == 7 {
-				t.Fatal("the target never stopped the run early; the case pins nothing")
 			}
 			for i, s := range full.steps {
 				want := 0.0

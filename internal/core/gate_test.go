@@ -129,9 +129,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		digest, sha256         string
 		length                 int
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "ffbfc41f4554c4bee6d222aa67edfdc940c455741ecdbf24e37cf909867cf5f4", 1114748},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "e0b4c43129f051d93e39bf813895a8d2a5d952c0a5d77770078341ad70ede9d3", 1432931},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "0bca11355e0827f348392469d34866a0d6dbe172d4e3d9094f69250493d75c83", 1114762},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "883fc6aed0279232b5c1ec11f25283553ef88efb6e230047676f5d4ba8509f38", 1114705},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "11ebca9237ba983a43ea1360656ccfa490293e57ca01944b4f234660d08256e7", 1432888},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "97d6bc4bead85d388e22553dcdc063dddecec1feeab80920d0744135c6ac2607", 1114719},
 	}
 	for _, tc := range cases {
 		build := func() core.RunSpec {

@@ -101,18 +101,18 @@ func TestLazyRowStreamsPinned(t *testing.T) {
 		digest, sha256 string
 		length         int
 	}{
-		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "f9a3218ce859eb71bde6829183d930559461c6185dd307c216494c1ff2bf91ec", 966813},
-		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "5bd1c420f6b470e1804ab5926fa4aa9d194b41e8ffeba6bae40d2f57fedcbefb", 1603164},
-		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "82b159bab51d42c45e992e033dc62c837c9ffa0b2f0c69ae70b81e40512329b3", 6534653},
-		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "a8f06b5e46de6dfff8f2b183e97d7b2d48c38e0e1ab300d48e3420f04530842d", 3515907},
-		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "81ecca3215ae419ecfc8c5d57f7b20c2d0de8ebc98f7414da4e1125e0fb67cc9", 4311377},
-		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "973d133e9ff48b06b88d305e46316398b85bb2d38857c8aadee15252ebca9206", 11310872},
-		"moon/sync":                              {"e33a5cc717a76d25", "616a9c1b0d493076fddd3e8d8ab292bdb54284052603ea3f96bd1a00a029d1f2", 966810},
-		"moon/sync f32":                          {"349e7cfc9d337e74", "bc7b767d8d2cc13d60f4a1e9fd43bb76114ba724254f51fb9c2403aa3fa3b528", 1603161},
-		"moon/sync topk-ef":                      {"a94951a5100b56bd", "d8ae29fef75421da7fc392f6c8726d0449cd1e7f1be25ed7c1380b256023c07b", 6534650},
-		"moon/async churn":                       {"354f6684859e7429", "b2b4207fa53056db9d3531258b49ef0ccb2b3c586f3799aa1c5125bf8b7f9f5c", 3515904},
-		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "9efcabd7252f7ae86a35a2175760d7e7ccfa4fc0ea7852589cee938e9a5bf639", 4311374},
-		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "5b28ec7b744a16c9a9b50299f3ae4e9402e3ebf08d37cbb30bd6355b7123d709", 11310869},
+		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "c0f086ff17ec41c225277acd07a8bfb13dcfc557a16854ff66fc759f6a80085b", 966770},
+		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "99b9a7308f926d903fcebc02d31864e0cbb18f72a0c45091130cdbc7e01b7fcb", 1603121},
+		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "7de9205a35f8f42c3840f550306b5f435630c404190572a81eada51c364884a7", 6534610},
+		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "6e1b8840611beba7610ce0eec17bf444417d64169451fcc231eae5675031b7fb", 3515864},
+		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "cd5ebe5c2c745a48aacdd12389d6cc201101aa45696cf22771e8bdfed42ac700", 4311334},
+		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "ca4d9da97454f0cd2ef94818e4367c47c310e6b45d36e2ab46e1045ba2d96f48", 11310829},
+		"moon/sync":                              {"e33a5cc717a76d25", "da69770776cd033067a11cd561af473c36ce7d495ea0c92dc786f9955aa1478b", 966767},
+		"moon/sync f32":                          {"349e7cfc9d337e74", "7bab95775edf02825def1f8641e8444177b1cc6c184240ce5b98f6c6846e0f98", 1603118},
+		"moon/sync topk-ef":                      {"a94951a5100b56bd", "df67102cbb7b3741b78ce4203a10b38382a70c2aac5091d598c983253c740da9", 6534607},
+		"moon/async churn":                       {"354f6684859e7429", "85bd86d66492dd55f6a0437435c80dc95963466f7eb9208ec7b9183e33730e7b", 3515861},
+		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "a399bd40ea06fa1378562ae6dc187e8ca097e3d660edb987fb61ba0654d86918", 4311331},
+		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "b9daf6eb5160fee6a199a294d7c307b3b9f9bf681cc8a91338a948cbd930c574", 11310826},
 	}
 	train, test, parts := lazyRowData(t)
 	for _, method := range []string{"fedtrip:0.4", "moon"} {

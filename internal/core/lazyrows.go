@@ -17,10 +17,10 @@
 //     (trainClient), so a method never reads a row it did not write;
 //   - by Client.State called from outside a round, on the loaner engine.
 //
-// A snapshot carries the recipes as they are (FTRS 10): each version a
-// recipe pins is written once, in the stream's round-image section, and
-// each recipe as its image's place there, stream position, step budget
-// and row count. A snapshot therefore replays nothing, and a resumed run
+// A snapshot carries the recipes as they are (since FTRS 10): each
+// version a recipe pins is written once, in the stream's round-image
+// section, and each recipe as its image's place there, stream position,
+// step budget and row count. A snapshot therefore replays nothing, and a resumed run
 // holds the recipes an uninterrupted one holds.
 //
 // A replay is not training: its FLOPs meter nowhere, nothing goes

@@ -15,8 +15,7 @@ import (
 type Result struct {
 	// Algorithm is the method's registry name.
 	Algorithm string
-	// Rounds actually executed (may be fewer than Config.Rounds when
-	// StopAtTarget fires).
+	// Rounds actually executed.
 	Rounds int
 	// Accuracy[t] is the global model's test accuracy after round t+1.
 	// Rounds skipped by EvalEvery carry the last evaluated value forward
@@ -54,7 +53,8 @@ type Result struct {
 	// the totals — but the server refused to let it touch the model.
 	RejectedUpdates int
 	// TargetAccuracy echoes the config; RoundsToTarget is the first round
-	// whose evaluation reached it (-1 if never reached).
+	// whose evaluation reached it, found at Finish (-1 until then, and if
+	// never reached).
 	TargetAccuracy float64
 	RoundsToTarget int
 	// BestAccuracy is the highest test accuracy observed (Fig. 7 metric).
@@ -440,22 +440,16 @@ func (s *Server) EvaluateGlobal() float64 {
 //
 // Evaluation runs on the off-loop evaluator, one round at a time: record
 // joins the outstanding evaluation, lists its accuracy and only then
-// submits the next, so round t evaluates while round t+1 trains. The
-// exception is an early-stopping run (StopAtTarget with a positive
-// target): there the loop's control flow depends on the current round's
-// accuracy, so record also joins the round it just submitted — exactly
-// the old inline semantics. finalize assembles the accuracy series from
-// the list.
+// submits the next, so round t evaluates while round t+1 trains. finalize
+// assembles the accuracy series and the rounds-to-target from the list.
 type recorder struct {
 	s             *Server
 	res           *Result
 	commPerClient int64
 	extraComm     float64
-	cumComm       int64
 	wirePending   int64
 	lastMeasured  int64
 	ev            *evaluator
-	blocking      bool
 	pending       int       // round whose evaluation is outstanding, 0 when none
 	evals         []evalAcc // every joined evaluation, in round order
 	lastAcc       float64   // the accuracy the latest record reported
@@ -478,7 +472,6 @@ func newRecorder(s *Server) *recorder {
 		},
 		commPerClient: int64(4 * len(s.global)), // float32 transfer, one way
 		ev:            newEvaluator(s.eval),
-		blocking:      s.spec.StopAtTarget && s.spec.TargetAccuracy > 0,
 	}
 	if cc, ok := s.spec.Algo.(CommCoster); ok {
 		r.extraComm = cc.ExtraCommFactor()
@@ -541,8 +534,11 @@ func (r *recorder) record(t, totalRounds int, updates []Update, flopsTotal int64
 	res.TrainLoss = append(res.TrainLoss, lossSum/float64(len(updates)))
 	res.RejectedUpdates = r.s.rejectedUpdates
 
-	r.cumComm += r.commDelta(len(updates))
-	res.CommBytesByRound = append(res.CommBytesByRound, r.cumComm)
+	comm := r.commDelta(len(updates))
+	if n := len(res.CommBytesByRound); n > 0 {
+		comm += res.CommBytesByRound[n-1]
+	}
+	res.CommBytesByRound = append(res.CommBytesByRound, comm)
 	res.GFLOPsByRound = append(res.GFLOPsByRound, float64(flopsTotal)/1e9)
 	res.Rounds = t
 
@@ -554,12 +550,6 @@ func (r *recorder) record(t, totalRounds int, updates []Update, flopsTotal int64
 		// the accuracy is computed.
 		r.ev.submit(paramsPool.getCopy(r.s.global))
 		r.pending = t
-		if r.blocking {
-			r.join()
-			if res.RoundsToTarget < 0 && r.evals[len(r.evals)-1].acc >= r.s.spec.TargetAccuracy {
-				res.RoundsToTarget = t
-			}
-		}
 	}
 	// The newest joined evaluation, not "whatever the evaluator happens to
 	// have finished": identical runs print identical progress lines.

@@ -42,6 +42,9 @@
 //     cross-round optimizer state to save.
 //   - The transport keeps nothing between uploads: an error-feedback
 //     residual is a row of its client, walked with the client.
+//   - The recorder writes no word it can derive, so none can disagree:
+//     the cumulative traffic is the comm series' last entry, and Finish
+//     finds the rounds-to-target in the accuracy list.
 //
 // Not snapshottable: methods with server-side aggregation state outside
 // RunState (Aggregator/PreRounder implementors — SlowMo's momentum,
@@ -63,14 +66,16 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 10 is the layout the walks below spell out, under a
+	// snapVersion 11 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
-	// Version 10 carries first-participation rows as recipes: a
-	// round-image section before the client walk, and per client a
-	// recipe or the method's rows. A snapshot does not survive a format
-	// bump: Resume refuses any other version, naming both.
-	snapVersion = 10
+	// First-participation rows travel as recipes: a round-image section
+	// before the client walk, and per client a recipe or the method's
+	// rows. Version 11 drops four recorder words the run derives: the
+	// rounds-to-target, the cumulative traffic and two evaluation rounds.
+	// A snapshot does not survive a format bump: Resume refuses any other
+	// version, naming both.
+	snapVersion = 11
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -96,7 +101,7 @@ func (sp *RunSpec) fingerprint(numParams int) string {
 	fmt.Fprintf(&b, " conc=%d buf=%d", sp.Concurrency, sp.BufferSize)
 	fmt.Fprintf(&b, " latency=%s devices=%s floprate=%g adaptive=%t churn=%s network=%s faults=%s",
 		sp.Latency, sp.Devices, sp.FlopRate, sp.AdaptiveLocalSteps, sp.Churn, sp.Network, sp.Faults)
-	fmt.Fprintf(&b, " target=%g stop=%t transport=%s", sp.TargetAccuracy, sp.StopAtTarget, specName(sp.Transport))
+	fmt.Fprintf(&b, " target=%g transport=%s", sp.TargetAccuracy, specName(sp.Transport))
 	// The partition is re-derived by the caller; an FNV-1a hash over the
 	// per-client sizes catches the common mistake (different -alpha or
 	// client count) without embedding N index slices in every header.
@@ -349,19 +354,11 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		s.rejectedUpdates = res.RejectedUpdates
 		s.rejectLogged = res.RejectedUpdates > 0
 	}
-	c.Num("rounds to target", &res.RoundsToTarget)
-	c.I64(&rec.cumComm)
 	c.I64(&rec.wirePending)
-	// Two words name the newest evaluated round: the one the next record
-	// would join (none under early stopping, which joins as it goes) and
-	// the newest submitted. Snapshot joined the outstanding evaluation, so
-	// both derive from the list that follows, a count then (round,
-	// accuracy) pairs in round order, and a stream whose words disagree
-	// with its list is refused.
-	prev, last := rec.newestEval()
-	c.Num("previous evaluation round", &prev)
-	c.Num("last submitted evaluation round", &last)
 	c.F64(&rec.lastAcc)
+	// Snapshot joined the outstanding evaluation, so the list holds every
+	// submitted round: a count, then (round, accuracy) pairs in round
+	// order. finalize finds the rounds-to-target in it.
 	snapList(c, "accuracy list", &rec.evals, func(e *evalAcc) {
 		c.Num("accuracy round", &e.round)
 		c.F64(&e.acc)
@@ -374,9 +371,6 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 			}
 			newest = e.round
 		}
-		if p, l := rec.newestEval(); prev != p || last != l {
-			c.Fail("evaluation rounds %d and %d, the accuracy list derives %d and %d", prev, last, p, l)
-		}
 	}
 
 	c.I64(&s.flopsTotal)
@@ -387,19 +381,6 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	}
 	snapRng(c, s.latRng)
 	s.pop.snap(c)
-}
-
-// newestEval derives the stream's two evaluation-round words from the
-// accuracy list: prev, the round a record would join (0 under early
-// stopping), and last, the newest submitted.
-func (r *recorder) newestEval() (prev, last int) {
-	if n := len(r.evals); n > 0 {
-		last = r.evals[n-1].round
-	}
-	if r.blocking {
-		return 0, last
-	}
-	return last, last
 }
 
 // snapList is a list whose length only the stream knows: a count, then

@@ -117,26 +117,25 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
 // writes it, for the snapshot stream each resume pin builds. The lengths
-// and hashes were re-taken at the FTRS 10 bump, which added a
-// round-image section before the client walk and a recipe flag in front
-// of each client's rows. None of these runs holds a recipe (each merges
-// at least as many updates as it has clients), so each stream gained the
-// empty section's count word and one byte per client: 8 + 6 = 14 bytes.
-// Rewriting each FTRS 9 stream into the new layout reproduced its FTRS
-// 10 stream byte for byte: the values did not move, only the layout.
+// and hashes were re-taken at the FTRS 11 bump, which cut " stop=false"
+// from the fingerprint and four recorder words a run derives — the
+// rounds-to-target, the cumulative traffic and two evaluation rounds —
+// so each stream lost 11 + 32 = 43 bytes. Rewriting each FTRS 10 stream
+// into the new layout reproduced its FTRS 11 stream byte for byte: the
+// values did not move, only the layout.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"42f1e2a998571f022c47c96ac370bc8d40f870fb6a77b8750c5b8e822dbc15af", 4453684},
-	"TestResumeEquivalenceAsyncFedBuff":         {"46a0f33de8271002742396be83ab91760f8716884ff0940ecf9e34063e864fd5", 6362351},
-	"TestResumeEquivalenceAsyncChurn":           {"5a4ea2d291abc78cc797cc95f5419b7b79fcec715c690be7f31025111210d476", 6362557},
-	"TestResumeEquivalenceAsyncDevices":         {"2691c02f074373b40dc7531565e074fa234156ae282d9ade2bf45fdf7ca587b6", 6362320},
-	"TestResumeEquivalenceNoiseFault":           {"f68ed6b21476e6d9c5179a240e7053e69d2b17e8daebc3ab02cc0fa7e05caf11", 6362358},
-	"TestResumeEquivalenceAsyncPricedTransport": {"f20c22b7e431becba56fd943580d82d82419aa89330f7fee2ebb918ae9fc8c36", 5090221},
-	"TestResumeEquivalenceMOON":                 {"3204f564b5c0fc24f096d755a1f3d8b7d27687cae2aeb8bf3eeb728d3a1463b5", 6362348},
+	"TestResumeEquivalenceSync":                 {"71587e3ab6500369ace459a216e4fa3a0b3df356b5a3dc9d08fb19eb78c238d3", 4453641},
+	"TestResumeEquivalenceAsyncFedBuff":         {"9b24b94bcc48841d7093711c34d29ca10d2a7dddffdd57e60ca5efdcf785084f", 6362308},
+	"TestResumeEquivalenceAsyncChurn":           {"2aa873c1f9679811b85988aa34ecd314fa43c3c5985b6e3bd3e0cf188327e9a8", 6362514},
+	"TestResumeEquivalenceAsyncDevices":         {"c0314e27c0fba63be053638cbcb0984b45a808f68fa25846b9ba6aacc582d12e", 6362277},
+	"TestResumeEquivalenceNoiseFault":           {"e7d178865d3a6147554b399e8149423fa4d1a3483962f14c23cd5df78f8813e4", 6362315},
+	"TestResumeEquivalenceAsyncPricedTransport": {"23f8b6ddc10ee0a4f2d814e75b9545da8b74334910ddbe836293c7f7be4d92ed", 5090178},
+	"TestResumeEquivalenceMOON":                 {"5b239c3d9cd46e743496cbb47e1e5b2594240f23d6467375515cab31ed9e54f0", 6362305},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -148,7 +147,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, FTRS 10 is %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 11 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -345,7 +344,7 @@ func TestSnapshotPolicyRoundTrip(t *testing.T) {
 
 // TestResumeRejectsBadSnapshots pins the precise-error contract for
 // wrong-magic, wrong-version, truncated, and wrong-run streams. A format
-// bump orphans older snapshots: a v7-headered stream is refused with both
+// bump orphans older snapshots: a v10-headered stream is refused with both
 // versions named, whatever follows the header.
 func TestResumeRejectsBadSnapshots(t *testing.T) {
 	cfg := snapTestConfig(t, 4)
@@ -402,7 +401,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 9), good[5:]...), spec, "run snapshot version 9, this build reads version 10"},
+		{"previous version", append(append([]byte(snapMagic), 10), good[5:]...), spec, "run snapshot version 10, this build reads version 11"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},
@@ -454,76 +453,61 @@ func TestSnapshotRefusesServerSideAggregators(t *testing.T) {
 }
 
 // TestResumeRejectsInconsistentAccuracyList: the recorder's accuracy list
-// must hold strictly increasing rounds within [1, R], and the two
-// evaluation-round words before it must be the ones the list derives —
-// its newest round, and for the first 0 under early stopping. A stream
-// that breaks either is corrupt.
+// must hold strictly increasing rounds within [1, R]. A stream that breaks
+// that is corrupt.
 func TestResumeRejectsInconsistentAccuracyList(t *testing.T) {
 	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	for _, stop := range []bool{false, true} {
-		cfg := snapTestConfig(t, 4)
-		if stop {
-			cfg.TargetAccuracy, cfg.StopAtTarget = 0.99, true
-		}
-		spec := RunSpec{Config: cfg}
-		rs, err := NewRunState(spec)
-		if err != nil {
+	spec := RunSpec{Config: snapTestConfig(t, 4)}
+	rs, err := NewRunState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := rs.Step(); err != nil {
 			t.Fatal(err)
 		}
-		for range 3 {
-			if _, err := rs.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := rs.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		last := rs.LastAccuracy()
-		rs.Close()
-		good := buf.Bytes()
-		if _, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: spec}); err != nil {
-			t.Fatalf("stop=%t: the unedited stream is refused: %v", stop, err)
-		}
+	}
+	var buf bytes.Buffer
+	if err := rs.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	last := rs.LastAccuracy()
+	rs.Close()
+	good := buf.Bytes()
+	if _, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: spec}); err != nil {
+		t.Fatalf("the unedited stream is refused: %v", err)
+	}
 
-		// The words, the last accuracy, then three (round, accuracy) pairs.
-		prev := uint64(3)
-		if stop {
-			prev = 0
-		}
-		at := bytes.Index(good, bytes.Join([][]byte{word(prev), word(3), word(math.Float64bits(last)), word(3), word(1)}, nil))
-		if at < 0 {
-			t.Fatalf("stop=%t: accuracy list not found in the snapshot", stop)
-		}
-		pair := func(i int) int { return at + 32 + 16*i }
-		edit := func(off int, v uint64) []byte {
-			b := bytes.Clone(good)
-			copy(b[off:], word(v))
-			return b
-		}
-		cases := []struct {
-			name    string
-			data    []byte
-			wantErr string
-		}{
-			{"round out of order", edit(pair(1), 1), "accuracy for round 1 after round 1"},
-			{"rounds decreasing", edit(pair(0), 3), "accuracy for round 2 after round 3"},
-			{"round zero", edit(pair(0), 0), "accuracy for round 0 after round 0"},
-			{"round past R", edit(pair(2), 4), "accuracy for round 4 after round 2 of 3"},
-			{"previous round disagrees", edit(at, 2), "evaluation rounds 2 and 3"},
-			{"last round disagrees", edit(at+8, 2), "and 2, the accuracy list derives"},
-			{"shorter list", edit(at+24, 2), "the accuracy list derives"},
-		}
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("stop=%t/%s", stop, tc.name), func(t *testing.T) {
-				_, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: spec})
-				if err == nil {
-					t.Fatal("inconsistent accuracy list accepted")
-				}
-				if !strings.Contains(err.Error(), "corrupt run snapshot") || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-				}
-			})
-		}
+	// The last accuracy, then three (round, accuracy) pairs.
+	at := bytes.Index(good, bytes.Join([][]byte{word(math.Float64bits(last)), word(3), word(1)}, nil))
+	if at < 0 {
+		t.Fatal("accuracy list not found in the snapshot")
+	}
+	pair := func(i int) int { return at + 16 + 16*i }
+	edit := func(off int, v uint64) []byte {
+		b := bytes.Clone(good)
+		copy(b[off:], word(v))
+		return b
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"round out of order", edit(pair(1), 1), "accuracy for round 1 after round 1"},
+		{"rounds decreasing", edit(pair(0), 3), "accuracy for round 2 after round 3"},
+		{"round zero", edit(pair(0), 0), "accuracy for round 0 after round 0"},
+		{"round past R", edit(pair(2), 4), "accuracy for round 4 after round 2 of 3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: spec})
+			if err == nil {
+				t.Fatal("inconsistent accuracy list accepted")
+			}
+			if !strings.Contains(err.Error(), "corrupt run snapshot") || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -40,11 +40,11 @@ func TestUploadStreamsPinned(t *testing.T) {
 		length                                                     int
 	}{
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered",
-			"7c0da0bdd287eec2", "faefe15e93b21dba3ecd251e917bc86ad3c3b9193061a33b1d1e41d6c2506e65", 3025009},
+			"7c0da0bdd287eec2", "12850b56e7142b91d3052451251a22f199baaf7de135450bc64621e7257d1b4f", 3024966},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "",
-			"74db091ccf8b2e61", "63ba0110609116b2b7b0bc8b83ab44c3b119019010ee1f48b425fc2371b15a0b", 1115211},
+			"74db091ccf8b2e61", "2927f4df44ca5314987d388106a8d54076071facf958ef71b7dc6425ebf62d43", 1115168},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "",
-			"cf6a3a5490d91f14", "30a2cbbe25553999ccf4fc27e431a29683a64b6c1d6fa65549c6841513b2e334", 3024916},
+			"cf6a3a5490d91f14", "85dcde838311088f4190cac05892ff54089c181f084259b9a7bd51e2d1e989bf", 3024873},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
