@@ -71,9 +71,8 @@ const (
 	// schedule, the staleness discount and the method's hyperparameters.
 	// First-participation rows travel as recipes: a round-image section
 	// before the client walk, and per client a recipe or the method's
-	// rows. Version 11 drops four recorder words the run derives: the
-	// rounds-to-target, the cumulative traffic and two evaluation rounds.
-	// A snapshot does not survive a format bump: Resume refuses any other
+	// rows. The recorder section holds no word the run derives. A
+	// snapshot does not survive a format bump: Resume refuses any other
 	// version, naming both.
 	snapVersion = 11
 )
