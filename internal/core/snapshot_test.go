@@ -454,60 +454,75 @@ func TestSnapshotRefusesServerSideAggregators(t *testing.T) {
 
 // TestResumeRejectsInconsistentAccuracyList: the recorder's accuracy list
 // must hold strictly increasing rounds within [1, R]. A stream that breaks
-// that is corrupt.
+// that is corrupt. The stop=true cases run with a target that the first
+// evaluation crosses, as the early-stopping runs these cases once covered
+// did: the unedited stream must resume to that crossing, and each edit is
+// refused all the same.
 func TestResumeRejectsInconsistentAccuracyList(t *testing.T) {
 	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
-	spec := RunSpec{Config: snapTestConfig(t, 4)}
-	rs, err := NewRunState(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range 3 {
-		if _, err := rs.Step(); err != nil {
+	for _, stop := range []bool{false, true} {
+		cfg := snapTestConfig(t, 4)
+		wantRTT := -1
+		if stop {
+			cfg.TargetAccuracy, wantRTT = 1e-9, 1
+		}
+		spec := RunSpec{Config: cfg}
+		rs, err := NewRunState(spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var buf bytes.Buffer
-	if err := rs.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	last := rs.LastAccuracy()
-	rs.Close()
-	good := buf.Bytes()
-	if _, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: spec}); err != nil {
-		t.Fatalf("the unedited stream is refused: %v", err)
-	}
+		for range 3 {
+			if _, err := rs.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := rs.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		last := rs.LastAccuracy()
+		rs.Close()
+		good := buf.Bytes()
+		resumed, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: spec})
+		if err != nil {
+			t.Fatalf("stop=%t: the unedited stream is refused: %v", stop, err)
+		}
+		if got := resumed.Finish().RoundsToTarget; got != wantRTT {
+			t.Fatalf("stop=%t: the resumed run reports rounds-to-target %d, want %d", stop, got, wantRTT)
+		}
+		resumed.Close()
 
-	// The last accuracy, then three (round, accuracy) pairs.
-	at := bytes.Index(good, bytes.Join([][]byte{word(math.Float64bits(last)), word(3), word(1)}, nil))
-	if at < 0 {
-		t.Fatal("accuracy list not found in the snapshot")
-	}
-	pair := func(i int) int { return at + 16 + 16*i }
-	edit := func(off int, v uint64) []byte {
-		b := bytes.Clone(good)
-		copy(b[off:], word(v))
-		return b
-	}
-	cases := []struct {
-		name    string
-		data    []byte
-		wantErr string
-	}{
-		{"round out of order", edit(pair(1), 1), "accuracy for round 1 after round 1"},
-		{"rounds decreasing", edit(pair(0), 3), "accuracy for round 2 after round 3"},
-		{"round zero", edit(pair(0), 0), "accuracy for round 0 after round 0"},
-		{"round past R", edit(pair(2), 4), "accuracy for round 4 after round 2 of 3"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: spec})
-			if err == nil {
-				t.Fatal("inconsistent accuracy list accepted")
-			}
-			if !strings.Contains(err.Error(), "corrupt run snapshot") || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
+		// The last accuracy, then three (round, accuracy) pairs.
+		at := bytes.Index(good, bytes.Join([][]byte{word(math.Float64bits(last)), word(3), word(1)}, nil))
+		if at < 0 {
+			t.Fatalf("stop=%t: accuracy list not found in the snapshot", stop)
+		}
+		pair := func(i int) int { return at + 16 + 16*i }
+		edit := func(off int, v uint64) []byte {
+			b := bytes.Clone(good)
+			copy(b[off:], word(v))
+			return b
+		}
+		cases := []struct {
+			name    string
+			data    []byte
+			wantErr string
+		}{
+			{"round out of order", edit(pair(1), 1), "accuracy for round 1 after round 1"},
+			{"rounds decreasing", edit(pair(0), 3), "accuracy for round 2 after round 3"},
+			{"round zero", edit(pair(0), 0), "accuracy for round 0 after round 0"},
+			{"round past R", edit(pair(2), 4), "accuracy for round 4 after round 2 of 3"},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("stop=%t/%s", stop, tc.name), func(t *testing.T) {
+				_, err := Resume(bytes.NewReader(tc.data), ResumeSpec{Spec: spec})
+				if err == nil {
+					t.Fatal("inconsistent accuracy list accepted")
+				}
+				if !strings.Contains(err.Error(), "corrupt run snapshot") || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+				}
+			})
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // heldBytes sums the capacities of the buffers m's layers hold, each
 // backing array once (an in-place ReLU's output is the array of the layer
-// before it), leaving out the caller's own tensors. Pooled conv and GEMM
-// scratch is not held by a layer and is not counted.
+// before it), leaving out the caller's own tensors. Conv and GEMM
+// scratch is not an activation and is not counted.
 func heldBytes(m *Model, caller ...*tensor.Tensor) int64 {
 	seen := map[*float64]bool{}
 	for _, t := range caller {

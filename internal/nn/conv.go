@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/prng"
 	"repro/internal/tensor"
@@ -11,9 +10,11 @@ import (
 
 // convLayer is a 2D convolution over NCHW tensors, implemented as
 // im2col + matmul per sample, one sample after another on the calling
-// goroutine. Forward and Backward check a convScratch out of the layer's
-// pool, so steady-state batches allocate nothing and an idle layer holds
-// no scratch.
+// goroutine. Forward and Backward share the layer's one convScratch,
+// built by the first pass, so steady-state batches allocate nothing. A
+// model is never run by two goroutines at once (its layers keep their
+// activations), so the scratch needs no pool: one set per layer, held as
+// long as the layer, whatever the scheduler or the collector did.
 type convLayer struct {
 	placement
 	outC        int
@@ -25,16 +26,15 @@ type convLayer struct {
 	wView       *tensor.Tensor // [outC, ColRows] view of w, fixed at Bind
 	x           *tensor.Tensor
 	y, dx       *tensor.Tensor // dx: none when first, x when gradInInput
-	scratch     sync.Pool      // *convScratch
+	scratch     *convScratch
 }
 
-// convScratch is the im2col and gradient-accumulation storage of one pass.
+// convScratch is the im2col and gradient-accumulation storage of a layer.
 // The out/dout tensors are header-only views whose Data is re-pointed at
 // the current sample's slice of the batch output or its gradient, so
 // per-sample matmul calls allocate nothing. The backward half (dw, db and,
 // unless the layer is first, dcol) is allocated by the first backward
-// that checks the scratch out: a set only ever used forward never holds
-// it.
+// on the layer: a layer only ever run forward never holds it.
 type convScratch struct {
 	col, dcol *tensor.Tensor
 	dw        *tensor.Tensor
@@ -43,11 +43,11 @@ type convScratch struct {
 }
 
 func (l *convLayer) getScratch() *convScratch {
-	if v := l.scratch.Get(); v != nil {
-		return v.(*convScratch)
+	if l.scratch == nil {
+		g := l.geom
+		l.scratch = &convScratch{col: tensor.New(g.ColRows(), g.ColCols())}
 	}
-	g := l.geom
-	return &convScratch{col: tensor.New(g.ColRows(), g.ColCols())}
+	return l.scratch
 }
 
 // backwardHalf allocates cs's gradient storage on its first backward.
@@ -139,7 +139,6 @@ func (l *convLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	l.scratch.Put(cs)
 	return l.y
 }
 
@@ -191,7 +190,6 @@ func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	tensor.Axpy(1, cs.dw.Data, l.dw)
 	tensor.Axpy(1, cs.db, l.db)
-	l.scratch.Put(cs)
 	return l.dx
 }
 
