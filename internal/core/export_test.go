@@ -70,6 +70,34 @@ func (c *Client) PeekState() []float64 {
 	return append([]float64(nil), st.replay(c, c.engine(), &st.recipes[c.recipe-1])...)
 }
 
+// PeekResid returns c's error-feedback row without changing how the run
+// holds it: the row c holds, copied, or, when c holds none, its rows are
+// a recipe and the transport has an unmetered codec, the row its one
+// participation stored, rebuilt: the round replayed on the loaner
+// engine, the client's fault applied to the trained parameters, and the
+// upload coded again against what its version received. A noise
+// client's fault drew from a stream that has moved on since, so its row
+// is always the one it holds.
+func (rs *RunState) PeekResid(c *Client) []float64 {
+	s := rs.s
+	coder, ok := s.wire.(interface {
+		UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64
+	})
+	noise := s.faults != nil && s.faults[c.ID] == faultNoise
+	if c.resid != nil || c.recipe == 0 || !ok || noise {
+		return append([]float64(nil), c.resid...)
+	}
+	st := c.loan.rows
+	rec := &st.recipes[c.recipe-1]
+	e := c.engine()
+	st.replay(c, e, rec)
+	u := Update{Params: append([]float64(nil), e.model.Params()...)}
+	s.applyFault(c, &u)
+	var row []float64
+	coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, rec.img.received(), &row)
+	return row
+}
+
 // Quiesce joins every job still training, as Snapshot does first, so the
 // clients can be read between steps.
 func (rs *RunState) Quiesce() { rs.run.quiesce() }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 )
 
@@ -32,6 +33,47 @@ func TestLazyRowsMatchDenseRows(t *testing.T) {
 				lazyMatchesDense(t, func() core.RunSpec { return lazyRowSpec(t, f, method, train, test, parts) })
 			})
 		}
+	}
+}
+
+// The lazy regime under Byzantine faults and robust merges. The first
+// fleet is wire1k_topk_median's shape in miniature: async, a sparse
+// error-feedback uplink, a coordinate-wise median, sign-flipping and
+// crashing clients and a tiered network. Behind the gate an
+// error-feedback q8 uplink refuses every crashed upload, which leaves no
+// residual row. Noise clients draw from a stream of their own at every
+// upload.
+func TestLazyRowsUnderFaults(t *testing.T) {
+	train, test, parts := lazyRowData(t)
+	cases := []struct {
+		fleet          lazyFleet
+		policy, faults string
+	}{
+		{lazyFleet{name: "async topk-ef median signflip crash tiered", runtime: "async", transport: "topk:0.01+ef",
+			latency: "straggler:1,10,7", network: "tiered"}, "median", "byz:0.2,signflip+crash:0.05"},
+		{lazyFleet{name: "sync q8-ef signflip crash", runtime: "sync", transport: "q8+ef"}, "", "byz:0.2,signflip+crash:0.05"},
+		{lazyFleet{name: "async topk-ef trimmedmean noise", runtime: "async", transport: "topk:0.01+ef",
+			latency: "exp:2"}, "trimmedmean:0.2", "byz:0.2,noise:0.1"},
+	}
+	if testing.Short() {
+		cases = cases[:1]
+	}
+	for _, tc := range cases {
+		t.Run(tc.fleet.name, func(t *testing.T) {
+			lazyMatchesDense(t, func() core.RunSpec {
+				sp := lazyRowSpec(t, tc.fleet, "fedtrip:0.4", train, test, parts)
+				var err error
+				if tc.policy != "" {
+					if sp.Policy, err = core.ParsePolicy(tc.policy); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if sp.Faults, err = core.ParseFaults(tc.faults); err != nil {
+					t.Fatal(err)
+				}
+				return sp
+			})
+		})
 	}
 }
 
@@ -170,17 +212,31 @@ func lazyMatchesDense(t *testing.T, spec func() core.RunSpec) {
 			if c.Lazy() || !bitsEqual(c.State(1), d.State(1)) {
 				t.Fatalf("client %d trained by hand: rows differ from the dense run's (still lazy: %t)", c.ID, c.Lazy())
 			}
+			if !bitsEqual(lazy.PeekResid(c), dense.PeekResid(d)) {
+				t.Fatalf("client %d trained by hand: error-feedback row differs from the dense run's", c.ID)
+			}
 			continue
 		}
 		rows := unchangedBy(t, c, func() []float64 { return c.State(1) })
 		if c.Lazy() || !bitsEqual(rows, d.State(1)) {
 			t.Fatalf("client %d: State rebuilt rows that differ from the dense run's (still lazy: %t)", c.ID, c.Lazy())
 		}
+		if !bitsEqual(lazy.PeekResid(c), dense.PeekResid(d)) {
+			t.Fatalf("client %d: after State its error-feedback row differs from the dense run's", c.ID)
+		}
+	}
+	// Nothing above, and no replay in the run, went over the wire.
+	if ls, ok := lazy.Spec().Transport.(interface{ Stats() *comm.Stats }); ok {
+		l, d := ls.Stats(), dense.Spec().Transport.(interface{ Stats() *comm.Stats }).Stats()
+		if l.DownBytes() != d.DownBytes() || l.UpBytes() != d.UpBytes() {
+			t.Fatalf("transport traffic %s, the dense run's %s", l, d)
+		}
 	}
 }
 
 // sameRows fails unless every client of run, with its jobs joined, has
-// the dense run's LastRound, state bytes and rows, bit for bit.
+// the dense run's LastRound, state bytes, rows and error-feedback row,
+// bit for bit.
 func sameRows(t *testing.T, run, dense *core.RunState) {
 	t.Helper()
 	for i, c := range run.Server().Clients() {
@@ -188,6 +244,11 @@ func sameRows(t *testing.T, run, dense *core.RunState) {
 		if c.LastRound != d.LastRound || c.StateBytes() != d.StateBytes() {
 			t.Fatalf("round %d client %d: last round %d and %d state bytes, the dense run %d and %d",
 				run.Round(), c.ID, c.LastRound, c.StateBytes(), d.LastRound, d.StateBytes())
+		}
+		resid := unchangedBy(t, c, func() []float64 { return run.PeekResid(c) })
+		if want := dense.PeekResid(d); !bitsEqual(resid, want) {
+			t.Fatalf("round %d client %d (lazy %t): error-feedback row of %d floats differs from the dense run's %d",
+				run.Round(), c.ID, c.Lazy(), len(resid), len(want))
 		}
 		if c.StateBytes() == 0 {
 			continue
