@@ -37,6 +37,20 @@ import (
 	"repro/internal/tensor"
 )
 
+// A legacy wrapper of a transport from this package (one offering only
+// Down/Up and their sized forms, as the benchmark's tracer does) finds
+// its unmetered codec by the spec it prints.
+func init() {
+	core.RegisterLegacyCoders(func(name string) core.UpCoder {
+		t, err := ParseTransport(name)
+		if err != nil {
+			return nil
+		}
+		c, _ := t.(core.UpCoder)
+		return c
+	})
+}
+
 // Stats counts transport traffic. Safe for concurrent use.
 type Stats struct {
 	downBytes atomic.Int64

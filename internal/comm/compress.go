@@ -174,9 +174,12 @@ func (c quantCodec) apply(sc *scratch, dst, ref, delta, drop []float64) {
 //
 // Memory: under the runtime the transport keeps no per-client state.
 // Under error feedback the residual is the client's row, which the
-// runtime owns, hands to UpInto and carries in run snapshots (|w|
-// float64s per client that ever uploaded, stored at its first accepted
-// upload). Everything else an
+// runtime owns, hands to UpInto and carries in run snapshots: |w|
+// float64s per client that uploaded more than once, stored at its first
+// accepted upload. Where the runtime holds a first participation's rows
+// as a recipe, a client seen once keeps none: its first upload's row
+// goes to the runtime's scratch, and UpCode rebuilds it when the client
+// returns (core's lazyrows.go). Everything else an
 // upload needs is scratch on a free list that holds as many sets as
 // uploads ever ran at once — the runtime's shard count — so a transfer
 // past a client's first allocates nothing. A sync.Pool would not do: its
@@ -230,19 +233,30 @@ func (t *CompressedTransport) DownInto(dst []float64, clientID, round int, globa
 	return t.stats.down(tensor.VectorWireSizeF32(len(global)))
 }
 
-// UpInto implements core.WireTransport: the delta against ref (plus the
-// client's error-feedback residual, *resid), compressed through the codec
-// and reconstructed into dst, which may be params. A delta the codec
-// rejects (non-finite), or an upload with no reference, ships dense
-// float32 and leaves the residual untouched. Under error feedback the
-// first accepted upload stores a fresh row in *resid; a row of another
-// length is replaced, not used.
+// UpInto implements core.WireTransport: UpCode's upload, counted in
+// Stats.
 //
 //fedtripvet:hotpath
 func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	return t.stats.up(t.UpCode(dst, clientID, round, params, ref, resid))
+}
+
+// UpCode implements core.UpCoder: the delta against ref (plus the
+// client's error-feedback residual, *resid), compressed through the codec
+// and reconstructed into dst, which may be params; it returns the encoded
+// size and counts nothing. A delta the codec rejects (non-finite), or an
+// upload with no reference, ships dense float32 and leaves the residual
+// untouched. Under error feedback the first accepted upload stores a row
+// in *resid: the storage *resid brings when it is empty with room for
+// one, a fresh row otherwise. A row of another length is replaced, not
+// used. The codec depends on nothing but the arguments and the pair
+// (clientID, round), so the same call writes the same bits again.
+//
+//fedtripvet:hotpath
+func (t *CompressedTransport) UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	n := len(params)
 	if len(ref) != n {
-		return t.denseUp(dst, params)
+		return denseUp(dst, params)
 	}
 	checkDst(dst, n)
 	t.mu.Lock()
@@ -250,9 +264,12 @@ func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params,
 	t.mu.Unlock()
 	var row []float64
 	prior := t.ef && len(*resid) == n
-	if prior {
+	switch {
+	case prior:
 		row = *resid
-	} else if t.ef {
+	case t.ef && cap(*resid) >= n:
+		row = (*resid)[:n]
+	case t.ef:
 		row = make([]float64, n) //fedtripvet:allow first participation: the client's error-feedback row, retained by the runtime
 	}
 	// The delta accumulates straight into the residual when the codec
@@ -280,9 +297,9 @@ func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params,
 	t.free = append(t.free, sc) //fedtripvet:allow free list, bounded by the number of concurrent uploads
 	t.mu.Unlock()
 	if err != nil {
-		return t.denseUp(dst, params)
+		return denseUp(dst, params)
 	}
-	return t.stats.up(wire)
+	return wire
 }
 
 // takeScratch pops an idle scratch set, or starts a new one when every
@@ -296,8 +313,8 @@ func (t *CompressedTransport) takeScratch() *scratch {
 	return &scratch{}
 }
 
-// denseUp ships params at float32 width.
-func (t *CompressedTransport) denseUp(dst, params []float64) int64 {
+// denseUp ships params at float32 width and returns the encoded size.
+func denseUp(dst, params []float64) int64 {
 	roundF32Into(dst, params)
-	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
+	return tensor.VectorWireSizeF32(len(params))
 }

@@ -462,3 +462,103 @@ func TestNonFiniteQuantDeltaFallsBackAndKeepsResidual(t *testing.T) {
 		t.Fatalf("fallback touched the residual at %d: %v, was %v", at, resid[at], before[at])
 	}
 }
+
+// TestUpCodeMatchesUpInto pins the unmetered upload, the one the runtime
+// uses to rebuild a first participation's error-feedback row, against
+// UpInto and the marshalled oracle over several participations of the
+// same clients: the same reconstruction, wire size and rows bit for bit,
+// with the transport's counters never moving. A first row goes into the
+// scratch handed in as an empty *resid with room for it, which is
+// neither dst, params nor ref, and a delta the codec refuses leaves no
+// row there.
+func TestUpCodeMatchesUpInto(t *testing.T) {
+	const parts = 4
+	for _, spec := range []string{"topk:0.01+ef", "randk:0.05+ef", "q8+ef", "q4+ef"} {
+		for _, wc := range wireCases() {
+			t.Run(spec+"/"+wc.name, func(t *testing.T) {
+				parse := func() *CompressedTransport {
+					tr, err := ParseTransport(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tr.(*CompressedTransport)
+				}
+				metered, coded := parse(), parse()
+				oracle := oracleFor(t, metered)
+				meteredRows, codedRows := map[int]*[]float64{}, map[int]*[]float64{}
+				n := len(wc.global)
+				global := append([]float64(nil), wc.global...)
+				for part := 0; part < parts; part++ {
+					for _, client := range []int{3, 8} {
+						round := 2*part + 1
+						at := fmt.Sprintf("part %d client %d", part, client)
+						want, _ := oracle.DownSized(client, round, global)
+						want = append([]float64(nil), want...)
+						received := make([]float64, n)
+						metered.DownInto(received, client, round, global)
+						trained := wc.train(part, want)
+						wantUp, wantWire := oracle.UpSized(client, round, append([]float64(nil), trained...))
+
+						up := append([]float64(nil), trained...)
+						wire := metered.UpInto(up, client, round, up, received, rowOf(meteredRows, client))
+
+						// The runtime's replay: dst aliases params, and a
+						// client with no row brings scratch, poisoned so a
+						// stale entry would show.
+						row := rowOf(codedRows, client)
+						var scratch []float64
+						if *row == nil {
+							scratch = make([]float64, n, n+1)
+							for i := range scratch {
+								scratch[i] = math.NaN()
+							}
+							*row = scratch[:0]
+						}
+						ref := append([]float64(nil), received...)
+						coded2 := append([]float64(nil), trained...)
+						codedWire := coded.UpCode(coded2, client, round, coded2, ref, row)
+						if scratch != nil && len(*row) == 0 {
+							*row = nil // no row stored: the client still has none
+						}
+
+						if i := sameBits(coded2, up); i >= 0 || codedWire != wire {
+							t.Fatalf("%s: UpCode's upload differs from UpInto's at %d (wire %d, UpInto %d)", at, i, codedWire, wire)
+						}
+						if i := sameBits(coded2, wantUp); i >= 0 || codedWire != wantWire {
+							t.Fatalf("%s: UpCode's upload differs from the oracle's at %d (wire %d, oracle %d)", at, i, codedWire, wantWire)
+						}
+						if i := sameBits(ref, received); i >= 0 {
+							t.Fatalf("%s: UpCode wrote its ref at %d", at, i)
+						}
+						if i := sameBits(*row, *meteredRows[client]); i >= 0 {
+							t.Fatalf("%s: UpCode's row differs from UpInto's at %d", at, i)
+						}
+						if scratch != nil && *row != nil {
+							if &(*row)[0] != &scratch[0] || len(*row) != n {
+								t.Fatalf("%s: the first row was not stored in the scratch handed in", at)
+							}
+							for _, v := range [][]float64{coded2, ref} {
+								if &v[0] == &(*row)[0] {
+									t.Fatalf("%s: the stored row aliases dst, params or ref", at)
+								}
+							}
+						}
+						oracleRow, ok := oracle.resid[client]
+						if ok != (*row != nil) {
+							t.Fatalf("%s: row stored %t, the oracle's %t", at, *row != nil, ok)
+						}
+						if i := sameBits(*row, oracleRow); ok && i >= 0 {
+							t.Fatalf("%s: UpCode's row differs from the oracle's at %d", at, i)
+						}
+						if d, u := coded.Stats().Messages(); coded.Stats().TotalBytes() != 0 || d != 0 || u != 0 {
+							t.Fatalf("%s: UpCode moved the counters: %s", at, coded.Stats())
+						}
+					}
+					for i := range global {
+						global[i] = 0.5*global[i] + 0.01*float64(i%5)
+					}
+				}
+			})
+		}
+	}
+}

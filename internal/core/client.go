@@ -9,9 +9,9 @@ import (
 
 // Client is one federated participant. It owns only what must survive
 // between its participations: its private data indices, the method's
-// persistent state (or the recipe that rebuilds it), the transport's
-// error-feedback residual, its FLOP meter, and its deterministic random
-// stream.
+// persistent state and the transport's error-feedback residual (or the
+// recipe that rebuilds them), its FLOP meter, and its deterministic
+// random stream.
 // The heavy training machinery (model, optimizer, batch buffers) and
 // everything that lives for one round (the received global model, the
 // step count) belong to an engine the client borrows for the duration of
@@ -43,7 +43,8 @@ type Client struct {
 	state []float64
 	// resid is the transport's error-feedback residual, one |w| row the
 	// transport writes through WireTransport.UpInto: nil until the
-	// client's first accepted upload under error feedback.
+	// client's first accepted upload under error feedback, and nil while
+	// the client's recipe rebuilds it (rowStore.residLazy).
 	resid []float64
 
 	// labelFlip is a label-flipping Byzantine client's fixed rotation

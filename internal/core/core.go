@@ -112,13 +112,16 @@ type Config struct {
 // from the downlink buffer, and the runtime hands that same vector back
 // to UpInto as ref — what this client received, the base a delta-coding
 // transport needs. resid is the client's error-feedback row (never a nil
-// pointer): nil until the transport first stores a row there, and then
+// pointer): empty until the transport first stores a row there, and then
 // the same row at every later upload of that client, carried across a
 // snapshot with the client. The transport reads and writes it in place
-// and keeps no per-dispatch or per-client state of its own. UpInto's dst
-// may alias params (the runtime rounds an upload in place); dst never
-// aliases global, ref or the row, and neither global nor ref may be
-// written.
+// and keeps no per-dispatch or per-client state of its own. An empty
+// *resid with capacity for a row is storage the transport may store the
+// first row in instead of allocating one: the runtime hands a first
+// participation engine scratch there when the row will be rebuilt, not
+// kept (lazyrows.go). UpInto's dst may alias params (the runtime rounds
+// an upload in place); dst never aliases global, ref or the row, and
+// neither global nor ref may be written.
 //
 // The comm package's transports implement it. A Config.Transport that
 // does not is a legacy transport and runs behind an adapter that copies
@@ -126,6 +129,16 @@ type Config struct {
 type WireTransport interface {
 	DownInto(dst []float64, clientID, round int, global []float64) (wire int64)
 	UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
+}
+
+// UpCoder is an optional WireTransport capability: UpInto without the
+// counting. UpCode writes dst and *resid as UpInto would and returns the
+// bytes UpInto would report, but no counter moves, and the same
+// arguments always write the same bits. The runtime calls it to rebuild
+// the error-feedback row of an upload that was already sent and counted
+// (lazyrows.go); a transport without it has every row kept.
+type UpCoder interface {
+	UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
 }
 
 // Transport is the legacy, allocating transfer interface, kept (with

@@ -71,6 +71,10 @@ type engine struct {
 	recording  bool
 	rowsAsked  int32
 	rowScratch []float64
+	// residRow is where a recorded first participation's upload stores
+	// its error-feedback row when the recipe rebuilds that row too
+	// (trainClient): the transport's first such row, reused as scratch.
+	residRow []float64
 }
 
 // newEngine builds one training engine. seed determines the (irrelevant,

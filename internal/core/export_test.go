@@ -101,3 +101,11 @@ func (rs *RunState) PeekResid(c *Client) []float64 {
 // Quiesce joins every job still training, as Snapshot does first, so the
 // clients can be read between steps.
 func (rs *RunState) Quiesce() { rs.run.quiesce() }
+
+// HoldsResid reports whether c keeps an error-feedback row.
+func (c *Client) HoldsResid() bool { return c.resid != nil }
+
+// Noisy reports whether c's fault draws noise from a stream of its own.
+func (rs *RunState) Noisy(c *Client) bool {
+	return rs.s.faults != nil && rs.s.faults[c.ID] == faultNoise
+}

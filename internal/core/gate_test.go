@@ -129,9 +129,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		digest, sha256         string
 		length                 int
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "883fc6aed0279232b5c1ec11f25283553ef88efb6e230047676f5d4ba8509f38", 1114705},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "11ebca9237ba983a43ea1360656ccfa490293e57ca01944b4f234660d08256e7", 1432888},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "97d6bc4bead85d388e22553dcdc063dddecec1feeab80920d0744135c6ac2607", 1114719},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "6bfa738fae72a90e07982ec975585c1151525f819ff386d3748ea359f7a61e24", 1114705},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "51a433c0363c4f6f903bee259233bbc2b8e351079a54643caff4b42286a95bde", 1432888},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "8483e23a5b3e840cd61b9490fff44da4bf237dbd20cc508c42a4078d0181407c", 1114719},
 	}
 	for _, tc := range cases {
 		build := func() core.RunSpec {

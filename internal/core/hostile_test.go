@@ -90,6 +90,12 @@ func (efTransport) UpInto(dst []float64, clientID, round int, params, ref []floa
 	return int64(2 * len(params))
 }
 
+// UpCode is UpInto: the transport counts nothing. With it a recipe
+// rebuilds its error-feedback row too.
+func (t efTransport) UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	return t.UpInto(dst, clientID, round, params, ref, resid)
+}
+
 // hostileScenario is one of the resume pins' runs at tinyConfig size.
 // spec builds a fresh RunSpec; snapAt is the round the stream is taken
 // at.
@@ -330,11 +336,25 @@ func lazyRowsScenario(t *testing.T) hostileScenario {
 // in the client walk starts.
 func lazyStreamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, recipe int) {
 	t.Helper()
+	images, imagesEnd, _ = streamLayout(t, b, spec)
+	for _, cl := range walkClients(b, spec, imagesEnd) {
+		if cl.recipe {
+			return images, imagesEnd, cl.at + 1
+		}
+	}
+	t.Fatal("the stream holds no recipe")
+	return
+}
+
+// streamLayout walks an FTRS stream to its round-image section and
+// returns where the section starts and ends, and |w|.
+func streamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, np int) {
+	t.Helper()
 	rs, err := NewRunState(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	np := len(rs.s.global)
+	np = len(rs.s.global)
 	rs.Close()
 	word := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
 	off := len(snapMagic) + 1
@@ -349,23 +369,83 @@ func lazyStreamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, 
 			off += 8 + 8*np
 		}
 	}
-	imagesEnd = off
-	off += 8 // client count
-	for off < len(b) {
-		if b[off] == 1 {
-			return images, imagesEnd, off + 1
-		}
+	return images, off, np
+}
+
+// walkedClient is where one client's entry in a stream's client walk
+// starts (its recipe byte), where its residual and last round are, and
+// whether it holds a recipe.
+type walkedClient struct {
+	at, resid, lastRound int
+	recipe               bool
+}
+
+// walkClients walks the client walk that starts at imagesEnd.
+func walkClients(b []byte, spec RunSpec, imagesEnd int) []walkedClient {
+	word := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
+	n := word(imagesEnd)
+	out := make([]walkedClient, n)
+	off := imagesEnd + 8
+	for i := range out {
+		cl := &out[i]
+		cl.at, cl.recipe = off, b[off] == 1
 		off++
-		off += 8 + 8*word(off) // state
-		off += 8 + 8*word(off) // residual
-		off += 8               // last round
+		if cl.recipe {
+			off += 8 + 17 + 8 + 8 // image, stream, steps, rows
+		} else {
+			off += 8 + 8*word(off) // state
+		}
+		cl.resid = off
+		off += 8 + 8*word(off)
+		cl.lastRound = off
+		off += 8
 		if b[off] == 1 {
 			off += 17
 		}
 		off += 1 + 8 // stream flag, FLOP counter
 	}
-	t.Fatal("the stream holds no recipe")
-	return
+	return out
+}
+
+// TestResumeRefusesStrayResiduals: an error-feedback row is what an
+// accepted upload stores, so a client whose stream carries one has
+// participated, and a client whose recipe rebuilds its row carries none.
+// Each doctored stream is refused, naming the client.
+func TestResumeRefusesStrayResiduals(t *testing.T) {
+	for _, sc := range hostileScenarios(t) {
+		if sc.name != "priced transport" && sc.name != "lazy rows" {
+			continue
+		}
+		good := sc.stream(t)
+		_, imagesEnd, np := streamLayout(t, good, sc.spec())
+		var bad []byte
+		var want string
+	walk:
+		for id, cl := range walkClients(good, sc.spec(), imagesEnd) {
+			floats := int(binary.LittleEndian.Uint64(good[cl.resid:]))
+			switch {
+			case sc.name == "priced transport" && floats == np:
+				bad = append([]byte(nil), good...)
+				binary.LittleEndian.PutUint64(bad[cl.lastRound:], 0)
+				want = fmt.Sprintf("client %d holds a residual row from round 0", id)
+			case sc.name == "lazy rows" && cl.recipe && floats == 0:
+				row := binary.LittleEndian.AppendUint64(nil, uint64(np))
+				row = append(row, make([]byte, 8*np)...)
+				bad = bytes.Join([][]byte{good[:cl.resid], row, good[cl.resid+8:]}, nil)
+				want = fmt.Sprintf("client %d holds a residual row that its recipe rebuilds", id)
+			default:
+				continue
+			}
+			break walk
+		}
+		if bad == nil {
+			t.Fatalf("%s: the stream holds no client to doctor", sc.name)
+		}
+		sc.resumeHostile(t, bad, sc.buildCost(t), sc.name)
+		if _, err := Resume(bytes.NewReader(bad), ResumeSpec{Spec: sc.spec()}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q", sc.name, err, want)
+		}
+	}
 }
 
 // FuzzResume mutates the eight scenarios' streams (and the first of them

@@ -101,18 +101,18 @@ func TestLazyRowStreamsPinned(t *testing.T) {
 		digest, sha256 string
 		length         int
 	}{
-		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "c0f086ff17ec41c225277acd07a8bfb13dcfc557a16854ff66fc759f6a80085b", 966770},
-		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "99b9a7308f926d903fcebc02d31864e0cbb18f72a0c45091130cdbc7e01b7fcb", 1603121},
-		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "7de9205a35f8f42c3840f550306b5f435630c404190572a81eada51c364884a7", 6534610},
-		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "6e1b8840611beba7610ce0eec17bf444417d64169451fcc231eae5675031b7fb", 3515864},
-		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "cd5ebe5c2c745a48aacdd12389d6cc201101aa45696cf22771e8bdfed42ac700", 4311334},
-		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "ca4d9da97454f0cd2ef94818e4367c47c310e6b45d36e2ab46e1045ba2d96f48", 11310829},
-		"moon/sync":                              {"e33a5cc717a76d25", "da69770776cd033067a11cd561af473c36ce7d495ea0c92dc786f9955aa1478b", 966767},
-		"moon/sync f32":                          {"349e7cfc9d337e74", "7bab95775edf02825def1f8641e8444177b1cc6c184240ce5b98f6c6846e0f98", 1603118},
-		"moon/sync topk-ef":                      {"a94951a5100b56bd", "df67102cbb7b3741b78ce4203a10b38382a70c2aac5091d598c983253c740da9", 6534607},
-		"moon/async churn":                       {"354f6684859e7429", "85bd86d66492dd55f6a0437435c80dc95963466f7eb9208ec7b9183e33730e7b", 3515861},
-		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "a399bd40ea06fa1378562ae6dc187e8ca097e3d660edb987fb61ba0654d86918", 4311331},
-		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "b9daf6eb5160fee6a199a294d7c307b3b9f9bf681cc8a91338a948cbd930c574", 11310826},
+		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "15c14a878ca132070c125c1cd8d2b1e049d71355c7a04a2d1467fd325169ea4c", 966770},
+		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "08a04f1d2a54418230729aefc74680982a14bffd94b7a5b173cb0cc0d55b429d", 1603121},
+		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "0621b56e30f4eb085d8ea5943fe4f883ca711f3ada998fc160c2636b0fb06f72", 1762210},
+		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "530076c0f2098a1cb1741c958e93d32f2a0e5217d2329ffb9a854dc7b8a1e700", 3515864},
+		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "b2ba673e845dbcb2078893de6b51d92948260746286f868cf5a25ccd8a1b6f26", 4311334},
+		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "41118732c5f9880ceec1725747ff20fddb7334f439c3f7e44be02b7129876fb4", 4788549},
+		"moon/sync":                              {"e33a5cc717a76d25", "b0f3c9f6f1b839912a24fe090a39d722f017e90ce64d8f86a4542e371dfccca8", 966767},
+		"moon/sync f32":                          {"349e7cfc9d337e74", "9057c557b2b689622fcd1930a726ffd5c7311c7efdab0e5f5955e537905579f4", 1603118},
+		"moon/sync topk-ef":                      {"a94951a5100b56bd", "d6254dccf6cb9747aedc153f162d738aaa78cfd3fc8a35a769f1fc7198dc918d", 1762207},
+		"moon/async churn":                       {"354f6684859e7429", "d6c7da733ce912994126fd22a2307b1a57288ee356eaff47b9e16c66ec3d9aa5", 3515861},
+		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "451511f81b6b13ccc501db2f6f8bc268e09a2310f58bba242baad93993f74bcd", 4311331},
+		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "a3ce43812cab7fb75978ede6c32c476e846c35f87e9d66a7f2b0b2723814dbc0", 4788546},
 	}
 	train, test, parts := lazyRowData(t)
 	for _, method := range []string{"fedtrip:0.4", "moon"} {

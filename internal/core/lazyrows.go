@@ -1,5 +1,5 @@
-// Lazy method rows: what a first participation writes, held as the recipe
-// that rebuilds it.
+// Lazy rows: what a first participation writes, held as the recipe that
+// rebuilds it.
 //
 // A run that merges fewer updates than its fleet has clients sees most
 // participants once. FedTrip's w_hist and MOON's previous model are
@@ -17,15 +17,27 @@
 //     (trainClient), so a method never reads a row it did not write;
 //   - by Client.State called from outside a round, on the loaner engine.
 //
+// Under error feedback that first upload also stored a residual row, and
+// it too is a pure function of the round: the trained parameters with
+// the client's fault applied, less what the version received, through
+// the codec for (client, round). So the recipe stands for it as well:
+// the recorded upload writes its row into engine scratch, and a rebuild
+// runs the transport's codec again after the replay (recode), through
+// UpCoder, which counts nothing. Two clients keep the row instead: one
+// under a transport without that codec, and one whose fault draws noise
+// from a stream of its own, which has moved on by the time of a replay
+// (residLazy).
+//
 // A snapshot carries the recipes as they are (since FTRS 10): each
 // version a recipe pins is written once, in the stream's round-image
 // section, and each recipe as its image's place there, stream position,
-// step budget and row count. A snapshot therefore replays nothing, and a resumed run
-// holds the recipes an uninterrupted one holds.
+// step budget and row count; a residual the recipe rebuilds is written
+// empty (since FTRS 12). A snapshot therefore replays nothing, and a
+// resumed run holds the recipes an uninterrupted one holds.
 //
-// A replay is not training: its FLOPs meter nowhere, nothing goes
-// through the transport, and the client's stream position, FLOP counter
-// and LastRound are what they were.
+// A replay is not training: its FLOPs meter nowhere, nothing goes over
+// the wire and no transport counter moves, and the client's stream
+// position, FLOP counter and LastRound are what they were.
 //
 // The version is the snapshot of the global the buffered loop takes
 // anyway (globalSnap), pinned by a reference per recipe; behind the
@@ -57,12 +69,16 @@ type rowRecipe struct {
 // rowStore is a fleet's recipes, reached by every client through its
 // loaner. Recipes are kept and taken on the event loop (or, between
 // steps, by whoever drives the run); a job that rebuilds a row works
-// from its own copy of the recipe, so the shards never read the store.
+// from its own copy of the recipe, so the shards read no more of the
+// store than what is fixed when the run is built (run, coder).
 type rowStore struct {
 	// on: first participations are recorded (lazyRows holds for the
 	// spec, and the method has been seen to write rows).
 	on  bool
 	run *bufferedRunner // unpins a recipe's version
+	// coder is the transport's unmetered codec, which rebuilds a
+	// recipe's error-feedback row; nil keeps every row (residLazy).
+	coder UpCoder
 	// recipes is a slab, indexed by Client.recipe-1; free lists its
 	// empty slots.
 	recipes []rowRecipe
@@ -124,11 +140,37 @@ func (st *rowStore) rebuild(c *Client) {
 	st.run.unpin(rec.img)
 }
 
-// restore stores rec's rows as c's own, replayed on e.
+// restore stores rec's rows as c's own, replayed on e, and the
+// error-feedback row its upload stored when the recipe stands for that
+// too.
 func (st *rowStore) restore(c *Client, e *engine, rec *rowRecipe) {
 	rows := st.replay(c, e, rec)
 	c.state = make([]float64, len(rows))
 	copy(c.state, rows)
+	if st.residLazy(c) {
+		st.recode(c, e, rec, &c.resid)
+	}
+}
+
+// residLazy reports whether the error-feedback row of c's first
+// participation, when a recipe stands for its rows, is rebuilt with them
+// rather than kept: under a transport with an unmetered codec, unless
+// c's fault draws from a stream of its own (noise), which has moved on
+// by the time of a replay.
+func (st *rowStore) residLazy(c *Client) bool {
+	faults := st.run.s.faults
+	return st.coder != nil && (faults == nil || faults[c.ID] != faultNoise)
+}
+
+// recode codes c's first upload again, unmetered, after a replay of rec
+// on e: the trained parameters replay left in e's model, with c's fault
+// applied, against what the version received, into *resid. The model's
+// parameters are the upload's buffer: the engine's next round loads its
+// own.
+func (st *rowStore) recode(c *Client, e *engine, rec *rowRecipe, resid *[]float64) {
+	u := Update{Params: e.model.Params()}
+	st.run.s.applyFault(c, &u)
+	st.coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, rec.img.received(), resid)
 }
 
 // replay runs rec's round again on e, attached to c, and returns the

@@ -12,10 +12,12 @@ import (
 // otherwise a transfer is priced at the analytic dense float32 size. It
 // is built in one place (wireTransport) and deleted, with Transport,
 // SizedTransport and MeteredTransport, by ROADMAP item 1's deletion,
-// after its benchmark re-baseline.
+// after its benchmark re-baseline. coder is the unmetered codec of the
+// transport its name spells (legacyCoders), nil for any other.
 type legacyTransport struct {
 	t     Transport
 	sized SizedTransport
+	coder UpCoder
 }
 
 // wireTransport resolves Config.Transport to the interface the runtime
@@ -29,8 +31,34 @@ func wireTransport(t Transport) WireTransport {
 		return w
 	}
 	sized, _ := t.(SizedTransport)
-	return &legacyTransport{t: t, sized: sized}
+	l := &legacyTransport{t: t, sized: sized}
+	if named, ok := t.(fmt.Stringer); ok && legacyCoders != nil {
+		l.coder = legacyCoders(named.String())
+	}
+	return l
 }
+
+// upCoder is w's unmetered codec (UpCoder), nil when it has none; a
+// legacy transport's is the one its name spells.
+func upCoder(w WireTransport) UpCoder {
+	if l, ok := w.(*legacyTransport); ok {
+		return l.coder
+	}
+	c, _ := w.(UpCoder)
+	return c
+}
+
+// legacyCoders is what RegisterLegacyCoders installed.
+var legacyCoders func(name string) UpCoder
+
+// RegisterLegacyCoders installs how a legacy transport finds its
+// unmetered codec: by the transport spec its String() prints, the name
+// a run's fingerprint already holds it to. The comm package registers
+// its parser, so a wrapper that offers only the legacy methods of one of
+// its transports — the benchmark's tracer — rebuilds a recipe's
+// error-feedback row as the in-place transport does, and the two routes
+// hold the same rows. It goes with the adapter.
+func RegisterLegacyCoders(coders func(name string) UpCoder) { legacyCoders = coders }
 
 func (l *legacyTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
 	if l.sized != nil {

@@ -77,6 +77,7 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	}
 	r := newBufferedRunner(s)
 	s.rows.on, s.rows.run = lazyRows(&s.spec), r
+	s.rows.coder = upCoder(s.wire)
 	return &RunState{s: s, run: r}, nil
 }
 

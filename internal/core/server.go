@@ -337,7 +337,14 @@ func (s *Server) trainClient(j *trainJob) {
 	s.applyFault(c, &u)
 	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
-		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, &c.resid)
+		resid := &c.resid
+		if j.record && j.recRows > 0 && s.rows.residLazy(c) {
+			// The recipe will rebuild this upload's row too: it goes to
+			// engine scratch, and the client keeps none.
+			c.eng.residRow = c.eng.residRow[:0]
+			resid = &c.eng.residRow
+		}
+		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)
 		if j.patch.compact(u.Params, j.global) {
 			paramsPool.put(u.Params)
 			u.Params, u.pooled, j.sparse = nil, false, true

@@ -66,15 +66,16 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 11 is the layout the walks below spell out, under a
+	// snapVersion 12 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
 	// First-participation rows travel as recipes: a round-image section
 	// before the client walk, and per client a recipe or the method's
-	// rows. The recorder section holds no word the run derives. A
-	// snapshot does not survive a format bump: Resume refuses any other
-	// version, naming both.
-	snapVersion = 11
+	// rows; a recipe that rebuilds its error-feedback row too leaves the
+	// client's residual empty. The recorder section holds no word the run
+	// derives. A snapshot does not survive a format bump: Resume refuses
+	// any other version, naming both.
+	snapVersion = 12
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -272,7 +273,7 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		// The method's persistent rows: a recipe, or the rows themselves
 		// (Client.State), empty until it first asked. Then the transport's
 		// error-feedback residual, empty until the client's first accepted
-		// upload under error feedback.
+		// upload under error feedback, and empty while a recipe rebuilds it.
 		lazy := cl.recipe != 0
 		if c.Bool(&lazy); lazy {
 			s.rows.snapRecipe(c, cl)
@@ -282,9 +283,16 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		if c.Rows("client residual", &cl.resid, np); len(cl.resid) > np {
 			c.Fail("client %d residual holds %d rows, at most 1", cl.ID, len(cl.resid)/np)
 		}
-		// A recipe is a participation's.
-		if c.Num("client last round", &cl.LastRound); lazy && cl.LastRound < 1 {
+		if lazy && len(cl.resid) > 0 && s.rows.residLazy(cl) {
+			c.Fail("client %d holds a residual row that its recipe rebuilds", cl.ID)
+		}
+		// A recipe is a participation's, and so is a residual.
+		c.Num("client last round", &cl.LastRound)
+		if lazy && cl.LastRound < 1 {
 			c.Fail("client %d holds a recipe from round %d", cl.ID, cl.LastRound)
+		}
+		if len(cl.resid) > 0 && cl.LastRound < 1 {
+			c.Fail("client %d holds a residual row from round %d", cl.ID, cl.LastRound)
 		}
 		has := cl.rng != nil
 		if c.Bool(&has); has {

@@ -117,25 +117,24 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
 // writes it, for the snapshot stream each resume pin builds. The lengths
-// and hashes were re-taken at the FTRS 11 bump, which cut " stop=false"
-// from the fingerprint and four recorder words a run derives — the
-// rounds-to-target, the cumulative traffic and two evaluation rounds —
-// so each stream lost 11 + 32 = 43 bytes. Rewriting each FTRS 10 stream
-// into the new layout reproduced its FTRS 11 stream byte for byte: the
-// values did not move, only the layout.
+// and hashes were re-taken at the FTRS 12 bump, which writes a client's
+// error-feedback residual empty while its recipe rebuilds it. None of
+// these runs holds such a client, so each stream differs from its FTRS 11
+// one in the version byte alone: rewriting each FTRS 11 stream into the
+// new layout reproduced its FTRS 12 stream byte for byte.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"71587e3ab6500369ace459a216e4fa3a0b3df356b5a3dc9d08fb19eb78c238d3", 4453641},
-	"TestResumeEquivalenceAsyncFedBuff":         {"9b24b94bcc48841d7093711c34d29ca10d2a7dddffdd57e60ca5efdcf785084f", 6362308},
-	"TestResumeEquivalenceAsyncChurn":           {"2aa873c1f9679811b85988aa34ecd314fa43c3c5985b6e3bd3e0cf188327e9a8", 6362514},
-	"TestResumeEquivalenceAsyncDevices":         {"c0314e27c0fba63be053638cbcb0984b45a808f68fa25846b9ba6aacc582d12e", 6362277},
-	"TestResumeEquivalenceNoiseFault":           {"e7d178865d3a6147554b399e8149423fa4d1a3483962f14c23cd5df78f8813e4", 6362315},
-	"TestResumeEquivalenceAsyncPricedTransport": {"23f8b6ddc10ee0a4f2d814e75b9545da8b74334910ddbe836293c7f7be4d92ed", 5090178},
-	"TestResumeEquivalenceMOON":                 {"5b239c3d9cd46e743496cbb47e1e5b2594240f23d6467375515cab31ed9e54f0", 6362305},
+	"TestResumeEquivalenceSync":                 {"74df027aa7d1210ad081d8c8d002d3272ca0ca3082095878cee5ff905c5c90c9", 4453641},
+	"TestResumeEquivalenceAsyncFedBuff":         {"4179d3ae1ed694bf57c3b71d1f36ba7c8ff734d1fad0f3f5c27eb52c672d8530", 6362308},
+	"TestResumeEquivalenceAsyncChurn":           {"1cef40d2b29d9295bb147aa1e7a9719767202b14acd5ce881f37002017fdda50", 6362514},
+	"TestResumeEquivalenceAsyncDevices":         {"38fdf7c36541d9a23dd84e821d9c664761b3473e71da9f70654e58491e5c0f6d", 6362277},
+	"TestResumeEquivalenceNoiseFault":           {"021abfe7794dddf312cb3eb43f1bc48ede23790074ef46a8a01842d0bd922cec", 6362315},
+	"TestResumeEquivalenceAsyncPricedTransport": {"8ea7218dae38afbb21a34107996b417e0ad1ad36e023c16e632ce764e3839c42", 5090178},
+	"TestResumeEquivalenceMOON":                 {"e5bf39efe09e880b43d58885b5d71f267dc143f677816735170c8caa44950d8f", 6362305},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -147,7 +146,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, FTRS 11 is %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 12 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -401,7 +400,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 10), good[5:]...), spec, "run snapshot version 10, this build reads version 11"},
+		{"previous version", append(append([]byte(snapMagic), 11), good[5:]...), spec, "run snapshot version 11, this build reads version 12"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

@@ -40,11 +40,11 @@ func TestUploadStreamsPinned(t *testing.T) {
 		length                                                     int
 	}{
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered",
-			"7c0da0bdd287eec2", "12850b56e7142b91d3052451251a22f199baaf7de135450bc64621e7257d1b4f", 3024966},
+			"7c0da0bdd287eec2", "1c5dba9ec361d329aea4973d21da259a070c448b23690063a572cf71d4a026f1", 1593246},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "",
-			"74db091ccf8b2e61", "2927f4df44ca5314987d388106a8d54076071facf958ef71b7dc6425ebf62d43", 1115168},
+			"74db091ccf8b2e61", "203c7174b644ac431209a22472e9ecaf2ef9e10cbb7abe50b9341c40bbd876bc", 1115168},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "",
-			"cf6a3a5490d91f14", "85dcde838311088f4190cac05892ff54089c181f084259b9a7bd51e2d1e989bf", 3024873},
+			"cf6a3a5490d91f14", "1f35c0321ffbbd99eee1eabb8a45a126071c4c67deb19723d440be319ce6b9c0", 1593153},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
