@@ -175,11 +175,11 @@ func (c quantCodec) apply(sc *scratch, dst, ref, delta, drop []float64) {
 // Memory: under the runtime the transport keeps no per-client state.
 // Under error feedback the residual is the client's row, which the
 // runtime owns, hands to UpInto and carries in run snapshots: |w|
-// float64s per client that uploaded more than once, stored at its first
-// accepted upload. Where the runtime holds a first participation's rows
-// as a recipe, a client seen once keeps none: its first upload's row
-// goes to the runtime's scratch, and UpCode rebuilds it when the client
-// returns (core's lazyrows.go). Everything else an
+// float64s per client that ever uploaded, stored at its first accepted
+// upload. Where the runtime holds a first participation's rows as a
+// recipe, a client seen once keeps none: its first upload's row goes to
+// the runtime's scratch, and UpCode rebuilds it when the client returns
+// (core's lazyrows.go). Everything else an
 // upload needs is scratch on a free list that holds as many sets as
 // uploads ever ran at once — the runtime's shard count — so a transfer
 // past a client's first allocates nothing. A sync.Pool would not do: its

@@ -136,7 +136,8 @@ type WireTransport interface {
 // bytes UpInto would report, but no counter moves, and the same
 // arguments always write the same bits. The runtime calls it to rebuild
 // the error-feedback row of an upload that was already sent and counted
-// (lazyrows.go); a transport without it has every row kept.
+// (lazyrows.go); under a transport without it every row is kept. A
+// legacy transport finds one by its name (RegisterLegacyCoders).
 type UpCoder interface {
 	UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
 }
