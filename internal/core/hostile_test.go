@@ -90,8 +90,13 @@ func (efTransport) UpInto(dst []float64, clientID, round int, params, ref []floa
 	return int64(2 * len(params))
 }
 
-// UpCode is UpInto: the transport counts nothing. With it a recipe
+// DownCode is DownInto and UpCode is UpInto: the transport counts
+// nothing. With them a recipe replays what its client received and
 // rebuilds its error-feedback row too.
+func (t efTransport) DownCode(dst []float64, clientID, round int, global []float64) int64 {
+	return t.DownInto(dst, clientID, round, global)
+}
+
 func (t efTransport) UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	return t.UpInto(dst, clientID, round, params, ref, resid)
 }

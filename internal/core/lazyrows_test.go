@@ -21,9 +21,11 @@ import (
 // recipe.
 func TestLazyRowsMatchDenseRows(t *testing.T) {
 	train, test, parts := lazyRowData(t)
-	// Behind the gate through the f32 downlink; async with device step
-	// budgets; async, priced, with a sparse error-feedback uplink.
-	methods, fleets := []string{"fedtrip:0.4", "moon"}, []lazyFleet{lazyFleets[1], lazyFleets[4], lazyFleets[5]}
+	// Behind the gate through the f32 downlink and through the lossless
+	// one; async with device step budgets; async, priced, with a sparse
+	// error-feedback uplink.
+	lossless := lazyFleet{name: "sync lossless", runtime: "sync", transport: "lossless"}
+	methods, fleets := []string{"fedtrip:0.4", "moon"}, []lazyFleet{lazyFleets[1], lossless, lazyFleets[4], lazyFleets[5]}
 	if testing.Short() {
 		methods, fleets = methods[:1], []lazyFleet{lazyFleets[1], lazyFleets[5]}
 	}
@@ -78,9 +80,9 @@ func TestLazyRowsUnderFaults(t *testing.T) {
 }
 
 // A transport may send the clients of one model version different
-// vectors. A recipe replays what its version's first recording job
-// received, so a first participation that received anything else keeps
-// its rows dense, and the run is still the dense run.
+// vectors. Whatever the lazy regime holds for a first participation
+// that received its own vector, the run is still the dense run, row for
+// row.
 func TestLazyRowsUnderPerClientDownlinks(t *testing.T) {
 	train, test, parts := lazyRowData(t)
 	for _, f := range []lazyFleet{lazyFleets[0], lazyFleets[3]} {
@@ -95,7 +97,8 @@ func TestLazyRowsUnderPerClientDownlinks(t *testing.T) {
 }
 
 // perClientDown is a WireTransport whose downlink depends on the client:
-// odd clients receive the global with its first weight nudged.
+// odd clients receive the global with its first weight nudged. DownCode
+// and UpCode are its transfers, which count nothing anyway.
 type perClientDown struct{}
 
 func (perClientDown) Down(int, int, []float64) []float64 { panic("the runtime calls DownInto") }
@@ -111,6 +114,77 @@ func (perClientDown) DownInto(dst []float64, clientID, round int, global []float
 
 func (perClientDown) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	copy(dst, params)
+	return int64(4 * len(params))
+}
+
+func (t perClientDown) DownCode(dst []float64, clientID, round int, global []float64) int64 {
+	return t.DownInto(dst, clientID, round, global)
+}
+
+func (t perClientDown) UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	return t.UpInto(dst, clientID, round, params, ref, resid)
+}
+
+// A transport that offers the runtime only DownInto and UpInto, with no
+// way to run a transfer again uncounted, is still the dense run: at
+// every round boundary each client holds its HoldRowsDense twin's rows
+// and error-feedback row, and the two results are one digest.
+func TestLazyRowsUnderATransportWithoutACoder(t *testing.T) {
+	train, test, parts := lazyRowData(t)
+	for _, f := range []lazyFleet{lazyFleets[0], lazyFleets[3]} {
+		t.Run(f.name, func(t *testing.T) {
+			build := func() core.RunSpec {
+				sp := lazyRowSpec(t, f, "fedtrip:0.4", train, test, parts)
+				sp.Transport = roundingWire{}
+				return sp
+			}
+			run, err := core.NewRunState(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer run.Close()
+			dense, err := core.NewRunState(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dense.Close()
+			dense.HoldRowsDense()
+			for done := false; !done; {
+				if done, err = run.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dense.Step(); err != nil {
+					t.Fatal(err)
+				}
+				run.Quiesce()
+				dense.Quiesce()
+				sameRows(t, run, dense)
+			}
+			if got, want := run.Finish().Digest(), dense.Finish().Digest(); got != want {
+				t.Fatalf("digest %s, the dense run's %s", got, want)
+			}
+		})
+	}
+}
+
+// roundingWire is a WireTransport and nothing more: both transfers are
+// rounded to float32 and counted at that width.
+type roundingWire struct{}
+
+func (roundingWire) Down(int, int, []float64) []float64 { panic("the runtime calls DownInto") }
+func (roundingWire) Up(int, int, []float64) []float64   { panic("the runtime calls UpInto") }
+
+func (roundingWire) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	for i, x := range global {
+		dst[i] = float64(float32(x))
+	}
+	return int64(4 * len(global))
+}
+
+func (roundingWire) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	for i, x := range params {
+		dst[i] = float64(float32(x))
+	}
 	return int64(4 * len(params))
 }
 
