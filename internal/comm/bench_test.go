@@ -154,7 +154,7 @@ func TestTransportSteadyStateAllocFree(t *testing.T) {
 			// overlapping uploads must find both on the free list whether
 			// or not the warm-up happened to overlap.
 			both()
-			if ct, ok := trI.(*CompressedTransport); ok {
+			if ct, ok := trI.(*Transport); ok {
 				ct.mu.Lock()
 				held := ct.takeScratch()
 				ct.mu.Unlock()

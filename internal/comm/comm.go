@@ -25,7 +25,8 @@
 // what the client received, and under error feedback the client's
 // residual row, which the runtime owns and carries in run snapshots.
 //
-// Build one with ParseTransport and install it as core.Config.Transport.
+// Every transport is one type, Transport, built by ParseTransport and
+// installed as core.Config.Transport.
 package comm
 
 import (
@@ -41,12 +42,12 @@ import (
 // Down/Up and their sized forms, as the benchmark's tracer does) finds
 // its unmetered codec by the spec it prints.
 func init() {
-	core.RegisterLegacyCoders(func(name string) core.UpCoder {
+	core.RegisterLegacyCoders(func(name string) core.Coder {
 		t, err := ParseTransport(name)
 		if err != nil {
 			return nil
 		}
-		c, _ := t.(core.UpCoder)
+		c, _ := t.(core.Coder)
 		return c
 	})
 }
@@ -185,83 +186,96 @@ func roundF32Into(dst, src []float64) {
 	}
 }
 
-// F32Transport rounds every transfer to the float32 wire precision.
-type F32Transport struct {
+// Transport is every transport ParseTransport builds: a dense downlink
+// and an uplink that is dense too ("f32", "lossless") or delta-coded
+// through a lossy codec, optionally with error feedback ("q8",
+// "topk:0.01+ef", "randk:0.05"). A dense transfer is rounded to float32
+// and sized as its float32 encoding, or under "lossless" (wide) shipped
+// as it is at float64 width. The coded uplink is in compress.go.
+//
+// Every transfer returns its exact encoded size (priced by the network
+// model), and the cumulative counters are in Stats. DownCode and UpCode
+// are the two transfers uncounted (core.Coder); DownInto and UpInto call
+// them and count once.
+//
+// Memory: under the runtime the transport keeps no per-client state.
+// Under error feedback the residual is the client's row, which the
+// runtime owns, hands to UpInto and carries in run snapshots: |w|
+// float64s per client that ever uploaded, stored at its first accepted
+// upload. Where the runtime holds a first participation's rows as a
+// recipe, a client seen once keeps neither that row nor a copy of what
+// it received: its first upload's row goes to the runtime's scratch, and
+// DownCode and UpCode derive both again when the client returns (core's
+// lazyrows.go). Everything else a coded upload needs is scratch on a
+// free list that holds as many sets as uploads ever ran at once — the
+// runtime's shard count — so a transfer past a client's first allocates
+// nothing. A sync.Pool would not do: its contents die at every GC, and
+// these are |w|-sized.
+type Transport struct {
 	legacyMethods
+	spec string
+	cod  codec // nil: a dense uplink
+	ef   bool
+	wide bool // dense transfers at float64 width, unrounded
+
 	stats Stats
+	mu    sync.Mutex // guards free
+	free  []*scratch // idle upload scratch
 }
 
-// NewF32Transport returns a transport with fresh counters.
-func NewF32Transport() *F32Transport {
-	t := &F32Transport{}
-	t.legacyMethods.wire = t
+// newTransport names a transport by its canonical spec (String) and
+// wires in its uplink codec, nil for a dense one.
+func newTransport(spec string, cod codec, ef, wide bool) *Transport {
+	t := &Transport{spec: spec, cod: cod, ef: ef, wide: wide}
+	t.legacyMethods = legacyMethods{wire: t, delta: cod != nil}
 	return t
 }
 
-// String names the transport for run fingerprints and banners.
-func (t *F32Transport) String() string { return "f32" }
+// String returns the canonical transport spec (parseable by
+// ParseTransport); run fingerprints embed it.
+func (t *Transport) String() string { return t.spec }
 
 // Stats exposes the traffic counters.
-func (t *F32Transport) Stats() *Stats { return &t.stats }
+func (t *Transport) Stats() *Stats { return &t.stats }
 
 // WireBytes implements core.MeteredTransport.
-func (t *F32Transport) WireBytes() (down, up int64) {
+func (t *Transport) WireBytes() (down, up int64) {
 	return t.stats.DownBytes(), t.stats.UpBytes()
 }
 
-// DownInto implements core.WireTransport.
+// DownInto implements core.WireTransport: DownCode's downlink, counted
+// in Stats. What it wrote into dst is a coded upload's delta base; the
+// runtime hands it back to UpInto as ref.
 //
 //fedtripvet:hotpath
-func (t *F32Transport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
-	roundF32Into(dst, global)
-	return t.stats.down(tensor.VectorWireSizeF32(len(global)))
+func (t *Transport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	return t.stats.down(t.DownCode(dst, clientID, round, global))
 }
 
-// UpInto implements core.WireTransport; ref and resid are not used.
+// DownCode implements core.Coder: the dense downlink of global into dst,
+// uncounted. It depends on global alone, so every client of a model
+// version receives the same bits.
 //
 //fedtripvet:hotpath
-func (t *F32Transport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
-	roundF32Into(dst, params)
-	return t.stats.up(tensor.VectorWireSizeF32(len(params)))
+func (t *Transport) DownCode(dst []float64, clientID, round int, global []float64) int64 {
+	return t.dense(dst, global)
 }
 
-// LosslessTransport is the identity transport with byte accounting at
-// float64 width — useful to compare the cost of full-precision shipping.
-type LosslessTransport struct {
-	legacyMethods
-	stats Stats
-}
-
-// NewLosslessTransport returns an identity transport with counters.
-func NewLosslessTransport() *LosslessTransport {
-	t := &LosslessTransport{}
-	t.legacyMethods.wire = t
-	return t
-}
-
-// String names the transport for run fingerprints and banners.
-func (t *LosslessTransport) String() string { return "lossless" }
-
-// Stats exposes the traffic counters.
-func (t *LosslessTransport) Stats() *Stats { return &t.stats }
-
-// WireBytes implements core.MeteredTransport.
-func (t *LosslessTransport) WireBytes() (down, up int64) {
-	return t.stats.DownBytes(), t.stats.UpBytes()
-}
-
-// DownInto implements core.WireTransport.
+// UpInto implements core.WireTransport: UpCode's upload, counted in
+// Stats.
 //
 //fedtripvet:hotpath
-func (t *LosslessTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
-	tensor.CopyInto(dst, global)
-	return t.stats.down(int64(8 * len(global)))
+func (t *Transport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	return t.stats.up(t.UpCode(dst, clientID, round, params, ref, resid))
 }
 
-// UpInto implements core.WireTransport; ref and resid are not used.
-//
-//fedtripvet:hotpath
-func (t *LosslessTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
-	tensor.CopyInto(dst, params)
-	return t.stats.up(int64(8 * len(params)))
+// dense writes src into dst as a dense transfer carries it and returns
+// the encoded size: rounded to float32, or as it is at float64 width.
+func (t *Transport) dense(dst, src []float64) int64 {
+	if t.wide {
+		tensor.CopyInto(dst, src)
+		return int64(8 * len(src))
+	}
+	roundF32Into(dst, src)
+	return tensor.VectorWireSizeF32(len(src))
 }

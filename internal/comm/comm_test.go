@@ -23,8 +23,18 @@ func mustFleet(d core.FleetDist, err error) core.FleetDist {
 	return d
 }
 
+// parsed is the transport a spec names.
+func parsed(t testing.TB, text string) *Transport {
+	t.Helper()
+	tr, err := ParseTransport(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.(*Transport)
+}
+
 func TestF32TransportQuantizes(t *testing.T) {
-	tr := NewF32Transport()
+	tr := parsed(t, "f32")
 	v := []float64{math.Pi, 1e-300, 2.5}
 	got := tr.Down(0, 1, v)
 	if got[0] == math.Pi {
@@ -42,7 +52,7 @@ func TestF32TransportQuantizes(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	tr := NewF32Transport()
+	tr := parsed(t, "f32")
 	v := make([]float64, 100)
 	tr.Down(0, 1, v)
 	tr.Down(1, 1, v)
@@ -65,7 +75,7 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestLosslessTransportIdentity(t *testing.T) {
-	tr := NewLosslessTransport()
+	tr := parsed(t, "lossless")
 	v := []float64{math.Pi}
 	if got := tr.Down(0, 1, v); got[0] != math.Pi {
 		t.Fatal("lossless transport changed data")
@@ -105,7 +115,7 @@ func TestF32TransportEndToEnd(t *testing.T) {
 			Transport:       tr,
 		}
 	}
-	tr := NewF32Transport()
+	tr := parsed(t, "f32")
 	resF32, err := core.Start(core.RunSpec{Config: build(tr)})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +142,7 @@ func TestF32TransportEndToEnd(t *testing.T) {
 }
 
 // The runtime must prefer the transport's measured wire bytes over the
-// analytic 4|w| formula: with an F32Transport installed, CommBytesByRound
+// analytic 4|w| formula: with the f32 transport installed, CommBytesByRound
 // has to equal the Stats counters exactly (headers included), and each
 // round's increment must match the per-transfer wire size.
 func TestMeteredTransportFeedsCommBytes(t *testing.T) {
@@ -144,7 +154,7 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewF32Transport()
+	tr := parsed(t, "f32")
 	cfg := core.Config{
 		Model:           nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
 		Train:           train,
@@ -266,7 +276,7 @@ func TestLazyRowsLeaveTrafficCountersExact(t *testing.T) {
 		if got, want := res.CommBytesByRound[len(res.CommBytesByRound)-1], st.TotalBytes(); got != want {
 			t.Errorf("%s: CommBytesByRound final %d, transport counters %d", route.name, got, want)
 		}
-		if ct, ok := tr.(*CompressedTransport); ok && len(ct.ref) != 0 {
+		if ct, ok := tr.(*Transport); ok && len(ct.ref) != 0 {
 			t.Errorf("%s: the transport holds %d downlinks no upload consumed", route.name, len(ct.ref))
 		}
 	}

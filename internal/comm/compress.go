@@ -12,7 +12,6 @@ package comm
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/prng"
 	"repro/internal/quantize"
@@ -164,87 +163,11 @@ func (c quantCodec) apply(sc *scratch, dst, ref, delta, drop []float64) {
 	tensor.AddInto(dst, ref, dst)
 }
 
-// CompressedTransport is a float32 downlink and a codec-compressed,
-// delta-encoded uplink: the server reconstructs
-// w_k = w_received + decode(encode(w_trained - w_received [+ residual])).
-// Build one with ParseTransport ("topk:0.01+ef", "q8", "randk:0.05").
-//
-// Every transfer returns its exact encoded size (priced by the network
-// model), and the cumulative counters are in Stats.
-//
-// Memory: under the runtime the transport keeps no per-client state.
-// Under error feedback the residual is the client's row, which the
-// runtime owns, hands to UpInto and carries in run snapshots: |w|
-// float64s per client that ever uploaded, stored at its first accepted
-// upload. Where the runtime holds a first participation's rows as a
-// recipe, a client seen once keeps none: its first upload's row goes to
-// the runtime's scratch, and UpCode rebuilds it when the client returns
-// (core's lazyrows.go). Everything else an
-// upload needs is scratch on a free list that holds as many sets as
-// uploads ever ran at once — the runtime's shard count — so a transfer
-// past a client's first allocates nothing. A sync.Pool would not do: its
-// contents die at every GC, and these are |w|-sized.
-type CompressedTransport struct {
-	legacyMethods
-	spec string
-	cod  codec
-	ef   bool
-
-	stats Stats
-	mu    sync.Mutex // guards free
-	free  []*scratch // idle upload scratch
-}
-
-// newCompressedTransport wires a codec into a transport. spec is the
-// canonical form reproduced by String().
-func newCompressedTransport(cod codec, ef bool) *CompressedTransport {
-	text := cod.term().String()
-	if ef {
-		text = spec.Join(text, "ef")
-	}
-	t := &CompressedTransport{
-		spec: text,
-		cod:  cod,
-		ef:   ef,
-	}
-	t.legacyMethods = legacyMethods{wire: t, delta: true}
-	return t
-}
-
-// String returns the canonical transport spec (parseable by
-// ParseTransport); run fingerprints embed it.
-func (t *CompressedTransport) String() string { return t.spec }
-
-// Stats exposes the traffic counters.
-func (t *CompressedTransport) Stats() *Stats { return &t.stats }
-
-// WireBytes implements core.MeteredTransport.
-func (t *CompressedTransport) WireBytes() (down, up int64) {
-	return t.stats.DownBytes(), t.stats.UpBytes()
-}
-
-// DownInto implements core.WireTransport: a float32 downlink. What it
-// wrote into dst is the upload's delta base; the runtime hands it back
-// to UpInto as ref.
-//
-//fedtripvet:hotpath
-func (t *CompressedTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
-	roundF32Into(dst, global)
-	return t.stats.down(tensor.VectorWireSizeF32(len(global)))
-}
-
-// UpInto implements core.WireTransport: UpCode's upload, counted in
-// Stats.
-//
-//fedtripvet:hotpath
-func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
-	return t.stats.up(t.UpCode(dst, clientID, round, params, ref, resid))
-}
-
-// UpCode implements core.UpCoder: the delta against ref (plus the
-// client's error-feedback residual, *resid), compressed through the codec
-// and reconstructed into dst, which may be params; it returns the encoded
-// size and counts nothing. A delta the codec rejects (non-finite), or an
+// UpCode implements core.Coder: the upload reconstructed into dst, which
+// may be params, uncounted; it returns the encoded size. A dense uplink
+// ships params as DownCode ships a global. A coded one compresses the
+// delta against ref (plus the client's error-feedback residual, *resid)
+// through the codec; a delta the codec rejects (non-finite), or an
 // upload with no reference, ships dense float32 and leaves the residual
 // untouched. Under error feedback the first accepted upload stores a row
 // in *resid: the storage *resid brings when it is empty with room for
@@ -253,10 +176,10 @@ func (t *CompressedTransport) UpInto(dst []float64, clientID, round int, params,
 // (clientID, round), so the same call writes the same bits again.
 //
 //fedtripvet:hotpath
-func (t *CompressedTransport) UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+func (t *Transport) UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	n := len(params)
-	if len(ref) != n {
-		return denseUp(dst, params)
+	if t.cod == nil || len(ref) != n {
+		return t.dense(dst, params)
 	}
 	checkDst(dst, n)
 	t.mu.Lock()
@@ -297,24 +220,18 @@ func (t *CompressedTransport) UpCode(dst []float64, clientID, round int, params,
 	t.free = append(t.free, sc) //fedtripvet:allow free list, bounded by the number of concurrent uploads
 	t.mu.Unlock()
 	if err != nil {
-		return denseUp(dst, params)
+		return t.dense(dst, params)
 	}
 	return wire
 }
 
 // takeScratch pops an idle scratch set, or starts a new one when every
 // set is in use. Callers hold t.mu.
-func (t *CompressedTransport) takeScratch() *scratch {
+func (t *Transport) takeScratch() *scratch {
 	if n := len(t.free); n > 0 {
 		sc := t.free[n-1]
 		t.free = t.free[:n-1]
 		return sc
 	}
 	return &scratch{}
-}
-
-// denseUp ships params at float32 width and returns the encoded size.
-func denseUp(dst, params []float64) int64 {
-	roundF32Into(dst, params)
-	return tensor.VectorWireSizeF32(len(params))
 }

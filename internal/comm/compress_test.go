@@ -127,7 +127,7 @@ func TestCompressedTransportTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trI.(*CompressedTransport)
+	tr := trI.(*Transport)
 	n := 1000
 	global := make([]float64, n)
 	trained := make([]float64, n)
@@ -149,13 +149,13 @@ func TestCompressedTransportTopK(t *testing.T) {
 // q8Transport parses the 8-bit quantizing transport the next three tests
 // exercise (they moved here with quantize.Transport's deletion: the qN
 // codec is the one quantizing transport).
-func q8Transport(t *testing.T) *CompressedTransport {
+func q8Transport(t *testing.T) *Transport {
 	t.Helper()
 	tr, err := ParseTransport("q8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr.(*CompressedTransport)
+	return tr.(*Transport)
 }
 
 // TestQ8DeltaEncoding: the uplink quantizes the delta against the model
@@ -233,7 +233,7 @@ func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trI.(*CompressedTransport)
+	tr := trI.(*Transport)
 	n := 1000 // k = 1: only the largest delta entry ships each round
 	global := make([]float64, n)
 	trained := make([]float64, n)
@@ -255,7 +255,7 @@ func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf := trNoEF.(*CompressedTransport)
+	nf := trNoEF.(*Transport)
 	o1, _ := roundTripUp(t, nf, 0, 1, global, trained)
 	o2, _ := roundTripUp(t, nf, 0, 2, o1, o1)
 	if o2[9] != 0 {
@@ -266,12 +266,12 @@ func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
 // TestRandKDeterministicPerDispatch: rand-k's index draw depends only on
 // (clientID, round), so two transports agree and resume needs no state.
 func TestRandKDeterministicPerDispatch(t *testing.T) {
-	mk := func() *CompressedTransport {
+	mk := func() *Transport {
 		trI, err := ParseTransport("randk:0.05")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return trI.(*CompressedTransport)
+		return trI.(*Transport)
 	}
 	n := 400
 	global := make([]float64, n)

@@ -175,23 +175,18 @@ func (t *oracleTransport) denseFallback(params []float64) ([]float64, int64) {
 // oracleFor builds the reference for the transport a spec parses to.
 func oracleFor(t *testing.T, tr core.Transport) *oracleTransport {
 	t.Helper()
-	o := &oracleTransport{ref: map[int][]float64{}, resid: map[int][]float64{}}
-	switch tr := tr.(type) {
-	case *F32Transport:
-	case *LosslessTransport:
-		o.lossless = true
-	case *CompressedTransport:
-		o.ef = tr.ef
-		switch c := tr.cod.(type) {
-		case topKCodec:
-			o.cod = oracleTopK{c.ratio}
-		case randKCodec:
-			o.cod = oracleRandK{c.ratio}
-		case quantCodec:
-			o.cod = oracleQuant{c.bits}
-		}
-	default:
+	ct, ok := tr.(*Transport)
+	if !ok {
 		t.Fatalf("no oracle for %T", tr)
+	}
+	o := &oracleTransport{ef: ct.ef, lossless: ct.wide, ref: map[int][]float64{}, resid: map[int][]float64{}}
+	switch c := ct.cod.(type) {
+	case topKCodec:
+		o.cod = oracleTopK{c.ratio}
+	case randKCodec:
+		o.cod = oracleRandK{c.ratio}
+	case quantCodec:
+		o.cod = oracleQuant{c.bits}
 	}
 	return o
 }
@@ -369,11 +364,7 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 						at := fmt.Sprintf("part %d client %d", part, client)
 						checkAgainstOracle(t, at+" aliased", aliased, kept(aliasedRows), oracle)
 						checkAgainstOracle(t, at+" disjoint", disjoint, kept(disjointRows), oracle)
-						var legacyRows map[int][]float64
-						if ct, ok := legacy.(*CompressedTransport); ok {
-							legacyRows = ct.legacyMethods.resid
-						}
-						checkAgainstOracle(t, at+" legacy", legacy, legacyRows, oracle)
+						checkAgainstOracle(t, at+" legacy", legacy, legacy.(*Transport).resid, oracle)
 					}
 					// The next global: wherever the uploads left the model.
 					for i := range global {
@@ -433,7 +424,7 @@ func TestNonFiniteQuantDeltaFallsBackAndKeepsResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trI.(*CompressedTransport)
+	tr := trI.(*Transport)
 	global := []float64{0.5, -1.25, 2, 0.75}
 	received := make([]float64, len(global))
 	var resid, fresh []float64
@@ -463,25 +454,27 @@ func TestNonFiniteQuantDeltaFallsBackAndKeepsResidual(t *testing.T) {
 	}
 }
 
-// TestUpCodeMatchesUpInto pins the unmetered upload, the one the runtime
-// uses to rebuild a first participation's error-feedback row, against
+// TestUpCodeMatchesUpInto pins the uncounted transfers, the ones the
+// runtime uses to replay a first participation — what the client
+// received, and its upload's error-feedback row — against DownInto,
 // UpInto and the marshalled oracle over several participations of the
-// same clients: the same reconstruction, wire size and rows bit for bit,
-// with the transport's counters never moving. A first row goes into the
-// scratch handed in as an empty *resid with room for it, which is
-// neither dst, params nor ref, and a delta the codec refuses leaves no
-// row there.
+// same clients: the same downlink, reconstruction, wire sizes and rows
+// bit for bit, with the transport's counters never moving. DownCode
+// writes its dst alone. A first row goes into the scratch handed in as
+// an empty *resid with room for it, which is neither dst, params nor
+// ref, and a delta the codec refuses, or a dense uplink, leaves no row
+// there.
 func TestUpCodeMatchesUpInto(t *testing.T) {
 	const parts = 4
-	for _, spec := range []string{"topk:0.01+ef", "randk:0.05+ef", "q8+ef", "q4+ef"} {
+	for _, spec := range []string{"topk:0.01+ef", "randk:0.05+ef", "q8+ef", "q4+ef", "f32", "lossless", "q8"} {
 		for _, wc := range wireCases() {
 			t.Run(spec+"/"+wc.name, func(t *testing.T) {
-				parse := func() *CompressedTransport {
+				parse := func() *Transport {
 					tr, err := ParseTransport(spec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return tr.(*CompressedTransport)
+					return tr.(*Transport)
 				}
 				metered, coded := parse(), parse()
 				oracle := oracleFor(t, metered)
@@ -495,7 +488,18 @@ func TestUpCodeMatchesUpInto(t *testing.T) {
 						want, _ := oracle.DownSized(client, round, global)
 						want = append([]float64(nil), want...)
 						received := make([]float64, n)
-						metered.DownInto(received, client, round, global)
+						downWire := metered.DownInto(received, client, round, global)
+						before := append([]float64(nil), global...)
+						coded1 := make([]float64, n)
+						if w := coded.DownCode(coded1, client, round, global); w != downWire {
+							t.Fatalf("%s: DownCode reports %d bytes, DownInto %d", at, w, downWire)
+						}
+						if i := sameBits(coded1, received); i >= 0 {
+							t.Fatalf("%s: DownCode's downlink differs from DownInto's at %d", at, i)
+						}
+						if i := sameBits(global, before); i >= 0 {
+							t.Fatalf("%s: DownCode wrote its global at %d", at, i)
+						}
 						trained := wc.train(part, want)
 						wantUp, wantWire := oracle.UpSized(client, round, append([]float64(nil), trained...))
 
@@ -551,7 +555,7 @@ func TestUpCodeMatchesUpInto(t *testing.T) {
 							t.Fatalf("%s: UpCode's row differs from the oracle's at %d", at, i)
 						}
 						if d, u := coded.Stats().Messages(); coded.Stats().TotalBytes() != 0 || d != 0 || u != 0 {
-							t.Fatalf("%s: UpCode moved the counters: %s", at, coded.Stats())
+							t.Fatalf("%s: DownCode or UpCode moved the counters: %s", at, coded.Stats())
 						}
 					}
 					for i := range global {

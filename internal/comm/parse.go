@@ -39,10 +39,7 @@ func ParseTransport(text string) (core.Transport, error) {
 		if ef {
 			return nil, transportFamily.Errorf(text, "error feedback requires a lossy compressor (q/topk/randk)")
 		}
-		if base.Name == "f32" {
-			return NewF32Transport(), nil
-		}
-		return NewLosslessTransport(), nil
+		return newTransport(base.Name, nil, false, base.Name == "lossless"), nil
 	case "q":
 		bits := base.Args[0]
 		if bits < 1 || bits > 16 {
@@ -59,5 +56,9 @@ func ParseTransport(text string) (core.Transport, error) {
 			cod = randKCodec{ratio: ratio}
 		}
 	}
-	return newCompressedTransport(cod, ef), nil
+	name := cod.term().String()
+	if ef {
+		name = spec.Join(name, "ef")
+	}
+	return newTransport(name, cod, ef, false), nil
 }

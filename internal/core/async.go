@@ -81,7 +81,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/spec"
 	"repro/internal/tensor"
@@ -266,15 +265,11 @@ type bufferedRunner struct {
 // version. refs counts those of them that still hold it (release), and
 // the recipes that pin it; when the last one lets go and an aggregation
 // has superseded the version, the vector returns to paramsPool and the
-// record is free again. recv is the version's downlink under a
-// transport, kept for recipes (keepDownlink); mu guards its setting. ord
-// is the record's place in a snapshot's round-image section, -1 when no
-// recipe pins it (snapImages).
+// record is free again. ord is the record's place in a snapshot's
+// round-image section, -1 when no recipe pins it (snapImages).
 type globalSnap struct {
 	vec  []float64
 	refs int
-	mu   sync.Mutex
-	recv []float64
 	ord  int32
 }
 
@@ -408,10 +403,6 @@ func (r *bufferedRunner) retire() {
 func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 	paramsPool.put(sn.vec)
 	sn.vec = nil
-	if sn.recv != nil {
-		paramsPool.put(sn.recv)
-		sn.recv = nil
-	}
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set

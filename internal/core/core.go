@@ -131,14 +131,18 @@ type WireTransport interface {
 	UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
 }
 
-// UpCoder is an optional WireTransport capability: UpInto without the
-// counting. UpCode writes dst and *resid as UpInto would and returns the
-// bytes UpInto would report, but no counter moves, and the same
-// arguments always write the same bits. The runtime calls it to rebuild
-// the error-feedback row of an upload that was already sent and counted
-// (lazyrows.go); under a transport without it every row is kept. A
-// legacy transport finds one by its name (RegisterLegacyCoders).
-type UpCoder interface {
+// Coder is an optional WireTransport capability: the two transfers
+// without the counting. DownCode writes dst as DownInto would, UpCode
+// writes dst and *resid as UpInto would, and each returns the bytes its
+// counted twin would report, but no counter moves, and the same
+// arguments always write the same bits. The runtime calls them to run
+// again both transfers of a first participation that was already sent
+// and counted: what the client received, which a replay trains from,
+// and its upload's error-feedback row (lazyrows.go). Under a transport
+// without it every first-participation row is kept dense. A legacy
+// transport finds one by its name (RegisterLegacyCoders).
+type Coder interface {
+	DownCode(dst []float64, clientID, round int, global []float64) (wire int64)
 	UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
 }
 

@@ -59,9 +59,10 @@ type engine struct {
 	// client has completed since LocalTrainSteps began its round.
 	roundSteps int
 	// downlink is where the transport writes what the attached client
-	// receives (trainClient): the client trains from it and it is the
-	// upload's delta reference, so it lives exactly one client round.
-	// nil in runs without a transport.
+	// receives (trainClient), or the codec writes it again for a replay
+	// (lazyrows.go): the client trains from it and it is the upload's
+	// delta reference, so it lives exactly one client round. nil in runs
+	// without a transport.
 	downlink []float64
 	// recording sends the attached client's State rows to rowScratch
 	// instead of the client, zeroed at the method's first ask (rowsAsked

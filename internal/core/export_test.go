@@ -17,9 +17,8 @@ func (rs *RunState) HoldRowsDense() { rs.s.rows.on = false }
 
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads, and once each the model versions their sparse ones
-// were taken against or a recipe pins, with a version's kept downlink. It
-// errs unless those versions are exactly the snapshots the runner still
-// has out.
+// were taken against or a recipe pins. It errs unless those versions are
+// exactly the snapshots the runner still has out.
 func (rs *RunState) QueuedBuffers() (int, error) {
 	r := rs.run
 	held, versions := 0, map[*globalSnap]bool{}
@@ -47,9 +46,6 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 		if sn.vec != nil {
 			live++
 		}
-		if sn.recv != nil {
-			held++
-		}
 	}
 	if r.cur != nil || live != len(versions) {
 		return 0, fmt.Errorf("%d snapshots out (current %t), %d referenced by sparse jobs", live, r.cur != nil, len(versions))
@@ -72,12 +68,12 @@ func (c *Client) PeekState() []float64 {
 
 // PeekResid returns c's error-feedback row without changing how the run
 // holds it: the row c holds, copied, or, when c holds none, its rows are
-// a recipe and the transport has an unmetered codec, the row its one
+// a recipe and the transport has an uncounted codec, the row its one
 // participation stored, rebuilt: the round replayed on the loaner
 // engine, the client's fault applied to the trained parameters, and the
-// upload coded again against what its version received. A noise
-// client's fault drew from a stream that has moved on since, so its row
-// is always the one it holds.
+// upload coded again against what the replay received. A noise client's
+// fault drew from a stream that has moved on since, so its row is always
+// the one it holds.
 func (rs *RunState) PeekResid(c *Client) []float64 {
 	s := rs.s
 	coder, ok := s.wire.(interface {
@@ -94,7 +90,7 @@ func (rs *RunState) PeekResid(c *Client) []float64 {
 	u := Update{Params: append([]float64(nil), e.model.Params()...)}
 	s.applyFault(c, &u)
 	var row []float64
-	coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, rec.img.received(), &row)
+	coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, e.downlinkBuf(len(u.Params)), &row)
 	return row
 }
 

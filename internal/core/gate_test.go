@@ -129,9 +129,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		digest, sha256         string
 		length                 int
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "6bfa738fae72a90e07982ec975585c1151525f819ff386d3748ea359f7a61e24", 1114705},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "51a433c0363c4f6f903bee259233bbc2b8e351079a54643caff4b42286a95bde", 1432888},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "8483e23a5b3e840cd61b9490fff44da4bf237dbd20cc508c42a4078d0181407c", 1114719},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "09fe552292d65f89ee68b0ed480ba97fba628220942378112c8a61d11b206a60", 1114705},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "5a7de7060d4f1c93c625815b1265482a2dc2ff4ef42c524eff0a330e1829c811", 1432888},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "8d04d17b49a1fbbb59580aa5e0e37694e34df7bfdcd2411b21b0c76319b23655", 1114719},
 	}
 	for _, tc := range cases {
 		build := func() core.RunSpec {

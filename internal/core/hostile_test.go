@@ -142,8 +142,8 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 		// MOON reads its client row in BeginRound, from a scratch model.
 		{"moon", async(func(sp *RunSpec) { sp.Algo = NewMOON() }), 3},
 		// Three rounds of one on four clients: first participations are
-		// recipes (seed 5 picks two clients by the snapshot), and under a
-		// transport their round images carry the kept downlink.
+		// recipes (seed 5 picks two clients by the snapshot), which under
+		// a transport replay what the client received through DownCode.
 		{"lazy rows", func() RunSpec {
 			cfg := tinyConfig(3)
 			cfg.ClientsPerRound, cfg.Transport, cfg.Seed = 1, efTransport{}, 5
@@ -325,6 +325,52 @@ func TestResumeRefusesBadRecipes(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesUnreplayableRecipes: a recipe replays its round from
+// what the client received, which a run over a transport without a
+// Coder cannot derive again, so such a run records no first
+// participation. Resuming the lazy scenario's stream into one — the
+// fingerprint names either transport "custom" — is refused, naming the
+// first client that holds a recipe.
+func TestResumeRefusesUnreplayableRecipes(t *testing.T) {
+	sc := lazyRowsScenario(t)
+	good := sc.stream(t)
+	uncoded := hostileScenario{name: "lazy rows, no coder", spec: func() RunSpec {
+		sp := sc.spec()
+		sp.Config.Transport = uncodedTransport{}
+		return sp
+	}}
+	_, imagesEnd, _ := streamLayout(t, good, uncoded.spec())
+	id := -1
+	for i, cl := range walkClients(good, uncoded.spec(), imagesEnd) {
+		if cl.recipe {
+			id = i
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("the stream holds no recipe")
+	}
+	uncoded.resumeHostile(t, good, uncoded.buildCost(t), "intact")
+	want := fmt.Sprintf("client %d holds a recipe", id)
+	if _, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: uncoded.spec()}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want one naming %q", err, want)
+	}
+}
+
+// uncodedTransport is efTransport without DownCode and UpCode.
+type uncodedTransport struct{}
+
+func (uncodedTransport) Down(int, int, []float64) []float64 { panic("the runtime calls DownInto") }
+func (uncodedTransport) Up(int, int, []float64) []float64   { panic("the runtime calls UpInto") }
+
+func (uncodedTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
+	return efTransport{}.DownInto(dst, clientID, round, global)
+}
+
+func (uncodedTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
+	return efTransport{}.UpInto(dst, clientID, round, params, ref, resid)
+}
+
 // lazyRowsScenario is the hostile scenario whose stream holds recipes.
 func lazyRowsScenario(t *testing.T) hostileScenario {
 	for _, sc := range hostileScenarios(t) {
@@ -366,14 +412,7 @@ func streamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, np i
 	off += 8 + word(off) // fingerprint
 	off += 8 + 8*np + 17 // global model, selection stream
 	images = off
-	n := word(off)
-	off += 8
-	for i := 0; i < n; i++ {
-		off += 8 + 8*np + 1 // the image, the downlink flag
-		if b[off-1] == 1 {
-			off += 8 + 8*np
-		}
-	}
+	off += 8 + word(off)*(8+8*np) // the count, then each image's global
 	return images, off, np
 }
 

@@ -22,9 +22,10 @@ func (l legacyNamed) String() string { return l.name }
 // are a recipe keeps no residual row either, unless its fault draws
 // noise, while every client that has uploaded since keeps one. A legacy
 // wrapper that prints its transport's spec finds the same codec by name
-// and holds what the transport holds; one without a name keeps every
-// row. A wrapped run has the digest of the same run on the transport
-// itself.
+// and holds what the transport holds; one without a name has no codec to
+// replay a round with, so it holds no recipe, and every client that
+// uploaded keeps its row. A wrapped run has the digest of the same run on
+// the transport itself.
 func TestLazyRowsHoldNoResiduals(t *testing.T) {
 	train, test, parts := lazyRowData(t)
 	cases := []struct {
@@ -72,7 +73,7 @@ func TestLazyRowsHoldNoResiduals(t *testing.T) {
 				switch {
 				case c.Lazy():
 					recipes++
-					if want := !tc.lazy || rs.Noisy(c); c.HoldsResid() != want {
+					if want := rs.Noisy(c); c.HoldsResid() != want {
 						t.Fatalf("client %d holds a recipe and a residual row %t, want %t", c.ID, c.HoldsResid(), want)
 					}
 					if c.HoldsResid() {
@@ -82,7 +83,10 @@ func TestLazyRowsHoldNoResiduals(t *testing.T) {
 					t.Fatalf("client %d uploaded in round %d and holds no residual row", c.ID, c.LastRound)
 				}
 			}
-			if recipes == 0 || tc.faults != "" && (held == 0 || held == recipes) {
+			if !tc.lazy && recipes != 0 {
+				t.Fatalf("%d recipes under a transport with no codec to replay them", recipes)
+			}
+			if tc.lazy && (recipes == 0 || tc.faults != "" && (held == 0 || held == recipes)) {
 				t.Fatalf("%d recipes, %d of them with a residual row: the case is not exercised", recipes, held)
 			}
 			if tc.wrap == nil {

@@ -101,18 +101,18 @@ func TestLazyRowStreamsPinned(t *testing.T) {
 		digest, sha256 string
 		length         int
 	}{
-		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "15c14a878ca132070c125c1cd8d2b1e049d71355c7a04a2d1467fd325169ea4c", 966770},
-		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "08a04f1d2a54418230729aefc74680982a14bffd94b7a5b173cb0cc0d55b429d", 1603121},
-		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "0621b56e30f4eb085d8ea5943fe4f883ca711f3ada998fc160c2636b0fb06f72", 1762210},
-		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "530076c0f2098a1cb1741c958e93d32f2a0e5217d2329ffb9a854dc7b8a1e700", 3515864},
-		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "b2ba673e845dbcb2078893de6b51d92948260746286f868cf5a25ccd8a1b6f26", 4311334},
-		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "41118732c5f9880ceec1725747ff20fddb7334f439c3f7e44be02b7129876fb4", 4788549},
-		"moon/sync":                              {"e33a5cc717a76d25", "b0f3c9f6f1b839912a24fe090a39d722f017e90ce64d8f86a4542e371dfccca8", 966767},
-		"moon/sync f32":                          {"349e7cfc9d337e74", "9057c557b2b689622fcd1930a726ffd5c7311c7efdab0e5f5955e537905579f4", 1603118},
-		"moon/sync topk-ef":                      {"a94951a5100b56bd", "d6254dccf6cb9747aedc153f162d738aaa78cfd3fc8a35a769f1fc7198dc918d", 1762207},
-		"moon/async churn":                       {"354f6684859e7429", "d6c7da733ce912994126fd22a2307b1a57288ee356eaff47b9e16c66ec3d9aa5", 3515861},
-		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "451511f81b6b13ccc501db2f6f8bc268e09a2310f58bba242baad93993f74bcd", 4311331},
-		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "a3ce43812cab7fb75978ede6c32c476e846c35f87e9d66a7f2b0b2723814dbc0", 4788546},
+		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "ac84c917a54a27cd66773f12a0c51758d1446fffb9cd46567395da0991ae75b6", 966766},
+		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "2667b25b069087843022981778309ab69bf75037953cf123f3fcd9c7160dde64", 966765},
+		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "49efdacdaaa251436a86b9dfe42c4b9deb9ea340a04d3918832dc97661ad748e", 1125854},
+		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "b55b8239056a8ac1d7ebefe50a54b5ccec6124048bfb63ab79dbe4319238f5a5", 3515860},
+		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "dcac9aa2e48504385328d7cecdad8c68bc1d611e6e21e56c88d7576ec3cdf0a4", 3674978},
+		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "daf4b987e0462e89b5b31aa3b5884d85a6068aa5705260abfcc96723c9e8a306", 4152193},
+		"moon/sync":                              {"e33a5cc717a76d25", "47bb1ac0c4c036bdc98c1b6aff3d46ced1dfb48619413486302ad1764dcba9db", 966763},
+		"moon/sync f32":                          {"349e7cfc9d337e74", "4f138d9be7bbadb1c1ccecbc5e7ec136f57ef9b814996f645740923f6bac914d", 966762},
+		"moon/sync topk-ef":                      {"a94951a5100b56bd", "d5ea2ed859e537e6d92e2c8b0ea1d0bfd483d0782c3fdf9519bd6e59b1e2954d", 1125851},
+		"moon/async churn":                       {"354f6684859e7429", "51042b23f61bbedfb722fd30cde337893258b309355ef744251838198446d7cd", 3515857},
+		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "2cd89a5579f056e74c48293c19e40e4552f995f19c1eab4c55a6de58cfeb18cb", 3674975},
+		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "3cd3c61d9fef69701f1a756ad3260e1050b1307ef1e070988df7cdc02ac989a8", 4152190},
 	}
 	train, test, parts := lazyRowData(t)
 	for _, method := range []string{"fedtrip:0.4", "moon"} {

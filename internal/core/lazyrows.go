@@ -11,22 +11,26 @@
 // at its model version, its stream position and its step budget. The
 // client keeps those instead — a rowRecipe, 40 bytes beside a reference
 // to its version — and the row is rebuilt, bit for bit, by running the
-// round again:
+// round again from what the client received:
 //
 //   - at the client's next dispatch, by its own job, before it trains
 //     (trainClient), so a method never reads a row it did not write;
 //   - by Client.State called from outside a round, on the loaner engine.
 //
-// Under error feedback that first upload also stored a residual row, and
-// it too is a pure function of the round: the trained parameters with
-// the client's fault applied, less what the version received, through
-// the codec for (client, round). So the recipe stands for it as well:
-// the recorded upload writes its row into engine scratch, and a rebuild
-// runs the transport's codec again after the replay (recode), through
-// UpCoder, which counts nothing. Two clients keep the row instead: one
-// under a transport without that codec, and one whose fault draws noise
-// from a stream of its own, which has moved on by the time of a replay
-// (residLazy).
+// Both transfers of that round are the transport's codec run again,
+// through Coder, which counts nothing. What the client received is its
+// version's global through the codec's downlink for (client, round),
+// derived afresh at every replay into the engine's downlink buffer
+// (received). Under error feedback the first upload also stored a
+// residual row, and it too is a pure function of the round: the trained
+// parameters with the client's fault applied, less what the client
+// received, through the codec's uplink for (client, round). So the
+// recipe stands for it as well: the recorded upload writes its row into
+// engine scratch, and a rebuild codes the upload again after the replay
+// (recode). A client whose fault draws noise from a stream of its own,
+// which has moved on by the time of a replay, keeps the row (residLazy).
+// A transport without a Coder leaves nothing to replay a round with: its
+// run keeps every first-participation row dense.
 //
 // A snapshot carries the recipes as they are (since FTRS 10): each
 // version a recipe pins is written once, in the stream's round-image
@@ -42,20 +46,12 @@
 // The version is the snapshot of the global the buffered loop takes
 // anyway (globalSnap), pinned by a reference per recipe; behind the
 // lock-step gate, a round that records copies s.global once into the
-// same table. Under a transport the version also keeps what its
-// recording jobs received: the first one's downlink, which every later
-// one must match bit for bit (keepDownlink) — a transport that sends the
-// clients of one version different vectors leaves the rest of them
-// dense. A replay trains from that image, so it neither transfers nor
-// counts a downlink. A version's vectors go back to the pool with its
-// last reference.
+// same table. It is one vector, whatever the transport: a transport may
+// send each client something else, and DownCode derives it per client.
+// The vector goes back to the pool with the version's last reference.
 package core
 
-import (
-	"math"
-
-	"repro/internal/prng"
-)
+import "repro/internal/prng"
 
 // rowRecipe is a first participation's rows as what rebuilds them; the
 // round is the client's LastRound.
@@ -73,12 +69,13 @@ type rowRecipe struct {
 // store than what is fixed when the run is built (run, coder).
 type rowStore struct {
 	// on: first participations are recorded (lazyRows holds for the
-	// spec, and the method has been seen to write rows).
+	// spec, the transport, if any, has a Coder, and the method has been
+	// seen to write rows).
 	on  bool
 	run *bufferedRunner // unpins a recipe's version
-	// coder is the transport's unmetered codec, which rebuilds a
-	// recipe's error-feedback row; nil keeps every row (residLazy).
-	coder UpCoder
+	// coder is the transport's uncounted codec, which replays a recipe's
+	// transfers; nil without a transport.
+	coder Coder
 	// recipes is a slab, indexed by Client.recipe-1; free lists its
 	// empty slots.
 	recipes []rowRecipe
@@ -148,29 +145,28 @@ func (st *rowStore) restore(c *Client, e *engine, rec *rowRecipe) {
 	c.state = make([]float64, len(rows))
 	copy(c.state, rows)
 	if st.residLazy(c) {
-		st.recode(c, e, rec, &c.resid)
+		st.recode(c, e, &c.resid)
 	}
 }
 
 // residLazy reports whether the error-feedback row of c's first
 // participation, when a recipe stands for its rows, is rebuilt with them
-// rather than kept: under a transport with an unmetered codec, unless
-// c's fault draws from a stream of its own (noise), which has moved on
-// by the time of a replay.
+// rather than kept: under a transport, unless c's fault draws from a
+// stream of its own (noise), which has moved on by the time of a replay.
 func (st *rowStore) residLazy(c *Client) bool {
 	faults := st.run.s.faults
 	return st.coder != nil && (faults == nil || faults[c.ID] != faultNoise)
 }
 
-// recode codes c's first upload again, unmetered, after a replay of rec
-// on e: the trained parameters replay left in e's model, with c's fault
-// applied, against what the version received, into *resid. The model's
-// parameters are the upload's buffer: the engine's next round loads its
-// own.
-func (st *rowStore) recode(c *Client, e *engine, rec *rowRecipe, resid *[]float64) {
+// recode codes c's first upload again, uncounted, after a replay on e:
+// the trained parameters replay left in e's model, with c's fault
+// applied, against what the client received, which replay left in e's
+// downlink buffer, into *resid. The model's parameters are the upload's
+// buffer: the engine's next round loads its own.
+func (st *rowStore) recode(c *Client, e *engine, resid *[]float64) {
 	u := Update{Params: e.model.Params()}
 	st.run.s.applyFault(c, &u)
-	st.coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, rec.img.received(), resid)
+	st.coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, e.downlinkBuf(len(u.Params)), resid)
 }
 
 // replay runs rec's round again on e, attached to c, and returns the
@@ -181,6 +177,7 @@ func (st *rowStore) recode(c *Client, e *engine, rec *rowRecipe, resid *[]float6
 // LastRound are left as they were. The rows are as many as the method
 // writes, whatever count the recipe claims.
 func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe) []float64 {
+	global := st.received(c, e, rec)
 	round, counter, rng := c.LastRound, c.Counter, c.RNG()
 	live := rng.State()
 	c.Counter = nil
@@ -188,7 +185,7 @@ func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe) []float64 {
 	c.LastRound = 0
 	rng.SetState(rec.rng)
 	e.record()
-	c.train(round, rec.img.received(), int(rec.steps))
+	c.train(round, global, int(rec.steps))
 	rows := e.recorded()
 	rng.SetState(live)
 	c.LastRound = round
@@ -197,35 +194,16 @@ func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe) []float64 {
 	return e.rowScratch[:int(rows)*c.NumParams()]
 }
 
-// received is what a client that trained from version sn received: the
-// version's global, or under a transport the downlink its recording jobs
-// kept.
-func (sn *globalSnap) received() []float64 {
-	if sn.recv != nil {
-		return sn.recv
+// received is what c received at rec's version: its global, or under a
+// transport that global through the codec's downlink for (client,
+// round), uncounted, written into e's downlink buffer.
+func (st *rowStore) received(c *Client, e *engine, rec *rowRecipe) []float64 {
+	if st.coder == nil {
+		return rec.img.vec
 	}
-	return sn.vec
-}
-
-// keepDownlink offers down, what a job recording a first participation
-// at version sn received under a transport, as the version's downlink:
-// the first is kept, and a later one must equal it bit for bit. false
-// (the transport sent this client something else) leaves the job's rows
-// dense. Jobs call it from the shards, concurrently; recv, once set, is
-// only read until the version is freed.
-func (sn *globalSnap) keepDownlink(down []float64) bool {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.recv == nil {
-		sn.recv = paramsPool.getCopy(down)
-		return true
-	}
-	for i, x := range down {
-		if math.Float64bits(x) != math.Float64bits(sn.recv[i]) {
-			return false
-		}
-	}
-	return true
+	recv := e.downlinkBuf(len(rec.img.vec))
+	st.coder.DownCode(recv, c.ID, c.LastRound, rec.img.vec)
+	return recv
 }
 
 // settle is the event loop's half of a joined job's rows: a replayed

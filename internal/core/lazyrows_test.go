@@ -82,16 +82,40 @@ func TestLazyRowsUnderFaults(t *testing.T) {
 // A transport may send the clients of one model version different
 // vectors. Whatever the lazy regime holds for a first participation
 // that received its own vector, the run is still the dense run, row for
-// row.
+// row. A replay derives each client's downlink afresh, so the odd
+// clients, whose downlink is nudged, hold recipes as the even ones do.
 func TestLazyRowsUnderPerClientDownlinks(t *testing.T) {
 	train, test, parts := lazyRowData(t)
 	for _, f := range []lazyFleet{lazyFleets[0], lazyFleets[3]} {
 		t.Run(f.name, func(t *testing.T) {
-			lazyMatchesDense(t, func() core.RunSpec {
+			build := func() core.RunSpec {
 				sp := lazyRowSpec(t, f, "fedtrip:0.4", train, test, parts)
 				sp.Transport = perClientDown{}
 				return sp
-			})
+			}
+			lazyMatchesDense(t, build)
+			rs, err := core.NewRunState(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			for i := 0; i < 4; i++ {
+				if _, err := rs.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rs.Quiesce()
+			var odd, even int
+			for _, c := range rs.Server().Clients() {
+				if c.Lazy() && c.ID%2 == 1 {
+					odd++
+				} else if c.Lazy() {
+					even++
+				}
+			}
+			if odd == 0 || even == 0 {
+				t.Fatalf("%d odd and %d even clients hold a recipe after 4 rounds", odd, even)
+			}
 		})
 	}
 }

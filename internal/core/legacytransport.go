@@ -12,12 +12,12 @@ import (
 // otherwise a transfer is priced at the analytic dense float32 size. It
 // is built in one place (wireTransport) and deleted, with Transport,
 // SizedTransport and MeteredTransport, by ROADMAP item 1's deletion,
-// after its benchmark re-baseline. coder is the unmetered codec of the
+// after its benchmark re-baseline. coder is the uncounted codec of the
 // transport its name spells (legacyCoders), nil for any other.
 type legacyTransport struct {
 	t     Transport
 	sized SizedTransport
-	coder UpCoder
+	coder Coder
 }
 
 // wireTransport resolves Config.Transport to the interface the runtime
@@ -38,27 +38,27 @@ func wireTransport(t Transport) WireTransport {
 	return l
 }
 
-// upCoder is w's unmetered codec (UpCoder), nil when it has none; a
-// legacy transport's is the one its name spells.
-func upCoder(w WireTransport) UpCoder {
+// coderOf is w's uncounted codec (Coder), nil when it has none; a legacy
+// transport's is the one its name spells.
+func coderOf(w WireTransport) Coder {
 	if l, ok := w.(*legacyTransport); ok {
 		return l.coder
 	}
-	c, _ := w.(UpCoder)
+	c, _ := w.(Coder)
 	return c
 }
 
 // legacyCoders is what RegisterLegacyCoders installed.
-var legacyCoders func(name string) UpCoder
+var legacyCoders func(name string) Coder
 
 // RegisterLegacyCoders installs how a legacy transport finds its
-// unmetered codec: by the transport spec its String() prints, the name
+// uncounted codec: by the transport spec its String() prints, the name
 // a run's fingerprint already holds it to. The comm package registers
 // its parser, so a wrapper that offers only the legacy methods of one of
-// its transports — the benchmark's tracer — rebuilds a recipe's
-// error-feedback row as the in-place transport does, and the two routes
-// hold the same rows. It goes with the adapter.
-func RegisterLegacyCoders(coders func(name string) UpCoder) { legacyCoders = coders }
+// its transports — the benchmark's tracer — replays a recipe as the
+// in-place transport does, and the two routes hold the same rows. It
+// goes with the adapter.
+func RegisterLegacyCoders(coders func(name string) Coder) { legacyCoders = coders }
 
 func (l *legacyTransport) DownInto(dst []float64, clientID, round int, global []float64) int64 {
 	if l.sized != nil {

@@ -76,8 +76,8 @@ func newRunState(spec RunSpec) (*RunState, error) {
 		s.churn = newChurn(len(s.clients), spec.Churn, spec.Seed)
 	}
 	r := newBufferedRunner(s)
-	s.rows.on, s.rows.run = lazyRows(&s.spec), r
-	s.rows.coder = upCoder(s.wire)
+	s.rows.run, s.rows.coder = r, coderOf(s.wire)
+	s.rows.on = lazyRows(&s.spec) && (s.wire == nil || s.rows.coder != nil)
 	return &RunState{s: s, run: r}, nil
 }
 

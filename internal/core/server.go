@@ -304,8 +304,7 @@ func (s *Server) selectClients() []*Client {
 //
 // A client whose first-participation rows are a recipe has them rebuilt
 // first, and a first participation that will become one writes its rows
-// into engine scratch (lazyrows.go), once its version has kept what it
-// received.
+// into engine scratch (lazyrows.go).
 func (s *Server) trainClient(j *trainJob) {
 	c := j.c
 	if j.replay.img != nil {
@@ -317,9 +316,6 @@ func (s *Server) trainClient(j *trainJob) {
 		received := c.eng.downlinkBuf(len(global))
 		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
-		if j.record && !j.gsnap.keepDownlink(received) {
-			j.record = false
-		}
 	}
 	if j.record {
 		j.recRng = c.RNG().State()

@@ -66,16 +66,17 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 12 is the layout the walks below spell out, under a
+	// snapVersion 13 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
 	// First-participation rows travel as recipes: a round-image section
-	// before the client walk, and per client a recipe or the method's
-	// rows; a recipe that rebuilds its error-feedback row too leaves the
-	// client's residual empty. The recorder section holds no word the run
-	// derives. A snapshot does not survive a format bump: Resume refuses
-	// any other version, naming both.
-	snapVersion = 12
+	// of one global per pinned version before the client walk, and per
+	// client a recipe or the method's rows; a recipe that rebuilds its
+	// error-feedback row too leaves the client's residual empty. The
+	// recorder section holds no word the run derives. A snapshot does not
+	// survive a format bump: Resume refuses any other version, naming
+	// both.
+	snapVersion = 13
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -275,7 +276,12 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		// error-feedback residual, empty until the client's first accepted
 		// upload under error feedback, and empty while a recipe rebuilds it.
 		lazy := cl.recipe != 0
-		if c.Bool(&lazy); lazy {
+		if c.Bool(&lazy); lazy && c.Reading() && !s.rows.on {
+			// A replay needs what the client received, which only a run
+			// that records first participations can derive again.
+			c.Fail("client %d holds a recipe, and this run records no first participation", cl.ID)
+		}
+		if lazy {
 			s.rows.snapRecipe(c, cl)
 		} else {
 			c.Rows("client state", &cl.state, np)
@@ -407,10 +413,10 @@ func snapList[T any](c *tensor.Codec, what string, list *[]T, elem func(*T)) {
 }
 
 // snapImages is the round-image section: each model version a recipe
-// pins, once however many pin it — its global and, under a transport,
-// the downlink its recorders kept. A recipe names its image by its place
-// here (ord). A decoder appends each image to the runner's table, which
-// a fresh run holds empty, in vectors from the pool, and the client
+// pins, once however many pin it — its global, from which a replay
+// derives what the client received. A recipe names its image by its
+// place here (ord). A decoder appends each image to the runner's table,
+// which a fresh run holds empty, in vectors from the pool, and the client
 // walk's recipes pin them.
 func (st *rowStore) snapImages(c *tensor.Codec) {
 	r := st.run
@@ -445,12 +451,6 @@ func (st *rowStore) snapImages(c *tensor.Codec) {
 			k++
 		}
 		c.FloatsExact("round image", sn.vec)
-		if c.Present("round image downlink", r.s.wire != nil) {
-			if c.Reading() {
-				sn.recv = paramsPool.get(np)
-			}
-			c.FloatsExact("round image downlink", sn.recv)
-		}
 	}
 }
 

@@ -117,24 +117,24 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 
 // parentStreamSHA256 pins the FTRS byte layout from outside the code that
 // writes it, for the snapshot stream each resume pin builds. The lengths
-// and hashes were re-taken at the FTRS 12 bump, which writes a client's
-// error-feedback residual empty while its recipe rebuilds it. None of
-// these runs holds such a client, so each stream differs from its FTRS 11
-// one in the version byte alone: rewriting each FTRS 11 stream into the
-// new layout reproduced its FTRS 12 stream byte for byte.
+// and hashes were re-taken at the FTRS 13 bump, which drops each round
+// image's downlink. None of these runs holds a recipe, so each stream
+// differs from its FTRS 12 one in the version byte alone: rewriting each
+// FTRS 12 stream into the new layout reproduced its FTRS 13 stream byte
+// for byte.
 // A stream is trained float64s end to end, so the hashes hold on amd64
 // only (other targets fuse multiply-adds); the lengths hold everywhere.
 var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"74df027aa7d1210ad081d8c8d002d3272ca0ca3082095878cee5ff905c5c90c9", 4453641},
-	"TestResumeEquivalenceAsyncFedBuff":         {"4179d3ae1ed694bf57c3b71d1f36ba7c8ff734d1fad0f3f5c27eb52c672d8530", 6362308},
-	"TestResumeEquivalenceAsyncChurn":           {"1cef40d2b29d9295bb147aa1e7a9719767202b14acd5ce881f37002017fdda50", 6362514},
-	"TestResumeEquivalenceAsyncDevices":         {"38fdf7c36541d9a23dd84e821d9c664761b3473e71da9f70654e58491e5c0f6d", 6362277},
-	"TestResumeEquivalenceNoiseFault":           {"021abfe7794dddf312cb3eb43f1bc48ede23790074ef46a8a01842d0bd922cec", 6362315},
-	"TestResumeEquivalenceAsyncPricedTransport": {"8ea7218dae38afbb21a34107996b417e0ad1ad36e023c16e632ce764e3839c42", 5090178},
-	"TestResumeEquivalenceMOON":                 {"e5bf39efe09e880b43d58885b5d71f267dc143f677816735170c8caa44950d8f", 6362305},
+	"TestResumeEquivalenceSync":                 {"b0e167e83cee24d0d050d0ae2f2d7a2f667cfc3861539f9c11b177dd552adf87", 4453641},
+	"TestResumeEquivalenceAsyncFedBuff":         {"07198e0ce1ad699bf33072aeaa7cc6f3f0347098e673ec653133918156927531", 6362308},
+	"TestResumeEquivalenceAsyncChurn":           {"1b024b2f3b94a6bd4d245543757192203b6b599146a949e6e6b35d40cdb98f4d", 6362514},
+	"TestResumeEquivalenceAsyncDevices":         {"eba3bf699501fb17cecd9ab970a2f60d7226de96fbead6ec60759eb5572f9bcb", 6362277},
+	"TestResumeEquivalenceNoiseFault":           {"e62be88c693ba8e9b975982f0e43abdca1de32eaab67ec88534db4f3f47439b9", 6362315},
+	"TestResumeEquivalenceAsyncPricedTransport": {"537a32f9c2b8ebfff457fcffb66a797d334fa522ed008b451be2879854980995", 5090178},
+	"TestResumeEquivalenceMOON":                 {"fb72dbd2fbeb25e9fd83d6ffbfd0916f19a234b11132ac444c9a54e416ad5f1d", 6362305},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -146,7 +146,7 @@ func requireParentStream(t *testing.T, stream []byte) {
 		return
 	}
 	if len(stream) != want.length {
-		t.Errorf("snapshot stream is %d bytes, FTRS 12 is %d: the byte layout moved", len(stream), want.length)
+		t.Errorf("snapshot stream is %d bytes, FTRS 13 is %d: the byte layout moved", len(stream), want.length)
 	}
 	if runtime.GOARCH != "amd64" {
 		return
@@ -400,7 +400,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 11), good[5:]...), spec, "run snapshot version 11, this build reads version 12"},
+		{"previous version", append(append([]byte(snapMagic), 12), good[5:]...), spec, "run snapshot version 12, this build reads version 13"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

@@ -40,11 +40,11 @@ func TestUploadStreamsPinned(t *testing.T) {
 		length                                                     int
 	}{
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered",
-			"7c0da0bdd287eec2", "1c5dba9ec361d329aea4973d21da259a070c448b23690063a572cf71d4a026f1", 1593246},
+			"7c0da0bdd287eec2", "917b68a6424b0b84322d077cbb7bb8bfc94e1b599827f7ee3cc7601e36eb005e", 1115979},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "",
-			"74db091ccf8b2e61", "203c7174b644ac431209a22472e9ecaf2ef9e10cbb7abe50b9341c40bbd876bc", 1115168},
+			"74db091ccf8b2e61", "a3b6a958f898ca176af48b020581e1bb33455b7586af663798c7fab936e9b687", 1115168},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "",
-			"cf6a3a5490d91f14", "1f35c0321ffbbd99eee1eabb8a45a126071c4c67deb19723d440be319ce6b9c0", 1593153},
+			"cf6a3a5490d91f14", "edfa1df144a87500b0a6441df9407877b4dd594bb06c9057efb452f422050d4b", 1115886},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

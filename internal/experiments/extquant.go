@@ -70,7 +70,7 @@ func runExtQuant(p Profile, logf Logf) ([]*Table, error) {
 			return nil, err
 		}
 		logf.printf("ext-quant: %s-bit done", q[1:])
-		addRow(q[1:]+"-bit delta", res, float64(spec.Transport.(*comm.CompressedTransport).Stats().UpBytes())/1e6)
+		addRow(q[1:]+"-bit delta", res, float64(spec.Transport.(*comm.Transport).Stats().UpBytes())/1e6)
 	}
 	t.Notes = append(t.Notes,
 		"uplink deltas are quantized against the received model (error feedback-free delta encoding)",

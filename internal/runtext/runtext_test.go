@@ -95,16 +95,26 @@ func TestParseSurfacesEveryField(t *testing.T) {
 			t.Errorf("Selection.%s = warp:1: err %v, want an unknown-name error", typ.Field(i).Name, err)
 		}
 	}
-	if _, err := (runtext.Selection{}).Parse(core.Config{Transport: comm.NewF32Transport()}); err == nil {
+	if _, err := (runtext.Selection{}).Parse(core.Config{Transport: mustTransport(t, "f32")}); err == nil {
 		t.Error("a Config carrying a transport was accepted")
 	}
 	rs, err := runtext.Selection{Policy: "median", ServerLR: "const:0.5", Transport: "q4"}.Parse(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Policy.String() != "median+lr:const:0.5" || rs.Transport.(*comm.CompressedTransport).String() != "q4" {
+	if rs.Policy.String() != "median+lr:const:0.5" || rs.Transport.(*comm.Transport).String() != "q4" {
 		t.Fatalf("assembled policy %v transport %v", rs.Policy, rs.Transport)
 	}
+}
+
+// mustTransport is the transport a spec names.
+func mustTransport(t *testing.T, text string) core.Transport {
+	t.Helper()
+	tr, err := comm.ParseTransport(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // FromLine is the one way a fedtrip command line becomes a run: the text
@@ -117,7 +127,7 @@ func TestFromLine(t *testing.T) {
 	}
 	if rs.Runtime != core.RuntimeAsync || fmt.Sprint(rs.Algo) != "fedprox:0.3" || len(rs.Parts) != 6 || rs.ClientsPerRound != 3 ||
 		rs.Seed != 9 || rs.ClipNorm != 5 || rs.BufferSize != 2 || rs.Concurrency != 3 || fmt.Sprint(rs.Policy) != "fedbuff:1" ||
-		rs.Transport.(*comm.F32Transport) == nil || fmt.Sprint(rs.Latency) != "zero" {
+		fmt.Sprint(rs.Transport) != "f32" || fmt.Sprint(rs.Latency) != "zero" {
 		t.Fatalf("assembled run %+v", rs)
 	}
 	for _, tc := range []struct{ line, want string }{
