@@ -105,3 +105,7 @@ func (c *Client) HoldsResid() bool { return c.resid != nil }
 func (rs *RunState) Noisy(c *Client) bool {
 	return rs.s.faults != nil && rs.s.faults[c.ID] == faultNoise
 }
+
+// StateDigest fingerprints the run stream resumes to under spec
+// (stateDigest).
+func StateDigest(stream []byte, spec RunSpec) (string, error) { return stateDigest(stream, spec) }

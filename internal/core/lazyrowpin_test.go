@@ -89,6 +89,28 @@ func lazyRowData(t *testing.T) (train, test *data.Dataset, parts [][]int) {
 	return train, test, parts
 }
 
+// lazyStateDigests pins the run state each of TestLazyRowStreamsPinned's
+// mid-run streams resumes to (core.StateDigest: the global, every
+// client's rows and error-feedback row as the run rebuilds them, its
+// stream, LastRound and FLOPs, the pending jobs, the recorder and the
+// clock). Unlike the stream hashes they do not depend on how the stream
+// lays a client's rows out, so a snapshot format change that moves no
+// state leaves them as they are. Trained float64s: amd64 only.
+var lazyStateDigests = map[string]string{
+	"fedtrip:0.4/sync":                       "8f8094b215dda742",
+	"fedtrip:0.4/sync f32":                   "f65126769df2794a",
+	"fedtrip:0.4/sync topk-ef":               "04816625fdffc302",
+	"fedtrip:0.4/async churn":                "8b108fa6942c0240",
+	"fedtrip:0.4/async churn f32 devices":    "d4d04af2afb799b1",
+	"fedtrip:0.4/async churn topk-ef priced": "a458632beca76cc1",
+	"moon/sync":                              "867db3fe3f1bc065",
+	"moon/sync f32":                          "975ca1e0a89f3e84",
+	"moon/sync topk-ef":                      "f186b74ffef967dc",
+	"moon/async churn":                       "e3cc81a1c0080b81",
+	"moon/async churn f32 devices":           "18bd7ae3485c42e1",
+	"moon/async churn topk-ef priced":        "65a23cf94052ab87",
+}
+
 // TestLazyRowStreamsPinned pins, for FedTrip and MOON on each fleet, the
 // uninterrupted digest, the length and SHA-256 of a snapshot taken after
 // round 4 — when most clients holding a row have participated once — and
@@ -159,6 +181,13 @@ func TestLazyRowStreamsPinned(t *testing.T) {
 				}
 				if runtime.GOARCH == "amd64" && sum != pin.sha256 {
 					t.Errorf("stream sha256 %s, pinned %s", sum, pin.sha256)
+				}
+				state, err := core.StateDigest(buf.Bytes(), build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := lazyStateDigests[name]; runtime.GOARCH == "amd64" && state != want {
+					t.Errorf("the stream resumes to state %s, pinned %s", state, want)
 				}
 			})
 		}
