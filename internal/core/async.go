@@ -198,7 +198,7 @@ func (s *Server) getJob() *trainJob {
 // recycleJob returns a drained job (update extracted or voided, done
 // token consumed) to the free list, which keeps its patch storage.
 func (s *Server) recycleJob(j *trainJob) {
-	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, patch: j.patch}
+	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, patch: j.patch, chain: j.chain[:0]}
 	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs the loop holds at once
 }
 
@@ -510,8 +510,8 @@ func (r *bufferedRunner) dispatch() {
 // ungated, its global from the version's shared snapshot, so steady-state
 // dispatch allocates nothing; a gated job reads s.global itself, which
 // nothing writes before the whole round has joined, unless it records a
-// first participation, whose recipe will pin the round's snapshot. A
-// client with a recipe hands it to the job, which rebuilds its rows. A
+// participation, whose recipe will pin the round's snapshot. A client
+// whose rows are a chain hands it to the job, which replays it. A
 // join-at-dispatch job joins the burst in joinScratch; any other is
 // submitted and queued at once.
 //
@@ -522,10 +522,9 @@ func (r *bufferedRunner) send(c *Client) {
 	j.c, j.round, j.seq = c, s.rec.res.Rounds+1, r.seq
 	r.seq++
 	s.armJob(j, c.ID)
-	if c.recipe != 0 {
-		j.replay = s.rows.take(c)
+	if j.record = c.recipe != 0 || s.rows.on && c.LastRound == 0 && c.state == nil; j.record {
+		j.head, j.chain = s.rows.take(c, j.chain)
 	}
-	j.record = s.rows.on && c.LastRound == 0 && c.state == nil
 	if r.gated && !j.record {
 		j.global = s.global
 	} else {

@@ -65,16 +65,19 @@ type engine struct {
 	// without a transport.
 	downlink []float64
 	// recording sends the attached client's State rows to rowScratch
-	// instead of the client, zeroed at the method's first ask (rowsAsked
-	// rows; 0 until it asks): a first participation's rows, which a
-	// recipe will stand for, or a recipe's rows being rebuilt
-	// (lazyrows.go).
+	// instead of the client: a participation's rows, which a recipe will
+	// stand for, or a chain's rows being rebuilt (lazyrows.go). rowsAsked
+	// counts the rows there: as many as the previous link of the chain
+	// being replayed wrote, or 0 until the method first asks, which
+	// zeroes them.
 	recording  bool
 	rowsAsked  int32
 	rowScratch []float64
-	// residRow is where a recorded first participation's upload stores
-	// its error-feedback row when the recipe rebuilds that row too
-	// (trainClient): the transport's first such row, reused as scratch.
+	// residRow is the error-feedback row of the client whose chain is
+	// being replayed, when the chain rebuilds that row too: the replay
+	// codes each link's upload again into it, and a recorded upload
+	// updates it in place (trainClient). The transport's first such row,
+	// reused as scratch.
 	residRow []float64
 }
 
@@ -149,7 +152,8 @@ func (e *engine) downlinkBuf(n int) []float64 {
 }
 
 // rows is Client.State while the engine is recording: rows rows of
-// |w| = n/rows floats in rowScratch, zeroed at the first ask.
+// |w| = n/rows floats in rowScratch, zeroed at the first ask unless a
+// replay left its rows there.
 func (e *engine) rows(rows, n int) []float64 {
 	if e.rowsAsked == 0 {
 		e.rowsAsked = int32(rows)
@@ -161,8 +165,9 @@ func (e *engine) rows(rows, n int) []float64 {
 	return e.rowScratch[:n]
 }
 
-// record starts routing the attached client's rows to engine scratch.
-func (e *engine) record() { e.recording, e.rowsAsked = true, 0 }
+// record starts routing the attached client's rows to engine scratch,
+// where they stay as the last replay (rowStore.replay) left them.
+func (e *engine) record() { e.recording = true }
 
 // recorded stops recording and returns how many rows the method wrote
 // (0 if it kept none); they stay in rowScratch until the next record.
@@ -212,7 +217,7 @@ type engineLoaner struct {
 	numParams int
 	eng       *engine
 	cur       *Client // most recent borrower
-	// rows is the fleet's store of recipes for first-participation rows.
+	// rows is the fleet's store of the recipes that stand for rows.
 	rows *rowStore
 }
 

@@ -57,41 +57,124 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 func (c *Client) Lazy() bool { return c.recipe != 0 }
 
 // PeekState returns c's rows without changing how the run holds them: a
-// recipe's replayed on the loaner engine, or the stored rows, copied.
+// chain's replayed on the loaner engine (peekChain), or the stored rows,
+// copied.
 func (c *Client) PeekState() []float64 {
 	if c.recipe == 0 {
 		return append([]float64(nil), c.state...)
 	}
-	st := c.loan.rows
-	return append([]float64(nil), st.replay(c, c.engine(), &st.recipes[c.recipe-1])...)
+	rows, _ := c.peekChain()
+	return rows
 }
 
 // PeekResid returns c's error-feedback row without changing how the run
 // holds it: the row c holds, copied, or, when c holds none, its rows are
-// a recipe and the transport has an uncounted codec, the row its one
-// participation stored, rebuilt: the round replayed on the loaner
-// engine, the client's fault applied to the trained parameters, and the
-// upload coded again against what the replay received. A noise client's
-// fault drew from a stream that has moved on since, so its row is always
-// the one it holds.
+// a chain and the transport has an uncounted codec, the row its
+// participations left, rebuilt (peekChain). A noise client's fault drew
+// from a stream that has moved on since, so its row is always the one it
+// holds.
 func (rs *RunState) PeekResid(c *Client) []float64 {
 	s := rs.s
-	coder, ok := s.wire.(interface {
-		UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64
-	})
-	noise := s.faults != nil && s.faults[c.ID] == faultNoise
-	if c.resid != nil || c.recipe == 0 || !ok || noise {
+	if c.resid != nil || c.recipe == 0 || s.rows.coder == nil || rs.Noisy(c) {
 		return append([]float64(nil), c.resid...)
 	}
+	_, resid := c.peekChain()
+	return resid
+}
+
+// peekChain rebuilds c's rows and error-feedback row from its chain on
+// the loaner engine, link by link, apart from rowStore.replay: each link
+// trains from what the client received, derived here again through the
+// codec's downlink, from its stream position, under its step budget,
+// with the previous link's round as LastRound and its rows left in
+// engine scratch; then its trained parameters, with the client's fault
+// applied, are coded again against what it received into a row of the
+// peek's own — unless the fault draws noise, whose stream a peek must
+// not move. It returns copies of the newest link's rows and that row,
+// and leaves c's stream, FLOP counter and LastRound as they were.
+func (c *Client) peekChain() (rows, resid []float64) {
 	st := c.loan.rows
-	rec := &st.recipes[c.recipe-1]
+	s := st.run.s
 	e := c.engine()
-	st.replay(c, e, rec)
-	u := Update{Params: append([]float64(nil), e.model.Params()...)}
-	s.applyFault(c, &u)
-	var row []float64
-	coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, e.downlinkBuf(len(u.Params)), &row)
-	return row
+	last, counter, rng := c.LastRound, c.Counter, c.RNG()
+	live := rng.State()
+	noise := s.faults != nil && s.faults[c.ID] == faultNoise
+	c.Counter = nil
+	e.meter(nil)
+	c.LastRound, e.rowsAsked = 0, 0
+	for _, link := range st.links(c.recipe, nil) {
+		global := link.img.vec
+		if st.coder != nil {
+			global = make([]float64, len(link.img.vec))
+			st.coder.DownCode(global, c.ID, int(link.round), link.img.vec)
+		}
+		rng.SetState(link.rng)
+		e.recording = true
+		c.train(int(link.round), global, int(link.steps))
+		e.recording = false
+		if st.coder != nil && !noise {
+			u := Update{Params: append([]float64(nil), e.model.Params()...)}
+			s.applyFault(c, &u)
+			st.coder.UpCode(u.Params, c.ID, int(link.round), u.Params, global, &resid)
+		}
+		c.LastRound = int(link.round)
+	}
+	rng.SetState(live)
+	c.LastRound, c.Counter = last, counter
+	e.meter(counter)
+	return append([]float64(nil), e.rowScratch[:int(e.rowsAsked)*c.NumParams()]...), resid
+}
+
+// ChainDepth is how many links c's chain holds (0: its rows, if any, are
+// stored).
+func (c *Client) ChainDepth() int {
+	return len(c.loan.rows.links(c.recipe, nil))
+}
+
+// CheckPins holds the run's model versions to what pins them: every
+// version with a vector has as many references as recipe links that
+// name it plus queued jobs that hold it, no link names a version without
+// one, and the store's occupied slots are exactly the links the clients'
+// chains reach, each once. Call it with the jobs joined.
+func (rs *RunState) CheckPins() error {
+	st, r := rs.s.rows, rs.run
+	holds := map[*globalSnap]int{}
+	occupied := 0
+	for i, rec := range st.recipes {
+		if rec.img == nil {
+			continue
+		}
+		if rec.img.vec == nil {
+			return fmt.Errorf("recipe slot %d (round %d) pins a freed version", i, rec.round)
+		}
+		holds[rec.img]++
+		occupied++
+	}
+	reached := map[int32]bool{}
+	for _, c := range rs.s.clients {
+		for at := c.recipe; at != 0; at = st.recipes[at-1].prev {
+			if reached[at] || st.recipes[at-1].img == nil {
+				return fmt.Errorf("client %d's chain reaches slot %d, free or reached before", c.ID, at-1)
+			}
+			reached[at] = true
+		}
+	}
+	if len(reached) != occupied {
+		return fmt.Errorf("%d recipe slots occupied, the chains reach %d", occupied, len(reached))
+	}
+	for _, js := range [][]*trainJob{r.inflight.js, r.buffer} {
+		for _, j := range js {
+			if j.gsnap != nil {
+				holds[j.gsnap]++
+			}
+		}
+	}
+	for i, sn := range r.snaps {
+		if sn.vec != nil && sn.refs != holds[sn] {
+			return fmt.Errorf("version %d has %d references, %d links and jobs hold it", i, sn.refs, holds[sn])
+		}
+	}
+	return nil
 }
 
 // Quiesce joins every job still training, as Snapshot does first, so the
@@ -109,3 +192,6 @@ func (rs *RunState) Noisy(c *Client) bool {
 // StateDigest fingerprints the run stream resumes to under spec
 // (stateDigest).
 func StateDigest(stream []byte, spec RunSpec) (string, error) { return stateDigest(stream, spec) }
+
+// Dispatches is how many times each client has been sent out.
+func (rs *RunState) Dispatches() []int32 { return rs.s.pop.dispatches }

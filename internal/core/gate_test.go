@@ -129,9 +129,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		digest, sha256         string
 		length                 int
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "09fe552292d65f89ee68b0ed480ba97fba628220942378112c8a61d11b206a60", 1114705},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "5a7de7060d4f1c93c625815b1265482a2dc2ff4ef42c524eff0a330e1829c811", 1432888},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "8d04d17b49a1fbbb59580aa5e0e37694e34df7bfdcd2411b21b0c76319b23655", 1114719},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "d5e6f8d1a5d2a0892358cbe57981d43e2b70359c66d6ede50fd7199eaf171467", 1114705},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "665354616cfd1e727718ec6a597e1e01e44bce1dc228238ed2d4215096b8c16d", 1432888},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "48768eee589a89ba85af6e627ee650c9b4577d4388d2ca9fdde9f236b81ca811", 1114719},
 	}
 	for _, tc := range cases {
 		build := func() core.RunSpec {

@@ -149,6 +149,18 @@ func hostileScenarios(t testing.TB) []hostileScenario {
 			cfg.ClientsPerRound, cfg.Transport, cfg.Seed = 1, efTransport{}, 5
 			return RunSpec{Config: cfg}
 		}, 2},
+		// Seven rounds of one on eight clients of three samples: by the
+		// snapshot, after six, seed 10 has sent one client out three
+		// times, whose rows are a chain of three recipes.
+		{"lazy chains", func() RunSpec {
+			cfg := tinyConfig(7)
+			cfg.Parts = make([][]int, 8)
+			for c := range cfg.Parts {
+				cfg.Parts[c] = []int{3 * c, 3*c + 1, 3*c + 2}
+			}
+			cfg.ClientsPerRound, cfg.Transport, cfg.Seed = 1, efTransport{}, 10
+			return RunSpec{Config: cfg}
+		}, 6},
 	}
 }
 
@@ -276,7 +288,7 @@ func TestResumeRefusesLyingHeaderCheaply(t *testing.T) {
 	// A stream cut after a round-image count of 2^30 costs one image.
 	sc = lazyRowsScenario(t)
 	good := sc.stream(t)
-	images, _, _ := lazyStreamLayout(t, good, sc.spec())
+	images, _, _, _ := lazyStreamLayout(t, good, sc.spec())
 	cut := binary.LittleEndian.AppendUint64(append([]byte(nil), good[:images]...), 1<<30)
 	spec = sc.spec()
 	grew = allocated(func() { _, err = Resume(bytes.NewReader(cut), ResumeSpec{Spec: spec}) })
@@ -288,33 +300,47 @@ func TestResumeRefusesLyingHeaderCheaply(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesBadRecipes doctors the recipe and the round-image
-// section of the lazy scenario's stream, one defect at a time.
+// TestResumeRefusesBadRecipes doctors the deepest recipe chain and the
+// round-image section of the lazy chains scenario's stream, one defect at
+// a time.
 func TestResumeRefusesBadRecipes(t *testing.T) {
-	sc := lazyRowsScenario(t)
+	sc := lazyChainsScenario(t)
 	good := sc.stream(t)
-	images, imagesEnd, recipe := lazyStreamLayout(t, good, sc.spec())
+	images, imagesEnd, chain, links := lazyStreamLayout(t, good, sc.spec())
+	if links < 3 {
+		t.Fatalf("the deepest chain holds %d links, want 3", links)
+	}
 	word := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
 	patch := func(off int, v int64) []byte {
 		bad := append([]byte(nil), good...)
 		copy(bad[off:], word(v))
 		return bad
 	}
-	n := int64(binary.LittleEndian.Uint64(good[images:]))
+	at := func(off int) int64 { return int64(binary.LittleEndian.Uint64(good[off:])) }
+	n := at(images)
 	// An extra copy of the last image, which no recipe names.
 	last := imagesEnd - (imagesEnd-images-8)/int(n)
 	unpinned := bytes.Join([][]byte{good[:images], word(n + 1), good[images+8 : imagesEnd], good[last:imagesEnd], good[imagesEnd:]}, nil)
-	const steps, rows = 8 + 17, 8 + 17 + 8
+	// Each link's fields, from the start of the chain's first link.
+	const steps, rows, round = 8 + 17, 8 + 17 + 8, 8 + 17 + 8 + 8
+	first, second, newest := chain+8, chain+8+recipeLink, chain+8+(links-1)*recipeLink
 	cases := []struct {
 		name, want string
 		data       []byte
 	}{
-		{"image index past the section", fmt.Sprintf("round image %d of %d", n, n), patch(recipe, n)},
-		{"negative image index", fmt.Sprintf("round image -1 of %d", n), patch(recipe, -1)},
+		{"no links", "holds a chain of 0 recipes", patch(chain, 0)},
+		{"negative link count", "holds a chain of -1 recipes", patch(chain, -1)},
+		{"image index past the section", fmt.Sprintf("round image %d of %d", n, n), patch(second, n)},
+		{"negative image index", fmt.Sprintf("round image -1 of %d", n), patch(first, -1)},
 		{"image no recipe pins", fmt.Sprintf("round image %d is pinned by no recipe", n), unpinned},
-		{"negative step budget", "step budget -1", patch(recipe+steps, -1)},
-		{"no rows", "recipe of 0 rows", patch(recipe+rows, 0)},
-		{"more rows than a Num counts in floats", "recipe of 2147483647 rows", patch(recipe+rows, math.MaxInt32)},
+		{"negative step budget", "step budget -1", patch(second+steps, -1)},
+		{"no rows", "recipe of 0 rows", patch(newest+rows, 0)},
+		{"more rows than a Num counts in floats", "recipe of 2147483647 rows", patch(first+rows, math.MaxInt32)},
+		{"round 0", "recipe of round 0", patch(first+round, 0)},
+		{"a round before its predecessor's", fmt.Sprintf("recipe of round %d after one of round %d", at(newest-recipeLink+round)-1, at(newest-recipeLink+round)),
+			patch(newest+round, at(newest-recipeLink+round)-1)},
+		{"a chain that ends before the last round", fmt.Sprintf("recipe chain ends at round %d, its last round is %d", at(newest+round)+1, at(newest+round)),
+			patch(newest+round, at(newest+round)+1)},
 	}
 	cost := sc.buildCost(t)
 	for _, tc := range cases {
@@ -372,28 +398,36 @@ func (uncodedTransport) UpInto(dst []float64, clientID, round int, params, ref [
 }
 
 // lazyRowsScenario is the hostile scenario whose stream holds recipes.
-func lazyRowsScenario(t *testing.T) hostileScenario {
+func lazyRowsScenario(t *testing.T) hostileScenario { return namedScenario(t, "lazy rows") }
+
+// lazyChainsScenario is the one whose stream holds a chain of three.
+func lazyChainsScenario(t *testing.T) hostileScenario { return namedScenario(t, "lazy chains") }
+
+func namedScenario(t *testing.T, name string) hostileScenario {
 	for _, sc := range hostileScenarios(t) {
-		if sc.name == "lazy rows" {
+		if sc.name == name {
 			return sc
 		}
 	}
-	t.Fatal("no lazy rows scenario")
+	t.Fatalf("no %s scenario", name)
 	return hostileScenario{}
 }
 
 // lazyStreamLayout walks an FTRS stream to its round-image section and
-// returns where the section starts and ends and where the first recipe
-// in the client walk starts.
-func lazyStreamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, recipe int) {
+// returns where the section starts and ends, and where the deepest
+// recipe chain in the client walk starts (its link count) and how many
+// links it holds.
+func lazyStreamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, chain, links int) {
 	t.Helper()
 	images, imagesEnd, _ = streamLayout(t, b, spec)
 	for _, cl := range walkClients(b, spec, imagesEnd) {
-		if cl.recipe {
-			return images, imagesEnd, cl.at + 1
+		if n := int(binary.LittleEndian.Uint64(b[cl.at+1:])); cl.recipe && n > links {
+			chain, links = cl.at+1, n
 		}
 	}
-	t.Fatal("the stream holds no recipe")
+	if links == 0 {
+		t.Fatal("the stream holds no recipe")
+	}
 	return
 }
 
@@ -416,6 +450,10 @@ func streamLayout(t *testing.T, b []byte, spec RunSpec) (images, imagesEnd, np i
 	return images, off, np
 }
 
+// recipeLink is one link of a recipe chain in the stream: image, stream
+// position, step budget, rows and round.
+const recipeLink = 8 + 17 + 8 + 8 + 8
+
 // walkedClient is where one client's entry in a stream's client walk
 // starts (its recipe byte), where its residual and last round are, and
 // whether it holds a recipe.
@@ -435,7 +473,7 @@ func walkClients(b []byte, spec RunSpec, imagesEnd int) []walkedClient {
 		cl.at, cl.recipe = off, b[off] == 1
 		off++
 		if cl.recipe {
-			off += 8 + 17 + 8 + 8 // image, stream, steps, rows
+			off += 8 + word(off)*recipeLink // the link count, then each link
 		} else {
 			off += 8 + 8*word(off) // state
 		}
@@ -492,7 +530,7 @@ func TestResumeRefusesStrayResiduals(t *testing.T) {
 	}
 }
 
-// FuzzResume mutates the eight scenarios' streams (and the first of them
+// FuzzResume mutates the nine scenarios' streams (and the first of them
 // cut and lied to) under the same three promises. The first input byte
 // picks the scenario the rest is resumed as.
 func FuzzResume(f *testing.F) {

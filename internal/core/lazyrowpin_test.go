@@ -123,18 +123,18 @@ func TestLazyRowStreamsPinned(t *testing.T) {
 		digest, sha256 string
 		length         int
 	}{
-		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "ac84c917a54a27cd66773f12a0c51758d1446fffb9cd46567395da0991ae75b6", 966766},
-		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "2667b25b069087843022981778309ab69bf75037953cf123f3fcd9c7160dde64", 966765},
-		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "49efdacdaaa251436a86b9dfe42c4b9deb9ea340a04d3918832dc97661ad748e", 1125854},
-		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "b55b8239056a8ac1d7ebefe50a54b5ccec6124048bfb63ab79dbe4319238f5a5", 3515860},
-		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "dcac9aa2e48504385328d7cecdad8c68bc1d611e6e21e56c88d7576ec3cdf0a4", 3674978},
-		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "daf4b987e0462e89b5b31aa3b5884d85a6068aa5705260abfcc96723c9e8a306", 4152193},
-		"moon/sync":                              {"e33a5cc717a76d25", "47bb1ac0c4c036bdc98c1b6aff3d46ced1dfb48619413486302ad1764dcba9db", 966763},
-		"moon/sync f32":                          {"349e7cfc9d337e74", "4f138d9be7bbadb1c1ccecbc5e7ec136f57ef9b814996f645740923f6bac914d", 966762},
-		"moon/sync topk-ef":                      {"a94951a5100b56bd", "d5ea2ed859e537e6d92e2c8b0ea1d0bfd483d0782c3fdf9519bd6e59b1e2954d", 1125851},
-		"moon/async churn":                       {"354f6684859e7429", "51042b23f61bbedfb722fd30cde337893258b309355ef744251838198446d7cd", 3515857},
-		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "2cd89a5579f056e74c48293c19e40e4552f995f19c1eab4c55a6de58cfeb18cb", 3674975},
-		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "3cd3c61d9fef69701f1a756ad3260e1050b1307ef1e070988df7cdc02ac989a8", 4152190},
+		"fedtrip:0.4/sync":                       {"7755c0b1b01ab7a8", "e0288c95c76d3cce4b224dfce4cef024d01bfc7299879053538f4fc64c12f365", 808264},
+		"fedtrip:0.4/sync f32":                   {"c1abfe74f3401776", "d5fcffdcb83749179a108335689fd28ba0a5d20624a1d8abc8da1b3ff3a9e190", 808263},
+		"fedtrip:0.4/sync topk-ef":               {"0344a2ec84dc8edc", "e4daba1a44c4bbc4feb1f79856f6cc947bff0063650ccffd57923e8b93afec85", 808272},
+		"fedtrip:0.4/async churn":                {"e5ae8b627f49df8b", "dfb1a391af20a21e4e746ddc3486b21b3c042ef0bae006431c8855e8f7951fe3", 3198584},
+		"fedtrip:0.4/async churn f32 devices":    {"0caf586a25279af2", "94c8cbc43ae988fad6e3e05421a9bc7da4e2999fa8917dcffe6a4f5eb9c419a5", 3198688},
+		"fedtrip:0.4/async churn topk-ef priced": {"7d09a95e6790488c", "5f5322fbfd7e1423f96acb46dc756d4a663b2c788b51b323b12a75686d9bc05c", 3198663},
+		"moon/sync":                              {"e33a5cc717a76d25", "27de5a8916a14ec39f38993b215b746c49dd525dda7051bb28c25d577207529d", 808261},
+		"moon/sync f32":                          {"349e7cfc9d337e74", "1527b452d1ee6b6b24e34faf870c61b1e7347822f97f972e8ab40e18cd2c91ea", 808260},
+		"moon/sync topk-ef":                      {"a94951a5100b56bd", "17248a43539674f9618688da55f39125e515f5db9bf375415cdd8211bb289cff", 808269},
+		"moon/async churn":                       {"354f6684859e7429", "b3dd22aa9bc3de201164e33bbbd98bfdcc84225f71c3a780825d1d2518a35a8d", 3198581},
+		"moon/async churn f32 devices":           {"ac9cf2b0d151143c", "a0f4b3d3bd7618c0deb2a8d9d9627872df0c47d630cabbc59d6ffdbfaeea65c9", 3198685},
+		"moon/async churn topk-ef priced":        {"f351c85af837b4b4", "fc60a44e999e0f9531ef0ca02578fe9ed6ca353920d51dc10616c6605efef995", 3198660},
 	}
 	train, test, parts := lazyRowData(t)
 	for _, method := range []string{"fedtrip:0.4", "moon"} {

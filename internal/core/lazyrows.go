@@ -1,85 +1,107 @@
-// Lazy rows: what a first participation writes, held as the recipe that
+// Lazy rows: what a participation writes, held as the recipe that
 // rebuilds it.
 //
 // A run that merges fewer updates than its fleet has clients sees most
-// participants once. FedTrip's w_hist and MOON's previous model are
-// written at every participation but read only at the next one, so most
-// of those rows are written and never read — yet they were most of the
-// run's heap. At a first participation LastRound is 0 (FedTrip's xi is 0,
-// MOON's previous model is the global), so what the method writes there
-// is a pure function of what the client trained from: what it received
-// at its model version, its stream position and its step budget. The
-// client keeps those instead — a rowRecipe, 40 bytes beside a reference
-// to its version — and the row is rebuilt, bit for bit, by running the
-// round again from what the client received:
+// participants once or a few times. FedTrip's w_hist and MOON's previous
+// model are written at every participation but read only at the next
+// one, so most of those rows are written and never read, and the rest
+// are read once or twice — yet kept, they were most of the run's heap.
+// What the method writes at a participation is a pure function of what
+// the client trained from: what it received at its model version, its
+// stream position, its step budget, its LastRound and the rows its
+// previous participation wrote. A first participation has LastRound 0
+// and no rows (FedTrip's xi is 0, MOON's previous model is the global).
+// So in the regime every participation of a client whose rows are not
+// stored is kept as a rowRecipe — 48 bytes beside a reference to its
+// version — linked to the recipe of the client's previous
+// participation: a chain, whose replay, oldest first, rebuilds the rows
+// bit for bit. Each link trains with the previous link's round as
+// LastRound and reads the rows the previous link left in engine scratch
+// (the first link's are zeroed at the method's first ask). The chain is
+// replayed:
 //
 //   - at the client's next dispatch, by its own job, before it trains
-//     (trainClient), so a method never reads a row it did not write;
-//   - by Client.State called from outside a round, on the loaner engine.
+//     (trainClient), which records the new participation on top of it as
+//     the chain's next link, so a method never reads a row it did not
+//     write: a client dispatched n times replays n(n-1)/2 links in all;
+//   - by Client.State called from outside a round, on the loaner engine;
+//     the rows are then stored like any other client's, and the chain is
+//     dropped.
 //
-// Both transfers of that round are the transport's codec run again,
+// Both transfers of a link's round are the transport's codec run again,
 // through Coder, which counts nothing. What the client received is its
 // version's global through the codec's downlink for (client, round),
 // derived afresh at every replay into the engine's downlink buffer
-// (received). Under error feedback the first upload also stored a
-// residual row, and it too is a pure function of the round: the trained
+// (received). Under error feedback every upload also updated a residual
+// row, and it too is a pure function of the chain: the trained
 // parameters with the client's fault applied, less what the client
-// received, through the codec's uplink for (client, round). So the
-// recipe stands for it as well: the recorded upload writes its row into
-// engine scratch, and a rebuild codes the upload again after the replay
-// (recode). A client whose fault draws noise from a stream of its own,
-// which has moved on by the time of a replay, keeps the row (residLazy).
-// A transport without a Coder leaves nothing to replay a round with: its
-// run keeps every first-participation row dense.
+// received, plus the row the previous upload left, through the codec's
+// uplink for (client, round). So the chain stands for it as well: the
+// replay codes each link's upload again into engine scratch (recode),
+// and the recorded upload updates that row there in place. A client
+// whose fault draws noise from a stream of its own, which has moved on
+// by the time of a replay, keeps its residual row (residLazy); its rows
+// are still a chain. A transport without a Coder leaves nothing to
+// replay a round with: its run keeps every row dense.
 //
-// A snapshot carries the recipes as they are (since FTRS 10): each
+// A snapshot carries the chains as they are (since FTRS 14): each
 // version a recipe pins is written once, in the stream's round-image
-// section, and each recipe as its image's place there, stream position,
-// step budget and row count; a residual the recipe rebuilds is written
-// empty (since FTRS 12). A snapshot therefore replays nothing, and a
-// resumed run holds the recipes an uninterrupted one holds.
+// section, and each client's chain inline in its walk, counted and
+// oldest first, each link as its image's place there, stream position,
+// step budget, row count and round; a residual the chain rebuilds is
+// written empty. A snapshot therefore replays nothing, and a resumed run
+// holds the chains an uninterrupted one holds.
 //
 // A replay is not training: its FLOPs meter nowhere, nothing goes over
 // the wire and no transport counter moves, and the client's stream
 // position, FLOP counter and LastRound are what they were.
 //
 // The version is the snapshot of the global the buffered loop takes
-// anyway (globalSnap), pinned by a reference per recipe; behind the
+// anyway (globalSnap), pinned by a reference per link; behind the
 // lock-step gate, a round that records copies s.global once into the
 // same table. It is one vector, whatever the transport: a transport may
 // send each client something else, and DownCode derives it per client.
 // The vector goes back to the pool with the version's last reference.
 package core
 
-import "repro/internal/prng"
+import (
+	"slices"
 
-// rowRecipe is a first participation's rows as what rebuilds them; the
-// round is the client's LastRound.
+	"repro/internal/prng"
+)
+
+// rowRecipe is one participation's rows as what rebuilds them, and a
+// link of its client's chain.
 type rowRecipe struct {
 	img   *globalSnap // the version the client trained from, pinned
 	rng   prng.State  // the client's stream before it trained
 	steps int32       // the dispatch's step budget (0: none)
 	rows  int32       // how many rows the method wrote
+	round int32       // the participation's round
+	prev  int32       // 1 + the slot of the client's previous link, 0 for its first
 }
 
 // rowStore is a fleet's recipes, reached by every client through its
-// loaner. Recipes are kept and taken on the event loop (or, between
-// steps, by whoever drives the run); a job that rebuilds a row works
-// from its own copy of the recipe, so the shards read no more of the
+// loaner. Recipes are kept and dropped on the event loop (or, between
+// steps, by whoever drives the run); a job that replays a chain works
+// from its own copy of the links, so the shards read no more of the
 // store than what is fixed when the run is built (run, coder).
 type rowStore struct {
-	// on: first participations are recorded (lazyRows holds for the
-	// spec, the transport, if any, has a Coder, and the method has been
-	// seen to write rows).
+	// on: participations are recorded (lazyRows holds for the spec, the
+	// transport, if any, has a Coder, and the method has been seen to
+	// write rows).
 	on  bool
 	run *bufferedRunner // unpins a recipe's version
 	// coder is the transport's uncounted codec, which replays a recipe's
 	// transfers; nil without a transport.
 	coder Coder
-	// recipes is a slab, indexed by Client.recipe-1; free lists its
-	// empty slots.
+	// recipes is a slab, indexed by Client.recipe-1 and rowRecipe.prev-1;
+	// free lists its empty slots.
 	recipes []rowRecipe
 	free    []int32
+	// chain is scratch for a chain walked outside a job: rebuilt, or
+	// written by a snapshot.
+	chain []rowRecipe
 }
 
 // lazyRows reports whether sp's first-participation rows become recipes:
@@ -104,7 +126,8 @@ func lazyRows(sp *RunSpec) bool {
 	return sp.Rounds*m < len(sp.Parts)
 }
 
-// keep makes rec c's recipe, pinning its version.
+// keep makes rec the newest link of c's chain, on top of rec.prev,
+// pinning its version.
 func (st *rowStore) keep(c *Client, rec rowRecipe) {
 	rec.img.refs++
 	n := len(st.free)
@@ -119,101 +142,131 @@ func (st *rowStore) keep(c *Client, rec rowRecipe) {
 	c.recipe = slot + 1
 }
 
-// take removes c's recipe and returns it, with its pin on the version.
-func (st *rowStore) take(c *Client) rowRecipe {
-	slot := c.recipe - 1
-	rec := st.recipes[slot]
-	st.recipes[slot] = rowRecipe{}
-	st.free = append(st.free, slot)
-	c.recipe = 0
-	return rec
+// links returns the chain whose newest link is at head, oldest first, in
+// dst's storage.
+func (st *rowStore) links(head int32, dst []rowRecipe) []rowRecipe {
+	dst = dst[:0]
+	for at := head; at != 0; at = st.recipes[at-1].prev {
+		dst = append(dst, st.recipes[at-1])
+	}
+	slices.Reverse(dst)
+	return dst
 }
 
-// rebuild stores c's recipe rows dense, replayed on the engine c has
-// (the loaner outside a round), and drops the recipe.
-func (st *rowStore) rebuild(c *Client) {
-	rec := st.take(c)
-	st.restore(c, c.engine(), &rec)
-	st.run.unpin(rec.img)
+// take hands c's chain to the job that will record its next
+// participation: the links, oldest first, in dst's storage, and the
+// newest one's place, which the new link goes on top of (settle). The
+// links stay in the store, pinning their versions, and c holds none
+// while the job runs.
+func (st *rowStore) take(c *Client, dst []rowRecipe) (head int32, chain []rowRecipe) {
+	head, c.recipe = c.recipe, 0
+	return head, st.links(head, dst)
 }
 
-// restore stores rec's rows as c's own, replayed on e, and the
-// error-feedback row its upload stored when the recipe stands for that
-// too.
-func (st *rowStore) restore(c *Client, e *engine, rec *rowRecipe) {
-	rows := st.replay(c, e, rec)
-	c.state = make([]float64, len(rows))
-	copy(c.state, rows)
-	if st.residLazy(c) {
-		st.recode(c, e, &c.resid)
+// drop frees the chain whose newest link is at head, unpinning each
+// link's version.
+func (st *rowStore) drop(head int32) {
+	for at := head; at != 0; {
+		rec := &st.recipes[at-1]
+		st.run.unpin(rec.img)
+		st.free = append(st.free, at-1)
+		at, *rec = rec.prev, rowRecipe{}
 	}
 }
 
-// residLazy reports whether the error-feedback row of c's first
-// participation, when a recipe stands for its rows, is rebuilt with them
-// rather than kept: under a transport, unless c's fault draws from a
-// stream of its own (noise), which has moved on by the time of a replay.
+// rebuild stores c's rows dense, and its error-feedback row when the
+// chain stands for it, replayed on the engine c has (the loaner outside
+// a round), and drops the chain.
+func (st *rowStore) rebuild(c *Client) {
+	head := c.recipe
+	st.chain = st.links(head, st.chain)
+	c.recipe = 0
+	e := c.engine()
+	st.replay(c, e, st.chain)
+	c.state = make([]float64, int(e.rowsAsked)*c.NumParams())
+	copy(c.state, e.rowScratch)
+	if len(e.residRow) > 0 {
+		c.resid = append([]float64(nil), e.residRow...)
+	}
+	st.drop(head)
+}
+
+// residLazy reports whether c's error-feedback row, while a chain stands
+// for c's rows, is rebuilt with them rather than kept: under a
+// transport, unless c's fault draws from a stream of its own (noise),
+// which has moved on by the time of a replay.
 func (st *rowStore) residLazy(c *Client) bool {
 	faults := st.run.s.faults
 	return st.coder != nil && (faults == nil || faults[c.ID] != faultNoise)
 }
 
-// recode codes c's first upload again, uncounted, after a replay on e:
-// the trained parameters replay left in e's model, with c's fault
-// applied, against what the client received, which replay left in e's
-// downlink buffer, into *resid. The model's parameters are the upload's
-// buffer: the engine's next round loads its own.
-func (st *rowStore) recode(c *Client, e *engine, resid *[]float64) {
-	u := Update{Params: e.model.Params()}
-	st.run.s.applyFault(c, &u)
-	st.coder.UpCode(u.Params, c.ID, c.LastRound, u.Params, e.downlinkBuf(len(u.Params)), resid)
-}
-
-// replay runs rec's round again on e, attached to c, and returns the
-// rows the method wrote, in e's scratch until its next recording: from
-// what the client received at the pinned version, from the recorded
-// stream position, under the recorded step budget, with LastRound 0 as
-// it was. Nothing is sent or metered, and c's stream, FLOP counter and
-// LastRound are left as they were. The rows are as many as the method
-// writes, whatever count the recipe claims.
-func (st *rowStore) replay(c *Client, e *engine, rec *rowRecipe) []float64 {
-	global := st.received(c, e, rec)
+// replay runs chain's participations again on e, attached to c, oldest
+// first, and leaves what the newest wrote in e's scratch: its rows in
+// rowScratch (rowsAsked of them, as many as the method writes, whatever
+// count a recipe claims), and, when the chain stands for c's
+// error-feedback row, that row in residRow — empty until an upload
+// stored one. An empty chain leaves both empty. Each link trains from
+// what the client received at its pinned version, from its recorded
+// stream position, under its step budget, with the previous link's round
+// as LastRound and its rows as the method's. Nothing is sent or metered,
+// and c's stream, FLOP counter and LastRound are left as they were.
+func (st *rowStore) replay(c *Client, e *engine, chain []rowRecipe) {
+	e.rowsAsked, e.residRow = 0, e.residRow[:0]
+	if len(chain) == 0 {
+		return
+	}
+	resid := st.residLazy(c)
 	round, counter, rng := c.LastRound, c.Counter, c.RNG()
 	live := rng.State()
 	c.Counter = nil
 	e.meter(nil)
 	c.LastRound = 0
-	rng.SetState(rec.rng)
-	e.record()
-	c.train(round, global, int(rec.steps))
-	rows := e.recorded()
+	for i := range chain {
+		link := &chain[i]
+		global := st.received(c, e, link)
+		rng.SetState(link.rng)
+		e.record()
+		c.train(int(link.round), global, int(link.steps))
+		e.recorded()
+		if resid {
+			st.recode(c, e, link)
+		}
+		c.LastRound = int(link.round)
+	}
 	rng.SetState(live)
 	c.LastRound = round
 	c.Counter = counter
 	e.meter(counter)
-	return e.rowScratch[:int(rows)*c.NumParams()]
 }
 
-// received is what c received at rec's version: its global, or under a
+// recode codes link's upload again, uncounted, after its replay on e:
+// the trained parameters the replay left in e's model, with c's fault
+// applied, against what the client received, which the replay left in
+// e's downlink buffer, updating e's residual row in place. The model's
+// parameters are the upload's buffer: the engine's next round loads its
+// own.
+func (st *rowStore) recode(c *Client, e *engine, link *rowRecipe) {
+	u := Update{Params: e.model.Params()}
+	st.run.s.applyFault(c, &u)
+	st.coder.UpCode(u.Params, c.ID, int(link.round), u.Params, e.downlinkBuf(len(u.Params)), &e.residRow)
+}
+
+// received is what c received at link's version: its global, or under a
 // transport that global through the codec's downlink for (client,
 // round), uncounted, written into e's downlink buffer.
-func (st *rowStore) received(c *Client, e *engine, rec *rowRecipe) []float64 {
+func (st *rowStore) received(c *Client, e *engine, link *rowRecipe) []float64 {
 	if st.coder == nil {
-		return rec.img.vec
+		return link.img.vec
 	}
-	recv := e.downlinkBuf(len(rec.img.vec))
-	st.coder.DownCode(recv, c.ID, c.LastRound, rec.img.vec)
+	recv := e.downlinkBuf(len(link.img.vec))
+	st.coder.DownCode(recv, c.ID, int(link.round), link.img.vec)
 	return recv
 }
 
-// settle is the event loop's half of a joined job's rows: a replayed
-// recipe's pin is dropped, and a recorded first participation becomes
-// the client's recipe. A method that wrote no row turns recording off.
+// settle is the event loop's half of a joined job's rows: a recorded
+// participation becomes the newest link of the client's chain. A method
+// that wrote no row turns recording off.
 func (st *rowStore) settle(j *trainJob) {
-	if j.replay.img != nil {
-		st.run.unpin(j.replay.img)
-		j.replay = rowRecipe{}
-	}
 	if !j.record {
 		return
 	}
@@ -222,5 +275,5 @@ func (st *rowStore) settle(j *trainJob) {
 		st.on = false
 		return
 	}
-	st.keep(j.c, rowRecipe{img: j.gsnap, rng: j.recRng, steps: int32(j.steps), rows: j.recRows})
+	st.keep(j.c, rowRecipe{img: j.gsnap, rng: j.recRng, steps: int32(j.steps), rows: j.recRows, round: int32(j.round), prev: j.head})
 }

@@ -184,8 +184,9 @@ type Server struct {
 	// wire is the configured Transport as the runtime calls it (nil
 	// without one), resolved once at construction.
 	wire WireTransport
-	// rows holds the recipes that stand for first-participation rows
-	// (lazyrows.go); the clients reach it through their loaner.
+	// rows holds the recipe chains that stand for the method's rows in
+	// the lazy regime (lazyrows.go); the clients reach it through their
+	// loaner.
 	rows *rowStore
 
 	// The runtime (newRunState). rec's Result counts the completed
@@ -302,13 +303,14 @@ func (s *Server) selectClients() []*Client {
 // uplink's — is kept as the job's patch, and its buffer goes straight
 // back to the pool: in flight it costs its patch, not |w| floats.
 //
-// A client whose first-participation rows are a recipe has them rebuilt
-// first, and a first participation that will become one writes its rows
-// into engine scratch (lazyrows.go).
+// A participation recorded as the newest link of its client's chain
+// first replays the chain, which leaves the rows (and the error-feedback
+// row the chain stands for) in engine scratch, and writes its own there
+// on top of them (lazyrows.go).
 func (s *Server) trainClient(j *trainJob) {
 	c := j.c
-	if j.replay.img != nil {
-		s.rows.restore(c, c.eng, &j.replay)
+	if j.record {
+		s.rows.replay(c, c.eng, j.chain)
 	}
 	global := j.global
 	j.downBytes = int64(4 * len(global))
@@ -335,9 +337,9 @@ func (s *Server) trainClient(j *trainJob) {
 	if s.wire != nil {
 		resid := &c.resid
 		if j.record && j.recRows > 0 && s.rows.residLazy(c) {
-			// The recipe will rebuild this upload's row too: it goes to
-			// engine scratch, and the client keeps none.
-			c.eng.residRow = c.eng.residRow[:0]
+			// The chain rebuilds this upload's row too: the replay left
+			// the row as it stood in engine scratch, the upload updates it
+			// there, and the client keeps none.
 			resid = &c.eng.residRow
 		}
 		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)

@@ -61,13 +61,15 @@ type trainJob struct {
 	trained bool
 	dropped bool
 
-	// Lazy rows (lazyrows.go): replay is the client's recipe, taken at
-	// dispatch, whose rows the job rebuilds before the client trains;
-	// record marks a first participation whose rows become a recipe,
-	// recRng the client's stream position before it trained, and recRows
-	// how many rows the method wrote.
-	replay  rowRecipe
+	// Lazy rows (lazyrows.go): record marks a participation whose rows
+	// become the newest link of the client's chain; chain is that chain,
+	// copied oldest first at dispatch, which the job replays before the
+	// client trains, and head the place of its newest link. recRng is the
+	// client's stream position before it trained, and recRows how many
+	// rows the method wrote.
 	record  bool
+	chain   []rowRecipe
+	head    int32
 	recRows int32
 	recRng  prng.State
 }

@@ -30,10 +30,10 @@
 //     per-client state and the job's finished update are plain data. An
 //     update the server holds as a sparse patch is written rebuilt,
 //     dense, so the stream does not depend on how it was held.
-//   - A first participation's method rows held as a recipe (lazyrows.go)
-//     stay one: the stream carries the recipe, and once each the round
-//     image it replays from, so the resumed run rebuilds the rows when
-//     the uninterrupted one would, and a snapshot trains nothing.
+//   - Method rows held as a chain of recipes (lazyrows.go) stay one: the
+//     stream carries the chain, and once each the round image a link
+//     replays from, so the resumed run rebuilds the rows when the
+//     uninterrupted one would, and a snapshot trains nothing.
 //   - Order-sensitive scheduler state serializes verbatim: the idle set's
 //     ids array (a uniform pick indexes into it, so its order is part of
 //     the trajectory), the event heap's array layout, the churn heap.
@@ -66,17 +66,19 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 13 is the layout the walks below spell out, under a
+	// snapVersion 14 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
-	// First-participation rows travel as recipes: a round-image section
-	// of one global per pinned version before the client walk, and per
-	// client a recipe or the method's rows; a recipe that rebuilds its
-	// error-feedback row too leaves the client's residual empty. The
-	// recorder section holds no word the run derives. A snapshot does not
-	// survive a format bump: Resume refuses any other version, naming
+	// Rows in the lazy regime travel as recipe chains: a round-image
+	// section of one global per pinned version before the client walk,
+	// and per client its chain, counted and oldest first, or the method's
+	// rows; a chain that rebuilds its error-feedback row too leaves the
+	// client's residual empty. The recorder section holds no word the run
+	// derives. Version 13 wrote a first participation's recipe alone, with
+	// no count and no round, and a returner's rows dense; a snapshot does
+	// not survive a format bump: Resume refuses any other version, naming
 	// both.
-	snapVersion = 13
+	snapVersion = 14
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -271,18 +273,19 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		if c.Err() != nil {
 			return
 		}
-		// The method's persistent rows: a recipe, or the rows themselves
-		// (Client.State), empty until it first asked. Then the transport's
-		// error-feedback residual, empty until the client's first accepted
-		// upload under error feedback, and empty while a recipe rebuilds it.
-		lazy := cl.recipe != 0
+		// The method's persistent rows: a recipe chain, or the rows
+		// themselves (Client.State), empty until it first asked. Then the
+		// transport's error-feedback residual, empty until the client's
+		// first accepted upload under error feedback, and empty while a
+		// chain rebuilds it.
+		lazy, last := cl.recipe != 0, 0
 		if c.Bool(&lazy); lazy && c.Reading() && !s.rows.on {
 			// A replay needs what the client received, which only a run
-			// that records first participations can derive again.
-			c.Fail("client %d holds a recipe, and this run records no first participation", cl.ID)
+			// that records participations can derive again.
+			c.Fail("client %d holds a recipe, and this run records no participation", cl.ID)
 		}
 		if lazy {
-			s.rows.snapRecipe(c, cl)
+			last = s.rows.snapChain(c, cl)
 		} else {
 			c.Rows("client state", &cl.state, np)
 		}
@@ -292,10 +295,11 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		if lazy && len(cl.resid) > 0 && s.rows.residLazy(cl) {
 			c.Fail("client %d holds a residual row that its recipe rebuilds", cl.ID)
 		}
-		// A recipe is a participation's, and so is a residual.
+		// A chain's newest link is the client's last participation, and a
+		// residual is a participation's.
 		c.Num("client last round", &cl.LastRound)
-		if lazy && cl.LastRound < 1 {
-			c.Fail("client %d holds a recipe from round %d", cl.ID, cl.LastRound)
+		if lazy && last != cl.LastRound {
+			c.Fail("client %d recipe chain ends at round %d, its last round is %d", cl.ID, last, cl.LastRound)
 		}
 		if len(cl.resid) > 0 && cl.LastRound < 1 {
 			c.Fail("client %d holds a residual row from round %d", cl.ID, cl.LastRound)
@@ -454,34 +458,56 @@ func (st *rowStore) snapImages(c *tensor.Codec) {
 	}
 }
 
-// snapRecipe is a client's rows held as a recipe: its image's place in
-// the section, the stream position it trained from, its step budget and
-// how many rows the method wrote. A decoded recipe pins its image; a
-// row count past what a Num can count in floats is refused, and a
-// replay allocates only the rows the method really writes.
-func (st *rowStore) snapRecipe(c *tensor.Codec, cl *Client) {
-	var rec rowRecipe
-	img := 0
+// snapChain is a client's rows held as a recipe chain: its link count,
+// then each link, oldest first, as its image's place in the section, the
+// stream position it trained from, its step budget, how many rows the
+// method wrote and its round, and returns the newest link's round.
+// Rounds start at 1 and never fall (an async client may return within
+// one aggregation), and a chain is its links in stream order, so it
+// cannot loop. A decoded link pins its image; a row count
+// past what a Num can count in floats is refused, and a replay allocates
+// only the rows the method really writes.
+func (st *rowStore) snapChain(c *tensor.Codec, cl *Client) int {
+	n := 0
 	if !c.Reading() {
-		rec = st.recipes[cl.recipe-1]
-		img = int(rec.img.ord)
+		st.chain = st.links(cl.recipe, st.chain)
+		n = len(st.chain)
 	}
-	images := st.run.snaps
-	if c.Num("recipe image", &img); img < 0 || img >= len(images) {
-		c.Fail("client %d recipe names round image %d of %d", cl.ID, img, len(images))
+	if c.Num("recipe links", &n); n < 1 {
+		c.Fail("client %d holds a chain of %d recipes", cl.ID, n)
 	}
-	snapRngState(c, &rec.rng)
-	steps, rows := int(rec.steps), int(rec.rows)
-	if c.Num("recipe steps", &steps); steps < 0 {
-		c.Fail("client %d recipe step budget %d", cl.ID, steps)
+	images, last := st.run.snaps, 0
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var rec rowRecipe
+		img := 0
+		if !c.Reading() {
+			rec = st.chain[i]
+			img = int(rec.img.ord)
+		}
+		if c.Num("recipe image", &img); img < 0 || img >= len(images) {
+			c.Fail("client %d recipe names round image %d of %d", cl.ID, img, len(images))
+		}
+		snapRngState(c, &rec.rng)
+		steps, rows, round := int(rec.steps), int(rec.rows), int(rec.round)
+		if c.Num("recipe steps", &steps); steps < 0 {
+			c.Fail("client %d recipe step budget %d", cl.ID, steps)
+		}
+		if c.Num("recipe rows", &rows); rows < 1 || rows > math.MaxInt32/cl.NumParams() {
+			c.Fail("client %d recipe of %d rows of %d floats", cl.ID, rows, cl.NumParams())
+		}
+		switch c.Num("recipe round", &round); {
+		case round < 1:
+			c.Fail("client %d recipe of round %d", cl.ID, round)
+		case round < last:
+			c.Fail("client %d recipe of round %d after one of round %d", cl.ID, round, last)
+		}
+		last = round
+		if c.Reading() && c.Err() == nil {
+			rec.img, rec.steps, rec.rows, rec.round, rec.prev = images[img], int32(steps), int32(rows), int32(round), cl.recipe
+			st.keep(cl, rec)
+		}
 	}
-	if c.Num("recipe rows", &rows); rows < 1 || rows > math.MaxInt32/cl.NumParams() {
-		c.Fail("client %d recipe of %d rows of %d floats", cl.ID, rows, cl.NumParams())
-	}
-	if c.Reading() && c.Err() == nil {
-		rec.img, rec.steps, rec.rows = images[img], int32(steps), int32(rows)
-		st.keep(cl, rec)
-	}
+	return last
 }
 
 // snap is the scheduler-facing fleet state. The idle set's ids array is

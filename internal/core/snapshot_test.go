@@ -128,13 +128,13 @@ var parentStreamSHA256 = map[string]struct {
 	sha256 string
 	length int
 }{
-	"TestResumeEquivalenceSync":                 {"b0e167e83cee24d0d050d0ae2f2d7a2f667cfc3861539f9c11b177dd552adf87", 4453641},
-	"TestResumeEquivalenceAsyncFedBuff":         {"07198e0ce1ad699bf33072aeaa7cc6f3f0347098e673ec653133918156927531", 6362308},
-	"TestResumeEquivalenceAsyncChurn":           {"1b024b2f3b94a6bd4d245543757192203b6b599146a949e6e6b35d40cdb98f4d", 6362514},
-	"TestResumeEquivalenceAsyncDevices":         {"eba3bf699501fb17cecd9ab970a2f60d7226de96fbead6ec60759eb5572f9bcb", 6362277},
-	"TestResumeEquivalenceNoiseFault":           {"e62be88c693ba8e9b975982f0e43abdca1de32eaab67ec88534db4f3f47439b9", 6362315},
-	"TestResumeEquivalenceAsyncPricedTransport": {"537a32f9c2b8ebfff457fcffb66a797d334fa522ed008b451be2879854980995", 5090178},
-	"TestResumeEquivalenceMOON":                 {"fb72dbd2fbeb25e9fd83d6ffbfd0916f19a234b11132ac444c9a54e416ad5f1d", 6362305},
+	"TestResumeEquivalenceSync":                 {"c8150674fd19a2b573a474e09125c208a83b82d4102c328f3ea6646ed7af16ca", 4453641},
+	"TestResumeEquivalenceAsyncFedBuff":         {"c8b8d58303f4220d33829c6a591b991b9507fb04bd7ee73d85a9de24e9e20947", 6362308},
+	"TestResumeEquivalenceAsyncChurn":           {"4ed504203eb3e5745a1818db731ca85b3a3e695a5ba66e228a227f04b8f02760", 6362514},
+	"TestResumeEquivalenceAsyncDevices":         {"4c0ea6a696ff15e5b1af8d40c8068d6371fd5e8555c7ce021e8b15b2300a3065", 6362277},
+	"TestResumeEquivalenceNoiseFault":           {"5996a37ff15e6881ed5623ed2ff17881471b8134baf8a6a57db75d9e3645e6d5", 6362315},
+	"TestResumeEquivalenceAsyncPricedTransport": {"d5396b28349ae9a82bc62e1cc61860596a92ac5c353b3a7f8fe75a1a4eef75ab", 5090178},
+	"TestResumeEquivalenceMOON":                 {"d9e40fa475a84366db672d58bcb4cee444e211b90d1f99b9ae2d6a7a45335b14", 6362305},
 }
 
 // requireParentStream checks the calling test's snapshot stream against
@@ -400,7 +400,7 @@ func TestResumeRejectsBadSnapshots(t *testing.T) {
 	}{
 		{"wrong magic", append([]byte("NOPE"), good[4:]...), spec, "not a run snapshot"},
 		{"wrong version", append(append([]byte(snapMagic), 99), good[5:]...), spec, "version 99"},
-		{"previous version", append(append([]byte(snapMagic), 12), good[5:]...), spec, "run snapshot version 12, this build reads version 13"},
+		{"previous version", append(append([]byte(snapMagic), 13), good[5:]...), spec, "run snapshot version 13, this build reads version 14"},
 		{"empty", nil, spec, "truncated"},
 		{"truncated header", good[:3], spec, "truncated"},
 		{"truncated body", good[:len(good)/2], spec, "truncated"},

@@ -40,11 +40,11 @@ func TestUploadStreamsPinned(t *testing.T) {
 		length                                                     int
 	}{
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered",
-			"7c0da0bdd287eec2", "917b68a6424b0b84322d077cbb7bb8bfc94e1b599827f7ee3cc7601e36eb005e", 1115979},
+			"7c0da0bdd287eec2", "3718f3dc490af0adb1fc9bd6183018d970e35e51c9a138e4c5910760c2202a89", 1116123},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "",
-			"74db091ccf8b2e61", "a3b6a958f898ca176af48b020581e1bb33455b7586af663798c7fab936e9b687", 1115168},
+			"74db091ccf8b2e61", "bdb6183d519c7261ccfb5924fe9f09a3ad0407323ec2c2a20b6a427d0421ac93", 1115168},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "",
-			"cf6a3a5490d91f14", "edfa1df144a87500b0a6441df9407877b4dd594bb06c9057efb452f422050d4b", 1115886},
+			"cf6a3a5490d91f14", "7b97d4ffac3d230725c34948a0b864b65761819ee71fffbda09951594c80f8fa", 1116030},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
