@@ -202,10 +202,10 @@ func roundF32Into(dst, src []float64) {
 // Under error feedback the residual is the client's row, which the
 // runtime owns, hands to UpInto and carries in run snapshots: |w|
 // float64s per client that ever uploaded, stored at its first accepted
-// upload. Where the runtime holds a first participation's rows as a
-// recipe, a client seen once keeps neither that row nor a copy of what
-// it received: its first upload's row goes to the runtime's scratch, and
-// DownCode and UpCode derive both again when the client returns (core's
+// upload. Where the runtime holds a client's rows as a recipe chain, the
+// client keeps neither that row nor a copy of what it received: each
+// upload's row goes to the runtime's scratch, and DownCode and UpCode
+// derive both again, link by link, when the client returns (core's
 // lazyrows.go). Everything else a coded upload needs is scratch on a
 // free list that holds as many sets as uploads ever ran at once — the
 // runtime's shard count — so a transfer past a client's first allocates

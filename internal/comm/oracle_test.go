@@ -455,7 +455,7 @@ func TestNonFiniteQuantDeltaFallsBackAndKeepsResidual(t *testing.T) {
 }
 
 // TestUpCodeMatchesUpInto pins the uncounted transfers, the ones the
-// runtime uses to replay a first participation — what the client
+// runtime uses to replay a participation — what the client
 // received, and its upload's error-feedback row — against DownInto,
 // UpInto and the marshalled oracle over several participations of the
 // same clients: the same downlink, reconstruction, wire sizes and rows

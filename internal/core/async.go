@@ -329,7 +329,7 @@ func (r *bufferedRunner) join(j *trainJob) {
 
 // release drops j's hold on the global it trained from. A gated job
 // trained from s.global, which nothing writes before its round merges,
-// and holds no snapshot — unless it recorded a first participation.
+// and holds no snapshot — unless it recorded a participation.
 func (r *bufferedRunner) release(j *trainJob) {
 	sn := j.gsnap
 	j.gsnap, j.global = nil, nil

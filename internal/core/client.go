@@ -10,7 +10,7 @@ import (
 // Client is one federated participant. It owns only what must survive
 // between its participations: its private data indices, the method's
 // persistent state and the transport's error-feedback residual (or the
-// recipe that rebuilds them), its FLOP meter, and its deterministic
+// recipe chain that rebuilds them), its FLOP meter, and its deterministic
 // random stream.
 // The heavy training machinery (model, optimizer, batch buffers) and
 // everything that lives for one round (the received global model, the
@@ -44,16 +44,16 @@ type Client struct {
 	// resid is the transport's error-feedback residual, one |w| row the
 	// transport writes through WireTransport.UpInto: nil until the
 	// client's first accepted upload under error feedback, and nil while
-	// the client's recipe rebuilds it (rowStore.residLazy).
+	// the client's recipe chain rebuilds it (rowStore.residLazy).
 	resid []float64
 
 	// labelFlip is a label-flipping Byzantine client's fixed rotation
 	// offset (adversary.go): every training label y becomes
 	// (y+labelFlip) mod Classes. 0 (honest) leaves batches untouched.
 	labelFlip int32
-	// recipe is 1 + the slot of the recipe the fleet's rowStore holds in
-	// place of the method's rows from the client's first participation
-	// (lazyrows.go), 0 when the rows, if any, are in state.
+	// recipe is 1 + the slot of the newest link of the recipe chain the
+	// fleet's rowStore holds in place of the method's rows, one link per
+	// participation (lazyrows.go), 0 when the rows, if any, are in state.
 	recipe int32
 
 	// eng is the engine currently attached (nil when idle). loan is what
@@ -105,13 +105,14 @@ func (c *Client) NumParams() int { return c.loan.numParams }
 // caller. A method asks for the same number of rows every time; a method
 // that never calls State costs its clients nothing.
 //
-// In a run that merges fewer updates than it has clients, the rows a
-// first participation writes are not kept: the client holds a recipe
-// instead, and its next dispatch rebuilds them bit for bit before the
-// method can read them (lazyrows.go). A call from outside a round
-// rebuilds them too, on the fleet's loaner engine, and from then on they
-// are stored like any other client's. Either way a method sees exactly
-// the rows it wrote.
+// In a run that merges fewer updates than it has clients, the rows are
+// not kept at all: every participation in the regime is held as a
+// recipe, the newest link of the client's chain, and its next dispatch
+// replays the chain, rebuilding the rows bit for bit before the method
+// can read them (lazyrows.go). A call from outside a round replays it
+// too, on the fleet's loaner engine, and from then on the rows are
+// stored like any other client's. Either way a method sees exactly the
+// rows it wrote.
 func (c *Client) State(rows int) []float64 {
 	n := rows * c.NumParams()
 	if e := c.eng; e != nil && e.recording {
@@ -128,8 +129,8 @@ func (c *Client) State(rows int) []float64 {
 
 // StateBytes reports the bytes the client's State holds: 0 until the
 // method first asks, then 8 bytes per float64 of every row. Rows held as
-// a recipe count as the rows they rebuild: this is the method's
-// per-client cost, whatever the runtime keeps in their place.
+// a recipe chain count as the rows its newest link rebuilds: this is the
+// method's per-client cost, whatever the runtime keeps in their place.
 func (c *Client) StateBytes() int {
 	if c.recipe != 0 {
 		return 8 * int(c.loan.rows.recipes[c.recipe-1].rows) * c.NumParams()
@@ -202,7 +203,7 @@ func (c *Client) LocalTrain(round int, global []float64) Update {
 //fedtripvet:hotpath
 func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Update {
 	if c.recipe != 0 {
-		// Trained by hand, outside the run's jobs (which take the recipe
+		// Trained by hand, outside the run's jobs (which take the chain
 		// at dispatch): the rows are rebuilt before the round borrows the
 		// engine a rebuild would run on.
 		c.loan.rows.rebuild(c)

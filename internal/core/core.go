@@ -117,7 +117,7 @@ type Config struct {
 // snapshot with the client. The transport reads and writes it in place
 // and keeps no per-dispatch or per-client state of its own. An empty
 // *resid with capacity for a row is storage the transport may store the
-// first row in instead of allocating one: the runtime hands a first
+// first row in instead of allocating one: the runtime hands a recorded
 // participation engine scratch there when the row will be rebuilt, not
 // kept (lazyrows.go). UpInto's dst may alias params (the runtime rounds
 // an upload in place); dst never aliases global, ref or the row, and
@@ -136,10 +136,10 @@ type WireTransport interface {
 // writes dst and *resid as UpInto would, and each returns the bytes its
 // counted twin would report, but no counter moves, and the same
 // arguments always write the same bits. The runtime calls them to run
-// again both transfers of a first participation that was already sent
-// and counted: what the client received, which a replay trains from,
-// and its upload's error-feedback row (lazyrows.go). Under a transport
-// without it every first-participation row is kept dense. A legacy
+// again both transfers of a participation that was already sent and
+// counted: what the client received, which a replay trains from, and
+// what its upload left in the error-feedback row (lazyrows.go). Under a
+// transport without it every row is kept dense. A legacy
 // transport finds one by its name (RegisterLegacyCoders).
 type Coder interface {
 	DownCode(dst []float64, clientID, round int, global []float64) (wire int64)

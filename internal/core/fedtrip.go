@@ -134,7 +134,7 @@ func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
 // EndRound keeps w_hist (Algorithm 1 line 4): the parameters the client
 // is about to upload, read back at its next participation. The client's
 // one persistent row is allocated here, at its first participation —
-// unless the run holds first-participation rows as recipes (lazyrows.go).
+// unless the run holds its rows as recipe chains (lazyrows.go).
 func (f *FedTrip) EndRound(c *Client, round int) {
 	copy(c.State(1), c.Model().Params())
 }

@@ -26,7 +26,7 @@ var returnsCases = []returnsCase{
 	{lazyFleet{name: "async topk-ef median signflip crash", runtime: "async", transport: "topk:0.01+ef", latency: "straggler:1,10,3"},
 		"median", "byz:0.2,signflip+crash:0.05"},
 	{fleet: lazyFleet{name: "async lossless churn", runtime: "async", transport: "lossless", latency: "exp:2"}},
-	{lazyFleet{name: "sync q8-ef noise", runtime: "sync", transport: "q8+ef"}, "", "byz:0.3,noise:0.1"},
+	{lazyFleet{name: "sync randk-ef noise", runtime: "sync", transport: "randk:0.05+ef"}, "", "byz:0.3,noise:0.1"},
 }
 
 // returnsSpec builds the case's spec for a method's text.

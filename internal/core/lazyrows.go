@@ -3,22 +3,17 @@
 //
 // A run that merges fewer updates than its fleet has clients sees most
 // participants once or a few times. FedTrip's w_hist and MOON's previous
-// model are written at every participation but read only at the next
-// one, so most of those rows are written and never read, and the rest
-// are read once or twice — yet kept, they were most of the run's heap.
-// What the method writes at a participation is a pure function of what
-// the client trained from: what it received at its model version, its
-// stream position, its step budget, its LastRound and the rows its
-// previous participation wrote. A first participation has LastRound 0
-// and no rows (FedTrip's xi is 0, MOON's previous model is the global).
-// So in the regime every participation of a client whose rows are not
-// stored is kept as a rowRecipe — 48 bytes beside a reference to its
-// version — linked to the recipe of the client's previous
-// participation: a chain, whose replay, oldest first, rebuilds the rows
-// bit for bit. Each link trains with the previous link's round as
-// LastRound and reads the rows the previous link left in engine scratch
-// (the first link's are zeroed at the method's first ask). The chain is
-// replayed:
+// model are written at every participation and read only at the next,
+// so most are never read — yet kept, they were most of the run's heap.
+// What the method writes is a pure function of what the client trained
+// from: what it received at its model version, its stream position, its
+// step budget, its LastRound (0 at a first participation) and the rows
+// its previous participation wrote (none at a first). So in the regime
+// every participation of a client whose rows are not stored is kept as
+// a rowRecipe — 48 bytes beside a reference to its version — linked to
+// the client's previous one: a chain, whose replay, oldest first, with
+// the previous link's round as LastRound and the rows it left in engine
+// scratch, rebuilds the rows bit for bit. The chain is replayed:
 //
 //   - at the client's next dispatch, by its own job, before it trains
 //     (trainClient), which records the new participation on top of it as
@@ -104,7 +99,7 @@ type rowStore struct {
 	chain []rowRecipe
 }
 
-// lazyRows reports whether sp's first-participation rows become recipes:
+// lazyRows reports whether sp's method rows become recipe chains:
 // the run merges fewer updates than it has clients (Rounds × m < N, m the
 // round size behind the gate and the merge threshold ungated), and it is
 // snapshottable — no server-side method state and no transport state, so
@@ -221,18 +216,18 @@ func (st *rowStore) replay(c *Client, e *engine, chain []rowRecipe) {
 	c.Counter = nil
 	e.meter(nil)
 	c.LastRound = 0
+	e.record()
 	for i := range chain {
 		link := &chain[i]
 		global := st.received(c, e, link)
 		rng.SetState(link.rng)
-		e.record()
 		c.train(int(link.round), global, int(link.steps))
-		e.recorded()
 		if resid {
 			st.recode(c, e, link)
 		}
 		c.LastRound = int(link.round)
 	}
+	e.recorded()
 	rng.SetState(live)
 	c.LastRound = round
 	c.Counter = counter

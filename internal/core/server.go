@@ -311,6 +311,8 @@ func (s *Server) trainClient(j *trainJob) {
 	c := j.c
 	if j.record {
 		s.rows.replay(c, c.eng, j.chain)
+		j.recRng = c.RNG().State()
+		c.eng.record()
 	}
 	global := j.global
 	j.downBytes = int64(4 * len(global))
@@ -318,10 +320,6 @@ func (s *Server) trainClient(j *trainJob) {
 		received := c.eng.downlinkBuf(len(global))
 		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
-	}
-	if j.record {
-		j.recRng = c.RNG().State()
-		c.eng.record()
 	}
 	u := c.LocalTrainSteps(j.round, global, j.steps)
 	if j.record {
