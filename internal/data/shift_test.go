@@ -13,7 +13,7 @@ func TestShiftIntoTranslation(t *testing.T) {
 		0, 0, 0,
 	}
 	dst := make([]float64, 9)
-	shiftInto(dst, src, 1, 3, 3, 1, 0, 2) // shift right by 1, amp 2
+	refShiftInto(dst, src, 1, 3, 3, 1, 0, 2) // shift right by 1, amp 2
 	want := []float64{
 		0, 0, 0,
 		0, 0, 10,
@@ -29,7 +29,7 @@ func TestShiftIntoTranslation(t *testing.T) {
 func TestShiftIntoZeroPadsEdges(t *testing.T) {
 	src := []float64{1, 2, 3, 4}
 	dst := make([]float64, 4)
-	shiftInto(dst, src, 1, 2, 2, 1, 1, 1) // shift down-right by 1
+	refShiftInto(dst, src, 1, 2, 2, 1, 1, 1) // shift down-right by 1
 	// Only src(0,0) survives at dst(1,1); the rest is zero-padded.
 	want := []float64{0, 0, 0, 1}
 	for i := range want {
@@ -46,8 +46,8 @@ func TestShiftIntoMultiChannel(t *testing.T) {
 		0, 0, 0, 2, // channel 1: hot at (1,1)
 	}
 	dst := make([]float64, 8)
-	shiftInto(dst, src, 2, 2, 2, 1, 0, 1) // shift right by 1
-	if dst[1] != 1 {                      // channel 0 pixel moved to (0,1)
+	refShiftInto(dst, src, 2, 2, 2, 1, 0, 1) // shift right by 1
+	if dst[1] != 1 {                         // channel 0 pixel moved to (0,1)
 		t.Fatalf("channel 0: %v", dst[:4])
 	}
 	if dst[4+3] != 0 { // channel 1 (1,1) pushed out of bounds
