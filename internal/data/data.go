@@ -33,6 +33,24 @@
 // byte-identical at any GOMAXPROCS; a block does not depend on the split's
 // length, so the n-sample corpus is a prefix of the m-sample one (m > n),
 // train and test alike.
+//
+// Streams: a block's stream is math/rand's, the values
+// rand.New(rand.NewSource(seed)) gives, but drawn by synthRNG (rng.go), a
+// copy of math/rand's generator whose register step and ziggurat fast
+// path the row kernel inlines: math/rand's draws go through the Source
+// interface one call at a time. Go 1 compatibility freezes math/rand's
+// value stream, so a faithful copy stays equal to it. The copy reads its
+// starting register out of math/rand's own seeding, and two tests hold
+// it to math/rand: TestGenerateStreamMatchesMathRand compares 10M draws
+// of every kind, slow branches included, and TestGenerateMatchesReference
+// compares whole corpora with the *rand.Rand synthesis this replaced. The
+// class prototypes are drawn through *rand.Rand itself.
+//
+// Rounding: every multiply-add rounds its product explicitly,
+// float64(x*y) + z. The Go spec lets a compiler fuse x*y + z into one
+// rounding, and arm64's does, which would make the corpus depend on the
+// architecture (ROADMAP item 16); the explicit conversion forbids the
+// fusion and leaves amd64's code as it was.
 package data
 
 import (
@@ -171,7 +189,7 @@ func makePrototypes(rng *rand.Rand, p params) [][]float64 { //fedtripvet:allow r
 		unique := smoothField(rng, p.channels, p.h, p.w)
 		img := make([]float64, size)
 		for i := range img {
-			img[i] = common*shared[i] + p.separation*unique[i]
+			img[i] = float64(common*shared[i]) + float64(p.separation*unique[i])
 		}
 		protos[c] = img
 	}
@@ -191,18 +209,20 @@ func smoothField(rng *rand.Rand, channels, h, w int) []float64 { //fedtripvet:al
 		}
 		base := c * h * w
 		for y := 0; y < h; y++ {
-			fy := float64(y) / float64(h-1) * float64(coarse-1)
+			fy := float64(float64(y) / float64(h-1) * float64(coarse-1))
 			y0 := int(fy)
 			ty := fy - float64(y0)
 			for x := 0; x < w; x++ {
-				fx := float64(x) / float64(w-1) * float64(coarse-1)
+				fx := float64(float64(x) / float64(w-1) * float64(coarse-1))
 				x0 := int(fx)
 				tx := fx - float64(x0)
 				v00 := grid[y0*(coarse+1)+x0]
 				v01 := grid[y0*(coarse+1)+x0+1]
 				v10 := grid[(y0+1)*(coarse+1)+x0]
 				v11 := grid[(y0+1)*(coarse+1)+x0+1]
-				out[base+y*w+x] = (1-ty)*((1-tx)*v00+tx*v01) + ty*((1-tx)*v10+tx*v11)
+				top := float64((1-tx)*v00) + float64(tx*v01)
+				bottom := float64((1-tx)*v10) + float64(tx*v11)
+				out[base+y*w+x] = float64((1-ty)*top) + float64(ty*bottom)
 			}
 		}
 	}
@@ -230,7 +250,7 @@ func EncodePixel(v float64) uint8 {
 	// on the signed value costs a tenth or more of the whole corpus build.
 	// NaN fails both comparisons, so it is tested before the conversion,
 	// whose result for NaN is implementation-defined.
-	s := v*pixelScale + (pixelZero + 0.5)
+	s := float64(v*pixelScale) + (pixelZero + 0.5)
 	switch {
 	case s >= 256:
 		return 255
@@ -248,8 +268,10 @@ func DecodePixel(q uint8) float64 { return (float64(q) - pixelZero) / pixelScale
 
 // synthesise draws n samples block by block, in parallel over blocks;
 // blockSeed(b) is the split's seed for block b. Each worker chunk owns one
-// generator (re-seeded per block) and one float64 row, so allocations
-// scale with the worker count and not with n.
+// generator, re-seeded per block, so allocations scale with the worker
+// count and not with n. A sample is written row by row in one pass: each
+// image row's pixels are its shifted prototype row (zero where the shift
+// brings in padding) plus one normal each, encoded straight into X.
 func synthesise(p params, kind Kind, protos [][]float64, n int, blockSeed func(b int) int64) *Dataset {
 	size := p.channels * p.h * p.w
 	d := &Dataset{
@@ -260,44 +282,32 @@ func synthesise(p params, kind Kind, protos [][]float64, n int, blockSeed func(b
 	}
 	blocks := (n + blockSamples - 1) / blockSamples
 	parallel.ForChunkedMin(blocks, 2, func(lo, hi int) {
-		rng := rand.New(rand.NewSource(0)) //fedtripvet:allow block synthesis generator, re-seeded per block from the spec's seed through the named data streams
-		row := make([]float64, size)
+		var g synthRNG
 		for b := lo; b < hi; b++ {
-			rng.Seed(blockSeed(b))
+			g.seed(blockSeed(b))
 			for i, end := b*blockSamples, min((b+1)*blockSamples, n); i < end; i++ {
-				cls := rng.Intn(p.classes)
+				cls := g.intn(p.classes)
 				d.Y[i] = cls
-				dx := rng.Intn(2*p.maxShift+1) - p.maxShift
-				dy := rng.Intn(2*p.maxShift+1) - p.maxShift
-				amp := 1 + 0.2*rng.NormFloat64()
-				shiftInto(row, protos[cls], p.channels, p.h, p.w, dx, dy, amp)
-				dst := d.X[i*size : (i+1)*size]
-				for j, v := range row {
-					dst[j] = EncodePixel(v + rng.NormFloat64()*p.noise)
+				dx := g.intn(2*p.maxShift+1) - p.maxShift
+				dy := g.intn(2*p.maxShift+1) - p.maxShift
+				amp := 1 + float64(0.2*g.normFloat64())
+				// Pixel x of an image row reads x-dx of its source row,
+				// which is inside the image for x in [x0, x1).
+				x0, x1 := max(dx, 0), min(p.w+dx, p.w)
+				src, dst := protos[cls], d.X[i*size:(i+1)*size]
+				for c := 0; c < p.channels; c++ {
+					for y := 0; y < p.h; y++ {
+						lo, hi, srow := 0, 0, []float64(nil)
+						if sy := y - dy; sy >= 0 && sy < p.h {
+							lo, hi, srow = x0, x1, src[(c*p.h+sy)*p.w:][:p.w]
+						}
+						g.noiseRow(dst[(c*p.h+y)*p.w:][:p.w], srow, lo, hi, dx, amp, p.noise)
+					}
 				}
 			}
 		}
 	})
 	return d
-}
-
-// shiftInto writes amp * translate(src, dx, dy) into dst, zero-padding
-// pixels shifted in from outside.
-func shiftInto(dst, src []float64, channels, h, w, dx, dy int, amp float64) {
-	for c := 0; c < channels; c++ {
-		base := c * h * w
-		for y := 0; y < h; y++ {
-			sy := y - dy
-			for x := 0; x < w; x++ {
-				sx := x - dx
-				if sy < 0 || sy >= h || sx < 0 || sx >= w {
-					dst[base+y*w+x] = 0
-				} else {
-					dst[base+y*w+x] = amp * src[base+sy*w+sx]
-				}
-			}
-		}
-	}
 }
 
 // FillBatch decodes the samples at idx into x (shape [len(idx), C, H, W]

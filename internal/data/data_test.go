@@ -143,17 +143,18 @@ func TestGeneratePrefixStable(t *testing.T) {
 	}
 }
 
-// Generation allocates per worker chunk (one generator, one float64 row,
-// one goroutine), never per block or per sample: quadrupling the blocks
-// must stay under the same ceiling, alone on one thread (AllocsPerRun pins
-// GOMAXPROCS to 1) and across four.
+// Generation allocates per worker chunk (one generator's math/rand
+// source, one goroutine), never per block or per sample: quadrupling the
+// blocks must stay under the same ceiling, alone on one thread
+// (AllocsPerRun pins GOMAXPROCS to 1) and across four.
 func TestGenerateAllocsBoundedByWorkers(t *testing.T) {
-	// 37 allocations do not depend on the corpus: 11 smooth fields and
+	// 35 allocations do not depend on the corpus: 11 smooth fields and
 	// prototypes, two Dataset values with X and Y, the block-seed
-	// closures and one serial chunk's generator and row per split (the
-	// one-block test split always runs serially). A parallel chunk adds
-	// its goroutine and closure: at most 6 per chunk.
-	const fixed, perChunk = 37, 6
+	// closures and one serial chunk's math/rand source per split (the
+	// one-block test split always runs serially; the generator itself
+	// lives on the chunk's stack). A parallel chunk adds its goroutine
+	// and closure: at most 5 per chunk.
+	const fixed, perChunk = 35, 5
 	generate := func(n int) func() {
 		return func() {
 			if _, _, err := Generate(Spec{Kind: KindMNIST, Train: n, Test: 10, Seed: 1}); err != nil {
