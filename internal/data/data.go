@@ -297,11 +297,11 @@ func synthesise(p params, kind Kind, protos [][]float64, n int, blockSeed func(b
 				src, dst := protos[cls], d.X[i*size:(i+1)*size]
 				for c := 0; c < p.channels; c++ {
 					for y := 0; y < p.h; y++ {
-						lo, hi, srow := 0, 0, []float64(nil)
+						srow, from, to := []float64(nil), 0, 0
 						if sy := y - dy; sy >= 0 && sy < p.h {
-							lo, hi, srow = x0, x1, src[(c*p.h+sy)*p.w:][:p.w]
+							srow, from, to = src[(c*p.h+sy)*p.w:][:p.w], x0, x1
 						}
-						g.noiseRow(dst[(c*p.h+y)*p.w:][:p.w], srow, lo, hi, dx, amp, p.noise)
+						g.noiseRow(dst[(c*p.h+y)*p.w:][:p.w], srow, from, to, dx, amp, p.noise)
 					}
 				}
 			}

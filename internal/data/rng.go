@@ -102,7 +102,8 @@ func (g *synthRNG) float64() float64 {
 }
 
 // normFloat64 is rand.(*Rand).NormFloat64: the ziggurat's fast path, and
-// normTail when it misses.
+// normTail when it misses. Its 32 bits j are Rand.Uint32's,
+// uint32(Int63() >> 31): the conversion drops the top bit Int63 clears.
 func (g *synthRNG) normFloat64() float64 {
 	j := int32(uint32(g.uint64() >> 31))
 	i := j & 0x7F
