@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"testing"
+)
 
 // What the external tests read of the parameter pool: the buffers checked
 // out now and the most at once since ResetPoolPeak.
@@ -192,6 +195,13 @@ func (rs *RunState) Noisy(c *Client) bool {
 // StateDigest fingerprints the run stream resumes to under spec
 // (stateDigest).
 func StateDigest(stream []byte, spec RunSpec) (string, error) { return stateDigest(stream, spec) }
+
+// RequireStreamPinned holds the calling test's snapshot stream, taken
+// from a run of spec, to its streamPins entry (requireStreamPinned).
+func RequireStreamPinned(t *testing.T, stream []byte, spec RunSpec) {
+	t.Helper()
+	requireStreamPinned(t, stream, spec)
+}
 
 // Dispatches is how many times each client has been sent out.
 func (rs *RunState) Dispatches() []int32 { return rs.s.pop.dispatches }

@@ -134,49 +134,52 @@ func TestLockStepStreamsPinned(t *testing.T) {
 		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "48768eee589a89ba85af6e627ee650c9b4577d4388d2ca9fdde9f236b81ca811", 1114719},
 	}
 	for _, tc := range cases {
-		build := func() core.RunSpec {
-			return core.RunSpec{
-				Config: core.Config{
-					Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
-					Train: train, Test: test, Parts: parts,
-					Rounds: 5, ClientsPerRound: tc.k,
-					BatchSize: 20, LocalEpochs: 1,
-					LR: 0.01, Momentum: 0.9,
-					Algo: core.NewFedTrip(0.4), Seed: 1,
-				},
-				Runtime:            core.RuntimeBarrier,
-				Latency:            mustFleet(core.ParseLatency(tc.latency)),
-				Devices:            mustFleet(core.ParseDeviceDist(tc.devices)),
-				AdaptiveLocalSteps: tc.devices != "",
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() core.RunSpec {
+				return core.RunSpec{
+					Config: core.Config{
+						Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
+						Train: train, Test: test, Parts: parts,
+						Rounds: 5, ClientsPerRound: tc.k,
+						BatchSize: 20, LocalEpochs: 1,
+						LR: 0.01, Momentum: 0.9,
+						Algo: core.NewFedTrip(0.4), Seed: 1,
+					},
+					Runtime:            core.RuntimeBarrier,
+					Latency:            mustFleet(core.ParseLatency(tc.latency)),
+					Devices:            mustFleet(core.ParseDeviceDist(tc.devices)),
+					AdaptiveLocalSteps: tc.devices != "",
+				}
 			}
-		}
-		full, err := core.Start(build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := full.Digest(); got != tc.digest {
-			t.Errorf("%s: digest %s, pinned %s", tc.name, got, tc.digest)
-		}
-		rs, err := core.NewRunState(build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := rs.Step(); err != nil {
+			full, err := core.Start(build())
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		var buf bytes.Buffer
-		if err := rs.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		rs.Close()
-		if buf.Len() != tc.length {
-			t.Errorf("%s: stream is %d bytes, pinned %d", tc.name, buf.Len(), tc.length)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); runtime.GOARCH == "amd64" && got != tc.sha256 {
-			t.Errorf("%s: stream sha256 %s, pinned %s", tc.name, got, tc.sha256)
-		}
+			if got := full.Digest(); got != tc.digest {
+				t.Errorf("digest %s, pinned %s", got, tc.digest)
+			}
+			rs, err := core.NewRunState(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := rs.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := rs.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			rs.Close()
+			if buf.Len() != tc.length {
+				t.Errorf("stream is %d bytes, pinned %d", buf.Len(), tc.length)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); runtime.GOARCH == "amd64" && got != tc.sha256 {
+				t.Errorf("stream sha256 %s, pinned %s", got, tc.sha256)
+			}
+			core.RequireStreamPinned(t, buf.Bytes(), build())
+		})
 	}
 }
 

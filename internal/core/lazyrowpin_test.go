@@ -100,15 +100,15 @@ var lazyStateDigests = map[string]string{
 	"fedtrip:0.4/sync":                       "8f8094b215dda742",
 	"fedtrip:0.4/sync f32":                   "f65126769df2794a",
 	"fedtrip:0.4/sync topk-ef":               "04816625fdffc302",
-	"fedtrip:0.4/async churn":                "8b108fa6942c0240",
-	"fedtrip:0.4/async churn f32 devices":    "d4d04af2afb799b1",
-	"fedtrip:0.4/async churn topk-ef priced": "a458632beca76cc1",
+	"fedtrip:0.4/async churn":                "8e4a10eaf0018f29",
+	"fedtrip:0.4/async churn f32 devices":    "75655aec18f5b5a8",
+	"fedtrip:0.4/async churn topk-ef priced": "b242dd45454194f1",
 	"moon/sync":                              "867db3fe3f1bc065",
 	"moon/sync f32":                          "975ca1e0a89f3e84",
 	"moon/sync topk-ef":                      "f186b74ffef967dc",
-	"moon/async churn":                       "e3cc81a1c0080b81",
-	"moon/async churn f32 devices":           "18bd7ae3485c42e1",
-	"moon/async churn topk-ef priced":        "65a23cf94052ab87",
+	"moon/async churn":                       "a6587559a4c4408c",
+	"moon/async churn f32 devices":           "e759c84140a874bd",
+	"moon/async churn topk-ef priced":        "862c3f3f5b9764ef",
 }
 
 // TestLazyRowStreamsPinned pins, for FedTrip and MOON on each fleet, the
@@ -189,6 +189,7 @@ func TestLazyRowStreamsPinned(t *testing.T) {
 				if want := lazyStateDigests[name]; runtime.GOARCH == "amd64" && state != want {
 					t.Errorf("the stream resumes to state %s, pinned %s", state, want)
 				}
+				core.RequireStreamPinned(t, buf.Bytes(), build())
 			})
 		}
 	}

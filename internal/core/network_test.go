@@ -265,6 +265,7 @@ func TestResumeEquivalenceAsyncPricedTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireParentStream(t, buf.Bytes())
+	requireStreamPinned(t, buf.Bytes(), build())
 	cont, err := rs.Run()
 	if err != nil {
 		t.Fatal(err)

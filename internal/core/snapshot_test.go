@@ -188,6 +188,7 @@ func runResumeScenario(t *testing.T, spec RunSpec, snapAt int) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	requireParentStream(t, buf.Bytes())
+	requireStreamPinned(t, buf.Bytes(), spec)
 
 	// Snapshot-and-continue: the quiesce must not perturb the trajectory.
 	cont, err := rs.Run()

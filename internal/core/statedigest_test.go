@@ -11,8 +11,12 @@ import (
 )
 
 // stateDigest resumes stream under spec and fingerprints the run it
-// holds, whatever the stream's layout: the global model, the selection,
-// latency, churn and adversary streams, then per client its rows — as
+// holds, whatever the stream's layout: the global model, the selection
+// and latency streams, the churn section (its stream and sequence, the
+// segment permutation and counts, the two clocks, the event heap in array
+// order and the rejoin groups; the policy is stateless, and the fault
+// assignment is derived again and checked on read), the adversary
+// streams, then per client its rows — as
 // Client.State returns them, rebuilt where they are held as a recipe —
 // its error-feedback row as PeekResid returns it, its stream position,
 // LastRound and FLOPs, then the pending jobs in heap and buffer order,
@@ -37,6 +41,12 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 			f64(x)
 		}
 	}
+	i32s := func(v []int32) {
+		u64(uint64(len(v)))
+		for _, x := range v {
+			i64(int64(x))
+		}
+	}
 	pos := func(st prng.State) {
 		u64(st.S)
 		f64(st.Spare)
@@ -49,9 +59,26 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 	vec(s.global)
 	pos(s.rng.State())
 	pos(s.latRng.State())
-	if s.churn != nil {
-		pos(s.churn.rng.State())
-		i64(s.churn.seq)
+	if ch := s.churn; ch != nil {
+		pos(ch.rng.State())
+		i64(ch.seq)
+		i32s(ch.order)
+		i64(int64(ch.nUp))
+		i64(int64(ch.nDown))
+		i64(int64(ch.nSusp))
+		f64(ch.nextDrop)
+		f64(ch.nextRejoin)
+		i64(int64(len(ch.h.es)))
+		for _, e := range ch.h.es {
+			f64(e.at)
+			i64(e.seq)
+			i64(int64(e.id))
+			u64(uint64(e.kind))
+		}
+		i64(int64(len(ch.groups)))
+		for _, g := range ch.groups {
+			i32s(g)
+		}
 	}
 	for _, rng := range s.advRng {
 		if rng != nil {

@@ -126,6 +126,7 @@ func TestUploadStreamsPinned(t *testing.T) {
 			if runtime.GOARCH == "amd64" && sum != tc.sha256 {
 				t.Errorf("stream sha256 %s, pinned %s", sum, tc.sha256)
 			}
+			core.RequireStreamPinned(t, buf.Bytes(), build())
 		})
 	}
 }
