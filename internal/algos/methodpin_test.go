@@ -21,7 +21,7 @@ import (
 // on conv models (runConv). Each result digest is compared with a literal
 // taken before per-client state moved from the runtime into the methods;
 // the conv rows before input gradients moved into activation buffers. The
-// digests are amd64 values (like parentStreamSHA256).
+// digests are amd64 values (like core's stream state digests).
 func TestMethodDigestsPinned(t *testing.T) {
 	sync := map[string]string{
 		"fedtrip":  "89ac4560cb3a6c42",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -196,11 +197,36 @@ func (rs *RunState) Noisy(c *Client) bool {
 // (stateDigest).
 func StateDigest(stream []byte, spec RunSpec) (string, error) { return stateDigest(stream, spec) }
 
-// RequireStreamPinned holds the calling test's snapshot stream, taken
-// from a run of spec, to its streamPins entry (requireStreamPinned).
-func RequireStreamPinned(t *testing.T, stream []byte, spec RunSpec) {
+// ResumePinned steps a run of build() k times, holds its snapshot stream
+// to the calling test's streamPins entry (requireStreamPinned), and
+// finishes the run from that stream in a second RunState.
+func ResumePinned(t *testing.T, build func() RunSpec, k int) *Result {
 	t.Helper()
-	requireStreamPinned(t, stream, spec)
+	rs, err := NewRunState(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		if _, err := rs.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	err = rs.Snapshot(&buf)
+	rs.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireStreamPinned(t, buf.Bytes(), build())
+	rs2, err := Resume(&buf, ResumeSpec{Spec: build()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rs2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // Dispatches is how many times each client has been sent out.

@@ -1,11 +1,7 @@
 package core_test
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -112,8 +108,9 @@ func TestBarrierChurnShardsAndResume(t *testing.T) {
 // loop became the gated event loop. The gate pops priced arrivals in
 // virtual-time order but merges — and returns its clients to the idle
 // set, whose order the stream carries — in dispatch order, as the old
-// loop did; these pins hold it to that. A stream is trained float64s, so
-// the hashes hold on amd64 only; the lengths and digests everywhere.
+// loop did; these pins hold it to that. Each case pins the run's digest,
+// and the digest of the run resumed from its stream after round 2, which
+// streamPins holds.
 func TestLockStepStreamsPinned(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 400, Test: 100, Seed: 44})
 	if err != nil {
@@ -126,12 +123,11 @@ func TestLockStepStreamsPinned(t *testing.T) {
 	cases := []struct {
 		name, latency, devices string
 		k                      int
-		digest, sha256         string
-		length                 int
+		digest                 string
 	}{
-		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9", "d5e6f8d1a5d2a0892358cbe57981d43e2b70359c66d6ede50fd7199eaf171467", 1114705},
-		{"exp", "exp:2", "", 4, "a1cf5b114a981d09", "665354616cfd1e727718ec6a597e1e01e44bce1dc228238ed2d4215096b8c16d", 1432888},
-		{"devices", "", "tiered", 3, "ef566e3e9d19759a", "48768eee589a89ba85af6e627ee650c9b4577d4388d2ca9fdde9f236b81ca811", 1114719},
+		{"straggler", "straggler:1,10,3", "", 3, "e29541c06b4f77f9"},
+		{"exp", "exp:2", "", 4, "a1cf5b114a981d09"},
+		{"devices", "", "tiered", 3, "ef566e3e9d19759a"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,27 +154,9 @@ func TestLockStepStreamsPinned(t *testing.T) {
 			if got := full.Digest(); got != tc.digest {
 				t.Errorf("digest %s, pinned %s", got, tc.digest)
 			}
-			rs, err := core.NewRunState(build())
-			if err != nil {
-				t.Fatal(err)
+			if got := core.ResumePinned(t, build, 2).Digest(); got != tc.digest {
+				t.Errorf("resumed digest %s, pinned %s", got, tc.digest)
 			}
-			for i := 0; i < 2; i++ {
-				if _, err := rs.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if err := rs.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			rs.Close()
-			if buf.Len() != tc.length {
-				t.Errorf("stream is %d bytes, pinned %d", buf.Len(), tc.length)
-			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); runtime.GOARCH == "amd64" && got != tc.sha256 {
-				t.Errorf("stream sha256 %s, pinned %s", got, tc.sha256)
-			}
-			core.RequireStreamPinned(t, buf.Bytes(), build())
 		})
 	}
 }

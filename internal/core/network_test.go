@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -238,50 +237,9 @@ func TestSnapshotRefusesStatefulTransport(t *testing.T) {
 // the bytes it reports snapshots at the halfway round and resumes
 // bit-for-bit.
 func TestResumeEquivalenceAsyncPricedTransport(t *testing.T) {
-	build := func() RunSpec {
-		sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync}
-		sp.Concurrency = 3
-		sp.BufferSize = 2
-		sp.Latency = mustFleet(ParseLatency("const:2"))
-		sp.Network = mustFleet(ParseNetDist("tiered"))
-		sp.Config.Transport = pricedTransport{}
-		return sp
-	}
-	full, err := Start(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewRunState(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if done, err := rs.Step(); err != nil || done {
-			t.Fatalf("step %d: done=%v err=%v", i+1, done, err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rs.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	requireParentStream(t, buf.Bytes())
-	requireStreamPinned(t, buf.Bytes(), build())
-	cont, err := rs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "priced-transport snapshot-and-continue", full, cont)
-
-	rs2, err := Resume(bytes.NewReader(buf.Bytes()), ResumeSpec{Spec: build()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := rs2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "priced-transport snapshot-and-resume", full, resumed)
-	if full.Digest() != resumed.Digest() {
-		t.Fatalf("digest %s vs %s", full.Digest(), resumed.Digest())
-	}
+	sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync, Concurrency: 3, BufferSize: 2}
+	sp.Latency = mustFleet(ParseLatency("const:2"))
+	sp.Network = mustFleet(ParseNetDist("tiered"))
+	sp.Config.Transport = pricedTransport{}
+	runResumeScenario(t, sp, 6)
 }

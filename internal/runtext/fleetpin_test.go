@@ -29,7 +29,7 @@ func knob(v fmt.Stringer) string {
 // result digest compared with literals taken on the tree where each knob
 // was an interface with one type per form. SimTimeByRound is in the
 // digest, so one moved or reordered draw breaks a row. The digests are
-// amd64 values (like parentStreamSHA256); the texts hold anywhere.
+// amd64 values (like core's stream state digests); the texts hold anywhere.
 func TestFleetDigestsPinned(t *testing.T) {
 	async := func(sel runtext.Selection) runtext.Selection {
 		sel.Runtime, sel.Concurrency, sel.Buffer = core.RuntimeAsync, 8, 2

@@ -20,7 +20,7 @@ import (
 // became a value (PR 24's parent). The async rows run under a straggler
 // latency with more clients in flight than a merge takes, so staleness is
 // non-zero and discounts, cutoffs and mixing rates all bite. The digests
-// are amd64 values (like parentStreamSHA256); the texts hold anywhere.
+// are amd64 values (like core's stream state digests); the texts hold anywhere.
 func TestPolicyDigestsPinned(t *testing.T) {
 	async := func(policy, serverLR string, buffer int) runtext.Selection {
 		return runtext.Selection{
