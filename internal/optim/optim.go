@@ -78,7 +78,7 @@ func (o *SGDMomentum) Step(w, g []float64) {
 	}
 	m := o.Momentum
 	for i := range o.buf {
-		o.buf[i] = m*o.buf[i] + g[i]
+		o.buf[i] = float64(m*o.buf[i]) + g[i]
 	}
 	tensor.Axpy(-o.LR, o.buf, w)
 }

@@ -133,7 +133,7 @@ func (r *Rand) Intn(n int) int {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a standard normal deviate via the polar
@@ -146,9 +146,9 @@ func (r *Rand) NormFloat64() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

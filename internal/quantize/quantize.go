@@ -125,7 +125,7 @@ func (q *Quantized) DequantizeInto(out []float64) {
 		acc >>= q.Bits
 		accBits -= q.Bits
 		if span > 0 {
-			out[i] = q.Min + float64(code)/levels*span
+			out[i] = q.Min + float64(float64(code)/levels*span)
 		} else {
 			out[i] = q.Min
 		}
