@@ -42,6 +42,7 @@ var streamPins = map[string]streamPin{
 	"TestUploadStreamsPinned/topk-ef-median-byz":                      {1116123, "8a323b520cc27c03", "3718f3dc490af0adb1fc9bd6183018d970e35e51c9a138e4c5910760c2202a89"},
 	"TestUploadStreamsPinned/randk-barrier-straggler":                 {1115168, "a207aff9567565bb", ""},
 	"TestUploadStreamsPinned/q8-ef-async":                             {1116030, "88daabc8af79df70", ""},
+	"TestUploadStreamsPinned/q8-ef-noise":                             {1434322, "4e3cf0673fc55d40", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync":                       {808264, "8f8094b215dda742", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_f32":                   {808263, "f65126769df2794a", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_topk-ef":               {808272, "04816625fdffc302", ""},

@@ -11,11 +11,13 @@ import (
 	"repro/internal/partition"
 )
 
-// How the server holds an in-flight upload must not move a run. Three
+// How the server holds an in-flight upload must not move a run. Four
 // transport shapes — a sparse error-feedback uplink under a robust merge,
 // attacks and a priced network (the asynchronous, sparse case); a sparse
-// uplink behind the lock-step gate under straggler latency; and a dense
-// quantized uplink — each pin the uninterrupted digest and the digest of
+// uplink behind the lock-step gate under straggler latency; a dense
+// quantized uplink; and the same with noise clients, whose error-feedback
+// rows no recipe rebuilds, so theirs is the one stream that writes
+// residual rows — each pin the uninterrupted digest and the digest of
 // the run resumed from a mid-run snapshot stream, which streamPins holds
 // (asynchronous runs have jobs in flight and buffered at the boundary; a
 // lock-step boundary has none).
@@ -34,6 +36,7 @@ func TestUploadStreamsPinned(t *testing.T) {
 		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered", "7c0da0bdd287eec2"},
 		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "", "74db091ccf8b2e61"},
 		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "", "cf6a3a5490d91f14"},
+		{"q8-ef-noise", "async", "q8+ef", "", "byz:0.3,noise:0.3+crash:0.1", "exp:2", "", "776dc4ba0e20aa46"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
