@@ -24,7 +24,8 @@ type streamPin struct {
 // three SHA-256s and leaves every state digest as it is. The three
 // streams that keep a hash write every section between them: dense rows
 // and the lock-step body (sync); round images, recipe chains, in-flight
-// and buffered jobs and the churn section (the priced lazy fleet); the
+// and buffered jobs and the churn section (the priced lazy fleet, whose
+// Markov-only churn leaves the event heap and rejoin groups empty); the
 // adversary section and materialised upload patches (topk-ef-median-byz).
 var streamPins = map[string]streamPin{
 	"TestResumeEquivalenceSync":                                       {4453641, "5e507f9f4cf1c474", "c8150674fd19a2b573a474e09125c208a83b82d4102c328f3ea6646ed7af16ca"},
