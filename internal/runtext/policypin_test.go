@@ -28,6 +28,10 @@ func TestPolicyDigestsPinned(t *testing.T) {
 			Policy: policy, ServerLR: serverLR,
 		}
 	}
+	wired := func(sel runtext.Selection, transport string) runtext.Selection {
+		sel.Transport = transport
+		return sel
+	}
 	cases := []struct {
 		name         string
 		sel          runtext.Selection
@@ -52,6 +56,22 @@ func TestPolicyDigestsPinned(t *testing.T) {
 		{"trimmedmean:0.25+maxstale:8+clip:5", async("trimmedmean:0.25+maxstale:8+clip:5", "", 5), "trimmedmean:0.25+maxstale:8+clip:5", "57ffd62f213cef9a"},
 		{"trimmedmean:0.25+maxstale:1+clip:0.05", async("trimmedmean:0.25+maxstale:1+clip:0.05", "", 5), "trimmedmean:0.25+maxstale:1+clip:0.05", "17835c85774ea378"},
 		{"fedbuff under invsqrt:1", async("fedbuff", "invsqrt:1", 2), "fedbuff:0.5+lr:invsqrt:1", "9aeb51ff30f5dc9e"},
+		// The same policies over a transport, so the merge reads uploads
+		// a sparse uplink (topk:0.01+ef) or a float32 one (f32) produced;
+		// the lock-step row's jobs train from the global the merge writes.
+		{"fedavg over topk:0.01+ef", wired(async("fedavg", "", 2), "topk:0.01+ef"), "fedavg", "1f3b1ded9c28dffa"},
+		{"fedbuff+maxstale:2 over topk:0.01+ef", wired(async("fedbuff+maxstale:2", "", 2), "topk:0.01+ef"), "fedbuff:0.5+maxstale:2", "5cbec5c7a2113d42"},
+		{"fedavg+clip:0.05 over topk:0.01+ef", wired(async("fedavg+clip:0.05", "", 2), "topk:0.01+ef"), "fedavg+clip:0.05", "018ec1fa93ea57bf"},
+		{"median over topk:0.01+ef", wired(async("median", "", 5), "topk:0.01+ef"), "median", "fc4129056277d30f"},
+		{"trimmedmean:0.25 over topk:0.01+ef", wired(async("trimmedmean:0.25", "", 5), "topk:0.01+ef"), "trimmedmean:0.25", "d1da42c814c805a6"},
+		{"krum:0.2 over topk:0.01+ef", wired(async("krum:0.2", "", 5), "topk:0.01+ef"), "krum:0.2", "5b1efc8f86c63fa6"},
+		{"fedavg over f32", wired(async("fedavg", "", 2), "f32"), "fedavg", "6d0dceb7b46febab"},
+		{"fedbuff+maxstale:2 over f32", wired(async("fedbuff+maxstale:2", "", 2), "f32"), "fedbuff:0.5+maxstale:2", "367fd0fa347caad7"},
+		{"fedavg+clip:0.05 over f32", wired(async("fedavg+clip:0.05", "", 2), "f32"), "fedavg+clip:0.05", "d97fcbde67a02f65"},
+		{"median over f32", wired(async("median", "", 5), "f32"), "median", "7ea9d9c86dbbdec1"},
+		{"trimmedmean:0.25 over f32", wired(async("trimmedmean:0.25", "", 5), "f32"), "trimmedmean:0.25", "1549d6842d253d2c"},
+		{"krum:0.2 over f32", wired(async("krum:0.2", "", 5), "f32"), "krum:0.2", "bed959bb9635e033"},
+		{"sync default over topk:0.01+ef", runtext.Selection{Transport: "topk:0.01+ef"}, "fedavg", "cf7939b2e57abed6"},
 	}
 
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 240, Test: 60, Seed: 42})
