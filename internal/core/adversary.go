@@ -309,9 +309,30 @@ func rotateLabels(y []int, off, classes int) {
 // are zero-weighted out and counted — the global model never sees them —
 // and the norm-clip guard, when configured, then rescales surviving
 // updates onto the admissible ball around the current global model.
-func (s *Server) screenUpdates(weights []float64, updates []Update) {
+//
+// It also sets up the buffer's readers (mergeRead) and reports whether
+// any update is compact. A compact one is screened widened into the
+// merge's scratch, and its clip is kept in its reader, applied to each
+// entry as the merge reads it; a dense one is clipped in place.
+func (s *Server) screenUpdates(weights []float64, updates []Update) (compact bool) {
+	if cap(s.mergeRd) < len(updates) {
+		s.mergeRd = make([]mergeRead, len(updates)) //fedtripvet:allow server scratch, grows once to the merge buffer size
+	}
+	s.mergeRd = s.mergeRd[:len(updates)]
+	maxNorm := s.spec.Policy.Clip
 	for i := range updates {
-		if tensor.AllFinite(updates[i].Params) {
+		u := &updates[i]
+		rd := &s.mergeRd[i]
+		*rd = mergeRead{u: u}
+		v := u.Params
+		if u.compacted() {
+			compact = true
+			v = u.Vector(s.widenBuf())
+		}
+		if tensor.AllFinite(v) {
+			if u.compacted() && weights[i] > 0 && maxNorm != 0 {
+				rd.scale, rd.clipped = s.clipScale(v, maxNorm)
+			}
 			continue
 		}
 		weights[i] = 0
@@ -319,51 +340,116 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 		if !s.rejectLogged {
 			s.rejectLogged = true
 			if s.spec.Logf != nil {
-				s.spec.Logf("core: rejected non-finite update from client %d (counted in RejectedUpdates; further rejections are silent)", updates[i].ClientID)
+				s.spec.Logf("core: rejected non-finite update from client %d (counted in RejectedUpdates; further rejections are silent)", u.ClientID)
 			}
 		}
 	}
-	maxNorm := s.spec.Policy.Clip
 	if maxNorm == 0 {
-		return
+		return compact
 	}
 	for i := range updates {
 		u := &updates[i]
-		if weights[i] <= 0 || len(u.Params) != len(s.global) {
+		if weights[i] <= 0 || u.compacted() || len(u.Params) != len(s.global) {
 			continue
 		}
-		var sq float64
-		for j, v := range u.Params {
-			d := v - s.global[j]
-			sq += d * d
-		}
-		if n := math.Sqrt(sq); n > maxNorm {
-			scale := maxNorm / n
-			for j := range u.Params {
-				u.Params[j] = s.global[j] + scale*(u.Params[j]-s.global[j])
-			}
+		if scale, ok := s.clipScale(u.Params, maxNorm); ok {
+			clipOnto(u.Params, s.global, scale)
 		}
 	}
+	return compact
+}
+
+// clipScale reports whether v lies farther than maxNorm from the global
+// model, and the scale that brings it back onto that ball.
+func (s *Server) clipScale(v []float64, maxNorm float64) (float64, bool) {
+	if len(v) != len(s.global) {
+		return 0, false
+	}
+	var sq float64
+	for j, x := range v {
+		d := x - s.global[j]
+		sq += float64(d * d)
+	}
+	if n := math.Sqrt(sq); n > maxNorm {
+		return maxNorm / n, true
+	}
+	return 0, false
+}
+
+// clipOnto moves v toward g by scale: v = g + scale*(v-g).
+func clipOnto(v, g []float64, scale float64) {
+	for j := range v {
+		v[j] = g[j] + float64(scale*(v[j]-g[j]))
+	}
+}
+
+// mergeRead is how the merge reads one update of its buffer: a dense
+// upload as it lies (the screen clipped it in place), a compact one
+// widened whole into scratch (vector) or entry by entry through a cursor
+// (at), in either case clipped as it is read, against the global the
+// merge has not yet moved.
+type mergeRead struct {
+	u *Update
+	// scale is the clip the screen chose for a compact update; clipped
+	// false leaves it unclipped (a zero scale is a clip too).
+	scale   float64
+	clipped bool
+	// next is the patch cursor: the first patch entry at or past the
+	// coordinate at reads next.
+	next int
+}
+
+// vector returns the update as the merge reads it: a dense one's own
+// Params, a compact one widened into dst and clipped against g.
+func (r *mergeRead) vector(dst, g []float64) []float64 {
+	if r.u.Params != nil {
+		return r.u.Params
+	}
+	v := r.u.Vector(dst)
+	if r.clipped {
+		clipOnto(v, g, r.scale)
+	}
+	return v
+}
+
+// at returns entry j of the update as the merge reads it. On a patch it
+// advances the cursor, so calls must come in increasing j from a reset
+// cursor.
+func (r *mergeRead) at(j int, g []float64) float64 {
+	u := r.u
+	var v float64
+	switch {
+	case u.Params != nil:
+		return u.Params[j]
+	case u.narrow != nil:
+		v = float64(u.narrow[j])
+	default:
+		if p := u.patch; r.next < len(p.idx) && int(p.idx[r.next]) == j {
+			v = p.val[r.next]
+			r.next++
+		} else {
+			v = f32Image(u.base[j])
+		}
+	}
+	if r.clipped {
+		v = g[j] + float64(r.scale*(v-g[j]))
+	}
+	return v
 }
 
 // mergeRobust replaces the weighted average with the policy's robust
 // aggregate of the positively weighted updates, then applies the merge
-// rate like the standard path. vecs aliases the updates' parameter
-// vectors (aggVecs scratch); weights have been screened but not
-// normalized.
+// rate like the standard path. It reads the updates through the
+// screen's readers; weights have been screened but not normalized.
 //
 //fedtripvet:hotpath
-func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
-	if cap(s.robVecs) < len(vecs) {
-		s.robVecs = make([][]float64, 0, len(vecs)) //fedtripvet:allow server scratch, grows once to the merge buffer size
-	}
-	adm := s.robVecs[:0]
-	for i, v := range vecs {
+func (s *Server) mergeRobust(weights []float64, eta float64) {
+	adm := s.mergeRd[:0]
+	for i, rd := range s.mergeRd {
 		if weights[i] > 0 {
-			adm = append(adm, v) //fedtripvet:allow robVecs scratch, capacity grown above
+			adm = append(adm, rd) //fedtripvet:allow filters mergeRd in place
 		}
 	}
-	s.robVecs = adm
 	if len(adm) == 0 {
 		return
 	}
@@ -381,33 +467,41 @@ func (s *Server) mergeRobust(weights []float64, vecs [][]float64, eta float64) {
 	case PolicyKrum:
 		s.krumInto(avg, adm, p.Arg)
 	}
+	s.moveGlobal(avg, eta)
+}
+
+// moveGlobal moves the global model toward avg by the merge rate eta:
+// global' = global + eta*(avg - global), or avg itself at a rate of
+// exactly 1.
+func (s *Server) moveGlobal(avg []float64, eta float64) {
 	if eta == 1 {
 		copy(s.global, avg)
 		return
 	}
 	for i := range s.global {
-		s.global[i] += eta * (avg[i] - s.global[i])
+		s.global[i] += float64(eta * (avg[i] - s.global[i]))
 	}
 }
 
 // coordWindowInto writes the coordinate-wise mean of the sorted window
 // [lo, hi] into dst: the median for the maximal trim, the trimmed mean
-// otherwise. Column gather + in-place sort over the robCol scratch —
-// no per-merge allocation, O(|w| * k log k). Admitted columns are finite
-// (the screen zero-weights non-finite uploads), so their sorted order is
-// unique up to the order of +0 and -0, which no window sum can tell apart.
+// otherwise. Each column is gathered through the updates' readers into
+// the robCol scratch and sorted in place — no per-merge allocation,
+// O(|w| * k log k). Admitted columns are finite (the screen zero-weights
+// non-finite uploads), so their sorted order is unique up to the order of
+// +0 and -0, which no window sum can tell apart.
 //
 //fedtripvet:hotpath
-func (s *Server) coordWindowInto(dst []float64, vecs [][]float64, lo, hi int) {
-	k := len(vecs)
+func (s *Server) coordWindowInto(dst []float64, rds []mergeRead, lo, hi int) {
+	k := len(rds)
 	if cap(s.robCol) < k {
 		s.robCol = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
 	col := s.robCol[:k]
 	inv := 1 / float64(hi-lo+1)
 	for j := range dst {
-		for i, v := range vecs {
-			col[i] = v[j]
+		for i := range rds {
+			col[i] = rds[i].at(j, s.global)
 		}
 		slices.Sort(col)
 		var sum float64
@@ -421,12 +515,14 @@ func (s *Server) coordWindowInto(dst []float64, vecs [][]float64, lo, hi int) {
 // krumInto writes the multi-Krum aggregate into dst: pairwise squared
 // distances, each update scored by the sum of its k-f-2 closest, the
 // k-f best-scoring averaged (ties broken by buffer index, so the
-// selection is deterministic). O(k^2 |w|) distances dominate; all
-// scratch is server-owned.
+// selection is deterministic). The distances grow one coordinate at a
+// time, every pair's in coordinate order, from a column gathered through
+// the readers; only the selected updates are widened whole. O(k^2 |w|)
+// distances dominate; all scratch is server-owned.
 //
 //fedtripvet:hotpath
-func (s *Server) krumInto(dst []float64, vecs [][]float64, frac float64) {
-	k := len(vecs)
+func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
+	k := len(rds)
 	f := int(frac * float64(k))
 	if f > k-1 {
 		f = k - 1
@@ -442,29 +538,32 @@ func (s *Server) krumInto(dst []float64, vecs [][]float64, frac float64) {
 	if cap(s.robDist) < k*k {
 		s.robDist = make([]float64, k*k) //fedtripvet:allow server scratch, grows once to the merge buffer size squared
 	}
-	dist := s.robDist[:k*k]
-	for i := 0; i < k; i++ {
-		dist[i*k+i] = 0
-		vi := vecs[i]
-		for j := i + 1; j < k; j++ {
-			vj := vecs[j]
-			var sq float64
-			for x := range vi {
-				d := vi[x] - vj[x]
-				sq += d * d
-			}
-			dist[i*k+j] = sq
-			dist[j*k+i] = sq
-		}
-	}
 	if cap(s.robCol) < k {
 		s.robCol = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
 	if cap(s.robScore) < k {
 		s.robScore = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
+	dist := s.robDist[:k*k]
 	col := s.robCol[:k]
 	score := s.robScore[:k]
+	clear(dist)
+	for x := range dst {
+		for i := range rds {
+			col[i] = rds[i].at(x, s.global)
+		}
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				d := col[i] - col[j]
+				dist[i*k+j] += float64(d * d)
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			dist[j*k+i] = dist[i*k+j]
+		}
+	}
 	for i := 0; i < k; i++ {
 		m := 0
 		for j := 0; j < k; j++ {
@@ -499,9 +598,9 @@ func (s *Server) krumInto(dst []float64, vecs [][]float64, frac float64) {
 			return
 		}
 		score[best] = -1
-		v := vecs[best]
+		v := rds[best].vector(s.widenBuf(), s.global)
 		for i := range dst {
-			dst[i] += inv * v[i]
+			dst[i] += float64(inv * v[i])
 		}
 	}
 }
@@ -513,4 +612,13 @@ func (s *Server) mergeBuf() []float64 {
 		s.mergeScratch = make([]float64, len(s.global))
 	}
 	return s.mergeScratch
+}
+
+// widenBuf returns the |w|-sized scratch the merge widens compact updates
+// into, one at a time.
+func (s *Server) widenBuf() []float64 {
+	if len(s.widenScratch) != len(s.global) {
+		s.widenScratch = make([]float64, len(s.global))
+	}
+	return s.widenScratch
 }

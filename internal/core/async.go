@@ -53,14 +53,16 @@
 //     dispatch: every job dispatched between two aggregations trains from
 //     the same immutable, reference-counted snapshot, so the copies alive
 //     follow the versions in flight rather than Concurrency.
-//   - An in-flight upload is not one dense vector per client. A dense
-//     upload is (a float32 or quantized uplink changes nearly every
-//     entry), but one that differs from the float32 image of its
-//     version's global in at most a quarter of its entries — a sparse
-//     uplink's — is held as a patch of those entries, and keeps its
-//     version's snapshot until it arrives, when it is rebuilt into a
-//     pooled buffer for the policy buffer. On a top-k fleet the dense
-//     vectors in flight then follow the live versions, not Concurrency.
+//   - An upload is not one dense vector per client, in flight or in the
+//     policy buffer. Over a transport, one that differs from the float32
+//     image of its version's global in at most a quarter of its entries
+//     — a sparse uplink's — is held as a patch of those entries, and
+//     keeps its version's snapshot until the round that merges it is
+//     done; one whose entries are all exact in float32 — an f32
+//     uplink's — is held narrowed, at half the bytes. The merge reads
+//     both where they lie (Server.aggregate). On a top-k fleet the dense
+//     vectors held then follow the live versions, not Concurrency plus
+//     the buffer; a quantized uplink's upload stays dense.
 //   - Where a burst must be joined before the clock can move (device- and
 //     network-priced arrivals), a burst of one job — every burst but a
 //     run's first, in steady state — trains on the event-loop goroutine
@@ -229,6 +231,10 @@ type bufferedRunner struct {
 	// can return mid-run and a snapshot can serialize the loop.
 	inflight jobHeap
 	buffer   []*trainJob
+	// merging holds the jobs of the round being merged, out of buffer:
+	// their updates may still read their globals, so they are released
+	// and recycled only once finishRound is done.
+	merging []*trainJob
 	// seq is the dispatch sequence: total dispatches so far, or behind the
 	// gate the job's index in its round's selection.
 	seq int
@@ -307,13 +313,13 @@ func (r *bufferedRunner) close() {
 	r.retire()
 }
 
-// join waits for j's local training (once). A job with a dense upload
-// drops its reference to the snapshot it trained from here: nothing reads
-// it afterwards, so holding it until the virtual arrival would keep a
-// superseded version's vector out of the pool — which a resumed run,
-// whose jobs carry none, never holds. A sparse upload still needs its
-// version's global to be rebuilt, and keeps it until its arrival pops
-// (arrive).
+// join waits for j's local training (once). A job whose upload is not a
+// patch drops its reference to the snapshot it trained from here: nothing
+// reads it afterwards, so holding it until the virtual arrival would keep
+// a superseded version's vector out of the pool — which a resumed run,
+// whose jobs carry none, never holds. A sparse upload is read against its
+// version's global, and keeps it until the round that merges it is done
+// (step).
 func (r *bufferedRunner) join(j *trainJob) {
 	if j.trained {
 		return
@@ -322,7 +328,7 @@ func (r *bufferedRunner) join(j *trainJob) {
 	j.trained = true
 	r.unjoined--
 	r.s.rows.settle(j)
-	if !j.sparse {
+	if !j.sparse() {
 		r.release(j)
 	}
 }
@@ -346,22 +352,17 @@ func (r *bufferedRunner) unpin(sn *globalSnap) {
 	}
 }
 
-// arrive settles a popped, joined job's upload: a dropped one's goes back
-// to the pool unmerged, a sparse one is rebuilt into a pooled buffer, so
-// everything past the event heap — the policy buffer, the merge, its
-// screens, OnUpdates, recycleUpdates, a snapshot's buffered jobs — sees
-// only dense updates. Either way the job lets go of its global.
+// arrive settles a popped, joined job whose client dropped for good: its
+// upload goes back to its pool unmerged, and the job lets go of its
+// global. Any other upload stays in the form it was held in, compact or
+// dense, through the policy buffer, OnUpdates and the merge, which reads
+// every form where it lies (Server.aggregate); a snapshot writes a
+// buffered one widened.
 func (r *bufferedRunner) arrive(j *trainJob) {
-	switch {
-	case j.dropped:
-		if j.update.pooled {
-			paramsPool.put(j.update.Params)
-		}
-	case j.sparse:
-		j.update.Params, j.update.pooled = j.materialize(), true
+	if j.dropped {
+		j.update.recycle()
+		r.release(j)
 	}
-	j.sparse = false
-	r.release(j)
 }
 
 // acquire points j at the current version's snapshot, copying the global
@@ -646,10 +647,15 @@ func (r *bufferedRunner) step() (bool, error) {
 				u.Staleness = 0
 			}
 			updates[i] = u
+		}
+		r.merging, r.buffer = r.buffer, r.merging[:0]
+		r.retire()
+		done, err := s.finishRound(updates)
+		for _, bj := range r.merging {
+			r.release(bj)
 			s.recycleJob(bj)
 		}
-		r.buffer = r.buffer[:0]
-		r.retire()
-		return s.finishRound(updates)
+		r.merging = r.merging[:0]
+		return done, err
 	}
 }

@@ -256,7 +256,11 @@ func (c *Config) Validate() error {
 
 // Update is what a client returns to the server after local training.
 type Update struct {
-	ClientID   int
+	ClientID int
+	// Params is the upload as a dense vector, or nil when the runtime
+	// holds it compact (over a transport: narrowed to float32, or as a
+	// patch against the global its client trained from). Vector reads it
+	// in every form.
 	Params     []float64
 	NumSamples int
 	// Steps is the number of local mini-batch steps the client actually
@@ -274,6 +278,13 @@ type Update struct {
 	// Updates built by hand (tests, custom transports) leave it false and
 	// are never recycled.
 	pooled bool
+	// A compact upload, Params nil: narrow, a narrowPool vector, holds it
+	// when every entry is exact in float32; patch otherwise, against the
+	// float32 image of base, the global its client trained from (the
+	// job's storage, valid until the round that merges it is done).
+	narrow []float32
+	patch  *uploadPatch
+	base   []float64
 }
 
 // Algorithm customises client-side local training. The zero-cost base

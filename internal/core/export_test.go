@@ -21,11 +21,12 @@ func (rs *RunState) HoldRowsDense() { rs.s.rows.on = false }
 
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads, and once each the model versions their sparse ones
-// were taken against or a recipe pins. It errs unless those versions are
-// exactly the snapshots the runner still has out.
-func (rs *RunState) QueuedBuffers() (int, error) {
+// were taken against or a recipe pins (float64), and their narrowed
+// uploads (float32). It errs unless those versions are exactly the
+// snapshots the runner still has out.
+func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 	r := rs.run
-	held, versions := 0, map[*globalSnap]bool{}
+	versions := map[*globalSnap]bool{}
 	for _, rec := range rs.s.rows.recipes {
 		if rec.img != nil {
 			versions[rec.img] = true
@@ -34,13 +35,16 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 	for _, js := range [][]*trainJob{r.inflight.js, r.buffer} {
 		for _, j := range js {
 			if j.update.pooled {
-				held++
+				wide++
 			}
-			if !j.sparse {
+			if j.update.narrow != nil {
+				narrow++
+			}
+			if !j.sparse() {
 				continue
 			}
-			if j.gsnap == nil || &j.global[0] != &j.gsnap.vec[0] {
-				return 0, fmt.Errorf("a sparse job of round %d holds no snapshot of its version", j.round)
+			if j.gsnap == nil || &j.global[0] != &j.gsnap.vec[0] || &j.update.base[0] != &j.global[0] {
+				return 0, 0, fmt.Errorf("a sparse job of round %d holds no snapshot of its version", j.round)
 			}
 			versions[j.gsnap] = true
 		}
@@ -52,10 +56,16 @@ func (rs *RunState) QueuedBuffers() (int, error) {
 		}
 	}
 	if r.cur != nil || live != len(versions) {
-		return 0, fmt.Errorf("%d snapshots out (current %t), %d referenced by sparse jobs", live, r.cur != nil, len(versions))
+		return 0, 0, fmt.Errorf("%d snapshots out (current %t), %d referenced by sparse jobs", live, r.cur != nil, len(versions))
 	}
-	return held + len(versions), nil
+	return wide + len(versions), narrow, nil
 }
+
+// NarrowCheckouts is PoolCheckouts for the float32 pool narrowed uploads
+// are held in.
+func NarrowCheckouts() (out, peak int) { return narrowPool.checkouts() }
+
+func ResetNarrowPeak() { narrowPool.resetPeak() }
 
 // Lazy reports whether c's rows are held as a recipe.
 func (c *Client) Lazy() bool { return c.recipe != 0 }

@@ -14,36 +14,42 @@ import (
 // so a long run's upload traffic costs zero allocations after the first
 // few rounds. The buffered runtime's copies of the global model come from
 // it too — one per model version, shared by every job dispatched at that
-// version — and so do the evaluator's.
+// version — and so do the evaluator's. The pool is generic over the
+// element width: paramsPool holds float64 vectors, narrowPool the float32
+// ones uploads are narrowed into.
 //
-// What the pool holds is the most buffers ever checked out at once, never
-// O(dispatches * |w|): one global per live model version, one upload per
-// buffered arrival, one per in-flight client whose upload is dense, and
-// the training and evaluation transients. An upload that differs from the
-// float32 image of its version's global in at most a quarter of its
-// entries — any sparse uplink — is not held dense while in flight: its
-// job keeps a patch (the differing indices and values), returns the
-// buffer at once, and pins its version's global until it arrives, when
-// it is rebuilt into a buffer again (uploadPatch). out and peak count the
-// checkouts, so a test can read that high-water mark.
+// What the pools hold is the most buffers ever checked out at once, never
+// O(dispatches * |w|): one global per live model version, one dense
+// upload per in-flight or buffered client whose upload is neither sparse
+// nor float32-exact, and the training and evaluation transients. With a
+// transport an upload is held compact from training to the merge (see
+// compact): one within |w|/4 entries of the float32 image of its
+// version's global — any sparse uplink's — as its job's patch, which pins
+// that version's global until the round that merges it; one whose every
+// entry is exact in float32 — any f32 uplink's — as a narrowPool vector
+// of half the bytes. out and peak count the checkouts, so a test can read
+// that high-water mark.
 //
 // Buffers are fully overwritten at checkout, so recycling cannot leak one
 // client's parameters into another's arithmetic; the aliasing pins in
 // pool_test.go prove that upload buffers are never shared between
 // concurrent in-flight clients and that a version's global copy is
 // handed to nobody else, and never written, while a job trains from it.
-type vecPool struct {
+type vecPool[T float32 | float64] struct {
 	mu   sync.Mutex
-	free map[int][][]float64
+	free map[int][][]T
 	// out is the number of buffers checked out and not yet put back, peak
 	// its high-water mark since the last resetPeak.
 	out, peak int
 }
 
-var paramsPool = &vecPool{free: map[int][][]float64{}}
+var (
+	paramsPool = &vecPool[float64]{free: map[int][][]float64{}}
+	narrowPool = &vecPool[float32]{free: map[int][][]float32{}}
+)
 
 // get returns a length-n buffer with unspecified contents.
-func (p *vecPool) get(n int) []float64 {
+func (p *vecPool[T]) get(n int) []T {
 	p.mu.Lock()
 	p.out++
 	p.peak = max(p.peak, p.out)
@@ -55,18 +61,18 @@ func (p *vecPool) get(n int) []float64 {
 		return buf
 	}
 	p.mu.Unlock()
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // getCopy returns a pooled buffer holding a copy of src.
-func (p *vecPool) getCopy(src []float64) []float64 {
+func (p *vecPool[T]) getCopy(src []T) []T {
 	buf := p.get(len(src))
 	copy(buf, src)
 	return buf
 }
 
 // put returns a buffer to the free list. The caller must not retain it.
-func (p *vecPool) put(buf []float64) {
+func (p *vecPool[T]) put(buf []T) {
 	if buf == nil {
 		return
 	}
@@ -78,44 +84,100 @@ func (p *vecPool) put(buf []float64) {
 
 // checkouts returns how many buffers are checked out now and the most that
 // were at once since the last resetPeak.
-func (p *vecPool) checkouts() (out, peak int) {
+func (p *vecPool[T]) checkouts() (out, peak int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.out, p.peak
 }
 
 // resetPeak restarts the high-water mark from the current checkouts.
-func (p *vecPool) resetPeak() {
+func (p *vecPool[T]) resetPeak() {
 	p.mu.Lock()
 	p.peak = p.out
 	p.mu.Unlock()
 }
 
-// recycleUpdates returns every pooled upload buffer in updates to the
-// pool and clears the Params fields so a stale reference cannot alias a
-// buffer the pool has already handed to another client. Called by every
+// recycleUpdates returns every pooled upload buffer in updates to its
+// pool and clears the updates' vectors so a stale reference cannot alias
+// a buffer the pool has already handed to another client. Called by every
 // runtime after the merge and metrics of an aggregation have consumed the
 // updates; updates whose Params came from elsewhere (tests building
 // Update literals) are left alone.
 func recycleUpdates(updates []Update) {
 	for i := range updates {
-		if updates[i].pooled {
-			paramsPool.put(updates[i].Params)
-		}
-		updates[i].Params = nil
-		updates[i].pooled = false
+		updates[i].recycle()
 	}
 }
 
-// uploadPatch is an in-flight upload held sparse: the entries where it
-// differs, bit for bit, from the float32 image of the global its client
-// trained from — which is what every lossy downlink in the tree delivers,
-// so a sparse uplink's reconstruction matches it nearly everywhere — and
-// its values there. The image plus the patch is the upload exactly,
-// whatever the global: the comparison is bitwise, and a vector with too
-// many differences is never compacted, so only how compact a patch is
-// depends on the base, never whether it is exact. A job's patch keeps its
-// storage through the job free list.
+// recycle returns u's pooled vector, dense or narrowed, and drops every
+// vector u refers to.
+func (u *Update) recycle() {
+	if u.pooled {
+		paramsPool.put(u.Params)
+	}
+	narrowPool.put(u.narrow)
+	u.Params, u.narrow, u.patch, u.base = nil, nil, nil, nil
+	u.pooled = false
+}
+
+// widen turns a compact u into a dense one in a pooled buffer.
+func (u *Update) widen() {
+	if !u.compacted() {
+		return
+	}
+	v := u.Vector(paramsPool.get(u.size()))
+	u.recycle()
+	u.Params, u.pooled = v, true
+}
+
+// Vector writes the upload u carries into dst, grown to |w| when it is
+// shorter, and returns it. It reads every form an upload is held in: the
+// dense Params, or — Params nil — a float32 narrowing or a patch against
+// the float32 image of the global its client trained from. A hook that
+// keeps an upload past its call (Config.OnUpdates) reads it here.
+func (u *Update) Vector(dst []float64) []float64 {
+	n := u.size()
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	switch {
+	case u.narrow != nil:
+		for i, v := range u.narrow {
+			dst[i] = float64(v)
+		}
+	case u.patch != nil:
+		u.patch.materialize(dst, u.base)
+	default:
+		copy(dst, u.Params)
+	}
+	return dst
+}
+
+// size is how many parameters u's upload has, whichever form holds it.
+func (u *Update) size() int {
+	switch {
+	case u.narrow != nil:
+		return len(u.narrow)
+	case u.patch != nil:
+		return len(u.base)
+	}
+	return len(u.Params)
+}
+
+// compacted reports whether u is held narrowed or patched, Params nil.
+func (u *Update) compacted() bool { return u.narrow != nil || u.patch != nil }
+
+// uploadPatch is an upload held sparse: the entries where it differs, bit
+// for bit, from the float32 image of the global its client trained from —
+// which is what every lossy downlink in the tree delivers, so a sparse
+// uplink's reconstruction matches it nearly everywhere — and its values
+// there. The image plus the patch is the upload exactly, whatever the
+// global: the comparison is bitwise, and a vector with too many
+// differences is never compacted, so only how compact a patch is depends
+// on the base, never whether it is exact. A job's patch keeps its storage
+// through the job free list; its update points at it, and at the global
+// it was taken against, until the round that merges it is done.
 type uploadPatch struct {
 	idx []int32
 	val []float64
@@ -125,20 +187,32 @@ type uploadPatch struct {
 func f32Image(v float64) float64 { return float64(float32(v)) }
 
 // compact fills p with x's differences from the float32 image of g and
-// reports true, or reports false when more than a quarter of x differs.
-// The count runs first and stops past that limit, so a dense upload costs
-// one partial scan and never grows p.
-func (p *uploadPatch) compact(x, g []float64) bool {
+// reports sparse when at most a quarter of x differs; otherwise it leaves
+// p alone and reports whether every entry of x survives a round trip
+// through float32 bit for bit (exact), so x can be held narrowed. One scan
+// answers both: it stops once x is past the patch limit and an inexact
+// entry has shown up, so a dense upload costs one partial scan and never
+// grows p.
+func (p *uploadPatch) compact(x, g []float64) (sparse, exact bool) {
 	if len(x) > math.MaxInt32 {
-		return false
+		return false, false
 	}
 	limit, n := len(x)/4, 0
+	exact = true
 	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(f32Image(g[i])) {
-			if n++; n > limit {
-				return false
-			}
+		bits := math.Float64bits(v)
+		if bits != math.Float64bits(f32Image(g[i])) {
+			n++
 		}
+		if exact && bits != math.Float64bits(f32Image(v)) {
+			exact = false
+		}
+		if n > limit && !exact {
+			return false, false
+		}
+	}
+	if n > limit {
+		return false, exact
 	}
 	p.idx, p.val = slices.Grow(p.idx[:0], n), slices.Grow(p.val[:0], n)
 	for i, v := range x {
@@ -147,7 +221,7 @@ func (p *uploadPatch) compact(x, g []float64) bool {
 			p.val = append(p.val, v)
 		}
 	}
-	return true
+	return true, exact
 }
 
 // materialize writes the upload p was compacted from against g into dst.

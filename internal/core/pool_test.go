@@ -8,7 +8,7 @@ import (
 )
 
 func TestVecPoolGetPut(t *testing.T) {
-	p := &vecPool{free: map[int][][]float64{}}
+	p := &vecPool[float64]{free: map[int][][]float64{}}
 	a := p.get(8)
 	if len(a) != 8 {
 		t.Fatalf("get(8) returned len %d", len(a))
@@ -28,7 +28,7 @@ func TestVecPoolGetPut(t *testing.T) {
 }
 
 func TestVecPoolGetCopy(t *testing.T) {
-	p := &vecPool{free: map[int][][]float64{}}
+	p := &vecPool[float64]{free: map[int][][]float64{}}
 	src := []float64{1, 2, 3}
 	c := p.getCopy(src)
 	if &c[0] == &src[0] {

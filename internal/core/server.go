@@ -162,11 +162,15 @@ type Server struct {
 	rejectedUpdates int
 	rejectLogged    bool
 	// mergeScratch is the reusable weighted-average buffer for rated
-	// merges (eta != 1). Merges are single-threaded in every runtime (the
-	// event loop aggregates with no concurrent merge), so one buffer
-	// suffices; FedAsync-style single-arrival runs merge every aggregation
-	// and would otherwise allocate a model-sized slice per merge.
+	// merges (eta != 1), robust merges and merges of compact updates.
+	// Merges are single-threaded in every runtime (the event loop
+	// aggregates with no concurrent merge), so one buffer suffices;
+	// FedAsync-style single-arrival runs merge every aggregation and
+	// would otherwise allocate a model-sized slice per merge. widenScratch
+	// is where the merge widens one compact update at a time (mergeRead),
+	// allocated by the first merge that reads one.
 	mergeScratch []float64
+	widenScratch []float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
 	// gathered updates, and aggregation weights/vector headers.
@@ -175,9 +179,9 @@ type Server struct {
 	updScratch []Update
 	aggWeights []float64
 	aggVecs    [][]float64
-	// Robust-merge scratch (adversary.go): admitted vector headers, the
+	// Merge scratch (adversary.go): one reader per buffered update, the
 	// per-coordinate sort column, the krum distance matrix and scores.
-	robVecs  [][]float64
+	mergeRd  []mergeRead
 	robCol   []float64
 	robDist  []float64
 	robScore []float64
@@ -298,10 +302,13 @@ func (s *Server) selectClients() []*Client {
 // With a transport the client trains from the shard engine's downlink
 // buffer, which then serves as the upload's delta reference, and the
 // upload is rounded in place in its pooled buffer, next to the client's
-// error-feedback row; without one it trains from j.global itself. An upload that then differs from the float32
-// image of j.global in at most a quarter of its entries — a sparse
-// uplink's — is kept as the job's patch, and its buffer goes straight
-// back to the pool: in flight it costs its patch, not |w| floats.
+// error-feedback row; without one it trains from j.global itself. The
+// upload is then held compact until the merge reads it, and its buffer
+// goes straight back to the pool: as the job's patch when it differs from
+// the float32 image of j.global in at most a quarter of its entries (a
+// sparse uplink's), narrowed to a float32 vector when every entry is
+// exact in float32 (an f32 uplink's). Only an upload that is neither
+// stays |w| float64s.
 //
 // A participation recorded as the newest link of its client's chain
 // first replays the chain, which leaves the rows (and the error-feedback
@@ -341,9 +348,18 @@ func (s *Server) trainClient(j *trainJob) {
 			resid = &c.eng.residRow
 		}
 		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)
-		if j.patch.compact(u.Params, j.global) {
+		switch sparse, exact := j.patch.compact(u.Params, j.global); {
+		case sparse:
+			u.patch, u.base = &j.patch, j.global
+		case exact:
+			u.narrow = narrowPool.get(len(u.Params))
+			for i, v := range u.Params {
+				u.narrow[i] = float32(v)
+			}
+		}
+		if u.compacted() {
 			paramsPool.put(u.Params)
-			u.Params, u.pooled, j.sparse = nil, false, true
+			u.Params, u.pooled = nil, false
 		}
 	}
 	j.update = u
@@ -358,12 +374,16 @@ func (s *Server) growUpdates(n int) []Update {
 }
 
 // aggregate merges one round's updates. An Algorithm's Aggregator
-// override wins (it sees Update.Staleness); otherwise the run's
-// aggregation policy supplies the weights and the merge rate. Validate
-// rejects Aggregator methods in buffered mode, so the override branch is
-// only reachable behind the lock-step gate, where no client is in flight.
+// override wins (it sees Update.Staleness, and every update widened to
+// Params); otherwise the run's aggregation policy supplies the weights
+// and the merge rate. Validate rejects Aggregator methods in buffered
+// mode, so the override branch is only reachable behind the lock-step
+// gate, where no client is in flight.
 func (s *Server) aggregate(round int, updates []Update) {
 	if agg, ok := s.spec.Algo.(Aggregator); ok {
+		for i := range updates {
+			updates[i].widen()
+		}
 		next := agg.Aggregate(round, s.global, updates)
 		copy(s.global, next)
 		return
@@ -399,36 +419,54 @@ func (s *Server) growWeights(n int) []float64 {
 // clip guard is configured. A robust policy (median/trimmed mean/krum)
 // then replaces the weighted average with its estimator over the
 // admitted updates, at the same merge rate.
+//
+// Compact updates are read where they lie (mergeRead): the weighted
+// average widens them one at a time into one scratch vector and adds
+// them in buffer order into the merge buffer — the ZeroVec and in-order
+// axpy WeightedSumInto runs, so the sum is the dense one bit for bit —
+// and only then moves the global, which a lock-step patch reads as its
+// base. A buffer of dense updates takes WeightedSumInto itself.
 func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta float64) {
-	s.screenUpdates(weights, updates)
-	if cap(s.aggVecs) < len(updates) {
-		s.aggVecs = make([][]float64, len(updates))
-	}
-	vecs := s.aggVecs[:len(updates)]
+	compact := s.screenUpdates(weights, updates)
 	var total float64
-	for i, u := range updates {
-		vecs[i] = u.Params
-		total += weights[i]
+	for _, w := range weights {
+		total += w
 	}
 	if total <= 0 || eta == 0 {
 		return
 	}
 	if s.spec.Policy.robust() {
-		s.mergeRobust(weights, vecs, eta)
+		s.mergeRobust(weights, eta)
 		return
 	}
 	for i := range weights {
 		weights[i] /= total
 	}
-	if eta == 1 {
-		tensor.WeightedSumInto(s.global, weights, vecs)
+	if !compact {
+		if cap(s.aggVecs) < len(updates) {
+			s.aggVecs = make([][]float64, len(updates))
+		}
+		vecs := s.aggVecs[:len(updates)]
+		for i, u := range updates {
+			vecs[i] = u.Params
+		}
+		if eta == 1 {
+			tensor.WeightedSumInto(s.global, weights, vecs)
+			return
+		}
+		avg := s.mergeBuf()
+		tensor.WeightedSumInto(avg, weights, vecs)
+		s.moveGlobal(avg, eta)
 		return
 	}
 	avg := s.mergeBuf()
-	tensor.WeightedSumInto(avg, weights, vecs)
-	for i := range s.global {
-		s.global[i] += eta * (avg[i] - s.global[i])
+	tensor.ZeroVec(avg)
+	for i := range s.mergeRd {
+		if weights[i] != 0 {
+			tensor.Axpy(weights[i], s.mergeRd[i].vector(s.widenBuf(), s.global), avg)
+		}
 	}
+	s.moveGlobal(avg, eta)
 }
 
 // EvaluateGlobal computes test accuracy of the current global model.

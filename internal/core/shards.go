@@ -23,16 +23,14 @@ type trainJob struct {
 	global []float64
 	gsnap  *globalSnap
 	update Update
-	// sparse marks an upload held as patch against global's float32
-	// image, its pooled buffer already returned: the job keeps global
-	// (and gsnap's reference) until its arrival pops, when the event
-	// loop rebuilds update.Params from the two. patch's storage stays
-	// with the job through the free list.
-	sparse bool
-	patch  uploadPatch
-	flops  int64
-	done   chan struct{}
-	task   func(worker int) // sp.run(j, worker), what submit queues
+	// patch is the storage of a sparse upload (update.patch points at it,
+	// update.base at global): such a job keeps global, and gsnap's
+	// reference, until the round that merges it is done. It stays with
+	// the job through the free list.
+	patch uploadPatch
+	flops int64
+	done  chan struct{}
+	task  func(worker int) // sp.run(j, worker), what submit queues
 
 	finish  float64 // virtual arrival time
 	seq     int     // dispatch order, tie-break for equal arrival times
@@ -112,12 +110,8 @@ func newShardPool(s *Server, shards, maxJobs int) *shardPool {
 	}
 }
 
-// materialize rebuilds a sparse job's upload into a pooled buffer.
-func (j *trainJob) materialize() []float64 {
-	buf := paramsPool.get(len(j.global))
-	j.patch.materialize(buf, j.global)
-	return buf
-}
+// sparse reports whether j's upload is held as a patch against its global.
+func (j *trainJob) sparse() bool { return j.update.patch != nil }
 
 // submit queues one client round. The job's done channel is signalled
 // when update and flops are valid. Submission order is preserved per worker

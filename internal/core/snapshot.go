@@ -28,8 +28,9 @@
 //     first. Training physically completes before its virtual arrival in
 //     any run, so joining early changes nothing — and afterwards the
 //     per-client state and the job's finished update are plain data. An
-//     update the server holds as a sparse patch is written rebuilt,
-//     dense, so the stream does not depend on how it was held.
+//     update the server holds compact (a patch, a float32 narrowing) is
+//     written widened, dense, so the stream does not depend on how it
+//     was held.
 //   - Method rows held as a chain of recipes (lazyrows.go) stay one: the
 //     stream carries the chain, and once each the round image a link
 //     replays from, so the resumed run rebuilds the rows when the
@@ -533,10 +534,11 @@ func (p *population) snap(c *tensor.Codec) {
 
 // snap is one quiesced in-flight (or buffered) job: its scheduling key,
 // dispatch parameters, and the finished update, always written dense: an
-// in-flight upload held as a patch against its version's global is
-// rebuilt for the stream. The global-model snapshot the client trained
-// from is not part of it — the training already consumed it, and the
-// patch is only how the server holds the upload. A decoded job is
+// upload held compact — narrowed to float32, or as a patch against its
+// version's global — is widened for the stream. The global-model
+// snapshot the client trained from is not part of it — the training
+// already consumed it, and the compact form is only how the server holds
+// the upload. A decoded job is
 // therefore trained and dense, holds no done token (the arrival path must
 // not, and will not, join it again) and takes its upload buffer from the
 // pool the merge returns it to.
@@ -570,8 +572,8 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 	c.I64(&j.upBytes)
 	c.Num("update client", &j.update.ClientID)
 	params := j.update.Params
-	if j.sparse {
-		params = j.materialize()
+	if j.update.compacted() {
+		params = j.update.Vector(paramsPool.get(j.update.size()))
 		defer paramsPool.put(params)
 	}
 	c.FloatsExact("update params", params)

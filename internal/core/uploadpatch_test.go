@@ -32,7 +32,8 @@ func drawPatchValue(rng *rand.Rand) float64 {
 // The patch round trip is exact: for a random global g and an upload x
 // that matches g's float32 image except at a chosen number of entries,
 // compact keeps x sparse exactly when at most a quarter of it differs bit
-// for bit, and then image plus patch is x bit for bit. One patch is reused
+// for bit, and then image plus patch is x bit for bit; and it reports x
+// float32-exact exactly when every entry survives a float32 round trip. One patch is reused
 // across every draw, as a job's is through the free list, so stale
 // entries of a longer patch must not leak into a shorter one.
 func TestUploadPatchRoundTrip(t *testing.T) {
@@ -58,14 +59,19 @@ func TestUploadPatchRoundTrip(t *testing.T) {
 				x[i] = drawPatchValue(rng)
 			}
 		}
-		differ := 0
+		differ, exact := 0, true
 		for i := range x {
 			if math.Float64bits(x[i]) != math.Float64bits(f32Image(g[i])) {
 				differ++
 			}
+			exact = exact && math.Float64bits(x[i]) == math.Float64bits(f32Image(x[i]))
 		}
-		if got, want := p.compact(x, g), differ <= n/4; got != want {
-			t.Fatalf("n=%d, %d entries differ: compact = %t, want %t", n, differ, got, want)
+		gotSparse, gotExact := p.compact(x, g)
+		if want := differ <= n/4; gotSparse != want {
+			t.Fatalf("n=%d, %d entries differ: compact = %t, want %t", n, differ, gotSparse, want)
+		}
+		if gotExact != exact {
+			t.Fatalf("n=%d: compact reports float32-exact %t, the upload is %t", n, gotExact, exact)
 		}
 		if differ > n/4 {
 			dense++

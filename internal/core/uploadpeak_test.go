@@ -51,20 +51,30 @@ func uploadRun(t *testing.T, tr string) core.RunSpec {
 // at once.
 func TestUploadPoolPeak(t *testing.T) {
 	cases := []struct {
-		name, transport string
-		async           bool
-		// peak is the most buffers checked out at once; held is how many
-		// are still out after Close.
-		peak, held int
+		name, transport, policy string
+		async                   bool
+		// peak is the most float64 buffers checked out at once; held is
+		// how many are still out after Close; peak32 and held32 are the
+		// same for the float32 vectors narrowed uploads are held in.
+		peak, held, peak32, held32 int
 	}{
-		// Twelve jobs in flight and a buffer of six. An in-flight sparse
-		// upload costs a patch and pins the version it trained from,
-		// which its neighbours mostly share; were each held dense, the
-		// peak would be 18 and 11 buffers would stay with the queued jobs.
-		{"async topk:0.01+ef tiered", "topk:0.01+ef", true, 12, 5},
+		// Twelve jobs in flight and a buffer of six. A sparse upload costs
+		// a patch and pins the version it trained from, which its
+		// neighbours mostly share, in flight and in the policy buffer
+		// until the round that merges it is done. Rebuilt dense at its
+		// arrival the peak was 12; held dense all the way, 18.
+		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, 7, 5, 0, 0},
+		// The same fleet over a float32 uplink, merged by the median:
+		// every upload is float32-exact and far from the global, so it is
+		// held narrowed from its training to the median that reads it,
+		// and the float64 buffers are a version's copy and the training
+		// transient.
+		{"async f32 median tiered", "f32", "median", true, 2, 0, 17, 11},
 		// Four lock-step uploads that differ from the global nearly
-		// everywhere stay dense; with the evaluation's copy, 5 as before.
-		{"sync f32", "f32", false, 5, 0},
+		// everywhere are float32-exact and held narrowed; the training
+		// transient, then the evaluation's copy, is the one float64
+		// buffer (5 when the uploads were held dense).
+		{"sync f32", "f32", "", false, 1, 0, 4, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,25 +87,41 @@ func TestUploadPoolPeak(t *testing.T) {
 				sp.Latency = mustFleet(core.ParseLatency("exp:2"))
 				sp.Network = mustFleet(core.ParseNetDist("tiered"))
 			}
+			if tc.policy != "" {
+				p, err := core.ParsePolicy(tc.policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp.Policy = p
+			}
 			rs, err := core.NewRunState(sp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			core.ResetPoolPeak()
+			core.ResetNarrowPeak()
 			base, _ := core.PoolCheckouts()
+			base32, _ := core.NarrowCheckouts()
 			if _, err := rs.Run(); err != nil {
 				t.Fatal(err)
 			}
 			out, peak := core.PoolCheckouts()
+			out32, peak32 := core.NarrowCheckouts()
 			if got := peak - base; got != tc.peak {
 				t.Errorf("pool peak %d buffers, pinned %d", got, tc.peak)
 			}
-			queued, err := rs.QueuedBuffers()
+			if got := peak32 - base32; got != tc.peak32 {
+				t.Errorf("float32 pool peak %d buffers, pinned %d", got, tc.peak32)
+			}
+			queued, queued32, err := rs.QueuedBuffers()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := out - base; got != tc.held || got != queued {
 				t.Errorf("%d buffers still out after Close, pinned %d; the queued jobs hold %d", got, tc.held, queued)
+			}
+			if got := out32 - base32; got != tc.held32 || got != queued32 {
+				t.Errorf("%d float32 buffers still out after Close, pinned %d; the queued jobs hold %d", got, tc.held32, queued32)
 			}
 		})
 	}
@@ -153,17 +179,19 @@ func TestPoolBalancesAtClose(t *testing.T) {
 				t.Fatal("the mass drop voided no in-flight update; the case checks nothing of it")
 			}
 			base, _ := core.PoolCheckouts()
-			// balanced fails unless every buffer checked out since base is
-			// held by one of rs's queued jobs or recipes.
+			base32, _ := core.NarrowCheckouts()
+			// balanced fails unless every buffer of either pool checked
+			// out since base is held by one of rs's queued jobs or recipes.
 			balanced := func(rs *core.RunState) {
 				t.Helper()
 				out, _ := core.PoolCheckouts()
-				queued, err := rs.QueuedBuffers()
+				out32, _ := core.NarrowCheckouts()
+				queued, queued32, err := rs.QueuedBuffers()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out-base != queued {
-					t.Fatalf("%d buffers still out after Close; the queued jobs and recipes hold %d", out-base, queued)
+				if out-base != queued || out32-base32 != queued32 {
+					t.Fatalf("%d+%d float64+float32 buffers still out after Close; the queued jobs and recipes hold %d+%d", out-base, out32-base32, queued, queued32)
 				}
 			}
 			rs, err := core.NewRunState(build())
@@ -183,6 +211,7 @@ func TestPoolBalancesAtClose(t *testing.T) {
 				rs.Close()
 				balanced(rs)
 				base, _ = core.PoolCheckouts()
+				base32, _ = core.NarrowCheckouts()
 				if rs, err = core.Resume(&buf, core.ResumeSpec{Spec: build()}); err != nil {
 					t.Fatal(err)
 				}

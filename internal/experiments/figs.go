@@ -41,9 +41,9 @@ func runFig2(p Profile, logf Logf) ([]*Table, error) {
 	// client that may be training on a shard.
 	var upload0, globalFinal, localFinal, localEarlier []float64
 	rspec.OnUpdates = func(_ int, _ []float64, updates []core.Update) {
-		for _, u := range updates {
-			if u.ClientID == 0 {
-				upload0 = append(upload0[:0], u.Params...)
+		for i := range updates {
+			if updates[i].ClientID == 0 {
+				upload0 = updates[i].Vector(upload0)
 			}
 		}
 	}

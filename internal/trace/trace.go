@@ -49,7 +49,10 @@ type RoundStats struct {
 type Collector struct {
 	mu   sync.Mutex
 	rows []ClientRound
+	// prev holds each client's previous upload, overwritten in place at
+	// its next participation; cur is the upload being read.
 	prev map[int][]float64
+	cur  []float64
 }
 
 // NewCollector returns an empty collector.
@@ -62,18 +65,21 @@ func (c *Collector) Hook() func(round int, globalBefore []float64, updates []cor
 	return func(round int, globalBefore []float64, updates []core.Update) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		for _, u := range updates {
+		for i := range updates {
+			u := &updates[i]
+			c.cur = u.Vector(c.cur)
 			row := ClientRound{
 				Round:      round,
 				ClientID:   u.ClientID,
 				TrainLoss:  u.TrainLoss,
-				GlobalDist: math.Sqrt(tensor.DistSq(u.Params, globalBefore)),
+				GlobalDist: math.Sqrt(tensor.DistSq(c.cur, globalBefore)),
 				HistDist:   math.NaN(),
 			}
-			if prev, ok := c.prev[u.ClientID]; ok {
-				row.HistDist = math.Sqrt(tensor.DistSq(u.Params, prev))
+			prev, ok := c.prev[u.ClientID]
+			if ok {
+				row.HistDist = math.Sqrt(tensor.DistSq(c.cur, prev))
 			}
-			c.prev[u.ClientID] = append([]float64(nil), u.Params...)
+			c.prev[u.ClientID] = append(prev[:0], c.cur...)
 			c.rows = append(c.rows, row)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -108,7 +109,9 @@ func TestWriteCSV(t *testing.T) {
 }
 
 // End-to-end: the collector plugged into a real run records one row per
-// selected client per round.
+// selected client per round — also over a float32 and a sparse uplink,
+// whose uploads reach the hook compact (Params nil) and are read through
+// Update.Vector.
 func TestCollectorEndToEnd(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 80, Seed: 1})
 	if err != nil {
@@ -118,35 +121,55 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector()
-	cfg := core.Config{
-		Model:           nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
-		Train:           train,
-		Test:            test,
-		Parts:           parts,
-		Rounds:          4,
-		ClientsPerRound: 3,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.01,
-		Momentum:        0.9,
-		Algo:            core.NewFedTrip(0.4),
-		Seed:            3,
-		OnUpdates:       col.Hook(),
-	}
-	if _, err := core.Start(core.RunSpec{Config: cfg}); err != nil {
-		t.Fatal(err)
-	}
-	rows := col.Rows()
-	if len(rows) != 4*3 {
-		t.Fatalf("%d rows, want 12", len(rows))
-	}
-	for _, r := range rows {
-		if r.GlobalDist <= 0 {
-			t.Fatalf("non-positive global dist: %+v", r)
-		}
-	}
-	if len(col.Summary()) != 4 {
-		t.Fatal("summary rounds")
+	for _, tr := range []string{"", "f32", "topk:0.01+ef"} {
+		t.Run("transport="+tr, func(t *testing.T) {
+			col := NewCollector()
+			hook, compact := col.Hook(), 0
+			cfg := core.Config{
+				Model:           nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10},
+				Train:           train,
+				Test:            test,
+				Parts:           parts,
+				Rounds:          4,
+				ClientsPerRound: 3,
+				BatchSize:       10,
+				LocalEpochs:     1,
+				LR:              0.01,
+				Momentum:        0.9,
+				Algo:            core.NewFedTrip(0.4),
+				Seed:            3,
+				OnUpdates: func(round int, globalBefore []float64, updates []core.Update) {
+					for _, u := range updates {
+						if u.Params == nil {
+							compact++
+						}
+					}
+					hook(round, globalBefore, updates)
+				},
+			}
+			if tr != "" {
+				if cfg.Transport, err = comm.ParseTransport(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := core.Start(core.RunSpec{Config: cfg}); err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]int{false: 0, true: 4 * 3}[tr != ""]; compact != want {
+				t.Fatalf("%d uploads reached the hook compact, want %d", compact, want)
+			}
+			rows := col.Rows()
+			if len(rows) != 4*3 {
+				t.Fatalf("%d rows, want 12", len(rows))
+			}
+			for _, r := range rows {
+				if !(r.GlobalDist > 0) || math.IsInf(r.GlobalDist, 0) {
+					t.Fatalf("global dist not positive and finite: %+v", r)
+				}
+			}
+			if len(col.Summary()) != 4 {
+				t.Fatal("summary rounds")
+			}
+		})
 	}
 }
