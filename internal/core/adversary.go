@@ -269,7 +269,7 @@ func (s *Server) applyFault(c *Client, u *Update) {
 		sigma := s.spec.Faults.Arg
 		rng := s.advRng[c.ID]
 		for i := range u.Params {
-			u.Params[i] += sigma * rng.NormFloat64()
+			u.Params[i] += float64(sigma * rng.NormFloat64())
 		}
 	case faultNaN:
 		nan := math.NaN()

@@ -81,7 +81,7 @@ func (t *tester) accuracy(params []float64) float64 {
 			hits += t.count(lo, min(lo+len(t.idx), end))
 		}
 		w := float64(end - start)
-		correct += float64(hits) / w * w
+		correct += float64(float64(hits) / w * w)
 	}
 	return correct / float64(n)
 }

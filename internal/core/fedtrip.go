@@ -119,14 +119,14 @@ func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
 		// First participation (or ablated history term): pure proximal
 		// pull, like FedProx.
 		for i := range g {
-			g[i] += mu * gw * (w[i] - global[i])
+			g[i] += float64(mu * gw * (w[i] - global[i]))
 		}
 		c.Counter.Add(int64(2 * len(w)))
 		return
 	}
 	hist := c.State(1)
 	for i := range g {
-		g[i] += mu * (gw*(w[i]-global[i]) + xi*(hist[i]-w[i]))
+		g[i] += float64(mu * (float64(gw*(w[i]-global[i])) + float64(xi*(hist[i]-w[i]))))
 	}
 	c.Counter.Add(int64(4 * len(w)))
 }
@@ -143,5 +143,5 @@ func (f *FedTrip) EndRound(c *Client, round int) {
 // xi*||w-wh||^2) — used by tests to confirm TransformGrad is its exact
 // gradient.
 func (f *FedTrip) TripletLoss(w, global, hist []float64, xi float64) float64 {
-	return f.Mu / 2 * (f.GlobalWeight*tensor.DistSq(w, global) - xi*f.HistWeight*tensor.DistSq(w, hist))
+	return f.Mu / 2 * (float64(f.GlobalWeight*tensor.DistSq(w, global)) - float64(xi*f.HistWeight*tensor.DistSq(w, hist)))
 }

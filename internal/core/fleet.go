@@ -50,7 +50,7 @@ var (
 // lognormalFits reports whether unit*exp(mu + sigma*N) is finite for every
 // normal deviate N the stream can draw.
 func lognormalFits(mu, sigma, unit float64) bool {
-	return !math.IsInf(unit*math.Exp(mu+sigma*maxNormDraw), 1)
+	return !math.IsInf(unit*math.Exp(mu+float64(sigma*maxNormDraw)), 1)
 }
 
 // bitsPerMbps converts a bandwidth-dist argument into the link's unit, so
@@ -259,10 +259,10 @@ func (d FleetDist) check(fam *spec.Family) error {
 // The draw primitives every form shares. Each consumes exactly the draws
 // it names, in argument order.
 
-func uniform(rng *prng.Rand, lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
+func uniform(rng *prng.Rand, lo, hi float64) float64 { return lo + float64(rng.Float64()*(hi-lo)) }
 
 func lognormal(rng *prng.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
+	return math.Exp(mu + float64(sigma*rng.NormFloat64()))
 }
 
 // pickTier draws one group of args (groups of width, each ending in its
@@ -300,7 +300,7 @@ func (d FleetDist) duration(id int, rng *prng.Rand) float64 {
 		if id%int(a[2]) == 0 {
 			tier = a[1]
 		}
-		return tier * (0.9 + 0.2*rng.Float64())
+		return tier * (0.9 + float64(0.2*rng.Float64()))
 	}
 	return 0
 }
