@@ -156,6 +156,19 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 			return
 		}
 	}
+	// The screen clips a dense update in place, and only one that
+	// weighs: it must leave each as the dense merge left it.
+	for i, u := range updates {
+		if u.Params == nil {
+			continue
+		}
+		for j, v := range u.Params {
+			if math.Float64bits(v) != math.Float64bits(wide[i][j]) {
+				t.Errorf("update %d (weight %g) entry %d = %v after the merge, the dense merge left %v", i, weights[i], j, v, wide[i][j])
+				return
+			}
+		}
+	}
 }
 
 // form is 0 for a dense update, 1 for a patched one, 2 for a narrowed one.
