@@ -399,15 +399,16 @@ type mergeRead struct {
 	next int
 }
 
-// vector returns the update as the merge reads it: a dense one's own
-// Params, a compact one widened into dst and clipped against g.
-func (r *mergeRead) vector(dst, g []float64) []float64 {
+// vector returns the update as s's merge reads it: a dense one's own
+// Params, a compact one widened into the merge's widen scratch and
+// clipped against the global.
+func (r *mergeRead) vector(s *Server) []float64 {
 	if r.u.Params != nil {
 		return r.u.Params
 	}
-	v := r.u.Vector(dst)
+	v := r.u.Vector(s.widenBuf())
 	if r.clipped {
-		clipOnto(v, g, r.scale)
+		clipOnto(v, s.global, r.scale)
 	}
 	return v
 }
@@ -598,7 +599,7 @@ func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
 			return
 		}
 		score[best] = -1
-		v := rds[best].vector(s.widenBuf(), s.global)
+		v := rds[best].vector(s)
 		for i := range dst {
 			dst[i] += float64(inv * v[i])
 		}

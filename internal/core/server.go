@@ -173,12 +173,11 @@ type Server struct {
 	widenScratch []float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
-	// gathered updates, and aggregation weights/vector headers.
+	// gathered updates, and aggregation weights.
 	selPerm    []int
 	selPicks   []*Client
 	updScratch []Update
 	aggWeights []float64
-	aggVecs    [][]float64
 	// Merge scratch (adversary.go): one reader per buffered update, the
 	// per-coordinate sort column, the krum distance matrix and scores.
 	mergeRd  []mergeRead
@@ -420,12 +419,14 @@ func (s *Server) growWeights(n int) []float64 {
 // then replaces the weighted average with its estimator over the
 // admitted updates, at the same merge rate.
 //
-// Compact updates are read where they lie (mergeRead): the weighted
-// average widens them one at a time into one scratch vector and adds
-// them in buffer order into the merge buffer — the ZeroVec and in-order
-// axpy WeightedSumInto runs, so the sum is the dense one bit for bit —
-// and only then moves the global, which a lock-step patch reads as its
-// base. A buffer of dense updates takes WeightedSumInto itself.
+// The weighted average is tensor.WeightedSumInto's ZeroVec and in-order
+// axpy, run one update at a time through its reader (mergeRead), so a
+// compact update is widened into one scratch vector just before it is
+// added, and the sum is the dense one bit for bit. With a compact update
+// in the buffer it accumulates in the merge buffer, and the global moves
+// only at the end: a lock-step patch reads the global as its base, and
+// a clip reads it too. A dense buffer at a rate of 1 accumulates in the
+// global itself, as it always has.
 func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta float64) {
 	compact := s.screenUpdates(weights, updates)
 	var total float64
@@ -442,31 +443,19 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 	for i := range weights {
 		weights[i] /= total
 	}
-	if !compact {
-		if cap(s.aggVecs) < len(updates) {
-			s.aggVecs = make([][]float64, len(updates))
-		}
-		vecs := s.aggVecs[:len(updates)]
-		for i, u := range updates {
-			vecs[i] = u.Params
-		}
-		if eta == 1 {
-			tensor.WeightedSumInto(s.global, weights, vecs)
-			return
-		}
-		avg := s.mergeBuf()
-		tensor.WeightedSumInto(avg, weights, vecs)
-		s.moveGlobal(avg, eta)
-		return
+	avg := s.global
+	if compact || eta != 1 {
+		avg = s.mergeBuf()
 	}
-	avg := s.mergeBuf()
 	tensor.ZeroVec(avg)
 	for i := range s.mergeRd {
 		if weights[i] != 0 {
-			tensor.Axpy(weights[i], s.mergeRd[i].vector(s.widenBuf(), s.global), avg)
+			tensor.Axpy(weights[i], s.mergeRd[i].vector(s), avg)
 		}
 	}
-	s.moveGlobal(avg, eta)
+	if compact || eta != 1 {
+		s.moveGlobal(avg, eta)
+	}
 }
 
 // EvaluateGlobal computes test accuracy of the current global model.
