@@ -349,7 +349,7 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) (compact boo
 	}
 	for i := range updates {
 		u := &updates[i]
-		if weights[i] <= 0 || u.compacted() || len(u.Params) != len(s.global) {
+		if weights[i] <= 0 || u.compacted() {
 			continue
 		}
 		if scale, ok := s.clipScale(u.Params, maxNorm); ok {

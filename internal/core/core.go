@@ -84,6 +84,8 @@ type Config struct {
 	// OnUpdates, if non-nil, observes each round's raw client uploads
 	// together with the global model they started from, before
 	// aggregation. Slices are only valid during the call; copy to retain.
+	// Over a transport an upload may be held compact, Params nil: read
+	// it with Update.Vector.
 	// The trace package uses it to measure global-local divergence and
 	// current-historical distances (the quantities FedTrip manipulates).
 	OnUpdates func(round int, globalBefore []float64, updates []Update)
