@@ -231,10 +231,6 @@ type bufferedRunner struct {
 	// can return mid-run and a snapshot can serialize the loop.
 	inflight jobHeap
 	buffer   []*trainJob
-	// merging holds the jobs of the round being merged, out of buffer:
-	// their updates may still read their globals, so they are released
-	// and recycled only once finishRound is done.
-	merging []*trainJob
 	// seq is the dispatch sequence: total dispatches so far, or behind the
 	// gate the job's index in its round's selection.
 	seq int
@@ -648,14 +644,15 @@ func (r *bufferedRunner) step() (bool, error) {
 			}
 			updates[i] = u
 		}
-		r.merging, r.buffer = r.buffer, r.merging[:0]
 		r.retire()
 		done, err := s.finishRound(updates)
-		for _, bj := range r.merging {
+		// The merge may read a sparse update against its job's global, so
+		// the round's jobs let go of their versions only now.
+		for _, bj := range r.buffer {
 			r.release(bj)
 			s.recycleJob(bj)
 		}
-		r.merging = r.merging[:0]
+		r.buffer = r.buffer[:0]
 		return done, err
 	}
 }
