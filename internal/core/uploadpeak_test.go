@@ -236,3 +236,44 @@ func TestPoolBalancesAtClose(t *testing.T) {
 		})
 	}
 }
+
+// widenCheckAlgo is FedTrip with an Aggregator override that records
+// whether every update reached it dense, and averages them unweighted.
+type widenCheckAlgo struct {
+	*core.FedTrip
+	updates, short int
+}
+
+func (a *widenCheckAlgo) Aggregate(_ int, global []float64, updates []core.Update) []float64 {
+	next := make([]float64, len(global))
+	for _, u := range updates {
+		a.updates++
+		if len(u.Params) != len(global) {
+			a.short++
+			continue
+		}
+		for i, v := range u.Params {
+			next[i] += v / float64(len(updates))
+		}
+	}
+	return next
+}
+
+// An Aggregator method reads Update.Params, so the lock-step merge hands
+// it every update widened, whichever form the uplink left it in: a patch
+// (topk:0.01+ef) or a float32 narrowing (f32).
+func TestAggregatorGetsWidenedUploads(t *testing.T) {
+	for _, tr := range []string{"topk:0.01+ef", "f32"} {
+		t.Run(tr, func(t *testing.T) {
+			sp := uploadRun(t, tr)
+			algo := &widenCheckAlgo{FedTrip: core.NewFedTrip(0.4)}
+			sp.Algo = algo
+			if _, err := core.Start(sp); err != nil {
+				t.Fatal(err)
+			}
+			if algo.updates != sp.Rounds*sp.ClientsPerRound || algo.short != 0 {
+				t.Fatalf("%d of %d updates reached Aggregate without a dense vector", algo.short, algo.updates)
+			}
+		})
+	}
+}
