@@ -239,5 +239,17 @@ func ResumePinned(t *testing.T, build func() RunSpec, k int) *Result {
 	return res
 }
 
+// RoundImages returns where each round image of stream, a snapshot of a
+// run of spec, starts: the offset of its first float64 word.
+func RoundImages(t *testing.T, stream []byte, spec RunSpec) []int {
+	t.Helper()
+	images, imagesEnd, np := streamLayout(t, stream, spec)
+	var at []int
+	for off := images + 8; off < imagesEnd; off += 8 + 8*np {
+		at = append(at, off+8)
+	}
+	return at
+}
+
 // Dispatches is how many times each client has been sent out.
 func (rs *RunState) Dispatches() []int32 { return rs.s.pop.dispatches }
