@@ -11,8 +11,9 @@
 //     accuracy.
 //
 // A transfer is not marshalled. The transports implement
-// core.WireTransport: the runtime hands DownInto/UpInto a buffer it owns
-// and the transport rounds the vector into it — float64(float32(x)) is
+// core.WireTransport: the runtime hands DownInto/UpInto a buffer it owns,
+// which may be the vector itself, and the transport rounds the vector
+// into it, entry by entry — float64(float32(x)) is
 // what an encode→decode through the float32 format computes, and the
 // codecs apply their reconstruction the same way — so a steady-state
 // transfer allocates nothing. The marshalled encode→decode path
@@ -253,8 +254,10 @@ func (t *Transport) DownInto(dst []float64, clientID, round int, global []float6
 }
 
 // DownCode implements core.Coder: the dense downlink of global into dst,
-// uncounted. It depends on global alone, so every client of a model
-// version receives the same bits.
+// which may be global, uncounted. It depends on global alone, so every
+// client of a model version receives the same bits; and a float32
+// downlink's result codes to itself, so the runtime holds each version
+// as it, in float32.
 //
 //fedtripvet:hotpath
 func (t *Transport) DownCode(dst []float64, clientID, round int, global []float64) int64 {

@@ -295,7 +295,9 @@ func sameBits(a, b []float64) int {
 // disjoint buffer, and the legacy DownSized/UpSized wrappers (what a
 // traced benchmark pass does). The in-place routes keep each client's
 // residual row here, as the runtime does; the legacy route keeps them in
-// its own map.
+// its own map. A downlink coded with dst aliasing global — how the
+// runtime codes a version it holds as its float32 image — is the
+// oracle's too.
 func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 	specs := []string{"f32", "lossless",
 		"q8", "q8+ef", "q4", "q4+ef", "topk:0.01", "topk:0.01+ef", "randk:0.05", "randk:0.05+ef"}
@@ -326,6 +328,10 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 						gotDown := aliased.(core.WireTransport).DownInto(received, client, round, global)
 						if at := sameBits(received, want); at >= 0 || gotDown != wantDown {
 							t.Fatalf("part %d client %d: downlink differs at %d (wire %d, want %d)", part, client, at, gotDown, wantDown)
+						}
+						self := append([]float64(nil), global...)
+						if w := aliased.(core.Coder).DownCode(self, client, round, self); sameBits(self, want) >= 0 || w != wantDown {
+							t.Fatalf("part %d client %d: a downlink coded over its global differs at %d (wire %d, want %d)", part, client, sameBits(self, want), w, wantDown)
 						}
 						received2 := make([]float64, n)
 						disjoint.(core.WireTransport).DownInto(received2, client, round, global)

@@ -429,7 +429,7 @@ func (r *mergeRead) at(j int, g []float64) float64 {
 			v = p.val[r.next]
 			r.next++
 		} else {
-			v = f32Image(u.base[j])
+			v = u.baseImage(j)
 		}
 	}
 	if r.clipped {

@@ -52,7 +52,9 @@
 //   - The global model is copied once per model version, not once per
 //     dispatch: every job dispatched between two aggregations trains from
 //     the same immutable, reference-counted snapshot, so the copies alive
-//     follow the versions in flight rather than Concurrency.
+//     follow the versions in flight rather than Concurrency. Under a
+//     float32 downlink a snapshot is the version's float32 image — what
+//     its clients receive — at half the bytes of a float64 copy.
 //   - An upload is not one dense vector per client, in flight or in the
 //     policy buffer. Over a transport, one that differs from the float32
 //     image of its version's global in at most a quarter of its entries
@@ -262,17 +264,87 @@ type bufferedRunner struct {
 	rejoinCB func(id int, at float64)
 }
 
-// globalSnap is the global model as it stood at one model version: a
-// pooled copy nobody writes, shared by every job dispatched at that
-// version. refs counts those of them that still hold it (release), and
-// the recipes that pin it; when the last one lets go and an aggregation
-// has superseded the version, the vector returns to paramsPool and the
-// record is free again. ord is the record's place in a snapshot's
-// round-image section, -1 when no recipe pins it (snapImages).
+// globalSnap is the global model as it stood at one model version,
+// held as what its clients receive: a pooled vector nobody writes,
+// shared by every job dispatched at that version. Under a transport
+// whose downlink delivers a float32 image of the global (Server.hold),
+// it is that image, narrow, from narrowPool; otherwise, vec, a copy of
+// the global from paramsPool. refs counts the jobs that still hold it
+// (release), and the recipes that pin it; when the last one lets go and
+// an aggregation has superseded the version, the vector returns to its
+// pool and the record is free again. ord is the record's place in a
+// snapshot's round-image section, -1 when no recipe pins it
+// (snapImages).
 type globalSnap struct {
-	vec  []float64
-	refs int
-	ord  int32
+	vec    []float64
+	narrow []float32
+	refs   int
+	ord    int32
+}
+
+// free reports whether the record holds no version.
+func (sn *globalSnap) free() bool { return sn.vec == nil && sn.narrow == nil }
+
+// size is the version's parameter count.
+func (sn *globalSnap) size() int { return len(sn.vec) + len(sn.narrow) }
+
+// source is the version as a downlink codes it: vec, or the float32
+// image widened into dst.
+func (sn *globalSnap) source(dst []float64) []float64 {
+	if sn.narrow != nil {
+		return widen(dst, sn.narrow)
+	}
+	return sn.vec
+}
+
+// hold is the model version whose global is g as its clients receive
+// it, when that is a float32 image: under a transport with a Coder, g's
+// downlink is coded once, into server scratch, for client 0 in round 0
+// (Coder); when every entry of it is exact in float32 and coding it
+// again gives it back bit for bit, at the same wire size — any float32
+// downlink's image — hold returns it narrowed, a narrowPool vector, and
+// every client's downlink of it is the downlink of g. Otherwise it
+// returns nil, and the version is held as a float64 copy of g.
+func (s *Server) hold(g []float64) []float32 {
+	coder := s.rows.coder
+	if coder == nil {
+		return nil
+	}
+	img := s.widenBuf()
+	wire := coder.DownCode(img, 0, 0, g)
+	if !f32Exact(img) {
+		return nil
+	}
+	narrow := narrowPool.get(len(img))
+	for i, v := range img {
+		narrow[i] = float32(v)
+	}
+	if coder.DownCode(img, 0, 0, img) != wire || !sameBits(img, narrow) {
+		narrowPool.put(narrow)
+		return nil
+	}
+	return narrow
+}
+
+// f32Exact reports whether every entry of v survives a round trip
+// through float32 bit for bit.
+func f32Exact(v []float64) bool {
+	for _, x := range v {
+		if math.Float64bits(x) != math.Float64bits(f32Image(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether v is w widened, bit for bit.
+func sameBits(v []float64, w []float32) bool {
+	for i, x := range w {
+		if math.Float64bits(v[i]) != math.Float64bits(float64(x)) {
+			return false
+		}
+	}
+	return true
 }
 
 func newBufferedRunner(s *Server) *bufferedRunner {
@@ -361,16 +433,16 @@ func (r *bufferedRunner) arrive(j *trainJob) {
 	}
 }
 
-// acquire points j at the current version's snapshot, copying the global
-// model if j is the version's first dispatch. Workers only read it, and
-// s.global may change under them at the next aggregation: that is what
-// the copy is for.
+// acquire points j at the current version's snapshot, taking it from the
+// global model (hold) if j is the version's first dispatch. Workers only
+// read it, and s.global may change under them at the next aggregation:
+// that is what the snapshot is for.
 func (r *bufferedRunner) acquire(j *trainJob) {
 	if r.cur == nil {
 		// Once per model version, next to an |w|-sized copy: a scan of
 		// the table costs nothing worth a free list.
 		for _, sn := range r.snaps {
-			if sn.vec == nil {
+			if sn.free() {
 				r.cur = sn
 				break
 			}
@@ -379,7 +451,9 @@ func (r *bufferedRunner) acquire(j *trainJob) {
 			r.cur = new(globalSnap)
 			r.snaps = append(r.snaps, r.cur)
 		}
-		r.cur.vec = paramsPool.getCopy(r.s.global)
+		if r.cur.narrow = r.s.hold(r.s.global); r.cur.narrow == nil {
+			r.cur.vec = paramsPool.getCopy(r.s.global)
+		}
 		r.snapshots++
 	}
 	r.cur.refs++
@@ -399,7 +473,8 @@ func (r *bufferedRunner) retire() {
 
 func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 	paramsPool.put(sn.vec)
-	sn.vec = nil
+	narrowPool.put(sn.narrow)
+	sn.vec, sn.narrow = nil, nil
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set

@@ -86,7 +86,8 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 			u.Params = slices.Clone(x)
 		case 1:
 			// A patch against a version's global: the global itself
-			// behind the lock-step gate, an older copy otherwise.
+			// behind the lock-step gate, an older copy otherwise, held
+			// as its float32 image half the time.
 			base := global
 			if !lockStep {
 				base = vec()
@@ -94,6 +95,13 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 			x = make([]float64, n)
 			for j := range x {
 				x[j] = f32Image(base[j])
+			}
+			if !lockStep && rng.Intn(2) == 0 {
+				u.base32 = make([]float32, n)
+				for j, v := range base {
+					u.base32[j] = float32(v)
+				}
+				base = nil
 			}
 			for _, j := range rng.Perm(n)[:rng.Intn(n/4+1)] {
 				switch rng.Intn(4) {
@@ -104,7 +112,7 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 				}
 			}
 			u.patch, u.base = new(uploadPatch), base
-			if sparse, _ := u.patch.compact(x, base); !sparse {
+			if !patchUpload(u, x) {
 				t.Fatal("a quarter-dense draw was not compacted")
 			}
 		case 2:
@@ -126,8 +134,8 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 			case u.narrow != nil:
 				u.narrow[j] = float32(bad)
 			default:
-				if sparse, _ := u.patch.compact(x, u.base); !sparse {
-					u.patch, u.base, u.Params = nil, nil, slices.Clone(x)
+				if !patchUpload(u, x) {
+					u.patch, u.base, u.base32, u.Params = nil, nil, nil, slices.Clone(x)
 				}
 			}
 		}
@@ -169,6 +177,18 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 			}
 		}
 	}
+}
+
+// patchUpload compacts x into u's patch against u's base, whichever
+// width holds it, and reports whether x was sparse enough.
+func patchUpload(u *Update, x []float64) bool {
+	var sparse bool
+	if u.base32 != nil {
+		sparse, _ = compact(u.patch, x, u.base32)
+	} else {
+		sparse, _ = compact(u.patch, x, u.base)
+	}
+	return sparse
 }
 
 // form is 0 for a dense update, 1 for a patched one, 2 for a narrowed one.

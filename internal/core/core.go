@@ -122,8 +122,12 @@ type Config struct {
 // first row in instead of allocating one: the runtime hands a recorded
 // participation engine scratch there when the row will be rebuilt, not
 // kept (lazyrows.go). UpInto's dst may alias params (the runtime rounds
-// an upload in place); dst never aliases global, ref or the row, and
-// neither global nor ref may be written.
+// an upload in place), and DownInto's dst may alias global (the runtime
+// codes a version it holds as a float32 image from that image, widened
+// into the downlink buffer: globalSnap), so a transfer reads each entry
+// of its source before it writes that entry of dst. dst never aliases
+// ref or the row; ref is never written, and global only through a dst
+// that aliases it.
 //
 // The comm package's transports implement it. A Config.Transport that
 // does not is a legacy transport and runs behind an adapter that copies
@@ -135,14 +139,25 @@ type WireTransport interface {
 
 // Coder is an optional WireTransport capability: the two transfers
 // without the counting. DownCode writes dst as DownInto would, UpCode
-// writes dst and *resid as UpInto would, and each returns the bytes its
-// counted twin would report, but no counter moves, and the same
-// arguments always write the same bits. The runtime calls them to run
-// again both transfers of a participation that was already sent and
-// counted: what the client received, which a replay trains from, and
-// what its upload left in the error-feedback row (lazyrows.go). Under a
-// transport without it every row is kept dense. A legacy
-// transport finds one by its name (RegisterLegacyCoders).
+// writes dst and *resid as UpInto would — dst may alias global and
+// params as it may there — and each returns the bytes its counted twin
+// would report, but no counter moves, and the same arguments always
+// write the same bits. The runtime calls them to run again both
+// transfers of a participation that was already sent and counted: what
+// the client received, which a replay trains from, and what its upload
+// left in the error-feedback row (lazyrows.go). Under a transport
+// without it every row is kept dense. A legacy transport finds one by
+// its name (RegisterLegacyCoders).
+//
+// The runtime also codes each model version's downlink once with
+// DownCode, for client 0 in round 0 (Server.hold). When every entry of
+// that is exact in float32 and coding it again gives it back bit for
+// bit, at the same size, the runtime holds the version as that float32
+// image and codes every client's downlink from it, widened, instead of
+// from the global. A downlink that depends on the client or the round
+// must therefore code that image for each client as it codes the
+// global; one that depends on the global alone, as every comm transport
+// does, always does.
 type Coder interface {
 	DownCode(dst []float64, clientID, round int, global []float64) (wire int64)
 	UpCode(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) (wire int64)
@@ -282,11 +297,14 @@ type Update struct {
 	pooled bool
 	// A compact upload, Params nil: narrow, a narrowPool vector, holds it
 	// when every entry is exact in float32; patch otherwise, against the
-	// float32 image of base, the global its client trained from (the
-	// job's storage, valid until the round that merges it is done).
+	// float32 image of the version its client trained from (the job's
+	// storage, valid until the round that merges it is done): base, the
+	// global, or base32, the version held as what a float32 downlink
+	// delivers (globalSnap). One of the two is set.
 	narrow []float32
 	patch  *uploadPatch
 	base   []float64
+	base32 []float32
 }
 
 // Algorithm customises client-side local training. The zero-cost base

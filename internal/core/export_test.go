@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -20,10 +21,10 @@ func (sp *RunSpec) Fingerprint(numParams int) string { return sp.fingerprint(num
 func (rs *RunState) HoldRowsDense() { rs.s.rows.on = false }
 
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
-// their dense uploads, and once each the model versions their sparse ones
-// were taken against or a recipe pins (float64), and their narrowed
-// uploads (float32). It errs unless those versions are exactly the
-// snapshots the runner still has out.
+// their dense uploads (float64) and their narrowed ones (float32), and
+// once each the model versions their sparse ones were taken against or a
+// recipe pins, at the width each version is held at. It errs unless
+// those versions are exactly the snapshots the runner still has out.
 func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 	r := rs.run
 	versions := map[*globalSnap]bool{}
@@ -43,7 +44,7 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 			if !j.sparse() {
 				continue
 			}
-			if j.gsnap == nil || &j.global[0] != &j.gsnap.vec[0] || &j.update.base[0] != &j.global[0] {
+			if j.gsnap == nil || !j.holdsVersion() {
 				return 0, 0, fmt.Errorf("a sparse job of round %d holds no snapshot of its version", j.round)
 			}
 			versions[j.gsnap] = true
@@ -51,14 +52,43 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 	}
 	live := 0
 	for _, sn := range r.snaps {
-		if sn.vec != nil {
+		if !sn.free() {
 			live++
 		}
 	}
 	if r.cur != nil || live != len(versions) {
 		return 0, 0, fmt.Errorf("%d snapshots out (current %t), %d referenced by sparse jobs", live, r.cur != nil, len(versions))
 	}
-	return wide + len(versions), narrow, nil
+	for sn := range versions {
+		if sn.narrow != nil {
+			narrow++
+		} else {
+			wide++
+		}
+	}
+	return wide, narrow, nil
+}
+
+// holdsVersion reports whether j trains from, and its patch is taken
+// against, its snapshot's vector, whichever width holds it.
+func (j *trainJob) holdsVersion() bool {
+	if sn := j.gsnap; sn.narrow != nil {
+		return j.global == nil && &j.update.base32[0] == &sn.narrow[0]
+	}
+	return &j.global[0] == &j.gsnap.vec[0] && &j.update.base[0] == &j.global[0]
+}
+
+// VersionWidths counts the model versions the run holds, by width.
+func (rs *RunState) VersionWidths() (wide, narrow int) {
+	for _, sn := range rs.run.snaps {
+		switch {
+		case sn.narrow != nil:
+			narrow++
+		case sn.vec != nil:
+			wide++
+		}
+	}
+	return wide, narrow
 }
 
 // NarrowCheckouts is PoolCheckouts for the float32 pool narrowed uploads
@@ -119,8 +149,8 @@ func (c *Client) peekChain() (rows, resid []float64) {
 	for _, link := range st.links(c.recipe, nil) {
 		global := link.img.vec
 		if st.coder != nil {
-			global = make([]float64, len(link.img.vec))
-			st.coder.DownCode(global, c.ID, int(link.round), link.img.vec)
+			global = make([]float64, link.img.size())
+			st.coder.DownCode(global, c.ID, int(link.round), link.img.source(global))
 		}
 		rng.SetState(link.rng)
 		e.recording = true
@@ -149,7 +179,10 @@ func (c *Client) ChainDepth() int {
 // version with a vector has as many references as recipe links that
 // name it plus queued jobs that hold it, no link names a version without
 // one, and the store's occupied slots are exactly the links the clients'
-// chains reach, each once. Call it with the jobs joined.
+// chains reach, each once. And it holds each live version to its width:
+// one vector, float32 exactly when the transport has a Coder whose
+// downlink of it, coded for client 0 in round 0, is exact in float32 and
+// codes to itself bit for bit (narrowable). Call it with the jobs joined.
 func (rs *RunState) CheckPins() error {
 	st, r := rs.s.rows, rs.run
 	holds := map[*globalSnap]int{}
@@ -158,7 +191,7 @@ func (rs *RunState) CheckPins() error {
 		if rec.img == nil {
 			continue
 		}
-		if rec.img.vec == nil {
+		if rec.img.free() {
 			return fmt.Errorf("recipe slot %d (round %d) pins a freed version", i, rec.round)
 		}
 		holds[rec.img]++
@@ -184,11 +217,47 @@ func (rs *RunState) CheckPins() error {
 		}
 	}
 	for i, sn := range r.snaps {
-		if sn.vec != nil && sn.refs != holds[sn] {
+		if sn.free() {
+			continue
+		}
+		if sn.refs != holds[sn] {
 			return fmt.Errorf("version %d has %d references, %d links and jobs hold it", i, sn.refs, holds[sn])
+		}
+		if sn.vec != nil && sn.narrow != nil {
+			return fmt.Errorf("version %d is held at both widths", i)
+		}
+		g := sn.vec
+		if sn.narrow != nil {
+			g = make([]float64, len(sn.narrow))
+			for k, v := range sn.narrow {
+				g[k] = float64(v)
+			}
+		}
+		if narrow, want := sn.narrow != nil, narrowable(st.coder, g); narrow != want {
+			return fmt.Errorf("version %d is held at float32 %t, its downlink is a float32 fixed point %t", i, narrow, want)
 		}
 	}
 	return nil
+}
+
+// narrowable reports whether coder's downlink of g, for client 0 in
+// round 0, is exact in float32 and codes again to itself at the same
+// wire size.
+func narrowable(coder Coder, g []float64) bool {
+	if coder == nil {
+		return false
+	}
+	img, again := make([]float64, len(g)), make([]float64, len(g))
+	wire := coder.DownCode(img, 0, 0, g)
+	if coder.DownCode(again, 0, 0, img) != wire {
+		return false
+	}
+	for i, v := range img {
+		if math.Float64bits(v) != math.Float64bits(float64(float32(v))) || math.Float64bits(again[i]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // Quiesce joins every job still training, as Snapshot does first, so the

@@ -53,10 +53,14 @@
 //
 // The version is the snapshot of the global the buffered loop takes
 // anyway (globalSnap), pinned by a reference per link; behind the
-// lock-step gate, a round that records copies s.global once into the
-// same table. It is one vector, whatever the transport: a transport may
-// send each client something else, and DownCode derives it per client.
-// The vector goes back to the pool with the version's last reference.
+// lock-step gate, a round that records takes one of s.global into the
+// same table, the same way (Server.hold). It is one vector per version,
+// held as what the version's clients receive: under a float32 downlink
+// (every comm transport but lossless) the float32 image of the global,
+// half its bytes, from which DownCode derives the same downlink bit for
+// bit; otherwise a copy of the global. A transport may still send each
+// client something else, and DownCode derives it per client. The vector
+// goes back to its pool with the version's last reference.
 package core
 
 import (
@@ -253,8 +257,8 @@ func (st *rowStore) received(c *Client, e *engine, link *rowRecipe) []float64 {
 	if st.coder == nil {
 		return link.img.vec
 	}
-	recv := e.downlinkBuf(len(link.img.vec))
-	st.coder.DownCode(recv, c.ID, int(link.round), link.img.vec)
+	recv := e.downlinkBuf(link.img.size())
+	st.coder.DownCode(recv, c.ID, int(link.round), link.img.source(recv))
 	return recv
 }
 

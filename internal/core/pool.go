@@ -12,28 +12,29 @@ import (
 // steady-state train -> upload -> aggregate -> merge cycle checks a buffer
 // out in Client.LocalTrain and returns it once the merge has consumed it,
 // so a long run's upload traffic costs zero allocations after the first
-// few rounds. The buffered runtime's copies of the global model come from
-// it too — one per model version, shared by every job dispatched at that
-// version — and so do the evaluator's. The pool is generic over the
-// element width: paramsPool holds float64 vectors, narrowPool the float32
-// ones uploads are narrowed into.
+// few rounds. The buffered runtime's snapshots of the global model come
+// from it too — one per model version, shared by every job dispatched at
+// that version — and so do the evaluator's copies. The pool is generic
+// over the element width: paramsPool holds float64 vectors, narrowPool
+// the float32 ones uploads are narrowed into, and the versions held as
+// the float32 image a float32 downlink delivers (globalSnap).
 //
 // What the pools hold is the most buffers ever checked out at once, never
-// O(dispatches * |w|): one global per live model version, one dense
-// upload per in-flight or buffered client whose upload is neither sparse
-// nor float32-exact, and the training and evaluation transients. With a
-// transport an upload is held compact from training to the merge (see
-// compact): one within |w|/4 entries of the float32 image of its
-// version's global — any sparse uplink's — as its job's patch, which pins
-// that version's global until the round that merges it; one whose every
-// entry is exact in float32 — any f32 uplink's — as a narrowPool vector
-// of half the bytes. out and peak count the checkouts, so a test can read
-// that high-water mark.
+// O(dispatches * |w|): one vector per live model version (float32 under a
+// float32 downlink), one dense upload per in-flight or buffered client
+// whose upload is neither sparse nor float32-exact, and the training and
+// evaluation transients. With a transport an upload is held compact from
+// training to the merge (see compact): one within |w|/4 entries of the
+// float32 image of its version — any sparse uplink's — as its job's
+// patch, which pins that version until the round that merges it; one
+// whose every entry is exact in float32 — any f32 uplink's — as a
+// narrowPool vector of half the bytes. out and peak count the checkouts,
+// so a test can read that high-water mark.
 //
 // Buffers are fully overwritten at checkout, so recycling cannot leak one
 // client's parameters into another's arithmetic; the aliasing pins in
 // pool_test.go prove that upload buffers are never shared between
-// concurrent in-flight clients and that a version's global copy is
+// concurrent in-flight clients and that a version's snapshot is
 // handed to nobody else, and never written, while a job trains from it.
 type vecPool[T float32 | float64] struct {
 	mu   sync.Mutex
@@ -116,8 +117,19 @@ func (u *Update) recycle() {
 		paramsPool.put(u.Params)
 	}
 	narrowPool.put(u.narrow)
-	u.Params, u.narrow, u.patch, u.base = nil, nil, nil, nil
+	u.Params, u.narrow, u.patch, u.base, u.base32 = nil, nil, nil, nil, nil
 	u.pooled = false
+}
+
+// holdNarrow moves u's pooled dense upload, every entry of which is
+// exact in float32, into a narrowPool vector of half the bytes.
+func (u *Update) holdNarrow() {
+	u.narrow = narrowPool.get(len(u.Params))
+	for i, v := range u.Params {
+		u.narrow[i] = float32(v)
+	}
+	paramsPool.put(u.Params)
+	u.Params, u.pooled = nil, false
 }
 
 // widen turns a compact u into a dense one in a pooled buffer.
@@ -133,7 +145,7 @@ func (u *Update) widen() {
 // Vector writes the upload u carries into dst, grown to |w| when it is
 // shorter, and returns it. It reads every form an upload is held in: the
 // dense Params, or — Params nil — a float32 narrowing or a patch against
-// the float32 image of the global its client trained from. A hook that
+// the float32 image of the version its client trained from. A hook that
 // keeps an upload past its call (Config.OnUpdates) reads it here.
 func (u *Update) Vector(dst []float64) []float64 {
 	n := u.size()
@@ -143,11 +155,11 @@ func (u *Update) Vector(dst []float64) []float64 {
 	dst = dst[:n]
 	switch {
 	case u.narrow != nil:
-		for i, v := range u.narrow {
-			dst[i] = float64(v)
-		}
+		widen(dst, u.narrow)
+	case u.base32 != nil:
+		materialize(u.patch, dst, u.base32)
 	case u.patch != nil:
-		u.patch.materialize(dst, u.base)
+		materialize(u.patch, dst, u.base)
 	default:
 		copy(dst, u.Params)
 	}
@@ -160,31 +172,50 @@ func (u *Update) size() int {
 	case u.narrow != nil:
 		return len(u.narrow)
 	case u.patch != nil:
-		return len(u.base)
+		return len(u.base) + len(u.base32)
 	}
 	return len(u.Params)
+}
+
+// baseImage is entry j of the float32 image of u's patch base.
+func (u *Update) baseImage(j int) float64 {
+	if u.base32 != nil {
+		return f32Image(u.base32[j])
+	}
+	return f32Image(u.base[j])
+}
+
+// widen writes v at float64 into dst and returns dst.
+func widen(dst []float64, v []float32) []float64 {
+	for i, x := range v {
+		dst[i] = float64(x)
+	}
+	return dst
 }
 
 // compacted reports whether u is held narrowed or patched, Params nil.
 func (u *Update) compacted() bool { return u.narrow != nil || u.patch != nil }
 
 // uploadPatch is an upload held sparse: the entries where it differs, bit
-// for bit, from the float32 image of the global its client trained from —
-// which is what every lossy downlink in the tree delivers, so a sparse
+// for bit, from the float32 image of the version its client trained from
+// — which is what every lossy downlink in the tree delivers, so a sparse
 // uplink's reconstruction matches it nearly everywhere — and its values
-// there. The image plus the patch is the upload exactly, whatever the
-// global: the comparison is bitwise, and a vector with too many
+// there. The version is the global, or, under a float32 downlink, the
+// float32 vector the runtime holds for it (globalSnap), which is its own
+// image. The image plus the patch is the upload exactly, whatever the
+// base: the comparison is bitwise, and a vector with too many
 // differences is never compacted, so only how compact a patch is depends
 // on the base, never whether it is exact. A job's patch keeps its storage
-// through the job free list; its update points at it, and at the global
+// through the job free list; its update points at it, and at the version
 // it was taken against, until the round that merges it is done.
 type uploadPatch struct {
 	idx []int32
 	val []float64
 }
 
-// f32Image is what a float32 downlink delivers for v.
-func f32Image(v float64) float64 { return float64(float32(v)) }
+// f32Image is what a float32 downlink delivers for v: v itself, widened,
+// when v is a float32.
+func f32Image[T float32 | float64](v T) float64 { return float64(float32(v)) }
 
 // compact fills p with x's differences from the float32 image of g and
 // reports sparse when at most a quarter of x differs; otherwise it leaves
@@ -193,7 +224,7 @@ func f32Image(v float64) float64 { return float64(float32(v)) }
 // answers both: it stops once x is past the patch limit and an inexact
 // entry has shown up, so a dense upload costs one partial scan and never
 // grows p.
-func (p *uploadPatch) compact(x, g []float64) (sparse, exact bool) {
+func compact[T float32 | float64](p *uploadPatch, x []float64, g []T) (sparse, exact bool) {
 	if len(x) > math.MaxInt32 {
 		return false, false
 	}
@@ -225,7 +256,7 @@ func (p *uploadPatch) compact(x, g []float64) (sparse, exact bool) {
 }
 
 // materialize writes the upload p was compacted from against g into dst.
-func (p *uploadPatch) materialize(dst, g []float64) {
+func materialize[T float32 | float64](p *uploadPatch, dst []float64, g []T) {
 	for i, v := range g {
 		dst[i] = f32Image(v)
 	}

@@ -320,10 +320,16 @@ func (s *Server) trainClient(j *trainJob) {
 		j.recRng = c.RNG().State()
 		c.eng.record()
 	}
-	global := j.global
-	j.downBytes = int64(4 * len(global))
+	global, narrow := j.global, []float32(nil)
+	if global == nil {
+		narrow = j.gsnap.narrow // the version is held as its float32 image
+	}
+	j.downBytes = int64(4 * (len(global) + len(narrow)))
 	if s.wire != nil {
-		received := c.eng.downlinkBuf(len(global))
+		received := c.eng.downlinkBuf(len(global) + len(narrow))
+		if narrow != nil {
+			global = widen(received, narrow)
+		}
 		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
 	}
@@ -347,18 +353,19 @@ func (s *Server) trainClient(j *trainJob) {
 			resid = &c.eng.residRow
 		}
 		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)
-		switch sparse, exact := j.patch.compact(u.Params, j.global); {
-		case sparse:
-			u.patch, u.base = &j.patch, j.global
-		case exact:
-			u.narrow = narrowPool.get(len(u.Params))
-			for i, v := range u.Params {
-				u.narrow[i] = float32(v)
-			}
+		var sparse, exact bool
+		if narrow != nil {
+			sparse, exact = compact(&j.patch, u.Params, narrow)
+		} else {
+			sparse, exact = compact(&j.patch, u.Params, j.global)
 		}
-		if u.compacted() {
+		switch {
+		case sparse:
 			paramsPool.put(u.Params)
 			u.Params, u.pooled = nil, false
+			u.patch, u.base, u.base32 = &j.patch, j.global, narrow
+		case exact:
+			u.holdNarrow()
 		}
 	}
 	j.update = u

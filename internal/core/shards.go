@@ -19,14 +19,15 @@ type trainJob struct {
 	// whole life: s.global itself behind the lock-step gate (a round
 	// aggregates only once every job has joined), the vector of gsnap —
 	// the model version's shared snapshot, owned by the event loop —
-	// otherwise.
+	// otherwise, nil when that snapshot is the version's float32 image
+	// (gsnap.narrow, globalSnap).
 	global []float64
 	gsnap  *globalSnap
 	update Update
 	// patch is the storage of a sparse upload (update.patch points at it,
-	// update.base at global): such a job keeps global, and gsnap's
-	// reference, until the round that merges it is done. It stays with
-	// the job through the free list.
+	// update.base or base32 at its version): such a job keeps its
+	// version, and gsnap's reference, until the round that merges it is
+	// done. It stays with the job through the free list.
 	patch uploadPatch
 	flops int64
 	done  chan struct{}

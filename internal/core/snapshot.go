@@ -418,11 +418,14 @@ func snapList[T any](c *tensor.Codec, what string, list *[]T, elem func(*T)) {
 }
 
 // snapImages is the round-image section: each model version a recipe
-// pins, once however many pin it — its global, from which a replay
-// derives what the client received. A recipe names its image by its
-// place here (ord). A decoder appends each image to the runner's table,
-// which a fresh run holds empty, in vectors from the pool, and the client
-// walk's recipes pin them.
+// pins, once however many pin it — its vector, from which a replay
+// derives what the client received, at float64 width: the global, or
+// the float32 image a float32 downlink delivers, widened. A recipe names
+// its image by its place here (ord). A decoder appends each image to the
+// runner's table, which a fresh run holds empty, held as the run holds a
+// version (Server.hold) in a vector from its pool, so an image written
+// as the full-precision global is held as the one written narrowed, and
+// the client walk's recipes pin them.
 func (st *rowStore) snapImages(c *tensor.Codec) {
 	r := st.run
 	np, n := len(r.s.global), 0
@@ -444,18 +447,22 @@ func (st *rowStore) snapImages(c *tensor.Codec) {
 	}
 	n = c.Len("round images", n)
 	for i, k := 0, 0; i < n && c.Err() == nil; i++ {
-		var sn *globalSnap
 		if c.Reading() {
-			sn = &globalSnap{vec: paramsPool.get(np)}
+			sn := &globalSnap{vec: paramsPool.get(np)}
 			r.snaps = append(r.snaps, sn)
-		} else {
-			for r.snaps[k].ord < 0 {
-				k++
+			c.FloatsExact("round image", sn.vec)
+			if sn.narrow = r.s.hold(sn.vec); sn.narrow != nil {
+				paramsPool.put(sn.vec)
+				sn.vec = nil
 			}
-			sn = r.snaps[k]
+			continue
+		}
+		for r.snaps[k].ord < 0 {
 			k++
 		}
-		c.FloatsExact("round image", sn.vec)
+		sn := r.snaps[k]
+		k++
+		c.FloatsExact("round image", sn.source(r.s.widenBuf()))
 	}
 }
 
@@ -535,13 +542,14 @@ func (p *population) snap(c *tensor.Codec) {
 // snap is one quiesced in-flight (or buffered) job: its scheduling key,
 // dispatch parameters, and the finished update, always written dense: an
 // upload held compact — narrowed to float32, or as a patch against its
-// version's global — is widened for the stream. The global-model
+// version — is widened for the stream. The global-model
 // snapshot the client trained from is not part of it — the training
 // already consumed it, and the compact form is only how the server holds
-// the upload. A decoded job is
-// therefore trained and dense, holds no done token (the arrival path must
-// not, and will not, join it again) and takes its upload buffer from the
-// pool the merge returns it to.
+// the upload. A decoded job is therefore trained, holds no done token
+// (the arrival path must not, and will not, join it again) and takes its
+// upload buffer from the pool the merge returns it to: dense, or, over a
+// transport, narrowed when every entry is exact in float32, as an f32
+// uplink's upload is held in the run that wrote the stream.
 func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 	var id int
 	if !c.Reading() {
@@ -577,6 +585,11 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 		defer paramsPool.put(params)
 	}
 	c.FloatsExact("update params", params)
+	if c.Reading() && s.wire != nil && f32Exact(params) {
+		// An f32 uplink's upload, held narrowed as the run that wrote
+		// the stream held it.
+		j.update.holdNarrow()
+	}
 	c.Num("update samples", &j.update.NumSamples)
 	c.Num("update steps", &j.update.Steps)
 	c.F64(&j.update.TrainLoss)

@@ -19,7 +19,8 @@ import (
 // streams, then per client its rows — as
 // Client.State returns them, rebuilt where they are held as a recipe —
 // its error-feedback row as PeekResid returns it, its stream position,
-// LastRound and FLOPs, then the pending jobs in heap and buffer order,
+// LastRound and FLOPs, then the pending jobs in heap and buffer order
+// (each upload widened, whatever form the run holds it in),
 // the recorder and the clock. Two streams that resume to one run state
 // have one digest, so a format change that must move no state can be
 // pinned against digests taken before it.
@@ -125,7 +126,7 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 			i64(j.downBytes)
 			i64(j.upBytes)
 			i64(int64(j.update.ClientID))
-			vec(j.update.Params)
+			vec(j.update.Vector(nil))
 			i64(int64(j.update.NumSamples))
 			i64(int64(j.update.Steps))
 			f64(j.update.TrainLoss)

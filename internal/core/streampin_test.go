@@ -27,6 +27,8 @@ type streamPin struct {
 // and buffered jobs and the churn section (the priced lazy fleet, whose
 // Markov-only churn leaves the event heap and rejoin groups empty); the
 // adversary section and materialised upload patches (topk-ef-median-byz).
+// Those last two also write round images under a float32 downlink, each
+// the float32 image the run holds for its version, widened.
 var streamPins = map[string]streamPin{
 	"TestResumeEquivalenceSync":                                       {4453641, "5e507f9f4cf1c474", "c8150674fd19a2b573a474e09125c208a83b82d4102c328f3ea6646ed7af16ca"},
 	"TestResumeEquivalenceAsyncFedBuff":                               {6362308, "c317e542ebbcda71", ""},
@@ -40,7 +42,7 @@ var streamPins = map[string]streamPin{
 	"TestLockStepStreamsPinned/straggler":                             {1114705, "8dbc1bffde1643d4", ""},
 	"TestLockStepStreamsPinned/exp":                                   {1432888, "490007603ec181d4", ""},
 	"TestLockStepStreamsPinned/devices":                               {1114719, "44ab9150ed15c7c6", ""},
-	"TestUploadStreamsPinned/topk-ef-median-byz":                      {1116123, "8a323b520cc27c03", "3718f3dc490af0adb1fc9bd6183018d970e35e51c9a138e4c5910760c2202a89"},
+	"TestUploadStreamsPinned/topk-ef-median-byz":                      {1116123, "8a323b520cc27c03", "8d2b35d5814e712afe289dcd5402b8d5273a60aae63b0b8714130d96bc9749af"},
 	"TestUploadStreamsPinned/randk-barrier-straggler":                 {1115168, "a207aff9567565bb", ""},
 	"TestUploadStreamsPinned/q8-ef-async":                             {1116030, "88daabc8af79df70", ""},
 	"TestUploadStreamsPinned/q8-ef-noise":                             {1434322, "4e3cf0673fc55d40", ""},
@@ -49,7 +51,7 @@ var streamPins = map[string]streamPin{
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_topk-ef":               {808272, "04816625fdffc302", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn":                {3198584, "8e4a10eaf0018f29", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_f32_devices":    {3198688, "75655aec18f5b5a8", ""},
-	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "b242dd45454194f1", "5f5322fbfd7e1423f96acb46dc756d4a663b2c788b51b323b12a75686d9bc05c"},
+	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "b242dd45454194f1", "3b8625f6c7a9c1ce3d99830ca03c3323c7d8bd30200c79f935b14aa5499ce676"},
 	"TestLazyRowStreamsPinned/moon/sync":                              {808261, "867db3fe3f1bc065", ""},
 	"TestLazyRowStreamsPinned/moon/sync_f32":                          {808260, "975ca1e0a89f3e84", ""},
 	"TestLazyRowStreamsPinned/moon/sync_topk-ef":                      {808269, "f186b74ffef967dc", ""},

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -35,10 +36,12 @@ func drawPatchValue(rng *rand.Rand) float64 {
 // for bit, and then image plus patch is x bit for bit; and it reports x
 // float32-exact exactly when every entry survives a float32 round trip. One patch is reused
 // across every draw, as a job's is through the free list, so stale
-// entries of a longer patch must not leak into a shorter one.
+// entries of a longer patch must not leak into a shorter one. Against
+// g's float32 image held as float32s — a version under a float32
+// downlink — compact and materialize give the same patch and the same x.
 func TestUploadPatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var p uploadPatch
+	var p, p32 uploadPatch
 	sparse, dense := 0, 0
 	for iter := 0; iter < 3000; iter++ {
 		n := []int{0, 1, 3, 4, 7, 64, 257}[rng.Intn(7)]
@@ -66,7 +69,14 @@ func TestUploadPatchRoundTrip(t *testing.T) {
 			}
 			exact = exact && math.Float64bits(x[i]) == math.Float64bits(f32Image(x[i]))
 		}
-		gotSparse, gotExact := p.compact(x, g)
+		gotSparse, gotExact := compact(&p, x, g)
+		g32 := make([]float32, n)
+		for i, v := range g {
+			g32[i] = float32(v)
+		}
+		if sparse32, exact32 := compact(&p32, x, g32); sparse32 != gotSparse || exact32 != gotExact {
+			t.Fatalf("n=%d: compact against the float32 image = %t, %t, against the global %t, %t", n, sparse32, exact32, gotSparse, gotExact)
+		}
 		if want := differ <= n/4; gotSparse != want {
 			t.Fatalf("n=%d, %d entries differ: compact = %t, want %t", n, differ, gotSparse, want)
 		}
@@ -85,10 +95,15 @@ func TestUploadPatchRoundTrip(t *testing.T) {
 		for i := range out {
 			out[i] = math.Float64frombits(rng.Uint64()) // garbage a pooled buffer may hold
 		}
-		p.materialize(out, g)
+		out32 := slices.Clone(out)
+		materialize(&p, out, g)
+		materialize(&p32, out32, g32)
 		for i := range x {
 			if math.Float64bits(out[i]) != math.Float64bits(x[i]) {
 				t.Fatalf("n=%d: entry %d rebuilt as %x, the upload holds %x", n, i, math.Float64bits(out[i]), math.Float64bits(x[i]))
+			}
+			if math.Float64bits(out32[i]) != math.Float64bits(x[i]) {
+				t.Fatalf("n=%d: entry %d rebuilt against the float32 image as %x, the upload holds %x", n, i, math.Float64bits(out32[i]), math.Float64bits(x[i]))
 			}
 		}
 	}

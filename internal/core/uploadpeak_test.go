@@ -61,15 +61,21 @@ func TestUploadPoolPeak(t *testing.T) {
 		// Twelve jobs in flight and a buffer of six. A sparse upload costs
 		// a patch and pins the version it trained from, which its
 		// neighbours mostly share, in flight and in the policy buffer
-		// until the round that merges it is done. Rebuilt dense at its
-		// arrival the peak was 12; held dense all the way, 18.
-		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, 7, 5, 0, 0},
+		// until the round that merges it is done. The float32 downlink
+		// makes each version its float32 image: the six versions of the
+		// peak, five of them still pinned at Close, are float32 vectors,
+		// and the training transient is the one float64 buffer. Held as
+		// float64 copies the peak was 7 and 5 were held; rebuilt dense at
+		// its arrival an upload made the peak 12; held dense all the way,
+		// 18.
+		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, 1, 0, 6, 5},
 		// The same fleet over a float32 uplink, merged by the median:
 		// every upload is float32-exact and far from the global, so it is
 		// held narrowed from its training to the median that reads it,
-		// and the float64 buffers are a version's copy and the training
-		// transient.
-		{"async f32 median tiered", "f32", "median", true, 2, 0, 17, 11},
+		// and so is the version jobs train from: the float64 buffer is
+		// the training transient (2 and 17 with the version a float64
+		// copy).
+		{"async f32 median tiered", "f32", "median", true, 1, 0, 18, 11},
 		// Four lock-step uploads that differ from the global nearly
 		// everywhere are float32-exact and held narrowed; the training
 		// transient, then the evaluation's copy, is the one float64
@@ -275,5 +281,69 @@ func TestAggregatorGetsWidenedUploads(t *testing.T) {
 				t.Fatalf("%d of %d updates reached Aggregate without a dense vector", algo.short, algo.updates)
 			}
 		})
+	}
+}
+
+// A resumed run holds its queued uploads as the uninterrupted run holds
+// them: on the async f32 fleet (10 in flight, a buffer of 3), snapshotted
+// after four aggregations, every queued upload is float32-exact, and
+// both runs hold the nine as float32 vectors and no float64 one. The
+// resumed run finishes on the uninterrupted run's digest.
+func TestResumedUploadsStayNarrow(t *testing.T) {
+	build := func() core.RunSpec {
+		sp := uploadRun(t, "f32")
+		sp.Runtime = core.RuntimeAsync
+		sp.Concurrency, sp.BufferSize = 10, 3
+		sp.Latency = mustFleet(core.ParseLatency("exp:2"))
+		return sp
+	}
+	full, err := core.Start(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := core.NewRunState(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rs.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rs.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	rs.Close()
+	held := func(rs *core.RunState) [2]int {
+		t.Helper()
+		wide, narrow, err := rs.QueuedBuffers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]int{wide, narrow}
+	}
+	want := held(rs)
+	if want != [2]int{0, 9} {
+		t.Fatalf("the uninterrupted run's queued jobs hold %d float64 and %d float32 vectors, want 0 and 9", want[0], want[1])
+	}
+	resumed, err := core.Resume(bytes.NewReader(stream), core.ResumeSpec{Spec: build()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.Close()
+	if got := held(resumed); got != want {
+		t.Fatalf("the resumed run's queued jobs hold %d float64 and %d float32 vectors, the uninterrupted run's %d and %d", got[0], got[1], want[0], want[1])
+	}
+	if resumed, err = core.Resume(bytes.NewReader(stream), core.ResumeSpec{Spec: build()}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest() != full.Digest() {
+		t.Fatalf("resumed digest %s, the uninterrupted run's %s", res.Digest(), full.Digest())
 	}
 }
