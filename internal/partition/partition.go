@@ -176,8 +176,8 @@ func dirichletVector(rng Rand, n int, alpha float64) []float64 {
 	return p
 }
 
-// gammaSample draws Gamma(shape=a, scale=1) using Marsaglia-Tsang, with
-// the standard boosting trick for a < 1.
+// gammaSample draws Gamma(shape=a, scale=1) by Marsaglia-Tsang, boosted for
+// a < 1; products round explicitly (float64(x*y) + z): arm64 fuses none.
 func gammaSample(rng Rand, a float64) float64 {
 	if a < 1 {
 		// Gamma(a) = Gamma(a+1) * U^(1/a)
@@ -191,16 +191,16 @@ func gammaSample(rng Rand, a float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}
