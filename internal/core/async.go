@@ -315,10 +315,7 @@ func (s *Server) hold(g []float64) []float32 {
 	if !f32Exact(img) {
 		return nil
 	}
-	narrow := narrowPool.get(len(img))
-	for i, v := range img {
-		narrow[i] = float32(v)
-	}
+	narrow := narrowed(img)
 	if coder.DownCode(img, 0, 0, img) != wire || !sameBits(img, narrow) {
 		narrowPool.put(narrow)
 		return nil

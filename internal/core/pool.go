@@ -124,10 +124,7 @@ func (u *Update) recycle() {
 // holdNarrow moves u's pooled dense upload, every entry of which is
 // exact in float32, into a narrowPool vector of half the bytes.
 func (u *Update) holdNarrow() {
-	u.narrow = narrowPool.get(len(u.Params))
-	for i, v := range u.Params {
-		u.narrow[i] = float32(v)
-	}
+	u.narrow = narrowed(u.Params)
 	paramsPool.put(u.Params)
 	u.Params, u.pooled = nil, false
 }
@@ -189,6 +186,15 @@ func (u *Update) baseImage(j int) float64 {
 func widen(dst []float64, v []float32) []float64 {
 	for i, x := range v {
 		dst[i] = float64(x)
+	}
+	return dst
+}
+
+// narrowed returns v at float32 in a narrowPool vector.
+func narrowed(v []float64) []float32 {
+	dst := narrowPool.get(len(v))
+	for i, x := range v {
+		dst[i] = float32(x)
 	}
 	return dst
 }
