@@ -99,11 +99,13 @@ func TestHostileRoundImagesBelowF32(t *testing.T) {
 func TestHostileRoundImagesSpecialValues(t *testing.T) {
 	train, test, parts := lazyRowData(t)
 	specials := []float64{math.Float64frombits(0x7ff8_dead_beef_0001), -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	fleets := []lazyFleet{lazyFleets[1], lazyFleets[5]}
 	if testing.Short() {
-		// The two whose float32 image has other bits.
-		specials = specials[:2]
+		// The two whose float32 image has other bits, on the async
+		// stream.
+		specials, fleets = specials[:2], fleets[1:]
 	}
-	for _, f := range []lazyFleet{lazyFleets[1], lazyFleets[5]} {
+	for _, f := range fleets {
 		t.Run(f.name, func(t *testing.T) {
 			build := func() core.RunSpec { return lazyRowSpec(t, f, "fedtrip:0.4", train, test, parts) }
 			stream, images, np := roundImageStream(t, build)
@@ -160,6 +162,13 @@ func TestVersionWidthsPinned(t *testing.T) {
 		{"async", "topk:0.01+ef", 0, 10},
 		{"sync", "negating", 10, 0},
 		{"async", "negating", 10, 0},
+	}
+	if testing.Short() {
+		// Each width and each reason for it, in one runtime or the other.
+		cases = []struct {
+			runtime, transport string
+			wide, narrow       int
+		}{cases[0], cases[2], cases[6], cases[9], cases[11]}
 	}
 	for _, tc := range cases {
 		name := tc.runtime + "/" + tc.transport
