@@ -292,9 +292,10 @@ func (l legacyOnly) String() string { return l.SizedTransport.(fmt.Stringer).Str
 // The runtime has one transfer path; a legacy transport reaches it through
 // core's adapter and this package's allocating wrappers. Both routes must
 // give one trajectory — lock-step and buffered, dense and delta-coded
-// with error feedback, faults on the wire — and one mid-run snapshot
-// stream: the legacy route keeps the error-feedback rows in the clients
-// too.
+// with error feedback, faults on the wire, and a permanent mass drop that
+// voids in-flight dispatches — one communication series, the same
+// transport counters, and one mid-run snapshot stream: the legacy route
+// keeps the error-feedback rows in the clients too.
 func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 5})
 	if err != nil {
@@ -308,25 +309,51 @@ func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drop, err := core.ParseChurn("drop:2.5,0.4,0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := []struct {
+		runtime core.Runtime
+		churn   *core.ChurnModel
+	}{
+		{core.RuntimeSync, nil},
+		{core.RuntimeAsync, nil},
+		{core.RuntimeBarrier, drop},
+		{core.RuntimeAsync, drop},
+	}
+	// routeRun is what one route left: the digest, the mid-run stream,
+	// the communication series and the transport's counters.
+	type routeRun struct {
+		digest  string
+		stream  []byte
+		comm    []int64
+		dropped int
+		stats   [4]int64 // down bytes, up bytes, down msgs, up msgs
+	}
 	for _, spec := range []string{"f32", "lossless", "q8+ef", "topk:0.01+ef", "randk:0.05"} {
-		for _, runtime := range []core.Runtime{core.RuntimeSync, core.RuntimeAsync} {
-			run := func(legacy bool) (string, []byte) {
-				tr, err := ParseTransport(spec)
+		for _, fleet := range fleets {
+			run := func(legacy bool) routeRun {
+				inner, err := ParseTransport(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
+				tr := inner
 				if legacy {
 					tr = legacyOnly{tr.(core.SizedTransport)}
 				}
-				rs := core.RunSpec{Runtime: runtime, Faults: faults, Config: core.Config{
+				rs := core.RunSpec{Runtime: fleet.runtime, Faults: faults, Churn: fleet.churn, Config: core.Config{
 					Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
 					Train: train, Test: test, Parts: parts,
 					Rounds: 6, ClientsPerRound: 4, BatchSize: 10, LocalEpochs: 1, LR: 0.01, Momentum: 0.9,
 					Algo: core.NewFedTrip(0.4), Seed: 7, Transport: tr,
 				}}
-				if runtime == core.RuntimeAsync {
-					rs.Latency, rs.Concurrency, rs.BufferSize = mustFleet(core.ParseLatency("const:1")), 4, 2
+				if fleet.runtime != core.RuntimeSync {
+					rs.Latency = mustFleet(core.ParseLatency("const:1"))
 					rs.Network = mustFleet(core.ParseNetDist("tiered"))
+				}
+				if fleet.runtime == core.RuntimeAsync {
+					rs.Concurrency, rs.BufferSize = 4, 2
 				}
 				state, err := core.NewRunState(rs)
 				if err != nil {
@@ -346,15 +373,30 @@ func TestLegacyRouteMatchesInPlaceRoute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res.Digest(), stream.Bytes()
+				st := inner.(*Transport).Stats()
+				downMsgs, upMsgs := st.Messages()
+				return routeRun{res.Digest(), stream.Bytes(), res.CommBytesByRound, res.DroppedUpdates,
+					[4]int64{st.DownBytes(), st.UpBytes(), downMsgs, upMsgs}}
 			}
-			inPlace, inPlaceStream := run(false)
-			legacy, legacyStream := run(true)
-			if inPlace != legacy {
-				t.Errorf("%s on %v: in-place digest %s, legacy route %s", spec, runtime, inPlace, legacy)
+			inPlace, legacy := run(false), run(true)
+			at := fmt.Sprintf("%s on %v", spec, fleet.runtime)
+			if fleet.churn != nil {
+				at += " " + fleet.churn.String()
+				if inPlace.dropped == 0 {
+					t.Errorf("%s: the mass drop voided no dispatch; the fleet checks nothing of it", at)
+				}
 			}
-			if !bytes.Equal(inPlaceStream, legacyStream) {
-				t.Errorf("%s on %v: the routes' snapshot streams differ (%d and %d bytes)", spec, runtime, len(inPlaceStream), len(legacyStream))
+			if inPlace.digest != legacy.digest {
+				t.Errorf("%s: in-place digest %s, legacy route %s", at, inPlace.digest, legacy.digest)
+			}
+			if !bytes.Equal(inPlace.stream, legacy.stream) {
+				t.Errorf("%s: the routes' snapshot streams differ (%d and %d bytes)", at, len(inPlace.stream), len(legacy.stream))
+			}
+			if fmt.Sprint(inPlace.comm) != fmt.Sprint(legacy.comm) {
+				t.Errorf("%s: communication by round %v in place, %v on the legacy route", at, inPlace.comm, legacy.comm)
+			}
+			if inPlace.stats != legacy.stats {
+				t.Errorf("%s: transport counters %v in place, %v on the legacy route", at, inPlace.stats, legacy.stats)
 			}
 		}
 	}

@@ -110,14 +110,18 @@ func TestParseTransportRejects(t *testing.T) {
 	}
 }
 
-// roundTripUp performs one down+up cycle and returns the server-side
-// reconstruction plus the measured uplink bytes.
-func roundTripUp(t *testing.T, tr core.SizedTransport, clientID, round int, global, trained []float64) ([]float64, int64) {
+// roundTripUp performs one down+up cycle through the in-place transfers,
+// as the runtime does: the upload is coded against what the client
+// received, with resid as the client's error-feedback row. It returns the
+// server-side reconstruction plus the measured uplink bytes.
+func roundTripUp(t *testing.T, tr *Transport, resid *[]float64, clientID, round int, global, trained []float64) ([]float64, int64) {
 	t.Helper()
-	if _, down := tr.DownSized(clientID, round, global); down != tensor.VectorWireSizeF32(len(global)) {
+	received := make([]float64, len(global))
+	if down := tr.DownInto(received, clientID, round, global); down != tensor.VectorWireSizeF32(len(global)) {
 		t.Fatalf("downlink bytes %d, want f32 dense %d", down, tensor.VectorWireSizeF32(len(global)))
 	}
-	return tr.UpSized(clientID, round, trained)
+	out := make([]float64, len(trained))
+	return out, tr.UpInto(out, clientID, round, trained, received, resid)
 }
 
 // TestCompressedTransportTopK checks sparse reconstruction and that the
@@ -134,7 +138,7 @@ func TestCompressedTransportTopK(t *testing.T) {
 	copy(trained, global)
 	trained[7] = 5    // the dominant coordinates
 	trained[400] = -3 // (k = ceil(0.01*1000) = 10)
-	out, up := roundTripUp(t, tr, 0, 1, global, trained)
+	out, up := roundTripUp(t, tr, new([]float64), 0, 1, global, trained)
 	if out[7] != 5 || out[400] != -3 {
 		t.Fatalf("top-k dropped the dominant coordinates: out[7]=%g out[400]=%g", out[7], out[400])
 	}
@@ -168,13 +172,15 @@ func TestQ8DeltaEncoding(t *testing.T) {
 	for i := range global {
 		global[i] = float64(i) / 100
 	}
-	received := tr.Down(0, 1, global)
+	received := make([]float64, n)
+	tr.DownInto(received, 0, 1, global)
 	// Small local update: delta spans [0, 0.05).
 	upload := make([]float64, n)
 	for i := range upload {
 		upload[i] = received[i] + 0.05*float64(i)/float64(n)
 	}
-	got := tr.Up(0, 1, upload)
+	got := make([]float64, n)
+	tr.UpInto(got, 0, 1, upload, received, new([]float64))
 	// 8-bit quantization of a 0.05-span delta: max error ~1e-4.
 	for i := range upload {
 		if e := math.Abs(got[i] - upload[i]); e > 2e-4 {
@@ -239,13 +245,15 @@ func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
 	trained := make([]float64, n)
 	trained[3] = 10 // ships round 1
 	trained[9] = 4  // dropped round 1, must ship round 2 via the residual
-	out, _ := roundTripUp(t, tr, 0, 1, global, trained)
+
+	resid := new([]float64) // the client's error-feedback row, kept across its rounds
+	out, _ := roundTripUp(t, tr, resid, 0, 1, global, trained)
 	if out[3] != 10 || out[9] != 0 {
 		t.Fatalf("round 1: out[3]=%g out[9]=%g, want 10, 0", out[3], out[9])
 	}
 	// Round 2: client trains nothing new (upload == received), but the
 	// residual still holds the dropped coordinate 9.
-	out2, _ := roundTripUp(t, tr, 0, 2, out, out)
+	out2, _ := roundTripUp(t, tr, resid, 0, 2, out, out)
 	if math.Abs(out2[9]-4) > 1e-6 {
 		t.Fatalf("round 2: EF did not resurface dropped coordinate: out2[9]=%g, want 4", out2[9])
 	}
@@ -256,8 +264,9 @@ func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	nf := trNoEF.(*Transport)
-	o1, _ := roundTripUp(t, nf, 0, 1, global, trained)
-	o2, _ := roundTripUp(t, nf, 0, 2, o1, o1)
+	row := new([]float64)
+	o1, _ := roundTripUp(t, nf, row, 0, 1, global, trained)
+	o2, _ := roundTripUp(t, nf, row, 0, 2, o1, o1)
 	if o2[9] != 0 {
 		t.Fatalf("no-EF transport resurrected dropped mass: %g", o2[9])
 	}
@@ -279,14 +288,14 @@ func TestRandKDeterministicPerDispatch(t *testing.T) {
 	for i := range trained {
 		trained[i] = float64(i%7) - 3
 	}
-	a, _ := roundTripUp(t, mk(), 3, 5, global, trained)
-	b, _ := roundTripUp(t, mk(), 3, 5, global, trained)
+	a, _ := roundTripUp(t, mk(), new([]float64), 3, 5, global, trained)
+	b, _ := roundTripUp(t, mk(), new([]float64), 3, 5, global, trained)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("rand-k not deterministic at %d: %g vs %g", i, a[i], b[i])
 		}
 	}
-	c, _ := roundTripUp(t, mk(), 3, 6, global, trained)
+	c, _ := roundTripUp(t, mk(), new([]float64), 3, 6, global, trained)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
