@@ -99,75 +99,37 @@ func (s *Stats) up(wire int64) int64 {
 // (core.Transport, core.SizedTransport) over an in-place transport: each
 // call allocates its result and forwards to the Into method. The
 // benchmark's trace wrapper still asserts this method set, so a traced
-// pass runs through it and must reproduce the in-place digest. It is
-// deleted, with core's adapter, by ROADMAP item 1's deletion, after its
-// benchmark re-baseline.
-type legacyMethods struct {
-	wire core.WireTransport
-	// delta marks a transport whose upload is coded against the
-	// downlink: the legacy Up has no ref argument, so Down's result is
-	// kept per client until that client's Up. It has no residual
-	// argument either: under the runtime the client's error-feedback row
-	// comes through core.LegacyResidual, and a caller outside a run has
-	// its rows kept in resid.
-	delta bool
-	mu    sync.Mutex
-	ref   map[int][]float64
-	resid map[int][]float64
-}
+// pass runs through it and must reproduce the in-place digest. The
+// legacy Up has no argument for the delta base or the error-feedback
+// row: under the runtime both come through core.LegacyUpload, and outside
+// a run an upload has neither and ships dense. It keeps nothing per
+// client. It is deleted, with core's adapter, by ROADMAP item 1's
+// deletion, after its benchmark re-baseline.
+type legacyMethods struct{ wire core.WireTransport }
 
 // Down implements core.Transport.
-func (l *legacyMethods) Down(clientID, round int, global []float64) []float64 {
+func (l legacyMethods) Down(clientID, round int, global []float64) []float64 {
 	out, _ := l.DownSized(clientID, round, global)
 	return out
 }
 
 // Up implements core.Transport.
-func (l *legacyMethods) Up(clientID, round int, params []float64) []float64 {
+func (l legacyMethods) Up(clientID, round int, params []float64) []float64 {
 	out, _ := l.UpSized(clientID, round, params)
 	return out
 }
 
 // DownSized implements core.SizedTransport.
-func (l *legacyMethods) DownSized(clientID, round int, global []float64) ([]float64, int64) {
+func (l legacyMethods) DownSized(clientID, round int, global []float64) ([]float64, int64) {
 	dst := make([]float64, len(global))
-	wire := l.wire.DownInto(dst, clientID, round, global)
-	if l.delta {
-		l.mu.Lock()
-		if l.ref == nil {
-			l.ref = make(map[int][]float64)
-		}
-		l.ref[clientID] = dst
-		l.mu.Unlock()
-	}
-	return dst, wire
+	return dst, l.wire.DownInto(dst, clientID, round, global)
 }
 
-// UpSized implements core.SizedTransport. An upload with no recorded
-// downlink has no delta base and ships dense.
-func (l *legacyMethods) UpSized(clientID, round int, params []float64) ([]float64, int64) {
-	var ref, kept []float64
-	row := core.LegacyResidual(params)
-	if l.delta {
-		l.mu.Lock()
-		ref, kept = l.ref[clientID], l.resid[clientID]
-		delete(l.ref, clientID)
-		l.mu.Unlock()
-	}
+// UpSized implements core.SizedTransport.
+func (l legacyMethods) UpSized(clientID, round int, params []float64) ([]float64, int64) {
+	ref, resid := core.LegacyUpload(params)
 	dst := make([]float64, len(params))
-	if row != nil {
-		return dst, l.wire.UpInto(dst, clientID, round, params, ref, row)
-	}
-	wire := l.wire.UpInto(dst, clientID, round, params, ref, &kept)
-	if kept != nil {
-		l.mu.Lock()
-		if l.resid == nil {
-			l.resid = make(map[int][]float64)
-		}
-		l.resid[clientID] = kept
-		l.mu.Unlock()
-	}
-	return dst, wire
+	return dst, l.wire.UpInto(dst, clientID, round, params, ref, resid)
 }
 
 // checkDst panics unless dst can take an n-element transfer: the runtime
@@ -199,7 +161,9 @@ func roundF32Into(dst, src []float64) {
 // are the two transfers uncounted (core.Coder); DownInto and UpInto call
 // them and count once.
 //
-// Memory: under the runtime the transport keeps no per-client state.
+// Memory: the transport keeps no per-client state, on either route: the
+// legacy wrappers allocate each result and forward, and find the delta
+// base and the row the runtime files for them (core.LegacyUpload).
 // Under error feedback the residual is the client's row, which the
 // runtime owns, hands to UpInto and carries in run snapshots: |w|
 // float64s per client that ever uploaded, stored at its first accepted
@@ -228,7 +192,7 @@ type Transport struct {
 // wires in its uplink codec, nil for a dense one.
 func newTransport(spec string, cod codec, ef, wide bool) *Transport {
 	t := &Transport{spec: spec, cod: cod, ef: ef, wide: wide}
-	t.legacyMethods = legacyMethods{wire: t, delta: cod != nil}
+	t.legacyMethods = legacyMethods{wire: t}
 	return t
 }
 

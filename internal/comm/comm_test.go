@@ -186,8 +186,8 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 		}
 		prev = cum
 	}
-	// Without a transport the analytic formula remains in force (no
-	// header bytes).
+	// Without a transport every transfer counts its dense float32 size
+	// (no header bytes).
 	cfg.Transport = nil
 	resA, err := core.Start(core.RunSpec{Config: cfg})
 	if err != nil {
@@ -199,20 +199,14 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 	}
 }
 
-// meteredOnly hides every capability of a transport but the cumulative
-// counters, so the runtime meters it by differencing WireBytes.
-type meteredOnly struct{ core.MeteredTransport }
-
 // A run that merges fewer updates than it has clients holds first
 // participations' rows as recipes and rebuilds them by replaying the
 // round — at a client's next dispatch, and for every such row a snapshot
 // writes. A replay is not a transfer: through every route a transport
-// can take (in place, legacy and sized with delta coding, legacy and
-// metered only) the transport counts exactly Rounds × K downlinks and
-// uplinks, CommBytesByRound equals its counters, and a run that
-// snapshots twice on the way records the communication and digest of one
-// that does not. A delta-coding legacy transport is left holding no
-// downlink a client never uploaded against.
+// can take (in place, and legacy and sized with delta coding) the
+// transport counts exactly Rounds × K downlinks and uplinks,
+// CommBytesByRound equals its counters, and a run that snapshots twice on
+// the way records the communication and digest of one that does not.
 func TestLazyRowsLeaveTrafficCountersExact(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 300, Test: 100, Seed: 5})
 	if err != nil {
@@ -229,7 +223,6 @@ func TestLazyRowsLeaveTrafficCountersExact(t *testing.T) {
 	}{
 		{"in place", "f32", func(t core.Transport) core.Transport { return t }},
 		{"legacy sized delta", "topk:0.01+ef", func(t core.Transport) core.Transport { return legacyOnly{t.(core.SizedTransport)} }},
-		{"legacy metered", "f32", func(t core.Transport) core.Transport { return meteredOnly{t.(core.MeteredTransport)} }},
 	}
 	for _, route := range routes {
 		run := func(snapAt map[int]bool) (*core.Result, core.Transport) {
@@ -275,9 +268,6 @@ func TestLazyRowsLeaveTrafficCountersExact(t *testing.T) {
 		}
 		if got, want := res.CommBytesByRound[len(res.CommBytesByRound)-1], st.TotalBytes(); got != want {
 			t.Errorf("%s: CommBytesByRound final %d, transport counters %d", route.name, got, want)
-		}
-		if ct, ok := tr.(*Transport); ok && len(ct.ref) != 0 {
-			t.Errorf("%s: the transport holds %d downlinks no upload consumed", route.name, len(ct.ref))
 		}
 	}
 }

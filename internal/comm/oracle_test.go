@@ -290,12 +290,10 @@ func sameBits(a, b []float64) int {
 // TestInPlaceMatchesEncodeDecodeOracle pins the in-place transfer path bit
 // for bit against the marshalled/allocating one it replaced: received
 // vectors, returned wire bytes, Stats and the stored residuals, over
-// several participations of the same clients, through three routes —
-// UpInto with dst aliasing params (what the runtime does), UpInto into a
-// disjoint buffer, and the legacy DownSized/UpSized wrappers (what a
-// traced benchmark pass does). The in-place routes keep each client's
-// residual row here, as the runtime does; the legacy route keeps them in
-// its own map. A downlink coded with dst aliasing global — how the
+// several participations of the same clients, through two routes —
+// UpInto with dst aliasing params (what the runtime does) and UpInto into
+// a disjoint buffer — each client's residual row kept here, as the
+// runtime does. A downlink coded with dst aliasing global — how the
 // runtime codes a version it holds as its float32 image — is the
 // oracle's too.
 func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
@@ -312,7 +310,7 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 					}
 					return tr
 				}
-				aliased, disjoint, legacy := parse(), parse(), parse()
+				aliased, disjoint := parse(), parse()
 				aliasedRows, disjointRows := map[int]*[]float64{}, map[int]*[]float64{}
 				oracle := oracleFor(t, aliased)
 				n := len(wc.global)
@@ -335,10 +333,6 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 						}
 						received2 := make([]float64, n)
 						disjoint.(core.WireTransport).DownInto(received2, client, round, global)
-						legacyDown, legacyDownWire := legacy.(core.SizedTransport).DownSized(client, round, global)
-						if at := sameBits(legacyDown, want); at >= 0 || legacyDownWire != wantDown {
-							t.Fatalf("part %d client %d: legacy downlink differs at %d", part, client, at)
-						}
 
 						wantUp, wantWire := oracle.UpSized(client, round, append([]float64(nil), trained...))
 
@@ -362,15 +356,9 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 							t.Fatalf("part %d client %d: UpInto into a disjoint dst wrote params at %d", part, client, at)
 						}
 
-						legacyUp, legacyWire := legacy.(core.SizedTransport).UpSized(client, round, append([]float64(nil), trained...))
-						if at := sameBits(legacyUp, wantUp); at >= 0 || legacyWire != wantWire {
-							t.Fatalf("part %d client %d: legacy upload differs at %d (wire %d, want %d)", part, client, at, legacyWire, wantWire)
-						}
-
 						at := fmt.Sprintf("part %d client %d", part, client)
 						checkAgainstOracle(t, at+" aliased", aliased, kept(aliasedRows), oracle)
 						checkAgainstOracle(t, at+" disjoint", disjoint, kept(disjointRows), oracle)
-						checkAgainstOracle(t, at+" legacy", legacy, legacy.(*Transport).resid, oracle)
 					}
 					// The next global: wherever the uploads left the model.
 					for i := range global {

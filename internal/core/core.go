@@ -104,7 +104,9 @@ type Config struct {
 // called with the client's upload and writes what the server actually
 // receives. Both return the exact bytes the transfer put on the wire —
 // the network pricer (RunSpec.Network) turns them into transfer time and
-// the recorder into Result.CommBytesByRound. Implementations must be
+// the recorder into Result.CommBytesByRound, the one source of both (a
+// run without a transport counts each transfer at its dense float32
+// size, 4·|w|). Implementations must be
 // safe for concurrent calls (clients train in parallel) and must not
 // retain any argument past the call.
 //
@@ -176,7 +178,10 @@ type Coder interface {
 // a Transport that wants to keep one must copy it. The runtime copies
 // each result into its own storage as soon as the call returns, so a
 // legacy transport may keep (and later reuse) what it returned; a result
-// must have the length of the vector it was given.
+// must have the length of the vector it was given. A legacy transport
+// that is not a SizedTransport reports no sizes: each of its transfers is
+// priced and recorded at its dense float32 size, 4·|w|, as in a run
+// without a transport.
 type Transport interface {
 	Down(clientID, round int, global []float64) []float64
 	Up(clientID, round int, params []float64) []float64
@@ -184,11 +189,11 @@ type Transport interface {
 
 // MeteredTransport is an optional Transport capability: implementations
 // report the cumulative bytes actually encoded on the wire in each
-// direction. When the configured Transport provides it, the runtime
-// records these measured bytes in Result.CommBytesByRound instead of the
-// analytic float32 formula, so compression and header overhead show up in
-// the communication columns. Counters must be safe for concurrent reads
-// while transfers are in flight.
+// direction. The runtime reads no counter — Result.CommBytesByRound sums
+// the sizes each transfer returns (WireTransport, SizedTransport) — so
+// this is for callers that report traffic, such as the benchmark's trace
+// wrapper. Counters must be safe for concurrent reads while transfers
+// are in flight.
 type MeteredTransport interface {
 	Transport
 	WireBytes() (down, up int64)
@@ -199,9 +204,10 @@ type MeteredTransport interface {
 // than in a shared counter. With a network distribution configured
 // (RunSpec.Network) the runtime prices each dispatch's upload/download
 // durations from these per-transfer sizes, so a compressing transport
-// genuinely buys simulated time. Without it, transfers are priced by the
-// analytic dense-float32 size. Same concurrency and slice-lifetime
-// contract as Transport.
+// genuinely buys simulated time, and Result.CommBytesByRound records the
+// same sizes. Without it, transfers are priced and recorded at the dense
+// float32 size, 4·|w|. Same concurrency and slice-lifetime contract as
+// Transport.
 type SizedTransport interface {
 	Transport
 	DownSized(clientID, round int, global []float64) (enc []float64, wire int64)

@@ -9,11 +9,12 @@ import (
 // benchmark's trace wrapper, test fakes — behind the runtime's one call
 // path: it calls the allocating methods and copies their results into
 // dst. sized is the same transport when it reports per-transfer bytes;
-// otherwise a transfer is priced at the analytic dense float32 size. It
-// is built in one place (wireTransport) and deleted, with Transport,
-// SizedTransport and MeteredTransport, by ROADMAP item 1's deletion,
-// after its benchmark re-baseline. coder is the uncounted codec of the
-// transport its name spells (legacyCoders), nil for any other.
+// otherwise a transfer is priced and recorded at its dense float32 size,
+// as in a run without a transport. It is built in one place
+// (wireTransport) and deleted, with Transport, SizedTransport and
+// MeteredTransport, by ROADMAP item 1's deletion, after its benchmark
+// re-baseline. coder is the uncounted codec of the transport its name
+// spells (legacyCoders), nil for any other.
 type legacyTransport struct {
 	t     Transport
 	sized SizedTransport
@@ -68,12 +69,11 @@ func (l *legacyTransport) DownInto(dst []float64, clientID, round int, global []
 	return copyTransfer(dst, l.t.Down(clientID, round, global), int64(4*len(global)))
 }
 
-// UpInto drops ref — a legacy transport that codes deltas remembered its
-// own Down result — and files resid for LegacyResidual while the legacy
-// method runs.
+// UpInto files ref and resid for LegacyUpload while the legacy method
+// runs.
 func (l *legacyTransport) UpInto(dst []float64, clientID, round int, params, ref []float64, resid *[]float64) int64 {
 	if len(params) > 0 {
-		legacyRows.Store(&params[0], resid)
+		legacyRows.Store(&params[0], legacyUpload{ref, resid})
 		defer legacyRows.Delete(&params[0])
 	}
 	if l.sized != nil {
@@ -83,29 +83,36 @@ func (l *legacyTransport) UpInto(dst []float64, clientID, round int, params, ref
 	return copyTransfer(dst, l.t.Up(clientID, round, params), int64(4*len(params)))
 }
 
-// legacyRows carries an upload's error-feedback row across the legacy
-// method set, which has no argument for it, so that the legacy route
-// keeps the row where the in-place route does: in the client, walked by
-// a snapshot. Without it a traced benchmark pass, whose wrapper offers
-// only the legacy methods, would snapshot an error-feedback run without
-// its residuals. The adapter files the row under the upload's buffer,
-// which is that upload's alone while the call runs, and the transport
-// behind the wrapper finds it by the same buffer. It goes with the
-// adapter.
-var legacyRows sync.Map // *float64, the upload's first element -> *[]float64
+// legacyRows carries what an upload is coded against across the legacy
+// method set, which has no argument for it: the delta base, what the
+// client received, and the client's error-feedback row. So the legacy
+// route codes an upload as the in-place route does and keeps the row
+// where it does, in the client, walked by a snapshot, and comm's
+// wrappers keep nothing per client. The adapter files both under the
+// upload's buffer, which is that upload's alone while the call runs, and
+// the transport behind the wrapper finds them by the same buffer. It goes
+// with the adapter.
+var legacyRows sync.Map // *float64, the upload's first element -> legacyUpload
 
-// LegacyResidual returns the client's error-feedback row when the
-// runtime is passing params to a legacy Up or UpSized — the pointer
-// WireTransport.UpInto would have received — and nil otherwise. comm's
-// allocating wrappers use it.
-func LegacyResidual(params []float64) *[]float64 {
+// legacyUpload is what legacyRows files for one upload.
+type legacyUpload struct {
+	ref   []float64
+	resid *[]float64
+}
+
+// LegacyUpload returns the delta base and the error-feedback row of the
+// upload when the runtime is passing params to a legacy Up or UpSized —
+// the ref and resid WireTransport.UpInto would have received — and nils
+// otherwise. comm's allocating wrappers use it.
+func LegacyUpload(params []float64) (ref []float64, resid *[]float64) {
 	if len(params) == 0 {
-		return nil
+		return nil, nil
 	}
-	if row, ok := legacyRows.Load(&params[0]); ok {
-		return row.(*[]float64)
+	if up, ok := legacyRows.Load(&params[0]); ok {
+		u := up.(legacyUpload)
+		return u.ref, u.resid
 	}
-	return nil
+	return nil, nil
 }
 
 // copyTransfer moves a legacy transport's result into the runtime's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -141,5 +142,76 @@ func TestXiSchedulesIrregularTrace(t *testing.T) {
 	}
 	if got := gap.Xi(7, 7); got != 1 {
 		t.Errorf("gap clamp gap-mode: %v want 1", got)
+	}
+}
+
+// passThrough is a WireTransport that moves every vector as it is and
+// reports its dense float32 size, 4·|w| bytes per transfer.
+type passThrough struct{}
+
+func (passThrough) Down(int, int, []float64) []float64 { panic("the runtime calls DownInto") }
+func (passThrough) Up(int, int, []float64) []float64   { panic("the runtime calls UpInto") }
+
+func (passThrough) DownInto(dst []float64, _, _ int, global []float64) int64 {
+	copy(dst, global)
+	return int64(4 * len(global))
+}
+
+func (passThrough) UpInto(dst []float64, _, _ int, params, _ []float64, _ *[]float64) int64 {
+	copy(dst, params)
+	return int64(4 * len(params))
+}
+
+// legacyPassThrough offers only the legacy, unsized methods: the runtime
+// adapts it and prices each transfer at 4·|w|.
+type legacyPassThrough struct{}
+
+func (legacyPassThrough) Down(_, _ int, global []float64) []float64 {
+	return append([]float64(nil), global...)
+}
+
+func (legacyPassThrough) Up(_, _ int, params []float64) []float64 {
+	return append([]float64(nil), params...)
+}
+
+// A dispatch's bytes count once its arrival is processed, whatever
+// becomes of its update: one voided by a permanent drop moved its bytes
+// too. A run without a transport, and one through a legacy transport that
+// reports no sizes, record exactly the communication series of a
+// transport that reports 4·|w| per transfer — round by round, on the
+// buffered loop and behind the lock-step gate, with a mass drop voiding
+// in-flight dispatches.
+func TestDroppedDispatchesCountWithoutATransport(t *testing.T) {
+	drop, err := ParseChurn("drop:1.5,0.5,0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, runtime := range []Runtime{RuntimeAsync, RuntimeBarrier} {
+		run := func(tr Transport) *Result {
+			sp := RunSpec{Config: testConfig(t, NewFedTrip(0.4)), Runtime: runtime, Churn: drop}
+			sp.Latency = mustFleet(ParseLatency("const:1"))
+			sp.Transport = tr
+			res, err := Start(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		none, sized, legacy := run(nil), run(passThrough{}), run(legacyPassThrough{})
+		if none.DroppedUpdates == 0 {
+			t.Fatalf("%v: the mass drop voided no dispatch; the test checks nothing", runtime)
+		}
+		for _, got := range []struct {
+			route string
+			res   *Result
+		}{{"no transport", none}, {"unsized legacy transport", legacy}} {
+			if fmt.Sprint(got.res.CommBytesByRound) != fmt.Sprint(sized.CommBytesByRound) {
+				t.Errorf("%v, %s: communication by round %v, a 4·|w| transport records %v (%d dropped updates)",
+					runtime, got.route, got.res.CommBytesByRound, sized.CommBytesByRound, sized.DroppedUpdates)
+			}
+			if got.res.Digest() != sized.Digest() {
+				t.Errorf("%v, %s: digest %s, through the 4·|w| transport %s", runtime, got.route, got.res.Digest(), sized.Digest())
+			}
+		}
 	}
 }

@@ -28,10 +28,11 @@ type Result struct {
 	// forward+backward+attaching FLOPs) through round t+1, in GFLOPs.
 	GFLOPsByRound []float64
 	// CommBytesByRound[t] is the cumulative client<->server traffic
-	// through round t+1. With a Transport configured these are the
-	// actually-encoded wire bytes its transfers returned (plus analytic
-	// method extras); otherwise the paper's analytic float32 accounting
-	// is used.
+	// through round t+1: the bytes the transfers of every processed
+	// dispatch returned — one whose update a permanent drop voided
+	// included — plus analytic method extras. Without a Transport, or
+	// through a legacy one that reports no sizes, a transfer counts its
+	// dense float32 size, the paper's 4·|w|.
 	CommBytesByRound []int64
 	// SimTimeByRound[t] is the simulated wall-clock time (seconds under
 	// the configured latency, device and network models) at the end of
@@ -485,7 +486,6 @@ type recorder struct {
 	commPerClient int64
 	extraComm     float64
 	wirePending   int64
-	lastMeasured  int64
 	ev            *evaluator
 	pending       int       // round whose evaluation is outstanding, 0 when none
 	evals         []evalAcc // every joined evaluation, in round order
@@ -526,34 +526,15 @@ func newRecorder(s *Server) *recorder {
 func (r *recorder) addWire(bytes int64) { r.wirePending += bytes }
 
 // commDelta returns the traffic added by one round that merged nUpdates
-// uploads: the per-dispatch bytes the transport returned (accumulated via
-// addWire), or without a transport the analytic down+up float32 formula.
-// Method extras such as control variates stay analytic in every case —
-// the transport does not carry them.
+// uploads: the bytes the transfers of every dispatch processed since the
+// last round returned (accumulated via addWire; without a transport, or
+// through a legacy one that reports no sizes, 4·|w| per transfer), plus
+// the method's analytic extras such as control variates, which no
+// transfer carries.
 func (r *recorder) commDelta(nUpdates int) int64 {
-	extra := int64(float64(nUpdates) * r.extraComm * float64(r.commPerClient))
 	wire := r.wirePending
 	r.wirePending = 0
-	analytic := int64(2*nUpdates)*r.commPerClient + extra
-	if r.s.wire == nil {
-		return analytic
-	}
-	if lt, ok := r.s.wire.(*legacyTransport); ok && lt.sized == nil {
-		// A legacy transport without per-transfer sizes is metered by
-		// diffing its cumulative counters when it has them
-		// (deterministic only when every transfer joins before record —
-		// the lock-step runtimes), analytically when not. Dies with the
-		// adapter.
-		mt, ok := lt.t.(MeteredTransport)
-		if !ok {
-			return analytic
-		}
-		down, up := mt.WireBytes()
-		delta := down + up - r.lastMeasured
-		r.lastMeasured = down + up
-		return delta + extra
-	}
-	return wire + extra
+	return wire + int64(float64(nUpdates)*r.extraComm*float64(r.commPerClient))
 }
 
 // record appends the metrics of one completed round t: mean training
