@@ -186,8 +186,8 @@ func TestMeteredTransportFeedsCommBytes(t *testing.T) {
 		}
 		prev = cum
 	}
-	// Without a transport every transfer counts its dense float32 size
-	// (no header bytes).
+	// Without a transport the analytic formula remains in force (no
+	// header bytes).
 	cfg.Transport = nil
 	resA, err := core.Start(core.RunSpec{Config: cfg})
 	if err != nil {
