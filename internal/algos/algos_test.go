@@ -1,12 +1,14 @@
 package algos
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/flops"
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/tensor"
@@ -41,40 +43,51 @@ func testConfig(t *testing.T, algo core.Algorithm) core.Config {
 
 func TestRegistryAllNames(t *testing.T) {
 	for _, name := range Names() {
-		a, err := New(name, Params{})
+		a, err := Parse(name)
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("Parse(%q): %v", name, err)
 		}
 		if a.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, a.Name())
+			t.Fatalf("Parse(%q).Name() = %q", name, a.Name())
 		}
 	}
-	if _, err := New("bogus", Params{}); err == nil {
+	if _, err := Parse("bogus"); err == nil {
 		t.Fatal("unknown name accepted")
 	}
 }
 
+// A bare name takes §V.A's defaults; an argument given, even 0, replaces
+// its default.
 func TestRegistryDefaults(t *testing.T) {
-	a, _ := New("fedprox", Params{})
-	if a.(*FedProx).Mu != 0.1 {
-		t.Fatal("fedprox default mu")
+	for text, want := range map[string]string{
+		"fedtrip":     "fedtrip:0.4,0,0,1,1",
+		"fedprox":     "fedprox:0.1",
+		"slowmo":      "slowmo:0.5,1",
+		"moon":        "moon:1,0.5",
+		"feddyn":      "feddyn:0.1",
+		"feddane":     "feddane:0.1",
+		"mimelite":    "mimelite:0.9",
+		"fedgkd":      "fedgkd:0.2,2",
+		"fedprox:0.9": "fedprox:0.9",
+		"fedprox:0":   "fedprox:0",
+	} {
+		a, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		if got := a.(fmt.Stringer).String(); got != want {
+			t.Errorf("Parse(%q) = %s, want %s", text, got, want)
+		}
 	}
-	m, _ := New("moon", Params{})
-	if mm := m.(*MOON); mm.Mu != 1 || mm.Tau != 0.5 {
-		t.Fatal("moon defaults")
-	}
-	d, _ := New("feddyn", Params{})
-	if d.(*FedDyn).Alpha != 0.1 {
-		t.Fatal("feddyn default alpha")
-	}
-	s, _ := New("slowmo", Params{})
-	if sm := s.(*SlowMo); sm.Beta != 0.5 || sm.SlowLR != 1 {
-		t.Fatal("slowmo defaults")
-	}
-	// Overrides stick.
-	p, _ := New("fedprox", Params{Mu: 0.9})
-	if p.(*FedProx).Mu != 0.9 {
-		t.Fatal("fedprox override")
+}
+
+// Every registered method has an analytic cost, so the tables that price
+// methods by name cover the whole registry.
+func TestMethodsListMatchesAttachCost(t *testing.T) {
+	for _, m := range Names() {
+		if _, err := flops.AttachCost(m, flops.ModelCost{Params: 1, Forward: 1, Backward: 2}, flops.RoundParams{K: 1, M: 1, N: 1}); err != nil {
+			t.Errorf("method %q in Names() but AttachCost rejects it: %v", m, err)
+		}
 	}
 }
 
@@ -83,7 +96,7 @@ func TestAllAlgorithmsSmoke(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			algo, err := New(name, Params{})
+			algo, err := Parse(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +212,7 @@ func TestMOONDegenerateRepresentation(t *testing.T) {
 }
 
 func TestMOONFeatureGradWiring(t *testing.T) {
-	m, _ := New("moon", Params{})
+	m, _ := Parse("moon")
 	cfg := testConfig(t, m)
 	s, err := core.NewServer(cfg)
 	if err != nil {
@@ -220,12 +233,12 @@ func TestMOONFeatureGradWiring(t *testing.T) {
 // MOON must meter dramatically more FLOPs than FedProx (2 extra forward
 // passes per batch) — the resource story of Table V.
 func TestMOONCostsMoreThanFedProx(t *testing.T) {
-	moonAlgo, _ := New("moon", Params{})
+	moonAlgo, _ := Parse("moon")
 	rMoon, err := core.Start(core.RunSpec{Config: testConfig(t, moonAlgo)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxAlgo, _ := New("fedprox", Params{})
+	proxAlgo, _ := Parse("fedprox")
 	rProx, err := core.Start(core.RunSpec{Config: testConfig(t, proxAlgo)})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +333,7 @@ func TestSlowMoMomentumAccumulates(t *testing.T) {
 }
 
 func TestSCAFFOLDIntegration(t *testing.T) {
-	algo, _ := New("scaffold", Params{})
+	algo, _ := Parse("scaffold")
 	cfg := testConfig(t, algo)
 	cfg.Rounds = 4
 	res, err := core.Start(core.RunSpec{Config: cfg})

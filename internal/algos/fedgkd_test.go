@@ -83,7 +83,7 @@ func TestSoftmaxIntoProperties(t *testing.T) {
 }
 
 func TestFedGKDEndToEnd(t *testing.T) {
-	algo, err := New("fedgkd", Params{})
+	algo, err := Parse("fedgkd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFedGKDEndToEnd(t *testing.T) {
 		t.Fatal("fedgkd run incomplete")
 	}
 	// One extra forward per batch: more FLOPs than FedAvg, less than MOON.
-	avg, _ := New("fedavg", Params{})
+	avg, _ := Parse("fedavg")
 	rAvg, err := core.Start(core.RunSpec{Config: testConfig(t, avg)})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFedNovaNormalisesUnequalSteps(t *testing.T) {
 }
 
 func TestFedNovaEndToEnd(t *testing.T) {
-	algo, err := New("fednova", Params{})
+	algo, err := Parse("fednova")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestMethodDigestsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(t *testing.T, name string, rt core.Runtime) string {
-		algo, err := algos.New(name, algos.Params{})
+		algo, err := algos.Parse(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func runConv(t *testing.T, arch nn.Arch, name string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algo, err := algos.New(name, algos.Params{})
+	algo, err := algos.Parse(name)
 	if err != nil {
 		t.Fatal(err)
 	}

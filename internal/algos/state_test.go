@@ -30,7 +30,7 @@ func TestPersistentStateBytes(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			algo, err := New(name, Params{})
+			algo, err := Parse(name)
 			if err != nil {
 				t.Fatal(err)
 			}

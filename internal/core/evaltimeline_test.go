@@ -157,7 +157,7 @@ func TestEvalTimelinePinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		spec := func() core.RunSpec {
-			algo, err := algos.New("fedtrip", algos.Params{})
+			algo, err := algos.Parse("fedtrip")
 			if err != nil {
 				t.Fatal(err)
 			}

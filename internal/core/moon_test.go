@@ -9,7 +9,7 @@ import (
 // external test file hands them the registry's MOON before any test runs.
 func init() {
 	core.NewMOON = func() core.Algorithm {
-		m, err := algos.New("moon", algos.Params{})
+		m, err := algos.Parse("moon")
 		if err != nil {
 			panic(err)
 		}

@@ -33,7 +33,6 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 	type side struct {
 		policy, serverLR string
 		algo             string
-		params           algos.Params
 	}
 	rows := []struct {
 		name string
@@ -48,18 +47,18 @@ func TestResumeRejectsChangedSpec(t *testing.T) {
 		{"server-lr const:0.1->const:1", side{serverLR: "const:0.1"}, side{serverLR: "const:1"}},
 		{"server-lr const:0.5->invsqrt:0.5", side{serverLR: "const:0.5"}, side{serverLR: "invsqrt:0.5"}},
 		{"discount 0->3", side{policy: "fedbuff:0"}, side{policy: "fedbuff:3"}},
-		{"fedtrip mu 0.1->5", side{algo: "fedtrip", params: algos.Params{Mu: 0.1}}, side{algo: "fedtrip", params: algos.Params{Mu: 5}}},
-		{"fedprox mu 0.1->1", side{algo: "fedprox", params: algos.Params{Mu: 0.1}}, side{algo: "fedprox", params: algos.Params{Mu: 1}}},
-		{"moon tau 0.5->5", side{algo: "moon", params: algos.Params{Tau: 0.5}}, side{algo: "moon", params: algos.Params{Tau: 5}}},
-		{"fedgkd gamma 0.2->2", side{algo: "fedgkd", params: algos.Params{Mu: 0.2}}, side{algo: "fedgkd", params: algos.Params{Mu: 2}}},
+		{"fedtrip mu 0.1->5", side{algo: "fedtrip:0.1"}, side{algo: "fedtrip:5"}},
+		{"fedprox mu 0.1->1", side{algo: "fedprox:0.1"}, side{algo: "fedprox:1"}},
+		{"moon tau 0.5->5", side{algo: "moon:1,0.5"}, side{algo: "moon:1,5"}},
+		{"fedgkd gamma 0.2->2", side{algo: "fedgkd:0.2"}, side{algo: "fedgkd:2"}},
 	}
 	build := func(t *testing.T, s side) core.RunSpec {
 		t.Helper()
-		name := s.algo
-		if name == "" {
-			name = "fedtrip"
+		text := s.algo
+		if text == "" {
+			text = "fedtrip"
 		}
-		algo, err := algos.New(name, s.params)
+		algo, err := algos.Parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}

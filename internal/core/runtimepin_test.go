@@ -63,7 +63,7 @@ func TestAsyncBarrierZeroLatencyMatchesSync(t *testing.T) {
 			if name == "" {
 				name = "fedtrip"
 			}
-			algo, err := algos.New(name, algos.Params{})
+			algo, err := algos.Parse(name)
 			if err != nil {
 				t.Fatal(err)
 			}

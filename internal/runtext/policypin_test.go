@@ -84,7 +84,7 @@ func TestPolicyDigestsPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			algo, err := algos.New("fedtrip", algos.Params{})
+			algo, err := algos.Parse("fedtrip")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -201,7 +201,7 @@ func TestSelectionRoundTripKeepsFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	config := func() core.Config {
-		algo, err := algos.New("fedtrip", algos.Params{})
+		algo, err := algos.Parse("fedtrip")
 		if err != nil {
 			t.Fatal(err)
 		}
