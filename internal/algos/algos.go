@@ -211,7 +211,7 @@ func (f *FedProx) String() string { return spec.T("fedprox", f.Mu).String() }
 func (f *FedProx) TransformGrad(c *core.Client, round int, w, g []float64) {
 	global := c.RoundGlobal()
 	for i := range g {
-		g[i] += f.Mu * (w[i] - global[i])
+		g[i] += float64(f.Mu * (w[i] - global[i]))
 	}
 	c.Counter.Add(int64(2 * len(w)))
 }

@@ -54,7 +54,7 @@ func (f *FedDANE) TransformGrad(c *core.Client, round int, w, g []float64) {
 	local := c.State(1)
 	global := c.RoundGlobal()
 	for i := range g {
-		g[i] += (f.avgGrad[i] - local[i]) + f.Mu*(w[i]-global[i])
+		g[i] += (f.avgGrad[i] - local[i]) + float64(f.Mu*(w[i]-global[i]))
 	}
 	c.Counter.Add(int64(4 * len(w)))
 }

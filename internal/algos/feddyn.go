@@ -44,7 +44,7 @@ func (f *FedDyn) TransformGrad(c *core.Client, round int, w, g []float64) {
 	global := c.RoundGlobal()
 	a := f.Alpha
 	for i := range g {
-		g[i] += -hk[i] + a*(w[i]-global[i])
+		g[i] += -hk[i] + float64(a*(w[i]-global[i]))
 	}
 	c.Counter.Add(int64(4 * len(w)))
 }
@@ -56,7 +56,7 @@ func (f *FedDyn) EndRound(c *core.Client, round int) {
 	global := c.RoundGlobal()
 	w := c.Model().Params()
 	for i := range hk {
-		hk[i] -= f.Alpha * (w[i] - global[i])
+		hk[i] -= float64(f.Alpha * (w[i] - global[i]))
 	}
 	c.Counter.Add(int64(2 * len(hk)))
 }
@@ -76,7 +76,7 @@ func (f *FedDyn) Aggregate(round int, global []float64, updates []core.Update) [
 		tensor.Axpy(inv, u.Params, mean)
 	}
 	for i := range f.h {
-		f.h[i] -= f.Alpha * (mean[i] - global[i])
+		f.h[i] -= float64(f.Alpha * (mean[i] - global[i]))
 	}
 	next := make([]float64, n)
 	for i := range next {

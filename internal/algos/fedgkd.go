@@ -53,7 +53,7 @@ func (f *FedGKD) LogitGrad(c *core.Client, x *tensor.Tensor, labels []int, logit
 		softmaxInto(zT.Data[i*k:(i+1)*k], f.Tau, pT)
 		drow := dLogits.Data[i*k : (i+1)*k]
 		for j := 0; j < k; j++ {
-			drow[j] += scale * (pS[j] - pT[j])
+			drow[j] += float64(scale * (pS[j] - pT[j]))
 		}
 	}
 	c.Counter.Add(int64(6 * n * k))
@@ -71,7 +71,7 @@ func (f *FedGKD) DistillLoss(student, teacher *tensor.Tensor) float64 {
 		softmaxInto(teacher.Data[i*k:(i+1)*k], f.Tau, pT)
 		for j := 0; j < k; j++ {
 			if pT[j] > 0 {
-				sum += pT[j] * (math.Log(pT[j]) - math.Log(pS[j]))
+				sum += float64(pT[j] * (math.Log(pT[j]) - math.Log(pS[j])))
 			}
 		}
 	}

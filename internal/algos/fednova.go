@@ -47,15 +47,15 @@ func (f *FedNova) Aggregate(round int, global []float64, updates []core.Update) 
 		if tau <= 0 {
 			tau = 1
 		}
-		tauEff += p * tau
+		tauEff += float64(p * tau)
 		w := p / tau
 		for i := range dir {
-			dir[i] += w * (global[i] - u.Params[i])
+			dir[i] += float64(w * (global[i] - u.Params[i]))
 		}
 	}
 	next := make([]float64, n)
 	for i := range next {
-		next[i] = global[i] - tauEff*dir[i]
+		next[i] = global[i] - float64(tauEff*dir[i])
 	}
 	return next
 }

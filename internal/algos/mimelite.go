@@ -61,7 +61,7 @@ func (m *MimeLite) PreRound(round int, selected []*core.Client, global []float64
 func (m *MimeLite) TransformGrad(c *core.Client, round int, w, g []float64) {
 	b := m.Beta
 	for i := range g {
-		g[i] = (1-b)*g[i] + b*m.s[i] // s is stable during the client phase
+		g[i] = float64((1-b)*g[i]) + float64(b*m.s[i]) // s is stable during the client phase
 	}
 	c.Counter.Add(int64(3 * len(w)))
 }
@@ -84,7 +84,7 @@ func (m *MimeLite) Aggregate(round int, global []float64, updates []core.Update)
 	}
 	tensor.WeightedSumInto(next, weights, vecs)
 	for i := range m.s {
-		m.s[i] = (1-m.Beta)*m.pending[i] + m.Beta*m.s[i]
+		m.s[i] = float64((1-m.Beta)*m.pending[i]) + float64(m.Beta*m.s[i])
 	}
 	return next
 }

@@ -124,7 +124,7 @@ func contrastiveGrad(z, zg, zp []float64, tau, scale float64, o []float64) {
 	for i := range o {
 		dg := zg[i]/(nz*ng) - cg*z[i]/(nz*nz)
 		dp := zp[i]/(nz*np) - cp*z[i]/(nz*nz)
-		o[i] += scale * (ag*dg + ap*dp)
+		o[i] += float64(scale * (float64(ag*dg) + float64(ap*dp)))
 	}
 }
 

@@ -77,7 +77,7 @@ func (s *SCAFFOLD) EndRound(c *core.Client, round int) {
 	w := c.Model().Params()
 	inv := 1 / (float64(k) * lr)
 	for i := range ck {
-		newCk := ck[i] - cSrv[i] + (global[i]-w[i])*inv
+		newCk := ck[i] - cSrv[i] + float64((global[i]-w[i])*inv)
 		dc[i] = newCk - ck[i]
 		ck[i] = newCk
 	}

@@ -60,8 +60,8 @@ func (s *SlowMo) Aggregate(round int, global []float64, updates []core.Update) [
 	tensor.WeightedSumInto(avg, weights, vecs)
 	next := make([]float64, n)
 	for i := range next {
-		s.m[i] = s.Beta*s.m[i] + (global[i] - avg[i])
-		next[i] = global[i] - s.SlowLR*s.m[i]
+		s.m[i] = float64(s.Beta*s.m[i]) + (global[i] - avg[i])
+		next[i] = global[i] - float64(s.SlowLR*s.m[i])
 	}
 	return next
 }
