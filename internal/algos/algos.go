@@ -4,6 +4,10 @@
 // MimeLite). Each method is a core.Algorithm; FedTrip itself lives in
 // internal/core as the paper's primary contribution.
 //
+// Parse is the one constructor: it builds a method from the text its
+// String() prints, and an argument the text leaves off takes the §V.A
+// default written in Parse's switch.
+//
 // Concurrency contract: the server invokes BeginRound / TransformGrad /
 // EndRound on client goroutines concurrently, so methods keep what a
 // client carries across rounds in Client.State — MOON its previous local
@@ -18,34 +22,17 @@
 package algos
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/spec"
 )
 
-// Params carries the per-method hyperparameters of §V.A. Zero values are
-// replaced by the paper's defaults in New.
-type Params struct {
-	// Mu is the regularization strength: FedTrip (1.0 MLP / 0.4 others),
-	// FedProx (0.1), MOON (1.0), FedDANE (0.1).
-	Mu float64
-	// Tau is MOON's contrastive temperature (0.5).
-	Tau float64
-	// Alpha is FedDyn's regularization coefficient (1.0 on MNIST, 0.1
-	// elsewhere).
-	Alpha float64
-	// Beta is the server momentum of SlowMo (0.5) and MimeLite (0.9).
-	Beta float64
-	// SlowLR is SlowMo's slow learning rate (1.0).
-	SlowLR float64
-}
-
 // methodFamily is the grammar of -algo: a registry name, then the
-// method's hyperparameters in the order its String() prints them. The
-// forms are in the paper's table order, appendix methods and related-work
-// extensions (FedGKD §II.B, FedNova [22]) last.
+// method's hyperparameters in the order its String() prints them; Parse
+// holds each one's §V.A default. The forms are in the paper's table
+// order, appendix methods and related-work extensions (FedGKD §II.B,
+// FedNova [22]) last.
 var methodFamily = spec.Family{Label: "method", Forms: []spec.Form{
 	{Name: "fedtrip", Max: 5}, // mu, xi mode, fixed xi, global weight, history weight
 	{Name: "fedavg"},
@@ -72,8 +59,9 @@ func Names() []string {
 // Parse builds a fresh method from its text, the form String() prints
 // ("fedtrip:0.4,1,0,1,1", "fedprox:0.3", "feddyn"): a registry name and
 // up to as many arguments as the method prints, each read literally; an
-// argument left off keeps New's paper default. Arguments are finite and
-// non-negative, and FedTrip's xi mode is 0, 1 or 2.
+// argument left off takes the paper's default (§V.A), written beside it
+// below. Arguments are finite and non-negative, and FedTrip's xi mode is
+// 0, 1 or 2.
 func Parse(text string) (core.Algorithm, error) {
 	terms, err := methodFamily.Parse(text)
 	if err != nil {
@@ -85,102 +73,40 @@ func Parse(text string) (core.Algorithm, error) {
 			return nil, methodFamily.Errorf(text, "argument %g is not a finite number >= 0", a)
 		}
 	}
-	m, err := New(t.Name, Params{})
-	if err != nil {
-		return nil, err
-	}
-	set := func(dst ...*float64) {
-		for i := range min(len(dst), len(t.Args)) {
-			*dst[i] = t.Args[i]
+	arg := func(i int, def float64) float64 {
+		if i < len(t.Args) {
+			return t.Args[i]
 		}
+		return def
 	}
-	switch m := m.(type) {
-	case *core.FedTrip:
-		mode := float64(m.Mode)
-		set(&m.Mu, &mode, &m.FixedXi, &m.GlobalWeight, &m.HistWeight)
+	switch t.Name {
+	case "fedtrip":
+		mode := arg(1, float64(core.XiInverseGap))
 		if mode != math.Trunc(mode) || mode > float64(core.XiFixed) {
 			return nil, methodFamily.Errorf(text, "xi mode %g is not 0 (1/gap), 1 (gap) or 2 (fixed)", mode)
 		}
-		m.Mode = core.XiMode(mode)
-	case *FedProx:
-		set(&m.Mu)
-	case *SlowMo:
-		set(&m.Beta, &m.SlowLR)
-	case *MOON:
-		set(&m.Mu, &m.Tau)
-	case *FedDyn:
-		set(&m.Alpha)
-	case *FedDANE:
-		set(&m.Mu)
-	case *MimeLite:
-		set(&m.Beta)
-	case *FedGKD:
-		set(&m.Gamma, &m.Tau)
-	}
-	return m, nil
-}
-
-// New builds a fresh algorithm instance by registry name, applying the
-// paper's default hyperparameters for any zero Params field.
-func New(name string, p Params) (core.Algorithm, error) {
-	switch name {
-	case "fedavg":
-		return &FedAvg{}, nil
-	case "fedtrip":
-		if p.Mu == 0 {
-			p.Mu = 0.4
-		}
-		return core.NewFedTrip(p.Mu), nil
+		return &core.FedTrip{Mu: arg(0, 0.4), Mode: core.XiMode(mode), FixedXi: arg(2, 0), GlobalWeight: arg(3, 1), HistWeight: arg(4, 1)}, nil
 	case "fedprox":
-		if p.Mu == 0 {
-			p.Mu = 0.1
-		}
-		return &FedProx{Mu: p.Mu}, nil
-	case "moon":
-		if p.Mu == 0 {
-			p.Mu = 1
-		}
-		if p.Tau == 0 {
-			p.Tau = 0.5
-		}
-		return &MOON{Mu: p.Mu, Tau: p.Tau}, nil
-	case "feddyn":
-		if p.Alpha == 0 {
-			p.Alpha = 0.1
-		}
-		return &FedDyn{Alpha: p.Alpha}, nil
+		return &FedProx{Mu: arg(0, 0.1)}, nil
 	case "slowmo":
-		if p.Beta == 0 {
-			p.Beta = 0.5
-		}
-		if p.SlowLR == 0 {
-			p.SlowLR = 1
-		}
-		return &SlowMo{Beta: p.Beta, SlowLR: p.SlowLR}, nil
+		return &SlowMo{Beta: arg(0, 0.5), SlowLR: arg(1, 1)}, nil
+	case "moon":
+		return &MOON{Mu: arg(0, 1), Tau: arg(1, 0.5)}, nil
+	case "feddyn":
+		return &FedDyn{Alpha: arg(0, 0.1)}, nil
 	case "scaffold":
 		return &SCAFFOLD{}, nil
 	case "feddane":
-		if p.Mu == 0 {
-			p.Mu = 0.1
-		}
-		return &FedDANE{Mu: p.Mu}, nil
+		return &FedDANE{Mu: arg(0, 0.1)}, nil
 	case "mimelite":
-		if p.Beta == 0 {
-			p.Beta = 0.9
-		}
-		return &MimeLite{Beta: p.Beta}, nil
+		return &MimeLite{Beta: arg(0, 0.9)}, nil
 	case "fedgkd":
-		if p.Mu == 0 {
-			p.Mu = 0.2
-		}
-		if p.Tau == 0 {
-			p.Tau = 2
-		}
-		return &FedGKD{Gamma: p.Mu, Tau: p.Tau}, nil
+		return &FedGKD{Gamma: arg(0, 0.2), Tau: arg(1, 2)}, nil
 	case "fednova":
 		return &FedNova{}, nil
+	default: // fedavg, the one form left
+		return &FedAvg{}, nil
 	}
-	return nil, fmt.Errorf("algos: unknown method %q (known: %v)", name, Names())
 }
 
 // FedAvg is the fundamental method (McMahan et al.): plain local SGDm and

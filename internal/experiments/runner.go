@@ -39,9 +39,9 @@ func ResetCaches() {
 // scheme, as the fedtrip command line the profile's settings and sel make
 // of it. The per-kind table picks -samples, the per-arch table -scale, and
 // a bare method name gets §V.A's setting (FedTrip's mu is 1.0 on every MLP,
-// FedDyn's alpha 1.0 on MNIST; algos.New's defaults are the rest), written
-// out in full as the method prints itself. A caller sets any other flag on
-// the returned command.
+// FedDyn's alpha 1.0 on MNIST; algos.Parse's defaults are the rest),
+// written out in full as the method prints itself. A caller sets any other
+// flag on the returned command.
 func (p Profile) cell(kind data.Kind, arch nn.Arch, scheme partition.Scheme, method string, sel runtext.Selection) runtext.Command {
 	var c runtext.Command
 	c.Register(flag.NewFlagSet("", flag.ContinueOnError)) // fedtrip's defaults

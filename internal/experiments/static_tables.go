@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/algos"
 	"repro/internal/data"
 	"repro/internal/flops"
 	"repro/internal/nn"
@@ -168,7 +169,7 @@ func runTable8(p Profile, logf Logf) ([]*Table, error) {
 		"fedgkd":   "K*M*FP (teacher fwd)",
 		"fednova":  "4|w| (server)",
 	}
-	for _, method := range flops.Methods() {
+	for _, method := range algos.Names() {
 		mc, err := flops.AttachCost(method, cost, rp)
 		if err != nil {
 			return nil, err

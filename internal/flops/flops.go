@@ -149,13 +149,6 @@ func AttachCost(method string, mc ModelCost, rp RoundParams) (MethodCost, error)
 	return MethodCost{}, fmt.Errorf("flops: unknown method %q", method)
 }
 
-// Methods lists every method AttachCost understands, in the order the
-// paper's tables present them (paper methods first, appendix extras and
-// related-work extensions after).
-func Methods() []string {
-	return []string{"fedtrip", "fedavg", "fedprox", "slowmo", "moon", "feddyn", "scaffold", "feddane", "mimelite", "fedgkd", "fednova"}
-}
-
 // TrainFLOPsPerRound returns the analytic total FLOPs one client spends in
 // one communication round: K batches of M samples through forward+backward,
 // plus the method's attaching operations.

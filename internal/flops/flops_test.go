@@ -133,11 +133,3 @@ func TestTrainFLOPsPerRound(t *testing.T) {
 		t.Fatal("want error")
 	}
 }
-
-func TestMethodsListMatchesAttachCost(t *testing.T) {
-	for _, m := range Methods() {
-		if _, err := AttachCost(m, ModelCost{Params: 1, Forward: 1, Backward: 2}, RoundParams{K: 1, M: 1, N: 1}); err != nil {
-			t.Errorf("method %q in Methods() but AttachCost rejects it: %v", m, err)
-		}
-	}
-}
