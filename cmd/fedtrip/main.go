@@ -204,12 +204,15 @@ func run(o runOpts) (*core.Result, error) {
 	fmt.Printf("  best accuracy   %.4f\n", res.BestAccuracy)
 	fmt.Printf("  final accuracy  %.4f (mean of last 10 evaluated rounds)\n", res.FinalAccuracy)
 	fmt.Printf("  train GFLOPs    %.2f (all clients, incl. attaching ops)\n", res.TotalGFLOPs())
-	fmt.Printf("  communication   %.2f MB (%s)\n", float64(res.CommBytesByRound[len(res.CommBytesByRound)-1])/1e6, commLabel)
+	fmt.Printf("  communication   %.2f MB (%s) over the processed dispatches\n", float64(res.CommBytesByRound[len(res.CommBytesByRound)-1])/1e6, commLabel)
 	if tr, ok := rspec.Transport.(interface{ Stats() *comm.Stats }); ok {
 		st := tr.Stats()
 		fmt.Printf("  wire traffic    %s\n", st)
-		// Exact byte counts, greppable by CI assertions.
-		fmt.Printf("  wire bytes      %d (down %d, up %d)\n", st.TotalBytes(), st.DownBytes(), st.UpBytes())
+		// Exact byte counts, greppable by CI assertions. They count every
+		// transfer the transport made, so an async run's also holds the
+		// dispatches still in flight when it ends, which the communication
+		// line leaves out.
+		fmt.Printf("  wire bytes      %d (down %d, up %d) over every transfer the transport made\n", st.TotalBytes(), st.DownBytes(), st.UpBytes())
 	}
 	distinct, dispatches := rs.Participation()
 	fmt.Printf("  fleet coverage  %d distinct clients over %d dispatches\n", distinct, dispatches)

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -147,5 +149,76 @@ func TestSnapshotAtOutsideTheRunIsRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "(2, 4]") {
 			t.Errorf("-snapshot-at %s on a run resumed at round 2: err %v, want a refusal naming (2, 4]", at, err)
 		}
+	}
+}
+
+// printed runs line and returns its result and what it printed.
+func printed(t *testing.T, line string) (*core.Result, string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	res, err := run(parse(t, line))
+	os.Stdout = stdout
+	w.Close()
+	text := string(<-out)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, text
+}
+
+// The summary's communication line counts the processed dispatches, its
+// wire bytes line every transfer the transport made. A lock-step run ends
+// with nothing in flight, so the two agree; an async run ends with
+// dispatches in flight, and the gap is a whole number of them.
+func TestSummaryLinesCountWhatTheySay(t *testing.T) {
+	const line = "-clients 20 -dropout drop:3,0.5,0 -seed 3 -latency const:1 -rounds 4 -model mlp -scale 1 -samples 40 -test 100 -transport f32 -quiet"
+	for _, runtime := range []string{"barrier", "async"} {
+		t.Run(runtime, func(t *testing.T) {
+			res, text := printed(t, "-runtime "+runtime+" "+line)
+			field := func(label string, i int) string {
+				t.Helper()
+				for _, l := range strings.Split(text, "\n") {
+					if f := strings.Fields(l); len(f) > i && strings.HasPrefix(strings.TrimSpace(l), label) {
+						return strings.TrimPrefix(f[i], "(")
+					}
+				}
+				t.Fatalf("no %q line in:\n%s", label, text)
+				return ""
+			}
+			if !strings.Contains(text, "over the processed dispatches") || !strings.Contains(text, "over every transfer the transport made") {
+				t.Fatalf("a summary line does not say what it counts:\n%s", text)
+			}
+			wire, err := strconv.ParseInt(field("wire bytes", 2), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			downs, err := strconv.ParseInt(field("wire traffic", 5), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comm := res.CommBytesByRound[len(res.CommBytesByRound)-1]
+			if downs == 0 || wire%downs != 0 {
+				t.Fatalf("%d wire bytes over %d dispatches: not one size per dispatch", wire, downs)
+			}
+			perDispatch, gap := wire/downs, wire-comm
+			switch {
+			case runtime == "barrier" && gap != 0:
+				t.Errorf("communication %d B, wire bytes %d: a lock-step run must agree", comm, wire)
+			case runtime == "async" && (gap <= 0 || gap%perDispatch != 0):
+				t.Errorf("communication %d B, wire bytes %d: the gap is not a positive whole number of %d-byte dispatches", comm, wire, perDispatch)
+			}
+			t.Logf("communication %d B, wire bytes %d, %d dispatches of %d B in flight at the end", comm, wire, gap/perDispatch, perDispatch)
+		})
 	}
 }
