@@ -274,16 +274,17 @@ func scaleSpec(tb testing.TB, clients int) core.RunSpec {
 // counters. BenchmarkPopulation times each row; TestPopulationCounters
 // runs each gated row once, in this order, and compares:
 //
-//	bytesPerClient  RunState.PerClientStateBytes, the runtime's
-//	                per-client bookkeeping — an exact function of the
-//	                spec, the same at every population size
+//	bytesPerClient  RunState.Footprint's registry bytes per client at
+//	                construction, when no client is built — an exact
+//	                function of the spec, the same at every population
+//	                size
 //	mallocs         heap allocations of the run's event loop (fleet
 //	                construction excluded) with 2 shards at GOMAXPROCS 2;
 //	                a ceiling with 2 % of slack. 0: benchmark only
 //
-// The 1M rung is not gated: its B/client is the 100k row's analytic
-// function and its loop allocates what the 100k loop does, so it would
-// cost a gigabyte of heap in tier-1 to pin nothing new.
+// The 1M rung's loop is not gated: it allocates what the 100k loop does.
+// Its construction is, outside -short: building it no longer builds a
+// million clients, so its B/client is checked without running it.
 var populationRuns = []struct {
 	name           string
 	spec           func(tb testing.TB, clients int) core.RunSpec
@@ -291,15 +292,21 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 200, 463},
-	{"Async1kClients", asyncSpec, 1_000, 200, 1_053},
-	{"Sync10kClients", syncSpec, 10_000, 200, 413},
-	{"Async10kClients", asyncSpec, 10_000, 200, 1_048},
-	{"AsyncChurn1k", churnSpec, 1_000, 208, 1_027},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 200, 1_200},
-	{"RobustMerge1k", robustSpec, 1_000, 201, 1_082},
-	{"Async100kClients", scaleSpec, 100_000, 192, 2_096},
-	{"Async1MClients", scaleSpec, 1_000_000, 192, 0},
+	{"Sync1kClients", syncSpec, 1_000, 24, 463},
+	{"Async1kClients", asyncSpec, 1_000, 24, 1_053},
+	{"Sync10kClients", syncSpec, 10_000, 24, 413},
+	{"Async10kClients", asyncSpec, 10_000, 24, 1_048},
+	{"AsyncChurn1k", churnSpec, 1_000, 32, 1_027},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 1_200},
+	{"RobustMerge1k", robustSpec, 1_000, 25, 1_082},
+	{"Async100kClients", scaleSpec, 100_000, 32, 2_096},
+	{"Async1MClients", scaleSpec, 1_000_000, 32, 0},
+}
+
+// registryBytesPerClient is rs's registry footprint per client.
+func registryBytesPerClient(rs *core.RunState) float64 {
+	fp := rs.Footprint()
+	return float64(fp.RegistryBytes) / float64(fp.Clients)
 }
 
 // newPopulationRun constructs the fleet for one run of spec.
@@ -356,10 +363,18 @@ func TestPopulationCounters(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, p := range populationRuns {
 		if p.mallocs == 0 {
+			if testing.Short() {
+				continue
+			}
+			rs := newPopulationRun(t, p.spec(t, p.clients))
+			if got := registryBytesPerClient(rs); got != p.bytesPerClient {
+				t.Errorf("%s: B/client = %v at construction, committed %v", p.name, got, p.bytesPerClient)
+			}
+			rs.Close()
 			continue
 		}
 		rs := newPopulationRun(t, p.spec(t, p.clients))
-		if got := rs.PerClientStateBytes(); got != p.bytesPerClient {
+		if got := registryBytesPerClient(rs); got != p.bytesPerClient {
 			t.Errorf("%s: B/client = %v, committed %v — per-client bookkeeping state changed; "+
 				"if intended, edit bytesPerClient in populationRuns (bench_test.go)",
 				p.name, got, p.bytesPerClient)
@@ -381,8 +396,8 @@ func TestPopulationCounters(t *testing.T) {
 	}
 
 	// The rows above cover the registry, churn and fault-class terms of
-	// B/client; the noise adversary's per-client stream pointer
-	// is the one term left, on top of the churning row.
+	// B/client; the noise adversary's per-client stream slot is the one
+	// term left, on top of the churning row.
 	faults, err := core.ParseFaults("byz:0.1,noise:2+crash:0.05")
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +406,38 @@ func TestPopulationCounters(t *testing.T) {
 	spec.Faults = faults
 	rs := newPopulationRun(t, spec)
 	defer rs.Close()
-	if got, want := rs.PerClientStateBytes(), 217.0; got != want {
+	if got, want := registryBytesPerClient(rs), 41.0; got != want {
 		t.Errorf("async+churn+noise faults: B/client = %v, committed %v", got, want)
+	}
+}
+
+// TestRegistryFootprint holds the client registry of a lock-step and a
+// churning fleet to exact sizes before and after a run: no client is
+// built at construction, and a run builds exactly the clients it
+// dispatches, a slab chunk at a time.
+func TestRegistryFootprint(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		spec          func(tb testing.TB, clients int) core.RunSpec
+		before, after core.Footprint
+	}{
+		{"Sync1kClients", syncSpec,
+			core.Footprint{Clients: 1_000, Built: 0, RegistryBytes: 24_000},
+			core.Footprint{Clients: 1_000, Built: 121, RegistryBytes: 24_000 + 240*136}},
+		{"AsyncChurn1k", churnSpec,
+			core.Footprint{Clients: 1_000, Built: 0, RegistryBytes: 32_000},
+			core.Footprint{Clients: 1_000, Built: 246, RegistryBytes: 32_000 + 480*136}},
+	} {
+		rs := newPopulationRun(t, c.spec(t, 1_000))
+		if got := rs.Footprint(); got != c.before {
+			t.Errorf("%s: footprint before the run %+v, committed %+v", c.name, got, c.before)
+		}
+		runPopulation(t, rs)
+		if got := rs.Footprint(); got != c.after {
+			t.Errorf("%s: footprint after the run %+v, committed %+v", c.name, got, c.after)
+		}
+		if distinct, _ := rs.Participation(); rs.Footprint().Built != distinct {
+			t.Errorf("%s: %d clients built, %d dispatched", c.name, rs.Footprint().Built, distinct)
+		}
 	}
 }

@@ -216,6 +216,9 @@ func run(o runOpts) (*core.Result, error) {
 	}
 	distinct, dispatches := rs.Participation()
 	fmt.Printf("  fleet coverage  %d distinct clients over %d dispatches\n", distinct, dispatches)
+	fp := rs.Footprint()
+	fmt.Printf("  registry        %d of %d clients built, %d B (%.1f B/client)\n",
+		fp.Built, fp.Clients, fp.RegistryBytes, float64(fp.RegistryBytes)/float64(fp.Clients))
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
 	if simulated > 0 {

@@ -216,15 +216,14 @@ func sampleFaults(n int, m *FaultModel, seed int64) []faultClass {
 	return faults
 }
 
-// installFaults samples the fleet's fault assignment and materializes the
-// per-client adversary state: noise clients get their private RNG stream
-// (position serialized through snapshots), label-flipping clients get
-// their fixed label rotation. The class array itself stays materialized —
-// one byte per client — because applyFault indexes it from concurrent
-// shard workers, where a shared scratch RNG would race; the RNG-pointer
-// array is only allocated for the noise mode. Called once at run
-// construction; a nil model leaves the server entirely honest (and the
-// adversary stream untouched).
+// installFaults samples the fleet's fault assignment. The class array
+// stays materialized — one byte per client — because applyFault indexes
+// it from concurrent shard workers, where a shared scratch RNG would
+// race; the noise mode adds one stream slot per client, filled at the
+// client's first fault (applyFault). A label-flipping client's rotation
+// is derived when the client is built (labelFlip), so nothing here
+// touches a client. Called once at run construction; a nil model leaves
+// the server entirely honest (and the adversary stream untouched).
 func (s *Server) installFaults() {
 	fm := s.spec.Faults
 	if fm == nil {
@@ -234,18 +233,22 @@ func (s *Server) installFaults() {
 	if fm.byzClass() == faultNoise {
 		s.advRng = make([]*prng.Rand, len(s.clients))
 	}
-	classes := s.spec.Model.Classes
-	for id, f := range s.faults {
-		switch f {
-		case faultNoise:
-			s.advRng[id] = seedStreamN(s.spec.Seed, streamAdvNoise, id)
-		case faultLabelFlip:
-			// A fixed per-client label rotation: every label moves (the
-			// offset is never 0 mod classes), clients disagree on where,
-			// and no RNG is consumed.
-			s.clients[id].labelFlip = int32(1 + id%(classes-1))
-		}
+}
+
+// labelFlip is client id's fixed label rotation: 0 unless it flips
+// labels, when every label moves (the offset is never 0 mod classes),
+// clients disagree on where, and no RNG is consumed.
+func (s *Server) labelFlip(id int) int32 {
+	if s.faults == nil || s.faults[id] != faultLabelFlip {
+		return 0
 	}
+	return int32(1 + id%(s.spec.Model.Classes-1))
+}
+
+// advSeed is noise client id's private stream as it stands before the
+// client's first fault.
+func (s *Server) advSeed(id int) int64 {
+	return streamSeed(s.spec.Seed, streamAdvNoise, id)
 }
 
 // applyFault corrupts a Byzantine client's finished upload in place,
@@ -268,6 +271,12 @@ func (s *Server) applyFault(c *Client, u *Update) {
 	case faultNoise:
 		sigma := s.spec.Faults.Arg
 		rng := s.advRng[c.ID]
+		if rng == nil {
+			// The client's first fault: its stream is derived here, on the
+			// worker that owns the client, so an idle client holds none.
+			rng = prng.New(s.advSeed(c.ID)) //fedtripvet:allow once per noise client, at its first fault
+			s.advRng[c.ID] = rng
+		}
 		for i := range u.Params {
 			u.Params[i] += float64(sigma * rng.NormFloat64())
 		}

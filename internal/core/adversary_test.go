@@ -284,7 +284,7 @@ func TestApplyFaultSemantics(t *testing.T) {
 	t.Run("signflip", func(t *testing.T) {
 		s := faultServer(t, &FaultModel{ByzFraction: 1, Mode: "signflip"}, faultSignFlip)
 		u := mk()
-		s.applyFault(s.clients[0], u)
+		s.applyFault(s.client(0), u)
 		for i := range base {
 			if u.Params[i] != -base[i] {
 				t.Fatalf("signflip[%d] = %g, want %g", i, u.Params[i], -base[i])
@@ -294,7 +294,7 @@ func TestApplyFaultSemantics(t *testing.T) {
 	t.Run("scale", func(t *testing.T) {
 		s := faultServer(t, &FaultModel{ByzFraction: 1, Mode: "scale", Arg: 10}, faultScale)
 		u := mk()
-		s.applyFault(s.clients[0], u)
+		s.applyFault(s.client(0), u)
 		for i := range base {
 			if u.Params[i] != 10*base[i] {
 				t.Fatalf("scale[%d] = %g, want %g", i, u.Params[i], 10*base[i])
@@ -304,7 +304,7 @@ func TestApplyFaultSemantics(t *testing.T) {
 	t.Run("nan", func(t *testing.T) {
 		s := faultServer(t, &FaultModel{ByzFraction: 1, Mode: "nan"}, faultNaN)
 		u := mk()
-		s.applyFault(s.clients[0], u)
+		s.applyFault(s.client(0), u)
 		for i := range u.Params {
 			if !math.IsNaN(u.Params[i]) {
 				t.Fatalf("nan[%d] = %g, want NaN", i, u.Params[i])
@@ -314,7 +314,7 @@ func TestApplyFaultSemantics(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
 		s := faultServer(t, &FaultModel{CrashFraction: 1}, faultCrash)
 		u := mk()
-		s.applyFault(s.clients[0], u)
+		s.applyFault(s.client(0), u)
 		finite := false
 		for _, v := range u.Params {
 			if !math.IsInf(v, 0) {
@@ -331,7 +331,7 @@ func TestApplyFaultSemantics(t *testing.T) {
 	t.Run("honest-untouched", func(t *testing.T) {
 		s := faultServer(t, &FaultModel{ByzFraction: 1, Mode: "signflip"}, faultSignFlip)
 		u := mk()
-		s.applyFault(s.clients[1], u) // client 1 is honest
+		s.applyFault(s.client(1), u) // client 1 is honest
 		for i := range base {
 			if u.Params[i] != base[i] {
 				t.Fatalf("honest client's upload mutated at %d", i)

@@ -548,7 +548,7 @@ func (r *bufferedRunner) dispatch() {
 			if !ok {
 				break
 			}
-			r.send(s.clients[id])
+			r.send(s.client(id))
 		}
 	}
 	burst := r.joinScratch

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/flops"
 	"repro/internal/nn"
 	"repro/internal/prng"
@@ -19,7 +21,9 @@ import (
 // the shard pool. What is the same for every
 // client (configuration, |w|) is reached through the one fleet pointer.
 // Keeping clients this thin is what lets a population of 10k+ exist in
-// memory at once: idle clients cost a couple of hundred bytes, not a model.
+// memory at once, and a client is built only when the run first needs
+// it (Server.client): one that never trains costs the run its registry
+// slot and a few words of population arrays, not a Client.
 //
 // Clients are trained concurrently by the server; a Client is confined to
 // one goroutine at a time and owns all of its buffers while training.
@@ -63,13 +67,38 @@ type Client struct {
 	loan *engineLoaner
 }
 
-func newClient(loan *engineLoaner, id int, indices []int) *Client {
-	return &Client{
-		ID:      id,
-		Indices: indices,
-		Counter: &flops.Counter{},
-		loan:    loan,
+// clientCell is a built client and the FLOP meter its Counter points at,
+// allocated together.
+type clientCell struct {
+	Client
+	counter flops.Counter
+}
+
+// slabChunk is how many cells one slab chunk holds: the most that still
+// make a small allocation (32 KiB), so a chunk wastes no page tail.
+const slabChunk = 32 << 10 / int(unsafe.Sizeof(clientCell{}))
+
+// clientSlab hands out client cells a chunk at a time, so building a
+// client allocates once per chunk rather than once for the client and
+// again for its meter.
+type clientSlab struct {
+	free  []clientCell // the newest chunk's unused cells
+	cells int          // cells in every chunk so far
+	built int          // cells handed out
+}
+
+// cell returns a zeroed cell, allocating a chunk of at most slabChunk
+// when the last is used up, and never more than left, the clients still
+// unbuilt.
+func (sl *clientSlab) cell(left int) *clientCell {
+	if len(sl.free) == 0 {
+		sl.free = make([]clientCell, min(slabChunk, left))
+		sl.cells += len(sl.free)
 	}
+	c := &sl.free[0]
+	sl.free = sl.free[1:]
+	sl.built++
+	return c
 }
 
 // engine returns the attached engine, borrowing the fleet's shared loaner

@@ -199,6 +199,9 @@ func (rs *RunState) CheckPins() error {
 	}
 	reached := map[int32]bool{}
 	for _, c := range rs.s.clients {
+		if c == nil {
+			continue
+		}
 		for at := c.recipe; at != 0; at = st.recipes[at-1].prev {
 			if reached[at] || st.recipes[at-1].img == nil {
 				return fmt.Errorf("client %d's chain reaches slot %d, free or reached before", c.ID, at-1)

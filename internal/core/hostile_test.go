@@ -577,7 +577,7 @@ func TestSnapshotAllocationsDoNotScaleWithFleet(t *testing.T) {
 		}
 		recipes := 0
 		for _, c := range rs.s.clients {
-			if c.recipe != 0 {
+			if c != nil && c.recipe != 0 {
 				recipes++
 			}
 		}

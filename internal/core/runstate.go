@@ -127,40 +127,37 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 	return rs.s.pop.participants()
 }
 
-// PerClientStateBytes reports the runtime's deterministic per-client
-// bookkeeping footprint in bytes: the scheduler registry (dispatch
-// counter plus idle-set entry), the event heap's client→slot map, the
-// aggregate churn permutation, the fault assignment (plus the noise
-// adversary's stream pointers when derived), and the client objects
-// themselves (slice entry, struct, sample indices). Lazily
-// allocated training state — per-client RNGs, the method's State rows
-// (Client.StateBytes) and the error-feedback residual row — is
-// excluded: it scales with participation, not with population. The number is a pure function of the spec, which
-// is what lets tier-1 pin it exactly (TestPopulationCounters, B/client).
-func (rs *RunState) PerClientStateBytes() float64 {
+// Footprint is what a run's client registry holds: the run state that
+// grows with the population rather than with participation.
+type Footprint struct {
+	// Clients is the population; Built how many of its clients the run
+	// has built, each at its first dispatch (or for a snapshot's record
+	// of it, or Server.Clients).
+	Clients, Built int
+	// RegistryBytes sums, from lengths and capacities, the scheduler
+	// registry (dispatch counts and the idle set), the event heap's
+	// client-to-slot map, the aggregate churn permutation and its
+	// inverse, the fault classes and the noise-stream slots, the slot
+	// slice of client pointers, and the slab cells built clients occupy
+	// (a Client and its FLOP meter each, whole chunks). What a built
+	// client holds beyond its cell — its stream, the method's rows, an
+	// error-feedback row — scales with participation and is left out, as
+	// are the sample indices, which the spec's partition owns.
+	RegistryBytes int64
+}
+
+// Footprint reports the client registry's size. Before the first step,
+// when no client is built, RegistryBytes is an exact function of the
+// spec, a whole number of bytes per client.
+func (rs *RunState) Footprint() Footprint {
 	s := rs.s
-	n := len(s.clients)
-	if n == 0 {
-		return 0
+	b := 4 * int64(cap(s.pop.dispatches)+cap(s.pop.idle.ids)+cap(s.pop.idle.pos)+cap(rs.run.inflight.slot))
+	if ch := s.churn; ch != nil {
+		b += 4 * int64(cap(ch.order)+cap(ch.pos))
 	}
-	// Registry: dispatches + idle ids + idle pos, and the event heap's
-	// slot map (int32 each).
-	total := int64(n) * (4 + 4 + 4 + 4)
-	if s.churn != nil {
-		// Aggregate churn: the segment permutation and its inverse.
-		total += int64(n) * 8
-	}
-	if s.faults != nil {
-		total += int64(n) // fault class byte
-		if s.advRng != nil {
-			total += int64(n) * 8 // noise-stream pointer
-		}
-	}
-	total += int64(n) * int64(8+unsafe.Sizeof(Client{}))
-	for _, c := range s.clients {
-		total += int64(8 * cap(c.Indices))
-	}
-	return float64(total) / float64(n)
+	b += int64(cap(s.faults)) + 8*int64(cap(s.advRng)+cap(s.clients))
+	b += int64(s.slab.cells) * int64(unsafe.Sizeof(clientCell{}))
+	return Footprint{Clients: len(s.clients), Built: s.slab.built, RegistryBytes: b}
 }
 
 // Step advances the run by one round (one buffered aggregation in the

@@ -147,11 +147,16 @@ func (r *Result) TimeToTarget() float64 {
 type Server struct {
 	// spec is the run as Validate resolved it (policy, defaults). The
 	// shard engines and the client loaner hold &spec.Config.
-	spec    RunSpec
+	spec RunSpec
+	// clients is the population, indexed by ID: a client is nil until the
+	// run first needs it (client), and is then built from slab.
 	clients []*Client
-	global  []float64
-	eval    *tester
-	rng     *prng.Rand
+	slab    clientSlab
+	// loan is what every client shares (engineLoaner).
+	loan   *engineLoaner
+	global []float64
+	eval   *tester
+	rng    *prng.Rand
 	// Adversary state (installFaults; nil in honest runs): per-client
 	// fault assignment and the noise clients' private RNGs (positions
 	// serialize through snapshots).
@@ -220,10 +225,11 @@ type Server struct {
 	free []*trainJob
 }
 
-// NewServer builds the population and the initial global model. Clients
-// are thin registry entries (data handle, history, meters) — the training
-// machinery lives in per-shard engines — so populations of 10k+ construct
-// in milliseconds and idle clients cost almost nothing.
+// NewServer builds the initial global model and the population's
+// registry. A client is built only when the run first needs it, and is a
+// thin entry (data handle, history, meter) — the training machinery
+// lives in per-shard engines — so populations of 100k+ construct in
+// milliseconds and idle clients cost a pointer each.
 func NewServer(cfg Config) (*Server, error) {
 	return newServer(RunSpec{Config: cfg})
 }
@@ -246,19 +252,60 @@ func newServer(sp RunSpec) (*Server, error) {
 	s.rng = seedStream(cfg.Seed, streamSelection)
 	s.wire = wireTransport(cfg.Transport)
 	s.rows = &rowStore{}
-	loaner := &engineLoaner{cfg: cfg, numParams: len(s.global), rows: s.rows}
-	for k, part := range cfg.Parts {
-		s.clients = append(s.clients, newClient(loaner, k, part))
-	}
+	s.loan = &engineLoaner{cfg: cfg, numParams: len(s.global), rows: s.rows}
+	s.clients = make([]*Client, len(cfg.Parts))
 	return s, nil
+}
+
+// client returns client id, building it the first time the run needs it:
+// at its first dispatch or lock-step selection, for a snapshot's
+// in-flight job or record of it, or for Clients. A label-flipping
+// client's rotation is derived from its fault class as it is built.
+func (s *Server) client(id int) *Client {
+	if c := s.clients[id]; c != nil {
+		return c
+	}
+	cell := s.slab.cell(len(s.clients) - s.slab.built)
+	cell.Client = Client{
+		ID:        id,
+		Indices:   s.spec.Parts[id],
+		Counter:   &cell.counter,
+		labelFlip: s.labelFlip(id),
+		loan:      s.loan,
+	}
+	s.clients[id] = &cell.Client
+	return &cell.Client
 }
 
 // Global returns the current global parameter vector (live slice).
 func (s *Server) Global() []float64 { return s.global }
 
-// Clients returns the population (read-mostly; used by tests and the
-// Fig. 2 harness).
-func (s *Server) Clients() []*Client { return s.clients }
+// idle reports whether the cell holds the record of a client that has
+// never trained: no rows or chain, no residual, no last round, no stream
+// drawn and no FLOPs metered.
+func (cell *clientCell) idle() bool {
+	c := &cell.Client
+	return c.recipe == 0 && c.state == nil && c.resid == nil && c.LastRound == 0 && c.rng == nil && cell.counter.Total() == 0
+}
+
+// adopt builds the client whose record a snapshot wrote into tmpl and
+// moves the record into it.
+func (s *Server) adopt(tmpl *clientCell) {
+	c := s.client(tmpl.ID)
+	c.state, c.resid, c.LastRound, c.rng, c.recipe = tmpl.state, tmpl.resid, tmpl.LastRound, tmpl.rng, tmpl.recipe
+	c.Counter.Add(tmpl.counter.Total())
+}
+
+// Clients returns the whole population, building every client the run
+// has not: O(N) in time and memory, for tests, the Fig. 2 harness and
+// probes, never the event loop. Building a client early changes no
+// trajectory.
+func (s *Server) Clients() []*Client {
+	for id := range s.clients {
+		s.client(id)
+	}
+	return s.clients
+}
 
 // selectClients draws K distinct clients uniformly at random, matching the
 // paper's random selection: the first K online clients of a uniform
@@ -280,7 +327,7 @@ func (s *Server) selectClients() []*Client {
 			break
 		}
 		if s.online(id) {
-			sel = append(sel, s.clients[id])
+			sel = append(sel, s.client(id))
 		}
 	}
 	s.selPicks = sel

@@ -270,9 +270,18 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 
 	s.rows.snapImages(c)
 	c.LenExact("client count", len(s.clients))
-	for _, cl := range s.clients {
+	// A client the run has not built is walked through tmpl, a client
+	// that has never trained, so it is written as the built one would be;
+	// on reading, a record that is not tmpl's builds the client (adopt).
+	var tmpl clientCell
+	for id, cl := range s.clients {
 		if c.Err() != nil {
 			return
+		}
+		if cl == nil {
+			tmpl.Client = Client{ID: id, Counter: &tmpl.counter, loan: s.loan}
+			tmpl.counter.Reset()
+			cl = &tmpl.Client
 		}
 		// The method's persistent rows: a recipe chain, or the rows
 		// themselves (Client.State), empty until it first asked. Then the
@@ -317,6 +326,9 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 			cl.Counter.Reset()
 			cl.Counter.Add(total)
 		}
+		if cl == &tmpl.Client && c.Reading() && !tmpl.idle() {
+			s.adopt(&tmpl)
+		}
 	}
 	if c.Reading() {
 		for i, sn := range rs.run.snaps {
@@ -338,10 +350,24 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 				c.Fail("client %d fault class %d, the spec derives %d", i, f, s.faults[i])
 			}
 		}
+		// A noise client's stream is written whether or not its first
+		// fault has drawn it, as the seed it starts from until then; a
+		// decoder leaves a stream read back at its seed underived.
 		if c.Present("adversary streams", s.advRng != nil) {
-			for _, rng := range s.advRng {
-				if c.Present("adversary stream position", rng != nil) {
+			var seeded prng.Rand
+			for id, rng := range s.advRng {
+				if !c.Present("adversary stream position", s.faults[id] == faultNoise) {
+					continue
+				}
+				if rng != nil {
 					snapRng(c, rng)
+					continue
+				}
+				seeded.Reseed(s.advSeed(id))
+				start := seeded.State()
+				if snapRng(c, &seeded); seeded.State() != start {
+					s.advRng[id] = prng.New(0)
+					s.advRng[id].SetState(seeded.State())
 				}
 			}
 		}
@@ -565,7 +591,7 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 		if c.Err() != nil {
 			return
 		}
-		j.c = s.clients[id]
+		j.c = s.client(id)
 		j.update.Params, j.update.pooled = paramsPool.get(len(s.global)), true
 	}
 	c.Num("job round", &j.round)

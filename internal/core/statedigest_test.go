@@ -21,9 +21,11 @@ import (
 // its error-feedback row as PeekResid returns it, its stream position,
 // LastRound and FLOPs, then the pending jobs in heap and buffer order
 // (each upload widened, whatever form the run holds it in),
-// the recorder and the clock. Two streams that resume to one run state
-// have one digest, so a format change that must move no state can be
-// pinned against digests taken before it.
+// the recorder and the clock. A noise stream no fault has drawn yet and
+// a client the run has not built enter as they would once derived. Two
+// streams that resume to one run state have one digest, so a format
+// change that must move no state can be pinned against digests taken
+// before it.
 func stateDigest(stream []byte, spec RunSpec) (string, error) {
 	rs, err := Resume(bytes.NewReader(stream), ResumeSpec{Spec: spec})
 	if err != nil {
@@ -81,13 +83,16 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 			i32s(g)
 		}
 	}
-	for _, rng := range s.advRng {
-		if rng != nil {
+	for id, rng := range s.advRng {
+		switch {
+		case rng != nil:
 			pos(rng.State())
+		case s.faults[id] == faultNoise:
+			pos(prng.New(s.advSeed(id)).State()) // its first fault draws it
 		}
 	}
 	np := len(s.global)
-	for _, c := range s.clients {
+	for _, c := range s.Clients() {
 		i64(int64(c.ID))
 		rows := c.StateBytes() / 8 / np
 		i64(int64(rows))
