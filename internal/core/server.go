@@ -158,8 +158,8 @@ type Server struct {
 	eval   *tester
 	rng    *prng.Rand
 	// Adversary state (installFaults; nil in honest runs): per-client
-	// fault assignment and the noise clients' private RNGs (positions
-	// serialize through snapshots).
+	// fault assignment and the noise clients' private RNGs, each nil until
+	// the client's first fault (positions serialize through snapshots).
 	faults []faultClass
 	advRng []*prng.Rand
 	// rejectedUpdates counts non-finite uploads screened out of merges
