@@ -5,8 +5,8 @@
 //	go build -o /tmp/fedtrip-bench ./cmd/fedtrip-bench
 //	go run ./cmd/benchrecord -bin /tmp/fedtrip-bench -pr 48
 //
-// Per workload it makes -runs untraced runs at seeds 7, 8, … and one
-// traced run at seed 7, and keeps each run's digest line and its JSON
+// Per workload it makes five untraced runs at seeds 7–11, the fewest
+// TestBenchFiles accepts, and one traced run at seed 7, and keeps each run's digest line and its JSON
 // result line. It reads only the benchmark's standard output and never
 // imports it; the root package's TestBenchFiles checks what it writes.
 package main
@@ -50,14 +50,16 @@ type File struct {
 	Workloads map[string]Workload `json:"workloads"`
 }
 
+// runs is the untraced runs per workload, at seeds 7, 8, ….
+const runs = 5
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchrecord: ")
 	bin := flag.String("bin", "", "the built fedtrip-bench binary")
 	pr := flag.Int("pr", 0, "the change the numbers are for; the file is BENCH_<pr>.json")
-	runs := flag.Int("runs", 5, "untraced runs per workload, at seeds 7, 8, …")
 	flag.Parse()
-	if *bin == "" || *pr <= 0 || *runs < 1 {
+	if *bin == "" || *pr <= 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -82,7 +84,7 @@ func main() {
 	}
 	for _, w := range decl.Workloads {
 		var wl Workload
-		for i := 0; i < *runs; i++ {
+		for i := 0; i < runs; i++ {
 			wl.Runs = append(wl.Runs, bench(*bin, w.Name, int64(7+i), false))
 		}
 		wl.Traced = bench(*bin, w.Name, 7, true)

@@ -245,12 +245,6 @@ func (s *Server) labelFlip(id int) int32 {
 	return int32(1 + id%(s.spec.Model.Classes-1))
 }
 
-// advSeed is noise client id's private stream as it stands before the
-// client's first fault.
-func (s *Server) advSeed(id int) int64 {
-	return streamSeed(s.spec.Seed, streamAdvNoise, id)
-}
-
 // applyFault corrupts a Byzantine client's finished upload in place,
 // after training (FLOPs metered) and before the transport encodes it
 // (wire bytes and transfer time price the corrupted vector). Runs on
@@ -274,7 +268,7 @@ func (s *Server) applyFault(c *Client, u *Update) {
 		if rng == nil {
 			// The client's first fault: its stream is derived here, on the
 			// worker that owns the client, so an idle client holds none.
-			rng = prng.New(s.advSeed(c.ID)) //fedtripvet:allow once per noise client, at its first fault
+			rng = seedStreamN(s.spec.Seed, streamAdvNoise, c.ID)
 			s.advRng[c.ID] = rng
 		}
 		for i := range u.Params {

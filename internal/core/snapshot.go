@@ -363,7 +363,7 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 					snapRng(c, rng)
 					continue
 				}
-				seeded.Reseed(s.advSeed(id))
+				seeded.Reseed(streamSeed(s.spec.Seed, streamAdvNoise, id))
 				start := seeded.State()
 				if snapRng(c, &seeded); seeded.State() != start {
 					s.advRng[id] = prng.New(0)

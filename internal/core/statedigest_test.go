@@ -88,7 +88,7 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 		case rng != nil:
 			pos(rng.State())
 		case s.faults[id] == faultNoise:
-			pos(prng.New(s.advSeed(id)).State()) // its first fault draws it
+			pos(seedStreamN(s.spec.Seed, streamAdvNoise, id).State()) // its first fault draws it
 		}
 	}
 	np := len(s.global)

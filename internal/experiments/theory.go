@@ -57,12 +57,13 @@ func runTheoryRho(p Profile, logf Logf) ([]*Table, error) {
 	// ||grad F_k(w)|| / ||grad f(w)||.
 	var lEst, bEst float64
 	probes := 0
+	clients := srv.Clients()
 	for si, w := range snapshots {
-		grads := make([][]float64, len(srv.Clients()))
+		grads := make([][]float64, len(clients))
 		mean := make([]float64, len(w))
-		for k, c := range srv.Clients() {
+		for k, c := range clients {
 			grads[k] = c.FullGrad(w)
-			tensor.Axpy(1/float64(len(srv.Clients())), grads[k], mean)
+			tensor.Axpy(1/float64(len(clients)), grads[k], mean)
 		}
 		gNorm := tensor.Norm2(mean)
 		for _, gk := range grads {
@@ -76,7 +77,7 @@ func runTheoryRho(p Profile, logf Logf) ([]*Table, error) {
 			w2 := snapshots[si+1]
 			dw := math.Sqrt(tensor.DistSq(w, w2))
 			if dw > 1e-12 {
-				for k, c := range srv.Clients() {
+				for k, c := range clients {
 					g2 := c.FullGrad(w2)
 					dg := math.Sqrt(tensor.DistSq(grads[k], g2))
 					if r := dg / dw; r > lEst {
