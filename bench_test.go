@@ -292,14 +292,14 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 24, 463},
-	{"Async1kClients", asyncSpec, 1_000, 24, 1_053},
-	{"Sync10kClients", syncSpec, 10_000, 24, 413},
-	{"Async10kClients", asyncSpec, 10_000, 24, 1_048},
-	{"AsyncChurn1k", churnSpec, 1_000, 32, 1_027},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 1_200},
-	{"RobustMerge1k", robustSpec, 1_000, 25, 1_082},
-	{"Async100kClients", scaleSpec, 100_000, 32, 2_096},
+	{"Sync1kClients", syncSpec, 1_000, 24, 344},
+	{"Async1kClients", asyncSpec, 1_000, 24, 815},
+	{"Sync10kClients", syncSpec, 10_000, 24, 288},
+	{"Async10kClients", asyncSpec, 10_000, 24, 794},
+	{"AsyncChurn1k", churnSpec, 1_000, 32, 784},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 959},
+	{"RobustMerge1k", robustSpec, 1_000, 25, 846},
+	{"Async100kClients", scaleSpec, 100_000, 32, 1_461},
 	{"Async1MClients", scaleSpec, 1_000_000, 32, 0},
 }
 
@@ -396,8 +396,8 @@ func TestPopulationCounters(t *testing.T) {
 	}
 
 	// The rows above cover the registry, churn and fault-class terms of
-	// B/client; the noise adversary's per-client stream slot is the one
-	// term left, on top of the churning row.
+	// B/client; a noise adversary adds nothing to the fault class (its
+	// clients draw from their own streams), on top of the churning row.
 	faults, err := core.ParseFaults("byz:0.1,noise:2+crash:0.05")
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestPopulationCounters(t *testing.T) {
 	spec.Faults = faults
 	rs := newPopulationRun(t, spec)
 	defer rs.Close()
-	if got, want := registryBytesPerClient(rs), 41.0; got != want {
+	if got, want := registryBytesPerClient(rs), 33.0; got != want {
 		t.Errorf("async+churn+noise faults: B/client = %v, committed %v", got, want)
 	}
 }
@@ -414,7 +414,8 @@ func TestPopulationCounters(t *testing.T) {
 // TestRegistryFootprint holds the client registry of a lock-step and a
 // churning fleet to exact sizes before and after a run: no client is
 // built at construction, and a run builds exactly the clients it
-// dispatches, a slab chunk (240 cells of 136 B) at a time.
+// dispatches, a slab chunk (215 cells of 152 B, a Client with its stream
+// and its FLOP meter) at a time.
 func TestRegistryFootprint(t *testing.T) {
 	for _, c := range []struct {
 		name          string
@@ -423,10 +424,10 @@ func TestRegistryFootprint(t *testing.T) {
 	}{
 		{"Sync1kClients", syncSpec,
 			core.Footprint{Clients: 1_000, Built: 0, RegistryBytes: 24_000},
-			core.Footprint{Clients: 1_000, Built: 121, RegistryBytes: 24_000 + 240*136}},
+			core.Footprint{Clients: 1_000, Built: 121, RegistryBytes: 24_000 + 215*152}},
 		{"AsyncChurn1k", churnSpec,
 			core.Footprint{Clients: 1_000, Built: 0, RegistryBytes: 32_000},
-			core.Footprint{Clients: 1_000, Built: 246, RegistryBytes: 32_000 + 480*136}},
+			core.Footprint{Clients: 1_000, Built: 246, RegistryBytes: 32_000 + 430*152}},
 	} {
 		rs := newPopulationRun(t, c.spec(t, 1_000))
 		if got := rs.Footprint(); got != c.before {

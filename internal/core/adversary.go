@@ -41,7 +41,7 @@ const (
 	// faultScale uploads the parameter vector magnified by Arg.
 	faultScale
 	// faultNoise perturbs every parameter with Arg * N(0,1) drawn from
-	// the client's private adversary stream.
+	// the client's own stream, right after its training's draws.
 	faultNoise
 	// faultNaN uploads non-finite parameters (rejected by the server's
 	// finite screen and counted in Result.RejectedUpdates).
@@ -217,21 +217,16 @@ func sampleFaults(n int, m *FaultModel, seed int64) []faultClass {
 }
 
 // installFaults samples the fleet's fault assignment. The class array
-// stays materialized — one byte per client — because applyFault indexes
-// it from concurrent shard workers, where a shared scratch RNG would
-// race; the noise mode adds one stream slot per client, filled at the
-// client's first fault (applyFault). A label-flipping client's rotation
-// is derived when the client is built (labelFlip), so nothing here
-// touches a client. Called once at run construction; a nil model leaves
-// the server entirely honest (and the adversary stream untouched).
+// stays materialized — one byte per client, the only per-client state a
+// fault model adds — because applyFault indexes it from concurrent shard
+// workers, where a shared scratch RNG would race. A noise client draws
+// from its own stream, and a label-flipping client's rotation is derived
+// when the client is built (labelFlip), so nothing here touches a
+// client. Called once at run construction; a nil model leaves the server
+// entirely honest (and the adversary stream untouched).
 func (s *Server) installFaults() {
-	fm := s.spec.Faults
-	if fm == nil {
-		return
-	}
-	s.faults = sampleFaults(len(s.clients), fm, s.spec.Seed)
-	if fm.byzClass() == faultNoise {
-		s.advRng = make([]*prng.Rand, len(s.clients))
+	if fm := s.spec.Faults; fm != nil {
+		s.faults = sampleFaults(len(s.clients), fm, s.spec.Seed)
 	}
 }
 
@@ -247,10 +242,14 @@ func (s *Server) labelFlip(id int) int32 {
 
 // applyFault corrupts a Byzantine client's finished upload in place,
 // after training (FLOPs metered) and before the transport encodes it
-// (wire bytes and transfer time price the corrupted vector). Runs on
-// shard worker goroutines: it touches only the update buffer and the
-// client's private adversary stream, both confined to the one goroutine
-// training this client.
+// (wire bytes and transfer time price the corrupted vector): signflip
+// negates the uploaded parameter vector, scale multiplies it by Arg, and
+// noise adds Arg * N(0,1) to each parameter, drawn from the client's own
+// stream where its training left it, so a replay of the participation
+// (lazyrows.go), which restores the stream's position before it trains,
+// draws the same noise. Runs on shard worker goroutines: it touches only
+// the update buffer and the client's stream, both confined to the one
+// goroutine training this client.
 //
 //fedtripvet:hotpath
 func (s *Server) applyFault(c *Client, u *Update) {
@@ -263,14 +262,7 @@ func (s *Server) applyFault(c *Client, u *Update) {
 	case faultScale:
 		tensor.Scale(s.spec.Faults.Arg, u.Params)
 	case faultNoise:
-		sigma := s.spec.Faults.Arg
-		rng := s.advRng[c.ID]
-		if rng == nil {
-			// The client's first fault: its stream is derived here, on the
-			// worker that owns the client, so an idle client holds none.
-			rng = seedStreamN(s.spec.Seed, streamAdvNoise, c.ID)
-			s.advRng[c.ID] = rng
-		}
+		sigma, rng := s.spec.Faults.Arg, c.RNG()
 		for i := range u.Params {
 			u.Params[i] += float64(sigma * rng.NormFloat64())
 		}

@@ -301,6 +301,21 @@ func TestApplyFaultSemantics(t *testing.T) {
 			}
 		}
 	})
+	t.Run("noise", func(t *testing.T) {
+		s := faultServer(t, &FaultModel{ByzFraction: 1, Mode: "noise", Arg: 0.5}, faultNoise)
+		c := s.client(0)
+		stream := *c.RNG() // the client's own stream is the noise's
+		u := mk()
+		s.applyFault(c, u)
+		for i := range base {
+			if want := base[i] + float64(0.5*stream.NormFloat64()); u.Params[i] != want {
+				t.Fatalf("noise[%d] = %g, want %g", i, u.Params[i], want)
+			}
+		}
+		if c.RNG().State() != stream.State() {
+			t.Fatal("the fault left the client's stream elsewhere than its draws")
+		}
+	})
 	t.Run("nan", func(t *testing.T) {
 		s := faultServer(t, &FaultModel{ByzFraction: 1, Mode: "nan"}, faultNaN)
 		u := mk()
@@ -458,9 +473,9 @@ func TestResumeEquivalenceAdversarial(t *testing.T) {
 	}, 4)
 }
 
-// TestResumeEquivalenceNoiseFault exercises the adversary RNG section of
-// the snapshot: noise clients' private stream positions must serialize,
-// or the resumed run's corrupted uploads diverge.
+// TestResumeEquivalenceNoiseFault: a noise client draws from its own
+// stream, after training, so the stream's position must serialize with
+// the client, or the resumed run's corrupted uploads diverge.
 func TestResumeEquivalenceNoiseFault(t *testing.T) {
 	fm, err := ParseFaults("byz:0.4,noise:0.3")
 	if err != nil {

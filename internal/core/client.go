@@ -40,15 +40,16 @@ type Client struct {
 	// (0 if never). FedTrip's staleness factor xi derives from it.
 	LastRound int
 
-	// rng is built on first use: a 10k-client fleet where most clients
-	// never participate should not pay for 10k PRNG states up front.
-	rng *prng.Rand
+	// rng is the client's stream, seeded when the client is built
+	// (Server.client): mini-batch shuffling, dropout masks, the method's
+	// sampling and a noise fault's draws.
+	rng prng.Rand
 	// state backs State: the method's rows, nil until it first asks.
 	state []float64
 	// resid is the transport's error-feedback residual, one |w| row the
 	// transport writes through WireTransport.UpInto: nil until the
 	// client's first accepted upload under error feedback, and nil while
-	// the client's recipe chain rebuilds it (rowStore.residLazy).
+	// the client's recipe chain rebuilds it (lazyrows.go).
 	resid []float64
 
 	// labelFlip is a label-flipping Byzantine client's fixed rotation
@@ -192,14 +193,16 @@ func (c *Client) RoundSteps() int { return c.engine().roundSteps }
 func (c *Client) Config() *Config { return c.loan.cfg }
 
 // RNG exposes the client's deterministic random source (mini-batch
-// shuffling, dropout, method-specific sampling). The stream is keyed to
-// the client, not to the worker that happens to train it, which is why
-// trajectories do not depend on the shard count.
-func (c *Client) RNG() *prng.Rand {
-	if c.rng == nil {
-		c.rng = seedStreamN(c.loan.cfg.Seed, streamClient, c.ID)
-	}
-	return c.rng
+// shuffling, dropout, method-specific sampling, a noise fault's draws).
+// The stream is keyed to the client, not to the worker that happens to
+// train it, which is why trajectories do not depend on the shard count.
+func (c *Client) RNG() *prng.Rand { return &c.rng }
+
+// drawn reports whether c's stream has moved from its seed: whether c has
+// trained, since every training draws (randPermInto's first draw is
+// Intn(1), which draws).
+func (c *Client) drawn() bool {
+	return c.rng.State() != prng.State{S: uint64(streamSeed(c.loan.cfg.Seed, streamClient, c.ID))}
 }
 
 // ScratchModels returns two scratch model instances with the same

@@ -114,12 +114,9 @@ func (c *Client) PeekState() []float64 {
 // PeekResid returns c's error-feedback row without changing how the run
 // holds it: the row c holds, copied, or, when c holds none, its rows are
 // a chain and the transport has an uncounted codec, the row its
-// participations left, rebuilt (peekChain). A noise client's fault drew
-// from a stream that has moved on since, so its row is always the one it
-// holds.
+// participations left, rebuilt (peekChain).
 func (rs *RunState) PeekResid(c *Client) []float64 {
-	s := rs.s
-	if c.resid != nil || c.recipe == 0 || s.rows.coder == nil || rs.Noisy(c) {
+	if c.resid != nil || c.recipe == 0 || rs.s.rows.coder == nil {
 		return append([]float64(nil), c.resid...)
 	}
 	_, resid := c.peekChain()
@@ -133,8 +130,7 @@ func (rs *RunState) PeekResid(c *Client) []float64 {
 // with the previous link's round as LastRound and its rows left in
 // engine scratch; then its trained parameters, with the client's fault
 // applied, are coded again against what it received into a row of the
-// peek's own — unless the fault draws noise, whose stream a peek must
-// not move. It returns copies of the newest link's rows and that row,
+// peek's own. It returns copies of the newest link's rows and that row,
 // and leaves c's stream, FLOP counter and LastRound as they were.
 func (c *Client) peekChain() (rows, resid []float64) {
 	st := c.loan.rows
@@ -142,7 +138,6 @@ func (c *Client) peekChain() (rows, resid []float64) {
 	e := c.engine()
 	last, counter, rng := c.LastRound, c.Counter, c.RNG()
 	live := rng.State()
-	noise := s.faults != nil && s.faults[c.ID] == faultNoise
 	c.Counter = nil
 	e.meter(nil)
 	c.LastRound, e.rowsAsked = 0, 0
@@ -156,7 +151,7 @@ func (c *Client) peekChain() (rows, resid []float64) {
 		e.recording = true
 		c.train(int(link.round), global, int(link.steps))
 		e.recording = false
-		if st.coder != nil && !noise {
+		if st.coder != nil {
 			u := Update{Params: append([]float64(nil), e.model.Params()...)}
 			s.applyFault(c, &u)
 			st.coder.UpCode(u.Params, c.ID, int(link.round), u.Params, global, &resid)
@@ -269,11 +264,6 @@ func (rs *RunState) Quiesce() { rs.run.quiesce() }
 
 // HoldsResid reports whether c keeps an error-feedback row.
 func (c *Client) HoldsResid() bool { return c.resid != nil }
-
-// Noisy reports whether c's fault draws noise from a stream of its own.
-func (rs *RunState) Noisy(c *Client) bool {
-	return rs.s.faults != nil && rs.s.faults[c.ID] == faultNoise
-}
 
 // StateDigest fingerprints the run stream resumes to under spec
 // (stateDigest).

@@ -26,7 +26,7 @@ var returnsCases = []returnsCase{
 	{lazyFleet{name: "async topk-ef median signflip crash", runtime: "async", transport: "topk:0.01+ef", latency: "straggler:1,10,3"},
 		"median", "byz:0.2,signflip+crash:0.05"},
 	{fleet: lazyFleet{name: "async lossless churn", runtime: "async", transport: "lossless", latency: "exp:2"}},
-	{lazyFleet{name: "sync randk-ef noise", runtime: "sync", transport: "randk:0.05+ef"}, "", "byz:0.3,noise:0.1"},
+	{lazyFleet{name: "sync randk-ef noise", runtime: "sync", transport: "randk:0.05+ef"}, "", "byz:1,noise:0.1"},
 }
 
 // returnsSpec builds the case's spec for a method's text.
@@ -73,8 +73,9 @@ func returnsData(t *testing.T) (train, test *data.Dataset, parts [][]int) {
 // holds a chain of two, both runs are snapshotted: the two streams
 // resume to one run state (core.StateDigest), and the lazy one resumes
 // into a run that keeps the same rows to the end. A chain of three must
-// form, and the three results are one digest. Under noise faults a
-// noisy client whose rows are a chain keeps its error-feedback row.
+// form, and the three results are one digest. Under noise faults, which
+// every client of that case draws, a client whose rows are a chain of
+// two or more keeps no error-feedback row: the chain rebuilds it.
 func TestLazyRowsAcrossReturns(t *testing.T) {
 	train, test, parts := returnsData(t)
 	methods, cases := []string{"fedtrip:0.4", "moon"}, returnsCases
@@ -87,18 +88,21 @@ func TestLazyRowsAcrossReturns(t *testing.T) {
 				spec := func() core.RunSpec { return returnsSpec(t, tc, method, train, test, parts) }
 				lazy := chainsMatchDense(t, spec)
 				defer lazy.Close()
-				if tc.faults != "byz:0.3,noise:0.1" {
+				if tc.faults != "byz:1,noise:0.1" {
 					return
 				}
+				chained := 0
 				for _, c := range lazy.Server().Clients() {
-					if lazy.Noisy(c) && c.ChainDepth() > 1 {
-						if !c.HoldsResid() {
-							t.Fatalf("noisy client %d, a chain of %d, keeps no error-feedback row", c.ID, c.ChainDepth())
+					if c.ChainDepth() > 1 {
+						if c.HoldsResid() {
+							t.Fatalf("noisy client %d, a chain of %d, keeps an error-feedback row", c.ID, c.ChainDepth())
 						}
-						return
+						chained++
 					}
 				}
-				t.Fatal("no noisy client holds a chain of two")
+				if chained == 0 {
+					t.Fatal("no noisy client holds a chain of two")
+				}
 			})
 		}
 	}

@@ -33,11 +33,11 @@
 // received, plus the row the previous upload left, through the codec's
 // uplink for (client, round). So the chain stands for it as well: the
 // replay codes each link's upload again into engine scratch (recode),
-// and the recorded upload updates that row there in place. A client
-// whose fault draws noise from a stream of its own, which has moved on
-// by the time of a replay, keeps its residual row (residLazy); its rows
-// are still a chain. A transport without a Coder leaves nothing to
-// replay a round with: its run keeps every row dense.
+// and the recorded upload updates that row there in place. A noise
+// fault draws from the client's own stream right after training, so a
+// replay, which restores the link's stream position before it trains,
+// draws the same noise again. A transport without a Coder leaves nothing
+// to replay a round with: its run keeps every row dense.
 //
 // A snapshot carries the chains as they are (since FTRS 14): each
 // version a recipe pins is written once, in the stream's round-image
@@ -173,9 +173,9 @@ func (st *rowStore) drop(head int32) {
 	}
 }
 
-// rebuild stores c's rows dense, and its error-feedback row when the
-// chain stands for it, replayed on the engine c has (the loaner outside
-// a round), and drops the chain.
+// rebuild stores c's rows dense, and under a transport its
+// error-feedback row, replayed on the engine c has (the loaner outside a
+// round), and drops the chain.
 func (st *rowStore) rebuild(c *Client) {
 	head := c.recipe
 	st.chain = st.links(head, st.chain)
@@ -190,31 +190,21 @@ func (st *rowStore) rebuild(c *Client) {
 	st.drop(head)
 }
 
-// residLazy reports whether c's error-feedback row, while a chain stands
-// for c's rows, is rebuilt with them rather than kept: under a
-// transport, unless c's fault draws from a stream of its own (noise),
-// which has moved on by the time of a replay.
-func (st *rowStore) residLazy(c *Client) bool {
-	faults := st.run.s.faults
-	return st.coder != nil && (faults == nil || faults[c.ID] != faultNoise)
-}
-
 // replay runs chain's participations again on e, attached to c, oldest
 // first, and leaves what the newest wrote in e's scratch: its rows in
 // rowScratch (rowsAsked of them, as many as the method writes, whatever
-// count a recipe claims), and, when the chain stands for c's
-// error-feedback row, that row in residRow — empty until an upload
-// stored one. An empty chain leaves both empty. Each link trains from
-// what the client received at its pinned version, from its recorded
-// stream position, under its step budget, with the previous link's round
-// as LastRound and its rows as the method's. Nothing is sent or metered,
-// and c's stream, FLOP counter and LastRound are left as they were.
+// count a recipe claims), and, under a transport, c's error-feedback
+// row in residRow — empty until an upload stored one. An empty chain
+// leaves both empty. Each link trains from what the client received at
+// its pinned version, from its recorded stream position, under its step
+// budget, with the previous link's round as LastRound and its rows as
+// the method's. Nothing is sent or metered, and c's stream, FLOP counter
+// and LastRound are left as they were.
 func (st *rowStore) replay(c *Client, e *engine, chain []rowRecipe) {
 	e.rowsAsked, e.residRow = 0, e.residRow[:0]
 	if len(chain) == 0 {
 		return
 	}
-	resid := st.residLazy(c)
 	round, counter, rng := c.LastRound, c.Counter, c.RNG()
 	live := rng.State()
 	c.Counter = nil
@@ -226,7 +216,7 @@ func (st *rowStore) replay(c *Client, e *engine, chain []rowRecipe) {
 		global := st.received(c, e, link)
 		rng.SetState(link.rng)
 		c.train(int(link.round), global, int(link.steps))
-		if resid {
+		if st.coder != nil {
 			st.recode(c, e, link)
 		}
 		c.LastRound = int(link.round)
@@ -240,10 +230,11 @@ func (st *rowStore) replay(c *Client, e *engine, chain []rowRecipe) {
 
 // recode codes link's upload again, uncounted, after its replay on e:
 // the trained parameters the replay left in e's model, with c's fault
-// applied, against what the client received, which the replay left in
-// e's downlink buffer, updating e's residual row in place. The model's
-// parameters are the upload's buffer: the engine's next round loads its
-// own.
+// applied (a noise fault draws from c's stream where the replay's
+// training left it, as the upload's did), against what the client
+// received, which the replay left in e's downlink buffer, updating e's
+// residual row in place. The model's parameters are the upload's buffer:
+// the engine's next round loads its own.
 func (st *rowStore) recode(c *Client, e *engine, link *rowRecipe) {
 	u := Update{Params: e.model.Params()}
 	st.run.s.applyFault(c, &u)

@@ -21,7 +21,7 @@ import (
 // have. Each case exercises one path a client's state is derived on:
 // churn with a permanent mass drop, a float32 uplink behind the
 // lock-step gate, label-flipping clients behind the barrier, and noise
-// clients, each with a private stream, among crashing ones.
+// clients, which draw from their own streams, among crashing ones.
 type registryFleet struct {
 	name      string
 	runtime   core.Runtime
@@ -102,10 +102,10 @@ type registryPin struct {
 }
 
 var registryPins = map[string]registryPin{
-	"async-markov-drop": {"c9f6ee84a700f59b", 1436675, "cbf406b4c73ed71cb35cd65156617fe80b092338b0abe6b01afddc663e0ba25d", "e2129e6ecb673c1e"},
-	"sync-f32":          {"00767dea774696d3", 640180, "5329c21d637cc85e95cd5721a1f74e0b3a68ecace513100e7f66b2ac7e0dbeeb", "822989427a7ac73d"},
-	"barrier-labelflip": {"7429afcbec527774", 640260, "b97744ef7caa8fbf1c7e46eb3238945896ce832a422ec213f3ca7b64b56211b7", "70c0ab4518b7d0bf"},
-	"async-noise-crash": {"d18ae1ec6758f912", 1436393, "0b1ca4e0cc717f4a1b2d0c6f1df90408527aa52788d8f4eb74485b6d4c9dab4c", "1ad9abf6c1c336b4"},
+	"async-markov-drop": {"c9f6ee84a700f59b", 1436675, "cb0cb2f91375eba4af68f6f284593df31361da3a38f558234762792b9277ddd3", "e2129e6ecb673c1e"},
+	"sync-f32":          {"00767dea774696d3", 640180, "b9be23abd96879b0fc842278baf80aeb2ec163de6a5218271dd6d0cdc8527ebe", "822989427a7ac73d"},
+	"barrier-labelflip": {"7429afcbec527774", 640259, "776b8d6b490bb28b8d871038bb1b6e45341543cca34e9ad4b2145c8a043907e5", "70c0ab4518b7d0bf"},
+	"async-noise-crash": {"657e899e2e3c3de5", 1436259, "fdc0fbc4a7e851ec0f82850c7bbb6b05f94ec27314461dac3e8264bcba4310a9", "3361586efdd7ea7c"},
 }
 
 // snapshotAt steps a run of spec k times and returns its snapshot stream;

@@ -137,12 +137,12 @@ type Footprint struct {
 	// RegistryBytes sums, from lengths and capacities, the scheduler
 	// registry (dispatch counts and the idle set), the event heap's
 	// client-to-slot map, the aggregate churn permutation and its
-	// inverse, the fault classes and the noise-stream slots, the slot
-	// slice of client pointers, and the slab cells built clients occupy
-	// (a Client and its FLOP meter each, whole chunks). What a built
-	// client holds beyond its cell — its stream, the method's rows, an
-	// error-feedback row — scales with participation and is left out, as
-	// are the sample indices, which the spec's partition owns.
+	// inverse, the fault classes, the slot slice of client pointers, and
+	// the slab cells built clients occupy (a Client, its stream inside
+	// it, and its FLOP meter each, whole chunks). What a built client
+	// holds beyond its cell — the method's rows, an error-feedback row —
+	// scales with participation and is left out, as are the sample
+	// indices, which the spec's partition owns.
 	RegistryBytes int64
 }
 
@@ -155,7 +155,7 @@ func (rs *RunState) Footprint() Footprint {
 	if ch := s.churn; ch != nil {
 		b += 4 * int64(cap(ch.order)+cap(ch.pos))
 	}
-	b += int64(cap(s.faults)) + 8*int64(cap(s.advRng)+cap(s.clients))
+	b += int64(cap(s.faults)) + 8*int64(cap(s.clients))
 	b += int64(s.slab.cells) * int64(unsafe.Sizeof(clientCell{}))
 	return Footprint{Clients: len(s.clients), Built: s.slab.built, RegistryBytes: b}
 }

@@ -25,10 +25,10 @@ const (
 	streamSelection = "selection"
 	// streamLatency draws dispatch durations in the async runtimes.
 	streamLatency = "latency"
-	// streamClient/k is client k's private stream: mini-batch shuffling
-	// and method-specific sampling. Keyed to the client, not the worker
-	// that trains it, which is why trajectories do not depend on the
-	// shard count.
+	// streamClient/k is client k's private stream: mini-batch shuffling,
+	// method-specific sampling and, after training, a noise fault's
+	// draws. Keyed to the client, not the worker that trains it, which is
+	// why trajectories do not depend on the shard count.
 	streamClient = "client"
 	// streamEngine/w builds shard worker w's engine (initial model
 	// parameters — always overwritten before use).
@@ -53,11 +53,6 @@ const (
 	// nothing from any other stream, so a zero-fraction fault model leaves
 	// the trajectory bit-for-bit identical to a run with no faults at all.
 	streamAdversary = "adversary"
-	// streamAdvNoise/k is Byzantine client k's private Gaussian-noise
-	// stream (the "noise" fault mode). Keyed to the client, like
-	// streamClient, so corrupted uploads do not depend on shard
-	// scheduling; its position serializes through FTRS snapshots.
-	streamAdvNoise = "adversary/noise"
 )
 
 // streamSeed derives the seed of stream (name, k) under the given run

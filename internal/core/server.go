@@ -157,11 +157,10 @@ type Server struct {
 	global []float64
 	eval   *tester
 	rng    *prng.Rand
-	// Adversary state (installFaults; nil in honest runs): per-client
-	// fault assignment and the noise clients' private RNGs, each nil until
-	// the client's first fault (positions serialize through snapshots).
+	// faults is the per-client fault assignment (installFaults; nil in
+	// honest runs). A fault keeps no state of its own: a noise client
+	// draws from its own stream.
 	faults []faultClass
-	advRng []*prng.Rand
 	// rejectedUpdates counts non-finite uploads screened out of merges
 	// (mirrored into Result.RejectedUpdates each round); rejectLogged
 	// makes the warning one-shot.
@@ -259,13 +258,20 @@ func newServer(sp RunSpec) (*Server, error) {
 
 // client returns client id, building it the first time the run needs it:
 // at its first dispatch or lock-step selection, for a snapshot's
-// in-flight job or record of it, or for Clients. A label-flipping
-// client's rotation is derived from its fault class as it is built.
+// in-flight job or record of it, or for Clients.
 func (s *Server) client(id int) *Client {
 	if c := s.clients[id]; c != nil {
 		return c
 	}
-	cell := s.slab.cell(len(s.clients) - s.slab.built)
+	c := s.build(s.slab.cell(len(s.clients)-s.slab.built), id)
+	s.clients[id] = c
+	return c
+}
+
+// build fills cell with client id as it stands before it first trains:
+// its stream at its seed, a label-flipping client's rotation derived
+// from its fault class.
+func (s *Server) build(cell *clientCell, id int) *Client {
 	cell.Client = Client{
 		ID:        id,
 		Indices:   s.spec.Parts[id],
@@ -273,7 +279,7 @@ func (s *Server) client(id int) *Client {
 		labelFlip: s.labelFlip(id),
 		loan:      s.loan,
 	}
-	s.clients[id] = &cell.Client
+	cell.rng.Reseed(streamSeed(s.spec.Seed, streamClient, id))
 	return &cell.Client
 }
 
@@ -285,7 +291,7 @@ func (s *Server) Global() []float64 { return s.global }
 // drawn and no FLOPs metered.
 func (cell *clientCell) idle() bool {
 	c := &cell.Client
-	return c.recipe == 0 && c.state == nil && c.resid == nil && c.LastRound == 0 && c.rng == nil && cell.counter.Total() == 0
+	return c.recipe == 0 && c.state == nil && c.resid == nil && c.LastRound == 0 && !c.drawn() && cell.counter.Total() == 0
 }
 
 // adopt builds the client whose record a snapshot wrote into tmpl and
@@ -394,7 +400,7 @@ func (s *Server) trainClient(j *trainJob) {
 	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
 		resid := &c.resid
-		if j.record && j.recRows > 0 && s.rows.residLazy(c) {
+		if j.record && j.recRows > 0 && s.rows.coder != nil {
 			// The chain rebuilds this upload's row too: the replay left
 			// the row as it stood in engine scratch, the upload updates it
 			// there, and the client keeps none.

@@ -22,8 +22,9 @@
 // What makes the resumed run bit-identical to an uninterrupted one:
 //
 //   - Every RNG is a named splitmix64 stream whose position serializes in
-//     17 bytes (internal/prng). Unmaterialized client streams re-derive
-//     from the seed registry.
+//     17 bytes (internal/prng). A client stream that has not moved from
+//     its seed is written as a flag alone and re-derived from the seed
+//     registry.
 //   - Snapshot quiesces: every in-flight job's local training is joined
 //     first. Training physically completes before its virtual arrival in
 //     any run, so joining early changes nothing — and afterwards the
@@ -67,19 +68,20 @@ import (
 
 const (
 	snapMagic = "FTRS"
-	// snapVersion 14 is the layout the walks below spell out, under a
+	// snapVersion 15 is the layout the walks below spell out, under a
 	// fingerprint that covers the policy's arguments, the server-lr
 	// schedule, the staleness discount and the method's hyperparameters.
 	// Rows in the lazy regime travel as recipe chains: a round-image
 	// section of one global per pinned version before the client walk,
 	// and per client its chain, counted and oldest first, or the method's
-	// rows; a chain that rebuilds its error-feedback row too leaves the
-	// client's residual empty. The recorder section holds no word the run
-	// derives. Version 13 wrote a first participation's recipe alone, with
-	// no count and no round, and a returner's rows dense; a snapshot does
-	// not survive a format bump: Resume refuses any other version, naming
-	// both.
-	snapVersion = 14
+	// rows; under a transport a chain rebuilds the error-feedback row too
+	// and leaves the client's residual empty. A client's stream is written
+	// when it has moved from its seed. The adversary section is the fault
+	// assignment alone. The recorder section holds no word the run
+	// derives. Version 14 also wrote a noise client's private stream, and
+	// its residual beside its chain; a snapshot does not survive a format
+	// bump: Resume refuses any other version, naming both.
+	snapVersion = 15
 )
 
 // fingerprint canonically renders everything that determines the run's
@@ -260,7 +262,7 @@ func snapRngState(c *tensor.Codec, st *prng.State) {
 
 // snapCommon is the state every runtime shares: the global model, the
 // selection stream, the round images and the client population, the
-// adversary's live streams, the recorder (metric series plus the list of
+// fault assignment, the recorder (metric series plus the list of
 // evaluated rounds), and the clock and scheduler registry.
 func (rs *RunState) snapCommon(c *tensor.Codec) {
 	s := rs.s
@@ -279,9 +281,8 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 			return
 		}
 		if cl == nil {
-			tmpl.Client = Client{ID: id, Counter: &tmpl.counter, loan: s.loan}
+			cl = s.build(&tmpl, id)
 			tmpl.counter.Reset()
-			cl = &tmpl.Client
 		}
 		// The method's persistent rows: a recipe chain, or the rows
 		// themselves (Client.State), empty until it first asked. Then the
@@ -302,7 +303,7 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		if c.Rows("client residual", &cl.resid, np); len(cl.resid) > np {
 			c.Fail("client %d residual holds %d rows, at most 1", cl.ID, len(cl.resid)/np)
 		}
-		if lazy && len(cl.resid) > 0 && s.rows.residLazy(cl) {
+		if lazy && len(cl.resid) > 0 && s.rows.coder != nil {
 			c.Fail("client %d holds a residual row that its recipe rebuilds", cl.ID)
 		}
 		// A chain's newest link is the client's last participation, and a
@@ -314,12 +315,11 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 		if len(cl.resid) > 0 && cl.LastRound < 1 {
 			c.Fail("client %d holds a residual row from round %d", cl.ID, cl.LastRound)
 		}
-		has := cl.rng != nil
-		if c.Bool(&has); has {
-			if cl.rng == nil {
-				cl.rng = prng.New(0)
-			}
-			snapRng(c, cl.rng)
+		// The stream, when it has moved from its seed, which a decoder's
+		// client holds already.
+		drawn := cl.drawn()
+		if c.Bool(&drawn); drawn {
+			snapRng(c, &cl.rng)
 		}
 		total := cl.Counter.Total()
 		if c.I64(&total); c.Reading() {
@@ -341,34 +341,13 @@ func (rs *RunState) snapCommon(c *tensor.Codec) {
 	// Adversary section: the fault assignment is a pure function of
 	// (population, model, seed), re-derived on resume and cross-checked —
 	// a mismatch means the snapshot came from another adversary stream.
-	// The noise clients' private RNG positions are live state; only that
-	// mode materializes them.
+	// A fault keeps no live state: a noise client draws from its own
+	// stream, walked with the client.
 	if c.Present("adversary section", s.faults != nil) {
 		c.LenExact("fault assignment", len(s.faults))
 		for i, f := range s.faults {
 			if c.U8((*uint8)(&f)); c.Err() == nil && f != s.faults[i] {
 				c.Fail("client %d fault class %d, the spec derives %d", i, f, s.faults[i])
-			}
-		}
-		// A noise client's stream is written whether or not its first
-		// fault has drawn it, as the seed it starts from until then; a
-		// decoder leaves a stream read back at its seed underived.
-		if c.Present("adversary streams", s.advRng != nil) {
-			var seeded prng.Rand
-			for id, rng := range s.advRng {
-				if !c.Present("adversary stream position", s.faults[id] == faultNoise) {
-					continue
-				}
-				if rng != nil {
-					snapRng(c, rng)
-					continue
-				}
-				seeded.Reseed(streamSeed(s.spec.Seed, streamAdvNoise, id))
-				start := seeded.State()
-				if snapRng(c, &seeded); seeded.State() != start {
-					s.advRng[id] = prng.New(0)
-					s.advRng[id].SetState(seeded.State())
-				}
 			}
 		}
 	}

@@ -15,14 +15,14 @@ import (
 // and latency streams, the churn section (its stream and sequence, the
 // segment permutation and counts, the two clocks, the event heap in array
 // order and the rejoin groups; the policy is stateless, and the fault
-// assignment is derived again and checked on read), the adversary
-// streams, then per client its rows — as
+// assignment is derived again and checked on read), then per client its
+// rows — as
 // Client.State returns them, rebuilt where they are held as a recipe —
 // its error-feedback row as PeekResid returns it, its stream position,
 // LastRound and FLOPs, then the pending jobs in heap and buffer order
 // (each upload widened, whatever form the run holds it in),
-// the recorder and the clock. A noise stream no fault has drawn yet and
-// a client the run has not built enter as they would once derived. Two
+// the recorder and the clock. A client the run has not built enters as
+// it would once built. Two
 // streams that resume to one run state have one digest, so a format
 // change that must move no state can be pinned against digests taken
 // before it.
@@ -81,14 +81,6 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 		i64(int64(len(ch.groups)))
 		for _, g := range ch.groups {
 			i32s(g)
-		}
-	}
-	for id, rng := range s.advRng {
-		switch {
-		case rng != nil:
-			pos(rng.State())
-		case s.faults[id] == faultNoise:
-			pos(seedStreamN(s.spec.Seed, streamAdvNoise, id).State()) // its first fault draws it
 		}
 	}
 	np := len(s.global)

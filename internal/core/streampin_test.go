@@ -30,28 +30,29 @@ type streamPin struct {
 // Those last two also write round images under a float32 downlink, each
 // the float32 image the run holds for its version, widened.
 var streamPins = map[string]streamPin{
-	"TestResumeEquivalenceSync":                                       {4453641, "5e507f9f4cf1c474", "c8150674fd19a2b573a474e09125c208a83b82d4102c328f3ea6646ed7af16ca"},
+	"TestResumeEquivalenceSync":                                       {4453641, "5e507f9f4cf1c474", "72af117ca71b9a6c40e6098a79c980411c472d8c0a0be7c2a91c45832b5e8f51"},
 	"TestResumeEquivalenceAsyncFedBuff":                               {6362308, "c317e542ebbcda71", ""},
 	"TestResumeEquivalenceAsyncChurn":                                 {6362514, "7e790ff03582f2ff", ""},
 	"TestResumeEquivalenceAsyncDevices":                               {6362277, "60e724da32c90a76", ""},
-	"TestResumeEquivalenceNoiseFault":                                 {6362315, "b24d9db19f944647", ""},
+	"TestResumeEquivalenceNoiseFault":                                 {6362274, "70ecc4a3d1f9caae", ""},
 	"TestResumeEquivalenceAsyncPricedTransport":                       {5090178, "89422b3d7978a733", ""},
 	"TestResumeEquivalenceMOON":                                       {6362305, "6646a4a04d353a2d", ""},
-	"TestResumeEquivalenceAdversarial":                                {6362546, "a6d2bb18b26c6266", ""},
+	"TestResumeEquivalenceAdversarial":                                {6362545, "a6d2bb18b26c6266", ""},
 	"TestHundredKResumeEquivalence":                                   {46897513, "aaf2281a9164eb39", ""},
 	"TestLockStepStreamsPinned/straggler":                             {1114705, "8dbc1bffde1643d4", ""},
 	"TestLockStepStreamsPinned/exp":                                   {1432888, "490007603ec181d4", ""},
 	"TestLockStepStreamsPinned/devices":                               {1114719, "44ab9150ed15c7c6", ""},
-	"TestUploadStreamsPinned/topk-ef-median-byz":                      {1116123, "8a323b520cc27c03", "8d2b35d5814e712afe289dcd5402b8d5273a60aae63b0b8714130d96bc9749af"},
+	"TestUploadStreamsPinned/topk-ef-median-byz":                      {1116122, "8a323b520cc27c03", "3f564aa21c69f6fbf14cb8432138dc1bcc6d5afc82d37f5feb5b34dc3ed80183"},
 	"TestUploadStreamsPinned/randk-barrier-straggler":                 {1115168, "a207aff9567565bb", ""},
 	"TestUploadStreamsPinned/q8-ef-async":                             {1116030, "88daabc8af79df70", ""},
-	"TestUploadStreamsPinned/q8-ef-noise":                             {1434322, "4e3cf0673fc55d40", ""},
+	"TestUploadStreamsPinned/q8-ef-noise":                             {1116077, "82a620fec941a412", ""},
+	"TestUploadStreamsPinned/q8-ef-dense":                             {3501765, "88daabc8af79df70", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync":                       {808264, "8f8094b215dda742", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_f32":                   {808263, "f65126769df2794a", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_topk-ef":               {808272, "04816625fdffc302", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn":                {3198584, "8e4a10eaf0018f29", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_f32_devices":    {3198688, "75655aec18f5b5a8", ""},
-	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "b242dd45454194f1", "3b8625f6c7a9c1ce3d99830ca03c3323c7d8bd30200c79f935b14aa5499ce676"},
+	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "b242dd45454194f1", "f398e6ad6204b3b1e5e14d35007275a62e0f4663b324cc6855643bdb4b2d162d"},
 	"TestLazyRowStreamsPinned/moon/sync":                              {808261, "867db3fe3f1bc065", ""},
 	"TestLazyRowStreamsPinned/moon/sync_f32":                          {808260, "975ca1e0a89f3e84", ""},
 	"TestLazyRowStreamsPinned/moon/sync_topk-ef":                      {808269, "f186b74ffef967dc", ""},

@@ -15,10 +15,13 @@ import (
 // transport shapes — a sparse error-feedback uplink under a robust merge,
 // attacks and a priced network (the asynchronous, sparse case); a sparse
 // uplink behind the lock-step gate under straggler latency; a dense
-// quantized uplink; and the same with noise clients, whose error-feedback
-// rows no recipe rebuilds, so theirs is the one stream that writes
-// residual rows — each pin the uninterrupted digest and the digest of
-// the run resumed from a mid-run snapshot stream, which streamPins holds
+// quantized uplink; and the same with noise clients, whose residual
+// rows their recipe chains rebuild like every other client's — and the
+// dense quantized uplink again over 8 rounds of 2 updates for 16
+// clients, outside the lazy regime, so every client that uploaded keeps
+// its residual row: q8-ef-dense is the one stream that writes residual
+// rows, and its rows dense resume to q8-ef-async's state. Each pins the uninterrupted digest and the digest of the run
+// resumed from a mid-run snapshot stream, which streamPins holds
 // (asynchronous runs have jobs in flight and buffered at the boundary; a
 // lock-step boundary has none).
 func TestUploadStreamsPinned(t *testing.T) {
@@ -32,11 +35,13 @@ func TestUploadStreamsPinned(t *testing.T) {
 	}
 	cases := []struct {
 		name, runtime, transport, policy, faults, latency, network, digest string
+		rounds                                                             int
 	}{
-		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered", "7c0da0bdd287eec2"},
-		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "", "74db091ccf8b2e61"},
-		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "", "cf6a3a5490d91f14"},
-		{"q8-ef-noise", "async", "q8+ef", "", "byz:0.3,noise:0.3+crash:0.1", "exp:2", "", "776dc4ba0e20aa46"},
+		{"topk-ef-median-byz", "async", "topk:0.01+ef", "median", "byz:0.2,signflip+crash:0.05", "exp:2", "tiered", "7c0da0bdd287eec2", 6},
+		{"randk-barrier-straggler", "barrier", "randk:0.05", "", "", "straggler:1,10,3", "", "74db091ccf8b2e61", 6},
+		{"q8-ef-async", "async", "q8+ef", "", "", "exp:2", "", "cf6a3a5490d91f14", 6},
+		{"q8-ef-noise", "async", "q8+ef", "", "byz:0.3,noise:0.3+crash:0.1", "exp:2", "", "fa79dc0158686c20", 6},
+		{"q8-ef-dense", "async", "q8+ef", "", "", "exp:2", "", "88fba621df59a906", 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +54,7 @@ func TestUploadStreamsPinned(t *testing.T) {
 					Config: core.Config{
 						Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
 						Train: train, Test: test, Parts: parts,
-						Rounds: 6, ClientsPerRound: 3,
+						Rounds: tc.rounds, ClientsPerRound: 3,
 						BatchSize: 20, LocalEpochs: 1,
 						LR: 0.01, Momentum: 0.9,
 						Algo: core.NewFedTrip(0.4), Seed: 5,

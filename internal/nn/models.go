@@ -45,7 +45,7 @@ func (s *ModelSpec) Validate() error {
 }
 
 func (s ModelSpec) scaled(n int) int {
-	v := int(float64(n)*s.Scale + 0.5)
+	v := int(float64(float64(n)*s.Scale) + 0.5)
 	if v < 1 {
 		return 1
 	}
