@@ -219,6 +219,9 @@ func run(o runOpts) (*core.Result, error) {
 	fp := rs.Footprint()
 	fmt.Printf("  registry        %d of %d clients built, %d B (%.1f B/client)\n",
 		fp.Built, fp.Clients, fp.RegistryBytes, float64(fp.RegistryBytes)/float64(fp.Clients))
+	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s\n", held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches))
+	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), held(fp.Versions32))
+	fmt.Printf("  pool free lists float64 %s, float32 %s\n", held(fp.Free64), held(fp.Free32))
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
 	if simulated > 0 {
@@ -399,4 +402,12 @@ func writeSnapshot(rs *core.RunState, path string) (err error) {
 		return err
 	}
 	return os.Rename(f.Name(), path)
+}
+
+// held prints one owner of a run's footprint: its count and bytes.
+func held(h core.Held) string {
+	if h.N == 0 {
+		return "0"
+	}
+	return fmt.Sprintf("%d (%.2f MiB)", h.N, float64(h.Bytes)/(1<<20))
 }

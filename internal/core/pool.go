@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/prng"
 )
@@ -89,6 +90,20 @@ func (p *vecPool[T]) checkouts() (out, peak int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.out, p.peak
+}
+
+// held is what p's free list holds.
+func (p *vecPool[T]) held() Held {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var h Held
+	var zero T
+	for _, list := range p.free {
+		for _, buf := range list {
+			h.add(cap(buf) * int(unsafe.Sizeof(zero)))
+		}
+	}
+	return h
 }
 
 // resetPeak restarts the high-water mark from the current checkouts.

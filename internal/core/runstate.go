@@ -127,8 +127,9 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 	return rs.s.pop.participants()
 }
 
-// Footprint is what a run's client registry holds: the run state that
-// grows with the population rather than with participation.
+// Footprint is what a run holds, by owner, summed from lengths and
+// capacities: its client registry, the uploads it holds, the model
+// versions it holds, and the pools' free lists.
 type Footprint struct {
 	// Clients is the population; Built how many of its clients the run
 	// has built, each at its first dispatch (or for a snapshot's record
@@ -144,20 +145,69 @@ type Footprint struct {
 	// scales with participation and is left out, as are the sample
 	// indices, which the spec's partition owns.
 	RegistryBytes int64
+	// The uploads in flight and in the policy buffer, by the form each
+	// is held in: a dense float64 vector, a float32 narrowing, or a patch
+	// of indices and values against its version (its job's storage).
+	Dense, Narrowed, IndexPatches Held
+	// Versions64 and Versions32 are the model versions the run holds, a
+	// float64 copy of the global or the float32 image a float32
+	// downlink delivers: the current one, those jobs still train from or
+	// hold patches against, and those recipes pin.
+	Versions64, Versions32 Held
+	// Free64 and Free32 are the free lists of the float64 and float32
+	// vector pools. The pools are the process's, shared by every run in
+	// it: what they hold is what the runs so far checked out at once.
+	Free64, Free32 Held
 }
 
-// Footprint reports the client registry's size. Before the first step,
-// when no client is built, RegistryBytes is an exact function of the
-// spec, a whole number of bytes per client.
+// Held is what one owner holds: how many objects, and their bytes.
+type Held struct {
+	N     int
+	Bytes int64
+}
+
+func (h *Held) add(bytes int) {
+	h.N++
+	h.Bytes += int64(bytes)
+}
+
+// Footprint reports what the run holds. It joins the jobs still
+// training first, as Snapshot does, so their uploads can be read. Before
+// the first step, when no client is built, RegistryBytes is an exact
+// function of the spec, a whole number of bytes per client.
 func (rs *RunState) Footprint() Footprint {
-	s := rs.s
-	b := 4 * int64(cap(s.pop.dispatches)+cap(s.pop.idle.ids)+cap(s.pop.idle.pos)+cap(rs.run.inflight.slot))
+	s, r := rs.s, rs.run
+	r.quiesce()
+	b := 4 * int64(cap(s.pop.dispatches)+cap(s.pop.idle.ids)+cap(s.pop.idle.pos)+cap(r.inflight.slot))
 	if ch := s.churn; ch != nil {
 		b += 4 * int64(cap(ch.order)+cap(ch.pos))
 	}
 	b += int64(cap(s.faults)) + 8*int64(cap(s.clients))
 	b += int64(s.slab.cells) * int64(unsafe.Sizeof(clientCell{}))
-	return Footprint{Clients: len(s.clients), Built: s.slab.built, RegistryBytes: b}
+	fp := Footprint{Clients: len(s.clients), Built: s.slab.built, RegistryBytes: b}
+	for _, js := range [][]*trainJob{r.inflight.js, r.buffer} {
+		for _, j := range js {
+			switch u := &j.update; {
+			case u.Params != nil:
+				fp.Dense.add(8 * cap(u.Params))
+			case u.narrow != nil:
+				fp.Narrowed.add(4 * cap(u.narrow))
+			case u.patch != nil:
+				fp.IndexPatches.add(4*cap(u.patch.idx) + 8*cap(u.patch.val))
+			}
+		}
+	}
+	for _, sn := range r.snaps {
+		switch {
+		case sn.vec != nil:
+			fp.Versions64.add(8 * cap(sn.vec))
+		case sn.narrow != nil:
+			fp.Versions32.add(4 * cap(sn.narrow))
+		}
+	}
+	fp.Free64 = paramsPool.held()
+	fp.Free32 = narrowPool.held()
+	return fp
 }
 
 // Step advances the run by one round (one buffered aggregation in the
