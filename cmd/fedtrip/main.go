@@ -219,9 +219,9 @@ func run(o runOpts) (*core.Result, error) {
 	fp := rs.Footprint()
 	fmt.Printf("  registry        %d of %d clients built, %d B (%.1f B/client)\n",
 		fp.Built, fp.Clients, fp.RegistryBytes, float64(fp.RegistryBytes)/float64(fp.Clients))
-	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s\n", held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches))
+	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s, bitmap patches %s\n", held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches), held(fp.BitmapPatches))
 	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), held(fp.Versions32))
-	fmt.Printf("  pool free lists float64 %s, float32 %s\n", held(fp.Free64), held(fp.Free32))
+	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks))
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
 	if simulated > 0 {

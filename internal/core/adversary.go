@@ -286,6 +286,11 @@ func (s *Server) applyFault(c *Client, u *Update) {
 	}
 }
 
+// corrupts reports whether applyFault changes c's upload.
+func (s *Server) corrupts(c *Client) bool {
+	return s.faults != nil && s.faults[c.ID] != faultNone && s.faults[c.ID] != faultLabelFlip
+}
+
 // rotateLabels applies a label-flipping client's fixed permutation to a
 // freshly filled batch: label y becomes (y+off) mod classes.
 //
@@ -305,11 +310,11 @@ func rotateLabels(y []int, off, classes int) {
 // and the norm-clip guard, when configured, then rescales surviving
 // updates onto the admissible ball around the current global model.
 //
-// It also sets up the buffer's readers (mergeRead) and reports whether
-// any update is compact. A compact one is screened widened into the
-// merge's scratch, and its clip is kept in its reader, applied to each
-// entry as the merge reads it; a dense one is clipped in place.
-func (s *Server) screenUpdates(weights []float64, updates []Update) (compact bool) {
+// It also sets up the buffer's readers (mergeRead). A compact update is
+// screened a block at a time as its reader reads it, and its clip is
+// kept in its reader, applied to each entry as the merge reads it; a
+// dense one is clipped in place.
+func (s *Server) screenUpdates(weights []float64, updates []Update) {
 	if cap(s.mergeRd) < len(updates) {
 		s.mergeRd = make([]mergeRead, len(updates)) //fedtripvet:allow server scratch, grows once to the merge buffer size
 	}
@@ -319,15 +324,19 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) (compact boo
 		u := &updates[i]
 		rd := &s.mergeRd[i]
 		*rd = mergeRead{u: u}
-		v := u.Params
+		var finite bool
 		if u.compacted() {
-			compact = true
-			v = u.Vector(s.widenBuf())
-		}
-		if tensor.AllFinite(v) {
-			if u.compacted() && weights[i] > 0 && maxNorm != 0 {
-				rd.scale, rd.clipped = s.clipScale(v, maxNorm)
+			var sq float64
+			finite, sq = s.screenBlocks(rd)
+			if finite && weights[i] > 0 && maxNorm != 0 {
+				if n := math.Sqrt(sq); n > maxNorm {
+					rd.scale, rd.clipped = maxNorm/n, true
+				}
 			}
+		} else {
+			finite = tensor.AllFinite(u.Params)
+		}
+		if finite {
 			continue
 		}
 		weights[i] = 0
@@ -340,7 +349,7 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) (compact boo
 		}
 	}
 	if maxNorm == 0 {
-		return compact
+		return
 	}
 	for i := range updates {
 		u := &updates[i]
@@ -351,7 +360,25 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) (compact boo
 			clipOnto(u.Params, s.global, scale)
 		}
 	}
-	return compact
+}
+
+// screenBlocks reads a compact update through rd a block at a time and
+// reports whether every entry is finite and, summed in entry order as
+// clipScale sums it, its squared distance from the global model. It
+// leaves rd's cursor reset.
+func (s *Server) screenBlocks(rd *mergeRead) (finite bool, sq float64) {
+	finite = true
+	for lo := 0; lo < len(s.global); lo += chunkLen {
+		hi := min(lo+chunkLen, len(s.global))
+		x := rd.block(lo, hi, s.blockX[:], s.global)
+		finite = finite && tensor.AllFinite(x)
+		for j, v := range x {
+			d := v - s.global[lo+j]
+			sq += float64(d * d)
+		}
+	}
+	rd.next = 0
+	return finite, sq
 }
 
 // clipScale reports whether v lies farther than maxNorm from the global
@@ -379,10 +406,11 @@ func clipOnto(v, g []float64, scale float64) {
 }
 
 // mergeRead is how the merge reads one update of its buffer: a dense
-// upload as it lies (the screen clipped it in place), a compact one
-// widened whole into scratch (vector) or entry by entry through a cursor
-// (at), in either case clipped as it is read, against the global the
-// merge has not yet moved.
+// upload as it lies (the screen clipped it in place), a compact one —
+// narrowed, or a patch of indices or a bitmap — widened whole into
+// scratch (vector) or entry by entry through a cursor (at), in either
+// case clipped as it is read, against the global the merge has not yet
+// moved.
 type mergeRead struct {
 	u *Update
 	// scale is the clip the screen chose for a compact update; clipped
@@ -390,7 +418,7 @@ type mergeRead struct {
 	scale   float64
 	clipped bool
 	// next is the patch cursor: the first patch entry at or past the
-	// coordinate at reads next.
+	// coordinate at reads next, or the bitmap patch's next value.
 	next int
 }
 
@@ -408,9 +436,42 @@ func (r *mergeRead) vector(s *Server) []float64 {
 	return v
 }
 
+// block returns entries [lo, hi) of the update as the merge reads them:
+// a dense one's own Params, a compact one's written into dst. On a patch
+// it advances the cursor, so calls must read the blocks in order from a
+// reset cursor.
+//
+//fedtripvet:hotpath
+func (r *mergeRead) block(lo, hi int, dst, g []float64) []float64 {
+	u := r.u
+	if u.Params != nil {
+		return u.Params[lo:hi]
+	}
+	dst = dst[:hi-lo]
+	switch {
+	case u.narrow != nil:
+		widen(dst, u.narrow[lo:hi])
+	case u.bitmap != nil:
+		r.next = u.bitmap.block(dst, u.base, lo, r.next)
+	default:
+		for j := range dst {
+			dst[j] = u.baseImage(lo + j)
+		}
+		for p := u.patch; r.next < len(p.idx) && int(p.idx[r.next]) < hi; r.next++ {
+			dst[int(p.idx[r.next])-lo] = p.val[r.next]
+		}
+	}
+	if r.clipped {
+		clipOnto(dst, g[lo:hi], r.scale)
+	}
+	return dst
+}
+
 // at returns entry j of the update as the merge reads it. On a patch it
 // advances the cursor, so calls must come in increasing j from a reset
 // cursor.
+//
+//fedtripvet:hotpath
 func (r *mergeRead) at(j int, g []float64) float64 {
 	u := r.u
 	var v float64
@@ -419,6 +480,13 @@ func (r *mergeRead) at(j int, g []float64) float64 {
 		return u.Params[j]
 	case u.narrow != nil:
 		v = float64(u.narrow[j])
+	case u.bitmap != nil:
+		if u.bitmap.changed(j) {
+			v = u.bitmap.value(r.next)
+			r.next++
+		} else {
+			v = u.base[j]
+		}
 	default:
 		if p := u.patch; r.next < len(p.idx) && int(p.idx[r.next]) == j {
 			v = p.val[r.next]
@@ -601,8 +669,8 @@ func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
 	}
 }
 
-// mergeBuf returns the |w|-sized merge scratch (shared with the rated
-// weighted-average path; merges are single-threaded in every runtime).
+// mergeBuf returns the |w|-sized scratch robust merges aggregate into
+// (merges are single-threaded in every runtime).
 func (s *Server) mergeBuf() []float64 {
 	if len(s.mergeScratch) != len(s.global) {
 		s.mergeScratch = make([]float64, len(s.global))

@@ -61,10 +61,16 @@
 //     — a sparse uplink's — is held as a patch of those entries, and
 //     keeps its version's snapshot until the round that merges it is
 //     done; one whose entries are all exact in float32 — an f32
-//     uplink's — is held narrowed, at half the bytes. The merge reads
-//     both where they lie (Server.aggregate). On a top-k fleet the dense
-//     vectors held then follow the live versions, not Concurrency plus
-//     the buffer; a quantized uplink's upload stays dense.
+//     uplink's — is held narrowed, at half the bytes. Without a
+//     transport, one whose version stays alive anyway — a recipe pins
+//     it, or it is the global behind the lock-step gate — is held as a
+//     bitmap of the entries whose bits differ from the version's and
+//     those entries' values, in pooled chunks, whenever that takes fewer
+//     bytes. The merge reads every form where it lies
+//     (Server.aggregate). On a top-k fleet the dense vectors held then
+//     follow the live versions, not Concurrency plus the buffer; a
+//     quantized uplink's upload, and one that changed nearly every
+//     entry, stays dense.
 //   - Where a burst must be joined before the clock can move (device- and
 //     network-priced arrivals), a burst of one job — every burst but a
 //     run's first, in steady state — trains on the event-loop goroutine
@@ -128,6 +134,9 @@ func (s *Server) finishRound(updates []Update) (bool, error) {
 	// The merge and metrics have consumed this round's uploads; their
 	// buffers go back to the pool for the next round's checkouts.
 	recycleUpdates(updates)
+	if s.chunks != nil {
+		s.chunks.trim()
+	}
 	res.SimTimeByRound = append(res.SimTimeByRound, s.now)                                      //fedtripvet:allow per-round series, amortized growth over the run
 	res.MeanStalenessByRound = append(res.MeanStalenessByRound, staleSum/float64(len(updates))) //fedtripvet:allow per-round series, amortized growth over the run
 	if cfg.Logf != nil {
@@ -244,7 +253,7 @@ type bufferedRunner struct {
 	// nil in between. snaps is the table of snapshot records, one per
 	// version alive at once: a superseded version lives only while one
 	// of the at most Concurrency in-flight jobs still needs it — to train
-	// from until it is joined, or, holding a sparse upload, to rebuild
+	// from until it is joined, or, holding a patched upload, to rebuild
 	// it from until it arrives — or a recipe pins it (lazyrows.go), which
 	// is what grows the table past Concurrency+1. A resumed run's table
 	// starts as its stream's round images. A record with no vector is
@@ -381,10 +390,9 @@ func (r *bufferedRunner) close() {
 // join waits for j's local training (once). A job whose upload is not a
 // patch drops its reference to the snapshot it trained from here: nothing
 // reads it afterwards, so holding it until the virtual arrival would keep
-// a superseded version's vector out of the pool — which a resumed run,
-// whose jobs carry none, never holds. A sparse upload is read against its
-// version's global, and keeps it until the round that merges it is done
-// (step).
+// a superseded version's vector out of the pool. A patched upload, of
+// indices or a bitmap, is read against its version's global, and keeps
+// it until the round that merges it is done (step).
 func (r *bufferedRunner) join(j *trainJob) {
 	if j.trained {
 		return
@@ -393,7 +401,7 @@ func (r *bufferedRunner) join(j *trainJob) {
 	j.trained = true
 	r.unjoined--
 	r.s.rows.settle(j)
-	if !j.sparse() {
+	if !j.patched() {
 		r.release(j)
 	}
 }
@@ -718,7 +726,7 @@ func (r *bufferedRunner) step() (bool, error) {
 		}
 		r.retire()
 		done, err := s.finishRound(updates)
-		// The merge may read a sparse update against its job's global, so
+		// The merge may read a patched update against its job's global, so
 		// the round's jobs let go of their versions only now.
 		for _, bj := range r.buffer {
 			r.release(bj)

@@ -240,21 +240,29 @@ func (c *Client) LocalTrainSteps(round int, global []float64, maxSteps int) Upda
 		// engine a rebuild would run on.
 		c.loan.rows.rebuild(c)
 	}
-	meanLoss := c.train(round, global, maxSteps)
-	c.LastRound = round
-	e := c.eng
+	u := c.trainRound(round, global, maxSteps)
 	// The upload buffer is checked out of the shared pool; the server's
 	// merge path returns it once the aggregation has consumed it
 	// (recycleUpdates), making the steady-state upload cycle
 	// allocation-free. Callers outside a server run that drop the Update
 	// on the floor merely forgo recycling.
+	u.Params, u.pooled = paramsPool.getCopy(c.eng.model.Params()), true
+	return u
+}
+
+// trainRound is LocalTrainSteps up to the upload: it trains the round
+// and returns its update with no parameters, which are the engine
+// model's until the client detaches.
+//
+//fedtripvet:hotpath
+func (c *Client) trainRound(round int, global []float64, maxSteps int) Update {
+	meanLoss := c.train(round, global, maxSteps)
+	c.LastRound = round
 	return Update{
 		ClientID:   c.ID,
-		Params:     paramsPool.getCopy(e.model.Params()),
 		NumSamples: len(c.Indices),
-		Steps:      e.roundSteps,
+		Steps:      c.eng.roundSteps,
 		TrainLoss:  meanLoss,
-		pooled:     true,
 	}
 }
 

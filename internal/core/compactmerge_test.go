@@ -16,9 +16,10 @@ var compactMergeRuns int64
 // TestCompactMergeMatchesDense is the oracle for the merge's compact
 // read paths. A random buffer mixes dense updates, updates patched
 // against the float32 image of their version's global — in a lock-step
-// buffer, the global the merge writes — and updates narrowed to
-// float32, under random weights with zeros, the odd non-finite upload,
-// and ±0 on both sides of a patch. The merge of that buffer must move
+// buffer, the global the merge writes — updates narrowed to float32, and
+// bitmap patches against their version's global itself, under random
+// weights with zeros, the odd non-finite upload, and ±0 on both sides
+// of a patch. The merge of that buffer must move
 // the global to the bits, and reject the same count, as denseMerge —
 // the merge as it stood when every update was widened before it: the
 // same screen, weighted sum, coordinate window and krum, copied here
@@ -28,7 +29,7 @@ func TestCompactMergeMatchesDense(t *testing.T) {
 	first := compactMergeRuns * 64
 	compactMergeRuns++
 	kinds := []string{"fedavg", "fedbuff", "median", "trimmedmean:0.25", "krum:0.2"}
-	var mixes [3]int
+	var mixes [4]int
 	for seed := first; seed < first+64; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, kind := range kinds {
@@ -44,13 +45,13 @@ func TestCompactMergeMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	if mixes[0] == 0 || mixes[1] == 0 || mixes[2] == 0 {
-		t.Fatalf("%d dense, %d patched, %d narrowed updates: a form went unchecked", mixes[0], mixes[1], mixes[2])
+	if slices.Contains(mixes[:], 0) {
+		t.Fatalf("%d dense, %d patched, %d narrowed, %d bitmap-patched updates: a form went unchecked", mixes[0], mixes[1], mixes[2], mixes[3])
 	}
 }
 
 // compactMergeCase draws one buffer and compares the two merges of it.
-func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes *[3]int) {
+func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes *[4]int) {
 	t.Helper()
 	n := 8 + rng.Intn(40)
 	k := 1 + rng.Intn(7)
@@ -74,13 +75,14 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 	}
 	global := vec()
 	lockStep := rng.Intn(2) == 0
+	st := newChunkStore(n, k)
 	updates := make([]Update, k)
 	wide := make([][]float64, k)
 	for i := range updates {
 		u := &updates[i]
 		u.ClientID = i
 		var x []float64
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			x = vec()
 			u.Params = slices.Clone(x)
@@ -122,6 +124,23 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 				u.narrow[j] = float32(draw())
 				x[j] = float64(u.narrow[j])
 			}
+		case 3:
+			// A bitmap patch against a version's global itself, changed
+			// anywhere from nowhere to everywhere.
+			base := global
+			if !lockStep {
+				base = vec()
+			}
+			x = slices.Clone(base)
+			for _, j := range rng.Perm(n)[:rng.Intn(n+1)] {
+				switch rng.Intn(4) {
+				case 0: // the other zero, where the version has one
+					x[j] = math.Copysign(0, -math.Copysign(1, x[j]))
+				default:
+					x[j] = draw()
+				}
+			}
+			u.bitmap, u.base = st.takeBits(x, base, n), base
 		}
 		if rng.Intn(9) == 0 {
 			// A non-finite upload, which the screen must reject.
@@ -133,6 +152,9 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 				u.Params[j] = bad
 			case u.narrow != nil:
 				u.narrow[j] = float32(bad)
+			case u.bitmap != nil:
+				u.bitmap.release()
+				u.bitmap = st.takeBits(x, u.base, n)
 			default:
 				if !patchUpload(u, x) {
 					u.patch, u.base, u.base32, u.Params = nil, nil, nil, slices.Clone(x)
@@ -191,13 +213,16 @@ func patchUpload(u *Update, x []float64) bool {
 	return sparse
 }
 
-// form is 0 for a dense update, 1 for a patched one, 2 for a narrowed one.
+// form is 0 for a dense update, 1 for a patched one, 2 for a narrowed
+// one, 3 for a bitmap-patched one.
 func form(u *Update) int {
 	switch {
 	case u.patch != nil:
 		return 1
 	case u.narrow != nil:
 		return 2
+	case u.bitmap != nil:
+		return 3
 	}
 	return 0
 }

@@ -301,14 +301,18 @@ type Update struct {
 	// Updates built by hand (tests, custom transports) leave it false and
 	// are never recycled.
 	pooled bool
-	// A compact upload, Params nil: narrow, a narrowPool vector, holds it
-	// when every entry is exact in float32; patch otherwise, against the
-	// float32 image of the version its client trained from (the job's
-	// storage, valid until the round that merges it is done): base, the
-	// global, or base32, the version held as what a float32 downlink
-	// delivers (globalSnap). One of the two is set.
+	// A compact upload, Params nil. Over a transport: narrow, a
+	// narrowPool vector, holds it when every entry is exact in float32;
+	// patch otherwise, against the float32 image of the version its
+	// client trained from (the job's storage, valid until the round that
+	// merges it is done): base, the global, or base32, the version held
+	// as what a float32 downlink delivers (globalSnap). One of the two is
+	// set. Without a transport: bitmap, a pooled patch of the entries
+	// that differ from base, the version itself, which a recipe or the
+	// lock-step gate keeps alive anyway.
 	narrow []float32
 	patch  *uploadPatch
+	bitmap *bitPatch
 	base   []float64
 	base32 []float32
 }

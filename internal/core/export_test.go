@@ -34,10 +34,40 @@ func (sp *RunSpec) Fingerprint(numParams int) string { return sp.fingerprint(num
 // regime does; call it before the first Step.
 func (rs *RunState) HoldRowsDense() { rs.s.rows.on = false }
 
+// HoldUploadsDense keeps every upload without a transport dense, as the
+// runtime held them before bitmap patches; call it before the first
+// Step.
+func (rs *RunState) HoldUploadsDense() { rs.s.denseUploads = true }
+
+// CheckChunks errs unless the chunks the run's store has out are
+// exactly those its queued jobs' bitmap patches hold, and its patches
+// out exactly those patches. Call it with the jobs joined.
+func (rs *RunState) CheckChunks() error {
+	st := rs.s.chunks
+	if st == nil {
+		return nil
+	}
+	chunks, patches := 0, 0
+	for _, js := range [][]*trainJob{rs.run.inflight.js, rs.run.buffer} {
+		for _, j := range js {
+			if b := j.update.bitmap; b != nil {
+				chunks += len(b.vals)
+				patches++
+			}
+		}
+	}
+	if st.out != chunks || cap(st.patches)-len(st.patches) != patches {
+		return fmt.Errorf("%d chunks and %d patches out, the queued jobs hold %d and %d", st.out, cap(st.patches)-len(st.patches), chunks, patches)
+	}
+	return nil
+}
+
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
-// their dense uploads (float64) and their narrowed ones (float32), and
-// once each the model versions their sparse ones were taken against or a
-// recipe pins, at the width each version is held at. It errs unless
+// their dense uploads (float64) and their narrowed ones (float32), once
+// each the model versions their patched ones were taken against or a
+// recipe pins, at the width each version is held at, and the float64
+// blocks the run's bitmap patches' chunks are carved from, which a run
+// closed with patches queued keeps. It errs unless
 // those versions are exactly the snapshots the runner still has out.
 func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 	r := rs.run
@@ -55,7 +85,7 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 			if j.update.narrow != nil {
 				narrow++
 			}
-			if !j.sparse() {
+			if !j.patched() {
 				continue
 			}
 			if j.gsnap == nil || !j.holdsVersion() {
@@ -79,6 +109,9 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 		} else {
 			wide++
 		}
+	}
+	if st := rs.s.chunks; st != nil {
+		wide += st.kept()
 	}
 	return wide, narrow, nil
 }

@@ -20,14 +20,22 @@ func TestFootprintOwners(t *testing.T) {
 		name, transport string
 		want            core.Footprint
 	}{
-		// Without a transport every upload is |w| = 19,885 float64s: the
-		// eleven in flight are dense, and the two versions they trained
-		// from are pinned by their recipes.
+		// Without a transport an upload is |w| = 19,885 float64s, and
+		// the two versions the eleven in flight trained from are pinned
+		// by their recipes, so each is held as a bitmap patch against its
+		// version: a 311-word bitmap and the 4 KiB chunks of the entries
+		// it changed, 59 % of a dense upload here, compared where
+		// training left it, so no float64 buffer is out. The run has
+		// eighteen patches (twelve in flight, six buffered) and carves
+		// chunks from float64 vectors of the pool, 38 to a vector: the
+		// free ones are the rest of the vectors its patches hold, and its
+		// seven other patches. Held dense, the eleven took 1,749,880 B
+		// and six float64 vectors (954,480 B) were free.
 		{"async none", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
-			Dense:      core.Held{N: 11, Bytes: 11 * 8 * 19_885},
-			Versions64: core.Held{N: 2, Bytes: 2 * 8 * 19_885},
-			Free64:     core.Held{N: 6, Bytes: 6 * 8 * 19_885},
+			BitmapPatches: core.Held{N: 11, Bytes: 1_039_080},
+			Versions64:    core.Held{N: 2, Bytes: 2 * 8 * 19_885},
+			FreeChunks:    core.Held{N: 171 + 7, Bytes: 171*4_096 + 7*8*311},
 		}},
 		// Over top-k every upload is a patch of indices and values
 		// against the float32 image of its version, which is how the

@@ -253,6 +253,18 @@ func (st *rowStore) received(c *Client, e *engine, link *rowRecipe) []float64 {
 	return recv
 }
 
+// image is the version c trained from in round, when a link of its
+// chain records that participation, and nil otherwise. Every dispatch of
+// one round trains from one version, so any link of the round names it.
+func (st *rowStore) image(c *Client, round int) *globalSnap {
+	for at := c.recipe; at != 0; at = st.recipes[at-1].prev {
+		if rec := &st.recipes[at-1]; int(rec.round) == round {
+			return rec.img
+		}
+	}
+	return nil
+}
+
 // settle is the event loop's half of a joined job's rows: a recorded
 // participation becomes the newest link of the client's chain. A method
 // that wrote no row turns recording off.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -23,13 +24,18 @@ import (
 // What the pools hold is the most buffers ever checked out at once, never
 // O(dispatches * |w|): one vector per live model version (float32 under a
 // float32 downlink), one dense upload per in-flight or buffered client
-// whose upload is neither sparse nor float32-exact, and the training and
-// evaluation transients. With a transport an upload is held compact from
-// training to the merge (see compact): one within |w|/4 entries of the
+// whose upload is held in no compact form, the float64 vectors a run
+// carves its bitmap patches' chunks from, and the training and
+// evaluation transients. An upload is held compact from training to the
+// merge. With a transport (see compact): one within |w|/4 entries of the
 // float32 image of its version — any sparse uplink's — as its job's
 // patch, which pins that version until the round that merges it; one
 // whose every entry is exact in float32 — any f32 uplink's — as a
-// narrowPool vector of half the bytes. out and peak count the checkouts,
+// narrowPool vector of half the bytes. Without one, when its version
+// stays alive anyway and that takes fewer bytes than |w| float64s: as a
+// bitmap patch against the version (bitPatch), its values in chunks of
+// its run's chunkStore, 4 KiB each, so a float64 vector of the pool
+// holds the values of several uploads. out and peak count the checkouts,
 // so a test can read that high-water mark.
 //
 // Buffers are fully overwritten at checkout, so recycling cannot leak one
@@ -125,14 +131,17 @@ func recycleUpdates(updates []Update) {
 	}
 }
 
-// recycle returns u's pooled vector, dense or narrowed, and drops every
-// vector u refers to.
+// recycle returns u's pooled vector, dense or narrowed, or its bitmap
+// patch, and drops every vector u refers to.
 func (u *Update) recycle() {
 	if u.pooled {
 		paramsPool.put(u.Params)
 	}
 	narrowPool.put(u.narrow)
-	u.Params, u.narrow, u.patch, u.base, u.base32 = nil, nil, nil, nil, nil
+	if u.bitmap != nil {
+		u.bitmap.release()
+	}
+	u.Params, u.narrow, u.patch, u.bitmap, u.base, u.base32 = nil, nil, nil, nil, nil, nil
 	u.pooled = false
 }
 
@@ -142,6 +151,16 @@ func (u *Update) holdNarrow() {
 	u.narrow = narrowed(u.Params)
 	paramsPool.put(u.Params)
 	u.Params, u.pooled = nil, false
+}
+
+// holdBits moves u's pooled dense upload into a bitmap patch of st
+// against g, the version its client trained from, when that takes fewer
+// bytes.
+func (u *Update) holdBits(st *chunkStore, g []float64) {
+	if u.bitmap = st.holdBits(u.Params, g); u.bitmap != nil {
+		paramsPool.put(u.Params)
+		u.Params, u.pooled, u.base = nil, false, g
+	}
 }
 
 // widen turns a compact u into a dense one in a pooled buffer.
@@ -156,9 +175,10 @@ func (u *Update) widen() {
 
 // Vector writes the upload u carries into dst, grown to |w| when it is
 // shorter, and returns it. It reads every form an upload is held in: the
-// dense Params, or — Params nil — a float32 narrowing or a patch against
-// the float32 image of the version its client trained from. A hook that
-// keeps an upload past its call (Config.OnUpdates) reads it here.
+// dense Params, or — Params nil — a float32 narrowing, a patch against
+// the float32 image of the version its client trained from, or a bitmap
+// patch against that version itself. A hook that keeps an upload past
+// its call (Config.OnUpdates) reads it here.
 func (u *Update) Vector(dst []float64) []float64 {
 	n := u.size()
 	if cap(dst) < n {
@@ -168,6 +188,8 @@ func (u *Update) Vector(dst []float64) []float64 {
 	switch {
 	case u.narrow != nil:
 		widen(dst, u.narrow)
+	case u.bitmap != nil:
+		u.bitmap.block(dst, u.base, 0, 0)
 	case u.base32 != nil:
 		materialize(u.patch, dst, u.base32)
 	case u.patch != nil:
@@ -183,7 +205,7 @@ func (u *Update) size() int {
 	switch {
 	case u.narrow != nil:
 		return len(u.narrow)
-	case u.patch != nil:
+	case u.patch != nil, u.bitmap != nil:
 		return len(u.base) + len(u.base32)
 	}
 	return len(u.Params)
@@ -215,7 +237,7 @@ func narrowed(v []float64) []float32 {
 }
 
 // compacted reports whether u is held narrowed or patched, Params nil.
-func (u *Update) compacted() bool { return u.narrow != nil || u.patch != nil }
+func (u *Update) compacted() bool { return u.narrow != nil || u.patch != nil || u.bitmap != nil }
 
 // uploadPatch is an upload held sparse: the entries where it differs, bit
 // for bit, from the float32 image of the version its client trained from
@@ -285,6 +307,318 @@ func materialize[T float32 | float64](p *uploadPatch, dst []float64, g []T) {
 		dst[i] = p.val[k]
 	}
 }
+
+// chunkLen is how many values one chunk of a bitmap patch holds: 4 KiB.
+const chunkLen = 512
+
+// chunk is one chunk of a bitmap patch's values, and i its place in its
+// store (chunkStore).
+type chunk struct {
+	v *[chunkLen]float64
+	i int32
+}
+
+// bitPatch is an upload held as its changes against the version its
+// client trained from, when it went over no transport: a bitmap with a
+// bit set for each entry whose bits differ from the version's, and
+// those entries' values, in index order, chunkLen to a chunk. The
+// version plus the patch is the upload exactly: the comparison is
+// bitwise, so ±0 and NaN payloads survive it. A patch belongs to its
+// run's chunkStore, and goes back there, with its chunks, when its
+// upload is recycled; so an upload holds chunks for the values it has,
+// never a job's largest patch.
+type bitPatch struct {
+	store *chunkStore
+	bits  []uint64
+	vals  []chunk
+}
+
+// chunkStore is what a run's bitmap patches are made of. The patches,
+// each a bitmap and a chunk table sized for |w|, are allocated with the
+// run, as many as it can hold uploads at once. The chunks are carved
+// from |w|-sized blocks of paramsPool, |w|/chunkLen to a block, so a
+// vector the pool holds free serves a dense upload or a patch's values
+// alike; chunk i is the (i mod per)-th of block i/per, and a patch
+// takes the lowest free ones, which keeps the blocks of the last chunks
+// taken free when fewer are out. A store is touched by the shards,
+// which take patches, and by the event loop, which gives them back.
+// After every merge, and when the run closes, the blocks no upload holds
+// a chunk of go back to paramsPool (trim); a closed run's others stay
+// with its queued uploads, and the garbage collector takes them with the
+// run.
+type chunkStore struct {
+	mu sync.Mutex
+	// block is the length of the vectors chunks are carved from: |w|,
+	// or one chunk's when |w| is shorter; per is how many it holds.
+	block, per int
+	// all is every patch of the store, patches the free ones.
+	all     []bitPatch
+	patches []*bitPatch
+	blocks  [][]float64
+	// free has bit i set when chunk i is carved and no patch holds it;
+	// out counts the chunks patches hold.
+	free []uint64
+	out  int
+}
+
+// newChunkStore builds a store of maxPatches patches for uploads of n
+// entries.
+func newChunkStore(n, maxPatches int) *chunkStore {
+	words, chunks, block := (n+63)/64, (n+chunkLen-1)/chunkLen, max(n, chunkLen)
+	per := block / chunkLen
+	blocks := (maxPatches*chunks+per-1)/per + 1 // the most a run carves
+	ps := make([]bitPatch, maxPatches)
+	st := &chunkStore{
+		block:   block,
+		per:     per,
+		all:     ps,
+		patches: make([]*bitPatch, maxPatches),
+		blocks:  make([][]float64, 0, blocks),
+		free:    make([]uint64, (blocks*per+63)/64),
+	}
+	bits := make([]uint64, maxPatches*words)
+	tables := make([]chunk, maxPatches*chunks)
+	for i := range ps {
+		ps[i] = bitPatch{store: st, bits: bits[i*words : (i+1)*words : (i+1)*words], vals: tables[i*chunks : i*chunks : (i+1)*chunks]}
+		st.patches[i] = &ps[i]
+	}
+	return st
+}
+
+// patch returns a patch with no values and a bitmap of unspecified
+// contents, or nil when every patch is taken.
+func (st *chunkStore) patch() *bitPatch {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := len(st.patches)
+	if n == 0 {
+		return nil
+	}
+	p := st.patches[n-1]
+	st.patches = st.patches[:n-1]
+	return p
+}
+
+// fill gives p the k chunks it needs for k*chunkLen values, the lowest
+// free ones, carving a block from paramsPool whenever none is free, and
+// reports false, leaving p empty, when p's table cannot take them.
+func (st *chunkStore) fill(p *bitPatch, k int) bool {
+	if k > cap(p.vals) {
+		return false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	w := 0
+	for len(p.vals) < k {
+		for w < len(st.free) && st.free[w] == 0 {
+			w++
+		}
+		if w*64 >= len(st.blocks)*st.per {
+			st.carve()
+			w = 0
+			continue
+		}
+		b := bits.TrailingZeros64(st.free[w])
+		st.free[w] &^= 1 << b
+		i := w*64 + b
+		p.vals = append(p.vals, chunk{v: (*[chunkLen]float64)(st.blocks[i/st.per][i%st.per*chunkLen:]), i: int32(i)}) //fedtripvet:allow the table holds every chunk of a |w|-entry patch
+	}
+	st.out += k
+	return true
+}
+
+// carve adds a block of paramsPool to the store, in the first place a
+// block went back from or past the last, its chunks free.
+func (st *chunkStore) carve() {
+	b := slices.IndexFunc(st.blocks, func(v []float64) bool { return v == nil })
+	if b < 0 {
+		b = len(st.blocks)
+		st.blocks = append(st.blocks, nil) //fedtripvet:allow sized with the run for the blocks it carves at most
+	}
+	st.blocks[b] = paramsPool.get(st.block)
+	first := b * st.per
+	for len(st.free)*64 < first+st.per {
+		st.free = append(st.free, 0) //fedtripvet:allow sized with the run for the blocks it carves at most
+	}
+	for i := first; i < first+st.per; i++ {
+		st.free[i/64] |= 1 << (i % 64)
+	}
+}
+
+// release gives p's chunks, and p, back to its store.
+func (p *bitPatch) release() {
+	st := p.store
+	st.mu.Lock()
+	for _, c := range p.vals {
+		st.free[c.i/64] |= 1 << (c.i % 64)
+	}
+	st.out -= len(p.vals)
+	clear(p.vals)
+	p.vals = p.vals[:0]
+	st.patches = append(st.patches, p) //fedtripvet:allow a returned patch goes back to the slot it left
+	st.mu.Unlock()
+}
+
+// trim gives back to paramsPool every block of which no upload holds a
+// chunk, leaving its place nil, so the blocks a run holds follow the
+// chunks its uploads hold: once its merges have recycled a round's
+// uploads, and at its close.
+func (st *chunkStore) trim() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for b, block := range st.blocks {
+		if block == nil {
+			continue
+		}
+		all := true
+		for i := b * st.per; i < (b+1)*st.per && all; i++ {
+			all = st.free[i/64]>>(i%64)&1 != 0
+		}
+		if all {
+			paramsPool.put(block)
+			st.blocks[b] = nil
+			for i := b * st.per; i < (b+1)*st.per; i++ {
+				st.free[i/64] &^= 1 << (i % 64)
+			}
+		}
+	}
+}
+
+// close packs the chunks the run's queued uploads hold into the lowest
+// free places, highest first, copying their values, so that trim gives
+// back every block past them, not every block with one of them left.
+func (st *chunkStore) close() {
+	if st.out > 0 {
+		held := make([]*chunk, 0, st.out)
+		for i := range st.all {
+			for k := range st.all[i].vals {
+				held = append(held, &st.all[i].vals[k])
+			}
+		}
+		slices.SortFunc(held, func(a, b *chunk) int { return int(b.i - a.i) })
+		st.mu.Lock()
+		for _, c := range held {
+			w := 0
+			for w < len(st.free) && st.free[w] == 0 {
+				w++
+			}
+			if w == len(st.free) {
+				break
+			}
+			i := w*64 + bits.TrailingZeros64(st.free[w])
+			if i > int(c.i) {
+				break
+			}
+			to := (*[chunkLen]float64)(st.blocks[i/st.per][i%st.per*chunkLen:])
+			*to = *c.v
+			st.free[w] &^= 1 << (i % 64)
+			st.free[c.i/64] |= 1 << (c.i % 64)
+			*c = chunk{v: to, i: int32(i)}
+		}
+		st.mu.Unlock()
+	}
+	st.trim()
+}
+
+// kept is how many blocks the store holds.
+func (st *chunkStore) kept() int {
+	n := 0
+	for _, b := range st.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// held is what the store holds free: its chunks and its patches'
+// bitmaps.
+func (st *chunkStore) held() Held {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var h Held
+	for _, w := range st.free {
+		n := bits.OnesCount64(w)
+		h.N += n
+		h.Bytes += int64(n) * 8 * chunkLen
+	}
+	for _, p := range st.patches {
+		h.add(8 * cap(p.bits))
+	}
+	return h
+}
+
+// holdBits returns x as a bitmap patch of st against g, the version its
+// client trained from, when that takes fewer bytes than x — the bitmap
+// and the whole chunks its values fill — and nil otherwise.
+func (st *chunkStore) holdBits(x, g []float64) *bitPatch {
+	words := (len(x) + 63) / 64
+	return st.takeBits(x, g, (len(x)-words-1)/chunkLen*chunkLen)
+}
+
+// takeBits returns x as a bitmap patch against g when at most limit of
+// its entries differ, and nil otherwise (or when st holds no free
+// patch). One scan marks the bitmap and stops once x is past the limit;
+// a second copies the marked values.
+//
+//fedtripvet:hotpath
+func (st *chunkStore) takeBits(x, g []float64, limit int) *bitPatch {
+	if limit < 0 {
+		return nil
+	}
+	p := st.patch()
+	if p == nil {
+		return nil
+	}
+	n := 0
+	for w := range p.bits {
+		var word uint64
+		base := w * 64
+		for b, v := range x[base:min(base+64, len(x))] {
+			d := math.Float64bits(v) ^ math.Float64bits(g[base+b])
+			word |= (d | -d) >> 63 << b
+		}
+		p.bits[w] = word
+		if n += bits.OnesCount64(word); n > limit {
+			p.release()
+			return nil
+		}
+	}
+	if !st.fill(p, (n+chunkLen-1)/chunkLen) {
+		p.release()
+		return nil
+	}
+	k := 0
+	for w, word := range p.bits {
+		for ; word != 0; word &= word - 1 {
+			p.vals[k/chunkLen].v[k%chunkLen] = x[w*64+bits.TrailingZeros64(word)]
+			k++
+		}
+	}
+	return p
+}
+
+// block writes entries [lo, hi) of the upload p was taken from against
+// g into dst, lo a multiple of 64, reading p's values from the k-th on,
+// and returns the index of the first value past them.
+//
+//fedtripvet:hotpath
+func (p *bitPatch) block(dst, g []float64, lo, k int) int {
+	copy(dst, g[lo:lo+len(dst)])
+	for w := lo / 64; w*64 < lo+len(dst); w++ {
+		for word := p.bits[w]; word != 0; word &= word - 1 {
+			dst[w*64+bits.TrailingZeros64(word)-lo] = p.vals[k/chunkLen].v[k%chunkLen]
+			k++
+		}
+	}
+	return k
+}
+
+// changed reports whether entry j differs from the version.
+func (p *bitPatch) changed(j int) bool { return p.bits[j/64]>>(j%64)&1 != 0 }
+
+// value is the k-th value p holds.
+func (p *bitPatch) value(k int) float64 { return p.vals[k/chunkLen].v[k%chunkLen] }
 
 // randPermInto fills buf with a permutation of [0, n), drawing from rng
 // exactly like rand.Perm does (same algorithm, same number of Intn calls),

@@ -78,6 +78,16 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	r := newBufferedRunner(s)
 	s.rows.run, s.rows.coder = r, coderOf(s.wire)
 	s.rows.on = lazyRows(&s.spec) && (s.wire == nil || s.rows.coder != nil)
+	if s.wire == nil {
+		// Uploads over no transport may be held as bitmap patches: as
+		// many as the loop holds uploads at once, in flight and
+		// buffered.
+		held := spec.ClientsPerRound
+		if spec.Runtime == RuntimeAsync {
+			held = spec.Concurrency + spec.Policy.k
+		}
+		s.chunks = newChunkStore(len(s.global), held)
+	}
 	return &RunState{s: s, run: r}, nil
 }
 
@@ -146,18 +156,22 @@ type Footprint struct {
 	// indices, which the spec's partition owns.
 	RegistryBytes int64
 	// The uploads in flight and in the policy buffer, by the form each
-	// is held in: a dense float64 vector, a float32 narrowing, or a patch
-	// of indices and values against its version (its job's storage).
-	Dense, Narrowed, IndexPatches Held
+	// is held in: a dense float64 vector, a float32 narrowing, a patch of
+	// indices and values against its version (its job's storage), or a
+	// bitmap patch (its bitmap and the whole chunks of its values).
+	Dense, Narrowed, IndexPatches, BitmapPatches Held
 	// Versions64 and Versions32 are the model versions the run holds, a
 	// float64 copy of the global or the float32 image a float32
 	// downlink delivers: the current one, those jobs still train from or
 	// hold patches against, and those recipes pin.
 	Versions64, Versions32 Held
 	// Free64 and Free32 are the free lists of the float64 and float32
-	// vector pools. The pools are the process's, shared by every run in
-	// it: what they hold is what the runs so far checked out at once.
-	Free64, Free32 Held
+	// vector pools, the process's, shared by every run in it: what they
+	// hold is what the runs so far checked out at once. FreeChunks is
+	// what the run's bitmap patches are made of and no upload holds: its
+	// free chunks, carved from float64 vectors of the pool, and its free
+	// patches (their bitmaps).
+	Free64, Free32, FreeChunks Held
 }
 
 // Held is what one owner holds: how many objects, and their bytes.
@@ -194,6 +208,8 @@ func (rs *RunState) Footprint() Footprint {
 				fp.Narrowed.add(4 * cap(u.narrow))
 			case u.patch != nil:
 				fp.IndexPatches.add(4*cap(u.patch.idx) + 8*cap(u.patch.val))
+			case u.bitmap != nil:
+				fp.BitmapPatches.add(8 * (cap(u.bitmap.bits) + chunkLen*len(u.bitmap.vals)))
 			}
 		}
 	}
@@ -207,6 +223,9 @@ func (rs *RunState) Footprint() Footprint {
 	}
 	fp.Free64 = paramsPool.held()
 	fp.Free32 = narrowPool.held()
+	if s.chunks != nil {
+		fp.FreeChunks = s.chunks.held()
+	}
 	return fp
 }
 
@@ -261,5 +280,8 @@ func (rs *RunState) Close() {
 	rs.closed = true
 	rs.s.sp.close()
 	rs.run.close()
+	if rs.s.chunks != nil {
+		rs.s.chunks.close()
+	}
 	rs.s.rec.finalize()
 }

@@ -166,16 +166,17 @@ type Server struct {
 	// makes the warning one-shot.
 	rejectedUpdates int
 	rejectLogged    bool
-	// mergeScratch is the reusable weighted-average buffer for rated
-	// merges (eta != 1), robust merges and merges of compact updates.
+	// mergeScratch is the reusable aggregate buffer of robust merges.
 	// Merges are single-threaded in every runtime (the event loop
-	// aggregates with no concurrent merge), so one buffer suffices;
-	// FedAsync-style single-arrival runs merge every aggregation and
-	// would otherwise allocate a model-sized slice per merge. widenScratch
-	// is where the merge widens one compact update at a time (mergeRead),
-	// allocated by the first merge that reads one.
+	// aggregates with no concurrent merge), so one buffer suffices.
+	// widenScratch is where krum widens a compact update it selects
+	// (mergeRead.vector) and Server.hold codes a version's downlink,
+	// allocated by the first that needs it.
 	mergeScratch []float64
 	widenScratch []float64
+	// blockSum and blockX are the scratch of the weighted mean, which
+	// reads and merges a block of entries at a time (mergeBlocks).
+	blockSum, blockX [chunkLen]float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
 	// gathered updates, and aggregation weights.
@@ -196,6 +197,11 @@ type Server struct {
 	// the lazy regime (lazyrows.go); the clients reach it through their
 	// loaner.
 	rows *rowStore
+	// chunks holds the run's bitmap patches (nil over a transport), and
+	// denseUploads holds every upload dense instead (a differential
+	// test's twin run).
+	chunks       *chunkStore
+	denseUploads bool
 
 	// The runtime (newRunState). rec's Result counts the completed
 	// rounds; sp trains the jobs, one engine per shard.
@@ -357,11 +363,15 @@ func (s *Server) selectClients() []*Client {
 // upload is rounded in place in its pooled buffer, next to the client's
 // error-feedback row; without one it trains from j.global itself. The
 // upload is then held compact until the merge reads it, and its buffer
-// goes straight back to the pool: as the job's patch when it differs from
-// the float32 image of j.global in at most a quarter of its entries (a
-// sparse uplink's), narrowed to a float32 vector when every entry is
-// exact in float32 (an f32 uplink's). Only an upload that is neither
-// stays |w| float64s.
+// goes straight back to the pool. Over a transport: as the job's patch
+// when it differs from the float32 image of j.global in at most a
+// quarter of its entries (a sparse uplink's), narrowed to a float32
+// vector when every entry is exact in float32 (an f32 uplink's).
+// Without one: as a bitmap patch against j.global when that takes fewer
+// bytes than the upload and the version stays alive anyway — the job's
+// recorded participation pins it, or it is s.global behind the
+// lock-step gate — so holding the patch pins nothing more. Any other
+// upload stays |w| float64s.
 //
 // A participation recorded as the newest link of its client's chain
 // first replays the chain, which leaves the rows (and the error-feedback
@@ -387,17 +397,28 @@ func (s *Server) trainClient(j *trainJob) {
 		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
 	}
-	u := c.LocalTrainSteps(j.round, global, j.steps)
+	u := c.trainRound(j.round, global, j.steps)
 	if j.record {
 		j.recRows = c.eng.recorded()
 	}
+	trained := c.eng.model.Params()
+	j.upBytes = int64(4 * len(trained))
+	if s.bitmapped(j) && !s.corrupts(c) {
+		// Compared with its version where training left it, and copied
+		// only if it stays dense.
+		if u.bitmap = s.chunks.holdBits(trained, j.global); u.bitmap != nil {
+			u.base = j.global
+			j.update = u
+			return
+		}
+	}
+	u.Params, u.pooled = paramsPool.getCopy(trained), true
 	// Byzantine corruption happens here — after training (the FLOPs were
 	// really burned) and before the transport encodes the upload (the
 	// corrupted vector is what rides, and prices, the wire). Downstream
 	// the fault flows through staleness, churn, and buffering exactly
 	// like an honest update.
 	s.applyFault(c, &u)
-	j.upBytes = int64(4 * len(u.Params))
 	if s.wire != nil {
 		resid := &c.resid
 		if j.record && j.recRows > 0 && s.rows.coder != nil {
@@ -421,8 +442,18 @@ func (s *Server) trainClient(j *trainJob) {
 		case exact:
 			u.holdNarrow()
 		}
+	} else if s.bitmapped(j) {
+		u.holdBits(s.chunks, j.global)
 	}
 	j.update = u
+}
+
+// bitmapped reports whether j's upload may be held as a bitmap patch
+// against j.global: it goes over no transport, and the version stays
+// alive anyway — j's recorded participation pins it, or, behind the
+// lock-step gate, it is s.global itself.
+func (s *Server) bitmapped(j *trainJob) bool {
+	return s.chunks != nil && !s.denseUploads && (j.gsnap == nil || j.record && j.recRows > 0)
 }
 
 // growUpdates returns a length-n update gather buffer.
@@ -481,15 +512,14 @@ func (s *Server) growWeights(n int) []float64 {
 // admitted updates, at the same merge rate.
 //
 // The weighted average is tensor.WeightedSumInto's ZeroVec and in-order
-// axpy, run one update at a time through its reader (mergeRead), so a
-// compact update is widened into one scratch vector just before it is
-// added, and the sum is the dense one bit for bit. With a compact update
-// in the buffer it accumulates in the merge buffer, and the global moves
-// only at the end: a lock-step patch reads the global as its base, and
-// a clip reads it too. A dense buffer at a rate of 1 accumulates in the
-// global itself, as it always has.
+// axpy, run one update at a time through its reader (mergeRead), and the
+// sum is the dense one bit for bit. It runs a block of entries at a time
+// (mergeBlocks): each update's block is read — a compact one's widened
+// into block scratch — and added, and only then does the global's block
+// move, since a lock-step patch reads the global as its base, and a
+// clip reads it too.
 func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta float64) {
-	compact := s.screenUpdates(weights, updates)
+	s.screenUpdates(weights, updates)
 	var total float64
 	for _, w := range weights {
 		total += w
@@ -504,18 +534,34 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 	for i := range weights {
 		weights[i] /= total
 	}
-	avg := s.global
-	if compact || eta != 1 {
-		avg = s.mergeBuf()
-	}
-	tensor.ZeroVec(avg)
-	for i := range s.mergeRd {
-		if weights[i] != 0 {
-			tensor.Axpy(weights[i], s.mergeRd[i].vector(s), avg)
+	s.mergeBlocks(weights, eta)
+}
+
+// mergeBlocks is the weighted average of the buffer and the global's move
+// toward it, a block of entries at a time, so it needs no |w|-sized
+// scratch: the entries of each block are summed in update order as the
+// whole-vector sum adds them, and the global's block moves as
+// moveGlobal moves it once every update's block is read.
+//
+//fedtripvet:hotpath
+func (s *Server) mergeBlocks(weights []float64, eta float64) {
+	for lo := 0; lo < len(s.global); lo += chunkLen {
+		hi := min(lo+chunkLen, len(s.global))
+		avg := s.blockSum[:hi-lo]
+		tensor.ZeroVec(avg)
+		for i := range s.mergeRd {
+			if weights[i] != 0 {
+				tensor.Axpy(weights[i], s.mergeRd[i].block(lo, hi, s.blockX[:], s.global), avg)
+			}
 		}
-	}
-	if compact || eta != 1 {
-		s.moveGlobal(avg, eta)
+		g := s.global[lo:hi]
+		if eta == 1 {
+			copy(g, avg)
+			continue
+		}
+		for j := range g {
+			g[j] += float64(eta * (avg[j] - g[j]))
+		}
 	}
 }
 

@@ -111,8 +111,9 @@ func newShardPool(s *Server, shards, maxJobs int) *shardPool {
 	}
 }
 
-// sparse reports whether j's upload is held as a patch against its global.
-func (j *trainJob) sparse() bool { return j.update.patch != nil }
+// patched reports whether j's upload is held as a patch, of indices or a
+// bitmap, against its global.
+func (j *trainJob) patched() bool { return j.update.patch != nil || j.update.bitmap != nil }
 
 // submit queues one client round. The job's done channel is signalled
 // when update and flops are valid. Submission order is preserved per worker

@@ -546,15 +546,17 @@ func (p *population) snap(c *tensor.Codec) {
 
 // snap is one quiesced in-flight (or buffered) job: its scheduling key,
 // dispatch parameters, and the finished update, always written dense: an
-// upload held compact — narrowed to float32, or as a patch against its
-// version — is widened for the stream. The global-model
-// snapshot the client trained from is not part of it — the training
-// already consumed it, and the compact form is only how the server holds
-// the upload. A decoded job is therefore trained, holds no done token
-// (the arrival path must not, and will not, join it again) and takes its
-// upload buffer from the pool the merge returns it to: dense, or, over a
-// transport, narrowed when every entry is exact in float32, as an f32
-// uplink's upload is held in the run that wrote the stream.
+// upload held compact — narrowed to float32, or as a patch of indices or
+// a bitmap against its version — is widened for the stream. The
+// global-model snapshot the client trained from is not part of it — the
+// training already consumed it, and the compact form is only how the
+// server holds the upload. A decoded job is therefore trained, holds no
+// done token (the arrival path must not, and will not, join it again) and
+// takes its upload buffer from the pool the merge returns it to: dense,
+// or, over a transport, narrowed when every entry is exact in float32, as
+// an f32 uplink's upload is held in the run that wrote the stream, or,
+// without one, as a bitmap patch against the round image its recorded
+// participation pins.
 func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 	var id int
 	if !c.Reading() {
@@ -590,10 +592,22 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 		defer paramsPool.put(params)
 	}
 	c.FloatsExact("update params", params)
-	if c.Reading() && s.wire != nil && f32Exact(params) {
+	switch {
+	case !c.Reading() || c.Err() != nil:
+	case s.wire != nil && f32Exact(params):
 		// An f32 uplink's upload, held narrowed as the run that wrote
 		// the stream held it.
 		j.update.holdNarrow()
+	case s.chunks != nil && !s.denseUploads:
+		// Held as a bitmap patch by the rule trainClient holds it by:
+		// when the participation that trained it is recorded, its link
+		// pins the version, which the job then holds too.
+		if img := s.rows.image(j.c, j.round); img != nil {
+			if j.update.holdBits(s.chunks, img.vec); j.update.bitmap != nil {
+				img.refs++
+				j.gsnap, j.global = img, img.vec
+			}
+		}
 	}
 	c.Num("update samples", &j.update.NumSamples)
 	c.Num("update steps", &j.update.Steps)

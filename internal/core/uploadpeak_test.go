@@ -81,10 +81,27 @@ func TestUploadPoolPeak(t *testing.T) {
 		// transient, then the evaluation's copy, is the one float64
 		// buffer (5 when the uploads were held dense).
 		{"sync f32", "f32", "", false, 1, 0, 4, 0},
+		// Without a transport, oneSampleRun's lazy fleet (four
+		// aggregations of six over 48 clients, so every participation
+		// is recorded and pins its version): an upload that changed few
+		// enough entries of its version is a bitmap patch, compared
+		// where training left it, its values in chunks carved from
+		// float64 vectors of the pool, 38 to a vector. The peak is the
+		// versions the recipes pin, the uploads that stayed dense (a
+		// returner's changes every entry) and the vectors the patches'
+		// chunks are carved from. At Close the four versions, one dense
+		// upload and the five vectors the ten queued patches' chunks are
+		// packed into are held. Held dense, the peak was 22 and 15 were
+		// held.
+		{"async none lazy", "", "", true, 18, 10, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := uploadRun(t, tc.transport)
+			if tc.transport == "" {
+				sp = oneSampleRun(t, "")
+				sp.Rounds = 4
+			}
 			sp.EvalEvery, sp.Shards = 100, 1
 			if tc.async {
 				sp.Runtime = core.RuntimeAsync
@@ -110,6 +127,9 @@ func TestUploadPoolPeak(t *testing.T) {
 			base32, _ := core.NarrowCheckouts()
 			if _, err := rs.Run(); err != nil {
 				t.Fatal(err)
+			}
+			if err := rs.CheckChunks(); err != nil {
+				t.Error(err)
 			}
 			out, peak := core.PoolCheckouts()
 			out32, peak32 := core.NarrowCheckouts()
@@ -156,6 +176,7 @@ func TestPoolBalancesAtClose(t *testing.T) {
 		{"barrier randk churn+drop", "barrier", "randk:0.05", "straggler:1,10,3", "markov:20,5+drop:6,0.4,0", 0, 4, false},
 		{"resumed lazy async f32", "async", "f32", "exp:2", "", 5, 2, true},
 		{"resumed lazy barrier topk churn", "barrier", "topk:0.01+ef", "straggler:1,10,3", "markov:20,5", 3, 1, true},
+		{"resumed lazy async none churn+drop", "async", "", "exp:2", "markov:20,5+drop:1,0.4,0", 4, 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,6 +186,10 @@ func TestPoolBalancesAtClose(t *testing.T) {
 					t.Fatal(err)
 				}
 				sp := uploadRun(t, tc.transport)
+				if tc.transport == "" {
+					// Bitmap patches need sparse uploads: one sample, one step.
+					sp = oneSampleRun(t, "")
+				}
 				sp.Shards = 3
 				sp.Runtime = core.Runtime(tc.runtime)
 				sp.Latency = mustFleet(core.ParseLatency(tc.latency))
@@ -187,7 +212,8 @@ func TestPoolBalancesAtClose(t *testing.T) {
 			base, _ := core.PoolCheckouts()
 			base32, _ := core.NarrowCheckouts()
 			// balanced fails unless every buffer of either pool checked
-			// out since base is held by one of rs's queued jobs or recipes.
+			// out since base is held by one of rs's queued jobs or
+			// recipes, and every chunk of its store by a queued job.
 			balanced := func(rs *core.RunState) {
 				t.Helper()
 				out, _ := core.PoolCheckouts()
@@ -198,6 +224,9 @@ func TestPoolBalancesAtClose(t *testing.T) {
 				}
 				if out-base != queued || out32-base32 != queued32 {
 					t.Fatalf("%d+%d float64+float32 buffers still out after Close; the queued jobs and recipes hold %d+%d", out-base, out32-base32, queued, queued32)
+				}
+				if err := rs.CheckChunks(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			rs, err := core.NewRunState(build())
