@@ -320,21 +320,24 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 	}
 	s.mergeRd = s.mergeRd[:len(updates)]
 	maxNorm := s.spec.Policy.Clip
+	var finiteBase []float64
 	for i := range updates {
 		u := &updates[i]
 		rd := &s.mergeRd[i]
 		*rd = mergeRead{u: u}
+		clip := weights[i] > 0 && maxNorm != 0
 		var finite bool
-		if u.compacted() {
+		switch {
+		case !u.compacted():
+			finite = tensor.AllFinite(u.Params)
+		case u.bitmap != nil && !clip:
+			finite = s.finiteBits(rd, &finiteBase)
+		default:
 			var sq float64
 			finite, sq = s.screenBlocks(rd)
-			if finite && weights[i] > 0 && maxNorm != 0 {
-				if n := math.Sqrt(sq); n > maxNorm {
-					rd.scale, rd.clipped = maxNorm/n, true
-				}
+			if n := math.Sqrt(sq); finite && clip && n > maxNorm {
+				rd.scale, rd.clipped = maxNorm/n, true
 			}
-		} else {
-			finite = tensor.AllFinite(u.Params)
 		}
 		if finite {
 			continue
@@ -379,6 +382,29 @@ func (s *Server) screenBlocks(rd *mergeRead) (finite bool, sq float64) {
 	}
 	rd.next = 0
 	return finite, sq
+}
+
+// finiteBits reports, as screenBlocks does, whether a bitmap-patched
+// update is finite, without widening it: its values are, and so is its
+// base — the updates of a merge mostly share a few, and finiteBase is
+// the last found finite in this screen. When the base is not, rd reads
+// the update block by block.
+func (s *Server) finiteBits(rd *mergeRead, finiteBase *[]float64) bool {
+	p, base := rd.u.bitmap, rd.u.base
+	for k, c := range p.vals {
+		if !tensor.AllFinite(c.v[:min(chunkLen, p.n-k*chunkLen)]) {
+			return false
+		}
+	}
+	if len(*finiteBase) == len(base) && &(*finiteBase)[0] == &base[0] {
+		return true
+	}
+	if !tensor.AllFinite(base) {
+		finite, _ := s.screenBlocks(rd)
+		return finite
+	}
+	*finiteBase = base
+	return true
 }
 
 // clipScale reports whether v lies farther than maxNorm from the global
@@ -481,8 +507,8 @@ func (r *mergeRead) at(j int, g []float64) float64 {
 	case u.narrow != nil:
 		v = float64(u.narrow[j])
 	case u.bitmap != nil:
-		if u.bitmap.changed(j) {
-			v = u.bitmap.value(r.next)
+		if p := u.bitmap; p.bits[j/64]>>(j%64)&1 != 0 {
+			v = p.vals[r.next/chunkLen].v[r.next%chunkLen]
 			r.next++
 		} else {
 			v = u.base[j]

@@ -153,16 +153,6 @@ func (u *Update) holdNarrow() {
 	u.Params, u.pooled = nil, false
 }
 
-// holdBits moves u's pooled dense upload into a bitmap patch of st
-// against g, the version its client trained from, when that takes fewer
-// bytes.
-func (u *Update) holdBits(st *chunkStore, g []float64) {
-	if u.bitmap = st.holdBits(u.Params, g); u.bitmap != nil {
-		paramsPool.put(u.Params)
-		u.Params, u.pooled, u.base = nil, false, g
-	}
-}
-
 // widen turns a compact u into a dense one in a pooled buffer.
 func (u *Update) widen() {
 	if !u.compacted() {
@@ -331,6 +321,7 @@ type bitPatch struct {
 	store *chunkStore
 	bits  []uint64
 	vals  []chunk
+	n     int // values held
 }
 
 // chunkStore is what a run's bitmap patches are made of. The patches,
@@ -355,9 +346,11 @@ type chunkStore struct {
 	all     []bitPatch
 	patches []*bitPatch
 	blocks  [][]float64
-	// free has bit i set when chunk i is carved and no patch holds it;
-	// out counts the chunks patches hold.
+	// free has bit i set when chunk i is carved and no patch holds it,
+	// and no word of it below low has a bit set; out counts the chunks
+	// patches hold.
 	free []uint64
+	low  int
 	out  int
 }
 
@@ -399,23 +392,23 @@ func (st *chunkStore) patch() *bitPatch {
 	return p
 }
 
-// fill gives p the k chunks it needs for k*chunkLen values, the lowest
-// free ones, carving a block from paramsPool whenever none is free, and
-// reports false, leaving p empty, when p's table cannot take them.
+// fill gives p chunks up to k, the lowest free ones, carving a block
+// from paramsPool whenever none is free, and reports false, giving it
+// none, when p's table cannot take them.
 func (st *chunkStore) fill(p *bitPatch, k int) bool {
 	if k > cap(p.vals) {
 		return false
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	w := 0
+	st.out += k - len(p.vals)
+	w := st.low
 	for len(p.vals) < k {
 		for w < len(st.free) && st.free[w] == 0 {
 			w++
 		}
 		if w*64 >= len(st.blocks)*st.per {
-			st.carve()
-			w = 0
+			w = st.carve() / 64
 			continue
 		}
 		b := bits.TrailingZeros64(st.free[w])
@@ -423,13 +416,14 @@ func (st *chunkStore) fill(p *bitPatch, k int) bool {
 		i := w*64 + b
 		p.vals = append(p.vals, chunk{v: (*[chunkLen]float64)(st.blocks[i/st.per][i%st.per*chunkLen:]), i: int32(i)}) //fedtripvet:allow the table holds every chunk of a |w|-entry patch
 	}
-	st.out += k
+	st.low = w
 	return true
 }
 
 // carve adds a block of paramsPool to the store, in the first place a
-// block went back from or past the last, its chunks free.
-func (st *chunkStore) carve() {
+// block went back from or past the last, its chunks free, and returns
+// the place of its first chunk.
+func (st *chunkStore) carve() int {
 	b := slices.IndexFunc(st.blocks, func(v []float64) bool { return v == nil })
 	if b < 0 {
 		b = len(st.blocks)
@@ -443,6 +437,7 @@ func (st *chunkStore) carve() {
 	for i := first; i < first+st.per; i++ {
 		st.free[i/64] |= 1 << (i % 64)
 	}
+	return first
 }
 
 // release gives p's chunks, and p, back to its store.
@@ -451,6 +446,7 @@ func (p *bitPatch) release() {
 	st.mu.Lock()
 	for _, c := range p.vals {
 		st.free[c.i/64] |= 1 << (c.i % 64)
+		st.low = min(st.low, int(c.i/64))
 	}
 	st.out -= len(p.vals)
 	clear(p.vals)
@@ -558,8 +554,9 @@ func (st *chunkStore) holdBits(x, g []float64) *bitPatch {
 
 // takeBits returns x as a bitmap patch against g when at most limit of
 // its entries differ, and nil otherwise (or when st holds no free
-// patch). One scan marks the bitmap and stops once x is past the limit;
-// a second copies the marked values.
+// patch). One scan marks the bitmap a word at a time, gathers the
+// word's changed values without a branch per entry and appends them to
+// the patch's chunks, and stops once x is past the limit.
 //
 //fedtripvet:hotpath
 func (st *chunkStore) takeBits(x, g []float64, limit int) *bitPatch {
@@ -570,31 +567,38 @@ func (st *chunkStore) takeBits(x, g []float64, limit int) *bitPatch {
 	if p == nil {
 		return nil
 	}
-	n := 0
+	var stage [64]float64
+	n, k := 0, chunkLen // k is the next place in the newest chunk
 	for w := range p.bits {
 		var word uint64
-		base := w * 64
-		for b, v := range x[base:min(base+64, len(x))] {
-			d := math.Float64bits(v) ^ math.Float64bits(g[base+b])
-			word |= (d | -d) >> 63 << b
+		m := 0
+		xw := x[w*64 : min(w*64+64, len(x))]
+		gw := g[w*64 : w*64+len(xw)]
+		for b, v := range xw {
+			d := math.Float64bits(v) ^ math.Float64bits(gw[b])
+			bit := (d | -d) >> 63
+			word |= bit << (b & 63)
+			stage[m&63] = v
+			m += int(bit)
 		}
 		p.bits[w] = word
-		if n += bits.OnesCount64(word); n > limit {
+		if n += m; n > limit {
 			p.release()
 			return nil
 		}
-	}
-	if !st.fill(p, (n+chunkLen-1)/chunkLen) {
-		p.release()
-		return nil
-	}
-	k := 0
-	for w, word := range p.bits {
-		for ; word != 0; word &= word - 1 {
-			p.vals[k/chunkLen].v[k%chunkLen] = x[w*64+bits.TrailingZeros64(word)]
-			k++
+		for v := stage[:m]; len(v) > 0; {
+			if k == chunkLen {
+				if !st.fill(p, len(p.vals)+1) {
+					p.release()
+					return nil
+				}
+				k = 0
+			}
+			c := copy(p.vals[len(p.vals)-1].v[k:], v)
+			k, v = k+c, v[c:]
 		}
 	}
+	p.n = n
 	return p
 }
 
@@ -605,20 +609,19 @@ func (st *chunkStore) takeBits(x, g []float64, limit int) *bitPatch {
 //fedtripvet:hotpath
 func (p *bitPatch) block(dst, g []float64, lo, k int) int {
 	copy(dst, g[lo:lo+len(dst)])
+	c, off := k/chunkLen, k%chunkLen
 	for w := lo / 64; w*64 < lo+len(dst); w++ {
+		dw := dst[w*64-lo : min(w*64-lo+64, len(dst))]
 		for word := p.bits[w]; word != 0; word &= word - 1 {
-			dst[w*64+bits.TrailingZeros64(word)-lo] = p.vals[k/chunkLen].v[k%chunkLen]
-			k++
+			if off == chunkLen {
+				c, off = c+1, 0
+			}
+			dw[bits.TrailingZeros64(word)] = p.vals[c].v[off]
+			off++
 		}
 	}
-	return k
+	return c*chunkLen + off
 }
-
-// changed reports whether entry j differs from the version.
-func (p *bitPatch) changed(j int) bool { return p.bits[j/64]>>(j%64)&1 != 0 }
-
-// value is the k-th value p holds.
-func (p *bitPatch) value(k int) float64 { return p.vals[k/chunkLen].v[k%chunkLen] }
 
 // randPermInto fills buf with a permutation of [0, n), drawing from rng
 // exactly like rand.Perm does (same algorithm, same number of Intn calls),

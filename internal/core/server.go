@@ -367,11 +367,11 @@ func (s *Server) selectClients() []*Client {
 // when it differs from the float32 image of j.global in at most a
 // quarter of its entries (a sparse uplink's), narrowed to a float32
 // vector when every entry is exact in float32 (an f32 uplink's).
-// Without one: as a bitmap patch against j.global when that takes fewer
-// bytes than the upload and the version stays alive anyway — the job's
-// recorded participation pins it, or it is s.global behind the
-// lock-step gate — so holding the patch pins nothing more. Any other
-// upload stays |w| float64s.
+// Without one, an upload no fault corrupts: as a bitmap patch against
+// j.global when that takes fewer bytes than the upload and the version
+// stays alive anyway — the job's recorded participation pins it, or it
+// is s.global behind the lock-step gate — so holding the patch pins
+// nothing more. Any other upload stays |w| float64s.
 //
 // A participation recorded as the newest link of its client's chain
 // first replays the chain, which leaves the rows (and the error-feedback
@@ -403,7 +403,7 @@ func (s *Server) trainClient(j *trainJob) {
 	}
 	trained := c.eng.model.Params()
 	j.upBytes = int64(4 * len(trained))
-	if s.bitmapped(j) && !s.corrupts(c) {
+	if s.bitmapped(j) {
 		// Compared with its version where training left it, and copied
 		// only if it stays dense.
 		if u.bitmap = s.chunks.holdBits(trained, j.global); u.bitmap != nil {
@@ -442,18 +442,17 @@ func (s *Server) trainClient(j *trainJob) {
 		case exact:
 			u.holdNarrow()
 		}
-	} else if s.bitmapped(j) {
-		u.holdBits(s.chunks, j.global)
 	}
 	j.update = u
 }
 
 // bitmapped reports whether j's upload may be held as a bitmap patch
-// against j.global: it goes over no transport, and the version stays
-// alive anyway — j's recorded participation pins it, or, behind the
-// lock-step gate, it is s.global itself.
+// against j.global: it goes over no transport, no fault corrupts it
+// (a corrupted upload differs from its version nearly everywhere), and
+// the version stays alive anyway — j's recorded participation pins it,
+// or, behind the lock-step gate, it is s.global itself.
 func (s *Server) bitmapped(j *trainJob) bool {
-	return s.chunks != nil && !s.denseUploads && (j.gsnap == nil || j.record && j.recRows > 0)
+	return s.chunks != nil && !s.denseUploads && !s.corrupts(j.c) && (j.gsnap == nil || j.record && j.recRows > 0)
 }
 
 // growUpdates returns a length-n update gather buffer.

@@ -598,15 +598,20 @@ func (j *trainJob) snap(c *tensor.Codec, s *Server) {
 		// An f32 uplink's upload, held narrowed as the run that wrote
 		// the stream held it.
 		j.update.holdNarrow()
-	case s.chunks != nil && !s.denseUploads:
+	case s.chunks != nil && !s.denseUploads && !s.corrupts(j.c):
 		// Held as a bitmap patch by the rule trainClient holds it by:
 		// when the participation that trained it is recorded, its link
 		// pins the version, which the job then holds too.
-		if img := s.rows.image(j.c, j.round); img != nil {
-			if j.update.holdBits(s.chunks, img.vec); j.update.bitmap != nil {
-				img.refs++
-				j.gsnap, j.global = img, img.vec
-			}
+		img := s.rows.image(j.c, j.round)
+		if img == nil {
+			break
+		}
+		u := &j.update
+		if u.bitmap = s.chunks.holdBits(params, img.vec); u.bitmap != nil {
+			paramsPool.put(u.Params)
+			u.Params, u.pooled, u.base = nil, false, img.vec
+			img.refs++
+			j.gsnap, j.global = img, img.vec
 		}
 	}
 	c.Num("update samples", &j.update.NumSamples)
