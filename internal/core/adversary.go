@@ -311,9 +311,10 @@ func rotateLabels(y []int, off, classes int) {
 // updates onto the admissible ball around the current global model.
 //
 // It also sets up the buffer's readers (mergeRead). A compact update is
-// screened a block at a time as its reader reads it, and its clip is
-// kept in its reader, applied to each entry as the merge reads it; a
-// dense one is clipped in place.
+// screened a block at a time as its reader reads it — a bitmap-patched
+// one that no clip weighs by its values and its base (finiteBits) — and
+// its clip is kept in its reader, applied to each entry as the merge
+// reads it; a dense one is clipped in place.
 func (s *Server) screenUpdates(weights []float64, updates []Update) {
 	if cap(s.mergeRd) < len(updates) {
 		s.mergeRd = make([]mergeRead, len(updates)) //fedtripvet:allow server scratch, grows once to the merge buffer size
@@ -334,7 +335,7 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 			finite = s.finiteBits(rd, &finiteBase)
 		default:
 			var sq float64
-			finite, sq = s.screenBlocks(rd)
+			finite, sq = s.screenBlocks(rd, clip)
 			if n := math.Sqrt(sq); finite && clip && n > maxNorm {
 				rd.scale, rd.clipped = maxNorm/n, true
 			}
@@ -366,17 +367,17 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 }
 
 // screenBlocks reads a compact update through rd a block at a time and
-// reports whether every entry is finite and, summed in entry order as
-// clipScale sums it, its squared distance from the global model. It
-// leaves rd's cursor reset.
-func (s *Server) screenBlocks(rd *mergeRead) (finite bool, sq float64) {
+// reports whether every entry is finite and, when clip, its squared
+// distance from the global model, summed in entry order as clipScale
+// sums it. It leaves rd's cursor reset.
+func (s *Server) screenBlocks(rd *mergeRead, clip bool) (finite bool, sq float64) {
 	finite = true
 	for lo := 0; lo < len(s.global); lo += chunkLen {
 		hi := min(lo+chunkLen, len(s.global))
 		x := rd.block(lo, hi, s.blockX[:], s.global)
 		finite = finite && tensor.AllFinite(x)
-		for j, v := range x {
-			d := v - s.global[lo+j]
+		for j := 0; clip && j < len(x); j++ {
+			d := x[j] - s.global[lo+j]
 			sq += float64(d * d)
 		}
 	}
@@ -400,7 +401,7 @@ func (s *Server) finiteBits(rd *mergeRead, finiteBase *[]float64) bool {
 		return true
 	}
 	if !tensor.AllFinite(base) {
-		finite, _ := s.screenBlocks(rd)
+		finite, _ := s.screenBlocks(rd, false)
 		return finite
 	}
 	*finiteBase = base
@@ -433,10 +434,10 @@ func clipOnto(v, g []float64, scale float64) {
 
 // mergeRead is how the merge reads one update of its buffer: a dense
 // upload as it lies (the screen clipped it in place), a compact one —
-// narrowed, or a patch of indices or a bitmap — widened whole into
-// scratch (vector) or entry by entry through a cursor (at), in either
-// case clipped as it is read, against the global the merge has not yet
-// moved.
+// narrowed, or a patch of indices or a bitmap — widened a block at a
+// time (block) or whole (vector) into scratch, or entry by entry
+// through a cursor (at), in each case clipped as it is read, against
+// the global the merge has not yet moved.
 type mergeRead struct {
 	u *Update
 	// scale is the clip the screen chose for a compact update; clipped

@@ -111,7 +111,11 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 		}
 	}
 	if st := rs.s.chunks; st != nil {
-		wide += st.kept()
+		for _, b := range st.blocks {
+			if b != nil {
+				wide++
+			}
+		}
 	}
 	return wide, narrow, nil
 }

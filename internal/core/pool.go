@@ -516,17 +516,6 @@ func (st *chunkStore) close() {
 	st.trim()
 }
 
-// kept is how many blocks the store holds.
-func (st *chunkStore) kept() int {
-	n := 0
-	for _, b := range st.blocks {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // held is what the store holds free: its chunks and its patches'
 // bitmaps.
 func (st *chunkStore) held() Held {

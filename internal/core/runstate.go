@@ -78,10 +78,11 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	r := newBufferedRunner(s)
 	s.rows.run, s.rows.coder = r, coderOf(s.wire)
 	s.rows.on = lazyRows(&s.spec) && (s.wire == nil || s.rows.coder != nil)
-	if s.wire == nil {
-		// Uploads over no transport may be held as bitmap patches: as
-		// many as the loop holds uploads at once, in flight and
-		// buffered.
+	if s.wire == nil && (spec.Runtime != RuntimeAsync || s.rows.on) {
+		// Uploads over no transport may be held as bitmap patches behind
+		// the lock-step gate or when a recipe pins their version
+		// (Server.bitmapped): as many as the loop holds uploads at once,
+		// in flight and buffered.
 		held := spec.ClientsPerRound
 		if spec.Runtime == RuntimeAsync {
 			held = spec.Concurrency + spec.Policy.k
