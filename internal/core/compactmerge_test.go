@@ -140,9 +140,15 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 					x[j] = draw()
 				}
 			}
-			if j := rng.Intn(n); !lockStep && rng.Intn(4) == 0 && x[j] != base[j] {
-				// A version with a NaN the upload changed away.
-				base[j] = math.NaN()
+			if j := rng.Intn(n); !lockStep && rng.Intn(4) == 0 {
+				// A version with a NaN: one the upload changed away, which
+				// leaves it finite, or one it kept, which the screen must
+				// reject.
+				if base[j] = math.NaN(); rng.Intn(2) == 0 {
+					x[j] = base[j]
+				} else if math.IsNaN(x[j]) {
+					x[j] = 0
+				}
 			}
 			u.bitmap, u.base = st.takeBits(x, base, n), base
 		}
