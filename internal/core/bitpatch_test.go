@@ -13,8 +13,9 @@ import (
 // entry, and counts that fill their last chunk exactly or spill one
 // value into the next; they flip ±0 and carry NaNs with distinct
 // payloads, on either side. An upload whose bitmap and whole chunks
-// would not take fewer bytes than it is refused, and every chunk a
-// patch took is back in its store once it is released.
+// would not take fewer bytes than it is refused (and round-trips when
+// taken with no limit), and every chunk a patch took is back in its
+// store once it is released.
 func TestBitPatchRoundTrip(t *testing.T) {
 	const n = 5*chunkLen + 37
 	words := (n + 63) / 64
@@ -68,7 +69,9 @@ func TestBitPatchRoundTrip(t *testing.T) {
 			t.Fatalf("%s: held as a patch %t, want %t", tc.name, p != nil, tc.held)
 		}
 		if p == nil {
-			continue
+			// Refused on its bytes, it still round-trips as a patch with
+			// no limit.
+			p = st.takeBits(x, g, n)
 		}
 		if want := (tc.changed + chunkLen - 1) / chunkLen; len(p.vals) != want {
 			t.Errorf("%s: %d chunks for %d values, want %d", tc.name, len(p.vals), tc.changed, want)
