@@ -222,6 +222,7 @@ func run(o runOpts) (*core.Result, error) {
 	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s, bitmap patches %s\n", held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches), held(fp.BitmapPatches))
 	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), held(fp.Versions32))
 	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks))
+	fmt.Printf("  models          engines %s; tester %s\n", models(fp.Engines), models(fp.Tester))
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]
 	if simulated > 0 {
@@ -405,6 +406,13 @@ func writeSnapshot(rs *core.RunState, path string) (err error) {
 }
 
 // held prints one owner of a run's footprint: its count and bytes.
+// models formats what a set of model owners holds, in MiB.
+func models(m core.Models) string {
+	mib := func(b int64) float64 { return float64(b) / (1 << 20) }
+	return fmt.Sprintf("%d (params and grads %.2f MiB, optimizer %.2f MiB, activations %.2f MiB, scratch %.2f MiB)",
+		m.N, mib(m.Params), mib(m.Optimizer), mib(m.Activations), mib(m.Scratch))
+}
+
 func held(h core.Held) string {
 	if h.N == 0 {
 		return "0"

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/nn"
 )
 
 // TestFootprintOwners holds what two lazy async fleets hold at a mid-run
@@ -16,6 +18,16 @@ import (
 // table is literal: a changed entry is a real change in what a run
 // holds.
 func TestFootprintOwners(t *testing.T) {
+	// The one engine holds |w| parameters and gradients, the momentum
+	// buffer and one sample's activations (the hidden layer's output and
+	// gradient and the logits, 8 × (25 + 25 + 10)); its scratch is its batch, label,
+	// permutation and index buffers and, over a transport, the downlink
+	// and the error-feedback row. Nothing has evaluated yet, so the
+	// tester holds its parameters and batch buffers only.
+	oneSampleEngine := func(scratch int64) core.Models {
+		return core.Models{N: 1, Params: 2 * 8 * 19_885, Optimizer: 8 * 19_885, Activations: 480, Scratch: scratch}
+	}
+	unevaluated := core.Models{N: 1, Params: 2 * 8 * 19_885, Scratch: 6_288}
 	cases := []struct {
 		name, transport string
 		want            core.Footprint
@@ -36,6 +48,8 @@ func TestFootprintOwners(t *testing.T) {
 			BitmapPatches: core.Held{N: 11, Bytes: 1_039_080},
 			Versions64:    core.Held{N: 2, Bytes: 2 * 8 * 19_885},
 			FreeChunks:    core.Held{N: 171 + 7, Bytes: 171*4_096 + 7*8*311},
+			Engines:       oneSampleEngine(165_456),
+			Tester:        unevaluated,
 		}},
 		// Over top-k every upload is a patch of indices and values
 		// against the float32 image of its version, which is how the
@@ -46,6 +60,8 @@ func TestFootprintOwners(t *testing.T) {
 			IndexPatches: core.Held{N: 11, Bytes: 29_568},
 			Versions32:   core.Held{N: 2, Bytes: 2 * 4 * 19_885},
 			Free64:       core.Held{N: 1, Bytes: 8 * 19_885},
+			Engines:      oneSampleEngine(483_616),
+			Tester:       unevaluated,
 		}},
 	}
 	for _, tc := range cases {
@@ -72,6 +88,60 @@ func TestFootprintOwners(t *testing.T) {
 			}
 		})
 	}
+	// The paper's CNN in lock-step rounds, in paper_cnn's shape (full
+	// width, batch 50, four clients a round, evaluated every round) on
+	// one shard, so one engine holds what each of that workload's two
+	// holds. The footprint is read after the second round.
+	t.Run("sync cnn", func(t *testing.T) {
+		sp := cnnRun(t)
+		rs, err := core.NewRunState(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		core.DrainPools()
+		for i := 0; i < 2; i++ {
+			if _, err := rs.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := core.Footprint{
+			Clients: 10, Built: 7, RegistryBytes: 1_760,
+			Versions64: core.Held{N: 2, Bytes: 2 * 8 * 61_706},
+			Free64:     core.Held{N: 4, Bytes: 4 * 8 * 61_706},
+			FreeChunks: core.Held{N: 4, Bytes: 30_880},
+			// TestHeldActivationBytes' cnn@50 rows are the activations.
+			Engines: core.Models{N: 1, Params: 2 * 8 * 61_706, Optimizer: 8 * 61_706, Activations: 3_634_400, Scratch: 1_621_584},
+			Tester:  core.Models{N: 1, Params: 2 * 8 * 61_706, Activations: 3_552_800, Scratch: 594_400},
+		}
+		if got := rs.Footprint(); got != want {
+			t.Errorf("footprint after two rounds\n%#v\ncommitted\n%#v", got, want)
+		}
+	})
+}
+
+// cnnRun is a lock-step run of the paper's CNN over ten clients of 100
+// synthetic MNIST samples each, on one shard.
+func cnnRun(t *testing.T) core.RunSpec {
+	t.Helper()
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 1000, Test: 100, Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([][]int, 10)
+	for i := range parts {
+		for j := 0; j < 100; j++ {
+			parts[i] = append(parts[i], 100*i+j)
+		}
+	}
+	return core.RunSpec{Config: core.Config{
+		Model: nn.ModelSpec{Arch: nn.ArchCNN, Channels: 1, Height: 28, Width: 28, Classes: 10},
+		Train: train, Test: test, Parts: parts,
+		Rounds: 2, ClientsPerRound: 4, EvalEvery: 1,
+		BatchSize: 50, LocalEpochs: 1,
+		LR: 0.01, Momentum: 0.9,
+		Algo: core.NewFedTrip(0.4), Seed: 1, Shards: 1,
+	}}
 }
 
 // oneSampleRun is uploadRun in fleet100k_churn's shape: 48 clients of

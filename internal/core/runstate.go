@@ -23,7 +23,12 @@
 // Start(spec) is NewRunState + Run.
 package core
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
 
 // RunState is a federated run that can be advanced one round at a time,
 // serialized at any round boundary (Snapshot), and reconstructed in a
@@ -140,7 +145,7 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 
 // Footprint is what a run holds, by owner, summed from lengths and
 // capacities: its client registry, the uploads it holds, the model
-// versions it holds, and the pools' free lists.
+// versions it holds, the pools' free lists, and its model instances.
 type Footprint struct {
 	// Clients is the population; Built how many of its clients the run
 	// has built, each at its first dispatch (or for a snapshot's record
@@ -173,6 +178,64 @@ type Footprint struct {
 	// free chunks, carved from float64 vectors of the pool, and its free
 	// patches (their bitmaps).
 	Free64, Free32, FreeChunks Held
+	// Engines are the training engines the run has built — one per shard
+	// that has trained a client, and the server's loaner once a client
+	// borrowed it — with the scratch models a method built on them;
+	// Tester is the evaluator's model and batch.
+	Engines, Tester Models
+}
+
+// Models is what a set of model instances holds, from capacities: N
+// owners (engines, or the tester), their models' parameter and gradient
+// vectors, their optimizers' state, the activations their layers keep
+// between passes, and scratch — the layers' convolution scratch
+// (nn.Model.HeldBytes) and the owner's batch, label, permutation,
+// downlink and row buffers.
+type Models struct {
+	N                                       int
+	Params, Optimizer, Activations, Scratch int64
+}
+
+func (ms *Models) model(m *nn.Model) {
+	if m == nil {
+		return
+	}
+	ms.Params += 8 * int64(cap(m.Params())+cap(m.Grads()))
+	a, s := m.HeldBytes()
+	ms.Activations += a
+	ms.Scratch += s
+}
+
+func (ms *Models) tensors(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		if t != nil {
+			ms.Scratch += 8 * int64(cap(t.Data))
+		}
+	}
+}
+
+// engine adds e to ms.
+func (ms *Models) engine(e *engine) {
+	if e == nil {
+		return
+	}
+	ms.N++
+	ms.model(e.model)
+	ms.model(e.scratchA)
+	ms.model(e.scratchB)
+	ms.Optimizer += e.opt.HeldBytes()
+	ms.tensors(e.batchX, e.dLogits, e.featGrad)
+	ms.Scratch += 8 * int64(cap(e.batchY)+cap(e.perm)+cap(e.idx)+cap(e.fgSaved)+cap(e.downlink)+cap(e.rowScratch)+cap(e.residRow))
+}
+
+// tester adds t to ms, once no evaluation holds it.
+func (ms *Models) tester(t *tester) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ms.N++
+	ms.model(t.model)
+	ms.tensors(t.x)
+	ms.Scratch += 8 * int64(cap(t.idx)+cap(t.labels))
 }
 
 // Held is what one owner holds: how many objects, and their bytes.
@@ -227,6 +290,11 @@ func (rs *RunState) Footprint() Footprint {
 	if s.chunks != nil {
 		fp.FreeChunks = s.chunks.held()
 	}
+	for _, e := range s.sp.engines {
+		fp.Engines.engine(e)
+	}
+	fp.Engines.engine(s.loan.eng)
+	fp.Tester.tester(s.eval)
 	return fp
 }
 

@@ -9,44 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// heldBytes sums the capacities of the buffers m's layers hold, each
-// backing array once (an in-place ReLU's output is the array of the layer
-// before it), leaving out the caller's own tensors. Conv and GEMM
-// scratch is not an activation and is not counted.
-func heldBytes(m *Model, caller ...*tensor.Tensor) int64 {
-	seen := map[*float64]bool{}
-	for _, t := range caller {
-		seen[&t.Data[:1][0]] = true
-	}
-	var n int64
-	f64 := func(ts ...*tensor.Tensor) {
-		for _, t := range ts {
-			if t == nil || cap(t.Data) == 0 || seen[&t.Data[:1][0]] {
-				continue
-			}
-			seen[&t.Data[:1][0]] = true
-			n += 8 * int64(cap(t.Data))
-		}
-	}
-	for _, l := range m.layers {
-		switch l := l.(type) {
-		case *denseLayer:
-			f64(l.y, l.dx)
-		case *convLayer:
-			f64(l.y, l.dx)
-		case *maxPoolLayer:
-			f64(l.y, l.dx)
-			n += 4 * int64(cap(l.argmax))
-		case *reluLayer:
-			f64(l.y, l.dx)
-		case *dropoutLayer:
-			f64(l.y, l.dx)
-			n += int64(cap(l.keep))
-		}
-	}
-	return n
-}
-
 // TestHeldActivationBytes pins, exactly, the bytes a model's layers hold
 // after one training step and after one evaluation forward at the batch
 // the programs run it at: the paper's CNN at 50, the MLP at 6 and a
@@ -82,7 +44,7 @@ func TestHeldActivationBytes(t *testing.T) {
 		d := tensor.New(logits.Shape()...)
 		SoftmaxCrossEntropy(logits, labels, d)
 		m.Backward(d, nil)
-		if got := heldBytes(m, x, d); got != c.train {
+		if got, _ := m.HeldBytes(); got != c.train {
 			t.Errorf("%s@%d: a training step holds %d B, committed %d", c.spec.Arch, c.batch, got, c.train)
 		}
 		e, err := c.spec.Build(1)
@@ -90,7 +52,7 @@ func TestHeldActivationBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Forward(x, false)
-		if got := heldBytes(e, x); got != c.eval {
+		if got, _ := e.HeldBytes(); got != c.eval {
 			t.Errorf("%s@%d: an evaluation forward holds %d B, committed %d", c.spec.Arch, c.batch, got, c.eval)
 		}
 	}

@@ -50,6 +50,20 @@ func (l *convLayer) getScratch() *convScratch {
 	return l.scratch
 }
 
+// bytes is what cs holds (0 for a layer never run).
+func (cs *convScratch) bytes() int64 {
+	if cs == nil {
+		return 0
+	}
+	n := cap(cs.db)
+	for _, t := range []*tensor.Tensor{cs.col, cs.dcol, cs.dw} {
+		if t != nil {
+			n += cap(t.Data)
+		}
+	}
+	return 8 * int64(n)
+}
+
 // backwardHalf allocates cs's gradient storage on its first backward.
 func (l *convLayer) backwardHalf(cs *convScratch) {
 	g := l.geom

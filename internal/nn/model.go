@@ -184,6 +184,46 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return h
 }
 
+// HeldBytes sums, from capacities, what m's layers hold beyond the
+// parameter and gradient vectors. activations are the buffers a layer
+// keeps from one pass to the next: outputs, input gradients, max-pool
+// argmaxes and dropout masks, each backing array once (an in-place
+// ReLU's output is the array of the layer before it, an input gradient
+// written in place the input's). scratch is the convolutions' working
+// storage: the im2col and col2im matrices and the batch's parameter
+// gradient. The caller's batch and logit gradient are the caller's, and
+// the process's GEMM packing buffers no model's.
+func (m *Model) HeldBytes() (activations, scratch int64) {
+	seen := map[*float64]bool{}
+	f64 := func(ts ...*tensor.Tensor) {
+		for _, t := range ts {
+			if t == nil || cap(t.Data) == 0 || seen[&t.Data[:1][0]] {
+				continue
+			}
+			seen[&t.Data[:1][0]] = true
+			activations += 8 * int64(cap(t.Data))
+		}
+	}
+	for _, l := range m.layers {
+		switch l := l.(type) {
+		case *denseLayer:
+			f64(l.y, l.dx)
+		case *convLayer:
+			f64(l.y, l.dx)
+			scratch += l.scratch.bytes()
+		case *maxPoolLayer:
+			f64(l.y, l.dx)
+			activations += 4 * int64(cap(l.argmax))
+		case *reluLayer:
+			f64(l.y, l.dx)
+		case *dropoutLayer:
+			f64(l.y, l.dx)
+			activations += int64(cap(l.keep))
+		}
+	}
+	return activations, scratch
+}
+
 // Features returns the representation cached by the last Forward call:
 // the input to the model's final layer. MOON's model-contrastive loss is
 // computed on these vectors. The returned tensor is shaped [N, D].

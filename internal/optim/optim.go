@@ -23,6 +23,8 @@ type Optimizer interface {
 	Reset()
 	// Name identifies the optimizer for logging.
 	Name() string
+	// HeldBytes is what the optimizer's state holds, from capacities.
+	HeldBytes() int64
 }
 
 // Stateful is the optional inspection interface for optimizers that keep
@@ -50,8 +52,9 @@ func (o *SGD) Step(w, g []float64) {
 	tensor.Axpy(-o.LR, g, w)
 }
 
-func (o *SGD) Reset()       {}
-func (o *SGD) Name() string { return "sgd" }
+func (o *SGD) Reset()           {}
+func (o *SGD) Name() string     { return "sgd" }
+func (o *SGD) HeldBytes() int64 { return 0 }
 
 // SGDMomentum is SGD with (non-Nesterov) momentum, the paper's default
 // local optimizer ("SGDm", lr 0.01, momentum 0.9).
@@ -88,6 +91,8 @@ func (o *SGDMomentum) Reset() {
 }
 
 func (o *SGDMomentum) Name() string { return "sgdm" }
+
+func (o *SGDMomentum) HeldBytes() int64 { return 8 * int64(cap(o.buf)) }
 
 // Slots exposes the momentum buffer for inspection (Stateful). The
 // returned slice is a copy; before the first Step it is empty.
