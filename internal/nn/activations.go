@@ -11,8 +11,8 @@ import (
 // model it rectifies that layer's output in place, and placed ahead of one
 // it zeroes the gradient that layer hands back in place; otherwise it owns
 // the buffer. The backward mask is its own output: y > 0 exactly where
-// x > 0, NaN included. Ahead of a max-pool the pool applies that mask
-// (placement.masks) and Backward passes the gradient through.
+// x > 0, NaN included. Between a convolution and a max-pool it is part of
+// the fused block Build makes of the three (convPoolLayer).
 type reluLayer struct {
 	placement
 	shape []int
@@ -64,9 +64,6 @@ func (l *reluLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *reluLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.first {
 		return nil
-	}
-	if l.masked {
-		return dy
 	}
 	dx := dy
 	if !l.ownGrad {

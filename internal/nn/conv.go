@@ -14,7 +14,10 @@ import (
 // built by the first pass, so steady-state batches allocate nothing. A
 // model is never run by two goroutines at once (its layers keep their
 // activations), so the scratch needs no pool: one set per layer, held as
-// long as the layer, whatever the scheduler or the collector did.
+// long as the layer, whatever the scheduler or the collector did. A
+// convolution followed by a ReLU and a max-pool runs inside the fused
+// convPoolLayer, which uses its geometry, parameters and scratch and
+// never its batch-wide output.
 type convLayer struct {
 	placement
 	outC        int
@@ -31,8 +34,9 @@ type convLayer struct {
 
 // convScratch is the im2col and gradient-accumulation storage of a layer.
 // The out/dout tensors are header-only views whose Data is re-pointed at
-// the current sample's slice of the batch output or its gradient, so
-// per-sample matmul calls allocate nothing. The backward half (dw, db and,
+// the current sample's slice of the batch output or its gradient (or at
+// a fused layer's per-sample buffer), so per-sample matmul calls allocate
+// nothing. The backward half (dw, db and,
 // unless the layer is first, dcol) is allocated by the first backward
 // on the layer: a layer only ever run forward never holds it.
 type convScratch struct {
@@ -312,14 +316,11 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
-	// The input gradient is written window by window. The windows tile
-	// the input and each argmax lies in its own window, so when dx is the
-	// input's storage, the mask read at a window's argmax still sees the
-	// input: nothing has zeroed that window yet.
+	// The input gradient is written window by window: the windows tile
+	// the input and each argmax lies in its own window.
 	inSize := l.c * l.h * l.w
 	outSize := l.c * l.oh * l.ow
 	for s := 0; s < n; s++ {
-		xs := l.x.Data[s*inSize : (s+1)*inSize]
 		dxs := l.dx.Data[s*inSize : (s+1)*inSize]
 		dys := dy.Data[s*outSize : (s+1)*outSize]
 		am := l.argmax[s*outSize : (s+1)*outSize]
@@ -328,14 +329,11 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			base := c * l.h * l.w
 			for oy := 0; oy < l.oh; oy++ {
 				for ox := 0; ox < l.ow; ox++ {
-					keep := !l.masks || xs[am[o]] > 0
 					for ky := 0; ky < l.k; ky++ {
 						rowBase := base + (oy*l.k+ky)*l.w + ox*l.k
 						clear(dxs[rowBase : rowBase+l.k])
 					}
-					if keep {
-						dxs[am[o]] += dys[o]
-					}
+					dxs[am[o]] += dys[o]
 					o++
 				}
 			}
@@ -346,4 +344,221 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 func (l *maxPoolLayer) FwdFLOPs() float64 {
 	return float64(l.c * l.oh * l.ow * l.k * l.k)
+}
+
+// convPoolLayer is a convolution, the ReLU after it and the max-pool after
+// that, run as one layer: Build fuses every Conv2D → ReLU → MaxPool2D run
+// into one, so the batch's convolution output is never held. Sample by
+// sample, the forward pass computes the convolution (im2col, GEMM, bias)
+// into one per-sample buffer, then rectifies and pools it into the
+// layer's output. For each pooled entry it keeps one byte: 0 where the
+// window's maximum is not above 0 (the ReLU's mask is 0 there), else 1 +
+// the offset of the window's first maximum. The backward pass rebuilds a
+// sample's convolution output gradient in the same buffer — zeroed, then
+// dy added at each kept offset, as the max-pool adds into a zeroed window
+// — and runs the convolution's backward on it, sample after sample as the
+// convolution does. Logits and every gradient bit are the three layers'.
+type convPoolLayer struct {
+	placement
+	conv *convLayer
+	pool *maxPoolLayer // its geometry; it holds no buffer
+	buf  []float64     // one sample's convolution output, then its gradient
+	arg  []uint8       // per pooled entry: 0, or 1 + the window offset
+	x    *tensor.Tensor
+	y    *tensor.Tensor
+	dx   *tensor.Tensor // none when first, x when gradInInput
+}
+
+// fuse replaces every Conv2D → ReLU → MaxPool2D run of layers with one
+// convPoolLayer. A window's offset must fit a byte beside the mask, so
+// a pool of more than 15×15 is left unfused.
+func fuse(layers []Layer) []Layer {
+	var out []Layer
+	for i := 0; i < len(layers); i++ {
+		if i+2 < len(layers) {
+			c, conv := layers[i].(*convLayer)
+			_, relu := layers[i+1].(*reluLayer)
+			p, pool := layers[i+2].(*maxPoolLayer)
+			if conv && relu && pool && p.k*p.k < 256 {
+				out = append(out, &convPoolLayer{conv: c, pool: p})
+				i += 2
+				continue
+			}
+		}
+		out = append(out, layers[i])
+	}
+	return out
+}
+
+func (l *convPoolLayer) Name() string { return "conv2d+relu+maxpool2d" }
+
+func (l *convPoolLayer) Resolve(in []int) ([]int, error) {
+	out, err := l.conv.Resolve(in)
+	if err != nil {
+		return nil, err
+	}
+	return l.pool.Resolve(out)
+}
+
+func (l *convPoolLayer) ParamCount() int { return l.conv.ParamCount() }
+
+func (l *convPoolLayer) Bind(params, grads []float64, rng *prng.Rand) {
+	l.conv.Bind(params, grads, rng)
+}
+
+// place places the layer and its convolution, whose scratch follows it.
+func (l *convPoolLayer) place(q placement) {
+	l.placement = q
+	l.conv.placement = q
+}
+
+//fedtripvet:hotpath
+func (l *convPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	n := x.Dim(0)
+	c, p := l.conv, l.pool
+	g := c.geom
+	l.x = x
+	if l.y == nil {
+		l.y = tensor.New(n, p.c, p.oh, p.ow)
+	} else if l.y.Dim(0) != n {
+		l.y.SetDim0(n)
+	}
+	inSize := g.InC * g.InH * g.InW
+	outSize := p.c * p.oh * p.ow
+	if cap(l.arg) < n*outSize {
+		l.arg = make([]uint8, n*outSize) //fedtripvet:allow grows to the widest batch once
+	}
+	l.arg = l.arg[:n*outSize]
+	if l.buf == nil {
+		l.buf = make([]float64, c.outC*g.ColCols()) //fedtripvet:allow once per layer
+	}
+	cs := c.getScratch()
+	out := view(&cs.out, l.buf, c.outC, g.ColCols())
+	for s := 0; s < n; s++ {
+		g.Im2Col(x.Data[s*inSize:(s+1)*inSize], cs.col.Data)
+		tensor.MatMul(out, c.wView, cs.col)
+		for f := 0; f < c.outC; f++ {
+			bf := c.b[f]
+			row := l.buf[f*g.ColCols() : (f+1)*g.ColCols()]
+			for i := range row {
+				row[i] += bf
+			}
+		}
+		l.rectifyPool(l.buf, l.y.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize])
+	}
+	return l.y
+}
+
+// rectifyPool rectifies one sample's convolution output z as the ReLU
+// does (+0 wherever z is not above 0, NaN included) and max-pools it into
+// y: a window's first maximum wins, and a window whose maximum is 0
+// routes no gradient.
+//
+//fedtripvet:hotpath
+func (l *convPoolLayer) rectifyPool(z, y []float64, arg []uint8) {
+	p := l.pool
+	o := 0
+	for c := 0; c < p.c; c++ {
+		base := c * p.h * p.w
+		for oy := 0; oy < p.oh; oy++ {
+			for ox := 0; ox < p.ow; ox++ {
+				best, bestOff := math.Inf(-1), 0
+				off := 0
+				for ky := 0; ky < p.k; ky++ {
+					row := z[base+(oy*p.k+ky)*p.w+ox*p.k:][:p.k]
+					for _, v := range row {
+						if !(v > 0) {
+							v = 0
+						}
+						if v > best {
+							best, bestOff = v, off
+						}
+						off++
+					}
+				}
+				y[o] = best
+				arg[o] = 0
+				if best > 0 {
+					arg[o] = uint8(bestOff + 1)
+				}
+				o++
+			}
+		}
+	}
+}
+
+// unpool writes one sample's convolution output gradient into dz: zero,
+// plus dy[o] at the kept offset of pooled entry o.
+//
+//fedtripvet:hotpath
+func (l *convPoolLayer) unpool(dz, dy []float64, arg []uint8) {
+	p := l.pool
+	clear(dz)
+	o := 0
+	for c := 0; c < p.c; c++ {
+		base := c * p.h * p.w
+		for oy := 0; oy < p.oh; oy++ {
+			for ox := 0; ox < p.ow; ox++ {
+				if a := int(arg[o]); a != 0 {
+					ky, kx := (a-1)/p.k, (a-1)%p.k
+					dz[base+(oy*p.k+ky)*p.w+ox*p.k+kx] += dy[o]
+				}
+				o++
+			}
+		}
+	}
+}
+
+// Backward accumulates the batch's parameter gradient in the
+// convolution's scratch and adds it to dw/db once at the end.
+//
+//fedtripvet:hotpath
+func (l *convPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	n := dy.Dim(0)
+	c, p := l.conv, l.pool
+	g := c.geom
+	switch {
+	case l.first: // l.dx stays nil
+	case l.gradInInput: // a sample's col2im follows its im2col
+		l.dx = l.x
+	case l.dx == nil:
+		l.dx = tensor.New(n, g.InC, g.InH, g.InW)
+	case l.dx.Dim(0) != n:
+		l.dx.SetDim0(n)
+	}
+	inSize := g.InC * g.InH * g.InW
+	outSize := p.c * p.oh * p.ow
+	cs := c.getScratch()
+	c.backwardHalf(cs)
+	tensor.ZeroVec(cs.dw.Data)
+	tensor.ZeroVec(cs.db)
+	dout := view(&cs.dout, l.buf, c.outC, g.ColCols())
+	for s := 0; s < n; s++ {
+		g.Im2Col(l.x.Data[s*inSize:(s+1)*inSize], cs.col.Data)
+		l.unpool(l.buf, dy.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize])
+		tensor.MatMulABTAdd(cs.dw, dout, cs.col)
+		for f := 0; f < c.outC; f++ {
+			var sum float64
+			for _, v := range l.buf[f*g.ColCols() : (f+1)*g.ColCols()] {
+				sum += v
+			}
+			cs.db[f] += sum
+		}
+		if l.first {
+			continue
+		}
+		tensor.MatMulATB(cs.dcol, c.wView, dout)
+		dximg := l.dx.Data[s*inSize : (s+1)*inSize]
+		clear(dximg)
+		g.Col2Im(cs.dcol.Data, dximg)
+	}
+	tensor.Axpy(1, cs.dw.Data, c.dw)
+	tensor.Axpy(1, cs.db, c.db)
+	return l.dx
+}
+
+// FwdFLOPs is the three layers' sum.
+func (l *convPoolLayer) FwdFLOPs() float64 {
+	p := l.pool
+	return l.conv.FwdFLOPs() + float64(p.c*p.h*p.w) + p.FwdFLOPs()
 }

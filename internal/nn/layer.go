@@ -67,29 +67,17 @@ type placement struct {
 	// model allocated — not the caller's dLogits, nor a flatten or dropout
 	// passing it through. A ReLU zeroes it in place.
 	ownGrad bool
-	// gradInInput: a conv, dense or max-pool layer between the first and
-	// the last writes its input gradient into its input's storage and
-	// returns the input tensor. The input is a buffer an earlier layer
-	// allocated (looking through flattens, which are views, but not
-	// through a dropout, which at evaluation passes the caller's batch).
-	// Backward reads the input before overwriting it: dense's dW GEMM
-	// precedes its dx GEMM, conv's im2col of a sample that sample's
-	// col2im, and max-pool reads only argmax. And no later backward step
-	// reads the buffer: a conv, dense or max-pool allocated it, none of
-	// which reads its own output backward, or a ReLU whose mask the
-	// max-pool applies (masks).
+	// gradInInput: a conv, dense, max-pool or fused conv block between
+	// the first and the last writes its input gradient into its input's
+	// storage and returns the input tensor. The input is a buffer another
+	// such layer allocated (looking through flattens, which are views, but
+	// not through a dropout, which at evaluation passes the caller's
+	// batch), and none of them reads its own output backward, so no later
+	// backward step reads the buffer. Backward reads the input before
+	// overwriting it: dense's dW GEMM precedes its dx GEMM, a convolution's
+	// im2col of a sample that sample's col2im, and max-pool reads only
+	// argmax.
 	gradInInput bool
-	// masks: a max-pool behind a ReLU applies the ReLU's mask. Window by
-	// window it reads keep := x[argmax] > 0 before zeroing the window and
-	// adds the output gradient only where keep holds: its input is the
-	// ReLU's output and each argmax lies in its own window, so that is
-	// the mask the ReLU would apply, read before anything overwrites it.
-	// The ReLU's output must be a buffer no other backward reads: the
-	// ReLU's own, or a conv's or pool's that it rectified in place.
-	masks bool
-	// masked: the ReLU whose mask the max-pool after it applies; its
-	// Backward passes the gradient through.
-	masked bool
 }
 
 func (p *placement) place(q placement) { *p = q }
@@ -112,7 +100,7 @@ func place(layers []Layer) {
 	// backward.
 	writer := func(l Layer) bool {
 		switch l.(type) {
-		case *convLayer, *denseLayer, *maxPoolLayer:
+		case *convLayer, *denseLayer, *maxPoolLayer, *convPoolLayer:
 			return true
 		}
 		return false
@@ -137,16 +125,8 @@ func place(layers []Layer) {
 			}
 			j--
 		}
-		if j < 0 {
-			continue
-		}
-		_, relu := layers[j].(*reluLayer)
-		_, pool := layers[i].(*maxPoolLayer)
-		switch {
-		case writer(layers[j]):
+		if j >= 0 && writer(layers[j]) {
 			ps[i].gradInInput = true
-		case relu && pool && (!ps[j].ownInput || writer(layers[j-1])):
-			ps[i].gradInInput, ps[i].masks, ps[j].masked = true, true, true
 		}
 	}
 	for i, l := range layers {

@@ -41,7 +41,8 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Build resolves shapes, allocates the flat parameter and gradient vectors,
+// Build fuses every Conv2D → ReLU → MaxPool2D run into one layer (fuse),
+// resolves shapes, allocates the flat parameter and gradient vectors,
 // binds every layer, initialises weights deterministically from seed, and
 // places every layer: which activation and gradient buffers it may write
 // in place follows from its position alone.
@@ -52,12 +53,17 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 	if len(b.layers) == 0 {
 		return nil, fmt.Errorf("nn: model has no layers")
 	}
-	shape := b.inShape
+	return assemble(b.inShape, fuse(b.layers), seed)
+}
+
+// assemble builds the model of layers over per-sample inputs of inShape.
+func assemble(inShape []int, layers []Layer, seed int64) (*Model, error) {
+	shape := inShape
 	var total int
 	var fwd float64
 	featureDim := numel(shape)
-	for i, l := range b.layers {
-		if i == len(b.layers)-1 {
+	for i, l := range layers {
+		if i == len(layers)-1 {
 			featureDim = numel(shape)
 		}
 		out, err := l.Resolve(shape)
@@ -72,8 +78,8 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 		return nil, fmt.Errorf("nn: model output shape %v is not flat (missing Flatten/Dense head?)", shape)
 	}
 	m := &Model{
-		layers:     b.layers,
-		inShape:    append([]int(nil), b.inShape...),
+		layers:     layers,
+		inShape:    append([]int(nil), inShape...),
 		outDim:     shape[0],
 		featureDim: featureDim,
 		params:     make([]float64, total),
@@ -82,7 +88,7 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 		fwdFLOPs:   fwd,
 	}
 	off := 0
-	for _, l := range b.layers {
+	for _, l := range layers {
 		n := l.ParamCount()
 		l.Bind(m.params[off:off+n], m.grads[off:off+n], m.rng)
 		off += n
@@ -90,7 +96,7 @@ func (b *Builder) Build(seed int64) (*Model, error) {
 			m.dropouts = append(m.dropouts, d)
 		}
 	}
-	place(b.layers)
+	place(layers)
 	return m, nil
 }
 
@@ -186,13 +192,14 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // HeldBytes sums, from capacities, what m's layers hold beyond the
 // parameter and gradient vectors. activations are the buffers a layer
-// keeps from one pass to the next: outputs, input gradients, max-pool
-// argmaxes and dropout masks, each backing array once (an in-place
-// ReLU's output is the array of the layer before it, an input gradient
-// written in place the input's). scratch is the convolutions' working
-// storage: the im2col and col2im matrices and the batch's parameter
-// gradient. The caller's batch and logit gradient are the caller's, and
-// the process's GEMM packing buffers no model's.
+// keeps from one pass to the next — outputs, input gradients, max-pool
+// argmaxes, a fused block's per-sample convolution output and pooled
+// bytes, dropout masks — each backing array once (an in-place ReLU's
+// output is the array of the layer before it, an input gradient written
+// in place the input's). scratch is the convolutions' working storage:
+// the im2col and col2im matrices and the batch's parameter gradient. The
+// caller's batch and logit gradient are the caller's, and the process's
+// GEMM packing buffers no model's.
 func (m *Model) HeldBytes() (activations, scratch int64) {
 	seen := map[*float64]bool{}
 	f64 := func(ts ...*tensor.Tensor) {
@@ -214,6 +221,10 @@ func (m *Model) HeldBytes() (activations, scratch int64) {
 		case *maxPoolLayer:
 			f64(l.y, l.dx)
 			activations += 4 * int64(cap(l.argmax))
+		case *convPoolLayer:
+			f64(l.y, l.dx)
+			activations += 8*int64(cap(l.buf)) + int64(cap(l.arg))
+			scratch += l.conv.scratch.bytes()
 		case *reluLayer:
 			f64(l.y, l.dx)
 		case *dropoutLayer:

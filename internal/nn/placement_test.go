@@ -133,7 +133,7 @@ func TestPlacedMatchesUnplaced(t *testing.T) {
 // A max-pool window holding no value above -Inf (all -Inf, or all NaN)
 // routes its gradient to its own first element — not to element 0 of the
 // sample — whether the pool owns its input gradient or writes it into its
-// input, and with the mask of a ReLU ahead of it applied, a window whose
+// input, and fused behind a convolution and its ReLU, a window whose
 // maximum is 0 passes nothing.
 func TestMaxPoolGradientStaysInWindow(t *testing.T) {
 	inf, nan := math.Inf(-1), math.NaN()
@@ -168,7 +168,6 @@ func TestMaxPoolGradientStaysInWindow(t *testing.T) {
 	}{
 		{"own dx", placement{}, own},
 		{"in place", placement{gradInInput: true}, own},
-		{"in place, masks", placement{gradInInput: true, masks: true}, masked},
 	} {
 		l := &maxPoolLayer{k: 2}
 		if _, err := l.Resolve([]int{2, 4, 4}); err != nil {
@@ -185,6 +184,20 @@ func TestMaxPoolGradientStaysInWindow(t *testing.T) {
 			if v != c.want[i] {
 				t.Fatalf("%s: dx[%d] = %v, want %v (dx %v)", c.name, i, v, c.want[i], dx.Data)
 			}
+		}
+	}
+	// Fused behind a convolution and its ReLU, the pool sees the
+	// rectified values and routes nothing where the maximum is 0.
+	l := &convPoolLayer{pool: &maxPoolLayer{k: 2}}
+	if _, err := l.pool.Resolve([]int{2, 4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	y, arg, dz := make([]float64, 8), make([]uint8, 8), make([]float64, len(in))
+	l.rectifyPool(in, y, arg)
+	l.unpool(dz, dy.Data, arg)
+	for i, v := range dz {
+		if v != masked[i] {
+			t.Fatalf("fused: dz[%d] = %v, want %v (dz %v)", i, v, masked[i], dz)
 		}
 	}
 }
