@@ -139,31 +139,57 @@ func (l *convLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else if l.y.Dim(0) != n {
 		l.y.SetDim0(n)
 	}
-	g := l.geom
-	inSize := g.InC * g.InH * g.InW
-	outSize := l.outC * g.OutH * g.OutW
+	outSize := l.outC * l.geom.OutH * l.geom.OutW
 	cs := l.getScratch()
 	for s := 0; s < n; s++ {
-		img := l.x.Data[s*inSize : (s+1)*inSize]
-		g.Im2Col(img, cs.col.Data)
-		out := view(&cs.out, l.y.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
-		tensor.MatMul(out, l.wView, cs.col)
-		// Add per-filter bias across the spatial map.
-		for f := 0; f < l.outC; f++ {
-			bf := l.b[f]
-			row := out.Data[f*g.ColCols() : (f+1)*g.ColCols()]
-			for i := range row {
-				row[i] += bf
-			}
-		}
+		l.forwardSample(cs, l.sample(x, s), l.y.Data[s*outSize:(s+1)*outSize])
 	}
 	return l.y
+}
+
+// sample is sample s of t, a batch of the layer's inputs (nil if t is).
+func (l *convLayer) sample(t *tensor.Tensor, s int) []float64 {
+	if t == nil {
+		return nil
+	}
+	n := l.geom.InC * l.geom.InH * l.geom.InW
+	return t.Data[s*n : (s+1)*n]
+}
+
+// forwardSample writes the convolution of one sample's image into out
+// ([outC, OutH*OutW]).
+//
+//fedtripvet:hotpath
+func (l *convLayer) forwardSample(cs *convScratch, img, out []float64) {
+	g := l.geom
+	g.Im2Col(img, cs.col.Data)
+	tensor.MatMul(view(&cs.out, out, l.outC, g.ColCols()), l.wView, cs.col)
+	// Add per-filter bias across the spatial map.
+	for f := 0; f < l.outC; f++ {
+		bf := l.b[f]
+		row := out[f*g.ColCols() : (f+1)*g.ColCols()]
+		for i := range row {
+			row[i] += bf
+		}
+	}
 }
 
 // Backward accumulates the batch's parameter gradient in scratch and adds
 // it to the layer's dw/db once at the end.
 func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Dim(0)
+	outSize := l.outC * l.geom.OutH * l.geom.OutW
+	cs := l.beginBackward(n)
+	for s := 0; s < n; s++ {
+		l.backwardSample(cs, l.sample(l.x, s), dy.Data[s*outSize:(s+1)*outSize], l.sample(l.dx, s))
+	}
+	l.endBackward(cs)
+	return l.dx
+}
+
+// beginBackward places the input gradient of an n-sample batch and
+// zeroes the batch's parameter gradient in scratch.
+func (l *convLayer) beginBackward(n int) *convScratch {
 	g := l.geom
 	switch {
 	case l.first: // l.dx stays nil
@@ -174,41 +200,45 @@ func (l *convLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
-	inSize := g.InC * g.InH * g.InW
-	outSize := l.outC * g.OutH * g.OutW
 	cs := l.getScratch()
 	l.backwardHalf(cs)
 	tensor.ZeroVec(cs.dw.Data)
 	tensor.ZeroVec(cs.db)
-	for s := 0; s < n; s++ {
-		img := l.x.Data[s*inSize : (s+1)*inSize]
-		g.Im2Col(img, cs.col.Data)
-		dout := view(&cs.dout, dy.Data[s*outSize:(s+1)*outSize], l.outC, g.ColCols())
-		// dW += dOut x col^T, accumulated straight into scratch.
-		tensor.MatMulABTAdd(cs.dw, dout, cs.col)
-		// db_s = row sums of dOut.
-		for f := 0; f < l.outC; f++ {
-			row := dout.Data[f*g.ColCols() : (f+1)*g.ColCols()]
-			var sum float64
-			for _, v := range row {
-				sum += v
-			}
-			cs.db[f] += sum
+	return cs
+}
+
+// backwardSample adds one sample's parameter gradient, from its image
+// and its output gradient dout, to scratch and, unless the layer is
+// first, writes its input gradient into dximg.
+//
+//fedtripvet:hotpath
+func (l *convLayer) backwardSample(cs *convScratch, img, dout, dximg []float64) {
+	g := l.geom
+	g.Im2Col(img, cs.col.Data)
+	d := view(&cs.dout, dout, l.outC, g.ColCols())
+	// dW += dOut x col^T, accumulated straight into scratch.
+	tensor.MatMulABTAdd(cs.dw, d, cs.col)
+	// db_s = row sums of dOut.
+	for f := 0; f < l.outC; f++ {
+		var sum float64
+		for _, v := range dout[f*g.ColCols() : (f+1)*g.ColCols()] {
+			sum += v
 		}
-		if l.first {
-			continue
-		}
-		// dcol = W^T x dOut; dx_s = col2im(dcol).
-		tensor.MatMulATB(cs.dcol, l.wView, dout)
-		dximg := l.dx.Data[s*inSize : (s+1)*inSize]
-		for i := range dximg {
-			dximg[i] = 0
-		}
-		g.Col2Im(cs.dcol.Data, dximg)
+		cs.db[f] += sum
 	}
+	if l.first {
+		return
+	}
+	// dcol = W^T x dOut; dx_s = col2im(dcol).
+	tensor.MatMulATB(cs.dcol, l.wView, d)
+	clear(dximg)
+	g.Col2Im(cs.dcol.Data, dximg)
+}
+
+// endBackward adds the batch's parameter gradient to the layer's.
+func (l *convLayer) endBackward(cs *convScratch) {
 	tensor.Axpy(1, cs.dw.Data, l.dw)
 	tensor.Axpy(1, cs.db, l.db)
-	return l.dx
 }
 
 func (l *convLayer) FwdFLOPs() float64 {
@@ -218,20 +248,23 @@ func (l *convLayer) FwdFLOPs() float64 {
 }
 
 // maxPoolLayer is a k x k max pooling with stride k (the only configuration
-// the paper's models need).
+// the paper's models need). A window's routing fits a byte, so k is at
+// most 15.
 type maxPoolLayer struct {
 	placement
 	k       int
 	c, h, w int
 	oh, ow  int
-	argmax  []int32 // flat input index of each output's max, in its window
-	x       *tensor.Tensor
-	y, dx   *tensor.Tensor // dx: x when gradInInput
+	// arg routes each output's gradient: 1 + the offset of its window's
+	// first maximum, or 0 (only behind a fused ReLU) for none.
+	arg   []uint8
+	x     *tensor.Tensor
+	y, dx *tensor.Tensor // dx: x when gradInInput
 }
 
 // MaxPool2D appends k x k max pooling with stride k.
 func (b *Builder) MaxPool2D(k int) *Builder {
-	if k <= 0 {
+	if k <= 0 || k*k >= 256 {
 		b.fail(fmt.Errorf("nn: MaxPool2D bad k=%d", k))
 		return b
 	}
@@ -256,53 +289,92 @@ func (l *maxPoolLayer) Resolve(in []int) ([]int, error) {
 func (l *maxPoolLayer) ParamCount() int                              { return 0 }
 func (l *maxPoolLayer) Bind(params, grads []float64, rng *prng.Rand) {}
 
-func (l *maxPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Dim(0)
-	outSize := l.c * l.oh * l.ow
+// size sizes the output and the routing bytes for an n-sample batch.
+func (l *maxPoolLayer) size(n int) {
 	if l.y == nil {
 		l.y = tensor.New(n, l.c, l.oh, l.ow)
 	} else if l.y.Dim(0) != n {
 		l.y.SetDim0(n)
 	}
-	if cap(l.argmax) >= n*outSize {
-		l.argmax = l.argmax[:n*outSize]
+	if m := n * l.c * l.oh * l.ow; cap(l.arg) >= m {
+		l.arg = l.arg[:m]
 	} else {
-		l.argmax = make([]int32, n*outSize)
+		l.arg = make([]uint8, m)
 	}
+}
+
+func (l *maxPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	n := x.Dim(0)
 	l.x = x
+	l.size(n)
 	inSize := l.c * l.h * l.w
+	outSize := l.c * l.oh * l.ow
 	for s := 0; s < n; s++ {
-		in := x.Data[s*inSize : (s+1)*inSize]
-		out := l.y.Data[s*outSize : (s+1)*outSize]
-		am := l.argmax[s*outSize : (s+1)*outSize]
-		o := 0
-		for c := 0; c < l.c; c++ {
-			base := c * l.h * l.w
-			for oy := 0; oy < l.oh; oy++ {
-				for ox := 0; ox < l.ow; ox++ {
-					// A window with no value above -Inf (all NaN or -Inf)
-					// routes its gradient to its own first element.
-					best := math.Inf(-1)
-					bestIdx := base + oy*l.k*l.w + ox*l.k
-					for ky := 0; ky < l.k; ky++ {
-						rowBase := base + (oy*l.k+ky)*l.w + ox*l.k
-						for kx := 0; kx < l.k; kx++ {
-							if v := in[rowBase+kx]; v > best {
-								best = v
-								bestIdx = rowBase + kx
-							}
-						}
-					}
-					out[o] = best
-					am[o] = int32(bestIdx)
-					o++
-				}
-			}
-		}
+		l.pool(x.Data[s*inSize:(s+1)*inSize], l.y.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize], false)
 	}
 	return l.y
 }
 
+// pool max-pools one sample's map z into y, a window's first maximum
+// winning. A window with no value above -Inf (all NaN or -Inf) routes
+// its gradient to its own first element. With relu, it pools the map as
+// a ReLU would have left it (+0 wherever z is not above 0, NaN
+// included), and a window whose maximum is 0 routes none.
+//
+//fedtripvet:hotpath
+func (l *maxPoolLayer) pool(z, y []float64, arg []uint8, relu bool) {
+	o := 0
+	for c := 0; c < l.c; c++ {
+		base := c * l.h * l.w
+		for oy := 0; oy < l.oh; oy++ {
+			for ox := 0; ox < l.ow; ox++ {
+				best, bestOff := math.Inf(-1), 0
+				off := 0
+				for ky := 0; ky < l.k; ky++ {
+					for _, v := range z[base+(oy*l.k+ky)*l.w+ox*l.k:][:l.k] {
+						if relu && !(v > 0) {
+							v = 0
+						}
+						if v > best {
+							best, bestOff = v, off
+						}
+						off++
+					}
+				}
+				y[o] = best
+				arg[o] = uint8(bestOff + 1)
+				if relu && !(best > 0) {
+					arg[o] = 0
+				}
+				o++
+			}
+		}
+	}
+}
+
+// unpool writes one sample's input gradient into dz: zero, plus dy[o]
+// where output o routes it.
+//
+//fedtripvet:hotpath
+func (l *maxPoolLayer) unpool(dz, dy []float64, arg []uint8) {
+	clear(dz)
+	o := 0
+	for c := 0; c < l.c; c++ {
+		base := c * l.h * l.w
+		for oy := 0; oy < l.oh; oy++ {
+			for ox := 0; ox < l.ow; ox++ {
+				if a := int(arg[o]); a != 0 {
+					ky, kx := (a-1)/l.k, (a-1)%l.k
+					dz[base+(oy*l.k+ky)*l.w+ox*l.k+kx] += dy[o]
+				}
+				o++
+			}
+		}
+	}
+}
+
+// Backward writes the input gradient sample by sample. It reads only the
+// routing bytes, so it may write into its input.
 func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.first {
 		return nil
@@ -316,28 +388,10 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	case l.dx.Dim(0) != n:
 		l.dx.SetDim0(n)
 	}
-	// The input gradient is written window by window: the windows tile
-	// the input and each argmax lies in its own window.
 	inSize := l.c * l.h * l.w
 	outSize := l.c * l.oh * l.ow
 	for s := 0; s < n; s++ {
-		dxs := l.dx.Data[s*inSize : (s+1)*inSize]
-		dys := dy.Data[s*outSize : (s+1)*outSize]
-		am := l.argmax[s*outSize : (s+1)*outSize]
-		o := 0
-		for c := 0; c < l.c; c++ {
-			base := c * l.h * l.w
-			for oy := 0; oy < l.oh; oy++ {
-				for ox := 0; ox < l.ow; ox++ {
-					for ky := 0; ky < l.k; ky++ {
-						rowBase := base + (oy*l.k+ky)*l.w + ox*l.k
-						clear(dxs[rowBase : rowBase+l.k])
-					}
-					dxs[am[o]] += dys[o]
-					o++
-				}
-			}
-		}
+		l.unpool(l.dx.Data[s*inSize:(s+1)*inSize], dy.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize])
 	}
 	return l.dx
 }
@@ -351,27 +405,22 @@ func (l *maxPoolLayer) FwdFLOPs() float64 {
 // into one, so the batch's convolution output is never held. Sample by
 // sample, the forward pass computes the convolution (im2col, GEMM, bias)
 // into one per-sample buffer, then rectifies and pools it into the
-// layer's output. For each pooled entry it keeps one byte: 0 where the
-// window's maximum is not above 0 (the ReLU's mask is 0 there), else 1 +
-// the offset of the window's first maximum. The backward pass rebuilds a
-// sample's convolution output gradient in the same buffer — zeroed, then
-// dy added at each kept offset, as the max-pool adds into a zeroed window
-// — and runs the convolution's backward on it, sample after sample as the
-// convolution does. Logits and every gradient bit are the three layers'.
+// pool's output and routing bytes: a window whose maximum is not above 0,
+// where the ReLU's mask is 0, routes no gradient. The backward pass
+// rebuilds a sample's convolution output gradient in the same buffer —
+// zeroed, then dy added where each window routes it, as the max-pool
+// adds into a zeroed window — and runs the convolution's backward on it,
+// sample after sample as the convolution does. Logits and every gradient
+// bit are the three layers'.
 type convPoolLayer struct {
-	placement
-	conv *convLayer
-	pool *maxPoolLayer // its geometry; it holds no buffer
+	conv *convLayer    // placed as the layer; holds its input, input gradient and scratch
+	pool *maxPoolLayer // holds its output and routing bytes
 	buf  []float64     // one sample's convolution output, then its gradient
-	arg  []uint8       // per pooled entry: 0, or 1 + the window offset
-	x    *tensor.Tensor
-	y    *tensor.Tensor
-	dx   *tensor.Tensor // none when first, x when gradInInput
 }
 
-// fuse replaces every Conv2D → ReLU → MaxPool2D run of layers with one
-// convPoolLayer. A window's offset must fit a byte beside the mask, so
-// a pool of more than 15×15 is left unfused.
+// fuse returns layers with every Conv2D → ReLU → MaxPool2D run replaced
+// by one convPoolLayer: layers itself, with no allocation, when there is
+// none.
 func fuse(layers []Layer) []Layer {
 	var out []Layer
 	for i := 0; i < len(layers); i++ {
@@ -379,13 +428,21 @@ func fuse(layers []Layer) []Layer {
 			c, conv := layers[i].(*convLayer)
 			_, relu := layers[i+1].(*reluLayer)
 			p, pool := layers[i+2].(*maxPoolLayer)
-			if conv && relu && pool && p.k*p.k < 256 {
+			if conv && relu && pool {
+				if out == nil {
+					out = append(make([]Layer, 0, len(layers)), layers[:i]...)
+				}
 				out = append(out, &convPoolLayer{conv: c, pool: p})
 				i += 2
 				continue
 			}
 		}
-		out = append(out, layers[i])
+		if out != nil {
+			out = append(out, layers[i])
+		}
+	}
+	if out == nil {
+		return layers
 	}
 	return out
 }
@@ -406,155 +463,42 @@ func (l *convPoolLayer) Bind(params, grads []float64, rng *prng.Rand) {
 	l.conv.Bind(params, grads, rng)
 }
 
-// place places the layer and its convolution, whose scratch follows it.
-func (l *convPoolLayer) place(q placement) {
-	l.placement = q
-	l.conv.placement = q
-}
+// place places the layer's convolution, which holds its buffers.
+func (l *convPoolLayer) place(q placement) { l.conv.placement = q }
 
 //fedtripvet:hotpath
 func (l *convPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	c, p := l.conv, l.pool
-	g := c.geom
-	l.x = x
-	if l.y == nil {
-		l.y = tensor.New(n, p.c, p.oh, p.ow)
-	} else if l.y.Dim(0) != n {
-		l.y.SetDim0(n)
-	}
-	inSize := g.InC * g.InH * g.InW
-	outSize := p.c * p.oh * p.ow
-	if cap(l.arg) < n*outSize {
-		l.arg = make([]uint8, n*outSize) //fedtripvet:allow grows to the widest batch once
-	}
-	l.arg = l.arg[:n*outSize]
+	c.x = x
+	p.size(n)
 	if l.buf == nil {
-		l.buf = make([]float64, c.outC*g.ColCols()) //fedtripvet:allow once per layer
+		l.buf = make([]float64, p.c*p.h*p.w) //fedtripvet:allow once per layer
 	}
+	outSize := p.c * p.oh * p.ow
 	cs := c.getScratch()
-	out := view(&cs.out, l.buf, c.outC, g.ColCols())
 	for s := 0; s < n; s++ {
-		g.Im2Col(x.Data[s*inSize:(s+1)*inSize], cs.col.Data)
-		tensor.MatMul(out, c.wView, cs.col)
-		for f := 0; f < c.outC; f++ {
-			bf := c.b[f]
-			row := l.buf[f*g.ColCols() : (f+1)*g.ColCols()]
-			for i := range row {
-				row[i] += bf
-			}
-		}
-		l.rectifyPool(l.buf, l.y.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize])
+		c.forwardSample(cs, c.sample(x, s), l.buf)
+		p.pool(l.buf, p.y.Data[s*outSize:(s+1)*outSize], p.arg[s*outSize:(s+1)*outSize], true)
 	}
-	return l.y
+	return p.y
 }
 
-// rectifyPool rectifies one sample's convolution output z as the ReLU
-// does (+0 wherever z is not above 0, NaN included) and max-pools it into
-// y: a window's first maximum wins, and a window whose maximum is 0
-// routes no gradient.
-//
-//fedtripvet:hotpath
-func (l *convPoolLayer) rectifyPool(z, y []float64, arg []uint8) {
-	p := l.pool
-	o := 0
-	for c := 0; c < p.c; c++ {
-		base := c * p.h * p.w
-		for oy := 0; oy < p.oh; oy++ {
-			for ox := 0; ox < p.ow; ox++ {
-				best, bestOff := math.Inf(-1), 0
-				off := 0
-				for ky := 0; ky < p.k; ky++ {
-					row := z[base+(oy*p.k+ky)*p.w+ox*p.k:][:p.k]
-					for _, v := range row {
-						if !(v > 0) {
-							v = 0
-						}
-						if v > best {
-							best, bestOff = v, off
-						}
-						off++
-					}
-				}
-				y[o] = best
-				arg[o] = 0
-				if best > 0 {
-					arg[o] = uint8(bestOff + 1)
-				}
-				o++
-			}
-		}
-	}
-}
-
-// unpool writes one sample's convolution output gradient into dz: zero,
-// plus dy[o] at the kept offset of pooled entry o.
-//
-//fedtripvet:hotpath
-func (l *convPoolLayer) unpool(dz, dy []float64, arg []uint8) {
-	p := l.pool
-	clear(dz)
-	o := 0
-	for c := 0; c < p.c; c++ {
-		base := c * p.h * p.w
-		for oy := 0; oy < p.oh; oy++ {
-			for ox := 0; ox < p.ow; ox++ {
-				if a := int(arg[o]); a != 0 {
-					ky, kx := (a-1)/p.k, (a-1)%p.k
-					dz[base+(oy*p.k+ky)*p.w+ox*p.k+kx] += dy[o]
-				}
-				o++
-			}
-		}
-	}
-}
-
-// Backward accumulates the batch's parameter gradient in the
-// convolution's scratch and adds it to dw/db once at the end.
+// Backward rebuilds each sample's convolution output gradient and runs
+// the convolution's backward on it, sample after sample.
 //
 //fedtripvet:hotpath
 func (l *convPoolLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Dim(0)
 	c, p := l.conv, l.pool
-	g := c.geom
-	switch {
-	case l.first: // l.dx stays nil
-	case l.gradInInput: // a sample's col2im follows its im2col
-		l.dx = l.x
-	case l.dx == nil:
-		l.dx = tensor.New(n, g.InC, g.InH, g.InW)
-	case l.dx.Dim(0) != n:
-		l.dx.SetDim0(n)
-	}
-	inSize := g.InC * g.InH * g.InW
 	outSize := p.c * p.oh * p.ow
-	cs := c.getScratch()
-	c.backwardHalf(cs)
-	tensor.ZeroVec(cs.dw.Data)
-	tensor.ZeroVec(cs.db)
-	dout := view(&cs.dout, l.buf, c.outC, g.ColCols())
+	cs := c.beginBackward(n)
 	for s := 0; s < n; s++ {
-		g.Im2Col(l.x.Data[s*inSize:(s+1)*inSize], cs.col.Data)
-		l.unpool(l.buf, dy.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize])
-		tensor.MatMulABTAdd(cs.dw, dout, cs.col)
-		for f := 0; f < c.outC; f++ {
-			var sum float64
-			for _, v := range l.buf[f*g.ColCols() : (f+1)*g.ColCols()] {
-				sum += v
-			}
-			cs.db[f] += sum
-		}
-		if l.first {
-			continue
-		}
-		tensor.MatMulATB(cs.dcol, c.wView, dout)
-		dximg := l.dx.Data[s*inSize : (s+1)*inSize]
-		clear(dximg)
-		g.Col2Im(cs.dcol.Data, dximg)
+		p.unpool(l.buf, dy.Data[s*outSize:(s+1)*outSize], p.arg[s*outSize:(s+1)*outSize])
+		c.backwardSample(cs, c.sample(c.x, s), l.buf, c.sample(c.dx, s))
 	}
-	tensor.Axpy(1, cs.dw.Data, c.dw)
-	tensor.Axpy(1, cs.db, c.db)
-	return l.dx
+	c.endBackward(cs)
+	return c.dx
 }
 
 // FwdFLOPs is the three layers' sum.

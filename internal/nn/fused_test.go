@@ -34,6 +34,52 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// refPool is the oracle's max-pool: k x k windows at stride k, each
+// output's flat input index of its window's first maximum kept as an
+// int32, a window with no value above -Inf routing its gradient to its
+// first element, and an input gradient of its own.
+type refPool struct {
+	k, c, h, w int
+	argmax     []int32
+	y, dx      *tensor.Tensor
+}
+
+func (l *refPool) Forward(x *tensor.Tensor) *tensor.Tensor {
+	n, oh, ow := x.Dim(0), l.h/l.k, l.w/l.k
+	l.y = tensor.New(n, l.c, oh, ow)
+	l.argmax = make([]int32, len(l.y.Data))
+	o := 0
+	for s := 0; s < n; s++ {
+		for c := 0; c < l.c; c++ {
+			base := (s*l.c + c) * l.h * l.w
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					best, at := math.Inf(-1), base+oy*l.k*l.w+ox*l.k
+					for ky := 0; ky < l.k; ky++ {
+						for kx := 0; kx < l.k; kx++ {
+							i := base + (oy*l.k+ky)*l.w + ox*l.k + kx
+							if x.Data[i] > best {
+								best, at = x.Data[i], i
+							}
+						}
+					}
+					l.y.Data[o], l.argmax[o] = best, int32(at)
+					o++
+				}
+			}
+		}
+	}
+	return l.y
+}
+
+func (l *refPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	l.dx = tensor.New(dy.Dim(0), l.c, l.h, l.w)
+	for o, i := range l.argmax {
+		l.dx.Data[i] += dy.Data[o]
+	}
+	return l.dx
+}
+
 // fusedCase is one conv → ReLU → max-pool geometry.
 type fusedCase struct {
 	inC, hw                  int
@@ -55,31 +101,30 @@ var fusedCases = []fusedCase{
 	{3, 17, 8, 5, 2, 2, 3},  // 9x9 → 3x3
 }
 
-// layersOf builds one case's three unfused layers and its fused layer,
-// resolved and bound to equal parameters: one filter in three has a bias
-// that makes every window of its map negative, and a few parameters are
-// -0.
-func layersOf(t *testing.T, c fusedCase, rng *rand.Rand) (unfused []Layer, fused *convPoolLayer, grads [2][]float64) {
+// layersOf builds one case's oracle — a convolution, a ReLU and a
+// refPool — and its fused layer, resolved and bound to equal parameters:
+// one filter in three has a bias that makes every window of its map
+// negative, and a few parameters are -0.
+func layersOf(t *testing.T, c fusedCase, rng *rand.Rand) (conv *convLayer, relu *reluLayer, pool *refPool, fused *convPoolLayer, grads [2][]float64) {
 	t.Helper()
-	conv := &convLayer{outC: c.outC, kh: c.k, kw: c.k, stride: c.stride, pad: c.pad}
-	unfused = []Layer{conv, &reluLayer{}, &maxPoolLayer{k: c.pk}}
+	conv = &convLayer{outC: c.outC, kh: c.k, kw: c.k, stride: c.stride, pad: c.pad}
+	relu = &reluLayer{}
 	fused = fuse([]Layer{
 		&convLayer{outC: c.outC, kh: c.k, kw: c.k, stride: c.stride, pad: c.pad},
 		&reluLayer{}, &maxPoolLayer{k: c.pk},
 	})[0].(*convPoolLayer)
-	shape := []int{c.inC, c.hw, c.hw}
-	for _, l := range unfused {
-		var err error
-		if shape, err = l.Resolve(shape); err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
+	shape, err := conv.Resolve([]int{c.inC, c.hw, c.hw})
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
 	}
+	relu.Resolve(shape)
+	pool = &refPool{k: c.pk, c: shape[0], h: shape[1], w: shape[2]}
 	fshape, err := fused.Resolve([]int{c.inC, c.hw, c.hw})
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}
-	if fmt.Sprint(fshape) != fmt.Sprint(shape) {
-		t.Fatalf("%v: fused shape %v, unfused %v", c, fshape, shape)
+	if want := []int{shape[0], shape[1] / c.pk, shape[2] / c.pk}; fmt.Sprint(fshape) != fmt.Sprint(want) || shape[1]%c.pk != 0 {
+		t.Fatalf("%v: fused shape %v, conv output %v", c, fshape, shape)
 	}
 	n := conv.ParamCount()
 	params := make([]float64, n)
@@ -102,14 +147,14 @@ func layersOf(t *testing.T, c fusedCase, rng *rand.Rand) (unfused []Layer, fused
 	fused.Bind(pf, grads[1], prng.New(1))
 	copy(pu, params) // over what Bind drew
 	copy(pf, params)
-	return unfused, fused, grads
+	return conv, relu, pool, fused, grads
 }
 
 // TestFusedMatchesUnfused is the differential test of the fused block:
 // for every geometry, at batches 1, 7 and 50, on clean inputs and on
 // inputs and output gradients holding NaN, ±Inf and -0, the fused
 // layer's output, input gradient and parameter gradient are bit for bit
-// those of the convolution, ReLU and max-pool composed by hand, each
+// those of a convolution, a ReLU and refPool composed by hand, each
 // owning every buffer it writes — whether the fused layer owns its input
 // gradient, writes it into its input, or is first and computes none. An
 // evaluation-only forward gives the same output too.
@@ -120,7 +165,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 			for _, p := range []placement{{}, {gradInInput: true}, {first: true}} {
 				for _, bad := range []bool{false, true} {
 					where := fmt.Sprintf("%v batch %d %+v hostile %t", c, n, p, bad)
-					unfused, fused, grads := layersOf(t, c, rng)
+					conv, relu, pool, fused, grads := layersOf(t, c, rng)
 					fused.place(p)
 					x := tensor.New(n, c.inC, c.hw, c.hw)
 					x.RandNormal(rng, 1)
@@ -128,11 +173,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 						hostile(rng, x.Data)
 					}
 					x0 := x.Clone()
-					h := x
-					for _, l := range unfused {
-						h = l.Forward(h, true)
-					}
-					want := h.Clone()
+					want := pool.Forward(relu.Forward(conv.Forward(x, true), true)).Clone()
 					fx := x.Clone()
 					got := fused.Forward(fx, true)
 					if !sameBits(got.Data, want.Data) {
@@ -143,10 +184,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 					if bad {
 						hostile(rng, dy.Data)
 					}
-					g := dy.Clone()
-					for i := len(unfused) - 1; i >= 0; i-- {
-						g = unfused[i].Backward(g)
-					}
+					g := conv.Backward(relu.Backward(pool.Backward(dy)))
 					dx := fused.Backward(dy.Clone())
 					if !sameBits(grads[1], grads[0]) {
 						t.Fatalf("%s: parameter gradient differs", where)

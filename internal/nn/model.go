@@ -193,8 +193,8 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // HeldBytes sums, from capacities, what m's layers hold beyond the
 // parameter and gradient vectors. activations are the buffers a layer
 // keeps from one pass to the next — outputs, input gradients, max-pool
-// argmaxes, a fused block's per-sample convolution output and pooled
-// bytes, dropout masks — each backing array once (an in-place ReLU's
+// routing bytes, a fused layer's per-sample convolution output, dropout
+// masks — each backing array once (an in-place ReLU's
 // output is the array of the layer before it, an input gradient written
 // in place the input's). scratch is the convolutions' working storage:
 // the im2col and col2im matrices and the batch's parameter gradient. The
@@ -220,10 +220,10 @@ func (m *Model) HeldBytes() (activations, scratch int64) {
 			scratch += l.scratch.bytes()
 		case *maxPoolLayer:
 			f64(l.y, l.dx)
-			activations += 4 * int64(cap(l.argmax))
+			activations += int64(cap(l.arg))
 		case *convPoolLayer:
-			f64(l.y, l.dx)
-			activations += 8*int64(cap(l.buf)) + int64(cap(l.arg))
+			f64(l.pool.y, l.conv.dx)
+			activations += 8*int64(cap(l.buf)) + int64(cap(l.pool.arg))
 			scratch += l.conv.scratch.bytes()
 		case *reluLayer:
 			f64(l.y, l.dx)
