@@ -36,9 +36,9 @@ type convLayer struct {
 // The out/dout tensors are header-only views whose Data is re-pointed at
 // the current sample's slice of the batch output or its gradient (or at
 // a fused layer's per-sample buffer), so per-sample matmul calls allocate
-// nothing. The backward half (dw, db and,
-// unless the layer is first, dcol) is allocated by the first backward
-// on the layer: a layer only ever run forward never holds it.
+// nothing. The backward half (dw, db and, unless the layer is first,
+// dcol) is allocated by the first backward on the layer: a layer only
+// ever run forward never holds it.
 type convScratch struct {
 	col, dcol *tensor.Tensor
 	dw        *tensor.Tensor
@@ -256,7 +256,7 @@ type maxPoolLayer struct {
 	c, h, w int
 	oh, ow  int
 	// arg routes each output's gradient: 1 + the offset of its window's
-	// first maximum, or 0 (only behind a fused ReLU) for none.
+	// first maximum, or 0 (set by a fused layer) for none.
 	arg   []uint8
 	x     *tensor.Tensor
 	y, dx *tensor.Tensor // dx: x when gradInInput
@@ -310,19 +310,17 @@ func (l *maxPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	inSize := l.c * l.h * l.w
 	outSize := l.c * l.oh * l.ow
 	for s := 0; s < n; s++ {
-		l.pool(x.Data[s*inSize:(s+1)*inSize], l.y.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize], false)
+		l.pool(x.Data[s*inSize:(s+1)*inSize], l.y.Data[s*outSize:(s+1)*outSize], l.arg[s*outSize:(s+1)*outSize])
 	}
 	return l.y
 }
 
 // pool max-pools one sample's map z into y, a window's first maximum
 // winning. A window with no value above -Inf (all NaN or -Inf) routes
-// its gradient to its own first element. With relu, it pools the map as
-// a ReLU would have left it (+0 wherever z is not above 0, NaN
-// included), and a window whose maximum is 0 routes none.
+// its gradient to its own first element.
 //
 //fedtripvet:hotpath
-func (l *maxPoolLayer) pool(z, y []float64, arg []uint8, relu bool) {
+func (l *maxPoolLayer) pool(z, y []float64, arg []uint8) {
 	o := 0
 	for c := 0; c < l.c; c++ {
 		base := c * l.h * l.w
@@ -332,9 +330,6 @@ func (l *maxPoolLayer) pool(z, y []float64, arg []uint8, relu bool) {
 				off := 0
 				for ky := 0; ky < l.k; ky++ {
 					for _, v := range z[base+(oy*l.k+ky)*l.w+ox*l.k:][:l.k] {
-						if relu && !(v > 0) {
-							v = 0
-						}
 						if v > best {
 							best, bestOff = v, off
 						}
@@ -343,9 +338,6 @@ func (l *maxPoolLayer) pool(z, y []float64, arg []uint8, relu bool) {
 				}
 				y[o] = best
 				arg[o] = uint8(bestOff + 1)
-				if relu && !(best > 0) {
-					arg[o] = 0
-				}
 				o++
 			}
 		}
@@ -479,9 +471,29 @@ func (l *convPoolLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	cs := c.getScratch()
 	for s := 0; s < n; s++ {
 		c.forwardSample(cs, c.sample(x, s), l.buf)
-		p.pool(l.buf, p.y.Data[s*outSize:(s+1)*outSize], p.arg[s*outSize:(s+1)*outSize], true)
+		l.rectifyPool(l.buf, p.y.Data[s*outSize:(s+1)*outSize], p.arg[s*outSize:(s+1)*outSize])
 	}
 	return p.y
+}
+
+// rectifyPool rectifies one sample's convolution output z in place, as
+// the ReLU does (+0 wherever z is not above 0, NaN included), and pools
+// it into y. A window whose maximum is 0 routes no gradient: the ReLU's
+// mask is 0 there.
+//
+//fedtripvet:hotpath
+func (l *convPoolLayer) rectifyPool(z, y []float64, arg []uint8) {
+	for i, v := range z {
+		if !(v > 0) {
+			z[i] = 0
+		}
+	}
+	l.pool.pool(z, y, arg)
+	for o, v := range y {
+		if !(v > 0) {
+			arg[o] = 0
+		}
+	}
 }
 
 // Backward rebuilds each sample's convolution output gradient and runs

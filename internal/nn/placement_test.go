@@ -188,13 +188,13 @@ func TestMaxPoolGradientStaysInWindow(t *testing.T) {
 	}
 	// Fused behind a convolution and its ReLU, the pool sees the
 	// rectified values and routes nothing where the maximum is 0.
-	l := &maxPoolLayer{k: 2}
-	if _, err := l.Resolve([]int{2, 4, 4}); err != nil {
+	l := &convPoolLayer{pool: &maxPoolLayer{k: 2}}
+	if _, err := l.pool.Resolve([]int{2, 4, 4}); err != nil {
 		t.Fatal(err)
 	}
 	y, arg, dz := make([]float64, 8), make([]uint8, 8), make([]float64, len(in))
-	l.pool(in, y, arg, true)
-	l.unpool(dz, dy.Data, arg)
+	l.rectifyPool(append([]float64(nil), in...), y, arg)
+	l.pool.unpool(dz, dy.Data, arg)
 	for i, v := range dz {
 		if v != masked[i] {
 			t.Fatalf("fused: dz[%d] = %v, want %v (dz %v)", i, v, masked[i], dz)
