@@ -74,9 +74,9 @@ type placement struct {
 	// not through a dropout, which at evaluation passes the caller's
 	// batch), and none of them reads its own output backward, so no later
 	// backward step reads the buffer. Backward reads the input before
-	// overwriting it: dense's dW GEMM precedes its dx GEMM, a convolution's
-	// im2col of a sample that sample's col2im, and max-pool reads only
-	// argmax.
+	// overwriting it: dense's dW GEMM precedes its dx GEMM, a
+	// convolution's (fused or not) im2col of a sample that sample's
+	// col2im, and max-pool reads only its routing bytes.
 	gradInInput bool
 }
 

@@ -194,12 +194,12 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // parameter and gradient vectors. activations are the buffers a layer
 // keeps from one pass to the next — outputs, input gradients, max-pool
 // routing bytes, a fused layer's per-sample convolution output, dropout
-// masks — each backing array once (an in-place ReLU's
-// output is the array of the layer before it, an input gradient written
-// in place the input's). scratch is the convolutions' working storage:
-// the im2col and col2im matrices and the batch's parameter gradient. The
-// caller's batch and logit gradient are the caller's, and the process's
-// GEMM packing buffers no model's.
+// masks — each backing array once (an in-place ReLU's output is the
+// array of the layer before it, an input gradient written in place the
+// input's). scratch is the convolutions' working storage: the im2col and
+// col2im matrices and the batch's parameter gradient. The caller's batch
+// and logit gradient are the caller's, and the process's GEMM packing
+// buffers no model's.
 func (m *Model) HeldBytes() (activations, scratch int64) {
 	seen := map[*float64]bool{}
 	f64 := func(ts ...*tensor.Tensor) {
