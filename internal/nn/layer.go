@@ -59,8 +59,8 @@ type placement struct {
 	// allocated — not the caller's batch, nor a flatten or dropout passing
 	// that batch through — and the layer is not the last, whose input
 	// Features returns. No backward pass reads that activation's values
-	// (dense and conv keep their input, pooling its argmax, and a second
-	// rectification leaves a ReLU's output as it was), so a ReLU
+	// (dense and conv keep their input, pooling its routing bytes, and a
+	// second rectification leaves a ReLU's output as it was), so a ReLU
 	// rectifies it in place.
 	ownInput bool
 	// ownGrad: the incoming gradient is a buffer a later layer of the
