@@ -208,6 +208,19 @@ func (t *Transport) WireBytes() (down, up int64) {
 	return t.stats.DownBytes(), t.stats.UpBytes()
 }
 
+// HeldBytes reports what the transport keeps between uploads: the idle
+// upload scratch on its free list, from capacities. The runtime's
+// Footprint reads it when no upload runs.
+func (t *Transport) HeldBytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var b int64
+	for _, sc := range t.free {
+		b += sc.heldBytes()
+	}
+	return b
+}
+
 // DownInto implements core.WireTransport: DownCode's downlink, counted
 // in Stats. What it wrote into dst is a coded upload's delta base; the
 // runtime hands it back to UpInto as ref.

@@ -51,6 +51,11 @@ type scratch struct {
 	quant  quantize.Quantized
 }
 
+// heldBytes is what sc holds, from capacities.
+func (sc *scratch) heldBytes() int64 {
+	return 8*int64(cap(sc.delta)+cap(sc.mags)) + 4*int64(cap(sc.idx)+cap(sc.sparse.Indices)+cap(sc.sparse.Values)) + int64(cap(sc.quant.Data))
+}
+
 // grow returns buf resized to n elements, contents unspecified.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -366,6 +367,55 @@ func TestInPlaceMatchesEncodeDecodeOracle(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestTopKScratchLivesInDst runs top-k with error feedback at a width
+// where the selection brackets its threshold from a sample, with dst
+// aliasing params as the runtime calls it: the codec selects in dst,
+// which it may overwrite, and must still reconstruct into it what the
+// oracle's allocating chain does. The client's three deltas are finite,
+// then all infinite (the crash fault's upload), then holding NaN (the
+// next delta over the residual the crash left: Inf - Inf where top-k
+// kept an infinity).
+func TestTopKScratchLivesInDst(t *testing.T) {
+	const n = 20_000
+	tr, err := ParseTransport("topk:0.01+ef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := oracleFor(t, tr)
+	rng := rand.New(rand.NewSource(52))
+	global := make([]float64, n)
+	for i := range global {
+		global[i] = rng.NormFloat64()
+	}
+	var row []float64
+	for part, name := range []string{"finite", "infinite", "nan"} {
+		round := part + 1
+		want, wantDown := oracle.DownSized(1, round, global)
+		received := make([]float64, n)
+		if w := tr.(core.WireTransport).DownInto(received, 1, round, global); sameBits(received, want) >= 0 || w != wantDown {
+			t.Fatalf("%s: downlink differs", name)
+		}
+		trained := make([]float64, n)
+		for i := range trained {
+			trained[i] = received[i] + 0.01*rng.NormFloat64()
+			if name == "infinite" {
+				trained[i] = math.Inf(1 - 2*(i&1))
+			}
+		}
+		wantUp, wantWire := oracle.UpSized(1, round, slices.Clone(trained))
+		inPlace := slices.Clone(trained)
+		gotWire := tr.(core.WireTransport).UpInto(inPlace, 1, round, inPlace, received, &row)
+		if at := sameBits(inPlace, wantUp); at >= 0 || gotWire != wantWire {
+			t.Fatalf("%s: upload differs at %d (wire %d, want %d)", name, at, gotWire, wantWire)
+		}
+		checkAgainstOracle(t, name, tr, map[int][]float64{1: row}, oracle)
+		hasNaN := slices.ContainsFunc(row, math.IsNaN)
+		if hasNaN != (name != "finite") {
+			t.Fatalf("%s: the residual holds NaN %t", name, hasNaN)
 		}
 	}
 }

@@ -705,6 +705,11 @@ func (s *Server) mergeBuf() []float64 {
 	return s.mergeScratch
 }
 
+// scratchBytes is what the server's merge-side scratch holds.
+func (s *Server) scratchBytes() int64 {
+	return 8 * int64(cap(s.widenScratch)+cap(s.mergeScratch)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore))
+}
+
 // widenBuf returns the |w|-sized scratch the merge widens compact updates
 // into, one at a time.
 func (s *Server) widenBuf() []float64 {

@@ -29,8 +29,8 @@ func TestFootprintOwners(t *testing.T) {
 	}
 	unevaluated := core.Models{N: 1, Params: 2 * 8 * 19_885, Scratch: 6_288}
 	cases := []struct {
-		name, transport string
-		want            core.Footprint
+		name, transport, policy string
+		want                    core.Footprint
 	}{
 		// Without a transport an upload is |w| = 19,885 float64s, and
 		// the two versions the eleven in flight trained from are pinned
@@ -43,7 +43,7 @@ func TestFootprintOwners(t *testing.T) {
 		// free ones are the rest of the vectors its patches hold, and its
 		// seven other patches. Held dense, the eleven took 1,749,880 B
 		// and six float64 vectors (954,480 B) were free.
-		{"async none", "", core.Footprint{
+		{"async none", "", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			BitmapPatches: core.Held{N: 11, Bytes: 1_039_080},
 			Versions64:    core.Held{N: 2, Bytes: 2 * 8 * 19_885},
@@ -55,13 +55,33 @@ func TestFootprintOwners(t *testing.T) {
 		// against the float32 image of its version, which is how the
 		// version is held; the training transient is the one float64
 		// buffer.
-		{"async topk:0.01+ef", "topk:0.01+ef", core.Footprint{
+		{"async topk:0.01+ef", "topk:0.01+ef", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			IndexPatches: core.Held{N: 11, Bytes: 29_568},
 			Versions32:   core.Held{N: 2, Bytes: 2 * 4 * 19_885},
 			Free64:       core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:      oneSampleEngine(483_616),
 			Tester:       unevaluated,
+			// The widened downlink of a version is server scratch. The
+			// one upload scratch set on the transport's free list holds
+			// the magnitudes top-k selects from and room for the 199 kept
+			// indices and values, which slices.Grow rounds up to 224.
+			ServerScratch:    8 * 19_885,
+			TransportScratch: 8*19_885 + 8*224,
+		}},
+		// wire1k_topk_median's merge: the same uploads, merged by the
+		// coordinate-wise median of the buffer's six. The median adds to
+		// the server's scratch the column it sorts, and the |w| float64s
+		// it aggregates into.
+		{"async topk:0.01+ef median", "topk:0.01+ef", "median", core.Footprint{
+			Clients: 48, Built: 22, RegistryBytes: 8_448,
+			IndexPatches:     core.Held{N: 11, Bytes: 29_568},
+			Versions32:       core.Held{N: 2, Bytes: 2 * 4 * 19_885},
+			Free64:           core.Held{N: 1, Bytes: 8 * 19_885},
+			Engines:          oneSampleEngine(483_616),
+			Tester:           unevaluated,
+			ServerScratch:    8*19_885 + 8*19_885 + 8*6,
+			TransportScratch: 8*19_885 + 8*224,
 		}},
 	}
 	for _, tc := range cases {
@@ -72,6 +92,13 @@ func TestFootprintOwners(t *testing.T) {
 			sp.Concurrency, sp.BufferSize = 12, 6
 			sp.Latency = mustFleet(core.ParseLatency("exp:2"))
 			sp.Network = mustFleet(core.ParseNetDist("tiered"))
+			if tc.policy != "" {
+				p, err := core.ParsePolicy(tc.policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp.Policy = p
+			}
 			rs, err := core.NewRunState(sp)
 			if err != nil {
 				t.Fatal(err)

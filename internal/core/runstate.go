@@ -145,7 +145,8 @@ func (rs *RunState) Participation() (distinct int, dispatches int64) {
 
 // Footprint is what a run holds, by owner, summed from lengths and
 // capacities: its client registry, the uploads it holds, the model
-// versions it holds, the pools' free lists, and its model instances.
+// versions it holds, the pools' free lists, its model instances, and the
+// server's and the transport's scratch.
 type Footprint struct {
 	// Clients is the population; Built how many of its clients the run
 	// has built, each at its first dispatch (or for a snapshot's record
@@ -183,7 +184,17 @@ type Footprint struct {
 	// borrowed it — with the scratch models a method built on them;
 	// Tester is the evaluator's model and batch.
 	Engines, Tester Models
+	// ServerScratch is the server's merge-side scratch: the vector it
+	// widens a float32 version into (Server.hold, Snapshot) and what the
+	// robust merges read, sort and aggregate in. TransportScratch is what
+	// the transport keeps between uploads, read through its HeldBytes
+	// method (comm's Transport has one); 0 for a transport without it.
+	ServerScratch, TransportScratch int64
 }
+
+// heldBytes is an optional transport capability: the bytes it keeps
+// between transfers, read when no transfer runs.
+type heldBytes interface{ HeldBytes() int64 }
 
 // Models is what a set of model instances holds, from capacities: N
 // owners (engines, or the tester), their models' parameter and gradient
@@ -295,6 +306,10 @@ func (rs *RunState) Footprint() Footprint {
 	}
 	fp.Engines.engine(s.loan.eng)
 	fp.Tester.tester(s.eval)
+	fp.ServerScratch = s.scratchBytes()
+	if h, ok := s.spec.Transport.(heldBytes); ok {
+		fp.TransportScratch = h.HeldBytes()
+	}
 	return fp
 }
 
