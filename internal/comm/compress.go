@@ -21,7 +21,9 @@ import (
 
 // codec is one lossy uplink compression scheme, in two steps so the
 // transport can fall back between them: encode compresses delta into sc
-// and returns the exact encoded wire size; apply then writes the
+// and returns the exact encoded wire size, and may use dst as scratch —
+// apply overwrites it next — but must not fail after writing it, since
+// dst may alias the params a refused delta ships dense; apply then writes the
 // server's reconstruction, dst[i] = ref[i] + rec[i] with rec the decoded
 // (lossy) delta, and — when drop is non-nil — what the codec dropped,
 // drop[i] = delta[i] - rec[i]. dst aliases neither ref nor delta.
@@ -33,18 +35,17 @@ type codec interface {
 	// it. A codec that does not reject gets drop == delta under error
 	// feedback, and only rewrites the entries it kept.
 	rejects() bool
-	encode(sc *scratch, delta []float64, clientID, round int) (int64, error)
+	encode(sc *scratch, dst, delta []float64, clientID, round int) (int64, error)
 	apply(sc *scratch, dst, ref, delta, drop []float64)
 }
 
 // scratch is the working set of one upload, recycled through the
 // transport's free list: the delta when it cannot accumulate into the
-// client's residual, top-k's magnitude column, rand-k's index
-// permutation and stream, and the encoded form itself. Each part is
-// sized on first use by the codec that needs it.
+// client's residual, rand-k's index permutation and stream, and the
+// encoded form itself. Each part is sized on first use by the codec that
+// needs it. Top-k selects in the upload's dst.
 type scratch struct {
 	delta  []float64
-	mags   []float64
 	idx    []int32
 	rng    prng.Rand
 	sparse quantize.Sparse
@@ -53,7 +54,7 @@ type scratch struct {
 
 // heldBytes is what sc holds, from capacities.
 func (sc *scratch) heldBytes() int64 {
-	return 8*int64(cap(sc.delta)+cap(sc.mags)) + 4*int64(cap(sc.idx)+cap(sc.sparse.Indices)+cap(sc.sparse.Values)) + int64(cap(sc.quant.Data))
+	return 8*int64(cap(sc.delta)) + 4*int64(cap(sc.idx)+cap(sc.sparse.Indices)+cap(sc.sparse.Values)) + int64(cap(sc.quant.Data))
 }
 
 // grow returns buf resized to n elements, contents unspecified.
@@ -111,9 +112,10 @@ type topKCodec struct {
 
 func (c topKCodec) term() spec.Term { return spec.T("topk", c.ratio) }
 
-func (c topKCodec) encode(sc *scratch, delta []float64, clientID, round int) (int64, error) {
-	sc.mags = grow(sc.mags, len(delta))
-	if err := quantize.TopKInto(&sc.sparse, sc.mags, delta, keepCount(c.ratio, len(delta))); err != nil {
+// encode selects in dst, which TopKInto validates, with k, before it
+// writes it.
+func (c topKCodec) encode(sc *scratch, dst, delta []float64, clientID, round int) (int64, error) {
+	if err := quantize.TopKInto(&sc.sparse, dst, delta, keepCount(c.ratio, len(delta))); err != nil {
 		return 0, err
 	}
 	return sc.sparse.WireSize(), nil
@@ -133,7 +135,7 @@ type randKCodec struct {
 
 func (c randKCodec) term() spec.Term { return spec.T("randk", c.ratio) }
 
-func (c randKCodec) encode(sc *scratch, delta []float64, clientID, round int) (int64, error) {
+func (c randKCodec) encode(sc *scratch, dst, delta []float64, clientID, round int) (int64, error) {
 	sc.rng.Reseed(int64(prng.Mix(prng.Mix(randkStream+uint64(clientID)) + uint64(round))))
 	sc.idx = grow(sc.idx, len(delta))
 	if err := quantize.RandKInto(&sc.sparse, sc.idx, delta, keepCount(c.ratio, len(delta)), &sc.rng); err != nil {
@@ -151,7 +153,7 @@ func (c quantCodec) term() spec.Term {
 
 func (c quantCodec) rejects() bool { return true }
 
-func (c quantCodec) encode(sc *scratch, delta []float64, clientID, round int) (int64, error) {
+func (c quantCodec) encode(sc *scratch, dst, delta []float64, clientID, round int) (int64, error) {
 	if err := quantize.QuantizeInto(&sc.quant, delta, c.bits); err != nil {
 		return 0, err
 	}
@@ -214,7 +216,7 @@ func (t *Transport) UpCode(dst []float64, clientID, round int, params, ref []flo
 	} else {
 		tensor.SubInto(delta, params, ref)
 	}
-	wire, err := t.cod.encode(sc, delta, clientID, round)
+	wire, err := t.cod.encode(sc, dst, delta, clientID, round)
 	if err == nil {
 		t.cod.apply(sc, dst, ref, delta, row)
 		if t.ef && !prior {

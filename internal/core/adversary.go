@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/prng"
 	"repro/internal/spec"
@@ -435,9 +436,8 @@ func clipOnto(v, g []float64, scale float64) {
 // mergeRead is how the merge reads one update of its buffer: a dense
 // upload as it lies (the screen clipped it in place), a compact one —
 // narrowed, or a patch of indices or a bitmap — widened a block at a
-// time (block) or whole (vector) into scratch, or entry by entry
-// through a cursor (at), in each case clipped as it is read, against
-// the global the merge has not yet moved.
+// time into scratch, in each case clipped as it is read, against the
+// global the merge has not yet moved.
 type mergeRead struct {
 	u *Update
 	// scale is the clip the screen chose for a compact update; clipped
@@ -445,28 +445,16 @@ type mergeRead struct {
 	scale   float64
 	clipped bool
 	// next is the patch cursor: the first patch entry at or past the
-	// coordinate at reads next, or the bitmap patch's next value.
+	// block block reads next, or the bitmap patch's next value.
 	next int
-}
-
-// vector returns the update as s's merge reads it: a dense one's own
-// Params, a compact one widened into the merge's widen scratch and
-// clipped against the global.
-func (r *mergeRead) vector(s *Server) []float64 {
-	if r.u.Params != nil {
-		return r.u.Params
-	}
-	v := r.u.Vector(s.widenBuf())
-	if r.clipped {
-		clipOnto(v, s.global, r.scale)
-	}
-	return v
 }
 
 // block returns entries [lo, hi) of the update as the merge reads them:
 // a dense one's own Params, a compact one's written into dst. On a patch
 // it advances the cursor, so calls must read the blocks in order from a
-// reset cursor.
+// reset cursor. It reads entries [lo, hi) of the update's base and of g
+// and no others: behind the lock-step gate the base is the global, whose
+// blocks before lo the merge has already moved.
 //
 //fedtripvet:hotpath
 func (r *mergeRead) block(lo, hi int, dst, g []float64) []float64 {
@@ -494,44 +482,12 @@ func (r *mergeRead) block(lo, hi int, dst, g []float64) []float64 {
 	return dst
 }
 
-// at returns entry j of the update as the merge reads it. On a patch it
-// advances the cursor, so calls must come in increasing j from a reset
-// cursor.
-//
-//fedtripvet:hotpath
-func (r *mergeRead) at(j int, g []float64) float64 {
-	u := r.u
-	var v float64
-	switch {
-	case u.Params != nil:
-		return u.Params[j]
-	case u.narrow != nil:
-		v = float64(u.narrow[j])
-	case u.bitmap != nil:
-		if p := u.bitmap; p.bits[j/64]>>(j%64)&1 != 0 {
-			v = p.vals[r.next/chunkLen].v[r.next%chunkLen]
-			r.next++
-		} else {
-			v = u.base[j]
-		}
-	default:
-		if p := u.patch; r.next < len(p.idx) && int(p.idx[r.next]) == j {
-			v = p.val[r.next]
-			r.next++
-		} else {
-			v = u.baseImage(j)
-		}
-	}
-	if r.clipped {
-		v = g[j] + float64(r.scale*(v-g[j]))
-	}
-	return v
-}
-
 // mergeRobust replaces the weighted average with the policy's robust
 // aggregate of the positively weighted updates, then applies the merge
 // rate like the standard path. It reads the updates through the
-// screen's readers; weights have been screened but not normalized.
+// screen's readers, a block at a time as mergeBlocks does, and moves
+// each block of the global once it is aggregated; weights have been
+// screened but not normalized.
 //
 //fedtripvet:hotpath
 func (s *Server) mergeRobust(weights []float64, eta float64) {
@@ -544,75 +500,150 @@ func (s *Server) mergeRobust(weights []float64, eta float64) {
 	if len(adm) == 0 {
 		return
 	}
-	avg := s.mergeBuf()
 	k := len(adm)
+	s.robCol = grow(s.robCol, k)
 	switch p := s.spec.Policy; p.Kind {
 	case PolicyMedian:
-		s.coordWindowInto(avg, adm, (k-1)/2, k/2)
+		s.coordWindow(adm, (k-1)/2, k/2, eta)
 	case PolicyTrimmedMean:
 		g := int(p.Arg * float64(k))
 		if 2*g >= k {
 			g = (k - 1) / 2
 		}
-		s.coordWindowInto(avg, adm, g, k-1-g)
+		s.coordWindow(adm, g, k-1-g, eta)
 	case PolicyKrum:
-		s.krumInto(avg, adm, p.Arg)
+		s.krum(adm, p.Arg, eta)
 	}
-	s.moveGlobal(avg, eta)
 }
 
-// moveGlobal moves the global model toward avg by the merge rate eta:
-// global' = global + eta*(avg - global), or avg itself at a rate of
+// grow returns buf with length n, reallocated only when its capacity is
+// short: server scratch that grows once to the merge buffer's size.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n) //fedtripvet:allow server scratch, grows once to the merge buffer size
+	}
+	return buf[:n]
+}
+
+// readBlocks reads entries [lo, hi) of every update of rds, into the
+// merge's k × chunkLen block scratch where they are compact, and returns
+// them in s.robRows.
+//
+//fedtripvet:hotpath
+func (s *Server) readBlocks(rds []mergeRead, lo, hi int) [][]float64 {
+	s.robBlock = grow(s.robBlock, len(rds)*chunkLen)
+	s.robRows = grow(s.robRows, len(rds))
+	for i := range rds {
+		s.robRows[i] = rds[i].block(lo, hi, s.robBlock[i*chunkLen:(i+1)*chunkLen], s.global)
+	}
+	return s.robRows
+}
+
+// moveBlock moves the global's entries [lo, lo+len(avg)) toward avg by
+// the merge rate eta: g' = g + eta*(avg - g), or avg itself at a rate of
 // exactly 1.
-func (s *Server) moveGlobal(avg []float64, eta float64) {
+func (s *Server) moveBlock(lo int, avg []float64, eta float64) {
+	g := s.global[lo : lo+len(avg)]
 	if eta == 1 {
-		copy(s.global, avg)
+		copy(g, avg)
 		return
 	}
-	for i := range s.global {
-		s.global[i] += float64(eta * (avg[i] - s.global[i]))
+	for j := range g {
+		g[j] += float64(eta * (avg[j] - g[j]))
 	}
 }
 
-// coordWindowInto writes the coordinate-wise mean of the sorted window
-// [lo, hi] into dst: the median for the maximal trim, the trimmed mean
-// otherwise. Each column is gathered through the updates' readers into
-// the robCol scratch and sorted in place — no per-merge allocation,
-// O(|w| * k log k). Admitted columns are finite (the screen zero-weights
-// non-finite uploads), so their sorted order is unique up to the order of
-// +0 and -0, which no window sum can tell apart.
+// coordWindow moves the global toward the coordinate-wise mean of the
+// sorted window [lo, hi] of rds: the median for the maximal trim, the
+// trimmed mean otherwise. Each column is gathered from the updates'
+// blocks into the robCol scratch, where selection puts the window in
+// place and sorts it alone — no per-merge allocation, O(|w| * k) —
+// and it is summed in ascending order, as a sort of the whole column
+// sums it. Admitted columns are finite (the screen zero-weights
+// non-finite uploads, and only a clip that overflows makes one a NaN, a
+// column sorted whole), so their sorted order is unique up to the order
+// of +0 and -0, which no window sum can tell apart.
 //
 //fedtripvet:hotpath
-func (s *Server) coordWindowInto(dst []float64, rds []mergeRead, lo, hi int) {
-	k := len(rds)
-	if cap(s.robCol) < k {
-		s.robCol = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
-	}
-	col := s.robCol[:k]
+func (s *Server) coordWindow(rds []mergeRead, lo, hi int, eta float64) {
+	col := s.robCol
 	inv := 1 / float64(hi-lo+1)
-	for j := range dst {
-		for i := range rds {
-			col[i] = rds[i].at(j, s.global)
+	for b := 0; b < len(s.global); b += chunkLen {
+		e := min(b+chunkLen, len(s.global))
+		rows := s.readBlocks(rds, b, e)
+		avg := s.blockSum[:e-b]
+		for j := range avg {
+			nan := false
+			for i, r := range rows {
+				col[i] = r[j]
+				nan = nan || r[j] != r[j]
+			}
+			if nan {
+				slices.Sort(col)
+			} else {
+				selectWindow(col, lo, hi)
+			}
+			var sum float64
+			for i := lo; i <= hi; i++ {
+				sum += col[i]
+			}
+			avg[j] = sum * inv
 		}
-		slices.Sort(col)
-		var sum float64
-		for i := lo; i <= hi; i++ {
-			sum += col[i]
-		}
-		dst[j] = sum * inv
+		s.moveBlock(b, avg, eta)
 	}
 }
 
-// krumInto writes the multi-Krum aggregate into dst: pairwise squared
-// distances, each update scored by the sum of its k-f-2 closest, the
-// k-f best-scoring averaged (ties broken by buffer index, so the
-// selection is deterministic). The distances grow one coordinate at a
-// time, every pair's in coordinate order, from a column gathered through
-// the readers; only the selected updates are widened whole. O(k^2 |w|)
-// distances dominate; all scratch is server-owned.
+// selectWindow permutes the NaN-free xs so that xs[lo..hi] holds, in
+// ascending order, what sorting xs puts there.
+func selectWindow(xs []float64, lo, hi int) {
+	nthAsc(xs, lo)
+	if hi > lo {
+		nthAsc(xs[lo+1:], hi-lo-1)
+		slices.Sort(xs[lo+1 : hi])
+	}
+}
+
+// nthAsc permutes the NaN-free xs so that xs[t] is what sorting xs puts
+// there, nothing before it larger and nothing after it smaller.
+func nthAsc(xs []float64, t int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		pivot := xs[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if t <= j {
+			hi = j
+		} else if t >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+}
+
+// krum moves the global toward the multi-Krum aggregate of rds: pairwise
+// squared distances, each update scored by the sum of its k-f-2
+// closest, the k-f best-scoring averaged (ties broken by buffer index,
+// so the selection is deterministic). Every pair's distance is summed in
+// coordinate order, a block of every update at a time; the selected
+// updates are then read again and averaged block by block, each block of
+// the global moving once it is. O(k^2 |w|) distances dominate; all
+// scratch is server-owned.
 //
 //fedtripvet:hotpath
-func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
+func (s *Server) krum(rds []mergeRead, frac, eta float64) {
 	k := len(rds)
 	f := int(frac * float64(k))
 	if f > k-1 {
@@ -626,31 +657,25 @@ func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
 	if closest > k-1 {
 		closest = k - 1
 	}
-	if cap(s.robDist) < k*k {
-		s.robDist = make([]float64, k*k) //fedtripvet:allow server scratch, grows once to the merge buffer size squared
-	}
-	if cap(s.robCol) < k {
-		s.robCol = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
-	}
-	if cap(s.robScore) < k {
-		s.robScore = make([]float64, k) //fedtripvet:allow server scratch, grows once to the merge buffer size
-	}
-	dist := s.robDist[:k*k]
-	col := s.robCol[:k]
-	score := s.robScore[:k]
+	s.robDist = grow(s.robDist, k*k)
+	s.robScore = grow(s.robScore, k)
+	dist, col, score := s.robDist, s.robCol, s.robScore
 	clear(dist)
-	for x := range dst {
-		for i := range rds {
-			col[i] = rds[i].at(x, s.global)
-		}
+	for b := 0; b < len(s.global); b += chunkLen {
+		rows := s.readBlocks(rds, b, min(b+chunkLen, len(s.global)))
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
-				d := col[i] - col[j]
-				dist[i*k+j] += float64(d * d)
+				sq := dist[i*k+j]
+				for x, v := range rows[i] {
+					d := v - rows[j][x]
+					sq += float64(d * d)
+				}
+				dist[i*k+j] = sq
 			}
 		}
 	}
 	for i := 0; i < k; i++ {
+		rds[i].next = 0
 		for j := i + 1; j < k; j++ {
 			dist[j*k+i] = dist[i*k+j]
 		}
@@ -671,14 +696,11 @@ func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
 		}
 		score[i] = sum
 	}
-	// Equal-weight average of the keep best-scoring updates, selected by
-	// repeated minimum scan (scores are poisoned as they are taken; index
-	// order breaks ties).
-	for i := range dst {
-		dst[i] = 0
-	}
-	inv := 1 / float64(keep)
-	for sel := 0; sel < keep; sel++ {
+	// The keep best-scoring updates, in the order a repeated minimum scan
+	// takes them (scores are poisoned as they are taken; index order
+	// breaks ties), fewer when only non-finite scores are left.
+	s.robPick = s.robPick[:0]
+	for range keep {
 		best := -1
 		for i := 0; i < k; i++ {
 			if score[i] >= 0 && (best < 0 || score[i] < score[best]) {
@@ -686,32 +708,34 @@ func (s *Server) krumInto(dst []float64, rds []mergeRead, frac float64) {
 			}
 		}
 		if best < 0 {
-			return
+			break
 		}
 		score[best] = -1
-		v := rds[best].vector(s)
-		for i := range dst {
-			dst[i] += float64(inv * v[i])
+		s.robPick = append(s.robPick, best) //fedtripvet:allow server scratch, grows once to the merge buffer size
+	}
+	// Their equal-weight average, each entry summed in selection order.
+	inv := 1 / float64(keep)
+	for b := 0; b < len(s.global); b += chunkLen {
+		e := min(b+chunkLen, len(s.global))
+		avg := s.blockSum[:e-b]
+		clear(avg)
+		for _, i := range s.robPick {
+			for x, v := range rds[i].block(b, e, s.blockX[:], s.global) {
+				avg[x] += float64(inv * v)
+			}
 		}
+		s.moveBlock(b, avg, eta)
 	}
-}
-
-// mergeBuf returns the |w|-sized scratch robust merges aggregate into
-// (merges are single-threaded in every runtime).
-func (s *Server) mergeBuf() []float64 {
-	if len(s.mergeScratch) != len(s.global) {
-		s.mergeScratch = make([]float64, len(s.global))
-	}
-	return s.mergeScratch
 }
 
 // scratchBytes is what the server's merge-side scratch holds.
 func (s *Server) scratchBytes() int64 {
-	return 8 * int64(cap(s.widenScratch)+cap(s.mergeScratch)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore))
+	return 8*int64(cap(s.widenScratch)+cap(s.robBlock)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore)+cap(s.robPick)) +
+		int64(unsafe.Sizeof([]float64(nil)))*int64(cap(s.robRows))
 }
 
-// widenBuf returns the |w|-sized scratch the merge widens compact updates
-// into, one at a time.
+// widenBuf returns the |w|-sized scratch Server.hold and the snapshot
+// widen a float32 version into, one at a time.
 func (s *Server) widenBuf() []float64 {
 	if len(s.widenScratch) != len(s.global) {
 		s.widenScratch = make([]float64, len(s.global))

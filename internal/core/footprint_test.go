@@ -64,15 +64,19 @@ func TestFootprintOwners(t *testing.T) {
 			Tester:       unevaluated,
 			// The widened downlink of a version is server scratch. The
 			// one upload scratch set on the transport's free list holds
-			// the magnitudes top-k selects from and room for the 199 kept
-			// indices and values, which slices.Grow rounds up to 224.
+			// room for the 199 kept indices and values, which slices.Grow
+			// rounds up to 224; top-k selects in the upload's own buffer.
+			// Before it did, the set held a |w| magnitude column too,
+			// 8 × 19,885 B more.
 			ServerScratch:    8 * 19_885,
-			TransportScratch: 8*19_885 + 8*224,
+			TransportScratch: 8 * 224,
 		}},
 		// wire1k_topk_median's merge: the same uploads, merged by the
 		// coordinate-wise median of the buffer's six. The median adds to
-		// the server's scratch the column it sorts, and the |w| float64s
-		// it aggregates into.
+		// the server's scratch a block of 512 entries of each update, the
+		// six rows that point at them and the column it selects in. When
+		// it read the updates entry by entry and aggregated into |w|
+		// float64s, it added 8 × 19,885 B and the column.
 		{"async topk:0.01+ef median", "topk:0.01+ef", "median", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			IndexPatches:     core.Held{N: 11, Bytes: 29_568},
@@ -80,8 +84,8 @@ func TestFootprintOwners(t *testing.T) {
 			Free64:           core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:          oneSampleEngine(483_616),
 			Tester:           unevaluated,
-			ServerScratch:    8*19_885 + 8*19_885 + 8*6,
-			TransportScratch: 8*19_885 + 8*224,
+			ServerScratch:    8*19_885 + 6*8*512 + 6*24 + 8*6,
+			TransportScratch: 8 * 224,
 		}},
 	}
 	for _, tc := range cases {

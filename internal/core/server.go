@@ -166,16 +166,13 @@ type Server struct {
 	// makes the warning one-shot.
 	rejectedUpdates int
 	rejectLogged    bool
-	// mergeScratch is the reusable aggregate buffer of robust merges.
-	// Merges are single-threaded in every runtime (the event loop
-	// aggregates with no concurrent merge), so one buffer suffices.
-	// widenScratch is where krum widens a compact update it selects
-	// (mergeRead.vector) and Server.hold codes a version's downlink,
-	// allocated by the first that needs it.
-	mergeScratch []float64
-	widenScratch []float64
-	// blockSum and blockX are the scratch of the weighted mean, which
-	// reads and merges a block of entries at a time (mergeBlocks).
+	// widenScratch is where Server.hold codes a version's downlink and
+	// the snapshot widens a float32 version, allocated by the first that
+	// needs it. The merge needs no |w|-sized scratch: it reads and merges
+	// a block of entries at a time (mergeBlocks), the weighted mean into
+	// blockSum through blockX, a robust merge into blockSum through
+	// robBlock.
+	widenScratch     []float64
 	blockSum, blockX [chunkLen]float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
@@ -184,12 +181,17 @@ type Server struct {
 	selPicks   []*Client
 	updScratch []Update
 	aggWeights []float64
-	// Merge scratch (adversary.go): one reader per buffered update, the
-	// per-coordinate sort column, the krum distance matrix and scores.
+	// Merge scratch (adversary.go): one reader per buffered update; a
+	// robust merge's block of every admitted update (k × chunkLen, a
+	// dense update's own slice in robRows), its per-coordinate column,
+	// and krum's distance matrix, scores and picks.
 	mergeRd  []mergeRead
+	robBlock []float64
+	robRows  [][]float64
 	robCol   []float64
 	robDist  []float64
 	robScore []float64
+	robPick  []int
 	// wire is the configured Transport as the runtime calls it (nil
 	// without one), resolved once at construction.
 	wire WireTransport
@@ -513,10 +515,10 @@ func (s *Server) growWeights(n int) []float64 {
 // The weighted average is tensor.WeightedSumInto's ZeroVec and in-order
 // axpy, run one update at a time through its reader (mergeRead), and the
 // sum is the dense one bit for bit. It runs a block of entries at a time
-// (mergeBlocks): each update's block is read — a compact one's widened
-// into block scratch — and added, and only then does the global's block
-// move, since a lock-step patch reads the global as its base, and a
-// clip reads it too.
+// (mergeBlocks), as the robust merges do: each update's block is read —
+// a compact one's widened into block scratch — and added, and only then
+// does the global's block move, since a lock-step patch reads the global
+// as its base, and a clip reads it too.
 func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta float64) {
 	s.screenUpdates(weights, updates)
 	var total float64
@@ -539,8 +541,8 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 // mergeBlocks is the weighted average of the buffer and the global's move
 // toward it, a block of entries at a time, so it needs no |w|-sized
 // scratch: the entries of each block are summed in update order as the
-// whole-vector sum adds them, and the global's block moves as
-// moveGlobal moves it once every update's block is read.
+// whole-vector sum adds them, and the global's block moves (moveBlock)
+// once every update's block is read.
 //
 //fedtripvet:hotpath
 func (s *Server) mergeBlocks(weights []float64, eta float64) {
@@ -553,14 +555,7 @@ func (s *Server) mergeBlocks(weights []float64, eta float64) {
 				tensor.Axpy(weights[i], s.mergeRd[i].block(lo, hi, s.blockX[:], s.global), avg)
 			}
 		}
-		g := s.global[lo:hi]
-		if eta == 1 {
-			copy(g, avg)
-			continue
-		}
-		for j := range g {
-			g[j] += float64(eta * (avg[j] - g[j]))
-		}
+		s.moveBlock(lo, avg, eta)
 	}
 }
 

@@ -166,23 +166,162 @@ func TopK(v []float64, k int) (*Sparse, error) {
 }
 
 // TopKInto is TopK writing into s, reusing the capacity of s.Indices and
-// s.Values. mags is scratch of len(v) the selection overwrites.
-func TopKInto(s *Sparse, mags, v []float64, k int) error {
+// s.Values. scratch has len(v) and the selection overwrites it; it is
+// validated, with k, before anything is written.
+//
+// The threshold is the exact k-th largest magnitude. Entries above it
+// are kept in index order, then entries equal to it in index order until
+// k are kept. From len(v) >= bracketFloor a fixed-stride sample
+// brackets the threshold, one pass over v counts the entries above the
+// bracket, collects those inside it into scratch and counts those at its
+// low end, and a quickselect runs over the collected ones only. A delta
+// holding a NaN, a shorter one, and a bracket that misses take the full
+// quickselect over every magnitude (fullTopK), whose threshold on a NaN
+// depends on its partition order; the bracket gives the same threshold
+// wherever the full quickselect's is exact.
+//
+//fedtripvet:hotpath
+func TopKInto(s *Sparse, scratch, v []float64, k int) error {
 	if k < 0 || k > len(v) {
-		return fmt.Errorf("quantize: top-k %d outside [0,%d]", k, len(v))
+		return fmt.Errorf("quantize: top-k %d outside [0,%d]", k, len(v)) //fedtripvet:allow a caller's bug, never a transfer's
 	}
-	if len(mags) != len(v) {
-		return fmt.Errorf("quantize: top-k scratch %d != %d", len(mags), len(v))
+	if len(scratch) != len(v) {
+		return fmt.Errorf("quantize: top-k scratch %d != %d", len(scratch), len(v)) //fedtripvet:allow a caller's bug, never a transfer's
 	}
 	s.reset(len(v), k)
 	if k == 0 {
 		return nil
 	}
-	// Threshold selection via quickselect on magnitudes.
-	for i, x := range v {
-		mags[i] = math.Abs(x)
+	if !s.bracketTopK(scratch, v, k) {
+		s.fullTopK(scratch, v, k)
 	}
-	thresh := quickselectDesc(mags, k)
+	return nil
+}
+
+// bracketFloor is the shortest vector TopKInto brackets; sampleLen is
+// the bracket's sample size.
+const (
+	bracketFloor = 4096
+	sampleLen    = 1024
+)
+
+// bracketTopK selects s's k entries when a sample of v brackets the
+// threshold and v holds no NaN, and reports whether it did; otherwise it
+// leaves s as it found it. The bracket is the sample's order statistics
+// about the threshold's expected place, k·sampleLen/n, three standard
+// deviations and two places out each way; an open end is +Inf above and
+// 0 below, which no magnitude falls outside.
+//
+//fedtripvet:hotpath
+func (s *Sparse) bracketTopK(scratch, v []float64, k int) bool {
+	n := len(v)
+	if n < bracketFloor {
+		return false
+	}
+	stride := n / sampleLen
+	sample := scratch[:sampleLen]
+	for i := range sample {
+		m := math.Abs(v[i*stride])
+		if m != m {
+			return false
+		}
+		sample[i] = m
+	}
+	r := float64(k) * sampleLen / float64(n)
+	d := 3*math.Sqrt(r) + 2
+	hi, lo := math.Inf(1), 0.0
+	rh := max(int(math.Floor(r-d)), -1) // sample rank of hi, from 0 at the largest
+	if rh >= 0 {
+		hi = quickselectDesc(sample, rh+1)
+	}
+	if rl := int(math.Ceil(r + d)); rl < sampleLen {
+		// quickselectDesc left sample[rh+1:] no larger than hi.
+		lo = quickselectDesc(sample[rh+1:], rl-rh)
+	}
+
+	// The magnitudes inside the bracket fill scratch from the front. The
+	// indices of every entry above lo fill it from the back, the j-th at
+	// n-1-j, while the two fit (listed).
+	above, in, atLo := 0, 0, 0
+	listed := true
+	for i, x := range v {
+		m := math.Abs(x)
+		switch {
+		case m > lo:
+			if m > hi {
+				above++
+			} else {
+				scratch[in] = m
+				in++
+			}
+			if listed = listed && 2*in+above <= n; listed {
+				scratch[n-above-in] = math.Float64frombits(uint64(i))
+			}
+		case m < lo:
+		case m == lo:
+			atLo++
+		default:
+			return false // NaN
+		}
+	}
+	need := k - above
+	var thresh float64
+	var gt int
+	switch {
+	case need <= 0 || need > in+atLo:
+		return false
+	case need <= in:
+		cand := scratch[:in]
+		thresh = quickselectDesc(cand, need)
+		gt = above
+		for _, m := range cand {
+			if m > thresh {
+				gt++
+			}
+		}
+	default:
+		thresh, gt = lo, above+in
+	}
+
+	// The entries above the threshold fill [0, gt) and those at it
+	// [gt, k), each in index order: what two ordered passes keep. Above
+	// lo they are all listed.
+	s.Indices, s.Values = s.Indices[:k], s.Values[:k]
+	a, e := 0, gt
+	keep := func(i int, x float64) bool {
+		if m := math.Abs(x); m > thresh {
+			s.Indices[a], s.Values[a] = int32(i), float32(x)
+			a++
+		} else if m == thresh && e < k {
+			s.Indices[e], s.Values[e] = int32(i), float32(x)
+			e++
+		}
+		return a == gt && e == k
+	}
+	if listed && thresh > lo {
+		for j := range above + in {
+			if i := int(math.Float64bits(scratch[n-1-j])); keep(i, v[i]) {
+				break
+			}
+		}
+		return true
+	}
+	for i, x := range v {
+		if keep(i, x) {
+			break
+		}
+	}
+	return true
+}
+
+// fullTopK selects s's k entries from every magnitude of v, written into
+// scratch and quickselected: the threshold, then the entries above it
+// and those at it, in two passes.
+func (s *Sparse) fullTopK(scratch, v []float64, k int) {
+	for i, x := range v {
+		scratch[i] = math.Abs(x)
+	}
+	thresh := quickselectDesc(scratch, k)
 	for i, x := range v {
 		if math.Abs(x) > thresh {
 			s.Indices = append(s.Indices, int32(i))
@@ -199,7 +338,6 @@ func TopKInto(s *Sparse, mags, v []float64, k int) error {
 			s.Values = append(s.Values, float32(x))
 		}
 	}
-	return nil
 }
 
 // reset empties s for a vector of length n with room for k entries.
