@@ -27,6 +27,7 @@ import (
 	"unsafe"
 
 	"repro/internal/prng"
+	"repro/internal/quantize"
 	"repro/internal/spec"
 	"repro/internal/tensor"
 )
@@ -578,14 +579,15 @@ func (s *Server) coordWindow(rds []mergeRead, lo, hi int, eta float64) {
 				col[i] = r[j]
 				nan = nan || r[j] != r[j]
 			}
+			w := col[lo : hi+1]
 			if nan {
 				slices.Sort(col)
 			} else {
-				selectWindow(col, lo, hi)
+				w = window(col, lo, hi)
 			}
 			var sum float64
-			for i := lo; i <= hi; i++ {
-				sum += col[i]
+			for _, x := range w {
+				sum += x
 			}
 			avg[j] = sum * inv
 		}
@@ -593,44 +595,19 @@ func (s *Server) coordWindow(rds []mergeRead, lo, hi int, eta float64) {
 	}
 }
 
-// selectWindow permutes the NaN-free xs so that xs[lo..hi] holds, in
-// ascending order, what sorting xs puts there.
-func selectWindow(xs []float64, lo, hi int) {
-	nthAsc(xs, lo)
+// window permutes the NaN-free xs so that xs[len(xs)-1-hi : len(xs)-lo]
+// holds, in ascending order, what sorting xs puts at [lo, hi], and
+// returns it: the (hi+1)-th and (lo+1)-th largest selected in place, the
+// entries between them sorted.
+func window(xs []float64, lo, hi int) []float64 {
+	k := len(xs)
+	quantize.SelectDesc(xs, k-hi)
 	if hi > lo {
-		nthAsc(xs[lo+1:], hi-lo-1)
-		slices.Sort(xs[lo+1 : hi])
+		quantize.SelectDesc(xs[k-hi:], hi-lo)
 	}
-}
-
-// nthAsc permutes the NaN-free xs so that xs[t] is what sorting xs puts
-// there, nothing before it larger and nothing after it smaller.
-func nthAsc(xs []float64, t int) {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		pivot := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if t <= j {
-			hi = j
-		} else if t >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
+	w := xs[k-1-hi : k-lo]
+	slices.Sort(w)
+	return w
 }
 
 // krum moves the global toward the multi-Krum aggregate of rds: pairwise

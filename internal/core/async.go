@@ -715,7 +715,8 @@ func (r *bufferedRunner) step() (bool, error) {
 		}
 
 		t := s.rec.res.Rounds + 1
-		updates := s.growUpdates(len(r.buffer))
+		s.updScratch = grow(s.updScratch, len(r.buffer))
+		updates := s.updScratch
 		for i, bj := range r.buffer {
 			u := bj.update
 			u.Staleness = t - bj.round

@@ -457,14 +457,6 @@ func (s *Server) bitmapped(j *trainJob) bool {
 	return s.chunks != nil && !s.denseUploads && !s.corrupts(j.c) && (j.gsnap == nil || j.record && j.recRows > 0)
 }
 
-// growUpdates returns a length-n update gather buffer.
-func (s *Server) growUpdates(n int) []Update {
-	if cap(s.updScratch) < n {
-		s.updScratch = make([]Update, n)
-	}
-	return s.updScratch[:n]
-}
-
 // aggregate merges one round's updates. An Algorithm's Aggregator
 // override wins (it sees Update.Staleness, and every update widened to
 // Params); otherwise the run's aggregation policy supplies the weights
@@ -480,20 +472,12 @@ func (s *Server) aggregate(round int, updates []Update) {
 		copy(s.global, next)
 		return
 	}
-	weights := s.growWeights(len(updates))
+	s.aggWeights = grow(s.aggWeights, len(updates))
+	weights := s.aggWeights
 	for i, u := range updates {
 		weights[i] = s.spec.Policy.Weight(u)
 	}
 	s.aggregateWeightedRate(weights, updates, s.spec.Policy.MergeRate(round, updates))
-}
-
-// growWeights returns a length-n aggregation-weight buffer (server
-// scratch, single-threaded merge path).
-func (s *Server) growWeights(n int) []float64 {
-	if cap(s.aggWeights) < n {
-		s.aggWeights = make([]float64, n)
-	}
-	return s.aggWeights[:n]
 }
 
 // aggregateWeightedRate normalises the given weights, forms the weighted

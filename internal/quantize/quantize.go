@@ -232,11 +232,11 @@ func (s *Sparse) bracketTopK(scratch, v []float64, k int) bool {
 	hi, lo := math.Inf(1), 0.0
 	rh := max(int(math.Floor(r-d)), -1) // sample rank of hi, from 0 at the largest
 	if rh >= 0 {
-		hi = quickselectDesc(sample, rh+1)
+		hi = SelectDesc(sample, rh+1)
 	}
 	if rl := int(math.Ceil(r + d)); rl < sampleLen {
-		// quickselectDesc left sample[rh+1:] no larger than hi.
-		lo = quickselectDesc(sample[rh+1:], rl-rh)
+		// SelectDesc left sample[rh+1:] no larger than hi.
+		lo = SelectDesc(sample[rh+1:], rl-rh)
 	}
 
 	// The magnitudes inside the bracket fill scratch from the front. The
@@ -272,7 +272,7 @@ func (s *Sparse) bracketTopK(scratch, v []float64, k int) bool {
 		return false
 	case need <= in:
 		cand := scratch[:in]
-		thresh = quickselectDesc(cand, need)
+		thresh = SelectDesc(cand, need)
 		gt = above
 		for _, m := range cand {
 			if m > thresh {
@@ -321,7 +321,7 @@ func (s *Sparse) fullTopK(scratch, v []float64, k int) {
 	for i, x := range v {
 		scratch[i] = math.Abs(x)
 	}
-	thresh := quickselectDesc(scratch, k)
+	thresh := SelectDesc(scratch, k)
 	for i, x := range v {
 		if math.Abs(x) > thresh {
 			s.Indices = append(s.Indices, int32(i))
@@ -391,9 +391,11 @@ func RandKInto(s *Sparse, idx []int32, v []float64, k int, rng *prng.Rand) error
 	return nil
 }
 
-// quickselectDesc returns the k-th largest value of xs (1-based k),
-// mutating xs.
-func quickselectDesc(xs []float64, k int) float64 {
+// SelectDesc returns the k-th largest value of the NaN-free xs (1-based
+// k) and permutes xs so that it sits at k-1, nothing before it smaller
+// and nothing after it larger. With a NaN in xs what it returns depends
+// on where the NaN lies.
+func SelectDesc(xs []float64, k int) float64 {
 	lo, hi := 0, len(xs)-1
 	target := k - 1 // index in descending order
 	for lo < hi {

@@ -208,7 +208,7 @@ func TestTopKProperty(t *testing.T) {
 	}
 }
 
-// Oracle: quickselectDesc returns what a full descending sort puts at
+// Oracle: SelectDesc returns what a full descending sort puts at
 // index k-1, for every k, on NaN-free columns with and without ties, and
 // only permutes the column it is given.
 func TestQuickselectDescMatchesSort(t *testing.T) {
@@ -229,7 +229,7 @@ func TestQuickselectDescMatchesSort(t *testing.T) {
 		slices.Reverse(want)
 		for k := 1; k <= n; k++ {
 			xs := slices.Clone(col)
-			if got := quickselectDesc(xs, k); got != want[k-1] {
+			if got := SelectDesc(xs, k); got != want[k-1] {
 				t.Logf("n=%d k=%d: got %v, sorted %v", n, k, got, want)
 				return false
 			}
