@@ -21,12 +21,13 @@ import (
 
 // codec is one lossy uplink compression scheme, in two steps so the
 // transport can fall back between them: encode compresses delta into sc
-// and returns the exact encoded wire size, and may use dst as scratch —
-// apply overwrites it next — but must not fail after writing it, since
-// dst may alias the params a refused delta ships dense; apply then writes the
+// and returns the exact encoded wire size; apply then writes the
 // server's reconstruction, dst[i] = ref[i] + rec[i] with rec the decoded
 // (lossy) delta, and — when drop is non-nil — what the codec dropped,
-// drop[i] = delta[i] - rec[i]. dst aliases neither ref nor delta.
+// drop[i] = delta[i] - rec[i]. dst aliases neither ref nor delta. encode
+// may overwrite dst, as scratch apply overwrites next, but must not fail
+// after writing it: dst may alias the params a refused delta ships
+// dense.
 type codec interface {
 	term() spec.Term
 	// rejects reports whether encode can refuse a delta (non-finite
