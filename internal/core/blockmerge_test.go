@@ -84,3 +84,38 @@ func TestLockStepBlockMergeMatchesWidened(t *testing.T) {
 		}
 	}
 }
+
+// TestRobustMergeAllocFree holds the robust merges at zero allocations
+// once their scratch has grown to the buffer: a median, a trimmed mean
+// and a krum of 32 updates over four blocks, dense and narrowed.
+func TestRobustMergeAllocFree(t *testing.T) {
+	const n, k = 4*chunkLen - 7, 32
+	rng := rand.New(rand.NewSource(52))
+	for _, kind := range []string{"median", "trimmedmean:0.25", "krum:0.2"} {
+		updates := make([]Update, k)
+		for i := range updates {
+			v := make([]float32, n)
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			if i%2 == 0 {
+				updates[i].narrow = v
+			} else {
+				updates[i].Params = make([]float64, n)
+				widen(updates[i].Params, v)
+			}
+		}
+		weights := make([]float64, k)
+		s := &Server{global: make([]float64, n), spec: RunSpec{Policy: mustPolicy(t, kind)}}
+		merge := func() {
+			for i := range weights {
+				weights[i] = 1
+			}
+			s.aggregateWeightedRate(weights, updates, 0.6)
+		}
+		merge()
+		if a := testing.AllocsPerRun(5, merge); a != 0 {
+			t.Errorf("%s of %d updates: %v allocations per merge, want 0", kind, k, a)
+		}
+	}
+}
