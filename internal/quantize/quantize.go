@@ -228,7 +228,7 @@ func (s *Sparse) bracketTopK(scratch, v []float64, k int) bool {
 		sample[i] = m
 	}
 	r := float64(k) * sampleLen / float64(n)
-	d := 3*math.Sqrt(r) + 2
+	d := float64(3*math.Sqrt(r)) + 2
 	hi, lo := math.Inf(1), 0.0
 	rh := max(int(math.Floor(r-d)), -1) // sample rank of hi, from 0 at the largest
 	if rh >= 0 {
