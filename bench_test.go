@@ -279,8 +279,10 @@ func scaleSpec(tb testing.TB, clients int) core.RunSpec {
 //	                function of the spec, the same at every population
 //	                size
 //	mallocs         heap allocations of the run's event loop (fleet
-//	                construction excluded) with 2 shards at GOMAXPROCS 2;
-//	                a ceiling with 2 % of slack. 0: benchmark only
+//	                construction excluded) with 2 shards at GOMAXPROCS 2,
+//	                from drained pools and a collected heap; a ceiling
+//	                with 2 % of slack, the highest of six runs each in a
+//	                process of its own. 0: benchmark only
 //
 // The 1M rung's loop is not gated: it allocates what the 100k loop does.
 // Its construction is, outside -short: building it no longer builds a
@@ -292,14 +294,14 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 24, 344},
-	{"Async1kClients", asyncSpec, 1_000, 24, 815},
-	{"Sync10kClients", syncSpec, 10_000, 24, 288},
-	{"Async10kClients", asyncSpec, 10_000, 24, 794},
-	{"AsyncChurn1k", churnSpec, 1_000, 32, 784},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 959},
-	{"RobustMerge1k", robustSpec, 1_000, 25, 846},
-	{"Async100kClients", scaleSpec, 100_000, 32, 1_461},
+	{"Sync1kClients", syncSpec, 1_000, 24, 346},
+	{"Async1kClients", asyncSpec, 1_000, 24, 855},
+	{"Sync10kClients", syncSpec, 10_000, 24, 332},
+	{"Async10kClients", asyncSpec, 10_000, 24, 846},
+	{"AsyncChurn1k", churnSpec, 1_000, 32, 832},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 1_000},
+	{"RobustMerge1k", robustSpec, 1_000, 25, 858},
+	{"Async100kClients", scaleSpec, 100_000, 32, 1_496},
 	{"Async1MClients", scaleSpec, 1_000_000, 32, 0},
 }
 
@@ -379,6 +381,10 @@ func TestPopulationCounters(t *testing.T) {
 				"if intended, edit bytesPerClient in populationRuns (bench_test.go)",
 				p.name, got, p.bytesPerClient)
 		}
+		// Every row starts from empty pools and a collected heap, so its
+		// count is its own run's, whatever the rows before it left free.
+		core.DrainPools()
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		runPopulation(t, rs)

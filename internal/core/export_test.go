@@ -13,20 +13,6 @@ func PoolCheckouts() (out, peak int) { return paramsPool.checkouts() }
 
 func ResetPoolPeak() { paramsPool.resetPeak() }
 
-// DrainPools empties every pool's free list, so what a test reads of
-// them afterwards is what its own run returned.
-func DrainPools() {
-	for _, p := range []interface{ drain() }{paramsPool, narrowPool} {
-		p.drain()
-	}
-}
-
-func (p *vecPool[T]) drain() {
-	p.mu.Lock()
-	clear(p.free)
-	p.mu.Unlock()
-}
-
 // Fingerprint is the text a snapshot of the run is stamped with.
 func (sp *RunSpec) Fingerprint(numParams int) string { return sp.fingerprint(numParams) }
 

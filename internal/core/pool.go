@@ -112,6 +112,21 @@ func (p *vecPool[T]) held() Held {
 	return h
 }
 
+// DrainPools empties the process's vector pools' free lists, so what a
+// caller measures afterwards — the pools' holdings, a run's allocations —
+// starts from what no earlier run in the process left behind.
+func DrainPools() {
+	for _, p := range []interface{ drain() }{paramsPool, narrowPool} {
+		p.drain()
+	}
+}
+
+func (p *vecPool[T]) drain() {
+	p.mu.Lock()
+	clear(p.free)
+	p.mu.Unlock()
+}
+
 // resetPeak restarts the high-water mark from the current checkouts.
 func (p *vecPool[T]) resetPeak() {
 	p.mu.Lock()

@@ -2,6 +2,7 @@ package runtext_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -120,5 +121,75 @@ func TestPolicyDigestsPinned(t *testing.T) {
 				t.Errorf("digest %s, want %s: the policy's arithmetic moved", got, tc.digest)
 			}
 		})
+	}
+}
+
+// TestKrumTiePinned makes the order krum sums a pair's squared distances
+// in observable: one merge of the krum:0.2 row's run has its five
+// uploads rewritten in their first five entries, the rest left as the
+// global they merge into, so that the third and fourth are tied at the
+// worst score when each distance is summed in coordinate order and not
+// when it is summed in any other. The first three are equal; the fourth
+// differs from them by 2 in entry 0 and by 2^-26 in entries 1–3, the
+// fifth by 2 in entry 4. Summed in order, 4 + 2^-52 rounds back to 4
+// three times, both distances are 4 and both scores 8, and the tie goes
+// to the lower index, so krum averages the first four; summed from the
+// end, the three 2^-52 first make 3·2^-52, which 4 no longer absorbs,
+// and krum averages the other four. The digest is an amd64 value.
+func TestKrumTiePinned(t *testing.T) {
+	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 240, Test: 60, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := partition.Partition(partition.Dirichlet(0.5), train.Y, train.Classes, 12, 20, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	algo, err := algos.Parse("fedtrip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := runtext.Selection{Runtime: core.RuntimeAsync, Latency: "straggler:1,4,3", Concurrency: 8, Buffer: 5, Policy: "krum:0.2"}
+	rs, err := sel.RunSpec(core.Config{
+		Model: nn.ModelSpec{Arch: nn.ArchMLP, Channels: 1, Height: 28, Width: 28, Classes: 10, Scale: 0.25},
+		Train: train, Test: test, Parts: parts,
+		Rounds: 24, ClientsPerRound: 4, BatchSize: 10, LocalEpochs: 1,
+		LR: 0.01, Momentum: 0.9, Algo: algo, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tied := false
+	rs.OnUpdates = func(round int, global []float64, updates []core.Update) {
+		if round != 3 {
+			return
+		}
+		if len(updates) != 5 {
+			t.Fatalf("round 3 merges %d updates, want 5", len(updates))
+		}
+		small := math.Ldexp(1, -26)
+		for i, u := range updates {
+			if u.Params == nil {
+				t.Fatalf("update %d is held compact; the row rewrites dense uploads", i)
+			}
+			copy(u.Params, global)
+			copy(u.Params[:5], []float64{0, 0, 0, 0, 0})
+		}
+		copy(updates[3].Params[:4], []float64{2, small, small, small})
+		updates[4].Params[4] = 2
+		tied = true
+	}
+	res, err := core.Start(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tied {
+		t.Fatal("round 3 never merged: the tie was not set up")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest %s not compared: the literal is an amd64 value", res.Digest())
+	}
+	if got, want := res.Digest(), "ee3198919e8baff8"; got != want {
+		t.Errorf("digest %s, want %s: krum's distances or its selection moved", got, want)
 	}
 }
