@@ -295,13 +295,13 @@ var populationRuns = []struct {
 	mallocs        uint64
 }{
 	{"Sync1kClients", syncSpec, 1_000, 24, 346},
-	{"Async1kClients", asyncSpec, 1_000, 24, 855},
+	{"Async1kClients", asyncSpec, 1_000, 24, 683},
 	{"Sync10kClients", syncSpec, 10_000, 24, 332},
-	{"Async10kClients", asyncSpec, 10_000, 24, 846},
-	{"AsyncChurn1k", churnSpec, 1_000, 32, 832},
-	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 1_000},
-	{"RobustMerge1k", robustSpec, 1_000, 25, 858},
-	{"Async100kClients", scaleSpec, 100_000, 32, 1_496},
+	{"Async10kClients", asyncSpec, 10_000, 24, 676},
+	{"AsyncChurn1k", churnSpec, 1_000, 32, 678},
+	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 844},
+	{"RobustMerge1k", robustSpec, 1_000, 25, 682},
+	{"Async100kClients", scaleSpec, 100_000, 32, 1_195},
 	{"Async1MClients", scaleSpec, 1_000_000, 32, 0},
 }
 

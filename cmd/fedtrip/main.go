@@ -210,8 +210,10 @@ func run(o runOpts) (*core.Result, error) {
 		fmt.Printf("  wire traffic    %s\n", st)
 		// Exact byte counts, greppable by CI assertions. They count every
 		// transfer the transport made, so an async run's also holds the
-		// dispatches still in flight when it ends, which the communication
-		// line leaves out.
+		// dispatches in flight when it ends that have trained, which the
+		// communication line leaves out. An in-flight dispatch still
+		// waiting to train has not moved any bytes yet: the "uploads held"
+		// line counts those.
 		fmt.Printf("  wire bytes      %d (down %d, up %d) over every transfer the transport made\n", st.TotalBytes(), st.DownBytes(), st.UpBytes())
 	}
 	distinct, dispatches := rs.Participation()
@@ -219,7 +221,8 @@ func run(o runOpts) (*core.Result, error) {
 	fp := rs.Footprint()
 	fmt.Printf("  registry        %d of %d clients built, %d B (%.1f B/client)\n",
 		fp.Built, fp.Clients, fp.RegistryBytes, float64(fp.RegistryBytes)/float64(fp.Clients))
-	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s, bitmap patches %s\n", held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches), held(fp.BitmapPatches))
+	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s, bitmap patches %s; in flight %d waiting to train, %d trained\n",
+		held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches), held(fp.BitmapPatches), fp.Waiting, fp.Trained)
 	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), held(fp.Versions32))
 	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks))
 	fmt.Printf("  models          engines %s; tester %s\n", models(fp.Engines), models(fp.Tester))

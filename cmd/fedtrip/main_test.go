@@ -180,7 +180,9 @@ func printed(t *testing.T, line string) (*core.Result, string) {
 // The summary's communication line counts the processed dispatches, its
 // wire bytes line every transfer the transport made. A lock-step run ends
 // with nothing in flight, so the two agree; an async run ends with
-// dispatches in flight, and the gap is a whole number of them.
+// dispatches in flight, and the gap is a whole number of them: those that
+// have trained. One still waiting to train has moved no bytes, so the
+// downlinks and the waiting dispatches add up to every dispatch.
 func TestSummaryLinesCountWhatTheySay(t *testing.T) {
 	const line = "-clients 20 -dropout drop:3,0.5,0 -seed 3 -latency const:1 -rounds 4 -model mlp -scale 1 -samples 40 -test 100 -transport f32 -quiet"
 	for _, runtime := range []string{"barrier", "async"} {
@@ -207,6 +209,29 @@ func TestSummaryLinesCountWhatTheySay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// count is the number before word on the label's line.
+			count := func(label, word string) int64 {
+				t.Helper()
+				for _, l := range strings.Split(text, "\n") {
+					f := strings.Fields(l)
+					if !strings.HasPrefix(strings.TrimSpace(l), label) {
+						continue
+					}
+					for i := 1; i < len(f); i++ {
+						if strings.TrimSuffix(f[i], ",") == word {
+							if n, err := strconv.ParseInt(f[i-1], 10, 64); err == nil {
+								return n
+							}
+						}
+					}
+				}
+				t.Fatalf("no count before %q on the %q line in:\n%s", word, label, text)
+				return 0
+			}
+			dispatches, waiting, trained := count("fleet coverage", "dispatches"), count("uploads held", "waiting"), count("uploads held", "trained")
+			if downs+waiting != dispatches {
+				t.Errorf("%d downlinks and %d dispatches waiting to train, of %d dispatches", downs, waiting, dispatches)
+			}
 			comm := res.CommBytesByRound[len(res.CommBytesByRound)-1]
 			if downs == 0 || wire%downs != 0 {
 				t.Fatalf("%d wire bytes over %d dispatches: not one size per dispatch", wire, downs)
@@ -215,8 +240,8 @@ func TestSummaryLinesCountWhatTheySay(t *testing.T) {
 			switch {
 			case runtime == "barrier" && gap != 0:
 				t.Errorf("communication %d B, wire bytes %d: a lock-step run must agree", comm, wire)
-			case runtime == "async" && (gap <= 0 || gap%perDispatch != 0):
-				t.Errorf("communication %d B, wire bytes %d: the gap is not a positive whole number of %d-byte dispatches", comm, wire, perDispatch)
+			case runtime == "async" && (gap <= 0 || gap != trained*perDispatch):
+				t.Errorf("communication %d B, wire bytes %d: the gap is not the %d trained dispatches in flight, %d B each", comm, wire, trained, perDispatch)
 			}
 			t.Logf("communication %d B, wire bytes %d, %d dispatches of %d B in flight at the end", comm, wire, gap/perDispatch, perDispatch)
 		})

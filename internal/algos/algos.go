@@ -118,6 +118,9 @@ type FedAvg struct {
 // Name implements core.Algorithm.
 func (FedAvg) Name() string { return "fedavg" }
 
+// AttachFLOPs implements core.AttachCoster: FedAvg attaches nothing.
+func (FedAvg) AttachFLOPs(*core.Client, int) int64 { return 0 }
+
 // FedProx (Li et al., MLSys 2020) adds the proximal term mu/2*||w-w_t||^2
 // to the local objective, i.e. g += mu*(w - w_global) each iteration.
 type FedProx struct {
@@ -132,6 +135,9 @@ func (*FedProx) Name() string { return "fedprox" }
 // reads. Every method with a hyperparameter prints it, so the snapshot
 // fingerprint tells its settings apart.
 func (f *FedProx) String() string { return spec.T("fedprox", f.Mu).String() }
+
+// AttachFLOPs implements core.AttachCoster: TransformGrad's 2|w| a step.
+func (f *FedProx) AttachFLOPs(c *core.Client, round int) int64 { return int64(2 * c.NumParams()) }
 
 // TransformGrad applies the proximal gradient (attach cost 2|w|).
 func (f *FedProx) TransformGrad(c *core.Client, round int, w, g []float64) {

@@ -71,11 +71,23 @@
 //     follow the live versions, not Concurrency plus the buffer; a
 //     quantized uplink's upload, and one that changed nearly every
 //     entry, stays dense.
-//   - Where a burst must be joined before the clock can move (device- and
-//     network-priced arrivals), a burst of one job — every burst but a
-//     run's first, in steady state — trains on the event-loop goroutine
-//     itself: no closure, no channel hand-off, no cross-thread wake-up
-//     for a job the loop would only block on.
+//   - A job is priced when it is sent and trained only when its arrival
+//     comes due. Its dispatch bound — the latency draw, the analytic
+//     FLOPs of its batches and step budget (the model's, plus a method's
+//     declared attaching cost, AttachCoster) over the device's
+//     throughput, and the link's RTT and, without a transport, its
+//     analytic bytes — is the earliest it can arrive, and the event heap
+//     queues it there. Once the loop reaches it, every job due then
+//     trains at once across the shards, with enough of the next due ones
+//     to give each shard as many, and each is priced from what it
+//     metered, as it would have been at dispatch. So an in-flight job
+//     that waits to train holds its version's snapshot and no upload,
+//     and a trained one holds its upload until it arrives: a few of the
+//     next due jobs, parked ones, and, where a bound falls short of the
+//     arrival, those trained at their bound. Where the bound is exact —
+//     no method work it cannot count, no transport bytes a link prices —
+//     pricing never moves a job; elsewhere the heap's layout as a
+//     snapshot writes it is kept apart (heapOrder).
 //   - Evaluation runs off the loop on the snapshot-based evaluator, so a
 //     merge never stalls behind the test set.
 //
@@ -167,10 +179,11 @@ func adaptiveSteps(speed float64, samples, batch, epochs int) int {
 // armJob fills a job's dispatch-time parameters: its arrival under the
 // latency draw and, on a device fleet, the client's speed (derived
 // statelessly from its indexed device stream) and step budget. A device
-// fleet's latency is zero, which draws nothing; price replaces it.
+// fleet's latency is zero, which draws nothing; its compute replaces it
+// (arrival).
 func (s *Server) armJob(j *trainJob, id int) {
 	sp := &s.spec
-	j.finish = s.now + sp.Latency.duration(id, s.latRng)
+	j.drawn = s.now + sp.Latency.duration(id, s.latRng)
 	if sp.Devices.None() {
 		return
 	}
@@ -180,20 +193,64 @@ func (s *Server) armJob(j *trainJob, id int) {
 	}
 }
 
-// price sets a trained job's arrival from what training measured. On a
-// device fleet the round's metered FLOPs over the client's throughput
+// arrival is when j arrives if its round costs flops and moves down and
+// up bytes. On a device fleet the FLOPs over the client's throughput
 // replace the latency draw — the round time is the compute itself; on a
-// network fleet the transfers' time (RTT plus the measured bytes over the
+// network fleet the transfers' time (RTT plus the bytes over the
 // client's link) stacks on top of either. An infinite-bandwidth zero-RTT
 // link adds exactly 0, so it reproduces the unpriced run bit-for-bit.
-func (s *Server) price(j *trainJob) {
+// Both the dispatch bound and the priced arrival go through it, so they
+// are equal whenever their counts are.
+func (s *Server) arrival(j *trainJob, flops, down, up int64) float64 {
 	sp := &s.spec
+	at := j.drawn
 	if !sp.Devices.None() {
-		j.finish = s.now + float64(j.flops)/(sp.FlopRate*j.speed)
+		at = j.drawn + float64(flops)/(sp.FlopRate*j.speed)
 	}
 	if !sp.Network.None() {
-		j.finish += sp.Network.link(j.c.ID, sp.Seed, &s.derive).transferTime(j.downBytes, j.upBytes)
+		at += sp.Network.link(j.c.ID, sp.Seed, &s.derive).transferTime(down, up)
 	}
+	return at
+}
+
+// bound is the earliest j can arrive, known at its dispatch: its arrival
+// at the analytic FLOPs of its round on a device fleet, and at the dense
+// float32 transfers without a transport, none over one (the link's RTT
+// alone). It is exact unless the method meters work it does not declare
+// or a transport prices the link (bufferedRunner.order).
+func (s *Server) bound(j *trainJob) float64 {
+	var flops, wire int64
+	if !s.spec.Devices.None() {
+		flops = s.roundFLOPs(j)
+	}
+	if s.wire == nil {
+		wire = int64(4 * len(s.global))
+	}
+	return s.arrival(j, flops, wire, wire)
+}
+
+// roundFLOPs is what j's round meters, as far as the dispatch knows it:
+// a training step per batch — an epoch's batches are full but its last,
+// and j's step budget may end the round early — and the method's
+// attaching FLOPs a step when it declares them (AttachCoster).
+func (s *Server) roundFLOPs(j *trainJob) int64 {
+	sp := &s.spec
+	n, b := len(j.c.Indices), sp.BatchSize
+	if n == 0 {
+		return 0
+	}
+	per := (n + b - 1) / b
+	steps := sp.LocalEpochs * per
+	if j.steps > 0 {
+		steps = min(steps, j.steps)
+	}
+	lasts := steps / per // steps that ran an epoch's last batch
+	m := s.eval.model
+	flops := int64(steps-lasts)*m.TrainFLOPs(b) + int64(lasts)*m.TrainFLOPs(n-(per-1)*b)
+	if ac, ok := sp.Algo.(AttachCoster); ok {
+		flops += int64(steps) * ac.AttachFLOPs(j.c, j.round)
+	}
+	return flops
 }
 
 // getJob takes a job from the run's free list (or allocates the list's
@@ -205,13 +262,13 @@ func (s *Server) getJob() *trainJob {
 		s.free = s.free[:n-1]
 		return j
 	}
-	return &trainJob{done: make(chan struct{}, 1), heapIdx: -1}
+	return &trainJob{done: make(chan struct{}, 1), heapIdx: -1, dueIdx: -1}
 }
 
 // recycleJob returns a drained job (update extracted or voided, done
 // token consumed) to the free list, which keeps its patch storage.
 func (s *Server) recycleJob(j *trainJob) {
-	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, patch: j.patch, chain: j.chain[:0]}
+	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, dueIdx: -1, patch: j.patch, chain: j.chain[:0]}
 	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs the loop holds at once
 }
 
@@ -226,28 +283,35 @@ func (s *Server) online(id int) bool {
 // FedAsync every single one) and how each buffered update is weighted.
 // One step = the event-loop iterations up to and including the next
 // aggregation, so between steps the run is at an aggregation boundary:
-// the policy buffer is exactly the not-yet-merged arrivals and every
-// in-flight job is either still training (joinable) or priced and queued
-// in the event heap — precisely the state Snapshot serializes.
+// the policy buffer is exactly the not-yet-merged arrivals, and every
+// in-flight job is queued in the event heap, either waiting to train at
+// its dispatch bound or trained and priced; none is on a shard. Snapshot
+// trains the waiting ones first and serializes the rest.
 type bufferedRunner struct {
 	s *Server
 	// gated is the lock-step dispatch gate (every runtime but async): a
 	// round of K selected clients opens only when nothing is in flight or
 	// buffered, so a boundary holds neither, and merges whole.
 	gated bool
-	// joinNow: arrival times need what training measured (device- or
-	// network-priced fleets), so each burst joins at dispatch.
-	joinNow bool
 	// The formerly loop-local event state, promoted to fields so a step
 	// can return mid-run and a snapshot can serialize the loop.
 	inflight jobHeap
 	buffer   []*trainJob
+	// due holds the in-flight jobs that wait to train, and batch is the
+	// scratch a set of them trains from (trainDue): each as long as the
+	// most jobs in flight at once, from the start.
+	due   dueHeap
+	batch []*trainJob
+	// order is the event heap's layout as a snapshot writes it, kept
+	// apart (heapOrder) only when a dispatch bound can fall short of the
+	// priced arrival, so that pricing moves a job in the heap: the method
+	// meters FLOPs it does not declare on a device fleet, or a transport's
+	// bytes are priced on a network fleet. nil otherwise: the bound is
+	// the arrival, and the heap is its own layout.
+	order *heapOrder
 	// seq is the dispatch sequence: total dispatches so far, or behind the
 	// gate the job's index in its round's selection.
 	seq int
-	// joinScratch gathers a join-at-dispatch burst before it is trained
-	// and joined in dispatch order (event-loop scratch).
-	joinScratch []*trainJob
 	// cur is the snapshot of the current model version: taken by the
 	// first dispatch after an aggregation, shared by every later one,
 	// nil in between. snaps is the table of snapshot records, one per
@@ -263,9 +327,6 @@ type bufferedRunner struct {
 	// snapshots counts the global copies taken so far — one per model
 	// version that dispatched anything, however many jobs it dispatched.
 	snapshots int
-	// unjoined counts the jobs handed to the shards (or run inline) and
-	// not yet joined: what the inline branch of dispatch checks is zero.
-	unjoined int
 	// dropCB/rejoinCB are the availability callbacks as stored method
 	// values — bound once so churn.advance in the hot loop does not
 	// allocate a closure per call.
@@ -354,11 +415,17 @@ func sameBits(v []float64, w []float32) bool {
 }
 
 func newBufferedRunner(s *Server) *bufferedRunner {
+	sp := &s.spec
 	r := &bufferedRunner{
-		s:       s,
-		gated:   s.spec.Runtime != RuntimeAsync,
-		joinNow: !s.spec.Devices.None() || !s.spec.Network.None(),
-		snaps:   make([]*globalSnap, 0, s.spec.Concurrency+1),
+		s:     s,
+		gated: sp.Runtime != RuntimeAsync,
+		snaps: make([]*globalSnap, 0, sp.Concurrency+1),
+		due:   make(dueHeap, 0, sp.Concurrency),
+		batch: make([]*trainJob, 0, sp.Concurrency),
+	}
+	_, declared := sp.Algo.(AttachCoster)
+	if !sp.Devices.None() && !declared || !sp.Network.None() && s.wire != nil {
+		r.order = &heapOrder{}
 	}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
@@ -368,41 +435,96 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 	return r
 }
 
-// quiesce joins every in-flight job whose local training has not been
-// waited on yet. Training physically completes before its virtual
-// arrival is processed in any case, so joining early never changes a
+// quiesce trains every in-flight job that waits to train. No job reads
+// another's state or the server's, so training early never changes a
 // trajectory — it only makes the per-client state (the method's rows, RNG
 // position, FLOP counters) and the job's update serializable at this
-// boundary.
+// boundary, and the event heap's layout (order) complete.
 func (r *bufferedRunner) quiesce() {
+	batch := r.batch[:0]
+	for r.due.Len() > 0 {
+		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch, grows once to the most jobs in flight
+	}
+	r.batch = batch
+	r.train(batch)
+}
+
+// joinTraining joins the jobs handed to a shard and not joined yet: none
+// at a boundary, only those a panic left mid-train.
+func (r *bufferedRunner) joinTraining() {
 	for _, j := range r.inflight.js {
-		r.join(j)
+		if j.training {
+			r.join(j)
+		}
 	}
 }
 
-// close leaves the runner holding no global copy: what is in flight is
-// joined and the current version's snapshot goes back to the pool.
+// close leaves the runner holding no global copy but those the jobs
+// that wait to train hold: what a shard trains is joined and the current
+// version's snapshot goes back to the pool.
 func (r *bufferedRunner) close() {
-	r.quiesce()
+	r.joinTraining()
 	r.retire()
 }
 
-// join waits for j's local training (once). A job whose upload is not a
-// patch drops its reference to the snapshot it trained from here: nothing
-// reads it afterwards, so holding it until the virtual arrival would keep
-// a superseded version's vector out of the pool. A patched upload, of
+// trainDue trains top, the event heap's earliest job, which has not
+// trained yet, and with it every waiting job due by its arrival and as
+// many of the next due ones as fill each shard's share: the choice is
+// made on virtual times only.
+func (r *bufferedRunner) trainDue(top *trainJob) {
+	heap.Remove(&r.due, top.dueIdx)
+	batch := append(r.batch[:0], top) //fedtripvet:allow scratch, grows once to the most jobs in flight
+	shards := len(r.s.sp.engines)
+	for r.due.Len() > 0 && (r.due[0].bound <= top.finish || len(batch)%shards != 0) {
+		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch, grows once to the most jobs in flight
+	}
+	r.batch = batch
+	r.train(batch)
+}
+
+// train hands batch, jobs out of the dueHeap, to the shards, joins each
+// and prices it.
+func (r *bufferedRunner) train(batch []*trainJob) {
+	for _, j := range batch {
+		j.training = true
+		r.s.sp.submit(j)
+	}
+	for _, j := range batch {
+		r.join(j)
+		r.price(j)
+	}
+}
+
+// join waits for j's local training. A job whose upload is not a patch
+// drops its reference to the snapshot it trained from here: nothing reads
+// it afterwards, so holding it until the virtual arrival would keep a
+// superseded version's vector out of the pool. A patched upload, of
 // indices or a bitmap, is read against its version's global, and keeps
 // it until the round that merges it is done (step).
 func (r *bufferedRunner) join(j *trainJob) {
-	if j.trained {
-		return
-	}
 	<-j.done
-	j.trained = true
-	r.unjoined--
+	j.training, j.trained = false, true
 	r.s.rows.settle(j)
 	if !j.patched() {
 		r.release(j)
+	}
+}
+
+// price checks j's arrival at what it metered against its dispatch bound:
+// never earlier, and the same unless the run logs the heap's layout
+// (order), where j then moves to it. A job parked by a drop keeps the
+// arrival churn gave it: only a job whose bound was its arrival waits
+// parked untrained (onDrop).
+func (r *bufferedRunner) price(j *trainJob) {
+	at := r.s.arrival(j, j.flops, j.downBytes, j.upBytes)
+	switch {
+	case at < j.bound || r.order == nil && at != j.bound:
+		panic(fmt.Sprintf("core: client %d metered %d FLOPs and %d+%d bytes, an arrival at %v against its dispatch bound %v (%s's AttachFLOPs is not what it meters)",
+			j.c.ID, j.flops, j.downBytes, j.upBytes, at, j.bound, r.s.spec.Algo.Name()))
+	case r.order != nil:
+		j.finish = at
+		heap.Fix(&r.inflight, j.heapIdx)
+		r.order.priced(j)
 	}
 }
 
@@ -492,7 +614,9 @@ func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 // drains through the loop. A rejoin makes an idle client dispatchable
 // again; an in-flight one returns through its unparked arrival. A parked
 // job can never pop while parked: its owner is offline, so a future
-// churn event for it always precedes +Inf.
+// churn event for it always precedes +Inf. Parking needs the arrival: a
+// job that waits to train is parked at its bound when that is exact, and
+// trained and priced first when it is not.
 func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 	r.s.pop.idle.remove(id)
 	j := r.inflight.byClient(id)
@@ -503,15 +627,20 @@ func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 		if j.remaining != 0 {
 			j.finish = at + j.remaining
 			j.remaining = 0
-			heap.Fix(&r.inflight, j.heapIdx)
+			r.fix(j)
 		}
 		j.dropped = true
 		return
 	}
+	if !j.trained && r.order != nil {
+		heap.Remove(&r.due, j.dueIdx)
+		r.batch = append(r.batch[:0], j) //fedtripvet:allow scratch, grows once to the most jobs in flight
+		r.train(r.batch)
+	}
 	if j.finish > at {
 		j.remaining = j.finish - at
 		j.finish = math.Inf(1)
-		heap.Fix(&r.inflight, j.heapIdx)
+		r.fix(j)
 	}
 }
 
@@ -524,73 +653,53 @@ func (r *bufferedRunner) onRejoin(id int, at float64) {
 	if j.remaining != 0 {
 		j.finish = at + j.remaining
 		j.remaining = 0
-		heap.Fix(&r.inflight, j.heapIdx)
+		r.fix(j)
+	}
+}
+
+// fix moves j to its changed arrival in the event heap, and logs the
+// change when the run keeps the heap's layout apart.
+func (r *bufferedRunner) fix(j *trainJob) {
+	heap.Fix(&r.inflight, j.heapIdx)
+	if r.order != nil {
+		r.order.fix(j)
 	}
 }
 
 // dispatch sends clients out at the current clock. Ungated it tops the
 // fleet up to Concurrency; gated it opens the next lock-step round once
-// the last one has merged. A device-profiled or network-priced arrival
-// time needs quantities (metered FLOPs, encoded wire bytes) that exist
-// only once training ran: those fleets gather each burst, train it, and
-// join it in dispatch order before the clock may advance. The latency
-// draw of a network-priced job still happens in pick order — the stream
-// is identical to the unpriced run's — and the transfer time is added at
-// the join.
+// the last one has merged. Nothing trains here: each job is queued at its
+// dispatch bound, and trains when it comes due (step).
 //
 //fedtripvet:hotpath
 func (r *bufferedRunner) dispatch() {
 	s := r.s
-	r.joinScratch = r.joinScratch[:0]
 	if r.gated {
 		if r.inflight.Len() == 0 && len(r.buffer) == 0 {
 			for _, c := range r.openRound() {
 				r.send(c)
 			}
 		}
-	} else {
-		for r.inflight.Len()+len(r.joinScratch) < s.spec.Concurrency {
-			// One uniform pick from the idle set (the async analogue of the
-			// paper's uniform selection): O(1), one selection-stream draw.
-			id, ok := s.pop.idle.pick(s.rng)
-			if !ok {
-				break
-			}
-			r.send(s.client(id))
-		}
+		return
 	}
-	burst := r.joinScratch
-	if len(burst) == 1 {
-		// The loop would block on this one job anyway, so it trains here,
-		// on shard 0's engine. No worker can be holding that engine: every
-		// earlier burst was joined before its dispatch returned.
-		if r.unjoined != 0 {
-			panic("core: inline training while submitted jobs are outstanding")
+	for r.inflight.Len() < s.spec.Concurrency {
+		// One uniform pick from the idle set (the async analogue of the
+		// paper's uniform selection): O(1), one selection-stream draw.
+		id, ok := s.pop.idle.pick(s.rng)
+		if !ok {
+			break
 		}
-		r.unjoined++
-		s.sp.run(burst[0], 0)
-	} else {
-		// The shards train the burst in parallel.
-		for _, j := range burst {
-			r.unjoined++
-			s.sp.submit(j)
-		}
-	}
-	for _, j := range burst {
-		r.join(j)
-		s.price(j)
-		heap.Push(&r.inflight, j)
+		r.send(s.client(id))
 	}
 }
 
 // send dispatches client c. The job comes from the run's free list and,
 // ungated, its global from the version's shared snapshot, so steady-state
 // dispatch allocates nothing; a gated job reads s.global itself, which
-// nothing writes before the whole round has joined, unless it records a
+// nothing writes before the whole round has merged, unless it records a
 // participation, whose recipe will pin the round's snapshot. A client
-// whose rows are a chain hands it to the job, which replays it. A
-// join-at-dispatch job joins the burst in joinScratch; any other is
-// submitted and queued at once.
+// whose rows are a chain hands it to the job, which replays it. The job
+// is queued at its dispatch bound in the event heap, and waits to train.
 //
 //fedtripvet:hotpath
 func (r *bufferedRunner) send(c *Client) {
@@ -608,13 +717,13 @@ func (r *bufferedRunner) send(c *Client) {
 		r.acquire(j)
 	}
 	s.pop.dispatched(c.ID)
-	if r.joinNow {
-		r.joinScratch = append(r.joinScratch, j) //fedtripvet:allow burst list, reset to [:0] every dispatch
-		return
-	}
-	r.unjoined++
-	s.sp.submit(j)
+	j.bound = s.bound(j)
+	j.finish = j.bound
 	heap.Push(&r.inflight, j)
+	heap.Push(&r.due, j)
+	if r.order != nil {
+		r.order.push(j)
+	}
 }
 
 // openRound opens a lock-step round: it draws the round's clients
@@ -643,6 +752,31 @@ func selectedFlops(selected []*Client) int64 {
 	return fl
 }
 
+// next is the event heap's earliest job once it has trained, or nil. A
+// top that has not trained yet trains now (trainDue) unless an
+// availability change comes at or before its bound, which the loop
+// processes first; pricing can then move it later and make another job
+// the top.
+func (r *bufferedRunner) next() *trainJob {
+	for {
+		j := r.inflight.peek()
+		if j == nil || j.trained {
+			return j
+		}
+		if ch := r.s.churn; ch != nil {
+			if at, ok := ch.next(); ok && at <= j.finish {
+				return j
+			}
+		}
+		r.trainDue(j)
+	}
+}
+
+// step runs the loop to the next aggregation and returns at its
+// boundary: every in-flight job queued in the event heap, waiting to
+// train or trained and priced, none on a shard, and the policy buffer
+// empty.
+//
 //fedtripvet:hotpath
 func (r *bufferedRunner) step() (bool, error) {
 	s := r.s
@@ -656,7 +790,7 @@ func (r *bufferedRunner) step() (bool, error) {
 			s.churn.advance(s.now, r.dropCB, r.rejoinCB)
 		}
 		r.dispatch()
-		j := r.inflight.peek()
+		j := r.next()
 		if s.churn != nil {
 			// The next event is the earlier of the next arrival and the
 			// next availability change; an exact tie processes the
@@ -675,10 +809,12 @@ func (r *bufferedRunner) step() (bool, error) {
 			return true, fmt.Errorf("core: runtime stalled: no client in flight and none dispatchable (offline clients with no rejoin scheduled cannot return)") //fedtripvet:allow cold terminal error path
 		}
 		heap.Pop(&r.inflight)
+		if r.order != nil {
+			r.order.pop(j)
+		}
 		if j.finish > s.now {
 			s.now = j.finish
 		}
-		r.join(j)
 		// Every processed arrival is credited, in virtual-time order and
 		// whatever becomes of its update: its FLOPs and wire bytes — a
 		// dropped one's too, since the work was done and the bytes moved.

@@ -305,13 +305,14 @@ func (g *goroutineAlgo) BeginRound(c *Client, round int, global []float64) {
 	g.FedTrip.BeginRound(c, round, global)
 }
 
-// Where a burst is joined before the clock may move, only a burst of more
-// than one job is worth the shards: without churn that is the opening
-// burst, and every later dispatch — one freed slot per arrival — trains on
-// the event-loop goroutine. The plain-latency mode, whose jobs overlap the
-// loop, never does.
-func TestBurstOfOneTrainsOnEventLoop(t *testing.T) {
-	run := func(devices string) *goroutineAlgo {
+// Every job trains on a shard — none on the event-loop goroutine, which
+// only waits — and only once it comes due: at the end of a run the jobs
+// still waiting in flight never began a round, whether their dispatch
+// bound is a latency draw or a device's compute. (The latency fleet ends
+// with three of its four waiting; on the device fleet every one had
+// trained among the next due jobs a batch fills a shard with.)
+func TestJobsTrainOnTheShards(t *testing.T) {
+	for _, devices := range []string{"tiered", "none"} {
 		algo := &goroutineAlgo{FedTrip: NewFedTrip(0.4), loop: goroutineID()}
 		sp := deviceSpec(t, algo)
 		sp.Shards = 2
@@ -319,18 +320,17 @@ func TestBurstOfOneTrainsOnEventLoop(t *testing.T) {
 		if sp.Devices.None() {
 			sp.Latency = mustFleet(ParseLatency("uniform:1,3"))
 		}
-		if _, err := Start(sp); err != nil {
+		rs, err := NewRunState(sp)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return algo
-	}
-	priced := run("tiered")
-	// 4 in flight and 10 aggregations of 2 arrivals, each arrival but the
-	// run's last re-dispatched.
-	if priced.off != 4 || priced.onLoop != 19 {
-		t.Fatalf("device mode: %d rounds trained on the shards and %d on the event loop, want the opening burst of 4 and the 19 bursts of one", priced.off, priced.onLoop)
-	}
-	if plain := run("none"); plain.onLoop != 0 || plain.off != 23 {
-		t.Fatalf("plain-latency mode: %d rounds trained on the event loop (and %d on the shards), want none", plain.onLoop, plain.off)
+		if _, err := rs.Run(); err != nil {
+			t.Fatal(err)
+		}
+		_, dispatches := rs.Participation()
+		waiting := rs.Footprint().Waiting
+		if algo.onLoop != 0 || int64(algo.off+waiting) != dispatches || devices == "none" && waiting == 0 {
+			t.Errorf("devices %s: %d rounds trained on the event loop and %d on the shards, %d jobs waiting at the end of %d dispatches", devices, algo.onLoop, algo.off, waiting, dispatches)
+		}
 	}
 }

@@ -388,6 +388,19 @@ type CommCoster interface {
 	ExtraCommFactor() float64
 }
 
+// AttachCoster is implemented by a method whose attaching operations
+// cost a known number of FLOPs a local step: AttachFLOPs returns exactly
+// what TransformGrad meters for client c in round, each step, read at
+// c's dispatch (c.LastRound still names its previous participation).
+// The runtime prices a device arrival with it before the job trains
+// (Server.bound). A method without it is priced by its model passes
+// alone until it has trained, which a method's extra work only lengthens.
+// Base does not implement it: every method embeds Base, and a default
+// would be a wrong count for every method with attaching work.
+type AttachCoster interface {
+	AttachFLOPs(c *Client, round int) int64
+}
+
 // Base is the no-op Algorithm; embedded by every method. On its own it is
 // exactly FedAvg.
 type Base struct{}

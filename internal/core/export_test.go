@@ -50,8 +50,9 @@ func (rs *RunState) CheckChunks() error {
 
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads (float64) and their narrowed ones (float32), once
-// each the model versions their patched ones were taken against or a
-// recipe pins, at the width each version is held at, and the float64
+// each the model versions their patched ones were taken against, the jobs
+// still waiting to train will train from or a recipe pins, at the width
+// each version is held at, and the float64
 // blocks the run's bitmap patches' chunks are carved from, which a run
 // closed with patches queued keeps. It errs unless
 // those versions are exactly the snapshots the runner still has out.
@@ -70,6 +71,10 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 			}
 			if j.update.narrow != nil {
 				narrow++
+			}
+			if !j.trained && j.gsnap != nil {
+				versions[j.gsnap] = true
+				continue
 			}
 			if !j.patched() {
 				continue
@@ -352,3 +357,20 @@ func RoundImages(t *testing.T, stream []byte, spec RunSpec) []int {
 
 // Dispatches is how many times each client has been sent out.
 func (rs *RunState) Dispatches() []int32 { return rs.s.pop.dispatches }
+
+// JobBound is an in-flight job's dispatch bound and arrival, and whether
+// it has trained (its arrival then priced from what it metered).
+type JobBound struct {
+	Bound, Finish float64
+	Trained       bool
+}
+
+// InFlightBounds lists the in-flight jobs' bounds, and reports whether the
+// run keeps the event heap's layout apart because its bounds can fall
+// short of the priced arrival.
+func (rs *RunState) InFlightBounds() (jobs []JobBound, inexact bool) {
+	for _, j := range rs.run.inflight.js {
+		jobs = append(jobs, JobBound{j.bound, j.finish, j.trained})
+	}
+	return jobs, rs.run.order != nil
+}

@@ -131,6 +131,16 @@ func (f *FedTrip) TransformGrad(c *Client, round int, w, g []float64) {
 	c.Counter.Add(int64(4 * len(w)))
 }
 
+// AttachFLOPs implements AttachCoster: TransformGrad's 2|w| a step when
+// the history term vanishes (xi = 0, a first participation), 4|w|
+// otherwise.
+func (f *FedTrip) AttachFLOPs(c *Client, round int) int64 {
+	if f.Xi(round, c.LastRound)*f.HistWeight == 0 {
+		return int64(2 * c.NumParams())
+	}
+	return int64(4 * c.NumParams())
+}
+
 // EndRound keeps w_hist (Algorithm 1 line 4): the parameters the client
 // is about to upload, read back at its next participation. The client's
 // one persistent row is allocated here, at its first participation —

@@ -11,9 +11,10 @@ import (
 // TestFootprintOwners holds what two lazy async fleets hold at a mid-run
 // boundary, owner by owner, to exact counts and bytes: oneSampleRun's
 // 48 clients, twelve in flight, a buffer of six, four aggregations (so
-// every participation is recorded and pins its version), on one shard
-// and joined at dispatch, so every checkout and return happens in one
-// order. The footprint is read after the second aggregation. The pools
+// every participation is recorded and pins its version), on one shard,
+// each job trained when it comes due with the loop waiting on it, so
+// every checkout and return happens in one order. The footprint is read
+// after the second aggregation. The pools
 // are drained first, so their free lists are what the run returned. The
 // table is literal: a changed entry is a real change in what a run
 // holds.
@@ -32,32 +33,41 @@ func TestFootprintOwners(t *testing.T) {
 		name, transport, policy string
 		want                    core.Footprint
 	}{
-		// Without a transport an upload is |w| = 19,885 float64s, and
-		// the two versions the eleven in flight trained from are pinned
-		// by their recipes, so each is held as a bitmap patch against its
-		// version: a 311-word bitmap and the 4 KiB chunks of the entries
-		// it changed, 59 % of a dense upload here, compared where
-		// training left it, so no float64 buffer is out. The run has
-		// eighteen patches (twelve in flight, six buffered) and carves
-		// chunks from float64 vectors of the pool, 38 to a vector: the
-		// free ones are the rest of the vectors its patches hold, and its
-		// seven other patches. Held dense, the eleven took 1,749,880 B
-		// and six float64 vectors (954,480 B) were free.
+		// Without a transport the eleven in flight all wait to train
+		// (exp:2 latency and the analytic dense transfers price them
+		// exactly) and hold only the two versions they will train from.
+		// An upload is a bitmap patch against its version, which its
+		// recipe pins: a 311-word bitmap and the 4 KiB chunks of the
+		// entries it changed, carved from float64 vectors of the pool, 38
+		// to a vector. No patch is out at this boundary, so the run's
+		// eighteen patches (twelve in flight, six buffered) are free, with
+		// no chunk, and the vectors their chunks were carved from are
+		// back on the pool's free list. Trained at dispatch, the eleven
+		// held 1,039,080 B of patches, and 171 free chunks and 7 free
+		// patches were the store's (717,832 B), none the pool's; held
+		// dense, they took 1,749,880 B and six float64 vectors (954,480
+		// B) were free.
 		{"async none", "", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
-			BitmapPatches: core.Held{N: 11, Bytes: 1_039_080},
-			Versions64:    core.Held{N: 2, Bytes: 2 * 8 * 19_885},
-			FreeChunks:    core.Held{N: 171 + 7, Bytes: 171*4_096 + 7*8*311},
-			Engines:       oneSampleEngine(165_456),
-			Tester:        unevaluated,
+			Waiting:    11,
+			Versions64: core.Held{N: 2, Bytes: 2 * 8 * 19_885},
+			Free64:     core.Held{N: 4, Bytes: 4 * 8 * 19_885},
+			FreeChunks: core.Held{N: 18, Bytes: 18 * 8 * 311},
+			Engines:    oneSampleEngine(165_456),
+			Tester:     unevaluated,
 		}},
 		// Over top-k every upload is a patch of indices and values
 		// against the float32 image of its version, which is how the
 		// version is held; the training transient is the one float64
-		// buffer.
+		// buffer. A transport's bytes are priced on the link, so a
+		// dispatch bound is the latency draw and the RTT alone: a job
+		// trains then, and holds its upload for the rest of its
+		// transfer. One of the eleven does at this boundary; trained at
+		// dispatch, all eleven held theirs (29,568 B).
 		{"async topk:0.01+ef", "topk:0.01+ef", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
-			IndexPatches: core.Held{N: 11, Bytes: 29_568},
+			Waiting: 10, Trained: 1,
+			IndexPatches: core.Held{N: 1, Bytes: 2_688},
 			Versions32:   core.Held{N: 2, Bytes: 2 * 4 * 19_885},
 			Free64:       core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:      oneSampleEngine(483_616),
@@ -79,7 +89,8 @@ func TestFootprintOwners(t *testing.T) {
 		// float64s, it added 8 × 19,885 B and the column.
 		{"async topk:0.01+ef median", "topk:0.01+ef", "median", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
-			IndexPatches:     core.Held{N: 11, Bytes: 29_568},
+			Waiting: 10, Trained: 1,
+			IndexPatches:     core.Held{N: 1, Bytes: 2_688},
 			Versions32:       core.Held{N: 2, Bytes: 2 * 4 * 19_885},
 			Free64:           core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:          oneSampleEngine(483_616),

@@ -19,15 +19,13 @@ func mustFleet(d core.FleetDist, err error) core.FleetDist {
 	return d
 }
 
-// In the join-at-dispatch modes every burst after a run's first is, bar
-// churn, a single job, and that job trains on the event-loop goroutine
-// with shard 0's engine while the first burst went through the workers.
-// Which goroutine trains a job must be invisible: the same digest at one
-// shard and at two (where the opening burst really runs beside the loop's
-// engine), uninterrupted and across a snapshot taken at a boundary — a
-// job trained inline is already joined there, so quiescing has nothing
-// to wait for. Runs in -short: the race job is what watches the loop
-// goroutine and worker 0 take turns on one engine.
+// A job trains when its arrival comes due, with as many of the next due
+// ones as fill each shard's share, so on two shards a due job often
+// trains beside one that arrives later, and on one shard never. Which
+// shard trains a job, and when, must be invisible: the same digest at one
+// shard and at two, uninterrupted and across a snapshot taken at a
+// boundary, where the jobs still waiting to train train first. Runs in
+// -short, under the race job too.
 func TestInlineBurstMatchesSubmitted(t *testing.T) {
 	train, test, err := data.Generate(data.Spec{Kind: data.KindMNIST, Train: 360, Test: 100, Seed: 51})
 	if err != nil {

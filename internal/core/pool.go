@@ -23,8 +23,9 @@ import (
 //
 // What the pools hold is the most buffers ever checked out at once, never
 // O(dispatches * |w|): one vector per live model version (float32 under a
-// float32 downlink), one dense upload per in-flight or buffered client
-// whose upload is held in no compact form, the float64 vectors a run
+// float32 downlink), one dense upload per buffered client and per trained
+// in-flight one whose upload is held in no compact form (a job waiting to
+// train has none), the float64 vectors a run
 // carves its bitmap patches' chunks from, and the training and
 // evaluation transients. An upload is held compact from training to the
 // merge. With a transport (see compact): one within |w|/4 entries of the

@@ -260,11 +260,11 @@ func inFlightVectors(rs *RunState) (globals, uploads int) {
 	return globals, uploads
 }
 
-// A priced dispatch is trained before its arrival time can be computed, so
-// its global snapshot is dead from the join on and goes back to the pool
-// there — not Concurrency vectors later at the virtual arrival. The
-// witness: a run that never stopped holds exactly what a snapshot→resume
-// of it holds at the same boundary (a resumed job never had a global).
+// A trained dispatch's global snapshot is dead from the join on and goes
+// back to the pool there — not later, at the virtual arrival. The
+// witness: a run that never stopped holds, once a snapshot has trained
+// every job waiting in flight, exactly what a snapshot→resume of it holds
+// at the same boundary (a resumed job never had a global).
 func TestInFlightVectorsMatchResumedRun(t *testing.T) {
 	build := func() RunSpec {
 		sp := RunSpec{Config: snapTestConfig(t, 12), Runtime: RuntimeAsync}
@@ -284,13 +284,13 @@ func TestInFlightVectorsMatchResumedRun(t *testing.T) {
 			t.Fatalf("step %d: done=%v err=%v", i+1, done, err)
 		}
 	}
-	globals, uploads := inFlightVectors(rs)
-	if uploads == 0 {
-		t.Fatal("no upload in flight at the boundary; the scenario checks nothing")
-	}
 	var buf bytes.Buffer
 	if err := rs.Snapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	globals, uploads := inFlightVectors(rs)
+	if uploads == 0 {
+		t.Fatal("no upload in flight at the boundary; the scenario checks nothing")
 	}
 	resumed, err := Resume(&buf, ResumeSpec{Spec: build()})
 	if err != nil {
@@ -310,8 +310,8 @@ func TestInFlightVectorsMatchResumedRun(t *testing.T) {
 // shared copy, and a straggler keeps its version's copy alive — intact,
 // and handed to nobody else — across the aggregations that supersede it.
 // The copy goes back to the pool with the version's last join, so the
-// run takes one copy per version, not per dispatch, and holds none after
-// Close.
+// run takes one copy per version, not per dispatch, and holds after
+// Close only those its waiting jobs will train from.
 func TestSharedSnapshotOutlivesAggregations(t *testing.T) {
 	cfg := testConfig(t, NewFedTrip(0.4))
 	cfg.Rounds = 10
@@ -388,8 +388,16 @@ func TestSharedSnapshotOutlivesAggregations(t *testing.T) {
 		t.Fatalf("%d global copies for %d aggregations and %d dispatches; want at most one per model version", r.snapshots, aggs, r.seq)
 	}
 	rs.Close()
-	if live := liveSnapshots(r); r.cur != nil || live != 0 {
-		t.Fatalf("after Close the runner still holds snapshots: current %v, %d checked out", r.cur != nil, live)
+	// What still waits to train keeps its version, for a snapshot of the
+	// closed run to train it from; nothing else does.
+	waiting := map[*globalSnap]bool{}
+	for _, j := range r.inflight.js {
+		if !j.trained {
+			waiting[j.gsnap] = true
+		}
+	}
+	if live := liveSnapshots(r); r.cur != nil || live != len(waiting) {
+		t.Fatalf("after Close the runner holds snapshots: current %v, %d checked out for the %d versions jobs wait to train from", r.cur != nil, live, len(waiting))
 	}
 }
 

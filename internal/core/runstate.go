@@ -162,6 +162,10 @@ type Footprint struct {
 	// scales with participation and is left out, as are the sample
 	// indices, which the spec's partition owns.
 	RegistryBytes int64
+	// Waiting and Trained count the jobs in flight by state: waiting to
+	// train, holding their version and no upload, or trained, holding
+	// their upload until they arrive.
+	Waiting, Trained int
 	// The uploads in flight and in the policy buffer, by the form each
 	// is held in: a dense float64 vector, a float32 narrowing, a patch of
 	// indices and values against its version (its job's storage), or a
@@ -260,20 +264,22 @@ func (h *Held) add(bytes int) {
 	h.Bytes += int64(bytes)
 }
 
-// Footprint reports what the run holds. It joins the jobs still
-// training first, as Snapshot does, so their uploads can be read. Before
-// the first step, when no client is built, RegistryBytes is an exact
-// function of the spec, a whole number of bytes per client.
+// Footprint reports what the run holds. It joins the jobs a shard is
+// training first, so their uploads can be read — none at a round
+// boundary — and trains none that waits. Before the first step, when no
+// client is built, RegistryBytes is an exact function of the spec, a
+// whole number of bytes per client.
 func (rs *RunState) Footprint() Footprint {
 	s, r := rs.s, rs.run
-	r.quiesce()
+	r.joinTraining()
 	b := 4 * int64(cap(s.pop.dispatches)+cap(s.pop.idle.ids)+cap(s.pop.idle.pos)+cap(r.inflight.slot))
 	if ch := s.churn; ch != nil {
 		b += 4 * int64(cap(ch.order)+cap(ch.pos))
 	}
 	b += int64(cap(s.faults)) + 8*int64(cap(s.clients))
 	b += int64(s.slab.cells) * int64(unsafe.Sizeof(clientCell{}))
-	fp := Footprint{Clients: len(s.clients), Built: s.slab.built, RegistryBytes: b}
+	fp := Footprint{Clients: len(s.clients), Built: s.slab.built, RegistryBytes: b, Waiting: r.due.Len()}
+	fp.Trained = r.inflight.Len() - fp.Waiting
 	for _, js := range [][]*trainJob{r.inflight.js, r.buffer} {
 		for _, j := range js {
 			switch u := &j.update; {

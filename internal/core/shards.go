@@ -33,9 +33,21 @@ type trainJob struct {
 	done  chan struct{}
 	task  func(worker int) // sp.run(j, worker), what submit queues
 
-	finish  float64 // virtual arrival time
-	seq     int     // dispatch order, tie-break for equal arrival times
-	heapIdx int     // slot in the event loop's jobHeap (-1 when not queued)
+	// finish is the virtual arrival time: the dispatch bound until the
+	// job trains (bound), then its priced arrival (price).
+	finish  float64
+	seq     int // dispatch order, tie-break for equal arrival times
+	heapIdx int // slot in the event loop's jobHeap (-1 when not queued)
+	// drawn is the arrival the latency draw gave at dispatch, which the
+	// device and network prices start from (the dispatch instant itself
+	// on a device fleet); bound is the earliest arrival the job can have,
+	// priced at dispatch from its analytic FLOPs and bytes (Server.bound),
+	// and dueIdx its slot in the loop's dueHeap while it waits to train
+	// (-1 otherwise).
+	drawn, bound float64
+	dueIdx       int
+	// pushOp is where the run's heapOrder logged the job's push.
+	pushOp int
 	// remaining is the unserved portion of the job's transfer when its
 	// client dropped mid-flight: the churn process parks the job (finish
 	// = +Inf) and restores finish = rejoin + remaining at the rejoin,
@@ -53,12 +65,12 @@ type trainJob struct {
 	// float32 size without one. The network pricer turns them into
 	// transfer time.
 	downBytes, upBytes int64
-	// trained marks that the event loop already joined the done channel
-	// (device mode joins at dispatch to derive the arrival time from the
-	// metered FLOPs); dropped marks an in-flight update lost to a
-	// permanent client drop — its arrival is discarded, not merged.
-	trained bool
-	dropped bool
+	// training marks a job handed to a shard and not yet joined, trained
+	// one the event loop joined and priced: a job neither has not trained
+	// and waits in the dueHeap. dropped marks an in-flight update lost to
+	// a permanent client drop — its arrival is discarded, not merged.
+	training, trained bool
+	dropped           bool
 
 	// Lazy rows (lazyrows.go): record marks a participation whose rows
 	// become the newest link of the client's chain; chain is that chain,
@@ -85,6 +97,10 @@ type shardPool struct {
 	// engines[w] belongs exclusively to worker w (built on first use, so a
 	// 4-client round on an 8-shard pool allocates 4 engines, not 8).
 	engines []*engine
+	// closed is set by close: no worker is left, and a job submitted
+	// afterwards (a snapshot of a closed run trains what waits) runs on
+	// the caller's goroutine, on shard 0's engine.
+	closed bool
 }
 
 // newShardPool starts the worker shards. shards <= 0 selects the default
@@ -120,6 +136,10 @@ func (j *trainJob) patched() bool { return j.update.patch != nil || j.update.bit
 // but not across workers; determinism comes from each client's own RNG
 // stream, not from scheduling order.
 func (sp *shardPool) submit(j *trainJob) {
+	if sp.closed {
+		sp.run(j, 0)
+		return
+	}
 	if j.task == nil {
 		// Bound once per job object, which the run recycles: a
 		// dispatch then costs no closure.
@@ -129,11 +149,9 @@ func (sp *shardPool) submit(j *trainJob) {
 }
 
 // run trains one client round on shard w's engine and signals the job's
-// done channel: the body of every job, whoever executes it. Workers call
-// it with their own index. The event loop calls it with shard 0 for a
-// burst of one in the join-at-dispatch modes — no worker holds an engine
-// then, because every submitted job has been joined — and takes the token
-// back in the join that follows, like any other job's.
+// done channel: the body of every job. Workers call it with their own
+// index, and submit on a closed pool with shard 0, whose worker is gone;
+// the loop takes the token back in the join that follows.
 func (sp *shardPool) run(j *trainJob, w int) {
 	eng := sp.engines[w]
 	if eng == nil {
@@ -155,4 +173,7 @@ func (sp *shardPool) run(j *trainJob, w int) {
 }
 
 // close waits for every submitted job and releases the shards.
-func (sp *shardPool) close() { sp.pool.Close() }
+func (sp *shardPool) close() {
+	sp.pool.Close()
+	sp.closed = true
+}

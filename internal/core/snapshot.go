@@ -25,10 +25,12 @@
 //     17 bytes (internal/prng). A client stream that has not moved from
 //     its seed is written as a flag alone and re-derived from the seed
 //     registry.
-//   - Snapshot quiesces: every in-flight job's local training is joined
-//     first. Training physically completes before its virtual arrival in
-//     any run, so joining early changes nothing — and afterwards the
-//     per-client state and the job's finished update are plain data. An
+//   - Snapshot quiesces: every in-flight job that waits to train trains
+//     first. No job reads another's state or the server's, so training
+//     early changes nothing — and afterwards the per-client state and the
+//     job's finished update are plain data, and every job is priced. The
+//     event heap is written as it is laid out when every job enters it
+//     priced, whenever the job trained (bufferedRunner.order). An
 //     update the server holds compact (a patch, a float32 narrowing) is
 //     written widened, dense, so the stream does not depend on how it
 //     was held.
@@ -706,8 +708,18 @@ func (r *bufferedRunner) snapBody(c *tensor.Codec) {
 	c.Num("dispatch sequence", &r.seq)
 	// The event heap in array order: restoring verbatim (heapIdx = slot)
 	// preserves both the heap invariant and the exact layout, so a
-	// resumed run's pops and sift paths replay identically.
-	snapList(c, "in-flight jobs", &r.inflight.js, job)
+	// resumed run's pops and sift paths replay identically. Where pricing
+	// moved jobs the heap's layout is kept apart (order), and that is the
+	// layout written.
+	inflight := &r.inflight.js
+	if r.order != nil && !c.Reading() {
+		r.batch = r.order.jobs(r.batch)
+		inflight = &r.batch
+	}
+	snapList(c, "in-flight jobs", inflight, job)
+	if r.order != nil && c.Reading() && c.Err() == nil {
+		r.order.reset(r.inflight.js)
+	}
 	if c.Reading() && c.Err() == nil {
 		for i, j := range r.inflight.js {
 			if r.inflight.slot[j.c.ID] != 0 || r.s.pop.idle.pos[j.c.ID] >= 0 {

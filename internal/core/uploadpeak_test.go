@@ -41,18 +41,21 @@ func uploadRun(t *testing.T, tr string) core.RunSpec {
 	}}
 }
 
-// TestUploadPoolPeak pins the parameter pool's high-water mark over two
-// fixed runs, and the pool's balance at Close (ROADMAP item 8): every
-// buffer checked out is back in the pool or held by a job still queued.
-// Both runs train on one shard, evaluate only at the end and (the async
-// one) join every burst at dispatch, so every checkout and return happens
-// in one order whatever the scheduler does. The table is literal: a
-// changed peak is a real change in how many |w|-sized vectors a run holds
-// at once.
+// TestUploadPoolPeak pins the parameter pool's high-water mark over fixed
+// runs, and the pool's balance at Close (ROADMAP item 8): every buffer
+// checked out is back in the pool or held by a job still queued. The runs
+// evaluate only at the end, and a job trains only when it comes due, with
+// the loop waiting on the shards while they train, so every checkout and
+// return happens in one order whatever the scheduler does. The table is
+// literal: a changed peak is a real change in how many |w|-sized vectors
+// a run holds at once.
 func TestUploadPoolPeak(t *testing.T) {
 	cases := []struct {
 		name, transport, policy string
-		async                   bool
+		// async runs twelve jobs in flight and a buffer of six on one
+		// shard, with exp:2 latency and tiered links; devices prices them
+		// by a tiered device fleet instead, on two shards.
+		async, devices bool
 		// peak is the most float64 buffers checked out at once; held is
 		// how many are still out after Close; peak32 and held32 are the
 		// same for the float32 vectors narrowed uploads are held in.
@@ -67,20 +70,23 @@ func TestUploadPoolPeak(t *testing.T) {
 		// and the training transient is the one float64 buffer. Held as
 		// float64 copies the peak was 7 and 5 were held; rebuilt dense at
 		// its arrival an upload made the peak 12; held dense all the way,
-		// 18.
-		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, 1, 0, 6, 5},
+		// 18. A job waiting to train holds its version as a trained sparse
+		// one does, so training when due moved neither count.
+		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, false, 1, 0, 6, 5},
 		// The same fleet over a float32 uplink, merged by the median:
 		// every upload is float32-exact and far from the global, so it is
 		// held narrowed from its training to the median that reads it,
 		// and so is the version jobs train from: the float64 buffer is
 		// the training transient (2 and 17 with the version a float64
-		// copy).
-		{"async f32 median tiered", "f32", "median", true, 1, 0, 18, 11},
+		// copy). Trained at dispatch, the twelve in flight held theirs too:
+		// the float32 peak was 18 and 11 were held at Close, against 12
+		// and 6 now that a job trains when it comes due.
+		{"async f32 median tiered", "f32", "median", true, false, 1, 0, 12, 6},
 		// Four lock-step uploads that differ from the global nearly
 		// everywhere are float32-exact and held narrowed; the training
 		// transient, then the evaluation's copy, is the one float64
 		// buffer (5 when the uploads were held dense).
-		{"sync f32", "f32", "", false, 1, 0, 4, 0},
+		{"sync f32", "f32", "", false, false, 1, 0, 4, 0},
 		// Without a transport, oneSampleRun's lazy fleet (four
 		// aggregations of six over 48 clients, so every participation
 		// is recorded and pins its version): an upload that changed few
@@ -92,13 +98,25 @@ func TestUploadPoolPeak(t *testing.T) {
 		// chunks are carved from. At Close the four versions, one dense
 		// upload and the five vectors the ten queued patches' chunks are
 		// packed into are held. Held dense, the peak was 22 and 15 were
-		// held.
-		{"async none lazy", "", "", true, 18, 10, 0, 0},
+		// held; trained at dispatch, the peak was 18 and 10 were held,
+		// against 10 and 4 now that a job trains when it comes due.
+		{"async none lazy", "", "", true, false, 10, 4, 0, 0},
+		// uploadRun's fleet without a transport, twelve jobs in flight
+		// priced by tiered devices and merged six at a time, on two shards
+		// (48 merges over 16 clients: no recipe, every upload dense). A
+		// job trains when its arrival comes due, with the next due one so
+		// that each shard has one, so the dense uploads out at once are the
+		// buffer's six and the shards' two, and the peak adds the model
+		// versions jobs still train from and the evaluation's copy: it
+		// follows BufferSize + Shards, not Concurrency + BufferSize. Each
+		// job trained at its dispatch made the peak 18, the twelve in
+		// flight and the six buffered, and 11 were held at Close.
+		{"async none devices", "", "", true, true, 12, 4, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := uploadRun(t, tc.transport)
-			if tc.transport == "" {
+			if tc.transport == "" && !tc.devices {
 				sp = oneSampleRun(t, "")
 				sp.Rounds = 4
 			}
@@ -109,6 +127,12 @@ func TestUploadPoolPeak(t *testing.T) {
 				sp.BufferSize = 6
 				sp.Latency = mustFleet(core.ParseLatency("exp:2"))
 				sp.Network = mustFleet(core.ParseNetDist("tiered"))
+			}
+			if tc.devices {
+				sp.Latency, sp.Network = core.FleetDist{}, core.FleetDist{}
+				sp.Devices = mustFleet(core.ParseDeviceDist("tiered"))
+				sp.FlopRate = 1e6
+				sp.Shards = 2
 			}
 			if tc.policy != "" {
 				p, err := core.ParsePolicy(tc.policy)

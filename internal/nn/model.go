@@ -186,9 +186,18 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		h = l.Forward(h, train)
 	}
-	m.counter.Add(int64(float64(x.Dim(0)) * m.fwdFLOPs))
+	m.counter.Add(m.forwardFLOPs(x.Dim(0)))
 	return h
 }
+
+// forwardFLOPs and backwardFLOPs are what Forward and Backward meter for
+// a batch of n samples.
+func (m *Model) forwardFLOPs(n int) int64  { return int64(float64(n) * m.fwdFLOPs) }
+func (m *Model) backwardFLOPs(n int) int64 { return int64(float64(n) * 2 * m.fwdFLOPs) }
+
+// TrainFLOPs is what one training step on a batch of n samples meters —
+// its Forward and its Backward — bit for bit, known before the step runs.
+func (m *Model) TrainFLOPs(n int) int64 { return m.forwardFLOPs(n) + m.backwardFLOPs(n) }
 
 // HeldBytes sums, from capacities, what m's layers hold beyond the
 // parameter and gradient vectors. activations are the buffers a layer
@@ -274,5 +283,5 @@ func (m *Model) Backward(dLogits *tensor.Tensor, extraFeatureGrad *tensor.Tensor
 	for i := last - 1; i >= 0; i-- {
 		g = m.layers[i].Backward(g)
 	}
-	m.counter.Add(int64(float64(dLogits.Dim(0)) * 2 * m.fwdFLOPs))
+	m.counter.Add(m.backwardFLOPs(dLogits.Dim(0)))
 }
