@@ -443,7 +443,7 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 func (r *bufferedRunner) quiesce() {
 	batch := r.batch[:0]
 	for r.due.Len() > 0 {
-		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch, grows once to the most jobs in flight
+		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 	}
 	r.batch = batch
 	r.train(batch)
@@ -471,12 +471,14 @@ func (r *bufferedRunner) close() {
 // trained yet, and with it every waiting job due by its arrival and as
 // many of the next due ones as fill each shard's share: the choice is
 // made on virtual times only.
+//
+//fedtripvet:hotpath
 func (r *bufferedRunner) trainDue(top *trainJob) {
 	heap.Remove(&r.due, top.dueIdx)
-	batch := append(r.batch[:0], top) //fedtripvet:allow scratch, grows once to the most jobs in flight
+	batch := append(r.batch[:0], top) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 	shards := len(r.s.sp.engines)
 	for r.due.Len() > 0 && (r.due[0].bound <= top.finish || len(batch)%shards != 0) {
-		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch, grows once to the most jobs in flight
+		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 	}
 	r.batch = batch
 	r.train(batch)
@@ -484,6 +486,8 @@ func (r *bufferedRunner) trainDue(top *trainJob) {
 
 // train hands batch, jobs out of the dueHeap, to the shards, joins each
 // and prices it.
+//
+//fedtripvet:hotpath
 func (r *bufferedRunner) train(batch []*trainJob) {
 	for _, j := range batch {
 		j.training = true
@@ -515,11 +519,13 @@ func (r *bufferedRunner) join(j *trainJob) {
 // (order), where j then moves to it. A job parked by a drop keeps the
 // arrival churn gave it: only a job whose bound was its arrival waits
 // parked untrained (onDrop).
+//
+//fedtripvet:hotpath
 func (r *bufferedRunner) price(j *trainJob) {
 	at := r.s.arrival(j, j.flops, j.downBytes, j.upBytes)
 	switch {
 	case at < j.bound || r.order == nil && at != j.bound:
-		panic(fmt.Sprintf("core: client %d metered %d FLOPs and %d+%d bytes, an arrival at %v against its dispatch bound %v (%s's AttachFLOPs is not what it meters)",
+		panic(fmt.Sprintf("core: client %d metered %d FLOPs and %d+%d bytes, an arrival at %v against its dispatch bound %v (%s's AttachFLOPs is not what it meters)", //fedtripvet:allow cold contract-violation path
 			j.c.ID, j.flops, j.downBytes, j.upBytes, at, j.bound, r.s.spec.Algo.Name()))
 	case r.order != nil:
 		j.finish = at
@@ -634,7 +640,7 @@ func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 	}
 	if !j.trained && r.order != nil {
 		heap.Remove(&r.due, j.dueIdx)
-		r.batch = append(r.batch[:0], j) //fedtripvet:allow scratch, grows once to the most jobs in flight
+		r.batch = append(r.batch[:0], j) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 		r.train(r.batch)
 	}
 	if j.finish > at {
@@ -757,6 +763,8 @@ func selectedFlops(selected []*Client) int64 {
 // availability change comes at or before its bound, which the loop
 // processes first; pricing can then move it later and make another job
 // the top.
+//
+//fedtripvet:hotpath
 func (r *bufferedRunner) next() *trainJob {
 	for {
 		j := r.inflight.peek()

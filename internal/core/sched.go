@@ -236,8 +236,10 @@ func (o *heapOrder) drain() {
 			}
 		}
 	}
-	o.ops = o.ops[:copy(o.ops, o.ops[n:])]
-	o.base += n
+	if n > 0 {
+		o.ops = o.ops[:copy(o.ops, o.ops[n:])]
+		o.base += n
+	}
 }
 
 // jobs is the event heap's layout once every push is applied, the jobs
