@@ -103,14 +103,14 @@ func TestUploadPoolPeak(t *testing.T) {
 		{"async none lazy", "", "", true, false, 10, 4, 0, 0},
 		// uploadRun's fleet without a transport, twelve jobs in flight
 		// priced by tiered devices and merged six at a time, on two shards
-		// (48 merges over 16 clients: no recipe, every upload dense). A
-		// job trains when its arrival comes due, with the next due one so
-		// that each shard has one, so the dense uploads out at once are the
-		// buffer's six and the shards' two, and the peak adds the model
-		// versions jobs still train from and the evaluation's copy: it
-		// follows BufferSize + Shards, not Concurrency + BufferSize. Each
-		// job trained at its dispatch made the peak 18, the twelve in
-		// flight and the six buffered, and 11 were held at Close.
+		// (48 merges over 16 clients: no recipe, every upload dense). Each
+		// job trained at its dispatch held its upload until it arrived, so
+		// the peak was Concurrency + BufferSize: 18 here (22 with sixteen
+		// in flight, 20 with a buffer of eight), and 11 were held at
+		// Close. A job now trains when its arrival comes due, and one that
+		// waits holds only its version, which its neighbours share: the
+		// peak is 12 (12 on one shard too, 13 with sixteen in flight or a
+		// buffer of eight), and 4 are held at Close.
 		{"async none devices", "", "", true, true, 12, 4, 0, 0},
 	}
 	for _, tc := range cases {
