@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"repro/internal/prng"
 )
@@ -19,8 +20,10 @@ import (
 // rows — as
 // Client.State returns them, rebuilt where they are held as a recipe —
 // its error-feedback row as PeekResid returns it, its stream position,
-// LastRound and FLOPs, then the pending jobs in heap and buffer order
-// (each upload widened, whatever form the run holds it in),
+// LastRound and FLOPs, then the pending jobs: those in flight in arrival
+// order (jobLess; the heap's array layout is not run state, since only
+// the snapshot reads it) and the buffered ones in buffer order (each
+// upload widened, whatever form the run holds it in),
 // the recorder and the clock. A client the run has not built enters as
 // it would once built. Two
 // streams that resume to one run state have one digest, so a format
@@ -104,7 +107,13 @@ func stateDigest(stream []byte, spec RunSpec) (string, error) {
 	}
 	r := rs.run
 	i64(int64(r.seq))
-	for _, js := range [][]*trainJob{r.inflight.js, r.buffer} {
+	inflight := slices.SortedFunc(slices.Values(r.inflight.js), func(a, b *trainJob) int {
+		if jobLess(a, b) {
+			return -1
+		}
+		return 1
+	})
+	for _, js := range [][]*trainJob{inflight, r.buffer} {
 		i64(int64(len(js)))
 		for _, j := range js {
 			i64(int64(j.c.ID))

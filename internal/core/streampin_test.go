@@ -34,11 +34,11 @@ var streamPins = map[string]streamPin{
 	"TestResumeEquivalenceAsyncFedBuff":                               {6362308, "c317e542ebbcda71", ""},
 	"TestResumeEquivalenceAsyncChurn":                                 {6362514, "7e790ff03582f2ff", ""},
 	"TestResumeEquivalenceAsyncDevices":                               {6362277, "60e724da32c90a76", ""},
-	"TestResumeEquivalenceNoiseFault":                                 {6362274, "70ecc4a3d1f9caae", ""},
+	"TestResumeEquivalenceNoiseFault":                                 {6362274, "98fc55b216f9d6da", ""},
 	"TestResumeEquivalenceAsyncPricedTransport":                       {5090178, "89422b3d7978a733", ""},
 	"TestResumeEquivalenceMOON":                                       {6362305, "6646a4a04d353a2d", ""},
 	"TestResumeEquivalenceAdversarial":                                {6362545, "a6d2bb18b26c6266", ""},
-	"TestHundredKResumeEquivalence":                                   {46897513, "aaf2281a9164eb39", ""},
+	"TestHundredKResumeEquivalence":                                   {46897513, "482e1a6113a728d1", ""},
 	"TestLockStepStreamsPinned/straggler":                             {1114705, "8dbc1bffde1643d4", ""},
 	"TestLockStepStreamsPinned/exp":                                   {1432888, "490007603ec181d4", ""},
 	"TestLockStepStreamsPinned/devices":                               {1114719, "44ab9150ed15c7c6", ""},
@@ -50,15 +50,15 @@ var streamPins = map[string]streamPin{
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync":                       {808264, "8f8094b215dda742", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_f32":                   {808263, "f65126769df2794a", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_topk-ef":               {808272, "04816625fdffc302", ""},
-	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn":                {3198584, "8e4a10eaf0018f29", ""},
-	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_f32_devices":    {3198688, "75655aec18f5b5a8", ""},
-	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "b242dd45454194f1", "f398e6ad6204b3b1e5e14d35007275a62e0f4663b324cc6855643bdb4b2d162d"},
+	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn":                {3198584, "580a028a02edaa35", ""},
+	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_f32_devices":    {3198688, "530c1a6e31734a40", ""},
+	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "52c03f8276d2a671", "f398e6ad6204b3b1e5e14d35007275a62e0f4663b324cc6855643bdb4b2d162d"},
 	"TestLazyRowStreamsPinned/moon/sync":                              {808261, "867db3fe3f1bc065", ""},
 	"TestLazyRowStreamsPinned/moon/sync_f32":                          {808260, "975ca1e0a89f3e84", ""},
 	"TestLazyRowStreamsPinned/moon/sync_topk-ef":                      {808269, "f186b74ffef967dc", ""},
-	"TestLazyRowStreamsPinned/moon/async_churn":                       {3198581, "a6587559a4c4408c", ""},
-	"TestLazyRowStreamsPinned/moon/async_churn_f32_devices":           {3198685, "e759c84140a874bd", ""},
-	"TestLazyRowStreamsPinned/moon/async_churn_topk-ef_priced":        {3198660, "862c3f3f5b9764ef", ""},
+	"TestLazyRowStreamsPinned/moon/async_churn":                       {3198581, "7c2bb3a3b1ab0ec4", ""},
+	"TestLazyRowStreamsPinned/moon/async_churn_f32_devices":           {3198685, "f63748bdb2263729", ""},
+	"TestLazyRowStreamsPinned/moon/async_churn_topk-ef_priced":        {3198660, "8dc6cee9d00fe3af", ""},
 }
 
 // requireStreamPinned holds the calling test's snapshot stream, taken
