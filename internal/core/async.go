@@ -86,8 +86,8 @@
 //     next due jobs, parked ones, and, where a bound falls short of the
 //     arrival, those trained at their bound. Where the bound is exact —
 //     no method work it cannot count, no transport bytes a link prices —
-//     pricing never moves a job; elsewhere the heap's layout as a
-//     snapshot writes it is kept apart (heapOrder).
+//     pricing never moves a job; elsewhere it moves the job to its
+//     priced arrival in the event heap.
 //   - Evaluation runs off the loop on the snapshot-based evaluator, so a
 //     merge never stalls behind the test set.
 //
@@ -217,7 +217,7 @@ func (s *Server) arrival(j *trainJob, flops, down, up int64) float64 {
 // at the analytic FLOPs of its round on a device fleet, and at the dense
 // float32 transfers without a transport, none over one (the link's RTT
 // alone). It is exact unless the method meters work it does not declare
-// or a transport prices the link (bufferedRunner.order).
+// or a transport prices the link (bufferedRunner.inexact).
 func (s *Server) bound(j *trainJob) float64 {
 	var flops, wire int64
 	if !s.spec.Devices.None() {
@@ -302,13 +302,12 @@ type bufferedRunner struct {
 	// most jobs in flight at once, from the start.
 	due   dueHeap
 	batch []*trainJob
-	// order is the event heap's layout as a snapshot writes it, kept
-	// apart (heapOrder) only when a dispatch bound can fall short of the
-	// priced arrival, so that pricing moves a job in the heap: the method
-	// meters FLOPs it does not declare on a device fleet, or a transport's
-	// bytes are priced on a network fleet. nil otherwise: the bound is
-	// the arrival, and the heap is its own layout.
-	order *heapOrder
+	// inexact is set when a dispatch bound can fall short of the priced
+	// arrival, so that pricing moves a job in the event heap: the method
+	// meters FLOPs it does not declare on a device fleet, or a
+	// transport's bytes are priced on a network fleet. Unset, the bound
+	// is the arrival.
+	inexact bool
 	// seq is the dispatch sequence: total dispatches so far, or behind the
 	// gate the job's index in its round's selection.
 	seq int
@@ -424,9 +423,7 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 		batch: make([]*trainJob, 0, sp.Concurrency),
 	}
 	_, declared := sp.Algo.(AttachCoster)
-	if !sp.Devices.None() && !declared || !sp.Network.None() && s.wire != nil {
-		r.order = &heapOrder{}
-	}
+	r.inexact = !sp.Devices.None() && !declared || !sp.Network.None() && s.wire != nil
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
 	r.inflight.trackClients(len(s.clients))
@@ -439,7 +436,7 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 // another's state or the server's, so training early never changes a
 // trajectory — it only makes the per-client state (the method's rows, RNG
 // position, FLOP counters) and the job's update serializable at this
-// boundary, and the event heap's layout (order) complete.
+// boundary.
 func (r *bufferedRunner) quiesce() {
 	batch := r.batch[:0]
 	for r.due.Len() > 0 {
@@ -515,8 +512,8 @@ func (r *bufferedRunner) join(j *trainJob) {
 }
 
 // price checks j's arrival at what it metered against its dispatch bound:
-// never earlier, and the same unless the run logs the heap's layout
-// (order), where j then moves to it. A job parked by a drop keeps the
+// never earlier, and the same unless the run's bounds are inexact,
+// where j then moves to it. A job parked by a drop keeps the
 // arrival churn gave it: only a job whose bound was its arrival waits
 // parked untrained (onDrop).
 //
@@ -524,13 +521,12 @@ func (r *bufferedRunner) join(j *trainJob) {
 func (r *bufferedRunner) price(j *trainJob) {
 	at := r.s.arrival(j, j.flops, j.downBytes, j.upBytes)
 	switch {
-	case at < j.bound || r.order == nil && at != j.bound:
+	case at < j.bound || !r.inexact && at != j.bound:
 		panic(fmt.Sprintf("core: client %d metered %d FLOPs and %d+%d bytes, an arrival at %v against its dispatch bound %v (%s's AttachFLOPs is not what it meters)", //fedtripvet:allow cold contract-violation path
 			j.c.ID, j.flops, j.downBytes, j.upBytes, at, j.bound, r.s.spec.Algo.Name()))
-	case r.order != nil:
+	case r.inexact:
 		j.finish = at
 		heap.Fix(&r.inflight, j.heapIdx)
-		r.order.priced(j)
 	}
 }
 
@@ -633,12 +629,12 @@ func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 		if j.remaining != 0 {
 			j.finish = at + j.remaining
 			j.remaining = 0
-			r.fix(j)
+			heap.Fix(&r.inflight, j.heapIdx)
 		}
 		j.dropped = true
 		return
 	}
-	if !j.trained && r.order != nil {
+	if !j.trained && r.inexact {
 		heap.Remove(&r.due, j.dueIdx)
 		r.batch = append(r.batch[:0], j) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 		r.train(r.batch)
@@ -646,7 +642,7 @@ func (r *bufferedRunner) onDrop(id int, at float64, permanent bool) {
 	if j.finish > at {
 		j.remaining = j.finish - at
 		j.finish = math.Inf(1)
-		r.fix(j)
+		heap.Fix(&r.inflight, j.heapIdx)
 	}
 }
 
@@ -659,16 +655,7 @@ func (r *bufferedRunner) onRejoin(id int, at float64) {
 	if j.remaining != 0 {
 		j.finish = at + j.remaining
 		j.remaining = 0
-		r.fix(j)
-	}
-}
-
-// fix moves j to its changed arrival in the event heap, and logs the
-// change when the run keeps the heap's layout apart.
-func (r *bufferedRunner) fix(j *trainJob) {
-	heap.Fix(&r.inflight, j.heapIdx)
-	if r.order != nil {
-		r.order.fix(j)
+		heap.Fix(&r.inflight, j.heapIdx)
 	}
 }
 
@@ -727,9 +714,6 @@ func (r *bufferedRunner) send(c *Client) {
 	j.finish = j.bound
 	heap.Push(&r.inflight, j)
 	heap.Push(&r.due, j)
-	if r.order != nil {
-		r.order.push(j)
-	}
 }
 
 // openRound opens a lock-step round: it draws the round's clients
@@ -817,9 +801,6 @@ func (r *bufferedRunner) step() (bool, error) {
 			return true, fmt.Errorf("core: runtime stalled: no client in flight and none dispatchable (offline clients with no rejoin scheduled cannot return)") //fedtripvet:allow cold terminal error path
 		}
 		heap.Pop(&r.inflight)
-		if r.order != nil {
-			r.order.pop(j)
-		}
 		if j.finish > s.now {
 			s.now = j.finish
 		}

@@ -10,7 +10,7 @@ import (
 // The dispatch bound of TestJobFlopsPinned's device-priced fleet, a
 // boundary at a time: for FedAvg, FedProx and FedTrip, which declare what
 // their attaching work meters (FedAvg none), it is the priced arrival bit
-// for bit, so their runs keep no second heap layout; MOON's extra forward
+// for bit, so pricing never moves their jobs; MOON's extra forward
 // passes are not declared, so its bound is the model's passes alone and
 // the arrival its trained jobs are priced at lies past it. The runtime
 // itself refuses (panics at) a priced arrival before its bound, or, where
@@ -36,7 +36,7 @@ func TestDispatchBoundIsThePricedArrival(t *testing.T) {
 				}
 				jobs, inexact := rs.InFlightBounds()
 				if inexact == exact {
-					t.Fatalf("the run keeps a second heap layout: %v, want %v", inexact, !exact)
+					t.Fatalf("the run's bounds are inexact: %v, want %v", inexact, !exact)
 				}
 				for _, j := range jobs {
 					switch {

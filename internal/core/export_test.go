@@ -366,11 +366,11 @@ type JobBound struct {
 }
 
 // InFlightBounds lists the in-flight jobs' bounds, and reports whether the
-// run keeps the event heap's layout apart because its bounds can fall
-// short of the priced arrival.
+// run's bounds can fall short of the priced arrival, so that pricing
+// moves a trained job in the event heap.
 func (rs *RunState) InFlightBounds() (jobs []JobBound, inexact bool) {
 	for _, j := range rs.run.inflight.js {
 		jobs = append(jobs, JobBound{j.bound, j.finish, j.trained})
 	}
-	return jobs, rs.run.order != nil
+	return jobs, rs.run.inexact
 }

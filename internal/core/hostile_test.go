@@ -351,6 +351,50 @@ func TestResumeRefusesBadRecipes(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesNonHeapOrder: the event heap and the churn heap are
+// restored as read, so a stream whose root sorts after one of its
+// children would resume, and heap.Pop would then take a job or an event
+// that is not the earliest. Each heap's root key is moved far out, still
+// finite, and then made NaN, which sorts neither before nor after its
+// children, one heap at a time.
+func TestResumeRefusesNonHeapOrder(t *testing.T) {
+	sc := hostileScenario{"heaps", func() RunSpec {
+		sp := RunSpec{Config: tinyConfig(6), Runtime: RuntimeAsync, Concurrency: 4, BufferSize: 1, Latency: mustFleet(ParseLatency("exp:2"))}
+		sp.Churn = &ChurnModel{Drops: []MassDrop{{At: 1e5, Fraction: 0.25}, {At: 2e5, Fraction: 0.25}, {At: 3e5, Fraction: 0.25}}}
+		return sp
+	}, 3}
+	good := sc.stream(t)
+	rs, err := Resume(bytes.NewReader(good), ResumeSpec{Spec: sc.spec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, events := rs.run.inflight.js, rs.s.churn.h.es
+	if len(jobs) < 2 || len(events) < 2 {
+		rs.Close()
+		t.Fatalf("%d jobs in flight and %d churn events: a root with no child checks nothing", len(jobs), len(events))
+	}
+	roots := []struct {
+		name string
+		key  float64
+	}{{"in-flight job", jobs[0].finish}, {"churn event", events[0].at}}
+	rs.Close()
+	cost := sc.buildCost(t)
+	for _, root := range roots {
+		old := binary.LittleEndian.AppendUint64(nil, math.Float64bits(root.key))
+		if n := bytes.Count(good, old); n != 1 {
+			t.Fatalf("%s: its key %v is written %d times", root.name, root.key, n)
+		}
+		for _, key := range []float64{1e300, math.NaN()} {
+			bad := bytes.Clone(good)
+			binary.LittleEndian.PutUint64(bad[bytes.Index(good, old):], math.Float64bits(key))
+			sc.resumeHostile(t, bad, cost, root.name)
+			if _, err := Resume(bytes.NewReader(bad), ResumeSpec{Spec: sc.spec()}); err == nil || !strings.Contains(err.Error(), "out of heap order") {
+				t.Errorf("%s at the root keyed %v: error %v, want one naming the heap order", root.name, key, err)
+			}
+		}
+	}
+}
+
 // TestResumeRefusesUnreplayableRecipes: a recipe replays its round from
 // what the client received, which a run over a transport without a
 // Coder cannot derive again, so such a run records no first

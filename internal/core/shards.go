@@ -46,8 +46,6 @@ type trainJob struct {
 	// (-1 otherwise).
 	drawn, bound float64
 	dueIdx       int
-	// pushOp is where the run's heapOrder logged the job's push.
-	pushOp int
 	// remaining is the unserved portion of the job's transfer when its
 	// client dropped mid-flight: the churn process parks the job (finish
 	// = +Inf) and restores finish = rejoin + remaining at the rejoin,

@@ -28,9 +28,7 @@
 //   - Snapshot quiesces: every in-flight job that waits to train trains
 //     first. No job reads another's state or the server's, so training
 //     early changes nothing — and afterwards the per-client state and the
-//     job's finished update are plain data, and every job is priced. The
-//     event heap is written as it is laid out when every job enters it
-//     priced, whenever the job trained (bufferedRunner.order). An
+//     job's finished update are plain data, and every job is priced. An
 //     update the server holds compact (a patch, a float32 narrowing) is
 //     written widened, dense, so the stream does not depend on how it
 //     was held.
@@ -40,7 +38,14 @@
 //     uninterrupted one would, and a snapshot trains nothing.
 //   - Order-sensitive scheduler state serializes verbatim: the idle set's
 //     ids array (a uniform pick indexes into it, so its order is part of
-//     the trajectory), the event heap's array layout, the churn heap.
+//     the trajectory) and the churn heap's array layout. The event heap
+//     is written sorted instead: where a dispatch bound is inexact,
+//     pricing moves a job in the heap when it trains, so the live layout
+//     depends on when jobs trained, and a snapshot trains them early.
+//     Both heaps' keys are strict, so their pops, not their layouts, are
+//     the trajectory; each is restored as read, and refused when an entry
+//     sorts before its heap parent or its key is NaN, which no order
+//     places.
 //   - Optimizer state needs no section: every local round begins with
 //     opt.Reset() (pinned by the optim package's tests), so there is no
 //     cross-round optimizer state to save.
@@ -62,6 +67,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/prng"
@@ -663,6 +669,12 @@ func (ch *churn) snap(c *tensor.Codec) {
 		e.id = int32(id)
 		c.U8((*uint8)(&e.kind))
 	})
+	for i, e := range ch.h.es {
+		if math.IsNaN(e.at) || i > 0 && churnLess(e, ch.h.es[(i-1)/2]) {
+			c.Fail("churn event %d at %v is out of heap order", i, e.at)
+			return
+		}
+	}
 	snapList(c, "churn rejoin groups", &ch.groups, func(g *[]int32) {
 		// Each scheduled mass drop leaves at most one group behind.
 		if c.I32s("churn rejoin group", g, n); len(ch.groups) > len(ch.model.Drops) {
@@ -706,24 +718,31 @@ func (r *bufferedRunner) snapBody(c *tensor.Codec) {
 		(*j).snap(c, r.s)
 	}
 	c.Num("dispatch sequence", &r.seq)
-	// The event heap in array order: restoring verbatim (heapIdx = slot)
-	// preserves both the heap invariant and the exact layout, so a
-	// resumed run's pops and sift paths replay identically. Where pricing
-	// moved jobs the heap's layout is kept apart (order), and that is the
-	// layout written.
+	// The event heap sorted (in the batch scratch, sized to the most jobs
+	// in flight), a layout that depends on the jobs' keys alone, not on
+	// the pushes, pops and re-pricings that built the live heap. A sorted
+	// array is a heap, so it is restored verbatim (heapIdx = slot); its
+	// key is strict, so the resumed run pops what the live heap would.
 	inflight := &r.inflight.js
-	if r.order != nil && !c.Reading() {
-		r.batch = r.order.jobs(r.batch)
+	if !c.Reading() {
+		r.batch = append(r.batch[:0], r.inflight.js...) //fedtripvet:allow scratch sized to the most jobs in flight at construction
+		slices.SortFunc(r.batch, func(a, b *trainJob) int {
+			if jobLess(a, b) {
+				return -1
+			}
+			return 1
+		})
 		inflight = &r.batch
 	}
 	snapList(c, "in-flight jobs", inflight, job)
-	if r.order != nil && c.Reading() && c.Err() == nil {
-		r.order.reset(r.inflight.js)
-	}
 	if c.Reading() && c.Err() == nil {
 		for i, j := range r.inflight.js {
 			if r.inflight.slot[j.c.ID] != 0 || r.s.pop.idle.pos[j.c.ID] >= 0 {
 				c.Fail("in-flight job %d: client %d is already in flight or idle", i, j.c.ID)
+				return
+			}
+			if math.IsNaN(j.finish) || i > 0 && jobLess(j, r.inflight.js[(i-1)/2]) {
+				c.Fail("in-flight job %d arriving at %v is out of heap order", i, j.finish)
 				return
 			}
 			j.heapIdx = i

@@ -52,7 +52,7 @@ var streamPins = map[string]streamPin{
 	"TestLazyRowStreamsPinned/fedtrip:0.4/sync_topk-ef":               {808272, "04816625fdffc302", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn":                {3198584, "580a028a02edaa35", ""},
 	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_f32_devices":    {3198688, "530c1a6e31734a40", ""},
-	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "52c03f8276d2a671", "f398e6ad6204b3b1e5e14d35007275a62e0f4663b324cc6855643bdb4b2d162d"},
+	"TestLazyRowStreamsPinned/fedtrip:0.4/async_churn_topk-ef_priced": {3198663, "52c03f8276d2a671", "1c91c6294de38950e2c90883b5d0be4b1daa9bc16bdbe0387fdc72bdd3e9e16b"},
 	"TestLazyRowStreamsPinned/moon/sync":                              {808261, "867db3fe3f1bc065", ""},
 	"TestLazyRowStreamsPinned/moon/sync_f32":                          {808260, "975ca1e0a89f3e84", ""},
 	"TestLazyRowStreamsPinned/moon/sync_topk-ef":                      {808269, "f186b74ffef967dc", ""},
