@@ -374,3 +374,28 @@ func (rs *RunState) InFlightBounds() (jobs []JobBound, inexact bool) {
 	}
 	return jobs, rs.run.inexact
 }
+
+// HeldVersions returns every model version the run holds for a recipe
+// link or a queued job, read through the runtime's own reader
+// (globalSnap.source) and copied, with the round its clients were
+// dispatched in.
+func (rs *RunState) HeldVersions() (rounds []int, images [][]float64) {
+	read := func(round int, sn *globalSnap) {
+		img := make([]float64, sn.size())
+		copy(img, sn.source(img))
+		rounds, images = append(rounds, round), append(images, img)
+	}
+	for _, rec := range rs.s.rows.recipes {
+		if rec.img != nil {
+			read(int(rec.round), rec.img)
+		}
+	}
+	for _, js := range [][]*trainJob{rs.run.inflight.js, rs.run.buffer} {
+		for _, j := range js {
+			if j.gsnap != nil {
+				read(j.round, j.gsnap)
+			}
+		}
+	}
+	return rounds, images
+}
