@@ -223,8 +223,8 @@ func run(o runOpts) (*core.Result, error) {
 		fp.Built, fp.Clients, fp.RegistryBytes, float64(fp.RegistryBytes)/float64(fp.Clients))
 	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s, bitmap patches %s; in flight %d waiting to train, %d trained\n",
 		held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches), held(fp.BitmapPatches), fp.Waiting, fp.Trained)
-	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), held(fp.Versions32))
-	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks))
+	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), blocks(fp.Versions32, fp.Blocks32))
+	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s, version blocks %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks), held(fp.FreeBlocks))
 	fmt.Printf("  models          engines %s; tester %s\n", models(fp.Engines), models(fp.Tester))
 	fmt.Printf("  scratch         server %d B, transport %d B\n", fp.ServerScratch, fp.TransportScratch)
 	// Every run carries the clock series; only a priced one moves it.
@@ -422,4 +422,12 @@ func held(h core.Held) string {
 		return "0"
 	}
 	return fmt.Sprintf("%d (%.2f MiB)", h.N, float64(h.Bytes)/(1<<20))
+}
+
+// blocks is held for versions that share n blocks.
+func blocks(h core.Held, n int) string {
+	if h.N == 0 {
+		return "0"
+	}
+	return fmt.Sprintf("%d versions in %d blocks (%.2f MiB)", h.N, n, float64(h.Bytes)/(1<<20))
 }

@@ -469,10 +469,12 @@ func (r *mergeRead) block(lo, hi int, dst, g []float64) []float64 {
 		widen(dst, u.narrow[lo:hi])
 	case u.bitmap != nil:
 		r.next = u.bitmap.block(dst, u.base, lo, r.next)
+	case u.base32 != nil:
+		imageBlock(dst, u.base32.block(lo/chunkLen))
 	default:
-		for j := range dst {
-			dst[j] = u.baseImage(lo + j)
-		}
+		imageBlock(dst, flat(u.base).block(lo/chunkLen))
+	}
+	if u.patch != nil {
 		for p := u.patch; r.next < len(p.idx) && int(p.idx[r.next]) < hi; r.next++ {
 			dst[int(p.idx[r.next])-lo] = p.val[r.next]
 		}

@@ -49,12 +49,16 @@
 //   - trainJobs are pooled and the event heap tracks clients by int32
 //     slot index, so steady-state event processing allocates nothing and
 //     GC scan cost stops growing with the population.
-//   - The global model is copied once per model version, not once per
+//   - The global model is held once per model version, not once per
 //     dispatch: every job dispatched between two aggregations trains from
 //     the same immutable, reference-counted snapshot, so the copies alive
 //     follow the versions in flight rather than Concurrency. Under a
 //     float32 downlink a snapshot is the version's float32 image — what
-//     its clients receive — at half the bytes of a float64 copy.
+//     its clients receive — in blocks of 512 entries, and a version
+//     shares every block whose bits another version the run holds has
+//     at the same place: one pass over the global per version, and a
+//     new block only where the merge moved an entry of it. Without one
+//     it is a float64 copy of the global.
 //   - An upload is not one dense vector per client, in flight or in the
 //     policy buffer. Over a transport, one that differs from the float32
 //     image of its version's global in at most a quarter of its entries
@@ -334,62 +338,65 @@ type bufferedRunner struct {
 }
 
 // globalSnap is the global model as it stood at one model version,
-// held as what its clients receive: a pooled vector nobody writes,
-// shared by every job dispatched at that version. Under a transport
-// whose downlink delivers a float32 image of the global (Server.hold),
-// it is that image, narrow, from narrowPool; otherwise, vec, a copy of
-// the global from paramsPool. refs counts the jobs that still hold it
-// (release), and the recipes that pin it; when the last one lets go and
-// an aggregation has superseded the version, the vector returns to its
-// pool and the record is free again. ord is the record's place in a
-// snapshot's round-image section, -1 when no recipe pins it
-// (snapImages).
+// held as what its clients receive, shared by every job dispatched at
+// that version and written by nobody. Under a transport whose downlink
+// delivers a float32 image of the global (Server.hold), it is that
+// image, img, in blocks of chunkLen entries that it shares with the
+// other versions the run holds wherever their bits are the same
+// (blockStore); otherwise, vec, a copy of the global from paramsPool.
+// refs counts the jobs that still hold it (release), and the recipes
+// that pin it; when the last one lets go and an aggregation has
+// superseded the version, its vector returns to its pool, or its
+// blocks to the run's store, and the record is free again. ord is the
+// record's place in a snapshot's round-image section, -1 when no recipe
+// pins it (snapImages).
 type globalSnap struct {
-	vec    []float64
-	narrow []float32
-	refs   int
-	ord    int32
+	vec  []float64
+	img  image32
+	refs int
+	ord  int32
 }
 
 // free reports whether the record holds no version.
-func (sn *globalSnap) free() bool { return sn.vec == nil && sn.narrow == nil }
+func (sn *globalSnap) free() bool { return sn.vec == nil && sn.img.n == 0 }
 
 // size is the version's parameter count.
-func (sn *globalSnap) size() int { return len(sn.vec) + len(sn.narrow) }
+func (sn *globalSnap) size() int { return len(sn.vec) + sn.img.n }
 
 // source is the version as a downlink codes it: vec, or the float32
 // image widened into dst.
 func (sn *globalSnap) source(dst []float64) []float64 {
-	if sn.narrow != nil {
-		return widen(dst, sn.narrow)
+	if sn.img.n > 0 {
+		return sn.img.widen(dst)
 	}
 	return sn.vec
 }
 
-// hold is the model version whose global is g as its clients receive
+// hold holds the model version whose global is g as its clients receive
 // it, when that is a float32 image: under a transport with a Coder, g's
 // downlink is coded once, into server scratch, for client 0 in round 0
 // (Coder); when every entry of it is exact in float32 and coding it
 // again gives it back bit for bit, at the same wire size — any float32
-// downlink's image — hold returns it narrowed, a narrowPool vector, and
-// every client's downlink of it is the downlink of g. Otherwise it
-// returns nil, and the version is held as a float64 copy of g.
-func (s *Server) hold(g []float64) []float32 {
+// downlink's image — hold takes it into im from the run's block store,
+// one pass over it, and reports true: every client's downlink of it is
+// the downlink of g. Otherwise it reports false, and the version is
+// held as a float64 copy of g.
+func (s *Server) hold(g []float64, im *image32) bool {
 	coder := s.rows.coder
 	if coder == nil {
-		return nil
+		return false
 	}
 	img := s.widenBuf()
 	wire := coder.DownCode(img, 0, 0, g)
 	if !f32Exact(img) {
-		return nil
+		return false
 	}
-	narrow := narrowed(img)
-	if coder.DownCode(img, 0, 0, img) != wire || !sameBits(img, narrow) {
-		narrowPool.put(narrow)
-		return nil
+	s.versions.take(im, img)
+	if coder.DownCode(img, 0, 0, img) != wire || !sameBits(img, im) {
+		s.versions.drop(im)
+		return false
 	}
-	return narrow
+	return true
 }
 
 // f32Exact reports whether every entry of v survives a round trip
@@ -403,11 +410,13 @@ func f32Exact(v []float64) bool {
 	return true
 }
 
-// sameBits reports whether v is w widened, bit for bit.
-func sameBits(v []float64, w []float32) bool {
-	for i, x := range w {
-		if math.Float64bits(v[i]) != math.Float64bits(float64(x)) {
-			return false
+// sameBits reports whether v is im widened, bit for bit.
+func sameBits(v []float64, im *image32) bool {
+	for b := range im.blocks {
+		for i, x := range im.block(b) {
+			if math.Float64bits(v[b*chunkLen+i]) != math.Float64bits(float64(x)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -580,7 +589,7 @@ func (r *bufferedRunner) acquire(j *trainJob) {
 			r.cur = new(globalSnap)
 			r.snaps = append(r.snaps, r.cur)
 		}
-		if r.cur.narrow = r.s.hold(r.s.global); r.cur.narrow == nil {
+		if !r.s.hold(r.s.global, &r.cur.img) {
 			r.cur.vec = paramsPool.getCopy(r.s.global)
 		}
 		r.snapshots++
@@ -602,8 +611,8 @@ func (r *bufferedRunner) retire() {
 
 func (r *bufferedRunner) freeSnap(sn *globalSnap) {
 	paramsPool.put(sn.vec)
-	narrowPool.put(sn.narrow)
-	sn.vec, sn.narrow = nil, nil
+	sn.vec = nil
+	r.s.versions.drop(&sn.img)
 }
 
 // Availability callbacks. A drop pulls the client out of the idle set

@@ -58,7 +58,7 @@ func TestBitPatchRoundTrip(t *testing.T) {
 		{"past the limit", limit + 1, false},
 		{"every entry", n, false},
 	}
-	st := newChunkStore(n, 1)
+	st := newChunkStore(n, 1, 1)
 	for _, tc := range cases {
 		x := append([]float64(nil), g...)
 		for _, i := range rng.Perm(n)[:tc.changed] {

@@ -35,7 +35,7 @@ func TestLockStepBlockMergeMatchesWidened(t *testing.T) {
 					p := mustPolicy(t, kind)
 					p.Clip = clip
 					g := slices.Clone(global)
-					st := newChunkStore(n, k)
+					st := newChunkStore(n, k, k)
 					updates := make([]Update, k)
 					wide := make([][]float64, k)
 					for i := range updates {

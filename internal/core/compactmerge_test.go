@@ -75,7 +75,7 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 	}
 	global := vec()
 	lockStep := rng.Intn(2) == 0
-	st := newChunkStore(n, k)
+	st := newChunkStore(n, k, k)
 	updates := make([]Update, k)
 	wide := make([][]float64, k)
 	for i := range updates {
@@ -99,10 +99,7 @@ func compactMergeCase(t *testing.T, rng *rand.Rand, p Policy, eta float64, mixes
 				x[j] = f32Image(base[j])
 			}
 			if !lockStep && rng.Intn(2) == 0 {
-				u.base32 = make([]float32, n)
-				for j, v := range base {
-					u.base32[j] = float32(v)
-				}
+				u.base32 = imageOf(base)
 				base = nil
 			}
 			for _, j := range rng.Perm(n)[:rng.Intn(n/4+1)] {
@@ -218,9 +215,18 @@ func patchUpload(u *Update, x []float64) bool {
 	if u.base32 != nil {
 		sparse, _ = compact(u.patch, x, u.base32)
 	} else {
-		sparse, _ = compact(u.patch, x, u.base)
+		sparse, _ = compact(u.patch, x, flat(u.base))
 	}
 	return sparse
+}
+
+// imageOf is v's float32 image held as a version is, in a block store
+// of its own.
+func imageOf(v []float64) *image32 {
+	var st blockStore
+	im := new(image32)
+	st.take(im, v)
+	return im
 }
 
 // form is 0 for a dense update, 1 for a patched one, 2 for a narrowed

@@ -305,16 +305,16 @@ type Update struct {
 	// narrowPool vector, holds it when every entry is exact in float32;
 	// patch otherwise, against the float32 image of the version its
 	// client trained from (the job's storage, valid until the round that
-	// merges it is done): base, the global, or base32, the version held
-	// as what a float32 downlink delivers (globalSnap). One of the two is
-	// set. Without a transport: bitmap, a pooled patch of the entries
+	// merges it is done): base, the global, or base32, the blocks of the
+	// version held as what a float32 downlink delivers (globalSnap). One
+	// of the two is set. Without a transport: bitmap, a pooled patch of the entries
 	// that differ from base, the version itself, which a recipe or the
 	// lock-step gate keeps alive anyway.
 	narrow []float32
 	patch  *uploadPatch
 	bitmap *bitPatch
 	base   []float64
-	base32 []float32
+	base32 *image32
 }
 
 // Algorithm customises client-side local training. The zero-cost base

@@ -42,20 +42,25 @@ func (rs *RunState) CheckChunks() error {
 			}
 		}
 	}
-	if st.out != chunks || cap(st.patches)-len(st.patches) != patches {
-		return fmt.Errorf("%d chunks and %d patches out, the queued jobs hold %d and %d", st.out, cap(st.patches)-len(st.patches), chunks, patches)
+	built := 0
+	for _, ps := range st.slabs {
+		built += len(ps)
+	}
+	if st.out != chunks || built-len(st.patches) != patches {
+		return fmt.Errorf("%d chunks and %d patches out, the queued jobs hold %d and %d", st.out, built-len(st.patches), chunks, patches)
 	}
 	return nil
 }
 
 // QueuedBuffers counts the pooled vectors a closed run's queued jobs hold:
 // their dense uploads (float64) and their narrowed ones (float32), once
-// each the model versions their patched ones were taken against, the jobs
-// still waiting to train will train from or a recipe pins, at the width
-// each version is held at, and the float64
+// each the model versions held at float64 that their patched ones were
+// taken against, the jobs still waiting to train will train from or a
+// recipe pins, and the float64
 // blocks the run's bitmap patches' chunks are carved from, which a run
 // closed with patches queued keeps. It errs unless
-// those versions are exactly the snapshots the runner still has out.
+// those versions, at either width, are exactly the snapshots the runner
+// still has out.
 func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 	r := rs.run
 	versions := map[*globalSnap]bool{}
@@ -95,9 +100,7 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 		return 0, 0, fmt.Errorf("%d snapshots out (current %t), %d referenced by sparse jobs", live, r.cur != nil, len(versions))
 	}
 	for sn := range versions {
-		if sn.narrow != nil {
-			narrow++
-		} else {
+		if sn.vec != nil {
 			wide++
 		}
 	}
@@ -114,8 +117,8 @@ func (rs *RunState) QueuedBuffers() (wide, narrow int, err error) {
 // holdsVersion reports whether j trains from, and its patch is taken
 // against, its snapshot's vector, whichever width holds it.
 func (j *trainJob) holdsVersion() bool {
-	if sn := j.gsnap; sn.narrow != nil {
-		return j.global == nil && &j.update.base32[0] == &sn.narrow[0]
+	if sn := j.gsnap; sn.img.n > 0 {
+		return j.global == nil && j.update.base32 == &sn.img
 	}
 	return &j.global[0] == &j.gsnap.vec[0] && &j.update.base[0] == &j.global[0]
 }
@@ -124,7 +127,7 @@ func (j *trainJob) holdsVersion() bool {
 func (rs *RunState) VersionWidths() (wide, narrow int) {
 	for _, sn := range rs.run.snaps {
 		switch {
-		case sn.narrow != nil:
+		case sn.img.n > 0:
 			narrow++
 		case sn.vec != nil:
 			wide++
@@ -263,18 +266,53 @@ func (rs *RunState) CheckPins() error {
 		if sn.refs != holds[sn] {
 			return fmt.Errorf("version %d has %d references, %d links and jobs hold it", i, sn.refs, holds[sn])
 		}
-		if sn.vec != nil && sn.narrow != nil {
+		if sn.vec != nil && sn.img.n > 0 {
 			return fmt.Errorf("version %d is held at both widths", i)
 		}
-		g := sn.vec
-		if sn.narrow != nil {
-			g = make([]float64, len(sn.narrow))
-			for k, v := range sn.narrow {
-				g[k] = float64(v)
-			}
-		}
-		if narrow, want := sn.narrow != nil, narrowable(st.coder, g); narrow != want {
+		g := sn.source(make([]float64, sn.size()))
+		if narrow, want := sn.img.n > 0, narrowable(st.coder, g); narrow != want {
 			return fmt.Errorf("version %d is held at float32 %t, its downlink is a float32 fixed point %t", i, narrow, want)
+		}
+	}
+	return rs.CheckBlocks()
+}
+
+// CheckBlocks errs unless the run's block store holds exactly the
+// blocks of its float32 versions: each referenced as many times as
+// versions hold it, listed once at its place and nowhere else, no two
+// at one place with the same bits, and every other block free.
+func (rs *RunState) CheckBlocks() error {
+	st := &rs.s.versions
+	refs, place := map[*block32]int32{}, map[*block32]int{}
+	for _, sn := range rs.run.snaps {
+		for b, blk := range sn.img.blocks {
+			if p, ok := place[blk]; ok && p != b {
+				return fmt.Errorf("a block is held at places %d and %d", p, b)
+			}
+			refs[blk]++
+			place[blk] = b
+		}
+	}
+	listed := 0
+	for b, head := range st.heads {
+		seen := map[[chunkLen]uint32]bool{}
+		for blk := head; blk != nil; blk = blk.next {
+			if place[blk] != b || refs[blk] != blk.refs || blk.refs == 0 {
+				return fmt.Errorf("place %d lists a block of place %d with %d references, %d versions hold it", b, place[blk], blk.refs, refs[blk])
+			}
+			if seen[*bitsOf(blk.v)] {
+				return fmt.Errorf("place %d lists two blocks with the same bits", b)
+			}
+			seen[*bitsOf(blk.v)] = true
+			listed++
+		}
+	}
+	if listed != len(refs) || st.held != listed {
+		return fmt.Errorf("%d blocks listed, %d counted held, the versions hold %d", listed, st.held, len(refs))
+	}
+	for _, blk := range st.free {
+		if blk.refs != 0 || refs[blk] != 0 {
+			return fmt.Errorf("a free block has %d references, %d versions hold it", blk.refs, refs[blk])
 		}
 	}
 	return nil

@@ -39,20 +39,24 @@ func TestFootprintOwners(t *testing.T) {
 		// An upload is a bitmap patch against its version, which its
 		// recipe pins: a 311-word bitmap and the 4 KiB chunks of the
 		// entries it changed, carved from float64 vectors of the pool, 38
-		// to a vector. No patch is out at this boundary, so the run's
-		// eighteen patches (twelve in flight, six buffered) are free, with
-		// no chunk, and the vectors their chunks were carved from are
-		// back on the pool's free list. Trained at dispatch, the eleven
-		// held 1,039,080 B of patches, and 171 free chunks and 7 free
-		// patches were the store's (717,832 B), none the pool's; held
-		// dense, they took 1,749,880 B and six float64 vectors (954,480
-		// B) were free.
+		// to a vector. No patch is out at this boundary, so the patches
+		// the run has built are free, with no chunk, and the vectors
+		// their chunks were carved from are back on the pool's free
+		// list. The store builds patches a merge's worth at a time, as
+		// the run first takes them: one slab of six, each a 311-word
+		// bitmap and a 39-chunk table of 16 B entries. Built up front for
+		// the twelve in flight and six buffered, the eighteen bitmaps
+		// took 44,784 B (their tables went uncounted). Trained at
+		// dispatch, the eleven held 1,039,080 B of patches, and 171 free
+		// chunks and 7 free patches were the store's (717,832 B), none
+		// the pool's; held dense, they took 1,749,880 B and six float64
+		// vectors (954,480 B) were free.
 		{"async none", "", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting:    11,
 			Versions64: core.Held{N: 2, Bytes: 2 * 8 * 19_885},
 			Free64:     core.Held{N: 4, Bytes: 4 * 8 * 19_885},
-			FreeChunks: core.Held{N: 18, Bytes: 18 * 8 * 311},
+			FreeChunks: core.Held{N: 6, Bytes: 6 * (8*311 + 16*39)},
 			Engines:    oneSampleEngine(165_456),
 			Tester:     unevaluated,
 		}},
@@ -63,12 +67,17 @@ func TestFootprintOwners(t *testing.T) {
 		// dispatch bound is the latency draw and the RTT alone: a job
 		// trains then, and holds its upload for the rest of its
 		// transfer. One of the eleven does at this boundary; trained at
-		// dispatch, all eleven held theirs (29,568 B).
+		// dispatch, all eleven held theirs (29,568 B). A version is 39
+		// blocks of 512 entries (2,048 B and a 24 B record each) and a
+		// 39-entry table; the weighted mean of six top-k uploads moves
+		// an entry in every block, so the two share none. As two float32
+		// vectors they took 159,080 B.
 		{"async topk:0.01+ef", "topk:0.01+ef", "", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting: 10, Trained: 1,
 			IndexPatches: core.Held{N: 1, Bytes: 2_688},
-			Versions32:   core.Held{N: 2, Bytes: 2 * 4 * 19_885},
+			Versions32:   core.Held{N: 2, Bytes: 78*(2_048+24) + 2*8*39},
+			Blocks32:     78,
 			Free64:       core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:      oneSampleEngine(483_616),
 			Tester:       unevaluated,
@@ -86,12 +95,17 @@ func TestFootprintOwners(t *testing.T) {
 		// the server's scratch a block of 512 entries of each update, the
 		// six rows that point at them and the column it selects in. When
 		// it read the updates entry by entry and aggregated into |w|
-		// float64s, it added 8 × 19,885 B and the column.
+		// float64s, it added 8 × 19,885 B and the column. The median
+		// of six uploads that each moved 1 % of the entries left the
+		// global's float32 image as it was in every block, so the second
+		// version shares all 39 blocks of the first, where two float32
+		// vectors took 159,080 B.
 		{"async topk:0.01+ef median", "topk:0.01+ef", "median", core.Footprint{
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting: 10, Trained: 1,
 			IndexPatches:     core.Held{N: 1, Bytes: 2_688},
-			Versions32:       core.Held{N: 2, Bytes: 2 * 4 * 19_885},
+			Versions32:       core.Held{N: 2, Bytes: 39*(2_048+24) + 2*8*39},
+			Blocks32:         39,
 			Free64:           core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:          oneSampleEngine(483_616),
 			Tester:           unevaluated,
@@ -151,7 +165,10 @@ func TestFootprintOwners(t *testing.T) {
 			Clients: 10, Built: 7, RegistryBytes: 1_760,
 			Versions64: core.Held{N: 2, Bytes: 2 * 8 * 61_706},
 			Free64:     core.Held{N: 4, Bytes: 4 * 8 * 61_706},
-			FreeChunks: core.Held{N: 4, Bytes: 30_880},
+			// Four patches, each a 965-word bitmap and a 121-chunk
+			// table of 16 B entries (30,880 B before the tables were
+			// counted).
+			FreeChunks: core.Held{N: 4, Bytes: 4 * (8*965 + 16*121)},
 			// The activations are TestHeldActivationBytes' cnn@50 rows.
 			// Before Build fused the convolutions with their ReLU and
 			// max-pool, they were 3,634,400 and 3,552,800.

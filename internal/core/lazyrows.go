@@ -54,13 +54,14 @@
 // The version is the snapshot of the global the buffered loop takes
 // anyway (globalSnap), pinned by a reference per link; behind the
 // lock-step gate, a round that records takes one of s.global into the
-// same table, the same way (Server.hold). It is one vector per version,
-// held as what the version's clients receive: under a float32 downlink
-// (every comm transport but lossless) the float32 image of the global,
-// half its bytes, from which DownCode derives the same downlink bit for
-// bit; otherwise a copy of the global. A transport may still send each
-// client something else, and DownCode derives it per client. The vector
-// goes back to its pool with the version's last reference.
+// same table, the same way (Server.hold). A version is held as what its
+// clients receive: under a float32 downlink (every comm transport but
+// lossless) the float32 image of the global, in blocks it shares with
+// the other versions held wherever their bits are the same, from which
+// DownCode derives the same downlink bit for bit; otherwise a copy of
+// the global. A transport may still send each client something else,
+// and DownCode derives it per client. The vector, or the blocks no other
+// version holds, go back with the version's last reference.
 package core
 
 import (

@@ -18,12 +18,13 @@ import (
 // from it too — one per model version, shared by every job dispatched at
 // that version — and so do the evaluator's copies. The pool is generic
 // over the element width: paramsPool holds float64 vectors, narrowPool
-// the float32 ones uploads are narrowed into, and the versions held as
-// the float32 image a float32 downlink delivers (globalSnap).
+// the float32 ones uploads are narrowed into. A version held as the
+// float32 image a float32 downlink delivers is made of its run's blocks
+// instead (globalSnap, blockStore).
 //
 // What the pools hold is the most buffers ever checked out at once, never
-// O(dispatches * |w|): one vector per live model version (float32 under a
-// float32 downlink), one dense upload per buffered client and per trained
+// O(dispatches * |w|): one vector per live model version held at float64,
+// one dense upload per buffered client and per trained
 // in-flight one whose upload is held in no compact form (a job waiting to
 // train has none), the float64 vectors a run
 // carves its bitmap patches' chunks from, and the training and
@@ -199,7 +200,7 @@ func (u *Update) Vector(dst []float64) []float64 {
 	case u.base32 != nil:
 		materialize(u.patch, dst, u.base32)
 	case u.patch != nil:
-		materialize(u.patch, dst, u.base)
+		materialize(u.patch, dst, flat(u.base))
 	default:
 		copy(dst, u.Params)
 	}
@@ -211,18 +212,12 @@ func (u *Update) size() int {
 	switch {
 	case u.narrow != nil:
 		return len(u.narrow)
+	case u.base32 != nil:
+		return u.base32.n
 	case u.patch != nil, u.bitmap != nil:
-		return len(u.base) + len(u.base32)
+		return len(u.base)
 	}
 	return len(u.Params)
-}
-
-// baseImage is entry j of the float32 image of u's patch base.
-func (u *Update) baseImage(j int) float64 {
-	if u.base32 != nil {
-		return f32Image(u.base32[j])
-	}
-	return f32Image(u.base[j])
 }
 
 // widen writes v at float64 into dst and returns dst.
@@ -273,19 +268,21 @@ func f32Image[T float32 | float64](v T) float64 { return float64(float32(v)) }
 // answers both: it stops once x is past the patch limit and an inexact
 // entry has shown up, so a dense upload costs one partial scan and never
 // grows p.
-func compact[T float32 | float64](p *uploadPatch, x []float64, g []T) (sparse, exact bool) {
+func compact[T float32 | float64, V version[T]](p *uploadPatch, x []float64, g V) (sparse, exact bool) {
 	if len(x) > math.MaxInt32 {
 		return false, false
 	}
 	limit, n := len(x)/4, 0
 	exact = true
-	for i, v := range x {
-		bits := math.Float64bits(v)
-		if bits != math.Float64bits(f32Image(g[i])) {
-			n++
-		}
-		if exact && bits != math.Float64bits(f32Image(v)) {
-			exact = false
+	for lo := 0; lo < len(x); lo += chunkLen {
+		for i, v := range g.block(lo / chunkLen) {
+			bits := math.Float64bits(x[lo+i])
+			if bits != math.Float64bits(f32Image(v)) {
+				n++
+			}
+			if exact && bits != math.Float64bits(f32Image(x[lo+i])) {
+				exact = false
+			}
 		}
 		if n > limit && !exact {
 			return false, false
@@ -295,22 +292,31 @@ func compact[T float32 | float64](p *uploadPatch, x []float64, g []T) (sparse, e
 		return false, exact
 	}
 	p.idx, p.val = slices.Grow(p.idx[:0], n), slices.Grow(p.val[:0], n)
-	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(f32Image(g[i])) {
-			p.idx = append(p.idx, int32(i))
-			p.val = append(p.val, v)
+	for lo := 0; lo < len(x); lo += chunkLen {
+		for i, v := range g.block(lo / chunkLen) {
+			if math.Float64bits(x[lo+i]) != math.Float64bits(f32Image(v)) {
+				p.idx = append(p.idx, int32(lo+i))
+				p.val = append(p.val, x[lo+i])
+			}
 		}
 	}
 	return true, exact
 }
 
 // materialize writes the upload p was compacted from against g into dst.
-func materialize[T float32 | float64](p *uploadPatch, dst []float64, g []T) {
-	for i, v := range g {
-		dst[i] = f32Image(v)
+func materialize[T float32 | float64, V version[T]](p *uploadPatch, dst []float64, g V) {
+	for lo := 0; lo < len(dst); lo += chunkLen {
+		imageBlock(dst[lo:], g.block(lo/chunkLen))
 	}
 	for k, i := range p.idx {
 		dst[i] = p.val[k]
+	}
+}
+
+// imageBlock writes the float32 image of a block of a version into dst.
+func imageBlock[T float32 | float64](dst []float64, blk []T) {
+	for i, v := range blk {
+		dst[i] = f32Image(v)
 	}
 }
 
@@ -341,8 +347,9 @@ type bitPatch struct {
 }
 
 // chunkStore is what a run's bitmap patches are made of. The patches,
-// each a bitmap and a chunk table sized for |w|, are allocated with the
-// run, as many as it can hold uploads at once. The chunks are carved
+// each a bitmap and a chunk table sized for |w|, are built a slab at a
+// time as the run first takes them, up to as many as it can hold
+// uploads at once. The chunks are carved
 // from |w|-sized blocks of paramsPool, |w|/chunkLen to a block, so a
 // vector the pool holds free serves a dense upload or a patch's values
 // alike; chunk i is the (i mod per)-th of block i/per, and a patch
@@ -358,8 +365,12 @@ type chunkStore struct {
 	// block is the length of the vectors chunks are carved from: |w|,
 	// or one chunk's when |w| is shorter; per is how many it holds.
 	block, per int
-	// all is every patch of the store, patches the free ones.
-	all     []bitPatch
+	// words and chunks size a patch's bitmap and chunk table; slab is
+	// how many patches one slab builds, and most how many the store
+	// builds at most.
+	words, chunks, slab, most int
+	// slabs are the patches built so far, patches the free ones.
+	slabs   [][]bitPatch
 	patches []*bitPatch
 	blocks  [][]float64
 	// free has bit i set when chunk i is carved and no patch holds it,
@@ -370,35 +381,51 @@ type chunkStore struct {
 	out  int
 }
 
-// newChunkStore builds a store of maxPatches patches for uploads of n
-// entries.
-func newChunkStore(n, maxPatches int) *chunkStore {
+// newChunkStore builds a store of at most most patches for uploads of n
+// entries, built slab at a time: the first with the store.
+func newChunkStore(n, slab, most int) *chunkStore {
 	words, chunks, block := (n+63)/64, (n+chunkLen-1)/chunkLen, max(n, chunkLen)
 	per := block / chunkLen
-	blocks := (maxPatches*chunks+per-1)/per + 1 // the most a run carves
-	ps := make([]bitPatch, maxPatches)
+	blocks := (most*chunks+per-1)/per + 1 // the most a run carves
 	st := &chunkStore{
 		block:   block,
 		per:     per,
-		all:     ps,
-		patches: make([]*bitPatch, maxPatches),
+		words:   words,
+		chunks:  chunks,
+		slab:    slab,
+		most:    most,
+		slabs:   make([][]bitPatch, 0, (most+slab-1)/slab),
+		patches: make([]*bitPatch, 0, most),
 		blocks:  make([][]float64, 0, blocks),
 		free:    make([]uint64, (blocks*per+63)/64),
 	}
-	bits := make([]uint64, maxPatches*words)
-	tables := make([]chunk, maxPatches*chunks)
-	for i := range ps {
-		ps[i] = bitPatch{store: st, bits: bits[i*words : (i+1)*words : (i+1)*words], vals: tables[i*chunks : i*chunks : (i+1)*chunks]}
-		st.patches[i] = &ps[i]
-	}
+	st.build()
 	return st
 }
 
+// build adds a slab of free patches to the store, the last one short so
+// that the store builds no more than most.
+func (st *chunkStore) build() {
+	k := min(st.slab, st.most-len(st.slabs)*st.slab)
+	ps := make([]bitPatch, k)
+	bits := make([]uint64, k*st.words)
+	tables := make([]chunk, k*st.chunks)
+	for i := range ps {
+		ps[i] = bitPatch{store: st, bits: bits[i*st.words : (i+1)*st.words : (i+1)*st.words], vals: tables[i*st.chunks : i*st.chunks : (i+1)*st.chunks]}
+		st.patches = append(st.patches, &ps[i]) //fedtripvet:allow sized with the run for the most patches it builds
+	}
+	st.slabs = append(st.slabs, ps) //fedtripvet:allow sized with the run for the slabs it builds
+}
+
 // patch returns a patch with no values and a bitmap of unspecified
-// contents, or nil when every patch is taken.
+// contents, building a slab when none is free, or nil when every patch
+// is taken.
 func (st *chunkStore) patch() *bitPatch {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if len(st.patches) == 0 && len(st.slabs)*st.slab < st.most {
+		st.build()
+	}
 	n := len(st.patches)
 	if n == 0 {
 		return nil
@@ -502,9 +529,11 @@ func (st *chunkStore) trim() {
 func (st *chunkStore) close() {
 	if st.out > 0 {
 		held := make([]*chunk, 0, st.out)
-		for i := range st.all {
-			for k := range st.all[i].vals {
-				held = append(held, &st.all[i].vals[k])
+		for _, ps := range st.slabs {
+			for i := range ps {
+				for k := range ps[i].vals {
+					held = append(held, &ps[i].vals[k])
+				}
 			}
 		}
 		slices.SortFunc(held, func(a, b *chunk) int { return int(b.i - a.i) })
@@ -533,7 +562,7 @@ func (st *chunkStore) close() {
 }
 
 // held is what the store holds free: its chunks and its patches'
-// bitmaps.
+// bitmaps and chunk tables.
 func (st *chunkStore) held() Held {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -544,7 +573,7 @@ func (st *chunkStore) held() Held {
 		h.Bytes += int64(n) * 8 * chunkLen
 	}
 	for _, p := range st.patches {
-		h.add(8 * cap(p.bits))
+		h.add(8*cap(p.bits) + int(unsafe.Sizeof(chunk{}))*cap(p.vals))
 	}
 	return h
 }

@@ -86,13 +86,14 @@ func newRunState(spec RunSpec) (*RunState, error) {
 	if s.wire == nil && (spec.Runtime != RuntimeAsync || s.rows.on) {
 		// Uploads over no transport may be held as bitmap patches behind
 		// the lock-step gate or when a recipe pins their version
-		// (Server.bitmapped): as many as the loop holds uploads at once,
-		// in flight and buffered.
-		held := spec.ClientsPerRound
+		// (Server.bitmapped): at most as many as the loop holds uploads
+		// at once, in flight and buffered, built a merge's worth at a
+		// time as the run first takes them.
+		slab, held := spec.ClientsPerRound, spec.ClientsPerRound
 		if spec.Runtime == RuntimeAsync {
-			held = spec.Concurrency + spec.Policy.k
+			slab, held = spec.Policy.k, spec.Concurrency+spec.Policy.k
 		}
-		s.chunks = newChunkStore(len(s.global), held)
+		s.chunks = newChunkStore(len(s.global), slab, held)
 	}
 	return &RunState{s: s, run: r}, nil
 }
@@ -174,15 +175,21 @@ type Footprint struct {
 	// Versions64 and Versions32 are the model versions the run holds, a
 	// float64 copy of the global or the float32 image a float32
 	// downlink delivers: the current one, those jobs still train from or
-	// hold patches against, and those recipes pin.
+	// hold patches against, and those recipes pin. A float32 version is
+	// a table of blocks of 512 entries that it shares with the others
+	// wherever their bits are the same: Blocks32 counts the distinct
+	// blocks they hold, and Versions32's bytes are those blocks, each
+	// once, and the versions' tables.
 	Versions64, Versions32 Held
+	Blocks32               int
 	// Free64 and Free32 are the free lists of the float64 and float32
 	// vector pools, the process's, shared by every run in it: what they
 	// hold is what the runs so far checked out at once. FreeChunks is
 	// what the run's bitmap patches are made of and no upload holds: its
 	// free chunks, carved from float64 vectors of the pool, and its free
-	// patches (their bitmaps).
-	Free64, Free32, FreeChunks Held
+	// patches (their bitmaps and chunk tables). FreeBlocks are the
+	// run's float32 version blocks no version holds.
+	Free64, Free32, FreeChunks, FreeBlocks Held
 	// Engines are the training engines the run has built — one per shard
 	// that has trained a client, and the server's loaner once a client
 	// borrowed it — with the scratch models a method built on them;
@@ -295,13 +302,11 @@ func (rs *RunState) Footprint() Footprint {
 		}
 	}
 	for _, sn := range r.snaps {
-		switch {
-		case sn.vec != nil:
+		if sn.vec != nil {
 			fp.Versions64.add(8 * cap(sn.vec))
-		case sn.narrow != nil:
-			fp.Versions32.add(4 * cap(sn.narrow))
 		}
 	}
+	fp.Versions32, fp.Blocks32, fp.FreeBlocks = s.versions.footprint(r.snaps)
 	fp.Free64 = paramsPool.held()
 	fp.Free32 = narrowPool.held()
 	if s.chunks != nil {

@@ -204,6 +204,9 @@ type Server struct {
 	// test's twin run).
 	chunks       *chunkStore
 	denseUploads bool
+	// versions is what the run's float32 model versions are made of
+	// (globalSnap).
+	versions blockStore
 
 	// The runtime (newRunState). rec's Result counts the completed
 	// rounds; sp trains the jobs, one engine per shard.
@@ -386,15 +389,15 @@ func (s *Server) trainClient(j *trainJob) {
 		j.recRng = c.RNG().State()
 		c.eng.record()
 	}
-	global, narrow := j.global, []float32(nil)
+	global, img, n := j.global, (*image32)(nil), len(j.global)
 	if global == nil {
-		narrow = j.gsnap.narrow // the version is held as its float32 image
+		img, n = &j.gsnap.img, j.gsnap.img.n // the version is held as its float32 image
 	}
-	j.downBytes = int64(4 * (len(global) + len(narrow)))
+	j.downBytes = int64(4 * n)
 	if s.wire != nil {
-		received := c.eng.downlinkBuf(len(global) + len(narrow))
-		if narrow != nil {
-			global = widen(received, narrow)
+		received := c.eng.downlinkBuf(n)
+		if img != nil {
+			global = img.widen(received)
 		}
 		j.downBytes = s.wire.DownInto(received, c.ID, j.round, global)
 		global = received
@@ -430,17 +433,19 @@ func (s *Server) trainClient(j *trainJob) {
 			resid = &c.eng.residRow
 		}
 		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)
+		// Compared with the version's image where it lies: a transport
+		// may send each client something else than the image.
 		var sparse, exact bool
-		if narrow != nil {
-			sparse, exact = compact(&j.patch, u.Params, narrow)
+		if img != nil {
+			sparse, exact = compact(&j.patch, u.Params, img)
 		} else {
-			sparse, exact = compact(&j.patch, u.Params, j.global)
+			sparse, exact = compact(&j.patch, u.Params, flat(j.global))
 		}
 		switch {
 		case sparse:
 			paramsPool.put(u.Params)
 			u.Params, u.pooled = nil, false
-			u.patch, u.base, u.base32 = &j.patch, j.global, narrow
+			u.patch, u.base, u.base32 = &j.patch, j.global, img
 		case exact:
 			u.holdNarrow()
 		}

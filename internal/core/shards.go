@@ -20,7 +20,7 @@ type trainJob struct {
 	// aggregates only once every job has joined), the vector of gsnap —
 	// the model version's shared snapshot, owned by the event loop —
 	// otherwise, nil when that snapshot is the version's float32 image
-	// (gsnap.narrow, globalSnap).
+	// (gsnap.img, globalSnap).
 	global []float64
 	gsnap  *globalSnap
 	update Update

@@ -436,9 +436,10 @@ func snapList[T any](c *tensor.Codec, what string, list *[]T, elem func(*T)) {
 // the float32 image a float32 downlink delivers, widened. A recipe names
 // its image by its place here (ord). A decoder appends each image to the
 // runner's table, which a fresh run holds empty, held as the run holds a
-// version (Server.hold) in a vector from its pool, so an image written
-// as the full-precision global is held as the one written narrowed, and
-// the client walk's recipes pin them.
+// version (Server.hold): a float64 vector from its pool, or blocks of
+// its store, shared as the run that wrote the stream shared them, so an
+// image written as the full-precision global is held as the one written
+// narrowed, and the client walk's recipes pin them.
 func (st *rowStore) snapImages(c *tensor.Codec) {
 	r := st.run
 	np, n := len(r.s.global), 0
@@ -464,7 +465,7 @@ func (st *rowStore) snapImages(c *tensor.Codec) {
 			sn := &globalSnap{vec: paramsPool.get(np)}
 			r.snaps = append(r.snaps, sn)
 			c.FloatsExact("round image", sn.vec)
-			if sn.narrow = r.s.hold(sn.vec); sn.narrow != nil {
+			if r.s.hold(sn.vec, &sn.img) {
 				paramsPool.put(sn.vec)
 				sn.vec = nil
 			}

@@ -44,7 +44,7 @@ func TestUploadPatchRoundTrip(t *testing.T) {
 	var p, p32 uploadPatch
 	sparse, dense := 0, 0
 	for iter := 0; iter < 3000; iter++ {
-		n := []int{0, 1, 3, 4, 7, 64, 257}[rng.Intn(7)]
+		n := []int{0, 1, 3, 4, 7, 64, 257, 1100}[rng.Intn(8)]
 		g, x := make([]float64, n), make([]float64, n)
 		for i := range g {
 			g[i] = drawPatchValue(rng)
@@ -69,11 +69,8 @@ func TestUploadPatchRoundTrip(t *testing.T) {
 			}
 			exact = exact && math.Float64bits(x[i]) == math.Float64bits(f32Image(x[i]))
 		}
-		gotSparse, gotExact := compact(&p, x, g)
-		g32 := make([]float32, n)
-		for i, v := range g {
-			g32[i] = float32(v)
-		}
+		gotSparse, gotExact := compact(&p, x, flat(g))
+		g32 := imageOf(g)
 		if sparse32, exact32 := compact(&p32, x, g32); sparse32 != gotSparse || exact32 != gotExact {
 			t.Fatalf("n=%d: compact against the float32 image = %t, %t, against the global %t, %t", n, sparse32, exact32, gotSparse, gotExact)
 		}
@@ -96,7 +93,7 @@ func TestUploadPatchRoundTrip(t *testing.T) {
 			out[i] = math.Float64frombits(rng.Uint64()) // garbage a pooled buffer may hold
 		}
 		out32 := slices.Clone(out)
-		materialize(&p, out, g)
+		materialize(&p, out, flat(g))
 		materialize(&p32, out32, g32)
 		for i := range x {
 			if math.Float64bits(out[i]) != math.Float64bits(x[i]) {

@@ -58,30 +58,35 @@ func TestUploadPoolPeak(t *testing.T) {
 		async, devices bool
 		// peak is the most float64 buffers checked out at once; held is
 		// how many are still out after Close; peak32 and held32 are the
-		// same for the float32 vectors narrowed uploads are held in.
+		// same for the float32 vectors narrowed uploads are held in. A
+		// float32 version is not one of them: it is blocks of its run's
+		// store (Footprint.Versions32).
 		peak, held, peak32, held32 int
 	}{
 		// Twelve jobs in flight and a buffer of six. A sparse upload costs
 		// a patch and pins the version it trained from, which its
 		// neighbours mostly share, in flight and in the policy buffer
 		// until the round that merges it is done. The float32 downlink
-		// makes each version its float32 image: the six versions of the
-		// peak, five of them still pinned at Close, are float32 vectors,
-		// and the training transient is the one float64 buffer. Held as
-		// float64 copies the peak was 7 and 5 were held; rebuilt dense at
-		// its arrival an upload made the peak 12; held dense all the way,
-		// 18. A job waiting to train holds its version as a trained sparse
+		// makes each version its float32 image, in blocks of the run's
+		// store, and the training transient is the one float64 buffer.
+		// Held as float32 vectors the six versions of the peak made the
+		// float32 peak 6, and 5 were held at Close; held as float64
+		// copies the peak was 7 and 5 were held; rebuilt dense at its
+		// arrival an upload made the peak 12; held dense all the way, 18.
+		// A job waiting to train holds its version as a trained sparse
 		// one does, so training when due moved neither count.
-		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, false, 1, 0, 6, 5},
+		{"async topk:0.01+ef tiered", "topk:0.01+ef", "", true, false, 1, 0, 0, 0},
 		// The same fleet over a float32 uplink, merged by the median:
 		// every upload is float32-exact and far from the global, so it is
-		// held narrowed from its training to the median that reads it,
-		// and so is the version jobs train from: the float64 buffer is
-		// the training transient (2 and 17 with the version a float64
-		// copy). Trained at dispatch, the twelve in flight held theirs too:
-		// the float32 peak was 18 and 11 were held at Close, against 12
-		// and 6 now that a job trains when it comes due.
-		{"async f32 median tiered", "f32", "median", true, false, 1, 0, 12, 6},
+		// held narrowed from its training to the median that reads it;
+		// the version jobs train from is its float32 image, in blocks,
+		// and the float64 buffer is the training transient (2 and 17 with
+		// the version a float64 copy). The float32 peak is the narrowed
+		// uploads alone: 7, and 1 is held at Close. Trained at dispatch,
+		// the twelve in flight held theirs too: with the versions float32
+		// vectors, the peak was 18 and 11 were held at Close, against 12
+		// and 6 once a job trained when it came due.
+		{"async f32 median tiered", "f32", "median", true, false, 1, 0, 7, 1},
 		// Four lock-step uploads that differ from the global nearly
 		// everywhere are float32-exact and held narrowed; the training
 		// transient, then the evaluation's copy, is the one float64

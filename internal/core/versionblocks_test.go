@@ -130,3 +130,54 @@ func TestVersionImagesExact(t *testing.T) {
 		})
 	}
 }
+
+// TestVersionBlocksShared holds the distinct blocks the float32 versions
+// of versionFleets hold at Close to an exact table, run through and
+// snapshotted after round 3 and resumed in a fresh run: a resumed run
+// holds its stream's round images in the blocks an uninterrupted one
+// holds them in. The table is literal: a changed entry is a real change
+// in what a run's versions share.
+func TestVersionBlocksShared(t *testing.T) {
+	want := map[string]struct{ versions, blocks int }{
+		// The median of four top-k uploads moves few entries: the ten
+		// versions' 390 blocks are 201 distinct ones.
+		"async topk:0.01+ef median": {10, 201},
+		// The mean of four f32 uploads moves an entry of every block,
+		// so the eight versions share none: 8 × 39.
+		"sync f32 resumed": {8, 312},
+	}
+	for _, f := range versionFleets {
+		t.Run(f.name, func(t *testing.T) {
+			for _, snapAt := range []int{0, 3} {
+				build := func() core.RunSpec { return versionFleet(t, f.transport, f.policy, f.async) }
+				rs, err := core.NewRunState(build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for done := false; !done; {
+					if done, err = rs.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if rs.Round() == snapAt && !done {
+						var buf bytes.Buffer
+						if err := rs.Snapshot(&buf); err != nil {
+							t.Fatal(err)
+						}
+						rs.Close()
+						if rs, err = core.Resume(&buf, core.ResumeSpec{Spec: build()}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				rs.Close()
+				if err := rs.CheckBlocks(); err != nil {
+					t.Fatal(err)
+				}
+				fp := rs.Footprint()
+				if w := want[f.name]; fp.Versions32.N != w.versions || fp.Blocks32 != w.blocks {
+					t.Errorf("snapshot after round %d: %d float32 versions in %d blocks at Close, pinned %d in %d", snapAt, fp.Versions32.N, fp.Blocks32, w.versions, w.blocks)
+				}
+			}
+		})
+	}
+}
