@@ -434,7 +434,7 @@ func (s *Server) trainClient(j *trainJob) {
 		}
 		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)
 		// Compared with the version's image where it lies: a transport
-		// may send each client something else than the image.
+		// may send each client something other than the image.
 		var sparse, exact bool
 		if img != nil {
 			sparse, exact = compact(&j.patch, u.Params, img)
