@@ -294,9 +294,9 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 24, 346},
+	{"Sync1kClients", syncSpec, 1_000, 24, 305},
 	{"Async1kClients", asyncSpec, 1_000, 24, 683},
-	{"Sync10kClients", syncSpec, 10_000, 24, 332},
+	{"Sync10kClients", syncSpec, 10_000, 24, 301},
 	{"Async10kClients", asyncSpec, 10_000, 24, 676},
 	{"AsyncChurn1k", churnSpec, 1_000, 32, 678},
 	{"AsyncFedAsync1k", fedAsyncSpec, 1_000, 24, 844},

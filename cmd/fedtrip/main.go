@@ -226,6 +226,7 @@ func run(o runOpts) (*core.Result, error) {
 	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), blocks(fp.Versions32, fp.Blocks32))
 	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s, version blocks %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks), held(fp.FreeBlocks))
 	fmt.Printf("  models          engines %s; tester %s\n", models(fp.Engines), models(fp.Tester))
+	fmt.Printf("  client rows     %.2f MiB (the methods' and error feedback's)\n", float64(fp.Rows)/(1<<20))
 	fmt.Printf("  scratch         server %d B, transport %d B\n", fp.ServerScratch, fp.TransportScratch)
 	// Every run carries the clock series; only a priced one moves it.
 	simulated := res.SimTimeByRound[len(res.SimTimeByRound)-1]

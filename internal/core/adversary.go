@@ -312,40 +312,42 @@ func rotateLabels(y []int, off, classes int) {
 // and the norm-clip guard, when configured, then rescales surviving
 // updates onto the admissible ball around the current global model.
 //
-// It also sets up the buffer's readers (mergeRead). A compact update is
-// screened a block at a time as its reader reads it — a bitmap-patched
-// one that no clip weighs by its values and its base (finiteBits) — and
-// its clip is kept in its reader, applied to each entry as the merge
-// reads it; a dense one is clipped in place.
+// It also sets up the buffer's readers (mergeRead), one update at a time
+// (screen).
 func (s *Server) screenUpdates(weights []float64, updates []Update) {
-	if cap(s.mergeRd) < len(updates) {
-		s.mergeRd = make([]mergeRead, len(updates)) //fedtripvet:allow server scratch, grows once to the merge buffer size
-	}
-	s.mergeRd = s.mergeRd[:len(updates)]
-	maxNorm := s.spec.Policy.Clip
+	s.mergeRd = grow(s.mergeRd, len(updates))
 	var finiteBase []float64
 	for i := range updates {
-		u := &updates[i]
-		rd := &s.mergeRd[i]
-		*rd = mergeRead{u: u}
-		clip := weights[i] > 0 && maxNorm != 0
-		var finite bool
-		switch {
-		case !u.compacted():
-			finite = tensor.AllFinite(u.Params)
-		case u.bitmap != nil && !clip:
-			finite = s.finiteBits(rd, &finiteBase)
-		default:
-			var sq float64
-			finite, sq = s.screenBlocks(rd, clip)
-			if n := math.Sqrt(sq); finite && clip && n > maxNorm {
-				rd.scale, rd.clipped = maxNorm/n, true
-			}
+		s.screen(&s.mergeRd[i], &updates[i], &weights[i], &finiteBase)
+	}
+}
+
+// screen screens one update of weight *w and sets up rd to read it. A
+// compact update is screened a block at a time as its reader reads it —
+// a bitmap-patched one that no clip weighs by its values and its base
+// (finiteBits, finiteBase the last base found finite) — and its clip is
+// kept in its reader, applied to each entry as the merge reads it; a
+// dense one is clipped in place. A non-finite update is zero-weighted and
+// counted.
+func (s *Server) screen(rd *mergeRead, u *Update, w *float64, finiteBase *[]float64) {
+	*rd = mergeRead{u: u}
+	maxNorm := s.spec.Policy.Clip
+	clip := *w > 0 && maxNorm != 0
+	var finite bool
+	switch {
+	case !u.compacted():
+		finite = tensor.AllFinite(u.Params)
+	case u.bitmap != nil && !clip:
+		finite = s.finiteBits(rd, finiteBase)
+	default:
+		var sq float64
+		finite, sq = s.screenBlocks(rd, clip)
+		if n := math.Sqrt(sq); finite && clip && n > maxNorm {
+			rd.scale, rd.clipped = maxNorm/n, true
 		}
-		if finite {
-			continue
-		}
-		weights[i] = 0
+	}
+	if !finite {
+		*w = 0
 		s.rejectedUpdates++
 		if !s.rejectLogged {
 			s.rejectLogged = true
@@ -353,15 +355,9 @@ func (s *Server) screenUpdates(weights []float64, updates []Update) {
 				s.spec.Logf("core: rejected non-finite update from client %d (counted in RejectedUpdates; further rejections are silent)", u.ClientID)
 			}
 		}
-	}
-	if maxNorm == 0 {
 		return
 	}
-	for i := range updates {
-		u := &updates[i]
-		if weights[i] <= 0 || u.compacted() {
-			continue
-		}
+	if clip && !u.compacted() {
 		if scale, ok := s.clipScale(u.Params, maxNorm); ok {
 			clipOnto(u.Params, s.global, scale)
 		}
@@ -707,10 +703,15 @@ func (s *Server) krum(rds []mergeRead, frac, eta float64) {
 	}
 }
 
-// scratchBytes is what the server's merge-side scratch holds.
+// scratchBytes is what the server's merge-side scratch holds, a folded
+// round's mean included.
 func (s *Server) scratchBytes() int64 {
-	return 8*int64(cap(s.widenScratch)+cap(s.robBlock)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore)+cap(s.robPick)) +
+	b := 8*int64(cap(s.widenScratch)+cap(s.robBlock)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore)+cap(s.robPick)) +
 		int64(unsafe.Sizeof([]float64(nil)))*int64(cap(s.robRows))
+	if s.mean != nil {
+		b += s.mean.bytes()
+	}
+	return b
 }
 
 // widenBuf returns the |w|-sized scratch Server.hold and the snapshot

@@ -127,9 +127,10 @@ func PolyDiscount(a float64) Rule {
 	}}
 }
 
-// finishRound is the tail of every round: merge the gathered updates,
-// check for divergence, record the metrics, recycle the upload buffers,
-// and report whether the run is complete.
+// finishRound is the tail of every round: merge the gathered updates —
+// or, where the round folded each into its mean as it arrived, move the
+// global to the mean — check for divergence, record the metrics,
+// recycle the upload buffers, and report whether the run is complete.
 //
 //fedtripvet:hotpath
 func (s *Server) finishRound(updates []Update) (bool, error) {
@@ -138,7 +139,11 @@ func (s *Server) finishRound(updates []Update) (bool, error) {
 	if cfg.OnUpdates != nil {
 		cfg.OnUpdates(t, s.global, updates)
 	}
-	s.aggregate(t, updates)
+	if s.mean != nil {
+		s.moveMean(s.mean, s.spec.Policy.MergeRate(t, updates))
+	} else {
+		s.aggregate(t, updates)
+	}
 	if !tensor.AllFinite(s.global) {
 		return true, fmt.Errorf("core: %s diverged at round %d (non-finite global model)", cfg.Algo.Name(), t) //fedtripvet:allow cold terminal error path
 	}
@@ -433,6 +438,9 @@ func newBufferedRunner(s *Server) *bufferedRunner {
 	}
 	_, declared := sp.Algo.(AttachCoster)
 	r.inexact = !sp.Devices.None() && !declared || !sp.Network.None() && s.wire != nil
+	if r.gated && foldsRounds(sp) {
+		s.mean = newRoundMean(len(s.global), sp.ClientsPerRound)
+	}
 	// The heap's client index is how the churn process finds a dropped
 	// client's in-flight job without a fleet-wide pointer array.
 	r.inflight.trackClients(len(s.clients))
@@ -476,14 +484,20 @@ func (r *bufferedRunner) close() {
 // trainDue trains top, the event heap's earliest job, which has not
 // trained yet, and with it every waiting job due by its arrival and as
 // many of the next due ones as fill each shard's share: the choice is
-// made on virtual times only.
+// made on virtual times only. A round that folds its uploads as they
+// arrive trains one window at a time instead, top and the next due jobs
+// up to one a shard, so it holds no more uploads than that unless they
+// arrive out of dispatch order.
 //
 //fedtripvet:hotpath
 func (r *bufferedRunner) trainDue(top *trainJob) {
 	heap.Remove(&r.due, top.dueIdx)
 	batch := append(r.batch[:0], top) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 	shards := len(r.s.sp.engines)
-	for r.due.Len() > 0 && (r.due[0].bound <= top.finish || len(batch)%shards != 0) {
+	for r.due.Len() > 0 {
+		if r.s.mean != nil && len(batch) == shards || r.s.mean == nil && r.due[0].bound > top.finish && len(batch)%shards == 0 {
+			break
+		}
 		batch = append(batch, heap.Pop(&r.due).(*trainJob)) //fedtripvet:allow scratch sized to the most jobs in flight at construction
 	}
 	r.batch = batch
@@ -732,6 +746,9 @@ func (r *bufferedRunner) openRound() []*Client {
 	s := r.s
 	r.seq = 0
 	sel := s.selectClients()
+	if s.mean != nil {
+		s.mean.open(s.spec.Policy, sel)
+	}
 	if pr, ok := s.spec.Algo.(PreRounder); ok && len(sel) > 0 {
 		// PreRound work (FedDANE's and MimeLite's full-gradient pass) runs
 		// outside any job, so meter it here: it is training cost.
@@ -832,6 +849,9 @@ func (r *bufferedRunner) step() (bool, error) {
 			s.recycleJob(j)
 		} else {
 			r.buffer = append(r.buffer, j) //fedtripvet:allow grows once to the merge policy's buffer size, then reused at [:0]
+			if s.mean != nil {
+				r.foldArrived(j)
+			}
 		}
 		if r.gated {
 			// A lock-step round merges what survived once its last job has

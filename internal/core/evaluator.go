@@ -49,7 +49,7 @@ type tester struct {
 }
 
 func newTester(cfg *Config) (*tester, error) {
-	m, err := cfg.Model.Build(streamSeed(cfg.Seed, streamModel, 0))
+	m, err := cfg.Model.BuildForward(streamSeed(cfg.Seed, streamModel, 0))
 	if err != nil {
 		return nil, err
 	}

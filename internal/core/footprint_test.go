@@ -24,11 +24,13 @@ func TestFootprintOwners(t *testing.T) {
 	// gradient and the logits, 8 × (25 + 25 + 10)); its scratch is its batch, label,
 	// permutation and index buffers and, over a transport, the downlink
 	// and the error-feedback row. Nothing has evaluated yet, so the
-	// tester holds its parameters and batch buffers only.
+	// tester holds its parameters and batch buffers only: it runs no
+	// backward pass, so it holds no gradient vector (2 × 8 × 19,885 B of
+	// parameters and gradients when it did).
 	oneSampleEngine := func(scratch int64) core.Models {
 		return core.Models{N: 1, Params: 2 * 8 * 19_885, Optimizer: 8 * 19_885, Activations: 480, Scratch: scratch}
 	}
-	unevaluated := core.Models{N: 1, Params: 2 * 8 * 19_885, Scratch: 6_288}
+	unevaluated := core.Models{N: 1, Params: 8 * 19_885, Scratch: 6_288}
 	cases := []struct {
 		name, transport, policy string
 		want                    core.Footprint
@@ -147,9 +149,12 @@ func TestFootprintOwners(t *testing.T) {
 	// The paper's CNN in lock-step rounds, in paper_cnn's shape (full
 	// width, batch 50, four clients a round, evaluated every round) on
 	// one shard, so one engine holds what each of that workload's two
-	// holds. The footprint is read after the second round.
+	// holds. The footprint is read after the second of three rounds:
+	// twelve participations over ten clients, so, as on paper_cnn, every
+	// client that trained holds FedTrip's row dense.
 	t.Run("sync cnn", func(t *testing.T) {
 		sp := cnnRun(t)
+		sp.Rounds = 3
 		rs, err := core.NewRunState(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -163,17 +168,28 @@ func TestFootprintOwners(t *testing.T) {
 		}
 		want := core.Footprint{
 			Clients: 10, Built: 7, RegistryBytes: 1_760,
-			Versions64: core.Held{N: 2, Bytes: 2 * 8 * 61_706},
-			Free64:     core.Held{N: 4, Bytes: 4 * 8 * 61_706},
+			// The round's mean folds each upload as it arrives, so the
+			// one shard's window of one upload is all the pool lent: one
+			// float64 vector, the four the round's patches' chunks were
+			// carved from packed into it. Merged at the round's end, the
+			// four uploads took four.
+			Free64: core.Held{N: 1, Bytes: 8 * 61_706},
 			// Four patches, each a 965-word bitmap and a 121-chunk
 			// table of 16 B entries (30,880 B before the tables were
 			// counted).
 			FreeChunks: core.Held{N: 4, Bytes: 4 * (8*965 + 16*121)},
+			// FedTrip's w_hist, one |w| row for each of the seven
+			// clients that trained.
+			Rows: 7 * 8 * 61_706,
 			// The activations are TestHeldActivationBytes' cnn@50 rows.
 			// Before Build fused the convolutions with their ReLU and
-			// max-pool, they were 3,634,400 and 3,552,800.
-			Engines: core.Models{N: 1, Params: 2 * 8 * 61_706, Optimizer: 8 * 61_706, Activations: 926_832, Scratch: 1_621_584},
-			Tester:  core.Models{N: 1, Params: 2 * 8 * 61_706, Activations: 845_232, Scratch: 594_400},
+			// max-pool, they were 3,634,400 and 3,552,800. The tester
+			// runs no backward pass and holds no gradient vector.
+			Engines: core.Models{N: 1, Params: 2 * 8 * 61_706, Optimizer: 8 * 61_706, Activations: 926_832, Scratch: 1_127_936},
+			Tester:  core.Models{N: 1, Params: 8 * 61_706, Activations: 845_232, Scratch: 594_400},
+			// The mean's |w| accumulator, and the round's four weights
+			// and arrival slots.
+			ServerScratch: 8*61_706 + 8*4 + 8*4,
 		}
 		if got := rs.Footprint(); got != want {
 			t.Errorf("footprint after two rounds\n%#v\ncommitted\n%#v", got, want)

@@ -190,6 +190,11 @@ type Footprint struct {
 	// patches (their bitmaps and chunk tables). FreeBlocks are the
 	// run's float32 version blocks no version holds.
 	Free64, Free32, FreeChunks, FreeBlocks Held
+	// Rows is what the built clients carry from one participation to the
+	// next: the method's rows (Client.State) and the transport's
+	// error-feedback rows, from capacities. A client whose rows are a
+	// chain of recipes holds none (lazyrows.go).
+	Rows int64
 	// Engines are the training engines the run has built — one per shard
 	// that has trained a client, and the server's loaner once a client
 	// borrowed it — with the scratch models a method built on them;
@@ -299,6 +304,11 @@ func (rs *RunState) Footprint() Footprint {
 			case u.bitmap != nil:
 				fp.BitmapPatches.add(8 * (cap(u.bitmap.bits) + chunkLen*len(u.bitmap.vals)))
 			}
+		}
+	}
+	for _, c := range s.clients {
+		if c != nil {
+			fp.Rows += 8 * int64(cap(c.state)+cap(c.resid))
 		}
 	}
 	for _, sn := range r.snaps {

@@ -207,6 +207,10 @@ type Server struct {
 	// versions is what the run's float32 model versions are made of
 	// (globalSnap).
 	versions blockStore
+	// mean is the round's weighted mean of a lock-step run that folds
+	// each upload into it as it arrives (roundMean); nil when the run
+	// merges the round's uploads at its end.
+	mean *roundMean
 
 	// The runtime (newRunState). rec's Result counts the completed
 	// rounds; sp trains the jobs, one engine per shard.

@@ -90,8 +90,11 @@ func TestUploadPoolPeak(t *testing.T) {
 		// Four lock-step uploads that differ from the global nearly
 		// everywhere are float32-exact and held narrowed; the training
 		// transient, then the evaluation's copy, is the one float64
-		// buffer (5 when the uploads were held dense).
-		{"sync f32", "f32", "", false, false, 1, 0, 4, 0},
+		// buffer (5 when the uploads were held dense). The round's mean
+		// folds each upload as it arrives, and the one shard trains one
+		// at a time, so one float32 vector is out at once (4 when the
+		// round's four were merged at its end).
+		{"sync f32", "f32", "", false, false, 1, 0, 1, 0},
 		// Without a transport, oneSampleRun's lazy fleet (four
 		// aggregations of six over 48 clients, so every participation
 		// is recorded and pins its version): an upload that changed few

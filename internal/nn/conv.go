@@ -120,7 +120,9 @@ func (l *convLayer) ParamCount() int {
 func (l *convLayer) Bind(params, grads []float64, rng *prng.Rand) {
 	nw := l.outC * l.geom.ColRows()
 	l.w, l.b = params[:nw], params[nw:]
-	l.dw, l.db = grads[:nw], grads[nw:]
+	if grads != nil {
+		l.dw, l.db = grads[:nw], grads[nw:]
+	}
 	l.wView = tensor.FromSlice(l.w, l.outC, l.geom.ColRows())
 	std := math.Sqrt(2.0 / float64(l.geom.ColRows()))
 	for i := range l.w {

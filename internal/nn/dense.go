@@ -45,9 +45,11 @@ func (l *denseLayer) ParamCount() int { return l.in*l.out + l.out }
 
 func (l *denseLayer) Bind(params, grads []float64, rng *prng.Rand) {
 	l.w, l.b = params[:l.in*l.out], params[l.in*l.out:]
-	l.dw, l.db = grads[:l.in*l.out], grads[l.in*l.out:]
 	l.wView = tensor.FromSlice(l.w, l.in, l.out)
-	l.dwView = tensor.FromSlice(l.dw, l.in, l.out)
+	if grads != nil {
+		l.dw, l.db = grads[:l.in*l.out], grads[l.in*l.out:]
+		l.dwView = tensor.FromSlice(l.dw, l.in, l.out)
+	}
 	// He initialisation, appropriate for the ReLU networks used here.
 	std := math.Sqrt(2.0 / float64(l.in))
 	for i := range l.w {

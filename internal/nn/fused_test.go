@@ -235,7 +235,7 @@ func TestFusedModelMatchesUnfused(t *testing.T) {
 					t.Fatal(err)
 				}
 				b := stack(two)
-				o, err := assemble(b.inShape, b.layers, 3)
+				o, err := assemble(b.inShape, b.layers, 3, true)
 				if err != nil {
 					t.Fatal(err)
 				}

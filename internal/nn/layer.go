@@ -34,7 +34,8 @@ type Layer interface {
 	// Resolve).
 	ParamCount() int
 	// Bind hands the layer its parameter and gradient storage (subslices
-	// of the model's flat vectors) and initialises the parameters.
+	// of the model's flat vectors; grads is nil on a model built for
+	// forward passes only) and initialises the parameters.
 	Bind(params, grads []float64, rng *prng.Rand)
 	// Forward computes the layer output for a batch x of shape
 	// [N, inShape...]. train enables training-only behaviour (dropout).

@@ -46,18 +46,26 @@ func (b *Builder) fail(err error) {
 // binds every layer, initialises weights deterministically from seed, and
 // places every layer: which activation and gradient buffers it may write
 // in place follows from its position alone.
-func (b *Builder) Build(seed int64) (*Model, error) {
+func (b *Builder) Build(seed int64) (*Model, error) { return b.build(seed, true) }
+
+// BuildForward builds the model Build builds, with the same parameters,
+// for forward passes only: it holds no gradient vector, and Backward must
+// not be called on it.
+func (b *Builder) BuildForward(seed int64) (*Model, error) { return b.build(seed, false) }
+
+func (b *Builder) build(seed int64, grads bool) (*Model, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	if len(b.layers) == 0 {
 		return nil, fmt.Errorf("nn: model has no layers")
 	}
-	return assemble(b.inShape, fuse(b.layers), seed)
+	return assemble(b.inShape, fuse(b.layers), seed, grads)
 }
 
-// assemble builds the model of layers over per-sample inputs of inShape.
-func assemble(inShape []int, layers []Layer, seed int64) (*Model, error) {
+// assemble builds the model of layers over per-sample inputs of inShape,
+// with a gradient vector when grads.
+func assemble(inShape []int, layers []Layer, seed int64, grads bool) (*Model, error) {
 	shape := inShape
 	var total int
 	var fwd float64
@@ -83,14 +91,20 @@ func assemble(inShape []int, layers []Layer, seed int64) (*Model, error) {
 		outDim:     shape[0],
 		featureDim: featureDim,
 		params:     make([]float64, total),
-		grads:      make([]float64, total),
 		rng:        prng.New(seed),
 		fwdFLOPs:   fwd,
+	}
+	if grads {
+		m.grads = make([]float64, total)
 	}
 	off := 0
 	for _, l := range layers {
 		n := l.ParamCount()
-		l.Bind(m.params[off:off+n], m.grads[off:off+n], m.rng)
+		var g []float64
+		if grads {
+			g = m.grads[off : off+n]
+		}
+		l.Bind(m.params[off:off+n], g, m.rng)
 		off += n
 		if d, ok := l.(*dropoutLayer); ok {
 			m.dropouts = append(m.dropouts, d)

@@ -55,6 +55,25 @@ func (s ModelSpec) scaled(n int) int {
 // Build instantiates the model with weights drawn deterministically from
 // seed.
 func (s ModelSpec) Build(seed int64) (*Model, error) {
+	b, err := s.builder()
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(seed)
+}
+
+// BuildForward builds the model Build builds, for forward passes only
+// (Builder.BuildForward).
+func (s ModelSpec) BuildForward(seed int64) (*Model, error) {
+	b, err := s.builder()
+	if err != nil {
+		return nil, err
+	}
+	return b.BuildForward(seed)
+}
+
+// builder lays out s's architecture.
+func (s ModelSpec) builder() (*Builder, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -92,5 +111,5 @@ func (s ModelSpec) Build(seed int64) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("nn: unknown architecture %q", s.Arch)
 	}
-	return b.Build(seed)
+	return b, nil
 }
