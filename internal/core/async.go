@@ -8,13 +8,19 @@
 // aggregations the server completed while the update was in flight. The
 // lock-step runtimes (sync, barrier) are the same loop behind a dispatch
 // gate: a round dispatches the K clients it selects only when nothing is
-// in flight or buffered, and merges once the last of them has arrived, in
-// dispatch order. That is the paper's loop — select K clients, wait for
-// all of them, aggregate — and under heterogeneous client speeds every
-// round costs the straggler's latency (at zero latency the clock never
-// moves: that is RuntimeSync). Behind the gate a client that drops
-// mid-round arrives after its rejoin, and one that drops for good is
-// voided, so the round merges its survivors.
+// in flight or buffered, and the global moves once the last of them has
+// arrived. That is the paper's loop — select K clients, wait for all of
+// them, aggregate — and under heterogeneous client speeds every round
+// costs the straggler's latency (at zero latency the clock never moves:
+// that is RuntimeSync). Every weight of such a round is known when it
+// opens, so the round folds each upload into its weighted mean as it
+// arrives, in dispatch order, and holds one accumulator rather than K
+// uploads (roundMean, fold.go); a run whose weights or uploads something
+// else needs at the round's end — a robust or importance policy, an
+// Aggregator, an OnUpdates hook, churn that voids, nan or crash faults —
+// holds them and merges them then, in dispatch order. Behind the gate a
+// client that drops mid-round arrives after its rejoin, and one that
+// drops for good is voided, so the round merges its survivors.
 //
 // A run is one object, the Server: it holds the resolved RunSpec, the
 // global model and the clients, and beside them the virtual clock, the
@@ -855,8 +861,10 @@ func (r *bufferedRunner) step() (bool, error) {
 		}
 		if r.gated {
 			// A lock-step round merges what survived once its last job has
-			// arrived or been voided, in dispatch order; only then are its
-			// clients idle again, in that order too.
+			// arrived or been voided, in dispatch order (a folded round's
+			// uploads are in its mean already, and its buffer keeps their
+			// jobs for the metrics); only then are its clients idle again,
+			// in that order too.
 			if len(r.buffer) == 0 || r.inflight.Len() > 0 {
 				continue
 			}

@@ -80,7 +80,7 @@ func (m *roundMean) open(p Policy, sel []*Client) {
 	tensor.ZeroVec(m.acc)
 }
 
-// arrive folds j's upload once every upload dispatched before it has
+// foldArrived folds j's upload once every upload dispatched before it has
 // been folded, and with it every upload that waited on j. A folded
 // upload's buffer goes back to its pool, and its job lets go of its
 // version; the job stays in the round's buffer for the metrics.
@@ -132,7 +132,7 @@ func (m *roundMean) reweigh() {
 	m.total = total
 }
 
-// move moves the global toward the round's mean at the merge rate eta,
+// moveMean moves the global toward the round's mean at the merge rate eta,
 // as the merge of the whole buffer would: not at all when every weight
 // is zero or eta is.
 func (s *Server) moveMean(m *roundMean, eta float64) {

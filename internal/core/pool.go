@@ -28,8 +28,12 @@ import (
 // in-flight one whose upload is held in no compact form (a job waiting to
 // train has none), the float64 vectors a run
 // carves its bitmap patches' chunks from, and the training and
-// evaluation transients. An upload is held compact from training to the
-// merge. With a transport (see compact): one within |w|/4 entries of the
+// evaluation transients. A lock-step round that folds its uploads into
+// its mean as they arrive (roundMean) returns each upload's buffer once
+// it is folded, so it holds a window of one upload per shard, plus any
+// that arrived ahead of an earlier one, not its K; a round that merges
+// at its end holds all K until then. An upload is held compact from
+// training to the merge. With a transport (see compact): one within |w|/4 entries of the
 // float32 image of its version — any sparse uplink's — as its job's
 // patch, which pins that version until the round that merges it; one
 // whose every entry is exact in float32 — any f32 uplink's — as a

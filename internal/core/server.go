@@ -511,7 +511,10 @@ func (s *Server) aggregate(round int, updates []Update) {
 // (mergeBlocks), as the robust merges do: each update's block is read —
 // a compact one's widened into block scratch — and added, and only then
 // does the global's block move, since a lock-step patch reads the global
-// as its base, and a clip reads it too.
+// as its base, and a clip reads it too. A lock-step round whose weights
+// are fixed when it opens does not come here: it folds each upload into
+// its mean as it arrives, with the same arithmetic in the same order
+// (roundMean), and its end only moves the global.
 func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta float64) {
 	s.screenUpdates(weights, updates)
 	var total float64
@@ -535,7 +538,10 @@ func (s *Server) aggregateWeightedRate(weights []float64, updates []Update, eta 
 // toward it, a block of entries at a time, so it needs no |w|-sized
 // scratch: the entries of each block are summed in update order as the
 // whole-vector sum adds them, and the global's block moves (moveBlock)
-// once every update's block is read.
+// once every update's block is read. A folded lock-step round adds each
+// upload's blocks into its |w| mean as it arrives instead, the same
+// products summed in the same order (Server.fold), and moves the whole
+// global once, at the round's end (moveMean).
 //
 //fedtripvet:hotpath
 func (s *Server) mergeBlocks(weights []float64, eta float64) {

@@ -48,11 +48,7 @@ func (b *Builder) fail(err error) {
 // in place follows from its position alone.
 func (b *Builder) Build(seed int64) (*Model, error) { return b.build(seed, true) }
 
-// BuildForward builds the model Build builds, with the same parameters,
-// for forward passes only: it holds no gradient vector, and Backward must
-// not be called on it.
-func (b *Builder) BuildForward(seed int64) (*Model, error) { return b.build(seed, false) }
-
+// build is Build, without the gradient vector unless grads.
 func (b *Builder) build(seed int64, grads bool) (*Model, error) {
 	if b.err != nil {
 		return nil, b.err

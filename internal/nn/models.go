@@ -62,14 +62,15 @@ func (s ModelSpec) Build(seed int64) (*Model, error) {
 	return b.Build(seed)
 }
 
-// BuildForward builds the model Build builds, for forward passes only
-// (Builder.BuildForward).
+// BuildForward builds the model Build builds, with the same parameters,
+// for forward passes only: it holds no gradient vector, and Backward must
+// not be called on it.
 func (s ModelSpec) BuildForward(seed int64) (*Model, error) {
 	b, err := s.builder()
 	if err != nil {
 		return nil, err
 	}
-	return b.BuildForward(seed)
+	return b.build(seed, false)
 }
 
 // builder lays out s's architecture.
