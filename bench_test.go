@@ -294,7 +294,7 @@ var populationRuns = []struct {
 	bytesPerClient float64
 	mallocs        uint64
 }{
-	{"Sync1kClients", syncSpec, 1_000, 24, 305},
+	{"Sync1kClients", syncSpec, 1_000, 24, 314},
 	{"Async1kClients", asyncSpec, 1_000, 24, 683},
 	{"Sync10kClients", syncSpec, 10_000, 24, 301},
 	{"Async10kClients", asyncSpec, 10_000, 24, 676},
