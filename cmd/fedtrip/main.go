@@ -224,7 +224,7 @@ func run(o runOpts) (*core.Result, error) {
 	fmt.Printf("  uploads held    dense %s, narrowed %s, index patches %s, bitmap patches %s; in flight %d waiting to train, %d trained\n",
 		held(fp.Dense), held(fp.Narrowed), held(fp.IndexPatches), held(fp.BitmapPatches), fp.Waiting, fp.Trained)
 	fmt.Printf("  versions held   float64 %s, float32 %s\n", held(fp.Versions64), blocks(fp.Versions32, fp.Blocks32))
-	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s, version blocks %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks), held(fp.FreeBlocks))
+	fmt.Printf("  pool free lists float64 %s, float32 %s, patch chunks and bitmaps %s, index patches %s, version blocks %s\n", held(fp.Free64), held(fp.Free32), held(fp.FreeChunks), held(fp.FreePatches), held(fp.FreeBlocks))
 	fmt.Printf("  models          engines %s; tester %s\n", models(fp.Engines), models(fp.Tester))
 	fmt.Printf("  client rows     %.2f MiB (the methods' and error feedback's)\n", float64(fp.Rows)/(1<<20))
 	fmt.Printf("  scratch         server %d B, transport %d B\n", fp.ServerScratch, fp.TransportScratch)

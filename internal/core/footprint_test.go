@@ -78,11 +78,15 @@ func TestFootprintOwners(t *testing.T) {
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting: 10, Trained: 1,
 			IndexPatches: core.Held{N: 1, Bytes: 2_688},
-			Versions32:   core.Held{N: 2, Bytes: 78*(2_048+24) + 2*8*39},
-			Blocks32:     78,
-			Free64:       core.Held{N: 1, Bytes: 8 * 19_885},
-			Engines:      oneSampleEngine(483_616),
-			Tester:       unevaluated,
+			// Each job keeps the storage of the last patch it held, 224
+			// indices and values, through the job free list: ten of them
+			// hold none now.
+			FreePatches: core.Held{N: 10, Bytes: 10 * 2_688},
+			Versions32:  core.Held{N: 2, Bytes: 78*(2_048+24) + 2*8*39},
+			Blocks32:    78,
+			Free64:      core.Held{N: 1, Bytes: 8 * 19_885},
+			Engines:     oneSampleEngine(483_616),
+			Tester:      unevaluated,
 			// The widened downlink of a version is server scratch. The
 			// one upload scratch set on the transport's free list holds
 			// room for the 199 kept indices and values, which slices.Grow
@@ -106,6 +110,7 @@ func TestFootprintOwners(t *testing.T) {
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting: 10, Trained: 1,
 			IndexPatches:     core.Held{N: 1, Bytes: 2_688},
+			FreePatches:      core.Held{N: 10, Bytes: 10 * 2_688},
 			Versions32:       core.Held{N: 2, Bytes: 39*(2_048+24) + 2*8*39},
 			Blocks32:         39,
 			Free64:           core.Held{N: 1, Bytes: 8 * 19_885},

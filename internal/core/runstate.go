@@ -188,8 +188,10 @@ type Footprint struct {
 	// what the run's bitmap patches are made of and no upload holds: its
 	// free chunks, carved from float64 vectors of the pool, and its free
 	// patches (their bitmaps and chunk tables). FreeBlocks are the
-	// run's float32 version blocks no version holds.
-	Free64, Free32, FreeChunks, FreeBlocks Held
+	// run's float32 version blocks no version holds. FreePatches is the
+	// index-patch storage no upload holds: the indices and values of
+	// patches its jobs kept from earlier uploads.
+	Free64, Free32, FreeChunks, FreeBlocks, FreePatches Held
 	// Rows is what the built clients carry from one participation to the
 	// next: the method's rows (Client.State) and the transport's
 	// error-feedback rows, from capacities. A client whose rows are a
@@ -303,6 +305,13 @@ func (rs *RunState) Footprint() Footprint {
 				fp.IndexPatches.add(4*cap(u.patch.idx) + 8*cap(u.patch.val))
 			case u.bitmap != nil:
 				fp.BitmapPatches.add(8 * (cap(u.bitmap.bits) + chunkLen*len(u.bitmap.vals)))
+			}
+		}
+	}
+	for _, js := range [][]*trainJob{s.free, r.inflight.js, r.buffer} {
+		for _, j := range js {
+			if j.update.patch != &j.patch && cap(j.patch.idx) > 0 {
+				fp.FreePatches.add(4*cap(j.patch.idx) + 8*cap(j.patch.val))
 			}
 		}
 	}
