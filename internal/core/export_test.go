@@ -437,3 +437,37 @@ func (rs *RunState) HeldVersions() (rounds []int, images [][]float64) {
 	}
 	return rounds, images
 }
+
+// HeldUpload is one upload a trained job holds, read back dense, and the
+// form it is held in: "dense", "narrowed", "index patch" or "bitmap
+// patch".
+type HeldUpload struct {
+	Form   string
+	Vector []float64
+}
+
+// HeldUploads reads back every upload the run's trained jobs hold, in
+// flight or in the policy buffer, keyed by client and dispatch sequence.
+func (rs *RunState) HeldUploads() map[[2]int]HeldUpload {
+	rs.run.joinTraining()
+	held := map[[2]int]HeldUpload{}
+	for _, js := range [][]*trainJob{rs.run.inflight.js, rs.run.buffer} {
+		for _, j := range js {
+			if !j.trained {
+				continue
+			}
+			u := &j.update
+			form := "dense"
+			switch {
+			case u.narrow != nil:
+				form = "narrowed"
+			case u.patch != nil:
+				form = "index patch"
+			case u.bitmap != nil:
+				form = "bitmap patch"
+			}
+			held[[2]int{j.c.ID, j.seq}] = HeldUpload{form, u.Vector(nil)}
+		}
+	}
+	return held
+}
