@@ -706,19 +706,10 @@ func (s *Server) krum(rds []mergeRead, frac, eta float64) {
 // scratchBytes is what the server's merge-side scratch holds, a folded
 // round's mean included.
 func (s *Server) scratchBytes() int64 {
-	b := 8*int64(cap(s.widenScratch)+cap(s.robBlock)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore)+cap(s.robPick)) +
+	b := 8*int64(cap(s.robBlock)+cap(s.robCol)+cap(s.robDist)+cap(s.robScore)+cap(s.robPick)) +
 		int64(unsafe.Sizeof([]float64(nil)))*int64(cap(s.robRows))
 	if s.mean != nil {
 		b += s.mean.bytes()
 	}
 	return b
-}
-
-// widenBuf returns the |w|-sized scratch Server.hold and the snapshot
-// widen a float32 version into, one at a time.
-func (s *Server) widenBuf() []float64 {
-	if len(s.widenScratch) != len(s.global) {
-		s.widenScratch = make([]float64, len(s.global))
-	}
-	return s.widenScratch
 }

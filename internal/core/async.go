@@ -66,12 +66,13 @@
 //     new block only where the merge moved an entry of it. Without one
 //     it is a float64 copy of the global.
 //   - An upload is not one dense vector per client, in flight or in the
-//     policy buffer. Over a transport, one that differs from the float32
-//     image of its version's global in at most a quarter of its entries
-//     — a sparse uplink's — is held as a patch of those entries, and
-//     keeps its version's snapshot until the round that merges it is
-//     done; one whose entries are all exact in float32 — an f32
-//     uplink's — is held narrowed, at half the bytes. Without a
+//     policy buffer. Over a transport it is coded in its engine's
+//     parameters, and one that differs from the float32 image of its
+//     version's global in at most a quarter of its entries — a sparse
+//     uplink's — is held as a patch of those entries, from the run's
+//     store of them, and keeps its version's snapshot until the round
+//     that merges it is done; one whose entries are all exact in float32
+//     — an f32 uplink's — is held narrowed, at half the bytes. Without a
 //     transport, one whose version stays alive anyway — a recipe pins
 //     it, or it is the global behind the lock-step gate — is held as a
 //     bitmap of the entries whose bits differ from the version's and
@@ -281,9 +282,9 @@ func (s *Server) getJob() *trainJob {
 }
 
 // recycleJob returns a drained job (update extracted or voided, done
-// token consumed) to the free list, which keeps its patch storage.
+// token consumed) to the free list.
 func (s *Server) recycleJob(j *trainJob) {
-	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, dueIdx: -1, patch: j.patch, chain: j.chain[:0]}
+	*j = trainJob{done: j.done, task: j.task, heapIdx: -1, dueIdx: -1, chain: j.chain[:0]}
 	s.free = append(s.free, j) //fedtripvet:allow job free list, bounded by the most jobs the loop holds at once
 }
 
@@ -385,19 +386,20 @@ func (sn *globalSnap) source(dst []float64) []float64 {
 
 // hold holds the model version whose global is g as its clients receive
 // it, when that is a float32 image: under a transport with a Coder, g's
-// downlink is coded once, into server scratch, for client 0 in round 0
-// (Coder); when every entry of it is exact in float32 and coding it
-// again gives it back bit for bit, at the same wire size — any float32
-// downlink's image — hold takes it into im from the run's block store,
-// one pass over it, and reports true: every client's downlink of it is
-// the downlink of g. Otherwise it reports false, and the version is
-// held as a float64 copy of g.
+// downlink is coded once, into a vector borrowed from paramsPool, for
+// client 0 in round 0 (Coder); when every entry of it is exact in
+// float32 and coding it again gives it back bit for bit, at the same
+// wire size — any float32 downlink's image — hold takes it into im from
+// the run's block store, one pass over it, and reports true: every
+// client's downlink of it is the downlink of g. Otherwise it reports
+// false, and the version is held as a float64 copy of g.
 func (s *Server) hold(g []float64, im *image32) bool {
 	coder := s.rows.coder
 	if coder == nil {
 		return false
 	}
-	img := s.widenBuf()
+	img := paramsPool.get(len(g))
+	defer paramsPool.put(img)
 	wire := coder.DownCode(img, 0, 0, g)
 	if !f32Exact(img) {
 		return false

@@ -64,8 +64,11 @@ func TestFootprintOwners(t *testing.T) {
 		}},
 		// Over top-k every upload is a patch of indices and values
 		// against the float32 image of its version, which is how the
-		// version is held; the training transient is the one float64
-		// buffer. A transport's bytes are priced on the link, so a
+		// version is held. The one float64 buffer is the vector a
+		// version's downlink is coded into, borrowed while the version is
+		// taken; an upload is coded in the engine's own parameters, and
+		// only a dense one is copied out (the training transient was the
+		// buffer before). A transport's bytes are priced on the link, so a
 		// dispatch bound is the latency draw and the RTT alone: a job
 		// trains then, and holds its upload for the rest of its
 		// transfer. One of the eleven does at this boundary; trained at
@@ -78,22 +81,24 @@ func TestFootprintOwners(t *testing.T) {
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting: 10, Trained: 1,
 			IndexPatches: core.Held{N: 1, Bytes: 2_688},
-			// Each job keeps the storage of the last patch it held, 224
-			// indices and values, through the job free list: ten of them
-			// hold none now.
-			FreePatches: core.Held{N: 10, Bytes: 10 * 2_688},
+			// The run's free patches, each with the storage of the last
+			// upload it held, room for 224 indices and values: seven were
+			// held at once. When each job kept its own through the job
+			// free list, ten of the jobs held none at this boundary and
+			// kept 26,880 B.
+			FreePatches: core.Held{N: 6, Bytes: 6 * 2_688},
 			Versions32:  core.Held{N: 2, Bytes: 78*(2_048+24) + 2*8*39},
 			Blocks32:    78,
 			Free64:      core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:     oneSampleEngine(483_616),
 			Tester:      unevaluated,
-			// The widened downlink of a version is server scratch. The
-			// one upload scratch set on the transport's free list holds
-			// room for the 199 kept indices and values, which slices.Grow
-			// rounds up to 224; top-k selects in the upload's own buffer.
-			// Before it did, the set held a |w| magnitude column too,
-			// 8 × 19,885 B more.
-			ServerScratch:    8 * 19_885,
+			// The one upload scratch set on the transport's free list
+			// holds room for the 199 kept indices and values, which
+			// slices.Grow rounds up to 224; top-k selects in the upload's
+			// own buffer. Before it did, the set held a |w| magnitude
+			// column too, 8 × 19,885 B more. The server kept the vector a
+			// version's downlink is coded into as its scratch, 8 × 19,885
+			// B, before it borrowed it from the pool.
 			TransportScratch: 8 * 224,
 		}},
 		// wire1k_topk_median's merge: the same uploads, merged by the
@@ -101,7 +106,8 @@ func TestFootprintOwners(t *testing.T) {
 		// the server's scratch a block of 512 entries of each update, the
 		// six rows that point at them and the column it selects in. When
 		// it read the updates entry by entry and aggregated into |w|
-		// float64s, it added 8 × 19,885 B and the column. The median
+		// float64s, it added 8 × 19,885 B and the column (and the
+		// server kept 8 × 19,885 B of downlink scratch). The median
 		// of six uploads that each moved 1 % of the entries left the
 		// global's float32 image as it was in every block, so the second
 		// version shares all 39 blocks of the first, where two float32
@@ -110,13 +116,13 @@ func TestFootprintOwners(t *testing.T) {
 			Clients: 48, Built: 22, RegistryBytes: 8_448,
 			Waiting: 10, Trained: 1,
 			IndexPatches:     core.Held{N: 1, Bytes: 2_688},
-			FreePatches:      core.Held{N: 10, Bytes: 10 * 2_688},
+			FreePatches:      core.Held{N: 6, Bytes: 6 * 2_688},
 			Versions32:       core.Held{N: 2, Bytes: 39*(2_048+24) + 2*8*39},
 			Blocks32:         39,
 			Free64:           core.Held{N: 1, Bytes: 8 * 19_885},
 			Engines:          oneSampleEngine(483_616),
 			Tester:           unevaluated,
-			ServerScratch:    8*19_885 + 6*8*512 + 6*24 + 8*6,
+			ServerScratch:    6*8*512 + 6*24 + 8*6,
 			TransportScratch: 8 * 224,
 		}},
 	}

@@ -234,8 +234,9 @@ func (st *rowStore) replay(c *Client, e *engine, chain []rowRecipe) {
 // applied (a noise fault draws from c's stream where the replay's
 // training left it, as the upload's did), against what the client
 // received, which the replay left in e's downlink buffer, updating e's
-// residual row in place. The model's parameters are the upload's buffer:
-// the engine's next round loads its own.
+// residual row in place. The model's parameters are the upload's buffer,
+// as they are for the upload trainClient codes: the engine's next round
+// loads its own.
 func (st *rowStore) recode(c *Client, e *engine, link *rowRecipe) {
 	u := Update{Params: e.model.Params()}
 	st.run.s.applyFault(c, &u)

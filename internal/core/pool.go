@@ -10,34 +10,39 @@ import (
 	"repro/internal/prng"
 )
 
-// vecPool is a size-keyed free list for |w|-sized parameter vectors: the
-// steady-state train -> upload -> aggregate -> merge cycle checks a buffer
-// out in Client.LocalTrain and returns it once the merge has consumed it,
-// so a long run's upload traffic costs zero allocations after the first
-// few rounds. The buffered runtime's snapshots of the global model come
-// from it too — one per model version, shared by every job dispatched at
-// that version — and so do the evaluator's copies. The pool is generic
+// vecPool is a size-keyed free list for |w|-sized parameter vectors: an
+// upload that stays dense is copied into a buffer checked out where it
+// is trained (Server.trainClient, Client.LocalTrain) and returned once
+// the merge has consumed it, so a long run's upload traffic costs zero
+// allocations after the first few rounds. The buffered runtime's
+// snapshots of the global model come from it too — one per model
+// version, shared by every job dispatched at that version — and so do
+// the evaluator's copies and the vector a float32 version is widened
+// into while Server.hold or a snapshot needs it. The pool is generic
 // over the element width: paramsPool holds float64 vectors, narrowPool
 // the float32 ones uploads are narrowed into. A version held as the
 // float32 image a float32 downlink delivers is made of its run's blocks
-// instead (globalSnap, blockStore).
+// instead (globalSnap, blockStore), and an index patch of its run's
+// patchStore.
 //
 // What the pools hold is the most buffers ever checked out at once, never
 // O(dispatches * |w|): one vector per live model version held at float64,
-// one dense upload per buffered client and per trained
-// in-flight one whose upload is held in no compact form (a job waiting to
-// train has none), the float64 vectors a run
-// carves its bitmap patches' chunks from, and the training and
-// evaluation transients. A lock-step round that folds its uploads into
-// its mean as they arrive (roundMean) returns each upload's buffer once
-// it is folded, so it holds a window of one upload per shard, plus any
-// that arrived ahead of an earlier one, not its K; a round that merges
-// at its end holds all K until then. An upload is held compact from
-// training to the merge. With a transport (see compact): one within |w|/4 entries of the
-// float32 image of its version — any sparse uplink's — as its job's
-// patch, which pins that version until the round that merges it; one
-// whose every entry is exact in float32 — any f32 uplink's — as a
-// narrowPool vector of half the bytes. Without one, when its version
+// one dense upload per buffered client and per trained in-flight one
+// whose upload is held in no compact form (a job waiting to train has
+// none), the float64 vectors a run carves its bitmap patches' chunks
+// from, and the evaluation and widening transients. An upload over a
+// transport is coded where training leaves it, in the engine model's
+// parameters, so a compact one costs no float64 vector at all. A
+// lock-step round that folds its uploads into its mean as they arrive
+// (roundMean) returns each upload's buffer once it is folded, so it
+// holds a window of one upload per shard, plus any that arrived ahead of
+// an earlier one, not its K; a round that merges at its end holds all K
+// until then. An upload is held compact from training to the merge.
+// With a transport (see compact): one within |w|/4 entries of the
+// float32 image of its version — any sparse uplink's — as a patch of its
+// run's patchStore, which pins that version until the round that merges
+// it; one whose every entry is exact in float32 — any f32 uplink's — as
+// a narrowPool vector of half the bytes. Without one, when its version
 // stays alive anyway and that takes fewer bytes than |w| float64s: as a
 // bitmap patch against the version (bitPatch), its values in chunks of
 // its run's chunkStore, 4 KiB each, so a float64 vector of the pool
@@ -48,7 +53,9 @@ import (
 // client's parameters into another's arithmetic; the aliasing pins in
 // pool_test.go prove that upload buffers are never shared between
 // concurrent in-flight clients and that a version's snapshot is
-// handed to nobody else, and never written, while a job trains from it.
+// handed to nobody else, and never written, while a job trains from it,
+// and uploadalias_test.go that a held upload, compact or dense, keeps
+// its value while later jobs train on the engine it was coded in.
 type vecPool[T float32 | float64] struct {
 	mu   sync.Mutex
 	free map[int][][]T
@@ -152,13 +159,16 @@ func recycleUpdates(updates []Update) {
 	}
 }
 
-// recycle returns u's pooled vector, dense or narrowed, or its bitmap
-// patch, and drops every vector u refers to.
+// recycle returns u's pooled vector, dense or narrowed, or its patch,
+// of indices or a bitmap, and drops every vector u refers to.
 func (u *Update) recycle() {
 	if u.pooled {
 		paramsPool.put(u.Params)
 	}
 	narrowPool.put(u.narrow)
+	if u.patch != nil {
+		u.patch.release()
+	}
 	if u.bitmap != nil {
 		u.bitmap.release()
 	}
@@ -253,12 +263,64 @@ func (u *Update) compacted() bool { return u.narrow != nil || u.patch != nil || 
 // image. The image plus the patch is the upload exactly, whatever the
 // base: the comparison is bitwise, and a vector with too many
 // differences is never compacted, so only how compact a patch is depends
-// on the base, never whether it is exact. A job's patch keeps its storage
-// through the job free list; its update points at it, and at the version
-// it was taken against, until the round that merges it is done.
+// on the base, never whether it is exact. A patch belongs to its run's
+// patchStore: an upload holds it, and the version it was taken against,
+// until the round that merges it is done, and it goes back to the store,
+// with its storage, when the upload is recycled.
 type uploadPatch struct {
-	idx []int32
-	val []float64
+	store *patchStore
+	idx   []int32
+	val   []float64
+}
+
+// patchStore is what a run's index patches are made of: the patches no
+// upload holds, each keeping the storage of the last upload it held. A
+// compaction takes the last one returned, or a new one when none is
+// free, and an upload that is not sparse gives it back at once; so the
+// storage a run keeps is the most patches its uploads held at once,
+// whatever its jobs number. It is touched by the shards, which take
+// patches, and by the event loop, which gives them back.
+type patchStore struct {
+	mu   sync.Mutex
+	free []*uploadPatch
+}
+
+// get returns a free patch of unspecified contents.
+func (st *patchStore) get() *uploadPatch {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := len(st.free)
+	if n == 0 {
+		return &uploadPatch{store: st}
+	}
+	p := st.free[n-1]
+	st.free = st.free[:n-1]
+	return p
+}
+
+// release gives p back to its store; a patch built outside a run has
+// none, and is dropped.
+func (p *uploadPatch) release() {
+	st := p.store
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	st.free = append(st.free, p) //fedtripvet:allow grows to the most patches the run holds at once
+	st.mu.Unlock()
+}
+
+// held is the storage of the store's free patches, those that have any.
+func (st *patchStore) held() Held {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var h Held
+	for _, p := range st.free {
+		if cap(p.idx) > 0 {
+			h.add(4*cap(p.idx) + 8*cap(p.val))
+		}
+	}
+	return h
 }
 
 // f32Image is what a float32 downlink delivers for v: v itself, widened,

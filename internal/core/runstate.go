@@ -169,7 +169,7 @@ type Footprint struct {
 	Waiting, Trained int
 	// The uploads in flight and in the policy buffer, by the form each
 	// is held in: a dense float64 vector, a float32 narrowing, a patch of
-	// indices and values against its version (its job's storage), or a
+	// indices and values against its version (the run's storage), or a
 	// bitmap patch (its bitmap and the whole chunks of its values).
 	Dense, Narrowed, IndexPatches, BitmapPatches Held
 	// Versions64 and Versions32 are the model versions the run holds, a
@@ -189,8 +189,8 @@ type Footprint struct {
 	// free chunks, carved from float64 vectors of the pool, and its free
 	// patches (their bitmaps and chunk tables). FreeBlocks are the
 	// run's float32 version blocks no version holds. FreePatches is the
-	// index-patch storage no upload holds: the indices and values of
-	// patches its jobs kept from earlier uploads.
+	// index-patch storage no upload holds: the indices and values of the
+	// run's free patches (patchStore).
 	Free64, Free32, FreeChunks, FreeBlocks, FreePatches Held
 	// Rows is what the built clients carry from one participation to the
 	// next: the method's rows (Client.State) and the transport's
@@ -202,9 +202,11 @@ type Footprint struct {
 	// borrowed it — with the scratch models a method built on them;
 	// Tester is the evaluator's model and batch.
 	Engines, Tester Models
-	// ServerScratch is the server's merge-side scratch: the vector it
-	// widens a float32 version into (Server.hold, Snapshot) and what the
-	// robust merges read, sort and aggregate in. TransportScratch is what
+	// ServerScratch is the server's merge-side scratch: what the robust
+	// merges read, sort and aggregate in, and a folded round's mean, its
+	// weights and its slots. The vector a float32 version is widened into
+	// (Server.hold, Snapshot) is borrowed from paramsPool for the call, so
+	// it is Free64's between calls. TransportScratch is what
 	// the transport keeps between uploads, read through its HeldBytes
 	// method (comm's Transport has one); 0 for a transport without it.
 	ServerScratch, TransportScratch int64
@@ -308,13 +310,6 @@ func (rs *RunState) Footprint() Footprint {
 			}
 		}
 	}
-	for _, js := range [][]*trainJob{s.free, r.inflight.js, r.buffer} {
-		for _, j := range js {
-			if j.update.patch != &j.patch && cap(j.patch.idx) > 0 {
-				fp.FreePatches.add(4*cap(j.patch.idx) + 8*cap(j.patch.val))
-			}
-		}
-	}
 	for _, c := range s.clients {
 		if c != nil {
 			fp.Rows += 8 * int64(cap(c.state)+cap(c.resid))
@@ -326,6 +321,7 @@ func (rs *RunState) Footprint() Footprint {
 		}
 	}
 	fp.Versions32, fp.Blocks32, fp.FreeBlocks = s.versions.footprint(r.snaps)
+	fp.FreePatches = s.patches.held()
 	fp.Free64 = paramsPool.held()
 	fp.Free32 = narrowPool.held()
 	if s.chunks != nil {

@@ -166,13 +166,11 @@ type Server struct {
 	// makes the warning one-shot.
 	rejectedUpdates int
 	rejectLogged    bool
-	// widenScratch is where Server.hold codes a version's downlink and
-	// the snapshot widens a float32 version, allocated by the first that
-	// needs it. The merge needs no |w|-sized scratch: it reads and merges
-	// a block of entries at a time (mergeBlocks), the weighted mean into
-	// blockSum through blockX, a robust merge into blockSum through
-	// robBlock.
-	widenScratch     []float64
+	// The merge needs no |w|-sized scratch: it reads and merges a block
+	// of entries at a time (mergeBlocks), the weighted mean into blockSum
+	// through blockX, a robust merge into blockSum through robBlock.
+	// Server.hold and the snapshot borrow the |w| vector they widen a
+	// version into from paramsPool.
 	blockSum, blockX [chunkLen]float64
 	// Per-round scratch reused across the run (all touched only from the
 	// single-threaded round/event loop): selection permutation and picks,
@@ -205,8 +203,9 @@ type Server struct {
 	chunks       *chunkStore
 	denseUploads bool
 	// versions is what the run's float32 model versions are made of
-	// (globalSnap).
+	// (globalSnap), and patches what its index patches are made of.
 	versions blockStore
+	patches  patchStore
 	// mean is the round's weighted mean of a lock-step run that folds
 	// each upload into it as it arrives (roundMean); nil when the run
 	// merges the round's uploads at its end.
@@ -369,18 +368,21 @@ func (s *Server) selectClients() []*Client {
 //
 // With a transport the client trains from the shard engine's downlink
 // buffer, which then serves as the upload's delta reference, and the
-// upload is rounded in place in its pooled buffer, next to the client's
-// error-feedback row; without one it trains from j.global itself. The
-// upload is then held compact until the merge reads it, and its buffer
-// goes straight back to the pool. Over a transport: as the job's patch
-// when it differs from the float32 image of j.global in at most a
-// quarter of its entries (a sparse uplink's), narrowed to a float32
-// vector when every entry is exact in float32 (an f32 uplink's).
-// Without one, an upload no fault corrupts: as a bitmap patch against
-// j.global when that takes fewer bytes than the upload and the version
-// stays alive anyway — the job's recorded participation pins it, or it
-// is s.global behind the lock-step gate — so holding the patch pins
-// nothing more. Any other upload stays |w| float64s.
+// upload is faulted and rounded where training leaves it, in the engine
+// model's parameter vector, next to the client's error-feedback row, as
+// a replay's recode does: the engine's next round loads its own
+// parameters. It is then held compact until the merge reads it, copied
+// out of the engine: as a patch of the run's patchStore when it differs
+// from the float32 image of j.global in at most a quarter of its entries
+// (a sparse uplink's), narrowed to a float32 vector when every entry is
+// exact in float32 (an f32 uplink's), and into a pooled float64 vector,
+// the same bits, otherwise. Without one the client trains from j.global
+// itself, and an upload no fault corrupts is held as a bitmap patch
+// against j.global when that takes fewer bytes than the upload and the
+// version stays alive anyway — the job's recorded participation pins it,
+// or it is s.global behind the lock-step gate — so holding the patch
+// pins nothing more; any other upload is copied into a pooled float64
+// vector, where a fault corrupts it.
 //
 // A participation recorded as the newest link of its client's chain
 // first replays the chain, which leaves the rows (and the error-feedback
@@ -412,47 +414,56 @@ func (s *Server) trainClient(j *trainJob) {
 	}
 	trained := c.eng.model.Params()
 	j.upBytes = int64(4 * len(trained))
-	if s.bitmapped(j) {
-		// Compared with its version where training left it, and copied
-		// only if it stays dense.
-		if u.bitmap = s.chunks.holdBits(trained, j.global); u.bitmap != nil {
-			u.base = j.global
-			j.update = u
-			return
+	if s.wire == nil {
+		if s.bitmapped(j) {
+			// Compared with its version where training left it, and copied
+			// only if it stays dense.
+			if u.bitmap = s.chunks.holdBits(trained, j.global); u.bitmap != nil {
+				u.base = j.global
+				j.update = u
+				return
+			}
 		}
+		u.Params, u.pooled = paramsPool.getCopy(trained), true
+		s.applyFault(c, &u)
+		j.update = u
+		return
 	}
-	u.Params, u.pooled = paramsPool.getCopy(trained), true
 	// Byzantine corruption happens here — after training (the FLOPs were
 	// really burned) and before the transport encodes the upload (the
 	// corrupted vector is what rides, and prices, the wire). Downstream
 	// the fault flows through staleness, churn, and buffering exactly
 	// like an honest update.
+	u.Params = trained
 	s.applyFault(c, &u)
-	if s.wire != nil {
-		resid := &c.resid
-		if j.record && j.recRows > 0 && s.rows.coder != nil {
-			// The chain rebuilds this upload's row too: the replay left
-			// the row as it stood in engine scratch, the upload updates it
-			// there, and the client keeps none.
-			resid = &c.eng.residRow
-		}
-		j.upBytes = s.wire.UpInto(u.Params, c.ID, j.round, u.Params, global, resid)
-		// Compared with the version's image where it lies: a transport
-		// may send each client something other than the image.
-		var sparse, exact bool
-		if img != nil {
-			sparse, exact = compact(&j.patch, u.Params, img)
-		} else {
-			sparse, exact = compact(&j.patch, u.Params, flat(j.global))
-		}
-		switch {
-		case sparse:
-			paramsPool.put(u.Params)
-			u.Params, u.pooled = nil, false
-			u.patch, u.base, u.base32 = &j.patch, j.global, img
-		case exact:
-			u.holdNarrow()
-		}
+	resid := &c.resid
+	if j.record && j.recRows > 0 && s.rows.coder != nil {
+		// The chain rebuilds this upload's row too: the replay left the
+		// row as it stood in engine scratch, the upload updates it there,
+		// and the client keeps none.
+		resid = &c.eng.residRow
+	}
+	j.upBytes = s.wire.UpInto(trained, c.ID, j.round, trained, global, resid)
+	// Compared with the version's image where it lies: a transport may
+	// send each client something other than the image.
+	p := s.patches.get()
+	var sparse, exact bool
+	if img != nil {
+		sparse, exact = compact(p, trained, img)
+	} else {
+		sparse, exact = compact(p, trained, flat(j.global))
+	}
+	switch {
+	case sparse:
+		u.Params = nil
+		u.patch, u.base, u.base32 = p, j.global, img
+	case exact:
+		u.Params, u.narrow = nil, narrowed(trained)
+	default:
+		u.Params, u.pooled = paramsPool.getCopy(trained), true
+	}
+	if !sparse {
+		p.release()
 	}
 	j.update = u
 }

@@ -23,15 +23,14 @@ type trainJob struct {
 	// (gsnap.img, globalSnap).
 	global []float64
 	gsnap  *globalSnap
+	// update is what the job uploads. A sparse one's patch is the run's
+	// (patchStore), taken at its compaction; it points at its version
+	// (update.base or base32), and the job keeps that version, and
+	// gsnap's reference, until the round that merges it is done.
 	update Update
-	// patch is the storage of a sparse upload (update.patch points at it,
-	// update.base or base32 at its version): such a job keeps its
-	// version, and gsnap's reference, until the round that merges it is
-	// done. It stays with the job through the free list.
-	patch uploadPatch
-	flops int64
-	done  chan struct{}
-	task  func(worker int) // sp.run(j, worker), what submit queues
+	flops  int64
+	done   chan struct{}
+	task   func(worker int) // sp.run(j, worker), what submit queues
 
 	// finish is the virtual arrival time: the dispatch bound until the
 	// job trains (bound), then its priced arrival (price).

@@ -476,7 +476,9 @@ func (st *rowStore) snapImages(c *tensor.Codec) {
 		}
 		sn := r.snaps[k]
 		k++
-		c.FloatsExact("round image", sn.source(r.s.widenBuf()))
+		buf := paramsPool.get(np)
+		c.FloatsExact("round image", sn.source(buf))
+		paramsPool.put(buf)
 	}
 }
 

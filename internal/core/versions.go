@@ -60,21 +60,21 @@ type version[T float32 | float64] interface {
 // pairs of the versions held, whatever order they were taken in; a
 // coordinate-wise merge of sparse uploads leaves most of a version's
 // blocks as they were. A block no version holds goes on the free list,
-// which later versions take from; a run allocates blocks a slab at a
-// time, only when the list is empty. It is touched on the event loop
-// only; shards read the blocks of the versions their jobs hold.
+// which later versions take from; a version that needs more blocks than
+// the list has allocates one slab of the rest. It is touched on the
+// event loop only; shards read the blocks of the versions their jobs
+// hold.
 type blockStore struct {
 	heads []*block32
 	free  []*block32
 	held  int // blocks some version holds
 }
 
-// blockSlab is the most blocks one allocation of a store makes: 64 KiB.
-const blockSlab = 32
-
-// take holds v, every entry of which is exact in float32, as im: each
-// block narrowed, then shared with the one held at its place with the
-// same bits, or copied into a free block.
+// take holds v, every entry of which is exact in float32, as im. A first
+// pass narrows each block and shares it with the one held at its place
+// with the same bits, and counts the blocks no version has; a second
+// narrows each of those into a free block, or into one slab of them
+// allocated for the blocks the free list is short of.
 func (st *blockStore) take(im *image32, v []float64) {
 	nb := (len(v) + chunkLen - 1) / chunkLen
 	if len(st.heads) != nb {
@@ -85,41 +85,52 @@ func (st *blockStore) take(im *image32, v []float64) {
 	}
 	im.blocks, im.n = im.blocks[:0], len(v)
 	var stage [chunkLen]float32
+	missing := 0
 	for b := range nb {
-		seg := v[b*chunkLen : min(b*chunkLen+chunkLen, len(v))]
-		for i, x := range seg {
-			stage[i] = float32(x)
-		}
-		clear(stage[len(seg):])
+		narrowBlock(&stage, v, b)
 		blk := st.heads[b]
 		for blk != nil && *bitsOf(blk.v) != *bitsOf(&stage) {
 			blk = blk.next
 		}
 		if blk == nil {
-			blk = st.get(nb - b)
-			*blk.v, blk.next = stage, st.heads[b]
-			st.heads[b] = blk
+			missing++
+		} else {
+			blk.refs++
 		}
-		blk.refs++
 		im.blocks = append(im.blocks, blk)
+	}
+	var slab []block32
+	if k := missing - len(st.free); k > 0 {
+		vs := make([][chunkLen]float32, k)
+		slab = make([]block32, k)
+		for i := range slab {
+			slab[i].v = &vs[i]
+		}
+	}
+	for b, blk := range im.blocks {
+		if blk != nil {
+			continue
+		}
+		if n := len(st.free); n > 0 {
+			blk, st.free = st.free[n-1], st.free[:n-1]
+		} else {
+			blk, slab = &slab[0], slab[1:]
+		}
+		narrowBlock(blk.v, v, b)
+		blk.refs, blk.next = 1, st.heads[b]
+		st.heads[b] = blk
+		im.blocks[b] = blk
+		st.held++
 	}
 }
 
-// get returns a free block, allocating a slab of at most blockSlab, and
-// never more than want, when the free list is empty.
-func (st *blockStore) get(want int) *block32 {
-	if len(st.free) == 0 {
-		k := min(want, blockSlab)
-		vs, slab := make([][chunkLen]float32, k), make([]block32, k)
-		for i := range slab {
-			slab[i].v = &vs[i]
-			st.free = append(st.free, &slab[i])
-		}
+// narrowBlock writes block b of v at float32 into dst, zero past v's end.
+func narrowBlock(dst *[chunkLen]float32, v []float64, b int) {
+	seg := v[b*chunkLen : min(b*chunkLen+chunkLen, len(v))]
+	for i, x := range seg {
+		dst[i] = float32(x)
 	}
-	blk := st.free[len(st.free)-1]
-	st.free = st.free[:len(st.free)-1]
-	st.held++
-	return blk
+	clear(dst[len(seg):])
 }
 
 // drop lets go of im: each of its blocks that no other version holds
